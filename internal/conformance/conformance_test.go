@@ -21,6 +21,8 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/lossless"
+	"repro/internal/sz2"
+	"repro/internal/sz3"
 	"repro/internal/tensor"
 )
 
@@ -265,5 +267,40 @@ func TestCorruptBatchKeepsErrCorrupt(t *testing.T) {
 	bad[0] ^= 0xFF
 	if _, _, err := core.DecompressAll(context.Background(), [][]byte{stream, bad}, 2); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("batch error %v does not wrap ErrCorrupt", err)
+	}
+}
+
+// TestLosslessStageEarnsItsKeep pins what the SZ2/SZ3 trailing stage is kept
+// for, on weight-like data: it never grows a stream; at REL 1e-1, where
+// Huffman's one-bit floor leaves real redundancy, it still codes it away;
+// and at REL 1e-2 SZ2 still collects the all-Lorenzo predictor-kind run in
+// front of the (now raw) Huffman bitstream. SZ3 stores one predictor kind
+// per level, not per block, so it has no such run at tighter bounds.
+func TestLosslessStageEarnsItsKeep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	data := eblctest.WeightLike(rng, 1<<16)
+	rels := [3]float64{1e-1, 1e-2, 1e-3}
+	for _, tc := range []struct {
+		name    string
+		on, off ebcl.Compressor
+		minGain [3]float64
+	}{
+		{"sz2", sz2.NewCompressor(), &sz2.Compressor{DisableLosslessStage: true}, [3]float64{0.15, 0.005, 0}},
+		{"sz3", sz3.NewCompressor(), &sz3.Compressor{DisableLosslessStage: true}, [3]float64{0.15, 0, 0}},
+	} {
+		for i, rel := range rels {
+			on, err := tc.on.Compress(data, ebcl.Rel(rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, err := tc.off.Compress(data, ebcl.Rel(rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gain := 1 - float64(len(on))/float64(len(off)); len(on) > len(off) || gain < tc.minGain[i] {
+				t.Errorf("%s REL %g: stage on %d bytes, off %d (gain %.2f%%, want >= %.1f%%)",
+					tc.name, rel, len(on), len(off), 100*gain, 100*tc.minGain[i])
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@ const (
 type Quantizer struct {
 	ebAbs    float64
 	binWidth float64 // 2 · ebAbs
+	invWidth float64 // 1 / binWidth: the serial Lorenzo chain waits on this op
 }
 
 // NewQuantizer returns a quantizer for the given absolute bound. ebAbs must
@@ -29,7 +30,7 @@ func NewQuantizer(ebAbs float64) Quantizer {
 	if ebAbs <= 0 {
 		panic("ebcl: quantizer requires positive bound")
 	}
-	return Quantizer{ebAbs: ebAbs, binWidth: 2 * ebAbs}
+	return Quantizer{ebAbs: ebAbs, binWidth: 2 * ebAbs, invWidth: 1 / (2 * ebAbs)}
 }
 
 // Quantize returns the code for original given the prediction pred, and the
@@ -37,7 +38,7 @@ func NewQuantizer(ebAbs float64) Quantizer {
 // the code range — the caller must emit EscapeCode and a literal.
 func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok bool) {
 	resid := original - pred
-	scaled := resid / q.binWidth
+	scaled := resid * q.invWidth
 	// The comparison form also rejects NaN and ±Inf residuals (from
 	// non-finite inputs), which must be stored as literals.
 	if !(scaled > -(QuantRadius-0.5) && scaled < QuantRadius-0.5) {

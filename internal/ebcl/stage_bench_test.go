@@ -1,0 +1,50 @@
+package ebcl_test
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/ebcl"
+	"repro/internal/eblctest"
+	"repro/internal/sz2"
+)
+
+// BenchmarkLosslessStage times the trailing stage alone, on the payload SZ2
+// hands it for weight-like data: at REL 1e-2 (a short zero run, then an
+// incompressible Huffman bitstream) and at REL 1e-1 (a bitstream at
+// Huffman's one-bit floor, which the stage shrinks a lot). Throughput is in
+// payload bytes.
+func BenchmarkLosslessStage(b *testing.B) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	data := eblctest.WeightLike(rng, 1<<20)
+	for _, rel := range []float64{1e-2, 1e-1} {
+		stream, err := (&sz2.Compressor{DisableLosslessStage: true}).Compress(data, ebcl.Rel(rel))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Common header (9) + absolute bound (8) + stage mode byte.
+		payload := stream[18:]
+		staged := ebcl.AppendLosslessStage(nil, payload, false)
+		b.Run(fmt.Sprintf("append/rel=%g", rel), func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(staged))/float64(len(payload)+1), "out/in")
+			out := make([]byte, 0, len(payload)+1)
+			for i := 0; i < b.N; i++ {
+				out = ebcl.AppendLosslessStage(out[:0], payload, false)
+			}
+		})
+		b.Run(fmt.Sprintf("read/rel=%g", rel), func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, release, err := ebcl.ReadLosslessStage(staged)
+				if err != nil || len(got) != len(payload) {
+					b.Fatalf("stage read: %d bytes, %v", len(got), err)
+				}
+				release()
+			}
+		})
+	}
+}

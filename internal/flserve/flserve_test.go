@@ -3,6 +3,8 @@ package flserve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/eblctest"
 	"repro/internal/netsim"
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // clientUpdate synthesizes one client's model update: two lossy weight
@@ -182,8 +185,9 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	}
 }
 
-// TestCorruptUploadRejectedServerSurvives: a damaged stream must produce a
-// client-visible rejection and leave the server serving.
+// TestCorruptUploadRejectedServerSurvives: an update damaged in transit —
+// after the client framed it, so the frame CRC no longer matches — must
+// produce a client-visible rejection and leave the server serving.
 func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	streams, _ := compressUpdates(t, 2)
 	col := newCollector()
@@ -194,12 +198,18 @@ func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	defer srv.Close()
 	addr := srv.Addr().String()
 
-	bad := append([]byte(nil), streams[0]...)
+	// What Client.Upload puts on the socket — connection magic, client ID,
+	// wire frames — with one byte flipped inside a frame's payload.
+	var sent bytes.Buffer
+	sent.Write(binary.LittleEndian.AppendUint32(nil, connMagic))
+	sent.Write(binary.LittleEndian.AppendUint32(nil, 0))
+	if err := wire.NewWriter(&sent).WriteStream(streams[0]); err != nil {
+		t.Fatal(err)
+	}
+	bad := sent.Bytes()
 	bad[len(bad)/2] ^= 0xFF
-	if err := Upload(addr, 0, bad); err == nil {
-		// A flip in the lossy payload region is CRC-detectable at the wire
-		// layer; whichever layer catches it, the ack must be a rejection.
-		t.Fatal("corrupt upload acked as success")
+	if err := rawUpload(addr, bad); !errors.Is(err, ErrRejected) {
+		t.Fatalf("upload corrupted on the wire: got %v, want ErrRejected", err)
 	}
 	if err := Upload(addr, 1, streams[1]); err != nil {
 		t.Fatalf("server did not survive corrupt upload: %v", err)

@@ -186,11 +186,17 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 	}
 
 	// Rejections must not retry: a corrupt stream against the live server
-	// fails fast even with a retry budget. A mid-payload flip keeps the
-	// client-side section framing parseable; the wire layer or decoder on
-	// the server rejects it.
+	// fails fast even with a retry budget. The damage is to a structural
+	// byte — the first tensor blob's SZ2 magic, which the client's section
+	// framing does not parse and the server's decoder is bound to refuse; a
+	// flip inside the entropy-coded payload before framing is covered by no
+	// checksum.
 	bad := append([]byte(nil), streams[0]...)
-	bad[len(bad)/2] ^= 0xFF
+	at := bytes.Index(bad, []byte{0x02, 0x00, 0x5A, 0x53})
+	if at < 0 {
+		t.Fatal("no SZ2 blob in the stream")
+	}
+	bad[at] ^= 0xFF
 	cr := &Client{Addr: addr, Retries: 3, RetryBackoff: 10 * time.Millisecond}
 	t0 := time.Now()
 	err = cr.Upload(context.Background(), 4, bad)

@@ -20,7 +20,7 @@ type BloscLZ struct {
 func NewBloscLZ() *BloscLZ {
 	return &BloscLZ{
 		elemSize: 4,
-		cfg:      matcherConfig{maxChain: 1, lazy: false, skipStep: true},
+		cfg:      matcherConfig{maxChain: 1},
 	}
 }
 

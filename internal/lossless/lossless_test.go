@@ -2,6 +2,8 @@ package lossless
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -174,7 +176,7 @@ func TestShuffleGroupsBytes(t *testing.T) {
 func TestLZParseReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	cfgs := []matcherConfig{
-		{maxChain: 4, skipStep: true},
+		{maxChain: 1},
 		{maxChain: 32},
 		{maxChain: 512, lazy: true},
 	}
@@ -248,3 +250,194 @@ func BenchmarkCompressXZLike(b *testing.B)    { benchCodec(b, "xzlike", true) }
 func BenchmarkCompressGzip(b *testing.B)      { benchCodec(b, "gzip", true) }
 func BenchmarkDecompressBloscLZ(b *testing.B) { benchCodec(b, "blosclz", false) }
 func BenchmarkDecompressXZLike(b *testing.B)  { benchCodec(b, "xzlike", false) }
+
+// skewedBytes draws n bytes whose order-0 entropy is what mixing a fraction
+// p of uniform bytes into a constant gives: p=1 is incompressible, p=0 one
+// symbol.
+func skewedBytes(rng *rand.Rand, n int, p float64) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		if rng.Float64() < p {
+			out[i] = byte(rng.Uint32())
+		}
+	}
+	return out
+}
+
+// TestEncodeLiteralsRule: the entropy gate stores uniform bytes raw without
+// coding them, Huffman-codes a skewed source, and switches where the order-0
+// estimate plus the code-length table crosses zstd's minimum gain of
+// len/64 + 2 bytes.
+func TestEncodeLiteralsRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	const n = 1 << 16
+	roundTrip := func(lits []byte) (mode byte, size int) {
+		t.Helper()
+		blob, mode, err := encodeLiterals(lits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == 0 && (len(blob) == 0 || &blob[0] != &lits[0]) {
+			t.Fatal("raw literals were copied; mode 0 must be a view")
+		}
+		dec, err := decodeLiterals(blob, mode)
+		if err != nil || !bytes.Equal(dec, lits) {
+			t.Fatalf("mode %d literals do not round-trip: %v", mode, err)
+		}
+		return mode, len(blob)
+	}
+
+	if mode, _ := roundTrip(skewedBytes(rng, n, 1)); mode != 0 {
+		t.Fatal("uniform random literals were Huffman-coded")
+	}
+	if mode, size := roundTrip(skewedBytes(rng, n, 0.3)); mode != 1 || size > n/2 {
+		t.Fatalf("skewed literals: mode %d, %d of %d bytes", mode, size, n)
+	}
+	if mode, _ := roundTrip(skewedBytes(rng, 63, 0)); mode != 0 {
+		t.Fatal("literals shorter than a Huffman table were coded")
+	}
+
+	// The boundary: c zeros and the rest spread evenly over the other 255
+	// values has a closed-form estimate, so find the c where it crosses n
+	// minus the minimum gain and test either side of it.
+	estimate := func(c int) float64 {
+		rest := float64(n-c) / 255
+		table := 24.0 + 17*256 // bits: alphabet size, then a run per symbol
+		return (table + float64(c)*math.Log2(n/float64(c)) + 255*rest*math.Log2(n/rest)) / 8
+	}
+	minGain := float64(n/64 + 2)
+	c := n / 256
+	for estimate(c) >= n-minGain {
+		c++
+	}
+	build := func(zeros int) []byte {
+		lits := make([]byte, 0, n)
+		lits = append(lits, make([]byte, zeros)...)
+		for i := 0; len(lits) < n; i++ {
+			lits = append(lits, byte(1+i%255))
+		}
+		return lits
+	}
+	// build rounds the 255 other counts to integers, which moves the
+	// estimate by under a byte; 16 zeros either side move it by 7.5, against
+	// a minimum gain of 1026.
+	if huffmanCanPay(build(c - 16)) {
+		t.Fatalf("gain below len/64+2 (c=%d) passed the gate", c-16)
+	}
+	if !huffmanCanPay(build(c + 16)) {
+		t.Fatalf("gain above len/64+2 (c=%d) failed the gate", c+16)
+	}
+}
+
+// mixedFrameInput is the shape the SZ pipelines hand the trailing stage: a
+// run the matcher collects, then an incompressible body whose literals the
+// gate stores raw.
+func mixedFrameInput(rng *rand.Rand, run, body int) []byte {
+	in := make([]byte, run, run+body)
+	return append(in, skewedBytes(rng, body, 1)...)
+}
+
+// TestZstdLikeMixedRawFrame: a frame can carry matches and raw (litMode 0)
+// literals together, keeps the run's saving, and round-trips.
+func TestZstdLikeMixedRawFrame(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 34))
+	c := NewZstdLike()
+	for _, body := range []int{100, 4096, 1 << 18} {
+		in := mixedFrameInput(rng, 1024, body)
+		enc, err := c.Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc[4] != 0 {
+			t.Fatalf("body %d: litMode %d, want raw literals", body, enc[4])
+		}
+		if len(enc) > len(in)-1000+24 {
+			t.Fatalf("body %d: %d -> %d bytes, the zero run was not collected", body, len(in), len(enc))
+		}
+		dec, err := c.Decompress(enc)
+		if err != nil || !bytes.Equal(dec, in) {
+			t.Fatalf("body %d: round trip failed: %v", body, err)
+		}
+	}
+}
+
+// TestMissRunAccelerationKeepsLaterMatches: striding through an
+// incompressible region must not blind the parse to a repeat behind it.
+func TestMissRunAccelerationKeepsLaterMatches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 36))
+	const body = 1 << 18 // several times xz-like's 32 Ki threshold: every codec strides
+	in := skewedBytes(rng, body, 1)
+	in = append(in, make([]byte, 1<<12)...)
+	for _, name := range []string{"blosclz", "zstdlike", "xzlike"} {
+		c, _ := Get(name)
+		enc, err := c.Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) > body+1<<11 { // the run is 1<<12 bytes; losing it shows
+			t.Errorf("%s: %d -> %d bytes, trailing run lost behind the miss run", name, len(in), len(enc))
+		}
+		dec, err := c.Decompress(enc)
+		if err != nil || !bytes.Equal(dec, in) {
+			t.Fatalf("%s: round trip failed: %v", name, err)
+		}
+	}
+}
+
+// TestHostileMatchLength: a sequence declaring a match far longer than the
+// frame's raw length must be refused before the copy loop runs, which would
+// otherwise append until memory ran out.
+func TestHostileMatchLength(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32(nil, 8) // rawLen
+	frame = append(frame, 0, 1, 'a')                  // raw literals: "a"
+	frame = append(frame, 1, 1)                       // one sequence, litLen 1
+	frame = binary.AppendUvarint(frame, 1<<40)        // match code
+	frame = append(frame, 0, 0)                       // offset 1
+	if _, err := NewZstdLike().Decompress(frame); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("hostile match length: %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzZstdLikeDecompress drives the trailing-stage decoder with frames that
+// mix matches with raw and with Huffman literals. No input may panic, and
+// whatever decodes must survive a fresh encode/decode cycle.
+func FuzzZstdLikeDecompress(f *testing.F) {
+	rng := rand.New(rand.NewPCG(37, 38))
+	c := NewZstdLike()
+	for _, in := range [][]byte{
+		mixedFrameInput(rng, 512, 2048),                           // matches + litMode 0
+		append(make([]byte, 300), skewedBytes(rng, 2048, 0.2)...), // matches + litMode 1
+		skewedBytes(rng, 1024, 1),                                 // literals only, raw
+		corpora()["repetitive"],
+		{},
+	} {
+		enc, err := c.Compress(in)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		if len(enc) > 8 {
+			bad := append([]byte(nil), enc...)
+			bad[len(bad)/2] ^= 0x5A
+			f.Add(bad)
+			f.Add(enc[:len(enc)-3])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > 1<<22 {
+			t.Skip("declares more output than a fuzz worker should be asked to produce")
+		}
+		dec, err := c.Decompress(data)
+		if err != nil {
+			return
+		}
+		enc, err := c.Compress(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := c.Decompress(enc)
+		if err != nil || !bytes.Equal(again, dec) {
+			t.Fatalf("re-encoded frame does not round-trip: %v", err)
+		}
+	})
+}

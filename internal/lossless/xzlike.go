@@ -44,6 +44,7 @@ func (c *XZLike) Compress(src []byte) ([]byte, error) {
 		work = shuffleBytes(src, c.elemSize)
 	}
 	seqs, lits := lzParse(work, c.cfg)
+	defer sched.PutBytes(lits) // a raw blob below is a view of lits or ctl
 	if shuffled == 1 {
 		sched.PutBytes(work) // lzParse copied what it needs into lits
 	}
@@ -60,29 +61,26 @@ func (c *XZLike) Compress(src []byte) ([]byte, error) {
 		ctl = binary.LittleEndian.AppendUint16(ctl, uint16(s.offset-1))
 	}
 	putSeqs(seqs)
+	defer sched.PutBytes(ctl)
 
 	litBlob, litMode, err := encodeLiterals(lits)
-	sched.PutBytes(lits)
 	if err != nil {
-		sched.PutBytes(ctl)
 		return nil, err
 	}
+	defer releaseLiterals(litBlob, litMode)
 	ctlBlob, ctlMode, err := encodeLiterals(ctl)
-	sched.PutBytes(ctl)
 	if err != nil {
-		sched.PutBytes(litBlob)
 		return nil, err
 	}
+	defer releaseLiterals(ctlBlob, ctlMode)
 
 	out := sched.GetBytes(len(litBlob) + len(ctlBlob) + 16)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(src)))
 	out = append(out, shuffled, litMode, ctlMode)
 	out = appendUvarint(out, uint64(len(litBlob)))
 	out = append(out, litBlob...)
-	sched.PutBytes(litBlob)
 	out = appendUvarint(out, uint64(len(ctlBlob)))
 	out = append(out, ctlBlob...)
-	sched.PutBytes(ctlBlob)
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package lossless
 
 import (
 	"encoding/binary"
+	"math"
 
 	"repro/internal/huffman"
 	"repro/internal/sched"
@@ -28,15 +29,15 @@ func (c *ZstdLike) Name() string { return "zstdlike" }
 //	u32 rawLen | u8 litMode | uvarint litBlobLen | litBlob |
 //	uvarint nSeqs | per-seq: uvarint litLen, uvarint matchCode, u16 offset-1
 //
-// litMode 0 = raw literals, 1 = Huffman (chosen by whichever is smaller).
+// litMode 0 = raw literals, 1 = Huffman (see encodeLiterals for the rule).
 
 // Compress implements Codec.
 func (c *ZstdLike) Compress(src []byte) ([]byte, error) {
 	seqs, lits := lzParse(src, c.cfg)
+	defer sched.PutBytes(lits) // a raw litBlob is a view of lits
+	defer putSeqs(seqs)
 	litBlob, litMode, err := encodeLiterals(lits)
-	sched.PutBytes(lits)
 	if err != nil {
-		putSeqs(seqs)
 		return nil, err
 	}
 	out := sched.GetBytes(len(litBlob) + len(seqs)*4 + 16)
@@ -44,7 +45,7 @@ func (c *ZstdLike) Compress(src []byte) ([]byte, error) {
 	out = append(out, litMode)
 	out = appendUvarint(out, uint64(len(litBlob)))
 	out = append(out, litBlob...)
-	sched.PutBytes(litBlob)
+	releaseLiterals(litBlob, litMode)
 	out = appendUvarint(out, uint64(len(seqs)))
 	for _, s := range seqs {
 		out = appendUvarint(out, uint64(s.litLen))
@@ -55,7 +56,6 @@ func (c *ZstdLike) Compress(src []byte) ([]byte, error) {
 		out = appendUvarint(out, uint64(s.matchLen-lzMinMatch+1))
 		out = binary.LittleEndian.AppendUint16(out, uint16(s.offset-1))
 	}
-	putSeqs(seqs)
 	return out, nil
 }
 
@@ -120,26 +120,53 @@ func (c *ZstdLike) Decompress(src []byte) ([]byte, error) {
 	return out, err
 }
 
-// encodeLiterals Huffman-codes lits when that wins; otherwise stores raw.
-// The returned blob always comes from the sched byte pool; the caller must
-// recycle it via sched.PutBytes after copying it into the frame.
+// encodeLiterals Huffman-codes lits when that can pay; otherwise it stores
+// them raw, returning lits itself (mode 0 is a view, as in decodeLiterals).
+// The caller recycles the blob with releaseLiterals once it is copied into
+// the frame, and lits separately.
 func encodeLiterals(lits []byte) (blob []byte, mode byte, err error) {
-	if len(lits) >= 64 {
-		syms := sched.GetUint16s(len(lits))[:len(lits)]
-		for i, b := range lits {
-			syms[i] = uint16(b)
-		}
-		enc, err := huffman.EncodeAllU16(syms, 256)
-		sched.PutUint16s(syms)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(enc) < len(lits) {
-			return enc, 1, nil
-		}
-		sched.PutBytes(enc)
+	if !huffmanCanPay(lits) {
+		return lits, 0, nil
 	}
-	return append(sched.GetBytes(len(lits)), lits...), 0, nil
+	syms := sched.GetUint16s(len(lits))[:len(lits)]
+	for i, b := range lits {
+		syms[i] = uint16(b)
+	}
+	enc, err := huffman.EncodeAllU16(syms, 256)
+	sched.PutUint16s(syms)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(enc) < len(lits) {
+		return enc, 1, nil
+	}
+	sched.PutBytes(enc)
+	return lits, 0, nil
+}
+
+// huffmanCanPay is zstd's minimum-gain rule applied before any coding work:
+// an order-0 entropy estimate from one byte histogram, plus the code-length
+// table (24 bits, then about one 17-bit run per distinct byte), must undercut
+// the raw size by more than len/64 + 2 bytes, or the literals are not worth
+// a Huffman pass on either end. Already entropy-coded input (the SZ
+// quantization-code bitstream) fails it at any size, and a small tensor's
+// payload fails it on the table alone; skewed bytes pass.
+func huffmanCanPay(lits []byte) bool {
+	if len(lits) < 64 {
+		return false
+	}
+	var hist [256]int
+	for _, b := range lits {
+		hist[b]++
+	}
+	n := float64(len(lits))
+	bits := 24.0
+	for _, c := range hist {
+		if c > 0 {
+			bits += 17 + float64(c)*math.Log2(n/float64(c))
+		}
+	}
+	return bits/8 < n-float64(len(lits)/64+2)
 }
 
 // decodeLiterals reverses encodeLiterals. Mode 0 returns a view into blob;
@@ -165,7 +192,8 @@ func decodeLiterals(blob []byte, mode byte) ([]byte, error) {
 	}
 }
 
-// releaseLiterals recycles a decodeLiterals result (no-op for mode-0 views).
+// releaseLiterals recycles an encodeLiterals or decodeLiterals result (no-op
+// for mode-0 views).
 func releaseLiterals(lits []byte, mode byte) {
 	if mode == 1 {
 		sched.PutBytes(lits)

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/ebcl"
@@ -85,17 +86,22 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	// Mantissa bits are kept relative to the bound's binary exponent.
 	ebExp := ilogb(ebAbs)
 
-	out := ebcl.AppendHeader(dst, magic, len(data), ebcl.LayoutFull)
+	nBlocks := (len(data) + blockSize - 1) / blockSize
+	// Room for the worst case up front (every block full-mantissa: 6 bits of
+	// prelude plus 32 per value), so the bit writer never regrows and copies.
+	out := slices.Grow(dst, 32+4*len(data)+nBlocks)
+	out = ebcl.AppendHeader(out, magic, len(data), ebcl.LayoutFull)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ebAbs))
 	w := bitio.NewWriterAppend(out)
-	nBlocks := (len(data) + blockSize - 1) / blockSize
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
 		block := data[lo:hi]
 		bMin, bMax := block[0], block[0]
-		var maxAbs float64
-		finite := true
+		// Non-negative floats order like their bit patterns, so the largest
+		// magnitude is an integer max, and NaN/±Inf are whatever reaches the
+		// all-ones exponent.
+		var maxAbsBits uint32
 		for _, v := range block {
 			if v < bMin {
 				bMin = v
@@ -103,16 +109,9 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 			if v > bMax {
 				bMax = v
 			}
-			// One always-predicted branch covers NaN and ±Inf: both fail
-			// a <= MaxFloat64. Keeps the scan at seed-path speed.
-			if a := math.Abs(float64(v)); a <= math.MaxFloat64 {
-				if a > maxAbs {
-					maxAbs = a
-				}
-			} else {
-				finite = false
-			}
+			maxAbsBits = max(maxAbsBits, math.Float32bits(v)&^(1<<31))
 		}
+		finite := maxAbsBits < 0x7f800000
 		if finite && float64(bMax)-float64(bMin) <= 2*ebAbs {
 			// Constant block: midpoint representation.
 			w.WriteBit(1)
@@ -127,7 +126,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		// exponent, so such blocks are stored losslessly.
 		k := 23
 		if finite {
-			emax := ilogb(maxAbs)
+			emax := ilogb(float64(math.Float32frombits(maxAbsBits)))
 			k = emax - ebExp
 			if k < 0 {
 				k = 0
@@ -138,10 +137,20 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 		w.WriteBits(uint64(k), 5)
 		keep := uint(9 + k) // sign + 8 exponent + k mantissa bits
+		// Gather as many values as fit in one 64-bit push: the writer's
+		// per-call cost is most of this loop.
+		drop := 32 - keep
+		var acc uint64
+		var nAcc uint
 		for _, v := range block {
-			bits := math.Float32bits(v)
-			w.WriteBits(uint64(bits>>(32-keep)), keep)
+			if nAcc+keep > 64 {
+				w.WriteBits(acc, nAcc)
+				acc, nAcc = 0, 0
+			}
+			acc = acc<<keep | uint64(math.Float32bits(v)>>drop)
+			nAcc += keep
 		}
+		w.WriteBits(acc, nAcc)
 	}
 	return w.Bytes(), nil
 }

@@ -84,21 +84,24 @@ func TestSpeedSupremacy(t *testing.T) {
 		t.Skip("timing comparison")
 	}
 	// SZx must be much faster than SZ2 (paper Table I shows ~50x); assert a
-	// loose 2x to stay robust on shared machines.
+	// loose 2x on each codec's quickest of five runs, taken alternately so a
+	// slow spell on a shared machine lands on both (the first run also pays
+	// for page faults and empty pools).
 	rng := rand.New(rand.NewPCG(9, 9))
 	data := eblctest.WeightLike(rng, 1<<20)
-	cx := szx.NewCompressor()
-	c2 := sz2.NewCompressor()
-	t0 := time.Now()
-	if _, err := cx.Compress(data, ebcl.Rel(1e-2)); err != nil {
-		t.Fatal(err)
+	timed := func(c ebcl.Compressor, best time.Duration) time.Duration {
+		t0 := time.Now()
+		if _, err := c.Compress(data, ebcl.Rel(1e-2)); err != nil {
+			t.Fatal(err)
+		}
+		return min(best, time.Since(t0))
 	}
-	dx := time.Since(t0)
-	t0 = time.Now()
-	if _, err := c2.Compress(data, ebcl.Rel(1e-2)); err != nil {
-		t.Fatal(err)
+	cx, c2 := szx.NewCompressor(), sz2.NewCompressor()
+	dx, d2 := time.Hour, time.Hour
+	for range 5 {
+		dx = timed(cx, dx)
+		d2 = timed(c2, d2)
 	}
-	d2 := time.Since(t0)
 	t.Logf("szx=%v sz2=%v", dx, d2)
 	if dx*2 > d2 {
 		t.Errorf("szx (%v) not at least 2x faster than sz2 (%v)", dx, d2)
