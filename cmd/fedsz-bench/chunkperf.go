@@ -5,11 +5,13 @@ package main
 // 4M-element tensor plus a tail of small ones — because that is the shape
 // where per-tensor parallelism flatlines (the big tensor serializes the
 // whole encode) and intra-tensor chunking is the only lever left. The
-// chunked legs run the v4 chunk-parallel path on a GOMAXPROCS pool; the
-// unchunked legs run the same fixture with chunking disabled. On a 1-CPU
-// container the derived speedups hover near 1 (chunk framing overhead
-// only); on a ≥4-CPU host they track the chunk fan-out, and the committed
-// baseline's class-matched gate in checkPerfBaseline holds them there.
+// chunked legs run the v4 chunked layout on a GOMAXPROCS pool; the
+// unchunked legs run the same fixture with chunking disabled. Encode fans
+// a tensor's chunks out on the pool: on a 1-CPU container its derived
+// speedup hovers near 1 (chunk framing overhead only), on a ≥4-CPU host it
+// tracks the fan-out, and the committed baseline's class-matched gate in
+// checkPerfBaseline holds it there. Decode runs a tensor's chunks serially
+// inside that tensor's task, so its ratio stays near 1 everywhere.
 
 import (
 	"context"
@@ -59,7 +61,7 @@ func measureChunkScaling(snap *perfSnapshot, record func(name string, bytesMoved
 		name string
 		opts core.Options
 	}{
-		{"chunked", core.Options{}},               // default ChunkElems → 8 chunks on fc.weight
+		{"chunked", core.Options{}},                 // default ChunkElems → 8 chunks on fc.weight
 		{"unchunked", core.Options{ChunkElems: -1}}, // v2 layout, per-tensor parallelism only
 	}
 	encEntries := map[string]perfEntry{}

@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/ebcl"
 	"repro/internal/experiments"
@@ -237,9 +238,9 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 	// Streaming path: wire frames over TCP into the aggregation server.
 	addr := uploadAddr
 	var srv *flserve.Server
-	var agg flserve.Aggregator
+	fold := agg.New(agg.Config{Pool: sched.NewPool(parallelism)})
 	if addr == "" {
-		srv, err = flserve.Listen("127.0.0.1:0", flserve.Config{Parallel: parallelism, Handler: agg.Add, Tracer: tracer})
+		srv, err = flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: fold, Tracer: tracer})
 		if err != nil {
 			return err
 		}
@@ -279,7 +280,7 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 		note += fmt.Sprintf(" @ %g Mbps/client", mbps)
 	}
 	report("streamed", dur, note)
-	if n := agg.Count(); n != nClients {
+	if n := fold.Count(); n != nClients {
 		return fmt.Errorf("aggregated %d of %d updates", n, nClients)
 	}
 	fmt.Fprintf(w, "\ndecode work %v, read wait %v across %d connections\n",
@@ -289,8 +290,8 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 	// Streaming *encode* path: each client compresses straight into its
 	// socket (core.CompressSections → wire frames), so upload overlaps the
 	// encode — the client-side mirror of the server's overlap above.
-	var agg2 flserve.Aggregator
-	srv2, err := flserve.Listen("127.0.0.1:0", flserve.Config{Parallel: parallelism, Handler: agg2.Add, Tracer: tracer})
+	fold.Reset()
+	srv2, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: fold, Tracer: tracer})
 	if err != nil {
 		return err
 	}
@@ -333,7 +334,7 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 		meanEnc += r / float64(nClients)
 	}
 	report("stream-enc", dur, fmt.Sprintf("encode overlap %.2f (client side, compress-while-send)", meanEnc))
-	if n := agg2.Count(); n != nClients {
+	if n := fold.Count(); n != nClients {
 		return fmt.Errorf("stream-enc aggregated %d of %d updates", n, nClients)
 	}
 	return nil

@@ -49,7 +49,7 @@ func main() {
 		updates     = flag.Int("updates", 0, "exit after N ingested updates (0 = run until interrupted)")
 		quiet       = flag.Bool("quiet", false, "suppress the per-update log lines")
 		upTO        = flag.Duration("upload-timeout", 0, "per-update deadline: clientID through ack (0 = no bound)")
-		shards      = flag.Int("shards", 0, "section-routed aggregation shards (0 = flat single-accumulator fold)")
+		shards      = flag.Int("shards", 0, "accumulator shards the fold is split across (0 = 1)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission-control ingest queue; connections beyond max-conns+queue are shed (0 = block, never shed)")
 		upstream    = flag.String("upstream", "", "run as an edge: after the run, forward the fused weighted mean to this root address")
 		edgeID      = flag.Uint("edge-id", 1, "client ID used on the upstream hop (with -upstream)")
@@ -138,39 +138,50 @@ func serve(o serveOpts) error {
 	logger := slog.New(slog.NewTextHandler(o.out, nil))
 
 	cfg := flserve.Config{Parallel: o.parallel, MaxConns: o.maxConns, UploadTimeout: o.uploadTimeout, QueueDepth: o.queueDepth}
-	var flat flserve.Aggregator
-	var sharded *agg.Sharded
-	var pool *sched.Pool
-	sharding := o.shards > 0 || o.upstream != ""
-	if sharding {
-		// The section-routed sharded fold ingests the framed stream
-		// directly, so there is no per-update Handler callback; the
-		// counting wrapper preserves the -updates exit condition.
-		pool = sched.NewPool(o.parallel)
-		sharded = agg.New(agg.Config{Shards: o.shards, Pool: pool})
-		cfg.Ingestor = countingIngestor{sharded, countUpdate}
+	// The aggregator folds each update off the wire; the handler only logs
+	// and counts it.
+	cfg.Handler = func(u flserve.Update) error {
+		if !o.quiet {
+			logger.Info("update",
+				slog.Uint64("client", uint64(u.Client)),
+				slog.String("remote", u.Remote),
+				slog.Int64("wire_bytes", u.WireBytes),
+				slog.Duration("decode", u.Stats.DecompressTime.Round(time.Microsecond)),
+				slog.Float64("overlap", u.Stats.OverlapRatio()))
+		}
+		countUpdate()
+		return nil
+	}
+	var (
+		srv     *flserve.Server
+		sharded *agg.Sharded
+		edge    *agg.Edge
+		err     error
+	)
+	if o.upstream != "" {
+		// An edge: fold locally, forward one fused weighted update. The mean
+		// is re-encoded at a tight error bound (REL 1e-4) so the extra lossy
+		// hop stays well under the client-side bound.
+		edge, err = agg.ListenEdge(o.addr, agg.EdgeConfig{
+			Upstream: o.upstream,
+			ClientID: o.edgeID,
+			Shards:   o.shards,
+			Server:   cfg,
+			Options:  core.Options{LossyParams: ebcl.Rel(1e-4)},
+			Client:   flserve.Client{Retries: 3, RetryBackoff: 100 * time.Millisecond},
+		})
+		if err != nil {
+			return err
+		}
+		srv, sharded = edge.Server(), edge.Agg()
 	} else {
-		cfg.Handler = func(u flserve.Update) error {
-			if err := flat.Add(u); err != nil {
-				return err
-			}
-			if !o.quiet {
-				logger.Info("update",
-					slog.Uint64("client", uint64(u.Client)),
-					slog.String("remote", u.Remote),
-					slog.Int64("wire_bytes", u.WireBytes),
-					slog.Duration("decode", u.Stats.DecompressTime.Round(time.Microsecond)),
-					slog.Float64("overlap", u.Stats.OverlapRatio()))
-			}
-			countUpdate()
-			return nil
+		sharded = agg.New(agg.Config{Shards: o.shards, Pool: sched.NewPool(o.parallel)})
+		cfg.Ingestor = sharded
+		if srv, err = flserve.Listen(o.addr, cfg); err != nil {
+			return err
 		}
 	}
-	srv, err := flserve.Listen(o.addr, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(o.out, "fedsz-serve listening on %s (parallel=%d, shards=%d)\n", srv.Addr(), o.parallel, o.shards)
+	fmt.Fprintf(o.out, "fedsz-serve listening on %s (parallel=%d, shards=%d)\n", srv.Addr(), o.parallel, sharded.Shards())
 	if o.ready != nil {
 		o.ready <- srv.Addr().String()
 	}
@@ -194,62 +205,20 @@ func serve(o serveOpts) error {
 	fmt.Fprintf(o.out, "decode work %v, read wait %v, overlap ratio %.2f\n",
 		st.DecodeWork.Round(time.Microsecond), st.ReadWait.Round(time.Microsecond), st.OverlapRatio())
 
-	if sharding {
-		if o.upstream != "" {
-			w, err := flushUpstream(sharded, pool, o)
-			if err != nil {
-				return err
-			}
-			if w > 0 {
-				fmt.Fprintf(o.out, "forwarded fused update to %s (weight %g)\n", o.upstream, w)
-			}
-		} else if mean, n := sharded.Mean(); n > 0 {
-			fmt.Fprintf(o.out, "FedAvg mean over %d update(s): %d tensors, %d parameters\n",
-				n, mean.Len(), mean.NumParams())
-			core.Release(mean)
+	if edge != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		w, err := edge.Flush(ctx)
+		if err != nil {
+			return err
 		}
-	} else if mean, n := flat.Mean(); n > 0 {
+		if w > 0 {
+			fmt.Fprintf(o.out, "forwarded fused update to %s (weight %g)\n", o.upstream, w)
+		}
+	} else if mean, n := sharded.Mean(); n > 0 {
 		fmt.Fprintf(o.out, "FedAvg mean over %d update(s): %d tensors, %d parameters\n",
 			n, mean.Len(), mean.NumParams())
+		core.Release(mean)
 	}
 	return nil
-}
-
-// countingIngestor forwards to the sharded fold and bumps the -updates
-// counter on each success.
-type countingIngestor struct {
-	inner *agg.Sharded
-	tick  func()
-}
-
-func (c countingIngestor) IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
-	n, stats, err := c.inner.IngestStream(ctx, client, weight, dopts, r)
-	if err == nil {
-		c.tick()
-	}
-	return n, stats, err
-}
-
-// flushUpstream forwards the fused, weighted local mean to the root over
-// the FLS3 weighted protocol — the edge half of the two-tier topology.
-// The mean is re-encoded at a tight error bound (REL 1e-4) so the extra
-// lossy hop stays well under the client-side bound.
-func flushUpstream(sh *agg.Sharded, pool *sched.Pool, o serveOpts) (float64, error) {
-	mean, n := sh.Mean()
-	if n == 0 {
-		return 0, nil
-	}
-	weight := sh.WeightSum()
-	stream, _, err := core.CompressWith(context.Background(), pool, mean, core.Options{LossyParams: ebcl.Rel(1e-4)})
-	core.Release(mean)
-	if err != nil {
-		return 0, fmt.Errorf("edge flush encode: %w", err)
-	}
-	client := &flserve.Client{Addr: o.upstream, Retries: 3, RetryBackoff: 100 * time.Millisecond}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := client.UploadWeighted(ctx, o.edgeID, weight, stream); err != nil {
-		return 0, fmt.Errorf("edge flush upload to %s: %w", o.upstream, err)
-	}
-	return weight, nil
 }

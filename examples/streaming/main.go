@@ -5,9 +5,9 @@
 // finished tensor section while later tensors are still compressing, so
 // the upload overlaps the encode (no client ever materializes its whole
 // compressed stream). The server decodes each tensor while the next is
-// still arriving (internal/wire framing into core.DecompressFrom on a
-// shared worker pool) and folds finished updates incrementally into a
-// FedAvg mean. The run verifies the streamed aggregate against the
+// still arriving (internal/wire frames into core.DecodeSections on a
+// shared worker pool) and agg.Sharded folds finished updates incrementally
+// into a FedAvg mean. The run verifies the streamed aggregate against the
 // in-memory decode of the same updates and prints the overlap each side
 // of the pipeline buys.
 package main
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	fedsz "repro"
+	"repro/internal/agg"
 	"repro/internal/flserve"
 	"repro/internal/netsim"
 	"repro/internal/nn/models"
@@ -88,11 +89,10 @@ func run() error {
 	// DedupByClient pairs with the clients' retry policy below — a retry
 	// whose first attempt actually folded (lost ack) must not
 	// double-weight its client.
-	agg := flserve.Aggregator{DedupByClient: true}
+	fold := agg.New(agg.Config{Pool: sched.NewPool(4), DedupByClient: true})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{
-		Parallel:      4,
 		UploadTimeout: 30 * time.Second,
-		Handler:       agg.Add,
+		Ingestor:      fold,
 	})
 	if err != nil {
 		return err
@@ -175,7 +175,7 @@ func run() error {
 
 	// Verify: the streamed FedAvg mean must match the mean of in-memory
 	// compress + decode of the same updates through the same codec.
-	mean, n := agg.Mean()
+	mean, n := fold.Mean()
 	if n != nClients {
 		return fmt.Errorf("aggregated %d of %d updates", n, nClients)
 	}

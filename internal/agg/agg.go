@@ -1,31 +1,37 @@
-// Package agg implements the sharded, hierarchical aggregation tier: the
-// scale-out story for the one-process, one-Aggregator flserve baseline.
+// Package agg implements the FedAvg aggregator — the fold every server in
+// this repository runs — and the hierarchical (edge→root) tier built on it.
 //
-// # Section-sharded fold
+// # One path from socket to fold
 //
-// The wire format frames a FedSZ stream at section granularity, so an
-// ingest front-end can route each tensor section to an aggregator shard
-// without decoding — only the small per-section metadata (name, shape,
-// mode byte) is parsed on the connection goroutine. Sharded routes every
-// tensor to one of P shards keyed by a hash of the tensor name, decodes
-// routed sections on the shared sched.Pool (the same caller-runs budget
-// discipline as the whole-stream decoder, so saturation still turns into
-// TCP backpressure), and each shard folds its slice of the FedAvg
-// accumulator. A tensor name lives on exactly one shard, so the root
-// merge is pure concatenation in the model's original entry order — no
-// cross-shard float addition.
+// Sharded implements flserve.StreamIngestor: the server hands it each
+// update's framed byte stream and it runs the shared section pipeline
+// (core.DecodeSections over a wire.SectionSource) on it — every tensor
+// section decodes on the shared sched.Pool while the next frame is still
+// arriving, under the same caller-runs budget discipline as every other
+// decode, so saturation turns into TCP backpressure. The decoded tensors
+// are then folded straight into the accumulator; no state dict is
+// assembled per update.
+//
+// # Sharded fold
+//
+// The accumulator is split across P shards keyed by a hash of the tensor
+// name (P = 1 is the plain single-accumulator fold), and an update's fold
+// runs as P independent tasks on the pool. A tensor name lives on exactly
+// one shard, so there is no cross-shard float addition and the mean is the
+// same bits for every P.
 //
 // # Fold semantics and conformance
 //
-// An update is staged first and folded only after its wire trailer
+// An update is decoded in full and folded only after its wire trailer
 // verifies, so a mid-stream corruption never half-folds into the
-// accumulator — the same atomicity the decode-then-Handler path has.
-// Sequential ingest at weight 1 is bit-for-bit identical to
-// flserve.Aggregator: the first update is adopted (not added), later
-// updates fold with the same a[i] += w·b[i] kernel in the same order.
-// Under concurrent ingest only the per-tensor fold order can differ,
-// which reassociates float addition; the conformance tests bound that
-// difference (see TestShardedConformance).
+// accumulator. The first update of a round is adopted (not added) and
+// defines the structure later ones must match; later updates fold with the
+// kernel a[i] += w·b[i] in arrival order, and Mean divides by the count
+// (unweighted traffic) or the weight total. Sequential ingest is therefore
+// bit-for-bit the textbook fold — adopt, StateDict.AddScaled, Scale — of
+// the core.Decompress'ed updates. Under concurrent ingest only the
+// per-tensor fold order can differ, which reassociates float addition; the
+// conformance tests bound that difference (see TestShardedConformance).
 //
 // # Hierarchical topology
 //
@@ -38,6 +44,7 @@
 package agg
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -54,31 +61,23 @@ import (
 type Config struct {
 	// Shards is P, the number of accumulator shards (0 selects 1).
 	Shards int
-	// Pool supplies decode parallelism (nil selects the process-wide
-	// shared pool). Routed sections decode under this budget exactly like
-	// the whole-stream path, so a server passing its own pool keeps one
-	// parallelism budget across both ingest modes.
+	// Pool supplies decode and fold parallelism (nil selects the
+	// process-wide shared pool).
 	Pool *sched.Pool
 	// DedupByClient folds only the first update per client ID and silently
 	// accepts (acks, drains, drops) later duplicates — the at-least-once
-	// delivery guard, matching flserve.Aggregator.DedupByClient.
+	// delivery guard: a retried upload whose first attempt actually folded
+	// (lost ack) must not double-weight its client. Leave false when one
+	// client legitimately contributes several updates between Resets.
 	DedupByClient bool
 }
 
-// shard is one slice of the accumulator: the tensors whose name hashes
-// here. Only commit and Mean touch acc, both under Sharded.mu.
-type shard struct {
-	acc map[string]*tensor.Tensor
-}
-
-// lossyMeta pins a lossy tensor's identity from the first update, so
-// later updates are validated against it before anything folds.
+// lossyMeta pins a lossy tensor's identity and accumulator from the first
+// update; later updates are validated against it before anything folds.
 type lossyMeta struct {
 	name  string
-	kind  tensor.Kind
-	shape []int
-	elems int
 	shard int
+	acc   []float32 // pooled; aliased by sumView
 }
 
 // layout is the stream structure the first committed update defines:
@@ -89,22 +88,21 @@ type layout struct {
 	lossy []lossyMeta
 }
 
-// Sharded is a section-routing FedAvg aggregator implementing
-// flserve.StreamIngestor. Zero value is not usable; construct with New.
+// Sharded is the FedAvg aggregator: a flserve.StreamIngestor that decodes
+// each update section by section and folds it into a P-way sharded
+// accumulator. Zero value is not usable; construct with New.
 type Sharded struct {
-	cfg    Config
-	pool   *sched.Pool
-	shards []shard
+	cfg  Config
+	pool *sched.Pool
 
 	mu sync.Mutex
 	// structure is the layout adopted from the first committed update.
 	structure *layout
-	// meta is the lossless-partition accumulator (heap-backed).
+	// meta is the lossless-partition accumulator (its tensors are sumView's).
 	meta *tensor.StateDict
-	// sumView assembles the sharded accumulator slices and meta entries
-	// into one StateDict in original entry order — the tensors alias the
-	// shard buffers, so folds are visible through it and Mean/MeanInto
-	// mirror flserve.Aggregator exactly.
+	// sumView is the accumulator as one StateDict in original entry order:
+	// the first update's own dict, whose tensors the shard folds (through
+	// lossyMeta.acc) and the meta fold mutate in place.
 	sumView *tensor.StateDict
 	n       int
 	wsum    float64
@@ -120,16 +118,12 @@ func New(cfg Config) *Sharded {
 	if pool == nil {
 		pool = sched.Default()
 	}
-	s := &Sharded{cfg: cfg, pool: pool, shards: make([]shard, cfg.Shards)}
-	for i := range s.shards {
-		s.shards[i].acc = make(map[string]*tensor.Tensor)
-	}
 	metrics().shards.Set(float64(cfg.Shards))
-	return s
+	return &Sharded{cfg: cfg, pool: pool}
 }
 
 // Shards returns the configured shard count P.
-func (s *Sharded) Shards() int { return len(s.shards) }
+func (s *Sharded) Shards() int { return s.cfg.Shards }
 
 // shardOf routes a tensor name to its owning shard (FNV-1a).
 func (s *Sharded) shardOf(name string) int {
@@ -138,253 +132,49 @@ func (s *Sharded) shardOf(name string) int {
 		h ^= uint32(name[i])
 		h *= 16777619
 	}
-	return int(h % uint32(len(s.shards)))
+	return int(h % uint32(s.cfg.Shards))
 }
 
-// staged is one routed tensor between decode and commit.
-type staged struct {
-	meta lossyMeta
-	data []float32 // pooled; owned by the update until commit or abort
-	err  error
-}
-
-// readTracker accumulates time blocked in Read — the ReadWait component
-// of the decode stats, mirroring the whole-stream decoder's accounting.
-type readTracker struct {
-	r       io.Reader
-	blocked time.Duration
-}
-
-func (t *readTracker) Read(p []byte) (int, error) {
-	t0 := time.Now()
-	n, err := t.r.Read(p)
-	t.blocked += time.Since(t0)
-	return n, err
-}
-
-// IngestStream consumes one wire-framed update from r, routing each
-// tensor section to its shard: the flserve.StreamIngestor contract. The
-// update folds atomically — staged through the trailer check, then
-// committed — and the returned stats carry wall/read-wait/decode-work
-// timings for the server's overlap accounting.
+// IngestStream consumes one wire-framed update from r: the
+// flserve.StreamIngestor contract. The update folds atomically — decoded
+// through the trailer check, then committed — and the returned stats carry
+// wall/read-wait/decode-work timings for the server's overlap accounting.
 func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
 	start := time.Now()
-	poolHits0, poolMisses0 := sched.BytePoolCounters()
-	floatHits0, floatMisses0 := sched.FloatPoolCounters()
-	recycled0 := sched.RecycledBytes()
 	if weight == 0 {
 		weight = 1
 	}
-	m := metrics()
-
-	tr := &readTracker{r: r}
-	sc := wire.NewFrameScanner(tr)
+	src := wire.NewSectionSource(ctx, r)
 
 	// Duplicate from a retried at-least-once upload: consume and verify
 	// the stream (protocol stays in sync, trailer still checked) but fold
-	// nothing — the sharded mirror of Aggregator's dedup drop.
+	// nothing.
 	if s.cfg.DedupByClient && s.isDup(client) {
-		if err := drain(sc); err != nil {
+		if err := src.Drain(); err != nil {
 			return 0, core.DecompressStats{}, err
 		}
-		return sc.WireBytes(), core.DecompressStats{DecompressTime: time.Since(start), ReadWait: tr.blocked}, nil
+		return src.WireBytes(), core.DecompressStats{DecompressTime: time.Since(start), ReadWait: src.ReadWait()}, nil
 	}
 
-	kind, payload, err := sc.Next()
+	upd, stats, err := core.DecodeSections(ctx, s.pool, src, dopts)
 	if err != nil {
 		return 0, core.DecompressStats{}, err
 	}
-	if kind != wire.FrameHeader {
-		sched.PutBytes(payload)
-		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: first frame kind 0x%02x, want header", core.ErrCorrupt, kind)
-	}
-	hdr, err := core.ParseHeader(payload)
-	if err != nil {
-		sched.PutBytes(payload)
+	if err := s.commit(client, weight, upd); err != nil {
+		upd.Release()
 		return 0, core.DecompressStats{}, err
 	}
-	dec, err := core.NewSectionDecoder(hdr)
-	if err != nil {
-		sched.PutBytes(payload)
-		return 0, core.DecompressStats{}, err
-	}
-	flags := append([]byte(nil), hdr.Flags...)
-	refEpoch, lossyCount := hdr.RefEpoch, hdr.LossyCount
-	sched.PutBytes(payload)
-
-	// structure, when already adopted, validates each section at routing
-	// time; a first update is validated wholesale at commit instead.
-	structure := s.currentStructure()
-	if structure != nil && !bytesEqual(structure.flags, flags) {
-		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
-	}
-
-	entries := make([]staged, lossyCount)
-	var decodeWork atomicDuration
-	var metaDict *tensor.StateDict
-	var metaErr error
-	nDelta := 0
-	g := s.pool.Group()
-	// abort drains in-flight decodes and releases every staged buffer.
-	abort := func(err error) (int64, core.DecompressStats, error) {
-		g.Wait()
-		for i := range entries {
-			if entries[i].data != nil {
-				sched.PutFloats(entries[i].data)
-				entries[i].data = nil
-			}
-		}
-		metaDict = nil
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, core.DecompressStats{}, cerr
-		}
-		return 0, core.DecompressStats{}, err
-	}
-
-	for i := 0; i < lossyCount; i++ {
-		if err := ctx.Err(); err != nil {
-			return abort(err)
-		}
-		kind, payload, err := sc.Next()
-		if err != nil {
-			if err == io.EOF {
-				err = fmt.Errorf("%w: agg: stream ended after %d of %d tensor sections", core.ErrCorrupt, i, lossyCount)
-			}
-			return abort(err)
-		}
-		if kind != wire.FrameTensor {
-			sched.PutBytes(payload)
-			return abort(fmt.Errorf("%w: agg: frame kind 0x%02x, want tensor", core.ErrCorrupt, kind))
-		}
-		pt, err := core.ParseTensorSection(hdr, payload)
-		if err != nil {
-			sched.PutBytes(payload)
-			return abort(err)
-		}
-		e := &entries[i]
-		e.meta = lossyMeta{name: pt.Name, kind: pt.Kind, shape: pt.Shape, elems: pt.Elems, shard: s.shardOf(pt.Name)}
-		if structure != nil {
-			if want := &structure.lossy[i]; pt.Name != want.name || pt.Elems != want.elems {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
-					core.ErrCorrupt, i, pt.Name, pt.Elems, want.name, want.elems))
-			}
-		}
-		// Resolve the delta reference on the routing goroutine so shard
-		// decode tasks carry plain slices, and reference problems surface
-		// as ErrReference before any decode work is spent.
-		var ref []float32
-		if pt.Delta {
-			nDelta++
-			if dopts.Reference == nil {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: residual section %q but no reference supplied", core.ErrReference, pt.Name))
-			}
-			if dopts.RefEpoch != refEpoch {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: stream encoded against epoch %d, decoder holds %d", core.ErrReference, refEpoch, dopts.RefEpoch))
-			}
-			rt := dopts.Reference.Get(pt.Name)
-			if rt == nil || rt.NumElems() != pt.Elems {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: reference lacks matching tensor %q", core.ErrReference, pt.Name))
-			}
-			ref = rt.Data
-		}
-		m.sectionsRouted(e.meta.shard).Inc()
-		// Decode on the pool: when the budget is saturated the routing
-		// goroutine decodes inline, stops draining the socket, and TCP
-		// pushes back on the sender — same discipline as the whole-stream
-		// decoder. The task owns payload (pt.Blob aliases it).
-		g.Go(func() {
-			if cerr := ctx.Err(); cerr != nil {
-				sched.PutBytes(payload)
-				e.err = cerr
-				return
-			}
-			t0 := time.Now()
-			data, derr := dec.DecodeTensor(pt, ref)
-			decodeWork.add(time.Since(t0))
-			sched.PutBytes(payload)
-			if derr != nil {
-				e.err = derr
-				return
-			}
-			e.data = data
-		})
-	}
-
-	kind, payload, err = sc.Next()
-	if err != nil {
-		if err == io.EOF {
-			err = fmt.Errorf("%w: agg: stream ended before metadata section", core.ErrCorrupt)
-		}
-		return abort(err)
-	}
-	if kind != wire.FrameLossless {
-		sched.PutBytes(payload)
-		return abort(fmt.Errorf("%w: agg: frame kind 0x%02x, want lossless", core.ErrCorrupt, kind))
-	}
-	g.Go(func() {
-		if cerr := ctx.Err(); cerr != nil {
-			sched.PutBytes(payload)
-			metaErr = cerr
-			return
-		}
-		t0 := time.Now()
-		metaDict, metaErr = dec.DecodeLossless(payload)
-		decodeWork.add(time.Since(t0))
-		sched.PutBytes(payload)
-	})
-
-	// The trailer must verify before anything folds: Next returns the
-	// final io.EOF only after the frame counts and whole-stream CRC check.
-	if _, extra, err := sc.Next(); err != io.EOF {
-		sched.PutBytes(extra)
-		if err == nil {
-			err = fmt.Errorf("%w: agg: frames after the metadata section", core.ErrCorrupt)
-		}
-		return abort(err)
-	}
-	g.Wait()
-	if err := ctx.Err(); err != nil {
-		return abort(err)
-	}
-	if metaErr != nil {
-		return abort(metaErr)
-	}
-	for i := range entries {
-		if entries[i].err != nil {
-			return abort(entries[i].err)
-		}
-	}
-
-	if err := s.commit(client, weight, flags, entries, metaDict); err != nil {
-		return abort(err)
-	}
-	m.updates.Inc()
-
-	poolHits1, poolMisses1 := sched.BytePoolCounters()
-	floatHits1, floatMisses1 := sched.FloatPoolCounters()
-	return sc.WireBytes(), core.DecompressStats{
-		DecompressTime:  time.Since(start),
-		ReadWait:        tr.blocked,
-		DecodeWork:      decodeWork.load(),
-		PoolHits:        poolHits1 - poolHits0,
-		PoolMisses:      poolMisses1 - poolMisses0,
-		FloatPoolHits:   floatHits1 - floatHits0,
-		FloatPoolMisses: floatMisses1 - floatMisses0,
-		BytesRecycled:   sched.RecycledBytes() - recycled0,
-		DeltaTensors:    nDelta,
-	}, nil
+	metrics().updates.Inc()
+	stats.DecompressTime = time.Since(start) // the fold is part of the update's wall clock
+	return src.WireBytes(), *stats, nil
 }
 
-// commit folds one fully verified, fully decoded update into the sharded
+// commit folds one fully verified, fully decoded update into the
 // accumulator. It validates first and folds second, so a structural
-// mismatch aborts with the accumulator untouched. The caller releases the
-// staged buffers on error; on success adopted buffers transfer to the
-// accumulator and added ones are recycled here.
-func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []staged, metaDict *tensor.StateDict) error {
+// mismatch aborts with the accumulator untouched and upd still owning its
+// buffers; on success they belong to the accumulator (first update) or
+// have been recycled.
+func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream) error {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -393,124 +183,78 @@ func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []
 			s.seen = make(map[uint32]bool)
 		}
 		if s.seen[client] {
-			// A concurrent duplicate slipped past the ingest-time check;
-			// drop it here exactly like Aggregator would.
-			for i := range entries {
-				sched.PutFloats(entries[i].data)
-				entries[i].data = nil
-			}
+			// A concurrent duplicate slipped past the ingest-time check.
+			upd.Release()
 			return nil
 		}
 	}
 
-	adopt := s.structure == nil
-	if adopt {
-		// First update: its layout becomes the accumulator structure.
-		lossy := make([]lossyMeta, len(entries))
-		for i := range entries {
-			lossy[i] = entries[i].meta
+	w := float32(weight)
+	if s.structure == nil {
+		// First update: it becomes the accumulator, and its layout the
+		// structure.
+		lossy := make([]lossyMeta, len(upd.Tensors))
+		for i, t := range upd.Tensors {
+			lossy[i] = lossyMeta{name: t.Name, shard: s.shardOf(t.Name), acc: t.Data}
 		}
-		s.structure = &layout{flags: flags, lossy: lossy}
+		s.structure = &layout{flags: upd.Flags, lossy: lossy}
+		s.meta = upd.Meta
+		s.sumView = upd.StateDict()
+		if weight != 1 {
+			s.sumView.Scale(w)
+		}
 	} else {
-		// Validate everything before folding anything. Routing already
-		// checked per-section when the structure pre-dated this update;
-		// re-checking here closes the race where two first updates ingest
-		// concurrently and only one gets to define the structure.
-		if !bytesEqual(s.structure.flags, flags) {
-			return fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
+		if err := s.checkStructure(upd); err != nil {
+			return err
 		}
-		if len(entries) != len(s.structure.lossy) {
-			return fmt.Errorf("%w: agg: update has %d lossy tensors, accumulator %d", core.ErrCorrupt, len(entries), len(s.structure.lossy))
-		}
-		for i := range entries {
-			want := &s.structure.lossy[i]
-			if entries[i].meta.name != want.name || entries[i].meta.elems != want.elems {
-				return fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
-					core.ErrCorrupt, i, entries[i].meta.name, entries[i].meta.elems, want.name, want.elems)
+		// Fold each shard's slice as one independent task on the pool —
+		// P-way fold parallelism, every tensor folded by exactly its owning
+		// shard.
+		lossy := s.structure.lossy
+		s.pool.ForEach(s.cfg.Shards, func(si int) {
+			for i := range lossy {
+				if lossy[i].shard != si {
+					continue
+				}
+				addScaled(lossy[i].acc, upd.Tensors[i].Data, w)
 			}
-		}
-		if err := s.meta.CheckCompatible(metaDict); err != nil {
+		})
+		if err := s.meta.AddScaled(upd.Meta, w); err != nil {
+			// Unreachable after checkStructure; kept as a hard stop so a
+			// silent partial fold can never happen.
 			return fmt.Errorf("agg: metadata partition: %w", err)
 		}
+		upd.Release()
 	}
-
-	w := float32(weight)
-	// Group this update's tensors by shard, then fold each shard's slice
-	// as one independent task on the pool — P-way fold parallelism, with
-	// every tensor folded by exactly its owning shard.
-	perShard := make([][]int, len(s.shards))
-	for i := range entries {
-		sh := entries[i].meta.shard
-		perShard[sh] = append(perShard[sh], i)
+	m := metrics()
+	for i := range s.structure.lossy {
+		m.sectionsRouted(s.structure.lossy[i].shard).Inc()
 	}
-	s.pool.ForEach(len(s.shards), func(si int) {
-		acc := s.shards[si].acc
-		for _, i := range perShard[si] {
-			e := &entries[i]
-			if adopt {
-				if weight != 1 {
-					scale(e.data, w)
-				}
-				acc[e.meta.name] = tensor.FromData(e.data, e.meta.shape...)
-				e.data = nil // ownership transferred to the accumulator
-				continue
-			}
-			addScaled(acc[e.meta.name].Data, e.data, w)
-			sched.PutFloats(e.data)
-			e.data = nil
-		}
-	})
-
-	if adopt {
-		s.meta = metaDict
-		if weight != 1 {
-			s.meta.Scale(w)
-		}
-		s.assembleSumView()
-	} else if err := s.meta.AddScaled(metaDict, w); err != nil {
-		// Unreachable after CheckCompatible above; kept as a hard stop so
-		// a silent partial fold can never happen.
-		return fmt.Errorf("agg: metadata partition: %w", err)
-	}
-
 	if s.cfg.DedupByClient {
 		s.seen[client] = true
 	}
 	s.n++
 	s.wsum += weight
-	metrics().mergeHist.Observe(time.Since(t0).Seconds())
+	m.mergeHist.Observe(time.Since(t0).Seconds())
 	return nil
 }
 
-// assembleSumView builds the accumulator-order StateDict whose tensors
-// alias the shard buffers and meta entries. Called once, at adoption;
-// every later fold mutates those buffers in place, so the view stays
-// current.
-func (s *Sharded) assembleSumView() {
-	view := tensor.NewStateDict()
-	li, ri := 0, 0
-	metaEntries := s.meta.Entries()
-	for _, f := range s.structure.flags {
-		if f == 1 { // pathLossy
-			lm := &s.structure.lossy[li]
-			li++
-			view.Add(lm.name, lm.kind, s.shards[lm.shard].acc[lm.name])
-		} else {
-			e := metaEntries[ri]
-			ri++
-			view.Add(e.Name, e.Kind, e.Tensor)
+// checkStructure validates an update against the adopted layout.
+func (s *Sharded) checkStructure(upd *core.DecodedStream) error {
+	if !bytes.Equal(s.structure.flags, upd.Flags) {
+		return fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
+	}
+	for i := range upd.Tensors {
+		want, t := &s.structure.lossy[i], &upd.Tensors[i]
+		if t.Name != want.name || len(t.Data) != len(want.acc) {
+			return fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
+				core.ErrCorrupt, i, t.Name, len(t.Data), want.name, len(want.acc))
 		}
 	}
-	s.sumView = view
-}
-
-// currentStructure snapshots the adopted layout (nil before the first
-// commit). The layout is immutable once set, so routing may validate
-// against it lock-free afterwards.
-func (s *Sharded) currentStructure() *layout {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.structure
+	if err := s.meta.CheckCompatible(upd.Meta); err != nil {
+		return fmt.Errorf("agg: metadata partition: %w", err)
+	}
+	return nil
 }
 
 // isDup reports whether client already folded (DedupByClient only).
@@ -520,22 +264,6 @@ func (s *Sharded) isDup(client uint32) bool {
 	return s.seen[client]
 }
 
-// drain consumes a stream to its verified trailer, releasing every
-// payload — the dedup path still checks integrity and keeps the
-// connection's framing in sync.
-func drain(sc *wire.FrameScanner) error {
-	for {
-		_, payload, err := sc.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		sched.PutBytes(payload)
-	}
-}
-
 // Count returns the number of folded updates.
 func (s *Sharded) Count() int {
 	s.mu.Lock()
@@ -543,7 +271,9 @@ func (s *Sharded) Count() int {
 	return s.n
 }
 
-// WeightSum returns the total aggregation weight folded so far.
+// WeightSum returns the total aggregation weight folded so far — equal to
+// Count for unweighted traffic, the represented population size when edges
+// forward weighted fused updates.
 func (s *Sharded) WeightSum() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -554,13 +284,15 @@ func (s *Sharded) WeightSum() float64 {
 // over pooled tensor buffers, original entry order) and the update count;
 // nil and 0 before the first update. Recycle via core.Release.
 func (s *Sharded) Mean() (*tensor.StateDict, int) {
-	sd, n, _ := s.MeanInto(nil)
+	sd, n, _ := s.MeanInto(nil) // nil dst cannot mismatch
 	return sd, n
 }
 
-// MeanInto is Mean writing into dst's storage; a structurally
-// incompatible dst returns an explicit error. Semantics mirror
-// flserve.Aggregator.MeanInto.
+// MeanInto is Mean writing into dst's storage (the steady-state path for a
+// server computing a mean every round). A non-nil dst must be structurally
+// compatible with the accumulator; a mismatch — the model changed shape
+// while the server kept its old scratch — returns an explicit error rather
+// than silently reallocating over a dict the caller believes it is reusing.
 func (s *Sharded) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -574,8 +306,8 @@ func (s *Sharded) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error
 	}
 	out := s.sumView.CloneInto(dst)
 	if s.wsum == float64(s.n) {
-		// Unweighted traffic: the historical float32 divide, bit-identical
-		// to flserve.Aggregator.
+		// Unweighted traffic: the historical float32 divide, so the mean
+		// stays bit-identical to pre-weighting servers.
 		out.Scale(1 / float32(s.n))
 	} else {
 		out.Scale(float32(1 / s.wsum))
@@ -583,18 +315,13 @@ func (s *Sharded) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error
 	return out, s.n, nil
 }
 
-// Reset clears the accumulator for the next round, recycling the shard
+// Reset clears the accumulator for the next round, recycling its pooled
 // buffers. The structure is re-adopted from the next round's first
 // update, so a model shape change between rounds is permitted.
 func (s *Sharded) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.shards {
-		for _, t := range s.shards[i].acc {
-			sched.PutFloats(t.Data)
-		}
-		s.shards[i].acc = make(map[string]*tensor.Tensor)
-	}
+	core.Release(s.sumView)
 	s.structure = nil
 	s.meta = nil
 	s.sumView = nil
@@ -603,46 +330,8 @@ func (s *Sharded) Reset() {
 	s.seen = nil
 }
 
-// atomicDuration accumulates decode work across pool tasks.
-type atomicDuration struct {
-	mu sync.Mutex
-	d  time.Duration
-}
-
-func (a *atomicDuration) add(d time.Duration) {
-	a.mu.Lock()
-	a.d += d
-	a.mu.Unlock()
-}
-
-func (a *atomicDuration) load() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.d
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scale multiplies in place.
-func scale(a []float32, w float32) {
-	for i := range a {
-		a[i] *= w
-	}
-}
-
 // addScaled is the fold kernel: a[i] += w·b[i], the same arithmetic as
-// StateDict.AddScaled so sequential unweighted ingest stays bit-for-bit
-// with the single-aggregator path.
+// StateDict.AddScaled.
 func addScaled(a, b []float32, w float32) {
 	for i := range a {
 		a[i] += w * b[i]

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -72,63 +75,79 @@ func ingest(t testing.TB, s *Sharded, client uint32, weight float64, framed []by
 	}
 }
 
-// TestShardedConformance is the correctness anchor: for P ∈ {1, 2, 4},
-// sequentially ingesting the same streams through the section-routed
-// sharded fold produces a mean BIT-FOR-BIT identical to the
-// single-Aggregator fold — same adopt-first semantics, same fold kernel,
-// same fold order, same final divide.
+// manualFold is the textbook FedAvg fold the aggregator must reproduce bit
+// for bit under sequential unweighted ingest: adopt the first decoded
+// update, StateDict.AddScaled each later one at weight 1, divide by the
+// count in float32.
+func manualFold(t testing.TB, decoded []*tensor.StateDict) *tensor.StateDict {
+	t.Helper()
+	sum := decoded[0].Clone()
+	for _, sd := range decoded[1:] {
+		if err := sum.AddScaled(sd, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum.Scale(1 / float32(len(decoded)))
+	return sum
+}
+
+// sequentialMean ingests streams in order through a fresh P-shard
+// aggregator and returns its mean.
+func sequentialMean(t testing.TB, p int, streams [][]byte) *tensor.StateDict {
+	t.Helper()
+	sh := New(Config{Shards: p, Pool: sched.NewPool(2)})
+	for i, s := range streams {
+		ingest(t, sh, uint32(i), 1, frame(t, s))
+	}
+	mean, n := sh.Mean()
+	if n != len(streams) {
+		t.Fatalf("P=%d folded %d, want %d", p, n, len(streams))
+	}
+	return mean
+}
+
+// mustEqualBits fails unless got and want are the same dict bit for bit.
+func mustEqualBits(t testing.TB, what string, got, want *tensor.StateDict) {
+	t.Helper()
+	diff, err := want.MaxAbsDiff(got)
+	if err != nil {
+		t.Fatalf("%s: structure mismatch: %v", what, err)
+	}
+	if diff != 0 || !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Fatalf("%s: max abs diff %g, want bit-for-bit identity", what, diff)
+	}
+}
+
+// TestShardedConformance is the correctness anchor: sequentially
+// ingesting the same streams, the single-shard aggregator produces a mean
+// BIT-FOR-BIT identical to the manual fold of the core.Decompress'ed
+// updates — same adopt-first semantics, same fold kernel, same fold order,
+// same final divide — and P ∈ {2, 4} shards produce the same bits as P = 1.
 func TestShardedConformance(t *testing.T) {
 	const n = 6
 	streams, decoded := compressUpdates(t, n)
 
-	single := &flserve.Aggregator{}
-	for i, sd := range decoded {
-		if err := single.Add(flserve.Update{Client: uint32(i), State: sd}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, wn := single.Mean()
-	if wn != n {
-		t.Fatalf("single aggregator folded %d, want %d", wn, n)
-	}
-
-	for _, p := range []int{1, 2, 4} {
-		sh := New(Config{Shards: p, Pool: sched.NewPool(2)})
-		for i, s := range streams {
-			ingest(t, sh, uint32(i), 1, frame(t, s))
-		}
-		got, gn := sh.Mean()
-		if gn != n {
-			t.Fatalf("P=%d folded %d, want %d", p, gn, n)
-		}
-		diff, err := want.MaxAbsDiff(got)
-		if err != nil {
-			t.Fatalf("P=%d structure mismatch: %v", p, err)
-		}
-		if diff != 0 {
-			t.Fatalf("P=%d sequential shard-merged fold differs from single aggregator: max abs diff %g, want bit-for-bit 0", p, diff)
-		}
+	single := sequentialMean(t, 1, streams)
+	mustEqualBits(t, "P=1 vs manual fold", single, manualFold(t, decoded))
+	for _, p := range []int{2, 4} {
+		got := sequentialMean(t, p, streams)
+		mustEqualBits(t, fmt.Sprintf("P=%d vs P=1", p), got, single)
 		core.Release(got)
 	}
 }
 
 // TestShardedConformanceConcurrent ingests concurrently, where only the
-// per-tensor fold order may differ from the single fold — a float
+// per-tensor fold order may differ from the sequential fold — a float
 // reassociation bounded well below the codec's own error bound. The
 // asserted tolerance (1e-5) is the documented weighted-merge tolerance
 // from the README's scale-out section.
 func TestShardedConformanceConcurrent(t *testing.T) {
 	const n = 8
 	streams, decoded := compressUpdates(t, n)
-	single := &flserve.Aggregator{}
-	for i, sd := range decoded {
-		if err := single.Add(flserve.Update{Client: uint32(i), State: sd}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _ := single.Mean()
+	want := sequentialMean(t, 1, streams)
+	mustEqualBits(t, "P=1 vs manual fold", want, manualFold(t, decoded))
 
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{1, 2, 4} {
 		sh := New(Config{Shards: p, Pool: sched.NewPool(4)})
 		var wg sync.WaitGroup
 		for i, s := range streams {
@@ -379,13 +398,8 @@ func TestTwoTierE2E(t *testing.T) {
 	}
 	got, _ := rootAgg.Mean()
 
-	flat := &flserve.Aggregator{}
-	for i, sd := range decoded {
-		if err := flat.Add(flserve.Update{Client: uint32(i), State: sd}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _ := flat.Mean()
+	want := sequentialMean(t, 1, streams)
+	mustEqualBits(t, "flat P=1 vs manual fold", want, manualFold(t, decoded))
 	diff, err := want.MaxAbsDiff(got)
 	if err != nil {
 		t.Fatalf("root/flat structure mismatch: %v", err)
@@ -531,4 +545,198 @@ func TestShedRetrySucceeds(t *testing.T) {
 	if n := sh.Count(); n != 3 {
 		t.Fatalf("folded %d, want 3", n)
 	}
+}
+
+// hostileDict is a model whose names all have one length, so a test can
+// patch one into another inside a compressed stream: two lossy weights, one
+// bias in the metadata partition, and — with extraMeta — a second bias.
+func hostileDict(seed uint64, extraMeta bool) *tensor.StateDict {
+	rng := rand.New(rand.NewPCG(seed, seed^0xBAD))
+	sd := tensor.NewStateDict()
+	sd.Add("a.weight", tensor.KindWeight, tensor.FromData(eblctest.WeightLike(rng, 4096), 4096))
+	sd.Add("b.weight", tensor.KindWeight, tensor.FromData(eblctest.WeightLike(rng, 2048), 2048))
+	sd.Add("c.biases", tensor.KindBias, tensor.New(16))
+	if extraMeta {
+		sd.Add("d.biases", tensor.KindBias, tensor.New(16))
+	}
+	return sd
+}
+
+func mustCompress(t testing.TB, sd *tensor.StateDict) []byte {
+	t.Helper()
+	stream, _, err := core.Compress(sd, core.Options{LossyParams: ebcl.Rel(1e-2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
+// hostileFirstUpdates builds well-formed-looking streams (every section
+// parses, every frame CRC will be valid once framed) whose whole is
+// inconsistent — the inputs that, as a round's FIRST update, used to reach
+// the accumulator's view assembly and panic the process:
+//
+//   - dup-lossy: two tensor sections carry the same name;
+//   - dup-meta: a tensor section carries a metadata-partition name;
+//   - short-meta: the header declares two metadata entries, the metadata
+//     partition (spliced in from another stream) holds one.
+func hostileFirstUpdates(t testing.TB) map[string][]byte {
+	t.Helper()
+	patch := func(stream []byte, from, to string) []byte {
+		out := bytes.Replace(stream, []byte("\x08"+from), []byte("\x08"+to), 1)
+		if bytes.Equal(out, stream) {
+			t.Fatalf("name %q not found in stream", from)
+		}
+		return out
+	}
+	good := mustCompress(t, hostileDict(1, false))
+	long, err := core.Sections(mustCompress(t, hostileDict(2, true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := core.Sections(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spliced := append([]byte(nil), long.Header...)
+	for _, ts := range long.Tensors {
+		spliced = append(spliced, ts...)
+	}
+	spliced = append(spliced, short.Lossless...)
+	return map[string][]byte{
+		"dup-lossy":  patch(good, "b.weight", "a.weight"),
+		"dup-meta":   patch(good, "b.weight", "c.biases"),
+		"short-meta": spliced,
+	}
+}
+
+// TestHostileFirstUpdate: an inconsistent stream arriving as the round's
+// first update must be refused with ErrCorrupt by every decode entry point
+// alike, leave the accumulator untouched and every staged buffer returned,
+// and the next valid update must be adopted as if nothing had happened.
+func TestHostileFirstUpdate(t *testing.T) {
+	valid := mustCompress(t, hostileDict(3, false))
+	for name, stream := range hostileFirstUpdates(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, _, err := core.Decompress(stream); !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("core.Decompress: %v, want ErrCorrupt", err)
+			}
+			if _, _, err := core.DecompressFrom(bytes.NewReader(stream)); !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("core.DecompressFrom: %v, want ErrCorrupt", err)
+			}
+
+			pool := sched.NewPool(2)
+			sh := New(Config{Shards: 2, Pool: pool})
+			hits0, misses0 := sched.FloatPoolCounters()
+			puts0 := sched.FloatPoolPuts()
+			_, _, err := sh.IngestStream(context.Background(), 1, 1, core.DecodeOptions{}, bytes.NewReader(frame(t, stream)))
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("IngestStream: %v, want ErrCorrupt", err)
+			}
+			hits1, misses1 := sched.FloatPoolCounters()
+			if got, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; got != put {
+				t.Fatalf("rejected update took %d float buffers and returned %d", got, put)
+			}
+			if n := sh.Count(); n != 0 {
+				t.Fatalf("hostile update folded: count %d", n)
+			}
+			if busy := pool.Busy(); busy != 0 {
+				t.Fatalf("pool busy after rejection: %d", busy)
+			}
+			ingest(t, sh, 2, 1, frame(t, valid))
+			mean, n := sh.Mean()
+			if n != 1 {
+				t.Fatalf("valid update after the hostile one: count %d, want 1", n)
+			}
+			want, _, err := core.Decompress(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualBits(t, "adopted update", mean, want)
+		})
+	}
+}
+
+// TestHostileFirstUpdateLiveServer sends the same streams to a live server
+// as the first uploads it ever sees: each must come back as a rejection,
+// and the server must keep serving — the connection path has no recover,
+// so a panic here takes the process down.
+func TestHostileFirstUpdateLiveServer(t *testing.T) {
+	pool := sched.NewPool(2)
+	sh := New(Config{Shards: 2, Pool: pool})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &flserve.Client{Addr: srv.Addr().String()}
+	ctx := context.Background()
+	hostile := hostileFirstUpdates(t)
+	for name, stream := range hostile {
+		if err := c.Upload(ctx, 1, stream); !errors.Is(err, flserve.ErrRejected) {
+			t.Fatalf("%s: upload error %v, want ErrRejected", name, err)
+		}
+	}
+	if err := c.Upload(ctx, 2, mustCompress(t, hostileDict(3, false))); err != nil {
+		t.Fatalf("server did not survive the hostile uploads: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Snapshot(); st.Updates != 1 || st.Rejected != len(hostile) {
+		t.Fatalf("stats %+v, want 1 update / %d rejected", st, len(hostile))
+	}
+	if n := sh.Count(); n != 1 {
+		t.Fatalf("folded %d updates, want 1", n)
+	}
+	if busy := pool.Busy(); busy != 0 {
+		t.Fatalf("pool busy after drain: %d", busy)
+	}
+}
+
+// FuzzIngestStream feeds arbitrary bytes to the aggregator as a round's
+// first update. Seeds are the framed golden corpus (every format version
+// and codec) and the hostile first updates above. Whatever arrives, ingest
+// must not panic and may fail only with the typed sentinels; a stream that
+// folds once must fold again onto itself.
+func FuzzIngestStream(f *testing.F) {
+	golden, err := filepath.Glob(filepath.Join("..", "conformance", "testdata", "*.wire"))
+	if err != nil || len(golden) == 0 {
+		f.Fatalf("golden corpus not found: %v", err)
+	}
+	for _, path := range golden {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, stream := range hostileFirstUpdates(f) {
+		f.Add(frame(f, stream))
+	}
+	pool := sched.NewPool(2)
+	f.Fuzz(func(t *testing.T, framed []byte) {
+		sh := New(Config{Shards: 2, Pool: pool})
+		defer sh.Reset()
+		for round := 0; round < 2; round++ {
+			_, _, err := sh.IngestStream(context.Background(), uint32(round), 1, core.DecodeOptions{}, bytes.NewReader(framed))
+			if err != nil {
+				if round == 1 {
+					t.Fatalf("stream folded once, then failed onto itself: %v", err)
+				}
+				if !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrReference) {
+					t.Fatalf("untyped ingest error: %v", err)
+				}
+				if n := sh.Count(); n != 0 {
+					t.Fatalf("failed update folded: count %d", n)
+				}
+				return
+			}
+		}
+		if mean, n := sh.Mean(); n != 2 || mean == nil {
+			t.Fatalf("two accepted ingests, count %d", n)
+		} else {
+			core.Release(mean)
+		}
+	})
 }

@@ -20,8 +20,8 @@ type EdgeConfig struct {
 	Shards int
 	// DedupByClient guards the local population's at-least-once retries.
 	DedupByClient bool
-	// Server configures the local ingest listener; Handler and Ingestor
-	// are owned by the Edge and must be nil.
+	// Server configures the local ingest listener. Ingestor is owned by
+	// the Edge and must be nil; a Handler observes each folded update.
 	Server flserve.Config
 	// Options encode the fused update for the upstream hop. The edge mean
 	// is lossy-compressed again here, so the edge→root tolerance is one
@@ -51,8 +51,8 @@ func ListenEdge(addr string, cfg EdgeConfig) (*Edge, error) {
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("agg: EdgeConfig.Upstream is required")
 	}
-	if cfg.Server.Handler != nil || cfg.Server.Ingestor != nil {
-		return nil, fmt.Errorf("agg: EdgeConfig.Server.Handler/Ingestor are owned by the Edge")
+	if cfg.Server.Ingestor != nil {
+		return nil, fmt.Errorf("agg: EdgeConfig.Server.Ingestor is owned by the Edge")
 	}
 	pool := sched.NewPool(cfg.Server.Parallel)
 	sh := New(Config{Shards: cfg.Shards, Pool: pool, DedupByClient: cfg.DedupByClient})

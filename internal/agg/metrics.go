@@ -1,9 +1,8 @@
 package agg
 
-// Sharded-aggregation metrics on the process-wide telemetry registry:
-// per-shard section routing counters (the observable that routing is
-// actually spreading load), fold/merge latency, and the configured shard
-// count. Registration is lazy and get-or-create, matching the flserve
+// Aggregator metrics on the process-wide telemetry registry: per-shard
+// folded-section counters (the observable that the name hash is actually
+// spreading load), fold/merge latency, and the configured shard count. Registration is lazy and get-or-create, matching the flserve
 // metric families these sit beside on a /metrics scrape.
 
 import (
@@ -31,7 +30,7 @@ func (m *aggMetrics) sectionsRouted(i int) *telemetry.Counter {
 	for len(m.perShard) <= i {
 		m.perShard = append(m.perShard, telemetry.Default().Counter(
 			"fedsz_agg_sections_routed_total",
-			"Tensor sections routed to aggregator shards, by shard index.",
+			"Tensor sections folded by aggregator shards, by shard index.",
 			telemetry.L("shard", strconv.Itoa(len(m.perShard)))))
 	}
 	return m.perShard[i]
@@ -41,7 +40,7 @@ var metrics = sync.OnceValue(func() *aggMetrics {
 	r := telemetry.Default()
 	return &aggMetrics{
 		updates: r.Counter("fedsz_agg_updates_total",
-			"Updates folded through the section-routed sharded aggregator."),
+			"Updates folded by the aggregator."),
 		mergeHist: r.Histogram("fedsz_agg_merge_seconds",
 			"Per-update commit time: structural validation plus the sharded fold.",
 			telemetry.DurationBuckets),

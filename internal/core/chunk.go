@@ -6,7 +6,8 @@ package core
 // parallelism serializes on it and multicore hosts idle. v4 splits such a
 // tensor into K block-aligned chunks, compresses each as a complete,
 // independently decodable codec stream on the shared pool, and frames them
-// behind a chunk jump table so decode fans out per chunk too.
+// behind a chunk jump table; decode lands each chunk in its own sub-range
+// of the output, one after another inside the tensor's decode task.
 //
 // Chunked blob layout, inside a tensor section's ordinary length-prefixed
 // blob area (all integers little-endian / uvarint as noted):
@@ -297,32 +298,25 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 // per chunk (one pass while the chunk is still cache-warm). chunkedOK
 // gates the chunked layout on the stream version: in v1–v3 streams a 0xFC
 // first byte is codec data and fails the codec's own magic check, exactly
-// as before chunking existed. Chunks decode concurrently on pool (nil
-// runs serially), each into its own disjoint sub-range of dst, so no
-// synchronization beyond the ForEach barrier is needed. Decode + fold time
-// accumulates into work (per chunk, so the fan-out is accounted as summed
-// work, not wall clock); nil skips the accounting.
-func decodeBlobInto(pool *sched.Pool, lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32, work *atomic.Int64) ([]float32, error) {
-	addWork := func(t0 time.Time) {
-		if work != nil {
-			work.Add(int64(time.Since(t0)))
-		}
-	}
+// as before chunking existed. Chunks decode one after another on the
+// calling goroutine, each into its own sub-range of dst: a tensor is one
+// pool task, and cross-tensor parallelism is the scheduler's job (fanning
+// chunks out measured slower than not, 0.86× in BENCH_PR12.json). Decode +
+// fold time accumulates into work.
+func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32, work *atomic.Int64) ([]float32, error) {
+	t0 := time.Now()
+	defer func() { work.Add(int64(time.Since(t0))) }()
 	if !chunkedOK || !isChunkedBlob(blob) {
-		t0 := time.Now()
 		data, err := lossy.DecompressInto(dst, blob)
 		if err != nil {
-			addWork(t0)
 			return nil, err
 		}
 		if len(data) != elems {
-			addWork(t0)
 			return nil, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
 		}
 		for i, r := range ref {
 			data[i] += r
 		}
-		addWork(t0)
 		return data, nil
 	}
 	subs, err := parseChunkedBlob(blob, elems)
@@ -330,22 +324,17 @@ func decodeBlobInto(pool *sched.Pool, lossy ebcl.Compressor, dst []float32, blob
 		return nil, err
 	}
 	full := dst[:elems]
-	errs := make([]error, len(subs))
-	pool.ForEach(len(subs), func(i int) {
-		t0 := time.Now()
-		defer addWork(t0)
+	for i, sub := range subs {
 		lo, hi := chunkBounds(elems, len(subs), i)
 		// A zero-length sub-slice anchored at lo with capacity hi-lo: the
 		// codec's DecompressInto reuses this storage when the declared
 		// length fits, landing the chunk exactly in place.
-		part, derr := lossy.DecompressInto(full[lo:lo:hi], subs[i])
-		if derr != nil {
-			errs[i] = fmt.Errorf("chunk %d/%d: %w", i, len(subs), derr)
-			return
+		part, err := lossy.DecompressInto(full[lo:lo:hi], sub)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d/%d: %w", i, len(subs), err)
 		}
 		if len(part) != hi-lo {
-			errs[i] = fmt.Errorf("chunk %d/%d: decoded %d elements, want %d", i, len(subs), len(part), hi-lo)
-			return
+			return nil, fmt.Errorf("chunk %d/%d: decoded %d elements, want %d", i, len(subs), len(part), hi-lo)
 		}
 		if len(part) > 0 && &part[0] != &full[lo] {
 			// The codec allocated (a corrupt sub-blob declared more
@@ -357,11 +346,6 @@ func decodeBlobInto(pool *sched.Pool, lossy ebcl.Compressor, dst []float32, blob
 			for j, r := range ref[lo:hi] {
 				full[lo+j] += r
 			}
-		}
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
 		}
 	}
 	return full, nil

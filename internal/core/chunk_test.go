@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
@@ -252,9 +253,24 @@ func TestChunkedDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkedSectionRouting drives the parse layer the sharded aggregation
-// tier uses: a chunked stream's sections must parse and shard-decode to
-// exactly the bytes the full-stream decoder produces.
+// viewSource feeds DecodeSections the already-split views of Sections, one
+// per Next — the shape a frame-per-section transport delivers.
+type viewSource struct {
+	secs [][]byte
+}
+
+func (v *viewSource) Next(SectionKind) ([]byte, error) {
+	sec := v.secs[0]
+	v.secs = v.secs[1:]
+	return sec, nil
+}
+func (*viewSource) Release([]byte)          {}
+func (*viewSource) ReadWait() time.Duration { return 0 }
+
+// TestChunkedSectionRouting drives the decode the way the aggregation tier
+// does — one delimited section at a time — on a chunked stream: every
+// tensor must come out exactly as the whole-stream decoder produces it,
+// and be counted as chunked.
 func TestChunkedSectionRouting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 24))
 	sd := skewedDict(rng, 18432)
@@ -278,26 +294,25 @@ func TestChunkedSectionRouting(t *testing.T) {
 	if hdr.Version != streamVersionV4 || !hdr.Chunked() {
 		t.Fatalf("parsed version %d (chunked=%v), want v4", hdr.Version, hdr.Chunked())
 	}
-	dec, err := NewSectionDecoder(hdr)
+	src := &viewSource{secs: append(append([][]byte{secs.Header}, secs.Tensors...), secs.Lossless)}
+	got, stats, err := DecodeSections(context.Background(), sched.NewPool(2), src, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range secs.Tensors {
-		pt, err := ParseTensorSection(hdr, sec)
-		if err != nil {
-			t.Fatal(err)
+	defer got.Release()
+	if stats.ChunkedTensors == 0 {
+		t.Fatal("no tensor counted as chunked")
+	}
+	for _, dt := range got.Tensors {
+		ref := want.Get(dt.Name)
+		if len(dt.Data) != len(ref.Data) {
+			t.Fatalf("%s: %d elements, want %d", dt.Name, len(dt.Data), len(ref.Data))
 		}
-		data, err := dec.DecodeTensor(pt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := want.Get(pt.Name)
-		for i := range data {
-			if math.Float32bits(data[i]) != math.Float32bits(ref.Data[i]) {
-				t.Fatalf("%s: shard decode diverges from stream decode at %d", pt.Name, i)
+		for i := range dt.Data {
+			if math.Float32bits(dt.Data[i]) != math.Float32bits(ref.Data[i]) {
+				t.Fatalf("%s: section decode diverges from stream decode at %d", dt.Name, i)
 			}
 		}
-		sched.PutFloats(data)
 	}
 }
 

@@ -119,8 +119,8 @@ type Options struct {
 	RefEpoch uint32
 	// ChunkElems sets the intra-tensor chunking target: a lossy tensor with
 	// more than this many elements splits into up to MaxChunks block-aligned
-	// chunks that compress (and decode) concurrently, switching the stream
-	// to the v4 format. 0 selects DefaultChunkElems; negative disables
+	// chunks that compress concurrently, switching the stream to the v4
+	// format. 0 selects DefaultChunkElems; negative disables
 	// chunking entirely (every stream keeps the v2/v3 layout). The chunk
 	// count is derived from element counts alone, so the emitted bytes are
 	// independent of the pool's parallelism.
@@ -292,8 +292,7 @@ type DecompressStats struct {
 	// supplied reference (always 0 for v1/v2 streams).
 	DeltaTensors int
 	// ChunkedTensors counts tensor sections whose blobs used the chunked
-	// (v4) layout and therefore decoded chunk-parallel (always 0 for
-	// v1–v3 streams).
+	// (v4) layout (always 0 for v1–v3 streams).
 	ChunkedTensors int
 }
 
@@ -338,19 +337,19 @@ func Decompress(stream []byte) (*tensor.StateDict, *DecompressStats, error) {
 
 // DecompressWith reverses Compress, decoding the per-tensor lossy blobs
 // concurrently on the given pool (nil runs serially) — the mirror of the
-// compress-side fan-out. It shares one decoder with the streaming
-// DecompressFrom; the in-memory source serves zero-copy section views, so
-// the batch server's hot path pays no receive buffering. Cancelling ctx
-// stops the decode at the next section boundary and returns ctx.Err().
+// compress-side fan-out. It runs the same DecodeSections pipeline as the
+// streaming DecompressFrom, over zero-copy section views of stream.
+// Cancelling ctx stops the decode at the next section boundary and returns
+// ctx.Err().
 func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, &byteSource{data: stream}, DecodeOptions{})
+	return DecompressOpts(ctx, pool, stream, DecodeOptions{})
 }
 
 // DecompressOpts is DecompressWith with reference-aware decoding: v3 delta
 // streams reconstruct residual sections against o.Reference (see
 // DecodeOptions). v1/v2 streams ignore o entirely.
 func DecompressOpts(ctx context.Context, pool *sched.Pool, stream []byte, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, &byteSource{data: stream}, o)
+	return decompress(ctx, pool, &memSections{data: stream}, o)
 }
 
 // CompressAll runs the FedSZ pipeline over many client state dicts with

@@ -1,14 +1,10 @@
 package core
 
-// Section-level parsing for ingest front-ends that route wire frames to
-// aggregator shards. The wire format (internal/wire) frames a FedSZ stream
-// at exactly the section boundaries Sections reports, so a router can
-// parse a frame's payload in isolation — header metadata from the header
-// frame, tensor identity (name, shape, mode) from each tensor frame —
-// without reassembling the stream or touching the compressed blobs. The
-// shard that owns a tensor then decodes just its blob via SectionDecoder.
-// decompressSource remains the one full-stream decoder; these parsers
-// read the same layout but leave decode scheduling to the caller.
+// Section parsers: the one reading of the stream layout. Each function
+// takes a complete section — a wire frame's payload, or the bytes a
+// delimiter cut out of a serialized stream — and validates everything in
+// it, so DecodeSections, Sections and a transport inspecting frames all
+// accept exactly the same bytes. The compressed blobs are left untouched.
 
 import (
 	"encoding/binary"
@@ -49,18 +45,27 @@ func (h *ParsedHeader) IsDelta() bool {
 // Chunked reports whether tensor sections may carry chunked (v4) blobs.
 func (h *ParsedHeader) Chunked() bool { return h.Version == streamVersionV4 }
 
+// streamVersionOf validates the magic and version that open a stream (its
+// first five bytes) and returns the version.
+func streamVersionOf(b []byte) (byte, error) {
+	if len(b) < 5 || binary.LittleEndian.Uint32(b) != streamMagic {
+		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if !supportedStreamVersion(b[4]) {
+		return 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, b[4])
+	}
+	return b[4], nil
+}
+
 // ParseHeader parses a header section payload. The returned header's Flags
 // field aliases section.
 func ParseHeader(section []byte) (*ParsedHeader, error) {
-	if len(section) < 5 || binary.LittleEndian.Uint32(section) != streamMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	version, err := streamVersionOf(section)
+	if err != nil {
+		return nil, err
 	}
-	h := &ParsedHeader{Version: section[4]}
-	if !supportedStreamVersion(h.Version) {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, h.Version)
-	}
+	h := &ParsedHeader{Version: version}
 	pos := 5
-	var err error
 	if h.LossyName, pos, err = readString(section, pos); err != nil {
 		return nil, fmt.Errorf("%w: lossy compressor name", ErrCorrupt)
 	}
@@ -103,7 +108,7 @@ type ParsedTensor struct {
 	Shape []int
 	Elems int
 	// Delta marks a v3 residual section: the blob decodes to update −
-	// reference and the owning shard must fold the reference back in.
+	// reference, and the decoder folds the reference back in.
 	Delta bool
 	// Blob is the compressed payload — a view into the section, valid only
 	// while the section bytes live.
@@ -161,58 +166,23 @@ func ParseTensorSection(hdr *ParsedHeader, section []byte) (*ParsedTensor, error
 	return pt, nil
 }
 
-// SectionDecoder decodes routed sections of one stream: the codecs are
-// resolved once from the header names, then any shard can decode its
-// tensors independently.
-type SectionDecoder struct {
-	hdr   *ParsedHeader
-	lossy ebcl.Compressor
-	codec lossless.Codec
+// codecs resolves the header's codec names against the registries.
+func (h *ParsedHeader) codecs() (ebcl.Compressor, lossless.Codec, error) {
+	lossy, err := compressors.Get(h.LossyName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	codec, err := lossless.Get(h.LosslessName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return lossy, codec, nil
 }
 
-// NewSectionDecoder resolves hdr's codec names against the registries.
-func NewSectionDecoder(hdr *ParsedHeader) (*SectionDecoder, error) {
-	lossy, err := compressors.Get(hdr.LossyName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	codec, err := lossless.Get(hdr.LosslessName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return &SectionDecoder{hdr: hdr, lossy: lossy, codec: codec}, nil
-}
-
-// DecodeTensor reconstructs one parsed tensor section into a pooled float
-// buffer (release with sched.PutFloats, or hand it to a StateDict and
-// recycle via Release). For a residual section, ref must be the
-// same-epoch baseline values for this tensor — the caller verifies epochs
-// via ParsedHeader.RefEpoch; a nil or mis-sized ref fails with
-// ErrReference so the transport can renegotiate an absolute upload.
-func (d *SectionDecoder) DecodeTensor(pt *ParsedTensor, ref []float32) ([]float32, error) {
-	if pt.Delta && len(ref) != pt.Elems {
-		return nil, fmt.Errorf("%w: reference lacks matching tensor %q", ErrReference, pt.Name)
-	}
-	if !pt.Delta {
-		ref = nil
-	}
-	dst := sched.GetFloats(pt.Elems)
-	// The shared blob decoder handles plain and chunked (v4) blobs alike
-	// and folds the residual baseline back in when ref is non-nil; a shard
-	// decodes its tensors serially (nil pool), keeping cross-shard
-	// parallelism the scheduler's job.
-	data, err := decodeBlobInto(nil, d.lossy, dst, pt.Blob, pt.Elems, d.hdr.Chunked(), ref, nil)
-	if err != nil {
-		sched.PutFloats(dst)
-		return nil, fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, err)
-	}
-	return data, nil
-}
-
-// DecodeLossless reconstructs the metadata partition from a lossless
-// section payload (the uvarint-length-prefixed blob a wire FrameLossless
-// carries). The returned dict's buffers are heap-allocated, not pooled.
-func (d *SectionDecoder) DecodeLossless(section []byte) (*tensor.StateDict, error) {
+// decodeLossless reconstructs the metadata partition from a lossless
+// section (the uvarint-length-prefixed blob a wire FrameLossless carries).
+// The returned dict's tensors are pool-backed; recycle via Release.
+func decodeLossless(codec lossless.Codec, section []byte) (*tensor.StateDict, error) {
 	blob, pos, err := ebcl.ReadSection(section, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: metadata section: %w", ErrCorrupt, err)
@@ -220,7 +190,7 @@ func (d *SectionDecoder) DecodeLossless(section []byte) (*tensor.StateDict, erro
 	if pos != len(section) {
 		return nil, fmt.Errorf("%w: metadata section has %d trailing bytes", ErrCorrupt, len(section)-pos)
 	}
-	raw, err := d.codec.Decompress(blob)
+	raw, err := codec.Decompress(blob)
 	if err != nil {
 		return nil, fmt.Errorf("%w: lossless decompress: %w", ErrCorrupt, err)
 	}

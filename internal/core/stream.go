@@ -1,19 +1,22 @@
 package core
 
-// Streaming decode: the io.Reader-based counterpart of Compress's output.
+// Section-by-section decode: the one pipeline behind every decode entry
+// point and every server.
 //
-// A FedSZ stream is already sequential — header, per-tensor sections, one
-// lossless-partition section — so it can be decoded incrementally while it
-// is still arriving from a socket: as soon as tensor i's section is fully
-// read, its decode is submitted to the shared worker pool and the reader
-// goroutine moves on to tensor i+1. The in-memory Decompress is a thin
-// wrapper over this path (a bytes.Reader delivers every section
-// instantly), so there is exactly one decoder.
-//
-// Sections exposes the same boundaries to the transport layer: the wire
-// format (internal/wire) frames a stream at section granularity, which
-// means a receiver piping wire payloads into DecompressFrom decodes tensor
-// i while tensor i+1 is still crossing the network.
+// A FedSZ stream is sequential — header, per-tensor sections, one
+// lossless-partition section — so it decodes incrementally: as soon as
+// tensor i's section is complete its decode is submitted to the worker
+// pool and the caller moves on to section i+1. DecodeSections is that loop,
+// written once. It pulls sections from a SectionSource and does not care
+// where they come from: zero-copy views of an in-memory stream
+// (Decompress*), pooled buffers filled from an io.Reader (DecompressFrom*),
+// or wire-frame payloads off a socket (internal/wire.SectionSource, which
+// is what flserve and agg.Sharded feed it). Every check on untrusted input
+// — section and element caps, the delta-reference conditions, duplicate
+// names, the metadata entry count — is made here or in the parse.go
+// functions it calls, so all sources reject the same streams with the same
+// error class, and every abort path drains the pool and returns the staged
+// buffers.
 
 import (
 	"bufio"
@@ -24,9 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compressors"
-	"repro/internal/ebcl"
-	"repro/internal/lossless"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 )
@@ -38,6 +38,140 @@ const (
 	// maxSectionBytes bounds a single section's declared length.
 	maxSectionBytes = 1 << 30
 )
+
+// SectionSource delivers a FedSZ stream one section at a time, in stream
+// order: the header, one tensor section per lossy entry, the metadata
+// section.
+type SectionSource interface {
+	// Next returns the next section, which the decoder expects to be of the
+	// given kind. The bytes stay valid until Release.
+	Next(kind SectionKind) ([]byte, error)
+	// Release recycles a section Next returned. Decode tasks call it from
+	// pool goroutines, so it must be safe for concurrent use.
+	Release(section []byte)
+	// ReadWait reports the time spent blocked on input so far.
+	ReadWait() time.Duration
+}
+
+// corruptRead maps read failures to ErrCorrupt: a stream that ends (or
+// errors) mid-structure is malformed from the decoder's point of view.
+func corruptRead(context string, err error) error {
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, context, err)
+}
+
+// window exposes the front of the section being delimited: need(n) returns
+// at least n bytes counted from the section's first byte, or an
+// ErrCorrupt-wrapped error when the input ends first. A later need may
+// move the bytes, so callers use only the latest slice.
+type window interface {
+	need(n int) ([]byte, error)
+}
+
+// delimiter finds section boundaries in a serialized stream — the one
+// place that knows which fields carry lengths, shared by the in-memory and
+// the io.Reader source. It reads only those fields; validating what the
+// sections hold is the parse.go functions' job.
+type delimiter struct {
+	// hasMode records, from the header, whether tensor sections carry a
+	// mode byte.
+	hasMode bool
+}
+
+// section returns the section of the given kind that starts at the front
+// of w: exactly its bytes, as w's final need delivered them.
+func (d *delimiter) section(w window, kind SectionKind) ([]byte, error) {
+	pos := 0
+	switch kind {
+	case SectionHeader:
+		b, err := w.need(5)
+		if err != nil {
+			return nil, err
+		}
+		version, err := streamVersionOf(b)
+		if err != nil {
+			return nil, err
+		}
+		d.hasMode = version == streamVersionV3 || version == streamVersionV4
+		pos = 5
+		for range 2 { // lossy compressor and lossless codec names
+			if b, err = w.need(pos + 1); err != nil {
+				return nil, err
+			}
+			pos += 1 + int(b[pos])
+		}
+		if d.hasMode {
+			pos += 4 // reference epoch
+		}
+		if b, err = w.need(pos + 4); err != nil {
+			return nil, err
+		}
+		count := binary.LittleEndian.Uint32(b[pos:])
+		if count > maxStreamEntries {
+			return nil, fmt.Errorf("%w: entry count %d exceeds limit", ErrCorrupt, count)
+		}
+		return needAll(w, pos+4+int(count))
+	case SectionTensor:
+		b, err := w.need(1)
+		if err != nil {
+			return nil, err
+		}
+		pos = 1 + int(b[0]) // name
+		if b, err = w.need(pos + 2); err != nil {
+			return nil, err
+		}
+		pos += 2 + 4*int(b[pos+1]) // kind, rank, dims
+		if d.hasMode {
+			pos++
+		}
+	}
+	// Tensor and metadata sections end in a uvarint-length-prefixed blob.
+	for k := 1; k <= binary.MaxVarintLen64; k++ {
+		b, err := w.need(pos + k)
+		if err != nil {
+			return nil, err
+		}
+		if b[pos+k-1] < 0x80 {
+			l, n := binary.Uvarint(b[pos : pos+k])
+			if n <= 0 || l > maxSectionBytes {
+				break
+			}
+			return needAll(w, pos+k+int(l))
+		}
+	}
+	return nil, fmt.Errorf("%w: section length prefix", ErrCorrupt)
+}
+
+// needAll returns w's first n bytes — a whole section.
+func needAll(w window, n int) ([]byte, error) {
+	b, err := w.need(n)
+	if err != nil {
+		return nil, err
+	}
+	return b[:n], nil
+}
+
+// memSections serves zero-copy section views of an in-memory stream (the
+// batch server's hot path pays no receive buffering).
+type memSections struct {
+	delimiter
+	data []byte // the stream from the next section on
+}
+
+func (m *memSections) need(n int) ([]byte, error) {
+	if n > len(m.data) {
+		return nil, corruptRead("section", io.ErrUnexpectedEOF)
+	}
+	return m.data, nil
+}
+
+func (m *memSections) Next(kind SectionKind) ([]byte, error) {
+	sec, err := m.section(m, kind)
+	m.data = m.data[len(sec):]
+	return sec, err
+}
+
+func (*memSections) Release([]byte)          {}
+func (*memSections) ReadWait() time.Duration { return 0 }
 
 // StreamSections splits a FedSZ stream into its transport framing units.
 // All fields are views into the original stream, not copies, and their
@@ -55,160 +189,51 @@ type StreamSections struct {
 
 // Sections parses the section boundaries of a serialized FedSZ stream
 // without decoding any payloads — the sender-side half of wire framing.
+// Every returned section has passed its parse.go parser.
 func Sections(stream []byte) (*StreamSections, error) {
-	if len(stream) < 5 || binary.LittleEndian.Uint32(stream) != streamMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if !supportedStreamVersion(stream[4]) {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, stream[4])
-	}
-	// v3 and v4 headers carry a reference epoch and per-section mode bytes
-	// (v4 pins the epoch to 0 when no reference was used).
-	hasMode := stream[4] == streamVersionV3 || stream[4] == streamVersionV4
-	pos := 5
+	src := &memSections{data: stream}
+	s := &StreamSections{}
 	var err error
-	if _, pos, err = readString(stream, pos); err != nil { // lossy name
+	if s.Header, err = src.Next(SectionHeader); err != nil {
 		return nil, err
 	}
-	if _, pos, err = readString(stream, pos); err != nil { // lossless name
+	hdr, err := ParseHeader(s.Header)
+	if err != nil {
 		return nil, err
 	}
-	if hasMode {
-		if pos+4 > len(stream) {
-			return nil, ErrCorrupt
-		}
-		pos += 4 // reference epoch
-	}
-	if pos+4 > len(stream) {
-		return nil, ErrCorrupt
-	}
-	count := int(binary.LittleEndian.Uint32(stream[pos:]))
-	pos += 4
-	if count > maxStreamEntries || pos+count > len(stream) {
-		return nil, ErrCorrupt
-	}
-	nLossy := 0
-	for _, f := range stream[pos : pos+count] {
-		switch f {
-		case pathLossy:
-			nLossy++
-		case pathLossless:
-		default:
-			return nil, ErrCorrupt
-		}
-	}
-	pos += count
-
-	s := &StreamSections{Header: stream[:pos], Tensors: make([][]byte, 0, nLossy)}
-	for i := 0; i < nLossy; i++ {
-		tStart := pos
-		if _, pos, err = readString(stream, pos); err != nil { // tensor name
+	s.Tensors = make([][]byte, hdr.LossyCount)
+	for i := range s.Tensors {
+		if s.Tensors[i], err = src.Next(SectionTensor); err != nil {
 			return nil, err
 		}
-		if pos+2 > len(stream) {
-			return nil, ErrCorrupt
+		if _, err = ParseTensorSection(hdr, s.Tensors[i]); err != nil {
+			return nil, err
 		}
-		rank := int(stream[pos+1])
-		pos += 2
-		if pos+4*rank > len(stream) {
-			return nil, ErrCorrupt
-		}
-		pos += 4 * rank
-		if hasMode {
-			if pos >= len(stream) {
-				return nil, ErrCorrupt
-			}
-			if m := stream[pos]; m != sectionAbsolute && m != sectionDelta {
-				return nil, fmt.Errorf("%w: tensor section mode %d", ErrCorrupt, m)
-			}
-			pos++
-		}
-		if _, pos, err = ebcl.ReadSection(stream, pos); err != nil {
-			return nil, fmt.Errorf("%w: lossy section %d: %w", ErrCorrupt, i, err)
-		}
-		s.Tensors = append(s.Tensors, stream[tStart:pos])
 	}
-	lStart := pos
-	if _, pos, err = ebcl.ReadSection(stream, pos); err != nil {
-		return nil, fmt.Errorf("%w: metadata section: %w", ErrCorrupt, err)
+	if s.Lossless, err = src.Next(SectionLossless); err != nil {
+		return nil, err
 	}
-	s.Lossless = stream[lStart:pos]
 	return s, nil
 }
 
-// streamSource abstracts the decoder's input. The in-memory source serves
-// zero-copy section views straight out of the stream (the batch server's
-// hot path); the reader source receives sections into pooled buffers as
-// the bytes arrive.
-type streamSource interface {
-	// readFull fills buf or fails with a corruption error naming what.
-	readFull(buf []byte, what string) error
-	// readString reads a length-prefixed name.
-	readString(what string) (string, error)
-	// readSection reads one uvarint-length-prefixed section, returning its
-	// bytes and a release callback valid once the bytes are dead (recycles
-	// pooled buffers; no-op for in-memory views).
-	readSection(what string) ([]byte, func(), error)
-	// wait reports time spent blocked on input.
-	wait() time.Duration
-}
-
-// corruptRead maps read failures to ErrCorrupt: a stream that ends (or
-// errors) mid-structure is malformed from the decoder's point of view.
-func corruptRead(context string, err error) error {
-	return fmt.Errorf("%w: %s: %v", ErrCorrupt, context, err)
-}
-
-func releaseNothing() {}
-
-// byteSource decodes an in-memory stream with zero-copy section views.
-type byteSource struct {
-	data []byte
-	pos  int
-}
-
-func (s *byteSource) readFull(buf []byte, what string) error {
-	if s.pos+len(buf) > len(s.data) {
-		return corruptRead(what, io.ErrUnexpectedEOF)
-	}
-	copy(buf, s.data[s.pos:])
-	s.pos += len(buf)
-	return nil
-}
-
-func (s *byteSource) readString(what string) (string, error) {
-	str, pos, err := readString(s.data, s.pos)
-	if err != nil {
-		return "", fmt.Errorf("%w: %s", err, what)
-	}
-	s.pos = pos
-	return str, nil
-}
-
-func (s *byteSource) readSection(what string) ([]byte, func(), error) {
-	blob, pos, err := ebcl.ReadSection(s.data, s.pos)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, what, err)
-	}
-	s.pos = pos
-	return blob, releaseNothing, nil
-}
-
-func (s *byteSource) wait() time.Duration { return 0 }
-
-// readTracker measures time spent blocked in the underlying Read — the
+// TimedReader measures the time spent blocked in the underlying Read — the
 // "waiting for the network" component of a streaming decode — and aborts
 // promptly once the decode's context is cancelled: each Read checks the
 // context first, so cancellation takes effect at the next chunk boundary
 // even mid-section. (A Read already blocked on a dead socket is the
 // transport layer's problem — flserve bounds those with read deadlines.)
-type readTracker struct {
+type TimedReader struct {
 	r       io.Reader
 	ctx     context.Context
 	blocked time.Duration
 }
 
-func (t *readTracker) Read(p []byte) (int, error) {
+// NewTimedReader wraps r for one decode running under ctx.
+func NewTimedReader(ctx context.Context, r io.Reader) *TimedReader {
+	return &TimedReader{r: r, ctx: ctx}
+}
+
+func (t *TimedReader) Read(p []byte) (int, error) {
 	if err := t.ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -218,54 +243,310 @@ func (t *readTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readerSource decodes an arriving stream, receiving each section into a
-// pooled buffer that grows with the bytes actually received (a hostile
+// Blocked returns the accumulated time spent inside Read.
+func (t *TimedReader) Blocked() time.Duration { return t.blocked }
+
+// readerSections receives an arriving stream section by section, each into
+// a pooled buffer that grows with the bytes actually received (a hostile
 // length prefix cannot force a giant up-front allocation).
-type readerSource struct {
-	br      *bufio.Reader
-	tracker *readTracker
+type readerSections struct {
+	delimiter
+	br  *bufio.Reader
+	tr  *TimedReader
+	buf []byte // the section being received (pooled)
 }
 
-func newReaderSource(ctx context.Context, r io.Reader) *readerSource {
-	t := &readTracker{r: r, ctx: ctx}
-	return &readerSource{br: bufio.NewReaderSize(t, 4096), tracker: t}
+func newReaderSections(ctx context.Context, r io.Reader) *readerSections {
+	tr := NewTimedReader(ctx, r)
+	return &readerSections{br: bufio.NewReaderSize(tr, 4096), tr: tr}
 }
 
-func (s *readerSource) readFull(buf []byte, what string) error {
-	if _, err := io.ReadFull(s.br, buf); err != nil {
-		return corruptRead(what, err)
+func (s *readerSections) need(n int) ([]byte, error) {
+	if s.buf == nil {
+		// Room for a section's length-bearing prefix, so the buffer is
+		// regrown once — when the blob length is known — not per field.
+		s.buf = sched.GetBytes(512)
+	}
+	var err error
+	if s.buf, err = sched.ReadMorePooled(s.br, s.buf, n); err != nil {
+		return nil, corruptRead("section", err)
+	}
+	return s.buf, nil
+}
+
+func (s *readerSections) Next(kind SectionKind) ([]byte, error) {
+	sec, err := s.section(s, kind)
+	if err != nil {
+		sched.PutBytes(s.buf)
+	}
+	s.buf = nil
+	return sec, err
+}
+
+func (*readerSections) Release(section []byte)    { sched.PutBytes(section) }
+func (s *readerSections) ReadWait() time.Duration { return s.tr.Blocked() }
+
+// DecodedTensor is one lossy tensor reconstructed by DecodeSections.
+type DecodedTensor struct {
+	Name  string
+	Kind  tensor.Kind
+	Shape []int
+	// Data is the reconstruction, in a pool-backed float buffer.
+	Data []float32
+	err  error
+}
+
+// DecodedStream is a stream decoded section by section but not yet
+// assembled: what a section-routing aggregator folds directly, and what
+// StateDict turns into a state dict. Its tensor buffers are pooled — hand
+// them on (StateDict, or take Data and nil it) or Release them.
+type DecodedStream struct {
+	// Flags holds the per-entry path flags in original dict order; two
+	// streams with equal Flags interleave their partitions identically.
+	Flags []byte
+	// Tensors holds the lossy tensors in stream order.
+	Tensors []DecodedTensor
+	// Meta is the lossless partition, its tensors pool-backed too.
+	Meta *tensor.StateDict
+}
+
+// Release returns every tensor buffer the stream still owns to the pool.
+func (d *DecodedStream) Release() {
+	for i := range d.Tensors {
+		sched.PutFloats(d.Tensors[i].Data)
+		d.Tensors[i].Data = nil
+	}
+	Release(d.Meta)
+	d.Meta = nil
+}
+
+// StateDict assembles the partitions into one state dict in the original
+// entry order. The dict takes over the tensor buffers; recycle them with
+// core.Release once it is dead.
+func (d *DecodedStream) StateDict() *tensor.StateDict {
+	out := tensor.NewStateDict()
+	meta := d.Meta.Entries()
+	li, ri := 0, 0
+	for _, f := range d.Flags {
+		if f == pathLossy {
+			e := &d.Tensors[li]
+			li++
+			out.Add(e.Name, e.Kind, tensor.FromData(e.Data, e.Shape...))
+			e.Data = nil
+		} else {
+			e := meta[ri]
+			ri++
+			out.Add(e.Name, e.Kind, e.Tensor)
+		}
+	}
+	return out
+}
+
+// validate checks what only the whole stream can show: the metadata
+// partition holds exactly the entries the header's flags declare, and no
+// name occurs twice (impossible in a stream Compress produced; StateDict.Add
+// would panic on one).
+func (d *DecodedStream) validate() error {
+	meta := d.Meta.Entries()
+	if want := len(d.Flags) - len(d.Tensors); len(meta) != want {
+		return fmt.Errorf("%w: header declares %d metadata entries, partition holds %d", ErrCorrupt, want, len(meta))
+	}
+	seen := make(map[string]struct{}, len(d.Flags))
+	dup := func(name string) bool {
+		_, ok := seen[name]
+		seen[name] = struct{}{}
+		return ok
+	}
+	for i := range d.Tensors {
+		if dup(d.Tensors[i].Name) {
+			return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, d.Tensors[i].Name)
+		}
+	}
+	for _, e := range meta {
+		if dup(e.Name) {
+			return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.Name)
+		}
 	}
 	return nil
 }
 
-func (s *readerSource) readString(what string) (string, error) {
-	l, err := s.br.ReadByte()
-	if err != nil {
-		return "", corruptRead(what, err)
+// reference resolves the baseline a residual section decodes against. A
+// residual is only decodable when this decoder holds the same-epoch
+// baseline with a matching tensor — anything else is a reference mismatch,
+// not corruption, so the sender can renegotiate an absolute upload.
+func (o DecodeOptions) reference(streamEpoch uint32, pt *ParsedTensor) ([]float32, error) {
+	if o.Reference == nil {
+		return nil, fmt.Errorf("%w: residual section %q but no reference supplied", ErrReference, pt.Name)
 	}
-	buf := make([]byte, int(l))
-	if err := s.readFull(buf, what); err != nil {
-		return "", err
+	if o.RefEpoch != streamEpoch {
+		return nil, fmt.Errorf("%w: stream encoded against epoch %d, decoder holds %d", ErrReference, streamEpoch, o.RefEpoch)
 	}
-	return string(buf), nil
+	rt := o.Reference.Get(pt.Name)
+	if rt == nil || rt.NumElems() != pt.Elems {
+		return nil, fmt.Errorf("%w: reference lacks matching tensor %q", ErrReference, pt.Name)
+	}
+	return rt.Data, nil
 }
 
-func (s *readerSource) readSection(what string) ([]byte, func(), error) {
-	l, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return nil, nil, corruptRead(what, err)
+// ctxFirst prefers the context's error over the failure it caused: a
+// cancelled socket read otherwise surfaces as a corrupt-looking short
+// stream.
+func ctxFirst(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
 	}
-	if l > maxSectionBytes {
-		return nil, nil, fmt.Errorf("%w: %s: section length %d exceeds limit", ErrCorrupt, what, l)
-	}
-	buf, err := sched.ReadFullPooled(s.br, int(l))
-	if err != nil {
-		return nil, nil, corruptRead(what, err)
-	}
-	return buf, func() { sched.PutBytes(buf) }, nil
+	return err
 }
 
-func (s *readerSource) wait() time.Duration { return s.tracker.blocked }
+// DecodeSections decodes one stream from src, scheduling each tensor's
+// decode on pool (nil runs serially) as soon as its section is in: the
+// calling goroutine submits the section and immediately returns to src for
+// the next one; when the pool budget is exhausted it decodes inline, which
+// pauses reading — the per-connection backpressure that keeps a streaming
+// server's peak memory bounded by its parallelism budget rather than its
+// client count. A tensor's chunks (v4) decode serially inside that
+// tensor's task.
+//
+// Cancelling ctx aborts the decode: pending tasks exit before starting
+// their blob and the call returns ctx.Err() after the in-flight ones drain.
+// On any error no pool slot and no pooled buffer stays out.
+func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, dopts DecodeOptions) (*DecodedStream, *DecompressStats, error) {
+	start := time.Now()
+	poolHits0, poolMisses0 := sched.BytePoolCounters()
+	floatHits0, floatMisses0 := sched.FloatPoolCounters()
+	recycled0 := sched.RecycledBytes()
+
+	sec, err := src.Next(SectionHeader)
+	if err != nil {
+		return nil, nil, ctxFirst(ctx, err)
+	}
+	hdr, err := ParseHeader(sec)
+	if err != nil {
+		src.Release(sec)
+		return nil, nil, err
+	}
+	d := &DecodedStream{
+		Flags:   append([]byte(nil), hdr.Flags...),
+		Tensors: make([]DecodedTensor, hdr.LossyCount),
+	}
+	hdr.Flags = d.Flags
+	src.Release(sec)
+	lossy, codec, err := hdr.codecs()
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Decode durations accumulate into decodeWork so OverlapRatio can report
+	// how much of that work was hidden behind reading.
+	var decodeWork atomic.Int64
+	var metaErr error
+	nDelta, nChunked := 0, 0
+	g := pool.Group()
+	// fail funnels every abort through one place: in-flight tasks drain,
+	// decoded buffers go back to the pool, and cancellation wins over the
+	// secondary errors it induces.
+	fail := func(err error) (*DecodedStream, *DecompressStats, error) {
+		g.Wait()
+		d.Release()
+		return nil, nil, ctxFirst(ctx, err)
+	}
+	for i := range d.Tensors {
+		if err := ctx.Err(); err != nil {
+			return fail(err)
+		}
+		sec, err := src.Next(SectionTensor)
+		if err != nil {
+			return fail(err)
+		}
+		pt, err := ParseTensorSection(hdr, sec)
+		var ref []float32
+		if err == nil && pt.Delta {
+			nDelta++
+			ref, err = dopts.reference(hdr.RefEpoch, pt)
+		}
+		if err != nil {
+			src.Release(sec)
+			return fail(err)
+		}
+		if hdr.Chunked() && isChunkedBlob(pt.Blob) {
+			nChunked++
+		}
+		e := &d.Tensors[i]
+		e.Name, e.Kind, e.Shape = pt.Name, pt.Kind, pt.Shape
+		// The task owns sec (pt.Blob aliases it). The reconstruction lands
+		// straight in a pool-backed buffer sized from the declared shape,
+		// and a residual folds its baseline back in as it decodes.
+		g.Go(func() {
+			defer src.Release(sec)
+			if e.err = ctx.Err(); e.err != nil {
+				return
+			}
+			dst := sched.GetFloats(pt.Elems)
+			data, derr := decodeBlobInto(lossy, dst, pt.Blob, pt.Elems, hdr.Chunked(), ref, &decodeWork)
+			if derr != nil {
+				sched.PutFloats(dst)
+				e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, derr)
+				return
+			}
+			e.Data = data
+		})
+	}
+	sec, err = src.Next(SectionLossless)
+	if err != nil {
+		return fail(err)
+	}
+	g.Go(func() {
+		defer src.Release(sec)
+		if metaErr = ctx.Err(); metaErr != nil {
+			return
+		}
+		t0 := time.Now()
+		d.Meta, metaErr = decodeLossless(codec, sec)
+		decodeWork.Add(int64(time.Since(t0)))
+	})
+	g.Wait()
+	err = ctx.Err()
+	if err == nil {
+		err = metaErr
+	}
+	for i := range d.Tensors {
+		if err == nil {
+			err = d.Tensors[i].err
+		}
+	}
+	if err == nil {
+		err = d.validate()
+	}
+	if err != nil {
+		return fail(err)
+	}
+
+	poolHits1, poolMisses1 := sched.BytePoolCounters()
+	floatHits1, floatMisses1 := sched.FloatPoolCounters()
+	elapsed := time.Since(start)
+	stageFor(hdr.LossyName).decode.Observe(elapsed.Seconds())
+	return d, &DecompressStats{
+		DecompressTime:  elapsed,
+		ReadWait:        src.ReadWait(),
+		DecodeWork:      time.Duration(decodeWork.Load()),
+		PoolHits:        poolHits1 - poolHits0,
+		PoolMisses:      poolMisses1 - poolMisses0,
+		FloatPoolHits:   floatHits1 - floatHits0,
+		FloatPoolMisses: floatMisses1 - floatMisses0,
+		BytesRecycled:   sched.RecycledBytes() - recycled0,
+		DeltaTensors:    nDelta,
+		ChunkedTensors:  nChunked,
+	}, nil
+}
+
+// decompress runs DecodeSections and assembles the result.
+func decompress(ctx context.Context, pool *sched.Pool, src SectionSource, dopts DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
+	d, stats, err := DecodeSections(ctx, pool, src, dopts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.StateDict(), stats, nil
+}
 
 // DecompressFrom decodes a FedSZ stream incrementally from r on the
 // process-wide shared pool: tensor i decodes while tensor i+1 is still
@@ -274,315 +555,17 @@ func DecompressFrom(r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
 	return DecompressFromWith(context.Background(), sched.Default(), r)
 }
 
+// DecompressFromWith is DecompressFrom drawing decode parallelism from the
+// given pool (nil runs serially) under ctx; see DecodeSections for the
+// scheduling and cancellation contract. Cancellation also stops reads at
+// the next chunk.
+func DecompressFromWith(ctx context.Context, pool *sched.Pool, r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
+	return DecompressFromOpts(ctx, pool, r, DecodeOptions{})
+}
+
 // DecompressFromOpts is DecompressFromWith with reference-aware decoding:
 // v3 delta streams reconstruct residual sections against o.Reference (see
 // DecodeOptions). v1/v2 streams ignore o entirely.
 func DecompressFromOpts(ctx context.Context, pool *sched.Pool, r io.Reader, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, newReaderSource(ctx, r), o)
-}
-
-// DecompressFromWith is DecompressFrom drawing decode parallelism from the
-// given pool (nil runs serially). The reading goroutine submits each fully
-// received blob to the pool and immediately returns to reading; when the
-// pool budget is exhausted it decodes inline, which pauses reading — the
-// per-connection backpressure that keeps a streaming server's peak memory
-// bounded by its parallelism budget rather than its client count.
-//
-// Cancelling ctx aborts the decode: reads stop at the next chunk, pending
-// decode workers exit before starting their blob, and the call returns
-// ctx.Err() after the in-flight workers drain (no pool slot or pooled
-// buffer is leaked).
-func DecompressFromWith(ctx context.Context, pool *sched.Pool, r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, newReaderSource(ctx, r), DecodeOptions{})
-}
-
-// decompressSource is the one decoder behind every entry point.
-func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, dopts DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	start := time.Now()
-	poolHits0, poolMisses0 := sched.BytePoolCounters()
-	floatHits0, floatMisses0 := sched.FloatPoolCounters()
-	recycled0 := sched.RecycledBytes()
-
-	// failRead prefers the context's error over the read failure it caused:
-	// a cancelled socket read otherwise surfaces as a corrupt-looking short
-	// stream.
-	failRead := func(err error) (*tensor.StateDict, *DecompressStats, error) {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-		return nil, nil, err
-	}
-
-	var hdr [5]byte
-	if err := src.readFull(hdr[:], "header"); err != nil {
-		return failRead(err)
-	}
-	if binary.LittleEndian.Uint32(hdr[:]) != streamMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if !supportedStreamVersion(hdr[4]) {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr[4])
-	}
-	// v3/v4 streams carry a reference epoch and per-section mode bytes;
-	// only v4 streams may carry chunked tensor blobs (in v1–v3 a 0xFC
-	// first byte is codec data and fails the codec's own magic check).
-	hasMode := hdr[4] == streamVersionV3 || hdr[4] == streamVersionV4
-	chunkedOK := hdr[4] == streamVersionV4
-	lossyName, err := src.readString("lossy compressor name")
-	if err != nil {
-		return failRead(err)
-	}
-	losslessName, err := src.readString("lossless codec name")
-	if err != nil {
-		return failRead(err)
-	}
-	var refEpoch uint32
-	if hasMode {
-		var eb [4]byte
-		if err := src.readFull(eb[:], "reference epoch"); err != nil {
-			return failRead(err)
-		}
-		refEpoch = binary.LittleEndian.Uint32(eb[:])
-	}
-	lossy, err := compressors.Get(lossyName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	codec, err := lossless.Get(losslessName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	var cnt [4]byte
-	if err := src.readFull(cnt[:], "entry count"); err != nil {
-		return failRead(err)
-	}
-	count := int(binary.LittleEndian.Uint32(cnt[:]))
-	if count > maxStreamEntries {
-		return nil, nil, fmt.Errorf("%w: entry count %d exceeds limit", ErrCorrupt, count)
-	}
-	flags := make([]byte, count)
-	if err := src.readFull(flags, "path flags"); err != nil {
-		return failRead(err)
-	}
-	nLossy := 0
-	for _, f := range flags {
-		switch f {
-		case pathLossy:
-			nLossy++
-		case pathLossless:
-		default:
-			return nil, nil, ErrCorrupt
-		}
-	}
-
-	// Pipelined receive + decode: the loop below reads section i+1 while
-	// earlier sections decode on the pool. Decode durations accumulate into
-	// decodeWork so OverlapRatio can report how much of that work was
-	// hidden behind reading.
-	type lossyEntry struct {
-		name  string
-		kind  tensor.Kind
-		shape []int
-		elems int
-		data  []float32
-		err   error
-	}
-	entries := make([]lossyEntry, nLossy)
-	nDelta := 0
-	var nChunked atomic.Int64
-	var decodeWork atomic.Int64
-	var rest *tensor.StateDict
-	var restErr error
-	g := pool.Group()
-	// fail funnels every abort path through one place so cancellation wins
-	// over the secondary errors it induces (a cancelled read surfaces as a
-	// corrupt-looking short stream), in-flight workers always drain, and
-	// already-decoded tensor buffers — lossy and metadata partitions both
-	// — go back to the pool.
-	fail := func(err error) (*tensor.StateDict, *DecompressStats, error) {
-		g.Wait()
-		for i := range entries {
-			if entries[i].data != nil {
-				sched.PutFloats(entries[i].data)
-				entries[i].data = nil
-			}
-		}
-		if rest != nil {
-			Release(rest)
-			rest = nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-		return nil, nil, err
-	}
-	for i := 0; i < nLossy; i++ {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		e := &entries[i]
-		if e.name, err = src.readString("tensor name"); err != nil {
-			return fail(err)
-		}
-		var meta [2]byte
-		if err := src.readFull(meta[:], "tensor metadata"); err != nil {
-			return fail(err)
-		}
-		e.kind = tensor.Kind(meta[0])
-		rank := int(meta[1])
-		dims := make([]byte, 4*rank)
-		if err := src.readFull(dims, "tensor shape"); err != nil {
-			return fail(err)
-		}
-		e.shape = make([]int, rank)
-		e.elems = 1
-		for d := range e.shape {
-			e.shape[d] = int(binary.LittleEndian.Uint32(dims[4*d:]))
-			e.elems *= e.shape[d]
-			if e.elems > ebcl.MaxElements {
-				return fail(fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, e.name))
-			}
-		}
-		// v3/v4 sections carry a mode byte; a residual section is only
-		// decodable when this decoder holds the same-epoch baseline with a
-		// matching tensor — anything else is a reference mismatch, not
-		// corruption, so the sender can renegotiate an absolute upload.
-		var refData []float32
-		if hasMode {
-			var mb [1]byte
-			if err := src.readFull(mb[:], "tensor mode"); err != nil {
-				return fail(err)
-			}
-			switch mb[0] {
-			case sectionAbsolute:
-			case sectionDelta:
-				if dopts.Reference == nil {
-					return fail(fmt.Errorf("%w: residual section %q but no reference supplied", ErrReference, e.name))
-				}
-				if dopts.RefEpoch != refEpoch {
-					return fail(fmt.Errorf("%w: stream encoded against epoch %d, decoder holds %d", ErrReference, refEpoch, dopts.RefEpoch))
-				}
-				rt := dopts.Reference.Get(e.name)
-				if rt == nil || rt.NumElems() != e.elems {
-					return fail(fmt.Errorf("%w: reference lacks matching tensor %q", ErrReference, e.name))
-				}
-				refData = rt.Data
-				nDelta++
-			default:
-				return fail(fmt.Errorf("%w: tensor %q section mode %d", ErrCorrupt, e.name, mb[0]))
-			}
-		}
-		blob, release, err := src.readSection(fmt.Sprintf("lossy section %q", e.name))
-		if err != nil {
-			return fail(err)
-		}
-		g.Go(func() {
-			if cerr := ctx.Err(); cerr != nil {
-				release()
-				e.err = cerr
-				return
-			}
-			// The reconstruction lands straight in a pool-backed buffer
-			// sized from the tensor's declared shape — the into-style half
-			// of the codec contract. The buffer stays with the output dict;
-			// a fold-and-discard server recycles it via core.Release. A
-			// chunked (v4) blob fans its chunks back out on the pool, and a
-			// residual section folds the baseline back in per chunk — the
-			// decode half of the subtract/add pair.
-			if chunkedOK && isChunkedBlob(blob) {
-				nChunked.Add(1)
-			}
-			dst := sched.GetFloats(e.elems)
-			data, derr := decodeBlobInto(pool, lossy, dst, blob, e.elems, chunkedOK, refData, &decodeWork)
-			release()
-			if derr != nil {
-				sched.PutFloats(dst)
-				e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, e.name, derr)
-				return
-			}
-			e.data = data
-		})
-	}
-	restBlob, restRelease, err := src.readSection("metadata section")
-	if err != nil {
-		return fail(err)
-	}
-	g.Go(func() {
-		if cerr := ctx.Err(); cerr != nil {
-			restRelease()
-			restErr = cerr
-			return
-		}
-		t0 := time.Now()
-		restRaw, derr := codec.Decompress(restBlob)
-		restRelease()
-		if derr != nil {
-			decodeWork.Add(int64(time.Since(t0)))
-			restErr = fmt.Errorf("%w: lossless decompress: %w", ErrCorrupt, derr)
-			return
-		}
-		rest, derr = tensor.UnmarshalStateDict(restRaw)
-		decodeWork.Add(int64(time.Since(t0)))
-		sched.PutBytes(restRaw)
-		if derr != nil {
-			restErr = fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, derr)
-		}
-	})
-	g.Wait()
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	if restErr != nil {
-		return fail(restErr)
-	}
-	for i := range entries {
-		if entries[i].err != nil {
-			return fail(entries[i].err)
-		}
-	}
-
-	// Re-interleave to the original order. Duplicate names (impossible in a
-	// stream Compress produced, StateDict.Add would panic) mark corruption.
-	out := tensor.NewStateDict()
-	li, ri := 0, 0
-	restEntries := rest.Entries()
-	for _, f := range flags {
-		if f == pathLossy {
-			if li >= len(entries) {
-				return fail(ErrCorrupt)
-			}
-			e := entries[li]
-			li++
-			if out.Get(e.name) != nil {
-				return fail(fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.name))
-			}
-			out.Add(e.name, e.kind, tensor.FromData(e.data, e.shape...))
-		} else {
-			if ri >= len(restEntries) {
-				return fail(ErrCorrupt)
-			}
-			e := restEntries[ri]
-			ri++
-			if out.Get(e.Name) != nil {
-				return fail(fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.Name))
-			}
-			out.Add(e.Name, e.Kind, e.Tensor)
-		}
-	}
-	poolHits1, poolMisses1 := sched.BytePoolCounters()
-	floatHits1, floatMisses1 := sched.FloatPoolCounters()
-	elapsed := time.Since(start)
-	stageFor(lossyName).decode.Observe(elapsed.Seconds())
-	return out, &DecompressStats{
-		DecompressTime:  elapsed,
-		ReadWait:        src.wait(),
-		DecodeWork:      time.Duration(decodeWork.Load()),
-		PoolHits:        poolHits1 - poolHits0,
-		PoolMisses:      poolMisses1 - poolMisses0,
-		FloatPoolHits:   floatHits1 - floatHits0,
-		FloatPoolMisses: floatMisses1 - floatMisses0,
-		BytesRecycled:   sched.RecycledBytes() - recycled0,
-		DeltaTensors:    nDelta,
-		ChunkedTensors:  int(nChunked.Load()),
-	}, nil
+	return decompress(ctx, pool, newReaderSections(ctx, r), o)
 }

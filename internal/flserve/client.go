@@ -94,9 +94,10 @@ type Session struct {
 // this client wanted to encode against.
 func (s *Session) DeltaAccepted() bool { return s.deltaAccepted }
 
-// Dial opens a session to c.Addr, honouring ctx for the connection
-// attempt, and sends the protocol magic (buffered until the first upload).
-func (c *Client) Dial(ctx context.Context) (*Session, error) {
+// dial connects to c.Addr, honouring ctx for the connection attempt, and
+// buffers the protocol magic (sent with the first flush): the connection
+// set-up every session kind shares.
+func (c *Client) dial(ctx context.Context, magic uint32) (*Session, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", c.Addr)
 	if err != nil {
@@ -106,14 +107,18 @@ func (c *Client) Dial(ctx context.Context) (*Session, error) {
 	if c.Link.BandwidthMbps > 0 {
 		dst = c.Link.ThrottleWriter(conn)
 	}
-	s := &Session{conn: conn, bw: bufio.NewWriterSize(dst, 64<<10)}
-	var magic [4]byte
-	binary.LittleEndian.PutUint32(magic[:], connMagic)
-	if _, err := s.bw.Write(magic[:]); err != nil {
+	s := &Session{conn: conn, bw: bufio.NewWriterSize(dst, 64<<10), weighted: magic == connMagicWeighted}
+	if _, err := s.bw.Write(binary.LittleEndian.AppendUint32(nil, magic)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("flserve: session prelude: %w", err)
 	}
 	return s, nil
+}
+
+// Dial opens a session to c.Addr, honouring ctx for the connection
+// attempt, and sends the protocol magic (buffered until the first upload).
+func (c *Client) Dial(ctx context.Context) (*Session, error) {
+	return c.dial(ctx, connMagic)
 }
 
 // DialWeighted opens a weighted (FLS3) session: every update on it
@@ -122,23 +127,7 @@ func (c *Client) Dial(ctx context.Context) (*Session, error) {
 // local population. Like Dial there is no handshake round trip; the
 // prelude is buffered until the first upload.
 func (c *Client) DialWeighted(ctx context.Context) (*Session, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("flserve: dial %s: %w", c.Addr, err)
-	}
-	var dst io.Writer = conn
-	if c.Link.BandwidthMbps > 0 {
-		dst = c.Link.ThrottleWriter(conn)
-	}
-	s := &Session{conn: conn, bw: bufio.NewWriterSize(dst, 64<<10), weighted: true}
-	var magic [4]byte
-	binary.LittleEndian.PutUint32(magic[:], connMagicWeighted)
-	if _, err := s.bw.Write(magic[:]); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("flserve: session prelude: %w", err)
-	}
-	return s, nil
+	return c.dial(ctx, connMagicWeighted)
 }
 
 // DialDelta opens a session that negotiates cross-round delta uploads: the
@@ -149,27 +138,19 @@ func (c *Client) DialWeighted(ctx context.Context) (*Session, error) {
 // absolute streams. The negotiation costs one round trip, paid once per
 // session, not per update.
 func (c *Client) DialDelta(ctx context.Context, epoch uint32) (*Session, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.Addr)
+	s, err := c.dial(ctx, connMagicDelta)
 	if err != nil {
-		return nil, fmt.Errorf("flserve: dial %s: %w", c.Addr, err)
+		return nil, err
 	}
-	var dst io.Writer = conn
-	if c.Link.BandwidthMbps > 0 {
-		dst = c.Link.ThrottleWriter(conn)
-	}
-	s := &Session{conn: conn, bw: bufio.NewWriterSize(dst, 64<<10)}
+	conn := s.conn
 	defer s.arm(ctx)()
-	var prelude [8]byte
-	binary.LittleEndian.PutUint32(prelude[:4], connMagicDelta)
-	binary.LittleEndian.PutUint32(prelude[4:], epoch)
-	if _, err := s.bw.Write(prelude[:]); err != nil {
-		conn.Close()
-		return nil, ctxErr(ctx, fmt.Errorf("flserve: session prelude: %w", err))
-	}
 	// Unlike Dial, the prelude must flush now: the server answers it before
 	// reading any update.
-	if err := s.bw.Flush(); err != nil {
+	_, err = s.bw.Write(binary.LittleEndian.AppendUint32(nil, epoch))
+	if err == nil {
+		err = s.bw.Flush()
+	}
+	if err != nil {
 		conn.Close()
 		return nil, ctxErr(ctx, fmt.Errorf("flserve: session prelude: %w", err))
 	}

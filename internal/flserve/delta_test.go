@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -142,46 +141,5 @@ func TestDeltaNegotiation(t *testing.T) {
 	st := srv.Stats()
 	if st.Updates != 4 || st.Rejected != 1 {
 		t.Fatalf("stats %+v, want 4 updates / 1 rejected", st)
-	}
-}
-
-// TestMeanIntoShapeMismatch: a destination dict that no longer matches the
-// accumulator must yield the explicit error, never a silent reallocation.
-func TestMeanIntoShapeMismatch(t *testing.T) {
-	var agg Aggregator
-	for i := uint64(1); i <= 2; i++ {
-		if err := agg.Add(Update{Client: uint32(i), State: clientUpdate(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	bad := tensor.NewStateDict()
-	bad.Add("conv.weight", tensor.KindWeight, tensor.New(8, 8))
-	if _, n, err := agg.MeanInto(bad); err == nil || n != 2 ||
-		!strings.Contains(err.Error(), "incompatible") {
-		t.Fatalf("mismatched destination: n=%d err=%v, want explicit incompatibility", n, err)
-	}
-
-	// A compatible destination is filled in place.
-	dst := clientUpdate(3)
-	out, n, err := agg.MeanInto(dst)
-	if err != nil || n != 2 {
-		t.Fatalf("compatible destination: n=%d err=%v", n, err)
-	}
-	if out != dst {
-		t.Fatal("MeanInto did not reuse the compatible destination")
-	}
-	want, wn := agg.Mean()
-	if wn != 2 {
-		t.Fatalf("Mean count %d, want 2", wn)
-	}
-	if d, err := out.MaxAbsDiff(want); err != nil || d != 0 {
-		t.Fatalf("MeanInto result differs from Mean: d=%v err=%v", d, err)
-	}
-
-	// Empty accumulator: nil result, no error, any destination accepted.
-	var empty Aggregator
-	if out, n, err := empty.MeanInto(bad); out != nil || n != 0 || err != nil {
-		t.Fatalf("empty accumulator: (%v, %d, %v), want (nil, 0, nil)", out, n, err)
 	}
 }

@@ -19,20 +19,27 @@
 // historical one-update-per-connection exchange is exactly the first
 // iteration of this loop, so old single-shot clients are wire-compatible.
 // wireStream is the internal/wire framing of a FedSZ stream; each ack is
-// written only after that update has been decoded, verified, and handed to
-// the handler, so a successful Upload means the server has durably folded
-// the update. After a failed update the server acks the error and drops
-// the connection (stream synchronization is unreliable past a damaged
-// frame); clients resume on a fresh dial.
+// written only after that update has been decoded, verified, and folded,
+// so a successful Upload means the server has durably folded the update.
+// After a failed update the server acks the error and drops the connection
+// (stream synchronization is unreliable past a damaged frame); clients
+// resume on a fresh dial. The FLS2 (delta negotiation) and FLS3 (weighted
+// updates) magics open the same loop with one extra prelude field each.
 //
-// # Pipelining and backpressure
+// # One ingest path
 //
-// Each connection pipes its socket through wire.Reader (per-frame CRC
-// verification) into core.DecompressFrom, which submits every fully
-// received tensor blob to the server's shared sched.Pool and immediately
-// resumes reading. Decode therefore overlaps receive on every connection,
-// while total decode parallelism across all connections stays at the
-// configured budget. Backpressure is layered:
+// Every update takes the same route: the connection goroutine hands the
+// update's framed bytes to a StreamIngestor, which runs the shared section
+// pipeline (core.DecodeSections over wire.SectionSource: per-frame CRC
+// verification, each tensor section decoded on a sched.Pool while the next
+// frame is still crossing the network, trailer verified before anything is
+// delivered) and folds the result. The aggregator is internal/agg.Sharded,
+// set as Config.Ingestor. A server given only a Config.Handler wraps the
+// same pipeline in a small adapter that assembles the decoded sections
+// into a state dict and hands it to the callback — for callers that need
+// the dicts themselves rather than their mean.
+//
+// # Backpressure
 //
 //   - Config.MaxConns bounds concurrent connections (the accept loop holds
 //     a slot before accepting), so peak memory is O(MaxConns × frame)
@@ -91,7 +98,7 @@ const (
 	ackShed     = 2
 )
 
-// Update is one decoded client update delivered to the handler.
+// Update is one accepted client update as delivered to the handler.
 type Update struct {
 	// Client is the ID the uploader sent in its connection prelude.
 	Client uint32
@@ -99,7 +106,8 @@ type Update struct {
 	// that lets handler logs and trace events correlate an update with its
 	// connection.
 	Remote string
-	// State is the decoded state dict; the handler takes ownership.
+	// State is the decoded state dict; the handler takes ownership. It is
+	// nil when a Config.Ingestor consumed the update.
 	State *tensor.StateDict
 	// Weight is the update's aggregation weight: 1 for FLS1/FLS2 uploads,
 	// the sender-declared population weight for FLS3 (an edge forwarding
@@ -118,9 +126,10 @@ type Update struct {
 
 // Config tunes a Server.
 type Config struct {
-	// Parallel is the decode budget shared across every connection
-	// (0 selects GOMAXPROCS) — the same one-budget discipline as
-	// core.DecompressAll, now fed by sockets.
+	// Parallel is the decode budget the server's own whole-dict decode
+	// (Handler without Ingestor) shares across every connection (0 selects
+	// GOMAXPROCS) — the same one-budget discipline as core.DecompressAll,
+	// fed by sockets. An Ingestor brings its own pool.
 	Parallel int
 	// MaxConns bounds concurrently served connections (0 selects
 	// 4×GOMAXPROCS). The accept loop blocks when the bound is reached.
@@ -138,18 +147,18 @@ type Config struct {
 	// RetryAfterHint is the backoff the shed ack suggests to clients
 	// (0 selects 100 ms; capped at ~65 s by the wire field).
 	RetryAfterHint time.Duration
-	// Handler receives each successfully decoded update. It may be called
-	// concurrently from different connections; an error rejects the update
-	// (the client sees a non-zero ack) without stopping the server.
-	// Exactly one of Handler and Ingestor is required.
-	Handler func(Update) error
-	// Ingestor, when non-nil, replaces the whole-stream decode + Handler
-	// pair: the server hands it each update's framed byte stream directly,
-	// so a section-routing implementation (internal/agg.Sharded) can
-	// dispatch wire frames to aggregator shards without materializing the
-	// decoded state dict on the connection goroutine. Acks, metrics, and
-	// timeout handling stay with the server.
+	// Ingestor consumes each update's framed byte stream — decode and fold;
+	// internal/agg.Sharded is the implementation. When nil, the server
+	// decodes each update into a state dict itself and Handler, then
+	// required, receives it.
 	Ingestor StreamIngestor
+	// Handler is called with each accepted update before it is acked. It
+	// may be called concurrently from different connections; an error
+	// rejects the update (the client sees a non-zero ack) without stopping
+	// the server. Update.State carries the decoded dict when the server did
+	// the decode (no Ingestor); beside an Ingestor the update has already
+	// been folded and Handler only observes it (logging, counting).
+	Handler func(Update) error
 	// IdleTimeout bounds how long a connection may sit without delivering
 	// a byte before it is dropped, so a stalled client cannot pin a
 	// MaxConns slot forever (0 selects 2 minutes; negative disables). The
@@ -178,14 +187,13 @@ type Config struct {
 }
 
 // StreamIngestor consumes one wire-framed update directly from the
-// connection — the section-routed alternative to the built-in
-// decode-then-Handler path. Implementations must read the update's wire
-// stream from r through its trailer (the server acks only on a nil
-// return), fold it, and report the wire byte count plus decode stats for
-// the server's accounting. Calls arrive concurrently from different
-// connections. An error rejects the update and drops the connection;
-// corruption must surface as core.ErrCorrupt-wrapped errors and reference
-// mismatches as core.ErrReference, exactly like the built-in path.
+// connection. Implementations must read the update's wire stream from r
+// through its trailer (the server acks only on a nil return), fold it, and
+// report the wire byte count plus decode stats for the server's
+// accounting. Calls arrive concurrently from different connections. An
+// error rejects the update and drops the connection; corruption must
+// surface as core.ErrCorrupt-wrapped errors and reference mismatches as
+// core.ErrReference.
 type StreamIngestor interface {
 	IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error)
 }
@@ -278,8 +286,8 @@ func Listen(addr string, cfg Config) (*Server, error) {
 
 // Serve starts a server on an existing listener and takes ownership of it.
 func Serve(ln net.Listener, cfg Config) *Server {
-	if (cfg.Handler == nil) == (cfg.Ingestor == nil) {
-		panic("flserve: exactly one of Config.Handler and Config.Ingestor is required")
+	if cfg.Handler == nil && cfg.Ingestor == nil {
+		panic("flserve: Config.Ingestor or Config.Handler is required")
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 4 * runtime.GOMAXPROCS(0)
@@ -369,17 +377,23 @@ func (s *Server) acceptLoop() {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		m := metrics()
-		m.connsAccepted.Inc()
-		m.connsActive.Inc()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() { <-s.sem }()
-			defer m.connsActive.Dec()
-			s.handleConn(conn)
-		}()
+		metrics().connsAccepted.Inc()
+		s.serveConn(conn)
 	}
+}
+
+// serveConn serves conn on its own goroutine and then frees the serving
+// slot the caller took from s.sem.
+func (s *Server) serveConn(conn net.Conn) {
+	m := metrics()
+	m.connsActive.Inc()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer func() { <-s.sem }()
+		defer m.connsActive.Dec()
+		s.handleConn(conn)
+	}()
 }
 
 // shedAcceptLoop is the QueueDepth > 0 admission policy: accept eagerly,
@@ -425,14 +439,7 @@ func (s *Server) dispatchLoop() {
 			continue
 		}
 		s.sem <- struct{}{}
-		m.connsActive.Inc()
-		s.wg.Add(1)
-		go func(conn net.Conn) {
-			defer s.wg.Done()
-			defer func() { <-s.sem }()
-			defer m.connsActive.Dec()
-			s.handleConn(conn)
-		}(conn)
+		s.serveConn(conn)
 	}
 }
 
@@ -505,11 +512,81 @@ func (c *connReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// handleConn serves one connection's update loop: magic once, then any
-// number of [clientID, wire stream] updates, each acked after its decode
-// and handler fold. The connection ends on a clean EOF at an update
-// boundary, on any failed update (acked, then dropped), or on idle/upload
-// timeout.
+// prelude is what a connection's opening bytes negotiated.
+type prelude struct {
+	// weighted marks FLS3: every update carries an 8-byte weight.
+	weighted bool
+	// dopts carries the FLS2-negotiated delta reference (zero when the
+	// server does not hold the proposed epoch, and for FLS1/FLS3).
+	dopts core.DecodeOptions
+	// bytes counts the prelude itself, charged to the first update.
+	bytes int64
+}
+
+// readPrelude reads the connection magic — FLS1, FLS2 or FLS3 — and, for
+// FLS2, runs the delta negotiation: the client proposes a reference epoch;
+// the server accepts only when RefProvider holds that exact baseline, else
+// answers 0 and carries on — the client re-encodes absolute and the
+// connection proceeds identically to FLS1.
+func (s *Server) readPrelude(br *bufio.Reader, conn net.Conn) (prelude, error) {
+	var buf [8]byte
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+		return prelude{}, fmt.Errorf("%w: connection magic: %v", core.ErrCorrupt, err)
+	}
+	p := prelude{bytes: 4}
+	switch binary.LittleEndian.Uint32(buf[:4]) {
+	case connMagic:
+	case connMagicWeighted:
+		p.weighted = true
+	case connMagicDelta:
+		if _, err := io.ReadFull(br, buf[4:]); err != nil {
+			return prelude{}, fmt.Errorf("%w: delta epoch: %v", core.ErrCorrupt, err)
+		}
+		p.bytes = 8
+		epoch := binary.LittleEndian.Uint32(buf[4:])
+		var ref *tensor.StateDict
+		if s.cfg.RefProvider != nil {
+			ref = s.cfg.RefProvider(epoch)
+		}
+		accept := byte(0)
+		if ref != nil {
+			accept = 1
+			p.dopts = core.DecodeOptions{Reference: ref, RefEpoch: epoch}
+			metrics().deltaAccepted.Inc()
+		} else {
+			metrics().deltaRefused.Inc()
+		}
+		if _, err := conn.Write([]byte{accept}); err != nil {
+			return prelude{}, fmt.Errorf("delta negotiation reply: %w", err)
+		}
+	default:
+		return prelude{}, fmt.Errorf("%w: bad connection magic", core.ErrCorrupt)
+	}
+	return p, nil
+}
+
+// dictIngestor is the whole-dict StreamIngestor a server without a
+// Config.Ingestor runs, one per connection: the shared section pipeline,
+// assembled into a state dict that handleConn passes to Config.Handler.
+type dictIngestor struct {
+	pool  *sched.Pool
+	state *tensor.StateDict
+}
+
+func (d *dictIngestor) IngestStream(ctx context.Context, _ uint32, _ float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
+	src := wire.NewSectionSource(ctx, r)
+	dec, stats, err := core.DecodeSections(ctx, d.pool, src, dopts)
+	if err != nil {
+		return 0, core.DecompressStats{}, err
+	}
+	d.state = dec.StateDict()
+	return src.WireBytes(), *stats, nil
+}
+
+// handleConn serves one connection's update loop: prelude once, then any
+// number of [clientID, wire stream] updates, each acked after its ingest.
+// The connection ends on a clean EOF at an update boundary, on any failed
+// update (acked, then dropped), or on idle/upload timeout.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
@@ -517,12 +594,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	updates, rejected := 0, 0
 	span := s.cfg.Tracer.Span("conn", telemetry.A("remote", remote))
 	defer func() {
-		// recordTimeout: whichever bound cut the connection is known only
-		// after the update loop ends.
 		span.End(telemetry.A("updates", updates), telemetry.A("rejected", rejected))
 	}()
 	cr := &connReader{conn: conn, idle: s.cfg.IdleTimeout}
 	defer func() {
+		// Whichever bound cut the connection is known only after the update
+		// loop ends.
 		switch cr.timedOut {
 		case timeoutIdle:
 			m.idleKills.Inc()
@@ -531,84 +608,47 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 	br := bufio.NewReaderSize(cr, 32<<10)
-
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	// rejectConn accounts and acks a connection-level failure.
+	rejectConn := func(err error) {
 		rejected++
-		s.rejectConn(conn, fmt.Errorf("%w: connection magic: %v", core.ErrCorrupt, err))
-		return
-	}
-	preludeBytes := int64(len(magic))
-	weighted := false
-	var dopts core.DecodeOptions
-	switch binary.LittleEndian.Uint32(magic[:]) {
-	case connMagic:
-	case connMagicWeighted:
-		weighted = true
-	case connMagicDelta:
-		// Delta negotiation: the client proposes a reference epoch; accept
-		// only when RefProvider holds that exact baseline, else answer 0 and
-		// carry on — the client re-encodes absolute and the connection
-		// proceeds identically to FLS1.
-		var eb [4]byte
-		if _, err := io.ReadFull(br, eb[:]); err != nil {
-			rejected++
-			s.rejectConn(conn, fmt.Errorf("%w: delta epoch: %v", core.ErrCorrupt, err))
-			return
-		}
-		preludeBytes += int64(len(eb))
-		epoch := binary.LittleEndian.Uint32(eb[:])
-		var ref *tensor.StateDict
-		if s.cfg.RefProvider != nil {
-			ref = s.cfg.RefProvider(epoch)
-		}
-		accept := byte(0)
-		if ref != nil {
-			accept = 1
-			dopts = core.DecodeOptions{Reference: ref, RefEpoch: epoch}
-			m.deltaAccepted.Inc()
-		} else {
-			m.deltaRefused.Inc()
-		}
-		if _, err := conn.Write([]byte{accept}); err != nil {
-			rejected++
-			s.rejected.Add(1)
-			metrics().connsRejected.Inc()
-			return
-		}
-	default:
-		rejected++
-		s.rejectConn(conn, fmt.Errorf("%w: bad connection magic", core.ErrCorrupt))
-		return
+		s.rejected.Add(1)
+		m.connsRejected.Inc()
+		writeAck(conn, err)
 	}
 
-	first := true // update 1 carries the connection prelude in its WireBytes
+	pre, err := s.readPrelude(br, conn)
+	if err != nil {
+		rejectConn(err)
+		return
+	}
+	dict := dictIngestor{pool: s.pool}
+	ingestor := s.cfg.Ingestor
+	if ingestor == nil {
+		ingestor = &dict
+	}
+
+	wireExtra := pre.bytes // update 1 carries the connection prelude in its WireBytes
 	for {
-		var idb [4]byte
-		if _, err := io.ReadFull(br, idb[:]); err != nil {
+		var rec [12]byte // clientID, then the weight on FLS3 connections
+		if _, err := io.ReadFull(br, rec[:4]); err != nil {
 			if err != io.EOF {
 				// Mid-record death (truncated ID, idle timeout): the peer did
 				// not end the connection at an update boundary.
-				rejected++
-				s.rejectConn(conn, fmt.Errorf("%w: update prelude: %v", core.ErrCorrupt, err))
+				rejectConn(fmt.Errorf("%w: update prelude: %v", core.ErrCorrupt, err))
 			}
 			return
 		}
-		client := binary.LittleEndian.Uint32(idb[:])
-		weight := 1.0
-		preludeLen := int64(len(idb))
-		if weighted {
-			var wb [8]byte
-			if _, err := io.ReadFull(br, wb[:]); err != nil {
-				rejected++
-				s.rejectConn(conn, fmt.Errorf("%w: update weight: %v", core.ErrCorrupt, err))
+		u := Update{Client: binary.LittleEndian.Uint32(rec[:4]), Remote: remote, Weight: 1}
+		wireExtra += 4
+		if pre.weighted {
+			if _, err := io.ReadFull(br, rec[4:]); err != nil {
+				rejectConn(fmt.Errorf("%w: update weight: %v", core.ErrCorrupt, err))
 				return
 			}
-			preludeLen += int64(len(wb))
-			weight = math.Float64frombits(binary.LittleEndian.Uint64(wb[:]))
-			if !(weight > 0) || math.IsInf(weight, 0) {
-				rejected++
-				s.rejectConn(conn, fmt.Errorf("%w: update weight %v", core.ErrCorrupt, weight))
+			wireExtra += 8
+			u.Weight = math.Float64frombits(binary.LittleEndian.Uint64(rec[4:]))
+			if !(u.Weight > 0) || math.IsInf(u.Weight, 0) {
+				rejectConn(fmt.Errorf("%w: update weight %v", core.ErrCorrupt, u.Weight))
 				return
 			}
 		}
@@ -620,33 +660,20 @@ func (s *Server) handleConn(conn net.Conn) {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.UploadTimeout)
 			cr.deadline = time.Now().Add(s.cfg.UploadTimeout)
 		}
-		var u *Update
 		var err error
-		if s.cfg.Ingestor != nil {
-			var wireBytes int64
-			var dstats core.DecompressStats
-			wireBytes, dstats, err = s.cfg.Ingestor.IngestStream(ctx, client, weight, dopts, br)
-			if err == nil {
-				u = &Update{Client: client, Weight: weight, WireBytes: wireBytes, Stats: dstats}
-			}
-		} else {
-			u, err = s.ingestUpdate(ctx, br, client, dopts)
-		}
+		u.WireBytes, u.Stats, err = ingestor.IngestStream(ctx, u.Client, u.Weight, pre.dopts, br)
 		cancel()
 		cr.deadline = time.Time{}
 
-		if err == nil {
-			u.Remote = remote
-			u.Weight = weight
-			u.WireBytes += preludeLen
-			if first {
-				u.WireBytes += preludeBytes
-			}
-			if s.cfg.Handler != nil {
-				err = s.cfg.Handler(*u)
-			}
+		// WireBytes comes from the de-framer's logical counts, which stay
+		// exact on a multi-update connection where bufio read-ahead may
+		// already hold the next update's bytes.
+		u.WireBytes += wireExtra
+		wireExtra = 0
+		if err == nil && s.cfg.Handler != nil {
+			u.State, dict.state = dict.state, nil
+			err = s.cfg.Handler(u)
 		}
-		first = false
 		if err != nil {
 			rejected++
 			s.rejected.Add(1)
@@ -666,7 +693,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			m.decodeHist.Observe(u.Stats.DecompressTime.Seconds())
 			m.overlapHist.Observe(u.Stats.OverlapRatio())
 			s.cfg.Tracer.Event("update",
-				telemetry.A("client", client),
+				telemetry.A("client", u.Client),
 				telemetry.A("remote", remote),
 				telemetry.A("wire_bytes", u.WireBytes),
 				telemetry.A("decode_us", u.Stats.DecompressTime.Microseconds()),
@@ -680,41 +707,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// rejectConn accounts and acks a connection-level failure.
-func (s *Server) rejectConn(conn net.Conn, err error) {
-	s.rejected.Add(1)
-	metrics().connsRejected.Inc()
-	writeAck(conn, err)
-}
-
-// ingestUpdate reads one update off the connection: a wire-framed FedSZ
-// stream decoded incrementally on the shared pool under the update's
-// context, then trailer verification. The returned WireBytes covers the
-// wire stream only (the caller adds the per-update prelude); it is
-// computed from the de-framer's logical counts, which stay exact under
-// the multi-update protocol where bufio read-ahead may already hold the
-// next update's bytes.
-func (s *Server) ingestUpdate(ctx context.Context, br *bufio.Reader, client uint32, dopts core.DecodeOptions) (*Update, error) {
-	wr := wire.NewReader(br)
-	defer wr.Close()
-	sd, dstats, err := core.DecompressFromOpts(ctx, s.pool, wr, dopts)
-	if err != nil {
-		return nil, err
-	}
-	// The decoder consumes exactly the logical stream; the wire trailer
-	// (frame counts + whole-stream CRC) may still be pending. Drain to EOF
-	// so an update is only ever acked after its trailer verified.
-	if _, err := io.Copy(io.Discard, wr); err != nil {
-		return nil, err
-	}
-	return &Update{
-		Client:    client,
-		State:     sd,
-		WireBytes: wr.WireBytes(),
-		Stats:     *dstats,
-	}, nil
 }
 
 func writeAck(conn net.Conn, err error) {
@@ -731,129 +723,4 @@ func writeAck(conn net.Conn, err error) {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(msg)))
 	buf = append(buf, msg...)
 	conn.Write(buf) //nolint:errcheck
-}
-
-// Aggregator is a Handler target that folds updates incrementally into a
-// FedAvg sum — each update is added and released as it completes, so peak
-// memory is one accumulator plus in-flight decodes, independent of client
-// count.
-//
-// Client uploads are at-least-once under the retry policy (an ack lost
-// after the fold makes the retry a duplicate), so handlers must tolerate
-// or deduplicate; set DedupByClient when each client contributes exactly
-// one update per Aggregator lifetime.
-type Aggregator struct {
-	// DedupByClient makes Add fold only the first update per client ID and
-	// silently accept (ack, drop) any later duplicate — the right setting
-	// for a single-round aggregation where a retried upload must not
-	// double-weight its client. Leave false when one client legitimately
-	// contributes multiple updates (e.g. a long-lived server spanning
-	// rounds). Set before the first Add.
-	DedupByClient bool
-
-	mu   sync.Mutex
-	sum  *tensor.StateDict
-	n    int
-	wsum float64
-	seen map[uint32]bool
-}
-
-// Add folds one update into the accumulator; it is the Handler for an
-// aggregating server. The first update defines the expected structure.
-// A weighted update (FLS3, Update.Weight ≠ 1) contributes weight-scaled:
-// the accumulator becomes Σ wᵢ·updateᵢ and Mean divides by Σ wᵢ, so an
-// edge forwarding the fused mean of n clients at weight n contributes
-// exactly as its n clients would have. All-weight-1 traffic folds
-// bit-identically to the historical unweighted path.
-func (a *Aggregator) Add(u Update) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.DedupByClient {
-		if a.seen == nil {
-			a.seen = make(map[uint32]bool)
-		}
-		if a.seen[u.Client] {
-			// Retried duplicate: ack success, fold nothing, recycle the
-			// duplicate decode's buffers.
-			core.Release(u.State)
-			return nil
-		}
-		a.seen[u.Client] = true
-	}
-	w := u.Weight
-	if w == 0 {
-		w = 1
-	}
-	if a.sum == nil {
-		a.sum = u.State
-		if w != 1 {
-			a.sum.Scale(float32(w))
-		}
-		a.n = 1
-		a.wsum = w
-		return nil
-	}
-	if err := a.sum.AddScaled(u.State, float32(w)); err != nil {
-		return fmt.Errorf("flserve: aggregate client %d: %w", u.Client, err)
-	}
-	a.n++
-	a.wsum += w
-	// The update is folded and dead; its pool-backed tensor buffers feed
-	// the next in-flight decode — the server's steady-state zero-alloc
-	// loop.
-	core.Release(u.State)
-	return nil
-}
-
-// Count returns the number of folded updates.
-func (a *Aggregator) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
-}
-
-// WeightSum returns the total aggregation weight folded so far — equal to
-// Count for unweighted traffic, the represented population size when
-// edges forward weighted fused updates.
-func (a *Aggregator) WeightSum() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.wsum
-}
-
-// Mean returns the FedAvg mean of the folded updates (a copy over pooled
-// tensor buffers) and their count; nil and 0 before the first update.
-// Recycle the returned dict via core.Release once it has been consumed.
-func (a *Aggregator) Mean() (*tensor.StateDict, int) {
-	sd, n, _ := a.MeanInto(nil) // nil dst cannot mismatch
-	return sd, n
-}
-
-// MeanInto is Mean writing into dst's storage (the steady-state path for a
-// server computing a mean every round). A non-nil dst must be structurally
-// compatible with the accumulator; a mismatch — the model changed shape
-// while the server kept its old scratch — returns an explicit error rather
-// than silently reallocating over a dict the caller believes it is reusing.
-// dst == nil builds the copy over pooled tensor buffers exactly as Mean
-// does.
-func (a *Aggregator) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sum == nil {
-		return nil, 0, nil
-	}
-	if dst != nil {
-		if err := dst.CheckCompatible(a.sum); err != nil {
-			return nil, a.n, fmt.Errorf("flserve: MeanInto destination incompatible with accumulator: %w", err)
-		}
-	}
-	out := a.sum.CloneInto(dst)
-	if a.wsum == float64(a.n) {
-		// Unweighted traffic: keep the historical float32 divide so the
-		// mean stays bit-identical to pre-weighting servers.
-		out.Scale(1 / float32(a.n))
-	} else {
-		out.Scale(float32(1 / a.wsum))
-	}
-	return out, a.n, nil
 }

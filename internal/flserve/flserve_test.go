@@ -67,6 +67,13 @@ func (c *collector) handle(u Update) error {
 	return nil
 }
 
+// count returns how many distinct clients' updates have been delivered.
+func (c *collector) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.updates)
+}
+
 // uploadAll fires n concurrent uploads and fails the test on any error.
 func uploadAll(t *testing.T, addr string, streams [][]byte, link netsim.Link) {
 	t.Helper()
@@ -131,48 +138,13 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 	}
 }
 
-// TestAggregatorMatchesManualFedAvg: the incremental fold must equal the
-// all-at-once mean of the decoded updates (within float summation noise —
-// arrival order is nondeterministic).
-func TestAggregatorMatchesManualFedAvg(t *testing.T) {
-	const n = 8
-	streams, expected := compressUpdates(t, n)
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 4, Handler: agg.Add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uploadAll(t, srv.Addr().String(), streams, netsim.Link{})
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mean, count := agg.Mean()
-	if count != n {
-		t.Fatalf("aggregated %d updates, want %d", count, n)
-	}
-	want := expected[0].Zero()
-	for _, sd := range expected {
-		if err := want.AddScaled(sd, 1/float32(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := mean.MaxAbsDiff(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 1e-5 {
-		t.Fatalf("incremental mean differs from reference by %g", d)
-	}
-}
-
 // TestMaxConnsBackpressure: more clients than connection slots must all
 // eventually succeed (the accept loop blocks rather than drops).
 func TestMaxConnsBackpressure(t *testing.T) {
 	const n = 12
 	streams, _ := compressUpdates(t, n)
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{MaxConns: 2, Parallel: 2, Handler: agg.Add})
+	col := newCollector()
+	srv, err := Listen("127.0.0.1:0", Config{MaxConns: 2, Parallel: 2, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +152,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := agg.Count(); got != n {
+	if got := col.count(); got != n {
 		t.Fatalf("aggregated %d of %d updates", got, n)
 	}
 }
@@ -248,11 +220,11 @@ func TestThrottledUploadRecordsReadWait(t *testing.T) {
 // after the idle timeout so it cannot pin a MaxConns slot forever.
 func TestIdleClientDroppedFreesSlot(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	var agg Aggregator
+	col := newCollector()
 	srv, err := Listen("127.0.0.1:0", Config{
 		MaxConns:    1,
 		IdleTimeout: 100 * time.Millisecond,
-		Handler:     agg.Add,
+		Handler:     col.handle,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,15 +254,15 @@ func TestIdleClientDroppedFreesSlot(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stalled connection pinned the slot; upload never completed")
 	}
-	if got := agg.Count(); got != 1 {
+	if got := col.count(); got != 1 {
 		t.Fatalf("aggregated %d updates, want 1", got)
 	}
 }
 
 // TestGarbagePreludeRejected: junk before the protocol magic is refused.
 func TestGarbagePreludeRejected(t *testing.T) {
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
+	col := newCollector()
+	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +301,8 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
+	col := newCollector()
+	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
 	if err != nil {
 		b.Fatal(err)
 	}

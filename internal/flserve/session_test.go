@@ -109,12 +109,12 @@ func TestUploadStateStreamsEncode(t *testing.T) {
 // dropped, MaxConns slot released.
 func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	var agg Aggregator
+	col := newCollector()
 	srv, err := Listen("127.0.0.1:0", Config{
 		MaxConns:      1,
 		UploadTimeout: 150 * time.Millisecond,
 		IdleTimeout:   -1, // isolate the upload deadline from the idle path
-		Handler:       agg.Add,
+		Handler:       col.handle,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stalled update outlived its UploadTimeout and pinned the slot")
 	}
-	if got := agg.Count(); got != 1 {
+	if got := col.count(); got != 1 {
 		t.Fatalf("aggregated %d updates, want 1", got)
 	}
 	if st := srv.Stats(); st.Rejected != 1 {
@@ -163,7 +163,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	var agg Aggregator
+	col := newCollector()
 	started := make(chan struct{})
 	go func() {
 		time.Sleep(200 * time.Millisecond)
@@ -172,7 +172,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 			close(started)
 			return
 		}
-		Serve(ln2, Config{Handler: agg.Add})
+		Serve(ln2, Config{Handler: col.handle})
 		close(started)
 	}()
 
@@ -181,8 +181,8 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 		t.Fatalf("upload with retries: %v", err)
 	}
 	<-started
-	if agg.Count() != 1 {
-		t.Fatalf("aggregated %d updates, want 1", agg.Count())
+	if col.count() != 1 {
+		t.Fatalf("aggregated %d updates, want 1", col.count())
 	}
 
 	// Rejections must not retry: a corrupt stream against the live server
@@ -212,8 +212,8 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 // context.Canceled, not a masked I/O error.
 func TestUploadCancelledContext(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
+	col := newCollector()
+	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,40 +223,6 @@ func TestUploadCancelledContext(t *testing.T) {
 	c := &Client{Addr: srv.Addr().String(), Link: netsim.Link{BandwidthMbps: 5}}
 	if err := c.Upload(ctx, 0, streams[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestAggregatorDedupByClient: with the at-least-once retry policy a
-// duplicate upload (ack lost after fold, client retried) must not
-// double-weight its client when dedup is on.
-func TestAggregatorDedupByClient(t *testing.T) {
-	streams, expected := compressUpdates(t, 2)
-	agg := Aggregator{DedupByClient: true}
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, id := range []uint32{0, 1, 0} { // client 0 retried
-		if err := (&Client{Addr: srv.Addr().String()}).Upload(ctx, id, streams[id]); err != nil {
-			t.Fatalf("upload %d: %v", id, err)
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mean, n := agg.Mean()
-	if n != 2 {
-		t.Fatalf("folded %d updates, want 2 (duplicate dropped)", n)
-	}
-	want := expected[0].Zero()
-	for _, sd := range expected {
-		if err := want.AddScaled(sd, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d, err := mean.MaxAbsDiff(want); err != nil || d > 1e-6 {
-		t.Fatalf("dedup mean off by %v (err=%v)", d, err)
 	}
 }
 

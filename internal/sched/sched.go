@@ -210,6 +210,7 @@ type slicePool[T any] struct {
 	headers  sync.Pool
 	hits     atomic.Uint64
 	misses   atomic.Uint64
+	puts     atomic.Uint64
 	elemSize int
 }
 
@@ -245,6 +246,9 @@ func (p *slicePool[T]) get(n int) []T {
 }
 
 func (p *slicePool[T]) put(s []T) {
+	if cap(s) > 0 {
+		p.puts.Add(1)
+	}
 	// Buffers file under the class their capacity fully covers (floor of
 	// log2 elements), so a get from that class always has enough room.
 	// Classes below the get-side floor are never probed, so tiny buffers
@@ -405,7 +409,15 @@ const readChunk = 1 << 20
 // On success the caller owns the buffer and should recycle it via
 // PutBytes; on error the buffer has already been recycled.
 func ReadFullPooled(r io.Reader, n int) ([]byte, error) {
-	buf := GetBytes(min(n, readChunk))
+	return ReadMorePooled(r, GetBytes(min(n, readChunk)), n)
+}
+
+// ReadMorePooled extends buf, a pooled buffer holding the first len(buf)
+// bytes of a record, to n bytes with data read from r — ReadFullPooled for
+// a record whose length is only learned from its own leading bytes.
+// Ownership follows ReadFullPooled: the returned buffer replaces buf, and
+// on error buf has been recycled.
+func ReadMorePooled(r io.Reader, buf []byte, n int) ([]byte, error) {
 	for len(buf) < n {
 		chunk := min(n-len(buf), readChunk)
 		if cap(buf) < len(buf)+chunk {
@@ -440,6 +452,12 @@ func PutFloats(f []float32) { floatPool.put(f) }
 // the decode-output mirror of BytePoolCounters. Callers snapshot
 // before/after a region and diff.
 func FloatPoolCounters() (hits, misses uint64) { return floatPool.counters() }
+
+// FloatPoolPuts returns how many float32 buffers have been handed back
+// through PutFloats. Over a region that must not keep what it takes — a
+// rejected update, a cancelled decode — the delta equals the delta of
+// hits+misses, or a buffer leaked.
+func FloatPoolPuts() uint64 { return floatPool.puts.Load() }
 
 // GetFloat64s returns a zero-length float64 slice with capacity at least n
 // (interpolation-predictor reconstruction scratch).

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -214,8 +215,8 @@ func EncodeStream(ctx context.Context, pool *sched.Pool, w *Writer, sd *tensor.S
 // verified payload-bearing frame, and the terminal io.EOF means the
 // trailer's stream-level CRC and counts checked out. This is the layer an
 // ingest front-end routes on — frames can be dispatched to independent
-// decoders without ever reassembling the full stream. Reader is a thin
-// io.Reader built on top of it.
+// decoders without ever reassembling the full stream. SectionSource and
+// Reader are the section and io.Reader views built on top of it.
 type FrameScanner struct {
 	r            io.Reader
 	started      bool
@@ -344,6 +345,78 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 	s.payloadBytes += uint64(want)
 	s.streamCRC = crc32.Update(s.streamCRC, crc32.IEEETable, buf)
 	return kind, buf, nil
+}
+
+// SectionSource feeds a wire stream's frames to core.DecodeSections: each
+// payload-bearing frame is one section, handed over in its pooled receive
+// buffer as soon as its CRC checks out, so tensor i decodes while frame i+1
+// is still crossing the network. The metadata section — the last one — is
+// surfaced only after the trailer behind it has verified, so a decode that
+// completes has consumed an intact wire stream through its final byte.
+type SectionSource struct {
+	sc FrameScanner
+	tr *core.TimedReader
+}
+
+// NewSectionSource returns a SectionSource de-framing one wire stream from
+// r; reads fail once ctx is cancelled.
+func NewSectionSource(ctx context.Context, r io.Reader) *SectionSource {
+	tr := core.NewTimedReader(ctx, r)
+	return &SectionSource{sc: FrameScanner{r: tr}, tr: tr}
+}
+
+// Next implements core.SectionSource. Section kinds map 1:1 onto frame
+// kinds; a frame of any other kind, or the stream ending early, is
+// corruption.
+func (s *SectionSource) Next(kind core.SectionKind) ([]byte, error) {
+	fk, payload, err := s.sc.Next()
+	if err == io.EOF {
+		return nil, corruptf("stream ended before section kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if fk != byte(kind) {
+		sched.PutBytes(payload)
+		return nil, corruptf("frame kind 0x%02x, want 0x%02x", fk, byte(kind))
+	}
+	if kind == core.SectionLossless {
+		if _, extra, err := s.sc.Next(); err != io.EOF {
+			sched.PutBytes(extra)
+			sched.PutBytes(payload)
+			if err == nil {
+				err = corruptf("frames after the metadata section")
+			}
+			return nil, err
+		}
+	}
+	return payload, nil
+}
+
+// Release implements core.SectionSource.
+func (*SectionSource) Release(section []byte) { sched.PutBytes(section) }
+
+// ReadWait implements core.SectionSource.
+func (s *SectionSource) ReadWait() time.Duration { return s.tr.Blocked() }
+
+// WireBytes returns the encoded length of the wire stream consumed so far;
+// see FrameScanner.WireBytes.
+func (s *SectionSource) WireBytes() int64 { return s.sc.WireBytes() }
+
+// Drain consumes the rest of the stream through its verified trailer,
+// discarding every payload — for a receiver that must keep the connection's
+// framing in sync (and still check integrity) without decoding.
+func (s *SectionSource) Drain() error {
+	for {
+		_, payload, err := s.sc.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		sched.PutBytes(payload)
+	}
 }
 
 // Reader de-frames a wire stream from r, implementing io.Reader over the
