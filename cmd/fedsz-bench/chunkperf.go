@@ -87,7 +87,7 @@ func measureChunkScaling(snap *perfSnapshot, record func(name string, bytesMoved
 		}
 		decEntries[leg.name] = record("chunk_decode_"+leg.name, rawBytes, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got, _, err := core.DecompressWith(ctx, pool, stream)
+				got, _, err := core.DecompressWith(ctx, pool, stream, core.DecodeOptions{})
 				if err != nil {
 					benchErr = err
 					b.Fatal(err)

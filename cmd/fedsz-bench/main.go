@@ -188,7 +188,7 @@ func buildUpdates(nClients int, model string, scale float64, seed uint64, parall
 		updates[i] = sd
 		rawBytes += sd.SizeBytes()
 	}
-	streams, _, err = core.CompressAll(context.Background(), updates, core.Options{LossyParams: ebcl.Rel(1e-2)}, parallelism)
+	streams, _, err = core.CompressAll(context.Background(), sched.NewPool(parallelism), updates, core.Options{LossyParams: ebcl.Rel(1e-2)})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -228,7 +228,7 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 	} {
 		sp := tracer.Span("baseline_decode", telemetry.A("mode", mode.label))
 		t0 := time.Now()
-		if _, _, err := core.DecompressAll(context.Background(), streams, mode.par); err != nil {
+		if _, _, err := core.DecompressAll(context.Background(), sched.NewPool(mode.par), streams, core.DecodeOptions{}); err != nil {
 			return err
 		}
 		sp.End()
@@ -363,7 +363,7 @@ func runServerSim(w io.Writer, nClients, parallelism, rounds int, model string, 
 
 	compressSpan := tracer.Span("batch_compress", telemetry.A("clients", nClients), telemetry.A("model", model))
 	t0 := time.Now()
-	streams, _, err := core.CompressAll(context.Background(), updates, core.Options{LossyParams: ebcl.Rel(1e-2)}, parallelism)
+	streams, _, err := core.CompressAll(context.Background(), sched.NewPool(parallelism), updates, core.Options{LossyParams: ebcl.Rel(1e-2)})
 	if err != nil {
 		return err
 	}
@@ -389,7 +389,7 @@ func runServerSim(w io.Writer, nClients, parallelism, rounds int, model string, 
 		for r := 0; r < rounds; r++ {
 			sp := tracer.Span("decode_round", telemetry.A("mode", mode.label), telemetry.A("round", r))
 			t0 := time.Now()
-			decoded, _, err := core.DecompressAll(context.Background(), streams, mode.par)
+			decoded, _, err := core.DecompressAll(context.Background(), sched.NewPool(mode.par), streams, core.DecodeOptions{})
 			if err != nil {
 				return err
 			}

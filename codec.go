@@ -250,7 +250,7 @@ func (c *Codec) Compress(ctx context.Context, sd *StateDict) ([]byte, *Stats, er
 // bytes written are identical to Compress. Cancelling ctx aborts at the
 // next section boundary and returns ctx.Err().
 func (c *Codec) CompressTo(ctx context.Context, w io.Writer, sd *StateDict) (*Stats, error) {
-	return core.CompressToWith(ctx, c.pool, w, sd, c.opts)
+	return core.CompressTo(ctx, c.pool, w, sd, c.opts)
 }
 
 // CompressDelta runs the pipeline with ref as the cross-round baseline:
@@ -275,21 +275,21 @@ func (c *Codec) CompressDelta(ctx context.Context, sd, ref *StateDict, epoch uin
 // core.ErrReference (distinct from ErrCorrupt, so callers can renegotiate
 // an absolute exchange).
 func (c *Codec) DecompressDelta(ctx context.Context, stream []byte, ref *StateDict, epoch uint32) (*StateDict, *DecompressStats, error) {
-	return core.DecompressOpts(ctx, c.pool, stream, core.DecodeOptions{Reference: ref, RefEpoch: epoch})
+	return core.DecompressWith(ctx, c.pool, stream, core.DecodeOptions{Reference: ref, RefEpoch: epoch})
 }
 
 // CompressAll compresses many client state dicts with the codec's one
 // parallelism budget shared across the whole batch. Output i is
 // bit-identical to Compress(sds[i]).
 func (c *Codec) CompressAll(ctx context.Context, sds []*StateDict) ([][]byte, []*Stats, error) {
-	return core.CompressAllWith(ctx, c.pool, sds, c.opts)
+	return core.CompressAll(ctx, c.pool, sds, c.opts)
 }
 
 // Decompress reverses Compress on the codec's pool. The stream is
 // self-describing: the compressors it was encoded with are selected by
 // the names it carries, independent of this codec's configuration.
 func (c *Codec) Decompress(ctx context.Context, stream []byte) (*StateDict, *DecompressStats, error) {
-	return core.DecompressWith(ctx, c.pool, stream)
+	return core.DecompressWith(ctx, c.pool, stream, core.DecodeOptions{})
 }
 
 // DecompressFrom decodes a FedSZ stream incrementally from r: each fully
@@ -298,14 +298,14 @@ func (c *Codec) Decompress(ctx context.Context, stream []byte) (*StateDict, *Dec
 // mirror of CompressTo. Cancelling ctx aborts the decode promptly and
 // returns ctx.Err().
 func (c *Codec) DecompressFrom(ctx context.Context, r io.Reader) (*StateDict, *DecompressStats, error) {
-	return core.DecompressFromWith(ctx, c.pool, r)
+	return core.DecompressFrom(ctx, c.pool, r, core.DecodeOptions{})
 }
 
 // DecompressAll reverses CompressAll — the aggregation-server hot path:
 // all streams, and all tensors within them, decode under the codec's one
 // parallelism budget. Output i is bit-identical to Decompress(streams[i]).
 func (c *Codec) DecompressAll(ctx context.Context, streams [][]byte) ([]*StateDict, []*DecompressStats, error) {
-	return core.DecompressAllWith(ctx, c.pool, streams)
+	return core.DecompressAll(ctx, c.pool, streams, core.DecodeOptions{})
 }
 
 // defaultCodec backs the package-level free functions: the paper's

@@ -75,6 +75,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/lossless"
 	"repro/internal/netsim"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -138,12 +139,12 @@ func Compress(sd *StateDict, opts Options) ([]byte, *Stats, error) {
 // CompressTo streams the encode of sd straight into w (see
 // Codec.CompressTo); the bytes written are identical to Compress.
 func CompressTo(w io.Writer, sd *StateDict, opts Options) (*Stats, error) {
-	return core.CompressToWith(context.Background(), Default().pool, w, sd, opts)
+	return core.CompressTo(context.Background(), Default().pool, w, sd, opts)
 }
 
 // Decompress reverses Compress; the stream is self-describing.
 func Decompress(stream []byte) (*StateDict, error) {
-	sd, _, err := core.DecompressWith(context.Background(), Default().pool, stream)
+	sd, _, err := core.DecompressWith(context.Background(), Default().pool, stream, core.DecodeOptions{})
 	return sd, err
 }
 
@@ -152,7 +153,7 @@ func Decompress(stream []byte) (*StateDict, error) {
 // next is still being read, so on a socket the decode overlaps the
 // receive. The result is bit-identical to Decompress of the same bytes.
 func DecompressFrom(r io.Reader) (*StateDict, error) {
-	sd, _, err := core.DecompressFromWith(context.Background(), Default().pool, r)
+	sd, _, err := core.DecompressFrom(context.Background(), Default().pool, r, core.DecodeOptions{})
 	return sd, err
 }
 
@@ -160,7 +161,7 @@ func DecompressFrom(r io.Reader) (*StateDict, error) {
 // parallelism budget shared across the whole batch (0 selects GOMAXPROCS).
 // Output i is bit-identical to Compress(sds[i], opts).
 func CompressAll(sds []*StateDict, opts Options, parallelism int) ([][]byte, []*Stats, error) {
-	return core.CompressAll(context.Background(), sds, opts, parallelism)
+	return core.CompressAll(context.Background(), sched.NewPool(parallelism), sds, opts)
 }
 
 // DecompressAll reverses CompressAll — the aggregation-server hot path:
@@ -168,7 +169,7 @@ func CompressAll(sds []*StateDict, opts Options, parallelism int) ([][]byte, []*
 // parallelism budget (0 selects GOMAXPROCS). Output i is bit-identical to
 // Decompress(streams[i]).
 func DecompressAll(streams [][]byte, parallelism int) ([]*StateDict, error) {
-	sds, _, err := core.DecompressAll(context.Background(), streams, parallelism)
+	sds, _, err := core.DecompressAll(context.Background(), sched.NewPool(parallelism), streams, core.DecodeOptions{})
 	return sds, err
 }
 

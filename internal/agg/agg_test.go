@@ -222,7 +222,7 @@ func TestShardedDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := core.DecompressOpts(context.Background(), nil, stream, core.DecodeOptions{Reference: ref, RefEpoch: 7})
+	want, _, err := core.DecompressWith(context.Background(), nil, stream, core.DecodeOptions{Reference: ref, RefEpoch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +621,7 @@ func TestHostileFirstUpdate(t *testing.T) {
 			if _, _, err := core.Decompress(stream); !errors.Is(err, core.ErrCorrupt) {
 				t.Fatalf("core.Decompress: %v, want ErrCorrupt", err)
 			}
-			if _, _, err := core.DecompressFrom(bytes.NewReader(stream)); !errors.Is(err, core.ErrCorrupt) {
+			if _, _, err := core.DecompressFrom(context.Background(), sched.Default(), bytes.NewReader(stream), core.DecodeOptions{}); !errors.Is(err, core.ErrCorrupt) {
 				t.Fatalf("core.DecompressFrom: %v, want ErrCorrupt", err)
 			}
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/lossless"
+	"repro/internal/sched"
 	"repro/internal/sz2"
 	"repro/internal/sz3"
 	"repro/internal/tensor"
@@ -228,7 +229,7 @@ func TestCrossCodecPipelineConformance(t *testing.T) {
 						checkRoundTrip(t, sd, got, opts, tr)
 
 						// Batched paths must be bit-identical to per-call.
-						batchStreams, _, err := core.CompressAll(context.Background(), []*tensor.StateDict{sd, sd, sd}, opts, 2)
+						batchStreams, _, err := core.CompressAll(context.Background(), sched.NewPool(2), []*tensor.StateDict{sd, sd, sd}, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -237,7 +238,7 @@ func TestCrossCodecPipelineConformance(t *testing.T) {
 								t.Fatalf("batch stream %d differs from sequential", i)
 							}
 						}
-						batchDicts, _, err := core.DecompressAll(context.Background(), batchStreams, 2)
+						batchDicts, _, err := core.DecompressAll(context.Background(), sched.NewPool(2), batchStreams, core.DecodeOptions{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -265,7 +266,7 @@ func TestCorruptBatchKeepsErrCorrupt(t *testing.T) {
 	}
 	bad := append([]byte(nil), stream...)
 	bad[0] ^= 0xFF
-	if _, _, err := core.DecompressAll(context.Background(), [][]byte{stream, bad}, 2); !errors.Is(err, core.ErrCorrupt) {
+	if _, _, err := core.DecompressAll(context.Background(), sched.NewPool(2), [][]byte{stream, bad}, core.DecodeOptions{}); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("batch error %v does not wrap ErrCorrupt", err)
 	}
 }

@@ -104,7 +104,7 @@ func TestDeltaMultiRoundDrift(t *testing.T) {
 						t.Fatalf("round %d: stream version %d, want 3", round, stream[4])
 					}
 					deltaRounds += stats.DeltaTensors
-					recon, dstats, err := core.DecompressOpts(t.Context(), nil, stream,
+					recon, dstats, err := core.DecompressWith(t.Context(), nil, stream,
 						core.DecodeOptions{Reference: shared, RefEpoch: epoch})
 					if err != nil {
 						t.Fatalf("round %d: %v", round, err)
@@ -170,16 +170,16 @@ func TestDeltaEpochMismatch(t *testing.T) {
 	if stats.DeltaTensors == 0 {
 		t.Fatal("correlated dict produced no residual sections")
 	}
-	if _, _, err := core.DecompressOpts(t.Context(), nil, stream,
+	if _, _, err := core.DecompressWith(t.Context(), nil, stream,
 		core.DecodeOptions{Reference: ref, RefEpoch: 6}); !errors.Is(err, core.ErrReference) {
 		t.Fatalf("epoch mismatch: %v, want ErrReference", err)
 	}
-	if _, _, err := core.DecompressOpts(t.Context(), nil, stream,
+	if _, _, err := core.DecompressWith(t.Context(), nil, stream,
 		core.DecodeOptions{}); !errors.Is(err, core.ErrReference) {
 		t.Fatalf("missing reference: %v, want ErrReference", err)
 	}
 	// The matching epoch decodes fine.
-	if _, _, err := core.DecompressOpts(t.Context(), nil, stream,
+	if _, _, err := core.DecompressWith(t.Context(), nil, stream,
 		core.DecodeOptions{Reference: ref, RefEpoch: 5}); err != nil {
 		t.Fatal(err)
 	}

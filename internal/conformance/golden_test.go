@@ -197,7 +197,7 @@ func regenerate(t *testing.T, gc goldenCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, _, err := core.DecompressOpts(context.Background(), nil, stream, dopts)
+	decoded, _, err := core.DecompressWith(context.Background(), nil, stream, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestGoldenStreams(t *testing.T) {
 			}
 
 			// The checked-in stream must decode byte-for-byte.
-			sd, _, err := core.DecompressOpts(context.Background(), nil, stream, dopts)
+			sd, _, err := core.DecompressWith(context.Background(), nil, stream, dopts)
 			if err != nil {
 				t.Fatalf("golden stream no longer decodes: %v", err)
 			}
@@ -273,7 +273,7 @@ func TestGoldenStreams(t *testing.T) {
 			if !bytes.Equal(payload, stream) {
 				t.Fatal("wire payload differs from the golden stream — the wire format drifted")
 			}
-			wsd, _, err := core.DecompressFromOpts(context.Background(), nil, bytes.NewReader(payload), dopts)
+			wsd, _, err := core.DecompressFrom(context.Background(), nil, bytes.NewReader(payload), dopts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, _, err := DecompressWith(context.Background(), sched.Serial(), stream)
+	serial, _, err := DecompressWith(context.Background(), sched.Serial(), stream, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := DecompressWith(context.Background(), sched.NewPool(8), stream)
+	parallel, _, err := DecompressWith(context.Background(), sched.NewPool(8), stream, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCompressAllBitIdenticalToSequential(t *testing.T) {
 	for i := range sds {
 		sds[i] = wideDict(rng, 4, 2048)
 	}
-	batch, stats, err := CompressAll(context.Background(), sds, Options{}, 4)
+	batch, stats, err := CompressAll(context.Background(), sched.NewPool(4), sds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestDecompressAllBitIdenticalToSequential(t *testing.T) {
 	for i := range sds {
 		sds[i] = wideDict(rng, 3, 1536)
 	}
-	streams, _, err := CompressAll(context.Background(), sds, Options{}, 0)
+	streams, _, err := CompressAll(context.Background(), sched.NewPool(0), sds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, bstats, err := DecompressAll(context.Background(), streams, 8)
+	batch, bstats, err := DecompressAll(context.Background(), sched.NewPool(8), streams, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,30 +119,42 @@ func TestDecompressAllBitIdenticalToSequential(t *testing.T) {
 }
 
 // TestDecompressAllPropagatesCorruption: one bad stream fails the batch
-// with a client-indexed ErrCorrupt, without panicking the pool workers.
+// with a client-indexed ErrCorrupt, without panicking the pool workers —
+// and the siblings that did decode hand their pool-backed tensors back
+// rather than dropping them to the garbage collector.
 func TestDecompressAllPropagatesCorruption(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 28))
 	sds := make([]*tensor.StateDict, 4)
 	for i := range sds {
-		sds[i] = wideDict(rng, 2, 1500)
+		sds[i] = wideDict(rng, 4, 1500)
 	}
-	streams, _, err := CompressAll(context.Background(), sds, Options{}, 2)
+	pool := sched.NewPool(2)
+	streams, _, err := CompressAll(context.Background(), pool, sds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams[2] = streams[2][:len(streams[2])/2]
-	if _, _, err := DecompressAll(context.Background(), streams, 2); err == nil {
-		t.Fatal("truncated stream in batch decoded without error")
+	streams[3] = streams[3][:len(streams[3])/2]
+	hits0, misses0 := sched.FloatPoolCounters()
+	puts0 := sched.FloatPoolPuts()
+	if _, _, err := DecompressAll(context.Background(), pool, streams, DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated stream in batch: err = %v, want ErrCorrupt", err)
+	}
+	hits1, misses1 := sched.FloatPoolCounters()
+	if took, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; took != put {
+		t.Fatalf("aborted batch took %d float buffers and returned %d", took, put)
+	}
+	if busy := pool.Busy(); busy != 0 {
+		t.Fatalf("aborted batch left %d pool slots held", busy)
 	}
 }
 
 // TestEmptyBatch: zero streams is a valid (empty) batch.
 func TestEmptyBatch(t *testing.T) {
-	streams, stats, err := CompressAll(context.Background(), nil, Options{}, 4)
+	streams, stats, err := CompressAll(context.Background(), sched.NewPool(4), nil, Options{})
 	if err != nil || len(streams) != 0 || len(stats) != 0 {
 		t.Fatalf("empty compress batch: %v", err)
 	}
-	sds, dstats, err := DecompressAll(context.Background(), nil, 4)
+	sds, dstats, err := DecompressAll(context.Background(), sched.NewPool(4), nil, DecodeOptions{})
 	if err != nil || len(sds) != 0 || len(dstats) != 0 {
 		t.Fatalf("empty decompress batch: %v", err)
 	}
@@ -166,7 +179,7 @@ func BenchmarkDecompressSerial(b *testing.B) {
 	b.SetBytes(int64(12 * 32768 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecompressWith(context.Background(), pool, stream); err != nil {
+		if _, _, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +194,7 @@ func BenchmarkDecompressParallel(b *testing.B) {
 	b.SetBytes(int64(12 * 32768 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecompressWith(context.Background(), pool, stream); err != nil {
+		if _, _, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,14 +211,14 @@ func BenchmarkDecompressAll32(b *testing.B) {
 		sds[i] = wideDict(rng, 4, 8192)
 		raw += sds[i].SizeBytes()
 	}
-	streams, _, err := CompressAll(context.Background(), sds, Options{}, 0)
+	streams, _, err := CompressAll(context.Background(), sched.NewPool(0), sds, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecompressAll(context.Background(), streams, 0); err != nil {
+		if _, _, err := DecompressAll(context.Background(), sched.NewPool(0), streams, DecodeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +237,7 @@ func BenchmarkCompressAll32(b *testing.B) {
 	b.SetBytes(int64(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := CompressAll(context.Background(), sds, Options{}, 0); err != nil {
+		if _, _, err := CompressAll(context.Background(), sched.NewPool(0), sds, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

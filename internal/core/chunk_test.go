@@ -111,7 +111,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 			if stats.ChunkedTensors != 1 {
 				t.Fatalf("%s/p%d: ChunkedTensors = %d, want 1", name, par, stats.ChunkedTensors)
 			}
-			got, dstats, err := DecompressWith(context.Background(), pool, stream)
+			got, dstats, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{})
 			if err != nil {
 				t.Fatalf("%s/p%d decode: %v", name, par, err)
 			}
@@ -223,7 +223,7 @@ func TestChunkedDeltaRoundTrip(t *testing.T) {
 		t.Fatalf("ChunkedTensors = %d, want 1", stats.ChunkedTensors)
 	}
 
-	got, dstats, err := DecompressOpts(context.Background(), pool, stream, DecodeOptions{Reference: ref, RefEpoch: 7})
+	got, dstats, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{Reference: ref, RefEpoch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestChunkedDeltaRoundTrip(t *testing.T) {
 
 	// Wrong epoch must fail with ErrReference (renegotiation signal), not
 	// ErrCorrupt.
-	if _, _, err := DecompressOpts(context.Background(), pool, stream, DecodeOptions{Reference: ref, RefEpoch: 8}); !errors.Is(err, ErrReference) {
+	if _, _, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{Reference: ref, RefEpoch: 8}); !errors.Is(err, ErrReference) {
 		t.Fatalf("epoch mismatch: got %v, want ErrReference", err)
 	}
 	// Chunked delta must beat absolute on a drifted dict.
@@ -334,7 +334,7 @@ func TestChunkedConcurrentDecode(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := DecompressWith(context.Background(), pool, stream)
+			got, _, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{})
 			if err != nil {
 				errs[c] = err
 				return

@@ -332,40 +332,28 @@ func (s *DecompressStats) OverlapRatio() float64 {
 // stream is self-describing: the lossy compressor and lossless codec are
 // selected by the names it carries.
 func Decompress(stream []byte) (*tensor.StateDict, *DecompressStats, error) {
-	return DecompressWith(context.Background(), sched.Default(), stream)
+	return DecompressWith(context.Background(), sched.Default(), stream, DecodeOptions{})
 }
 
 // DecompressWith reverses Compress, decoding the per-tensor lossy blobs
 // concurrently on the given pool (nil runs serially) — the mirror of the
 // compress-side fan-out. It runs the same DecodeSections pipeline as the
-// streaming DecompressFrom, over zero-copy section views of stream.
-// Cancelling ctx stops the decode at the next section boundary and returns
-// ctx.Err().
-func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte) (*tensor.StateDict, *DecompressStats, error) {
-	return DecompressOpts(ctx, pool, stream, DecodeOptions{})
-}
-
-// DecompressOpts is DecompressWith with reference-aware decoding: v3 delta
-// streams reconstruct residual sections against o.Reference (see
-// DecodeOptions). v1/v2 streams ignore o entirely.
-func DecompressOpts(ctx context.Context, pool *sched.Pool, stream []byte, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
+// streaming DecompressFrom, over zero-copy section views of stream. v3
+// delta streams reconstruct residual sections against o.Reference (see
+// DecodeOptions); v1/v2 streams ignore o entirely. Cancelling ctx stops the
+// decode at the next section boundary and returns ctx.Err().
+func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
 	return decompress(ctx, pool, &memSections{data: stream}, o)
 }
 
 // CompressAll runs the FedSZ pipeline over many client state dicts with
-// one parallelism budget shared across the whole batch (zero or negative
-// selects GOMAXPROCS). Unlike calling Compress in N goroutines — which
-// would oversubscribe the machine N × GOMAXPROCS — the batch and the
-// per-tensor fan-out inside each call draw from the same pool. Output i
-// corresponds to input i and is bit-identical to Compress(sds[i], opts).
-// Cancelling ctx stops the batch after the in-flight clients finish.
-func CompressAll(ctx context.Context, sds []*tensor.StateDict, opts Options, parallelism int) ([][]byte, []*Stats, error) {
-	return CompressAllWith(ctx, sched.NewPool(parallelism), sds, opts)
-}
-
-// CompressAllWith is CompressAll drawing from an existing pool — the
-// session-codec path, where the batch shares the codec's own budget.
-func CompressAllWith(ctx context.Context, pool *sched.Pool, sds []*tensor.StateDict, opts Options) ([][]byte, []*Stats, error) {
+// one parallelism budget shared across the whole batch. Unlike calling
+// Compress in N goroutines — which would oversubscribe the machine
+// N × GOMAXPROCS — the batch and the per-tensor fan-out inside each call
+// draw from the same pool. Output i corresponds to input i and is
+// bit-identical to Compress(sds[i], opts). Cancelling ctx stops the batch
+// after the in-flight clients finish.
+func CompressAll(ctx context.Context, pool *sched.Pool, sds []*tensor.StateDict, opts Options) ([][]byte, []*Stats, error) {
 	streams := make([][]byte, len(sds))
 	stats := make([]*Stats, len(sds))
 	errs := make([]error, len(sds))
@@ -385,36 +373,29 @@ func CompressAllWith(ctx context.Context, pool *sched.Pool, sds []*tensor.StateD
 // DecompressAll reverses CompressAll: the aggregation-server hot path of
 // the paper's Eqn-1 scenario, where one process ingests N concurrent
 // client streams per round. All streams and all tensors within them decode
-// under one shared parallelism budget (zero or negative selects
-// GOMAXPROCS). Output i is bit-identical to Decompress(streams[i]).
-// Cancelling ctx stops the batch after the in-flight clients finish.
-func DecompressAll(ctx context.Context, streams [][]byte, parallelism int) ([]*tensor.StateDict, []*DecompressStats, error) {
-	return DecompressAllWith(ctx, sched.NewPool(parallelism), streams)
-}
-
-// DecompressAllWith is DecompressAll drawing from an existing pool — the
-// session-codec path, where the batch shares the codec's own budget.
-func DecompressAllWith(ctx context.Context, pool *sched.Pool, streams [][]byte) ([]*tensor.StateDict, []*DecompressStats, error) {
-	return DecompressAllOpts(ctx, pool, streams, DecodeOptions{})
-}
-
-// DecompressAllOpts is DecompressAllWith with reference-aware decoding: the
-// aggregation-server round where every client encoded against the same
-// broadcast reference, so one DecodeOptions serves the whole batch. v1/v2
-// streams in the batch ignore o entirely.
-func DecompressAllOpts(ctx context.Context, pool *sched.Pool, streams [][]byte, o DecodeOptions) ([]*tensor.StateDict, []*DecompressStats, error) {
+// under the pool's one parallelism budget, and one DecodeOptions serves the
+// whole batch — the round where every client encoded against the same
+// broadcast reference. Output i is bit-identical to
+// DecompressWith(streams[i], o). Cancelling ctx stops the batch after the
+// in-flight clients finish. On any failure the dicts that did decode are
+// released back to the float pool before the error returns.
+func DecompressAll(ctx context.Context, pool *sched.Pool, streams [][]byte, o DecodeOptions) ([]*tensor.StateDict, []*DecompressStats, error) {
 	sds := make([]*tensor.StateDict, len(streams))
 	stats := make([]*DecompressStats, len(streams))
 	errs := make([]error, len(streams))
-	if err := pool.ForEachCtx(ctx, len(streams), func(i int) {
-		sds[i], stats[i], errs[i] = DecompressOpts(ctx, pool, streams[i], o)
-	}); err != nil {
-		return nil, nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: batch decompress client %d: %w", i, err)
+	err := pool.ForEachCtx(ctx, len(streams), func(i int) {
+		sds[i], stats[i], errs[i] = DecompressWith(ctx, pool, streams[i], o)
+	})
+	for i, e := range errs {
+		if err == nil && e != nil {
+			err = fmt.Errorf("core: batch decompress client %d: %w", i, e)
 		}
+	}
+	if err != nil {
+		for _, sd := range sds {
+			Release(sd)
+		}
+		return nil, nil, err
 	}
 	return sds, stats, nil
 }

@@ -356,20 +356,14 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 	return finish()
 }
 
-// CompressTo streams the FedSZ encode of sd straight into w on the
-// process-wide shared pool: the header and each finished tensor section
-// are written while later tensors are still compressing, so on a socket
-// the upload overlaps the encode. The bytes written are identical to
-// Compress(sd, opts).
-func CompressTo(ctx context.Context, w io.Writer, sd *tensor.StateDict, opts Options) (*Stats, error) {
-	return CompressToWith(ctx, sched.Default(), w, sd, opts)
-}
-
-// CompressToWith is CompressTo drawing blob parallelism from the given
-// pool (nil runs serially). Stats.WriteWait reports the time spent blocked
-// in w.Write; Stats.EncodeOverlapRatio reports how much compress work the
-// writes hid.
-func CompressToWith(ctx context.Context, pool *sched.Pool, w io.Writer, sd *tensor.StateDict, opts Options) (*Stats, error) {
+// CompressTo streams the FedSZ encode of sd straight into w, drawing blob
+// parallelism from the given pool (nil runs serially): the header and each
+// finished tensor section are written while later tensors are still
+// compressing, so on a socket the upload overlaps the encode. The bytes
+// written are identical to Compress(sd, opts). Stats.WriteWait reports the
+// time spent blocked in w.Write; Stats.EncodeOverlapRatio reports how much
+// compress work the writes hid.
+func CompressTo(ctx context.Context, pool *sched.Pool, w io.Writer, sd *tensor.StateDict, opts Options) (*Stats, error) {
 	return CompressSections(ctx, pool, sd, opts, func(_ SectionKind, payload []byte) error {
 		if _, err := w.Write(payload); err != nil {
 			return fmt.Errorf("core: compress write: %w", err)

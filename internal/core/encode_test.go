@@ -54,7 +54,7 @@ func TestCompressToMatchesCompress(t *testing.T) {
 				t.Fatalf("%s/%v: %v", name, params.Mode, err)
 			}
 			var buf bytes.Buffer
-			stats, err := CompressTo(context.Background(), &buf, sd, opts)
+			stats, err := CompressTo(context.Background(), sched.Default(), &buf, sd, opts)
 			if err != nil {
 				t.Fatalf("%s/%v: CompressTo: %v", name, params.Mode, err)
 			}
@@ -81,7 +81,7 @@ func TestCompressToSerialPoolMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressToWith(context.Background(), nil, &buf, sd, Options{}); err != nil {
+	if _, err := CompressTo(context.Background(), nil, &buf, sd, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -99,7 +99,7 @@ func TestCompressToOverlap(t *testing.T) {
 	sd := encodeDict(3, 8, 1<<16)
 	pool := sched.NewPool(4)
 	link := netsim.Link{BandwidthMbps: 20}
-	stats, err := CompressToWith(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
+	stats, err := CompressTo(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCompressToCancellation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := CompressToWith(ctx, pool, w, sd, Options{})
+		_, err := CompressTo(ctx, pool, w, sd, Options{})
 		done <- err
 	}()
 	<-w.entered // encoder is blocked writing a section
@@ -159,7 +159,7 @@ func TestCompressToCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressWith(context.Background(), pool, stream); err != nil {
+	if _, _, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +207,7 @@ func TestDecompressFromCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := DecompressFromWith(ctx, pool, r)
+		_, _, err := DecompressFrom(ctx, pool, r, DecodeOptions{})
 		done <- err
 	}()
 	<-r.stalled
@@ -229,7 +229,7 @@ func TestDecompressFromCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecompressFromWith(context.Background(), pool, bytes.NewReader(stream))
+	got, _, err := DecompressFrom(context.Background(), pool, bytes.NewReader(stream), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +244,14 @@ func TestCompressAllCancelled(t *testing.T) {
 	sd := encodeDict(6, 2, 2048)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := CompressAll(ctx, []*tensor.StateDict{sd}, Options{}, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := CompressAll(ctx, sched.NewPool(2), []*tensor.StateDict{sd}, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CompressAll: got %v", err)
 	}
 	stream, _, err := Compress(sd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressAll(ctx, [][]byte{stream}, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := DecompressAll(ctx, sched.NewPool(2), [][]byte{stream}, DecodeOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DecompressAll: got %v", err)
 	}
 }
@@ -266,7 +266,7 @@ func BenchmarkCompressTo(b *testing.B) {
 	var overlap float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		stats, err := CompressToWith(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
+		stats, err := CompressTo(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

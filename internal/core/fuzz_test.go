@@ -155,9 +155,12 @@ func TestDecompressCorruptCorpus(t *testing.T) {
 		name string
 		run  func([]byte) error
 	}{
-		{"serial", func(b []byte) error { _, _, err := DecompressWith(context.Background(), sched.Serial(), b); return err }},
+		{"serial", func(b []byte) error {
+			_, _, err := DecompressWith(context.Background(), sched.Serial(), b, DecodeOptions{})
+			return err
+		}},
 		{"pool4", func(b []byte) error {
-			_, _, err := DecompressWith(context.Background(), sched.NewPool(4), b)
+			_, _, err := DecompressWith(context.Background(), sched.NewPool(4), b, DecodeOptions{})
 			return err
 		}},
 		{"default", func(b []byte) error { _, _, err := Decompress(b); return err }},
@@ -330,9 +333,12 @@ func TestDecompressChunkCorruptCorpus(t *testing.T) {
 		name string
 		run  func([]byte) error
 	}{
-		{"serial", func(b []byte) error { _, _, err := DecompressWith(context.Background(), sched.Serial(), b); return err }},
+		{"serial", func(b []byte) error {
+			_, _, err := DecompressWith(context.Background(), sched.Serial(), b, DecodeOptions{})
+			return err
+		}},
 		{"pool4", func(b []byte) error {
-			_, _, err := DecompressWith(context.Background(), sched.NewPool(4), b)
+			_, _, err := DecompressWith(context.Background(), sched.NewPool(4), b, DecodeOptions{})
 			return err
 		}},
 	}

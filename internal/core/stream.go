@@ -548,24 +548,12 @@ func decompress(ctx context.Context, pool *sched.Pool, src SectionSource, dopts 
 	return d.StateDict(), stats, nil
 }
 
-// DecompressFrom decodes a FedSZ stream incrementally from r on the
-// process-wide shared pool: tensor i decodes while tensor i+1 is still
-// being read, which on a socket means decode overlaps receive.
-func DecompressFrom(r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
-	return DecompressFromWith(context.Background(), sched.Default(), r)
-}
-
-// DecompressFromWith is DecompressFrom drawing decode parallelism from the
-// given pool (nil runs serially) under ctx; see DecodeSections for the
-// scheduling and cancellation contract. Cancellation also stops reads at
-// the next chunk.
-func DecompressFromWith(ctx context.Context, pool *sched.Pool, r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
-	return DecompressFromOpts(ctx, pool, r, DecodeOptions{})
-}
-
-// DecompressFromOpts is DecompressFromWith with reference-aware decoding:
-// v3 delta streams reconstruct residual sections against o.Reference (see
-// DecodeOptions). v1/v2 streams ignore o entirely.
-func DecompressFromOpts(ctx context.Context, pool *sched.Pool, r io.Reader, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
+// DecompressFrom decodes a FedSZ stream incrementally from r, drawing
+// decode parallelism from the given pool (nil runs serially): tensor i
+// decodes while tensor i+1 is still being read, which on a socket means
+// decode overlaps receive. See DecodeSections for the scheduling and
+// cancellation contract (cancellation also stops reads at the next chunk)
+// and DecodeOptions for reference-aware decoding of v3 delta streams.
+func DecompressFrom(ctx context.Context, pool *sched.Pool, r io.Reader, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
 	return decompress(ctx, pool, newReaderSections(ctx, r), o)
 }

@@ -42,7 +42,7 @@ func TestDecompressFromMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 7, 512, 1 << 20} {
-		got, stats, err := DecompressFrom(&trickleReader{r: bytes.NewReader(stream), chunk: chunk})
+		got, stats, err := DecompressFrom(context.Background(), sched.Default(), &trickleReader{r: bytes.NewReader(stream), chunk: chunk}, DecodeOptions{})
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
 		}
@@ -63,7 +63,7 @@ func TestDecompressFromSlowReaderOverlapsDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := &trickleReader{r: bytes.NewReader(stream), chunk: 4096, delay: 200 * time.Microsecond}
-	got, stats, err := DecompressFromWith(context.Background(), sched.NewPool(4), slow)
+	got, stats, err := DecompressFrom(context.Background(), sched.NewPool(4), slow, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDecompressFromTruncationFailsCleanly(t *testing.T) {
 	}
 	step := len(stream)/100 + 1
 	for l := 0; l < len(stream); l += step {
-		if _, _, err := DecompressFrom(bytes.NewReader(stream[:l])); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressFrom(context.Background(), sched.Default(), bytes.NewReader(stream[:l]), DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation at %d: error %v does not wrap ErrCorrupt", l, err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestDecompressFromRejectsHostileLengths(t *testing.T) {
 	nameEnd += 1 + int(bad[nameEnd])
 	bad[nameEnd+2] = 0xFF // count high bytes
 	bad[nameEnd+3] = 0xFF
-	if _, _, err := DecompressFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressFrom(context.Background(), sched.Default(), bytes.NewReader(bad), DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile entry count: %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestSectionsRoundTrip(t *testing.T) {
 		t.Fatal("concatenated sections differ from the original stream")
 	}
 	// Each boundary must still decode when fed incrementally.
-	got, _, err := DecompressFrom(bytes.NewReader(rebuilt))
+	got, _, err := DecompressFrom(context.Background(), sched.Default(), bytes.NewReader(rebuilt), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@
 //
 // The package provides the pieces the pipeline layers compose:
 //
-//   - Ref: the retained-reference holder transports embed
-//     (fl.FedSZTransport, fl.NetTransport) and servers consume via
-//     Provider (flserve.Config.RefProvider). The session-oriented
-//     fedsz.DeltaCodec layers the same holder over a fedsz.Codec.
+//   - Ref: the retained-reference holder for ends that do not share
+//     memory: fedsz.DeltaCodec layers it over a fedsz.Codec, and servers
+//     consume it via Provider (flserve.Config.RefProvider). The in-memory
+//     fl.FedSZTransport needs none — both of its ends read the round's
+//     broadcast state directly.
 //   - Controller: a closed-loop tuner that retunes the REL/ABS error bound
 //     each round toward a target bytes-per-round or an accuracy floor,
 //     using the stats the pipeline already emits.
@@ -29,7 +30,7 @@ import (
 // ends use to verify they agree on the baseline. Set is called at round
 // boundaries (it reuses the previous copy's pooled storage when shapes
 // match); Get may be called concurrently with other Gets, but not with a
-// Set — the round structure of RunRound guarantees that.
+// Set — holders advance the reference only between rounds.
 type Ref struct {
 	mu    sync.Mutex
 	sd    *tensor.StateDict

@@ -1,17 +1,13 @@
 package fl
 
 import (
-	"bytes"
 	"context"
-	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/ebcl"
-	"repro/internal/nn/models"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -36,11 +32,15 @@ func TestFedSZTransportDeltaRounds(t *testing.T) {
 
 	// The residual encoding must have engaged — otherwise this test silently
 	// exercises the absolute path twice.
-	if dt.LastStats == nil || dt.LastStats.DeltaTensors == 0 {
-		t.Fatalf("delta transport never took the residual path: %+v", dt.LastStats)
+	last := dRes[rounds-1]
+	if last.DeltaTensors == 0 {
+		t.Fatalf("delta transport never took the residual path: %+v", last)
 	}
-	if dt.LastStats.DeltaBytesSaved <= 0 {
-		t.Fatalf("residual path engaged but saved nothing: %+v", dt.LastStats)
+	if last.DeltaBytesSaved <= 0 {
+		t.Fatalf("residual path engaged but saved nothing: %+v", last)
+	}
+	if absRes[rounds-1].DeltaTensors != 0 {
+		t.Fatalf("absolute transport reported residual sections: %+v", absRes[rounds-1])
 	}
 
 	// Local SGD steps are small relative to the weights, so residual streams
@@ -61,91 +61,45 @@ func TestFedSZTransportDeltaRounds(t *testing.T) {
 			d, absRes[rounds-1].Accuracy, dRes[rounds-1].Accuracy)
 	}
 	t.Logf("wire abs=%d delta=%d (%.1f%% saved), delta tensors last round=%d",
-		absWire, dWire, 100*(1-float64(dWire)/float64(absWire)), dt.LastStats.DeltaTensors)
+		absWire, dWire, 100*(1-float64(dWire)/float64(absWire)), last.DeltaTensors)
 }
 
-// TestNetTransportDeltaStreamingMatchesInMemory: the socket path — FLS2
-// negotiation, residual encode straight into the framer, server decode
-// against the provider's reference — must reproduce the in-memory delta
-// pipeline bit for bit.
-func TestNetTransportDeltaStreamingMatchesInMemory(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	nt.Delta = true
-	in := models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10}
-	refNet, err := models.BuildMini("alexnet", rng, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := refNet.StateDict()
-	nt.SetReference(ref)
+// boundSpy records the bound each Round call was handed.
+type boundSpy struct {
+	Transport
+	seen []ebcl.Params
+}
 
-	// Correlated updates: the reference plus a small SGD-sized step.
-	sds := make([]*tensor.StateDict, 4)
-	for i := range sds {
-		sd := ref.Clone()
-		for _, e := range sd.Entries() {
-			for j := range e.Tensor.Data {
-				e.Tensor.Data[j] += float32(1e-3 * rng.NormFloat64())
-			}
-		}
-		sds[i] = sd
-	}
-	sr, err := nt.EncodeUploadAll(context.Background(), sds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	held, epoch, ok := nt.ref.Get()
-	if !ok || epoch != 1 {
-		t.Fatalf("reference not retained: ok=%v epoch=%d", ok, epoch)
-	}
-	opts := nt.Opts
-	opts.Reference, opts.RefEpoch = held, epoch
-	dopts := core.DecodeOptions{Reference: held, RefEpoch: epoch}
-	deltaSections := 0
-	for i, sd := range sds {
-		stream, stats, err := core.CompressWith(context.Background(), sched.Default(), sd, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stream[4] != 3 {
-			t.Fatalf("client %d: in-memory stream version %d, want 3", i, stream[4])
-		}
-		deltaSections += stats.DeltaTensors
-		want, _, err := core.DecompressOpts(context.Background(), sched.Default(), stream, dopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sr.Decoded[i].Marshal(), want.Marshal()) {
-			t.Fatalf("client %d: streamed delta decode not bit-identical to in-memory delta decode", i)
-		}
-	}
-	if deltaSections == 0 {
-		t.Fatal("correlated updates produced no residual sections")
-	}
-	if nt.LastStats.Updates != len(sds) || nt.LastStats.Rejected != 0 {
-		t.Fatalf("server stats %+v", nt.LastStats)
-	}
+func (s *boundSpy) Round(ctx context.Context, in RoundInput) (RoundOutput, error) {
+	s.seen = append(s.seen, in.Lossy)
+	return s.Transport.Round(ctx, in)
 }
 
 // TestControllerRetunesTransport: with a Controller whose byte budget is
-// impossible to meet, every round must loosen the transport's bound through
-// the TunableTransport seam.
+// impossible to meet, every round must loosen the bound, and the transport
+// must be handed — and compress at — the retuned value.
 func TestControllerRetunesTransport(t *testing.T) {
-	tr := NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	fed := smokeFederation(t, tr, 7)
+	spy := &boundSpy{Transport: NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})}
+	fed := smokeFederation(t, spy, 7)
 	ctrl, err := delta.NewController(ebcl.Rel(1e-2), delta.ControllerConfig{TargetBytes: 1, Step: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fed.Controller = ctrl
-	if _, err := fed.Run(context.Background(), 2, 1); err != nil {
+	res, err := fed.Run(context.Background(), 2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Both rounds exceed the 1-byte budget: two doubling steps.
-	if got := tr.Opts.LossyParams.Value; got != 4e-2 {
-		t.Fatalf("controller did not retune the transport: bound %g, want 4e-2", got)
+	// Both rounds exceed the 1-byte budget: two doubling steps, the first of
+	// which round 1 compresses at.
+	if got := ctrl.Params().Value; got != 4e-2 {
+		t.Fatalf("controller bound %g after two rounds, want 4e-2", got)
+	}
+	if len(spy.seen) != 2 || spy.seen[0] != ebcl.Rel(1e-2) || spy.seen[1] != ebcl.Rel(2e-2) {
+		t.Fatalf("transport was handed bounds %+v, want REL 1e-2 then 2e-2", spy.seen)
+	}
+	if res[1].WireBytes >= res[0].WireBytes {
+		t.Fatalf("looser bound did not shrink the round: %d then %d wire bytes", res[0].WireBytes, res[1].WireBytes)
 	}
 }
 

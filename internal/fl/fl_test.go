@@ -3,7 +3,9 @@ package fl
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ebcl"
 	"repro/internal/nn/models"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -61,7 +64,6 @@ const convergenceRounds = 12
 type convergenceFixture struct {
 	rawInitial float64
 	raw        []*RoundResult
-	fedszTr    *FedSZTransport
 	fedsz      []*RoundResult
 	err        error
 }
@@ -78,8 +80,7 @@ var convergence = sync.OnceValue(func() *convergenceFixture {
 		fx.err = err
 		return fx
 	}
-	fx.fedszTr = NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	fedSZ, err := newTestFederation(fx.fedszTr, 42)
+	fedSZ, err := newTestFederation(NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)}), 42)
 	if err != nil {
 		fx.err = err
 		return fx
@@ -106,19 +107,14 @@ func TestRawTransportRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	net, _ := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
 	sd := net.StateDict()
-	var tr RawTransport
-	p, raw, err := tr.Encode(context.Background(), sd)
+	out, err := RawTransport{}.Round(context.Background(), RoundInput{States: []*tensor.StateDict{sd}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw != sd.SizeBytes() {
-		t.Fatalf("raw bytes %d != %d", raw, sd.SizeBytes())
+	if out.RawBytes != sd.SizeBytes() {
+		t.Fatalf("raw bytes %d != %d", out.RawBytes, sd.SizeBytes())
 	}
-	got, err := tr.Decode(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := got.MaxAbsDiff(sd)
+	d, err := out.Decoded[0].MaxAbsDiff(sd)
 	if err != nil || d != 0 {
 		t.Fatalf("raw transport not exact: d=%v err=%v", d, err)
 	}
@@ -158,9 +154,6 @@ func TestFedSZTransportShrinksUpdatesAndPreservesLearning(t *testing.T) {
 	if final < 0.5 {
 		t.Errorf("compressed federation accuracy %.2f, want >= 0.5", final)
 	}
-	if fx.fedszTr.LastStats == nil || fx.fedszTr.LastStats.Ratio() < 3 {
-		t.Error("transport stats not recorded")
-	}
 }
 
 func TestCompressedMatchesUncompressedWithinHalfPercentShape(t *testing.T) {
@@ -180,16 +173,18 @@ func TestCompressedMatchesUncompressedWithinHalfPercentShape(t *testing.T) {
 
 // smokeFederation is a deliberately tiny build (2 clients, 10 px images,
 // 48 samples) so the short suite still executes the full round pipeline:
-// broadcast → train → encode → batched server decode → aggregate → eval.
+// broadcast → train → transport round → aggregate → eval.
 func smokeFederation(t *testing.T, transport Transport, seed uint64) *Federation {
-	return shardedSmokeFederation(t, transport, seed, func(d *dataset.Dataset) []*dataset.Dataset {
+	return shardedSmokeFederation(t, transport, seed, 2, func(d *dataset.Dataset) []*dataset.Dataset {
 		return dataset.ShardIID(d, 2, seed)
 	})
 }
 
-func shardedSmokeFederation(t *testing.T, transport Transport, seed uint64, shard func(*dataset.Dataset) []*dataset.Dataset) *Federation {
+// shardedSmokeFederation builds one client per shard over 24 samples per
+// client.
+func shardedSmokeFederation(t *testing.T, transport Transport, seed uint64, nClients int, shard func(*dataset.Dataset) []*dataset.Dataset) *Federation {
 	t.Helper()
-	cfg, err := dataset.ScaledConfig("cifar10", 10, 48, 16, seed)
+	cfg, err := dataset.ScaledConfig("cifar10", 10, 24*nClients, 16, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +196,7 @@ func shardedSmokeFederation(t *testing.T, transport Transport, seed uint64, shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := make([]*Client, 2)
+	clients := make([]*Client, nClients)
 	for i := range clients {
 		crng := rand.New(rand.NewPCG(seed, uint64(i)+10))
 		net, err := models.BuildMini("alexnet", crng, in)
@@ -223,7 +218,6 @@ func TestRoundPipelineSmoke(t *testing.T) {
 	}{
 		{"raw", RawTransport{}},
 		{"fedsz", NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})},
-		{"fedsz+tcp", NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fed := smokeFederation(t, tc.transport, 42)
@@ -253,7 +247,7 @@ func TestRoundPipelineSmoke(t *testing.T) {
 // under.
 func TestRoundPipelineNonIIDSmoke(t *testing.T) {
 	const seed = 42
-	fed := shardedSmokeFederation(t, NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)}), seed,
+	fed := shardedSmokeFederation(t, NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)}), seed, 2,
 		func(d *dataset.Dataset) []*dataset.Dataset {
 			shards := dataset.ShardDirichlet(d, 2, 0.3, seed)
 			// The partition must actually be skewed, or this test is just
@@ -288,110 +282,146 @@ func TestRoundPipelineNonIIDSmoke(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeMatchesPerPayload: the BatchTransport wiring RunRound
-// uses must decode bit-identically to per-payload Decode.
-func TestBatchDecodeMatchesPerPayload(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	tr := NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	var bt BatchTransport = tr // compile-time: FedSZTransport batches
-
-	payloads := make([][]byte, 6)
-	for i := range payloads {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i], _, err = tr.Encode(context.Background(), net.StateDict())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch, durs, err := bt.DecodeAll(context.Background(), payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(durs) != len(payloads) {
-		t.Fatalf("got %d durations for %d payloads", len(durs), len(payloads))
-	}
-	for i, d := range durs {
-		if d <= 0 {
-			t.Fatalf("payload %d: non-positive decode duration %v", i, d)
-		}
-	}
-	for i, p := range payloads {
-		single, err := tr.Decode(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := batch[i].MaxAbsDiff(single)
-		if err != nil || d != 0 {
-			t.Fatalf("payload %d: batch decode differs (d=%v err=%v)", i, d, err)
-		}
-	}
+// seamCase is one transport the Round seam must serve.
+type seamCase struct {
+	name       string
+	raw, delta bool
 }
 
-// TestNetTransportMatchesInMemoryDecode: the loopback-socket batch path
-// must produce state dicts bit-identical to per-payload in-memory decode.
-func TestNetTransportMatchesInMemoryDecode(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
-	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	var bt BatchTransport = nt // compile-time: NetTransport batches
+var seamCases = []seamCase{{name: "raw", raw: true}, {name: "fedsz"}, {name: "fedsz+delta", delta: true}}
 
-	payloads := make([][]byte, 6)
-	for i := range payloads {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i], _, err = nt.Encode(context.Background(), net.StateDict())
-		if err != nil {
-			t.Fatal(err)
-		}
+var seamOpts = core.Options{LossyParams: ebcl.Rel(1e-2)}
+
+func (c seamCase) transport() Transport {
+	if c.raw {
+		return RawTransport{}
 	}
-	batch, durs, err := bt.DecodeAll(context.Background(), payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(durs) != len(payloads) {
-		t.Fatalf("got %d durations for %d payloads", len(durs), len(payloads))
-	}
-	for i, d := range durs {
-		if d <= 0 {
-			t.Fatalf("payload %d: non-positive decode duration %v", i, d)
-		}
-	}
-	for i, p := range payloads {
-		single, err := nt.Decode(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(batch[i].Marshal(), single.Marshal()) {
-			t.Fatalf("payload %d: socket decode not bit-identical to in-memory decode", i)
-		}
-	}
-	if st := nt.LastStats; st.Updates != len(payloads) || st.Rejected != 0 {
-		t.Fatalf("server stats %+v", st)
-	}
+	tr := NewFedSZTransport(seamOpts)
+	tr.Delta = c.delta
+	return tr
 }
 
-// TestNetTransportRejectsCorruptPayload: a damaged upload must fail the
-// round cleanly rather than fold garbage.
-func TestNetTransportRejectsCorruptPayload(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 16))
-	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-	if err != nil {
-		t.Fatal(err)
+// reference carries one state dict through the pipeline the transport
+// stands for — marshal/unmarshal, or core.Compress/Decompress on its own
+// (against in.Reference for the delta case) — and returns the decoded dict,
+// the payload size and the residual section count.
+func (c seamCase) reference(sd *tensor.StateDict, in RoundInput) (*tensor.StateDict, int, int, error) {
+	if c.raw {
+		payload := sd.Marshal()
+		got, err := tensor.UnmarshalStateDict(payload)
+		return got, len(payload), 0, err
 	}
-	good, _, err := nt.Encode(context.Background(), net.StateDict())
-	if err != nil {
-		t.Fatal(err)
+	opts, dopts := seamOpts, core.DecodeOptions{}
+	if c.delta {
+		opts.Reference, opts.RefEpoch = in.Reference, in.RefEpoch
+		dopts = core.DecodeOptions{Reference: in.Reference, RefEpoch: in.RefEpoch}
 	}
-	// Truncation is guaranteed-detectable corruption (a mid-payload bit
-	// flip may land in don't-care bytes and decode to garbage values).
-	bad := append([]byte(nil), good[:len(good)-7]...)
-	if _, _, err := nt.DecodeAll(context.Background(), [][]byte{good, bad}); err == nil {
-		t.Fatal("corrupt payload decoded without error")
+	stream, stats, err := core.CompressWith(context.Background(), sched.Default(), sd, opts)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	got, _, err := core.DecompressWith(context.Background(), sched.Default(), stream, dopts)
+	return got, len(stream), stats.DeltaTensors, err
+}
+
+// TestRoundConformance pins the one transport seam for every transport:
+// per-dict bit identity with the reference pipeline and exact byte
+// accounting over two correlated rounds, a global model that does not
+// depend on how RunRound chunks the clients, and prompt cancellation.
+func TestRoundConformance(t *testing.T) {
+	for _, tc := range seamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("decode", func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(9, 9))
+				net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := tc.transport()
+				in := RoundInput{Reference: net.StateDict()}
+				deltaTensors := 0
+				for round := 0; round < 2; round++ {
+					in.RefEpoch++
+					// Correlated updates: the reference plus an SGD-sized step.
+					in.States = make([]*tensor.StateDict, 5)
+					for i := range in.States {
+						sd := in.Reference.Clone()
+						for _, e := range sd.Entries() {
+							for j := range e.Tensor.Data {
+								e.Tensor.Data[j] += float32(1e-3 * rng.NormFloat64())
+							}
+						}
+						in.States[i] = sd
+					}
+					out, err := tr.Round(context.Background(), in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(out.Decoded) != len(in.States) || len(out.EncodeDur) != len(in.States) || len(out.DecodeDur) != len(in.States) {
+						t.Fatalf("result sizes %d/%d/%d for %d inputs",
+							len(out.Decoded), len(out.EncodeDur), len(out.DecodeDur), len(in.States))
+					}
+					raw, wire, wantDelta := 0, 0, 0
+					for i, sd := range in.States {
+						want, n, nDelta, err := tc.reference(sd, in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(out.Decoded[i].Marshal(), want.Marshal()) {
+							t.Fatalf("round %d client %d: Round decode not bit-identical to the reference pipeline", round, i)
+						}
+						if out.EncodeDur[i] <= 0 || out.DecodeDur[i] <= 0 {
+							t.Fatalf("round %d client %d: timings missing (enc %v dec %v)", round, i, out.EncodeDur[i], out.DecodeDur[i])
+						}
+						raw += sd.SizeBytes()
+						wire += n
+						wantDelta += nDelta
+					}
+					if out.RawBytes != raw || out.WireBytes != wire || out.DeltaTensors != wantDelta {
+						t.Fatalf("round %d: accounting raw %d wire %d delta %d, want %d / %d / %d",
+							round, out.RawBytes, out.WireBytes, out.DeltaTensors, raw, wire, wantDelta)
+					}
+					deltaTensors += out.DeltaTensors
+					in.Reference = out.Decoded[0]
+				}
+				if (deltaTensors > 0) != tc.delta {
+					t.Fatalf("residual sections %d, want engaged=%v", deltaTensors, tc.delta)
+				}
+			})
+
+			t.Run("chunking", func(t *testing.T) {
+				// RunRound folds 2·GOMAXPROCS clients per Round call: three
+				// clients are two chunks at GOMAXPROCS 1 and one at 2.
+				global := func(procs int) []byte {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					fed := shardedSmokeFederation(t, tc.transport(), 42, 3, func(d *dataset.Dataset) []*dataset.Dataset {
+						return dataset.ShardIID(d, 3, 42)
+					})
+					if _, err := fed.RunRound(context.Background(), 0, 1); err != nil {
+						t.Fatal(err)
+					}
+					return fed.Global.StateDict().Marshal()
+				}
+				if !bytes.Equal(global(1), global(2)) {
+					t.Fatal("global model depends on how the round was chunked")
+				}
+			})
+
+			t.Run("cancelled", func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(11, 12))
+				net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sd := net.StateDict()
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				_, err = tc.transport().Round(ctx, RoundInput{States: []*tensor.StateDict{sd}, Reference: sd, RefEpoch: 1})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled Round returned %v, want context.Canceled", err)
+				}
+			})
+		})
 	}
 }
 
@@ -466,88 +496,5 @@ func BenchmarkFederatedRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = res.Accuracy
-	}
-}
-
-// TestNetTransportEncodeUploadAll: the fused streaming round — encode
-// straight into the socket, decode while receiving — must reproduce the
-// in-memory pipeline bit-for-bit and account bytes and timings.
-func TestNetTransportEncodeUploadAll(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 24))
-	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	var st StreamBatchTransport = nt // compile-time: NetTransport streams
-
-	sds := make([]*tensor.StateDict, 5)
-	for i := range sds {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sds[i] = net.StateDict()
-	}
-	sr, err := st.EncodeUploadAll(context.Background(), sds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Decoded) != len(sds) || len(sr.EncodeDur) != len(sds) || len(sr.DecodeDur) != len(sds) {
-		t.Fatalf("result sizes: %d/%d/%d for %d inputs",
-			len(sr.Decoded), len(sr.EncodeDur), len(sr.DecodeDur), len(sds))
-	}
-	for i, sd := range sds {
-		payload, _, err := nt.Encode(context.Background(), sd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := nt.Decode(context.Background(), payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sr.Decoded[i].Marshal(), want.Marshal()) {
-			t.Fatalf("client %d: streamed-encode decode not bit-identical to in-memory", i)
-		}
-		if sr.EncodeDur[i] <= 0 || sr.DecodeDur[i] <= 0 {
-			t.Fatalf("client %d: timings missing (enc %v dec %v)", i, sr.EncodeDur[i], sr.DecodeDur[i])
-		}
-	}
-	if sr.RawBytes <= 0 || sr.WireBytes <= 0 {
-		t.Fatalf("byte accounting missing: %+v", sr)
-	}
-	if nt.LastStats.Updates != len(sds) || nt.LastStats.Rejected != 0 {
-		t.Fatalf("server stats %+v", nt.LastStats)
-	}
-}
-
-// TestNetTransportSingleSession: Sessions=1 carries the whole round over
-// one reused connection (the strict multi-update mode).
-func TestNetTransportSingleSession(t *testing.T) {
-	rng := rand.New(rand.NewPCG(25, 26))
-	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	nt.Sessions = 1
-	payloads := make([][]byte, 4)
-	for i := range payloads {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i], _, err = nt.Encode(context.Background(), net.StateDict())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch, _, err := nt.DecodeAll(context.Background(), payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		want, err := nt.Decode(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(batch[i].Marshal(), want.Marshal()) {
-			t.Fatalf("payload %d: single-session decode differs", i)
-		}
-	}
-	if nt.LastStats.Updates != len(payloads) {
-		t.Fatalf("server stats %+v", nt.LastStats)
 	}
 }

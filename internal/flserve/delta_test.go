@@ -116,7 +116,7 @@ func TestDeltaNegotiation(t *testing.T) {
 	}
 
 	// Every accepted upload decoded bit-identically to the in-memory path.
-	wantDelta, _, err := core.DecompressOpts(ctx, nil, deltaStream,
+	wantDelta, _, err := core.DecompressWith(ctx, nil, deltaStream,
 		core.DecodeOptions{Reference: ref, RefEpoch: epoch})
 	if err != nil {
 		t.Fatal(err)

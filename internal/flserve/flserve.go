@@ -8,7 +8,7 @@
 //
 // A connection opens with the "FLS1" magic and then carries any number of
 // updates — one wire stream each, acked individually — so a client (or a
-// whole round's worth of clients multiplexed by fl.NetTransport) pays the
+// whole round's worth of clients multiplexed over one Session) pays the
 // dial and prelude cost once:
 //
 //	client → server: magic(u32 "FLS1") update*
@@ -36,8 +36,11 @@
 // delivered) and folds the result. The aggregator is internal/agg.Sharded,
 // set as Config.Ingestor. A server given only a Config.Handler wraps the
 // same pipeline in a small adapter that assembles the decoded sections
-// into a state dict and hands it to the callback — for callers that need
-// the dicts themselves rather than their mean.
+// into a state dict and hands it to the callback. No program in this
+// repository runs that way any more — every server folds through an
+// Ingestor — so whole-dict delivery serves ad-hoc handlers and this
+// package's own tests, which use it as the bit-identity reference the
+// streamed fold is compared against.
 //
 // # Backpressure
 //
@@ -127,9 +130,10 @@ type Update struct {
 // Config tunes a Server.
 type Config struct {
 	// Parallel is the decode budget the server's own whole-dict decode
-	// (Handler without Ingestor) shares across every connection (0 selects
+	// (Handler without Ingestor — tests and ad-hoc handlers, see the
+	// package comment) shares across every connection (0 selects
 	// GOMAXPROCS) — the same one-budget discipline as core.DecompressAll,
-	// fed by sockets. An Ingestor brings its own pool.
+	// fed by sockets. An Ingestor brings its own pool and ignores it.
 	Parallel int
 	// MaxConns bounds concurrently served connections (0 selects
 	// 4×GOMAXPROCS). The accept loop blocks when the bound is reached.
@@ -155,9 +159,11 @@ type Config struct {
 	// Handler is called with each accepted update before it is acked. It
 	// may be called concurrently from different connections; an error
 	// rejects the update (the client sees a non-zero ack) without stopping
-	// the server. Update.State carries the decoded dict when the server did
-	// the decode (no Ingestor); beside an Ingestor the update has already
-	// been folded and Handler only observes it (logging, counting).
+	// the server. Beside an Ingestor — how every server in this repository
+	// runs — the update has already been folded and Handler only observes
+	// it (logging, counting). Without one, Update.State carries the dict the
+	// server decoded itself: the whole-dict delivery kept for tests and
+	// ad-hoc handlers.
 	Handler func(Update) error
 	// IdleTimeout bounds how long a connection may sit without delivering
 	// a byte before it is dropped, so a stalled client cannot pin a

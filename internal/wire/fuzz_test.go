@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -93,7 +95,7 @@ func FuzzWireReader(f *testing.F) {
 		// CRC-clean stream: the payload must round through the FedSZ
 		// decoder without panicking (errors are fine — the fuzzer can
 		// forge valid framing around a garbage payload).
-		if sd, _, derr := core.DecompressFrom(bytes.NewReader(payload)); derr == nil && sd == nil {
+		if sd, _, derr := core.DecompressFrom(context.Background(), sched.Default(), bytes.NewReader(payload), core.DecodeOptions{}); derr == nil && sd == nil {
 			t.Fatal("nil dict with nil error")
 		}
 	})

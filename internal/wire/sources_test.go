@@ -173,11 +173,11 @@ func TestSectionSourcesAgree(t *testing.T) {
 			decode func() (*tensor.StateDict, error)
 		}{
 			{"bytes", func() (*tensor.StateDict, error) {
-				sd, _, err := core.DecompressOpts(ctx, pool, stream, dopts)
+				sd, _, err := core.DecompressWith(ctx, pool, stream, dopts)
 				return sd, err
 			}},
 			{"reader", func() (*tensor.StateDict, error) {
-				sd, _, err := core.DecompressFromOpts(ctx, pool, bytes.NewReader(stream), dopts)
+				sd, _, err := core.DecompressFrom(ctx, pool, bytes.NewReader(stream), dopts)
 				return sd, err
 			}},
 			{"frames", func() (*tensor.StateDict, error) {

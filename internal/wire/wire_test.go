@@ -83,7 +83,7 @@ func TestReaderComposesWithDecompressFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := core.DecompressFrom(NewReader(bytes.NewReader(framed)))
+	got, _, err := core.DecompressFrom(context.Background(), sched.Default(), NewReader(bytes.NewReader(framed)), core.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestEncodeStreamMatchesWriteStream(t *testing.T) {
 	if stats.CompressedBytes != len(stream) {
 		t.Fatalf("stats report %d payload bytes, stream is %d", stats.CompressedBytes, len(stream))
 	}
-	got, _, err := core.DecompressFrom(NewReader(bytes.NewReader(streamed.Bytes())))
+	got, _, err := core.DecompressFrom(context.Background(), sched.Default(), NewReader(bytes.NewReader(streamed.Bytes())), core.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
