@@ -1,7 +1,7 @@
 // Command fedsz-bench regenerates the tables and figures of the FedSZ paper
 // (Wilkins et al., IPDPS 2024) from this module's from-scratch
-// implementation, and simulates the aggregation-server ingest path that
-// motivates the paper's Equation 1.
+// implementation, and doubles as the repo's CLI upload client / loopback
+// load generator for the streaming aggregation server.
 //
 // Usage:
 //
@@ -11,31 +11,23 @@
 //	fedsz-bench -full            # high-fidelity settings (slower)
 //	fedsz-bench -list            # list experiment IDs
 //
-// Server-ingest simulation (batched decode, paper Eqn 1):
-//
-//	fedsz-bench -clients 64 -parallel 8      # 64 client streams, 8-way budget
-//	fedsz-bench -clients 64 -rounds 5 -scale 0.05
-//
-// One process stands in for an aggregation server receiving N concurrent
-// client streams per round; it reports per-round decode wall time and
-// throughput for a serial decoder versus the shared-pool parallel decoder,
-// plus the Eqn-1 compress/don't-compress decision on a constrained link.
-//
 // Streaming ingest over real sockets (decode-while-receiving):
 //
 //	fedsz-bench -serve -clients 32                # loopback server + 32 uploads
 //	fedsz-bench -serve -clients 32 -mbps 100      # throttle each uplink to 100 Mbps
 //	fedsz-bench -serve -clients 32 -upload host:9464  # upload to a running fedsz-serve
 //
-// Unlike -clients alone (in-memory byte slices), -serve moves every update
-// through the internal/wire framing and a TCP socket into the streaming
-// aggregation server, and reports updates/s, bytes/s, and the
-// decode/receive overlap ratio against the serial and batched in-memory
-// baselines.
+// The socket sim moves every update through the internal/wire framing and a
+// TCP socket into the streaming aggregation server, and reports updates/s,
+// bytes/s, and the decode/receive overlap ratio against the serial and
+// batched in-memory decoders on the same payloads. The paper's Eqn-1
+// compress/don't-compress decision is the eqn1 experiment (-run eqn1).
+// Performance is measured by bench/ (see BENCHMARK.json), not here.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,74 +49,82 @@ import (
 	"repro/internal/tensor"
 )
 
-func main() {
-	var (
-		runIDs   = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		full     = flag.Bool("full", false, "high-fidelity configuration (slower)")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		seed     = flag.Uint64("seed", 1, "base seed for synthetic data and training")
-		clients  = flag.Int("clients", 0, "simulate an aggregation server ingesting N client streams (0 = run experiments instead)")
-		parallel = flag.Int("parallel", 0, "decode parallelism budget shared across the batch (0 = GOMAXPROCS)")
-		rounds   = flag.Int("rounds", 3, "ingest rounds to simulate (with -clients)")
-		scale    = flag.Float64("scale", 0.05, "model profile scale (with -clients)")
-		model    = flag.String("model", "alexnet", "profile model for client updates (with -clients)")
-		serve    = flag.Bool("serve", false, "stream the client updates over TCP into the flserve aggregation server (with -clients)")
-		mbps     = flag.Float64("mbps", 0, "throttle each client uplink to this bandwidth (with -serve; 0 = unthrottled)")
-		upload   = flag.String("upload", "", "upload to an external fedsz-serve at this address instead of an in-process server (with -serve)")
-		jsonOut  = flag.String("json", "", "measure the entropy stage + SZ2/SZ3 codec paths and write a machine-readable perf snapshot to this path ('-' for stdout)")
-		baseline = flag.String("baseline", "", "diff the -json snapshot against this committed baseline's schema (fields present, no NaNs)")
-		tracePth = flag.String("trace", "", "write JSONL trace events (phase spans, per-connection/update events) to this path ('-' for stderr)")
-	)
-	flag.Parse()
+// config is the parsed command line. clients > 0 means the socket sim runs
+// (with that many clients); otherwise the experiments do.
+type config struct {
+	runIDs     string
+	full, list bool
+	seed       uint64
+	clients    int
+	parallel   int
+	scale      float64
+	model      string
+	mbps       float64
+	upload     string
+	trace      string
+}
 
-	var tracer *telemetry.Tracer
-	if *tracePth != "" {
-		tw := io.Writer(os.Stderr)
-		if *tracePth != "-" {
-			f, err := os.Create(*tracePth)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
+// simOnlyFlags are read by the socket sim alone.
+var simOnlyFlags = map[string]bool{"parallel": true, "scale": true, "model": true, "mbps": true, "upload": true, "trace": true}
+
+// parseArgs parses the command line and resolves the mode: -serve or
+// -clients N > 0 selects the socket sim; a sim-only flag without either is
+// a usage error rather than a silently ignored setting on a minutes-long
+// experiment run.
+func parseArgs(args []string, out io.Writer) (config, error) {
+	var c config
+	var serve bool
+	fs := flag.NewFlagSet("fedsz-bench", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&c.runIDs, "run", "", "comma-separated experiment IDs (default: all)")
+	fs.BoolVar(&c.full, "full", false, "high-fidelity configuration (slower)")
+	fs.BoolVar(&c.list, "list", false, "list experiment IDs and exit")
+	fs.Uint64Var(&c.seed, "seed", 1, "base seed for synthetic data and training")
+	fs.BoolVar(&serve, "serve", false, "socket sim: stream client updates over TCP into the flserve aggregation server (32 clients unless -clients says otherwise)")
+	fs.IntVar(&c.clients, "clients", 0, "socket sim with N client streams, as -serve (0 = run experiments; the Eqn-1 decision is -run eqn1)")
+	fs.IntVar(&c.parallel, "parallel", 0, "decode parallelism budget shared across the batch (with -serve; 0 = GOMAXPROCS)")
+	fs.Float64Var(&c.scale, "scale", 0.05, "model profile scale (with -serve)")
+	fs.StringVar(&c.model, "model", "alexnet", "profile model for client updates (with -serve)")
+	fs.Float64Var(&c.mbps, "mbps", 0, "throttle each client uplink to this bandwidth (with -serve; 0 = unthrottled)")
+	fs.StringVar(&c.upload, "upload", "", "upload to an external fedsz-serve at this address instead of an in-process server (with -serve)")
+	fs.StringVar(&c.trace, "trace", "", "write JSONL trace events (phase spans, per-connection/update events) to this path (with -serve; '-' for stderr)")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if serve && c.clients <= 0 {
+		c.clients = 32
+	}
+	if c.clients <= 0 {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if simOnlyFlags[f.Name] && err == nil {
+				err = fmt.Errorf("-%s only applies to the socket sim; add -serve (or -clients N)", f.Name)
+				fmt.Fprintf(out, "fedsz-bench: %v\n", err)
 			}
-			defer f.Close()
-			tw = f
-		}
-		tracer = telemetry.NewTracer(tw)
-		defer func() {
-			if err := tracer.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			}
-		}()
+		})
+		return c, err
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
 	}
 
-	if *list {
+	if c.list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
 		return
 	}
 
-	if *jsonOut != "" {
-		if err := runPerfSnapshot(os.Stdout, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serve {
-		if *clients <= 0 {
-			*clients = 32
-		}
-		if err := runStreamSim(os.Stdout, *clients, *parallel, *mbps, *model, *scale, *seed, *upload, tracer); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clients > 0 {
-		if err := runServerSim(os.Stdout, *clients, *parallel, *rounds, *model, *scale, *seed, tracer); err != nil {
+	if c.clients > 0 {
+		if err := runTracedStreamSim(c); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}
@@ -132,20 +132,20 @@ func main() {
 	}
 
 	cfg := experiments.QuickConfig()
-	if *full {
+	if c.full {
 		cfg = experiments.FullConfig()
 	}
-	cfg.Seed = *seed
+	cfg.Seed = c.seed
 
 	var ids []string
-	if *runIDs == "" {
+	if c.runIDs == "" {
 		ids = experiments.IDs()
 	} else {
-		ids = strings.Split(*runIDs, ",")
+		ids = strings.Split(c.runIDs, ",")
 	}
 
 	mode := "quick"
-	if *full {
+	if c.full {
 		mode = "full"
 	}
 	fmt.Printf("FedSZ reproduction harness — %d experiment(s), %s mode, seed %d\n\n", len(ids), mode, cfg.Seed)
@@ -172,6 +172,29 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// runTracedStreamSim runs the socket sim with the -trace sink, if any, open
+// around it.
+func runTracedStreamSim(c config) error {
+	var tracer *telemetry.Tracer
+	if c.trace != "" {
+		tw := io.Writer(os.Stderr)
+		if c.trace != "-" {
+			f, err := os.Create(c.trace)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			tw = f
+		}
+		tracer = telemetry.NewTracer(tw)
+	}
+	err := runStreamSim(os.Stdout, c.clients, c.parallel, c.mbps, c.model, c.scale, c.seed, c.upload, tracer)
+	if terr := tracer.Err(); terr != nil {
+		fmt.Fprintf(os.Stderr, "trace: %v\n", terr)
+	}
+	return err
 }
 
 // buildUpdates synthesizes per-client updates (same architecture,
@@ -274,7 +297,7 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	note := fmt.Sprintf("overlap %.2f", st.OverlapRatio())
 	if mbps > 0 {
 		note += fmt.Sprintf(" @ %g Mbps/client", mbps)
@@ -337,94 +360,5 @@ func runStreamSim(w io.Writer, nClients, parallelism int, mbps float64, model st
 	if n := fold.Count(); n != nClients {
 		return fmt.Errorf("stream-enc aggregated %d of %d updates", n, nClients)
 	}
-	return nil
-}
-
-// runServerSim plays one process as the aggregation server of the paper's
-// Eqn-1 scenario: nClients updates arrive each round and must be decoded
-// before FedAvg can aggregate. It compares the serial seed-style decoder
-// against the shared-pool batched decoder at the requested budget.
-func runServerSim(w io.Writer, nClients, parallelism, rounds int, model string, scale float64, seed uint64, tracer *telemetry.Tracer) error {
-	// Synthesize per-client updates: same architecture, different weights,
-	// like a real round's worth of client deltas.
-	updates := make([]*tensor.StateDict, nClients)
-	for i := range updates {
-		rng := rand.New(rand.NewPCG(seed, uint64(i)+1))
-		sd, err := models.BuildProfile(model, rng, scale)
-		if err != nil {
-			return err
-		}
-		updates[i] = sd
-	}
-	rawBytes := 0
-	for _, sd := range updates {
-		rawBytes += sd.SizeBytes()
-	}
-
-	compressSpan := tracer.Span("batch_compress", telemetry.A("clients", nClients), telemetry.A("model", model))
-	t0 := time.Now()
-	streams, _, err := core.CompressAll(context.Background(), sched.NewPool(parallelism), updates, core.Options{LossyParams: ebcl.Rel(1e-2)})
-	if err != nil {
-		return err
-	}
-	tC := time.Since(t0)
-	compressSpan.End(telemetry.A("raw_bytes", rawBytes))
-	wireBytes := 0
-	for _, s := range streams {
-		wireBytes += len(s)
-	}
-
-	fmt.Fprintf(w, "server ingest simulation: %d clients × %s profile (scale %g)\n", nClients, model, scale)
-	fmt.Fprintf(w, "raw %d B -> wire %d B (ratio %.2fx), batch compress %v\n\n",
-		rawBytes, wireBytes, float64(rawBytes)/float64(wireBytes), tC.Round(time.Millisecond))
-
-	fmt.Fprintf(w, "%-10s %-8s %-14s %-14s %-12s\n", "decoder", "round", "decode time", "streams/s", "MB/s (raw)")
-	for _, mode := range []struct {
-		label string
-		par   int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("pool(%d)", sched.NewPool(parallelism).Parallelism()), parallelism},
-	} {
-		for r := 0; r < rounds; r++ {
-			sp := tracer.Span("decode_round", telemetry.A("mode", mode.label), telemetry.A("round", r))
-			t0 := time.Now()
-			decoded, _, err := core.DecompressAll(context.Background(), sched.NewPool(mode.par), streams, core.DecodeOptions{})
-			if err != nil {
-				return err
-			}
-			dur := time.Since(t0)
-			sp.End(telemetry.A("streams", len(decoded)))
-			if len(decoded) != nClients {
-				return fmt.Errorf("decoded %d of %d streams", len(decoded), nClients)
-			}
-			fmt.Fprintf(w, "%-10s %-8d %-14v %-14.1f %-12.1f\n",
-				mode.label, r, dur.Round(time.Microsecond),
-				float64(nClients)/dur.Seconds(),
-				float64(rawBytes)/dur.Seconds()/1e6)
-		}
-	}
-
-	// Eqn 1 on the edge uplink: does compression pay off per client? The
-	// per-client tC/tD are measured on a single update/stream — an edge
-	// client compresses alone and cannot amortize the batch parallelism,
-	// so dividing the batch wall time by N would understate its cost.
-	t0 = time.Now()
-	if _, _, err := core.Compress(updates[0], core.Options{LossyParams: ebcl.Rel(1e-2)}); err != nil {
-		return err
-	}
-	tC1 := time.Since(t0)
-	t0 = time.Now()
-	if _, _, err := core.Decompress(streams[0]); err != nil {
-		return err
-	}
-	tD1 := time.Since(t0)
-	perClientRaw := rawBytes / nClients
-	perClientWire := wireBytes / nClients
-	link := netsim.EdgeLink
-	dec := netsim.ShouldCompress(tC1, tD1, perClientRaw, perClientWire, link)
-	fmt.Fprintf(w, "\nEqn 1 @ %.0f Mbps: compress=%v (compressed %v vs raw %v per client)\n",
-		link.BandwidthMbps, dec.Compress,
-		dec.CompressedTime.Round(time.Microsecond), dec.UncompressedTime.Round(time.Microsecond))
 	return nil
 }

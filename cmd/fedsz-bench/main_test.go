@@ -4,33 +4,55 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
 )
 
-// TestServerSimSmoke drives the -clients/-parallel aggregation-server
-// simulation at quickstart size and checks the report structure.
-func TestServerSimSmoke(t *testing.T) {
-	var sb strings.Builder
-	if err := runServerSim(&sb, 4, 2, 1, "alexnet", 0.01, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"server ingest simulation", "serial", "pool(2)", "Eqn 1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
+// TestParseArgsResolvesMode pins how the command line picks between the
+// experiment driver and the socket sim: -serve or -clients N > 0 selects the
+// sim, and a flag only the sim reads is a usage error without one — never a
+// silently ignored setting on a run of every experiment.
+func TestParseArgsResolvesMode(t *testing.T) {
+	for _, tc := range []struct {
+		args    string
+		clients int    // 0 = experiments
+		errHas  string // non-empty = usage error naming this
+	}{
+		{args: "", clients: 0},
+		{args: "-run eqn1 -seed 7 -full", clients: 0},
+		{args: "-list", clients: 0},
+		{args: "-clients 0", clients: 0},
+		{args: "-serve", clients: 32},
+		{args: "-serve -clients 0", clients: 32},
+		{args: "-serve -clients 3 -upload 127.0.0.1:9464 -scale 0.01", clients: 3},
+		{args: "-clients 8 -parallel 4", clients: 8},
+		{args: "-clients 8 -mbps 10 -model alexnet -trace -", clients: 8},
+		{args: "-parallel 4", errHas: "-parallel"},
+		{args: "-scale 0.02", errHas: "-scale"},
+		{args: "-model alexnet", errHas: "-model"},
+		{args: "-mbps 10", errHas: "-mbps"},
+		{args: "-upload 127.0.0.1:9464", errHas: "-upload"},
+		{args: "-trace t.jsonl", errHas: "-trace"},
+		{args: "-clients 0 -run eqn1 -scale 0.02", errHas: "-serve"},
+		{args: "-rounds 2", errHas: "-rounds"},
+		{args: "-json -", errHas: "-json"},
+		{args: "-baseline x.json", errHas: "-baseline"},
+	} {
+		var usage strings.Builder
+		c, err := parseArgs(strings.Fields(tc.args), &usage)
+		if tc.errHas != "" {
+			if err == nil || !strings.Contains(usage.String(), tc.errHas) {
+				t.Errorf("%q: err %v, usage output %q; want a usage error naming %s", tc.args, err, usage.String(), tc.errHas)
+			}
+			continue
 		}
-	}
-}
-
-func TestServerSimRejectsUnknownModel(t *testing.T) {
-	var sb strings.Builder
-	if err := runServerSim(&sb, 2, 1, 1, "nope", 0.01, 1, nil); err == nil {
-		t.Fatal("expected error for unknown model")
+		if err != nil {
+			t.Errorf("%q: %v", tc.args, err)
+		} else if c.clients != tc.clients {
+			t.Errorf("%q: resolved %d sim clients, want %d", tc.args, c.clients, tc.clients)
+		}
 	}
 }
 
@@ -78,103 +100,5 @@ func TestStreamSimRejectsUnknownModel(t *testing.T) {
 	var sb strings.Builder
 	if err := runStreamSim(&sb, 2, 1, 0, "nope", 0.01, 1, "", nil); err == nil {
 		t.Fatal("expected error for unknown model")
-	}
-}
-
-// TestPerfSnapshotSmoke drives the -json perf-snapshot mode end to end and
-// validates the written record. Skipped under -short: testing.Benchmark
-// targets ~1s per entry, so the full snapshot takes ~10s.
-func TestPerfSnapshotSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf snapshot runs full benchmarks; skipped in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "perf.json")
-	var sb strings.Builder
-	if err := runPerfSnapshot(&sb, path, ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap perfSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if snap.Schema != perfSchema {
-		t.Fatalf("schema %q want %q", snap.Schema, perfSchema)
-	}
-	names := map[string]bool{}
-	for _, e := range snap.Benchmarks {
-		if e.NsPerOp <= 0 {
-			t.Fatalf("%s: non-positive ns/op %g", e.Name, e.NsPerOp)
-		}
-		names[e.Name] = true
-	}
-	for _, want := range []string{
-		"huffman_decode_table", "huffman_decode_reference",
-		"huffman_encode_bulk", "huffman_decode_bulk",
-		"sz2_compress", "sz2_decompress", "sz3_compress", "sz3_decompress",
-		"chunk_encode_chunked", "chunk_encode_unchunked",
-		"chunk_decode_chunked", "chunk_decode_unchunked",
-	} {
-		if !names[want] {
-			t.Fatalf("snapshot missing benchmark %q (have %v)", want, names)
-		}
-	}
-	if s := snap.Derived["huffman_decode_speedup_table_vs_reference"]; s <= 1 {
-		t.Fatalf("table decoder not faster than reference (speedup %.2f)", s)
-	}
-}
-
-// TestChunkSpeedupGateClassMatched locks the multicore gate's CPU-class
-// matching: the chunk speedup floor applies only when both the committed
-// baseline and the current host are multicore-class, so a 1-CPU CI
-// container can diff a workstation baseline without false failures.
-func TestChunkSpeedupGateClassMatched(t *testing.T) {
-	writeBaseline := func(t *testing.T, numCPU int, speedup float64) string {
-		t.Helper()
-		base := perfSnapshot{
-			Schema: perfSchema,
-			NumCPU: numCPU,
-			Derived: map[string]float64{
-				"chunk_encode_speedup": speedup,
-				"chunk_decode_speedup": speedup,
-			},
-		}
-		data, err := json.Marshal(&base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "base.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	snap := func(numCPU int, speedup float64) *perfSnapshot {
-		return &perfSnapshot{
-			Schema: perfSchema,
-			NumCPU: numCPU,
-			Derived: map[string]float64{
-				"chunk_encode_speedup": speedup,
-				"chunk_decode_speedup": speedup,
-			},
-		}
-	}
-
-	// Class mismatch in either direction: floor never applies.
-	if err := checkPerfBaseline(snap(1, 0.9), writeBaseline(t, 8, 3.0)); err != nil {
-		t.Fatalf("1-CPU host vs 8-CPU baseline should pass, got %v", err)
-	}
-	if err := checkPerfBaseline(snap(8, 0.9), writeBaseline(t, 1, 1.0)); err != nil {
-		t.Fatalf("8-CPU host vs 1-CPU baseline should pass, got %v", err)
-	}
-	// Both multicore-class: the floor gates.
-	if err := checkPerfBaseline(snap(8, 1.2), writeBaseline(t, 8, 3.0)); err == nil {
-		t.Fatal("sub-floor speedup on a class-matched multicore host must fail")
-	}
-	if err := checkPerfBaseline(snap(8, 2.5), writeBaseline(t, 8, 3.0)); err != nil {
-		t.Fatalf("above-floor speedup should pass, got %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand/v2"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/compressors"
@@ -208,6 +209,65 @@ func TestZeroCopyReuseAndAliasSafety(t *testing.T) {
 					})
 				}
 			}
+		})
+	}
+}
+
+// TestSteadyStateAllocs pins what the zero-copy contract exists for: the
+// steady-state loop of a streaming server — CompressAppend into a recycled
+// buffer, DecompressInto a DecodedLen-sized pooled buffer — allocates next
+// to nothing per tensor once the sched pools are warm, because every scratch
+// buffer inside the codec comes from and returns to a pool. A codec that
+// drops one sched.Put*, or a caller that goes back to the allocating
+// Compress, shows up here as whole extra allocations per op. The limits are
+// the alloc gate of the retired fedsz-bench perf snapshot: ⌊1.1·b⌋+1 over
+// its last baseline of 1/1 (sz2) and 1/0 (sz3) allocs per compress/decompress.
+func TestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random; pooled scratch misses and allocates")
+	}
+	// No collection may start inside the measurement: each one empties every
+	// sync.Pool, and the earlier tests' garbage decides when the next is due.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := ebcl.Rel(1e-2)
+	weights := eblctest.WeightLike(rand.New(rand.NewPCG(7, 9)), 1<<18)
+	for _, tc := range []struct {
+		name                       string
+		maxCompress, maxDecompress float64
+	}{
+		{"sz2", 2, 2},
+		{"sz3", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := compressors.Get(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := sched.GetBytes(len(weights))
+			got := testing.AllocsPerRun(10, func() {
+				if enc, err = c.CompressAppend(enc[:0], weights, p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.maxCompress {
+				t.Errorf("CompressAppend into a recycled buffer: %.0f allocs/op, want <= %.0f", got, tc.maxCompress)
+			}
+
+			n, err := c.DecodedLen(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := sched.GetFloats(n)
+			got = testing.AllocsPerRun(10, func() {
+				if out, err = c.DecompressInto(out[:0], enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.maxDecompress {
+				t.Errorf("DecompressInto a pooled buffer: %.0f allocs/op, want <= %.0f", got, tc.maxDecompress)
+			}
+			sched.PutFloats(out)
+			sched.PutBytes(enc)
 		})
 	}
 }

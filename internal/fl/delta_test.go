@@ -11,10 +11,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// deltaReductionFloor is the least fraction of wire bytes residual streams
+// must save over absolute streams on this correlated-rounds fixture. It is
+// the floor the retired fedsz-bench perf snapshot gated (same name, same
+// 0.25): a coarse "delta mode still pays" check. The operating point itself
+// is held by bench/'s delta_rounds workload, whose wire_bytes_per_update
+// bound is 0.5 %.
+const deltaReductionFloor = 0.25
+
 // TestFedSZTransportDeltaRounds: the in-memory transport with Delta set must
 // run full rounds end to end, actually take the residual path (the rounds
-// are temporally correlated by construction), spend fewer wire bytes than
-// the identical federation on absolute streams, and still learn.
+// are temporally correlated by construction), save at least
+// deltaReductionFloor of the wire bytes the identical federation spends on
+// absolute streams, and still learn.
 func TestFedSZTransportDeltaRounds(t *testing.T) {
 	const rounds = 3
 	abs := NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
@@ -44,14 +53,16 @@ func TestFedSZTransportDeltaRounds(t *testing.T) {
 	}
 
 	// Local SGD steps are small relative to the weights, so residual streams
-	// must cost fewer total bytes than absolute streams over the same rounds.
+	// must cost at least deltaReductionFloor fewer total bytes than absolute
+	// streams over the same rounds.
 	absWire, dWire := 0, 0
 	for r := 0; r < rounds; r++ {
 		absWire += absRes[r].WireBytes
 		dWire += dRes[r].WireBytes
 	}
-	if dWire >= absWire {
-		t.Errorf("delta wire bytes %d not below absolute %d", dWire, absWire)
+	if reduction := 1 - float64(dWire)/float64(absWire); reduction < deltaReductionFloor {
+		t.Errorf("delta reduction %.3f below the %.2f floor (abs %d B, delta %d B)",
+			reduction, deltaReductionFloor, absWire, dWire)
 	}
 
 	// Delta changes the encoding, not the error contract: learning stays in

@@ -138,7 +138,7 @@ func TestDeltaNegotiation(t *testing.T) {
 			t.Fatalf("client %d: absolute upload decode differs from in-memory decode", id)
 		}
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != 4 || st.Rejected != 1 {
 		t.Fatalf("stats %+v, want 4 updates / 1 rejected", st)
 	}

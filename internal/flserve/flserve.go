@@ -348,9 +348,6 @@ func (s *Server) Snapshot() Stats {
 	}
 }
 
-// Stats returns a snapshot of the ingest counters (alias of Snapshot).
-func (s *Server) Stats() Stats { return s.Snapshot() }
-
 // Close stops accepting, waits for in-flight connections to finish, and
 // returns the listener's close error, if any.
 func (s *Server) Close() error {

@@ -129,7 +129,7 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 			t.Fatalf("client %d: decode stats missing: %+v", i, u.Stats)
 		}
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != n || st.Rejected != 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -186,7 +186,7 @@ func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	if err := Upload(addr, 1, streams[1]); err != nil {
 		t.Fatalf("server did not survive corrupt upload: %v", err)
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != 1 || st.Rejected != 1 {
 		t.Fatalf("stats %+v, want 1 update / 1 rejected", st)
 	}
@@ -323,6 +323,6 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 		wg.Wait()
 	}
 	b.StopTimer()
-	st := srv.Stats()
+	st := srv.Snapshot()
 	b.ReportMetric(st.OverlapRatio(), "overlap")
 }

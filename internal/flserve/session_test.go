@@ -43,7 +43,7 @@ func TestSessionMultiUpdate(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != n || st.Rejected != 0 {
 		t.Fatalf("stats %+v, want %d clean updates over one connection", st, n)
 	}
@@ -144,7 +144,7 @@ func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 	if got := col.count(); got != 1 {
 		t.Fatalf("aggregated %d updates, want 1", got)
 	}
-	if st := srv.Stats(); st.Rejected != 1 {
+	if st := srv.Snapshot(); st.Rejected != 1 {
 		t.Fatalf("stats %+v, want the stalled update rejected", st)
 	}
 }

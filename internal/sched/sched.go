@@ -196,8 +196,8 @@ func RecycledBytes() uint64 { return recycledBytes.Load() }
 
 // slicePool is the shared implementation behind the typed Get/Put pairs: a
 // size-classed set of sync.Pools of slice headers handing out zero-length
-// slices with enough capacity. Like the byte pool, requests round up to
-// power-of-two element classes so a small tensor cannot "win" and pin a
+// slices with enough capacity. Requests round up to power-of-two element
+// classes (bytes included: GetBytes) so a small tensor cannot "win" and pin a
 // multi-megabyte reconstruction buffer. elemSize bounds retention in bytes,
 // not elements, so every element type shares the same 64 MiB ceiling.
 type slicePool[T any] struct {
@@ -297,15 +297,6 @@ const (
 	maxClassBits = 26
 )
 
-type classedBytePool struct {
-	classes [maxClassBits + 1]sync.Pool
-	// headers parks emptied slice headers for reuse by put — see
-	// slicePool.headers for why put must not pop class pools for headers.
-	headers sync.Pool
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-}
-
 // classFor returns the smallest class whose buffers hold n bytes.
 func classFor(n int) int {
 	c := bits.Len(uint(n - 1))
@@ -318,51 +309,7 @@ func classFor(n int) int {
 	return c
 }
 
-func (p *classedBytePool) get(n int) []byte {
-	if n > maxPooledBytes {
-		p.misses.Add(1)
-		return make([]byte, 0, n)
-	}
-	c := classFor(n)
-	// One fallback probe of the next class up on a home-class miss — see
-	// slicePool.get for the starvation pattern this breaks and the 4× cap
-	// on handout amplification.
-	for probe := c; probe <= c+1 && probe <= maxClassBits; probe++ {
-		if sp, ok := p.classes[probe].Get().(*[]byte); ok {
-			s := *sp
-			*sp = nil
-			p.headers.Put(sp)
-			// Floor-capacity filing guarantees cap(s) >= 1<<probe >= n; the
-			// check is defensive against a future filing change.
-			if cap(s) >= n {
-				p.hits.Add(1)
-				return s[:0]
-			}
-		}
-	}
-	p.misses.Add(1)
-	return make([]byte, 0, 1<<c)
-}
-
-func (p *classedBytePool) put(s []byte) {
-	// Buffers file under the class their capacity fully covers (floor of
-	// log2), so a future get from that class always has enough room even
-	// when the capacity is not an exact power of two.
-	if cap(s) < 1<<minClassBits || cap(s) > maxPooledBytes {
-		return
-	}
-	c := bits.Len(uint(cap(s))) - 1
-	recycledBytes.Add(uint64(cap(s)))
-	s = s[:0]
-	sp, _ := p.headers.Get().(*[]byte)
-	if sp == nil {
-		sp = new([]byte)
-	}
-	*sp = s
-	p.classes[c].Put(sp)
-}
-
-var bytePool classedBytePool
+var bytePool = newSlicePool[byte](1)
 
 // GetBytes returns a zero-length byte slice with capacity at least n,
 // reusing a pooled buffer of n's power-of-two size class when one is
@@ -378,9 +325,7 @@ func PutBytes(b []byte) { bytePool.put(b) }
 // the observable for deciding whether concurrent connections are churning
 // the pools. Callers snapshot before/after a region and diff; under
 // concurrency the delta attributes shared traffic approximately.
-func BytePoolCounters() (hits, misses uint64) {
-	return bytePool.hits.Load(), bytePool.misses.Load()
-}
+func BytePoolCounters() (hits, misses uint64) { return bytePool.counters() }
 
 // GetUint16s returns a zero-length uint16 slice with capacity at least n —
 // the scratch type the entropy stage moves quantization codes in.
