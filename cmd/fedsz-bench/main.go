@@ -64,9 +64,6 @@ type config struct {
 	trace      string
 }
 
-// simOnlyFlags are read by the socket sim alone.
-var simOnlyFlags = map[string]bool{"parallel": true, "scale": true, "model": true, "mbps": true, "upload": true, "trace": true}
-
 // parseArgs parses the command line and resolves the mode: -serve or
 // -clients N > 0 selects the socket sim; a sim-only flag without either is
 // a usage error rather than a silently ignored setting on a minutes-long
@@ -76,18 +73,21 @@ func parseArgs(args []string, out io.Writer) (config, error) {
 	var serve bool
 	fs := flag.NewFlagSet("fedsz-bench", flag.ContinueOnError)
 	fs.SetOutput(out)
+	// sim marks a flag as read by the socket sim alone, where it is registered.
+	simOnly := map[string]bool{}
+	sim := func(name string) string { simOnly[name] = true; return name }
 	fs.StringVar(&c.runIDs, "run", "", "comma-separated experiment IDs (default: all)")
 	fs.BoolVar(&c.full, "full", false, "high-fidelity configuration (slower)")
 	fs.BoolVar(&c.list, "list", false, "list experiment IDs and exit")
 	fs.Uint64Var(&c.seed, "seed", 1, "base seed for synthetic data and training")
 	fs.BoolVar(&serve, "serve", false, "socket sim: stream client updates over TCP into the flserve aggregation server (32 clients unless -clients says otherwise)")
 	fs.IntVar(&c.clients, "clients", 0, "socket sim with N client streams, as -serve (0 = run experiments; the Eqn-1 decision is -run eqn1)")
-	fs.IntVar(&c.parallel, "parallel", 0, "decode parallelism budget shared across the batch (with -serve; 0 = GOMAXPROCS)")
-	fs.Float64Var(&c.scale, "scale", 0.05, "model profile scale (with -serve)")
-	fs.StringVar(&c.model, "model", "alexnet", "profile model for client updates (with -serve)")
-	fs.Float64Var(&c.mbps, "mbps", 0, "throttle each client uplink to this bandwidth (with -serve; 0 = unthrottled)")
-	fs.StringVar(&c.upload, "upload", "", "upload to an external fedsz-serve at this address instead of an in-process server (with -serve)")
-	fs.StringVar(&c.trace, "trace", "", "write JSONL trace events (phase spans, per-connection/update events) to this path (with -serve; '-' for stderr)")
+	fs.IntVar(&c.parallel, sim("parallel"), 0, "decode parallelism budget shared across the batch (with -serve; 0 = GOMAXPROCS)")
+	fs.Float64Var(&c.scale, sim("scale"), 0.05, "model profile scale (with -serve)")
+	fs.StringVar(&c.model, sim("model"), "alexnet", "profile model for client updates (with -serve)")
+	fs.Float64Var(&c.mbps, sim("mbps"), 0, "throttle each client uplink to this bandwidth (with -serve; 0 = unthrottled)")
+	fs.StringVar(&c.upload, sim("upload"), "", "upload to an external fedsz-serve at this address instead of an in-process server (with -serve)")
+	fs.StringVar(&c.trace, sim("trace"), "", "write JSONL trace events (phase spans, per-connection/update events) to this path (with -serve; '-' for stderr)")
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
@@ -97,7 +97,7 @@ func parseArgs(args []string, out io.Writer) (config, error) {
 	if c.clients <= 0 {
 		var err error
 		fs.Visit(func(f *flag.Flag) {
-			if simOnlyFlags[f.Name] && err == nil {
+			if simOnly[f.Name] && err == nil {
 				err = fmt.Errorf("-%s only applies to the socket sim; add -serve (or -clients N)", f.Name)
 				fmt.Fprintf(out, "fedsz-bench: %v\n", err)
 			}

@@ -301,9 +301,8 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 // as before chunking existed. Chunks decode one after another on the
 // calling goroutine, each into its own sub-range of dst: a tensor is one
 // pool task, and cross-tensor parallelism is the scheduler's job (fanning
-// chunks out measured slower than not: 0.86× on 2 CPUs, the PR-12 row of
-// the legacy table in CHANGES.md's PR-18 entry). Decode + fold time
-// accumulates into work.
+// chunks out measured slower than not: 0.86× on 2 CPUs). Decode + fold
+// time accumulates into work.
 func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32, work *atomic.Int64) ([]float32, error) {
 	t0 := time.Now()
 	defer func() { work.Add(int64(time.Since(t0))) }()
