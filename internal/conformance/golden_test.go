@@ -25,9 +25,11 @@ import (
 // each codec configuration, testdata holds the compressed FedSZ stream
 // (.fsz), its wire framing (.wire), and the marshaled decoded state dict
 // (.sd) as produced at check-in time. Decoders of any later revision must
-// reproduce the .sd bytes exactly from both containers — decode stability
-// is the contract; encoders may change (a stream re-encoded today need
-// not match .fsz), but every stream ever written must keep decoding.
+// reproduce the .sd bytes exactly from both containers — every stream ever
+// written must keep decoding. The encoder is locked too: re-encoding a
+// non-frozen case's dict with its options must reproduce the checked-in
+// .fsz byte for byte, so an encoder change that moves any byte fails here
+// instead of waiting for someone to run -update and read git status.
 //
 // Regenerate after an *intentional, version-bumped* format change with:
 //
@@ -178,8 +180,9 @@ func goldenPath(name, ext string) string {
 	return filepath.Join("testdata", name+"."+ext)
 }
 
-// regenerate writes one case's three artifacts.
-func regenerate(t *testing.T, gc goldenCase) {
+// encodeGolden re-encodes one case's generating dict with the case's
+// options, returning the stream and the options that decode it.
+func encodeGolden(t *testing.T, gc goldenCase) ([]byte, core.DecodeOptions) {
 	t.Helper()
 	lossy, err := compressors.Get(gc.lossy)
 	if err != nil {
@@ -197,6 +200,13 @@ func regenerate(t *testing.T, gc goldenCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stream, dopts
+}
+
+// regenerate writes one case's three artifacts.
+func regenerate(t *testing.T, gc goldenCase) {
+	t.Helper()
+	stream, dopts := encodeGolden(t, gc)
 	decoded, _, err := core.DecompressWith(context.Background(), nil, stream, dopts)
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +244,11 @@ func TestGoldenStreams(t *testing.T) {
 			}
 			if len(stream) < 5 || stream[4] != gc.version {
 				t.Fatalf("golden stream carries format version %d, want %d", stream[4], gc.version)
+			}
+			if !gc.frozen {
+				if got, _ := encodeGolden(t, gc); !bytes.Equal(got, stream) {
+					t.Fatalf("encoder emits %d bytes that differ from the %d-byte golden stream — the encoder drifted", len(got), len(stream))
+				}
 			}
 			wantSD, err := os.ReadFile(goldenPath(gc.name, "sd"))
 			if err != nil {
