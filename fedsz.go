@@ -113,8 +113,7 @@ type Options = core.Options
 type Stats = core.Stats
 
 // DecompressStats reports what one Decompress call did, including the
-// decode/receive overlap accounting of a streaming DecompressFrom and the
-// buffer-pool hit counters.
+// decode/receive overlap accounting of a streaming DecompressFrom.
 type DecompressStats = core.DecompressStats
 
 // Params selects the error-control mode for the lossy compressor.

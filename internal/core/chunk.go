@@ -30,6 +30,11 @@ package core
 // split from (elems, C) alone. The split — like the decision to chunk at
 // all — depends only on element counts and Options, never on pool
 // parallelism, so the emitted bytes are reproducible across hosts.
+//
+// This file holds the format: the split (chunkCount, chunkBounds), the blob
+// writer (appendChunkedBlob) and the decoder. encodeBlob (encode.go) picks
+// the writer from the chunk count and is otherwise blind to it, so a
+// chunked residual is just a chunked blob of the residual.
 
 import (
 	"encoding/binary"
@@ -114,32 +119,12 @@ func isChunkedBlob(blob []byte) bool {
 	return len(blob) > 0 && blob[0] == chunkMagic
 }
 
-// chunkParams maps the caller's error-control setting onto individual
-// chunks. A REL bound is interpreted against the *whole* tensor's value
-// range (the documented SZ convention), so it must be resolved to an
-// absolute bound before the tensor is split — otherwise each chunk would
-// re-derive the bound from its own range and the error contract would
-// silently change. ABS and PREC settings carry over unchanged. ok is false
-// when the bound cannot be resolved (non-finite data under REL); the
-// caller then falls back to the unchunked path, which preserves the
-// existing behavior for such tensors exactly.
-func chunkParams(data []float32, p ebcl.Params) (ebcl.Params, bool) {
-	if p.Mode != ebcl.ModeRelative {
-		return p, true
-	}
-	eb, err := ebcl.ResolveAbs(data, p)
-	if err != nil || eb <= 0 {
-		return p, false
-	}
-	return ebcl.Abs(eb), true
-}
-
 // appendChunkedBlob compresses data as a chunked blob appended to dst:
 // marker, chunk count, jump table, then each chunk's complete codec
 // stream. The chunks compress concurrently on pool (nil runs serially)
 // into pooled staging buffers and are then concatenated — the memcpy is
 // noise next to the compress itself. p must already be chunk-safe (see
-// chunkParams). On error dst is unmodified, so the caller may retry a
+// absParams). On error dst is unmodified, so the caller may retry a
 // different encoding into the same buffer.
 func appendChunkedBlob(pool *sched.Pool, lossy ebcl.Compressor, dst []byte, data []float32, p ebcl.Params, chunks int) ([]byte, error) {
 	subs := make([][]byte, chunks)
@@ -179,78 +164,6 @@ func appendChunkedBlob(pool *sched.Pool, lossy ebcl.Compressor, dst []byte, data
 		subs[i] = nil
 	}
 	return dst, nil
-}
-
-// compressChunkedSection builds the blob part of one chunked tensor
-// section, appending to buf (which already holds the section metadata, a
-// mode byte at modePos initialized to absolute, and the reserved length
-// prefix at lenPos). When the stream carries a reference it composes with
-// the delta machinery: if the residual looks viable, both the chunked
-// residual and the chunked absolute encodings are produced and the smaller
-// wins — the same per-tensor win policy (and exact DeltaBytesSaved
-// accounting) as the unchunked tryDeltaSection. ok=false means the tensor
-// cannot chunk after all (REL bound unresolvable on non-finite data); the
-// caller then takes the plain unchunked path, which preserves the
-// pre-chunking behavior for such tensors exactly.
-func compressChunkedSection(pool *sched.Pool, o Options, name string, data []float32, buf []byte, modePos, lenPos, chunks int, deltaMode *bool, saved *int) (section []byte, ok bool, err error) {
-	p, ok := chunkParams(data, o.LossyParams)
-	if !ok {
-		return nil, false, nil
-	}
-
-	// Residual candidacy mirrors tryDeltaSection: a same-named, same-sized
-	// reference tensor, a resolvable bound, and a residual strictly tighter
-	// than the data itself.
-	var res []float32
-	var rp ebcl.Params
-	if o.Reference != nil {
-		if rt := o.Reference.Get(name); rt != nil && rt.NumElems() == len(data) {
-			if rpc, rok := residualParams(data, o.LossyParams); rok {
-				r := sched.GetFloats(len(data))[:len(data)]
-				rangeD, rangeR, cok := computeResidual(r, data, rt.Data)
-				if cok && rangeR < rangeD {
-					res, rp = r, rpc
-				} else {
-					sched.PutFloats(r)
-				}
-			}
-		}
-	}
-
-	if res == nil {
-		section, err = appendChunkedBlob(pool, o.Lossy, buf, data, p, chunks)
-		return section, true, err
-	}
-	defer sched.PutFloats(res)
-
-	section, rerr := appendChunkedBlob(pool, o.Lossy, buf, res, rp, chunks)
-	if rerr != nil {
-		// Residual-side codec error: take the absolute path, reproducing
-		// whatever error the caller would have seen without a reference.
-		section, err = appendChunkedBlob(pool, o.Lossy, buf, data, p, chunks)
-		return section, true, err
-	}
-	deltaLen := len(section) - lenPos - ebcl.SectionLenBytes
-	absScratch := sched.GetBytes(len(data)/2 + 64)
-	absBlob, aerr := appendChunkedBlob(pool, o.Lossy, absScratch[:0], data, p, chunks)
-	if aerr != nil {
-		sched.PutBytes(absScratch)
-		section[modePos] = sectionDelta
-		*deltaMode = true
-		return section, true, nil
-	}
-	if len(absBlob) < deltaLen {
-		// Absolute wins: overwrite the residual blob in place (capacity is
-		// guaranteed — the absolute blob is strictly smaller) and leave the
-		// mode byte as initialized.
-		section = append(section[:lenPos+ebcl.SectionLenBytes], absBlob...)
-	} else {
-		section[modePos] = sectionDelta
-		*deltaMode = true
-		*saved = len(absBlob) - deltaLen
-	}
-	sched.PutBytes(absBlob)
-	return section, true, nil
 }
 
 // parseChunkedBlob validates a chunked blob's framing and returns the

@@ -203,56 +203,6 @@ func driftClone(rng *rand.Rand, sd *tensor.StateDict) *tensor.StateDict {
 	return ref
 }
 
-func TestChunkedDeltaRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 23))
-	ref := skewedDict(rng, 18432)
-	sd := driftClone(rng, ref)
-	opts := Options{ChunkElems: 2048, Reference: ref, RefEpoch: 7}
-	pool := sched.NewPool(4)
-	stream, stats, err := CompressWith(context.Background(), pool, sd, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream[4] != streamVersionV4 {
-		t.Fatalf("version %d, want %d", stream[4], streamVersionV4)
-	}
-	if stats.DeltaTensors == 0 {
-		t.Fatal("drifted dict produced no residual sections")
-	}
-	if stats.ChunkedTensors != 1 {
-		t.Fatalf("ChunkedTensors = %d, want 1", stats.ChunkedTensors)
-	}
-
-	got, dstats, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{Reference: ref, RefEpoch: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dstats.DeltaTensors != stats.DeltaTensors {
-		t.Fatalf("decode DeltaTensors %d != encode %d", dstats.DeltaTensors, stats.DeltaTensors)
-	}
-	for _, tn := range []string{"fc.weight", "conv.weight"} {
-		a, b := sd.Get(tn), got.Get(tn)
-		ebAbs := 1e-2 * ebcl.ValueRange(a.Data)
-		if e := ebcl.MaxAbsError(a.Data, b.Data); e > ebAbs*(1+1e-6) {
-			t.Fatalf("%s error %g exceeds bound %g", tn, e, ebAbs)
-		}
-	}
-
-	// Wrong epoch must fail with ErrReference (renegotiation signal), not
-	// ErrCorrupt.
-	if _, _, err := DecompressWith(context.Background(), pool, stream, DecodeOptions{Reference: ref, RefEpoch: 8}); !errors.Is(err, ErrReference) {
-		t.Fatalf("epoch mismatch: got %v, want ErrReference", err)
-	}
-	// Chunked delta must beat absolute on a drifted dict.
-	abs, _, err := Compress(sd, Options{ChunkElems: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream) >= len(abs) {
-		t.Errorf("chunked delta stream (%d B) not smaller than chunked absolute (%d B)", len(stream), len(abs))
-	}
-}
-
 // viewSource feeds DecodeSections the already-split views of Sections, one
 // per Next — the shape a frame-per-section transport delivers.
 type viewSource struct {

@@ -200,17 +200,18 @@ type Stats struct {
 // network-bound ideal of a streaming client). The mirror of
 // DecompressStats.OverlapRatio.
 func (s *Stats) EncodeOverlapRatio() float64 {
-	if s.EncodeWork <= 0 {
+	return overlapRatio(s.WriteWait, s.EncodeWork, s.CompressTime)
+}
+
+// overlapRatio is the fraction of work hidden behind the rest of a call
+// that took wall in total and spent wait blocked on its peer:
+// (wait + work − wall) / work, clamped to [0, 1].
+func overlapRatio(wait, work, wall time.Duration) float64 {
+	if work <= 0 {
 		return 0
 	}
-	hidden := s.WriteWait + s.EncodeWork - s.CompressTime
-	switch {
-	case hidden <= 0:
-		return 0
-	case hidden >= s.EncodeWork:
-		return 1
-	}
-	return float64(hidden) / float64(s.EncodeWork)
+	hidden := wait + work - wall
+	return min(max(float64(hidden)/float64(work), 0), 1)
 }
 
 // Ratio returns the end-to-end compression ratio.
@@ -273,20 +274,11 @@ type DecompressStats struct {
 	// DecodeWork is the summed per-blob decode time across all tensors and
 	// the lossless partition (it exceeds wall clock when decode fans out).
 	DecodeWork time.Duration
-	// PoolHits and PoolMisses are the sched byte-pool hit/miss deltas
-	// observed over this decode — the size-classed pool's effectiveness
-	// under this call's buffer traffic. The counters are process-wide, so
-	// concurrent decodes attribute shared traffic approximately.
-	PoolHits   uint64
-	PoolMisses uint64
-	// FloatPoolHits and FloatPoolMisses are the same deltas for the float32
-	// pool the reconstructed tensors decode into — the decode-output side
-	// of the zero-copy contract.
-	FloatPoolHits   uint64
-	FloatPoolMisses uint64
 	// BytesRecycled is the total buffer capacity this decode returned to
 	// the sched pools (blob scratch, entropy-stage tables, lossless-stage
-	// payloads) instead of dropping to the garbage collector.
+	// payloads) instead of dropping to the garbage collector. The counter
+	// is process-wide, so concurrent decodes attribute shared traffic
+	// approximately.
 	BytesRecycled uint64
 	// DeltaTensors counts tensor sections reconstructed as residual + the
 	// supplied reference (always 0 for v1/v2 streams).
@@ -315,17 +307,7 @@ type DecodeOptions struct {
 // ran strictly after receiving (wall = wait + work), 1 means it was fully
 // overlapped (wall ≈ wait, the network-bound ideal of a streaming server).
 func (s *DecompressStats) OverlapRatio() float64 {
-	if s.DecodeWork <= 0 {
-		return 0
-	}
-	hidden := s.ReadWait + s.DecodeWork - s.DecompressTime
-	switch {
-	case hidden <= 0:
-		return 0
-	case hidden >= s.DecodeWork:
-		return 1
-	}
-	return float64(hidden) / float64(s.DecodeWork)
+	return overlapRatio(s.ReadWait, s.DecodeWork, s.DecompressTime)
 }
 
 // Decompress reverses Compress on the process-wide shared worker pool. The

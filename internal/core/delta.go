@@ -1,77 +1,18 @@
 package core
 
-// Cross-round delta encoding support: residual formation and the per-tensor
-// win heuristic behind the v3 stream format, plus the delta telemetry
-// counters. The policy lives here; the mechanics (mode byte, section
-// rewrite) live in the encode worker.
+// Cross-round delta encoding, the v3 stream format: residual formation
+// (computeResidual — the finiteness and range test that makes a tensor a
+// residual candidate) and the delta telemetry counters. Whether a candidate's
+// residual is then kept — the both-ways encode, the mode-byte flip and the
+// DeltaBytesSaved accounting — is encodeBlob's decision (encode.go), made
+// once for plain and chunked blobs alike.
 
 import (
 	"math"
 	"sync"
 
-	"repro/internal/ebcl"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
-
-// tryDeltaSection attempts the residual encoding of one lossy tensor into
-// buf (which already holds the section prefix: metadata, an absolute mode
-// byte at modePos, and the reserved length prefix at lenPos). It returns
-// the complete unpatched section on success — with *deltaMode and *saved
-// set when the residual won — and nil when the tensor must take the plain
-// absolute path instead: no matching reference tensor, a PREC bound, a
-// non-finite or non-shrinking residual, or a residual-side codec error (the
-// absolute encode then reproduces whatever error the caller would have seen
-// without a reference).
-//
-// When the residual looks viable both encodings are produced and the
-// smaller section is kept — the per-tensor fallback that guarantees a delta
-// stream is never larger than its absolute counterpart, and the comparison
-// that makes DeltaBytesSaved exact. The ~2× encode cost on delta-eligible
-// tensors is the trade documented in the README; the paper's Eqn-1 cost is
-// dominated by the upload on constrained links.
-func tryDeltaSection(o Options, name string, data []float32, buf []byte, modePos, lenPos int, deltaMode *bool, saved *int) []byte {
-	rt := o.Reference.Get(name)
-	if rt == nil || rt.NumElems() != len(data) {
-		return nil
-	}
-	rp, ok := residualParams(data, o.LossyParams)
-	if !ok {
-		return nil
-	}
-	res := sched.GetFloats(len(data))[:len(data)]
-	defer sched.PutFloats(res)
-	rangeD, rangeR, ok := computeResidual(res, data, rt.Data)
-	if !ok || rangeR >= rangeD {
-		// The residual is no tighter than the data (cold reference, diverged
-		// client): skip straight to absolute without paying a second encode.
-		return nil
-	}
-	section, err := o.Lossy.CompressAppend(buf, res, rp)
-	if err != nil {
-		return nil
-	}
-	deltaLen := len(section) - lenPos - ebcl.SectionLenBytes
-	absScratch := sched.GetBytes(len(data)/2 + 64)
-	absBlob, aerr := o.Lossy.CompressAppend(absScratch[:0], data, o.LossyParams)
-	if aerr != nil {
-		sched.PutBytes(absScratch)
-		*deltaMode = true
-		return section
-	}
-	if len(absBlob) < deltaLen {
-		// Absolute wins: overwrite the residual blob in place (capacity is
-		// guaranteed — the absolute blob is strictly smaller) and leave the
-		// mode byte as it was initialized.
-		section = append(section[:lenPos+ebcl.SectionLenBytes], absBlob...)
-	} else {
-		section[modePos] = sectionDelta
-		*deltaMode = true
-		*saved = len(absBlob) - deltaLen
-	}
-	sched.PutBytes(absBlob)
-	return section
-}
 
 // computeResidual fills res[i] = data[i] − ref[i] and reports the value
 // ranges of data and of the residual. ok is false when any element of data,
@@ -101,28 +42,6 @@ func computeResidual(res, data, ref []float32) (rangeData, rangeRes float64, ok 
 		return rangeData, rangeRes, false
 	}
 	return rangeData, rangeRes, true
-}
-
-// residualParams maps the caller's error-control setting onto the residual.
-// A REL bound is resolved to an absolute bound against the *original*
-// tensor's value range first (reconstruction is ref + residual' with the
-// reference exact at both ends, so |recon − data| = |residual' − residual|
-// ≤ that absolute bound — the documented contract on the original data). An
-// ABS bound carries over unchanged. PREC has no bound to map, so fixed-
-// precision tensors never take the delta path.
-func residualParams(data []float32, p ebcl.Params) (ebcl.Params, bool) {
-	switch p.Mode {
-	case ebcl.ModeAbsolute:
-		return p, true
-	case ebcl.ModeRelative:
-		eb, err := ebcl.ResolveAbs(data, p)
-		if err != nil || eb <= 0 {
-			return p, false
-		}
-		return ebcl.Abs(eb), true
-	default:
-		return p, false
-	}
 }
 
 type deltaCounters struct {

@@ -1,0 +1,274 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"repro/internal/compressors"
+	"repro/internal/ebcl"
+	"repro/internal/tensor"
+)
+
+// parseTensors returns the stream's parsed tensor sections in stream order.
+func parseTensors(t *testing.T, stream []byte) []*ParsedTensor {
+	t.Helper()
+	secs, err := Sections(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := ParseHeader(secs.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]*ParsedTensor, len(secs.Tensors))
+	for i, sec := range secs.Tensors {
+		if pts[i], err = ParseTensorSection(hdr, sec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pts
+}
+
+// sentinelRefuser is an EBLC that cannot encode any input containing the
+// sentinel value — the stand-in for a registered third-party codec that
+// fails on one candidate of the both-ways policy but not the other.
+type sentinelRefuser struct {
+	ebcl.Compressor
+	sentinel float32
+}
+
+func (c sentinelRefuser) CompressAppend(dst []byte, data []float32, p ebcl.Params) ([]byte, error) {
+	if slices.Contains(data, c.sentinel) {
+		return nil, errors.New("sentinel in input")
+	}
+	return c.Compressor.CompressAppend(dst, data, p)
+}
+
+// TestDeltaAbsoluteCandidateError: when the absolute candidate errors after
+// the residual candidate succeeded, the residual is the section — and the
+// section must say so. The unchunked encoder used to count the tensor as a
+// residual but leave its mode byte absolute, so the decoder reconstructed
+// the residual without adding the reference back.
+func TestDeltaAbsoluteCandidateError(t *testing.T) {
+	const sentinel, bound = 0.40625, 1e-3
+	sz2, err := compressors.Get("sz2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(19, 1))
+	ref := skewedDict(rng, 18432)
+	sd := driftClone(rng, ref)
+	// The data holds the sentinel; data − ref (≈ 0.4) does not.
+	sd.Get("fc.weight").Data[5000] = sentinel
+
+	for _, chunkElems := range []int{-1, 2048} {
+		opts := Options{
+			Lossy:       sentinelRefuser{sz2, sentinel},
+			LossyParams: ebcl.Abs(bound),
+			ChunkElems:  chunkElems,
+			Reference:   ref,
+			RefEpoch:    1,
+		}
+		stream, stats, err := Compress(sd, opts)
+		if err != nil {
+			t.Fatalf("ChunkElems %d: %v", chunkElems, err)
+		}
+		got, dstats, err := DecompressWith(context.Background(), nil, stream, DecodeOptions{Reference: ref, RefEpoch: 1})
+		if err != nil {
+			t.Fatalf("ChunkElems %d: %v", chunkElems, err)
+		}
+		if stats.DeltaTensors != dstats.DeltaTensors {
+			t.Errorf("ChunkElems %d: encoder counts %d residual sections, decoder %d",
+				chunkElems, stats.DeltaTensors, dstats.DeltaTensors)
+		}
+		if pt := parseTensors(t, stream)[0]; pt.Name != "fc.weight" || !pt.Delta {
+			t.Errorf("ChunkElems %d: section %q mode byte is not sectionDelta", chunkElems, pt.Name)
+		}
+		if e := ebcl.MaxAbsError(sd.Get("fc.weight").Data, got.Get("fc.weight").Data); e > bound*(1+1e-6) {
+			t.Errorf("ChunkElems %d: max error %g exceeds bound %g", chunkElems, e, bound)
+		}
+	}
+}
+
+// TestBlobPolicyTable drives encodeBlob's one policy over every blob shape:
+// {unchunked, chunked} × every way a tensor can or cannot be a residual
+// candidate. skewedDict's fc.weight (18432 elems) chunks at a 2048 target;
+// conv.weight (1600 elems) never does.
+func TestBlobPolicyTable(t *testing.T) {
+	const epoch = 7
+	base := func() *tensor.StateDict { return skewedDict(rand.New(rand.NewPCG(19, 2)), 18432) }
+	warm := func(sd *tensor.StateDict) *tensor.StateDict { return driftClone(rand.New(rand.NewPCG(19, 3)), sd) }
+	// without returns a warm reference whose fc.weight is replaced by repl
+	// (dropped when nil).
+	without := func(sd *tensor.StateDict, repl *tensor.Tensor) *tensor.StateDict {
+		ref := tensor.NewStateDict()
+		for _, e := range warm(sd).Entries() {
+			switch {
+			case e.Name != "fc.weight":
+				ref.Add(e.Name, e.Kind, e.Tensor)
+			case repl != nil:
+				ref.Add(e.Name, e.Kind, repl)
+			}
+		}
+		return ref
+	}
+	both := []string{"fc.weight", "conv.weight"}
+
+	cases := []struct {
+		name   string
+		lossy  string
+		params ebcl.Params
+		// poison, when set, overwrites one fc.weight element.
+		poison float32
+		ref    func(sd *tensor.StateDict) *tensor.StateDict
+		// wantDelta names the tensors whose section must be a residual.
+		wantDelta []string
+		// plain marks fc.weight as unable to chunk whatever chunkCount says.
+		plain bool
+	}{
+		{name: "no reference", lossy: "sz2", params: ebcl.Rel(1e-2)},
+		{name: "warm reference REL", lossy: "sz2", params: ebcl.Rel(1e-2), ref: warm, wantDelta: both},
+		{name: "warm reference ABS", lossy: "sz3", params: ebcl.Abs(1e-3), ref: warm, wantDelta: both},
+		{name: "cold reference", lossy: "sz2", params: ebcl.Rel(1e-2),
+			// ref = −data: the residual 2·data is wider than the data.
+			ref: func(sd *tensor.StateDict) *tensor.StateDict {
+				ref := warm(sd)
+				for _, e := range ref.Entries() {
+					for i, v := range sd.Get(e.Name).Data {
+						e.Tensor.Data[i] = -v
+					}
+				}
+				return ref
+			}},
+		{name: "reference missing the tensor", lossy: "sz2", params: ebcl.Rel(1e-2),
+			ref:       func(sd *tensor.StateDict) *tensor.StateDict { return without(sd, nil) },
+			wantDelta: []string{"conv.weight"}},
+		{name: "reference tensor mis-sized", lossy: "sz2", params: ebcl.Rel(1e-2),
+			ref:       func(sd *tensor.StateDict) *tensor.StateDict { return without(sd, tensor.New(18431)) },
+			wantDelta: []string{"conv.weight"}},
+		{name: "PREC has no bound to carry over", lossy: "zfp", params: ebcl.Precision(16), ref: warm},
+		// Only zfp encodes REL over an infinite range at all (its residual of
+		// the finite conv.weight loses to the absolute blob).
+		{name: "REL unresolvable on infinite data", lossy: "zfp", params: ebcl.Rel(1e-2),
+			poison: float32(math.Inf(1)), ref: warm, plain: true},
+		{name: "NaN residual", lossy: "sz2", params: ebcl.Abs(1e-3),
+			poison: float32(math.NaN()), ref: warm, wantDelta: []string{"conv.weight"}},
+	}
+	for _, tc := range cases {
+		for _, chunkElems := range []int{-1, 2048} {
+			t.Run(fmt.Sprintf("%s/chunk%d", tc.name, chunkElems), func(t *testing.T) {
+				lossy, err := compressors.Get(tc.lossy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sd := base()
+				if tc.poison != 0 {
+					sd.Get("fc.weight").Data[100] = tc.poison
+				}
+				opts := Options{Lossy: lossy, LossyParams: tc.params, ChunkElems: chunkElems}
+				absStream, _, err := Compress(sd, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var dopts DecodeOptions
+				if tc.ref != nil {
+					opts.Reference, opts.RefEpoch = tc.ref(sd), epoch
+					dopts = DecodeOptions{Reference: opts.Reference, RefEpoch: epoch}
+				}
+				stream, stats, err := Compress(sd, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				// The version follows chunkCount alone (the header is out before
+				// any tensor is looked at); the blob may still fall back.
+				wantChunked := 0
+				wantVersion := byte(streamVersion)
+				switch {
+				case chunkCount(18432, chunkElemsOf(opts)) > 1:
+					wantVersion = streamVersionV4
+					if !tc.plain {
+						wantChunked = 1
+					}
+				case tc.ref != nil:
+					wantVersion = streamVersionV3
+				}
+				if stream[4] != wantVersion {
+					t.Errorf("stream version %d, want %d", stream[4], wantVersion)
+				}
+
+				got, dstats, err := DecompressWith(context.Background(), nil, stream, dopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.DeltaTensors != len(tc.wantDelta) || dstats.DeltaTensors != len(tc.wantDelta) {
+					t.Errorf("DeltaTensors: encoder %d, decoder %d, want %d", stats.DeltaTensors, dstats.DeltaTensors, len(tc.wantDelta))
+				}
+				if stats.ChunkedTensors != wantChunked || dstats.ChunkedTensors != wantChunked {
+					t.Errorf("ChunkedTensors: encoder %d, decoder %d, want %d", stats.ChunkedTensors, dstats.ChunkedTensors, wantChunked)
+				}
+				if len(tc.wantDelta) > 0 {
+					// A decoder holding another epoch's reference must ask for
+					// renegotiation, not decode wrong data or call the peer broken.
+					dopts.RefEpoch++
+					if _, _, err := DecompressWith(context.Background(), nil, stream, dopts); !errors.Is(err, ErrReference) {
+						t.Errorf("epoch mismatch: got %v, want ErrReference", err)
+					}
+				}
+
+				// Section by section against the same-options absolute stream: a
+				// residual is never longer than the absolute blob it replaced
+				// and accounts for exactly the difference; anything else is
+				// that absolute blob, byte for byte.
+				saved := 0
+				abs := parseTensors(t, absStream)
+				for i, pt := range parseTensors(t, stream) {
+					if want := slices.Contains(tc.wantDelta, pt.Name); pt.Delta != want {
+						t.Errorf("%s: residual section = %v, want %v", pt.Name, pt.Delta, want)
+					}
+					switch {
+					case !pt.Delta:
+						if !bytes.Equal(pt.Blob, abs[i].Blob) {
+							t.Errorf("%s: absolute section differs from the no-reference encode", pt.Name)
+						}
+					case len(pt.Blob) > len(abs[i].Blob):
+						t.Errorf("%s: residual blob %d B longer than absolute %d B", pt.Name, len(pt.Blob), len(abs[i].Blob))
+					}
+					saved += len(abs[i].Blob) - len(pt.Blob)
+				}
+				if stats.DeltaBytesSaved != saved || (saved == 0) != (len(tc.wantDelta) == 0) {
+					t.Errorf("DeltaBytesSaved %d, sections differ by %d over %d residuals", stats.DeltaBytesSaved, saved, len(tc.wantDelta))
+				}
+
+				// The bound holds on the original data, residual or not. zfp
+				// promises none; a poisoned tensor is checked on its finite
+				// values.
+				if tc.lossy == "zfp" {
+					return
+				}
+				for _, name := range both {
+					a, b := sd.Get(name).Data, got.Get(name).Data
+					eb := tc.params.Value
+					if tc.params.Mode == ebcl.ModeRelative {
+						eb *= ebcl.ValueRange(a)
+					}
+					for i := range a {
+						if fin := !math.IsNaN(float64(a[i])) && !math.IsInf(float64(a[i]), 0); !fin {
+							if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+								t.Fatalf("%s[%d]: non-finite value not preserved: got %g", name, i, b[i])
+							}
+						} else if e := math.Abs(float64(a[i]) - float64(b[i])); e > eb*(1+1e-6) {
+							t.Fatalf("%s[%d]: error %g exceeds bound %g", name, i, e, eb)
+						}
+					}
+				}
+			})
+		}
+	}
+}

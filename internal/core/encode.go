@@ -18,6 +18,13 @@ package core
 // paths are bit-identical by construction), CompressTo writes them to an
 // io.Writer, and wire.Writer.WriteSection maps them 1:1 onto transport
 // frames so a sender never materializes the whole stream.
+//
+// Everything after the header is one array of section records — the lossy
+// tensors in stream order, then the metadata partition — each filled by one
+// pool task and emitted through one wait / error / abort path. A tensor's
+// blob is decided in one function, encodeBlob: plain, chunked (chunk.go),
+// cross-round residual (delta.go) or chunked residual, under one
+// keep-the-smaller policy.
 
 import (
 	"context"
@@ -74,14 +81,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 	entries := sd.Entries()
 	flags := make([]byte, len(entries))
 	rest := tensor.NewStateDict()
-	type lossyMeta struct {
-		name   string
-		kind   tensor.Kind
-		shape  []int
-		data   []float32
-		chunks int
-	}
-	var lossyMetas []lossyMeta
+	secs := make([]section, 0, len(entries)+1)
 	// Any tensor big enough to chunk switches the whole stream to v4. The
 	// decision is derived from element counts and Options alone — never
 	// from pool parallelism — so the emitted bytes are reproducible; when
@@ -95,7 +95,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 			if chunks > 1 {
 				chunkedStream = true
 			}
-			lossyMetas = append(lossyMetas, lossyMeta{e.Name, e.Kind, e.Tensor.Shape, e.Tensor.Data, chunks})
+			secs = append(secs, section{name: e.Name, kind: e.Kind, shape: e.Tensor.Shape, data: e.Tensor.Data, chunks: chunks})
 			stats.LossyTensors++
 			stats.LossyRaw += e.Tensor.SizeBytes()
 		} else {
@@ -105,6 +105,11 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 			stats.LosslessRaw += e.Tensor.SizeBytes()
 		}
 	}
+	// The metadata partition is the last record: independent of every
+	// tensor, so it is submitted first and compresses concurrently from the
+	// start, and emitted last.
+	n := len(secs)
+	secs = append(secs, section{})
 	// v4 sections always carry a mode byte, and the v4 header always
 	// carries the reference epoch (0 without a reference) — the v3 layout
 	// with chunked blobs allowed.
@@ -118,10 +123,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 			// A cancelled context usually kills the writer too (deadline
 			// cut, closed socket); report the cancellation, not the wreck
 			// it caused downstream.
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return err
+			return ctxFirst(ctx, err)
 		}
 		stats.CompressedBytes += len(payload)
 		return nil
@@ -160,200 +162,262 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 		return nil, err
 	}
 
-	// Fan the blob work out on the pool. done[i] closes when blob i is
-	// ready; the emit loop below waits for blobs in stream order while
-	// later ones are still compressing. The lossless partition is
-	// independent of every tensor, so it compresses concurrently from the
-	// start and is emitted last.
-	n := len(lossyMetas)
-	blobs := make([][]byte, n)
-	blobLens := make([]int, n)
-	deltaMode := make([]bool, n)
-	chunked := make([]bool, n)
-	savedBytes := make([]int, n)
-	errs := make([]error, n)
-	done := make([]chan struct{}, n)
+	// Fan the section work out on the pool. A record's done channel closes
+	// when its section is ready; the emit loop below waits for sections in
+	// stream order while later ones are still compressing.
 	var encodeWork atomic.Int64
 	g := pool.Group()
 	submit := func(i int) {
-		ch := make(chan struct{})
-		done[i] = ch
+		s := &secs[i]
+		s.done = make(chan struct{})
 		g.Go(func() {
-			defer close(ch)
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
+			defer close(s.done)
+			if s.err = ctx.Err(); s.err != nil {
 				return
 			}
 			t0 := time.Now()
-			// The worker builds the complete tensor section: metadata, a
-			// reserved fixed-width length prefix, then the codec's output
-			// appended directly behind it. Backfilling the prefix afterwards
-			// means the compressed blob is emitted exactly where
-			// CompressAppend wrote it — no blob→scratch memmove per section.
-			// The pooled buffer is sized for a ~4x ratio; the emit loop
-			// recycles it once the section is written.
-			m := lossyMetas[i]
-			buf := sched.GetBytes(len(m.data) + 64)
-			buf = appendString(buf[:0], m.name)
-			buf = append(buf, byte(m.kind), byte(len(m.shape)))
-			for _, d := range m.shape {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-			}
-			modePos := -1
-			if modeBytes {
-				// v3/v4 sections carry a mode byte ahead of the length
-				// prefix; it starts absolute and is flipped only when the
-				// residual encoding wins below.
-				modePos = len(buf)
-				buf = append(buf, sectionAbsolute)
-			}
-			lenPos := len(buf)
-			buf = ebcl.ReserveSectionLen(buf)
-
-			var section []byte
-			var err error
-			if m.chunks > 1 {
-				// Chunked (v4) blob: the chunk jobs fan out on the same
-				// pool, sharing the tensor-level budget. A REL bound on
-				// non-finite data cannot chunk (ok=false) and falls through
-				// to the plain path below, exactly as before chunking.
-				var ok bool
-				section, ok, err = compressChunkedSection(pool, o, m.name, m.data,
-					buf, modePos, lenPos, m.chunks, &deltaMode[i], &savedBytes[i])
-				if ok && err == nil {
-					chunked[i] = true
-				}
-			}
-			if section == nil && err == nil && deltaStream {
-				section = tryDeltaSection(o, m.name, m.data, buf, modePos, lenPos,
-					&deltaMode[i], &savedBytes[i])
-			}
-			if section == nil && err == nil {
-				section, err = o.Lossy.CompressAppend(buf, m.data, o.LossyParams)
-			}
-			if err != nil {
-				sched.PutBytes(buf)
-				errs[i] = err
+			if i == n {
+				s.encodeRest(o, rest)
 			} else {
-				blobLens[i] = len(section) - lenPos - ebcl.SectionLenBytes
-				ebcl.PatchSectionLen(section, lenPos, uint64(blobLens[i]))
-				blobs[i] = section
+				s.encodeTensor(pool, o, modeBytes)
 			}
 			encodeWork.Add(int64(time.Since(t0)))
 		})
 	}
-	var restBlob []byte
-	var restErr error
-	restDone := make(chan struct{})
-	g.Go(func() {
-		defer close(restDone)
-		if err := ctx.Err(); err != nil {
-			restErr = err
-			return
-		}
-		t0 := time.Now()
-		restRaw := rest.MarshalAppend(sched.GetBytes(rest.MarshalSize()))
-		restBlob, restErr = o.Lossless.Compress(restRaw)
-		sched.PutBytes(restRaw)
-		encodeWork.Add(int64(time.Since(t0)))
-	})
-
-	// abort drains in-flight work and recycles any blobs the emit loop has
-	// not consumed, so a cancelled or failed encode leaks neither pool
+	// abort drains in-flight work and recycles any sections the emit loop
+	// has not consumed, so a cancelled or failed encode leaks neither pool
 	// slots nor buffers.
-	abort := func() {
+	abort := func(err error) (*Stats, error) {
 		g.Wait()
-		for i := range blobs {
-			if blobs[i] != nil {
-				sched.PutBytes(blobs[i])
-				blobs[i] = nil
-			}
+		for i := range secs {
+			sched.PutBytes(secs[i].out)
 		}
-		if restBlob != nil {
-			sched.PutBytes(restBlob)
-		}
-	}
-	finish := func() (*Stats, error) {
-		stats.EncodeWork = time.Duration(encodeWork.Load())
-		stats.CompressTime = time.Since(start)
-		stats.BytesRecycled = sched.RecycledBytes() - recycled0
-		stageFor(o.Lossy.Name()).encode.Observe(stats.CompressTime.Seconds())
-		return stats, nil
+		return nil, err
 	}
 
-	// Keep a bounded window of blob tasks in flight ahead of the emit
+	// Keep a bounded window of tensor tasks in flight ahead of the emit
 	// cursor: enough to saturate the pool, small enough that a slow writer
 	// cannot force the whole compressed stream to buffer in memory.
-	window := pool.Parallelism() + 1
+	submit(n)
 	submitted := 0
-	for submitted < n && submitted < window {
+	for window := pool.Parallelism() + 1; submitted < n && submitted < window; submitted++ {
 		submit(submitted)
-		submitted++
 	}
-	for i := 0; i < n; i++ {
+	for i := range secs {
+		s := &secs[i]
 		select {
-		case <-done[i]:
+		case <-s.done:
 		case <-ctx.Done():
-			abort()
-			return nil, ctx.Err()
+			return abort(ctx.Err())
 		}
-		if err := errs[i]; err != nil {
-			abort()
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
+		if s.err != nil {
+			return abort(ctxFirst(ctx, s.err))
+		}
+		kind := SectionTensor
+		if i == n {
+			kind = SectionLossless
+			stats.LosslessCompressed = s.blobLen
+		} else {
+			stats.LossyCompressed += s.blobLen
+			if s.chunked {
+				stats.ChunkedTensors++
 			}
-			return nil, fmt.Errorf("core: lossy compress %q: %w", lossyMetas[i].name, err)
-		}
-		stats.LossyCompressed += blobLens[i]
-		if chunked[i] {
-			stats.ChunkedTensors++
-		}
-		if deltaStream {
-			dm := deltaMetrics()
-			if deltaMode[i] {
-				stats.DeltaTensors++
-				stats.DeltaBytesSaved += savedBytes[i]
-				dm.deltaSec.Inc()
-				dm.bytesSaved.Add(uint64(savedBytes[i]))
-			} else {
-				dm.absoluteSec.Inc()
+			if deltaStream {
+				dm := deltaMetrics()
+				if s.delta {
+					stats.DeltaTensors++
+					stats.DeltaBytesSaved += s.saved
+					dm.deltaSec.Inc()
+					dm.bytesSaved.Add(uint64(s.saved))
+				} else {
+					dm.absoluteSec.Inc()
+				}
 			}
 		}
-		if err := emitSection(SectionTensor, blobs[i]); err != nil {
-			abort()
-			return nil, err
+		if err := emitSection(kind, s.out); err != nil {
+			return abort(err)
 		}
-		sched.PutBytes(blobs[i])
-		blobs[i] = nil
+		sched.PutBytes(s.out)
+		s.out = nil
 		if submitted < n {
 			submit(submitted)
 			submitted++
 		}
 	}
-
-	select {
-	case <-restDone:
-	case <-ctx.Done():
-		abort()
-		return nil, ctx.Err()
-	}
-	if restErr != nil {
-		abort()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("core: lossless compress: %w", restErr)
-	}
-	stats.LosslessCompressed = len(restBlob)
-	scratch = ebcl.AppendSection(scratch[:0], restBlob)
-	sched.PutBytes(restBlob)
-	restBlob = nil
-	if err := emitSection(SectionLossless, scratch); err != nil {
-		abort()
-		return nil, err
-	}
 	g.Wait()
-	return finish()
+	stats.EncodeWork = time.Duration(encodeWork.Load())
+	stats.CompressTime = time.Since(start)
+	stats.BytesRecycled = sched.RecycledBytes() - recycled0
+	stageFor(o.Lossy.Name()).encode.Observe(stats.CompressTime.Seconds())
+	return stats, nil
+}
+
+// section is one unit of CompressSections' fanned-out work: a lossy tensor
+// (the inputs name..chunks are set) or, as the last record, the metadata
+// partition. The worker fills the result fields and closes done.
+type section struct {
+	name   string
+	kind   tensor.Kind
+	shape  []int
+	data   []float32
+	chunks int
+
+	done    chan struct{}
+	out     []byte // the finished, length-prefixed section (pooled)
+	blobLen int    // its compressed blob, without metadata and prefix
+	chunked bool   // the blob uses the chunked (v4) layout
+	delta   bool   // the blob encodes data − reference
+	saved   int    // bytes the residual saved over the absolute candidate
+	err     error
+}
+
+// encodeRest marshals and compresses the metadata partition.
+func (s *section) encodeRest(o Options, rest *tensor.StateDict) {
+	raw := rest.MarshalAppend(sched.GetBytes(rest.MarshalSize()))
+	blob, err := o.Lossless.Compress(raw)
+	sched.PutBytes(raw)
+	if err != nil {
+		s.err = fmt.Errorf("core: lossless compress: %w", err)
+		return
+	}
+	s.blobLen = len(blob)
+	s.out = ebcl.AppendSection(sched.GetBytes(len(blob)+ebcl.SectionLenBytes), blob)
+	sched.PutBytes(blob)
+}
+
+// encodeTensor builds the complete tensor section: metadata, a reserved
+// fixed-width length prefix, then the codec's output appended directly
+// behind it. Backfilling the prefix afterwards means the compressed blob is
+// emitted exactly where CompressAppend wrote it — no blob→scratch memmove
+// per section. The pooled buffer is sized for a ~4x ratio; the emit loop
+// recycles it once the section is written.
+func (s *section) encodeTensor(pool *sched.Pool, o Options, modeBytes bool) {
+	buf := sched.GetBytes(len(s.data) + 64)
+	buf = appendString(buf[:0], s.name)
+	buf = append(buf, byte(s.kind), byte(len(s.shape)))
+	for _, d := range s.shape {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	}
+	modePos := -1
+	if modeBytes {
+		// v3/v4 sections carry a mode byte ahead of the length prefix; it
+		// starts absolute and encodeBlob flips it when the residual wins.
+		modePos = len(buf)
+		buf = append(buf, sectionAbsolute)
+	}
+	lenPos := len(buf)
+	buf = ebcl.ReserveSectionLen(buf)
+	out, err := s.encodeBlob(pool, o, buf, modePos, lenPos)
+	if err != nil {
+		sched.PutBytes(buf)
+		s.err = fmt.Errorf("core: lossy compress %q: %w", s.name, err)
+		return
+	}
+	s.blobLen = len(out) - lenPos - ebcl.SectionLenBytes
+	ebcl.PatchSectionLen(out, lenPos, uint64(s.blobLen))
+	s.out = out
+}
+
+// encodeBlob appends the tensor's compressed blob to buf (which holds the
+// section prefix: metadata, an absolute mode byte at modePos when the
+// stream has mode bytes, and the reserved length prefix at lenPos) and
+// returns the unpatched section. It is the one place a blob's shape is
+// decided — plain, chunked, residual, or chunked residual:
+//
+//   - The chunk count only selects the blob writer: chunks > 1 frames
+//     block-aligned sub-blobs behind a jump table (appendChunkedBlob), else
+//     the codec writes one stream.
+//   - Chunks and residuals need an absolute bound, resolved once against the
+//     original tensor (absParams). A tensor whose bound cannot be resolved
+//     (REL on non-finite data) does neither and takes the plain path.
+//   - A residual is a candidate when the reference holds a same-named,
+//     same-sized tensor, the bound is not PREC (nothing to carry over), and
+//     the residual is finite and strictly tighter than the data. Then both
+//     encodings are produced and the smaller is kept — a delta stream is
+//     never larger than its absolute counterpart, and DeltaBytesSaved is
+//     exact. The ~2× encode cost on eligible tensors is the trade documented
+//     in the README. A codec error on one candidate keeps the other; only an
+//     absolute-side error with no residual to fall back on fails the tensor.
+func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, lenPos int) ([]byte, error) {
+	var ref []float32
+	if o.Reference != nil {
+		if rt := o.Reference.Get(s.name); rt != nil && rt.NumElems() == len(s.data) {
+			ref = rt.Data
+		}
+	}
+	// The unchunked absolute candidate keeps the caller's params verbatim (the
+	// codec resolves REL itself, as it always has); chunked and residual
+	// candidates get the bound resolved against the whole original tensor.
+	absP, resP := o.LossyParams, o.LossyParams
+	resolved := false
+	if s.chunks > 1 || ref != nil {
+		resP, resolved = absParams(s.data, o.LossyParams)
+	}
+	s.chunked = s.chunks > 1 && resolved
+	if s.chunked {
+		absP = resP
+	}
+	write := func(dst []byte, vals []float32, p ebcl.Params) ([]byte, error) {
+		if s.chunked {
+			return appendChunkedBlob(pool, o.Lossy, dst, vals, p, s.chunks)
+		}
+		return o.Lossy.CompressAppend(dst, vals, p)
+	}
+
+	if ref == nil || !resolved || resP.Mode != ebcl.ModeAbsolute {
+		return write(buf, s.data, absP)
+	}
+	res := sched.GetFloats(len(s.data))[:len(s.data)]
+	defer sched.PutFloats(res)
+	rangeD, rangeR, ok := computeResidual(res, s.data, ref)
+	if !ok || rangeR >= rangeD {
+		// The residual is no tighter than the data (cold reference, diverged
+		// client): absolute only, without paying a second encode.
+		return write(buf, s.data, absP)
+	}
+	out, err := write(buf, res, resP)
+	if err != nil {
+		// Only the absolute encodes (or reproduces the error the caller would
+		// have seen without a reference).
+		return write(buf, s.data, absP)
+	}
+	deltaLen := len(out) - lenPos - ebcl.SectionLenBytes
+	scratch := sched.GetBytes(len(s.data)/2 + 64)
+	absBlob, err := write(scratch, s.data, absP)
+	if err != nil {
+		// Only the residual encodes: it is the section, and says so below.
+		sched.PutBytes(scratch)
+	} else {
+		defer sched.PutBytes(absBlob)
+		if len(absBlob) < deltaLen {
+			// Absolute wins: overwrite the residual blob in place (capacity is
+			// guaranteed — the absolute blob is strictly smaller) and leave
+			// the mode byte as it was initialized.
+			return append(out[:lenPos+ebcl.SectionLenBytes], absBlob...), nil
+		}
+		s.saved = len(absBlob) - deltaLen
+	}
+	out[modePos] = sectionDelta
+	s.delta = true
+	return out, nil
+}
+
+// absParams resolves the caller's error-control setting to one that means
+// the same on any part of the tensor or on its residual: a REL bound becomes
+// the ABS bound it implies on the *original* tensor's value range (the
+// documented SZ convention; reconstruction is ref + residual' with the
+// reference exact at both ends, so |recon − data| = |residual' − residual| ≤
+// that bound). ABS and PREC carry over unchanged. ok is false when a REL
+// bound cannot be resolved (non-finite data).
+func absParams(data []float32, p ebcl.Params) (ebcl.Params, bool) {
+	if p.Mode != ebcl.ModeRelative {
+		return p, true
+	}
+	eb, err := ebcl.ResolveAbs(data, p)
+	if err != nil || eb <= 0 {
+		return p, false
+	}
+	return ebcl.Abs(eb), true
 }
 
 // CompressTo streams the FedSZ encode of sd straight into w, drawing blob

@@ -412,8 +412,6 @@ func ctxFirst(ctx context.Context, err error) error {
 // On any error no pool slot and no pooled buffer stays out.
 func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, dopts DecodeOptions) (*DecodedStream, *DecompressStats, error) {
 	start := time.Now()
-	poolHits0, poolMisses0 := sched.BytePoolCounters()
-	floatHits0, floatMisses0 := sched.FloatPoolCounters()
 	recycled0 := sched.RecycledBytes()
 
 	sec, err := src.Next(SectionHeader)
@@ -521,21 +519,15 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		return fail(err)
 	}
 
-	poolHits1, poolMisses1 := sched.BytePoolCounters()
-	floatHits1, floatMisses1 := sched.FloatPoolCounters()
 	elapsed := time.Since(start)
 	stageFor(hdr.LossyName).decode.Observe(elapsed.Seconds())
 	return d, &DecompressStats{
-		DecompressTime:  elapsed,
-		ReadWait:        src.ReadWait(),
-		DecodeWork:      time.Duration(decodeWork.Load()),
-		PoolHits:        poolHits1 - poolHits0,
-		PoolMisses:      poolMisses1 - poolMisses0,
-		FloatPoolHits:   floatHits1 - floatHits0,
-		FloatPoolMisses: floatMisses1 - floatMisses0,
-		BytesRecycled:   sched.RecycledBytes() - recycled0,
-		DeltaTensors:    nDelta,
-		ChunkedTensors:  nChunked,
+		DecompressTime: elapsed,
+		ReadWait:       src.ReadWait(),
+		DecodeWork:     time.Duration(decodeWork.Load()),
+		BytesRecycled:  sched.RecycledBytes() - recycled0,
+		DeltaTensors:   nDelta,
+		ChunkedTensors: nChunked,
 	}, nil
 }
 

@@ -69,4 +69,3 @@ func (r *Ref) Provider() func(epoch uint32) *tensor.StateDict {
 		return nil
 	}
 }
-

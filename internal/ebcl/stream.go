@@ -48,6 +48,50 @@ func ParseHeader(stream []byte, wantMagic uint32) (n int, layout byte, rest []by
 	return n, stream[8], stream[9:], nil
 }
 
+// AppendDegenerate writes the complete stream for the two inputs no codec
+// pipeline runs on: empty data, and constant data (every element equal to
+// data[0] — each codec decides that its own way). ok is false, with dst
+// untouched, for anything else.
+func AppendDegenerate(dst []byte, magic uint32, data []float32, constant bool) (out []byte, ok bool) {
+	switch {
+	case len(data) == 0:
+		return AppendHeader(dst, magic, 0, LayoutEmpty), true
+	case constant:
+		out = AppendHeader(dst, magic, len(data), LayoutConstant)
+		return binary.LittleEndian.AppendUint32(out, math.Float32bits(data[0])), true
+	}
+	return dst, false
+}
+
+// DecodeLayout parses the common header and finishes the layouts
+// AppendDegenerate wrote: for those out is the complete reconstruction in
+// dst's storage and full is false. For LayoutFull it returns the element
+// count and the bytes after the header, for the codec's own pipeline. full
+// is false on error.
+func DecodeLayout(dst []float32, stream []byte, magic uint32) (out []float32, n int, rest []byte, full bool, err error) {
+	n, layout, rest, err := ParseHeader(stream, magic)
+	if err != nil {
+		return nil, 0, nil, false, err
+	}
+	switch layout {
+	case LayoutEmpty:
+		return GrowFloats(dst, 0), 0, nil, false, nil
+	case LayoutConstant:
+		if len(rest) < 4 {
+			return nil, 0, nil, false, ErrCorrupt
+		}
+		v := math.Float32frombits(binary.LittleEndian.Uint32(rest))
+		out = GrowFloats(dst, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out, n, nil, false, nil
+	case LayoutFull:
+		return nil, n, rest, true, nil
+	}
+	return nil, 0, nil, false, ErrCorrupt
+}
+
 // AppendSection appends a uvarint-length-prefixed byte section.
 func AppendSection(dst, section []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(section)))

@@ -240,17 +240,8 @@ type Stats struct {
 // pipelining payoff: 0 means receive-then-decode, 1 means decode fully
 // overlapped with receive.
 func (s Stats) OverlapRatio() float64 {
-	if s.DecodeWork <= 0 {
-		return 0
-	}
-	hidden := s.ReadWait + s.DecodeWork - s.Wall
-	switch {
-	case hidden <= 0:
-		return 0
-	case hidden >= s.DecodeWork:
-		return 1
-	}
-	return float64(hidden) / float64(s.DecodeWork)
+	sum := core.DecompressStats{ReadWait: s.ReadWait, DecodeWork: s.DecodeWork, DecompressTime: s.Wall}
+	return sum.OverlapRatio()
 }
 
 // Server is a streaming FedSZ aggregation server.

@@ -87,12 +87,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return ebcl.AppendHeader(dst, magic, 0, ebcl.LayoutEmpty), nil
-	}
-	if ebAbs == 0 {
-		out := ebcl.AppendHeader(dst, magic, len(data), ebcl.LayoutConstant)
-		return binary.LittleEndian.AppendUint32(out, math.Float32bits(data[0])), nil
+	if out, ok := ebcl.AppendDegenerate(dst, magic, data, ebAbs == 0); ok {
+		return out, nil
 	}
 
 	q := ebcl.NewQuantizer(ebAbs)
@@ -201,26 +197,9 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 // storage. Coefficient and literal sections are read in place (no
 // materialized copies) and the lossless-stage scratch is recycled.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	n, layout, rest, err := ebcl.ParseHeader(stream, magic)
-	if err != nil {
-		return nil, err
-	}
-	switch layout {
-	case ebcl.LayoutEmpty:
-		return ebcl.GrowFloats(dst, 0), nil
-	case ebcl.LayoutConstant:
-		if len(rest) < 4 {
-			return nil, ebcl.ErrCorrupt
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(rest))
-		out := ebcl.GrowFloats(dst, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out, nil
-	case ebcl.LayoutFull:
-	default:
-		return nil, ebcl.ErrCorrupt
+	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	if !full {
+		return out, err
 	}
 	if len(rest) < 8 {
 		return nil, ebcl.ErrCorrupt
@@ -272,7 +251,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 	}
 
 	q := ebcl.NewQuantizer(ebAbs)
-	out := ebcl.GrowFloats(dst, n)
+	out = ebcl.GrowFloats(dst, n)
 	prevRecon := 0.0
 	coefIdx, litIdx := 0, 0
 	for b := 0; b < nBlocks; b++ {

@@ -75,12 +75,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return ebcl.AppendHeader(dst, magic, 0, ebcl.LayoutEmpty), nil
-	}
-	if ebAbs == 0 {
-		out := ebcl.AppendHeader(dst, magic, len(data), ebcl.LayoutConstant)
-		return binary.LittleEndian.AppendUint32(out, math.Float32bits(data[0])), nil
+	if out, ok := ebcl.AppendDegenerate(dst, magic, data, ebAbs == 0); ok {
+		return out, nil
 	}
 
 	// Mantissa bits are kept relative to the bound's binary exponent.
@@ -158,26 +154,9 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
 // storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	n, layout, rest, err := ebcl.ParseHeader(stream, magic)
-	if err != nil {
-		return nil, err
-	}
-	switch layout {
-	case ebcl.LayoutEmpty:
-		return ebcl.GrowFloats(dst, 0), nil
-	case ebcl.LayoutConstant:
-		if len(rest) < 4 {
-			return nil, ebcl.ErrCorrupt
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(rest))
-		out := ebcl.GrowFloats(dst, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out, nil
-	case ebcl.LayoutFull:
-	default:
-		return nil, ebcl.ErrCorrupt
+	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	if !full {
+		return out, err
 	}
 	if len(rest) < 8 {
 		return nil, ebcl.ErrCorrupt
@@ -191,7 +170,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 	if nBlocks > 0 && r.BitsRemaining() < (nBlocks-1)*33+15 {
 		return nil, ebcl.ErrCorrupt
 	}
-	out := ebcl.GrowFloats(dst, n)
+	out = ebcl.GrowFloats(dst, n)
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, n)

@@ -214,7 +214,7 @@ type family struct {
 	name   string
 	help   string
 	typ    metricType
-	series []*series         // registration order (render preserves it)
+	series []*series          // registration order (render preserves it)
 	index  map[string]*series // label-key → series
 	// buckets pins the bounds every histogram series in the family shares,
 	// so a second registration with different buckets is caught.

@@ -107,16 +107,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	default:
 		return nil, fmt.Errorf("zfp: unknown mode %v", p.Mode)
 	}
-	if len(data) == 0 {
-		return ebcl.AppendHeader(dst, magic, 0, ebcl.LayoutEmpty), nil
-	}
-	if constant := allEqual(data); constant {
-		out := ebcl.AppendHeader(dst, magic, len(data), ebcl.LayoutConstant)
-		return append(out,
-			byte(math.Float32bits(data[0])),
-			byte(math.Float32bits(data[0])>>8),
-			byte(math.Float32bits(data[0])>>16),
-			byte(math.Float32bits(data[0])>>24)), nil
+	if out, ok := ebcl.AppendDegenerate(dst, magic, data, len(data) > 0 && allEqual(data)); ok {
+		return out, nil
 	}
 
 	out := ebcl.AppendHeader(dst, magic, len(data), ebcl.LayoutFull)
@@ -138,27 +130,9 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
 // storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	n, layout, rest, err := ebcl.ParseHeader(stream, magic)
-	if err != nil {
-		return nil, err
-	}
-	switch layout {
-	case ebcl.LayoutEmpty:
-		return ebcl.GrowFloats(dst, 0), nil
-	case ebcl.LayoutConstant:
-		if len(rest) < 4 {
-			return nil, ebcl.ErrCorrupt
-		}
-		bits := uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24
-		v := math.Float32frombits(bits)
-		out := ebcl.GrowFloats(dst, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out, nil
-	case ebcl.LayoutFull:
-	default:
-		return nil, ebcl.ErrCorrupt
+	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	if !full {
+		return out, err
 	}
 	if len(rest) < 1 {
 		return nil, ebcl.ErrCorrupt
@@ -173,7 +147,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 	if n/blockLen > r.BitsRemaining() {
 		return nil, ebcl.ErrCorrupt
 	}
-	out := ebcl.GrowFloats(dst, n)
+	out = ebcl.GrowFloats(dst, n)
 	var block [blockLen]float32
 	for lo := 0; lo < n; lo += blockLen {
 		if err := decodeBlock(r, &block, precision); err != nil {
