@@ -3,6 +3,7 @@ package agg
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -689,6 +690,82 @@ func TestHostileFirstUpdateLiveServer(t *testing.T) {
 	if n := sh.Count(); n != 1 {
 		t.Fatalf("folded %d updates, want 1", n)
 	}
+	if busy := pool.Busy(); busy != 0 {
+		t.Fatalf("pool busy after drain: %d", busy)
+	}
+}
+
+// hostileLengthStream is core's splice of the same name built from the
+// exported parsers: stream's first tensor blob becomes its own 17-byte sz2
+// header, the lossless-stage byte selecting the zstd-like frame, and a frame
+// whose literal blob declares 2^63 bytes. Every framing layer and every CRC
+// accepts it; the length goes wrong inside the codec, on a pool goroutine.
+func hostileLengthStream(t testing.TB, stream []byte) []byte {
+	t.Helper()
+	secs, err := core.Sections(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := core.ParseHeader(secs.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := core.ParseTensorSection(hdr, secs.Tensors[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := append([]byte(nil), pt.Blob[:17]...)
+	blob = append(blob, 1, 0x10, 0, 0, 0, 0)
+	blob = binary.AppendUvarint(blob, 1<<63)
+	meta := 1 + len(pt.Name) + 2 + 4*len(pt.Shape)
+	out := append([]byte(nil), secs.Header...)
+	out = ebcl.AppendSection(append(out, secs.Tensors[0][:meta]...), blob)
+	for _, rest := range secs.Tensors[1:] {
+		out = append(out, rest...)
+	}
+	return append(out, secs.Lossless...)
+}
+
+// TestHostileLengthLiveServer uploads that stream to a live server: the
+// client must see a rejection, the accumulator must stay empty, and the next
+// valid upload must fold. A panic on the decode goroutine has no recover
+// above it, so before the length checks were overflow-safe this upload ended
+// the process.
+func TestHostileLengthLiveServer(t *testing.T) {
+	pool := sched.NewPool(2)
+	sh := New(Config{Shards: 2, Pool: pool})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &flserve.Client{Addr: srv.Addr().String()}
+	ctx := context.Background()
+	valid := mustCompress(t, hostileDict(3, false))
+	if err := c.Upload(ctx, 1, hostileLengthStream(t, valid)); !errors.Is(err, flserve.ErrRejected) {
+		t.Fatalf("hostile upload: %v, want ErrRejected", err)
+	}
+	if n := sh.Count(); n != 0 {
+		t.Fatalf("hostile update folded: count %d", n)
+	}
+	if err := c.Upload(ctx, 2, valid); err != nil {
+		t.Fatalf("server did not survive the hostile upload: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Snapshot(); st.Updates != 1 || st.Rejected != 1 {
+		t.Fatalf("stats %+v, want 1 update / 1 rejected", st)
+	}
+	mean, n := sh.Mean()
+	if n != 1 {
+		t.Fatalf("folded %d updates, want 1", n)
+	}
+	want, _, err := core.Decompress(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualBits(t, "update folded after the hostile one", mean, want)
 	if busy := pool.Busy(); busy != 0 {
 		t.Fatalf("pool busy after drain: %d", busy)
 	}

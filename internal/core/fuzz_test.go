@@ -143,7 +143,63 @@ func corruptCorpus(tb testing.TB) []corpusEntry {
 		}
 		add(fmt.Sprintf("flip%d", trial), bad, false)
 	}
+	add("hostile-literal-length", hostileLengthStream(tb, stream), true)
 	return corpus
+}
+
+// hostileLengthStream returns stream with its first tensor's codec blob
+// replaced by 33 bytes every framing layer accepts: the blob's own 17-byte
+// sz2 header (magic, element count, full layout, resolved bound), the
+// lossless-stage byte selecting the zstd-like frame, and a frame whose
+// literal blob declares 2^63 bytes. The length only goes wrong inside the
+// codec, on a sched.Group goroutine when the decode is parallel.
+func hostileLengthStream(tb testing.TB, stream []byte) []byte {
+	tb.Helper()
+	secs, err := Sections(stream)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hdr, err := ParseHeader(secs.Header)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ts := secs.Tensors[0]
+	pt, err := ParseTensorSection(hdr, ts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if hdr.LossyName != "sz2" || hdr.IsDelta() || len(pt.Blob) < 17 {
+		tb.Fatalf("splice needs a plain sz2 tensor section, got %s delta=%v", hdr.LossyName, hdr.IsDelta())
+	}
+	blob := append([]byte(nil), pt.Blob[:17]...)
+	blob = append(blob, 1)                   // lossless stage: zstd-like frame follows
+	blob = append(blob, 0x10, 0, 0, 0, 0)    // rawLen 16, raw literals
+	blob = binary.AppendUvarint(blob, 1<<63) // literal blob length
+	meta := 1 + len(pt.Name) + 2 + 4*len(pt.Shape)
+	out := append([]byte(nil), secs.Header...)
+	out = ebcl.AppendSection(append(out, ts[:meta]...), blob)
+	for _, rest := range secs.Tensors[1:] {
+		out = append(out, rest...)
+	}
+	return append(out, secs.Lossless...)
+}
+
+// TestHostileLiteralLength: the spliced stream must fail as ErrCorrupt. The
+// default decoder fans tensors out to pool goroutines, where a panic cannot
+// be recovered by the caller — it ends the process, which for fedsz-serve
+// means one upload ends the server.
+func TestHostileLiteralLength(t *testing.T) {
+	stream, _, err := Compress(modelDict(rand.New(rand.NewPCG(101, 102))), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := hostileLengthStream(t, stream)
+	if _, _, err := DecompressWith(context.Background(), sched.Serial(), bad, DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("serial decode: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("default decode: %v, want ErrCorrupt", err)
+	}
 }
 
 // TestDecompressCorruptCorpus asserts every must-error corpus entry fails

@@ -1,6 +1,7 @@
 package ebcl
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -180,5 +181,24 @@ func TestLosslessStage(t *testing.T) {
 	}
 	if _, _, err := ReadLosslessStage([]byte{7}); err == nil {
 		t.Fatal("bad mode byte should fail")
+	}
+}
+
+// TestReadSectionHostileLength: a declared length of MaxInt64 read at a
+// non-zero position overflows pos+int(l) to a negative sum, which a check
+// written that way lets through to the slice expression.
+func TestReadSectionHostileLength(t *testing.T) {
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("ReadSection panicked: %v", p)
+		}
+	}()
+	payload := []byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	empty, pos, err := ReadSection(payload, 0)
+	if err != nil || len(empty) != 0 || pos != 1 {
+		t.Fatalf("first section: %v pos=%d err=%v", empty, pos, err)
+	}
+	if _, _, err := ReadSection(payload, pos); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("MaxInt64-length section: %v, want ErrCorrupt", err)
 	}
 }

@@ -441,3 +441,43 @@ func FuzzZstdLikeDecompress(f *testing.F) {
 		}
 	})
 }
+
+// hostileLZFrames are frames whose one declared length is 2^63: converted to
+// int it is negative, so a bounds check written as pos+int(l) > len(src)
+// passes it and the slice expression that follows panics. Each names the
+// field it inflates.
+func hostileLZFrames() map[string]map[string][]byte {
+	huge := binary.AppendUvarint(nil, 1<<63)
+	frame := func(head ...byte) []byte { return append(head, huge...) }
+	return map[string]map[string][]byte{
+		"zstdlike": {"litBlobLen": frame(0x10, 0, 0, 0, 0)},
+		"blosclz":  {"litLen": frame(0x10, 0, 0, 0, 0)},
+		"xzlike": {
+			"litBlobLen": frame(0x10, 0, 0, 0, 0, 0, 0),
+			"ctlBlobLen": frame(0x10, 0, 0, 0, 0, 0, 0, 0),
+		},
+	}
+}
+
+// TestHostileLengths: an inflated length must come back as ErrCorrupt from
+// every LZ decoder, never as a slice-bounds panic.
+func TestHostileLengths(t *testing.T) {
+	for name, frames := range hostileLZFrames() {
+		c, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for field, frame := range frames {
+			t.Run(name+"/"+field, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("decoder panicked: %v", p)
+					}
+				}()
+				if _, err := c.Decompress(frame); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("% x: %v, want ErrCorrupt", frame, err)
+				}
+			})
+		}
+	}
+}
