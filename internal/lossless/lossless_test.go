@@ -2,8 +2,10 @@ package lossless
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -479,5 +481,71 @@ func TestHostileLengths(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// lockInputs are the three fixed inputs of TestLZByteLock.
+func lockInputs() map[string][]byte {
+	rng := rand.New(rand.NewPCG(41, 42))
+	floats := make([]byte, 0, 4*4096)
+	for i := 0; i < 4096; i++ {
+		floats = binary.LittleEndian.AppendUint32(floats, math.Float32bits(float32(0.05*rng.NormFloat64())))
+	}
+	// Bell-shaped bytes: few repeats long enough to match, so most of the
+	// input reaches the literal stream with its skew intact.
+	skewed := make([]byte, 300, 300+1<<14)
+	for len(skewed) < cap(skewed) {
+		skewed = append(skewed, byte(128+12*rng.NormFloat64()))
+	}
+	return map[string][]byte{
+		"skewed":         skewed,                     // a run to match + Huffman literals
+		"float32":        floats,                     // takes the shuffle filter
+		"incompressible": skewedBytes(rng, 1<<13, 1), // raw literals, miss-run striding
+	}
+}
+
+// TestLZByteLock pins the bytes each LZ codec emits. The golden .fsz corpus
+// reaches blosclz (metadata partition) and zstd-like with raw literals (the
+// SZ2/SZ3 trailing stage) only; nothing else holds xz-like's frames or a
+// Huffman-literal zstd-like frame still. A change here is a format or
+// encoder-policy change and needs the reason recorded, like a golden update.
+func TestLZByteLock(t *testing.T) {
+	want := map[string]string{
+		"blosclz/skewed":          "c69187b6cb9d1f72c763fd2067babd61b8f7e08cd9c967f7b89d29864babedc9", // 16470 bytes
+		"blosclz/float32":         "a36934d79d316dbd04447bf28d6ce45de570433401b00602235d6453dcff1567", // 16214 bytes
+		"blosclz/incompressible":  "cbb73064361f5dfb69789a975dc0543fad81825cc08da10ba90493e397cc0494", // 8200 bytes
+		"zstdlike/skewed":         "69df3d8c06447bf40cda17eb6e6b8e4c7ca2325b874a96eba740378c2e5e6ce3", // 11733 bytes
+		"zstdlike/float32":        "ab9319fcc9c54859bf90af151e89cc464043f2d9a2dc2dec73e35359071608f5", // 15364 bytes
+		"zstdlike/incompressible": "02272a31c285821889007cb5bfbd2631be02683c274e41d8c06e82e6d3101056", // 8203 bytes
+		"xzlike/skewed":           "779eeeeeb35a348a36d30ed26873dfb9597ba9b8d7848f65b7808c12272c3708", // 11748 bytes
+		"xzlike/float32":          "2dc9be871391e4b05cbf1aa337b3230ab12cd95fde52e6436fb41916d3cb7007", // 15116 bytes
+		"xzlike/incompressible":   "000805447270c2ca7438d4b93d0b730b8820f8ed3d985c93519a07b6478b30c4", // 8206 bytes
+	}
+	inputs := lockInputs()
+	for _, name := range []string{"blosclz", "zstdlike", "xzlike"} {
+		c, _ := Get(name)
+		for in, data := range inputs {
+			enc, err := c.Compress(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := name + "/" + in
+			if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != want[key] {
+				t.Errorf("%q: %q, // %d bytes", key, got, len(enc))
+			}
+			if dec, err := c.Decompress(enc); err != nil || !bytes.Equal(dec, data) {
+				t.Errorf("%s: round trip failed: %v", key, err)
+			}
+		}
+	}
+	enc, _ := NewZstdLike().Compress(inputs["skewed"])
+	if enc[4] != 1 {
+		t.Fatalf("skewed input: zstd-like litMode %d, the lock needs a Huffman-literal frame", enc[4])
+	}
+	if enc, _ = NewXZLike().Compress(inputs["skewed"]); enc[5] != 1 {
+		t.Fatalf("skewed input: xz-like litMode %d, the lock needs Huffman-coded literals", enc[5])
+	}
+	if enc, _ = NewXZLike().Compress(inputs["float32"]); enc[6] != 1 {
+		t.Fatalf("float32 input: xz-like ctlMode %d, the lock needs a Huffman-coded control stream", enc[6])
 	}
 }
