@@ -27,7 +27,7 @@ import (
 	"repro/internal/sched"
 )
 
-// MaxCodeLen is the maximum code length produced by NewCodec. Length
+// MaxCodeLen is the maximum code length a built code uses. Length
 // limiting keeps the decoder tables small and bounds worst-case expansion.
 const MaxCodeLen = 24
 
@@ -64,9 +64,8 @@ var (
 // Codec holds the canonical code for one alphabet. A Codec is immutable and
 // safe for concurrent use after construction.
 type Codec struct {
-	numSymbols int
-	lengths    []uint8  // per-symbol code length, 0 = unused symbol
-	enc        []uint32 // per-symbol packed (code<<5 | length), 0 = no code
+	lengths []uint8  // per-symbol code length, 0 = unused symbol
+	enc     []uint32 // per-symbol packed (code<<5 | length), 0 = no code
 
 	// Reference-decoder acceleration: firstCode[l] is the canonical code
 	// value of the first code of length l; index[l] is the offset into
@@ -140,21 +139,12 @@ func (h *hHeap) Pop() interface{} {
 	return x
 }
 
-// NewCodec builds a canonical Huffman code for an alphabet of
-// len(frequencies) symbols with the given occurrence counts. Symbols with
-// zero frequency get no code. Codes longer than MaxCodeLen are flattened by
-// iteratively halving large frequencies (the standard length-limiting
-// heuristic), which preserves decodability at a tiny ratio cost.
-func NewCodec(frequencies []uint64) (*Codec, error) {
-	c := new(Codec)
-	if err := c.initFromFreqs(frequencies); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// initFromFreqs (re)builds c for the given frequency table, reusing c's
-// table storage — the pooled-shell path behind the bulk encoder.
+// initFromFreqs (re)builds c as the canonical code for an alphabet of
+// len(frequencies) symbols with the given occurrence counts, reusing c's
+// table storage. Symbols with zero frequency get no code. Codes longer than
+// MaxCodeLen are flattened by iteratively halving large frequencies (the
+// standard length-limiting heuristic), which preserves decodability at a tiny
+// ratio cost.
 func (c *Codec) initFromFreqs(frequencies []uint64) error {
 	if len(frequencies) == 0 {
 		return errors.New("huffman: empty alphabet")
@@ -258,21 +248,11 @@ func buildLengths(freqs []uint64, lengths []uint8) {
 	buildPool.Put(sc)
 }
 
-// NewCodecFromLengths rebuilds a codec from a serialized length table (the
-// decoder-side constructor).
-func NewCodecFromLengths(lengths []uint8) (*Codec, error) {
-	c := new(Codec)
-	if err := c.init(append([]uint8(nil), lengths...)); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // init (re)builds c from a length table, taking ownership of lengths and
 // reusing c's table storage when its capacity suffices — pooled codec
 // shells rebuild allocation-free in steady state.
 func (c *Codec) init(lengths []uint8) error {
-	c.numSymbols, c.lengths, c.maxLen = len(lengths), lengths, 0
+	c.lengths, c.maxLen = lengths, 0
 	// Count codes per length; validate Kraft sum.
 	var counts [MaxCodeLen + 2]uint32
 	used := 0
@@ -408,27 +388,6 @@ func (c *Codec) buildDecodeTable() {
 	}
 }
 
-// Lengths returns the per-symbol code length table for serialization. The
-// returned slice must not be modified.
-func (c *Codec) Lengths() []uint8 { return c.lengths }
-
-// NumSymbols returns the alphabet size the codec was built for.
-func (c *Codec) NumSymbols() int { return c.numSymbols }
-
-// CodeLen returns the code length of symbol s (0 if s has no code).
-func (c *Codec) CodeLen(s int) uint8 { return c.lengths[s] }
-
-// Encode appends the code for symbol s to w. Encoding a symbol with no code
-// panics: it indicates the frequency table the codec was built from did not
-// cover the data.
-func (c *Codec) Encode(w *bitio.Writer, s int) {
-	e := c.enc[s]
-	if e == 0 {
-		panic(fmt.Sprintf("huffman: symbol %d has no code", s))
-	}
-	w.WriteBits(uint64(e>>5), uint(e&entryLenMask))
-}
-
 // Decode reads one symbol from r bit-by-bit over the canonical first-code
 // ladder. It is the reference decoder: DecodeFast and the bulk decoders are
 // differentially tested against it, and delegate to it on truncated or
@@ -492,27 +451,55 @@ func (c *Codec) DecodeFast(r *bitio.Reader) (int, error) {
 	return c.Decode(r)
 }
 
-// symbol constrains the integer element types the bulk coders move.
-type symbol interface{ ~int | ~uint16 }
+// symbol constrains the element types the bulk coders move: bytes (the
+// lossless codecs' literal and control streams) and uint16 (quantization
+// codes).
+type symbol interface{ ~uint8 | ~uint16 }
 
-// encodeSeq is the shared bulk encoder: histogram (pooled scratch), codec
-// construction, then header + packed codes into a pooled output buffer.
-func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
+// buildCodec is the one place a code is built from data: histogram the
+// symbols (pooled scratch), then construct the code in a pooled shell. Both
+// bulk encoders call it, so anything that wants to hand the encoder a
+// histogram it already has, or estimate a coded size without coding, has one
+// site to change. The caller returns the codec via putCodec.
+func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, error) {
 	freqs := sched.GetUint64s(alphabet)[:alphabet]
+	defer sched.PutUint64s(freqs)
 	clear(freqs)
 	for _, v := range symbols {
-		s := int(v)
-		if s < 0 || s >= alphabet {
-			sched.PutUint64s(freqs)
-			return nil, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", s, alphabet)
+		if int(v) >= alphabet {
+			return nil, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", int(v), alphabet)
 		}
-		freqs[s]++
+		freqs[v]++
 	}
 	c := codecPool.Get().(*Codec)
-	err := c.initFromFreqs(freqs)
-	sched.PutUint64s(freqs)
+	if err := c.initFromFreqs(freqs); err != nil {
+		putCodec(c)
+		return nil, err
+	}
+	return c, nil
+}
+
+// readCodec is buildCodec's decode-side twin, the one place a code is read
+// from a serialized length table, again into a pooled shell the caller
+// returns via putCodec.
+func readCodec(r *bitio.Reader, alphabet int) (*Codec, error) {
+	c := codecPool.Get().(*Codec)
+	lengths, err := readLengthTable(r, alphabet, c.lengths)
+	if err == nil {
+		err = c.init(lengths)
+	}
 	if err != nil {
 		putCodec(c)
+		return nil, err
+	}
+	return c, nil
+}
+
+// encodeSeq is the single-stream bulk encoder: the length table, a 32-bit
+// symbol count, then the packed codes, in a pooled output buffer.
+func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
+	c, err := buildCodec(symbols, alphabet)
+	if err != nil {
 		return nil, err
 	}
 	w := bitio.NewWriterBuffer(sched.GetBytes(len(symbols)/2 + 64))
@@ -521,17 +508,13 @@ func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
 	enc := c.enc
 	for _, v := range symbols {
 		e := enc[v]
-		if e == 0 {
-			panic(fmt.Sprintf("huffman: symbol %d has no code", int(v)))
-		}
 		w.WriteBits(uint64(e>>5), uint(e&entryLenMask))
 	}
 	putCodec(c)
 	return w.Bytes(), nil
 }
 
-// decodeSeq is the shared bulk decoder: rebuild the codec from the length
-// table, then fill out through the table decoder, falling back to the
+// decodeSeq fills out through the table decoder, falling back to the
 // reference decoder at the stream tail or on corruption.
 func decodeSeq[E symbol](r *bitio.Reader, c *Codec, out []E) error {
 	for i := range out {
@@ -547,88 +530,53 @@ func decodeSeq[E symbol](r *bitio.Reader, c *Codec, out []E) error {
 	return nil
 }
 
-// decodeHeader reads the length table and symbol count shared by the bulk
-// decoders, rebuilding the codec into a pooled shell. The caller must
-// return the codec via putCodec once decoding finishes.
-func decodeHeader(r *bitio.Reader, alphabet int) (*Codec, int, error) {
-	c := codecPool.Get().(*Codec)
-	lengths, err := readLengthTable(r, alphabet, c.lengths)
-	if err != nil {
-		putCodec(c)
-		return nil, 0, err
-	}
-	if err := c.init(lengths); err != nil {
-		putCodec(c)
-		return nil, 0, err
-	}
-	n64, err := r.ReadBits(32)
-	if err != nil {
-		putCodec(c)
-		return nil, 0, err
-	}
-	n := int(n64)
-	// Every symbol costs at least one bit, so a count exceeding the
-	// remaining stream is corruption — reject before allocating.
-	if n > r.BitsRemaining() {
-		putCodec(c)
-		return nil, 0, ErrCorrupt
-	}
-	return c, n, nil
-}
-
-// EncodeAll encodes a full symbol sequence and returns header+payload bytes:
-// the length table (varint count + raw lengths) followed by the bit-packed
-// codes. Use DecodeAll to reverse. The returned buffer comes from the
-// shared sched byte pool; callers that copy it elsewhere should recycle it
-// via sched.PutBytes.
-func EncodeAll(symbols []int, alphabet int) ([]byte, error) {
-	return encodeSeq(symbols, alphabet)
-}
-
-// EncodeAllU16 is EncodeAll for the uint16 symbol pipeline the quantization
-// stages use (codes ≤ 4096 fit in 16 bits, halving traffic and letting the
-// scratch come from the sched pools). The wire format is identical to
-// EncodeAll's.
-func EncodeAllU16(symbols []uint16, alphabet int) ([]byte, error) {
-	return encodeSeq(symbols, alphabet)
-}
-
-// DecodeAll reverses EncodeAll into a freshly allocated []int.
-func DecodeAll(data []byte, alphabet int) ([]int, error) {
+// decodeAll reverses encodeSeq into the buffer get(n) returns; put takes it
+// back when the stream turns out corrupt.
+func decodeAll[E symbol](data []byte, alphabet int, get func(int) []E, put func([]E)) ([]E, error) {
 	r := bitio.NewReader(data)
-	c, n, err := decodeHeader(r, alphabet)
+	c, err := readCodec(r, alphabet)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, n)
-	err = decodeSeq(r, c, out)
-	putCodec(c)
+	defer putCodec(c)
+	n64, err := r.ReadBits(32)
 	if err != nil {
+		return nil, err
+	}
+	// Every symbol costs at least one bit, so a count exceeding the
+	// remaining stream is corruption — reject before allocating.
+	if n64 > uint64(r.BitsRemaining()) {
+		return nil, ErrCorrupt
+	}
+	out := get(int(n64))[:n64]
+	if err := decodeSeq(r, c, out); err != nil {
+		put(out)
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeAllU16 reverses EncodeAll/EncodeAllU16 into a buffer drawn from the
-// sched uint16 pool; the caller owns it and should recycle it via
-// sched.PutUint16s. The alphabet must fit uint16 symbols (≤ 65536).
+// DecodeAllU16 decodes a single-stream blob — the length table (24-bit count
+// + run-length coded lengths), a 32-bit symbol count, the bit-packed codes —
+// into a buffer drawn from the sched uint16 pool; the caller owns it and
+// should recycle it via sched.PutUint16s. The alphabet must fit uint16
+// symbols (≤ 65536).
 func DecodeAllU16(data []byte, alphabet int) ([]uint16, error) {
 	if alphabet > 1<<16 {
 		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
 	}
-	r := bitio.NewReader(data)
-	c, n, err := decodeHeader(r, alphabet)
-	if err != nil {
-		return nil, err
-	}
-	out := sched.GetUint16s(n)[:n]
-	err = decodeSeq(r, c, out)
-	putCodec(c)
-	if err != nil {
-		sched.PutUint16s(out)
-		return nil, err
-	}
-	return out, nil
+	return decodeAll(data, alphabet, sched.GetUint16s, sched.PutUint16s)
+}
+
+// EncodeAllU8 encodes bytes (alphabet 256) as a single-stream blob — the
+// same bytes a uint16-widened copy of symbols would produce, without the
+// copy. The returned buffer comes from the sched byte pool.
+func EncodeAllU8(symbols []byte) ([]byte, error) { return encodeSeq(symbols, 256) }
+
+// DecodeAllU8 reverses EncodeAllU8 into a buffer drawn from the sched byte
+// pool (recycle via sched.PutBytes).
+func DecodeAllU8(data []byte) ([]byte, error) {
+	return decodeAll(data, 256, sched.GetBytes, sched.PutBytes)
 }
 
 // writeLengthTable emits the code-length table using a simple run-length

@@ -84,7 +84,7 @@ func TestLengthLimiting(t *testing.T) {
 func TestRoundTripSequence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	const alphabet = 512
-	syms := make([]int, 20000)
+	syms := make([]uint16, 20000)
 	for i := range syms {
 		// Geometric-ish distribution centered at 256, like quantization codes.
 		v := 256 + int(rng.NormFloat64()*12)
@@ -94,16 +94,16 @@ func TestRoundTripSequence(t *testing.T) {
 		if v >= alphabet {
 			v = alphabet - 1
 		}
-		syms[i] = v
+		syms[i] = uint16(v)
 	}
-	enc, err := EncodeAll(syms, alphabet)
+	enc, err := EncodeAllU16(syms, alphabet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enc) >= len(syms)*2 {
 		t.Fatalf("no compression: %d bytes for %d symbols", len(enc), len(syms))
 	}
-	dec, err := DecodeAll(enc, alphabet)
+	dec, err := DecodeAllU16(enc, alphabet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestRoundTripSequence(t *testing.T) {
 }
 
 func TestEncodeAllEmpty(t *testing.T) {
-	enc, err := EncodeAll(nil, 16)
+	enc, err := EncodeAllU16(nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeAll(enc, 16)
+	dec, err := DecodeAllU16(enc, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestEncodeAllEmpty(t *testing.T) {
 }
 
 func TestEncodeAllOutOfRange(t *testing.T) {
-	if _, err := EncodeAll([]int{5}, 4); err == nil {
+	if _, err := EncodeAllU16([]uint16{5}, 4); err == nil {
 		t.Fatal("want error for out-of-alphabet symbol")
 	}
-	if _, err := EncodeAll([]int{-1}, 4); err == nil {
-		t.Fatal("want error for negative symbol")
+	if _, err := EncodeAllU16([]uint16{4}, 4); err == nil {
+		t.Fatal("want error for the first symbol past the alphabet")
 	}
 }
 
@@ -176,7 +176,7 @@ func TestBadLengthTables(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, err := DecodeAll([]byte{0x00, 0x01}, 16); err == nil {
+	if _, err := DecodeAllU16([]byte{0x00, 0x01}, 16); err == nil {
 		t.Fatal("want error for truncated stream")
 	}
 }
@@ -187,15 +187,15 @@ func TestQuickRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 7))
 		alphabet := int(alphaSel%250) + 2
 		n := int(nSel % 2000)
-		syms := make([]int, n)
+		syms := make([]uint16, n)
 		for i := range syms {
-			syms[i] = rng.IntN(alphabet)
+			syms[i] = uint16(rng.IntN(alphabet))
 		}
-		enc, err := EncodeAll(syms, alphabet)
+		enc, err := EncodeAllU16(syms, alphabet)
 		if err != nil {
 			return false
 		}
-		dec, err := DecodeAll(enc, alphabet)
+		dec, err := DecodeAllU16(enc, alphabet)
 		if err != nil || len(dec) != n {
 			return false
 		}
@@ -213,7 +213,7 @@ func TestQuickRoundTrip(t *testing.T) {
 
 func BenchmarkEncodeAll(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	syms := make([]int, 1<<16)
+	syms := make([]uint16, 1<<16)
 	for i := range syms {
 		v := 256 + int(rng.NormFloat64()*8)
 		if v < 0 {
@@ -222,12 +222,12 @@ func BenchmarkEncodeAll(b *testing.B) {
 		if v > 511 {
 			v = 511
 		}
-		syms[i] = v
+		syms[i] = uint16(v)
 	}
 	b.SetBytes(int64(len(syms)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeAll(syms, 512); err != nil {
+		if _, err := EncodeAllU16(syms, 512); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func BenchmarkEncodeAll(b *testing.B) {
 
 func BenchmarkDecodeAll(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	syms := make([]int, 1<<16)
+	syms := make([]uint16, 1<<16)
 	for i := range syms {
 		v := 256 + int(rng.NormFloat64()*8)
 		if v < 0 {
@@ -244,14 +244,14 @@ func BenchmarkDecodeAll(b *testing.B) {
 		if v > 511 {
 			v = 511
 		}
-		syms[i] = v
+		syms[i] = uint16(v)
 	}
-	enc, _ := EncodeAll(syms, 512)
+	enc, _ := EncodeAllU16(syms, 512)
 	b.SetBytes(int64(len(syms)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeAll(enc, 512); err != nil {
+		if _, err := DecodeAllU16(enc, 512); err != nil {
 			b.Fatal(err)
 		}
 	}

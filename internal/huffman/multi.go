@@ -56,7 +56,7 @@ const (
 // EncodeMultiU16 encodes symbols into the multi-stream blob format using
 // streams independent bitstreams (DefaultStreams for the standard pipeline).
 // Inputs shorter than multiMinSymbols, or streams == 1, fall back to the
-// single-stream EncodeAllU16 format; DecodeMultiU16 handles both. The
+// single-stream format (encodeSeq); DecodeMultiU16 handles both. The
 // returned buffer comes from the shared sched byte pool.
 func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 	if streams < 1 || streams > maxStreams {
@@ -69,21 +69,8 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 		return encodeSeq(symbols, alphabet)
 	}
 
-	freqs := sched.GetUint64s(alphabet)[:alphabet]
-	clear(freqs)
-	for _, v := range symbols {
-		s := int(v)
-		if s >= alphabet {
-			sched.PutUint64s(freqs)
-			return nil, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", s, alphabet)
-		}
-		freqs[s]++
-	}
-	c := codecPool.Get().(*Codec)
-	err := c.initFromFreqs(freqs)
-	sched.PutUint64s(freqs)
+	c, err := buildCodec(symbols, alphabet)
 	if err != nil {
-		putCodec(c)
 		return nil, err
 	}
 
@@ -156,70 +143,54 @@ func DecodeMultiU16(data []byte, alphabet int) ([]uint16, error) {
 		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
 	}
 	pos := 1
-	n64, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
+	var hdr [3]uint64 // symbol count, stream count, length-table byte size
+	for i := range hdr {
+		v, k := binary.Uvarint(data[pos:])
+		if k <= 0 {
+			return nil, ErrCorrupt
+		}
+		hdr[i] = v
+		pos += k
+	}
+	n64, ns64, tl64 := hdr[0], hdr[1], hdr[2]
+	if ns64 < 1 || ns64 > maxStreams || tl64 > uint64(len(data)-pos) {
 		return nil, ErrCorrupt
 	}
-	pos += k
-	ns64, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return nil, ErrCorrupt
-	}
-	pos += k
-	tl64, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return nil, ErrCorrupt
-	}
-	pos += k
-	n, streams, tblLen := int(n64), int(ns64), int(tl64)
-	if n < 0 || streams < 1 || streams > maxStreams || tblLen < 0 || tblLen > len(data)-pos {
-		return nil, ErrCorrupt
-	}
+	streams, tblLen := int(ns64), int(tl64)
 	// Every symbol costs at least one bit; reject inflated counts before
 	// allocating the output.
 	if n64 > 8*uint64(len(data)-pos-tblLen) {
 		return nil, ErrCorrupt
 	}
+	n := int(n64)
 
-	c := codecPool.Get().(*Codec)
-	tr := bitio.NewReader(data[pos : pos+tblLen])
-	lengths, err := readLengthTable(tr, alphabet, c.lengths)
+	c, err := readCodec(bitio.NewReader(data[pos:pos+tblLen]), alphabet)
 	if err != nil {
-		putCodec(c)
 		return nil, err
 	}
-	if err := c.init(lengths); err != nil {
-		putCodec(c)
-		return nil, err
-	}
+	defer putCodec(c)
 	pos += tblLen
 
 	if 4*streams > len(data)-pos {
-		putCodec(c)
 		return nil, ErrCorrupt
 	}
 	var offs [maxStreams + 1]int
 	offs[0] = pos + 4*streams
 	for i := 0; i < streams; i++ {
-		sz := int(binary.LittleEndian.Uint32(data[pos+4*i:]))
-		next := offs[i] + sz
-		if next > len(data) {
-			putCodec(c)
+		sz := binary.LittleEndian.Uint32(data[pos+4*i:])
+		if uint64(sz) > uint64(len(data)-offs[i]) {
 			return nil, ErrCorrupt
 		}
-		offs[i+1] = next
+		offs[i+1] = offs[i] + int(sz)
 	}
 	// The jump table must account for the blob exactly: trailing slack would
 	// let corrupted sizes alias each other undetected.
 	if offs[streams] != len(data) {
-		putCodec(c)
 		return nil, ErrCorrupt
 	}
 
 	out := sched.GetUint16s(n)[:n]
-	err = c.decodeStreams(data, offs[:streams+1], out, streams)
-	putCodec(c)
-	if err != nil {
+	if err := c.decodeStreams(data, offs[:streams+1], out, streams); err != nil {
 		sched.PutUint16s(out)
 		return nil, err
 	}

@@ -22,29 +22,36 @@ const (
 	quantEscape   = 0
 )
 
-// decodeAllRef mirrors DecodeAll using only the reference decoder.
-func decodeAllRef(data []byte, alphabet int) ([]int, error) {
+// decodeAllRef mirrors DecodeAllU16 using only the reference decoder.
+func decodeAllRef(data []byte, alphabet int) ([]uint16, error) {
 	r := bitio.NewReader(data)
-	c, n, err := decodeHeader(r, alphabet)
+	c, err := readCodec(r, alphabet)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
+	n, err := r.ReadBits(32)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.BitsRemaining()) {
+		return nil, ErrCorrupt
+	}
+	out := make([]uint16, n)
+	for i := range out {
 		s, err := c.Decode(r)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = s
+		out[i] = uint16(s)
 	}
 	return out, nil
 }
 
 // diffDecode decodes data with both decoders and fails the test on any
 // divergence. It returns whichever succeeded (nil on agreed error).
-func diffDecode(t *testing.T, data []byte, alphabet int) []int {
+func diffDecode(t *testing.T, data []byte, alphabet int) []uint16 {
 	t.Helper()
-	fast, fastErr := DecodeAll(data, alphabet)
+	fast, fastErr := DecodeAllU16(data, alphabet)
 	ref, refErr := decodeAllRef(data, alphabet)
 	if (fastErr == nil) != (refErr == nil) {
 		t.Fatalf("decoder divergence: table err=%v, reference err=%v", fastErr, refErr)
@@ -149,12 +156,12 @@ func TestTableVsReferenceAdversarial(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		alphabet := rng.IntN(1000) + 2
 		n := rng.IntN(300) + 1
-		syms := make([]int, n)
+		syms := make([]uint16, n)
 		for i := range syms {
 			// Skewed so codes of many lengths appear.
-			syms[i] = int(float64(alphabet) * rng.Float64() * rng.Float64())
+			syms[i] = uint16(float64(alphabet) * rng.Float64() * rng.Float64())
 		}
-		enc, err := EncodeAll(syms, alphabet)
+		enc, err := EncodeAllU16(syms, alphabet)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +193,7 @@ func TestDecodeAllU16MatchesDecodeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := DecodeAll(enc, quantAlphabet)
+	wide, err := decodeAllRef(enc, quantAlphabet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +206,8 @@ func TestDecodeAllU16MatchesDecodeAll(t *testing.T) {
 		t.Fatalf("lengths %d / %d / %d", len(wide), len(narrow), len(syms))
 	}
 	for i := range syms {
-		if uint16(wide[i]) != narrow[i] || narrow[i] != syms[i] {
-			t.Fatalf("symbol %d: int %d u16 %d want %d", i, wide[i], narrow[i], syms[i])
+		if wide[i] != narrow[i] || narrow[i] != syms[i] {
+			t.Fatalf("symbol %d: reference %d table %d want %d", i, wide[i], narrow[i], syms[i])
 		}
 	}
 	if _, err := DecodeAllU16(enc, 1<<16+1); err == nil {
@@ -210,7 +217,7 @@ func TestDecodeAllU16MatchesDecodeAll(t *testing.T) {
 
 func FuzzHuffmanRoundTrip(f *testing.F) {
 	// Seed corpus: valid streams over several alphabets plus raw junk.
-	seed1, _ := EncodeAll([]int{1, 2, 3, 3, 3, 0, 7}, 8)
+	seed1, _ := EncodeAllU16([]uint16{1, 2, 3, 3, 3, 0, 7}, 8)
 	rng := rand.New(rand.NewPCG(1, 9))
 	quant := make([]uint16, 600)
 	for i := range quant {
@@ -311,7 +318,7 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 
 		// Differential: the raw input treated as a stream must decode (or
 		// fail) identically under the table and reference decoders.
-		fast, fastErr := DecodeAll(data, alphabet)
+		fast, fastErr := DecodeAllU16(data, alphabet)
 		ref, refErr := decodeAllRef(data, alphabet)
 		if (fastErr == nil) != (refErr == nil) {
 			t.Fatalf("decoder divergence: table err=%v, reference err=%v", fastErr, refErr)
