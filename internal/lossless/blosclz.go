@@ -39,28 +39,12 @@ func (c *BloscLZ) Name() string { return "blosclz" }
 func (c *BloscLZ) Compress(src []byte) ([]byte, error) {
 	out := sched.GetBytes(len(src)/2 + 16)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(src)))
-	shuffled := byte(0)
-	work := src
-	if c.elemSize > 1 && len(src) >= 4*c.elemSize {
-		shuffled = 1
-		work = shuffleBytes(src, c.elemSize)
-	}
+	seqs, lits, shuffled := parseShuffled(src, c.elemSize, c.cfg)
 	out = append(out, shuffled)
-	seqs, lits := lzParse(work, c.cfg)
-	if shuffled == 1 {
-		sched.PutBytes(work) // lzParse copied what it needs into lits
-	}
 	litPos := 0
 	for _, s := range seqs {
-		out = appendUvarint(out, uint64(s.litLen))
-		out = append(out, lits[litPos:litPos+s.litLen]...)
+		out = appendMatch(appendBlob(out, lits[litPos:litPos+s.litLen]), s)
 		litPos += s.litLen
-		if s.matchLen == 0 {
-			out = appendUvarint(out, 0)
-			continue
-		}
-		out = appendUvarint(out, uint64(s.matchLen-lzMinMatch+1))
-		out = binary.LittleEndian.AppendUint16(out, uint16(s.offset-1))
 	}
 	putSeqs(seqs)
 	sched.PutBytes(lits)
@@ -74,35 +58,22 @@ func (c *BloscLZ) Decompress(src []byte) ([]byte, error) {
 	}
 	rawLen := int(binary.LittleEndian.Uint32(src))
 	shuffled := src[4]
-	pos := 5
+	r := frameReader{src: src, pos: 5}
 	out := sched.GetBytes(initialCap(rawLen, len(src)))
 	for len(out) < rawLen {
-		litLen64, p, err := readUvarint(src, pos)
-		if err != nil {
-			return nil, err
-		}
-		pos = p
-		litLen := int(litLen64)
-		if pos+litLen > len(src) || len(out)+litLen > rawLen {
+		lit, err := r.blob()
+		if err != nil || len(lit) > rawLen-len(out) {
 			return nil, ErrCorrupt
 		}
-		out = append(out, src[pos:pos+litLen]...)
-		pos += litLen
-		mCode, p, err := readUvarint(src, pos)
+		out = append(out, lit...)
+		mLen, off, err := r.match()
 		if err != nil {
 			return nil, err
 		}
-		pos = p
-		if mCode == 0 {
+		if mLen == 0 {
 			break
 		}
-		mLen := int(mCode) + lzMinMatch - 1
-		if pos+2 > len(src) {
-			return nil, ErrCorrupt
-		}
-		off := int(binary.LittleEndian.Uint16(src[pos:])) + 1
-		pos += 2
-		if off > len(out) || len(out)+mLen > rawLen {
+		if off > len(out) || mLen > rawLen-len(out) {
 			return nil, ErrCorrupt
 		}
 		start := len(out) - off
@@ -113,10 +84,5 @@ func (c *BloscLZ) Decompress(src []byte) ([]byte, error) {
 	if len(out) != rawLen {
 		return nil, ErrCorrupt
 	}
-	if shuffled == 1 {
-		un := unshuffleBytes(out, c.elemSize)
-		sched.PutBytes(out)
-		out = un
-	}
-	return out, nil
+	return unshuffled(out, shuffled, c.elemSize), nil
 }

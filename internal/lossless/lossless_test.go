@@ -400,12 +400,11 @@ func TestHostileMatchLength(t *testing.T) {
 	}
 }
 
-// FuzzZstdLikeDecompress drives the trailing-stage decoder with frames that
-// mix matches with raw and with Huffman literals. No input may panic, and
-// whatever decodes must survive a fresh encode/decode cycle.
-func FuzzZstdLikeDecompress(f *testing.F) {
+// addLZSeeds seeds f with c's frames over inputs that mix matches with raw
+// and with Huffman literals, each also bit-flipped and truncated, every seed
+// behind prefix.
+func addLZSeeds(f *testing.F, c Codec, prefix ...byte) {
 	rng := rand.New(rand.NewPCG(37, 38))
-	c := NewZstdLike()
 	for _, in := range [][]byte{
 		mixedFrameInput(rng, 512, 2048),                           // matches + litMode 0
 		append(make([]byte, 300), skewedBytes(rng, 2048, 0.2)...), // matches + litMode 1
@@ -417,6 +416,7 @@ func FuzzZstdLikeDecompress(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		enc = append(prefix, enc...)
 		f.Add(enc)
 		if len(enc) > 8 {
 			bad := append([]byte(nil), enc...)
@@ -425,62 +425,98 @@ func FuzzZstdLikeDecompress(f *testing.F) {
 			f.Add(enc[:len(enc)-3])
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > 1<<22 {
-			t.Skip("declares more output than a fuzz worker should be asked to produce")
+}
+
+// checkLZFrame is the fuzz property: no input may panic, and whatever
+// decodes must survive a fresh encode/decode cycle.
+func checkLZFrame(t *testing.T, c Codec, data []byte) {
+	if len(data) >= 4 && binary.LittleEndian.Uint32(data) > 1<<22 {
+		t.Skip("declares more output than a fuzz worker should be asked to produce")
+	}
+	dec, err := c.Decompress(data)
+	if err != nil {
+		return
+	}
+	enc, err := c.Compress(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Decompress(enc)
+	if err != nil || !bytes.Equal(again, dec) {
+		t.Fatalf("re-encoded frame does not round-trip: %v", err)
+	}
+}
+
+// lzFuzzCodecs is what FuzzLZDecompress's selector byte (mod 3) picks from.
+var lzFuzzCodecs = []string{"blosclz", "zstdlike", "xzlike"}
+
+// FuzzLZDecompress drives the three hand-written LZ decoders: the first
+// input byte selects the codec, the rest is the frame. Seeds are each
+// codec's own frames and damaged copies, plus the hostile-length frames.
+func FuzzLZDecompress(f *testing.F) {
+	for sel, name := range lzFuzzCodecs {
+		c, _ := Get(name)
+		addLZSeeds(f, c, byte(sel))
+		for _, h := range hostileLZFrames() {
+			if h.codec == name {
+				f.Add(append([]byte{byte(sel)}, h.frame...))
+			}
 		}
-		dec, err := c.Decompress(data)
-		if err != nil {
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
 			return
 		}
-		enc, err := c.Compress(dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := c.Decompress(enc)
-		if err != nil || !bytes.Equal(again, dec) {
-			t.Fatalf("re-encoded frame does not round-trip: %v", err)
-		}
+		c, _ := Get(lzFuzzCodecs[int(data[0])%len(lzFuzzCodecs)])
+		checkLZFrame(t, c, data[1:])
 	})
+}
+
+// FuzzZstdLikeDecompress is FuzzLZDecompress's zstd-like leg under the name
+// and seed numbering it has had since it was the only LZ fuzzer: the recorded
+// tier-1 test ids include its seed subtests, so it stays as a seed-corpus
+// regression. The scheduled fuzzing budget goes to FuzzLZDecompress.
+func FuzzZstdLikeDecompress(f *testing.F) {
+	c := NewZstdLike()
+	addLZSeeds(f, c)
+	f.Fuzz(func(t *testing.T, data []byte) { checkLZFrame(t, c, data) })
 }
 
 // hostileLZFrames are frames whose one declared length is 2^63: converted to
 // int it is negative, so a bounds check written as pos+int(l) > len(src)
-// passes it and the slice expression that follows panics. Each names the
-// field it inflates.
-func hostileLZFrames() map[string]map[string][]byte {
-	huge := binary.AppendUvarint(nil, 1<<63)
-	frame := func(head ...byte) []byte { return append(head, huge...) }
-	return map[string]map[string][]byte{
-		"zstdlike": {"litBlobLen": frame(0x10, 0, 0, 0, 0)},
-		"blosclz":  {"litLen": frame(0x10, 0, 0, 0, 0)},
-		"xzlike": {
-			"litBlobLen": frame(0x10, 0, 0, 0, 0, 0, 0),
-			"ctlBlobLen": frame(0x10, 0, 0, 0, 0, 0, 0, 0),
-		},
+// passes it and the slice expression that follows panics. field names the
+// length that is inflated.
+func hostileLZFrames() []struct {
+	codec, field string
+	frame        []byte
+} {
+	frame := func(head ...byte) []byte { return binary.AppendUvarint(head, 1<<63) }
+	return []struct {
+		codec, field string
+		frame        []byte
+	}{
+		{"zstdlike", "litBlobLen", frame(0x10, 0, 0, 0, 0)},
+		{"blosclz", "litLen", frame(0x10, 0, 0, 0, 0)},
+		{"xzlike", "litBlobLen", frame(0x10, 0, 0, 0, 0, 0, 0)},
+		{"xzlike", "ctlBlobLen", frame(0x10, 0, 0, 0, 0, 0, 0, 0)},
 	}
 }
 
 // TestHostileLengths: an inflated length must come back as ErrCorrupt from
 // every LZ decoder, never as a slice-bounds panic.
 func TestHostileLengths(t *testing.T) {
-	for name, frames := range hostileLZFrames() {
-		c, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for field, frame := range frames {
-			t.Run(name+"/"+field, func(t *testing.T) {
-				defer func() {
-					if p := recover(); p != nil {
-						t.Fatalf("decoder panicked: %v", p)
-					}
-				}()
-				if _, err := c.Decompress(frame); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("% x: %v, want ErrCorrupt", frame, err)
+	for _, h := range hostileLZFrames() {
+		t.Run(h.codec+"/"+h.field, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("decoder panicked: %v", p)
 				}
-			})
-		}
+			}()
+			c, _ := Get(h.codec)
+			if _, err := c.Decompress(h.frame); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("% x: %v, want ErrCorrupt", h.frame, err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package lossless
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 
 	"repro/internal/sched"
@@ -236,16 +237,107 @@ func lzReconstruct(seqs []sequence, literals []byte, rawLen int) ([]byte, error)
 	return out, nil
 }
 
-// appendUvarint / readUvarint are thin wrappers so all codecs share one
-// varint convention.
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
+// The frame fields every LZ codec writes, and the one checked reader for
+// them. A sequence is uvarint litLen, then a match: uvarint matchCode
+// (matchLen-lzMinMatch+1, 0 for the literal-only tail) followed by a u16
+// offset-1 when matchCode > 0. A blob is a uvarint byte length and the bytes.
+// zstd-like and xz-like write a count and then the sequences (appendSeqs /
+// readSeqs); blosclz interleaves, writing each sequence's literals as a blob
+// in place of the bare litLen.
+
+func appendBlob(dst, blob []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(blob))), blob...)
 }
 
-func readUvarint(src []byte, pos int) (uint64, int, error) {
-	v, n := binary.Uvarint(src[pos:])
+func appendMatch(dst []byte, s sequence) []byte {
+	if s.matchLen == 0 {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(s.matchLen-lzMinMatch+1))
+	return binary.LittleEndian.AppendUint16(dst, uint16(s.offset-1))
+}
+
+func appendSeqs(dst []byte, seqs []sequence) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(seqs)))
+	for _, s := range seqs {
+		dst = appendMatch(binary.AppendUvarint(dst, uint64(s.litLen)), s)
+	}
+	return dst
+}
+
+// frameReader is a cursor over untrusted frame bytes. Every length it hands
+// out has been checked against what is left of src in uint64, so a declared
+// 2^63 cannot turn negative on its way to a slice bound.
+type frameReader struct {
+	src []byte
+	pos int
+}
+
+func (r *frameReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.src[r.pos:])
 	if n <= 0 {
+		return 0, ErrCorrupt
+	}
+	r.pos += n
+	return v, nil
+}
+
+// length reads a uvarint that counts bytes of output. Frames declare their
+// raw size in a u32, so no valid count exceeds one.
+func (r *frameReader) length() (int, error) {
+	v, err := r.uvarint()
+	if err != nil || v > math.MaxUint32 {
+		return 0, ErrCorrupt
+	}
+	return int(v), nil
+}
+
+// blob reads a uvarint byte length and returns that many bytes as a view.
+func (r *frameReader) blob() ([]byte, error) {
+	l, err := r.uvarint()
+	if err != nil || l > uint64(len(r.src)-r.pos) {
+		return nil, ErrCorrupt
+	}
+	n := int(l)
+	b := r.src[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
+}
+
+// match reads what appendMatch wrote; matchLen 0 is the tail.
+func (r *frameReader) match() (matchLen, offset int, err error) {
+	code, err := r.length()
+	if err != nil || code == 0 {
+		return 0, 0, err
+	}
+	if len(r.src)-r.pos < 2 {
 		return 0, 0, ErrCorrupt
 	}
-	return v, pos + n, nil
+	offset = int(binary.LittleEndian.Uint16(r.src[r.pos:])) + 1
+	r.pos += 2
+	return code + lzMinMatch - 1, offset, nil
+}
+
+// readSeqs reads what appendSeqs wrote into a pooled slice (putSeqs).
+func (r *frameReader) readSeqs() ([]sequence, error) {
+	nSeqs64, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// The capacity is a hint bounded by what the stream could really carry
+	// (each sequence costs >= 2 bytes), so a hostile count cannot force a
+	// giant allocation; append grows if the data is there.
+	seqs := getSeqs(int(min(nSeqs64, uint64(len(r.src)-r.pos)/2+1)))
+	for i := uint64(0); i < nSeqs64; i++ {
+		var s sequence
+		if s.litLen, err = r.length(); err == nil {
+			s.matchLen, s.offset, err = r.match()
+		}
+		if err != nil {
+			putSeqs(seqs)
+			return nil, err
+		}
+		seqs = append(seqs, s)
+	}
+	return seqs, nil
 }

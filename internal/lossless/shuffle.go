@@ -47,3 +47,26 @@ func unshuffleBytes(src []byte, elemSize int) []byte {
 	copy(out[n*elemSize:], src[n*elemSize:])
 	return out
 }
+
+// parseShuffled is lzParse behind the filter: an input of at least four
+// elements is shuffled first, and shuffled reports 1.
+func parseShuffled(src []byte, elemSize int, cfg matcherConfig) (seqs []sequence, lits []byte, shuffled byte) {
+	if elemSize <= 1 || len(src) < 4*elemSize {
+		seqs, lits = lzParse(src, cfg)
+		return seqs, lits, 0
+	}
+	work := shuffleBytes(src, elemSize)
+	seqs, lits = lzParse(work, cfg)
+	sched.PutBytes(work) // lzParse copied what it needs into lits
+	return seqs, lits, 1
+}
+
+// unshuffled undoes the filter on a decoder's pooled output when the frame's
+// shuffled byte says it was applied.
+func unshuffled(out []byte, shuffled byte, elemSize int) []byte {
+	if shuffled != 1 {
+		return out
+	}
+	defer sched.PutBytes(out)
+	return unshuffleBytes(out, elemSize)
+}

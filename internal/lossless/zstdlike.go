@@ -43,20 +43,9 @@ func (c *ZstdLike) Compress(src []byte) ([]byte, error) {
 	out := sched.GetBytes(len(litBlob) + len(seqs)*4 + 16)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(src)))
 	out = append(out, litMode)
-	out = appendUvarint(out, uint64(len(litBlob)))
-	out = append(out, litBlob...)
+	out = appendBlob(out, litBlob)
 	releaseLiterals(litBlob, litMode)
-	out = appendUvarint(out, uint64(len(seqs)))
-	for _, s := range seqs {
-		out = appendUvarint(out, uint64(s.litLen))
-		if s.matchLen == 0 {
-			out = appendUvarint(out, 0)
-			continue
-		}
-		out = appendUvarint(out, uint64(s.matchLen-lzMinMatch+1))
-		out = binary.LittleEndian.AppendUint16(out, uint16(s.offset-1))
-	}
-	return out, nil
+	return appendSeqs(out, seqs), nil
 }
 
 // Decompress implements Codec.
@@ -66,58 +55,18 @@ func (c *ZstdLike) Decompress(src []byte) ([]byte, error) {
 	}
 	rawLen := int(binary.LittleEndian.Uint32(src))
 	litMode := src[4]
-	pos := 5
-	blobLen64, pos, err := readUvarint(src, pos)
+	r := frameReader{src: src, pos: 5}
+	lits, err := r.literals(litMode)
 	if err != nil {
 		return nil, err
 	}
-	blobLen := int(blobLen64)
-	if pos+blobLen > len(src) {
-		return nil, ErrCorrupt
-	}
-	lits, err := decodeLiterals(src[pos:pos+blobLen], litMode)
+	defer releaseLiterals(lits, litMode)
+	seqs, err := r.readSeqs()
 	if err != nil {
 		return nil, err
 	}
-	pos += blobLen
-	nSeqs64, pos, err := readUvarint(src, pos)
-	if err != nil {
-		releaseLiterals(lits, litMode)
-		return nil, err
-	}
-	// The capacity is a hint bounded by what the stream could really carry
-	// (each sequence costs >= 2 bytes), so a hostile count cannot force a
-	// giant allocation; append grows if the data is there.
-	seqs := getSeqs(min(clampInt(nSeqs64), (len(src)-pos)/2+1))
-	defer func() { putSeqs(seqs) }()
-	for i := uint64(0); i < nSeqs64; i++ {
-		var s sequence
-		var v uint64
-		v, pos, err = readUvarint(src, pos)
-		if err != nil {
-			releaseLiterals(lits, litMode)
-			return nil, err
-		}
-		s.litLen = int(v)
-		v, pos, err = readUvarint(src, pos)
-		if err != nil {
-			releaseLiterals(lits, litMode)
-			return nil, err
-		}
-		if v > 0 {
-			s.matchLen = int(v) + lzMinMatch - 1
-			if pos+2 > len(src) {
-				releaseLiterals(lits, litMode)
-				return nil, ErrCorrupt
-			}
-			s.offset = int(binary.LittleEndian.Uint16(src[pos:])) + 1
-			pos += 2
-		}
-		seqs = append(seqs, s)
-	}
-	out, err := lzReconstruct(seqs, lits, rawLen)
-	releaseLiterals(lits, litMode)
-	return out, err
+	defer putSeqs(seqs)
+	return lzReconstruct(seqs, lits, rawLen)
 }
 
 // encodeLiterals Huffman-codes lits when that can pay; otherwise it stores
@@ -128,12 +77,7 @@ func encodeLiterals(lits []byte) (blob []byte, mode byte, err error) {
 	if !huffmanCanPay(lits) {
 		return lits, 0, nil
 	}
-	syms := sched.GetUint16s(len(lits))[:len(lits)]
-	for i, b := range lits {
-		syms[i] = uint16(b)
-	}
-	enc, err := huffman.EncodeAllU16(syms, 256)
-	sched.PutUint16s(syms)
+	enc, err := huffman.EncodeAllU8(lits)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -177,19 +121,20 @@ func decodeLiterals(blob []byte, mode byte) ([]byte, error) {
 	case 0:
 		return blob, nil
 	case 1:
-		syms, err := huffman.DecodeAllU16(blob, 256)
-		if err != nil {
-			return nil, err
-		}
-		out := sched.GetBytes(len(syms))[:len(syms)]
-		for i, s := range syms {
-			out[i] = byte(s)
-		}
-		sched.PutUint16s(syms)
-		return out, nil
+		return huffman.DecodeAllU8(blob)
 	default:
 		return nil, ErrCorrupt
 	}
+}
+
+// literals reads the length-prefixed blob encodeLiterals produced and
+// decodes it.
+func (r *frameReader) literals(mode byte) ([]byte, error) {
+	blob, err := r.blob()
+	if err != nil {
+		return nil, err
+	}
+	return decodeLiterals(blob, mode)
 }
 
 // releaseLiterals recycles an encodeLiterals or decodeLiterals result (no-op
@@ -198,14 +143,4 @@ func releaseLiterals(lits []byte, mode byte) {
 	if mode == 1 {
 		sched.PutBytes(lits)
 	}
-}
-
-// clampInt converts an untrusted uint64 to a non-negative int without
-// overflow surprises (huge values saturate).
-func clampInt(v uint64) int {
-	const maxInt = int(^uint(0) >> 1)
-	if v > uint64(maxInt) {
-		return maxInt
-	}
-	return int(v)
 }
