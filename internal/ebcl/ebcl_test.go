@@ -1,9 +1,12 @@
 package ebcl
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 func TestValueRange(t *testing.T) {
@@ -166,15 +169,18 @@ func TestLosslessStage(t *testing.T) {
 	if len(out) >= len(payload) {
 		t.Fatalf("stage did not compress: %d >= %d", len(out), len(payload))
 	}
-	back, release, err := ReadLosslessStage(out)
-	if err != nil || len(back) != len(payload) {
-		t.Fatalf("round trip: len=%d err=%v", len(back), err)
+	back, pooled, err := ReadLosslessStage(out)
+	if err != nil || len(back) != len(payload) || !pooled {
+		t.Fatalf("round trip: len=%d pooled=%v err=%v", len(back), pooled, err)
 	}
-	release()
+	sched.PutBytes(back)
 	// Disabled stage stores raw.
 	raw := AppendLosslessStage(nil, payload, true)
 	if len(raw) != len(payload)+1 || raw[0] != 0 {
 		t.Fatal("disabled stage should store raw")
+	}
+	if back, pooled, err := ReadLosslessStage(raw); err != nil || pooled || &back[0] != &raw[1] {
+		t.Fatalf("raw stage should read back as a view: pooled=%v err=%v", pooled, err)
 	}
 	if _, _, err := ReadLosslessStage(nil); err == nil {
 		t.Fatal("empty stage should fail")
@@ -200,5 +206,72 @@ func TestReadSectionHostileLength(t *testing.T) {
 	}
 	if _, _, err := ReadSection(payload, pos); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("MaxInt64-length section: %v, want ErrCorrupt", err)
+	}
+}
+
+// backEndStream runs Finish over a tiny hand-made quantization: three
+// elements, the middle one an escape carrying the literal 7.
+func backEndStream(t *testing.T, f Format) []byte {
+	t.Helper()
+	kinds := append(sched.GetBytes(1), 9)
+	var coeffs []float32
+	if f.Coeffs {
+		coeffs = append(sched.GetFloats(2), 0.5, -0.25)
+	}
+	codes := append(sched.GetUint16s(3), QuantRadius, EscapeCode, QuantRadius+1)
+	stream, err := f.Finish(nil, 0.125, kinds, coeffs, codes, append(sched.GetFloats(1), 7), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
+// TestBackEndRoundTrip: Open hands back what Finish was given, with and
+// without a coefficient section, and the literal cursor accounts for every
+// literal exactly once.
+func TestBackEndRoundTrip(t *testing.T) {
+	for _, f := range []Format{{Magic: 0xABCD, Name: "a", Coeffs: true}, {Magic: 0xABCE, Name: "b"}} {
+		stream := backEndStream(t, f)
+		if n, err := f.DecodedLen(stream); err != nil || n != 3 {
+			t.Fatalf("%s: DecodedLen %d, %v", f.Name, n, err)
+		}
+		var s Sections
+		out, full, err := s.Open(f, nil, stream)
+		if err != nil || !full || len(out) != 3 {
+			t.Fatalf("%s: Open: len %d full %v err %v", f.Name, len(out), full, err)
+		}
+		if s.EbAbs != 0.125 || len(s.Kinds) != 1 || s.Kinds[0] != 9 || len(s.Codes) != 3 || s.Codes[1] != EscapeCode {
+			t.Fatalf("%s: sections %+v", f.Name, s)
+		}
+		if want := map[bool]int{true: 2, false: 0}[f.Coeffs]; s.Coeffs.Len() != want {
+			t.Fatalf("%s: %d coefficients, want %d", f.Name, s.Coeffs.Len(), want)
+		}
+		if s.LiteralsConsumed() {
+			t.Fatalf("%s: a literal is unread, LiteralsConsumed is true", f.Name)
+		}
+		if v := s.NextLiteral(); v != 7 || !s.LiteralsConsumed() {
+			t.Fatalf("%s: literal %v, consumed %v", f.Name, v, s.LiteralsConsumed())
+		}
+		if v := s.NextLiteral(); v != 0 || s.LiteralsConsumed() {
+			t.Fatalf("%s: read past the last literal: %v, consumed %v", f.Name, v, s.LiteralsConsumed())
+		}
+		s.Close()
+	}
+}
+
+// TestBackEndRejectsBadBound: the decoder divides by the stored bound, so
+// Open must refuse one that is not a positive finite number.
+func TestBackEndRejectsBadBound(t *testing.T) {
+	f := Format{Magic: 0xABCD, Name: "a", Coeffs: true}
+	stream := backEndStream(t, f)
+	for _, eb := range []float64{math.NaN(), 0, -0.125, math.Inf(1), math.Inf(-1)} {
+		binary.LittleEndian.PutUint64(stream[9:], math.Float64bits(eb))
+		var s Sections
+		if out, full, err := s.Open(f, nil, stream); !errors.Is(err, ErrCorrupt) || full || out != nil {
+			t.Fatalf("stored bound %g: out %v full %v err %v, want ErrCorrupt", eb, out, full, err)
+		}
+	}
+	if _, _, _, err := f.Begin(nil, []float32{1, 2}, Precision(8)); err == nil || err.Error() != "a: fixed-precision mode unsupported" {
+		t.Fatalf("fixed precision: %v", err)
 	}
 }

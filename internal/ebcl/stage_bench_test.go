@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
+	"repro/internal/sched"
 	"repro/internal/sz2"
 )
 
@@ -39,11 +40,13 @@ func BenchmarkLosslessStage(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				got, release, err := ebcl.ReadLosslessStage(staged)
+				got, pooled, err := ebcl.ReadLosslessStage(staged)
 				if err != nil || len(got) != len(payload) {
 					b.Fatalf("stage read: %d bytes, %v", len(got), err)
 				}
-				release()
+				if pooled {
+					sched.PutBytes(got)
+				}
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/huffman"
 	"repro/internal/lossless"
 	"repro/internal/sched"
 )
@@ -139,23 +140,16 @@ func ReadSection(src []byte, pos int) ([]byte, int, error) {
 		return nil, 0, ErrCorrupt
 	}
 	pos += k
-	if int(l) < 0 || pos+int(l) > len(src) {
+	if l > uint64(len(src)-pos) {
 		return nil, 0, ErrCorrupt
 	}
-	return src[pos : pos+int(l)], pos + int(l), nil
+	n := int(l)
+	return src[pos : pos+n], pos + n, nil
 }
 
-// FloatView reads a float32 literal section in place — the decode-side
-// replacement for materializing a []float32 copy of the section bytes.
+// FloatView reads a float32 section in place — the decode-side replacement
+// for materializing a []float32 copy of the section bytes.
 type FloatView struct{ b []byte }
-
-// NewFloatView validates that b is a whole number of float32s.
-func NewFloatView(b []byte) (FloatView, error) {
-	if len(b)%4 != 0 {
-		return FloatView{}, ErrCorrupt
-	}
-	return FloatView{b}, nil
-}
 
 // Len returns the element count.
 func (v FloatView) Len() int { return len(v.b) / 4 }
@@ -165,9 +159,9 @@ func (v FloatView) At(i int) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(v.b[4*i:]))
 }
 
-// AppendFloatSection appends a uvarint-length-prefixed float32 literal
-// section without materializing an intermediate byte copy.
-func AppendFloatSection(dst []byte, vals []float32) []byte {
+// appendFloatSection appends a uvarint-length-prefixed float32 section
+// without materializing an intermediate byte copy.
+func appendFloatSection(dst []byte, vals []float32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(4*len(vals)))
 	for _, f := range vals {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
@@ -197,26 +191,173 @@ func AppendLosslessStage(out, payload []byte, disable bool) []byte {
 	return append(out, payload...)
 }
 
-func releaseNothing() {}
-
-// ReadLosslessStage reverses AppendLosslessStage. The returned payload is
-// either a view into rest or a pooled decompression buffer; release must be
-// called exactly once when the payload bytes are dead so pooled buffers go
-// back to the sched pool instead of the garbage collector.
-func ReadLosslessStage(rest []byte) (payload []byte, release func(), err error) {
+// ReadLosslessStage reverses AppendLosslessStage. pooled reports whether
+// payload is a pooled decompression buffer the caller must hand to
+// sched.PutBytes once the bytes are dead, rather than a view into rest.
+func ReadLosslessStage(rest []byte) (payload []byte, pooled bool, err error) {
 	if len(rest) < 1 {
-		return nil, nil, ErrCorrupt
+		return nil, false, ErrCorrupt
 	}
 	switch rest[0] {
 	case 0:
-		return rest[1:], releaseNothing, nil
+		return rest[1:], false, nil
 	case 1:
 		z, err := zcodec.Decompress(rest[1:])
-		if err != nil {
-			return nil, nil, err
-		}
-		return z, func() { sched.PutBytes(z) }, nil
+		return z, err == nil, err
 	default:
-		return nil, nil, ErrCorrupt
+		return nil, false, ErrCorrupt
 	}
+}
+
+// The SZ-family back end. SZ2 and SZ3 differ in how they predict; what
+// happens to the prediction residuals is one pipeline, written here once:
+//
+//	header | f64 ebAbs | lossless stage( kinds | [coeffs] | codes | literals )
+//
+// every inner section length-prefixed, codes the multi-stream Huffman blob of
+// the quantization codes, literals the escape-coded float32s. A codec keeps
+// its predictor selection, its side info (per-block or per-level kinds, SZ2's
+// regression coefficients) and the quantize/dequantize loops.
+
+// Format is the constant part of one SZ-family codec's stream.
+type Format struct {
+	Magic uint32
+	Name  string // prefixes the codec's parameter errors
+	// Coeffs: the payload has a float32 coefficient section after the kinds.
+	Coeffs bool
+}
+
+// DecodedLen returns the element count from the stream header.
+func (f Format) DecodedLen(stream []byte) (int, error) {
+	n, _, _, err := ParseHeader(stream, f.Magic)
+	return n, err
+}
+
+// Begin resolves the error bound for data. For empty or constant input it
+// writes the whole stream to dst and reports done; otherwise the codec
+// quantizes under ebAbs and hands the result to Finish.
+func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out []byte, done bool, err error) {
+	if p.Mode == ModeFixedPrecision {
+		return 0, nil, false, fmt.Errorf("%s: fixed-precision mode unsupported", f.Name)
+	}
+	if ebAbs, err = ResolveAbs(data, p); err != nil {
+		return 0, nil, false, err
+	}
+	out, done = AppendDegenerate(dst, f.Magic, data, ebAbs == 0)
+	return ebAbs, out, done, nil
+}
+
+// Finish entropy-codes codes (one per element), assembles the payload, runs
+// the trailing lossless stage unless noLossless, and appends the stream to
+// dst. It owns the four slices, which come from the sched pools (coeffs may
+// be nil): they and every intermediate buffer are back in the pools when it
+// returns, error or not.
+func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32, noLossless bool) ([]byte, error) {
+	n := len(codes)
+	codeBlob, err := huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
+	sched.PutUint16s(codes)
+	if err == nil {
+		payload := sched.GetBytes(len(codeBlob) + 4*len(literals) + 4*len(coeffs) + len(kinds) + 64)
+		payload = AppendSection(payload, kinds)
+		if f.Coeffs {
+			payload = appendFloatSection(payload, coeffs)
+		}
+		payload = AppendSection(payload, codeBlob)
+		payload = appendFloatSection(payload, literals)
+		sched.PutBytes(codeBlob)
+
+		dst = AppendHeader(dst, f.Magic, n, LayoutFull)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ebAbs))
+		dst = AppendLosslessStage(dst, payload, noLossless)
+		sched.PutBytes(payload)
+	}
+	sched.PutBytes(kinds)
+	sched.PutFloats(coeffs)
+	sched.PutFloats(literals)
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// Sections is an opened SZ-family stream: what Finish was given, read back
+// and checked as far as the frame goes (the codec checks Kinds and Coeffs
+// against its own predictor structure). Use a local value; Close it when the
+// reconstruction is done.
+type Sections struct {
+	EbAbs  float64
+	Kinds  []byte
+	Coeffs FloatView
+	Codes  []uint16 // one per element; an EscapeCode takes NextLiteral
+
+	lits   []byte // unread literals
+	short  bool   // a literal was asked for after the last one
+	staged []byte // pooled lossless-stage output the views above point into
+}
+
+// Open parses stream. For the layouts Begin finished by itself out is the
+// complete reconstruction and full is false, as it is on error. Otherwise s
+// holds the sections and out is the n-element destination (dst's storage when
+// large enough) for the codec to fill.
+func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, full bool, err error) {
+	out, n, rest, full, err := DecodeLayout(dst, stream, f.Magic)
+	if !full {
+		return out, false, err
+	}
+	if len(rest) < 8 {
+		return nil, false, ErrCorrupt
+	}
+	s.EbAbs = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+	if !(s.EbAbs > 0) || math.IsInf(s.EbAbs, 0) {
+		return nil, false, ErrCorrupt
+	}
+	payload, pooled, err := ReadLosslessStage(rest[8:])
+	if pooled {
+		s.staged = payload
+	}
+	var sec [4][]byte // kinds, coeffs, code blob, literals
+	for i, pos := 0, 0; i < len(sec) && err == nil; i++ {
+		if i != 1 || f.Coeffs {
+			sec[i], pos, err = ReadSection(payload, pos)
+		}
+	}
+	if err == nil && (len(sec[1])%4 != 0 || len(sec[3])%4 != 0) {
+		err = ErrCorrupt
+	}
+	if err == nil {
+		s.Kinds, s.Coeffs.b, s.lits = sec[0], sec[1], sec[3]
+		s.Codes, err = huffman.DecodeMultiU16(sec[2], QuantAlphabet)
+	}
+	if err == nil && len(s.Codes) != n {
+		err = ErrCorrupt
+	}
+	if err != nil {
+		s.Close()
+		return nil, false, err
+	}
+	return GrowFloats(dst, n), true, nil
+}
+
+// NextLiteral returns the next escape-coded value. Past the last one it
+// returns 0 and LiteralsConsumed turns false, so the reconstruction loops
+// carry no error path of their own.
+func (s *Sections) NextLiteral() float32 {
+	if len(s.lits) < 4 {
+		s.short = true
+		return 0
+	}
+	v := math.Float32frombits(binary.LittleEndian.Uint32(s.lits))
+	s.lits = s.lits[4:]
+	return v
+}
+
+// LiteralsConsumed reports whether the reconstruction asked for exactly the
+// literals the stream carries; anything else is a corrupt stream.
+func (s *Sections) LiteralsConsumed() bool { return !s.short && len(s.lits) == 0 }
+
+// Close returns the pooled buffers behind s; its fields are dead afterwards.
+func (s *Sections) Close() {
+	sched.PutUint16s(s.Codes)
+	sched.PutBytes(s.staged)
+	*s = Sections{}
 }

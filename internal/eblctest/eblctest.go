@@ -8,6 +8,7 @@ package eblctest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -230,6 +231,52 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		bad[0] ^= 0xFF
 		if _, err := c.Decompress(bad); err == nil {
 			t.Error("flipped magic decoded without error")
+		}
+	})
+
+	t.Run("HostileFrames", func(t *testing.T) {
+		// Damage aimed at what a decoder trusts: where the stream ends, how
+		// many elements or bytes a field declares, the stored bound. The
+		// stream is small enough to hit every offset, so every header field
+		// and section boundary is covered whatever the codec's frame is.
+		// Nothing may panic or decode to a length the header does not state.
+		data := WeightLike(rand.New(rand.NewPCG(17, 71)), 700)
+		for i := 256; i < 512; i++ {
+			data[i] = float32(i) / 1000 // a ramp: regression blocks, coefficients
+		}
+		data[600] = 900 // outside the code range: an escape literal
+		stream, err := c.Compress(data, ebcl.Abs(1e-3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// decode patches stream at off (truncating there when patch is nil).
+		decode := func(what string, mustErr bool, off int, patch ...byte) {
+			t.Helper()
+			bad := append(append([]byte(nil), stream[:off]...), patch...)
+			if patch != nil {
+				bad = append(bad, stream[min(off+len(patch), len(stream)):]...)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s at %d: decoder panicked: %v", what, off, p)
+				}
+			}()
+			out, err := c.Decompress(bad)
+			if n, _ := c.DecodedLen(bad); err == nil && (mustErr || n != len(out)) {
+				t.Fatalf("%s at %d: decoded %d elements (header: %d), want an error", what, off, len(out), n)
+			}
+		}
+		for off := range stream {
+			decode("truncation", true, off)
+			decode("byte raised to 0xff", false, off, 0xFF)
+			decode("length 2^63", false, off, binary.AppendUvarint(nil, 1<<63)...)
+			decode("length MaxInt64", false, off, binary.AppendUvarint(nil, math.MaxInt64)...)
+		}
+		for _, n := range []uint32{701, 1401, ebcl.MaxElements, ebcl.MaxElements + 1, math.MaxUint32} {
+			decode("element count", n > ebcl.MaxElements, 4, binary.LittleEndian.AppendUint32(nil, n)...)
+		}
+		for _, eb := range []float64{math.NaN(), 0, -1e-3, math.Inf(1)} {
+			decode("stored bound", false, 9, binary.LittleEndian.AppendUint64(nil, math.Float64bits(eb))...)
 		}
 	})
 

@@ -19,17 +19,13 @@
 package sz2
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/ebcl"
-	"repro/internal/huffman"
 	"repro/internal/sched"
 )
 
 const (
-	magic = 0x535A0002 // "SZ\0\2"
 	// blockSize is the per-block predictor-selection granularity; it is
 	// pinned to the shared constant so the core pipeline's chunk-aligned
 	// (v4) splits land exactly on block boundaries and per-block predictor
@@ -39,6 +35,10 @@ const (
 	predLorenzo    = 0
 	predRegression = 1
 )
+
+// format is SZ2's stream: magic "SZ\0\2", one predictor kind per block,
+// two regression coefficients per regression block.
+var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true}
 
 // Params is re-exported so callers importing only this package can build
 // error bounds without also importing ebcl.
@@ -71,24 +71,17 @@ func (c *Compressor) Decompress(stream []byte) ([]float32, error) {
 // DecodedLen implements ebcl.Compressor: the element count from the stream
 // header, without decoding any payload.
 func (c *Compressor) DecodedLen(stream []byte) (int, error) {
-	n, _, _, err := ebcl.ParseHeader(stream, magic)
-	return n, err
+	return format.DecodedLen(stream)
 }
 
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
-// to dst. All scratch (quantization codes, block predictor kinds,
-// regression coefficients, escape literals, the pre-lossless payload) comes
-// from the sched pools.
+// to dst. The scratch filled here (quantization codes, block predictor
+// kinds, regression coefficients, escape literals) comes from the sched
+// pools and is handed to the shared back end, which returns it.
 func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
-	if p.Mode == ebcl.ModeFixedPrecision {
-		return nil, fmt.Errorf("sz2: fixed-precision mode unsupported")
-	}
-	ebAbs, err := ebcl.ResolveAbs(data, p)
-	if err != nil {
-		return nil, err
-	}
-	if out, ok := ebcl.AppendDegenerate(dst, magic, data, ebAbs == 0); ok {
-		return out, nil
+	ebAbs, out, done, err := format.Begin(dst, data, p)
+	if done || err != nil {
+		return out, err
 	}
 
 	q := ebcl.NewQuantizer(ebAbs)
@@ -167,93 +160,28 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	codeBlob, err := huffman.EncodeMultiU16(codes, ebcl.QuantAlphabet, huffman.DefaultStreams)
-	sched.PutUint16s(codes)
-	if err != nil {
-		sched.PutBytes(predKinds)
-		sched.PutFloats(coeffs)
-		sched.PutFloats(literals)
-		return nil, err
-	}
-
-	payload := sched.GetBytes(len(codeBlob) + 4*len(literals) + 4*len(coeffs) + len(predKinds) + 64)
-	payload = ebcl.AppendSection(payload, predKinds)
-	payload = ebcl.AppendFloatSection(payload, coeffs)
-	payload = ebcl.AppendSection(payload, codeBlob)
-	payload = ebcl.AppendFloatSection(payload, literals)
-	sched.PutBytes(predKinds)
-	sched.PutFloats(coeffs)
-	sched.PutBytes(codeBlob)
-	sched.PutFloats(literals)
-
-	out := ebcl.AppendHeader(dst, magic, len(data), ebcl.LayoutFull)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ebAbs))
-	out = ebcl.AppendLosslessStage(out, payload, c.DisableLosslessStage)
-	sched.PutBytes(payload)
-	return out, nil
+	return format.Finish(dst, ebAbs, predKinds, coeffs, codes, literals, c.DisableLosslessStage)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage. Coefficient and literal sections are read in place (no
-// materialized copies) and the lossless-stage scratch is recycled.
+// storage. Coefficients and literals are read in place (no materialized
+// copies).
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	var sec ebcl.Sections
+	out, full, err := sec.Open(format, dst, stream)
 	if !full {
 		return out, err
 	}
-	if len(rest) < 8 {
-		return nil, ebcl.ErrCorrupt
-	}
-	ebAbs := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-	if !(ebAbs > 0) || math.IsInf(ebAbs, 0) {
-		return nil, ebcl.ErrCorrupt
-	}
-	payload, release, err := ebcl.ReadLosslessStage(rest[8:])
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	predKinds, pos, err := ebcl.ReadSection(payload, 0)
-	if err != nil {
-		return nil, err
-	}
-	coefBlob, pos, err := ebcl.ReadSection(payload, pos)
-	if err != nil {
-		return nil, err
-	}
-	codeBlob, pos, err := ebcl.ReadSection(payload, pos)
-	if err != nil {
-		return nil, err
-	}
-	litBlob, _, err := ebcl.ReadSection(payload, pos)
-	if err != nil {
-		return nil, err
-	}
-	coeffs, err := ebcl.NewFloatView(coefBlob)
-	if err != nil {
-		return nil, ebcl.ErrCorrupt
-	}
-	literals, err := ebcl.NewFloatView(litBlob)
-	if err != nil {
-		return nil, ebcl.ErrCorrupt
-	}
-	codes, err := huffman.DecodeMultiU16(codeBlob, ebcl.QuantAlphabet)
-	if err != nil {
-		return nil, err
-	}
-	defer sched.PutUint16s(codes)
-	if len(codes) != n {
-		return nil, ebcl.ErrCorrupt
-	}
+	defer sec.Close()
+	n, codes, predKinds, coeffs := len(out), sec.Codes, sec.Kinds, sec.Coeffs
 	nBlocks := (n + blockSize - 1) / blockSize
 	if len(predKinds) != nBlocks {
 		return nil, ebcl.ErrCorrupt
 	}
 
-	q := ebcl.NewQuantizer(ebAbs)
-	out = ebcl.GrowFloats(dst, n)
+	q := ebcl.NewQuantizer(sec.EbAbs)
 	prevRecon := 0.0
-	coefIdx, litIdx := 0, 0
+	coefIdx := 0
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, n)
@@ -288,11 +216,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 				for j := i; j < i+4; j++ {
 					code := codes[j]
 					if code == ebcl.EscapeCode {
-						if litIdx >= literals.Len() {
-							return nil, ebcl.ErrCorrupt
-						}
-						out[j] = literals.At(litIdx)
-						litIdx++
+						out[j] = sec.NextLiteral()
 						continue
 					}
 					out[j] = q.Dequantize(int(code), af*float64(j-lo)+bf)
@@ -301,11 +225,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			for ; i < hi; i++ {
 				code := codes[i]
 				if code == ebcl.EscapeCode {
-					if litIdx >= literals.Len() {
-						return nil, ebcl.ErrCorrupt
-					}
-					out[i] = literals.At(litIdx)
-					litIdx++
+					out[i] = sec.NextLiteral()
 					continue
 				}
 				out[i] = q.Dequantize(int(code), af*float64(i-lo)+bf)
@@ -316,11 +236,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		for i := lo; i < hi; i++ {
 			code := codes[i]
 			if code == ebcl.EscapeCode {
-				if litIdx >= literals.Len() {
-					return nil, ebcl.ErrCorrupt
-				}
-				out[i] = literals.At(litIdx)
-				litIdx++
+				out[i] = sec.NextLiteral()
 				prevRecon = float64(out[i])
 				continue
 			}
@@ -328,7 +244,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			prevRecon = float64(out[i])
 		}
 	}
-	if litIdx != literals.Len() {
+	if !sec.LiteralsConsumed() {
 		return nil, ebcl.ErrCorrupt
 	}
 	return out, nil

@@ -13,21 +13,20 @@
 package sz3
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/ebcl"
-	"repro/internal/huffman"
 	"repro/internal/sched"
 )
 
 const (
-	magic = 0x535A0003 // "SZ\0\3"
-
 	levelLinear = 0
 	levelCubic  = 1
 )
+
+// format is SZ3's stream: magic "SZ\0\3", one interpolant kind per level,
+// no coefficients.
+var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3"}
 
 // The interpolation level structure is derived from the array length alone,
 // so any split point yields two valid independent streams; the core
@@ -65,24 +64,17 @@ func (c *Compressor) Decompress(stream []byte) ([]float32, error) {
 // DecodedLen implements ebcl.Compressor: the element count from the stream
 // header, without decoding any payload.
 func (c *Compressor) DecodedLen(stream []byte) (int, error) {
-	n, _, _, err := ebcl.ParseHeader(stream, magic)
-	return n, err
+	return format.DecodedLen(stream)
 }
 
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
-// to dst. All scratch — the float64 reconstruction grid, quantization
-// codes, escape literals, and the pre-lossless payload — comes from the
-// sched pools.
+// to dst. All scratch comes from the sched pools: the float64
+// reconstruction grid is returned here, the quantization codes, escape
+// literals and level kinds by the shared back end they are handed to.
 func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
-	if p.Mode == ebcl.ModeFixedPrecision {
-		return nil, fmt.Errorf("sz3: fixed-precision mode unsupported")
-	}
-	ebAbs, err := ebcl.ResolveAbs(data, p)
-	if err != nil {
-		return nil, err
-	}
-	if out, ok := ebcl.AppendDegenerate(dst, magic, data, ebAbs == 0); ok {
-		return out, nil
+	ebAbs, out, done, err := format.Begin(dst, data, p)
+	if done || err != nil {
+		return out, err
 	}
 
 	n := len(data)
@@ -137,72 +129,20 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	codeBlob, err := huffman.EncodeMultiU16(codes, ebcl.QuantAlphabet, huffman.DefaultStreams)
-	sched.PutUint16s(codes)
-	if err != nil {
-		sched.PutFloats(literals)
-		sched.PutBytes(levelKinds)
-		return nil, err
-	}
-	payload := sched.GetBytes(len(codeBlob) + 4*len(literals) + len(levelKinds) + 64)
-	payload = ebcl.AppendSection(payload, levelKinds)
-	payload = ebcl.AppendSection(payload, codeBlob)
-	payload = ebcl.AppendFloatSection(payload, literals)
-	sched.PutBytes(codeBlob)
-	sched.PutFloats(literals)
-	sched.PutBytes(levelKinds)
-
-	out := ebcl.AppendHeader(dst, magic, n, ebcl.LayoutFull)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ebAbs))
-	out = ebcl.AppendLosslessStage(out, payload, c.DisableLosslessStage)
-	sched.PutBytes(payload)
-	return out, nil
+	return format.Finish(dst, ebAbs, levelKinds, nil, codes, literals, c.DisableLosslessStage)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage. The literal section is read in place, the float64 grid comes
-// from the sched pool, and the lossless-stage scratch is recycled.
+// storage. Literals are read in place and the float64 grid comes from the
+// sched pool.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	var sec ebcl.Sections
+	out, full, err := sec.Open(format, dst, stream)
 	if !full {
 		return out, err
 	}
-	if len(rest) < 8 {
-		return nil, ebcl.ErrCorrupt
-	}
-	ebAbs := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-	if !(ebAbs > 0) || math.IsInf(ebAbs, 0) {
-		return nil, ebcl.ErrCorrupt
-	}
-	payload, release, err := ebcl.ReadLosslessStage(rest[8:])
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	levelKinds, pos, err := ebcl.ReadSection(payload, 0)
-	if err != nil {
-		return nil, err
-	}
-	codeBlob, pos, err := ebcl.ReadSection(payload, pos)
-	if err != nil {
-		return nil, err
-	}
-	litBlob, _, err := ebcl.ReadSection(payload, pos)
-	if err != nil {
-		return nil, err
-	}
-	literals, err := ebcl.NewFloatView(litBlob)
-	if err != nil {
-		return nil, ebcl.ErrCorrupt
-	}
-	codes, err := huffman.DecodeMultiU16(codeBlob, ebcl.QuantAlphabet)
-	if err != nil {
-		return nil, err
-	}
-	defer sched.PutUint16s(codes)
-	if len(codes) != n {
-		return nil, ebcl.ErrCorrupt
-	}
+	defer sec.Close()
+	n, codes, levelKinds := len(out), sec.Codes, sec.Kinds
 	wantLevels := 0
 	for s := topStride(n); s >= 1; s /= 2 {
 		wantLevels++
@@ -211,29 +151,21 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		return nil, ebcl.ErrCorrupt
 	}
 
-	q := ebcl.NewQuantizer(ebAbs)
+	q := ebcl.NewQuantizer(sec.EbAbs)
 	recon := sched.GetFloat64s(n)[:n]
 	defer sched.PutFloat64s(recon)
-	out = ebcl.GrowFloats(dst, n)
-	codeIdx, litIdx := 0, 0
-	reconstructPoint := func(i int, pred float64) error {
+	codeIdx := 0
+	reconstructPoint := func(i int, pred float64) {
 		code := codes[codeIdx]
 		codeIdx++
 		if code == ebcl.EscapeCode {
-			if litIdx >= literals.Len() {
-				return ebcl.ErrCorrupt
-			}
-			out[i] = literals.At(litIdx)
-			litIdx++
+			out[i] = sec.NextLiteral()
 		} else {
 			out[i] = q.Dequantize(int(code), pred)
 		}
 		recon[i] = float64(out[i])
-		return nil
 	}
-	if err := reconstructPoint(0, 0); err != nil {
-		return nil, err
-	}
+	reconstructPoint(0, 0)
 	lvl := 0
 	for s := topStride(n); s >= 1; s /= 2 {
 		kind := levelKinds[lvl]
@@ -252,27 +184,17 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			p1 := interpolate(recon, n, i+step, s, kind)
 			p2 := interpolate(recon, n, i+2*step, s, kind)
 			p3 := interpolate(recon, n, i+3*step, s, kind)
-			if err := reconstructPoint(i, p0); err != nil {
-				return nil, err
-			}
-			if err := reconstructPoint(i+step, p1); err != nil {
-				return nil, err
-			}
-			if err := reconstructPoint(i+2*step, p2); err != nil {
-				return nil, err
-			}
-			if err := reconstructPoint(i+3*step, p3); err != nil {
-				return nil, err
-			}
+			reconstructPoint(i, p0)
+			reconstructPoint(i+step, p1)
+			reconstructPoint(i+2*step, p2)
+			reconstructPoint(i+3*step, p3)
 		}
 		for ; i < n; i += step {
 			pred := interpolate(recon, n, i, s, kind)
-			if err := reconstructPoint(i, pred); err != nil {
-				return nil, err
-			}
+			reconstructPoint(i, pred)
 		}
 	}
-	if litIdx != literals.Len() {
+	if !sec.LiteralsConsumed() {
 		return nil, ebcl.ErrCorrupt
 	}
 	return out, nil
