@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrUnexpectedEOF is returned when a Reader runs out of bits mid-read.
@@ -114,47 +113,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUnary writes v as v one-bits followed by a terminating zero-bit,
-// batched into WriteBits chunks of up to 64 bits.
-func (w *Writer) WriteUnary(v uint64) {
-	for v >= 64 {
-		w.WriteBits(^uint64(0), 64)
-		v -= 64
-	}
-	if v == 63 {
-		w.WriteBits(^uint64(1), 64) // 63 ones + the terminating zero
-		return
-	}
-	w.WriteBits(1<<(v+1)-2, uint(v)+1) // v ones + the terminating zero
-}
-
-// WriteBytes appends whole bytes. The writer need not be byte aligned.
-func (w *Writer) WriteBytes(p []byte) {
-	w.flushFullBytes()
-	if w.nCur == 0 {
-		w.buf = append(w.buf, p...)
-		return
-	}
-	for len(p) >= 8 {
-		w.WriteBits(binary.BigEndian.Uint64(p), 64)
-		p = p[8:]
-	}
-	for _, b := range p {
-		w.WriteBits(uint64(b), 8)
-	}
-}
-
-// Align pads the current byte with zero bits up to the next byte boundary.
-func (w *Writer) Align() {
-	w.flushFullBytes()
-	if w.nCur != 0 {
-		w.WriteBits(0, 8-w.nCur)
-	}
-}
-
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // Bytes returns the encoded stream, padding the final partial byte with zero
 // bits. The returned slice aliases the writer's buffer; the writer must not
 // be reused afterwards unless Reset is called.
@@ -178,7 +136,7 @@ func (w *Writer) Reset() {
 // All reads go through a 64-bit accumulator: the next unread bit is bit 63
 // of bits, and only the top nBits bits are valid (the rest are zero). The
 // table-driven decoders drive the accumulator directly via Refill / Peek /
-// Consume; ReadBit / ReadBits / ReadUnary are defined on top of it.
+// Consume; ReadBit / ReadBits are defined on top of it.
 type Reader struct {
 	data  []byte
 	pos   int    // next byte of data to load into the accumulator
@@ -310,76 +268,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	r.bits <<= rest
 	r.nBits -= rest
 	return v, nil
-}
-
-// ReadUnary reads a unary-coded value (count of one-bits before a zero-bit)
-// by scanning the accumulator a word at a time.
-func (r *Reader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		r.Refill()
-		if r.nBits == 0 {
-			return 0, ErrUnexpectedEOF
-		}
-		ones := uint(bits.LeadingZeros64(^r.bits))
-		if ones >= r.nBits {
-			// Every buffered bit is a one; consume them all and keep going.
-			v += uint64(r.nBits)
-			r.bits, r.nBits = 0, 0
-			continue
-		}
-		r.bits <<= ones + 1
-		r.nBits -= ones + 1
-		return v + uint64(ones), nil
-	}
-}
-
-// ReadBytes reads n whole bytes. The reader need not be byte aligned.
-func (r *Reader) ReadBytes(n int) ([]byte, error) {
-	if n > (len(r.data)-r.pos)+int(r.nBits>>3) {
-		return nil, ErrUnexpectedEOF
-	}
-	out := make([]byte, n)
-	i := 0
-	if r.nBits&7 == 0 {
-		// Byte-aligned: drain whole accumulator bytes, then copy directly.
-		for r.nBits > 0 && i < n {
-			out[i] = byte(r.bits >> 56)
-			r.bits <<= 8
-			r.nBits -= 8
-			i++
-		}
-		// Clear any lookahead bits Refill left below the (now empty) valid
-		// region: the direct copy below advances pos past their source
-		// bytes, so they must not survive into the next refill.
-		if r.nBits == 0 {
-			r.bits = 0
-		}
-		copied := copy(out[i:], r.data[r.pos:])
-		r.pos += copied
-		i += copied
-		if i < n {
-			return nil, ErrUnexpectedEOF
-		}
-		return out, nil
-	}
-	for ; i < n; i++ {
-		v, err := r.ReadBits(8)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = byte(v)
-	}
-	return out, nil
-}
-
-// Align skips forward to the next byte boundary.
-func (r *Reader) Align() {
-	// Bits consumed so far ≡ -nBits (mod 8), so dropping nBits%8 more bits
-	// lands on a byte boundary.
-	drop := r.nBits & 7
-	r.bits <<= drop
-	r.nBits -= drop
 }
 
 // BitsRemaining reports the number of unread bits.

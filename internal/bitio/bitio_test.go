@@ -1,7 +1,6 @@
 package bitio
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -43,73 +42,6 @@ func TestWriteBitsWidths(t *testing.T) {
 	}
 }
 
-func TestUnaryRoundTrip(t *testing.T) {
-	w := NewWriter(0)
-	vals := []uint64{0, 1, 2, 7, 63, 100}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for _, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("unary: got %d want %d", got, want)
-		}
-	}
-}
-
-func TestWriteBytesAligned(t *testing.T) {
-	w := NewWriter(0)
-	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	w.WriteBytes(payload)
-	r := NewReader(w.Bytes())
-	got, err := r.ReadBytes(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got % x want % x", got, payload)
-	}
-}
-
-func TestWriteBytesUnaligned(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBit(1)
-	payload := []byte{0x01, 0x80, 0x55}
-	w.WriteBytes(payload)
-	r := NewReader(w.Bytes())
-	if b, _ := r.ReadBit(); b != 1 {
-		t.Fatal("leading bit lost")
-	}
-	got, err := r.ReadBytes(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got % x want % x", got, payload)
-	}
-}
-
-func TestAlign(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0b11, 2)
-	w.Align()
-	w.WriteBits(0xAB, 8)
-	out := w.Bytes()
-	if len(out) != 2 || out[0] != 0b11000000 || out[1] != 0xAB {
-		t.Fatalf("unexpected aligned output % x", out)
-	}
-	r := NewReader(out)
-	r.ReadBits(2)
-	r.Align()
-	if v, _ := r.ReadBits(8); v != 0xAB {
-		t.Fatalf("aligned read got %#x", v)
-	}
-}
-
 func TestReaderEOF(t *testing.T) {
 	r := NewReader([]byte{0xFF})
 	if _, err := r.ReadBits(8); err != nil {
@@ -121,17 +53,11 @@ func TestReaderEOF(t *testing.T) {
 	if _, err := r.ReadBits(4); err != ErrUnexpectedEOF {
 		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
 	}
-	if _, err := r.ReadBytes(1); err != ErrUnexpectedEOF {
-		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
-	}
 }
 
 func TestBitLenAndRemaining(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0, 13)
-	if w.BitLen() != 13 {
-		t.Fatalf("BitLen = %d want 13", w.BitLen())
-	}
 	r := NewReader(w.Bytes()) // padded to 16 bits
 	if r.BitsRemaining() != 16 {
 		t.Fatalf("BitsRemaining = %d want 16", r.BitsRemaining())
@@ -146,8 +72,8 @@ func TestWriterReset(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0xFF, 8)
 	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatalf("BitLen after Reset = %d", w.BitLen())
+	if n := len(w.Bytes()); n != 0 {
+		t.Fatalf("%d bytes after Reset", n)
 	}
 	w.WriteBits(0x0F, 4)
 	if got := w.Bytes(); len(got) != 1 || got[0] != 0xF0 {
@@ -279,30 +205,6 @@ func TestQuickPeekConsumeEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUnaryBatchedEdges(t *testing.T) {
-	// Values spanning the 64-bit chunk boundaries of the batched writer.
-	vals := []uint64{0, 62, 63, 64, 65, 127, 128, 200}
-	w := NewWriter(0)
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for _, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("unary: got %d want %d", got, want)
-		}
-	}
-	// All-ones stream without a terminator must hit EOF, not spin.
-	r = NewReader([]byte{0xFF, 0xFF})
-	if _, err := r.ReadUnary(); err != ErrUnexpectedEOF {
-		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
 	}
 }
 
