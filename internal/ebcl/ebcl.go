@@ -1,7 +1,9 @@
 // Package ebcl defines the shared machinery for the error-bounded lossy
 // compressors (EBLCs) evaluated by FedSZ: the Compressor interface, error
-// bound modes, the linear quantizer used by the prediction-based compressors
-// (SZ2, SZ3), and verification helpers.
+// bound modes, the common stream header, the linear quantizer used by the
+// prediction-based compressors (SZ2, SZ3) and the one back end that turns
+// their quantization codes into a stream and back (Format, Sections), and
+// verification helpers.
 //
 // Error bound semantics follow the SZ convention: a *relative* bound eb
 // means the absolute reconstruction error of every element is at most

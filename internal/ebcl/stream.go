@@ -10,9 +10,10 @@ import (
 	"repro/internal/sched"
 )
 
-// Shared stream framing for the SZ-family compressors: length-prefixed
-// sections, a common header layout, and the optional trailing lossless
-// stage (SZ2/SZ3 run Zstd after Huffman; we use the zstd-like codec).
+// Stream framing: the header and degenerate layouts all four EBLCs share,
+// length-prefixed sections, and — below them — the SZ-family back end with
+// its trailing lossless stage (SZ2/SZ3 run Zstd after Huffman; we use the
+// zstd-like codec).
 
 // Layout identifiers for the byte following the common header.
 const (

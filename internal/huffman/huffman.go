@@ -1,7 +1,8 @@
 // Package huffman implements a canonical, length-limited Huffman codec over
 // integer alphabets. It is the entropy stage shared by the SZ2 and SZ3 lossy
-// compressors (quantization codes) and the zstd-like / xz-like lossless
-// codecs (literal and match-length alphabets).
+// compressors (uint16 quantization codes, through their common back end in
+// ebcl) and the zstd-like / xz-like lossless codecs (byte literal and control
+// streams).
 //
 // Code tables are serialized as the list of per-symbol code lengths, so the
 // decoder can rebuild the exact canonical code without transmitting the

@@ -7,7 +7,8 @@
 // byte-aligned bitstream under one shared code table, and DecodeMultiU16
 // walks the streams round-robin in one wide loop — N dependency chains in
 // flight, which is where the throughput comes from (zstd's 4-stream Huffman
-// does exactly this).
+// does exactly this). The code itself comes from the same two functions as
+// the single-stream format's: buildCodec on encode, readCodec on decode.
 //
 // Blob layout (all integers little-endian / uvarint as noted):
 //
@@ -246,8 +247,8 @@ func (c *Codec) decodeStreams(data []byte, offs []int, out []uint16, streams int
 // bulk-decode bottleneck.
 //
 // Any fast-path miss (stream tail, zero entry, mid-code truncation) drops
-// to the careful per-stream tail, which finishes through DecodeFast/Decode
-// for exactly the reference decoder's error semantics.
+// to the careful per-stream tail, which finishes through decodeSeq for
+// exactly the reference decoder's error semantics.
 func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	var r0, r1, r2, r3 bitio.Reader
 	r0.Reset(srcs[0])
@@ -347,13 +348,9 @@ func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	rs := [4]*bitio.Reader{&r0, &r1, &r2, &r3}
 	ps := [4]int{p0, p1, p2, p3}
 	for k := 0; k < 4; k++ {
-		out, r := outs[k], rs[k]
-		for i := ps[k]; i < len(out); i++ {
-			s, err := c.DecodeFast(r)
-			if err != nil {
-				return err
-			}
-			out[i] = uint16(s)
+		r := rs[k]
+		if err := decodeSeq(r, c, outs[k][ps[k]:]); err != nil {
+			return err
 		}
 		// Leftover beyond the final byte's padding means the declared stream
 		// boundary does not match the encoded symbols.

@@ -9,9 +9,11 @@ import (
 )
 
 // Shared LZ77 machinery: a hash-chain matcher producing (literal run, match)
-// sequences, plus the interleaved byte serialization used by the blosclz
-// codec. The zstd-like and xz-like codecs reuse the parse but entropy-code
-// the streams.
+// sequences, the reconstruction that replays them, and the one writer and
+// checked reader for the frame fields all three hand-written codecs use
+// (length-prefixed blobs, matches, the sequence stream). blosclz interleaves
+// literals and matches as bytes; zstd-like and xz-like entropy-code the
+// literal (and, for xz-like, control) streams.
 
 const (
 	lzMinMatch  = 4
@@ -237,13 +239,11 @@ func lzReconstruct(seqs []sequence, literals []byte, rawLen int) ([]byte, error)
 	return out, nil
 }
 
-// The frame fields every LZ codec writes, and the one checked reader for
-// them. A sequence is uvarint litLen, then a match: uvarint matchCode
-// (matchLen-lzMinMatch+1, 0 for the literal-only tail) followed by a u16
-// offset-1 when matchCode > 0. A blob is a uvarint byte length and the bytes.
-// zstd-like and xz-like write a count and then the sequences (appendSeqs /
-// readSeqs); blosclz interleaves, writing each sequence's literals as a blob
-// in place of the bare litLen.
+// Frame fields. A blob is a uvarint byte length and the bytes. A sequence is
+// uvarint litLen, then a match: uvarint matchCode (matchLen-lzMinMatch+1, 0
+// for the literal-only tail) and, when matchCode > 0, a u16 offset-1.
+// zstd-like and xz-like write a count and then the sequences; blosclz writes
+// each sequence's literals as a blob in place of the bare litLen.
 
 func appendBlob(dst, blob []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(blob))), blob...)
@@ -324,9 +324,9 @@ func (r *frameReader) readSeqs() ([]sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The capacity is a hint bounded by what the stream could really carry
-	// (each sequence costs >= 2 bytes), so a hostile count cannot force a
-	// giant allocation; append grows if the data is there.
+	// The capacity is a hint bounded by what the stream could carry (a
+	// sequence costs >= 2 bytes), so a hostile count cannot force a giant
+	// allocation; append grows if the data is there.
 	seqs := getSeqs(int(min(nSeqs64, uint64(len(r.src)-r.pos)/2+1)))
 	for i := uint64(0); i < nSeqs64; i++ {
 		var s sequence

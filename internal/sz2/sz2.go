@@ -14,6 +14,9 @@
 //  5. Run the concatenated payload through an LZ+Huffman lossless stage
 //     (standing in for SZ2's Zstd stage) and keep it when smaller.
 //
+// Steps 1–3 are this package; 4 and 5, and the stream frame around them, are
+// the back end SZ2 shares with SZ3 (ebcl.Format, ebcl.Sections).
+//
 // Decompression reverses the stages; Lorenzo predictions use previously
 // *reconstructed* values so encoder and decoder stay in lockstep.
 package sz2

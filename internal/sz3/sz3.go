@@ -10,6 +10,9 @@
 // be stored — the property the paper credits for SZ3's ratio advantage at
 // high error bounds — but the per-level predictor selection makes it
 // measurably slower than SZ2, also as reported.
+//
+// Everything after quantization (Huffman, the trailing lossless stage, the
+// stream frame) is the back end shared with SZ2: ebcl.Format, ebcl.Sections.
 package sz3
 
 import (
