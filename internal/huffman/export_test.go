@@ -48,3 +48,13 @@ func (c *Codec) Encode(w *bitio.Writer, s int) {
 func EncodeAllU16(symbols []uint16, alphabet int) ([]byte, error) {
 	return encodeSeq(symbols, alphabet)
 }
+
+// DecodeFast reads one symbol the way decodeSeq does: through the lookup
+// tables, falling back to the reference decoder. It must return exactly what
+// Decode would — same symbols, same errors, same stream position.
+func (c *Codec) DecodeFast(r *bitio.Reader) (int, error) {
+	if s, ok := c.decodeFast(r); ok {
+		return s, nil
+	}
+	return c.Decode(r)
+}

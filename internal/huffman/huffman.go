@@ -390,7 +390,7 @@ func (c *Codec) buildDecodeTable() {
 }
 
 // Decode reads one symbol from r bit-by-bit over the canonical first-code
-// ladder. It is the reference decoder: DecodeFast and the bulk decoders are
+// ladder. It is the reference decoder: decodeFast and the bulk decoders are
 // differentially tested against it, and delegate to it on truncated or
 // invalid streams so error semantics are identical across paths.
 func (c *Codec) Decode(r *bitio.Reader) (int, error) {
@@ -442,26 +442,14 @@ func (c *Codec) decodeFast(r *bitio.Reader) (s int, ok bool) {
 	return int(e >> entryShift), true
 }
 
-// DecodeFast reads one symbol via the multi-bit table decoder. It returns
-// exactly what Decode would — same symbols, same errors, same stream
-// position — one table probe at a time instead of one bit at a time.
-func (c *Codec) DecodeFast(r *bitio.Reader) (int, error) {
-	if s, ok := c.decodeFast(r); ok {
-		return s, nil
-	}
-	return c.Decode(r)
-}
-
 // symbol constrains the element types the bulk coders move: bytes (the
 // lossless codecs' literal and control streams) and uint16 (quantization
 // codes).
 type symbol interface{ ~uint8 | ~uint16 }
 
-// buildCodec is the one place a code is built from data: histogram the
-// symbols (pooled scratch), then construct the code in a pooled shell. Both
-// bulk encoders call it, so anything that wants to hand the encoder a
-// histogram it already has, or estimate a coded size without coding, has one
-// site to change. The caller returns the codec via putCodec.
+// buildCodec is the one place a code is built from data, for both bulk
+// encoders: histogram the symbols (pooled scratch), then construct the code
+// in a pooled shell. The caller returns the codec via putCodec.
 func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, error) {
 	freqs := sched.GetUint64s(alphabet)[:alphabet]
 	defer sched.PutUint64s(freqs)
