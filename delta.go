@@ -55,7 +55,8 @@ func (c *DeltaCodec) RefProvider() func(epoch uint32) *tensor.StateDict {
 
 // Compress encodes sd against the retained reference (absolute stream
 // before the first SetReference). Stats.DeltaTensors and
-// Stats.DeltaBytesSaved report what the residual encoding won.
+// Stats.DeltaBytesSaved report what the residual encoding won (an estimate
+// for tensors above 32 Ki elements: their absolute candidate is only sampled).
 func (c *DeltaCodec) Compress(ctx context.Context, sd *StateDict) ([]byte, *Stats, error) {
 	ref, epoch, ok := c.ref.Get()
 	if !ok {

@@ -166,7 +166,8 @@ type Stats struct {
 	DeltaTensors int
 	// DeltaBytesSaved totals the bytes the chosen residual sections saved
 	// over their absolute candidates — the per-call slice of the
-	// fedsz_delta_bytes_saved telemetry counter.
+	// fedsz_delta_bytes_saved telemetry counter. Exact up to 32 Ki elements;
+	// a larger tensor's absolute size is scaled up from a 1/8 sample (encodeBlob).
 	DeltaBytesSaved int
 
 	// ChunkedTensors counts lossy tensors emitted as chunked (v4) blobs;

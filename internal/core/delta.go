@@ -3,9 +3,10 @@ package core
 // Cross-round delta encoding, the v3 stream format: residual formation
 // (computeResidual — the finiteness and range test that makes a tensor a
 // residual candidate) and the delta telemetry counters. Whether a candidate's
-// residual is then kept — the both-ways encode, the mode-byte flip and the
-// DeltaBytesSaved accounting — is encodeBlob's decision (encode.go), made
-// once for plain and chunked blobs alike.
+// residual is then kept — the both-ways encode of a small tensor, the sampled
+// pick for a large one, the mode-byte flip and the DeltaBytesSaved accounting
+// — is encodeBlob's decision (encode.go), made once for plain and chunked
+// blobs alike.
 
 import (
 	"math"
@@ -54,7 +55,7 @@ var deltaMetrics = sync.OnceValue(func() *deltaCounters {
 	r := telemetry.Default()
 	return &deltaCounters{
 		bytesSaved: r.Counter("fedsz_delta_bytes_saved",
-			"Bytes saved by residual tensor sections over their absolute candidates."),
+			"Bytes saved by residual tensor sections over their absolute candidates (estimated from a sample for tensors above 32 Ki elements)."),
 		deltaSec: r.Counter("fedsz_delta_sections",
 			"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
 			telemetry.L("mode", "delta")),

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -332,17 +333,25 @@ func (s *section) encodeTensor(pool *sched.Pool, o Options, modeBytes bool) {
 //     (REL on non-finite data) does neither and takes the plain path.
 //   - A residual is a candidate when the reference holds a same-named,
 //     same-sized tensor, the bound is not PREC (nothing to carry over), and
-//     the residual is finite and strictly tighter than the data. Then both
-//     encodings are produced and the smaller is kept — a delta stream is
-//     never larger than its absolute counterpart, and DeltaBytesSaved is
-//     exact. The ~2× encode cost on eligible tensors is the trade documented
-//     in the README. A codec error on one candidate keeps the other; only an
-//     absolute-side error with no residual to fall back on fails the tensor.
+//     the residual is finite and strictly tighter than the data. Up to
+//     sampleMinElems both encodings are produced and the smaller is kept: the
+//     section is never larger than the absolute one and DeltaBytesSaved is
+//     exact. Above it only the candidate whose sample (sampleSizes) encodes
+//     smaller is produced, ties to the residual: ~1.25 encodes, not 2, the
+//     kept blob within 1 % of the smaller one (TestSampledPolicyAccuracy),
+//     DeltaBytesSaved scaled up from the sample. A codec error on a candidate
+//     or a sample keeps the other candidate; only an absolute-side error with
+//     no residual to fall back on fails the tensor.
 func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, lenPos int) ([]byte, error) {
-	var ref []float32
-	if o.Reference != nil {
+	// The residual is formed before the bound is resolved: the pass that
+	// fills it also finds the value range a REL bound resolves against.
+	var res []float32
+	rangeD, rangeR, finite := 0.0, 0.0, false
+	if m := o.LossyParams.Mode; o.Reference != nil && (m == ebcl.ModeRelative || m == ebcl.ModeAbsolute) {
 		if rt := o.Reference.Get(s.name); rt != nil && rt.NumElems() == len(s.data) {
-			ref = rt.Data
+			res = sched.GetFloats(len(s.data))[:len(s.data)]
+			defer sched.PutFloats(res)
+			rangeD, rangeR, finite = computeResidual(res, s.data, rt.Data)
 		}
 	}
 	// The unchunked absolute candidate keeps the caller's params verbatim (the
@@ -350,8 +359,8 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 	// candidates get the bound resolved against the whole original tensor.
 	absP, resP := o.LossyParams, o.LossyParams
 	resolved := false
-	if s.chunks > 1 || ref != nil {
-		resP, resolved = absParams(s.data, o.LossyParams)
+	if s.chunks > 1 || res != nil {
+		resP, resolved = absParams(s.data, o.LossyParams, rangeD, finite)
 	}
 	s.chunked = s.chunks > 1 && resolved
 	if s.chunked {
@@ -364,16 +373,20 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		return o.Lossy.CompressAppend(dst, vals, p)
 	}
 
-	if ref == nil || !resolved || resP.Mode != ebcl.ModeAbsolute {
+	if !finite || !resolved || rangeR >= rangeD {
+		// No residual or bound for it, or one no tighter than the data (cold
+		// reference, diverged client): absolute only, without a second encode.
 		return write(buf, s.data, absP)
 	}
-	res := sched.GetFloats(len(s.data))[:len(s.data)]
-	defer sched.PutFloats(res)
-	rangeD, rangeR, ok := computeResidual(res, s.data, ref)
-	if !ok || rangeR >= rangeD {
-		// The residual is no tighter than the data (cold reference, diverged
-		// client): absolute only, without paying a second encode.
-		return write(buf, s.data, absP)
+	est := -1 // the absolute candidate's size scaled up from its sample, when that stood in for it
+	if len(s.data) > sampleMinElems {
+		if a, r, n, ok := sampleSizes(o.Lossy, buf, s.data, res, resP); ok && a >= r {
+			est = int(math.Round(float64(a) * float64(len(s.data)) / float64(n)))
+		} else if ok {
+			if out, err := write(buf, s.data, absP); err == nil {
+				return out, nil
+			}
+		}
 	}
 	out, err := write(buf, res, resP)
 	if err != nil {
@@ -382,24 +395,59 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		return write(buf, s.data, absP)
 	}
 	deltaLen := len(out) - lenPos - ebcl.SectionLenBytes
-	scratch := sched.GetBytes(len(s.data)/2 + 64)
-	absBlob, err := write(scratch, s.data, absP)
-	if err != nil {
-		// Only the residual encodes: it is the section, and says so below.
-		sched.PutBytes(scratch)
+	if est >= 0 {
+		s.saved = max(est-deltaLen, 0)
 	} else {
-		defer sched.PutBytes(absBlob)
-		if len(absBlob) < deltaLen {
-			// Absolute wins: overwrite the residual blob in place (capacity is
-			// guaranteed — the absolute blob is strictly smaller) and leave
-			// the mode byte as it was initialized.
-			return append(out[:lenPos+ebcl.SectionLenBytes], absBlob...), nil
+		scratch := sched.GetBytes(len(s.data)/2 + 64)
+		absBlob, err := write(scratch, s.data, absP)
+		if err != nil {
+			// Only the residual encodes: it is the section, and says so below.
+			sched.PutBytes(scratch)
+		} else {
+			defer sched.PutBytes(absBlob)
+			if len(absBlob) < deltaLen {
+				// Absolute wins: overwrite the residual blob in place (capacity is
+				// guaranteed — the absolute blob is strictly smaller) and leave
+				// the mode byte as it was initialized.
+				return append(out[:lenPos+ebcl.SectionLenBytes], absBlob...), nil
+			}
+			s.saved = len(absBlob) - deltaLen
 		}
-		s.saved = len(absBlob) - deltaLen
 	}
 	out[modePos] = sectionDelta
 	s.delta = true
 	return out, nil
+}
+
+// A residual candidate above sampleMinElems elements is not encoded both
+// ways: sampleRun-element runs every sampleStride (1/8 of the tensor, on the
+// predictor-block grid) of each candidate go through the codec and the smaller
+// sample names the one to encode. TestSampledPolicyAccuracy justifies the values.
+const (
+	sampleMinElems = 32 << 10
+	sampleRun      = 4 * ebcl.PredictorBlockElems
+	sampleStride   = 8 * sampleRun
+)
+
+// sampleSizes returns the blob sizes of the n-element strided samples of data
+// and of res under p. The blobs are written behind buf's contents and dropped
+// (the caller's buf is untouched); ok is false when either does not encode.
+func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, p ebcl.Params) (absLen, resLen, n int, ok bool) {
+	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
+	defer func() { sched.PutFloats(sample) }()
+	var lens [2]int
+	for k, src := range [2][]float32{data, res} {
+		sample = sample[:0]
+		for lo := 0; lo < len(src); lo += sampleStride {
+			sample = append(sample, src[lo:min(lo+sampleRun, len(src))]...)
+		}
+		out, err := lossy.CompressAppend(buf, sample, p)
+		if err != nil {
+			return 0, 0, 0, false
+		}
+		lens[k] = len(out) - len(buf)
+	}
+	return lens[0], lens[1], len(sample), true
 }
 
 // absParams resolves the caller's error-control setting to one that means
@@ -407,14 +455,21 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 // the ABS bound it implies on the *original* tensor's value range (the
 // documented SZ convention; reconstruction is ref + residual' with the
 // reference exact at both ends, so |recon − data| = |residual' − residual| ≤
-// that bound). ABS and PREC carry over unchanged. ok is false when a REL
-// bound cannot be resolved (non-finite data).
-func absParams(data []float32, p ebcl.Params) (ebcl.Params, bool) {
+// that bound). ABS and PREC carry over unchanged. rangeData is that range when
+// computeResidual has already scanned finite data for it (scanned), else it is
+// found here. ok is false when a REL bound cannot be resolved (non-finite data).
+func absParams(data []float32, p ebcl.Params, rangeData float64, scanned bool) (ebcl.Params, bool) {
 	if p.Mode != ebcl.ModeRelative {
 		return p, true
 	}
-	eb, err := ebcl.ResolveAbs(data, p)
-	if err != nil || eb <= 0 {
+	eb := p.Value * rangeData // the product ResolveAbs forms
+	if !scanned {
+		var err error
+		if eb, err = ebcl.ResolveAbs(data, p); err != nil {
+			return p, false
+		}
+	}
+	if eb <= 0 {
 		return p, false
 	}
 	return ebcl.Abs(eb), true

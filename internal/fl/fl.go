@@ -71,8 +71,9 @@ type RoundOutput struct {
 	RawBytes  int
 	WireBytes int
 	// DeltaTensors counts lossy tensors sent as cross-round residuals and
-	// DeltaBytesSaved totals what they saved over their absolute encodings
-	// (both 0 unless the transport compresses deltas).
+	// DeltaBytesSaved totals what they saved over their absolute encodings,
+	// estimated from a sample for large tensors (core.Stats.DeltaBytesSaved);
+	// both are 0 unless the transport compresses deltas.
 	DeltaTensors    int
 	DeltaBytesSaved int
 }
