@@ -378,10 +378,10 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		// reference, diverged client): absolute only, without a second encode.
 		return write(buf, s.data, absP)
 	}
-	est := -1 // the absolute candidate's size scaled up from its sample, when that stood in for it
+	est := -1 // the absolute candidate's estimated size, when its sample stood in for it
 	if len(s.data) > sampleMinElems {
-		if a, r, n, ok := sampleSizes(o.Lossy, buf, s.data, res, resP); ok && a >= r {
-			est = int(math.Round(float64(a) * float64(len(s.data)) / float64(n)))
+		if a, r, ok := sampleSizes(o.Lossy, buf, s.data, res, resP); ok && a >= r {
+			est = a
 		} else if ok {
 			if out, err := write(buf, s.data, absP); err == nil {
 				return out, nil
@@ -429,12 +429,13 @@ const (
 	sampleStride   = 8 * sampleRun
 )
 
-// sampleSizes returns the blob sizes of the n-element strided samples of data
-// and of res under p. The blobs are written behind buf's contents and dropped
-// (the caller's buf is untouched); ok is false when either does not encode.
-func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, p ebcl.Params) (absLen, resLen, n int, ok bool) {
+// sampleSizes estimates the blob sizes of data and of res under p: that of
+// each one's strided sample, scaled up to the tensor. The sample blobs are
+// written behind buf's contents and dropped (the caller's buf is untouched);
+// ok is false when either does not encode.
+func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, p ebcl.Params) (absLen, resLen int, ok bool) {
 	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
-	defer func() { sched.PutFloats(sample) }()
+	defer sched.PutFloats(sample) // the runs fit its capacity: append never moves it
 	var lens [2]int
 	for k, src := range [2][]float32{data, res} {
 		sample = sample[:0]
@@ -443,11 +444,11 @@ func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, p ebcl.
 		}
 		out, err := lossy.CompressAppend(buf, sample, p)
 		if err != nil {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
-		lens[k] = len(out) - len(buf)
+		lens[k] = int(math.Round(float64(len(out)-len(buf)) * float64(len(src)) / float64(len(sample))))
 	}
-	return lens[0], lens[1], len(sample), true
+	return lens[0], lens[1], true
 }
 
 // absParams resolves the caller's error-control setting to one that means

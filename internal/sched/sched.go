@@ -230,7 +230,7 @@ func (p *slicePool[T]) get(n int) []T {
 	// small classes starved while adjacent classes hold idle buffers. The
 	// worst-case handout is 4× the request — bounded, unlike the unclassed
 	// pool this design replaced. Measured: without the probe bench/'s
-	// delta_rounds peaks at 289 MB RSS instead of 228; the other workloads
+	// delta_rounds peaks at 303 MB RSS instead of 238; the other workloads
 	// do not notice.
 	for probe := c; probe <= c+1 && probe <= maxClassBits; probe++ {
 		if sp, ok := p.classes[probe].Get().(*[]T); ok {
