@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -33,7 +34,7 @@ func uploadN(t *testing.T, addr string, n int, seed uint64) {
 		wg.Add(1)
 		go func(i int, stream []byte) {
 			defer wg.Done()
-			errs[i] = flserve.Upload(addr, uint32(i), stream)
+			errs[i] = (&flserve.Client{Addr: addr}).Upload(context.Background(), uint32(i), stream)
 		}(i, stream)
 	}
 	wg.Wait()

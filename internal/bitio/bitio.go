@@ -29,16 +29,6 @@ type Writer struct {
 	nCur uint   // number of bits currently in cur (0..63)
 }
 
-// NewWriter returns a Writer whose internal buffer is pre-allocated to hold
-// sizeHint bytes. A zero or negative hint is treated as zero.
-func NewWriter(sizeHint int) *Writer {
-	w := &Writer{}
-	if sizeHint > 0 {
-		w.buf = make([]byte, 0, sizeHint)
-	}
-	return w
-}
-
 // NewWriterBuffer returns a Writer that appends into buf's backing array,
 // so callers recycling buffers through a pool can supply the storage and
 // recover it (possibly regrown) from Bytes.
@@ -123,12 +113,6 @@ func (w *Writer) Bytes() []byte {
 		return append(w.buf, b)
 	}
 	return w.buf
-}
-
-// Reset discards all written data, retaining the allocated buffer.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.cur, w.nCur = 0, 0
 }
 
 // Reader reads bits from a byte slice, most significant bit first.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWriteReadSingleBits(t *testing.T) {
-	w := NewWriter(0)
+	w := new(Writer)
 	pattern := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	for _, b := range pattern {
 		w.WriteBit(b)
@@ -25,7 +25,7 @@ func TestWriteReadSingleBits(t *testing.T) {
 }
 
 func TestWriteBitsWidths(t *testing.T) {
-	w := NewWriter(16)
+	w := NewWriterBuffer(make([]byte, 0, 16))
 	w.WriteBits(0b101, 3)
 	w.WriteBits(0xFFFF, 16)
 	w.WriteBits(0, 0) // zero-width write is a no-op
@@ -56,7 +56,7 @@ func TestReaderEOF(t *testing.T) {
 }
 
 func TestBitLenAndRemaining(t *testing.T) {
-	w := NewWriter(0)
+	w := new(Writer)
 	w.WriteBits(0, 13)
 	r := NewReader(w.Bytes()) // padded to 16 bits
 	if r.BitsRemaining() != 16 {
@@ -68,19 +68,6 @@ func TestBitLenAndRemaining(t *testing.T) {
 	}
 }
 
-func TestWriterReset(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0xFF, 8)
-	w.Reset()
-	if n := len(w.Bytes()); n != 0 {
-		t.Fatalf("%d bytes after Reset", n)
-	}
-	w.WriteBits(0x0F, 4)
-	if got := w.Bytes(); len(got) != 1 || got[0] != 0xF0 {
-		t.Fatalf("post-reset bytes % x", got)
-	}
-}
-
 // Property: any sequence of (value,width) fields round-trips exactly.
 func TestQuickFieldRoundTrip(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
@@ -88,7 +75,7 @@ func TestQuickFieldRoundTrip(t *testing.T) {
 		count := int(n%64) + 1
 		vals := make([]uint64, count)
 		widths := make([]uint, count)
-		w := NewWriter(0)
+		w := new(Writer)
 		for i := range vals {
 			widths[i] = uint(rng.IntN(64) + 1)
 			vals[i] = rng.Uint64() & (^uint64(0) >> (64 - widths[i]))
@@ -109,7 +96,7 @@ func TestQuickFieldRoundTrip(t *testing.T) {
 }
 
 func TestPeekConsumeFastPath(t *testing.T) {
-	w := NewWriter(0)
+	w := new(Writer)
 	w.WriteBits(0b1011, 4)
 	w.WriteBits(0x3FFF, 14)
 	w.WriteBits(0xABCDE, 20)
@@ -177,7 +164,7 @@ func TestQuickPeekConsumeEquivalence(t *testing.T) {
 		count := int(n%48) + 1
 		vals := make([]uint64, count)
 		widths := make([]uint, count)
-		w := NewWriter(0)
+		w := new(Writer)
 		for i := range vals {
 			widths[i] = uint(rng.IntN(56) + 1)
 			vals[i] = rng.Uint64() & (^uint64(0) >> (64 - widths[i]))
@@ -222,10 +209,10 @@ func TestNewWriterBuffer(t *testing.T) {
 }
 
 func BenchmarkWriteBits(b *testing.B) {
-	w := NewWriter(1 << 16)
+	buf := make([]byte, 0, 1<<16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
+		w := NewWriterBuffer(buf)
 		for j := 0; j < 4096; j++ {
 			w.WriteBits(uint64(j), 13)
 		}
@@ -233,7 +220,7 @@ func BenchmarkWriteBits(b *testing.B) {
 }
 
 func BenchmarkReadBits(b *testing.B) {
-	w := NewWriter(1 << 16)
+	w := new(Writer)
 	for j := 0; j < 4096; j++ {
 		w.WriteBits(uint64(j), 13)
 	}

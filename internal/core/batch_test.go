@@ -44,7 +44,7 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, _, err := DecompressWith(context.Background(), sched.Serial(), stream, DecodeOptions{})
+	serial, _, err := DecompressWith(context.Background(), sched.NewPool(1), stream, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func benchStream(b *testing.B, nTensors, elems int) []byte {
 // the seed path.
 func BenchmarkDecompressSerial(b *testing.B) {
 	stream := benchStream(b, 12, 32768)
-	pool := sched.Serial()
+	pool := sched.NewPool(1)
 	b.SetBytes(int64(12 * 32768 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -194,7 +194,7 @@ func TestHostileLiteralLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := hostileLengthStream(t, stream)
-	if _, _, err := DecompressWith(context.Background(), sched.Serial(), bad, DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressWith(context.Background(), sched.NewPool(1), bad, DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("serial decode: %v, want ErrCorrupt", err)
 	}
 	if _, _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
@@ -212,7 +212,7 @@ func TestDecompressCorruptCorpus(t *testing.T) {
 		run  func([]byte) error
 	}{
 		{"serial", func(b []byte) error {
-			_, _, err := DecompressWith(context.Background(), sched.Serial(), b, DecodeOptions{})
+			_, _, err := DecompressWith(context.Background(), sched.NewPool(1), b, DecodeOptions{})
 			return err
 		}},
 		{"pool4", func(b []byte) error {
@@ -390,7 +390,7 @@ func TestDecompressChunkCorruptCorpus(t *testing.T) {
 		run  func([]byte) error
 	}{
 		{"serial", func(b []byte) error {
-			_, _, err := DecompressWith(context.Background(), sched.Serial(), b, DecodeOptions{})
+			_, _, err := DecompressWith(context.Background(), sched.NewPool(1), b, DecodeOptions{})
 			return err
 		}},
 		{"pool4", func(b []byte) error {

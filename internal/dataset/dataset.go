@@ -184,129 +184,3 @@ func ShardIID(d *Dataset, nClients int, seed uint64) []*Dataset {
 	}
 	return out
 }
-
-// gammaSample draws Gamma(alpha, 1) via Marsaglia–Tsang squeeze (with the
-// alpha<1 boost), the building block for Dirichlet draws; math/rand/v2 has
-// no gamma sampler.
-func gammaSample(rng *rand.Rand, alpha float64) float64 {
-	if alpha < 1 {
-		// Gamma(a) = Gamma(a+1) · U^(1/a)
-		return gammaSample(rng, alpha+1) * math.Pow(rng.Float64(), 1/alpha)
-	}
-	d := alpha - 1.0/3.0
-	c := 1.0 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x || math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// dirichlet draws one point from Dirichlet(alpha·1) over k categories.
-func dirichlet(rng *rand.Rand, alpha float64, k int) []float64 {
-	p := make([]float64, k)
-	var sum float64
-	for i := range p {
-		p[i] = gammaSample(rng, alpha)
-		sum += p[i]
-	}
-	for i := range p {
-		p[i] /= sum
-	}
-	return p
-}
-
-// ShardDirichlet splits a dataset into nClients label-skewed shards: for
-// each class, the samples are distributed across clients according to a
-// Dirichlet(alpha) draw — the standard non-IID federated partitioning.
-// Small alpha (e.g. 0.1) concentrates each class on a few clients; large
-// alpha approaches IID. Deterministic for a given seed. Every client is
-// guaranteed at least one sample (the largest shard donates when a
-// Dirichlet draw starves one), so downstream training never sees an empty
-// partition.
-func ShardDirichlet(d *Dataset, nClients int, alpha float64, seed uint64) []*Dataset {
-	rng := rand.New(rand.NewPCG(seed, 0xD141))
-	n := d.Len()
-
-	// Per-class sample indices, shuffled so assignment within a class is
-	// random.
-	byClass := make([][]int, d.Spec.Classes)
-	for i, l := range d.Labels {
-		byClass[l] = append(byClass[l], i)
-	}
-	assign := make([][]int, nClients)
-	for _, idxs := range byClass {
-		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-		p := dirichlet(rng, alpha, nClients)
-		// Largest-remainder apportionment of len(idxs) samples over p.
-		counts := make([]int, nClients)
-		rem := make([]float64, nClients)
-		used := 0
-		for c := range counts {
-			exact := p[c] * float64(len(idxs))
-			counts[c] = int(exact)
-			rem[c] = exact - float64(counts[c])
-			used += counts[c]
-		}
-		for used < len(idxs) {
-			best := 0
-			for c := 1; c < nClients; c++ {
-				if rem[c] > rem[best] {
-					best = c
-				}
-			}
-			counts[best]++
-			rem[best] = -1
-			used++
-		}
-		off := 0
-		for c, cnt := range counts {
-			assign[c] = append(assign[c], idxs[off:off+cnt]...)
-			off += cnt
-		}
-	}
-
-	// No client may end up empty: donate from the largest shard.
-	for c := range assign {
-		for len(assign[c]) == 0 {
-			big := 0
-			for j := range assign {
-				if len(assign[j]) > len(assign[big]) {
-					big = j
-				}
-			}
-			if len(assign[big]) < 2 {
-				break
-			}
-			last := len(assign[big]) - 1
-			assign[c] = append(assign[c], assign[big][last])
-			assign[big] = assign[big][:last]
-		}
-	}
-
-	c, h, w := d.Spec.Channels, d.Spec.Height, d.Spec.Width
-	plane := c * h * w
-	out := make([]*Dataset, nClients)
-	total := 0
-	for cl, idxs := range assign {
-		x := tensor.New(len(idxs), c, h, w)
-		labels := make([]int, len(idxs))
-		for i, src := range idxs {
-			copy(x.Data[i*plane:(i+1)*plane], d.X.Data[src*plane:(src+1)*plane])
-			labels[i] = d.Labels[src]
-		}
-		out[cl] = &Dataset{Spec: d.Spec, X: x, Labels: labels}
-		total += len(idxs)
-	}
-	if total != n {
-		panic("dataset: Dirichlet shard dropped samples")
-	}
-	return out
-}

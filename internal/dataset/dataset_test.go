@@ -174,73 +174,3 @@ func TestSmoothnessMetric(t *testing.T) {
 		t.Fatal("spiky data must score higher than smooth data")
 	}
 }
-
-// TestShardDirichlet checks the non-IID partitioner: conservation (every
-// sample lands on exactly one client), determinism per seed, no empty
-// shards, and that small alpha is measurably more label-skewed than large
-// alpha.
-func TestShardDirichlet(t *testing.T) {
-	cfg, err := ScaledConfig("cifar10", 8, 400, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, _ := Generate(cfg)
-
-	// Mean per-client label-distribution distance from uniform-share, the
-	// skew statistic: 0 for a perfectly proportional split.
-	skew := func(shards []*Dataset) float64 {
-		var total float64
-		classes := train.Spec.Classes
-		overall := make([]float64, classes)
-		for _, l := range train.Labels {
-			overall[l]++
-		}
-		for _, s := range shards {
-			counts := make([]float64, classes)
-			for _, l := range s.Labels {
-				counts[l]++
-			}
-			for c := 0; c < classes; c++ {
-				want := overall[c] * float64(s.Len()) / float64(train.Len())
-				total += math.Abs(counts[c] - want)
-			}
-		}
-		return total / float64(train.Len())
-	}
-
-	for _, alpha := range []float64{0.1, 100} {
-		shards := ShardDirichlet(train, 4, alpha, 7)
-		if len(shards) != 4 {
-			t.Fatalf("alpha=%v: %d shards", alpha, len(shards))
-		}
-		n := 0
-		for i, s := range shards {
-			if s.Len() == 0 {
-				t.Fatalf("alpha=%v: shard %d empty", alpha, i)
-			}
-			n += s.Len()
-		}
-		if n != train.Len() {
-			t.Fatalf("alpha=%v: %d samples across shards, want %d", alpha, n, train.Len())
-		}
-	}
-
-	lo, hi := skew(ShardDirichlet(train, 4, 0.1, 7)), skew(ShardDirichlet(train, 4, 100, 7))
-	if lo < 2*hi {
-		t.Fatalf("alpha=0.1 skew %.3f not clearly above alpha=100 skew %.3f", lo, hi)
-	}
-
-	// Determinism: same seed → identical partition; different seed differs.
-	a := ShardDirichlet(train, 4, 0.5, 9)
-	b := ShardDirichlet(train, 4, 0.5, 9)
-	for i := range a {
-		if len(a[i].Labels) != len(b[i].Labels) {
-			t.Fatalf("seed-stable split differs on shard %d", i)
-		}
-		for j := range a[i].Labels {
-			if a[i].Labels[j] != b[i].Labels[j] {
-				t.Fatalf("seed-stable split differs on shard %d sample %d", i, j)
-			}
-		}
-	}
-}

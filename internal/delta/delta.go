@@ -7,16 +7,11 @@
 // reconstruction error on the original data is exactly the residual's
 // encoding error).
 //
-// The package provides the pieces the pipeline layers compose:
-//
-//   - Ref: the retained-reference holder for ends that do not share
-//     memory: fedsz.DeltaCodec layers it over a fedsz.Codec, and servers
-//     consume it via Provider (flserve.Config.RefProvider). The in-memory
-//     fl.FedSZTransport needs none — both of its ends read the round's
-//     broadcast state directly.
-//   - Controller: a closed-loop tuner that retunes the REL/ABS error bound
-//     each round toward a target bytes-per-round or an accuracy floor,
-//     using the stats the pipeline already emits.
+// The package provides Ref, the retained-reference holder for ends that do
+// not share memory: fedsz.DeltaCodec layers it over a fedsz.Codec, and
+// servers consume it via Provider (flserve.Config.RefProvider). The
+// in-memory fl.FedSZTransport needs none — both of its ends read the
+// round's broadcast state directly.
 package delta
 
 import (

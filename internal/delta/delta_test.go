@@ -3,7 +3,6 @@ package delta
 import (
 	"testing"
 
-	"repro/internal/ebcl"
 	"repro/internal/tensor"
 )
 
@@ -51,88 +50,5 @@ func TestRefEpochAndProvider(t *testing.T) {
 	}
 	if got := p(2); got == nil || got.Get("w").Data[0] != 4 {
 		t.Fatal("provider did not serve the advanced reference")
-	}
-}
-
-func TestControllerValidation(t *testing.T) {
-	cfg := ControllerConfig{TargetBytes: 1000}
-	if _, err := NewController(ebcl.Precision(16), cfg); err == nil {
-		t.Fatal("PREC accepted — it has no bound to tune")
-	}
-	if _, err := NewController(ebcl.Rel(0), cfg); err == nil {
-		t.Fatal("non-positive bound accepted")
-	}
-	if _, err := NewController(ebcl.Rel(1e-2), ControllerConfig{}); err == nil {
-		t.Fatal("config with neither objective accepted")
-	}
-	if _, err := NewController(ebcl.Rel(1e-2), ControllerConfig{TargetBytes: 1, Step: 0.5}); err == nil {
-		t.Fatal("step <= 1 accepted")
-	}
-}
-
-func TestControllerObjectives(t *testing.T) {
-	c, err := NewController(ebcl.Rel(1e-2), ControllerConfig{
-		TargetBytes:   1000,
-		AccuracyFloor: 0.5,
-		Step:          2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Over budget with healthy accuracy: loosen.
-	adj := c.Observe(2000, 0.9)
-	if !adj.Changed || adj.Reason != "over_budget" || adj.New != 2e-2 {
-		t.Fatalf("over budget: %+v", adj)
-	}
-	if c.Params().Value != 2e-2 {
-		t.Fatalf("params not applied: %g", c.Params().Value)
-	}
-
-	// Accuracy below the floor overrides the byte budget: tighten even
-	// while over budget.
-	adj = c.Observe(2000, 0.4)
-	if adj.Reason != "accuracy_floor" || adj.New != 1e-2 {
-		t.Fatalf("accuracy floor: %+v", adj)
-	}
-
-	// Comfortably under budget: tighten to spend the headroom.
-	adj = c.Observe(100, 0.9)
-	if adj.Reason != "headroom" || adj.New != 5e-3 {
-		t.Fatalf("headroom: %+v", adj)
-	}
-
-	// Inside the deadband: hold.
-	adj = c.Observe(900, 0.9)
-	if adj.Changed || adj.Reason != "steady" {
-		t.Fatalf("deadband: %+v", adj)
-	}
-
-	// Negative accuracy means "no evaluation ran" — the floor must not
-	// fire.
-	adj = c.Observe(900, -1)
-	if adj.Reason != "steady" {
-		t.Fatalf("no-eval round: %+v", adj)
-	}
-}
-
-func TestControllerClamp(t *testing.T) {
-	c, err := NewController(ebcl.Abs(1e-3), ControllerConfig{
-		TargetBytes: 1000, Step: 10, Min: 1e-4, Max: 1e-2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two loosening rounds: the second must clamp at Max and report steady.
-	if adj := c.Observe(5000, -1); adj.New != 1e-2 {
-		t.Fatalf("first loosen: %+v", adj)
-	}
-	if adj := c.Observe(5000, -1); adj.Changed || adj.Reason != "steady" {
-		t.Fatalf("clamped loosen not reported steady: %+v", adj)
-	}
-	// Tighten straight into the Min clamp.
-	c2, _ := NewController(ebcl.Abs(2e-4), ControllerConfig{TargetBytes: 1000, Step: 10, Min: 1e-4, Max: 1e-2})
-	if adj := c2.Observe(10, -1); adj.New != 1e-4 {
-		t.Fatalf("tighten clamp: %+v", adj)
 	}
 }

@@ -239,9 +239,3 @@ func MaxAbsError(a, b []float32) float64 {
 	}
 	return m
 }
-
-// WithinBound reports whether every reconstructed value is within ebAbs of
-// the original, with a tiny epsilon slack for float32 rounding.
-func WithinBound(orig, recon []float32, ebAbs float64) bool {
-	return MaxAbsError(orig, recon) <= ebAbs*(1+1e-6)+1e-12
-}

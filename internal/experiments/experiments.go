@@ -19,7 +19,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -177,15 +176,5 @@ func IDs() []string {
 	for _, e := range Registry() {
 		out = append(out, e.ID)
 	}
-	return out
-}
-
-// sortedKeys is a small helper for deterministic map iteration.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/delta"
 	"repro/internal/ebcl"
 	"repro/internal/tensor"
 )
@@ -73,45 +72,6 @@ func TestFedSZTransportDeltaRounds(t *testing.T) {
 	}
 	t.Logf("wire abs=%d delta=%d (%.1f%% saved), delta tensors last round=%d",
 		absWire, dWire, 100*(1-float64(dWire)/float64(absWire)), last.DeltaTensors)
-}
-
-// boundSpy records the bound each Round call was handed.
-type boundSpy struct {
-	Transport
-	seen []ebcl.Params
-}
-
-func (s *boundSpy) Round(ctx context.Context, in RoundInput) (RoundOutput, error) {
-	s.seen = append(s.seen, in.Lossy)
-	return s.Transport.Round(ctx, in)
-}
-
-// TestControllerRetunesTransport: with a Controller whose byte budget is
-// impossible to meet, every round must loosen the bound, and the transport
-// must be handed — and compress at — the retuned value.
-func TestControllerRetunesTransport(t *testing.T) {
-	spy := &boundSpy{Transport: NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})}
-	fed := smokeFederation(t, spy, 7)
-	ctrl, err := delta.NewController(ebcl.Rel(1e-2), delta.ControllerConfig{TargetBytes: 1, Step: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed.Controller = ctrl
-	res, err := fed.Run(context.Background(), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both rounds exceed the 1-byte budget: two doubling steps, the first of
-	// which round 1 compresses at.
-	if got := ctrl.Params().Value; got != 4e-2 {
-		t.Fatalf("controller bound %g after two rounds, want 4e-2", got)
-	}
-	if len(spy.seen) != 2 || spy.seen[0] != ebcl.Rel(1e-2) || spy.seen[1] != ebcl.Rel(2e-2) {
-		t.Fatalf("transport was handed bounds %+v, want REL 1e-2 then 2e-2", spy.seen)
-	}
-	if res[1].WireBytes >= res[0].WireBytes {
-		t.Fatalf("looser bound did not shrink the round: %d then %d wire bytes", res[0].WireBytes, res[1].WireBytes)
-	}
 }
 
 // TestRunRoundAccumulatorMismatchFails: a retained accumulator from a

@@ -16,8 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/delta"
-	"repro/internal/ebcl"
 	"repro/internal/nn"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -47,9 +45,6 @@ type RoundInput struct {
 	// against — and RefEpoch tags it. Read-only and stable for the call.
 	Reference *tensor.StateDict
 	RefEpoch  uint32
-	// Lossy is the error bound Federation.Controller retuned for this
-	// round; the zero value selects the transport's own.
-	Lossy ebcl.Params
 }
 
 // RoundOutput is what one Round call produced.
@@ -137,9 +132,6 @@ func (t *FedSZTransport) Name() string { return "fedsz" }
 // round's accounting.
 func (t *FedSZTransport) Round(ctx context.Context, in RoundInput) (RoundOutput, error) {
 	opts := t.Opts
-	if in.Lossy != (ebcl.Params{}) {
-		opts.LossyParams = in.Lossy
-	}
 	var dopts core.DecodeOptions
 	if t.Delta {
 		opts.Reference, opts.RefEpoch = in.Reference, in.RefEpoch
@@ -266,20 +258,10 @@ type Federation struct {
 	Clients   []*Client
 	Transport Transport
 	Test      *dataset.Dataset
-	EvalBatch int
 
 	// Tracer, when non-nil, receives one "round" summary event per
 	// RunRound with the loss/accuracy/bytes/phase-duration breakdown.
 	Tracer *telemetry.Tracer
-
-	// Controller, when non-nil, closes the loop on the transport's lossy
-	// error bound: each round compresses at Controller.Params() (handed to
-	// the transport as RoundInput.Lossy; RawTransport has no bound and
-	// ignores it), and after the round's evaluation the controller observes
-	// the wire bytes and accuracy and retunes the bound toward its byte
-	// budget or accuracy floor. Each decision is traced as a "controller"
-	// event.
-	Controller *delta.Controller
 
 	// acc is the FedAvg accumulator, pooled on first use and rezeroed in
 	// place every subsequent round (LoadStateDict copies out of it, so
@@ -290,7 +272,7 @@ type Federation struct {
 // NewFederation wires a federation together. All client networks must be
 // structurally identical to the global network.
 func NewFederation(global *nn.Network, clients []*Client, transport Transport, test *dataset.Dataset) *Federation {
-	return &Federation{Global: global, Clients: clients, Transport: transport, Test: test, EvalBatch: 64}
+	return &Federation{Global: global, Clients: clients, Transport: transport, Test: test}
 }
 
 // RunRound executes one FedAvg round: broadcast → parallel local training →
@@ -350,9 +332,6 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 	// accumulator and released before the next chunk's exist, so peak
 	// memory stays O(chunk × model) rather than O(clients × model).
 	in := RoundInput{Reference: globalState, RefEpoch: uint32(round) + 1}
-	if f.Controller != nil {
-		in.Lossy = f.Controller.Params()
-	}
 	chunk := 2 * runtime.GOMAXPROCS(0)
 	t0 := time.Now()
 	for lo := 0; lo < len(f.Clients); lo += chunk {
@@ -389,18 +368,6 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 	res.Accuracy = f.Evaluate()
 	res.Timings.Validate = time.Since(t0)
 
-	if f.Controller != nil {
-		adj := f.Controller.Observe(res.WireBytes, res.Accuracy)
-		f.Tracer.Event("controller",
-			telemetry.A("round", res.Round),
-			telemetry.A("reason", adj.Reason),
-			telemetry.A("changed", adj.Changed),
-			telemetry.A("old_bound", adj.Old),
-			telemetry.A("new_bound", adj.New),
-			telemetry.A("wire_bytes", res.WireBytes),
-			telemetry.A("accuracy", res.Accuracy),
-		)
-	}
 	f.Tracer.Event("round",
 		telemetry.A("round", res.Round),
 		telemetry.A("transport", f.Transport.Name()),
@@ -417,12 +384,15 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 	return res, nil
 }
 
+// evalBatch is the number of test samples Evaluate forwards at a time.
+const evalBatch = 64
+
 // Evaluate computes global-model top-1 accuracy on the test set.
 func (f *Federation) Evaluate() float64 {
 	n := f.Test.Len()
 	correct := 0.0
-	for lo := 0; lo < n; lo += f.EvalBatch {
-		hi := min(lo+f.EvalBatch, n)
+	for lo := 0; lo < n; lo += evalBatch {
+		hi := min(lo+evalBatch, n)
 		x, labels := f.Test.Batch(lo, hi)
 		logits := f.Global.Forward(x, false)
 		correct += nn.Accuracy(logits, labels) * float64(hi-lo)

@@ -241,33 +241,30 @@ func TestRoundPipelineSmoke(t *testing.T) {
 }
 
 // TestRoundPipelineNonIIDSmoke runs the same 2-round pipeline over a
-// label-skewed Dirichlet(0.3) partition: federated rounds must complete
-// with intact accounting even when client label distributions diverge —
-// the non-IID regime the paper's FedAvg baseline is usually stressed
+// label-split partition — client 0 holds only the lower half of the
+// classes, client 1 only the upper half: federated rounds must complete
+// with intact accounting even when client label distributions are
+// disjoint, the far end of the non-IID regime FedAvg is usually stressed
 // under.
 func TestRoundPipelineNonIIDSmoke(t *testing.T) {
 	const seed = 42
 	fed := shardedSmokeFederation(t, NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)}), seed, 2,
 		func(d *dataset.Dataset) []*dataset.Dataset {
-			shards := dataset.ShardDirichlet(d, 2, 0.3, seed)
-			// The partition must actually be skewed, or this test is just
-			// TestRoundPipelineSmoke again.
-			counts := make([][]int, len(shards))
-			for i, s := range shards {
-				counts[i] = make([]int, d.Spec.Classes)
-				for _, l := range s.Labels {
-					counts[i][l]++
-				}
+			plane := d.X.NumElems() / d.Len()
+			var data [2][]float32
+			var labels [2][]int
+			for i, l := range d.Labels {
+				c := 2 * l / d.Spec.Classes
+				data[c] = append(data[c], d.X.Data[i*plane:(i+1)*plane]...)
+				labels[c] = append(labels[c], l)
 			}
-			skewed := false
-			for cl := 0; cl < d.Spec.Classes; cl++ {
-				a, b := counts[0][cl], counts[1][cl]
-				if a+b >= 4 && (a == 0 || b == 0 || a >= 3*b || b >= 3*a) {
-					skewed = true
+			shards := make([]*dataset.Dataset, 2)
+			for c := range shards {
+				if len(labels[c]) == 0 {
+					t.Fatalf("label split left client %d empty", c)
 				}
-			}
-			if !skewed {
-				t.Fatalf("Dirichlet(0.3) split not skewed: %v vs %v", counts[0], counts[1])
+				x := tensor.FromData(data[c], len(labels[c]), d.Spec.Channels, d.Spec.Height, d.Spec.Width)
+				shards[c] = &dataset.Dataset{Spec: d.Spec, X: x, Labels: labels[c]}
 			}
 			return shards
 		})

@@ -45,10 +45,6 @@ func (e *ShedError) Error() string {
 // Unwrap makes errors.Is(err, ErrShed) true.
 func (e *ShedError) Unwrap() error { return ErrShed }
 
-// Temporary reports true: a shed is transient overload, not a verdict on
-// the update.
-func (e *ShedError) Temporary() bool { return true }
-
 // Client uploads FedSZ-compressed updates to an aggregation server.
 type Client struct {
 	// Addr is the server's TCP address.
@@ -362,12 +358,6 @@ func (c *Client) withRetry(ctx context.Context, attempt func(context.Context) er
 		}
 		backoff *= 2
 	}
-}
-
-// Upload is shorthand for an unthrottled single upload to addr with no
-// per-attempt timeout or retries.
-func Upload(addr string, clientID uint32, stream []byte) error {
-	return (&Client{Addr: addr}).Upload(context.Background(), clientID, stream)
 }
 
 func readAck(conn net.Conn) error {

@@ -111,7 +111,7 @@ func TestDeltaNegotiation(t *testing.T) {
 	s3.Close()
 
 	// Legacy FLS1 client against the same server: byte-for-byte unchanged.
-	if err := Upload(srv.Addr().String(), 4, absStream); err != nil {
+	if err := (&Client{Addr: srv.Addr().String()}).Upload(context.Background(), 4, absStream); err != nil {
 		t.Fatalf("FLS1 client against delta-capable server: %v", err)
 	}
 

@@ -183,7 +183,7 @@ func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	if err := rawUpload(addr, bad); !errors.Is(err, ErrRejected) {
 		t.Fatalf("upload corrupted on the wire: got %v, want ErrRejected", err)
 	}
-	if err := Upload(addr, 1, streams[1]); err != nil {
+	if err := (&Client{Addr: addr}).Upload(context.Background(), 1, streams[1]); err != nil {
 		t.Fatalf("server did not survive corrupt upload: %v", err)
 	}
 	st := srv.Snapshot()
@@ -245,7 +245,7 @@ func TestIdleClientDroppedFreesSlot(t *testing.T) {
 	// A well-behaved upload must still get through once the stalled
 	// connection times out and releases the slot.
 	done := make(chan error, 1)
-	go func() { done <- Upload(srv.Addr().String(), 7, streams[0]) }()
+	go func() { done <- (&Client{Addr: srv.Addr().String()}).Upload(context.Background(), 7, streams[0]) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -315,7 +315,7 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 			wg.Add(1)
 			go func(j int, s []byte) {
 				defer wg.Done()
-				if err := Upload(addr, uint32(j), s); err != nil {
+				if err := (&Client{Addr: addr}).Upload(context.Background(), uint32(j), s); err != nil {
 					b.Error(err)
 				}
 			}(j, s)

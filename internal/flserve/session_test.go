@@ -132,7 +132,7 @@ func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- Upload(srv.Addr().String(), 1, streams[0]) }()
+	go func() { done <- (&Client{Addr: srv.Addr().String()}).Upload(context.Background(), 1, streams[0]) }()
 	select {
 	case err := <-done:
 		if err != nil {

@@ -13,7 +13,7 @@ func TestSingleSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bitio.NewWriter(0)
+	w := new(bitio.Writer)
 	for i := 0; i < 5; i++ {
 		c.Encode(w, 1)
 	}
@@ -150,7 +150,7 @@ func TestCodecSerializationViaLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bitio.NewWriter(0)
+	w := new(bitio.Writer)
 	seq := []int{0, 5, 2, 0, 7, 3, 4, 5, 0}
 	for _, s := range seq {
 		c1.Encode(w, s)

@@ -291,7 +291,7 @@ func TestMultiEncodePairPacking(t *testing.T) {
 				if i < ext {
 					cnt++
 				}
-				w := bitio.NewWriter(cnt)
+				w := bitio.NewWriterBuffer(make([]byte, 0, cnt))
 				for _, v := range syms[off : off+cnt] {
 					e := c.enc[v]
 					w.WriteBits(uint64(e>>5), uint(e&entryLenMask))

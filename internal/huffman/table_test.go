@@ -125,7 +125,7 @@ func TestTableVsReferenceRandomTables(t *testing.T) {
 		}
 		n := rng.IntN(512)
 		syms := make([]int, n)
-		w := bitio.NewWriter(0)
+		w := new(bitio.Writer)
 		for i := range syms {
 			syms[i] = coded[rng.IntN(len(coded))]
 			c.Encode(w, syms[i])

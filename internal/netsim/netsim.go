@@ -19,13 +19,8 @@ type Link struct {
 	LatencyMs float64
 }
 
-// Common paper settings.
-var (
-	// EdgeLink is the 10 Mbps wide-area edge network of Figures 7 and 9.
-	EdgeLink = Link{BandwidthMbps: 10}
-	// DataCenterLink approximates the 10 Gbps cluster fabric.
-	DataCenterLink = Link{BandwidthMbps: 10_000}
-)
+// EdgeLink is the 10 Mbps wide-area edge network of Figures 7 and 9.
+var EdgeLink = Link{BandwidthMbps: 10}
 
 // TransmitTime returns the virtual wall-clock time to move `bytes` across
 // the link.
@@ -158,12 +153,4 @@ func StrongScaling(profile ClientProfile, clients int, workerCounts []int, link 
 		out = append(out, SimulateRound(profile, clients, w, link))
 	}
 	return out
-}
-
-// Speedup returns base.RoundTime / p.RoundTime — the strong-scaling metric.
-func Speedup(base, p ScalingPoint) float64 {
-	if p.RoundTime == 0 {
-		return 0
-	}
-	return float64(base.RoundTime) / float64(p.RoundTime)
 }

@@ -95,7 +95,7 @@ func TestStrongScalingSpeedsUp(t *testing.T) {
 	base := points[0]
 	prev := 0.0
 	for _, p := range points {
-		s := Speedup(base, p)
+		s := float64(base.RoundTime) / float64(p.RoundTime)
 		if s+1e-9 < prev {
 			t.Fatalf("strong scaling speedup regressed: %v", points)
 		}

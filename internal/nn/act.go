@@ -7,25 +7,18 @@ import (
 // ReLU applies max(0, x); with Cap > 0 it becomes a capped ReLU (ReLU6 for
 // Cap = 6, the MobileNetV2 activation).
 type ReLU struct {
-	name string
 	Cap  float32
 	mask []bool
 }
 
 // NewReLU constructs an uncapped ReLU.
-func NewReLU(name string) *ReLU { return &ReLU{name: name} }
+func NewReLU() *ReLU { return &ReLU{} }
 
 // NewReLU6 constructs the capped variant used by MobileNetV2.
-func NewReLU6(name string) *ReLU { return &ReLU{name: name, Cap: 6} }
-
-// Name implements Layer.
-func (r *ReLU) Name() string { return r.name }
+func NewReLU6() *ReLU { return &ReLU{Cap: 6} }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
-
-// FLOPs implements Layer.
-func (r *ReLU) FLOPs(in []int) (int64, []int) { return 0, in }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

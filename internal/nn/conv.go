@@ -33,20 +33,8 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv
 	return c
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string { return c.name }
-
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-// FLOPs implements Layer.
-func (c *Conv2D) FLOPs(in []int) (int64, []int) {
-	h, w := in[1], in[2]
-	outH := (h+2*c.Pad-c.KH)/c.Stride + 1
-	outW := (w+2*c.Pad-c.KW)/c.Stride + 1
-	f := int64(c.OutC) * int64(outH) * int64(outW) * int64(c.InC) * int64(c.KH) * int64(c.KW)
-	return f, []int{c.OutC, outH, outW}
-}
 
 func (c *Conv2D) outDims(h, w int) (int, int) {
 	return (h+2*c.Pad-c.KH)/c.Stride + 1, (w+2*c.Pad-c.KW)/c.Stride + 1
@@ -223,20 +211,8 @@ func NewDepthwiseConv2D(rng *rand.Rand, name string, ch, k, stride, pad int) *De
 	}
 }
 
-// Name implements Layer.
-func (d *DepthwiseConv2D) Name() string { return d.name }
-
 // Params implements Layer.
 func (d *DepthwiseConv2D) Params() []*Param { return []*Param{d.W, d.B} }
-
-// FLOPs implements Layer.
-func (d *DepthwiseConv2D) FLOPs(in []int) (int64, []int) {
-	h, w := in[1], in[2]
-	outH := (h+2*d.Pad-d.K)/d.Stride + 1
-	outW := (w+2*d.Pad-d.K)/d.Stride + 1
-	f := int64(d.C) * int64(outH) * int64(outW) * int64(d.K) * int64(d.K)
-	return f, []int{d.C, outH, outW}
-}
 
 // Forward implements Layer.
 func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -27,16 +27,8 @@ func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
 	}
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return d.name }
-
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
-
-// FLOPs implements Layer.
-func (d *Dense) FLOPs(in []int) (int64, []int) {
-	return int64(d.In) * int64(d.Out), []int{d.Out}
-}
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -79,27 +71,14 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 // Flatten reshapes [N, C, H, W] to [N, C·H·W]; it is shape bookkeeping only.
 type Flatten struct {
-	name    string
 	inShape []int
 }
 
 // NewFlatten constructs the layer.
-func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
-
-// Name implements Layer.
-func (f *Flatten) Name() string { return f.name }
+func NewFlatten() *Flatten { return &Flatten{} }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }
-
-// FLOPs implements Layer.
-func (f *Flatten) FLOPs(in []int) (int64, []int) {
-	n := 1
-	for _, d := range in {
-		n *= d
-	}
-	return 0, []int{n}
-}
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -14,23 +14,23 @@ func AlexNetMini(rng *rand.Rand, in Input) *nn.Network {
 	h, w := in.Height, in.Width
 	layers := []nn.Layer{
 		nn.NewConv2D(rng, "features.0", in.Channels, 24, 3, 1, 1),
-		nn.NewReLU("features.1"),
-		nn.NewMaxPool2D("features.2", 2),
+		nn.NewReLU(),
+		nn.NewMaxPool2D(2),
 		nn.NewConv2D(rng, "features.3", 24, 48, 3, 1, 1),
-		nn.NewReLU("features.4"),
-		nn.NewMaxPool2D("features.5", 2),
+		nn.NewReLU(),
+		nn.NewMaxPool2D(2),
 		nn.NewConv2D(rng, "features.6", 48, 64, 3, 1, 1),
-		nn.NewReLU("features.7"),
+		nn.NewReLU(),
 		nn.NewConv2D(rng, "features.8", 64, 48, 3, 1, 1),
-		nn.NewReLU("features.9"),
-		nn.NewMaxPool2D("features.10", 2),
-		nn.NewFlatten("flatten"),
+		nn.NewReLU(),
+		nn.NewMaxPool2D(2),
+		nn.NewFlatten(),
 	}
 	fh, fw := h/8, w/8
 	feat := 48 * fh * fw
 	layers = append(layers,
 		nn.NewDense(rng, "classifier.0", feat, 192),
-		nn.NewReLU("classifier.1"),
+		nn.NewReLU(),
 		nn.NewDense(rng, "classifier.2", 192, in.Classes),
 	)
 	return nn.NewNetwork("alexnet-mini", layers...)

@@ -20,7 +20,7 @@ func MobileNetV2Mini(rng *rand.Rand, in Input) *nn.Network {
 	layers := []nn.Layer{
 		nn.NewConv2D(rng, "features.0.0", in.Channels, 16, 3, 1, 1),
 		nn.NewBatchNorm2D("features.0.1", 16),
-		nn.NewReLU6("features.0.2"),
+		nn.NewReLU6(),
 	}
 	type spec struct {
 		expand, out, stride int
@@ -40,8 +40,8 @@ func MobileNetV2Mini(rng *rand.Rand, in Input) *nn.Network {
 	layers = append(layers,
 		nn.NewConv2D(rng, "features.head.0", cur, 64, 1, 1, 0),
 		nn.NewBatchNorm2D("features.head.1", 64),
-		nn.NewReLU6("features.head.2"),
-		nn.NewGlobalAvgPool("avgpool"),
+		nn.NewReLU6(),
+		nn.NewGlobalAvgPool(),
 		nn.NewDense(rng, "classifier", 64, in.Classes),
 	)
 	return nn.NewNetwork("mobilenetv2-mini", layers...)
@@ -54,28 +54,25 @@ func invertedResidual(rng *rand.Rand, name string, inC, outC, expand, stride int
 	body := []nn.Layer{
 		nn.NewConv2D(rng, name+".expand", inC, mid, 1, 1, 0),
 		nn.NewBatchNorm2D(name+".expand_bn", mid),
-		nn.NewReLU6(name + ".expand_relu"),
+		nn.NewReLU6(),
 		nn.NewDepthwiseConv2D(rng, name+".depthwise", mid, 3, stride, 1),
 		nn.NewBatchNorm2D(name+".depthwise_bn", mid),
-		nn.NewReLU6(name + ".depthwise_relu"),
+		nn.NewReLU6(),
 		nn.NewConv2D(rng, name+".project", mid, outC, 1, 1, 0),
 		nn.NewBatchNorm2D(name+".project_bn", outC),
 	}
 	if stride == 1 && inC == outC {
-		return nn.NewResidual(name, body, nil)
+		return nn.NewResidual(body, nil)
 	}
 	// Non-residual bottleneck: wrap as a residual with a projection skip of
 	// zero-cost is wrong; instead return a plain sequential wrapper.
-	return &sequentialBlock{name: name, layers: body}
+	return &sequentialBlock{layers: body}
 }
 
-// sequentialBlock groups layers under one name without a skip connection.
+// sequentialBlock groups layers without a skip connection.
 type sequentialBlock struct {
-	name   string
 	layers []nn.Layer
 }
-
-func (s *sequentialBlock) Name() string { return s.name }
 
 func (s *sequentialBlock) Params() []*nn.Param {
 	var out []*nn.Param
@@ -83,17 +80,6 @@ func (s *sequentialBlock) Params() []*nn.Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-func (s *sequentialBlock) FLOPs(in []int) (int64, []int) {
-	var total int64
-	shape := in
-	for _, l := range s.layers {
-		f, out := l.FLOPs(shape)
-		total += f
-		shape = out
-	}
-	return total, shape
 }
 
 func (s *sequentialBlock) Forward(x *tensorT, train bool) *tensorT {

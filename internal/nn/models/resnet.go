@@ -15,7 +15,7 @@ func ResNetMini(rng *rand.Rand, in Input) *nn.Network {
 	layers := []nn.Layer{
 		nn.NewConv2D(rng, "conv1", in.Channels, 16, 3, 1, 1),
 		nn.NewBatchNorm2D("bn1", 16),
-		nn.NewReLU("relu1"),
+		nn.NewReLU(),
 	}
 	chans := []int{16, 32, 48}
 	cur := 16
@@ -29,7 +29,7 @@ func ResNetMini(rng *rand.Rand, in Input) *nn.Network {
 		cur = ch
 	}
 	layers = append(layers,
-		nn.NewGlobalAvgPool("avgpool"),
+		nn.NewGlobalAvgPool(),
 		nn.NewDense(rng, "fc", cur, in.Classes),
 	)
 	return nn.NewNetwork("resnet-mini", layers...)
@@ -41,7 +41,7 @@ func basicBlock(rng *rand.Rand, name string, inC, outC, stride int) nn.Layer {
 	body := []nn.Layer{
 		nn.NewConv2D(rng, name+".conv1", inC, outC, 3, stride, 1),
 		nn.NewBatchNorm2D(name+".bn1", outC),
-		nn.NewReLU(name + ".relu1"),
+		nn.NewReLU(),
 		nn.NewConv2D(rng, name+".conv2", outC, outC, 3, 1, 1),
 		nn.NewBatchNorm2D(name+".bn2", outC),
 	}
@@ -52,5 +52,5 @@ func basicBlock(rng *rand.Rand, name string, inC, outC, stride int) nn.Layer {
 			nn.NewBatchNorm2D(name+".downsample.1", outC),
 		}
 	}
-	return nn.NewResidual(name, body, skip)
+	return nn.NewResidual(body, skip)
 }

@@ -35,8 +35,6 @@ func (p *Param) Trainable() bool { return p.Grad != nil }
 
 // Layer is one differentiable stage of a network.
 type Layer interface {
-	// Name returns the layer's instance name (used to prefix param names).
-	Name() string
 	// Forward computes the layer output. train selects training-time
 	// behaviour (batch statistics, cached activations).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
@@ -45,10 +43,6 @@ type Layer interface {
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's parameters (empty for stateless layers).
 	Params() []*Param
-	// FLOPs returns the approximate forward multiply-add count for one
-	// sample of the given input shape (C,H,W or features), and the output
-	// shape, letting the model zoo derive Table III without running data.
-	FLOPs(inShape []int) (flops int64, outShape []int)
 }
 
 // Network is an ordered sequence of layers with state-dict plumbing.
@@ -130,18 +124,6 @@ func (n *Network) LoadStateDict(sd *tensor.StateDict) error {
 		copy(p.Val.Data, t.Data)
 	}
 	return nil
-}
-
-// FLOPs reports one-sample forward multiply-adds for the given input shape.
-func (n *Network) FLOPs(inShape []int) int64 {
-	var total int64
-	shape := inShape
-	for _, l := range n.Layers {
-		f, out := l.FLOPs(shape)
-		total += f
-		shape = out
-	}
-	return total
 }
 
 // Initializers.

@@ -59,7 +59,7 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 		num := (lp - lm) / (2 * eps)
 		got := float64(dx.Data[i])
 		if math.Abs(num-got) > tol*(1+math.Abs(num)) {
-			t.Errorf("%s: dx[%d] numeric %.5f analytic %.5f", layer.Name(), i, num, got)
+			t.Errorf("%T: dx[%d] numeric %.5f analytic %.5f", layer, i, num, got)
 		}
 	}
 	// Check parameter gradients.
@@ -78,7 +78,7 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 			num := (lp - lm) / (2 * eps)
 			got := float64(p.Grad.Data[i])
 			if math.Abs(num-got) > tol*(1+math.Abs(num)) {
-				t.Errorf("%s: %s grad[%d] numeric %.5f analytic %.5f", layer.Name(), p.Name, i, num, got)
+				t.Errorf("%T: %s grad[%d] numeric %.5f analytic %.5f", layer, p.Name, i, num, got)
 			}
 		}
 	}
@@ -141,7 +141,7 @@ func TestBatchNormGradients(t *testing.T) {
 
 func TestReLUGradients(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 7))
-	l := NewReLU("relu")
+	l := NewReLU()
 	x := randomInput(rng, 2, 3, 4, 4)
 	// Keep values away from the kink for stable numerics.
 	for i := range x.Data {
@@ -154,13 +154,13 @@ func TestReLUGradients(t *testing.T) {
 
 func TestMaxPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
-	l := NewMaxPool2D("pool", 2)
+	l := NewMaxPool2D(2)
 	checkLayerGradients(t, l, randomInput(rng, 2, 2, 4, 4), 1e-2)
 }
 
 func TestGlobalAvgPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 9))
-	l := NewGlobalAvgPool("gap")
+	l := NewGlobalAvgPool()
 	checkLayerGradients(t, l, randomInput(rng, 2, 3, 4, 4), 1e-2)
 }
 
@@ -168,9 +168,9 @@ func TestResidualGradients(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	body := []Layer{
 		NewConv2D(rng, "res.conv1", 2, 2, 3, 1, 1),
-		NewReLU("res.relu"),
+		NewReLU(),
 	}
-	l := NewResidual("res", body, nil)
+	l := NewResidual(body, nil)
 	checkLayerGradients(t, l, randomInput(rng, 2, 2, 4, 4), 1e-2)
 }
 
@@ -178,7 +178,7 @@ func TestResidualProjectionGradients(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 11))
 	body := []Layer{NewConv2D(rng, "res2.conv1", 2, 4, 3, 2, 1)}
 	skip := []Layer{NewConv2D(rng, "res2.down", 2, 4, 1, 2, 0)}
-	l := NewResidual("res2", body, skip)
+	l := NewResidual(body, skip)
 	checkLayerGradients(t, l, randomInput(rng, 2, 2, 4, 4), 1e-2)
 }
 
@@ -307,8 +307,8 @@ func TestStateDictRoundTrip(t *testing.T) {
 	net := NewNetwork("tiny",
 		NewConv2D(rng, "c1", 1, 2, 3, 1, 1),
 		NewBatchNorm2D("bn1", 2),
-		NewReLU("r1"),
-		NewFlatten("fl"),
+		NewReLU(),
+		NewFlatten(),
 		NewDense(rng, "fc", 2*4*4, 3),
 	)
 	sd := net.StateDict()
@@ -352,7 +352,7 @@ func TestNetworkLearnsXORLikeTask(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 16))
 	net := NewNetwork("mlp",
 		NewDense(rng, "fc1", 2, 16),
-		NewReLU("r1"),
+		NewReLU(),
 		NewDense(rng, "fc2", 16, 2),
 	)
 	opt := NewSGD(0.1, 0.9, 0)

@@ -41,21 +41,9 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	return bn
 }
 
-// Name implements Layer.
-func (bn *BatchNorm2D) Name() string { return bn.name }
-
 // Params implements Layer.
 func (bn *BatchNorm2D) Params() []*Param {
 	return []*Param{bn.Gamma, bn.Beta, bn.RunMean, bn.RunVar, bn.NumBatches}
-}
-
-// FLOPs implements Layer.
-func (bn *BatchNorm2D) FLOPs(in []int) (int64, []int) {
-	n := int64(1)
-	for _, d := range in {
-		n *= int64(d)
-	}
-	return 2 * n, in
 }
 
 // Forward implements Layer.

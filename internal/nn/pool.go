@@ -6,25 +6,16 @@ import (
 
 // MaxPool2D applies k×k max pooling with stride k.
 type MaxPool2D struct {
-	name    string
 	K       int
 	argmax  []int32
 	inShape []int
 }
 
 // NewMaxPool2D constructs the layer.
-func NewMaxPool2D(name string, k int) *MaxPool2D { return &MaxPool2D{name: name, K: k} }
-
-// Name implements Layer.
-func (p *MaxPool2D) Name() string { return p.name }
+func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
 
 // Params implements Layer.
 func (p *MaxPool2D) Params() []*Param { return nil }
-
-// FLOPs implements Layer.
-func (p *MaxPool2D) FLOPs(in []int) (int64, []int) {
-	return 0, []int{in[0], in[1] / p.K, in[2] / p.K}
-}
 
 // Forward implements Layer.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -78,23 +69,14 @@ func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 // GlobalAvgPool averages each channel's spatial plane, producing [N, C].
 type GlobalAvgPool struct {
-	name    string
 	inShape []int
 }
 
 // NewGlobalAvgPool constructs the layer.
-func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{name: name} }
-
-// Name implements Layer.
-func (p *GlobalAvgPool) Name() string { return p.name }
+func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 
 // Params implements Layer.
 func (p *GlobalAvgPool) Params() []*Param { return nil }
-
-// FLOPs implements Layer.
-func (p *GlobalAvgPool) FLOPs(in []int) (int64, []int) {
-	return int64(in[0]) * int64(in[1]) * int64(in[2]), []int{in[0]}
-}
 
 // Forward implements Layer.
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -9,18 +9,14 @@ import (
 // match) or a projection stack (1×1 conv [+ BN]) when they don't — the
 // ResNet basic-block and MobileNetV2 inverted-residual pattern.
 type Residual struct {
-	name string
 	Body []Layer
 	Skip []Layer
 }
 
 // NewResidual constructs the block. Pass skip == nil for identity.
-func NewResidual(name string, body []Layer, skip []Layer) *Residual {
-	return &Residual{name: name, Body: body, Skip: skip}
+func NewResidual(body []Layer, skip []Layer) *Residual {
+	return &Residual{Body: body, Skip: skip}
 }
-
-// Name implements Layer.
-func (r *Residual) Name() string { return r.name }
 
 // Params implements Layer.
 func (r *Residual) Params() []*Param {
@@ -32,24 +28,6 @@ func (r *Residual) Params() []*Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// FLOPs implements Layer.
-func (r *Residual) FLOPs(in []int) (int64, []int) {
-	var total int64
-	shape := in
-	for _, l := range r.Body {
-		f, out := l.FLOPs(shape)
-		total += f
-		shape = out
-	}
-	skipShape := in
-	for _, l := range r.Skip {
-		f, out := l.FLOPs(skipShape)
-		total += f
-		skipShape = out
-	}
-	return total, shape
 }
 
 // Forward implements Layer.

@@ -43,10 +43,6 @@ func NewPool(parallelism int) *Pool {
 	return &Pool{sem: make(chan struct{}, parallelism-1)}
 }
 
-// Serial returns a pool that runs everything on the calling goroutine —
-// equivalent to NewPool(1), useful as an explicit "no concurrency" choice.
-func Serial() *Pool { return NewPool(1) }
-
 var defaultPool = sync.OnceValue(func() *Pool { return NewPool(0) })
 
 // Default returns the process-wide shared pool, sized to GOMAXPROCS.

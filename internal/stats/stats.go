@@ -77,15 +77,6 @@ func NewHistogram(data []float32, lo, hi float64, bins int) *Histogram {
 	return h
 }
 
-// Density returns the normalized density of bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / float64(h.Total) / width
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	width := (h.Hi - h.Lo) / float64(len(h.Counts))

@@ -50,8 +50,9 @@ type Params = ebcl.Params
 // Compressor implements ebcl.Compressor. The zero value is ready to use;
 // NewCompressor exists for symmetry with the other EBLC packages.
 type Compressor struct {
-	// DisableLosslessStage skips the final LZ pass (used by ablation
-	// benchmarks to isolate the entropy stage's contribution).
+	// DisableLosslessStage skips the final LZ pass: conformance's
+	// stage-contribution tests and ebcl's LosslessStage benchmark set it to
+	// isolate the entropy stage.
 	DisableLosslessStage bool
 }
 

@@ -44,7 +44,8 @@ type Params = ebcl.Params
 
 // Compressor implements ebcl.Compressor.
 type Compressor struct {
-	// DisableLosslessStage skips the trailing LZ pass (ablation hook).
+	// DisableLosslessStage skips the trailing LZ pass; conformance's
+	// stage-contribution tests set it.
 	DisableLosslessStage bool
 }
 

@@ -32,7 +32,7 @@ func TestTinyTruncationBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid tiny truncation block rejected: %v", err)
 	}
-	if !ebcl.WithinBound(data, dec, 1.0) {
+	if ebcl.MaxAbsError(data, dec) > 1.0 {
 		t.Fatalf("reconstruction %v out of bound for %v", dec, data)
 	}
 }

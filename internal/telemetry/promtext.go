@@ -19,9 +19,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the sample's value for key ("" when absent).
-func (s Sample) Label(key string) string { return s.Labels[key] }
-
 // ParseText parses a Prometheus text exposition. # HELP/# TYPE comment
 // lines are validated for shape and skipped; every sample line must parse
 // or the whole input is rejected.

@@ -76,7 +76,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if s, ok := FindSample(samples, "acme_requests_total", L("method", "post")); !ok || s.Label("path") != `/up"load` {
+	if s, ok := FindSample(samples, "acme_requests_total", L("method", "post")); !ok || s.Labels["path"] != `/up"load` {
 		t.Fatalf("escaped label value lost: %+v (found %v)", s, ok)
 	}
 	if s, ok := FindSample(samples, "acme_request_seconds_count", L("tricky", "newline\nquote\"backslash\\done")); !ok || s.Value != 1 {
@@ -98,7 +98,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	var sum Sample
 	for _, s := range samples {
-		if s.Name == "acme_request_seconds_sum" && s.Label("tricky") == "" {
+		if s.Name == "acme_request_seconds_sum" && s.Labels["tricky"] == "" {
 			sum = s
 		}
 	}
@@ -107,7 +107,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	prev := -1.0
 	for _, s := range samples {
-		if s.Name != "acme_request_seconds_bucket" || s.Label("tricky") != "" {
+		if s.Name != "acme_request_seconds_bucket" || s.Labels["tricky"] != "" {
 			continue
 		}
 		if s.Value < prev {

@@ -98,7 +98,6 @@ type Histogram struct {
 	upper   []float64
 	counts  []atomic.Uint64
 	sumBits atomic.Uint64
-	count   atomic.Uint64
 }
 
 // Observe records one value.
@@ -110,7 +109,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -119,9 +117,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -140,21 +135,6 @@ func (h *Histogram) snapshot() (cum []uint64, sum float64) {
 		cum[i] = running
 	}
 	return cum, h.Sum()
-}
-
-// ExpBuckets returns n bucket bounds starting at start and multiplying by
-// factor — the standard shape for durations and sizes.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("telemetry: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
 }
 
 // LinearBuckets returns n bucket bounds starting at start and stepping by

@@ -93,9 +93,6 @@ func TestHistogramBucketing(t *testing.T) {
 	if want := 0.5 + 1 + 1.5 + 7 + 100; sum != want {
 		t.Fatalf("sum = %v, want %v", sum, want)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
 }
 
 func TestHistogramBucketMismatchPanics(t *testing.T) {
@@ -159,8 +156,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	if cum, _ := h.snapshot(); cum[len(cum)-1] != 8000 {
+		t.Fatalf("histogram count = %d, want 8000", cum[len(cum)-1])
 	}
 }
 

@@ -37,32 +37,6 @@ func AppendFloat32s(dst []byte, vals []float32) []byte {
 	return dst
 }
 
-// DecodeFloat32s decodes n little-endian float32 values from src.
-func DecodeFloat32s(src []byte, n int) ([]float32, error) {
-	if len(src) < 4*n {
-		return nil, ErrBadFormat
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return out, nil
-}
-
-// Float32sToBytes converts vals to their little-endian byte representation.
-func Float32sToBytes(vals []float32) []byte {
-	return AppendFloat32s(make([]byte, 0, 4*len(vals)), vals)
-}
-
-// BytesToFloat32s converts a little-endian byte buffer back to float32
-// values. len(b) must be a multiple of 4.
-func BytesToFloat32s(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, ErrBadFormat
-	}
-	return DecodeFloat32s(b, len(b)/4)
-}
-
 // Marshal serializes the state dict to the binary format above.
 func (sd *StateDict) Marshal() []byte {
 	return sd.MarshalAppend(make([]byte, 0, sd.MarshalSize()))

@@ -105,57 +105,11 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
-// Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d != shape rank %d", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-}
-
-// Range returns the minimum and maximum values; (0,0) for an empty tensor.
-func (t *Tensor) Range() (min, max float32) {
-	if len(t.Data) == 0 {
-		return 0, 0
-	}
-	min, max = t.Data[0], t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
-// L2Norm returns the Euclidean norm of the flattened data.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // Entry is one named tensor in a StateDict.
@@ -302,17 +256,6 @@ func (sd *StateDict) Scale(alpha float32) {
 			d[j] *= alpha
 		}
 	}
-}
-
-// CopyFrom overwrites sd's values with other's. Structures must match.
-func (sd *StateDict) CopyFrom(other *StateDict) error {
-	if err := sd.CheckCompatible(other); err != nil {
-		return err
-	}
-	for i, e := range sd.entries {
-		copy(e.Tensor.Data, other.entries[i].Tensor.Data)
-	}
-	return nil
 }
 
 // CheckCompatible reports whether other has the same structure as sd —

@@ -15,28 +15,6 @@ func TestNewAndIndexing(t *testing.T) {
 	if tt.SizeBytes() != 96 {
 		t.Fatalf("SizeBytes = %d", tt.SizeBytes())
 	}
-	tt.Set(3.5, 1, 2, 3)
-	if got := tt.At(1, 2, 3); got != 3.5 {
-		t.Fatalf("At = %v", got)
-	}
-	// Row-major layout: offset of [1,2,3] is 1*12 + 2*4 + 3 = 23.
-	if tt.Data[23] != 3.5 {
-		t.Fatal("row-major layout violated")
-	}
-}
-
-func TestIndexPanics(t *testing.T) {
-	tt := New(2, 2)
-	for _, idx := range [][]int{{2, 0}, {0, -1}, {0}, {0, 0, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("index %v should panic", idx)
-				}
-			}()
-			tt.At(idx...)
-		}()
-	}
 }
 
 func TestFromDataShapeCheck(t *testing.T) {
@@ -51,7 +29,7 @@ func TestFromDataShapeCheck(t *testing.T) {
 func TestReshapeSharesData(t *testing.T) {
 	a := New(6)
 	b := a.Reshape(2, 3)
-	b.Set(9, 1, 2)
+	b.Data[5] = 9
 	if a.Data[5] != 9 {
 		t.Fatal("reshape must share backing data")
 	}
@@ -64,22 +42,6 @@ func TestCloneIndependent(t *testing.T) {
 	b.Data[0] = 7
 	if a.Data[0] != 1 {
 		t.Fatal("clone must not alias")
-	}
-}
-
-func TestRangeAndNorm(t *testing.T) {
-	tt := FromData([]float32{-2, 0, 3, 1}, 4)
-	lo, hi := tt.Range()
-	if lo != -2 || hi != 3 {
-		t.Fatalf("range = (%v,%v)", lo, hi)
-	}
-	want := math.Sqrt(4 + 9 + 1)
-	if got := tt.L2Norm(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("L2Norm = %v want %v", got, want)
-	}
-	empty := New(0)
-	if lo, hi := empty.Range(); lo != 0 || hi != 0 {
-		t.Fatal("empty range should be (0,0)")
 	}
 }
 
@@ -149,13 +111,6 @@ func TestAggregationOps(t *testing.T) {
 	if d == 0 {
 		t.Fatal("Scale had no effect")
 	}
-	if err := acc.CopyFrom(a); err != nil {
-		t.Fatal(err)
-	}
-	d, _ = acc.MaxAbsDiff(a)
-	if d != 0 {
-		t.Fatal("CopyFrom not exact")
-	}
 }
 
 func TestIncompatibleDicts(t *testing.T) {
@@ -220,19 +175,18 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestFloat32BytesRoundTrip(t *testing.T) {
-	vals := []float32{0, -0, 1.5, float32(math.Inf(1)), float32(math.NaN()), -3.25e-12}
-	b := Float32sToBytes(vals)
-	got, err := BytesToFloat32s(b)
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1.5, float32(math.Inf(1)), float32(math.NaN()), -3.25e-12}
+	sd := NewStateDict()
+	sd.Add("v", KindWeight, FromData(vals, len(vals)))
+	back, err := UnmarshalStateDict(sd.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := back.Get("v").Data
 	for i := range vals {
 		if math.Float32bits(got[i]) != math.Float32bits(vals[i]) {
 			t.Fatalf("bit-exactness violated at %d", i)
 		}
-	}
-	if _, err := BytesToFloat32s([]byte{1, 2, 3}); err == nil {
-		t.Fatal("want error for non-multiple-of-4 buffer")
 	}
 }
 

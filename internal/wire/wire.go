@@ -226,14 +226,8 @@ type FrameScanner struct {
 	streamCRC    uint32
 }
 
-// NewFrameScanner returns a FrameScanner de-framing from r.
-func NewFrameScanner(r io.Reader) *FrameScanner { return &FrameScanner{r: r} }
-
 // Frames returns the number of payload-bearing frames consumed so far.
 func (s *FrameScanner) Frames() int { return int(s.frames) }
-
-// PayloadBytes returns the payload bytes consumed so far.
-func (s *FrameScanner) PayloadBytes() int64 { return int64(s.payloadBytes) }
 
 // WireBytes returns the encoded length of the wire stream consumed so far
 // — preamble, frame headers, payloads, CRCs, and (once verified) the
@@ -438,13 +432,6 @@ func NewReader(r io.Reader) *Reader { return &Reader{s: FrameScanner{r: r}} }
 
 // Frames returns the number of payload-bearing frames consumed so far.
 func (r *Reader) Frames() int { return r.s.Frames() }
-
-// PayloadBytes returns the reassembled payload bytes consumed so far.
-func (r *Reader) PayloadBytes() int64 { return r.s.PayloadBytes() }
-
-// WireBytes returns the encoded length of the wire stream consumed so far;
-// see FrameScanner.WireBytes.
-func (r *Reader) WireBytes() int64 { return r.s.WireBytes() }
 
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {
