@@ -1,41 +1,42 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"repro/internal/telemetry"
+	"repro/internal/agg"
+	"repro/internal/flserve"
 )
 
 // TestParseArgsResolvesMode pins how the command line picks between the
-// experiment driver and the socket sim: -serve or -clients N > 0 selects the
-// sim, and a flag only the sim reads is a usage error without one — never a
-// silently ignored setting on a run of every experiment.
+// experiment driver and the upload client: -upload ADDR selects the client,
+// and a flag only the client reads is a usage error without it — never a
+// silently ignored setting on a run of every experiment. The loopback socket
+// sim that -serve / -clients N used to start is gone; its flags say where the
+// measurement lives now.
 func TestParseArgsResolvesMode(t *testing.T) {
 	for _, tc := range []struct {
 		args    string
-		clients int    // 0 = experiments
+		upload  bool   // false = experiments
+		clients int    // with upload
 		errHas  string // non-empty = usage error naming this
 	}{
-		{args: "", clients: 0},
-		{args: "-run eqn1 -seed 7 -full", clients: 0},
-		{args: "-list", clients: 0},
-		{args: "-clients 0", clients: 0},
-		{args: "-serve", clients: 32},
-		{args: "-serve -clients 0", clients: 32},
-		{args: "-serve -clients 3 -upload 127.0.0.1:9464 -scale 0.01", clients: 3},
-		{args: "-clients 8 -parallel 4", clients: 8},
-		{args: "-clients 8 -mbps 10 -model alexnet -trace -", clients: 8},
-		{args: "-parallel 4", errHas: "-parallel"},
+		{args: ""},
+		{args: "-run eqn1 -seed 7 -full"},
+		{args: "-list"},
+		{args: "-upload 127.0.0.1:9464", upload: true, clients: 32},
+		{args: "-clients 3 -upload 127.0.0.1:9464 -scale 0.01", upload: true, clients: 3},
+		{args: "-upload 127.0.0.1:9464 -clients 8 -mbps 10 -model alexnet -seed 3", upload: true, clients: 8},
+		{args: "-upload 127.0.0.1:9464 -clients 0", errHas: "-clients 0"},
+		{args: "-clients 8", errHas: "bash bench/run.sh"},
+		{args: "-clients 8 -mbps 10", errHas: "-upload ADDR"},
 		{args: "-scale 0.02", errHas: "-scale"},
 		{args: "-model alexnet", errHas: "-model"},
 		{args: "-mbps 10", errHas: "-mbps"},
-		{args: "-upload 127.0.0.1:9464", errHas: "-upload"},
-		{args: "-trace t.jsonl", errHas: "-trace"},
-		{args: "-clients 0 -run eqn1 -scale 0.02", errHas: "-serve"},
+		{args: "-run eqn1 -scale 0.02", errHas: "-upload ADDR"},
+		{args: "-serve", errHas: "-serve"},
+		{args: "-clients 8 -parallel 4", errHas: "-parallel"},
+		{args: "-upload 127.0.0.1:9464 -trace t.jsonl", errHas: "-trace"},
 		{args: "-rounds 2", errHas: "-rounds"},
 		{args: "-json -", errHas: "-json"},
 		{args: "-baseline x.json", errHas: "-baseline"},
@@ -50,55 +51,42 @@ func TestParseArgsResolvesMode(t *testing.T) {
 		}
 		if err != nil {
 			t.Errorf("%q: %v", tc.args, err)
-		} else if c.clients != tc.clients {
-			t.Errorf("%q: resolved %d sim clients, want %d", tc.args, c.clients, tc.clients)
+		} else if (c.upload != "") != tc.upload || (tc.upload && c.clients != tc.clients) {
+			t.Errorf("%q: resolved upload %q with %d clients, want upload %v with %d", tc.args, c.upload, c.clients, tc.upload, tc.clients)
 		}
 	}
 }
 
-// TestStreamSimSmoke drives the -serve streaming ingest at quickstart size:
-// in-memory baselines plus a real loopback server round. A tracer rides
-// along and must produce one intact JSONL span per phase plus the server's
-// per-connection/per-update events.
-func TestStreamSimSmoke(t *testing.T) {
+// TestUploadClientSmoke drives the upload client against an in-process
+// flserve server folding through agg.Sharded — the fedsz-serve side of the
+// two-process e2e — at quickstart size: every update must be acknowledged,
+// folded, and counted by the server.
+func TestUploadClientSmoke(t *testing.T) {
+	fold := agg.New(agg.Config{})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: fold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	var sb strings.Builder
-	var traceBuf bytes.Buffer
-	tracer := telemetry.NewTracer(&traceBuf)
-	if err := runStreamSim(&sb, 6, 2, 0, "alexnet", 0.01, 1, "", tracer); err != nil {
+	c := config{upload: srv.Addr().String(), clients: 6, model: "alexnet", scale: 0.01, seed: 1, mbps: 200}
+	if err := runUpload(&sb, c); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"streaming ingest", "serial", "batched(2)", "streamed", "overlap ratio"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
+	for _, want := range []string{"upload: 6 clients × alexnet", "ratio", "6 update(s) acknowledged"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, sb.String())
 		}
 	}
-	if err := tracer.Err(); err != nil {
-		t.Fatal(err)
-	}
-	events := map[string]int{}
-	sc := bufio.NewScanner(&traceBuf)
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
-		}
-		ev, _ := m["event"].(string)
-		events[ev]++
-	}
-	for _, want := range []string{"build_updates", "baseline_decode", "stream_upload", "conn", "update", "stream_encode_upload"} {
-		if events[want] == 0 {
-			t.Fatalf("trace missing %q events (have %v)", want, events)
-		}
-	}
-	if events["update"] < 12 { // 6 streamed + 6 stream-encoded
-		t.Fatalf("trace has %d update events, want >= 12", events["update"])
+	_, folded := fold.Mean()
+	if st := srv.Snapshot(); st.Updates != 6 || st.Rejected != 0 || folded != 6 {
+		t.Fatalf("server counted %+v and folded %d, want 6 updates", st, folded)
 	}
 }
 
-func TestStreamSimRejectsUnknownModel(t *testing.T) {
+func TestUploadRejectsUnknownModel(t *testing.T) {
 	var sb strings.Builder
-	if err := runStreamSim(&sb, 2, 1, 0, "nope", 0.01, 1, "", nil); err == nil {
+	if err := runUpload(&sb, config{upload: "127.0.0.1:1", clients: 2, model: "nope", scale: 0.01, seed: 1}); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
 }

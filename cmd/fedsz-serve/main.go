@@ -10,15 +10,17 @@
 //	fedsz-serve -addr :9000 -parallel 8  # custom port, 8-way decode budget
 //	fedsz-serve -updates 64              # exit after 64 updates, print summary
 //	fedsz-serve -metrics-addr :9465      # expose /metrics, /healthz, /debug/pprof
+//	fedsz-serve -trace trace.jsonl       # one JSON line per connection and update
 //
-// Pair it with the upload side of the benchmark harness:
+// Pair it with the CLI upload client:
 //
 //	fedsz-serve -updates 32 &
-//	fedsz-bench -serve -clients 32 -upload 127.0.0.1:9464
+//	fedsz-bench -clients 32 -upload 127.0.0.1:9464
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,6 +55,7 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 0, "admission-control ingest queue; connections beyond max-conns+queue are shed (0 = block, never shed)")
 		upstream    = flag.String("upstream", "", "run as an edge: after the run, forward the fused weighted mean to this root address")
 		edgeID      = flag.Uint("edge-id", 1, "client ID used on the upstream hop (with -upstream)")
+		trace       = flag.String("trace", "", "write JSONL trace events (one span per connection, one event per update) to this path ('-' for stderr)")
 	)
 	flag.Parse()
 
@@ -77,6 +80,7 @@ func main() {
 		queueDepth:    *queueDepth,
 		upstream:      *upstream,
 		edgeID:        uint32(*edgeID),
+		trace:         *trace,
 		stop:          stop,
 		out:           os.Stdout,
 	}
@@ -101,6 +105,7 @@ type serveOpts struct {
 	queueDepth    int
 	upstream      string
 	edgeID        uint32
+	trace         string
 	ready         chan<- string
 	metricsReady  chan<- string
 	stop          <-chan struct{}
@@ -110,13 +115,17 @@ type serveOpts struct {
 // serve runs the server until opts.updates have been ingested (when > 0)
 // or opts.stop closes.
 func serve(o serveOpts) error {
+	// The registry is this run's alone: the server and aggregator created
+	// below attach their own counters to it, so a second serve in the process
+	// (an edge beside its root) scrapes separately.
+	var reg *telemetry.Registry
 	if o.metricsAddr != "" {
-		sched.RegisterMetrics(telemetry.Default())
+		reg = telemetry.NewRegistry()
 		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		hs := &http.Server{Handler: telemetry.NewHTTPHandler(telemetry.Default())}
+		hs := &http.Server{Handler: telemetry.NewHTTPHandler(reg)}
 		go hs.Serve(ln)
 		defer hs.Close()
 		fmt.Fprintf(o.out, "metrics on http://%s/metrics\n", ln.Addr())
@@ -138,6 +147,22 @@ func serve(o serveOpts) error {
 	logger := slog.New(slog.NewTextHandler(o.out, nil))
 
 	cfg := flserve.Config{Parallel: o.parallel, MaxConns: o.maxConns, UploadTimeout: o.uploadTimeout, QueueDepth: o.queueDepth}
+	if o.trace != "" {
+		tw, closeTrace := io.Writer(os.Stderr), func() error { return nil }
+		if o.trace != "-" {
+			f, err := os.Create(o.trace)
+			if err != nil {
+				return err
+			}
+			tw, closeTrace = f, f.Close
+		}
+		cfg.Tracer = telemetry.NewTracer(tw)
+		defer func() {
+			if err := errors.Join(cfg.Tracer.Err(), closeTrace()); err != nil {
+				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+			}
+		}()
+	}
 	// The aggregator folds each update off the wire; the handler only logs
 	// and counts it.
 	cfg.Handler = func(u flserve.Update) error {
@@ -180,6 +205,12 @@ func serve(o serveOpts) error {
 		if srv, err = flserve.Listen(o.addr, cfg); err != nil {
 			return err
 		}
+	}
+	if reg != nil {
+		sched.RegisterMetrics(reg)
+		core.RegisterMetrics(reg)
+		srv.RegisterMetrics(reg)
+		sharded.RegisterMetrics(reg)
 	}
 	fmt.Fprintf(o.out, "fedsz-serve listening on %s (parallel=%d, shards=%d)\n", srv.Addr(), o.parallel, sharded.Shards())
 	if o.ready != nil {

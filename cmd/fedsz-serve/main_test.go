@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -45,16 +50,19 @@ func uploadN(t *testing.T, addr string, n int, seed uint64) {
 	}
 }
 
-// TestServeSmoke boots the server on a free port, uploads three updates
-// concurrently, and checks the summary output.
+// TestServeSmoke boots the server on a free port with -trace, uploads three
+// updates concurrently, and checks the summary output and the JSONL trace:
+// one intact line per event, a conn span per connection and an update event
+// per accepted update.
 func TestServeSmoke(t *testing.T) {
 	ready := make(chan string, 1)
 	var out bytes.Buffer
+	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	// The errCh receive below happens-after serve returns, so reading out
 	// afterwards is race-free.
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, updates: 3, ready: ready, out: &out})
+		errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, updates: 3, trace: tracePath, ready: ready, out: &out})
 	}()
 	addr := <-ready
 	uploadN(t, addr, 3, 3)
@@ -71,11 +79,136 @@ func TestServeSmoke(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, output)
 		}
 	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		var m map[string]any
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		ev, _ := m["event"].(string)
+		events[ev]++
+	}
+	if events["conn"] != 3 || events["update"] != 3 {
+		t.Fatalf("trace has %v, want 3 conn spans and 3 update events", events)
+	}
+}
+
+// httpGet fetches path from the metrics listener at maddr.
+func httpGet(t *testing.T, maddr, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + maddr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// wantSample fails unless the scrape holds the unlabelled sample name at
+// exactly value.
+func wantSample(t *testing.T, body, name string, value float64) {
+	t.Helper()
+	samples, err := telemetry.ParseText([]byte(body))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
+	}
+	if s, ok := telemetry.FindSample(samples, name); !ok || s.Value != value {
+		t.Errorf("%s = %+v (ok=%v), want %v", name, s, ok, value)
+	}
+}
+
+// readmeCatalog parses the metric catalog table of README.md into
+// family → "type{label keys}", the form scrapedCatalog reports.
+func readmeCatalog(t *testing.T) map[string]string {
+	t.Helper()
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "### Metric catalog\n")
+	if !ok {
+		t.Fatal("README.md has no Metric catalog section")
+	}
+	table, _, _ = strings.Cut(table, "\n### ")
+	ident := regexp.MustCompile("`([a-z_]+)`")
+	catalog := map[string]string{}
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, " | ")
+		if len(cells) != 4 || !strings.HasPrefix(cells[0], "| `fedsz_") {
+			continue
+		}
+		var keys []string
+		for _, label := range strings.Split(cells[2], ", ") { // `key` or `key`=`a`\|`b`
+			if m := ident.FindStringSubmatch(label); m != nil {
+				keys = append(keys, m[1])
+			}
+		}
+		sort.Strings(keys)
+		for _, m := range ident.FindAllStringSubmatch(cells[0], -1) {
+			catalog[m[1]] = cells[1] + "{" + strings.Join(keys, ",") + "}"
+		}
+	}
+	return catalog
+}
+
+// scrapedCatalog reduces an exposition to family → "type{label keys}".
+func scrapedCatalog(t *testing.T, body string) map[string]string {
+	t.Helper()
+	types := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	samples, err := telemetry.ParseText([]byte(body))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
+	}
+	labels := map[string]map[string]bool{}
+	for _, s := range samples {
+		family := s.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(s.Name, suffix); types[base] == "histogram" {
+				family = base
+			}
+		}
+		if labels[family] == nil {
+			labels[family] = map[string]bool{}
+		}
+		for k := range s.Labels {
+			labels[family][k] = k != "le"
+		}
+	}
+	catalog := map[string]string{}
+	for family, typ := range types {
+		var keys []string
+		for k, keep := range labels[family] {
+			if keep {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		catalog[family] = typ + "{" + strings.Join(keys, ",") + "}"
+	}
+	return catalog
 }
 
 // TestServeMetricsEndpoint runs serve with a metrics listener, pushes one
 // update through the ingest path, and scrapes /metrics and /healthz while
-// the server is still up.
+// the server is still up. The scrape must count exactly that update — the
+// registry is this serve's own — and expose exactly the families, types and
+// label keys README's metric catalog documents, so the catalog cannot drift.
 func TestServeMetricsEndpoint(t *testing.T) {
 	ready := make(chan string, 1)
 	metricsReady := make(chan string, 1)
@@ -97,49 +230,24 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	addr := <-ready
 	uploadN(t, addr, 1, 7)
 
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + maddr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	if body := get("/healthz"); body != "ok\n" {
+	if body := httpGet(t, maddr, "/healthz"); body != "ok\n" {
 		t.Fatalf("/healthz = %q", body)
 	}
-	body := get("/metrics")
-	samples, err := telemetry.ParseText([]byte(body))
-	if err != nil {
-		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
-	}
-	for _, name := range []string{
-		"fedsz_server_connections_accepted_total",
-		"fedsz_server_updates_total",
-		"fedsz_server_wire_bytes_total",
-		"fedsz_server_decode_seconds_count",
-		"fedsz_server_overlap_ratio_count",
-		"fedsz_pool_hits_total",
-		"fedsz_pool_recycled_bytes_total",
-		"fedsz_decode_seconds_count",
-	} {
-		if _, ok := telemetry.FindSample(samples, name); !ok {
-			t.Errorf("/metrics missing %s", name)
+	body := httpGet(t, maddr, "/metrics")
+	wantSample(t, body, "fedsz_server_updates_total", 1)
+	wantSample(t, body, "fedsz_agg_updates_total", 1)
+	documented, scraped := readmeCatalog(t), scrapedCatalog(t, body)
+	for family, got := range scraped {
+		if want, ok := documented[family]; !ok {
+			t.Errorf("/metrics exposes %s %s, which README's metric catalog does not list", family, got)
+		} else if got != want {
+			t.Errorf("%s is %s on /metrics, %s in README's metric catalog", family, got, want)
 		}
 	}
-	// The process-wide counters are shared across tests, so assert a lower
-	// bound rather than equality.
-	if s, ok := telemetry.FindSample(samples, "fedsz_server_updates_total"); !ok || s.Value < 1 {
-		t.Fatalf("fedsz_server_updates_total = %+v (ok=%v), want >= 1", s, ok)
+	for family, want := range documented {
+		if _, ok := scraped[family]; !ok {
+			t.Errorf("README's metric catalog lists %s %s, which /metrics does not expose", family, want)
+		}
 	}
 
 	close(stop)
@@ -151,14 +259,20 @@ func TestServeMetricsEndpoint(t *testing.T) {
 // TestServeTwoTier wires the CLI pieces into an edge→root tree: a sharded
 // root, two edge serves pointed at it with -upstream, five clients split
 // across the edges. The root must fold exactly two fused updates whose
-// weights sum to the client population.
+// weights sum to the client population — and its /metrics, scraped while it
+// is still up, must count exactly those two: the edges in the same process
+// fold five client updates into counters of their own.
 func TestServeTwoTier(t *testing.T) {
 	rootReady := make(chan string, 1)
+	rootMetrics := make(chan string, 1)
+	rootStop := make(chan struct{})
 	var rootOut bytes.Buffer
 	rootErr := make(chan error, 1)
 	go func() {
-		rootErr <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, shards: 2, updates: 2, quiet: true, ready: rootReady, out: &rootOut})
+		rootErr <- serve(serveOpts{addr: "127.0.0.1:0", metricsAddr: "127.0.0.1:0", parallel: 2, shards: 2, quiet: true,
+			ready: rootReady, metricsReady: rootMetrics, stop: rootStop, out: &rootOut})
 	}()
+	rootMetricsAddr := <-rootMetrics
 	rootAddr := <-rootReady
 
 	runEdge := func(id uint32, clients int, seed uint64, out *bytes.Buffer) error {
@@ -178,6 +292,12 @@ func TestServeTwoTier(t *testing.T) {
 	if err := runEdge(1001, 2, 13, &outB); err != nil {
 		t.Fatalf("edge B: %v", err)
 	}
+	// An edge returns once the root has acked its flush, so both fused
+	// updates are folded and counted by now.
+	body := httpGet(t, rootMetricsAddr, "/metrics")
+	wantSample(t, body, "fedsz_server_updates_total", 2)
+	wantSample(t, body, "fedsz_agg_updates_total", 2)
+	close(rootStop)
 	if err := <-rootErr; err != nil {
 		t.Fatalf("root: %v", err)
 	}

@@ -25,6 +25,7 @@ import (
 
 	fedsz "repro"
 	"repro/internal/agg"
+	"repro/internal/core"
 	"repro/internal/flserve"
 	"repro/internal/netsim"
 	"repro/internal/nn/models"
@@ -70,15 +71,15 @@ func run() error {
 	}
 	fmt.Printf("%d clients, %.2f MB raw updates\n", nClients, float64(rawBytes)/1e6)
 
-	// Every server and codec in the process reports into the default
-	// telemetry registry; one HTTP listener exposes it all. This is the
-	// same endpoint fedsz-serve -metrics-addr serves.
-	sched.RegisterMetrics(telemetry.Default())
+	// Each component keeps its own counters; the program builds the registry
+	// they are attached to below, and one HTTP listener exposes it all. This
+	// is the same endpoint fedsz-serve -metrics-addr serves.
+	reg := telemetry.NewRegistry()
 	mln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	ms := &http.Server{Handler: telemetry.NewHTTPHandler(telemetry.Default())}
+	ms := &http.Server{Handler: telemetry.NewHTTPHandler(reg)}
 	go ms.Serve(mln)
 	defer ms.Close()
 	scrapeURL := fmt.Sprintf("http://%s/metrics", mln.Addr())
@@ -97,6 +98,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	sched.RegisterMetrics(reg)
+	core.RegisterMetrics(reg)
+	srv.RegisterMetrics(reg)
+	fold.RegisterMetrics(reg)
 	fmt.Printf("aggregation server on %s, %g Mbps per uplink\n",
 		srv.Addr(), link.BandwidthMbps)
 

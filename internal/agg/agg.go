@@ -53,6 +53,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -94,6 +95,7 @@ type layout struct {
 type Sharded struct {
 	cfg  Config
 	pool *sched.Pool
+	m    aggMetrics
 
 	mu sync.Mutex
 	// structure is the layout adopted from the first committed update.
@@ -118,8 +120,10 @@ func New(cfg Config) *Sharded {
 	if pool == nil {
 		pool = sched.Default()
 	}
-	metrics().shards.Set(float64(cfg.Shards))
-	return &Sharded{cfg: cfg, pool: pool}
+	return &Sharded{cfg: cfg, pool: pool, m: aggMetrics{
+		mergeHist: telemetry.NewHistogram(telemetry.DurationBuckets),
+		perShard:  make([]telemetry.Counter, cfg.Shards),
+	}}
 }
 
 // Shards returns the configured shard count P.
@@ -164,7 +168,7 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		upd.Release()
 		return 0, core.DecompressStats{}, err
 	}
-	metrics().updates.Inc()
+	s.m.updates.Inc()
 	stats.DecompressTime = time.Since(start) // the fold is part of the update's wall clock
 	return src.WireBytes(), *stats, nil
 }
@@ -226,16 +230,15 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 		}
 		upd.Release()
 	}
-	m := metrics()
 	for i := range s.structure.lossy {
-		m.sectionsRouted(s.structure.lossy[i].shard).Inc()
+		s.m.perShard[s.structure.lossy[i].shard].Inc()
 	}
 	if s.cfg.DedupByClient {
 		s.seen[client] = true
 	}
 	s.n++
 	s.wsum += weight
-	m.mergeHist.Observe(time.Since(t0).Seconds())
+	s.m.mergeHist.Observe(time.Since(t0).Seconds())
 	return nil
 }
 
@@ -264,16 +267,9 @@ func (s *Sharded) isDup(client uint32) bool {
 	return s.seen[client]
 }
 
-// Count returns the number of folded updates.
-func (s *Sharded) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // WeightSum returns the total aggregation weight folded so far — equal to
-// Count for unweighted traffic, the represented population size when edges
-// forward weighted fused updates.
+// the update count for unweighted traffic, the represented population size
+// when edges forward weighted fused updates.
 func (s *Sharded) WeightSum() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -38,6 +38,13 @@ func clientUpdate(seed uint64) *tensor.StateDict {
 	return sd
 }
 
+// folded is the number of updates sh holds, read the way programs read it.
+func folded(sh *Sharded) int {
+	mean, n := sh.Mean()
+	core.Release(mean)
+	return n
+}
+
 // compressUpdates builds n compressed client streams plus their decoded
 // (post-quantization) forms — the values any aggregator actually folds.
 func compressUpdates(t testing.TB, n int) ([][]byte, []*tensor.StateDict) {
@@ -255,7 +262,7 @@ func TestShardedDelta(t *testing.T) {
 	if errors.Is(err, core.ErrCorrupt) {
 		t.Fatal("epoch mismatch classified as corruption")
 	}
-	if n := sh2.Count(); n != 0 {
+	if n := folded(sh2); n != 0 {
 		t.Fatalf("failed update folded: count %d", n)
 	}
 }
@@ -274,13 +281,13 @@ func TestShardedCorruptAtomicity(t *testing.T) {
 	if !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	if n := sh.Count(); n != 1 {
+	if n := folded(sh); n != 1 {
 		t.Fatalf("corrupt update folded: count %d, want 1", n)
 	}
 
 	// The undamaged copy still folds afterwards.
 	ingest(t, sh, 1, 1, frame(t, streams[1]))
-	if n := sh.Count(); n != 2 {
+	if n := folded(sh); n != 2 {
 		t.Fatalf("count %d after recovery, want 2", n)
 	}
 }
@@ -304,7 +311,7 @@ func TestShardedDedupAcrossSessions(t *testing.T) {
 			t.Fatalf("session %d upload: %v", session, err)
 		}
 	}
-	if n := sh.Count(); n != 1 {
+	if n := folded(sh); n != 1 {
 		t.Fatalf("duplicate across sessions folded %d times, want 1", n)
 	}
 	got, _ := sh.Mean()
@@ -391,7 +398,7 @@ func TestTwoTierE2E(t *testing.T) {
 		t.Fatalf("empty flush = (%v, %v), want (0, nil)", w, err)
 	}
 
-	if n := rootAgg.Count(); n != 2 {
+	if n := folded(rootAgg); n != 2 {
 		t.Fatalf("root folded %d edge updates, want 2", n)
 	}
 	if ws := rootAgg.WeightSum(); ws != nA+nB {
@@ -481,8 +488,8 @@ func TestOverloadSheds(t *testing.T) {
 	if snap := srv.Snapshot(); snap.Shed != shed {
 		t.Fatalf("server counted %d sheds, clients saw %d", snap.Shed, shed)
 	}
-	if n := sh.Count(); n != ok {
-		t.Fatalf("folded %d, acked %d", sh.Count(), ok)
+	if n := folded(sh); n != ok {
+		t.Fatalf("folded %d, acked %d", folded(sh), ok)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -543,7 +550,7 @@ func TestShedRetrySucceeds(t *testing.T) {
 		t.Fatalf("retrying client never landed: %v", err)
 	}
 	wg.Wait()
-	if n := sh.Count(); n != 3 {
+	if n := folded(sh); n != 3 {
 		t.Fatalf("folded %d, want 3", n)
 	}
 }
@@ -638,7 +645,7 @@ func TestHostileFirstUpdate(t *testing.T) {
 			if got, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; got != put {
 				t.Fatalf("rejected update took %d float buffers and returned %d", got, put)
 			}
-			if n := sh.Count(); n != 0 {
+			if n := folded(sh); n != 0 {
 				t.Fatalf("hostile update folded: count %d", n)
 			}
 			if busy := pool.Busy(); busy != 0 {
@@ -687,7 +694,7 @@ func TestHostileFirstUpdateLiveServer(t *testing.T) {
 	if st := srv.Snapshot(); st.Updates != 1 || st.Rejected != len(hostile) {
 		t.Fatalf("stats %+v, want 1 update / %d rejected", st, len(hostile))
 	}
-	if n := sh.Count(); n != 1 {
+	if n := folded(sh); n != 1 {
 		t.Fatalf("folded %d updates, want 1", n)
 	}
 	if busy := pool.Busy(); busy != 0 {
@@ -745,7 +752,7 @@ func TestHostileLengthLiveServer(t *testing.T) {
 	if err := c.Upload(ctx, 1, hostileLengthStream(t, valid)); !errors.Is(err, flserve.ErrRejected) {
 		t.Fatalf("hostile upload: %v, want ErrRejected", err)
 	}
-	if n := sh.Count(); n != 0 {
+	if n := folded(sh); n != 0 {
 		t.Fatalf("hostile update folded: count %d", n)
 	}
 	if err := c.Upload(ctx, 2, valid); err != nil {
@@ -804,7 +811,7 @@ func FuzzIngestStream(f *testing.F) {
 				if !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrReference) {
 					t.Fatalf("untyped ingest error: %v", err)
 				}
-				if n := sh.Count(); n != 0 {
+				if n := folded(sh); n != 0 {
 					t.Fatalf("failed update folded: count %d", n)
 				}
 				return

@@ -68,7 +68,7 @@ func ListenEdge(addr string, cfg EdgeConfig) (*Edge, error) {
 // Addr returns the local listening address.
 func (e *Edge) Addr() net.Addr { return e.srv.Addr() }
 
-// Agg exposes the local accumulator (count, weight sum, mean).
+// Agg exposes the local accumulator (weight sum, mean and update count).
 func (e *Edge) Agg() *Sharded { return e.agg }
 
 // Server exposes the local ingest server (stats, snapshot).

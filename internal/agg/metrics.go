@@ -1,50 +1,38 @@
 package agg
 
-// Aggregator metrics on the process-wide telemetry registry: per-shard
-// folded-section counters (the observable that the name hash is actually
-// spreading load), fold/merge latency, and the configured shard count. Registration is lazy and get-or-create, matching the flserve
-// metric families these sit beside on a /metrics scrape.
+// Aggregator metrics: each Sharded owns its counters — updates folded,
+// per-shard folded-section counts (the observable that the name hash is
+// actually spreading load) and the fold/merge latency — and RegisterMetrics
+// names them, beside the configured shard count, on a registry the program
+// built.
 
 import (
 	"strconv"
-	"sync"
 
 	"repro/internal/telemetry"
 )
 
 type aggMetrics struct {
-	updates   *telemetry.Counter
+	updates   telemetry.Counter
 	mergeHist *telemetry.Histogram
-	shards    *telemetry.Gauge
-
-	mu       sync.Mutex
-	perShard []*telemetry.Counter
+	// perShard[i] counts the tensor sections shard i folded; sized at
+	// New, so commit indexes it without a lock of its own.
+	perShard []telemetry.Counter
 }
 
-// sectionsRouted returns the routing counter for shard i, registering it
-// on first use (shard counts vary per Sharded instance, so the label set
-// grows on demand).
-func (m *aggMetrics) sectionsRouted(i int) *telemetry.Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.perShard) <= i {
-		m.perShard = append(m.perShard, telemetry.Default().Counter(
-			"fedsz_agg_sections_routed_total",
+// RegisterMetrics exports this aggregator's metrics on reg. Call it once per
+// aggregator from wiring code; a registry holds one aggregator's series.
+func (s *Sharded) RegisterMetrics(reg *telemetry.Registry) {
+	reg.Register("fedsz_agg_updates_total",
+		"Updates folded by the aggregator.", &s.m.updates)
+	reg.Register("fedsz_agg_merge_seconds",
+		"Per-update commit time: structural validation plus the sharded fold.", s.m.mergeHist)
+	reg.Register("fedsz_agg_shards",
+		"Configured shard count of the sharded aggregator.",
+		func() float64 { return float64(s.cfg.Shards) })
+	for i := range s.m.perShard {
+		reg.Register("fedsz_agg_sections_routed_total",
 			"Tensor sections folded by aggregator shards, by shard index.",
-			telemetry.L("shard", strconv.Itoa(len(m.perShard)))))
+			&s.m.perShard[i], telemetry.L("shard", strconv.Itoa(i)))
 	}
-	return m.perShard[i]
 }
-
-var metrics = sync.OnceValue(func() *aggMetrics {
-	r := telemetry.Default()
-	return &aggMetrics{
-		updates: r.Counter("fedsz_agg_updates_total",
-			"Updates folded by the aggregator."),
-		mergeHist: r.Histogram("fedsz_agg_merge_seconds",
-			"Per-update commit time: structural validation plus the sharded fold.",
-			telemetry.DurationBuckets),
-		shards: r.Gauge("fedsz_agg_shards",
-			"Configured shard count of the most recently constructed sharded aggregator."),
-	}
-})

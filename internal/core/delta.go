@@ -2,18 +2,12 @@ package core
 
 // Cross-round delta encoding, the v3 stream format: residual formation
 // (computeResidual — the finiteness and range test that makes a tensor a
-// residual candidate) and the delta telemetry counters. Whether a candidate's
-// residual is then kept — the both-ways encode of a small tensor, the sampled
-// pick for a large one, the mode-byte flip and the DeltaBytesSaved accounting
-// — is encodeBlob's decision (encode.go), made once for plain and chunked
-// blobs alike.
+// residual candidate). Whether a candidate's residual is then kept — the
+// both-ways encode of a small tensor, the sampled pick for a large one, the
+// mode-byte flip and the DeltaBytesSaved accounting — is encodeBlob's
+// decision (encode.go), made once for plain and chunked blobs alike.
 
-import (
-	"math"
-	"sync"
-
-	"repro/internal/telemetry"
-)
+import "math"
 
 // computeResidual fills res[i] = data[i] − ref[i] and reports the value
 // ranges of data and of the residual. ok is false when any element of data,
@@ -44,23 +38,3 @@ func computeResidual(res, data, ref []float32) (rangeData, rangeRes float64, ok 
 	}
 	return rangeData, rangeRes, true
 }
-
-type deltaCounters struct {
-	bytesSaved  *telemetry.Counter
-	deltaSec    *telemetry.Counter
-	absoluteSec *telemetry.Counter
-}
-
-var deltaMetrics = sync.OnceValue(func() *deltaCounters {
-	r := telemetry.Default()
-	return &deltaCounters{
-		bytesSaved: r.Counter("fedsz_delta_bytes_saved",
-			"Bytes saved by residual tensor sections over their absolute candidates (estimated from a sample for tensors above 32 Ki elements)."),
-		deltaSec: r.Counter("fedsz_delta_sections",
-			"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
-			telemetry.L("mode", "delta")),
-		absoluteSec: r.Counter("fedsz_delta_sections",
-			"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
-			telemetry.L("mode", "absolute")),
-	}
-})

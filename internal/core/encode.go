@@ -224,14 +224,13 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 				stats.ChunkedTensors++
 			}
 			if deltaStream {
-				dm := deltaMetrics()
 				if s.delta {
 					stats.DeltaTensors++
 					stats.DeltaBytesSaved += s.saved
-					dm.deltaSec.Inc()
-					dm.bytesSaved.Add(uint64(s.saved))
+					deltaSections.Inc()
+					deltaBytesSaved.Add(uint64(s.saved))
 				} else {
-					dm.absoluteSec.Inc()
+					absoluteSections.Inc()
 				}
 			}
 		}

@@ -1,16 +1,22 @@
 package core
 
-// Pipeline stage timers: one encode and one decode latency histogram per
-// lossy codec, registered lazily on telemetry.Default() the first time a
-// codec is seen. The lookup is a plain map behind an RWMutex — a read-lock
-// map hit boxes nothing, so the steady-state cost per encode/decode call
-// is one RLock and one Observe (both allocation-free).
+// Pipeline metrics. Like the buffer pools in sched, the codec pipeline is
+// process-wide, so its counters are package-level values that every encode
+// and decode updates; RegisterMetrics names them on a registry the program
+// built. The stage timers are one encode and one decode latency histogram
+// per lossy codec, created the first time a codec is seen. The lookup is a
+// plain map behind an RWMutex — a read-lock map hit boxes nothing, so the
+// steady-state cost per encode/decode call is one RLock and one Observe
+// (both allocation-free).
 
 import (
 	"sync"
 
 	"repro/internal/telemetry"
 )
+
+// Delta (v3) stream counters, updated by CompressSections.
+var deltaBytesSaved, deltaSections, absoluteSections telemetry.Counter
 
 type stageHists struct {
 	encode *telemetry.Histogram
@@ -20,7 +26,38 @@ type stageHists struct {
 var (
 	stageMu sync.RWMutex
 	stages  = map[string]*stageHists{}
+	// stageRegs are the registries RegisterMetrics was given: a codec first
+	// seen afterwards is attached to each of them by stageFor.
+	stageRegs []*telemetry.Registry
 )
+
+// RegisterMetrics exports the package-wide pipeline metrics on reg: the
+// delta counters now, and the per-codec stage timers for every codec seen so
+// far or later. Call it once per registry from wiring code.
+func RegisterMetrics(reg *telemetry.Registry) {
+	reg.Register("fedsz_delta_bytes_saved",
+		"Bytes saved by residual tensor sections over their absolute candidates (estimated from a sample for tensors above 32 Ki elements).",
+		&deltaBytesSaved)
+	reg.Register("fedsz_delta_sections",
+		"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
+		&deltaSections, telemetry.L("mode", "delta"))
+	reg.Register("fedsz_delta_sections",
+		"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
+		&absoluteSections, telemetry.L("mode", "absolute"))
+	stageMu.Lock()
+	defer stageMu.Unlock()
+	for codec, h := range stages {
+		h.register(reg, codec)
+	}
+	stageRegs = append(stageRegs, reg)
+}
+
+func (h *stageHists) register(reg *telemetry.Registry, codec string) {
+	reg.Register("fedsz_encode_seconds",
+		"Full-statedict encode wall time, by lossy codec.", h.encode, telemetry.L("codec", codec))
+	reg.Register("fedsz_decode_seconds",
+		"Full-statedict decode wall time, by lossy codec.", h.decode, telemetry.L("codec", codec))
+}
 
 // stageFor returns the encode/decode histograms labeled with codec.
 func stageFor(codec string) *stageHists {
@@ -35,14 +72,12 @@ func stageFor(codec string) *stageHists {
 	if h := stages[codec]; h != nil {
 		return h
 	}
-	r := telemetry.Default()
 	h = &stageHists{
-		encode: r.Histogram("fedsz_encode_seconds",
-			"Full-statedict encode wall time, by lossy codec.",
-			telemetry.DurationBuckets, telemetry.L("codec", codec)),
-		decode: r.Histogram("fedsz_decode_seconds",
-			"Full-statedict decode wall time, by lossy codec.",
-			telemetry.DurationBuckets, telemetry.L("codec", codec)),
+		encode: telemetry.NewHistogram(telemetry.DurationBuckets),
+		decode: telemetry.NewHistogram(telemetry.DurationBuckets),
+	}
+	for _, reg := range stageRegs {
+		h.register(reg, codec)
 	}
 	stages[codec] = h
 	return h

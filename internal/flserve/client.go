@@ -158,11 +158,7 @@ func (c *Client) DialDelta(ctx context.Context, epoch uint32) (*Session, error) 
 	if accept[0] == ackShed {
 		// The server shed the connection before negotiating; surface the
 		// typed retryable error with its hint.
-		var hint [2]byte
-		shed := &ShedError{}
-		if _, err := io.ReadFull(conn, hint[:]); err == nil {
-			shed.RetryAfter = time.Duration(binary.LittleEndian.Uint16(hint[:])) * time.Millisecond
-		}
+		shed := readShed(conn)
 		conn.Close()
 		return nil, ctxErr(ctx, shed)
 	}
@@ -369,11 +365,7 @@ func readAck(conn net.Conn) error {
 	case ackAccepted:
 		return nil
 	case ackShed:
-		var hint [2]byte
-		if _, err := io.ReadFull(conn, hint[:]); err != nil {
-			return &ShedError{}
-		}
-		return &ShedError{RetryAfter: time.Duration(binary.LittleEndian.Uint16(hint[:])) * time.Millisecond}
+		return readShed(conn)
 	}
 	var msgLen [2]byte
 	if _, err := io.ReadFull(conn, msgLen[:]); err != nil {
@@ -384,4 +376,15 @@ func readAck(conn net.Conn) error {
 		return ErrRejected
 	}
 	return fmt.Errorf("%w: %s", ErrRejected, msg)
+}
+
+// readShed reads what follows a shed status byte — the server's retry-after
+// hint in milliseconds — into the typed retryable error; the hint stays zero
+// when the connection ends before it arrives.
+func readShed(conn net.Conn) *ShedError {
+	var hint [2]byte
+	if _, err := io.ReadFull(conn, hint[:]); err != nil {
+		return &ShedError{}
+	}
+	return &ShedError{RetryAfter: time.Duration(binary.LittleEndian.Uint16(hint[:])) * time.Millisecond}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ebcl"
@@ -141,5 +142,53 @@ func TestDeltaNegotiation(t *testing.T) {
 	st := srv.Snapshot()
 	if st.Updates != 4 || st.Rejected != 1 {
 		t.Fatalf("stats %+v, want 4 updates / 1 rejected", st)
+	}
+}
+
+// TestDialDeltaShed: a delta dial the server sheds before negotiating comes
+// back as the typed retryable error carrying the server's hint — the same
+// parse a shed upload ack goes through — never as a refused negotiation.
+func TestDialDeltaShed(t *testing.T) {
+	const dials = 6 // MaxConns 1 + QueueDepth 1 hold at most three; the rest are shed
+	srv, err := Listen("127.0.0.1:0", Config{
+		Handler: func(Update) error { return nil }, MaxConns: 1, QueueDepth: 1, RetryAfterHint: 25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &Client{Addr: srv.Addr().String()}
+	release := make(chan struct{})
+	results := make(chan error, dials)
+	for i := 0; i < dials; i++ {
+		go func() {
+			s, err := c.DialDelta(context.Background(), 1)
+			if err == nil {
+				// An open session pins its serving slot until the sheds are in.
+				<-release
+				err = s.Close()
+			}
+			results <- err
+		}()
+	}
+	shed, released := 0, false
+	for i := 0; i < dials; i++ {
+		// Until the release only shed dials report back.
+		if shed == dials-3 && !released {
+			close(release)
+			released = true
+		}
+		err := <-results
+		if err == nil {
+			continue
+		}
+		var se *ShedError
+		if !errors.As(err, &se) || !errors.Is(err, ErrShed) || se.RetryAfter != 25*time.Millisecond {
+			t.Fatalf("delta dial: got %v, want a *ShedError hinting 25ms", err)
+		}
+		shed++
+	}
+	if !released {
+		t.Fatalf("only %d of %d delta dials were shed", shed, dials)
 	}
 }

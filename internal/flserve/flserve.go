@@ -178,8 +178,8 @@ type Config struct {
 	UploadTimeout time.Duration
 	// Tracer, when non-nil, receives one span per connection and one event
 	// per update — the per-connection timeline complementing the
-	// aggregated metrics the server always publishes on
-	// telemetry.Default().
+	// aggregated metrics the server always keeps (Snapshot,
+	// RegisterMetrics).
 	Tracer *telemetry.Tracer
 	// RefProvider resolves a delta client's negotiated reference epoch to
 	// the retained reference state dict (nil when the server does not hold
@@ -211,8 +211,7 @@ const defaultIdleTimeout = 2 * time.Minute
 const defaultRetryAfterHint = 100 * time.Millisecond
 
 // Stats aggregates what a Server has ingested so far. Obtain one from
-// Server.Snapshot (atomics-backed, safe to call while connections are
-// live).
+// Server.Snapshot (safe to call while connections are live).
 type Stats struct {
 	// Updates counts successfully decoded, handled updates.
 	Updates int
@@ -258,17 +257,11 @@ type Server struct {
 
 	closed atomic.Bool
 
-	// Ingest counters, all atomic so Snapshot (and a /metrics scrape
-	// rendering the shared telemetry families) never contends with — or
-	// races — the per-connection goroutines updating them.
-	updates       atomic.Int64
-	rejected      atomic.Int64
-	shed          atomic.Int64
-	wireBytes     atomic.Int64
-	readWaitNS    atomic.Int64
-	decodeWorkNS  atomic.Int64
-	wallNS        atomic.Int64
-	bytesRecycled atomic.Uint64
+	// m is the one set of ingest counters: every field is atomic, so
+	// Snapshot and a /metrics scrape (RegisterMetrics) read the same values
+	// without contending with — or racing — the per-connection goroutines
+	// updating them.
+	m serverMetrics
 }
 
 // Listen starts a server on a TCP address ("127.0.0.1:0" picks a free
@@ -304,7 +297,9 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		pool: sched.NewPool(cfg.Parallel),
 		sem:  make(chan struct{}, cfg.MaxConns),
 	}
-	metrics().maxConns.Set(float64(cfg.MaxConns))
+	s.m.wireHist = telemetry.NewHistogram(telemetry.ByteBuckets)
+	s.m.decodeHist = telemetry.NewHistogram(telemetry.DurationBuckets)
+	s.m.overlapHist = telemetry.NewHistogram(telemetry.RatioBuckets)
 	s.wg.Add(1)
 	if cfg.QueueDepth > 0 {
 		s.queue = make(chan net.Conn, cfg.QueueDepth)
@@ -327,15 +322,16 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // mid-read may be counted in Updates but not yet in WireBytes), which a
 // monitoring read tolerates by construction.
 func (s *Server) Snapshot() Stats {
+	m := &s.m
 	return Stats{
-		Updates:       int(s.updates.Load()),
-		Rejected:      int(s.rejected.Load()),
-		Shed:          int(s.shed.Load()),
-		WireBytes:     s.wireBytes.Load(),
-		ReadWait:      time.Duration(s.readWaitNS.Load()),
-		DecodeWork:    time.Duration(s.decodeWorkNS.Load()),
-		Wall:          time.Duration(s.wallNS.Load()),
-		BytesRecycled: s.bytesRecycled.Load(),
+		Updates:       int(m.updates.Value()),
+		Rejected:      int(m.connsRejected.Value() + m.updatesRejected.Value()),
+		Shed:          int(m.shed.Value()),
+		WireBytes:     int64(m.wireBytes.Value()),
+		ReadWait:      time.Duration(m.readWaitNS.Value()),
+		DecodeWork:    time.Duration(m.decodeWorkNS.Value()),
+		Wall:          time.Duration(m.wallNS.Value()),
+		BytesRecycled: m.bytesRecycled.Value(),
 	}
 }
 
@@ -371,7 +367,7 @@ func (s *Server) acceptLoop() {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		metrics().connsAccepted.Inc()
+		s.m.connsAccepted.Inc()
 		s.serveConn(conn)
 	}
 }
@@ -379,13 +375,12 @@ func (s *Server) acceptLoop() {
 // serveConn serves conn on its own goroutine and then frees the serving
 // slot the caller took from s.sem.
 func (s *Server) serveConn(conn net.Conn) {
-	m := metrics()
-	m.connsActive.Inc()
+	s.m.connsActive.Inc()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer func() { <-s.sem }()
-		defer m.connsActive.Dec()
+		defer s.m.connsActive.Dec()
 		s.handleConn(conn)
 	}()
 }
@@ -408,11 +403,10 @@ func (s *Server) shedAcceptLoop() {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		m := metrics()
-		m.connsAccepted.Inc()
+		s.m.connsAccepted.Inc()
 		select {
 		case s.queue <- conn:
-			m.queueDepth.Inc()
+			s.m.queueDepth.Inc()
 		default:
 			s.shedConn(conn)
 		}
@@ -425,9 +419,8 @@ func (s *Server) shedAcceptLoop() {
 // never strands a client waiting for a slot that will not come.
 func (s *Server) dispatchLoop() {
 	defer s.wg.Done()
-	m := metrics()
 	for conn := range s.queue {
-		m.queueDepth.Dec()
+		s.m.queueDepth.Dec()
 		if s.isClosed() {
 			s.shedConn(conn)
 			continue
@@ -442,8 +435,7 @@ func (s *Server) dispatchLoop() {
 // own upload harmlessly: the client reads the ack when it next looks for
 // one, and a client that never looks just sees the close.
 func (s *Server) shedConn(conn net.Conn) {
-	s.shed.Add(1)
-	metrics().shed.Inc()
+	s.m.shed.Inc()
 	ms := s.cfg.RetryAfterHint.Milliseconds()
 	if ms > 65535 {
 		ms = 65535
@@ -546,9 +538,9 @@ func (s *Server) readPrelude(br *bufio.Reader, conn net.Conn) (prelude, error) {
 		if ref != nil {
 			accept = 1
 			p.dopts = core.DecodeOptions{Reference: ref, RefEpoch: epoch}
-			metrics().deltaAccepted.Inc()
+			s.m.deltaAccepted.Inc()
 		} else {
-			metrics().deltaRefused.Inc()
+			s.m.deltaRefused.Inc()
 		}
 		if _, err := conn.Write([]byte{accept}); err != nil {
 			return prelude{}, fmt.Errorf("delta negotiation reply: %w", err)
@@ -584,7 +576,7 @@ func (d *dictIngestor) IngestStream(ctx context.Context, _ uint32, _ float64, do
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
-	m := metrics()
+	m := &s.m
 	updates, rejected := 0, 0
 	span := s.cfg.Tracer.Span("conn", telemetry.A("remote", remote))
 	defer func() {
@@ -605,7 +597,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	// rejectConn accounts and acks a connection-level failure.
 	rejectConn := func(err error) {
 		rejected++
-		s.rejected.Add(1)
 		m.connsRejected.Inc()
 		writeAck(conn, err)
 	}
@@ -670,19 +661,16 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		if err != nil {
 			rejected++
-			s.rejected.Add(1)
 			m.updatesRejected.Inc()
 		} else {
 			wall := time.Since(start)
 			updates++
-			s.updates.Add(1)
-			s.wireBytes.Add(u.WireBytes)
-			s.readWaitNS.Add(int64(u.Stats.ReadWait))
-			s.decodeWorkNS.Add(int64(u.Stats.DecodeWork))
-			s.wallNS.Add(int64(wall))
-			s.bytesRecycled.Add(u.Stats.BytesRecycled)
 			m.updates.Inc()
 			m.wireBytes.Add(uint64(u.WireBytes))
+			m.readWaitNS.Add(uint64(u.Stats.ReadWait))
+			m.decodeWorkNS.Add(uint64(u.Stats.DecodeWork))
+			m.wallNS.Add(uint64(wall))
+			m.bytesRecycled.Add(u.Stats.BytesRecycled)
 			m.wireHist.Observe(float64(u.WireBytes))
 			m.decodeHist.Observe(u.Stats.DecompressTime.Seconds())
 			m.overlapHist.Observe(u.Stats.OverlapRatio())

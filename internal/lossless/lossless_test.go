@@ -2,10 +2,13 @@ package lossless
 
 import (
 	"bytes"
+	"compress/gzip"
+	"compress/zlib"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -62,6 +65,43 @@ func TestAllCodecsRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(dec, data) {
 				t.Fatalf("%s/%s: round trip not bit-exact (%d vs %d bytes)", name, cname, len(dec), len(data))
+			}
+		}
+	}
+}
+
+// TestStdCodecsAreTheirNamesakes: "gzip" and "zlib" share one implementation
+// and differ only in the stdlib container they wrap, so hold each name to the
+// bytes the stdlib writer of that name produces at the default level
+// (TestLZByteLock covers the three in-house codecs, not these two).
+func TestStdCodecsAreTheirNamesakes(t *testing.T) {
+	for name, newWriter := range map[string]func(io.Writer) (io.WriteCloser, error){
+		"gzip": func(w io.Writer) (io.WriteCloser, error) { return gzip.NewWriterLevel(w, gzip.DefaultCompression) },
+		"zlib": func(w io.Writer) (io.WriteCloser, error) { return zlib.NewWriterLevel(w, zlib.DefaultCompression) },
+	} {
+		c, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name() != name {
+			t.Errorf("codec registered as %q names itself %q", name, c.Name())
+		}
+		for cname, data := range corpora() {
+			var want bytes.Buffer
+			w, err := newWriter(&want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write(data) //nolint:errcheck — a bytes.Buffer cannot fail
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Compress(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s/%s: output is not the stdlib %s writer's", name, cname, name)
 			}
 		}
 	}

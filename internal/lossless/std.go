@@ -7,23 +7,40 @@ import (
 	"io"
 )
 
-// Gzip wraps the standard library gzip implementation, matching the Python
-// gzip module the paper benchmarks.
-type Gzip struct{ level int }
+// Deflate wraps one of the standard library's DEFLATE containers — gzip or
+// zlib, matching the Python modules of those names the paper benchmarks —
+// at the default compression level.
+type Deflate struct {
+	name      string
+	newWriter func(io.Writer) io.WriteCloser
+	newReader func(io.Reader) (io.ReadCloser, error)
+}
 
-// NewGzip returns the codec at the default compression level.
-func NewGzip() *Gzip { return &Gzip{level: gzip.DefaultCompression} }
+// NewGzip returns the "gzip" codec.
+func NewGzip() *Deflate {
+	return &Deflate{
+		name:      "gzip",
+		newWriter: func(w io.Writer) io.WriteCloser { return gzip.NewWriter(w) },
+		newReader: func(r io.Reader) (io.ReadCloser, error) { return gzip.NewReader(r) },
+	}
+}
+
+// NewZlib returns the "zlib" codec.
+func NewZlib() *Deflate {
+	return &Deflate{
+		name:      "zlib",
+		newWriter: func(w io.Writer) io.WriteCloser { return zlib.NewWriter(w) },
+		newReader: zlib.NewReader,
+	}
+}
 
 // Name implements Codec.
-func (c *Gzip) Name() string { return "gzip" }
+func (c *Deflate) Name() string { return c.name }
 
 // Compress implements Codec.
-func (c *Gzip) Compress(src []byte) ([]byte, error) {
+func (c *Deflate) Compress(src []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, c.level)
-	if err != nil {
-		return nil, err
-	}
+	w := c.newWriter(&buf)
 	if _, err := w.Write(src); err != nil {
 		return nil, err
 	}
@@ -34,44 +51,8 @@ func (c *Gzip) Compress(src []byte) ([]byte, error) {
 }
 
 // Decompress implements Codec.
-func (c *Gzip) Decompress(src []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(src))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
-// Zlib wraps the standard library zlib implementation, matching the Python
-// zlib module the paper benchmarks.
-type Zlib struct{ level int }
-
-// NewZlib returns the codec at the default compression level.
-func NewZlib() *Zlib { return &Zlib{level: zlib.DefaultCompression} }
-
-// Name implements Codec.
-func (c *Zlib) Name() string { return "zlib" }
-
-// Compress implements Codec.
-func (c *Zlib) Compress(src []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := zlib.NewWriterLevel(&buf, c.level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(src); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decompress implements Codec.
-func (c *Zlib) Decompress(src []byte) ([]byte, error) {
-	r, err := zlib.NewReader(bytes.NewReader(src))
+func (c *Deflate) Decompress(src []byte) ([]byte, error) {
+	r, err := c.newReader(bytes.NewReader(src))
 	if err != nil {
 		return nil, err
 	}

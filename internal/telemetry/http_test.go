@@ -10,7 +10,7 @@ import (
 
 func TestHTTPHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("demo_total", "demo").Add(3)
+	counter(r, "demo_total", "demo").Add(3)
 	srv := httptest.NewServer(NewHTTPHandler(r))
 	defer srv.Close()
 

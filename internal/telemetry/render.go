@@ -103,9 +103,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		series := make([]*series, len(f.series))
 		copy(series, f.series)
 		r.mu.Unlock()
-		if len(series) == 0 {
-			continue
-		}
 
 		buf = append(buf, "# HELP "...)
 		buf = append(buf, f.name...)

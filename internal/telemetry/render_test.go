@@ -16,26 +16,26 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // family, gauge funcs, histogram +Inf buckets, and float formatting.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("acme_requests_total", "Requests served.", L("method", "get"), L("path", `/metrics`))
+	c := counter(r, "acme_requests_total", "Requests served.", L("method", "get"), L("path", `/metrics`))
 	c.Add(1027)
-	r.Counter("acme_requests_total", "Requests served.", L("method", "post"), L("path", `/up"load`)).Add(3)
+	counter(r, "acme_requests_total", "Requests served.", L("method", "post"), L("path", `/up"load`)).Add(3)
 
-	g := r.Gauge("acme_temperature_celsius", "Ambient temperature.\nSecond help line with a \\ backslash.")
-	g.Set(-40.25)
-	r.GaugeFunc("acme_boot_time_seconds", "Boot time.", func() float64 { return 1.5e9 })
+	g := gauge(r, "acme_temperature_celsius", "Ambient temperature.\nSecond help line with a \\ backslash.")
+	g.Add(-40.25)
+	r.Register("acme_boot_time_seconds", "Boot time.", func() float64 { return 1.5e9 })
 
-	h := r.Histogram("acme_request_seconds", "Request latency.", []float64{0.01, 0.1, 1})
+	h := histogram(r, "acme_request_seconds", "Request latency.", []float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.02, 0.02, 0.5, 3} {
 		h.Observe(v)
 	}
-	hl := r.Histogram("acme_request_seconds", "Request latency.", []float64{0.01, 0.1, 1},
+	hl := histogram(r, "acme_request_seconds", "Request latency.", []float64{0.01, 0.1, 1},
 		L("tricky", "newline\nquote\"backslash\\done"))
 	hl.Observe(0.05)
 
-	e := r.Gauge("acme_edge_values", "Non-finite and big values.", L("case", "inf"))
-	e.Set(math.Inf(1))
-	r.Gauge("acme_edge_values", "Non-finite and big values.", L("case", "big")).Set(1e18)
-	r.Gauge("acme_edge_values", "Non-finite and big values.", L("case", "tiny")).Set(2.5e-9)
+	e := gauge(r, "acme_edge_values", "Non-finite and big values.", L("case", "inf"))
+	e.Add(math.Inf(1))
+	gauge(r, "acme_edge_values", "Non-finite and big values.", L("case", "big")).Add(1e18)
+	gauge(r, "acme_edge_values", "Non-finite and big values.", L("case", "tiny")).Add(2.5e-9)
 	return r
 }
 

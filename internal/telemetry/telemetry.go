@@ -5,14 +5,15 @@
 //
 // # Metrics
 //
-// A Registry holds metric families — counters, gauges, gauge functions,
-// and histograms with explicit buckets — each optionally split into series
-// by constant labels. Registration is get-or-create: asking for a name and
-// label set that already exists returns the existing metric, so package-
-// level instrumentation can be initialized lazily from several call sites
-// (and several servers in one process can share one family) without
-// duplicate-registration panics. Asking for an existing name with a
-// different type or help string panics: that is a programming error.
+// Counter, Gauge and Histogram are plain values a component keeps in its own
+// struct and updates whether or not anything exports them. A Registry only
+// names them: wiring code calls each component's RegisterMetrics with a
+// registry it built, which attaches the component's metrics as series of
+// metric families — counters, gauges, gauge functions, and histograms with
+// explicit buckets — split by constant labels. One series has one owner:
+// registering a (name, labels) pair twice panics, so two servers in one
+// process cannot silently add into the same series. So does a family
+// re-registered with a different type or help string.
 //
 // The update paths are designed for hot loops: counters and histogram
 // observations are single atomic operations (histograms pre-compute their
@@ -32,6 +33,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +48,8 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing value. The zero value is unusable;
-// obtain counters from a Registry.
+// Counter is a monotonically increasing value. The zero value is ready to
+// use; it must not be copied after first use.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -61,13 +63,11 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
+// Gauge is a value that can go up and down. The zero value is ready to use
+// and reads 0; it must not be copied after first use.
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta float64) {
@@ -92,12 +92,34 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram counts observations into cumulative buckets with explicit
 // upper bounds, tracking the total sum and count — the Prometheus
 // histogram model. Observations are lock-free and allocation-free.
+// Construct with NewHistogram.
 type Histogram struct {
 	// upper holds the sorted finite bucket bounds; counts has one extra
 	// slot for the implicit +Inf bucket.
 	upper   []float64
 	counts  []atomic.Uint64
 	sumBits atomic.Uint64
+}
+
+// NewHistogram returns a histogram with the given finite bucket upper bounds
+// in any order (+Inf is implicit and ignored when listed).
+func NewHistogram(buckets []float64) *Histogram {
+	b := make([]float64, 0, len(buckets))
+	for _, v := range buckets {
+		if !math.IsInf(v, +1) {
+			b = append(b, v)
+		}
+	}
+	sort.Float64s(b)
+	for i := 1; i < len(b); i++ {
+		if b[i] == b[i-1] {
+			panic(fmt.Sprintf("telemetry: histogram has duplicate bucket %g", b[i]))
+		}
+	}
+	if len(b) == 0 {
+		panic("telemetry: histogram needs at least one finite bucket")
+	}
+	return &Histogram{upper: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // Observe records one value.
@@ -179,8 +201,8 @@ const (
 )
 
 // series is one labeled instance within a family. Exactly one of the
-// value fields is set, matching the family type (fn only for gauge
-// families registered through GaugeFunc).
+// value fields is set, matching the family type (fn only in gauge
+// families).
 type series struct {
 	labels []Label
 	c      *Counter
@@ -194,15 +216,12 @@ type family struct {
 	name   string
 	help   string
 	typ    metricType
-	series []*series          // registration order (render preserves it)
-	index  map[string]*series // label-key → series
-	// buckets pins the bounds every histogram series in the family shares,
-	// so a second registration with different buckets is caught.
-	buckets []float64
+	series []*series       // registration order (render preserves it)
+	index  map[string]bool // label keys taken
 }
 
-// Registry holds metric families and renders them as Prometheus text.
-// The zero value is unusable; call NewRegistry (or use Default).
+// Registry names metrics and renders them as Prometheus text. The zero
+// value is unusable; call NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -213,15 +232,8 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry that the pipeline's built-in
-// instrumentation (flserve, core stage timers, sched pool gauges)
-// registers into — the one a fedsz-serve -metrics-addr listener exposes.
-func Default() *Registry { return defaultRegistry }
-
 // labelKey serializes a label set into a map key. Labels are assumed
-// pre-sorted by getFamily.
+// pre-sorted by sortedLabels.
 func labelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
@@ -270,18 +282,38 @@ func sortedLabels(labels []Label) []Label {
 	return out
 }
 
-// getFamily returns the family for (name, typ, help), creating it on first
-// use and panicking on a type or help mismatch with a previous
-// registration — silent divergence would corrupt the exposition.
-func (r *Registry) getFamily(name, help string, typ metricType) *family {
+// Register attaches metric — a *Counter, *Gauge or *Histogram its owner
+// already holds and updates, or a func() float64 sampled at scrape time as a
+// gauge (the fit for a value the owner keeps anyway: a configured bound, a
+// pool's hit total) — as the series (name, labels), creating the family on
+// its first series. Every mistake here is a wiring bug and panics at start-up
+// rather than corrupting the exposition: an invalid name, a series registered
+// twice, a family re-registered with another type or help string, a histogram
+// whose buckets differ from its family's.
+func (r *Registry) Register(name, help string, metric any, labels ...Label) {
 	if !validName(name, false) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
+	s := &series{labels: sortedLabels(labels)}
+	var typ metricType
+	switch m := metric.(type) {
+	case *Counter:
+		s.c, typ = m, typeCounter
+	case *Gauge:
+		s.g, typ = m, typeGauge
+	case func() float64:
+		s.fn, typ = m, typeGauge
+	case *Histogram:
+		s.h, typ = m, typeHistogram
+	default:
+		panic(fmt.Sprintf("telemetry: metric %q registered with unsupported type %T", name, metric))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, index: map[string]*series{}}
+		f = &family{name: name, help: help, typ: typ, index: map[string]bool{}}
 		r.families[name] = f
-		return f
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)", name, typ, f.typ))
@@ -289,119 +321,13 @@ func (r *Registry) getFamily(name, help string, typ metricType) *family {
 	if f.help != help {
 		panic(fmt.Sprintf("telemetry: metric %q re-registered with different help", name))
 	}
-	return f
-}
-
-// Counter returns the counter for (name, labels), creating the family and
-// series on first use.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	ls := sortedLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeCounter)
-	key := labelKey(ls)
-	if s, ok := f.index[key]; ok {
-		return s.c
+	if typ == typeHistogram && len(f.series) > 0 && !slices.Equal(f.series[0].h.upper, s.h.upper) {
+		panic(fmt.Sprintf("telemetry: histogram %q registered with buckets differing from its family's", name))
 	}
-	s := &series{labels: ls, c: &Counter{}}
-	f.index[key] = s
+	key := labelKey(s.labels)
+	if f.index[key] {
+		panic(fmt.Sprintf("telemetry: series %s%v registered twice", name, s.labels))
+	}
+	f.index[key] = true
 	f.series = append(f.series, s)
-	return s.c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	ls := sortedLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeGauge)
-	key := labelKey(ls)
-	if s, ok := f.index[key]; ok {
-		if s.g == nil {
-			panic(fmt.Sprintf("telemetry: gauge %q series registered as gauge func", name))
-		}
-		return s.g
-	}
-	s := &series{labels: ls, g: &Gauge{}}
-	f.index[key] = s
-	f.series = append(f.series, s)
-	return s.g
-}
-
-// GaugeFunc registers a gauge whose value is sampled by calling fn at
-// scrape time — the fit for exporting counters a subsystem already keeps
-// (pool hit/miss totals, queue depths) without shadow bookkeeping. A
-// series that already exists keeps its original fn.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	ls := sortedLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeGauge)
-	key := labelKey(ls)
-	if _, ok := f.index[key]; ok {
-		return
-	}
-	s := &series{labels: ls, fn: fn}
-	f.index[key] = s
-	f.series = append(f.series, s)
-}
-
-// Histogram returns the histogram for (name, labels) with the given finite
-// bucket upper bounds (+Inf is implicit), creating it on first use. Every
-// series of one family must share the same buckets.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	ls := sortedLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeHistogram)
-	if f.buckets == nil {
-		b := make([]float64, 0, len(buckets))
-		for _, v := range buckets {
-			if !math.IsInf(v, +1) {
-				b = append(b, v)
-			}
-		}
-		sort.Float64s(b)
-		for i := 1; i < len(b); i++ {
-			if b[i] == b[i-1] {
-				panic(fmt.Sprintf("telemetry: histogram %q has duplicate bucket %g", name, b[i]))
-			}
-		}
-		if len(b) == 0 {
-			panic(fmt.Sprintf("telemetry: histogram %q needs at least one finite bucket", name))
-		}
-		f.buckets = b
-	} else if !sameBuckets(f.buckets, buckets) {
-		panic(fmt.Sprintf("telemetry: histogram %q re-registered with different buckets", name))
-	}
-	key := labelKey(ls)
-	if s, ok := f.index[key]; ok {
-		return s.h
-	}
-	h := &Histogram{upper: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
-	s := &series{labels: ls, h: h}
-	f.index[key] = s
-	f.series = append(f.series, s)
-	return h
-}
-
-// sameBuckets compares a family's canonical bounds with a newly supplied
-// list (order-insensitive, +Inf ignored).
-func sameBuckets(canon, supplied []float64) bool {
-	b := make([]float64, 0, len(supplied))
-	for _, v := range supplied {
-		if !math.IsInf(v, +1) {
-			b = append(b, v)
-		}
-	}
-	sort.Float64s(b)
-	if len(b) != len(canon) {
-		return false
-	}
-	for i := range b {
-		if b[i] != canon[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,16 +8,46 @@ import (
 	"testing"
 )
 
+// counter, gauge and histogram make a metric and register it on r: the two
+// steps a component and its wiring code take, in one call for the tests.
+func counter(r *Registry, name, help string, labels ...Label) *Counter {
+	c := new(Counter)
+	r.Register(name, help, c, labels...)
+	return c
+}
+
+func gauge(r *Registry, name, help string, labels ...Label) *Gauge {
+	g := new(Gauge)
+	r.Register(name, help, g, labels...)
+	return g
+}
+
+func histogram(r *Registry, name, help string, buckets []float64, labels ...Label) *Histogram {
+	h := NewHistogram(buckets)
+	r.Register(name, help, h, labels...)
+	return h
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestCounterGaugeBasics uses the zero values, registered nowhere.
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "a counter")
+	var c Counter
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(2.5)
+	var g Gauge
+	g.Add(2.5)
 	g.Add(-1)
 	g.Inc()
 	g.Dec()
@@ -26,34 +56,34 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestGetOrCreateReturnsSameMetric(t *testing.T) {
+// TestRegisterTwicePanics: a series has one owner. Two components (two
+// servers in one process) registering the same (name, labels) is a start-up
+// panic, never a shared, double-counted series.
+func TestRegisterTwicePanics(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("dup_total", "help", L("x", "1"))
-	b := r.Counter("dup_total", "help", L("x", "1"))
-	if a != b {
-		t.Fatal("same name+labels returned distinct counters")
-	}
-	other := r.Counter("dup_total", "help", L("x", "2"))
-	if a == other {
-		t.Fatal("distinct label values returned the same counter")
-	}
+	counter(r, "dup_total", "help", L("x", "1"))
+	counter(r, "dup_total", "help", L("x", "2")) // another label value: another series
+	mustPanic(t, "same name+labels", func() { counter(r, "dup_total", "help", L("x", "1")) })
+	mustPanic(t, "the same counter again", func() {
+		c := counter(r, "again_total", "help")
+		r.Register("again_total", "help", c)
+	})
+	r.Register("fn", "help", func() float64 { return 1 })
+	mustPanic(t, "same gauge func series", func() { r.Register("fn", "help", func() float64 { return 2 }) })
 	// Label order must not matter.
-	h1 := r.Histogram("h", "help", []float64{1, 2}, L("a", "1"), L("b", "2"))
-	h2 := r.Histogram("h", "help", []float64{1, 2}, L("b", "2"), L("a", "1"))
-	if h1 != h2 {
-		t.Fatal("label order produced distinct histogram series")
-	}
+	histogram(r, "h", "help", []float64{1, 2}, L("a", "1"), L("b", "2"))
+	mustPanic(t, "same labels in another order", func() {
+		histogram(r, "h", "help", []float64{1, 2}, L("b", "2"), L("a", "1"))
+	})
+	mustPanic(t, "an unsupported metric type", func() { r.Register("v", "help", 3.0) })
 }
 
 func TestTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "help")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	r.Gauge("m", "help")
+	counter(r, "m", "help", L("x", "1"))
+	mustPanic(t, "re-registering a counter family as a gauge", func() { gauge(r, "m", "help", L("x", "2")) })
+	mustPanic(t, "re-registering a family with other help", func() { counter(r, "m", "other help", L("x", "2")) })
+	counter(r, "m", "help", L("x", "2")) // neither failed attempt took the series
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -65,7 +95,7 @@ func TestInvalidNamePanics(t *testing.T) {
 					t.Errorf("metric name %q did not panic", bad)
 				}
 			}()
-			r.Counter(bad, "help")
+			counter(r, bad, "help")
 		}()
 	}
 	defer func() {
@@ -73,12 +103,11 @@ func TestInvalidNamePanics(t *testing.T) {
 			t.Fatal("label name with colon did not panic")
 		}
 	}()
-	r.Counter("ok_total", "help", L("a:b", "v"))
+	counter(r, "ok_total", "help", L("a:b", "v"))
 }
 
 func TestHistogramBucketing(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "latency", []float64{1, 5, 10})
+	h := NewHistogram([]float64{10, 1, 5})
 	for _, v := range []float64{0.5, 1, 1.5, 7, 100} {
 		h.Observe(v)
 	}
@@ -97,30 +126,30 @@ func TestHistogramBucketing(t *testing.T) {
 
 func TestHistogramBucketMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("h", "help", []float64{1, 2, 3})
+	histogram(r, "h", "help", []float64{1, 2, 3})
 	// Same bounds in another order, with an explicit +Inf: same family.
-	r.Histogram("h", "help", []float64{3, math.Inf(1), 2, 1}, L("x", "y"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("different buckets did not panic")
-		}
-	}()
-	r.Histogram("h", "help", []float64{1, 2})
+	histogram(r, "h", "help", []float64{3, math.Inf(1), 2, 1}, L("x", "y"))
+	mustPanic(t, "a series with different buckets", func() { histogram(r, "h", "help", []float64{1, 2}, L("x", "z")) })
+	mustPanic(t, "a duplicate bucket", func() { NewHistogram([]float64{1, 1}) })
+	mustPanic(t, "no finite bucket", func() { NewHistogram([]float64{math.Inf(1)}) })
 }
 
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ops_total", "ops")
-	h := r.Histogram("dur", "dur", DurationBuckets)
+	c := counter(r, "ops_total", "ops")
+	h := histogram(r, "dur", "dur", DurationBuckets)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// Registered while the scraper below may already be rendering, as a
+			// codec first seen mid-run registers its stage timers.
+			g := gauge(r, "active", "g", L("w", string(rune('a'+w))))
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(float64(i%7) * 1e-3)
-				r.Gauge("active", "g", L("w", string(rune('a'+w)))).Set(float64(i))
+				g.Add(float64(i))
 			}
 		}(w)
 	}
@@ -164,7 +193,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 func TestGaugeFuncSampledAtScrape(t *testing.T) {
 	r := NewRegistry()
 	v := 1.0
-	r.GaugeFunc("sampled", "g", func() float64 { return v })
+	r.Register("sampled", "g", func() float64 { return v })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
