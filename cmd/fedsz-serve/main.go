@@ -177,34 +177,14 @@ func serve(o serveOpts) error {
 		countUpdate()
 		return nil
 	}
-	var (
-		srv     *flserve.Server
-		sharded *agg.Sharded
-		edge    *agg.Edge
-		err     error
-	)
-	if o.upstream != "" {
-		// An edge: fold locally, forward one fused weighted update. The mean
-		// is re-encoded at a tight error bound (REL 1e-4) so the extra lossy
-		// hop stays well under the client-side bound.
-		edge, err = agg.ListenEdge(o.addr, agg.EdgeConfig{
-			Upstream: o.upstream,
-			ClientID: o.edgeID,
-			Shards:   o.shards,
-			Server:   cfg,
-			Options:  core.Options{LossyParams: ebcl.Rel(1e-4)},
-			Client:   flserve.Client{Retries: 3, RetryBackoff: 100 * time.Millisecond},
-		})
-		if err != nil {
-			return err
-		}
-		srv, sharded = edge.Server(), edge.Agg()
-	} else {
-		sharded = agg.New(agg.Config{Shards: o.shards, Pool: sched.NewPool(o.parallel)})
-		cfg.Ingestor = sharded
-		if srv, err = flserve.Listen(o.addr, cfg); err != nil {
-			return err
-		}
+	// Delivery is at-least-once — this program's own upstream client retries
+	// — so the fold dedups by client ID: a retry whose first attempt folded
+	// (lost ack) is acked again and folded once.
+	sharded := agg.New(agg.Config{Shards: o.shards, Pool: sched.NewPool(o.parallel), DedupByClient: true})
+	cfg.Ingestor = sharded
+	srv, err := flserve.Listen(o.addr, cfg)
+	if err != nil {
+		return err
 	}
 	if reg != nil {
 		sched.RegisterMetrics(reg)
@@ -236,10 +216,14 @@ func serve(o serveOpts) error {
 	fmt.Fprintf(o.out, "decode work %v, read wait %v, overlap ratio %.2f\n",
 		st.DecodeWork.Round(time.Microsecond), st.ReadWait.Round(time.Microsecond), st.OverlapRatio())
 
-	if edge != nil {
+	if o.upstream != "" {
+		// An edge forwards one fused weighted update. The mean is re-encoded
+		// at a tight error bound (REL 1e-4) so the extra lossy hop stays well
+		// under the client-side bound.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		w, err := edge.Flush(ctx)
+		up := &flserve.Client{Addr: o.upstream, Retries: 3, RetryBackoff: 100 * time.Millisecond}
+		w, err := sharded.Forward(ctx, up, o.edgeID, core.Options{LossyParams: ebcl.Rel(1e-4)})
 		if err != nil {
 			return err
 		}

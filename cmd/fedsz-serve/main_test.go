@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -312,5 +314,107 @@ func TestServeTwoTier(t *testing.T) {
 	if !strings.Contains(rootOut.String(), "ingested 2 update(s)") ||
 		!strings.Contains(rootOut.String(), "FedAvg mean over 2") {
 		t.Fatalf("root summary wrong:\n%s", rootOut.String())
+	}
+}
+
+// TestServeDedupsDuplicateUpload is the delivery contract README documents
+// (at-least-once + dedup) on the program itself: the same client ID uploading
+// twice, the second time on a fresh connection, is acked both times and the
+// mean covers one update.
+func TestServeDedupsDuplicateUpload(t *testing.T) {
+	ready := make(chan string, 1)
+	stop := make(chan struct{})
+	var out bytes.Buffer
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, quiet: true, ready: ready, stop: stop, out: &out})
+	}()
+	addr := <-ready
+	uploadN(t, addr, 1, 5) // client 0
+	uploadN(t, addr, 1, 5) // client 0 again: a new connection, the retry after a lost ack
+	close(stop)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"ingested 2 update(s) (0 rejected", "FedAvg mean over 1 update(s)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestServeForwardRetryFoldsOnce drops the root's first ack on the way back
+// to an edge: the edge's upstream client retries on a new connection, the
+// root acks again, and its fold holds the fused update once, at weight 3.
+func TestServeForwardRetryFoldsOnce(t *testing.T) {
+	rootReady := make(chan string, 1)
+	rootStop := make(chan struct{})
+	var rootOut bytes.Buffer
+	rootErr := make(chan error, 1)
+	go func() {
+		rootErr <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, quiet: true, ready: rootReady, stop: rootStop, out: &rootOut})
+	}()
+	rootAddr := <-rootReady
+
+	// The lossy hop: connection 0 carries the upload to the root, waits for
+	// the ack and discards it; later connections pass both ways.
+	proxy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	var conns atomic.Int32
+	go func() {
+		for {
+			down, err := proxy.Accept()
+			if err != nil {
+				return
+			}
+			dropAck := conns.Add(1) == 1
+			go func() {
+				defer down.Close()
+				up, err := net.Dial("tcp", rootAddr)
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				go func() {
+					io.Copy(up, down)
+					up.(*net.TCPConn).CloseWrite() // the edge hung up: so does the hop
+				}()
+				if dropAck {
+					up.Read(make([]byte, 1))
+					return
+				}
+				io.Copy(down, up)
+			}()
+		}
+	}()
+
+	edgeReady := make(chan string, 1)
+	var edgeOut bytes.Buffer
+	edgeErr := make(chan error, 1)
+	go func() {
+		edgeErr <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, updates: 3, quiet: true,
+			upstream: proxy.Addr().String(), edgeID: 1000, ready: edgeReady, out: &edgeOut})
+	}()
+	uploadN(t, <-edgeReady, 3, 11)
+	if err := <-edgeErr; err != nil {
+		t.Fatalf("edge: %v", err)
+	}
+	close(rootStop)
+	if err := <-rootErr; err != nil {
+		t.Fatalf("root: %v", err)
+	}
+	if n := conns.Load(); n != 2 {
+		t.Fatalf("the edge dialled upstream %d time(s), want 2 (upload, then the retry)", n)
+	}
+	if !strings.Contains(edgeOut.String(), "(weight 3)") {
+		t.Fatalf("edge did not forward weight 3:\n%s", edgeOut.String())
+	}
+	for _, want := range []string{"ingested 2 update(s) (0 rejected", "FedAvg mean over 1 update(s)"} {
+		if !strings.Contains(rootOut.String(), want) {
+			t.Fatalf("root summary missing %q:\n%s", want, rootOut.String())
+		}
 	}
 }

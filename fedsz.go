@@ -48,9 +48,8 @@
 //	...
 //	restored, err := fedsz.DecompressAll(streams, 8) // 8-way budget
 //
-// Results are bit-identical to per-call Compress/Decompress. See
-// cmd/fedsz-bench -clients N -parallel P for a one-process simulation of
-// the aggregation-server round loop.
+// Results are bit-identical to per-call Compress/Decompress. The measured
+// aggregation-server round loop is bench/ (bash bench/run.sh).
 //
 // # Streaming ingest
 //
@@ -61,8 +60,8 @@
 // internal/wire adds a length-framed, CRC-checked transport encoding and
 // internal/flserve a TCP aggregation server that ingests concurrent
 // client uploads with bounded memory and per-connection backpressure; see
-// cmd/fedsz-serve and cmd/fedsz-bench -serve for the socket-level round
-// loop, and the README for the wire-format layout.
+// cmd/fedsz-serve with cmd/fedsz-bench -upload ADDR for the socket-level
+// round loop, and the README for the wire-format layout.
 package fedsz
 
 import (

@@ -26,8 +26,8 @@
 // verifies, so a mid-stream corruption never half-folds into the
 // accumulator. The first update of a round is adopted (not added) and
 // defines the structure later ones must match; later updates fold with the
-// kernel a[i] += w·b[i] in arrival order, and Mean divides by the count
-// (unweighted traffic) or the weight total. Sequential ingest is therefore
+// kernel a[i] += w·b[i] in arrival order, and Mean divides by the weight
+// total (the count, for unweighted traffic). Sequential ingest is therefore
 // bit-for-bit the textbook fold — adopt, StateDict.AddScaled, Scale — of
 // the core.Decompress'ed updates. Under concurrent ingest only the
 // per-tensor fold order can differ, which reassociates float addition; the
@@ -35,12 +35,13 @@
 //
 // # Hierarchical topology
 //
-// Edge composes a local flserve.Server (fed by Sharded) with an upstream
-// flserve.Client: the edge folds its local population and forwards ONE
-// fused, weighted (FLS3) update, so a root folding E edges at weights
-// n_1..n_E computes the same weighted mean as a flat fold of Σn_i clients
-// — up to float reassociation and the one extra lossy encode of each
-// edge's fused mean.
+// An edge is a server whose Sharded is forwarded upstream (Forward) when its
+// round completes: it folds its local population and sends ONE fused,
+// weighted (FLS3) update, so a root folding E edges at weights n_1..n_E
+// computes the same weighted mean as a flat fold of Σn_i clients — up to
+// float reassociation and the one extra lossy encode of each edge's fused
+// mean. Legacy clients upload to an edge exactly as they would to a flat
+// server; the hierarchy is invisible below it.
 package agg
 
 import (
@@ -52,6 +53,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flserve"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -280,35 +282,41 @@ func (s *Sharded) WeightSum() float64 {
 // over pooled tensor buffers, original entry order) and the update count;
 // nil and 0 before the first update. Recycle via core.Release.
 func (s *Sharded) Mean() (*tensor.StateDict, int) {
-	sd, n, _ := s.MeanInto(nil) // nil dst cannot mismatch
-	return sd, n
-}
-
-// MeanInto is Mean writing into dst's storage (the steady-state path for a
-// server computing a mean every round). A non-nil dst must be structurally
-// compatible with the accumulator; a mismatch — the model changed shape
-// while the server kept its old scratch — returns an explicit error rather
-// than silently reallocating over a dict the caller believes it is reusing.
-func (s *Sharded) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sumView == nil {
-		return nil, 0, nil
+		return nil, 0
 	}
-	if dst != nil {
-		if err := dst.CheckCompatible(s.sumView); err != nil {
-			return nil, s.n, fmt.Errorf("agg: MeanInto destination incompatible with accumulator: %w", err)
-		}
+	out := s.sumView.CloneInto(nil)
+	out.Scale(float32(1 / s.wsum))
+	return out, s.n
+}
+
+// Forward sends the fold upstream as ONE fused update over the FLS3 weighted
+// protocol — the mean, encoded with opts, at the folded population weight —
+// and resets the accumulator for the next round: what makes a server an
+// interior node of an edge→root tree. The mean is lossy-compressed again
+// here, so the hop costs one extra error bound on top of the client-side
+// one; tighten it (e.g. ebcl.Rel(1e-4)) when the tree is deep. It returns
+// the weight forwarded (the represented population size); 0 with a nil error
+// means there was nothing to forward. On error the accumulator is kept so a
+// later Forward can retry.
+func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, opts core.Options) (float64, error) {
+	mean, n := s.Mean()
+	if n == 0 {
+		return 0, nil
 	}
-	out := s.sumView.CloneInto(dst)
-	if s.wsum == float64(s.n) {
-		// Unweighted traffic: the historical float32 divide, so the mean
-		// stays bit-identical to pre-weighting servers.
-		out.Scale(1 / float32(s.n))
-	} else {
-		out.Scale(float32(1 / s.wsum))
+	weight := s.WeightSum()
+	stream, _, err := core.CompressWith(ctx, s.pool, mean, opts)
+	core.Release(mean)
+	if err != nil {
+		return 0, fmt.Errorf("agg: forward encode: %w", err)
 	}
-	return out, s.n, nil
+	if err := up.UploadWeighted(ctx, id, weight, stream); err != nil {
+		return 0, fmt.Errorf("agg: forward upload: %w", err)
+	}
+	s.Reset()
+	return weight, nil
 }
 
 // Reset clears the accumulator for the next round, recycling its pooled

@@ -212,6 +212,23 @@ func TestShardedWeighted(t *testing.T) {
 	core.Release(got)
 }
 
+// TestMeanDivideMatchesFloat32 pins Mean's one divide: an unweighted fold has
+// wsum == n, and float32(1/float64(n)) must be the float32 quotient
+// 1/float32(n) the hand-rolled reference folds scale by — rounding a division
+// through float64 first is innocuous (53 ≥ 2·24 + 2 bits).
+func TestMeanDivideMatchesFloat32(t *testing.T) {
+	ns := []int{1, 2, 3, 7, 10, 127, 1<<24 - 1}
+	rng := rand.New(rand.NewPCG(24, 1))
+	for i := 0; i < 10_000; i++ {
+		ns = append(ns, 1+rng.IntN(1<<24-1))
+	}
+	for _, n := range ns {
+		if got, want := float32(1/float64(n)), 1/float32(n); got != want {
+			t.Errorf("n=%d: float32(1/float64(n)) = %g, 1/float32(n) = %g", n, got, want)
+		}
+	}
+}
+
 // TestShardedDelta routes v3 residual sections: the shard decode must
 // fold the reference back in, and an epoch mismatch must surface as
 // ErrReference (renegotiable), never ErrCorrupt.
@@ -326,7 +343,7 @@ func TestShardedDedupAcrossSessions(t *testing.T) {
 }
 
 // TestTwoTierE2E runs a real root + two edges over TCP: clients upload to
-// the edges, the edges flush one fused weighted update each, and the root
+// the edges, the edges forward one fused weighted update each, and the root
 // mean must match the flat fold of all five clients within the documented
 // tolerance (float reassociation + one extra lossy encode of each edge
 // mean at the edge's tighter bound).
@@ -341,24 +358,20 @@ func TestTwoTierE2E(t *testing.T) {
 	}
 	defer root.Close()
 
-	edgeCfg := func(id uint32) EdgeConfig {
-		return EdgeConfig{
-			Upstream: root.Addr().String(),
-			ClientID: id,
-			Shards:   2,
-			Options:  core.Options{LossyParams: ebcl.Rel(1e-4)},
+	// An edge is a Sharded behind its own listener, forwarded to the root.
+	listenEdge := func() (*Sharded, *flserve.Server) {
+		sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+		srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { srv.Close() })
+		return sh, srv
 	}
-	edgeA, err := ListenEdge("127.0.0.1:0", edgeCfg(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer edgeA.Close()
-	edgeB, err := ListenEdge("127.0.0.1:0", edgeCfg(1001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer edgeB.Close()
+	edgeA, srvA := listenEdge()
+	edgeB, srvB := listenEdge()
+	up := &flserve.Client{Addr: root.Addr().String()}
+	opts := core.Options{LossyParams: ebcl.Rel(1e-4)}
 
 	var wg sync.WaitGroup
 	upload := func(addr string, client uint32, stream []byte) {
@@ -370,32 +383,37 @@ func TestTwoTierE2E(t *testing.T) {
 	}
 	for i := 0; i < nA; i++ {
 		wg.Add(1)
-		go upload(edgeA.Addr().String(), uint32(i), streams[i])
+		go upload(srvA.Addr().String(), uint32(i), streams[i])
 	}
 	for i := 0; i < nB; i++ {
 		wg.Add(1)
-		go upload(edgeB.Addr().String(), uint32(nA+i), streams[nA+i])
+		go upload(srvB.Addr().String(), uint32(nA+i), streams[nA+i])
 	}
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	wA, err := edgeA.Flush(context.Background())
+	// An unreachable upstream keeps the accumulator for a later Forward.
+	down := &flserve.Client{Addr: "127.0.0.1:1"}
+	if w, err := edgeA.Forward(context.Background(), down, 1000, opts); err == nil || w != 0 || folded(edgeA) != nA {
+		t.Fatalf("forward to a dead upstream = (%v, %v) with %d folded, want an error and %d kept", w, err, folded(edgeA), nA)
+	}
+	wA, err := edgeA.Forward(context.Background(), up, 1000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wB, err := edgeB.Flush(context.Background())
+	wB, err := edgeB.Forward(context.Background(), up, 1001, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wA != nA || wB != nB {
-		t.Fatalf("flush weights %v/%v, want %d/%d", wA, wB, nA, nB)
+		t.Fatalf("forwarded weights %v/%v, want %d/%d", wA, wB, nA, nB)
 	}
-	// A second flush with nothing folded is a no-op, not a zero-weight
+	// A second forward with nothing folded is a no-op, not a zero-weight
 	// upload.
-	if w, err := edgeA.Flush(context.Background()); err != nil || w != 0 {
-		t.Fatalf("empty flush = (%v, %v), want (0, nil)", w, err)
+	if w, err := edgeA.Forward(context.Background(), up, 1000, opts); err != nil || w != 0 {
+		t.Fatalf("empty forward = (%v, %v), want (0, nil)", w, err)
 	}
 
 	if n := folded(rootAgg); n != 2 {

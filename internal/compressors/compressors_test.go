@@ -10,8 +10,11 @@ import (
 	"repro/internal/eblctest"
 )
 
+// builtinNames is read before any test registers a codec of its own.
+var builtinNames = compressors.Names()
+
 func TestRegistryNames(t *testing.T) {
-	names := compressors.Names()
+	names := builtinNames
 	want := []string{"sz2", "sz3", "szx", "zfp"}
 	if len(names) != len(want) {
 		t.Fatalf("names %v want %v", names, want)
@@ -23,12 +26,30 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// statefulCodec is a registered codec with per-instance state — what Get's
+// fresh-instance guarantee protects. The four built-ins are stateless, and
+// pointers to zero-size values may compare equal, so they cannot show it.
+type statefulCodec struct {
+	ebcl.Compressor
+	calls int
+}
+
 func TestGetReturnsFreshInstances(t *testing.T) {
-	a, err := compressors.Get("sz2")
+	err := compressors.Register("stateful", func() ebcl.BasicCompressor {
+		inner, err := compressors.Get("sz2")
+		if err != nil {
+			t.Error(err)
+		}
+		return &statefulCodec{Compressor: inner}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := compressors.Get("sz2")
+	a, err := compressors.Get("stateful")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := compressors.Get("stateful")
 	if err != nil {
 		t.Fatal(err)
 	}

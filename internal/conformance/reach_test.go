@@ -28,10 +28,21 @@ import (
 var reachKept = map[string]string{
 	"repro/internal/eblctest": "test-support package: the per-codec contract the sz2, sz3, szx, zfp and pipeline tests run",
 
-	"repro/internal/agg.Edge.Addr":       "the bound address of an Edge listening on :0, which its two-tier tests dial",
 	"repro/internal/ebcl.MaxAbsError":    "the error measure eblctest and the codec tests hold every bound to",
 	"repro/internal/ebcl.Precision":      "PREC-mode shorthand beside Rel and Abs; zfp, core and conformance tests build fixed-precision params with it",
 	"repro/internal/sched.FloatPoolPuts": "the puts side of the gets == puts leak assertions in core, wire and agg tests",
+}
+
+// fieldsKept is the allowlist of the field pass: every exported field
+// ("pkg.Type.Field") of a struct declared in a non-test file under internal/
+// or cmd/ that no non-test file writes, with the reason it stays. Such a
+// field holds its zero value in every program, so the code it gates is
+// reached by a call and still never runs. The test fails on an unwritten
+// field with no row, on a row that matches no unwritten field (deleted,
+// renamed, or written by a program again) and on a row no test writes
+// either.
+var fieldsKept = map[string]string{
+	"repro/internal/fl.FedSZTransport.Delta": "the in-memory delta rounds TestFedSZTransportDeltaRounds holds the delta_reduction floor on",
 }
 
 // Two packages' declarations count as reached without a caller: the exported
@@ -78,7 +89,15 @@ type audit struct {
 	// declares: a reached type's methods that satisfy one are reached.
 	types  map[string]*types.TypeName
 	ifaces []*types.Interface
+	// fields names every audited struct field by the position of its
+	// declaration — like a key, the same for a package and its test variants
+	// — and written holds the positions of the fields some file writes.
+	fields  map[token.Position]string
+	written map[token.Position]writers
 }
+
+// writers says which kind of file writes a field.
+type writers struct{ program, test bool }
 
 func goList(t *testing.T, args ...string) []listedPkg {
 	t.Helper()
@@ -124,6 +143,8 @@ func loadAudit(t *testing.T) *audit {
 		progRoots: map[string]bool{},
 		testRoots: map[string]bool{},
 		types:     map[string]*types.TypeName{},
+		fields:    map[token.Position]string{},
+		written:   map[token.Position]writers{},
 	}
 	stdImporter := importer.ForCompiler(a.fset, "gc", func(path string) (io.ReadCloser, error) {
 		file := exports[path]
@@ -277,6 +298,7 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 		if inTest {
 			roots = a.testRoots
 		}
+		a.addFieldWrites(file, info, inTest)
 		// node registers one declaration spanning [from, to] and returns
 		// the set its uses go to; a declaration that runs uncalled gets the
 		// root set instead.
@@ -336,6 +358,15 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 							doc = spec.Doc
 						}
 						usesOf(spec, info, node(spec.Name, from, spec, doc, false))
+						if st, ok := spec.Type.(*ast.StructType); ok && !inTest && audited(info.Defs[spec.Name].Pkg().Path()) {
+							for _, f := range st.Fields.List {
+								for _, id := range f.Names {
+									if id.IsExported() {
+										a.fields[a.fset.Position(id.Pos())] = keyOf(info.Defs[spec.Name]) + "." + id.Name
+									}
+								}
+							}
+						}
 						if it, ok := spec.Type.(*ast.InterfaceType); ok {
 							iface := keyOf(info.Defs[spec.Name])
 							for _, m := range it.Methods.List {
@@ -357,6 +388,80 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 			}
 		}
 	}
+}
+
+// audited reports whether the field pass covers structs declared in the
+// package: the root package's are public API, bench/ is a root, and a package
+// reachKept keeps whole is test support, whose fields tests set.
+func audited(pkgPath string) bool {
+	if _, kept := reachKept[pkgPath]; kept {
+		return false
+	}
+	return strings.HasPrefix(pkgPath, modulePath+"/internal/") || strings.HasPrefix(pkgPath, modulePath+"/cmd/")
+}
+
+// addFieldWrites records the struct fields file writes: the fields a
+// composite literal sets (all of them when it is positional), and every
+// field selected on the way to an assigned, incremented or address-taken
+// operand — x.f = v, x.f.g++, &x.f[i] all write f.
+func (a *audit) addFieldWrites(file *ast.File, info *types.Info, inTest bool) {
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			pos := a.fset.Position(v.Origin().Pos())
+			w := a.written[pos]
+			w.program = w.program || !inTest
+			w.test = w.test || inTest
+			a.written[pos] = w
+		}
+	}
+	markPath := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				mark(info.Uses[x.Sel])
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			typ := info.Types[n].Type
+			if ptr, ok := typ.Underlying().(*types.Pointer); ok { // an elided &T in a []*T literal
+				typ = ptr.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					mark(info.Uses[kv.Key.(*ast.Ident)])
+				} else {
+					mark(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				markPath(lhs)
+			}
+		case *ast.IncDecStmt:
+			markPath(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				markPath(n.X)
+			}
+		}
+		return true
+	})
 }
 
 // addInterfaces records every interface literal in info, the right-hand
@@ -439,9 +544,11 @@ func (a *audit) reach(roots ...map[string]bool) map[string]bool {
 // TestReachability is the reachability audit as a test: a package-level
 // declaration in a non-test file is reached from a program (the cmd/ and
 // examples/ mains, bench/, the root package's exported API) or it is in
-// reachKept with a reason and a test reaches it. Struct fields are not
-// tracked. It type-checks the module from source against the standard
-// library's export data, which takes about a second.
+// reachKept with a reason and a test reaches it; and an exported struct field
+// under internal/ or cmd/ is written by a non-test file or it is in
+// fieldsKept with a reason and a test writes it. It type-checks the module
+// from source against the standard library's export data, which takes about
+// a second.
 func TestReachability(t *testing.T) {
 	a := loadAudit(t)
 	byPrograms := a.reach(a.progRoots)
@@ -479,6 +586,34 @@ func TestReachability(t *testing.T) {
 		}
 	}
 	t.Logf("%d non-test declarations (%d lines) are reached by no program; %d reachKept rows", count, lines, len(reachKept))
+
+	unwritten := 0
+	matched = map[string]bool{}
+	for pos, name := range a.fields {
+		w := a.written[pos]
+		if w.program {
+			continue
+		}
+		unwritten++
+		where := fmt.Sprintf("%s (%s:%d)", name, strings.TrimPrefix(pos.Filename, a.root), pos.Line)
+		switch _, ok := fieldsKept[name]; {
+		case !ok && w.test:
+			report = append(report, where+": field written by tests only and not in fieldsKept")
+		case !ok:
+			report = append(report, where+": field written by nothing and not in fieldsKept")
+		case !w.test:
+			matched[name] = true
+			report = append(report, where+": in fieldsKept but no test writes it either")
+		default:
+			matched[name] = true
+		}
+	}
+	for row := range fieldsKept {
+		if !matched[row] {
+			report = append(report, row+": fieldsKept row matches no unwritten field (deleted, renamed, or written by a program)")
+		}
+	}
+	t.Logf("%d of %d exported struct fields under internal/ and cmd/ are written by no program; %d fieldsKept rows", unwritten, len(a.fields), len(fieldsKept))
 	sort.Strings(report)
 	for _, line := range report {
 		t.Error(line)

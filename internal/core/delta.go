@@ -10,14 +10,15 @@ package core
 import "math"
 
 // computeResidual fills res[i] = data[i] − ref[i] and reports the value
-// ranges of data and of the residual. ok is false when any element of data,
-// ref, or the residual is non-finite: float32 overflow (or Inf − Inf) would
-// make ref + residual' diverge from data by more than any bound, so such
-// tensors must take the absolute path, which preserves non-finite values
-// losslessly exactly as before.
-func computeResidual(res, data, ref []float32) (rangeData, rangeRes float64, ok bool) {
+// ranges of data and of the residual, and mag = max|data| + max|residual|,
+// the magnitude residualBound's rounding allowance scales with. ok is false
+// when any element of data, ref, or the residual is non-finite: float32
+// overflow (or Inf − Inf) would make ref + residual' diverge from data by more
+// than any bound, so such tensors must take the absolute path, which
+// preserves non-finite values losslessly exactly as before.
+func computeResidual(res, data, ref []float32) (rangeData, rangeRes, mag float64, ok bool) {
 	if len(data) == 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	minD, maxD := data[0], data[0]
 	r0 := data[0] - ref[0]
@@ -30,11 +31,26 @@ func computeResidual(res, data, ref []float32) (rangeData, rangeRes float64, ok 
 	}
 	rangeData = float64(maxD) - float64(minD)
 	rangeRes = float64(maxR) - float64(minR)
+	mag = float64(max(-minD, maxD)) + float64(max(-minR, maxR))
 	// A non-finite anywhere in data or res poisons one of the ranges (ref
 	// alone cannot: finite data with non-finite ref makes res non-finite).
 	if math.IsNaN(rangeData) || math.IsInf(rangeData, 0) ||
 		math.IsNaN(rangeRes) || math.IsInf(rangeRes, 0) {
-		return rangeData, rangeRes, false
+		return rangeData, rangeRes, mag, false
 	}
-	return rangeData, rangeRes, true
+	return rangeData, rangeRes, mag, true
+}
+
+// residualBound shrinks a resolved ABS bound for the residual candidate. The
+// codec holds |residual' − residual| to the bound it is given, but the decoder
+// returns fl(ref + residual') for data the encoder saw as fl(data − ref): two
+// float32 roundings, each at most 2⁻²⁴ of its operand, which the codec never
+// sees. Their sum is at most 2⁻²⁴·(max|residual| + max|data| + eb) — the
+// factor 1 + 2⁻²⁰ covers the second-order terms — and comes off the bound.
+// ok is false when that allowance eats half the bound (|x| ≳ 8·10⁶·eb): the
+// residual would be quantized much finer than the data needs, so the tensor
+// takes the absolute path, whose quantizer checks the float32 it stores.
+func residualBound(eb, mag float64) (shrunk float64, ok bool) {
+	allow := (mag + eb) / (1 << 24) * (1 + 1.0/(1<<20))
+	return eb - allow, allow < eb/2
 }

@@ -151,7 +151,10 @@ func TestBlobPolicyTable(t *testing.T) {
 		params ebcl.Params
 		// poison, when set, overwrites one fc.weight element.
 		poison float32
-		ref    func(sd *tensor.StateDict) *tensor.StateDict
+		// shift is added to every conv.weight element: the magnitude the
+		// residual path's float32 roundings scale with.
+		shift float32
+		ref   func(sd *tensor.StateDict) *tensor.StateDict
 		// wantDelta names the tensors whose section must be a residual.
 		wantDelta []string
 		// plain marks fc.weight as unable to chunk whatever chunkCount says.
@@ -189,6 +192,13 @@ func TestBlobPolicyTable(t *testing.T) {
 			poison: float32(math.Inf(1)), ref: warm, plain: true},
 		{name: "NaN residual", lossy: "sz2", params: ebcl.Abs(1e-3),
 			poison: float32(math.NaN()), ref: warm, wantDelta: []string{"conv.weight"}},
+		// ABS 1e-3 under the two float32 roundings of the residual path,
+		// fl(d − ref) and fl(ref + r′), 2⁻²⁴ of |x| each: negligible at 1; 3 %
+		// of the bound at 500, which the residual's bound gives up; twice
+		// the bound at 3e4, where conv.weight goes absolute.
+		{name: "ABS, values near 1", lossy: "sz2", params: ebcl.Abs(1e-3), shift: 1, ref: warm, wantDelta: both},
+		{name: "ABS, values near 500", lossy: "sz2", params: ebcl.Abs(1e-3), shift: 500, ref: warm, wantDelta: both},
+		{name: "ABS, values near 3e4", lossy: "sz2", params: ebcl.Abs(1e-3), shift: 3e4, ref: warm, wantDelta: []string{"fc.weight"}},
 
 		{name: "sampled warm REL", lossy: "sz2", params: ebcl.Rel(1e-2), ref: warm, wantDelta: both, fcElems: sampledElems},
 		{name: "sampled warm ABS", lossy: "szx", params: ebcl.Abs(1e-3), ref: warm, wantDelta: both, fcElems: sampledElems},
@@ -220,6 +230,9 @@ func TestBlobPolicyTable(t *testing.T) {
 				sd := skewedDict(rand.New(rand.NewPCG(19, 2)), fcElems)
 				if tc.poison != 0 {
 					sd.Get("fc.weight").Data[100] = tc.poison
+				}
+				for i := range sd.Get("conv.weight").Data {
+					sd.Get("conv.weight").Data[i] += tc.shift
 				}
 				opts := Options{Lossy: lossy, LossyParams: tc.params, ChunkElems: chunkElems}
 				absStream, _, err := Compress(sd, opts)

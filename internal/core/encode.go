@@ -331,39 +331,42 @@ func (s *section) encodeTensor(pool *sched.Pool, o Options, modeBytes bool) {
 //     original tensor (absParams). A tensor whose bound cannot be resolved
 //     (REL on non-finite data) does neither and takes the plain path.
 //   - A residual is a candidate when the reference holds a same-named,
-//     same-sized tensor, the bound is not PREC (nothing to carry over), and
-//     the residual is finite and strictly tighter than the data. Up to
-//     sampleMinElems both encodings are produced and the smaller is kept: the
-//     section is never larger than the absolute one and DeltaBytesSaved is
-//     exact. Above it only the candidate whose sample (sampleSizes) encodes
-//     smaller is produced, ties to the residual: ~1.25 encodes, not 2, the
-//     kept blob within 1 % of the smaller one (TestSampledPolicyAccuracy),
-//     DeltaBytesSaved scaled up from the sample. A codec error on a candidate
-//     or a sample keeps the other candidate; only an absolute-side error with
-//     no residual to fall back on fails the tensor.
+//     same-sized tensor, the bound is not PREC (nothing to carry over), the
+//     residual is finite and strictly tighter than the data, and the bound
+//     survives the float32 rounding allowance that comes off the residual's
+//     bound alone (residualBound). Up to sampleMinElems both encodings are
+//     produced and the smaller is kept: the section is never larger than the
+//     absolute one and DeltaBytesSaved is exact. Above it only the candidate
+//     whose sample (sampleSizes) encodes smaller is produced, ties to the
+//     residual: ~1.25 encodes, not 2, the kept blob within 1 % of the smaller
+//     one (TestSampledPolicyAccuracy), DeltaBytesSaved scaled up from the
+//     sample. A codec error on a candidate or a sample keeps the other
+//     candidate; only an absolute-side error with no residual to fall back on
+//     fails the tensor.
 func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, lenPos int) ([]byte, error) {
 	// The residual is formed before the bound is resolved: the pass that
 	// fills it also finds the value range a REL bound resolves against.
 	var res []float32
-	rangeD, rangeR, finite := 0.0, 0.0, false
+	rangeD, rangeR, mag, finite := 0.0, 0.0, 0.0, false
 	if m := o.LossyParams.Mode; o.Reference != nil && (m == ebcl.ModeRelative || m == ebcl.ModeAbsolute) {
 		if rt := o.Reference.Get(s.name); rt != nil && rt.NumElems() == len(s.data) {
 			res = sched.GetFloats(len(s.data))[:len(s.data)]
 			defer sched.PutFloats(res)
-			rangeD, rangeR, finite = computeResidual(res, s.data, rt.Data)
+			rangeD, rangeR, mag, finite = computeResidual(res, s.data, rt.Data)
 		}
 	}
 	// The unchunked absolute candidate keeps the caller's params verbatim (the
 	// codec resolves REL itself, as it always has); chunked and residual
-	// candidates get the bound resolved against the whole original tensor.
-	absP, resP := o.LossyParams, o.LossyParams
+	// candidates get the bound resolved against the whole original tensor
+	// (wholeP), the residual's shrunk by its rounding allowance.
+	absP, wholeP := o.LossyParams, o.LossyParams
 	resolved := false
 	if s.chunks > 1 || res != nil {
-		resP, resolved = absParams(s.data, o.LossyParams, rangeD, finite)
+		wholeP, resolved = absParams(s.data, o.LossyParams, rangeD, finite)
 	}
 	s.chunked = s.chunks > 1 && resolved
 	if s.chunked {
-		absP = resP
+		absP = wholeP
 	}
 	write := func(dst []byte, vals []float32, p ebcl.Params) ([]byte, error) {
 		if s.chunked {
@@ -372,14 +375,17 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		return o.Lossy.CompressAppend(dst, vals, p)
 	}
 
-	if !finite || !resolved || rangeR >= rangeD {
-		// No residual or bound for it, or one no tighter than the data (cold
-		// reference, diverged client): absolute only, without a second encode.
+	ebRes, fits := residualBound(wholeP.Value, mag)
+	if !finite || !resolved || rangeR >= rangeD || !fits {
+		// No residual or bound for it, one no tighter than the data (cold
+		// reference, diverged client), or values so large that float32
+		// rounding eats the bound: absolute only, without a second encode.
 		return write(buf, s.data, absP)
 	}
+	resP := ebcl.Abs(ebRes)
 	est := -1 // the absolute candidate's estimated size, when its sample stood in for it
 	if len(s.data) > sampleMinElems {
-		if a, r, ok := sampleSizes(o.Lossy, buf, s.data, res, resP); ok && a >= r {
+		if a, r, ok := sampleSizes(o.Lossy, buf, s.data, res, wholeP, resP); ok && a >= r {
 			est = a
 		} else if ok {
 			if out, err := write(buf, s.data, absP); err == nil {
@@ -428,20 +434,21 @@ const (
 	sampleStride   = 8 * sampleRun
 )
 
-// sampleSizes estimates the blob sizes of data and of res under p: that of
-// each one's strided sample, scaled up to the tensor. The sample blobs are
-// written behind buf's contents and dropped (the caller's buf is untouched);
-// ok is false when either does not encode.
-func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, p ebcl.Params) (absLen, resLen int, ok bool) {
+// sampleSizes estimates the blob sizes of data under pData and of res under
+// pRes: that of each one's strided sample, scaled up to the tensor. The sample
+// blobs are written behind buf's contents and dropped (the caller's buf is
+// untouched); ok is false when either does not encode.
+func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, pRes ebcl.Params) (absLen, resLen int, ok bool) {
 	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
 	defer sched.PutFloats(sample) // the runs fit its capacity: append never moves it
 	var lens [2]int
+	params := [2]ebcl.Params{pData, pRes}
 	for k, src := range [2][]float32{data, res} {
 		sample = sample[:0]
 		for lo := 0; lo < len(src); lo += sampleStride {
 			sample = append(sample, src[lo:min(lo+sampleRun, len(src))]...)
 		}
-		out, err := lossy.CompressAppend(buf, sample, p)
+		out, err := lossy.CompressAppend(buf, sample, params[k])
 		if err != nil {
 			return 0, 0, false
 		}
@@ -454,10 +461,11 @@ func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, p ebcl.
 // the same on any part of the tensor or on its residual: a REL bound becomes
 // the ABS bound it implies on the *original* tensor's value range (the
 // documented SZ convention; reconstruction is ref + residual' with the
-// reference exact at both ends, so |recon − data| = |residual' − residual| ≤
-// that bound). ABS and PREC carry over unchanged. rangeData is that range when
-// computeResidual has already scanned finite data for it (scanned), else it is
-// found here. ok is false when a REL bound cannot be resolved (non-finite data).
+// reference exact at both ends, so |recon − data| is |residual' − residual|
+// plus the float32 roundings residualBound allows for). ABS and PREC carry
+// over unchanged. rangeData is that range when computeResidual has already
+// scanned finite data for it (scanned), else it is found here. ok is false
+// when a REL bound cannot be resolved (non-finite data).
 func absParams(data []float32, p ebcl.Params, rangeData float64, scanned bool) (ebcl.Params, bool) {
 	if p.Mode != ebcl.ModeRelative {
 		return p, true

@@ -62,12 +62,17 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 					t.Fatal(err)
 				}
 				absLen := len(parseTensors(t, absStream)[0].Blob)
-				resP, ok := absParams(data.Data, params, 0, false)
+				wholeP, ok := absParams(data.Data, params, 0, false)
 				if !ok {
 					t.Fatal("REL bound did not resolve")
 				}
 				res := make([]float32, n)
-				rangeD, rangeR, ok := computeResidual(res, data.Data, ref.Data)
+				rangeD, rangeR, mag, ok := computeResidual(res, data.Data, ref.Data)
+				ebRes, fits := residualBound(wholeP.Value, mag)
+				if !fits {
+					t.Fatal("rounding allowance ate the bound")
+				}
+				resP := ebcl.Abs(ebRes)
 				var resBlob []byte
 				if chunks := chunkCount(n, chunkElemsOf(opts)); chunks > 1 {
 					resBlob, err = appendChunkedBlob(nil, lossy, nil, res, resP, chunks)

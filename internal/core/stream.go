@@ -55,8 +55,8 @@ type SectionSource interface {
 
 // corruptRead maps read failures to ErrCorrupt: a stream that ends (or
 // errors) mid-structure is malformed from the decoder's point of view.
-func corruptRead(context string, err error) error {
-	return fmt.Errorf("%w: %s: %v", ErrCorrupt, context, err)
+func corruptRead(err error) error {
+	return fmt.Errorf("%w: section: %v", ErrCorrupt, err)
 }
 
 // window exposes the front of the section being delimited: need(n) returns
@@ -159,7 +159,7 @@ type memSections struct {
 
 func (m *memSections) need(n int) ([]byte, error) {
 	if n > len(m.data) {
-		return nil, corruptRead("section", io.ErrUnexpectedEOF)
+		return nil, corruptRead(io.ErrUnexpectedEOF)
 	}
 	return m.data, nil
 }
@@ -269,7 +269,7 @@ func (s *readerSections) need(n int) ([]byte, error) {
 	}
 	var err error
 	if s.buf, err = sched.ReadMorePooled(s.br, s.buf, n); err != nil {
-		return nil, corruptRead("section", err)
+		return nil, corruptRead(err)
 	}
 	return s.buf, nil
 }

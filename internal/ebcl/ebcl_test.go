@@ -159,7 +159,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestLosslessStage(t *testing.T) {
 	payload := make([]byte, 4096) // all zeros: highly compressible
-	out := AppendLosslessStage(nil, payload, false)
+	out := AppendLosslessStage(nil, payload)
 	if len(out) >= len(payload) {
 		t.Fatalf("stage did not compress: %d >= %d", len(out), len(payload))
 	}
@@ -168,10 +168,11 @@ func TestLosslessStage(t *testing.T) {
 		t.Fatalf("round trip: len=%d pooled=%v err=%v", len(back), pooled, err)
 	}
 	sched.PutBytes(back)
-	// Disabled stage stores raw.
-	raw := AppendLosslessStage(nil, payload, true)
+	// A payload the codec cannot shrink is stored raw behind mode 0.
+	payload = []byte{3, 1, 4, 1, 5, 9, 2, 6}
+	raw := AppendLosslessStage(nil, payload)
 	if len(raw) != len(payload)+1 || raw[0] != 0 {
-		t.Fatal("disabled stage should store raw")
+		t.Fatalf("incompressible payload should be stored raw: % x", raw)
 	}
 	if back, pooled, err := ReadLosslessStage(raw); err != nil || pooled || &back[0] != &raw[1] {
 		t.Fatalf("raw stage should read back as a view: pooled=%v err=%v", pooled, err)
@@ -213,7 +214,7 @@ func backEndStream(t *testing.T, f Format) []byte {
 		coeffs = append(sched.GetFloats(2), 0.5, -0.25)
 	}
 	codes := append(sched.GetUint16s(3), QuantRadius, EscapeCode, QuantRadius+1)
-	stream, err := f.Finish(nil, 0.125, kinds, coeffs, codes, append(sched.GetFloats(1), 7), true)
+	stream, err := f.Finish(nil, 0.125, kinds, coeffs, codes, append(sched.GetFloats(1), 7))
 	if err != nil {
 		t.Fatal(err)
 	}

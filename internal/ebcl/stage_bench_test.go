@@ -20,20 +20,24 @@ func BenchmarkLosslessStage(b *testing.B) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	data := eblctest.WeightLike(rng, 1<<20)
 	for _, rel := range []float64{1e-2, 1e-1} {
-		stream, err := (&sz2.Compressor{DisableLosslessStage: true}).Compress(data, ebcl.Rel(rel))
+		stream, err := sz2.NewCompressor().Compress(data, ebcl.Rel(rel))
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Common header (9) + absolute bound (8) + stage mode byte.
-		payload := stream[18:]
-		staged := ebcl.AppendLosslessStage(nil, payload, false)
+		// The stage follows the common header (9) and the absolute bound
+		// (8); reading it back gives the payload the codec handed it.
+		staged := stream[17:]
+		payload, _, err := ebcl.ReadLosslessStage(staged)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("append/rel=%g", rel), func(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			b.ReportMetric(float64(len(staged))/float64(len(payload)+1), "out/in")
 			out := make([]byte, 0, len(payload)+1)
 			for i := 0; i < b.N; i++ {
-				out = ebcl.AppendLosslessStage(out[:0], payload, false)
+				out = ebcl.AppendLosslessStage(out[:0], payload)
 			}
 		})
 		b.Run(fmt.Sprintf("read/rel=%g", rel), func(b *testing.B) {

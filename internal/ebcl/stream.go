@@ -173,20 +173,18 @@ func appendFloatSection(dst []byte, vals []float32) []byte {
 var zcodec = lossless.NewZstdLike()
 
 // AppendLosslessStage appends payload to out, passing it through the
-// zstd-like codec first when that wins (and unless disabled). A mode byte
-// records which representation was kept. The intermediate compressed
-// buffer is copied into out, so it is recycled via the shared sched pool.
-func AppendLosslessStage(out, payload []byte, disable bool) []byte {
-	if !disable {
-		if z, err := zcodec.Compress(payload); err == nil {
-			if len(z) < len(payload) {
-				out = append(out, 1)
-				out = append(out, z...)
-				sched.PutBytes(z)
-				return out
-			}
+// zstd-like codec first when that wins. A mode byte records which
+// representation was kept. The intermediate compressed buffer is copied
+// into out, so it is recycled via the shared sched pool.
+func AppendLosslessStage(out, payload []byte) []byte {
+	if z, err := zcodec.Compress(payload); err == nil {
+		if len(z) < len(payload) {
+			out = append(out, 1)
+			out = append(out, z...)
 			sched.PutBytes(z)
+			return out
 		}
+		sched.PutBytes(z)
 	}
 	out = append(out, 0)
 	return append(out, payload...)
@@ -249,11 +247,11 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 }
 
 // Finish entropy-codes codes (one per element), assembles the payload, runs
-// the trailing lossless stage unless noLossless, and appends the stream to
-// dst. It owns the four slices, which come from the sched pools (coeffs may
-// be nil): they and every intermediate buffer are back in the pools when it
-// returns, error or not.
-func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32, noLossless bool) ([]byte, error) {
+// the trailing lossless stage, and appends the stream to dst. It owns the
+// four slices, which come from the sched pools (coeffs may be nil): they and
+// every intermediate buffer are back in the pools when it returns, error or
+// not.
+func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32) ([]byte, error) {
 	n := len(codes)
 	codeBlob, err := huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
 	sched.PutUint16s(codes)
@@ -269,7 +267,7 @@ func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32
 
 		dst = AppendHeader(dst, f.Magic, n, LayoutFull)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ebAbs))
-		dst = AppendLosslessStage(dst, payload, noLossless)
+		dst = AppendLosslessStage(dst, payload)
 		sched.PutBytes(payload)
 	}
 	sched.PutBytes(kinds)

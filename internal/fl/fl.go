@@ -18,7 +18,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -109,9 +108,6 @@ func (RawTransport) Round(ctx context.Context, in RoundInput) (RoundOutput, erro
 // FedSZTransport compresses updates with the FedSZ pipeline.
 type FedSZTransport struct {
 	Opts core.Options
-	// Parallel is the budget of the one pool a Round's batch encode and
-	// batch decode share (0 selects GOMAXPROCS).
-	Parallel int
 	// Delta enables cross-round delta compression: updates encode as v3
 	// residual streams against RoundInput.Reference (falling back to
 	// absolute per tensor) and decode against the same dict.
@@ -137,7 +133,7 @@ func (t *FedSZTransport) Round(ctx context.Context, in RoundInput) (RoundOutput,
 		opts.Reference, opts.RefEpoch = in.Reference, in.RefEpoch
 		dopts = core.DecodeOptions{Reference: in.Reference, RefEpoch: in.RefEpoch}
 	}
-	pool := sched.NewPool(t.Parallel)
+	pool := sched.NewPool(0) // GOMAXPROCS: one budget for the batch encode and the batch decode
 	streams, stats, err := core.CompressAll(ctx, pool, in.States, opts)
 	if err != nil {
 		return RoundOutput{}, err
@@ -259,10 +255,6 @@ type Federation struct {
 	Transport Transport
 	Test      *dataset.Dataset
 
-	// Tracer, when non-nil, receives one "round" summary event per
-	// RunRound with the loss/accuracy/bytes/phase-duration breakdown.
-	Tracer *telemetry.Tracer
-
 	// acc is the FedAvg accumulator, pooled on first use and rezeroed in
 	// place every subsequent round (LoadStateDict copies out of it, so
 	// holding it across rounds is safe).
@@ -367,20 +359,6 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 	t0 = time.Now()
 	res.Accuracy = f.Evaluate()
 	res.Timings.Validate = time.Since(t0)
-
-	f.Tracer.Event("round",
-		telemetry.A("round", res.Round),
-		telemetry.A("transport", f.Transport.Name()),
-		telemetry.A("loss", res.Loss),
-		telemetry.A("accuracy", res.Accuracy),
-		telemetry.A("raw_bytes", res.RawBytes),
-		telemetry.A("wire_bytes", res.WireBytes),
-		telemetry.A("train_us", res.Timings.Train.Microseconds()),
-		telemetry.A("compress_us", res.Timings.Compress.Microseconds()),
-		telemetry.A("decompress_us", res.Timings.Decompress.Microseconds()),
-		telemetry.A("decompress_wall_us", res.Timings.DecompressWall.Microseconds()),
-		telemetry.A("validate_us", res.Timings.Validate.Microseconds()),
-	)
 	return res, nil
 }
 

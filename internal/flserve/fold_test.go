@@ -5,18 +5,12 @@ package flserve_test
 // test package because agg imports flserve.
 
 import (
-	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/agg"
-	"repro/internal/core"
-	"repro/internal/ebcl"
 	"repro/internal/flserve"
 	"repro/internal/netsim"
-	"repro/internal/tensor"
-	"repro/internal/wire"
 )
 
 // TestAggregatorMatchesManualFedAvg: the incremental fold must equal the
@@ -85,54 +79,5 @@ func TestAggregatorDedupByClient(t *testing.T) {
 	}
 	if d, err := mean.MaxAbsDiff(want); err != nil || d > 1e-6 {
 		t.Fatalf("dedup mean off by %v (err=%v)", d, err)
-	}
-}
-
-// TestMeanIntoShapeMismatch: a destination dict that no longer matches the
-// accumulator must yield the explicit error, never a silent reallocation.
-func TestMeanIntoShapeMismatch(t *testing.T) {
-	fold := agg.New(agg.Config{})
-	for i := uint64(1); i <= 2; i++ {
-		stream, _, err := core.Compress(flserve.ClientUpdate(i), core.Options{LossyParams: ebcl.Rel(1e-2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var framed bytes.Buffer
-		if err := wire.NewWriter(&framed).WriteStream(stream); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := fold.IngestStream(context.Background(), uint32(i), 1, core.DecodeOptions{}, &framed); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	bad := tensor.NewStateDict()
-	bad.Add("conv.weight", tensor.KindWeight, tensor.New(8, 8))
-	if _, n, err := fold.MeanInto(bad); err == nil || n != 2 ||
-		!strings.Contains(err.Error(), "incompatible") {
-		t.Fatalf("mismatched destination: n=%d err=%v, want explicit incompatibility", n, err)
-	}
-
-	// A compatible destination is filled in place.
-	dst := flserve.ClientUpdate(3)
-	out, n, err := fold.MeanInto(dst)
-	if err != nil || n != 2 {
-		t.Fatalf("compatible destination: n=%d err=%v", n, err)
-	}
-	if out != dst {
-		t.Fatal("MeanInto did not reuse the compatible destination")
-	}
-	want, wn := fold.Mean()
-	if wn != 2 {
-		t.Fatalf("Mean count %d, want 2", wn)
-	}
-	if d, err := out.MaxAbsDiff(want); err != nil || d != 0 {
-		t.Fatalf("MeanInto result differs from Mean: d=%v err=%v", d, err)
-	}
-
-	// Empty accumulator: nil result, no error, any destination accepted.
-	empty := agg.New(agg.Config{})
-	if out, n, err := empty.MeanInto(bad); out != nil || n != 0 || err != nil {
-		t.Fatalf("empty accumulator: (%v, %d, %v), want (nil, 0, nil)", out, n, err)
 	}
 }

@@ -15,8 +15,6 @@ import (
 type Link struct {
 	// BandwidthMbps is the usable throughput in megabits per second.
 	BandwidthMbps float64
-	// LatencyMs is the one-way propagation latency added per transfer.
-	LatencyMs float64
 }
 
 // EdgeLink is the 10 Mbps wide-area edge network of Figures 7 and 9.
@@ -28,18 +26,18 @@ func (l Link) TransmitTime(bytes int) time.Duration {
 	if l.BandwidthMbps <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive bandwidth %g", l.BandwidthMbps))
 	}
-	seconds := float64(bytes*8)/(l.BandwidthMbps*1e6) + l.LatencyMs/1e3
+	seconds := float64(bytes*8) / (l.BandwidthMbps * 1e6)
 	return time.Duration(seconds * float64(time.Second))
 }
 
 // ThrottleWriter wraps w so sustained throughput approximates the link's
-// bandwidth, with the link latency charged once up front. Where the rest
-// of this package accounts transfer time analytically on a virtual clock,
-// a throttled writer spends real wall-clock time — it is the bridge
-// between the analytic model and the streaming transport (internal/wire,
-// internal/flserve): wrapping a client's socket in one emulates the
-// paper's constrained uplinks on a real connection, so decode-under-
-// receive overlap can be measured end-to-end instead of modeled.
+// bandwidth. Where the rest of this package accounts transfer time
+// analytically on a virtual clock, a throttled writer spends real
+// wall-clock time — it is the bridge between the analytic model and the
+// streaming transport (internal/wire, internal/flserve): wrapping a
+// client's socket in one emulates the paper's constrained uplinks on a real
+// connection, so decode-under-receive overlap can be measured end-to-end
+// instead of modeled.
 func (l Link) ThrottleWriter(w io.Writer) io.Writer {
 	if l.BandwidthMbps <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive bandwidth %g", l.BandwidthMbps))
@@ -61,7 +59,7 @@ type throttledWriter struct {
 
 func (t *throttledWriter) Write(p []byte) (int, error) {
 	if t.next.IsZero() {
-		t.next = time.Now().Add(time.Duration(t.link.LatencyMs * float64(time.Millisecond)))
+		t.next = time.Now()
 	}
 	written := 0
 	for written < len(p) {

@@ -14,12 +14,6 @@ func TestTransmitTime(t *testing.T) {
 	if math.Abs(got.Seconds()-1) > 1e-9 {
 		t.Fatalf("TransmitTime = %v want 1s", got)
 	}
-	// Latency adds on top.
-	l.LatencyMs = 50
-	got = l.TransmitTime(0)
-	if math.Abs(got.Seconds()-0.05) > 1e-9 {
-		t.Fatalf("latency-only transfer = %v want 50ms", got)
-	}
 }
 
 func TestTransmitTimePanicsOnBadBandwidth(t *testing.T) {
@@ -151,24 +145,5 @@ func TestThrottleWriterPacesThroughput(t *testing.T) {
 	want := link.TransmitTime(len(payload))
 	if elapsed < want/2 {
 		t.Fatalf("250 KB at 100 Mbps took %v, want >= %v", elapsed, want/2)
-	}
-}
-
-func TestThrottleWriterChargesLatencyOnce(t *testing.T) {
-	link := Link{BandwidthMbps: 10_000, LatencyMs: 30}
-	var buf bytes.Buffer
-	w := link.ThrottleWriter(&buf)
-	t0 := time.Now()
-	for i := 0; i < 4; i++ {
-		if _, err := w.Write([]byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := time.Since(t0)
-	if elapsed < 25*time.Millisecond {
-		t.Fatalf("latency not charged: %v", elapsed)
-	}
-	if elapsed > 100*time.Millisecond {
-		t.Fatalf("latency charged per write, not once: %v", elapsed)
 	}
 }

@@ -72,7 +72,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		im2col(x.Data[s*ch*h*w:(s+1)*ch*h*w], ch, h, w, c.KH, c.KW, c.Stride, c.Pad, cols)
 		out := y.Data[s*c.OutC*outH*outW : (s+1)*c.OutC*outH*outW]
-		Gemm(wFlat, c.OutC, patch, cols, outH*outW, out, false)
+		Gemm(wFlat, c.OutC, patch, cols, outH*outW, out)
 		for oc := 0; oc < c.OutC; oc++ {
 			bv := c.B.Val.Data[oc]
 			if bv == 0 {

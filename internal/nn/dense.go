@@ -65,7 +65,7 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = dy · W : [n,Out]·[Out,In]
 	dx := tensor.New(n, d.In)
-	Gemm(dy.Data, n, d.Out, d.W.Val.Data, d.In, dx.Data, false)
+	Gemm(dy.Data, n, d.Out, d.W.Val.Data, d.In, dx.Data)
 	return dx
 }
 

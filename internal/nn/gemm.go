@@ -15,16 +15,14 @@ const gemmParallelThreshold = 1 << 16
 
 var gemmWorkers = runtime.NumCPU()
 
-// Gemm computes C = A·B (+ C if accumulate) for row-major matrices:
-// A is m×k, B is k×n, C is m×n.
-func Gemm(a []float32, m, k int, b []float32, n int, c []float32, accumulate bool) {
+// Gemm computes C = A·B for row-major matrices: A is m×k, B is k×n,
+// C is m×n.
+func Gemm(a []float32, m, k int, b []float32, n int, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemm dimension mismatch")
 	}
-	if !accumulate {
-		for i := range c[:m*n] {
-			c[i] = 0
-		}
+	for i := range c[:m*n] {
+		c[i] = 0
 	}
 	if m*n*k < gemmParallelThreshold || gemmWorkers == 1 || m == 1 {
 		gemmRows(a, m, k, b, n, c, 0, m)

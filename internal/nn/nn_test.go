@@ -205,7 +205,7 @@ func TestGemmAgainstNaive(t *testing.T) {
 			}
 		}
 		got := make([]float32, m*n)
-		Gemm(a, m, k, b, n, got, false)
+		Gemm(a, m, k, b, n, got)
 		for i := range want {
 			if math.Abs(float64(got[i]-want[i])) > 1e-3 {
 				t.Fatalf("%v: Gemm[%d] = %v want %v", dims, i, got[i], want[i])
@@ -434,6 +434,6 @@ func BenchmarkGemm256(b *testing.B) {
 	b.SetBytes(int64(m) * k * n / 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(a, m, k, bb, n, c, false)
+		Gemm(a, m, k, bb, n, c)
 	}
 }

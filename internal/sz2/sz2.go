@@ -49,12 +49,7 @@ type Params = ebcl.Params
 
 // Compressor implements ebcl.Compressor. The zero value is ready to use;
 // NewCompressor exists for symmetry with the other EBLC packages.
-type Compressor struct {
-	// DisableLosslessStage skips the final LZ pass: conformance's
-	// stage-contribution tests and ebcl's LosslessStage benchmark set it to
-	// isolate the entropy stage.
-	DisableLosslessStage bool
-}
+type Compressor struct{}
 
 // NewCompressor returns an SZ2 compressor with default settings.
 func NewCompressor() *Compressor { return &Compressor{} }
@@ -164,7 +159,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	return format.Finish(dst, ebAbs, predKinds, coeffs, codes, literals, c.DisableLosslessStage)
+	return format.Finish(dst, ebAbs, predKinds, coeffs, codes, literals)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's

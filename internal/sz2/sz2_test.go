@@ -17,28 +17,34 @@ func TestConformance(t *testing.T) {
 	})
 }
 
-func TestDisableLosslessStage(t *testing.T) {
+// TestLosslessStageKeepsReconstruction: the trailing stage never grows a
+// stream, and the same stream with the stage undone (the payload stored raw
+// behind mode 0) decodes to the same values.
+func TestLosslessStageKeepsReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := eblctest.WeightLike(rng, 1<<15)
-	plain := &sz2.Compressor{DisableLosslessStage: true}
-	staged := sz2.NewCompressor()
-	sp, err := plain.Compress(data, ebcl.Rel(1e-2))
+	c := sz2.NewCompressor()
+	staged, err := c.Compress(data, ebcl.Rel(1e-2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := staged.Compress(data, ebcl.Rel(1e-2))
+	// The stage follows the common header (9) and the absolute bound (8).
+	payload, _, err := ebcl.ReadLosslessStage(staged[17:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ss) > len(sp) {
-		t.Errorf("lossless stage grew the stream: %d > %d", len(ss), len(sp))
+	if staged[17] != 1 {
+		t.Fatalf("stage mode %d: the stage did not run, nothing is compared", staged[17])
 	}
-	// Both must decompress identically within bound.
-	op, err := plain.Decompress(sp)
+	plain := append(append(append([]byte(nil), staged[:17]...), 0), payload...)
+	if len(staged) > len(plain) {
+		t.Errorf("lossless stage grew the stream: %d > %d", len(staged), len(plain))
+	}
+	op, err := c.Decompress(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := staged.Decompress(ss)
+	os, err := c.Decompress(staged)
 	if err != nil {
 		t.Fatal(err)
 	}

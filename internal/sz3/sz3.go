@@ -43,11 +43,7 @@ var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3"}
 type Params = ebcl.Params
 
 // Compressor implements ebcl.Compressor.
-type Compressor struct {
-	// DisableLosslessStage skips the trailing LZ pass; conformance's
-	// stage-contribution tests set it.
-	DisableLosslessStage bool
-}
+type Compressor struct{}
 
 // NewCompressor returns an SZ3 compressor with default settings.
 func NewCompressor() *Compressor { return &Compressor{} }
@@ -133,7 +129,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	return format.Finish(dst, ebAbs, levelKinds, nil, codes, literals, c.DisableLosslessStage)
+	return format.Finish(dst, ebAbs, levelKinds, nil, codes, literals)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's

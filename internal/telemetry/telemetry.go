@@ -159,19 +159,6 @@ func (h *Histogram) snapshot() (cum []uint64, sum float64) {
 	return cum, h.Sum()
 }
 
-// LinearBuckets returns n bucket bounds starting at start and stepping by
-// width — the shape for bounded ratios.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		panic("telemetry: LinearBuckets needs n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // DurationBuckets spans 100 µs to ~100 s in half-decade steps — wide
 // enough for a per-tensor decode and a whole throttled model upload to
 // land in interior buckets.
@@ -188,8 +175,11 @@ var ByteBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20,
 }
 
-// RatioBuckets splits [0, 1] into tenths for overlap-style ratios.
-var RatioBuckets = LinearBuckets(0.1, 0.1, 10)
+// RatioBuckets splits [0, 1] into tenths for overlap-style ratios. The
+// third and seventh bounds are float64(0.1) + i·float64(0.1) as first
+// computed at run time, so the le labels scrapes have always carried
+// ("0.30000000000000004", "0.7000000000000001") do not change.
+var RatioBuckets = []float64{0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9, 1}
 
 // metricType is a family's Prometheus TYPE.
 type metricType string
