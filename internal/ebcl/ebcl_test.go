@@ -3,7 +3,10 @@ package ebcl
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -268,5 +271,176 @@ func TestBackEndRejectsBadBound(t *testing.T) {
 	}
 	if _, _, _, err := f.Begin(nil, []float32{1, 2}, Precision(8)); err == nil || err.Error() != "a: fixed-precision mode unsupported" {
 		t.Fatalf("fixed precision: %v", err)
+	}
+}
+
+// quantizeEach is the reference QuantizeLinear is held to: one Quantize
+// call per element against the prediction a·i + b.
+func quantizeEach(q Quantizer, block []float32, a, b float64) (codes []uint16, literals []float32, last float64) {
+	codes = make([]uint16, len(block))
+	for i, v := range block {
+		code, recon, ok := q.Quantize(float64(v), a*float64(i)+b)
+		if !ok {
+			codes[i], last = EscapeCode, float64(v)
+			literals = append(literals, v)
+			continue
+		}
+		codes[i], last = uint16(code), float64(recon)
+	}
+	return codes, literals, last
+}
+
+// checkQuantizeLinear runs QuantizeLinear and quantizeEach over one block
+// and requires the same codes, literal bits and last reconstruction bits.
+// It returns the codes for callers that also pin them.
+func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64) []uint16 {
+	t.Helper()
+	q := NewQuantizer(eb)
+	wantCodes, wantLits, wantLast := quantizeEach(q, block, a, b)
+	f := make([]float64, len(block))
+	for i, v := range block {
+		f[i] = float64(v)
+	}
+	codes := make([]uint16, len(block))
+	lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42})
+	if !slices.Equal(codes, wantCodes) {
+		t.Fatalf("eb=%g a=%g b=%g: codes\n got %v\nwant %v", eb, a, b, codes, wantCodes)
+	}
+	if len(lits) != 1+len(wantLits) || lits[0] != 42 {
+		t.Fatalf("eb=%g a=%g b=%g: literals %v, want [42] followed by %v", eb, a, b, lits, wantLits)
+	}
+	for i, w := range wantLits {
+		if math.Float32bits(lits[1+i]) != math.Float32bits(w) {
+			t.Fatalf("eb=%g a=%g b=%g: literal %d is %#x, want %#x", eb, a, b, i, math.Float32bits(lits[1+i]), math.Float32bits(w))
+		}
+	}
+	if math.Float64bits(last) != math.Float64bits(wantLast) {
+		t.Fatalf("eb=%g a=%g b=%g: last reconstruction %v, want %v", eb, a, b, last, wantLast)
+	}
+	return codes
+}
+
+// TestQuantizeLinearMatchesQuantize: sz2's regression-block kernel writes
+// Quantize's arithmetic a second time, so it is held to a per-element
+// Quantize loop bit for bit on every path through it.
+func TestQuantizeLinearMatchesQuantize(t *testing.T) {
+	const R = QuantRadius
+	ulp1 := math.Ldexp(1, -23) // float32 spacing just above 1
+	negZero := float32(math.Copysign(0, -1))
+	nan32, inf32 := float32(math.NaN()), float32(math.Inf(1))
+	sNaN := math.Float32frombits(0x7f800001) // a float64 round trip would quiet it
+	cases := []struct {
+		name  string
+		eb    float64
+		a, b  float64
+		block []float32
+		want  []uint16 // pinned codes where the case is built by hand
+	}{
+		{"non-finite", 0.5, 0, 0, []float32{1, nan32, 2, inf32, -inf32, 3, sNaN},
+			[]uint16{R + 1, EscapeCode, R + 2, EscapeCode, EscapeCode, R + 3, EscapeCode}},
+		// eb 0.5 makes the bin width 1, so the scaled residual is the value.
+		{"code-range edges", 0.5, 0, 0, []float32{R - 0.5, -(R - 0.5), R - 0.75, -(R - 0.75), R - 1.5, -(R - 1.5)},
+			[]uint16{EscapeCode, EscapeCode, 2*R - 1, 1, 2*R - 1, 1}},
+		{"ties away from zero", 0.5, 0, 0, []float32{0.5, -0.5, 2.5, -2.5, 1.5, -1.5},
+			[]uint16{R + 1, R - 1, R + 3, R - 3, R + 2, R - 2}},
+		{"ties on a line", 0.5, 1, 0.5, []float32{0, 2, 2, 5},
+			[]uint16{R - 1, R + 1, R - 1, R + 2}},
+		{"negative zero", 0.5, 0, 0, []float32{negZero, 0, negZero},
+			[]uint16{R, R, R}},
+		{"negative zero prediction", 0.5, math.Copysign(0, -1), math.Copysign(0, -1), []float32{negZero, 0, 0.25},
+			[]uint16{R, R, R}},
+		// The bound is 0.75 ulp and the prediction sits 0.7 ulp above 1:
+		// the residual is in range (k = 0) but float32(pred) rounds to 1+ulp,
+		// one full ulp from the data, so the round-trip check escapes.
+		{"float32 round-trip escape", 0.75 * ulp1, 0, 1 + 0.7*ulp1, []float32{1, 1, 1},
+			[]uint16{EscapeCode, EscapeCode, EscapeCode}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := checkQuantizeLinear(t, c.eb, c.block, c.a, c.b); !slices.Equal(got, c.want) {
+				t.Fatalf("codes %v, want %v", got, c.want)
+			}
+		})
+	}
+	// Noisy lines of every length a block can end with: most residuals
+	// quantize, every 17th is pushed out of the code range, and the longer
+	// blocks carry non-finite elements.
+	rng := rand.New(rand.NewPCG(25, 25))
+	for _, n := range []int{1, 3, 5, 255, 256} {
+		a, b := float64(float32(rng.NormFloat64()*1e-3)), float64(float32(rng.NormFloat64()))
+		block := make([]float32, n)
+		for i := range block {
+			noise := rng.NormFloat64() * 0.05
+			if i%17 == 16 {
+				noise *= 1000
+			}
+			block[i] = float32(a*float64(i) + b + noise)
+		}
+		if n > 100 {
+			block[7], block[64], block[99] = nan32, -inf32, negZero
+		}
+		t.Run(fmt.Sprintf("noisy line n=%d", n), func(t *testing.T) {
+			for _, eb := range []float64{1e-1, 1e-4, 1e-7} {
+				checkQuantizeLinear(t, eb, block, a, b)
+			}
+		})
+	}
+}
+
+// FuzzQuantizeLinear: the kernel equals a per-element Quantize loop on any
+// block (the raw bytes as float32s), bound and line.
+func FuzzQuantizeLinear(f *testing.F) {
+	le := func(vs ...float32) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+		}
+		return out
+	}
+	f.Add(le(1, 2, 3, 4, 5), 0.01, 1.0, 0.0)
+	f.Add(le(0.5, -0.5, 2.5, QuantRadius-0.5), 0.5, 0.0, 0.0)
+	f.Add(le(1, 1), 0.75*math.Ldexp(1, -23), 0.0, 1+0.7*math.Ldexp(1, -23))
+	f.Add(le(float32(math.NaN()), float32(math.Inf(-1)), float32(math.Copysign(0, -1))), 1e-3, -2.0, 3.0)
+	f.Fuzz(func(t *testing.T, raw []byte, eb, a, b float64) {
+		if !(eb > 0) {
+			t.Skip("NewQuantizer requires a positive bound")
+		}
+		block := make([]float32, min(len(raw)/4, 256))
+		for i := range block {
+			block[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		checkQuantizeLinear(t, eb, block, a, b)
+	})
+}
+
+// TestFastRoundMatchesBranchy: the branch-free round gives the codes the
+// sign-tested one it replaced gave, on edge values and on 10⁶ seeded
+// randoms across the code range.
+func TestFastRoundMatchesBranchy(t *testing.T) {
+	branchy := func(x float64) int {
+		if x >= 0 {
+			return int(float64(int64(x + 0.5)))
+		}
+		return int(float64(int64(x - 0.5)))
+	}
+	check := func(x float64) {
+		if got, want := fastRound(x), branchy(x); got != want {
+			t.Fatalf("fastRound(%v) = %d, the branchy round gives %d", x, got, want)
+		}
+	}
+	edges := []float64{0, 0.5, 1.5, 2.5, QuantRadius - 1.5, math.Nextafter(QuantRadius-0.5, 0),
+		math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), 0.49999999999999994, math.Nextafter(1.5, 0),
+		math.SmallestNonzeroFloat64, 1e-300, 1, 2047}
+	for _, x := range edges {
+		check(x)
+		check(-x)
+	}
+	rng := rand.New(rand.NewPCG(6, 6))
+	for range 1_000_000 {
+		x := (2*rng.Float64() - 1) * (QuantRadius - 0.5)
+		if rng.IntN(4) == 0 {
+			x = math.Trunc(x) + math.Copysign(0.5, x) // an exact tie
+		}
+		check(x)
 	}
 }

@@ -6,6 +6,8 @@ package ebcl
 // code would fall outside ±(Radius−1) take the escape code 0 and are stored
 // as uncompressed IEEE-754 literals ("unpredictable points" in SZ jargon).
 
+import "math"
+
 const (
 	// QuantRadius is the half-width of the quantization code alphabet.
 	QuantRadius = 2048
@@ -44,7 +46,7 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 	if !(scaled > -(QuantRadius-0.5) && scaled < QuantRadius-0.5) {
 		return EscapeCode, 0, false
 	}
-	k := int(fastRound(scaled))
+	k := fastRound(scaled)
 	rec := pred + float64(k)*q.binWidth
 	// float32 rounding of the reconstruction can nudge the error past the
 	// bound near bin edges; verify and escape when it does.
@@ -56,14 +58,44 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 	return k + QuantRadius, rec32, true
 }
 
+// QuantizeLinear quantizes a block against the line a·i + b: one code per
+// element into codes, escaped elements appended to literals from block's
+// bits. f is the block widened to float64. It returns literals and the last
+// reconstruction, the next block's Lorenzo seed. The result is a per-element
+// Quantize loop bit for bit, written out because Quantize is over the
+// inliner's budget of 80 and the call per element was a third of the
+// encoder's CPU; regression predictions depend only on i, so without the
+// call the iterations overlap.
+func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32) ([]float32, float64) {
+	codes = codes[:len(f)]
+	last := 0.0
+	for i, v := range f {
+		pred := a*float64(i) + b
+		scaled := (v - pred) * q.invWidth
+		if scaled > -(QuantRadius-0.5) && scaled < QuantRadius-0.5 {
+			k := fastRound(scaled)
+			rec32 := float32(pred + float64(k)*q.binWidth)
+			if diff := v - float64(rec32); diff <= q.ebAbs && diff >= -q.ebAbs {
+				codes[i] = uint16(k + QuantRadius)
+				last = float64(rec32)
+				continue
+			}
+		}
+		codes[i] = EscapeCode
+		literals = append(literals, block[i])
+		last = v
+	}
+	return literals, last
+}
+
 // Dequantize reconstructs a value from a non-escape code and a prediction.
 func (q Quantizer) Dequantize(code int, pred float64) float32 {
 	return float32(pred + float64(code-QuantRadius)*q.binWidth)
 }
 
-func fastRound(x float64) float64 {
-	if x >= 0 {
-		return float64(int64(x + 0.5))
-	}
-	return float64(int64(x - 0.5))
+// fastRound rounds half away from zero without a sign branch, which on
+// weight-like residuals mispredicted about half the time; x ± 0.5 with x's
+// sign is exactly what the branch picked, −0 included.
+func fastRound(x float64) int {
+	return int(x + math.Copysign(0.5, x))
 }

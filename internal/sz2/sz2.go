@@ -91,67 +91,33 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	literals := sched.GetFloats(len(data) / 64)
 
 	prevRecon := 0.0 // Lorenzo state: last reconstructed value
+	// Each block is widened to float64 once: converting inside the quantize
+	// loop serialises it, as Go emits CVTSS2SD without a zeroing XORPS and the
+	// conversion waits on the register's last value, the previous recon.
+	var wide [blockSize]float64
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
 		block := data[lo:hi]
-		kind, a, bb := chooseBlockPredictor(block, prevRecon)
+		f := wide[:len(block)]
+		for i, v := range block {
+			f[i] = float64(v)
+		}
+		kind, a, bb := chooseBlockPredictor(f, prevRecon)
 		predKinds[b] = kind
 		if kind == predRegression {
 			coeffs = append(coeffs, a, bb)
-			// Regression predictions depend only on the index, so the
-			// quantize loop runs 4-wide: four independent Quantize chains in
-			// flight instead of one. Only the 4th lane's outcome feeds the
-			// Lorenzo state for the next block.
-			af, bf := float64(a), float64(bb)
-			i := 0
-			for ; i+4 <= len(block); i += 4 {
-				c0, _, ok0 := q.Quantize(float64(block[i]), af*float64(i)+bf)
-				c1, _, ok1 := q.Quantize(float64(block[i+1]), af*float64(i+1)+bf)
-				c2, _, ok2 := q.Quantize(float64(block[i+2]), af*float64(i+2)+bf)
-				c3, r3, ok3 := q.Quantize(float64(block[i+3]), af*float64(i+3)+bf)
-				if ok0 && ok1 && ok2 && ok3 {
-					codes[lo+i] = uint16(c0)
-					codes[lo+i+1] = uint16(c1)
-					codes[lo+i+2] = uint16(c2)
-					codes[lo+i+3] = uint16(c3)
-					prevRecon = float64(r3)
-					continue
-				}
-				for k, v := range block[i : i+4] {
-					code, recon, ok := q.Quantize(float64(v), af*float64(i+k)+bf)
-					if !ok {
-						codes[lo+i+k] = ebcl.EscapeCode
-						literals = append(literals, v)
-						prevRecon = float64(v)
-						continue
-					}
-					codes[lo+i+k] = uint16(code)
-					prevRecon = float64(recon)
-				}
-			}
-			for ; i < len(block); i++ {
-				v := block[i]
-				code, recon, ok := q.Quantize(float64(v), af*float64(i)+bf)
-				if !ok {
-					codes[lo+i] = ebcl.EscapeCode
-					literals = append(literals, v)
-					prevRecon = float64(v)
-					continue
-				}
-				codes[lo+i] = uint16(code)
-				prevRecon = float64(recon)
-			}
+			literals, prevRecon = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals)
 			continue
 		}
 		// Lorenzo: inherently serial — every prediction is the previous
 		// reconstruction.
-		for i, v := range block {
-			code, recon, ok := q.Quantize(float64(v), prevRecon)
+		for i, v := range f {
+			code, recon, ok := q.Quantize(v, prevRecon)
 			if !ok {
 				codes[lo+i] = ebcl.EscapeCode
-				literals = append(literals, v)
-				prevRecon = float64(v)
+				literals = append(literals, block[i])
+				prevRecon = v
 				continue
 			}
 			codes[lo+i] = uint16(code)
@@ -250,10 +216,10 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 }
 
 // chooseBlockPredictor estimates which predictor yields smaller residuals
-// over the block, mirroring SZ2's sampled hybrid selection. Lorenzo error is
-// approximated on original values (the reconstructed stream differs by at
-// most ebAbs per point, which does not change the ranking materially).
-func chooseBlockPredictor(block []float32, prev float64) (kind byte, a, b float32) {
+// over the widened block, mirroring SZ2's sampled hybrid selection. Lorenzo
+// error is approximated on original values (the reconstructed stream differs
+// by at most ebAbs per point, which does not change the ranking materially).
+func chooseBlockPredictor(block []float64, prev float64) (kind byte, a, b float32) {
 	if len(block) < 8 {
 		return predLorenzo, 0, 0
 	}
@@ -266,7 +232,7 @@ func chooseBlockPredictor(block []float32, prev float64) (kind byte, a, b float3
 	p := prev
 	i := 0
 	for ; i+4 <= len(block); i += 4 {
-		f0, f1, f2, f3 := float64(block[i]), float64(block[i+1]), float64(block[i+2]), float64(block[i+3])
+		f0, f1, f2, f3 := block[i], block[i+1], block[i+2], block[i+3]
 		l0 += math.Abs(f0 - p)
 		l1 += math.Abs(f1 - f0)
 		l2 += math.Abs(f2 - f1)
@@ -280,7 +246,7 @@ func chooseBlockPredictor(block []float32, prev float64) (kind byte, a, b float3
 	lorenzoErr := l0 + l1 + l2 + l3
 	regErr := r0 + r1 + r2 + r3
 	for ; i < len(block); i++ {
-		fv := float64(block[i])
+		fv := block[i]
 		lorenzoErr += math.Abs(fv - p)
 		p = fv
 		regErr += math.Abs(fv - (af*float64(i) + bf))
@@ -296,7 +262,7 @@ func chooseBlockPredictor(block []float32, prev float64) (kind byte, a, b float3
 // The x moments are closed-form over 0..n-1 (exact in float64 for any block
 // this codec sees); only the data moments sy and sxy need a pass, which runs
 // 4-wide with independent partial sums.
-func fitLine(block []float32) (a, b float64) {
+func fitLine(block []float64) (a, b float64) {
 	m := len(block)
 	n := float64(m)
 	sx := n * (n - 1) / 2
@@ -304,7 +270,7 @@ func fitLine(block []float32) (a, b float64) {
 	var y0, y1, y2, y3, xy0, xy1, xy2, xy3 float64
 	i := 0
 	for ; i+4 <= m; i += 4 {
-		f0, f1, f2, f3 := float64(block[i]), float64(block[i+1]), float64(block[i+2]), float64(block[i+3])
+		f0, f1, f2, f3 := block[i], block[i+1], block[i+2], block[i+3]
 		y0 += f0
 		y1 += f1
 		y2 += f2
@@ -317,7 +283,7 @@ func fitLine(block []float32) (a, b float64) {
 	sy := y0 + y1 + y2 + y3
 	sxy := xy0 + xy1 + xy2 + xy3
 	for ; i < m; i++ {
-		y := float64(block[i])
+		y := block[i]
 		sy += y
 		sxy += float64(i) * y
 	}

@@ -67,3 +67,21 @@ func BenchmarkCompress1e2(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkDecompress1e2(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	data := eblctest.WeightLike(rng, 1<<20)
+	c := sz3.NewCompressor()
+	stream, err := c.Compress(data, ebcl.Rel(1e-2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Decompress(stream); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
