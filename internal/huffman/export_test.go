@@ -10,22 +10,25 @@ import (
 // symbols it is about to code (buildCodec) or reads one from a stream
 // (readCodec), and moves symbols through the bulk coders.
 
-// NewCodec builds the canonical code for the given occurrence counts.
+// NewCodec builds the canonical code for the given occurrence counts, with
+// both the encoder's code table and the decoder's lookup tables.
 func NewCodec(frequencies []uint64) (*Codec, error) {
 	c := new(Codec)
 	if err := c.initFromFreqs(frequencies); err != nil {
 		return nil, err
 	}
+	if len(c.sorted) > 0 {
+		c.buildDecodeTable()
+	}
 	return c, nil
 }
 
-// NewCodecFromLengths rebuilds a codec from a length table.
+// NewCodecFromLengths rebuilds a decoder from a length table the way a
+// stream does: serialized as runs, then read back through readCodec.
 func NewCodecFromLengths(lengths []uint8) (*Codec, error) {
-	c := new(Codec)
-	if err := c.init(append([]uint8(nil), lengths...)); err != nil {
-		return nil, err
-	}
-	return c, nil
+	w := new(bitio.Writer)
+	writeLengthTable(w, lengths)
+	return readCodec(bitio.NewReader(w.Bytes()), len(lengths))
 }
 
 // Lengths returns the per-symbol code length table.

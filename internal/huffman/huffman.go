@@ -20,6 +20,7 @@ package huffman
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -62,16 +63,22 @@ var (
 	ErrBadLengths = errors.New("huffman: invalid code length table")
 )
 
-// Codec holds the canonical code for one alphabet. A Codec is immutable and
-// safe for concurrent use after construction.
+// Codec holds the canonical code for one alphabet. The bulk coders build
+// one per blob in a pooled shell and use it from one goroutine; only
+// decoding a large blob adds to it once built (buildPairs).
+//
+// An encoder codec (buildCodec) fills lengths and enc; a decoder codec
+// (readCodec) fills the lookup tables. Both lay out the canonical code the
+// same way, and a pooled shell may carry the other side's stale fields.
 type Codec struct {
 	lengths []uint8  // per-symbol code length, 0 = unused symbol
 	enc     []uint32 // per-symbol packed (code<<5 | length), 0 = no code
 
-	// Reference-decoder acceleration: firstCode[l] is the canonical code
-	// value of the first code of length l; index[l] is the offset into
-	// sorted where codes of length l begin; sorted lists symbols ordered by
-	// (length, symbol).
+	// The canonical code: firstCode[l] is the code value of the first code
+	// of length l; index[l] is the offset into sorted where codes of length
+	// l begin, and index[maxLen+1] == len(sorted); sorted lists symbols
+	// ordered by (length, symbol). The code of sorted[i], of length l, is
+	// therefore firstCode[l] + i − index[l].
 	firstCode [MaxCodeLen + 2]uint32
 	index     [MaxCodeLen + 2]int32
 	sorted    []int32
@@ -82,9 +89,23 @@ type Codec struct {
 	tableBits uint
 	table     []uint32
 
-	// subBits is build-time scratch (per-prefix secondary widths) retained
-	// so pooled codec shells rebuild without reallocating it.
+	// pairs is the double-symbol table over the primary index (buildPairs),
+	// built only for the blobs multiBlob.usePairs admits.
+	pairs []uint64
+
+	// Build-time scratch retained so pooled codec shells rebuild without
+	// reallocating it: per-prefix secondary widths, and the coded runs of
+	// the length table being read.
 	subBits []uint8
+	runs    []lengthRun
+}
+
+// lengthRun is one coded run of a serialized length table: the n symbols
+// from start on share code length l > 0.
+type lengthRun struct {
+	start uint32
+	n     uint16
+	l     uint8
 }
 
 // codecPool recycles Codec shells — and, crucially, the enc/sorted/table
@@ -93,12 +114,16 @@ type Codec struct {
 // rebuild into a pooled shell allocates nothing.
 var codecPool = sync.Pool{New: func() any { return new(Codec) }}
 
+// maxPooledCodecBytes bounds the table, pair and run storage a pooled codec
+// shell may pin.
+const maxPooledCodecBytes = 4 << 20
+
 // putCodec returns a bulk-path codec shell to the reuse pool. The caller
 // must hold no references to the codec or its tables afterwards.
 func putCodec(c *Codec) {
-	// An adversarial length table can inflate the secondary tables; don't
-	// let one hostile blob pin megabytes in the pool.
-	if cap(c.table) > 1<<20 {
+	// An adversarial length table can inflate the secondary tables and the
+	// run list; don't let one hostile blob pin megabytes in the pool.
+	if 4*cap(c.table)+8*cap(c.pairs)+8*cap(c.runs) > maxPooledCodecBytes {
 		return
 	}
 	codecPool.Put(c)
@@ -214,95 +239,106 @@ func buildLengths(freqs []uint64, lengths []uint8) {
 		sc.nodes = make([]hNode, 0, 2*used)
 	}
 	nodes := sc.nodes[:0]
-	h := sc.heap[:0]
+	// The heap works in place in the pooled scratch: a local slice whose
+	// address heap.Interface takes would move to the heap on every build.
+	h := &sc.heap
+	*h = (*h)[:0]
 	for i, f := range freqs {
 		if f > 0 {
 			nodes = append(nodes, hNode{weight: f, symbol: int32(i)})
 		}
 	}
 	for i := range nodes {
-		h = append(h, &nodes[i])
+		*h = append(*h, &nodes[i])
 	}
-	heap.Init(&h)
+	heap.Init(h)
 	for h.Len() > 1 {
-		a := heap.Pop(&h).(*hNode)
-		b := heap.Pop(&h).(*hNode)
+		a := heap.Pop(h).(*hNode)
+		b := heap.Pop(h).(*hNode)
 		d := a.depth
 		if b.depth > d {
 			d = b.depth
 		}
 		nodes = append(nodes, hNode{weight: a.weight + b.weight, symbol: -1, left: a, right: b, depth: d + 1})
-		heap.Push(&h, &nodes[len(nodes)-1])
+		heap.Push(h, &nodes[len(nodes)-1])
 	}
-	root := h[0]
-	var walk func(n *hNode, depth uint8)
-	walk = func(n *hNode, depth uint8) {
-		if n.symbol >= 0 {
-			lengths[n.symbol] = depth
-			return
-		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
-	}
-	walk(root, 0)
-	sc.nodes, sc.heap = nodes[:0], h[:0]
+	setDepths((*h)[0], 0, lengths)
+	sc.nodes, *h = nodes[:0], (*h)[:0]
 	buildPool.Put(sc)
 }
 
-// init (re)builds c from a length table, taking ownership of lengths and
-// reusing c's table storage when its capacity suffices — pooled codec
-// shells rebuild allocation-free in steady state.
-func (c *Codec) init(lengths []uint8) error {
-	c.lengths, c.maxLen = lengths, 0
-	// Count codes per length; validate Kraft sum.
-	var counts [MaxCodeLen + 2]uint32
+// setDepths writes the depth of every leaf under n into lengths.
+func setDepths(n *hNode, depth uint8, lengths []uint8) {
+	if n.symbol >= 0 {
+		lengths[n.symbol] = depth
+		return
+	}
+	setDepths(n.left, depth+1, lengths)
+	setDepths(n.right, depth+1, lengths)
+}
+
+// canonical lays out the canonical code that has counts[l] codes of each
+// length l: maxLen, firstCode, index, and sorted at its final length. The
+// counts must satisfy the Kraft equality, except that a lone code may leave
+// the code incomplete. It returns the number of coded symbols; 0 is the
+// empty code, which gets an empty decode table.
+func (c *Codec) canonical(counts *[MaxCodeLen + 2]uint32) (int, error) {
+	c.maxLen = 0
 	used := 0
-	for _, l := range lengths {
-		if l > MaxCodeLen {
-			return ErrBadLengths
-		}
-		if l > 0 {
-			counts[l]++
-			used++
-			if l > c.maxLen {
-				c.maxLen = l
-			}
+	for l := 1; l <= MaxCodeLen; l++ {
+		if counts[l] > 0 {
+			c.maxLen = uint8(l)
+			used += int(counts[l])
 		}
 	}
 	if used == 0 {
-		c.enc = c.enc[:0]
-		c.sorted = c.sorted[:0]
-		c.table = c.table[:0]
-		c.tableBits = 0
-		return nil
+		c.sorted, c.table, c.tableBits = c.sorted[:0], c.table[:0], 0
+		return 0, nil
 	}
+	ml := uint(c.maxLen)
 	var kraft uint64
-	for l := uint8(1); l <= c.maxLen; l++ {
-		kraft += uint64(counts[l]) << (uint(c.maxLen) - uint(l))
+	for l := uint(1); l <= ml; l++ {
+		kraft += uint64(counts[l]) << (ml - l)
 	}
-	if used > 1 && kraft != 1<<uint(c.maxLen) {
-		return ErrBadLengths
+	if used > 1 && kraft != 1<<ml {
+		return 0, ErrBadLengths
 	}
-	// Canonical first codes per length.
 	code := uint32(0)
-	var next [MaxCodeLen + 2]uint32
 	var offset int32
-	for l := uint8(1); l <= c.maxLen; l++ {
+	for l := uint(1); l <= ml; l++ {
 		code <<= 1
 		c.firstCode[l] = code
-		next[l] = code
 		c.index[l] = offset
 		offset += int32(counts[l])
 		code += counts[l]
+	}
+	c.index[ml+1] = offset
+	c.sorted = grow(c.sorted, used)
+	return used, nil
+}
+
+// init (re)builds c's encoder from a length table, taking ownership of
+// lengths and reusing c's storage when its capacity suffices — pooled codec
+// shells rebuild allocation-free in steady state.
+func (c *Codec) init(lengths []uint8) error {
+	c.lengths = lengths
+	var counts [MaxCodeLen + 2]uint32
+	for _, l := range lengths {
+		// Most of an alphabet is unused: counting its zeros would chain
+		// thousands of increments of one counter through memory.
+		if l > 0 {
+			counts[l]++
+		}
+	}
+	if _, err := c.canonical(&counts); err != nil {
+		return err
 	}
 	// Assign codes symbol-ascending within each length (canonical order):
 	// one ascending pass over the symbols lands each in its length class in
 	// exactly sorted-(length, symbol) order, no sort needed.
 	c.enc = grow(c.enc, len(lengths))
 	clear(c.enc)
-	c.sorted = grow(c.sorted, used)
-	var pos [MaxCodeLen + 2]int32
-	copy(pos[:], c.index[:])
+	next, pos := c.firstCode, c.index
 	for s, l := range lengths {
 		if l == 0 {
 			continue
@@ -312,22 +348,72 @@ func (c *Codec) init(lengths []uint8) error {
 		c.sorted[pos[l]] = int32(s)
 		pos[l]++
 	}
+	return nil
+}
+
+// readRuns (re)builds c's decoder from a serialized length table
+// (writeLengthTable's runs) in O(runs + coded symbols): it counts the codes
+// per length from the runs, lays out the canonical code, places each run's
+// symbols at their ranks and builds the lookup tables. A length over
+// MaxCodeLen is reported once the whole table is read, so a table that also
+// ends early reports the truncation, as it always has.
+func (c *Codec) readRuns(r *bitio.Reader, alphabet int) error {
+	n64, err := r.ReadBits(24)
+	if err != nil {
+		return err
+	}
+	n := int(n64)
+	if n == 0 || n > alphabet {
+		return ErrBadLengths
+	}
+	var counts [MaxCodeLen + 2]uint32
+	tooLong := false
+	runs := c.runs[:0]
+	for i := 0; i < n; {
+		v, err := r.ReadBits(5 + 12) // (length:5, run:12)
+		if err != nil {
+			return err
+		}
+		l, run := uint8(v>>12), int(v&(1<<12-1))
+		if run == 0 || run > n-i {
+			return ErrBadLengths
+		}
+		if l > MaxCodeLen {
+			tooLong = true
+		} else if l > 0 {
+			counts[l] += uint32(run)
+			runs = append(runs, lengthRun{start: uint32(i), n: uint16(run), l: l})
+		}
+		i += run
+	}
+	c.runs = runs
+	if tooLong {
+		return ErrBadLengths
+	}
+	if used, err := c.canonical(&counts); used == 0 || err != nil {
+		return err
+	}
+	// Runs ascend by symbol, so each length class fills in canonical order.
+	pos := c.index
+	for _, run := range runs {
+		p := pos[run.l]
+		for s := run.start; s < run.start+uint32(run.n); s++ {
+			c.sorted[p] = int32(s)
+			p++
+		}
+		pos[run.l] = p
+	}
 	c.buildDecodeTable()
 	return nil
 }
 
-// code returns the canonical code bits of symbol s (which must have one).
-func (c *Codec) code(s int32) uint32 { return c.enc[s] >> 5 }
-
 // buildDecodeTable constructs the primary + secondary lookup tables from
-// the already-assigned canonical codes. Every bit pattern that starts a
-// valid code maps to a filled entry; patterns outside the code (possible
-// only for incomplete codes) stay zero.
+// the canonical layout, taking each code from its rank in sorted. Every bit
+// pattern that starts a valid code maps to a filled entry; patterns outside
+// the code (possible only for incomplete codes) stay zero.
 func (c *Codec) buildDecodeTable() {
-	tb := uint(c.maxLen)
-	if tb > primaryBits {
-		tb = primaryBits
-	}
+	ml := uint(c.maxLen)
+	tb := min(ml, primaryBits)
 	c.tableBits = tb
 	prim := uint32(1) << tb
 
@@ -335,18 +421,16 @@ func (c *Codec) buildDecodeTable() {
 	// primary index determines how many extra bits it must resolve.
 	var subBits []uint8
 	total := prim
-	if uint(c.maxLen) > tb {
+	if ml > tb {
 		c.subBits = grow(c.subBits, int(prim))
 		subBits = c.subBits
 		clear(subBits)
-		for _, s := range c.sorted {
-			l := uint(c.lengths[s])
-			if l <= tb {
-				continue
-			}
-			prefix := c.code(s) >> (l - tb)
-			if x := uint8(l - tb); x > subBits[prefix] {
-				subBits[prefix] = x
+		for l := tb + 1; l <= ml; l++ {
+			first := c.firstCode[l]
+			for code := first; code < first+uint32(c.index[l+1]-c.index[l]); code++ {
+				if x := uint8(l - tb); x > subBits[code>>(l-tb)] {
+					subBits[code>>(l-tb)] = x
+				}
 			}
 		}
 		for _, b := range subBits {
@@ -366,27 +450,65 @@ func (c *Codec) buildDecodeTable() {
 			nextBase += uint32(1) << b
 		}
 	}
-	for _, s := range c.sorted {
-		l := uint(c.lengths[s])
-		entry := uint32(s)<<entryShift | uint32(l)
-		if l <= tb {
-			// Short code: replicate over every suffix of the primary index.
-			base := c.code(s) << (tb - l)
-			for j := uint32(0); j < 1<<(tb-l); j++ {
-				c.table[base+j] = entry
-			}
-			continue
-		}
-		code := c.code(s)
-		link := c.table[code>>(l-tb)]
-		base := link >> entryShift
-		b := uint(link & entryLenMask)
-		low := code & (1<<(l-tb) - 1)
-		start := base + low<<(b-(l-tb))
-		for j := uint32(0); j < 1<<(b-(l-tb)); j++ {
-			c.table[start+j] = entry
+	// Short codes: each fills the primary entries of every suffix of its
+	// bits, and one length's codes are consecutive, so their spans are too.
+	for l := uint(1); l <= tb; l++ {
+		span := 1 << (tb - l)
+		base := int(c.firstCode[l]) << (tb - l)
+		for _, s := range c.sorted[c.index[l]:c.index[l+1]] {
+			fillEntries(c.table[base:base+span], uint32(s)<<entryShift|uint32(l))
+			base += span
 		}
 	}
+	// Long codes: each fills its span of its prefix's secondary table.
+	for l := tb + 1; l <= ml; l++ {
+		code := c.firstCode[l]
+		for _, s := range c.sorted[c.index[l]:c.index[l+1]] {
+			link := c.table[code>>(l-tb)]
+			b := uint(link & entryLenMask)
+			span := 1 << (b - (l - tb))
+			start := int(link>>entryShift) + int(code&(1<<(l-tb)-1))*span
+			fillEntries(c.table[start:start+span], uint32(s)<<entryShift|uint32(l))
+			code++
+		}
+	}
+}
+
+// fillEntries sets every entry of t to e.
+func fillEntries(t []uint32, e uint32) {
+	for i := range t {
+		t[i] = e
+	}
+}
+
+// buildPairs fills the double-symbol table over the primary index and
+// returns it — zstd's HUF_decompress4X2 idea on this package's tables. An
+// entry is s1 | s2<<16 | bits<<32 | (count−1)<<40: the one or two symbols
+// whose codes the tableBits-bit pattern starts with, when the second code
+// fits in the same pattern, and the bits they take. A link or zero primary
+// entry gets a zero pair entry, which sends the decoder to the primary
+// probe. The caller must have a nonempty decode table.
+func (c *Codec) buildPairs() []uint64 {
+	tb := c.tableBits
+	mask := uint32(1)<<tb - 1
+	c.pairs = grow(c.pairs, 1<<tb)
+	for p := range c.pairs {
+		e1 := c.table[p]
+		n1 := uint(e1 & entryLenMask)
+		if e1&entryLink != 0 || n1 == 0 {
+			c.pairs[p] = 0
+			continue
+		}
+		pe := uint64(e1>>entryShift) | uint64(n1)<<32
+		// The bits after the first code lead the next primary index; a
+		// direct entry no longer than those bits depends on nothing else.
+		e2 := c.table[uint32(p)<<n1&mask]
+		if n2 := uint(e2 & entryLenMask); e2&entryLink == 0 && n2 != 0 && n1+n2 <= tb {
+			pe = uint64(e1>>entryShift) | uint64(e2>>entryShift)<<16 | uint64(n1+n2)<<32 | 1<<40
+		}
+		c.pairs[p] = pe
+	}
+	return c.pairs
 }
 
 // Decode reads one symbol from r bit-by-bit over the canonical first-code
@@ -426,12 +548,7 @@ func (c *Codec) decodeFast(r *bitio.Reader) (s int, ok bool) {
 		return 0, false // empty code: no symbol can decode
 	}
 	r.Refill()
-	e := c.table[r.Peek(c.tableBits)]
-	if e&entryLink != 0 {
-		sub := uint(e & entryLenMask)
-		e = c.table[e>>entryShift+uint32(r.Peek(c.tableBits+sub)&(1<<sub-1))]
-	}
-	n := uint(e & entryLenMask)
+	sym, n := probe(c.table, c.tableBits, r.Peek(64))
 	// After Refill the accumulator holds min(56, BitsRemaining) bits and
 	// every code fits in 24, so n exceeding Buffered means the stream ends
 	// mid-code.
@@ -439,7 +556,21 @@ func (c *Codec) decodeFast(r *bitio.Reader) (s int, ok bool) {
 		return 0, false
 	}
 	r.Consume(n)
-	return int(e >> entryShift), true
+	return int(sym), true
+}
+
+// probe looks up the code at the top of bits (the next stream bits,
+// MSB-justified, at least maxLen of them real) in the primary table tab of
+// index width tb and, for a link entry, in its secondary table. It returns
+// the symbol and its code length; n == 0 marks a pattern that is no code's
+// prefix.
+func probe(tab []uint32, tb uint, bits uint64) (s uint16, n uint) {
+	e := tab[bits>>((64-tb)&63)]
+	if e&entryLink != 0 {
+		sub := uint(e & entryLenMask)
+		e = tab[e>>entryShift+uint32(bits>>((64-tb-sub)&63))&(1<<sub-1)]
+	}
+	return uint16(e >> entryShift), uint(e & entryLenMask)
 }
 
 // symbol constrains the element types the bulk coders move: bytes (the
@@ -449,23 +580,29 @@ type symbol interface{ ~uint8 | ~uint16 }
 
 // buildCodec is the one place a code is built from data, for both bulk
 // encoders: histogram the symbols (pooled scratch), then construct the code
-// in a pooled shell. The caller returns the codec via putCodec.
-func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, error) {
+// in a pooled shell. It also returns the size of the coded symbols in bits,
+// Σ freq·len over the coded symbols, from which the caller sizes its output
+// once. The caller returns the codec via putCodec.
+func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, uint64, error) {
 	freqs := sched.GetUint64s(alphabet)[:alphabet]
 	defer sched.PutUint64s(freqs)
 	clear(freqs)
 	for _, v := range symbols {
 		if int(v) >= alphabet {
-			return nil, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", int(v), alphabet)
+			return nil, 0, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", int(v), alphabet)
 		}
 		freqs[v]++
 	}
 	c := codecPool.Get().(*Codec)
 	if err := c.initFromFreqs(freqs); err != nil {
 		putCodec(c)
-		return nil, err
+		return nil, 0, err
 	}
-	return c, nil
+	var bits uint64
+	for _, s := range c.sorted {
+		bits += freqs[s] * uint64(c.lengths[s])
+	}
+	return c, bits, nil
 }
 
 // readCodec is buildCodec's decode-side twin, the one place a code is read
@@ -473,11 +610,7 @@ func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, error) {
 // returns via putCodec.
 func readCodec(r *bitio.Reader, alphabet int) (*Codec, error) {
 	c := codecPool.Get().(*Codec)
-	lengths, err := readLengthTable(r, alphabet, c.lengths)
-	if err == nil {
-		err = c.init(lengths)
-	}
-	if err != nil {
+	if err := c.readRuns(r, alphabet); err != nil {
 		putCodec(c)
 		return nil, err
 	}
@@ -487,20 +620,66 @@ func readCodec(r *bitio.Reader, alphabet int) (*Codec, error) {
 // encodeSeq is the single-stream bulk encoder: the length table, a 32-bit
 // symbol count, then the packed codes, in a pooled output buffer.
 func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
-	c, err := buildCodec(symbols, alphabet)
+	c, bits, err := buildCodec(symbols, alphabet)
 	if err != nil {
 		return nil, err
 	}
-	w := bitio.NewWriterBuffer(sched.GetBytes(len(symbols)/2 + 64))
-	writeLengthTable(w, c.lengths)
+	defer putCodec(c)
+	// The header's unfinished byte and the codes, rounded up, plus the
+	// kernel's store slack.
+	codeBytes := int((bits+7+7)/8) + 8
+	w := bitio.NewWriterBuffer(sched.GetBytes(len(c.lengths)/4 + 16 + codeBytes))
+	hdr := writeLengthTable(w, c.lengths) + 32
 	w.WriteBits(uint64(len(symbols)), 32)
-	enc := c.enc
-	for _, v := range symbols {
-		e := enc[v]
-		w.WriteBits(uint64(e>>5), uint(e&entryLenMask))
+	out := w.Bytes()
+	// The codes continue the header's unfinished byte: hand its bits to the
+	// kernel.
+	var pending uint64
+	if hdr%8 != 0 {
+		pending = uint64(out[len(out)-1] >> (8 - hdr%8))
+		out = out[:len(out)-1]
 	}
-	putCodec(c)
-	return w.Bytes(), nil
+	if cap(out)-len(out) < codeBytes {
+		grown := append(sched.GetBytes(len(out)+codeBytes), out...)
+		sched.PutBytes(out)
+		out = grown
+	}
+	return appendCodes(out, c.enc, symbols, pending, hdr%8), nil
+}
+
+// appendCodes is the one loop that writes codes: it appends the codes of
+// syms (packed code<<5 | length in enc) MSB-first to out, behind the nacc < 8
+// pending bits that are the low bits of acc, and pads the last byte with
+// zeros. The accumulator keeps its unwritten bits at the bottom, and bits
+// above them are never cleared: a store shifts them out. Each code pair — at
+// most 7 + 2·MaxCodeLen = 55 bits with the pending ones — goes out in one
+// unconditional 8-byte big-endian store, and the position advances by the
+// whole bytes filled. out must therefore have spare capacity for the coded
+// bytes plus 8. Shift counts are masked to 63 so the compiler emits bare
+// shifts; none reaches 64.
+func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc uint) []byte {
+	pos := len(out)
+	buf := out[:cap(out)]
+	j := 0
+	for ; j+1 < len(syms); j += 2 {
+		e1, e2 := enc[syms[j]], enc[syms[j+1]]
+		n1, n2 := uint(e1&entryLenMask), uint(e2&entryLenMask)
+		acc = acc<<((n1+n2)&63) | uint64(e1>>5)<<(n2&63) | uint64(e2>>5)
+		nacc += n1 + n2
+		binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
+		pos += int(nacc >> 3)
+		nacc &= 7
+	}
+	if j < len(syms) {
+		e := enc[syms[j]]
+		n := uint(e & entryLenMask)
+		acc = acc<<(n&63) | uint64(e>>5)
+		nacc += n
+	}
+	// At most 7 + MaxCodeLen bits are left: one more store, keeping the
+	// bytes they reach (none when nacc is 0 and the store is junk).
+	binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
+	return buf[:pos+int(nacc+7)/8]
 }
 
 // decodeSeq fills out through the table decoder, falling back to the
@@ -570,9 +749,10 @@ func DecodeAllU8(data []byte) ([]byte, error) {
 
 // writeLengthTable emits the code-length table using a simple run-length
 // scheme: (length:5, runLen:12) pairs, which is compact because quantization
-// code tables are dominated by long zero runs.
-func writeLengthTable(w *bitio.Writer, lengths []uint8) {
+// code tables are dominated by long zero runs. It returns the bits written.
+func writeLengthTable(w *bitio.Writer, lengths []uint8) uint {
 	w.WriteBits(uint64(len(lengths)), 24)
+	bits := uint(24)
 	i := 0
 	for i < len(lengths) {
 		l := lengths[i]
@@ -582,40 +762,8 @@ func writeLengthTable(w *bitio.Writer, lengths []uint8) {
 		}
 		w.WriteBits(uint64(l), 5)
 		w.WriteBits(uint64(j-i), 12)
+		bits += 5 + 12
 		i = j
 	}
-}
-
-// readLengthTable parses a serialized length table, writing it into buf's
-// storage when the capacity suffices (the pooled-codec rebuild path).
-func readLengthTable(r *bitio.Reader, maxAlphabet int, buf []uint8) ([]uint8, error) {
-	n64, err := r.ReadBits(24)
-	if err != nil {
-		return nil, err
-	}
-	n := int(n64)
-	if n == 0 || n > maxAlphabet {
-		return nil, ErrBadLengths
-	}
-	lengths := grow(buf, n)
-	clear(lengths)
-	i := 0
-	for i < n {
-		l, err := r.ReadBits(5)
-		if err != nil {
-			return nil, err
-		}
-		run, err := r.ReadBits(12)
-		if err != nil {
-			return nil, err
-		}
-		if run == 0 || i+int(run) > n {
-			return nil, ErrBadLengths
-		}
-		for k := 0; k < int(run); k++ {
-			lengths[i+k] = uint8(l)
-		}
-		i += int(run)
-	}
-	return lengths, nil
+	return bits
 }

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,13 @@ func TestBadLengthTables(t *testing.T) {
 	// Over-long code.
 	if _, err := NewCodecFromLengths([]uint8{MaxCodeLen + 1}); err == nil {
 		t.Fatal("want error for over-long code")
+	}
+	// The same faults, and a run past the declared alphabet, in the run
+	// tables of whole blobs of both layouts.
+	for name, blob := range hostileLengthTables() {
+		if _, err := DecodeMultiU16(blob, 4); !errors.Is(err, ErrBadLengths) {
+			t.Errorf("%s: err %v, want ErrBadLengths", name, err)
+		}
 	}
 }
 

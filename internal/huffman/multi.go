@@ -70,22 +70,25 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 		return encodeSeq(symbols, alphabet)
 	}
 
-	c, err := buildCodec(symbols, alphabet)
+	c, bits, err := buildCodec(symbols, alphabet)
 	if err != nil {
 		return nil, err
 	}
-
-	n := len(symbols)
-	out := sched.GetBytes(n/2 + 128)[:0]
-	out = append(out, multiMagic)
-	out = binary.AppendUvarint(out, uint64(n))
-	out = binary.AppendUvarint(out, uint64(streams))
+	defer putCodec(c)
 
 	// The length table is serialized into its own byte-padded segment so the
 	// jump table and sub-streams after it stay byte-addressable.
 	tw := bitio.NewWriterBuffer(sched.GetBytes(len(c.lengths)/4 + 16))
 	writeLengthTable(tw, c.lengths)
 	tbl := tw.Bytes()
+
+	// One buffer for the whole blob: each stream's codes take at most one
+	// padding byte beyond bits/8, and appendCodes stores 8 bytes at a time.
+	n := len(symbols)
+	out := sched.GetBytes(1 + 3*binary.MaxVarintLen64 + len(tbl) + 4*streams + int(bits/8) + streams + 8)[:0]
+	out = append(out, multiMagic)
+	out = binary.AppendUvarint(out, uint64(n))
+	out = binary.AppendUvarint(out, uint64(streams))
 	out = binary.AppendUvarint(out, uint64(len(tbl)))
 	out = append(out, tbl...)
 	sched.PutBytes(tbl)
@@ -99,7 +102,6 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 	// First n%streams chunks carry one extra symbol; the decoder derives the
 	// same split from n and streams alone.
 	base, ext := n/streams, n%streams
-	enc := c.enc
 	off := 0
 	for i := 0; i < streams; i++ {
 		cnt := base
@@ -107,28 +109,10 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 			cnt++
 		}
 		start := len(out)
-		w := bitio.NewWriterAppend(out)
-		// Two codes per accumulator push: the writer is MSB-first, so the
-		// pair packs as c1<<n2|c2 in n1+n2 bits — at most 2×MaxCodeLen = 48,
-		// always within one WriteBits. Halving the push count halves the
-		// per-call flush checks on the hottest loop in the encoder; the
-		// emitted bitstream is identical to the one-push-per-symbol form.
-		sub := symbols[off : off+cnt]
-		j := 0
-		for ; j+1 < len(sub); j += 2 {
-			e1, e2 := enc[sub[j]], enc[sub[j+1]]
-			n2 := uint(e2 & entryLenMask)
-			w.WriteBits(uint64(e1>>5)<<n2|uint64(e2>>5), uint(e1&entryLenMask)+n2)
-		}
-		if j < len(sub) {
-			e := enc[sub[j]]
-			w.WriteBits(uint64(e>>5), uint(e&entryLenMask))
-		}
-		out = w.Bytes()
+		out = appendCodes(out, c.enc, symbols[off:off+cnt], 0, 0)
 		binary.LittleEndian.PutUint32(out[sizePos+4*i:], uint32(len(out)-start))
 		off += cnt
 	}
-	putCodec(c)
 	return out, nil
 }
 
@@ -140,6 +124,33 @@ func DecodeMultiU16(data []byte, alphabet int) ([]uint16, error) {
 	if len(data) == 0 || data[0] != multiMagic {
 		return DecodeAllU16(data, alphabet)
 	}
+	var m multiBlob
+	out, err := openMulti(data, alphabet, &m)
+	if err != nil {
+		return nil, err
+	}
+	defer putCodec(m.c)
+	if err := m.decode(len(out)); err != nil {
+		sched.PutUint16s(out)
+		return nil, err
+	}
+	return out, nil
+}
+
+// multiBlob is a multi-stream blob opened for decoding: its code, and each
+// sub-stream beside the output chunk it decodes into.
+type multiBlob struct {
+	c       *Codec
+	streams int
+	srcs    [maxStreams][]byte
+	outs    [maxStreams][]uint16
+}
+
+// openMulti parses the header of a blob that starts with multiMagic, reads
+// its code, checks its jump table, and splits a pooled output buffer into
+// m's chunks the way the encoder split the input. On success the caller owns
+// out (sched.PutUint16s) and m.c (putCodec).
+func openMulti(data []byte, alphabet int, m *multiBlob) ([]uint16, error) {
 	if alphabet > 1<<16 {
 		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
 	}
@@ -169,64 +180,99 @@ func DecodeMultiU16(data []byte, alphabet int) ([]uint16, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer putCodec(c)
-	pos += tblLen
+	out, err := m.split(data, pos+tblLen, n, streams)
+	if err != nil {
+		putCodec(c)
+		return nil, err
+	}
+	m.c = c
+	return out, nil
+}
 
+// split checks the jump table at data[pos:] and the sub-streams it
+// delimits, then splits a pooled n-symbol output buffer into m's chunks the
+// way the encoder split the input.
+func (m *multiBlob) split(data []byte, pos, n, streams int) ([]uint16, error) {
 	if 4*streams > len(data)-pos {
 		return nil, ErrCorrupt
 	}
-	var offs [maxStreams + 1]int
-	offs[0] = pos + 4*streams
+	start := pos + 4*streams
 	for i := 0; i < streams; i++ {
 		sz := binary.LittleEndian.Uint32(data[pos+4*i:])
-		if uint64(sz) > uint64(len(data)-offs[i]) {
+		if uint64(sz) > uint64(len(data)-start) {
 			return nil, ErrCorrupt
 		}
-		offs[i+1] = offs[i] + int(sz)
+		m.srcs[i] = data[start : start+int(sz)]
+		start += int(sz)
 	}
 	// The jump table must account for the blob exactly: trailing slack would
 	// let corrupted sizes alias each other undetected.
-	if offs[streams] != len(data) {
+	if start != len(data) {
 		return nil, ErrCorrupt
 	}
-
+	var cnts [maxStreams]int
+	base, ext := n/streams, n%streams
+	for i := 0; i < streams; i++ {
+		cnts[i] = base
+		if i < ext {
+			cnts[i]++
+		}
+		// A sub-stream shorter than one bit per symbol cannot be valid.
+		if cnts[i] > 8*len(m.srcs[i]) {
+			return nil, ErrCorrupt
+		}
+	}
 	out := sched.GetUint16s(n)[:n]
-	if err := c.decodeStreams(data, offs[:streams+1], out, streams); err != nil {
-		sched.PutUint16s(out)
-		return nil, err
+	m.streams = streams
+	off := 0
+	for i := 0; i < streams; i++ {
+		m.outs[i] = out[off : off+cnts[i]]
+		off += cnts[i]
 	}
 	return out, nil
 }
 
-// decodeStreams splits out into the per-stream chunks mirroring the encoder
-// and decodes every sub-stream, taking the interleaved 4-wide path when the
-// blob used the default stream count.
-func (c *Codec) decodeStreams(data []byte, offs []int, out []uint16, streams int) error {
-	n := len(out)
-	base, ext := n/streams, n%streams
-	var srcs [maxStreams][]byte
-	var chunks [maxStreams][]uint16
-	off := 0
-	for i := 0; i < streams; i++ {
-		cnt := base
-		if i < ext {
-			cnt++
-		}
-		srcs[i] = data[offs[i]:offs[i+1]]
-		chunks[i] = out[off : off+cnt]
-		// A sub-stream shorter than one bit per symbol cannot be valid.
-		if cnt > 8*len(srcs[i]) {
-			return ErrCorrupt
-		}
-		off += cnt
+// pairMinSymbols is the blob size from which decode may build the
+// double-symbol table. Its 2^tableBits-entry build costs microseconds a
+// blob, which the pair loop earns back only on larger blobs:
+// BenchmarkPairGate puts the crossover at 10 Ki symbols on
+// quantization-like codes (+6 % at 8 Ki, even at 10 Ki, −3 % at 12 Ki, −17 %
+// at 32 Ki).
+const pairMinSymbols = 10 << 10
+
+// usePairs reports whether decode4Pairs beats decode4 on an n-symbol blob.
+// Beyond the size gate, a probe yields two symbols only when two codes fit
+// in the tableBits-bit index, so the sub-streams must average at most
+// tableBits/2 bits a symbol. Through the pair loop a single-symbol code
+// (tableBits 1, one bit a symbol: a delta residual that quantizes to zero)
+// runs a third slower, and codes averaging 6 and 8 bits 6 % and 27 % slower.
+func (m *multiBlob) usePairs(n int) bool {
+	if n < pairMinSymbols {
+		return false
 	}
-	if streams == DefaultStreams {
-		return c.decode4((*[4][]byte)(srcs[:4]), (*[4][]uint16)(chunks[:4]))
+	bytes := 0
+	for _, s := range m.srcs[:m.streams] {
+		bytes += len(s)
+	}
+	return 16*bytes <= n*int(m.c.tableBits)
+}
+
+// decode decodes every sub-stream of an n-symbol blob: four through
+// decode4, or decode4Pairs where usePairs says so, any other count — or an
+// empty code — one after another through decodeSeq.
+func (m *multiBlob) decode(n int) error {
+	c := m.c
+	if m.streams == DefaultStreams && len(c.table) > 0 {
+		srcs, outs := (*[4][]byte)(m.srcs[:4]), (*[4][]uint16)(m.outs[:4])
+		if m.usePairs(n) {
+			return c.decode4Pairs(srcs, outs, c.buildPairs())
+		}
+		return c.decode4(srcs, outs)
 	}
 	var r bitio.Reader
-	for i := 0; i < streams; i++ {
-		r.Reset(srcs[i])
-		if err := decodeSeq(&r, c, chunks[i]); err != nil {
+	for i := 0; i < m.streams; i++ {
+		r.Reset(m.srcs[i])
+		if err := decodeSeq(&r, c, m.outs[i]); err != nil {
 			return err
 		}
 		if r.BitsRemaining() >= 8 {
@@ -238,17 +284,14 @@ func (c *Codec) decodeStreams(data []byte, offs []int, out []uint16, streams int
 
 // decode4 is the wide decode loop: four stack-value Readers advanced
 // round-robin, decoding until any stream's buffered bits dip below one
-// max-length code before refilling again. One refill buffers ≥ 56 bits
-// and real quantization codes average ~5, so each refill round covers
-// several symbols per stream — the refill itself, not the table probe, is
-// what the two-symbols-per-refill layout spends its time on. The
-// interleave keeps four independent chains in the pipeline — the
-// single-stream decoder's refill→peek→consume latency chain is the
-// bulk-decode bottleneck.
+// max-length code before refilling again. One refill buffers ≥ 56 bits and
+// real quantization codes average ~5, so each refill round covers several
+// symbols per stream. The interleave keeps four independent chains in the
+// pipeline — the single-stream decoder's refill→peek→consume latency chain
+// is the bulk-decode bottleneck. c must have a nonempty decode table.
 //
 // Any fast-path miss (stream tail, zero entry, mid-code truncation) drops
-// to the careful per-stream tail, which finishes through decodeSeq for
-// exactly the reference decoder's error semantics.
+// to finish4's careful per-stream tail.
 func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	var r0, r1, r2, r3 bitio.Reader
 	r0.Reset(srcs[0])
@@ -257,98 +300,157 @@ func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	r3.Reset(srcs[3])
 	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	var p0, p1, p2, p3 int
-	if len(c.table) > 0 {
-		tab, tb := c.table, c.tableBits
-		// Every entry's length (and every Peek width tb+sub) is at most
-		// maxLen, so a stream holding maxLen buffered bits can always decode
-		// one more symbol without rechecking mid-probe.
-		ml := uint(c.maxLen)
-	fast:
-		for {
-			// rem bounds the round by the fullest any chunk can get; chunk
-			// lengths differ by at most one, so at most one symbol per
-			// stream is left to the careful tail on output exhaustion.
-			rem := len(o0) - p0
-			if r := len(o1) - p1; r < rem {
-				rem = r
+	tab, tb := c.table, c.tableBits
+	// Every entry's length (and every probe width tb+sub) is at most maxLen,
+	// so a stream holding maxLen buffered bits can always decode one more
+	// symbol without rechecking mid-probe.
+	ml := uint(c.maxLen)
+fast:
+	for {
+		// rem bounds the round by the fullest any chunk can get; chunk
+		// lengths differ by at most one, so at most one symbol per stream is
+		// left to the careful tail on output exhaustion.
+		rem := min(len(o0)-p0, len(o1)-p1, len(o2)-p2, len(o3)-p3)
+		if rem == 0 {
+			break
+		}
+		r0.Refill()
+		r1.Refill()
+		r2.Refill()
+		r3.Refill()
+		if r0.Buffered() < ml || r1.Buffered() < ml || r2.Buffered() < ml || r3.Buffered() < ml {
+			break
+		}
+		for rem > 0 &&
+			r0.Buffered() >= ml && r1.Buffered() >= ml && r2.Buffered() >= ml && r3.Buffered() >= ml {
+			rem--
+			s0, n0 := probe(tab, tb, r0.Peek(64))
+			if n0 == 0 {
+				break fast
 			}
-			if r := len(o2) - p2; r < rem {
-				rem = r
+			r0.ConsumeFast(n0)
+			o0[p0] = s0
+			p0++
+
+			s1, n1 := probe(tab, tb, r1.Peek(64))
+			if n1 == 0 {
+				break fast
 			}
-			if r := len(o3) - p3; r < rem {
-				rem = r
+			r1.ConsumeFast(n1)
+			o1[p1] = s1
+			p1++
+
+			s2, n2 := probe(tab, tb, r2.Peek(64))
+			if n2 == 0 {
+				break fast
 			}
-			if rem == 0 {
-				break
+			r2.ConsumeFast(n2)
+			o2[p2] = s2
+			p2++
+
+			s3, n3 := probe(tab, tb, r3.Peek(64))
+			if n3 == 0 {
+				break fast
 			}
-			r0.Refill()
-			r1.Refill()
-			r2.Refill()
-			r3.Refill()
-			if r0.Buffered() < ml || r1.Buffered() < ml || r2.Buffered() < ml || r3.Buffered() < ml {
-				break
-			}
-			for rem > 0 &&
-				r0.Buffered() >= ml && r1.Buffered() >= ml && r2.Buffered() >= ml && r3.Buffered() >= ml {
-				rem--
-				e0 := tab[r0.Peek(tb)]
-				if e0&entryLink != 0 {
-					sub := uint(e0 & entryLenMask)
-					e0 = tab[e0>>entryShift+uint32(r0.Peek(tb+sub)&(1<<sub-1))]
-				}
-				n0 := uint(e0 & entryLenMask)
-				if n0 == 0 {
-					break fast
-				}
-				r0.ConsumeFast(n0)
-				o0[p0] = uint16(e0 >> entryShift)
+			r3.ConsumeFast(n3)
+			o3[p3] = s3
+			p3++
+		}
+	}
+	return c.finish4([4]*bitio.Reader{&r0, &r1, &r2, &r3}, outs, [4]int{p0, p1, p2, p3})
+}
+
+// decode4Pairs is decode4 with the double-symbol table pairs (buildPairs):
+// each probe resolves one or two symbols, and a zero pair entry falls
+// through to decode4's primary-table probe. It decodes the same symbols from
+// the same bits.
+func (c *Codec) decode4Pairs(srcs *[4][]byte, outs *[4][]uint16, pairs []uint64) error {
+	var r0, r1, r2, r3 bitio.Reader
+	r0.Reset(srcs[0])
+	r1.Reset(srcs[1])
+	r2.Reset(srcs[2])
+	r3.Reset(srcs[3])
+	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
+	var p0, p1, p2, p3 int
+	tab, tb := c.table, c.tableBits
+	// A pair's bits fit in tb ≤ maxLen, so decode4's invariant covers it.
+	ml := uint(c.maxLen)
+fast:
+	for {
+		// A pair writes two output slots (the second is overwritten later
+		// when the entry holds one symbol), so the loop keeps two free; at
+		// most three symbols per stream are left to the careful tail.
+		rem := min(len(o0)-p0, len(o1)-p1, len(o2)-p2, len(o3)-p3)
+		if rem < 2 {
+			break
+		}
+		r0.Refill()
+		r1.Refill()
+		r2.Refill()
+		r3.Refill()
+		if r0.Buffered() < ml || r1.Buffered() < ml || r2.Buffered() < ml || r3.Buffered() < ml {
+			break
+		}
+		for rem >= 2 &&
+			r0.Buffered() >= ml && r1.Buffered() >= ml && r2.Buffered() >= ml && r3.Buffered() >= ml {
+			rem -= 2
+			if e := pairs[r0.Peek(tb)]; e != 0 {
+				r0.ConsumeFast(uint(e>>32) & 63)
+				o0[p0], o0[p0+1] = uint16(e), uint16(e>>16)
+				p0 += 1 + int(e>>40)
+			} else if s, n := probe(tab, tb, r0.Peek(64)); n != 0 {
+				r0.ConsumeFast(n)
+				o0[p0] = s
 				p0++
+			} else {
+				break fast
+			}
 
-				e1 := tab[r1.Peek(tb)]
-				if e1&entryLink != 0 {
-					sub := uint(e1 & entryLenMask)
-					e1 = tab[e1>>entryShift+uint32(r1.Peek(tb+sub)&(1<<sub-1))]
-				}
-				n1 := uint(e1 & entryLenMask)
-				if n1 == 0 {
-					break fast
-				}
-				r1.ConsumeFast(n1)
-				o1[p1] = uint16(e1 >> entryShift)
+			if e := pairs[r1.Peek(tb)]; e != 0 {
+				r1.ConsumeFast(uint(e>>32) & 63)
+				o1[p1], o1[p1+1] = uint16(e), uint16(e>>16)
+				p1 += 1 + int(e>>40)
+			} else if s, n := probe(tab, tb, r1.Peek(64)); n != 0 {
+				r1.ConsumeFast(n)
+				o1[p1] = s
 				p1++
+			} else {
+				break fast
+			}
 
-				e2 := tab[r2.Peek(tb)]
-				if e2&entryLink != 0 {
-					sub := uint(e2 & entryLenMask)
-					e2 = tab[e2>>entryShift+uint32(r2.Peek(tb+sub)&(1<<sub-1))]
-				}
-				n2 := uint(e2 & entryLenMask)
-				if n2 == 0 {
-					break fast
-				}
-				r2.ConsumeFast(n2)
-				o2[p2] = uint16(e2 >> entryShift)
+			if e := pairs[r2.Peek(tb)]; e != 0 {
+				r2.ConsumeFast(uint(e>>32) & 63)
+				o2[p2], o2[p2+1] = uint16(e), uint16(e>>16)
+				p2 += 1 + int(e>>40)
+			} else if s, n := probe(tab, tb, r2.Peek(64)); n != 0 {
+				r2.ConsumeFast(n)
+				o2[p2] = s
 				p2++
+			} else {
+				break fast
+			}
 
-				e3 := tab[r3.Peek(tb)]
-				if e3&entryLink != 0 {
-					sub := uint(e3 & entryLenMask)
-					e3 = tab[e3>>entryShift+uint32(r3.Peek(tb+sub)&(1<<sub-1))]
-				}
-				n3 := uint(e3 & entryLenMask)
-				if n3 == 0 {
-					break fast
-				}
-				r3.ConsumeFast(n3)
-				o3[p3] = uint16(e3 >> entryShift)
+			if e := pairs[r3.Peek(tb)]; e != 0 {
+				r3.ConsumeFast(uint(e>>32) & 63)
+				o3[p3], o3[p3+1] = uint16(e), uint16(e>>16)
+				p3 += 1 + int(e>>40)
+			} else if s, n := probe(tab, tb, r3.Peek(64)); n != 0 {
+				r3.ConsumeFast(n)
+				o3[p3] = s
 				p3++
+			} else {
+				break fast
 			}
 		}
 	}
-	rs := [4]*bitio.Reader{&r0, &r1, &r2, &r3}
-	ps := [4]int{p0, p1, p2, p3}
-	for k := 0; k < 4; k++ {
-		r := rs[k]
+	return c.finish4([4]*bitio.Reader{&r0, &r1, &r2, &r3}, outs, [4]int{p0, p1, p2, p3})
+}
+
+// finish4 decodes what a wide loop left of each stream — outs[k] from ps[k]
+// on, from rs[k]'s position — through decodeSeq, for exactly the reference
+// decoder's error semantics.
+func (c *Codec) finish4(rs [4]*bitio.Reader, outs *[4][]uint16, ps [4]int) error {
+	for k, r := range rs {
 		if err := decodeSeq(r, c, outs[k][ps[k]:]); err != nil {
 			return err
 		}

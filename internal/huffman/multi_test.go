@@ -5,12 +5,11 @@ package huffman
 // corrupted sub-stream boundaries.
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/bitio"
 	"repro/internal/sched"
 )
 
@@ -222,89 +221,45 @@ func TestDecodeMultiCorruptBoundaries(t *testing.T) {
 	sched.PutBytes(blob)
 }
 
-func BenchmarkMultiDecode(b *testing.B) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	const nSyms = 1 << 16
-	syms := quantLikeSymbols(rng, nSyms)
-	enc, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(nSyms)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := DecodeMultiU16(enc, quantAlphabet)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sched.PutUint16s(out)
+// benchSizes are the blob sizes the multi-stream benchmarks time, one on
+// each side of pairMinSymbols: ingest_small's 2.5 k-element layers and a
+// 64 Ki-symbol tensor.
+var benchSizes = []int{2500, 1 << 16}
+
+func BenchmarkMultiEncode(b *testing.B) {
+	for _, n := range benchSizes {
+		syms := quantLikeSymbols(rand.New(rand.NewPCG(5, 6)), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sched.PutBytes(enc)
+			}
+		})
 	}
 }
 
-// TestMultiEncodePairPacking re-encodes every sub-stream of a multi blob
-// one symbol per WriteBits push and asserts byte identity with the paired
-// hot loop in EncodeMultiU16 — the pairing is a call-count optimization
-// only and must never change the emitted bitstream.
-func TestMultiEncodePairPacking(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	for _, n := range []int{multiMinSymbols, multiMinSymbols + 1, 4097, 1 << 15} {
-		for _, streams := range []int{2, 4, 7} {
-			syms := quantLikeSymbols(rng, n)
-			blob, err := EncodeMultiU16(syms, quantAlphabet, streams)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Rebuild the codec the encoder derived from these symbols.
-			freqs := make([]uint64, quantAlphabet)
-			for _, v := range syms {
-				freqs[v]++
-			}
-			c := new(Codec)
-			if err := c.initFromFreqs(freqs); err != nil {
-				t.Fatal(err)
-			}
-
-			// Walk the frame to the jump table, then check each sub-stream
-			// against a strictly sequential per-symbol reference encode.
-			pos := 1
-			_, k := binary.Uvarint(blob[pos:])
-			pos += k
-			gotStreams, k := binary.Uvarint(blob[pos:])
-			pos += k
-			if int(gotStreams) != streams {
-				t.Fatalf("blob carries %d streams, want %d", gotStreams, streams)
-			}
-			tblLen, k := binary.Uvarint(blob[pos:])
-			pos += k + int(tblLen)
-			sizes := make([]int, streams)
-			for i := range sizes {
-				sizes[i] = int(binary.LittleEndian.Uint32(blob[pos+4*i:]))
-			}
-			pos += 4 * streams
-
-			base, ext := n/streams, n%streams
-			off := 0
-			for i := 0; i < streams; i++ {
-				cnt := base
-				if i < ext {
-					cnt++
-				}
-				w := bitio.NewWriterBuffer(make([]byte, 0, cnt))
-				for _, v := range syms[off : off+cnt] {
-					e := c.enc[v]
-					w.WriteBits(uint64(e>>5), uint(e&entryLenMask))
-				}
-				ref := w.Bytes()
-				got := blob[pos : pos+sizes[i]]
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("n=%d streams=%d: sub-stream %d differs from per-symbol reference", n, streams, i)
-				}
-				pos += sizes[i]
-				off += cnt
-			}
-			sched.PutBytes(blob)
+func BenchmarkMultiDecode(b *testing.B) {
+	for _, n := range benchSizes {
+		syms := quantLikeSymbols(rand.New(rand.NewPCG(5, 6)), n)
+		enc, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := DecodeMultiU16(enc, quantAlphabet)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sched.PutUint16s(out)
+			}
+		})
 	}
 }

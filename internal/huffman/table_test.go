@@ -8,6 +8,7 @@ package huffman
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/bitio"
@@ -215,6 +216,39 @@ func TestDecodeAllU16MatchesDecodeAll(t *testing.T) {
 	}
 }
 
+// fuzzQuant is the alphaSel that FuzzHuffmanRoundTrip maps to quantAlphabet.
+const fuzzQuant = uint16(quantAlphabet - 1)
+
+// hostileLengthTables returns length tables that must fail with
+// ErrBadLengths, each wrapped as a single-stream blob and as a 4-stream one.
+func hostileLengthTables() map[string][]byte {
+	type run struct{ l, n uint64 }
+	tables := map[string][]run{
+		"length over MaxCodeLen": {{MaxCodeLen + 1, 1}, {0, 3}},
+		"Kraft violation":        {{1, 3}, {0, 1}},
+		"run past the alphabet":  {{2, 5}},
+	}
+	blobs := make(map[string][]byte)
+	for name, runs := range tables {
+		w := new(bitio.Writer)
+		w.WriteBits(4, 24)
+		for _, r := range runs {
+			w.WriteBits(r.l, 5)
+			w.WriteBits(r.n, 12)
+		}
+		tbl := append([]byte(nil), w.Bytes()...)
+		w.WriteBits(64, 32)
+		w.WriteBits(0xA5A5A5A5, 32)
+		blobs[name+" (single stream)"] = w.Bytes()
+		multi := append([]byte{multiMagic, 64, DefaultStreams, byte(len(tbl))}, tbl...)
+		for i := 0; i < DefaultStreams; i++ {
+			multi = binary.LittleEndian.AppendUint32(multi, 4)
+		}
+		blobs[name+" (4 streams)"] = append(multi, make([]byte, 4*DefaultStreams)...)
+	}
+	return blobs
+}
+
 func FuzzHuffmanRoundTrip(f *testing.F) {
 	// Seed corpus: valid streams over several alphabets plus raw junk.
 	seed1, _ := EncodeAllU16([]uint16{1, 2, 3, 3, 3, 0, 7}, 8)
@@ -225,38 +259,58 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	}
 	seed2, _ := EncodeAllU16(quant, quantAlphabet)
 	f.Add(seed1, uint16(8))
-	f.Add(seed2, uint16(quantAlphabet))
+	f.Add(seed2, fuzzQuant)
 	f.Add([]byte{0x00, 0x01, 0xFF}, uint16(300))
-	f.Add(seed2[:len(seed2)/2], uint16(quantAlphabet))
-	// Multi-stream seeds: a valid 4-stream blob plus boundary corruptions —
+	f.Add(seed2[:len(seed2)/2], fuzzQuant)
+	// Multi-stream seeds: valid 4-stream blobs plus boundary corruptions —
 	// truncated sub-streams and shifted/inflated jump-table sizes — which the
-	// decoder must reject without panicking.
-	quantLong := make([]uint16, 4*multiMinSymbols)
-	for i := range quantLong {
-		quantLong[i] = uint16(quantRadius + int(rng.NormFloat64()*5))
-	}
-	seed3, _ := EncodeMultiU16(quantLong, quantAlphabet, DefaultStreams)
-	f.Add(seed3, uint16(quantAlphabet))
-	f.Add(seed3[:len(seed3)-5], uint16(quantAlphabet))
-	f.Add(seed3[:len(seed3)/3], uint16(quantAlphabet))
-	{
+	// decoder must reject without panicking. The first is under
+	// pairMinSymbols, the last three over it.
+	jumpTable := func(blob []byte) int {
 		sizePos := 1
 		for field := 0; field < 3; field++ {
-			v, k := binary.Uvarint(seed3[sizePos:])
+			v, k := binary.Uvarint(blob[sizePos:])
 			sizePos += k
 			if field == 2 {
 				sizePos += int(v)
 			}
 		}
-		shift := append([]byte(nil), seed3...)
+		return sizePos
+	}
+	shifted := func(blob []byte, by uint32) []byte {
+		sizePos := jumpTable(blob)
+		shift := append([]byte(nil), blob...)
 		s0 := binary.LittleEndian.Uint32(shift[sizePos:])
 		s1 := binary.LittleEndian.Uint32(shift[sizePos+4:])
-		binary.LittleEndian.PutUint32(shift[sizePos:], s0+1)
-		binary.LittleEndian.PutUint32(shift[sizePos+4:], s1-1)
-		f.Add(shift, uint16(quantAlphabet))
-		inflate := append([]byte(nil), seed3...)
-		binary.LittleEndian.PutUint32(inflate[sizePos:], s0+7)
-		f.Add(inflate, uint16(quantAlphabet))
+		binary.LittleEndian.PutUint32(shift[sizePos:], s0+by)
+		binary.LittleEndian.PutUint32(shift[sizePos+4:], s1-by)
+		return shift
+	}
+	quantLong := make([]uint16, 4*multiMinSymbols)
+	for i := range quantLong {
+		quantLong[i] = uint16(quantRadius + int(rng.NormFloat64()*5))
+	}
+	seed3, _ := EncodeMultiU16(quantLong, quantAlphabet, DefaultStreams)
+	f.Add(seed3, fuzzQuant)
+	f.Add(seed3[:len(seed3)-5], fuzzQuant)
+	f.Add(seed3[:len(seed3)/3], fuzzQuant)
+	f.Add(shifted(seed3, 1), fuzzQuant)
+	inflate := append([]byte(nil), seed3...)
+	sizePos := jumpTable(seed3)
+	binary.LittleEndian.PutUint32(inflate[sizePos:], binary.LittleEndian.Uint32(seed3[sizePos:])+7)
+	f.Add(inflate, fuzzQuant)
+	seed4, _ := EncodeMultiU16(quantLikeSymbols(rng, pairMinSymbols+1000), quantAlphabet, DefaultStreams)
+	f.Add(seed4, fuzzQuant)
+	f.Add(seed4[:len(seed4)-len(seed4)/8], fuzzQuant)
+	f.Add(shifted(seed4, 3), fuzzQuant)
+	hostile := hostileLengthTables()
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(hostile[name], uint16(3))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, alphaSel uint16) {
@@ -311,8 +365,12 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 		sched.PutBytes(menc)
 
 		// Arbitrary bytes through the multi decoder must decode or error,
-		// never panic — this is what the corrupted-boundary seeds exercise.
-		if out, err := DecodeMultiU16(data, alphabet); err == nil {
+		// never panic, and exactly as every sub-stream decoded on its own
+		// through decodeSeq does: the same symbols, or an error in both.
+		out, err := DecodeMultiU16(data, alphabet)
+		want, wantErr := decodeMultiRef(data, alphabet)
+		sameDecode(t, "DecodeMultiU16", out, err, want, wantErr)
+		if err == nil {
 			sched.PutUint16s(out)
 		}
 
