@@ -92,6 +92,12 @@ func dictShape(t *testing.T, shape string, rng *rand.Rand) *tensor.StateDict {
 		w.Data[1025] = float32(math.Inf(1))
 		w.Data[3000] = float32(math.Inf(-1))
 		sd.Add("poisoned.weight", tensor.KindWeight, w)
+	case "nan":
+		// A NaN and no Inf, away from index 0: the value range is undefined
+		// all the same.
+		w := tensor.FromData(eblctest.WeightLike(rng, 4096), 4096)
+		w.Data[1030] = float32(math.NaN())
+		sd.Add("nan.weight", tensor.KindWeight, w)
 	default:
 		t.Fatalf("unknown shape %q", shape)
 	}
@@ -179,7 +185,7 @@ func allFiniteNear(data []float32, j int) bool {
 }
 
 func TestCrossCodecPipelineConformance(t *testing.T) {
-	shapes := []string{"empty", "scalar0d", "below-threshold", "multi", "all-below-bound", "nonfinite"}
+	shapes := []string{"empty", "scalar0d", "below-threshold", "multi", "all-below-bound", "nonfinite", "nan"}
 	params := []struct {
 		name string
 		p    ebcl.Params
@@ -210,7 +216,7 @@ func TestCrossCodecPipelineConformance(t *testing.T) {
 						sd := dictShape(t, shape, rng)
 
 						stream, _, err := core.Compress(sd, opts)
-						if shape == "nonfinite" && pp.p.Mode == ebcl.ModeRelative && tr.strictBound {
+						if (shape == "nonfinite" || shape == "nan") && pp.p.Mode == ebcl.ModeRelative && tr.strictBound {
 							// A range-relative bound is undefined over NaN/Inf
 							// data: the strict codecs must reject it cleanly
 							// instead of emitting an undecodable stream.

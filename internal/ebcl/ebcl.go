@@ -2,8 +2,9 @@
 // compressors (EBLCs) evaluated by FedSZ: the Compressor interface, error
 // bound modes, the common stream header, the linear quantizer used by the
 // prediction-based compressors (SZ2, SZ3) and the one back end that turns
-// their quantization codes into a stream and back (Format, Sections), and
-// verification helpers.
+// their quantization codes into a stream and back (Format, Sections),
+// verification helpers, and the one CPU check (AVX2) that selects the amd64
+// block kernels (kernels.go).
 //
 // Error bound semantics follow the SZ convention: a *relative* bound eb
 // means the absolute reconstruction error of every element is at most
@@ -177,21 +178,17 @@ func GrowFloats(dst []float32, n int) []float32 {
 	return make([]float32, n)
 }
 
-// ValueRange returns max − min of data (0 for empty input).
+// ValueRange returns max − min of data (0 for empty input), NaN when any
+// element is NaN: the range is then undefined, wherever the NaN sits.
 func ValueRange(data []float32) float64 {
 	if len(data) == 0 {
 		return 0
 	}
-	min, max := data[0], data[0]
-	for _, v := range data[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+	lo, hi, maxAbsBits := MinMax(data)
+	if maxAbsBits > 0x7f800000 {
+		return math.NaN()
 	}
-	return float64(max) - float64(min)
+	return float64(hi) - float64(lo)
 }
 
 // ResolveAbs converts p into an absolute error bound for data. For

@@ -28,6 +28,13 @@ func TestValueRange(t *testing.T) {
 			t.Errorf("case %d: ValueRange = %v want %v", i, got, c.want)
 		}
 	}
+	// A NaN anywhere leaves the range undefined, not just at index 0.
+	nan := float32(math.NaN())
+	for _, data := range [][]float32{{nan, 1, 2}, {1, nan, 2}, {1, 2, nan}, {1, 2, 3, 4, 5, nan, 7}} {
+		if got := ValueRange(data); !math.IsNaN(got) {
+			t.Errorf("ValueRange(%v) = %v, want NaN", data, got)
+		}
+	}
 }
 
 func TestResolveAbs(t *testing.T) {
@@ -40,6 +47,12 @@ func TestResolveAbs(t *testing.T) {
 	}
 	if eb, err := ResolveAbs(data, Precision(10)); err != nil || eb != 0 {
 		t.Fatalf("Precision: eb=%v err=%v", eb, err)
+	}
+	nan := float32(math.NaN())
+	for _, bad := range [][]float32{{nan, 1, 2}, {1, nan, 2}, {1, 2, nan}} {
+		if eb, err := ResolveAbs(bad, Rel(0.01)); err == nil {
+			t.Errorf("Rel over %v: eb=%v, want an error", bad, eb)
+		}
 	}
 	for _, bad := range []Params{Rel(0), Rel(-1), Abs(0), Precision(0), Precision(64), {Mode: Mode(9)}} {
 		if _, err := ResolveAbs(data, bad); err == nil {
@@ -290,9 +303,10 @@ func quantizeEach(q Quantizer, block []float32, a, b float64) (codes []uint16, l
 	return codes, literals, last
 }
 
-// checkQuantizeLinear runs QuantizeLinear and quantizeEach over one block
-// and requires the same codes, literal bits and last reconstruction bits.
-// It returns the codes for callers that also pin them.
+// checkQuantizeLinear runs QuantizeLinear on both paths and quantizeEach over
+// one block and requires the same codes, literal bits and last
+// reconstruction bits, then holds DequantizeLinear to the reference on the
+// result. It returns the codes for callers that also pin them.
 func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64) []uint16 {
 	t.Helper()
 	q := NewQuantizer(eb)
@@ -301,28 +315,72 @@ func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64
 	for i, v := range block {
 		f[i] = float64(v)
 	}
-	codes := make([]uint16, len(block))
-	lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42})
-	if !slices.Equal(codes, wantCodes) {
-		t.Fatalf("eb=%g a=%g b=%g: codes\n got %v\nwant %v", eb, a, b, codes, wantCodes)
-	}
-	if len(lits) != 1+len(wantLits) || lits[0] != 42 {
-		t.Fatalf("eb=%g a=%g b=%g: literals %v, want [42] followed by %v", eb, a, b, lits, wantLits)
-	}
-	for i, w := range wantLits {
-		if math.Float32bits(lits[1+i]) != math.Float32bits(w) {
-			t.Fatalf("eb=%g a=%g b=%g: literal %d is %#x, want %#x", eb, a, b, i, math.Float32bits(lits[1+i]), math.Float32bits(w))
+	onBothPaths(func(path string) {
+		codes := make([]uint16, len(block))
+		lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42})
+		if !slices.Equal(codes, wantCodes) {
+			t.Fatalf("%s eb=%g a=%g b=%g: codes\n got %v\nwant %v", path, eb, a, b, codes, wantCodes)
 		}
+		if len(lits) != 1+len(wantLits) || lits[0] != 42 {
+			t.Fatalf("%s eb=%g a=%g b=%g: literals %v, want [42] followed by %v", path, eb, a, b, lits, wantLits)
+		}
+		for i, w := range wantLits {
+			if math.Float32bits(lits[1+i]) != math.Float32bits(w) {
+				t.Fatalf("%s eb=%g a=%g b=%g: literal %d is %#x, want %#x", path, eb, a, b, i, math.Float32bits(lits[1+i]), math.Float32bits(w))
+			}
+		}
+		if math.Float64bits(last) != math.Float64bits(wantLast) {
+			t.Fatalf("%s eb=%g a=%g b=%g: last reconstruction %v, want %v", path, eb, a, b, last, wantLast)
+		}
+	})
+	checkDequantizeLinear(t, q, wantCodes, wantLits, a, b)
+	return wantCodes
+}
+
+// literalSections is a Sections whose literal cursor reads lits.
+func literalSections(lits []float32) *Sections {
+	var raw []byte
+	for _, v := range lits {
+		raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
 	}
-	if math.Float64bits(last) != math.Float64bits(wantLast) {
-		t.Fatalf("eb=%g a=%g b=%g: last reconstruction %v, want %v", eb, a, b, last, wantLast)
+	return &Sections{lits: raw}
+}
+
+// checkDequantizeLinear runs DequantizeLinear on both paths and requires, bit
+// for bit, a per-element Dequantize against a·i + b with the literals taken
+// in element order, every literal read exactly once.
+func checkDequantizeLinear(t *testing.T, q Quantizer, codes []uint16, lits []float32, a, b float64) {
+	t.Helper()
+	want := make([]float32, len(codes))
+	next := 0
+	for i, c := range codes {
+		if c == EscapeCode {
+			want[i] = lits[next]
+			next++
+			continue
+		}
+		want[i] = q.Dequantize(int(c), a*float64(i)+b)
 	}
-	return codes
+	onBothPaths(func(path string) {
+		out := make([]float32, len(codes)+1)
+		out[len(codes)] = 7 // the element past the block stays untouched
+		s := literalSections(lits)
+		q.DequantizeLinear(out[:len(codes)], codes, a, b, s)
+		for i, w := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(w) {
+				t.Fatalf("%s a=%g b=%g: element %d (code %d) is %#x, want %#x", path, a, b, i, codes[i], math.Float32bits(out[i]), math.Float32bits(w))
+			}
+		}
+		if out[len(codes)] != 7 || !s.LiteralsConsumed() {
+			t.Fatalf("%s: wrote past the block (%v) or left literals unread (consumed %v)", path, out[len(codes)], s.LiteralsConsumed())
+		}
+	})
 }
 
 // TestQuantizeLinearMatchesQuantize: sz2's regression-block kernel writes
-// Quantize's arithmetic a second time, so it is held to a per-element
-// Quantize loop bit for bit on every path through it.
+// Quantize's arithmetic a second time (twice, with the AVX2 lanes), so both
+// paths are held to a per-element Quantize loop bit for bit on every path
+// through it.
 func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 	const R = QuantRadius
 	ulp1 := math.Ldexp(1, -23) // float32 spacing just above 1
@@ -354,6 +412,14 @@ func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 		// one full ulp from the data, so the round-trip check escapes.
 		{"float32 round-trip escape", 0.75 * ulp1, 0, 1 + 0.7*ulp1, []float32{1, 1, 1},
 			[]uint16{EscapeCode, EscapeCode, EscapeCode}},
+		{"float32 round-trip escape in lanes", 0.75 * ulp1, 0, 1 + 0.7*ulp1,
+			[]float32{1, float32(1 + ulp1), 1, float32(1 + ulp1), float32(1 + ulp1), 1},
+			[]uint16{EscapeCode, R, EscapeCode, R, R, EscapeCode}},
+		// a·3 + b is 0 when the product is rounded before the add and
+		// −2.8e-17 when it is not (a fused multiply-add): the bound is small
+		// enough that lane 3's code tells the two apart.
+		{"cancelling line", 1e-17, 0.1, cancelB, []float32{0, 0, 0, 0, 0},
+			[]uint16{EscapeCode, EscapeCode, EscapeCode, R, EscapeCode}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -362,11 +428,13 @@ func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 			}
 		})
 	}
-	// Noisy lines of every length a block can end with: most residuals
-	// quantize, every 17th is pushed out of the code range, and the longer
-	// blocks carry non-finite elements.
+	// Noisy lines of every length up to three quads, and of a block's:
+	// most residuals quantize, every 17th is pushed out of the code range,
+	// and the longer blocks carry non-finite elements. Each length also runs
+	// with one forced escape in every lane position and in the tail, the
+	// block's only escape when n < 17.
 	rng := rand.New(rand.NewPCG(25, 25))
-	for _, n := range []int{1, 3, 5, 255, 256} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 256} {
 		a, b := float64(float32(rng.NormFloat64()*1e-3)), float64(float32(rng.NormFloat64()))
 		block := make([]float32, n)
 		for i := range block {
@@ -382,13 +450,156 @@ func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 		t.Run(fmt.Sprintf("noisy line n=%d", n), func(t *testing.T) {
 			for _, eb := range []float64{1e-1, 1e-4, 1e-7} {
 				checkQuantizeLinear(t, eb, block, a, b)
+				for _, e := range escapePositions(n) {
+					// Out of range, and NaN, which fails every ordered test.
+					for _, v := range []float32{1e30, nan32} {
+						escaped := slices.Clone(block)
+						escaped[e] = v
+						if codes := checkQuantizeLinear(t, eb, escaped, a, b); codes[e] != EscapeCode {
+							t.Fatalf("eb=%g: element %d (%v) of %d did not escape", eb, e, v, n)
+						}
+					}
+				}
 			}
 		})
 	}
 }
 
-// FuzzQuantizeLinear: the kernel equals a per-element Quantize loop on any
-// block (the raw bytes as float32s), bound and line.
+// cancelB is −(0.1·3) rounded to float64 (−0.30000000000000004), the
+// intercept that cancels 0.1·3 exactly when the product is rounded first. A
+// constant expression would be evaluated exactly instead.
+var cancelB = math.Float64frombits(0xbfd3333333333334)
+
+// escapePositions lists the indices a per-lane test forces an escape at:
+// every index of a block up to three quads long, otherwise every lane of
+// the first, a middle and the last quad, and every tail element.
+func escapePositions(n int) []int {
+	if n <= 12 {
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = i
+		}
+		return pos
+	}
+	pos := []int{0, 1, 2, 3, 128, 129, 130, 131}
+	for i := n&^3 - 4; i < n; i++ {
+		pos = append(pos, i)
+	}
+	return pos
+}
+
+// TestDequantizeLinearMatchesDequantize: the decode kernel against a
+// per-element Dequantize loop on random codes over the whole alphabet, with
+// one escape in every lane position and in the tail, with every element
+// escaped, and on the line that tells a fused multiply-add apart.
+func TestDequantizeLinearMatchesDequantize(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 27))
+	q := NewQuantizer(1e-3)
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 256} {
+		a, b := float64(float32(rng.NormFloat64()*1e-3)), float64(float32(rng.NormFloat64()))
+		codes := make([]uint16, n)
+		for i := range codes {
+			codes[i] = uint16(1 + rng.IntN(QuantAlphabet-1))
+		}
+		checkDequantizeLinear(t, q, codes, nil, a, b)
+		for _, e := range escapePositions(n) {
+			escaped := slices.Clone(codes)
+			escaped[e] = EscapeCode
+			checkDequantizeLinear(t, q, escaped, []float32{float32(e) + 0.5}, a, b)
+		}
+		all := make([]uint16, n)
+		lits := make([]float32, n)
+		for i := range lits {
+			lits[i] = float32(i) + 0.25
+		}
+		checkDequantizeLinear(t, q, all, lits, a, b)
+	}
+	checkDequantizeLinear(t, NewQuantizer(1e-17), []uint16{QuantRadius, QuantRadius, QuantRadius, QuantRadius, QuantRadius}, nil, 0.1, cancelB)
+}
+
+// TestMinMaxMatchesGoLoop: the scan kernel against the Go loop, through
+// MinMax and ValueRange, with NaN, ±Inf, ±0, denormals and the largest
+// finite value at index 0, inside a lane and in the tail, on lengths up to
+// three quads and past the 8-wide loop. ValueRange must be NaN when an
+// element is NaN, wherever it sits.
+func TestMinMaxMatchesGoLoop(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{
+		float32(math.NaN()), math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00000),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0, negZero,
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), math.MaxFloat32, -math.MaxFloat32,
+	}
+	rng := rand.New(rand.NewPCG(26, 26))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 255, 256, 1001} {
+		base := make([]float32, n)
+		for i := range base {
+			base[i] = float32(rng.NormFloat64())
+		}
+		checkMinMax(t, base)
+		for _, v := range specials {
+			for _, at := range []int{0, 1, 2, 3, 5, 9, n / 2, n - 1} {
+				if at >= n {
+					continue
+				}
+				data := slices.Clone(base)
+				data[at] = v
+				checkMinMax(t, data)
+				constant := make([]float32, n)
+				constant[at] = v
+				checkMinMax(t, constant)
+			}
+		}
+		// Zeros of both signs only: lo and hi are the first element's zero.
+		zeros := make([]float32, n)
+		for i := range zeros {
+			if rng.IntN(2) == 0 {
+				zeros[i] = negZero
+			}
+		}
+		checkMinMax(t, zeros)
+		zeros[0] = negZero
+		checkMinMax(t, zeros)
+	}
+}
+
+// checkMinMax holds MinMax and ValueRange on the AVX2 path to the Go loop.
+func checkMinMax(t *testing.T, data []float32) {
+	t.Helper()
+	type result struct {
+		lo, hi float32
+		bits   uint32
+		r      float64
+	}
+	var got []result
+	onBothPaths(func(string) {
+		lo, hi, bits := MinMax(data)
+		got = append(got, result{lo, hi, bits, ValueRange(data)})
+	})
+	hasNaN := slices.ContainsFunc(data, func(v float32) bool { return v != v })
+	for _, g := range got {
+		w := got[len(got)-1] // the Go loop's
+		if g.bits != w.bits || math.Float64bits(g.r) != math.Float64bits(w.r) {
+			t.Fatalf("n=%d %v: kernel gives magnitude %#x, range %v; the Go loop %#x, %v", len(data), data[:min(len(data), 12)], g.bits, g.r, w.bits, w.r)
+		}
+		if hasNaN && !math.IsNaN(g.r) {
+			t.Fatalf("n=%d %v: ValueRange %v, want NaN", len(data), data[:min(len(data), 12)], g.r)
+		}
+		if hasNaN {
+			continue
+		}
+		if g.lo != w.lo || g.hi != w.hi {
+			t.Fatalf("n=%d: kernel gives [%v, %v], the Go loop [%v, %v]", len(data), g.lo, g.hi, w.lo, w.hi)
+		}
+		if w.lo == w.hi && (math.Float32bits(g.lo) != math.Float32bits(w.lo) || math.Float32bits(g.hi) != math.Float32bits(w.hi)) {
+			t.Fatalf("n=%d: equal bounds %#x, %#x, the Go loop's %#x", len(data), math.Float32bits(g.lo), math.Float32bits(g.hi), math.Float32bits(w.lo))
+		}
+	}
+}
+
+// FuzzQuantizeLinear: on both paths the kernel equals a per-element Quantize
+// loop on any block (the raw bytes as float32s), bound and line, the decode
+// kernel reads the result back as a per-element Dequantize loop does, and
+// the block's MinMax and ValueRange agree with the Go loop.
 func FuzzQuantizeLinear(f *testing.F) {
 	le := func(vs ...float32) []byte {
 		var out []byte
@@ -401,13 +612,18 @@ func FuzzQuantizeLinear(f *testing.F) {
 	f.Add(le(0.5, -0.5, 2.5, QuantRadius-0.5), 0.5, 0.0, 0.0)
 	f.Add(le(1, 1), 0.75*math.Ldexp(1, -23), 0.0, 1+0.7*math.Ldexp(1, -23))
 	f.Add(le(float32(math.NaN()), float32(math.Inf(-1)), float32(math.Copysign(0, -1))), 1e-3, -2.0, 3.0)
+	f.Add(le(1, 2, 3, 4, 5, 6, 7, 8, 1e30, 10, 11), 0.01, 1.0, 0.0)
+	f.Add(le(0, 0, 0, 0, 0, 0, 0, 0, 0), 1e-17, 0.1, cancelB)
 	f.Fuzz(func(t *testing.T, raw []byte, eb, a, b float64) {
-		if !(eb > 0) {
-			t.Skip("NewQuantizer requires a positive bound")
-		}
 		block := make([]float32, min(len(raw)/4, 256))
 		for i := range block {
 			block[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		if len(block) > 0 {
+			checkMinMax(t, block)
+		}
+		if !(eb > 0) {
+			t.Skip("NewQuantizer requires a positive bound")
 		}
 		checkQuantizeLinear(t, eb, block, a, b)
 	})

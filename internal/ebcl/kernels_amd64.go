@@ -1,0 +1,44 @@
+package ebcl
+
+// cpuAVX2 reports whether the AVX2 kernels may run: CPUID leaf 1 reports
+// AVX and OSXSAVE, XCR0 has the XMM and YMM state bits set (the OS saves the
+// upper halves across context switches), and CPUID leaf 7 reports AVX2.
+func cpuAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// minMaxAVX2 is MinMax's scan over data, whose length is a positive multiple
+// of 4. lo and hi start at ±Inf, so they are exact only for NaN-free data.
+//
+//go:noescape
+func minMaxAVX2(data []float32) (lo, hi float32, maxAbsBits uint32)
+
+// quantizeLinearAVX2 is QuantizeLinear's loop over a block whose length is a
+// positive multiple of 4: codes written, EscapeCode for every escaping lane,
+// last the final lane's reconstruction (meaningless if that lane escaped),
+// escaped whether any lane did.
+//
+//go:noescape
+func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool)
+
+// dequantizeLinearAVX2 is DequantizeLinear's loop over codes, whose length is
+// a positive multiple of 4. It writes a value for every element, escape
+// codes included, and reports whether any code was EscapeCode.
+//
+//go:noescape
+func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool)

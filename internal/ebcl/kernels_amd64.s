@@ -1,0 +1,209 @@
+#include "textflag.h"
+
+// Constants, the float64 ones four times over so an instruction can take
+// them as a 256-bit memory operand.
+DATA consts<>+0(SB)/8, $0x8000000000000000   // float64 sign bit
+DATA consts<>+8(SB)/8, $0x8000000000000000
+DATA consts<>+16(SB)/8, $0x8000000000000000
+DATA consts<>+24(SB)/8, $0x8000000000000000
+DATA consts<>+32(SB)/8, $0x3fe0000000000000  // 0.5
+DATA consts<>+40(SB)/8, $0x3fe0000000000000
+DATA consts<>+48(SB)/8, $0x3fe0000000000000
+DATA consts<>+56(SB)/8, $0x3fe0000000000000
+DATA consts<>+64(SB)/8, $0x409ffe0000000000  // QuantRadius − 0.5 = 2047.5
+DATA consts<>+72(SB)/8, $0x409ffe0000000000
+DATA consts<>+80(SB)/8, $0x409ffe0000000000
+DATA consts<>+88(SB)/8, $0x409ffe0000000000
+DATA consts<>+96(SB)/8, $0xc09ffe0000000000  // −(QuantRadius − 0.5)
+DATA consts<>+104(SB)/8, $0xc09ffe0000000000
+DATA consts<>+112(SB)/8, $0xc09ffe0000000000
+DATA consts<>+120(SB)/8, $0xc09ffe0000000000
+DATA consts<>+128(SB)/8, $0x4010000000000000 // 4.0, the index step
+DATA consts<>+136(SB)/8, $0x4010000000000000
+DATA consts<>+144(SB)/8, $0x4010000000000000
+DATA consts<>+152(SB)/8, $0x4010000000000000
+DATA consts<>+160(SB)/8, $0x0000000000000000 // the first quad's indices 0, 1, 2, 3
+DATA consts<>+168(SB)/8, $0x3ff0000000000000
+DATA consts<>+176(SB)/8, $0x4000000000000000
+DATA consts<>+184(SB)/8, $0x4008000000000000
+DATA consts<>+192(SB)/4, $2048               // QuantRadius as int32, four times
+DATA consts<>+196(SB)/4, $2048
+DATA consts<>+200(SB)/4, $2048
+DATA consts<>+204(SB)/4, $2048
+DATA consts<>+208(SB)/4, $0x7f800000         // float32 +Inf
+DATA consts<>+212(SB)/4, $0xff800000         // float32 −Inf
+DATA consts<>+216(SB)/4, $0x7fffffff         // float32 magnitude mask
+GLOBL consts<>(SB), RODATA|NOPTR, $220
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func minMaxAVX2(data []float32) (lo, hi float32, maxAbsBits uint32)
+TEXT ·minMaxAVX2(SB), NOSPLIT, $0-36
+	MOVQ data_base+0(FP), SI
+	MOVQ data_len+8(FP), CX
+	VBROADCASTSS consts<>+208(SB), Y0 // lo lanes
+	VBROADCASTSS consts<>+212(SB), Y1 // hi lanes
+	VBROADCASTSS consts<>+216(SB), Y2
+	VPXOR        Y3, Y3, Y3           // magnitude-bits lanes
+	CMPQ         CX, $8
+	JB           quad
+
+loop8:
+	VMOVUPS (SI), Y4
+	VMINPS  Y4, Y0, Y0
+	VMAXPS  Y4, Y1, Y1
+	VPAND   Y2, Y4, Y4
+	VPMAXUD Y4, Y3, Y3
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JAE     loop8
+	VEXTRACTF128 $1, Y0, X4
+	VMINPS       X4, X0, X0
+	VEXTRACTF128 $1, Y1, X4
+	VMAXPS       X4, X1, X1
+	VEXTRACTI128 $1, Y3, X4
+	VPMAXUD      X4, X3, X3
+
+quad:
+	TESTQ   CX, CX
+	JZ      fold
+	VMOVUPS (SI), X4
+	VMINPS  X4, X0, X0
+	VMAXPS  X4, X1, X1
+	VPAND   X2, X4, X4
+	VPMAXUD X4, X3, X3
+
+fold:
+	VPSHUFD $0x4e, X0, X4
+	VMINPS  X4, X0, X0
+	VPSHUFD $0xb1, X0, X4
+	VMINPS  X4, X0, X0
+	VPSHUFD $0x4e, X1, X4
+	VMAXPS  X4, X1, X1
+	VPSHUFD $0xb1, X1, X4
+	VMAXPS  X4, X1, X1
+	VPSHUFD $0x4e, X3, X4
+	VPMAXUD X4, X3, X3
+	VPSHUFD $0xb1, X3, X4
+	VPMAXUD X4, X3, X3
+	VMOVSS  X0, lo+24(FP)
+	VMOVSS  X1, hi+28(FP)
+	VMOVD   X3, AX
+	MOVL    AX, maxAbsBits+32(FP)
+	VZEROUPPER
+	RET
+
+// func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool)
+TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-97
+	MOVQ         codes_base+0(FP), DI
+	MOVQ         block_base+24(FP), SI
+	MOVQ         block_len+32(FP), CX
+	VBROADCASTSD a+48(FP), Y0
+	VBROADCASTSD b+56(FP), Y1
+	VBROADCASTSD invWidth+64(FP), Y2
+	VBROADCASTSD binWidth+72(FP), Y3
+	VBROADCASTSD ebAbs+80(FP), Y4
+	VXORPD       consts<>+0(SB), Y4, Y5 // −ebAbs: the sign flipped, as Go negates
+	VMOVUPD      consts<>+160(SB), Y6   // the quad's indices
+	XORL         DX, DX                 // escaped lanes, any quad
+
+loop:
+	VCVTPS2PD   (SI), Y7                      // v
+	VMULPD      Y6, Y0, Y8
+	VADDPD      Y1, Y8, Y8                    // pred = a·i + b
+	VSUBPD      Y8, Y7, Y9
+	VMULPD      Y2, Y9, Y9                    // scaled = (v − pred)·invWidth
+	VCMPPD      $0x1e, consts<>+96(SB), Y9, Y10 // scaled > −(R − 0.5), ordered
+	VCMPPD      $0x11, consts<>+64(SB), Y9, Y11 // scaled < R − 0.5, ordered
+	VANDPD      Y11, Y10, Y10
+	VANDPD      consts<>+0(SB), Y9, Y11
+	VORPD       consts<>+32(SB), Y11, Y11     // copysign(0.5, scaled)
+	VADDPD      Y11, Y9, Y11
+	VCVTTPD2DQY Y11, X11                      // k = fastRound(scaled)
+	VCVTDQ2PD   X11, Y12
+	VMULPD      Y3, Y12, Y12
+	VADDPD      Y12, Y8, Y12                  // pred + k·binWidth
+	VCVTPD2PSY  Y12, X12                      // rec32, MXCSR rounding
+	VCVTPS2PD   X12, Y12
+	VSUBPD      Y12, Y7, Y13                  // diff = v − rec32
+	VCMPPD      $0x12, Y4, Y13, Y14           // diff <= ebAbs, ordered
+	VANDPD      Y14, Y10, Y10
+	VCMPPD      $0x1d, Y5, Y13, Y14           // diff >= −ebAbs, ordered
+	VANDPD      Y14, Y10, Y10                 // the lanes that quantize
+	VPADDD      consts<>+192(SB), X11, X11    // k + R
+	VEXTRACTF128 $1, Y10, X14
+	VSHUFPS     $0x88, X14, X10, X14          // one 32-bit mask per lane
+	VPAND       X14, X11, X11                 // EscapeCode in the others
+	VPACKUSDW   X11, X11, X11
+	VMOVQ       X11, (DI)
+	VMOVMSKPD   Y10, AX
+	XORL        $15, AX
+	ORL         AX, DX
+	VADDPD      consts<>+128(SB), Y6, Y6
+	ADDQ        $16, SI
+	ADDQ        $8, DI
+	SUBQ        $4, CX
+	JNZ         loop
+
+	VEXTRACTF128 $1, Y12, X12
+	VUNPCKHPD    X12, X12, X12 // the last lane's reconstruction
+	VMOVSD       X12, last+88(FP)
+	TESTL        DX, DX
+	SETNE        escaped+96(FP)
+	VZEROUPPER
+	RET
+
+// func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool)
+TEXT ·dequantizeLinearAVX2(SB), NOSPLIT, $0-73
+	MOVQ         out_base+0(FP), DI
+	MOVQ         codes_base+24(FP), SI
+	MOVQ         codes_len+32(FP), CX
+	VBROADCASTSD a+48(FP), Y0
+	VBROADCASTSD b+56(FP), Y1
+	VBROADCASTSD binWidth+64(FP), Y2
+	VMOVUPD      consts<>+160(SB), Y3 // the quad's indices
+	VMOVDQU      consts<>+192(SB), X5
+	VPXOR        X6, X6, X6
+	XORL         DX, DX               // escape codes, any quad
+
+dloop:
+	VPMOVZXWD  (SI), X7
+	VPCMPEQD   X6, X7, X8
+	VPMOVMSKB  X8, AX
+	ORL        AX, DX
+	VPSUBD     X5, X7, X7 // code − R
+	VCVTDQ2PD  X7, Y7
+	VMULPD     Y2, Y7, Y7
+	VMULPD     Y3, Y0, Y8
+	VADDPD     Y1, Y8, Y8 // pred = a·i + b
+	VADDPD     Y7, Y8, Y8 // pred + (code − R)·binWidth
+	VCVTPD2PSY Y8, X8
+	VMOVUPS    X8, (DI)
+	VADDPD     consts<>+128(SB), Y3, Y3
+	ADDQ       $8, SI
+	ADDQ       $16, DI
+	SUBQ       $4, CX
+	JNZ        dloop
+
+	TESTL DX, DX
+	SETNE escaped+72(FP)
+	VZEROUPPER
+	RET

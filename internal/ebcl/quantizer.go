@@ -60,13 +60,17 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 
 // QuantizeLinear quantizes a block against the line a·i + b: one code per
 // element into codes, escaped elements appended to literals from block's
-// bits. f is the block widened to float64. It returns literals and the last
+// bits. f is the block widened to float64, which only the Go loop reads: with
+// AVX2 it may be left unfilled. It returns literals and the last
 // reconstruction, the next block's Lorenzo seed. The result is a per-element
 // Quantize loop bit for bit, written out because Quantize is over the
 // inliner's budget of 80 and the call per element was a third of the
 // encoder's CPU; regression predictions depend only on i, so without the
 // call the iterations overlap.
 func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32) ([]float32, float64) {
+	if useAVX2 {
+		return q.quantizeLinearLanes(codes, block, a, b, literals)
+	}
 	codes = codes[:len(f)]
 	last := 0.0
 	for i, v := range f {
@@ -88,9 +92,96 @@ func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, 
 	return literals, last
 }
 
+// quantizeLinearLanes is QuantizeLinear on AVX2 lanes: the kernel writes the
+// codes of whole quads, EscapeCode for every lane that escapes, and Go gathers
+// their literals in element order, then quantizes the tail.
+func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b float64, literals []float32) ([]float32, float64) {
+	n4 := len(block) &^ 3
+	last := 0.0
+	if n4 > 0 {
+		var escaped bool
+		last, escaped = quantizeLinearAVX2(codes[:n4], block[:n4], a, b, q.invWidth, q.binWidth, q.ebAbs)
+		if escaped {
+			for i, c := range codes[:n4] {
+				if c == EscapeCode {
+					literals = append(literals, block[i])
+				}
+			}
+			if codes[n4-1] == EscapeCode {
+				last = float64(block[n4-1])
+			}
+		}
+	}
+	for i := n4; i < len(block); i++ {
+		v := float64(block[i])
+		code, recon, ok := q.Quantize(v, a*float64(i)+b)
+		if !ok {
+			codes[i], last = EscapeCode, v
+			literals = append(literals, block[i])
+			continue
+		}
+		codes[i], last = uint16(code), float64(recon)
+	}
+	return literals, last
+}
+
 // Dequantize reconstructs a value from a non-escape code and a prediction.
 func (q Quantizer) Dequantize(code int, pred float64) float32 {
 	return float32(pred + float64(code-QuantRadius)*q.binWidth)
+}
+
+// DequantizeLinear reverses QuantizeLinear: out[i] is codes[i] dequantized
+// against a·i + b, or for an EscapeCode the next literal of s, taken in
+// element order. out must hold len(codes) elements.
+func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64, s *Sections) {
+	i := 0
+	if useAVX2 {
+		// The kernel writes a value for every lane; escaped lanes are
+		// overwritten with their literals.
+		i = len(codes) &^ 3
+		if i > 0 && dequantizeLinearAVX2(out[:i], codes[:i], a, b, q.binWidth) {
+			for j, c := range codes[:i] {
+				if c == EscapeCode {
+					out[j] = s.NextLiteral()
+				}
+			}
+		}
+	}
+	q.dequantizeLinearFrom(out, codes, i, a, b, s)
+}
+
+// dequantizeLinearFrom is DequantizeLinear's Go loop from element i on.
+// Predictions depend only on the index, so it runs 4-wide; an escape code
+// (rare) drops the quad to the per-element step.
+func (q Quantizer) dequantizeLinearFrom(out []float32, codes []uint16, i int, a, b float64, s *Sections) {
+	n := len(codes)
+	out = out[:n]
+	for ; i+4 <= n; i += 4 {
+		c0, c1, c2, c3 := codes[i], codes[i+1], codes[i+2], codes[i+3]
+		if c0 != EscapeCode && c1 != EscapeCode && c2 != EscapeCode && c3 != EscapeCode {
+			out[i] = q.Dequantize(int(c0), a*float64(i)+b)
+			out[i+1] = q.Dequantize(int(c1), a*float64(i+1)+b)
+			out[i+2] = q.Dequantize(int(c2), a*float64(i+2)+b)
+			out[i+3] = q.Dequantize(int(c3), a*float64(i+3)+b)
+			continue
+		}
+		for j := i; j < i+4; j++ {
+			code := codes[j]
+			if code == EscapeCode {
+				out[j] = s.NextLiteral()
+				continue
+			}
+			out[j] = q.Dequantize(int(code), a*float64(j)+b)
+		}
+	}
+	for ; i < n; i++ {
+		code := codes[i]
+		if code == EscapeCode {
+			out[i] = s.NextLiteral()
+			continue
+		}
+		out[i] = q.Dequantize(int(code), a*float64(i)+b)
+	}
 }
 
 // fastRound rounds half away from zero without a sign branch, which on

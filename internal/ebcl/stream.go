@@ -43,11 +43,13 @@ func ParseHeader(stream []byte, wantMagic uint32) (n int, layout byte, rest []by
 	if binary.LittleEndian.Uint32(stream) != wantMagic {
 		return 0, 0, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	n = int(binary.LittleEndian.Uint32(stream[4:]))
-	if n > MaxElements {
-		return 0, 0, nil, fmt.Errorf("%w: element count %d exceeds limit", ErrCorrupt, n)
+	// Compared before the conversion: on a 32-bit int a count ≥ 2³¹ would
+	// turn negative and pass.
+	count := binary.LittleEndian.Uint32(stream[4:])
+	if count > MaxElements {
+		return 0, 0, nil, fmt.Errorf("%w: element count %d exceeds limit", ErrCorrupt, count)
 	}
-	return n, stream[8], stream[9:], nil
+	return int(count), stream[8], stream[9:], nil
 }
 
 // AppendDegenerate writes the complete stream for the two inputs no codec

@@ -1,0 +1,72 @@
+#include "textflag.h"
+
+DATA consts<>+0(SB)/8, $0x0000000000000000  // the first quad's indices 0, 1, 2, 3
+DATA consts<>+8(SB)/8, $0x3ff0000000000000
+DATA consts<>+16(SB)/8, $0x4000000000000000
+DATA consts<>+24(SB)/8, $0x4008000000000000
+DATA consts<>+32(SB)/8, $0x4010000000000000 // 4.0, the index step
+DATA consts<>+40(SB)/8, $0x7fffffffffffffff // float64 magnitude mask
+GLOBL consts<>(SB), RODATA|NOPTR, $48
+
+// func fitScoreAVX2(block []float32, prev float64, s *[3][4]float64)
+TEXT ·fitScoreAVX2(SB), NOSPLIT, $0-40
+	MOVQ         block_base+0(FP), SI
+	MOVQ         block_len+8(FP), CX
+	MOVQ         s+32(FP), DI
+	VBROADCASTSD prev+24(FP), Y5       // lane 0: the element before the quad
+	VXORPD       Y0, Y0, Y0            // y
+	VXORPD       Y1, Y1, Y1            // x·y
+	VXORPD       Y2, Y2, Y2            // l
+	VMOVUPD      consts<>+0(SB), Y3    // the quad's indices
+	VBROADCASTSD consts<>+32(SB), Y4
+	VBROADCASTSD consts<>+40(SB), Y15
+
+loop:
+	VCVTPS2PD (SI), Y6       // f0 f1 f2 f3
+	VADDPD    Y6, Y0, Y0
+	VMULPD    Y6, Y3, Y7
+	VADDPD    Y7, Y1, Y1
+	VPERMPD   $0x90, Y6, Y8  // f0 f0 f1 f2
+	VBLENDPD  $1, Y5, Y8, Y8 // p  f0 f1 f2
+	VSUBPD    Y8, Y6, Y8
+	VANDPD    Y15, Y8, Y8
+	VADDPD    Y8, Y2, Y2
+	VPERMPD   $0xff, Y6, Y5  // f3 in every lane
+	VADDPD    Y4, Y3, Y3
+	ADDQ      $16, SI
+	SUBQ      $4, CX
+	JNZ       loop
+
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VZEROUPPER
+	RET
+
+// func regScoreAVX2(block []float32, a, b float64, r *[4]float64)
+TEXT ·regScoreAVX2(SB), NOSPLIT, $0-48
+	MOVQ         block_base+0(FP), SI
+	MOVQ         block_len+8(FP), CX
+	MOVQ         r+40(FP), DI
+	VBROADCASTSD a+24(FP), Y0
+	VBROADCASTSD b+32(FP), Y1
+	VXORPD       Y2, Y2, Y2          // r
+	VMOVUPD      consts<>+0(SB), Y3  // the quad's indices
+	VBROADCASTSD consts<>+32(SB), Y4
+	VBROADCASTSD consts<>+40(SB), Y15
+
+rloop:
+	VCVTPS2PD (SI), Y6
+	VMULPD    Y3, Y0, Y7
+	VADDPD    Y1, Y7, Y7 // a·i + b
+	VSUBPD    Y7, Y6, Y7
+	VANDPD    Y15, Y7, Y7
+	VADDPD    Y7, Y2, Y2
+	VADDPD    Y4, Y3, Y3
+	ADDQ      $16, SI
+	SUBQ      $4, CX
+	JNZ       rloop
+
+	VMOVUPD Y2, 0(DI)
+	VZEROUPPER
+	RET

@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package sz2
+
+// Without amd64 assembly ebcl.AVX2 is false and the Go loops are the only
+// path.
+
+func fitScoreAVX2([]float32, float64, *[3][4]float64) { panic("sz2: no AVX2 kernels") }
+
+func regScoreAVX2([]float32, float64, float64, *[4]float64) { panic("sz2: no AVX2 kernels") }

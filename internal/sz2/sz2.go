@@ -91,24 +91,29 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	literals := sched.GetFloats(len(data) / 64)
 
 	prevRecon := 0.0 // Lorenzo state: last reconstructed value
-	// Each block is widened to float64 once: converting inside the quantize
-	// loop serialises it, as Go emits CVTSS2SD without a zeroing XORPS and the
-	// conversion waits on the register's last value, the previous recon.
+	// On the Go loops each block is widened to float64 once: converting inside
+	// the quantize loop serialises it, as Go emits CVTSS2SD without a zeroing
+	// XORPS and the conversion waits on the register's last value, the
+	// previous recon. The AVX2 kernels widen in the register, so with them
+	// only Lorenzo blocks are widened.
 	var wide [blockSize]float64
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
 		block := data[lo:hi]
-		f := wide[:len(block)]
-		for i, v := range block {
-			f[i] = float64(v)
+		f := wide[:0]
+		if !ebcl.AVX2() {
+			f = widen(wide[:len(block)], block)
 		}
-		kind, a, bb := chooseBlockPredictor(f, prevRecon)
+		kind, a, bb := chooseBlockPredictor(block, f, prevRecon)
 		predKinds[b] = kind
 		if kind == predRegression {
 			coeffs = append(coeffs, a, bb)
 			literals, prevRecon = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals)
 			continue
+		}
+		if len(f) == 0 {
+			f = widen(wide[:len(block)], block)
 		}
 		// Lorenzo: inherently serial — every prediction is the previous
 		// reconstruction.
@@ -164,37 +169,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			return nil, ebcl.ErrCorrupt
 		}
 		if kind == predRegression {
-			// Index-based predictions: dequantize 4-wide. Escape codes
-			// (rare) drop the quad to the scalar path; the Lorenzo state
-			// only needs the block's final reconstruction.
-			af, bf := float64(a), float64(bb)
-			i := lo
-			for ; i+4 <= hi; i += 4 {
-				c0, c1, c2, c3 := codes[i], codes[i+1], codes[i+2], codes[i+3]
-				if c0 != ebcl.EscapeCode && c1 != ebcl.EscapeCode && c2 != ebcl.EscapeCode && c3 != ebcl.EscapeCode {
-					out[i] = q.Dequantize(int(c0), af*float64(i-lo)+bf)
-					out[i+1] = q.Dequantize(int(c1), af*float64(i+1-lo)+bf)
-					out[i+2] = q.Dequantize(int(c2), af*float64(i+2-lo)+bf)
-					out[i+3] = q.Dequantize(int(c3), af*float64(i+3-lo)+bf)
-					continue
-				}
-				for j := i; j < i+4; j++ {
-					code := codes[j]
-					if code == ebcl.EscapeCode {
-						out[j] = sec.NextLiteral()
-						continue
-					}
-					out[j] = q.Dequantize(int(code), af*float64(j-lo)+bf)
-				}
-			}
-			for ; i < hi; i++ {
-				code := codes[i]
-				if code == ebcl.EscapeCode {
-					out[i] = sec.NextLiteral()
-					continue
-				}
-				out[i] = q.Dequantize(int(code), af*float64(i-lo)+bf)
-			}
+			q.DequantizeLinear(out[lo:hi], codes[lo:hi], float64(a), float64(bb), &sec)
 			prevRecon = float64(out[hi-1])
 			continue
 		}
@@ -215,15 +190,41 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 	return out, nil
 }
 
+// widen fills f with block's values as float64 and returns it.
+func widen(f []float64, block []float32) []float64 {
+	for i, v := range block {
+		f[i] = float64(v)
+	}
+	return f
+}
+
 // chooseBlockPredictor estimates which predictor yields smaller residuals
-// over the widened block, mirroring SZ2's sampled hybrid selection. Lorenzo
-// error is approximated on original values (the reconstructed stream differs
-// by at most ebAbs per point, which does not change the ranking materially).
-func chooseBlockPredictor(block []float64, prev float64) (kind byte, a, b float32) {
+// over the block, mirroring SZ2's sampled hybrid selection. f is the block
+// widened to float64, which only the Go loops read: with AVX2 the kernels
+// read block and f may be empty.
+func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte, a, b float32) {
 	if len(block) < 8 {
 		return predLorenzo, 0, 0
 	}
-	af, bf := fitLine(block)
+	var af, bf, lorenzoErr, regErr float64
+	if ebcl.AVX2() {
+		af, bf, lorenzoErr, regErr = scoreBlockLanes(block, prev)
+	} else {
+		af, bf, lorenzoErr, regErr = scoreBlock(f, prev)
+	}
+	// The regression block pays 8 bytes of coefficients; require a real win.
+	if regErr*1.05+1e-12 < lorenzoErr {
+		return predRegression, float32(af), float32(bf)
+	}
+	return predLorenzo, 0, 0
+}
+
+// scoreBlock fits the block's line a·i + b and scores both predictors by
+// their L1 error. Lorenzo error is approximated on original values (the
+// reconstructed stream differs by at most ebAbs per point, which does not
+// change the ranking materially).
+func scoreBlock(block []float64, prev float64) (af, bf, lorenzoErr, regErr float64) {
+	af, bf = fitLine(block)
 	// Four independent partial sums per metric: the Lorenzo term only needs
 	// the previous *original* value (not an accumulator chain), so the whole
 	// scoring pass is data-parallel and runs 4-wide.
@@ -243,19 +244,15 @@ func chooseBlockPredictor(block []float64, prev float64) (kind byte, a, b float3
 		r3 += math.Abs(f3 - (af*float64(i+3) + bf))
 		p = f3
 	}
-	lorenzoErr := l0 + l1 + l2 + l3
-	regErr := r0 + r1 + r2 + r3
+	lorenzoErr = l0 + l1 + l2 + l3
+	regErr = r0 + r1 + r2 + r3
 	for ; i < len(block); i++ {
 		fv := block[i]
 		lorenzoErr += math.Abs(fv - p)
 		p = fv
 		regErr += math.Abs(fv - (af*float64(i) + bf))
 	}
-	// The regression block pays 8 bytes of coefficients; require a real win.
-	if regErr*1.05+1e-12 < lorenzoErr {
-		return predRegression, float32(af), float32(bf)
-	}
-	return predLorenzo, 0, 0
+	return af, bf, lorenzoErr, regErr
 }
 
 // fitLine computes the least-squares line v ≈ a·i + b over block indices.
@@ -264,9 +261,6 @@ func chooseBlockPredictor(block []float64, prev float64) (kind byte, a, b float3
 // 4-wide with independent partial sums.
 func fitLine(block []float64) (a, b float64) {
 	m := len(block)
-	n := float64(m)
-	sx := n * (n - 1) / 2
-	sxx := n * (n - 1) * (2*n - 1) / 6
 	var y0, y1, y2, y3, xy0, xy1, xy2, xy3 float64
 	i := 0
 	for ; i+4 <= m; i += 4 {
@@ -287,6 +281,15 @@ func fitLine(block []float64) (a, b float64) {
 		sy += y
 		sxy += float64(i) * y
 	}
+	return solveLine(m, sy, sxy)
+}
+
+// solveLine is the least-squares line over indices 0..m-1 from the data
+// moments sy = Σ v and sxy = Σ i·v.
+func solveLine(m int, sy, sxy float64) (a, b float64) {
+	n := float64(m)
+	sx := n * (n - 1) / 2
+	sxx := n * (n - 1) * (2*n - 1) / 6
 	den := n*sxx - sx*sx
 	if den == 0 {
 		return 0, sy / n

@@ -93,20 +93,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
 		block := data[lo:hi]
-		bMin, bMax := block[0], block[0]
-		// Non-negative floats order like their bit patterns, so the largest
-		// magnitude is an integer max, and NaN/±Inf are whatever reaches the
-		// all-ones exponent.
-		var maxAbsBits uint32
-		for _, v := range block {
-			if v < bMin {
-				bMin = v
-			}
-			if v > bMax {
-				bMax = v
-			}
-			maxAbsBits = max(maxAbsBits, math.Float32bits(v)&^(1<<31))
-		}
+		// NaN/±Inf are whatever reaches the all-ones exponent.
+		bMin, bMax, maxAbsBits := ebcl.MinMax(block)
 		finite := maxAbsBits < 0x7f800000
 		if finite && float64(bMax)-float64(bMin) <= 2*ebAbs {
 			// Constant block: midpoint representation.

@@ -80,17 +80,19 @@ func TestConstantBlockCollapse(t *testing.T) {
 }
 
 func TestSpeedSupremacy(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("timing comparison")
 	}
 	// SZx must be faster than SZ2 (paper Table I shows ~50x); assert a loose
-	// 1.3x on each codec's quickest of twenty runs after one warm-up (which
+	// 1.15x on each codec's quickest of twenty runs after one warm-up (which
 	// pays for page faults and empty pools), taken alternately so a slow
 	// spell on a shared machine lands on both. Twenty, not five: beside a
 	// multi-threaded neighbour package, five ~7 ms szx runs can all be
 	// preempted while one sz2 run is not. The paper's claim is the ordering;
 	// the margin was 2x until sz2's quantize kernel went branch-free and
-	// call-free, which took sz2 from ~3.1x szx's time to ~1.9x.
+	// call-free (sz2 from ~3.1x szx's time to ~1.9x), then 1.3x until sz2's
+	// block loops moved onto AVX2 lanes: with szx's block scan on the same
+	// kernel, seven runs on a 2-vCPU Xeon read 1.31–1.45x.
 	rng := rand.New(rand.NewPCG(9, 9))
 	data := eblctest.WeightLike(rng, 1<<20)
 	timed := func(c ebcl.Compressor, best time.Duration) time.Duration {
@@ -110,8 +112,8 @@ func TestSpeedSupremacy(t *testing.T) {
 	}
 	ratio := float64(d2) / float64(dx)
 	t.Logf("szx=%v sz2=%v sz2/szx=%.2f", dx, d2, ratio)
-	if ratio < 1.3 {
-		t.Errorf("szx (%v) not at least 1.3x faster than sz2 (%v): %.2fx", dx, d2, ratio)
+	if ratio < 1.15 {
+		t.Errorf("szx (%v) not at least 1.15x faster than sz2 (%v): %.2fx", dx, d2, ratio)
 	}
 }
 
