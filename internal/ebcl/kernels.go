@@ -12,11 +12,16 @@ package ebcl
 // and every escape. The Go loops stay as the reference the tests hold the
 // kernels to, and as the only path elsewhere.
 
-import "math"
+import (
+	"math"
 
-// useAVX2 is set once at start-up from CPUID and XGETBV: the CPU has AVX2 and
-// the OS saves YMM state. Tests clear it to run the Go loops.
-var useAVX2 = cpuAVX2()
+	"repro/internal/cpu"
+)
+
+// useAVX2 is set once at start-up from the module's one CPU check
+// (cpu.Kernels: AVX2 with the OS saving YMM state, BMI1, BMI2). Tests clear
+// it to run the Go loops.
+var useAVX2 = cpu.Kernels()
 
 // AVX2 reports whether the block kernels run on AVX2 lanes; packages with
 // kernels of their own select them by this one check.

@@ -1,27 +1,5 @@
 package ebcl
 
-// cpuAVX2 reports whether the AVX2 kernels may run: CPUID leaf 1 reports
-// AVX and OSXSAVE, XCR0 has the XMM and YMM state bits set (the OS saves the
-// upper halves across context switches), and CPUID leaf 7 reports AVX2.
-func cpuAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // minMaxAVX2 is MinMax's scan over data, whose length is a positive multiple
 // of 4. lo and hi start at ±Inf, so they are exact only for NaN-free data.
 //

@@ -35,25 +35,6 @@ DATA consts<>+212(SB)/4, $0xff800000         // float32 −Inf
 DATA consts<>+216(SB)/4, $0x7fffffff         // float32 magnitude mask
 GLOBL consts<>(SB), RODATA|NOPTR, $220
 
-// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL subleaf+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // func minMaxAVX2(data []float32) (lo, hi float32, maxAbsBits uint32)
 TEXT ·minMaxAVX2(SB), NOSPLIT, $0-36
 	MOVQ data_base+0(FP), SI

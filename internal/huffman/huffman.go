@@ -644,6 +644,9 @@ func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
 		sched.PutBytes(out)
 		out = grown
 	}
+	if u, ok := any(symbols).([]uint16); ok {
+		return appendCodesU16(out, c.enc, u, pending, hdr%8), nil
+	}
 	return appendCodes(out, c.enc, symbols, pending, hdr%8), nil
 }
 

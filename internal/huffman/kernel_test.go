@@ -177,14 +177,17 @@ func TestEntropyKernelsMatchReference(t *testing.T) {
 		for _, n := range sizes {
 			syms := quantLikeSymbols(rng, n)
 			for streams := 1; streams <= maxStreams; streams++ {
-				got, err := EncodeMultiU16(syms, quantAlphabet, streams)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, encodeRef(t, syms, quantAlphabet, streams)) {
-					t.Fatalf("n=%d streams=%d: kernel bytes differ from the per-symbol encoder", n, streams)
-				}
-				sched.PutBytes(got)
+				want := encodeRef(t, syms, quantAlphabet, streams)
+				onBothPaths(func(path string) {
+					got, err := EncodeMultiU16(syms, quantAlphabet, streams)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s n=%d streams=%d: kernel bytes differ from the per-symbol encoder", path, n, streams)
+					}
+					sched.PutBytes(got)
+				})
 			}
 		}
 		// The single-stream byte path: zstd-like literals.
@@ -213,24 +216,27 @@ func TestEntropyKernelsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			what := fmt.Sprintf("n=%d", n)
-			checkDecoders(t, what, blob, quantAlphabet)
-			if got, err := DecodeMultiU16(blob, quantAlphabet); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			} else {
-				sameDecode(t, what+" round trip", got, nil, syms, nil)
+			muts := map[string][]byte{}
+			if blob[0] == multiMagic {
+				muts = corruptMultiBlobs(t, blob)
+				for flips := 0; flips < 16; flips++ {
+					mut := append([]byte(nil), blob...)
+					mut[rng.IntN(len(mut))] ^= 1 << rng.IntN(8)
+					muts[fmt.Sprintf("flip %d", flips)] = mut
+				}
 			}
-			if blob[0] != multiMagic {
-				continue
-			}
-			for name, mut := range corruptMultiBlobs(t, blob) {
-				checkDecoders(t, what+" "+name, mut, quantAlphabet)
-			}
-			for flips := 0; flips < 16; flips++ {
-				mut := append([]byte(nil), blob...)
-				mut[rng.IntN(len(mut))] ^= 1 << rng.IntN(8)
-				checkDecoders(t, fmt.Sprintf("%s flip %d", what, flips), mut, quantAlphabet)
-			}
+			onBothPaths(func(path string) {
+				what := fmt.Sprintf("%s n=%d", path, n)
+				checkDecoders(t, what, blob, quantAlphabet)
+				if got, err := DecodeMultiU16(blob, quantAlphabet); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				} else {
+					sameDecode(t, what+" round trip", got, nil, syms, nil)
+				}
+				for name, mut := range muts {
+					checkDecoders(t, what+" "+name, mut, quantAlphabet)
+				}
+			})
 		}
 	})
 
@@ -257,21 +263,24 @@ func TestEntropyKernelsMatchReference(t *testing.T) {
 		}
 		for name, syms := range inputs {
 			for _, streams := range []int{1, DefaultStreams, 7} {
-				got, err := EncodeMultiU16(syms, 64, streams)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, encodeRef(t, syms, 64, streams)) {
-					t.Fatalf("%s streams=%d: kernel bytes differ from the per-symbol encoder", name, streams)
-				}
-				what := fmt.Sprintf("%s streams=%d", name, streams)
-				checkDecoders(t, what, got, 64)
-				for _, withPairs := range []bool{false, true} {
-					if out, ok, err := decodeLoop(got, 64, withPairs); ok {
-						sameDecode(t, what, out, err, syms, nil)
+				want := encodeRef(t, syms, 64, streams)
+				onBothPaths(func(path string) {
+					got, err := EncodeMultiU16(syms, 64, streams)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				sched.PutBytes(got)
+					what := fmt.Sprintf("%s %s streams=%d", path, name, streams)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: kernel bytes differ from the per-symbol encoder", what)
+					}
+					checkDecoders(t, what, got, 64)
+					for _, withPairs := range []bool{false, true} {
+						if out, ok, err := decodeLoop(got, 64, withPairs); ok {
+							sameDecode(t, what, out, err, syms, nil)
+						}
+					}
+					sched.PutBytes(got)
+				})
 			}
 		}
 	})
@@ -364,30 +373,34 @@ func TestWarmMultiZeroAllocs(t *testing.T) {
 	// A collection inside the measurement would empty every sync.Pool.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewPCG(3, 3))
-	for _, n := range benchSizes {
+	// The single-stream fallback (under multiMinSymbols) reaches the encode
+	// kernel through encodeSeq's generic code.
+	for _, n := range append([]int{multiMinSymbols - 1}, benchSizes...) {
 		syms := quantLikeSymbols(rng, n)
 		blob, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(20, func() {
-			b, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
-			if err != nil {
-				t.Fatal(err)
+		onBothPaths(func(path string) {
+			if got := testing.AllocsPerRun(20, func() {
+				b, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sched.PutBytes(b)
+			}); got != 0 {
+				t.Errorf("%s n=%d: EncodeMultiU16 %.1f allocs/op, want 0", path, n, got)
 			}
-			sched.PutBytes(b)
-		}); got != 0 {
-			t.Errorf("n=%d: EncodeMultiU16 %.1f allocs/op, want 0", n, got)
-		}
-		if got := testing.AllocsPerRun(20, func() {
-			out, err := DecodeMultiU16(blob, quantAlphabet)
-			if err != nil {
-				t.Fatal(err)
+			if got := testing.AllocsPerRun(20, func() {
+				out, err := DecodeMultiU16(blob, quantAlphabet)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sched.PutUint16s(out)
+			}); got != 0 {
+				t.Errorf("%s n=%d: DecodeMultiU16 %.1f allocs/op, want 0", path, n, got)
 			}
-			sched.PutUint16s(out)
-		}); got != 0 {
-			t.Errorf("n=%d: DecodeMultiU16 %.1f allocs/op, want 0", n, got)
-		}
+		})
 		sched.PutBytes(blob)
 	}
 }
@@ -433,23 +446,26 @@ func pairGateCases() []pairGateCase {
 // TestPairGate holds usePairs to the side of each BenchmarkPairGate case
 // the benchmark measured as faster.
 func TestPairGate(t *testing.T) {
-	for _, c := range pairGateCases() {
-		blob, err := EncodeMultiU16(c.syms, quantAlphabet, DefaultStreams)
-		if err != nil {
-			t.Fatal(err)
+	cases := pairGateCases()
+	onBothPaths(func(path string) {
+		for _, c := range cases {
+			blob, err := EncodeMultiU16(c.syms, quantAlphabet, DefaultStreams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m multiBlob
+			out, err := openMulti(blob, quantAlphabet, &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.usePairs(len(out)); got != c.wantPairs {
+				t.Errorf("%s %s (tableBits %d): usePairs %v, want %v", path, c.name, m.c.tableBits, got, c.wantPairs)
+			}
+			sched.PutUint16s(out)
+			putCodec(m.c)
+			sched.PutBytes(blob)
 		}
-		var m multiBlob
-		out, err := openMulti(blob, quantAlphabet, &m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.usePairs(len(out)); got != c.wantPairs {
-			t.Errorf("%s (tableBits %d): usePairs %v, want %v", c.name, m.c.tableBits, got, c.wantPairs)
-		}
-		sched.PutUint16s(out)
-		putCodec(m.c)
-		sched.PutBytes(blob)
-	}
+	})
 }
 
 // BenchmarkPairGate decodes each pairGateCases blob through decode4 and

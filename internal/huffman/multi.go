@@ -109,7 +109,7 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 			cnt++
 		}
 		start := len(out)
-		out = appendCodes(out, c.enc, symbols[off:off+cnt], 0, 0)
+		out = appendCodesU16(out, c.enc, symbols[off:off+cnt], 0, 0)
 		binary.LittleEndian.PutUint32(out[sizePos+4*i:], uint32(len(out)-start))
 		off += cnt
 	}
@@ -130,7 +130,7 @@ func DecodeMultiU16(data []byte, alphabet int) ([]uint16, error) {
 		return nil, err
 	}
 	defer putCodec(m.c)
-	if err := m.decode(len(out)); err != nil {
+	if err := m.decode(out); err != nil {
 		sched.PutUint16s(out)
 		return nil, err
 	}
@@ -257,14 +257,19 @@ func (m *multiBlob) usePairs(n int) bool {
 	return 16*bytes <= n*int(m.c.tableBits)
 }
 
-// decode decodes every sub-stream of an n-symbol blob: four through
-// decode4, or decode4Pairs where usePairs says so, any other count — or an
-// empty code — one after another through decodeSeq.
-func (m *multiBlob) decode(n int) error {
+// decode decodes every sub-stream of the blob into out, the buffer m's chunks
+// split: all at once when every sub-stream is a single-symbol code's zero
+// bits (fillSingle), else four through decode4, or decode4Pairs where
+// usePairs says so, any other count — or an empty code — one after another
+// through decodeSeq.
+func (m *multiBlob) decode(out []uint16) error {
 	c := m.c
+	if m.fillSingle(out) {
+		return nil
+	}
 	if m.streams == DefaultStreams && len(c.table) > 0 {
 		srcs, outs := (*[4][]byte)(m.srcs[:4]), (*[4][]uint16)(m.outs[:4])
-		if m.usePairs(n) {
+		if m.usePairs(len(out)) {
 			return c.decode4Pairs(srcs, outs, c.buildPairs())
 		}
 		return c.decode4(srcs, outs)
@@ -282,6 +287,40 @@ func (m *multiBlob) decode(n int) error {
 	return nil
 }
 
+// fillSingle decodes a blob whose code has one coded symbol — code 0, one
+// bit a symbol, as in a delta residual that quantizes to zero — when every
+// sub-stream is exactly its chunk's bits rounded up to bytes, all zero: it
+// fills out with the symbol and reports true. Any other blob, nonzero
+// padding bits included, is left to the decode loops, so what they return
+// and refuse stays theirs.
+func (m *multiBlob) fillSingle(out []uint16) bool {
+	if len(m.c.sorted) != 1 || len(out) == 0 {
+		return false
+	}
+	for i, src := range m.srcs[:m.streams] {
+		if len(src) != (len(m.outs[i])+7)/8 || !allZero(src) {
+			return false
+		}
+	}
+	out[0] = uint16(m.c.sorted[0])
+	for n := 1; n < len(out); n *= 2 {
+		copy(out[n:], out[:n])
+	}
+	return true
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	var or uint64
+	for ; len(b) >= 8; b = b[8:] {
+		or |= binary.LittleEndian.Uint64(b)
+	}
+	for _, v := range b {
+		or |= uint64(v)
+	}
+	return or == 0
+}
+
 // decode4 is the wide decode loop: four stack-value Readers advanced
 // round-robin, decoding until any stream's buffered bits dip below one
 // max-length code before refilling again. One refill buffers ≥ 56 bits and
@@ -291,7 +330,8 @@ func (m *multiBlob) decode(n int) error {
 // is the bulk-decode bottleneck. c must have a nonempty decode table.
 //
 // Any fast-path miss (stream tail, zero entry, mid-code truncation) drops
-// to finish4's careful per-stream tail.
+// to finish4's careful per-stream tail. With BMI2 the kernel decodes first,
+// and this loop carries on from where it stopped.
 func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	var r0, r1, r2, r3 bitio.Reader
 	r0.Reset(srcs[0])
@@ -300,6 +340,10 @@ func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	r3.Reset(srcs[3])
 	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	var p0, p1, p2, p3 int
+	if useBMI2 {
+		ps := c.decode4Kernel(srcs, outs, nil, [4]*bitio.Reader{&r0, &r1, &r2, &r3})
+		p0, p1, p2, p3 = ps[0], ps[1], ps[2], ps[3]
+	}
 	tab, tb := c.table, c.tableBits
 	// Every entry's length (and every probe width tb+sub) is at most maxLen,
 	// so a stream holding maxLen buffered bits can always decode one more
@@ -372,6 +416,10 @@ func (c *Codec) decode4Pairs(srcs *[4][]byte, outs *[4][]uint16, pairs []uint64)
 	r3.Reset(srcs[3])
 	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	var p0, p1, p2, p3 int
+	if useBMI2 {
+		ps := c.decode4Kernel(srcs, outs, pairs, [4]*bitio.Reader{&r0, &r1, &r2, &r3})
+		p0, p1, p2, p3 = ps[0], ps[1], ps[2], ps[3]
+	}
 	tab, tb := c.table, c.tableBits
 	// A pair's bits fit in tb ≤ maxLen, so decode4's invariant covers it.
 	ml := uint(c.maxLen)

@@ -314,77 +314,83 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, alphaSel uint16) {
-		alphabet := int(alphaSel)%4096 + 1
-		streams := int(alphaSel>>12)%DefaultStreams + 1
-
-		// Round trip: bytes reduced into the alphabet must survive
-		// encode → decode exactly.
-		syms := make([]uint16, len(data))
-		for i, b := range data {
-			syms[i] = uint16(int(b) % alphabet)
-		}
-		enc, err := EncodeAllU16(syms, alphabet)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		dec, err := DecodeAllU16(enc, alphabet)
-		if err != nil {
-			t.Fatalf("decode of own encoding: %v", err)
-		}
-		if len(dec) != len(syms) {
-			t.Fatalf("round trip length %d want %d", len(dec), len(syms))
-		}
-		for i := range syms {
-			if dec[i] != syms[i] {
-				t.Fatalf("round trip symbol %d: got %d want %d", i, dec[i], syms[i])
-			}
-		}
-		sched.PutUint16s(dec)
-		sched.PutBytes(enc)
-
-		// Multi-stream round trip at a fuzz-chosen stream count; the decoder
-		// must reproduce the input whether the encoder picked the multi or
-		// fallback layout.
-		menc, err := EncodeMultiU16(syms, alphabet, streams)
-		if err != nil {
-			t.Fatalf("multi encode (streams=%d): %v", streams, err)
-		}
-		mdec, err := DecodeMultiU16(menc, alphabet)
-		if err != nil {
-			t.Fatalf("multi decode of own encoding (streams=%d): %v", streams, err)
-		}
-		if len(mdec) != len(syms) {
-			t.Fatalf("multi round trip length %d want %d", len(mdec), len(syms))
-		}
-		for i := range syms {
-			if mdec[i] != syms[i] {
-				t.Fatalf("multi round trip symbol %d: got %d want %d", i, mdec[i], syms[i])
-			}
-		}
-		sched.PutUint16s(mdec)
-		sched.PutBytes(menc)
-
-		// Arbitrary bytes through the multi decoder must decode or error,
-		// never panic, and exactly as every sub-stream decoded on its own
-		// through decodeSeq does: the same symbols, or an error in both.
-		out, err := DecodeMultiU16(data, alphabet)
-		want, wantErr := decodeMultiRef(data, alphabet)
-		sameDecode(t, "DecodeMultiU16", out, err, want, wantErr)
-		if err == nil {
-			sched.PutUint16s(out)
-		}
-
-		// Differential: the raw input treated as a stream must decode (or
-		// fail) identically under the table and reference decoders.
-		fast, fastErr := DecodeAllU16(data, alphabet)
-		ref, refErr := decodeAllRef(data, alphabet)
-		if (fastErr == nil) != (refErr == nil) {
-			t.Fatalf("decoder divergence: table err=%v, reference err=%v", fastErr, refErr)
-		}
-		for i := range fast {
-			if fast[i] != ref[i] {
-				t.Fatalf("symbol %d divergence: table %d reference %d", i, fast[i], ref[i])
-			}
-		}
+		onBothPaths(func(string) { fuzzRoundTrip(t, data, alphaSel) })
 	})
+}
+
+// fuzzRoundTrip is FuzzHuffmanRoundTrip's check of one input, on whichever
+// path onBothPaths selects.
+func fuzzRoundTrip(t *testing.T, data []byte, alphaSel uint16) {
+	alphabet := int(alphaSel)%4096 + 1
+	streams := int(alphaSel>>12)%DefaultStreams + 1
+
+	// Round trip: bytes reduced into the alphabet must survive
+	// encode → decode exactly.
+	syms := make([]uint16, len(data))
+	for i, b := range data {
+		syms[i] = uint16(int(b) % alphabet)
+	}
+	enc, err := EncodeAllU16(syms, alphabet)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := DecodeAllU16(enc, alphabet)
+	if err != nil {
+		t.Fatalf("decode of own encoding: %v", err)
+	}
+	if len(dec) != len(syms) {
+		t.Fatalf("round trip length %d want %d", len(dec), len(syms))
+	}
+	for i := range syms {
+		if dec[i] != syms[i] {
+			t.Fatalf("round trip symbol %d: got %d want %d", i, dec[i], syms[i])
+		}
+	}
+	sched.PutUint16s(dec)
+	sched.PutBytes(enc)
+
+	// Multi-stream round trip at a fuzz-chosen stream count; the decoder
+	// must reproduce the input whether the encoder picked the multi or
+	// fallback layout.
+	menc, err := EncodeMultiU16(syms, alphabet, streams)
+	if err != nil {
+		t.Fatalf("multi encode (streams=%d): %v", streams, err)
+	}
+	mdec, err := DecodeMultiU16(menc, alphabet)
+	if err != nil {
+		t.Fatalf("multi decode of own encoding (streams=%d): %v", streams, err)
+	}
+	if len(mdec) != len(syms) {
+		t.Fatalf("multi round trip length %d want %d", len(mdec), len(syms))
+	}
+	for i := range syms {
+		if mdec[i] != syms[i] {
+			t.Fatalf("multi round trip symbol %d: got %d want %d", i, mdec[i], syms[i])
+		}
+	}
+	sched.PutUint16s(mdec)
+	sched.PutBytes(menc)
+
+	// Arbitrary bytes through the multi decoder must decode or error,
+	// never panic, and exactly as every sub-stream decoded on its own
+	// through decodeSeq does: the same symbols, or an error in both.
+	out, err := DecodeMultiU16(data, alphabet)
+	want, wantErr := decodeMultiRef(data, alphabet)
+	sameDecode(t, "DecodeMultiU16", out, err, want, wantErr)
+	if err == nil {
+		sched.PutUint16s(out)
+	}
+
+	// Differential: the raw input treated as a stream must decode (or
+	// fail) identically under the table and reference decoders.
+	fast, fastErr := DecodeAllU16(data, alphabet)
+	ref, refErr := decodeAllRef(data, alphabet)
+	if (fastErr == nil) != (refErr == nil) {
+		t.Fatalf("decoder divergence: table err=%v, reference err=%v", fastErr, refErr)
+	}
+	for i := range fast {
+		if fast[i] != ref[i] {
+			t.Fatalf("symbol %d divergence: table %d reference %d", i, fast[i], ref[i])
+		}
+	}
 }

@@ -84,11 +84,19 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 
 	nBlocks := (len(data) + blockSize - 1) / blockSize
 	// Room for the worst case up front (every block full-mantissa: 6 bits of
-	// prelude plus 32 per value), so the bit writer never regrows and copies.
+	// prelude plus 32 per value) and the 8-byte store below, so the bits go
+	// straight into dst's storage.
 	out := slices.Grow(dst, 32+4*len(data)+nBlocks)
 	out = ebcl.AppendHeader(out, magic, len(data), ebcl.LayoutFull)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ebAbs))
-	w := bitio.NewWriterAppend(out)
+	// The bits are written MSB-first the way huffman's appendCodes writes
+	// codes: the nacc < 8 unwritten bits sit at the bottom of acc, and each
+	// step adds its bits and stores them (storeBits). Bits above the
+	// unwritten ones are never cleared: the store shifts them out.
+	buf := out[:cap(out)]
+	pos := len(out)
+	var acc uint64
+	var nacc uint
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
@@ -97,13 +105,13 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		bMin, bMax, maxAbsBits := ebcl.MinMax(block)
 		finite := maxAbsBits < 0x7f800000
 		if finite && float64(bMax)-float64(bMin) <= 2*ebAbs {
-			// Constant block: midpoint representation.
-			w.WriteBit(1)
+			// Constant block: flag 1, then the midpoint.
 			mid := float32((float64(bMax) + float64(bMin)) / 2)
-			w.WriteBits(uint64(math.Float32bits(mid)), 32)
+			acc = acc<<33 | 1<<32 | uint64(math.Float32bits(mid))
+			nacc += 33
+			pos, nacc = storeBits(buf, pos, acc, nacc)
 			continue
 		}
-		w.WriteBit(0)
 		// Keep k mantissa bits so truncation error 2^(emax-k) <= 2^ebExp.
 		// A block holding NaN/Inf keeps the full mantissa: truncation could
 		// silently turn NaN into Inf, and a non-finite maxAbs has no usable
@@ -119,24 +127,52 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 				k = 23
 			}
 		}
-		w.WriteBits(uint64(k), 5)
-		keep := uint(9 + k) // sign + 8 exponent + k mantissa bits
-		// Gather as many values as fit in one 64-bit push: the writer's
-		// per-call cost is most of this loop.
-		drop := 32 - keep
-		var acc uint64
-		var nAcc uint
-		for _, v := range block {
-			if nAcc+keep > 64 {
-				w.WriteBits(acc, nAcc)
-				acc, nAcc = 0, 0
-			}
-			acc = acc<<keep | uint64(math.Float32bits(v)>>drop)
-			nAcc += keep
-		}
-		w.WriteBits(acc, nAcc)
+		// Flag 0 and the 5-bit k, stored so fewer than 8 bits are pending.
+		acc = acc<<6 | uint64(k)
+		nacc += 6
+		pos, nacc = storeBits(buf, pos, acc, nacc)
+		// sign + 8 exponent + k mantissa bits
+		pos, acc, nacc = appendTruncated(buf, pos, acc, nacc, block, uint(9+k))
 	}
-	return w.Bytes(), nil
+	// The last partial byte, padded with zeros.
+	storeBits(buf, pos, acc, nacc)
+	return buf[:pos+int(nacc+7)/8], nil
+}
+
+// storeBits writes the nacc pending bits at the bottom of acc big-endian at
+// buf[pos:], with one unconditional 8-byte store whose bytes past the bits
+// are junk the next store overwrites, and returns the position past the whole
+// bytes and the count of bits still pending.
+func storeBits(buf []byte, pos int, acc uint64, nacc uint) (int, uint) {
+	binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
+	return pos + int(nacc>>3), nacc & 7
+}
+
+// appendTruncated is CompressAppend's truncation loop: it writes the top keep
+// bits of each value behind the nacc < 8 pending bits of acc, and returns the
+// new position and pending bits. Values go out two to a store while two fit
+// beside the pending bits (keep ≤ 28), one to a store otherwise. Inlined
+// into CompressAppend, the compiler spills acc and nacc to the stack every
+// step.
+//
+//go:noinline
+func appendTruncated(buf []byte, pos int, acc uint64, nacc uint, block []float32, keep uint) (int, uint64, uint) {
+	drop := (32 - keep) & 31
+	i := 0
+	if keep <= 28 {
+		for ; i+1 < len(block); i += 2 {
+			two := uint64(math.Float32bits(block[i])>>drop)<<(keep&63) | uint64(math.Float32bits(block[i+1])>>drop)
+			acc = acc<<((2*keep)&63) | two
+			nacc += 2 * keep
+			pos, nacc = storeBits(buf, pos, acc, nacc)
+		}
+	}
+	for _, v := range block[i:] {
+		acc = acc<<(keep&63) | uint64(math.Float32bits(v)>>drop)
+		nacc += keep
+		pos, nacc = storeBits(buf, pos, acc, nacc)
+	}
+	return pos, acc, nacc
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's

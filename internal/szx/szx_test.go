@@ -92,7 +92,9 @@ func TestSpeedSupremacy(t *testing.T) {
 	// the margin was 2x until sz2's quantize kernel went branch-free and
 	// call-free (sz2 from ~3.1x szx's time to ~1.9x), then 1.3x until sz2's
 	// block loops moved onto AVX2 lanes: with szx's block scan on the same
-	// kernel, seven runs on a 2-vCPU Xeon read 1.31–1.45x.
+	// kernel, seven runs on a 2-vCPU Xeon read 1.31–1.45x. Huffman's BMI2
+	// encode kernel then cut sz2's time again, and szx's truncation loop
+	// moved to one store per two values: nine runs read 1.51–1.57x.
 	rng := rand.New(rand.NewPCG(9, 9))
 	data := eblctest.WeightLike(rng, 1<<20)
 	timed := func(c ebcl.Compressor, best time.Duration) time.Duration {
