@@ -59,6 +59,19 @@ func (w *Writer) flushFullBytes() {
 	w.buf = append(w.buf, tmp[:k]...)
 }
 
+// StoreBits is the store step of the accumulator loops that write bits
+// without a Writer (huffman's code writer, szx's block writer): the nacc
+// pending bits sit at the bottom of acc, nacc ≤ 64, and bits above them are
+// never cleared. It writes them MSB-first at buf[pos:] with one
+// unconditional 8-byte big-endian store, whose bytes past the bits are junk
+// the next store overwrites, and returns the position past the whole bytes
+// written and the count of bits still pending (< 8). buf must have 8 bytes
+// from pos on.
+func StoreBits(buf []byte, pos int, acc uint64, nacc uint) (int, uint) {
+	binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
+	return pos + int(nacc>>3), nacc & 7
+}
+
 // WriteBit appends a single bit; any nonzero value writes 1.
 func (w *Writer) WriteBit(bit uint) {
 	w.cur <<= 1

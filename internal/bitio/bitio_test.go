@@ -208,6 +208,40 @@ func TestNewWriterBuffer(t *testing.T) {
 	}
 }
 
+// TestStoreBitsMatchesWriter writes random fields through StoreBits, with
+// junk above the pending bits of the accumulator, and through a Writer: the
+// bytes must agree, and nothing may be stored past the 8-byte slack.
+func TestStoreBitsMatchesWriter(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for trial := 0; trial < 200; trial++ {
+		var w Writer
+		buf := make([]byte, 0, 4096)
+		buf = buf[:cap(buf)]
+		pos, acc, nacc := 0, rng.Uint64(), uint(0)
+		for i := 0; i < 200; i++ {
+			n := uint(rng.IntN(57)) // nacc < 8 before, so nacc+n ≤ 63
+			v := rng.Uint64() & (1<<n - 1)
+			w.WriteBits(v, n)
+			acc = acc<<n | v
+			nacc += n
+			pos, nacc = StoreBits(buf, pos, acc, nacc)
+			if nacc >= 8 {
+				t.Fatalf("trial %d: %d bits left pending", trial, nacc)
+			}
+		}
+		StoreBits(buf, pos, acc, nacc)
+		got, want := buf[:pos+int(nacc+7)/8], w.Bytes()
+		if string(got) != string(want) {
+			t.Fatalf("trial %d: StoreBits % x, Writer % x", trial, got, want)
+		}
+		for _, b := range buf[pos+8:] {
+			if b != 0 {
+				t.Fatalf("trial %d: a store reached past the 8-byte slack", trial)
+			}
+		}
+	}
+}
+
 func BenchmarkWriteBits(b *testing.B) {
 	buf := make([]byte, 0, 1<<16)
 	b.ReportAllocs()

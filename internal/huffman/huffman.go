@@ -20,7 +20,6 @@ package huffman
 
 import (
 	"container/heap"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -656,10 +655,10 @@ func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
 // zeros. The accumulator keeps its unwritten bits at the bottom, and bits
 // above them are never cleared: a store shifts them out. Each code pair — at
 // most 7 + 2·MaxCodeLen = 55 bits with the pending ones — goes out in one
-// unconditional 8-byte big-endian store, and the position advances by the
-// whole bytes filled. out must therefore have spare capacity for the coded
-// bytes plus 8. Shift counts are masked to 63 so the compiler emits bare
-// shifts; none reaches 64.
+// unconditional 8-byte big-endian store (bitio.StoreBits), and the position
+// advances by the whole bytes filled. out must therefore have spare capacity
+// for the coded bytes plus 8. Shift counts are masked to 63 so the compiler
+// emits bare shifts; none reaches 64.
 func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc uint) []byte {
 	pos := len(out)
 	buf := out[:cap(out)]
@@ -669,9 +668,7 @@ func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc 
 		n1, n2 := uint(e1&entryLenMask), uint(e2&entryLenMask)
 		acc = acc<<((n1+n2)&63) | uint64(e1>>5)<<(n2&63) | uint64(e2>>5)
 		nacc += n1 + n2
-		binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
-		pos += int(nacc >> 3)
-		nacc &= 7
+		pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
 	}
 	if j < len(syms) {
 		e := enc[syms[j]]
@@ -681,7 +678,7 @@ func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc 
 	}
 	// At most 7 + MaxCodeLen bits are left: one more store, keeping the
 	// bytes they reach (none when nacc is 0 and the store is junk).
-	binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
+	bitio.StoreBits(buf, pos, acc, nacc)
 	return buf[:pos+int(nacc+7)/8]
 }
 

@@ -381,8 +381,56 @@ func TestSingleSymbolFill(t *testing.T) {
 				}
 			}
 			sched.PutBytes(clean)
+			for _, l := range []uint8{2, 5} {
+				// The same zero sub-streams under a lone code of l bits: the
+				// code is read, but every stream runs out of bits, so the loops
+				// refuse the blob and fillSingle must leave it to them.
+				what := fmt.Sprintf("streams=%d n=%d lone code of %d bits", streams, n, l)
+				blob := loneCodeBlob(n, streams, 42, l)
+				var mb multiBlob
+				out, err := openMulti(blob, 64, &mb)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if mb.fillSingle(out) {
+					t.Errorf("%s: fillSingle took it", what)
+				}
+				sched.PutUint16s(out)
+				putCodec(mb.c)
+				if _, err := decodeMultiRef(blob, 64); err == nil {
+					t.Fatalf("%s: the reference decodes it", what)
+				}
+				checkBothPaths(t, what, blob, 64)
+			}
 		}
 	}
+}
+
+// loneCodeBlob returns a 64-symbol-alphabet blob of n symbols in streams
+// sub-streams whose code gives only sym a length, l bits, and whose
+// sub-streams are each ⌈cnt/8⌉ zero bytes: one bit a symbol, the size
+// fillSingle takes.
+func loneCodeBlob(n, streams int, sym uint16, l uint8) []byte {
+	lengths := make([]uint8, 64)
+	lengths[sym] = l
+	tw := new(bitio.Writer)
+	writeLengthTable(tw, lengths)
+	tbl := tw.Bytes()
+	blob := []byte{multiMagic}
+	blob = binary.AppendUvarint(blob, uint64(n))
+	blob = binary.AppendUvarint(blob, uint64(streams))
+	blob = binary.AppendUvarint(blob, uint64(len(tbl)))
+	blob = append(blob, tbl...)
+	var body []byte
+	for k := 0; k < streams; k++ {
+		cnt := n / streams
+		if k < n%streams {
+			cnt++
+		}
+		blob = binary.LittleEndian.AppendUint32(blob, uint32((cnt+7)/8))
+		body = append(body, make([]byte, (cnt+7)/8)...)
+	}
+	return append(blob, body...)
 }
 
 // chunkStart returns where sub-stream k starts after the jump table.

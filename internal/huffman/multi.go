@@ -287,14 +287,14 @@ func (m *multiBlob) decode(out []uint16) error {
 	return nil
 }
 
-// fillSingle decodes a blob whose code has one coded symbol — code 0, one
-// bit a symbol, as in a delta residual that quantizes to zero — when every
+// fillSingle decodes a blob whose code has one coded symbol of one bit —
+// code 0, as in a delta residual that quantizes to zero — when every
 // sub-stream is exactly its chunk's bits rounded up to bytes, all zero: it
 // fills out with the symbol and reports true. Any other blob, nonzero
-// padding bits included, is left to the decode loops, so what they return
-// and refuse stays theirs.
+// padding bits and a lone code longer than one bit included, is left to the
+// decode loops, so what they return and refuse stays theirs.
 func (m *multiBlob) fillSingle(out []uint16) bool {
-	if len(m.c.sorted) != 1 || len(out) == 0 {
+	if len(m.c.sorted) != 1 || m.c.maxLen != 1 || len(out) == 0 {
 		return false
 	}
 	for i, src := range m.srcs[:m.streams] {

@@ -303,6 +303,10 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	f.Add(seed4, fuzzQuant)
 	f.Add(seed4[:len(seed4)-len(seed4)/8], fuzzQuant)
 	f.Add(shifted(seed4, 3), fuzzQuant)
+	// Zero sub-streams of one bit a symbol under a lone code of one bit, which
+	// decodes, and of five bits, which every path refuses (alphabet 64).
+	f.Add(loneCodeBlob(4003, DefaultStreams, 42, 1), uint16(63))
+	f.Add(loneCodeBlob(4003, DefaultStreams, 42, 5), uint16(63))
 	hostile := hostileLengthTables()
 	names := make([]string, 0, len(hostile))
 	for name := range hostile {

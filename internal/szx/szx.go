@@ -91,7 +91,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ebAbs))
 	// The bits are written MSB-first the way huffman's appendCodes writes
 	// codes: the nacc < 8 unwritten bits sit at the bottom of acc, and each
-	// step adds its bits and stores them (storeBits). Bits above the
+	// step adds its bits and stores them (bitio.StoreBits). Bits above the
 	// unwritten ones are never cleared: the store shifts them out.
 	buf := out[:cap(out)]
 	pos := len(out)
@@ -109,7 +109,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 			mid := float32((float64(bMax) + float64(bMin)) / 2)
 			acc = acc<<33 | 1<<32 | uint64(math.Float32bits(mid))
 			nacc += 33
-			pos, nacc = storeBits(buf, pos, acc, nacc)
+			pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
 			continue
 		}
 		// Keep k mantissa bits so truncation error 2^(emax-k) <= 2^ebExp.
@@ -130,22 +130,13 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		// Flag 0 and the 5-bit k, stored so fewer than 8 bits are pending.
 		acc = acc<<6 | uint64(k)
 		nacc += 6
-		pos, nacc = storeBits(buf, pos, acc, nacc)
+		pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
 		// sign + 8 exponent + k mantissa bits
 		pos, acc, nacc = appendTruncated(buf, pos, acc, nacc, block, uint(9+k))
 	}
 	// The last partial byte, padded with zeros.
-	storeBits(buf, pos, acc, nacc)
+	bitio.StoreBits(buf, pos, acc, nacc)
 	return buf[:pos+int(nacc+7)/8], nil
-}
-
-// storeBits writes the nacc pending bits at the bottom of acc big-endian at
-// buf[pos:], with one unconditional 8-byte store whose bytes past the bits
-// are junk the next store overwrites, and returns the position past the whole
-// bytes and the count of bits still pending.
-func storeBits(buf []byte, pos int, acc uint64, nacc uint) (int, uint) {
-	binary.BigEndian.PutUint64(buf[pos:], acc<<((64-nacc)&63))
-	return pos + int(nacc>>3), nacc & 7
 }
 
 // appendTruncated is CompressAppend's truncation loop: it writes the top keep
@@ -164,13 +155,13 @@ func appendTruncated(buf []byte, pos int, acc uint64, nacc uint, block []float32
 			two := uint64(math.Float32bits(block[i])>>drop)<<(keep&63) | uint64(math.Float32bits(block[i+1])>>drop)
 			acc = acc<<((2*keep)&63) | two
 			nacc += 2 * keep
-			pos, nacc = storeBits(buf, pos, acc, nacc)
+			pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
 		}
 	}
 	for _, v := range block[i:] {
 		acc = acc<<(keep&63) | uint64(math.Float32bits(v)>>drop)
 		nacc += keep
-		pos, nacc = storeBits(buf, pos, acc, nacc)
+		pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
 	}
 	return pos, acc, nacc
 }
