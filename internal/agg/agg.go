@@ -333,11 +333,3 @@ func (s *Sharded) Reset() {
 	s.wsum = 0
 	s.seen = nil
 }
-
-// addScaled is the fold kernel: a[i] += w·b[i], the same arithmetic as
-// StateDict.AddScaled.
-func addScaled(a, b []float32, w float32) {
-	for i := range a {
-		a[i] += w * b[i]
-	}
-}

@@ -131,54 +131,60 @@ func mustEqualBits(t testing.TB, what string, got, want *tensor.StateDict) {
 // BIT-FOR-BIT identical to the manual fold of the core.Decompress'ed
 // updates — same adopt-first semantics, same fold kernel, same fold order,
 // same final divide — and P ∈ {2, 4} shards produce the same bits as P = 1.
+// Both hold on the fold kernel and on the Go loop.
 func TestShardedConformance(t *testing.T) {
 	const n = 6
 	streams, decoded := compressUpdates(t, n)
 
-	single := sequentialMean(t, 1, streams)
-	mustEqualBits(t, "P=1 vs manual fold", single, manualFold(t, decoded))
-	for _, p := range []int{2, 4} {
-		got := sequentialMean(t, p, streams)
-		mustEqualBits(t, fmt.Sprintf("P=%d vs P=1", p), got, single)
-		core.Release(got)
-	}
+	onBothPaths(func(path string) {
+		single := sequentialMean(t, 1, streams)
+		mustEqualBits(t, path+": P=1 vs manual fold", single, manualFold(t, decoded))
+		for _, p := range []int{2, 4} {
+			got := sequentialMean(t, p, streams)
+			mustEqualBits(t, fmt.Sprintf("%s: P=%d vs P=1", path, p), got, single)
+			core.Release(got)
+		}
+	})
 }
 
 // TestShardedConformanceConcurrent ingests concurrently, where only the
 // per-tensor fold order may differ from the sequential fold — a float
 // reassociation bounded well below the codec's own error bound. The
 // asserted tolerance (1e-5) is the documented weighted-merge tolerance
-// from the README's scale-out section.
+// from the README's scale-out section. Both hold on the fold kernel and on
+// the Go loop.
 func TestShardedConformanceConcurrent(t *testing.T) {
 	const n = 8
 	streams, decoded := compressUpdates(t, n)
-	want := sequentialMean(t, 1, streams)
-	mustEqualBits(t, "P=1 vs manual fold", want, manualFold(t, decoded))
+	onBothPaths(func(path string) {
+		want := sequentialMean(t, 1, streams)
+		mustEqualBits(t, path+": P=1 vs manual fold", want, manualFold(t, decoded))
 
-	for _, p := range []int{1, 2, 4} {
-		sh := New(Config{Shards: p, Pool: sched.NewPool(4)})
-		var wg sync.WaitGroup
-		for i, s := range streams {
-			wg.Add(1)
-			go func(i int, framed []byte) {
-				defer wg.Done()
-				ingest(t, sh, uint32(i), 1, framed)
-			}(i, frame(t, s))
+		for _, p := range []int{1, 2, 4} {
+			sh := New(Config{Shards: p, Pool: sched.NewPool(4)})
+			var wg sync.WaitGroup
+			for i, s := range streams {
+				wg.Add(1)
+				go func(i int, framed []byte) {
+					defer wg.Done()
+					ingest(t, sh, uint32(i), 1, framed)
+				}(i, frame(t, s))
+			}
+			wg.Wait()
+			got, gn := sh.Mean()
+			if gn != n {
+				t.Fatalf("%s: P=%d folded %d, want %d", path, p, gn, n)
+			}
+			diff, err := want.MaxAbsDiff(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff > 1e-5 {
+				t.Fatalf("%s: P=%d concurrent fold diverged: max abs diff %g > 1e-5", path, p, diff)
+			}
+			core.Release(got)
 		}
-		wg.Wait()
-		got, gn := sh.Mean()
-		if gn != n {
-			t.Fatalf("P=%d folded %d, want %d", p, gn, n)
-		}
-		diff, err := want.MaxAbsDiff(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff > 1e-5 {
-			t.Fatalf("P=%d concurrent fold diverged: max abs diff %g > 1e-5", p, diff)
-		}
-		core.Release(got)
-	}
+	})
 }
 
 // TestShardedWeighted checks the weighted merge: ingesting updates at

@@ -9,15 +9,22 @@ package conformance
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/compressors"
+	"repro/internal/core"
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/sched"
+	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // reuseParams returns the error-control settings exercised per codec.
@@ -222,6 +229,9 @@ func TestZeroCopyReuseAndAliasSafety(t *testing.T) {
 // Compress, shows up here as whole extra allocations per op. The limits are
 // the alloc gate of the retired fedsz-bench perf snapshot: ⌊1.1·b⌋+1 over
 // its last baseline of 1/1 (sz2) and 1/0 (sz3) allocs per compress/decompress.
+// Two rows hold the server's side of the loop: a warm frame read allocates
+// nothing, and a warm ingest of a 12-layer update stays within 10 % of the
+// 59 allocations it takes.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts at random; pooled scratch misses and allocates")
@@ -270,6 +280,90 @@ func TestSteadyStateAllocs(t *testing.T) {
 			sched.PutBytes(enc)
 		})
 	}
+
+	t.Run("wire FrameScanner.Next", func(t *testing.T) {
+		// Each run reads one frame's payload through a wire.Reader, which is
+		// one FrameScanner.Next on a warm byte pool.
+		payload := make([]byte, 4096)
+		var framed bytes.Buffer
+		w := wire.NewWriter(&framed)
+		for i := 0; i < 40; i++ {
+			kind := byte(wire.FrameTensor)
+			if i == 0 {
+				kind = wire.FrameHeader
+			}
+			if err := w.WriteFrame(kind, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(bytes.NewReader(framed.Bytes()))
+		defer r.Close()
+		got := testing.AllocsPerRun(30, func() {
+			if _, err := io.ReadFull(r, payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("warm frame read: %.0f allocs/op, want 0", got)
+		}
+	})
+
+	t.Run("agg ingest", func(t *testing.T) {
+		// The ingest_small shape: 12 layers, each one lossy 2 500-element
+		// weight and four metadata entries, folded (not adopted) by a
+		// two-shard aggregator. It takes 59 allocations: per lossy tensor its
+		// name, its shape and its decode task, and per update a fixed number
+		// for the header, the decoded stream, the frames' source and the
+		// metadata partition. The limit leaves 10 % slack.
+		const maxIngest = 65
+		framed := ingestSmallUpdate(t)
+		sh := agg.New(agg.Config{Shards: 2, Pool: sched.NewPool(1)})
+		ctx := context.Background()
+		client := uint32(0)
+		ingest := func() {
+			client++
+			if _, _, err := sh.IngestStream(ctx, client, 1, core.DecodeOptions{}, bytes.NewReader(framed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			ingest()
+		}
+		if got := testing.AllocsPerRun(20, ingest); got > maxIngest {
+			t.Errorf("warm IngestStream of a 12-layer update: %.0f allocs/op, want <= %d", got, maxIngest)
+		}
+		mean, _ := sh.Mean()
+		core.Release(mean)
+		sh.Reset()
+	})
+}
+
+// ingestSmallUpdate returns a wire-framed update of the ingest_small
+// benchmark workload's shape.
+func ingestSmallUpdate(t *testing.T) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(12, 2500))
+	sd := tensor.NewStateDict()
+	for i := 0; i < 12; i++ {
+		p := fmt.Sprintf("layer%02d.", i)
+		sd.Add(p+"weight", tensor.KindWeight, tensor.FromData(eblctest.WeightLike(rng, 2500), 50, 50))
+		sd.Add(p+"bias", tensor.KindBias, tensor.FromData(eblctest.WeightLike(rng, 50), 50))
+		sd.Add(p+"bn.running_mean", tensor.KindRunningStat, tensor.FromData(eblctest.WeightLike(rng, 50), 50))
+		sd.Add(p+"bn.running_var", tensor.KindRunningStat, tensor.FromData(eblctest.WeightLike(rng, 50), 50))
+		sd.Add(p+"bn.num_batches_tracked", tensor.KindScalarMeta, tensor.FromData([]float32{100}, 1))
+	}
+	stream, _, err := core.Compress(sd, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var framed bytes.Buffer
+	if err := wire.NewWriter(&framed).WriteStream(stream); err != nil {
+		t.Fatal(err)
+	}
+	return framed.Bytes()
 }
 
 // legacyOneShot is a deliberately minimal pre-zero-copy codec: the adapter

@@ -17,7 +17,7 @@ import (
 )
 
 // parseTensors returns the stream's parsed tensor sections in stream order.
-func parseTensors(t *testing.T, stream []byte) []*ParsedTensor {
+func parseTensors(t *testing.T, stream []byte) []ParsedTensor {
 	t.Helper()
 	secs, err := Sections(stream)
 	if err != nil {
@@ -27,7 +27,7 @@ func parseTensors(t *testing.T, stream []byte) []*ParsedTensor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := make([]*ParsedTensor, len(secs.Tensors))
+	pts := make([]ParsedTensor, len(secs.Tensors))
 	for i, sec := range secs.Tensors {
 		if pts[i], err = ParseTensorSection(hdr, sec); err != nil {
 			t.Fatal(err)

@@ -117,22 +117,23 @@ type ParsedTensor struct {
 
 // ParseTensorSection parses one tensor section payload. hdr supplies the
 // stream version (v3 sections carry a mode byte). The returned tensor's
-// Blob aliases section.
-func ParseTensorSection(hdr *ParsedHeader, section []byte) (*ParsedTensor, error) {
-	pt := &ParsedTensor{}
+// Blob aliases section. It is returned by value, so a decode loop parsing
+// one section per tensor keeps it off the heap.
+func ParseTensorSection(hdr *ParsedHeader, section []byte) (ParsedTensor, error) {
+	var pt ParsedTensor
 	var err error
 	pos := 0
 	if pt.Name, pos, err = readString(section, pos); err != nil {
-		return nil, fmt.Errorf("%w: tensor name", ErrCorrupt)
+		return ParsedTensor{}, fmt.Errorf("%w: tensor name", ErrCorrupt)
 	}
 	if pos+2 > len(section) {
-		return nil, fmt.Errorf("%w: tensor metadata", ErrCorrupt)
+		return ParsedTensor{}, fmt.Errorf("%w: tensor metadata", ErrCorrupt)
 	}
 	pt.Kind = tensor.Kind(section[pos])
 	rank := int(section[pos+1])
 	pos += 2
 	if pos+4*rank > len(section) {
-		return nil, fmt.Errorf("%w: tensor shape", ErrCorrupt)
+		return ParsedTensor{}, fmt.Errorf("%w: tensor shape", ErrCorrupt)
 	}
 	pt.Shape = make([]int, rank)
 	pt.Elems = 1
@@ -140,28 +141,28 @@ func ParseTensorSection(hdr *ParsedHeader, section []byte) (*ParsedTensor, error
 		pt.Shape[d] = int(binary.LittleEndian.Uint32(section[pos+4*d:]))
 		pt.Elems *= pt.Shape[d]
 		if pt.Elems > ebcl.MaxElements {
-			return nil, fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, pt.Name)
+			return ParsedTensor{}, fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, pt.Name)
 		}
 	}
 	pos += 4 * rank
 	if hdr.IsDelta() {
 		if pos >= len(section) {
-			return nil, fmt.Errorf("%w: tensor mode", ErrCorrupt)
+			return ParsedTensor{}, fmt.Errorf("%w: tensor mode", ErrCorrupt)
 		}
 		switch section[pos] {
 		case sectionAbsolute:
 		case sectionDelta:
 			pt.Delta = true
 		default:
-			return nil, fmt.Errorf("%w: tensor %q section mode %d", ErrCorrupt, pt.Name, section[pos])
+			return ParsedTensor{}, fmt.Errorf("%w: tensor %q section mode %d", ErrCorrupt, pt.Name, section[pos])
 		}
 		pos++
 	}
 	if pt.Blob, pos, err = ebcl.ReadSection(section, pos); err != nil {
-		return nil, fmt.Errorf("%w: lossy section %q: %w", ErrCorrupt, pt.Name, err)
+		return ParsedTensor{}, fmt.Errorf("%w: lossy section %q: %w", ErrCorrupt, pt.Name, err)
 	}
 	if pos != len(section) {
-		return nil, fmt.Errorf("%w: tensor section %q has %d trailing bytes", ErrCorrupt, pt.Name, len(section)-pos)
+		return ParsedTensor{}, fmt.Errorf("%w: tensor section %q has %d trailing bytes", ErrCorrupt, pt.Name, len(section)-pos)
 	}
 	return pt, nil
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"sync/atomic"
 	"time"
@@ -326,12 +327,16 @@ func (d *DecodedStream) Release() {
 func (d *DecodedStream) StateDict() *tensor.StateDict {
 	out := tensor.NewStateDict()
 	meta := d.Meta.Entries()
+	// One array holds every lossy tensor's header; each takes over its
+	// decoded shape and data (the decode sized data from that shape).
+	lossy := make([]tensor.Tensor, len(d.Tensors))
 	li, ri := 0, 0
 	for _, f := range d.Flags {
 		if f == pathLossy {
 			e := &d.Tensors[li]
+			lossy[li] = tensor.Tensor{Shape: e.Shape, Data: e.Data}
+			out.Add(e.Name, e.Kind, &lossy[li])
 			li++
-			out.Add(e.Name, e.Kind, tensor.FromData(e.Data, e.Shape...))
 			e.Data = nil
 		} else {
 			e := meta[ri]
@@ -342,30 +347,46 @@ func (d *DecodedStream) StateDict() *tensor.StateDict {
 	return out
 }
 
+// nameSeed keys the hash validate places lossy names by. A per-process seed
+// keeps a hostile stream from choosing names that all collide.
+var nameSeed = maphash.MakeSeed()
+
 // validate checks what only the whole stream can show: the metadata
 // partition holds exactly the entries the header's flags declare, and no
 // name occurs twice (impossible in a stream Compress produced; StateDict.Add
-// would panic on one).
+// would panic on one). Metadata names are unique once the partition has
+// unmarshalled, so each lossy name is looked up in the metadata index and
+// among the lossy names before it, which an open-addressed table of their
+// indices holds: on the stack for up to 32 lossy tensors, so an ordinary
+// update validates without allocating, and linear in the tensor count for a
+// hostile one.
 func (d *DecodedStream) validate() error {
 	meta := d.Meta.Entries()
 	if want := len(d.Flags) - len(d.Tensors); len(meta) != want {
 		return fmt.Errorf("%w: header declares %d metadata entries, partition holds %d", ErrCorrupt, want, len(meta))
 	}
-	seen := make(map[string]struct{}, len(d.Flags))
-	dup := func(name string) bool {
-		_, ok := seen[name]
-		seen[name] = struct{}{}
-		return ok
+	size := 1
+	for size < 2*len(d.Tensors) {
+		size <<= 1
 	}
+	var small [64]int32 // index+1 of the lossy tensor in each slot; 0 is empty
+	slots := small[:]
+	if size > len(small) {
+		slots = make([]int32, size)
+	}
+	mask := uint64(size - 1)
 	for i := range d.Tensors {
-		if dup(d.Tensors[i].Name) {
-			return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, d.Tensors[i].Name)
+		name := d.Tensors[i].Name
+		if d.Meta.Get(name) != nil {
+			return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, name)
 		}
-	}
-	for _, e := range meta {
-		if dup(e.Name) {
-			return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.Name)
+		h := maphash.String(nameSeed, name) & mask
+		for ; slots[h] != 0; h = (h + 1) & mask {
+			if d.Tensors[slots[h]-1].Name == name {
+				return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, name)
+			}
 		}
+		slots[h] = int32(i + 1)
 	}
 	return nil
 }
@@ -374,16 +395,16 @@ func (d *DecodedStream) validate() error {
 // residual is only decodable when this decoder holds the same-epoch
 // baseline with a matching tensor — anything else is a reference mismatch,
 // not corruption, so the sender can renegotiate an absolute upload.
-func (o DecodeOptions) reference(streamEpoch uint32, pt *ParsedTensor) ([]float32, error) {
+func (o DecodeOptions) reference(streamEpoch uint32, name string, elems int) ([]float32, error) {
 	if o.Reference == nil {
-		return nil, fmt.Errorf("%w: residual section %q but no reference supplied", ErrReference, pt.Name)
+		return nil, fmt.Errorf("%w: residual section %q but no reference supplied", ErrReference, name)
 	}
 	if o.RefEpoch != streamEpoch {
 		return nil, fmt.Errorf("%w: stream encoded against epoch %d, decoder holds %d", ErrReference, streamEpoch, o.RefEpoch)
 	}
-	rt := o.Reference.Get(pt.Name)
-	if rt == nil || rt.NumElems() != pt.Elems {
-		return nil, fmt.Errorf("%w: reference lacks matching tensor %q", ErrReference, pt.Name)
+	rt := o.Reference.Get(name)
+	if rt == nil || rt.NumElems() != elems {
+		return nil, fmt.Errorf("%w: reference lacks matching tensor %q", ErrReference, name)
 	}
 	return rt.Data, nil
 }
@@ -460,7 +481,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		var ref []float32
 		if err == nil && pt.Delta {
 			nDelta++
-			ref, err = dopts.reference(hdr.RefEpoch, pt)
+			ref, err = dopts.reference(hdr.RefEpoch, pt.Name, pt.Elems)
 		}
 		if err != nil {
 			src.Release(sec)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -68,6 +69,13 @@ type Client struct {
 	RetryBackoff time.Duration
 }
 
+// errSessionClosed is what an upload on a closed Session returns.
+var errSessionClosed = errors.New("flserve: session closed")
+
+// writerPool recycles the sessions' 64 KiB write buffers: a client that
+// dials once per update would otherwise allocate one per update.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
 // Session is one dialed connection to an aggregation server carrying any
 // number of updates — the multi-update protocol that amortizes dial and
 // prelude cost across a round. Upload and UploadState may be called
@@ -75,7 +83,10 @@ type Client struct {
 // ack. Close the session when the round is done.
 type Session struct {
 	conn net.Conn
-	bw   *bufio.Writer
+	// mu orders the uploads against Close, which recycles bw: an upload holds
+	// it throughout, and bw is nil once the session is closed.
+	mu sync.Mutex
+	bw *bufio.Writer
 	// deltaAccepted records the server's answer to an FLS2 negotiation:
 	// true means uploads on this session may carry residual (v3) streams
 	// encoded against the negotiated reference epoch.
@@ -103,9 +114,11 @@ func (c *Client) dial(ctx context.Context, magic uint32) (*Session, error) {
 	if c.Link.BandwidthMbps > 0 {
 		dst = c.Link.ThrottleWriter(conn)
 	}
-	s := &Session{conn: conn, bw: bufio.NewWriterSize(dst, 64<<10), weighted: magic == connMagicWeighted}
-	if _, err := s.bw.Write(binary.LittleEndian.AppendUint32(nil, magic)); err != nil {
-		conn.Close()
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(dst)
+	s := &Session{conn: conn, bw: bw, weighted: magic == connMagicWeighted}
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), magic)); err != nil {
+		s.Close()
 		return nil, fmt.Errorf("flserve: session prelude: %w", err)
 	}
 	return s, nil
@@ -138,37 +151,55 @@ func (c *Client) DialDelta(ctx context.Context, epoch uint32) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	conn := s.conn
+	if err := s.negotiate(ctx, epoch); err != nil {
+		s.Close()
+		return nil, ctxErr(ctx, err)
+	}
+	return s, nil
+}
+
+// negotiate runs the FLS2 exchange of a fresh session: it sends epoch behind
+// the buffered magic and records the server's answer in deltaAccepted.
+func (s *Session) negotiate(ctx context.Context, epoch uint32) error {
 	defer s.arm(ctx)()
 	// Unlike Dial, the prelude must flush now: the server answers it before
 	// reading any update.
-	_, err = s.bw.Write(binary.LittleEndian.AppendUint32(nil, epoch))
+	_, err := s.bw.Write(binary.LittleEndian.AppendUint32(s.bw.AvailableBuffer(), epoch))
 	if err == nil {
 		err = s.bw.Flush()
 	}
 	if err != nil {
-		conn.Close()
-		return nil, ctxErr(ctx, fmt.Errorf("flserve: session prelude: %w", err))
+		return fmt.Errorf("flserve: session prelude: %w", err)
 	}
 	var accept [1]byte
-	if _, err := io.ReadFull(conn, accept[:]); err != nil {
-		conn.Close()
-		return nil, ctxErr(ctx, fmt.Errorf("flserve: delta negotiation: %w", err))
+	if _, err := io.ReadFull(s.conn, accept[:]); err != nil {
+		return fmt.Errorf("flserve: delta negotiation: %w", err)
 	}
 	if accept[0] == ackShed {
 		// The server shed the connection before negotiating; surface the
 		// typed retryable error with its hint.
-		shed := readShed(conn)
-		conn.Close()
-		return nil, ctxErr(ctx, shed)
+		return readShed(s.conn)
 	}
 	s.deltaAccepted = accept[0] == 1
-	return s, nil
+	return nil
 }
 
-// Close ends the session. The server sees a clean EOF at the update
-// boundary and finishes the connection without a rejection.
-func (s *Session) Close() error { return s.conn.Close() }
+// Close ends the session and recycles its write buffer; an upload on the
+// session afterwards returns an error. The server sees a clean EOF at the
+// update boundary and finishes the connection without a rejection.
+func (s *Session) Close() error {
+	// Closing the connection first cuts short an upload still writing or
+	// waiting for its ack, which then lets go of bw.
+	err := s.conn.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bw != nil {
+		s.bw.Reset(nil)
+		writerPool.Put(s.bw)
+		s.bw = nil
+	}
+	return err
+}
 
 // arm wires ctx into the connection: the ctx deadline (if any) becomes the
 // conn deadline, and a cancellation cuts the conn immediately so blocked
@@ -211,6 +242,11 @@ func (s *Session) Upload(ctx context.Context, clientID uint32, stream []byte) er
 // session must have been opened with DialWeighted unless weight is 1
 // (FLS1/FLS2 sessions have no weight field on the wire).
 func (s *Session) UploadWeighted(ctx context.Context, clientID uint32, weight float64, stream []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bw == nil {
+		return errSessionClosed
+	}
 	defer s.arm(ctx)()
 	if err := s.writeUpdatePrelude(clientID, weight); err != nil {
 		return ctxErr(ctx, err)
@@ -227,17 +263,12 @@ func (s *Session) writeUpdatePrelude(clientID uint32, weight float64) error {
 	if weight != 1 && !s.weighted {
 		return fmt.Errorf("flserve: weighted upload on unweighted session (use DialWeighted)")
 	}
-	var idb [4]byte
-	binary.LittleEndian.PutUint32(idb[:], clientID)
-	if _, err := s.bw.Write(idb[:]); err != nil {
-		return fmt.Errorf("flserve: upload prelude: %w", err)
-	}
+	rec := binary.LittleEndian.AppendUint32(s.bw.AvailableBuffer(), clientID)
 	if s.weighted {
-		var wb [8]byte
-		binary.LittleEndian.PutUint64(wb[:], math.Float64bits(weight))
-		if _, err := s.bw.Write(wb[:]); err != nil {
-			return fmt.Errorf("flserve: upload prelude: %w", err)
-		}
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(weight))
+	}
+	if _, err := s.bw.Write(rec); err != nil {
+		return fmt.Errorf("flserve: upload prelude: %w", err)
 	}
 	return nil
 }
@@ -249,6 +280,11 @@ func (s *Session) writeUpdatePrelude(clientID uint32, weight float64) error {
 // returned stats carry the encode timings, including WriteWait and
 // EncodeOverlapRatio for the overlap actually achieved.
 func (s *Session) UploadState(ctx context.Context, clientID uint32, sd *tensor.StateDict, opts core.Options, pool *sched.Pool) (*core.Stats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bw == nil {
+		return nil, errSessionClosed
+	}
 	defer s.arm(ctx)()
 	if err := s.writeUpdatePrelude(clientID, 1); err != nil {
 		return nil, ctxErr(ctx, err)

@@ -196,10 +196,11 @@ type Config struct {
 // connection. Implementations must read the update's wire stream from r
 // through its trailer (the server acks only on a nil return), fold it, and
 // report the wire byte count plus decode stats for the server's
-// accounting. Calls arrive concurrently from different connections. An
-// error rejects the update and drops the connection; corruption must
-// surface as core.ErrCorrupt-wrapped errors and reference mismatches as
-// core.ErrReference.
+// accounting; r must not be read once IngestStream returns, since the
+// server recycles its buffer. Calls arrive concurrently from different
+// connections. An error rejects the update and drops the connection;
+// corruption must surface as core.ErrCorrupt-wrapped errors and reference
+// mismatches as core.ErrReference.
 type StreamIngestor interface {
 	IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error)
 }
@@ -209,6 +210,10 @@ const defaultIdleTimeout = 2 * time.Minute
 
 // defaultRetryAfterHint is Config.RetryAfterHint's zero-value default.
 const defaultRetryAfterHint = 100 * time.Millisecond
+
+// readerPool recycles the connections' 32 KiB read buffers: a client that
+// dials once per update would otherwise cost the server one per update.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 32<<10) }}
 
 // Stats aggregates what a Server has ingested so far. Obtain one from
 // Server.Snapshot (safe to call while connections are live).
@@ -593,7 +598,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			m.uploadKills.Inc()
 		}
 	}()
-	br := bufio.NewReaderSize(cr, 32<<10)
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(cr)
+	defer func() {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}()
 	// rejectConn accounts and acks a connection-level failure.
 	rejectConn := func(err error) {
 		rejected++
@@ -613,8 +623,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	wireExtra := pre.bytes // update 1 carries the connection prelude in its WireBytes
+	var rec [12]byte       // clientID, then the weight on FLS3 connections
 	for {
-		var rec [12]byte // clientID, then the weight on FLS3 connections
 		if _, err := io.ReadFull(br, rec[:4]); err != nil {
 			if err != io.EOF {
 				// Mid-record death (truncated ID, idle timeout): the peer did
@@ -691,9 +701,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
+// acceptedAck is the one-byte ack of an accepted update, shared by every
+// connection (conn.Write only reads it).
+var acceptedAck = []byte{ackAccepted}
+
 func writeAck(conn net.Conn, err error) {
 	if err == nil {
-		conn.Write([]byte{ackAccepted}) //nolint:errcheck — client failure is its problem
+		conn.Write(acceptedAck) //nolint:errcheck — client failure is its problem
 		return
 	}
 	msg := err.Error()

@@ -473,10 +473,19 @@ func (c *Codec) buildDecodeTable() {
 	}
 }
 
-// fillEntries sets every entry of t to e.
+// fillEntries sets every entry of t to e. A span of 16 or more sets its first
+// entry and doubles the filled prefix with copy (memmove's wide stores); a
+// shorter one, which most codes get, keeps the loop.
 func fillEntries(t []uint32, e uint32) {
-	for i := range t {
-		t[i] = e
+	if len(t) < 16 {
+		for i := range t {
+			t[i] = e
+		}
+		return
+	}
+	t[0] = e
+	for n := 1; n < len(t); n *= 2 {
+		copy(t[n:], t[:n])
 	}
 }
 

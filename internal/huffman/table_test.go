@@ -398,3 +398,109 @@ func fuzzRoundTrip(t *testing.T, data []byte, alphaSel uint16) {
 		}
 	}
 }
+
+// wantTable is c's decode table as its canonical code defines it, entry by
+// entry: what a fill writing one entry at a time produces. A primary entry
+// holds the code of at most tableBits bits its index starts with, or else
+// links to a secondary table as wide as the longest code under that prefix
+// needs; a secondary entry holds the long code its prefix and index start
+// with; every other entry is zero. Only the links' bases are read from
+// c.table, and they must tile the table after the primary entries exactly.
+func wantTable(t *testing.T, c *Codec) []uint32 {
+	t.Helper()
+	tb, ml := c.tableBits, uint(c.maxLen)
+	want := make([]uint32, len(c.table))
+	if len(c.sorted) == 0 {
+		return want
+	}
+	// entryFor is the entry of the code of length lo..hi that the bits-long
+	// pattern p starts with, or 0.
+	entryFor := func(p uint32, bits, lo, hi uint) uint32 {
+		for l := lo; l <= hi; l++ {
+			code, first := p>>(bits-l), c.firstCode[l]
+			if code >= first && code-first < uint32(c.index[l+1]-c.index[l]) {
+				return uint32(c.sorted[c.index[l]+int32(code-first)])<<entryShift | uint32(l)
+			}
+		}
+		return 0
+	}
+	width := make([]uint, 1<<tb)
+	for l := tb + 1; l <= ml; l++ {
+		first := c.firstCode[l]
+		for code := first; code < first+uint32(c.index[l+1]-c.index[l]); code++ {
+			width[code>>(l-tb)] = l - tb
+		}
+	}
+	next := uint32(1) << tb
+	for p := uint32(0); p < 1<<tb; p++ {
+		if b := width[p]; b > 0 {
+			if base := c.table[p] >> entryShift; base != next {
+				t.Fatalf("secondary table of prefix %#x at %d, want %d", p, base, next)
+			}
+			want[p] = next<<entryShift | entryLink | uint32(b)
+			for j := uint32(0); j < 1<<b; j++ {
+				want[next+j] = entryFor(p<<b|j, tb+b, tb+1, tb+b)
+			}
+			next += 1 << b
+			continue
+		}
+		want[p] = entryFor(p, tb, 1, tb)
+	}
+	if int(next) != len(c.table) {
+		t.Fatalf("tables end at %d of %d entries", next, len(c.table))
+	}
+	return want
+}
+
+// TestDecodeTableFill holds every decode table readRuns builds — one pooled
+// shell reused across alphabets from 1 to 4096 symbols, so each build lands
+// on the last one's stale entries — to the entry-by-entry table: random
+// codes of every depth, a ladder whose one secondary table has spans of up
+// to 2048 entries, and lone codes of 1 and 5 bits.
+func TestDecodeTableFill(t *testing.T) {
+	var tables [][]uint8
+	ladder := make([]uint8, 24)
+	for i := range ladder {
+		ladder[i] = uint8(min(i+1, 23))
+	}
+	tables = append(tables, ladder)
+	for _, l := range []uint8{1, 5} {
+		lone := make([]uint8, 64)
+		lone[42] = l
+		tables = append(tables, lone, []uint8{l})
+	}
+	rng := rand.New(rand.NewPCG(26, 29))
+	for trial := 0; trial < 100; trial++ {
+		alphabet := rng.IntN(4096) + 1
+		c, err := NewCodec(randomFreqs(rng, alphabet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, c.Lengths())
+	}
+
+	shell, wide := new(Codec), 0
+	for i, lengths := range tables {
+		w := new(bitio.Writer)
+		writeLengthTable(w, lengths)
+		if err := shell.readRuns(bitio.NewReader(w.Bytes()), len(lengths)); err != nil {
+			t.Fatalf("table %d: %v", i, err)
+		}
+		want := wantTable(t, shell)
+		for j := range want {
+			if shell.table[j] != want[j] {
+				t.Fatalf("table %d (alphabet %d, maxLen %d): entry %d is %#x, want %#x",
+					i, len(lengths), shell.maxLen, j, shell.table[j], want[j])
+			}
+		}
+		for l := uint(1); l+4 <= shell.tableBits; l++ {
+			if shell.index[l+1] > shell.index[l] {
+				wide++
+				break
+			}
+		}
+	}
+	if wide < 10 {
+		t.Fatalf("%d tables had a primary span of 16 or more entries, want 10 or more", wide)
+	}
+}

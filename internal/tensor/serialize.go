@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"strings"
 
 	"repro/internal/sched"
 )
@@ -72,7 +74,59 @@ func (sd *StateDict) MarshalAppend(dst []byte) []byte {
 	return out
 }
 
-// UnmarshalStateDict parses a buffer produced by Marshal.
+// entryLayout is where one serialized entry's fields sit in the buffer.
+type entryLayout struct {
+	name []byte
+	kind Kind
+	dims []byte // rank little-endian u32s
+	vals []byte // the elements, 4 bytes each
+	next int    // offset of the entry that follows
+}
+
+// layoutAt delimits the entry that starts at data[pos:], checking that every
+// field it declares lies inside data.
+func layoutAt(data []byte, pos int) (entryLayout, bool) {
+	if pos+2 > len(data) {
+		return entryLayout{}, false
+	}
+	nameLen := int(binary.LittleEndian.Uint16(data[pos:]))
+	pos += 2
+	if pos+nameLen+2 > len(data) {
+		return entryLayout{}, false
+	}
+	l := entryLayout{name: data[pos : pos+nameLen], kind: Kind(data[pos+nameLen])}
+	rank := int(data[pos+nameLen+1])
+	pos += nameLen + 2
+	if pos+4*rank > len(data) {
+		return entryLayout{}, false
+	}
+	l.dims = data[pos : pos+4*rank]
+	pos += 4 * rank
+	// The element count saturates just above what the rest of data holds, so
+	// hostile dimensions cannot multiply around to a small count; a zero
+	// dimension still makes it zero.
+	room := uint64(len(data)-pos) / 4
+	elems := uint64(1)
+	for d := 0; d < rank; d++ {
+		hi, lo := bits.Mul64(elems, uint64(binary.LittleEndian.Uint32(l.dims[4*d:])))
+		if hi != 0 || lo > room {
+			lo = room + 1
+		}
+		elems = lo
+	}
+	if elems > room {
+		return entryLayout{}, false
+	}
+	l.vals = data[pos : pos+4*int(elems)]
+	l.next = pos + len(l.vals)
+	return l, true
+}
+
+// UnmarshalStateDict parses a buffer produced by Marshal. It delimits and
+// checks every entry first, then builds the dict in a fixed number of
+// allocations, however many entries it holds: one each for all the names
+// (one string), the shapes, the tensor headers, the entries and the name
+// index, plus a pooled float buffer per entry.
 func UnmarshalStateDict(data []byte) (*StateDict, error) {
 	if len(data) < 8 {
 		return nil, ErrBadFormat
@@ -80,57 +134,58 @@ func UnmarshalStateDict(data []byte) (*StateDict, error) {
 	if binary.LittleEndian.Uint32(data) != stateDictMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
 	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	pos := 8
-	sd := NewStateDict()
-	// fail recycles the pooled buffers of entries decoded so far: a
-	// malformed stream from an untrusted client must not bleed warm pool
-	// capacity entry by entry.
-	fail := func(err error) (*StateDict, error) {
-		for _, e := range sd.entries {
-			sched.PutFloats(e.Tensor.Data)
+	// Every entry takes at least 8 bytes, so a count that passes this loop is
+	// bounded by len(data)/8 before anything is sized by it.
+	count := binary.LittleEndian.Uint32(data[4:])
+	nameBytes, dims := 0, 0
+	for i, pos := uint32(0), 8; i < count; i++ {
+		l, ok := layoutAt(data, pos)
+		if !ok {
+			return nil, ErrBadFormat
 		}
-		return nil, err
+		nameBytes += len(l.name)
+		dims += len(l.dims) / 4
+		pos = l.next
 	}
-	for i := 0; i < count; i++ {
-		if pos+2 > len(data) {
-			return fail(ErrBadFormat)
+
+	var names strings.Builder
+	names.Grow(nameBytes)
+	shapes := make([]int, dims)
+	tensors := make([]Tensor, count)
+	sd := &StateDict{entries: make([]Entry, count), byName: make(map[string]int, count)}
+	for i, pos := 0, 8; i < len(tensors); i++ {
+		l, _ := layoutAt(data, pos)
+		pos = l.next
+		// The builder only appends, and Grow sized it for every name, so each
+		// name is a view of the one string the builder holds.
+		names.Write(l.name)
+		all := names.String()
+		name := all[len(all)-len(l.name):]
+		if _, dup := sd.byName[name]; dup {
+			// Recycle the pooled buffers of the entries decoded so far: a
+			// malformed stream from an untrusted client must not bleed warm
+			// pool capacity.
+			for _, e := range sd.entries[:i] {
+				sched.PutFloats(e.Tensor.Data)
+			}
+			return nil, fmt.Errorf("%w: duplicate entry %q", ErrBadFormat, name)
 		}
-		nameLen := int(binary.LittleEndian.Uint16(data[pos:]))
-		pos += 2
-		if pos+nameLen+2 > len(data) {
-			return fail(ErrBadFormat)
-		}
-		name := string(data[pos : pos+nameLen])
-		pos += nameLen
-		kind := Kind(data[pos])
-		rank := int(data[pos+1])
-		pos += 2
-		if pos+4*rank > len(data) {
-			return fail(ErrBadFormat)
-		}
-		shape := make([]int, rank)
-		n := 1
+		rank := len(l.dims) / 4
+		shape := shapes[:rank:rank]
+		shapes = shapes[rank:]
 		for d := range shape {
-			shape[d] = int(binary.LittleEndian.Uint32(data[pos:]))
-			pos += 4
-			n *= shape[d]
-		}
-		if n < 0 || pos+4*n > len(data) {
-			return fail(ErrBadFormat)
+			shape[d] = int(binary.LittleEndian.Uint32(l.dims[4*d:]))
 		}
 		// Decode into a pool-backed buffer: metadata-partition tensors then
 		// follow the same recycle discipline as the lossy partition's.
+		n := len(l.vals) / 4
 		vals := sched.GetFloats(n)[:n]
 		for j := range vals {
-			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*j:]))
+			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(l.vals[4*j:]))
 		}
-		pos += 4 * n
-		if sd.Get(name) != nil {
-			sched.PutFloats(vals)
-			return fail(fmt.Errorf("%w: duplicate entry %q", ErrBadFormat, name))
-		}
-		sd.Add(name, kind, FromData(vals, shape...))
+		tensors[i] = Tensor{Shape: shape, Data: vals}
+		sd.entries[i] = Entry{Name: name, Kind: l.kind, Tensor: &tensors[i]}
+		sd.byName[name] = i
 	}
 	return sd, nil
 }

@@ -82,6 +82,12 @@ type Writer struct {
 	payloadBytes uint64
 	streamCRC    uint32
 	scratch      []byte
+	// The fixed-size fields are assembled here rather than on the stack,
+	// where passing them to the io.Writer or the CRC would move them to the
+	// heap per frame.
+	pre     [5]byte
+	hdr     [frameHeaderLen]byte
+	trailer [trailerLen]byte
 }
 
 // NewWriter returns a Writer emitting to w. Callers writing to an
@@ -99,15 +105,14 @@ func (w *Writer) WriteFrame(kind byte, payload []byte) error {
 		return fmt.Errorf("wire: frame payload %d exceeds limit", len(payload))
 	}
 	if !w.started {
-		var pre [5]byte
-		binary.LittleEndian.PutUint32(pre[:], streamMagic)
-		pre[4] = streamVersion
-		if _, err := w.w.Write(pre[:]); err != nil {
+		binary.LittleEndian.PutUint32(w.pre[:], streamMagic)
+		w.pre[4] = streamVersion
+		if _, err := w.w.Write(w.pre[:]); err != nil {
 			return fmt.Errorf("wire: preamble: %w", err)
 		}
 		w.started = true
 	}
-	var hdr [frameHeaderLen]byte
+	hdr := &w.hdr
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	crc := crc32.ChecksumIEEE(hdr[:])
@@ -140,7 +145,7 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	var payload [trailerLen]byte
+	payload := &w.trailer
 	binary.LittleEndian.PutUint32(payload[0:], w.frames)
 	binary.LittleEndian.PutUint64(payload[4:], w.payloadBytes)
 	binary.LittleEndian.PutUint32(payload[12:], w.streamCRC)
@@ -224,6 +229,11 @@ type FrameScanner struct {
 	frames       uint32
 	payloadBytes uint64
 	streamCRC    uint32
+	// The fixed-size reads land here rather than on Next's stack, where
+	// passing them to the io.Reader would move them to the heap per frame.
+	pre    [5]byte
+	hdr    [frameHeaderLen]byte
+	crcBuf [4]byte
 }
 
 // Frames returns the number of payload-bearing frames consumed so far.
@@ -264,7 +274,7 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 		return 0, nil, io.EOF
 	}
 	if !s.started {
-		var pre [5]byte
+		pre := &s.pre
 		if err := s.readFull(pre[:], "preamble"); err != nil {
 			return 0, nil, err
 		}
@@ -276,7 +286,7 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 		}
 		s.started = true
 	}
-	var hdr [frameHeaderLen]byte
+	hdr := &s.hdr
 	if err := s.readFull(hdr[:], "frame header"); err != nil {
 		return 0, nil, err
 	}
@@ -306,7 +316,7 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, corruptf("frame payload: %v", err)
 	}
-	var crcBuf [4]byte
+	crcBuf := &s.crcBuf
 	if err := s.readFull(crcBuf[:], "frame crc"); err != nil {
 		sched.PutBytes(buf)
 		return 0, nil, err
@@ -349,14 +359,15 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 // completes has consumed an intact wire stream through its final byte.
 type SectionSource struct {
 	sc FrameScanner
-	tr *core.TimedReader
+	tr core.TimedReader
 }
 
 // NewSectionSource returns a SectionSource de-framing one wire stream from
 // r; reads fail once ctx is cancelled.
 func NewSectionSource(ctx context.Context, r io.Reader) *SectionSource {
-	tr := core.NewTimedReader(ctx, r)
-	return &SectionSource{sc: FrameScanner{r: tr}, tr: tr}
+	s := &SectionSource{tr: *core.NewTimedReader(ctx, r)}
+	s.sc.r = &s.tr
+	return s
 }
 
 // Next implements core.SectionSource. Section kinds map 1:1 onto frame
