@@ -178,10 +178,12 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 		return nil, fmt.Errorf("%w: chunk count", ErrCorrupt)
 	}
 	pos += k
-	chunks := int(c64)
-	if chunks < 2 || chunks > MaxChunks {
-		return nil, fmt.Errorf("%w: chunk count %d outside [2,%d]", ErrCorrupt, chunks, MaxChunks)
+	// Sizes are checked as read, before int conversion, which would wrap
+	// them on a 32-bit platform.
+	if c64 < 2 || c64 > MaxChunks {
+		return nil, fmt.Errorf("%w: chunk count %d outside [2,%d]", ErrCorrupt, c64, MaxChunks)
 	}
+	chunks := int(c64)
 	blocks := (elems + ebcl.PredictorBlockElems - 1) / ebcl.PredictorBlockElems
 	if chunks > blocks {
 		return nil, fmt.Errorf("%w: %d chunks for %d-element tensor", ErrCorrupt, chunks, elems)
@@ -192,12 +194,12 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 	subs = make([][]byte, chunks)
 	off := pos + 4*chunks
 	for i := 0; i < chunks; i++ {
-		sz := int(binary.LittleEndian.Uint32(blob[pos+4*i:]))
-		if sz > len(blob)-off {
+		sz := binary.LittleEndian.Uint32(blob[pos+4*i:])
+		if uint64(sz) > uint64(len(blob)-off) {
 			return nil, fmt.Errorf("%w: chunk %d size %d overruns blob", ErrCorrupt, i, sz)
 		}
-		subs[i] = blob[off : off+sz]
-		off += sz
+		subs[i] = blob[off : off+int(sz)]
+		off += int(sz)
 	}
 	if off != len(blob) {
 		return nil, fmt.Errorf("%w: chunk jump table leaves %d trailing bytes", ErrCorrupt, len(blob)-off)
@@ -227,8 +229,8 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 		if len(data) != elems {
 			return nil, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
 		}
-		for i, r := range ref {
-			data[i] += r
+		if ref != nil {
+			addInto(data, ref)
 		}
 		return data, nil
 	}
@@ -256,9 +258,7 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 			copy(full[lo:hi], part)
 		}
 		if ref != nil {
-			for j, r := range ref[lo:hi] {
-				full[lo+j] += r
-			}
+			addInto(full[lo:hi], ref[lo:hi])
 		}
 	}
 	return full, nil

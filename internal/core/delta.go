@@ -7,38 +7,22 @@ package core
 // mode-byte flip and the DeltaBytesSaved accounting — is encodeBlob's
 // decision (encode.go), made once for plain and chunked blobs alike.
 
-import "math"
-
 // computeResidual fills res[i] = data[i] − ref[i] and reports the value
 // ranges of data and of the residual, and mag = max|data| + max|residual|,
 // the magnitude residualBound's rounding allowance scales with. ok is false
 // when any element of data, ref, or the residual is non-finite: float32
 // overflow (or Inf − Inf) would make ref + residual' diverge from data by more
 // than any bound, so such tensors must take the absolute path, which
-// preserves non-finite values losslessly exactly as before.
+// preserves non-finite values losslessly exactly as before. A non-finite
+// element shows in its array's magnitude bits (ref alone cannot hide one:
+// finite data with non-finite ref makes res non-finite), and that array's
+// range is then NaN or +Inf. One pass (residualScan) reads data and ref.
 func computeResidual(res, data, ref []float32) (rangeData, rangeRes, mag float64, ok bool) {
 	if len(data) == 0 {
 		return 0, 0, 0, false
 	}
-	minD, maxD := data[0], data[0]
-	r0 := data[0] - ref[0]
-	minR, maxR := r0, r0
-	for i, d := range data {
-		r := d - ref[i]
-		res[i] = r
-		minD, maxD = min(minD, d), max(maxD, d)
-		minR, maxR = min(minR, r), max(maxR, r)
-	}
-	rangeData = float64(maxD) - float64(minD)
-	rangeRes = float64(maxR) - float64(minR)
-	mag = float64(max(-minD, maxD)) + float64(max(-minR, maxR))
-	// A non-finite anywhere in data or res poisons one of the ranges (ref
-	// alone cannot: finite data with non-finite ref makes res non-finite).
-	if math.IsNaN(rangeData) || math.IsInf(rangeData, 0) ||
-		math.IsNaN(rangeRes) || math.IsInf(rangeRes, 0) {
-		return rangeData, rangeRes, mag, false
-	}
-	return rangeData, rangeRes, mag, true
+	d, r := residualScan(res, data, ref)
+	return d.span(), r.span(), d.maxAbs() + r.maxAbs(), d.absBits < infBits && r.absBits < infBits
 }
 
 // residualBound shrinks a resolved ABS bound for the residual candidate. The

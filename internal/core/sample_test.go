@@ -31,6 +31,7 @@ func laplaceTensor(rng *rand.Rand, n int, sigma float64) (data, ref *tensor.Tens
 // the sample picks is the one the exact both-ways encode would have kept, or
 // the blob it keeps is within 1 % of the smaller one. The scaled sample is
 // also what DeltaBytesSaved is estimated from, so its error is held to 5 %.
+// The sweep runs on the delta kernels and again on the Go loops.
 func TestSampledPolicyAccuracy(t *testing.T) {
 	sigmas := []float64{0.001, 0.005, 0.01, 0.02, 0.04, 0.06, 0.07, 0.08, 0.085, 0.09, 0.1, 0.105, 0.11, 0.13, 0.15}
 	params := ebcl.Rel(1e-2)
@@ -40,81 +41,83 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 		// 40 s under the race detector and run in the full suite.
 		sizes = sizes[:1]
 	}
-	for _, codec := range []string{"sz2", "sz3", "szx"} {
-		lossy, err := compressors.Get(codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range sizes {
-			same, worst, estLo, estHi := 0, 0.0, math.Inf(1), math.Inf(-1)
-			for si, sigma := range sigmas {
-				data, ref := laplaceTensor(rand.New(rand.NewPCG(21, uint64(n+si))), n, sigma)
-				sd, refSD := tensor.NewStateDict(), tensor.NewStateDict()
-				sd.Add("w", tensor.KindWeight, data)
-				refSD.Add("w", tensor.KindWeight, ref)
-				opts := Options{Lossy: lossy, LossyParams: params}
+	onBothPaths(func(path string) {
+		for _, codec := range []string{"sz2", "sz3", "szx"} {
+			lossy, err := compressors.Get(codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range sizes {
+				same, worst, estLo, estHi := 0, 0.0, math.Inf(1), math.Inf(-1)
+				for si, sigma := range sigmas {
+					data, ref := laplaceTensor(rand.New(rand.NewPCG(21, uint64(n+si))), n, sigma)
+					sd, refSD := tensor.NewStateDict(), tensor.NewStateDict()
+					sd.Add("w", tensor.KindWeight, data)
+					refSD.Add("w", tensor.KindWeight, ref)
+					opts := Options{Lossy: lossy, LossyParams: params}
 
-				// The exact sizes: the absolute blob is the no-reference
-				// stream's, the residual goes through the same writer and
-				// resolved bound encodeBlob would give it.
-				absStream, _, err := Compress(sd, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				absLen := len(parseTensors(t, absStream)[0].Blob)
-				wholeP, ok := absParams(data.Data, params, 0, false)
-				if !ok {
-					t.Fatal("REL bound did not resolve")
-				}
-				res := make([]float32, n)
-				rangeD, rangeR, mag, ok := computeResidual(res, data.Data, ref.Data)
-				ebRes, fits := residualBound(wholeP.Value, mag)
-				if !fits {
-					t.Fatal("rounding allowance ate the bound")
-				}
-				resP := ebcl.Abs(ebRes)
-				var resBlob []byte
-				if chunks := chunkCount(n, chunkElemsOf(opts)); chunks > 1 {
-					resBlob, err = appendChunkedBlob(nil, lossy, nil, res, resP, chunks)
-				} else {
-					resBlob, err = lossy.CompressAppend(nil, res, resP)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				exactDelta := ok && rangeR < rangeD && len(resBlob) <= absLen
+					// The exact sizes: the absolute blob is the no-reference
+					// stream's, the residual goes through the same writer and
+					// resolved bound encodeBlob would give it.
+					absStream, _, err := Compress(sd, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					absLen := len(parseTensors(t, absStream)[0].Blob)
+					wholeP, ok := absParams(data.Data, params, 0, false)
+					if !ok {
+						t.Fatal("REL bound did not resolve")
+					}
+					res := make([]float32, n)
+					rangeD, rangeR, mag, ok := computeResidual(res, data.Data, ref.Data)
+					ebRes, fits := residualBound(wholeP.Value, mag)
+					if !fits {
+						t.Fatal("rounding allowance ate the bound")
+					}
+					resP := ebcl.Abs(ebRes)
+					var resBlob []byte
+					if chunks := chunkCount(n, chunkElemsOf(opts)); chunks > 1 {
+						resBlob, err = appendChunkedBlob(nil, lossy, nil, res, resP, chunks)
+					} else {
+						resBlob, err = lossy.CompressAppend(nil, res, resP)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					exactDelta := ok && rangeR < rangeD && len(resBlob) <= absLen
 
-				opts.Reference, opts.RefEpoch = refSD, 1
-				stream, stats, err := Compress(sd, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pt := parseTensors(t, stream)[0]
-				if pt.Delta && len(pt.Blob) != len(resBlob) || !pt.Delta && len(pt.Blob) != absLen {
-					t.Fatalf("%s n=%d σ=%g: kept blob is %d B, candidates are %d (absolute) and %d (residual)",
-						codec, n, sigma, len(pt.Blob), absLen, len(resBlob))
-				}
-				cost := float64(len(pt.Blob))/float64(min(absLen, len(resBlob))) - 1
-				worst = max(worst, cost)
-				if pt.Delta == exactDelta {
-					same++
-				} else if cost > 0.01 {
-					t.Errorf("%s n=%d σ=%g: sampled pick (residual=%v) keeps %d B, %.2f %% over the exact pick's %d B",
-						codec, n, sigma, pt.Delta, len(pt.Blob), 100*cost, min(absLen, len(resBlob)))
-				}
-				if pt.Delta && stats.DeltaBytesSaved > 0 {
-					est := float64(stats.DeltaBytesSaved+len(pt.Blob))/float64(absLen) - 1
-					estLo, estHi = min(estLo, est), max(estHi, est)
-					if math.Abs(est) > 0.05 {
-						t.Errorf("%s n=%d σ=%g: absolute size estimated %.1f %% off (%d B vs %d B)",
-							codec, n, sigma, 100*est, stats.DeltaBytesSaved+len(pt.Blob), absLen)
+					opts.Reference, opts.RefEpoch = refSD, 1
+					stream, stats, err := Compress(sd, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pt := parseTensors(t, stream)[0]
+					if pt.Delta && len(pt.Blob) != len(resBlob) || !pt.Delta && len(pt.Blob) != absLen {
+						t.Fatalf("%s n=%d σ=%g: kept blob is %d B, candidates are %d (absolute) and %d (residual)",
+							codec, n, sigma, len(pt.Blob), absLen, len(resBlob))
+					}
+					cost := float64(len(pt.Blob))/float64(min(absLen, len(resBlob))) - 1
+					worst = max(worst, cost)
+					if pt.Delta == exactDelta {
+						same++
+					} else if cost > 0.01 {
+						t.Errorf("%s n=%d σ=%g: sampled pick (residual=%v) keeps %d B, %.2f %% over the exact pick's %d B",
+							codec, n, sigma, pt.Delta, len(pt.Blob), 100*cost, min(absLen, len(resBlob)))
+					}
+					if pt.Delta && stats.DeltaBytesSaved > 0 {
+						est := float64(stats.DeltaBytesSaved+len(pt.Blob))/float64(absLen) - 1
+						estLo, estHi = min(estLo, est), max(estHi, est)
+						if math.Abs(est) > 0.05 {
+							t.Errorf("%s n=%d σ=%g: absolute size estimated %.1f %% off (%d B vs %d B)",
+								codec, n, sigma, 100*est, stats.DeltaBytesSaved+len(pt.Blob), absLen)
+						}
 					}
 				}
+				t.Logf("%s: %s n=%d: %d/%d picks identical, worst kept-blob cost %.2f %%, absolute size estimated %+.1f…%+.1f %% off",
+					path, codec, n, same, len(sigmas), 100*worst, 100*estLo, 100*estHi)
 			}
-			t.Logf("%s n=%d: %d/%d picks identical, worst kept-blob cost %.2f %%, absolute size estimated %+.1f…%+.1f %% off",
-				codec, n, same, len(sigmas), 100*worst, 100*estLo, 100*estHi)
 		}
-	}
+	})
 }
 
 // countingCodec sums the elements handed to CompressAppend: the encode work
