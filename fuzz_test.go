@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lanes"
 )
 
 // fuzzDict builds a deterministic state dict from fuzz input: raw bytes
@@ -86,118 +87,127 @@ func FuzzDeltaDifferential(f *testing.F) {
 		if len(raw) > 1<<14 {
 			return
 		}
-		ctx := context.Background()
-		sd := fuzzDict(seed, n1, n2, raw)
-		// The reference is the update nudged by a small deterministic step —
-		// the correlated regime where residual sections engage.
-		ref := sd.Clone()
-		rng := rand.New(rand.NewPCG(seed, 0xD317A))
-		for _, e := range ref.Entries() {
-			for i := range e.Tensor.Data {
-				e.Tensor.Data[i] += float32(1e-3 * rng.NormFloat64())
+		// The checks run on the lane kernels and again on the Go loops, so the
+		// committed seeds hold both to the bound on every amd64 run.
+		lanes.BothPaths(func(path string) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("on the %s path", path)
+				}
+			}()
+			ctx := context.Background()
+			sd := fuzzDict(seed, n1, n2, raw)
+			// The reference is the update nudged by a small deterministic step —
+			// the correlated regime where residual sections engage.
+			ref := sd.Clone()
+			rng := rand.New(rand.NewPCG(seed, 0xD317A))
+			for _, e := range ref.Entries() {
+				for i := range e.Tensor.Data {
+					e.Tensor.Data[i] += float32(1e-3 * rng.NormFloat64())
+				}
 			}
-		}
-		const epoch = 3
+			const epoch = 3
 
-		for _, comp := range []string{"sz2", "szx"} {
-			codec, err := New(WithCompressor(comp), WithAbsBound(1e-3), WithParallelism(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream, stats, err := codec.CompressDelta(ctx, sd, ref, epoch)
-			if err != nil {
-				t.Fatalf("%s: delta compress: %v", comp, err)
-			}
-			if stream[4] != 3 {
-				t.Fatalf("%s: delta stream version %d, want 3", comp, stream[4])
-			}
-
-			// Round trip against the right reference: bound + metadata hold.
-			got, dstats, err := codec.DecompressDelta(ctx, stream, ref, epoch)
-			if err != nil {
-				t.Fatalf("%s: delta decompress: %v", comp, err)
-			}
-			if dstats.DeltaTensors != stats.DeltaTensors {
-				t.Fatalf("%s: decoder saw %d residual tensors, encoder emitted %d",
-					comp, dstats.DeltaTensors, stats.DeltaTensors)
-			}
-			for _, name := range []string{"a.weight", "b.weight"} {
-				if e := maxAbsErr(sd.Get(name).Data, got.Get(name).Data); e > 1e-3*(1+1e-5)+1e-12 {
-					t.Fatalf("%s: %s delta error %g exceeds bound", comp, name, e)
+			for _, comp := range []string{"sz2", "szx"} {
+				codec, err := New(WithCompressor(comp), WithAbsBound(1e-3), WithParallelism(2))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for i, v := range sd.Get("a.bias").Data {
-				if got.Get("a.bias").Data[i] != v {
-					t.Fatalf("%s: metadata not bit-exact through delta stream", comp)
+				stream, stats, err := codec.CompressDelta(ctx, sd, ref, epoch)
+				if err != nil {
+					t.Fatalf("%s: delta compress: %v", comp, err)
 				}
-			}
-
-			// Reference mismatches: nil reference, wrong epoch, and a
-			// structurally different dict must fail with ErrReference when
-			// any section is residual — and must never panic.
-			if stats.DeltaTensors > 0 {
-				if _, _, err := codec.DecompressDelta(ctx, stream, nil, epoch); !errors.Is(err, core.ErrReference) {
-					t.Fatalf("%s: nil reference: %v, want ErrReference", comp, err)
-				}
-				if _, _, err := codec.DecompressDelta(ctx, stream, ref, epoch+1); !errors.Is(err, core.ErrReference) {
-					t.Fatalf("%s: wrong epoch: %v, want ErrReference", comp, err)
-				}
-				other := fuzzDict(seed+0x9E37, n2, n1, nil)
-				if _, _, err := codec.DecompressDelta(ctx, stream, other, epoch); err != nil &&
-					!errors.Is(err, core.ErrReference) && !errors.Is(err, core.ErrCorrupt) {
-					t.Fatalf("%s: mismatched reference dict: unexpected error class %v", comp, err)
-				}
-			}
-
-			secs, err := core.Sections(stream)
-			if err != nil {
-				t.Fatalf("%s: sections: %v", comp, err)
-			}
-			if len(secs.Tensors) > 0 {
-				idx := int(mut) % len(secs.Tensors)
-				badOff := len(secs.Header)
-				for i := 0; i < idx; i++ {
-					badOff += len(secs.Tensors[i])
-				}
-				badOff += deltaModeByteOffset(secs.Tensors[idx])
-
-				// An invalid mode byte must be ErrCorrupt from both the
-				// section parser and the decoder.
-				bad := append([]byte(nil), stream...)
-				bad[badOff] = 2 + mut%250
-				if _, err := core.Sections(bad); !errors.Is(err, core.ErrCorrupt) {
-					t.Fatalf("%s: invalid mode byte in Sections: %v, want ErrCorrupt", comp, err)
-				}
-				if _, _, err := codec.DecompressDelta(ctx, bad, ref, epoch); !errors.Is(err, core.ErrCorrupt) {
-					t.Fatalf("%s: invalid mode byte in decode: %v, want ErrCorrupt", comp, err)
+				if stream[4] != 3 {
+					t.Fatalf("%s: delta stream version %d, want 3", comp, stream[4])
 				}
 
-				// Flipping a valid mode byte re-routes the blob through the
-				// other path: the decode may fail (corrupt blob, missing
-				// reference) but must never panic, and any failure must be a
-				// classified sentinel.
-				flip := append([]byte(nil), stream...)
-				if flip[badOff] == 0 {
-					flip[badOff] = 1
-				} else {
-					flip[badOff] = 0
+				// Round trip against the right reference: bound + metadata hold.
+				got, dstats, err := codec.DecompressDelta(ctx, stream, ref, epoch)
+				if err != nil {
+					t.Fatalf("%s: delta decompress: %v", comp, err)
 				}
-				if _, _, err := codec.DecompressDelta(ctx, flip, ref, epoch); err != nil &&
-					!errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrReference) {
-					t.Fatalf("%s: flipped mode byte: unclassified error %v", comp, err)
+				if dstats.DeltaTensors != stats.DeltaTensors {
+					t.Fatalf("%s: decoder saw %d residual tensors, encoder emitted %d",
+						comp, dstats.DeltaTensors, stats.DeltaTensors)
 				}
-			}
+				for _, name := range []string{"a.weight", "b.weight"} {
+					if e := maxAbsErr(sd.Get(name).Data, got.Get(name).Data); e > 1e-3*(1+1e-5)+1e-12 {
+						t.Fatalf("%s: %s delta error %g exceeds bound", comp, name, e)
+					}
+				}
+				for i, v := range sd.Get("a.bias").Data {
+					if got.Get("a.bias").Data[i] != v {
+						t.Fatalf("%s: metadata not bit-exact through delta stream", comp)
+					}
+				}
 
-			// Truncation anywhere in the stream must be ErrCorrupt (or
-			// ErrReference when the cut hides the residual's reference
-			// check), never a panic or a silent short decode.
-			cut := 1 + int(mut)%(len(stream)-1)
-			if _, _, err := codec.DecompressDelta(ctx, stream[:len(stream)-cut], ref, epoch); err == nil {
-				t.Fatalf("%s: truncated delta stream decoded successfully", comp)
-			} else if !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrReference) {
-				t.Fatalf("%s: truncated delta stream: unclassified error %v", comp, err)
+				// Reference mismatches: nil reference, wrong epoch, and a
+				// structurally different dict must fail with ErrReference when
+				// any section is residual — and must never panic.
+				if stats.DeltaTensors > 0 {
+					if _, _, err := codec.DecompressDelta(ctx, stream, nil, epoch); !errors.Is(err, core.ErrReference) {
+						t.Fatalf("%s: nil reference: %v, want ErrReference", comp, err)
+					}
+					if _, _, err := codec.DecompressDelta(ctx, stream, ref, epoch+1); !errors.Is(err, core.ErrReference) {
+						t.Fatalf("%s: wrong epoch: %v, want ErrReference", comp, err)
+					}
+					other := fuzzDict(seed+0x9E37, n2, n1, nil)
+					if _, _, err := codec.DecompressDelta(ctx, stream, other, epoch); err != nil &&
+						!errors.Is(err, core.ErrReference) && !errors.Is(err, core.ErrCorrupt) {
+						t.Fatalf("%s: mismatched reference dict: unexpected error class %v", comp, err)
+					}
+				}
+
+				secs, err := core.Sections(stream)
+				if err != nil {
+					t.Fatalf("%s: sections: %v", comp, err)
+				}
+				if len(secs.Tensors) > 0 {
+					idx := int(mut) % len(secs.Tensors)
+					badOff := len(secs.Header)
+					for i := 0; i < idx; i++ {
+						badOff += len(secs.Tensors[i])
+					}
+					badOff += deltaModeByteOffset(secs.Tensors[idx])
+
+					// An invalid mode byte must be ErrCorrupt from both the
+					// section parser and the decoder.
+					bad := append([]byte(nil), stream...)
+					bad[badOff] = 2 + mut%250
+					if _, err := core.Sections(bad); !errors.Is(err, core.ErrCorrupt) {
+						t.Fatalf("%s: invalid mode byte in Sections: %v, want ErrCorrupt", comp, err)
+					}
+					if _, _, err := codec.DecompressDelta(ctx, bad, ref, epoch); !errors.Is(err, core.ErrCorrupt) {
+						t.Fatalf("%s: invalid mode byte in decode: %v, want ErrCorrupt", comp, err)
+					}
+
+					// Flipping a valid mode byte re-routes the blob through the
+					// other path: the decode may fail (corrupt blob, missing
+					// reference) but must never panic, and any failure must be a
+					// classified sentinel.
+					flip := append([]byte(nil), stream...)
+					if flip[badOff] == 0 {
+						flip[badOff] = 1
+					} else {
+						flip[badOff] = 0
+					}
+					if _, _, err := codec.DecompressDelta(ctx, flip, ref, epoch); err != nil &&
+						!errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrReference) {
+						t.Fatalf("%s: flipped mode byte: unclassified error %v", comp, err)
+					}
+				}
+
+				// Truncation anywhere in the stream must be ErrCorrupt (or
+				// ErrReference when the cut hides the residual's reference
+				// check), never a panic or a silent short decode.
+				cut := 1 + int(mut)%(len(stream)-1)
+				if _, _, err := codec.DecompressDelta(ctx, stream[:len(stream)-cut], ref, epoch); err == nil {
+					t.Fatalf("%s: truncated delta stream decoded successfully", comp)
+				} else if !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrReference) {
+					t.Fatalf("%s: truncated delta stream: unclassified error %v", comp, err)
+				}
 			}
-		}
+		})
 	})
 }
 

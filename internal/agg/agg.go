@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flserve"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -222,7 +223,7 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 				if lossy[i].shard != si {
 					continue
 				}
-				addScaled(lossy[i].acc, upd.Tensors[i].Data, w)
+				lanes.AddScaled(lossy[i].acc, upd.Tensors[i].Data, w)
 			}
 		})
 		if err := s.meta.AddScaled(upd.Meta, w); err != nil {

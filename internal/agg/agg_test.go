@@ -18,6 +18,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/flserve"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/wire"
@@ -136,7 +137,7 @@ func TestShardedConformance(t *testing.T) {
 	const n = 6
 	streams, decoded := compressUpdates(t, n)
 
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		single := sequentialMean(t, 1, streams)
 		mustEqualBits(t, path+": P=1 vs manual fold", single, manualFold(t, decoded))
 		for _, p := range []int{2, 4} {
@@ -156,7 +157,7 @@ func TestShardedConformance(t *testing.T) {
 func TestShardedConformanceConcurrent(t *testing.T) {
 	const n = 8
 	streams, decoded := compressUpdates(t, n)
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		want := sequentialMean(t, 1, streams)
 		mustEqualBits(t, path+": P=1 vs manual fold", want, manualFold(t, decoded))
 

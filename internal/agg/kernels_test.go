@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/lanes"
 )
 
-// foldRef is the Go loop addScaled runs without the kernel, kept apart so the
-// test does not depend on useAVX2.
+// foldRef is the Go loop lanes.AddScaled runs without the kernel, kept apart
+// so the test does not depend on lanes.On.
 func foldRef(a, b []float32, w float32) {
 	for i := range a {
 		a[i] += w * b[i]
@@ -47,7 +49,7 @@ func TestAddScaledKernel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 1))
 	weights := []float32{1, 0.25, -3, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)),
 		math.Float32frombits(0x7fc0beef), math.Float32frombits(3), 1e30}
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for n := 0; n <= 67; n++ {
 			for off := 0; off < 8; off++ {
 				for _, w := range weights {
@@ -55,7 +57,7 @@ func TestAddScaledKernel(t *testing.T) {
 					acc, src := accBuf[off:], srcBuf[7-off:]
 					want := append([]float32(nil), acc...)
 					foldRef(want, src, w)
-					addScaled(acc, src, w)
+					lanes.AddScaled(acc, src, w)
 					for i := range want {
 						if math.Float32bits(acc[i]) != math.Float32bits(want[i]) {
 							t.Fatalf("%s: n=%d off=%d w=%g: element %d is %#08x, Go loop %#08x",
@@ -71,7 +73,7 @@ func TestAddScaledKernel(t *testing.T) {
 // TestAddScaledLeavesTheRest checks the kernel writes only a's elements: the
 // floats around a subslice keep their values.
 func TestAddScaledLeavesTheRest(t *testing.T) {
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for n := 0; n <= 35; n++ {
 			buf := make([]float32, n+16)
 			for i := range buf {
@@ -81,7 +83,7 @@ func TestAddScaledLeavesTheRest(t *testing.T) {
 			for i := range src {
 				src[i] = 1
 			}
-			addScaled(buf[8:8+n], src, 2)
+			lanes.AddScaled(buf[8:8+n], src, 2)
 			for i, v := range buf {
 				want := float32(i)
 				if i >= 8 && i < 8+n {

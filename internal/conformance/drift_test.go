@@ -71,83 +71,85 @@ func TestDeltaMultiRoundDrift(t *testing.T) {
 		}
 		for _, pp := range params {
 			t.Run(lossyName+"/"+pp.name, func(t *testing.T) {
-				lossy, err := compressors.Get(lossyName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewPCG(4242, uint64(len(lossyName))))
-				truth := driftDict(rng)
-
-				// shared is the reference chain: the reconstruction both
-				// ends hold after each round, seeded by an absolute round 0.
-				opts := core.Options{Lossy: lossy, LossyParams: pp.p}
-				stream, _, err := core.Compress(truth, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shared, _, err := core.Decompress(stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				deltaRounds := 0
-				for round := 1; round <= driftRounds; round++ {
-					drift(truth, rng, 1e-3)
-					epoch := uint32(round)
-					dOpts := opts
-					dOpts.Reference, dOpts.RefEpoch = shared, epoch
-					stream, stats, err := core.Compress(truth, dOpts)
+				bothPaths(t, func() {
+					lossy, err := compressors.Get(lossyName)
 					if err != nil {
-						t.Fatalf("round %d: %v", round, err)
+						t.Fatal(err)
 					}
-					if stream[4] != 3 {
-						t.Fatalf("round %d: stream version %d, want 3", round, stream[4])
-					}
-					deltaRounds += stats.DeltaTensors
-					recon, dstats, err := core.DecompressWith(t.Context(), nil, stream,
-						core.DecodeOptions{Reference: shared, RefEpoch: epoch})
+					rng := rand.New(rand.NewPCG(4242, uint64(len(lossyName))))
+					truth := driftDict(rng)
+
+					// shared is the reference chain: the reconstruction both
+					// ends hold after each round, seeded by an absolute round 0.
+					opts := core.Options{Lossy: lossy, LossyParams: pp.p}
+					stream, _, err := core.Compress(truth, opts)
 					if err != nil {
-						t.Fatalf("round %d: %v", round, err)
+						t.Fatal(err)
 					}
-					if dstats.DeltaTensors != stats.DeltaTensors {
-						t.Fatalf("round %d: decoder saw %d delta tensors, encoder emitted %d",
-							round, dstats.DeltaTensors, stats.DeltaTensors)
+					shared, _, err := core.Decompress(stream)
+					if err != nil {
+						t.Fatal(err)
 					}
 
-					// The drift contract: round K's reconstruction error vs
-					// round K's data is one round's bound, not K rounds'.
-					for i, e := range truth.Entries() {
-						g := recon.Entries()[i]
-						if e.Kind != tensor.KindWeight || e.Tensor.NumElems() <= core.DefaultThreshold {
-							continue
-						}
-						ebAbs, err := ebcl.ResolveAbs(e.Tensor.Data, pp.p)
+					deltaRounds := 0
+					for round := 1; round <= driftRounds; round++ {
+						drift(truth, rng, 1e-3)
+						epoch := uint32(round)
+						dOpts := opts
+						dOpts.Reference, dOpts.RefEpoch = shared, epoch
+						stream, stats, err := core.Compress(truth, dOpts)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("round %d: %v", round, err)
 						}
-						limit := ebAbs * driftGrowthFactor
-						if !tr.strictBound {
-							limit = ebAbs * tr.looseFactor
+						if stream[4] != 3 {
+							t.Fatalf("round %d: stream version %d, want 3", round, stream[4])
 						}
-						for j := range e.Tensor.Data {
-							d := math.Abs(float64(e.Tensor.Data[j]) - float64(g.Tensor.Data[j]))
-							if d > limit*(1+1e-6)+1e-12 {
-								t.Fatalf("round %d entry %q: error %g exceeds %g at %d — delta error accumulated",
-									round, e.Name, d, limit, j)
+						deltaRounds += stats.DeltaTensors
+						recon, dstats, err := core.DecompressWith(t.Context(), nil, stream,
+							core.DecodeOptions{Reference: shared, RefEpoch: epoch})
+						if err != nil {
+							t.Fatalf("round %d: %v", round, err)
+						}
+						if dstats.DeltaTensors != stats.DeltaTensors {
+							t.Fatalf("round %d: decoder saw %d delta tensors, encoder emitted %d",
+								round, dstats.DeltaTensors, stats.DeltaTensors)
+						}
+
+						// The drift contract: round K's reconstruction error vs
+						// round K's data is one round's bound, not K rounds'.
+						for i, e := range truth.Entries() {
+							g := recon.Entries()[i]
+							if e.Kind != tensor.KindWeight || e.Tensor.NumElems() <= core.DefaultThreshold {
+								continue
+							}
+							ebAbs, err := ebcl.ResolveAbs(e.Tensor.Data, pp.p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							limit := ebAbs * driftGrowthFactor
+							if !tr.strictBound {
+								limit = ebAbs * tr.looseFactor
+							}
+							for j := range e.Tensor.Data {
+								d := math.Abs(float64(e.Tensor.Data[j]) - float64(g.Tensor.Data[j]))
+								if d > limit*(1+1e-6)+1e-12 {
+									t.Fatalf("round %d entry %q: error %g exceeds %g at %d — delta error accumulated",
+										round, e.Name, d, limit, j)
+								}
 							}
 						}
+						shared = recon
 					}
-					shared = recon
-				}
-				// The rounds are tightly correlated (drift ≪ value range),
-				// so for the strict codecs — whose output size tracks the
-				// value range — the residual encoding must actually have
-				// engaged, or the suite silently tests the absolute path.
-				// zfp's size is rate-driven, so its residual sections may
-				// legitimately never win; the per-tensor fallback covers it.
-				if deltaRounds == 0 && tr.strictBound {
-					t.Fatal("no tensor ever took the residual path across all rounds")
-				}
+					// The rounds are tightly correlated (drift ≪ value range),
+					// so for the strict codecs — whose output size tracks the
+					// value range — the residual encoding must actually have
+					// engaged, or the suite silently tests the absolute path.
+					// zfp's size is rate-driven, so its residual sections may
+					// legitimately never win; the per-tensor fallback covers it.
+					if deltaRounds == 0 && tr.strictBound {
+						t.Fatal("no tensor ever took the residual path across all rounds")
+					}
+				})
 			})
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
+	"repro/internal/lanes"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -36,6 +37,20 @@ import (
 //	go test ./internal/conformance -run TestGoldenStreams -update
 
 var update = flag.Bool("update", false, "rewrite the golden-stream corpus")
+
+// bothPaths runs check on the lane kernels and again on the Go loops
+// (lanes.BothPaths), so the corpus and the bit-identity tests hold the Go
+// loops to the same bytes on every amd64 run. A failure names its path.
+func bothPaths(t *testing.T, check func()) {
+	lanes.BothPaths(func(path string) {
+		defer func() {
+			if t.Failed() {
+				t.Logf("on the %s path", path)
+			}
+		}()
+		check()
+	})
+}
 
 // goldenDict builds the deterministic state dict the corpus encodes:
 // two lossy weight tensors plus bit-sensitive metadata.
@@ -238,63 +253,66 @@ func TestGoldenStreams(t *testing.T) {
 			if *update && !gc.frozen {
 				regenerate(t, gc)
 			}
-			stream, err := os.ReadFile(goldenPath(gc.name, "fsz"))
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if len(stream) < 5 || stream[4] != gc.version {
-				t.Fatalf("golden stream carries format version %d, want %d", stream[4], gc.version)
-			}
-			if !gc.frozen {
-				if got, _ := encodeGolden(t, gc); !bytes.Equal(got, stream) {
-					t.Fatalf("encoder emits %d bytes that differ from the %d-byte golden stream — the encoder drifted", len(got), len(stream))
+			bothPaths(t, func() {
+				stream, err := os.ReadFile(goldenPath(gc.name, "fsz"))
+				if err != nil {
+					t.Fatalf("%v (regenerate with -update)", err)
 				}
-			}
-			wantSD, err := os.ReadFile(goldenPath(gc.name, "sd"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			framed, err := os.ReadFile(goldenPath(gc.name, "wire"))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var dopts core.DecodeOptions
-			if gc.delta {
-				dopts = core.DecodeOptions{Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch}
-				// Without the reference the residual sections must fail with
-				// the renegotiation sentinel, never decode to wrong bytes.
-				if _, _, err := core.Decompress(stream); !errors.Is(err, core.ErrReference) {
-					t.Fatalf("delta stream without reference: %v, want ErrReference", err)
+				if len(stream) < 5 || stream[4] != gc.version {
+					t.Fatalf("golden stream carries format version %d, want %d", stream[4], gc.version)
 				}
-			}
+				if !gc.frozen {
+					if got, _ := encodeGolden(t, gc); !bytes.Equal(got, stream) {
+						t.Fatalf("encoder emits %d bytes that differ from the %d-byte golden stream — the encoder drifted", len(got), len(stream))
+					}
+				}
+				wantSD, err := os.ReadFile(goldenPath(gc.name, "sd"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				framed, err := os.ReadFile(goldenPath(gc.name, "wire"))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			// The checked-in stream must decode byte-for-byte.
-			sd, _, err := core.DecompressWith(context.Background(), nil, stream, dopts)
-			if err != nil {
-				t.Fatalf("golden stream no longer decodes: %v", err)
-			}
-			if !bytes.Equal(sd.Marshal(), wantSD) {
-				t.Fatal("golden stream decodes to different bytes — the stream format drifted")
-			}
+				var dopts core.DecodeOptions
+				if gc.delta {
+					dopts = core.DecodeOptions{Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch}
+					// Without the reference the residual sections must fail with
+					// the renegotiation sentinel, never decode to wrong bytes.
+					if _, _, err := core.Decompress(stream); !errors.Is(err, core.ErrReference) {
+						t.Fatalf("delta stream without reference: %v, want ErrReference", err)
+					}
+				}
 
-			// The wire container must reassemble the identical payload and
-			// decode identically through the streaming path.
-			r := wire.NewReader(bytes.NewReader(framed))
-			payload, err := io.ReadAll(r)
-			if err != nil {
-				t.Fatalf("golden wire stream no longer de-frames: %v", err)
-			}
-			if !bytes.Equal(payload, stream) {
-				t.Fatal("wire payload differs from the golden stream — the wire format drifted")
-			}
-			wsd, _, err := core.DecompressFrom(context.Background(), nil, bytes.NewReader(payload), dopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wsd.Marshal(), wantSD) {
-				t.Fatal("streaming decode of golden wire stream differs")
-			}
+				// The checked-in stream must decode byte-for-byte.
+				sd, _, err := core.DecompressWith(context.Background(), nil, stream, dopts)
+				if err != nil {
+					t.Fatalf("golden stream no longer decodes: %v", err)
+				}
+				if !bytes.Equal(sd.Marshal(), wantSD) {
+					t.Fatal("golden stream decodes to different bytes — the stream format drifted")
+				}
+
+				// The wire container must reassemble the identical payload and
+				// decode identically through the streaming path.
+				r := wire.NewReader(bytes.NewReader(framed))
+				payload, err := io.ReadAll(r)
+				if err != nil {
+					t.Fatalf("golden wire stream no longer de-frames: %v", err)
+				}
+				if !bytes.Equal(payload, stream) {
+					t.Fatal("wire payload differs from the golden stream — the wire format drifted")
+				}
+				wsd, _, err := core.DecompressFrom(context.Background(), nil, bytes.NewReader(payload), dopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wsd.Marshal(), wantSD) {
+					t.Fatal("streaming decode of golden wire stream differs")
+				}
+
+			})
 		})
 	}
 }
@@ -305,40 +323,42 @@ func TestGoldenStreams(t *testing.T) {
 // reference. A deployment can therefore turn chunking on fleet-wide
 // without bumping the stream version for small models.
 func TestChunkThresholdByteIdentity(t *testing.T) {
-	for _, name := range []string{"sz2", "sz3"} {
-		lossy, err := compressors.Get(name)
-		if err != nil {
-			t.Fatal(err)
+	bothPaths(t, func() {
+		for _, name := range []string{"sz2", "sz3"} {
+			lossy, err := compressors.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sd := goldenDict(false)
+			off, _, err := core.Compress(sd, core.Options{Lossy: lossy, ChunkElems: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			on, _, err := core.Compress(sd, core.Options{Lossy: lossy, ChunkElems: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(off, on) {
+				t.Fatalf("%s: below-threshold chunked stream differs from v2 bytes", name)
+			}
+			dsd := goldenDeltaDict()
+			dOff, _, err := core.Compress(dsd, core.Options{
+				Lossy: lossy, ChunkElems: -1,
+				Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dOn, _, err := core.Compress(dsd, core.Options{
+				Lossy: lossy, ChunkElems: 1 << 20,
+				Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dOff, dOn) {
+				t.Fatalf("%s: below-threshold chunked delta stream differs from v3 bytes", name)
+			}
 		}
-		sd := goldenDict(false)
-		off, _, err := core.Compress(sd, core.Options{Lossy: lossy, ChunkElems: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		on, _, err := core.Compress(sd, core.Options{Lossy: lossy, ChunkElems: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(off, on) {
-			t.Fatalf("%s: below-threshold chunked stream differs from v2 bytes", name)
-		}
-		dsd := goldenDeltaDict()
-		dOff, _, err := core.Compress(dsd, core.Options{
-			Lossy: lossy, ChunkElems: -1,
-			Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dOn, _, err := core.Compress(dsd, core.Options{
-			Lossy: lossy, ChunkElems: 1 << 20,
-			Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dOff, dOn) {
-			t.Fatalf("%s: below-threshold chunked delta stream differs from v3 bytes", name)
-		}
-	}
+	})
 }

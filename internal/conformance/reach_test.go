@@ -30,6 +30,7 @@ var reachKept = map[string]string{
 
 	"repro/internal/ebcl.MaxAbsError":    "the error measure eblctest and the codec tests hold every bound to",
 	"repro/internal/ebcl.Precision":      "PREC-mode shorthand beside Rel and Abs; zfp, core and conformance tests build fixed-precision params with it",
+	"repro/internal/lanes.BothPaths":     "the one both-paths helper: the kernel tests in ebcl, core, agg and huffman, the goldens and the root delta fuzz seeds run their checks on the kernels and the Go loops through it",
 	"repro/internal/sched.FloatPoolPuts": "the puts side of the gets == puts leak assertions in core, wire and agg tests",
 }
 

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -230,7 +231,7 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 			return nil, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
 		}
 		if ref != nil {
-			addInto(data, ref)
+			lanes.Add(data, ref)
 		}
 		return data, nil
 	}
@@ -258,7 +259,7 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 			copy(full[lo:hi], part)
 		}
 		if ref != nil {
-			addInto(full[lo:hi], ref[lo:hi])
+			lanes.Add(full[lo:hi], ref[lo:hi])
 		}
 	}
 	return full, nil

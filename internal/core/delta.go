@@ -7,6 +7,8 @@ package core
 // mode-byte flip and the DeltaBytesSaved accounting — is encodeBlob's
 // decision (encode.go), made once for plain and chunked blobs alike.
 
+import "repro/internal/lanes"
+
 // computeResidual fills res[i] = data[i] − ref[i] and reports the value
 // ranges of data and of the residual, and mag = max|data| + max|residual|,
 // the magnitude residualBound's rounding allowance scales with. ok is false
@@ -16,13 +18,13 @@ package core
 // preserves non-finite values losslessly exactly as before. A non-finite
 // element shows in its array's magnitude bits (ref alone cannot hide one:
 // finite data with non-finite ref makes res non-finite), and that array's
-// range is then NaN or +Inf. One pass (residualScan) reads data and ref.
+// range is then NaN or +Inf. One pass (lanes.Residual) reads data and ref.
 func computeResidual(res, data, ref []float32) (rangeData, rangeRes, mag float64, ok bool) {
 	if len(data) == 0 {
 		return 0, 0, 0, false
 	}
-	d, r := residualScan(res, data, ref)
-	return d.span(), r.span(), d.maxAbs() + r.maxAbs(), d.absBits < infBits && r.absBits < infBits
+	d, r := lanes.Residual(res, data, ref)
+	return d.Span(), r.Span(), d.MaxAbs() + r.MaxAbs(), d.Finite() && r.Finite()
 }
 
 // residualBound shrinks a resolved ABS bound for the residual candidate. The

@@ -4,11 +4,13 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/lanes"
 )
 
 // residualRef is the scalar loop computeResidual ran before its kernel: Go's
 // NaN-propagating min and max over data and the residual. The kernel is held
-// to it, so the test does not depend on useAVX2.
+// to it, so the test does not depend on lanes.On.
 func residualRef(res, data, ref []float32) (rangeData, rangeRes, mag float64, ok bool) {
 	if len(data) == 0 {
 		return 0, 0, 0, false
@@ -29,7 +31,7 @@ func residualRef(res, data, ref []float32) (rangeData, rangeRes, mag float64, ok
 	return rangeData, rangeRes, mag, finite(rangeData) && finite(rangeRes)
 }
 
-// addRef is the Go loop addInto runs without the kernel.
+// addRef is the Go loop lanes.Add runs without the kernel.
 func addRef(data, ref []float32) {
 	for i, r := range ref {
 		data[i] += r
@@ -149,7 +151,7 @@ func classify(vals []float32) (nan, inf bool) {
 // when it holds an infinity.
 func TestResidualKernel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(30, 1))
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for n := 0; n <= 67; n++ {
 			for _, tc := range residualCases(rng, n) {
 				off := rng.IntN(8)
@@ -200,7 +202,7 @@ func TestResidualKernel(t *testing.T) {
 // TestResidualKernelWritesOnlyRes checks the residual pass writes res's
 // elements and nothing around them, and leaves data and ref as they were.
 func TestResidualKernelWritesOnlyRes(t *testing.T) {
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for n := 1; n <= 35; n++ {
 			buf := make([]float32, n+16)
 			for i := range buf {
@@ -234,12 +236,12 @@ func bothNaN(a, b float32) bool { return a != a && b != b }
 // quiet is a NaN's bits as an arithmetic result carries them.
 func quiet(nan float32) uint32 { return math.Float32bits(nan) | 1<<22 }
 
-// TestAddIntoKernel pins addInto on both paths to data[i] += ref[i] bit for
+// TestAddIntoKernel pins lanes.Add on both paths to data[i] += ref[i] bit for
 // bit on the same lengths, offsets and values, NaN payloads included, and
 // checks that nothing around data is written.
 func TestAddIntoKernel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(30, 2))
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for n := 0; n <= 67; n++ {
 			for off := 0; off < 8; off++ {
 				buf := make([]float32, off+n+8)
@@ -254,7 +256,7 @@ func TestAddIntoKernel(t *testing.T) {
 				want := append([]float32(nil), buf...)
 				addRef(want[off:off+n], ref)
 				orig := append([]float32(nil), buf...)
-				addInto(buf[off:off+n], ref)
+				lanes.Add(buf[off:off+n], ref)
 				for i := range want {
 					if path == "Go" && i >= off && i < off+n && bothNaN(orig[i], ref[i-off]) {
 						// Which NaN's payload a Go sum keeps is the compiler's

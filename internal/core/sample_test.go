@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/tensor"
 )
 
@@ -41,7 +42,7 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 		// 40 s under the race detector and run in the full suite.
 		sizes = sizes[:1]
 	}
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for _, codec := range []string{"sz2", "sz3", "szx"} {
 			lossy, err := compressors.Get(codec)
 			if err != nil {

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/lanes"
 )
 
 // Mode selects how the bound parameter is interpreted.
@@ -179,16 +181,17 @@ func GrowFloats(dst []float32, n int) []float32 {
 }
 
 // ValueRange returns max − min of data (0 for empty input), NaN when any
-// element is NaN: the range is then undefined, wherever the NaN sits.
+// element is NaN: the range is then undefined, wherever the NaN sits. With an
+// infinity it is what the float subtraction gives: +Inf, or NaN when every
+// element is the same infinity.
 func ValueRange(data []float32) float64 {
 	if len(data) == 0 {
 		return 0
 	}
-	lo, hi, maxAbsBits := MinMax(data)
-	if maxAbsBits > 0x7f800000 {
-		return math.NaN()
+	if e := lanes.Scan(data); !math.IsNaN(e.Span()) {
+		return float64(e.Hi) - float64(e.Lo)
 	}
-	return float64(hi) - float64(lo)
+	return math.NaN()
 }
 
 // ResolveAbs converts p into an absolute error bound for data. For

@@ -9,10 +9,13 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
 func TestValueRange(t *testing.T) {
+	inf, negInf := float32(math.Inf(1)), float32(math.Inf(-1))
+	nineOf := func(v float32) []float32 { return []float32{v, v, v, v, v, v, v, v, v} }
 	cases := []struct {
 		data []float32
 		want float64
@@ -22,19 +25,31 @@ func TestValueRange(t *testing.T) {
 		{[]float32{1, 2, 3}, 2},
 		{[]float32{-1, 1}, 2},
 		{[]float32{-3.5, -1.5}, 2},
+		// An infinity gives what hi − lo gives in floats.
+		{[]float32{negInf, inf}, math.Inf(1)},
+		{[]float32{1, inf}, math.Inf(1)},
+		{append(nineOf(negInf), inf), math.Inf(1)},
+		{append(nineOf(1), inf), math.Inf(1)},
 	}
-	for i, c := range cases {
-		if got := ValueRange(c.data); got != c.want {
-			t.Errorf("case %d: ValueRange = %v want %v", i, got, c.want)
-		}
-	}
-	// A NaN anywhere leaves the range undefined, not just at index 0.
 	nan := float32(math.NaN())
-	for _, data := range [][]float32{{nan, 1, 2}, {1, nan, 2}, {1, 2, nan}, {1, 2, 3, 4, 5, nan, 7}} {
-		if got := ValueRange(data); !math.IsNaN(got) {
-			t.Errorf("ValueRange(%v) = %v, want NaN", data, got)
-		}
+	nanCases := [][]float32{
+		// A NaN anywhere leaves the range undefined, not just at index 0.
+		{nan, 1, 2}, {1, nan, 2}, {1, 2, nan}, {1, 2, 3, 4, 5, nan, 7},
+		// So does one infinity alone: Inf − Inf.
+		{inf}, {inf, inf, inf}, nineOf(inf), {negInf}, {negInf, negInf}, nineOf(negInf),
 	}
+	lanes.BothPaths(func(path string) {
+		for i, c := range cases {
+			if got := ValueRange(c.data); got != c.want {
+				t.Errorf("%s: case %d: ValueRange = %v want %v", path, i, got, c.want)
+			}
+		}
+		for _, data := range nanCases {
+			if got := ValueRange(data); !math.IsNaN(got) {
+				t.Errorf("%s: ValueRange(%v) = %v, want NaN", path, data, got)
+			}
+		}
+	})
 }
 
 func TestResolveAbs(t *testing.T) {
@@ -315,7 +330,7 @@ func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64
 	for i, v := range block {
 		f[i] = float64(v)
 	}
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		codes := make([]uint16, len(block))
 		lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42})
 		if !slices.Equal(codes, wantCodes) {
@@ -361,7 +376,7 @@ func checkDequantizeLinear(t *testing.T, q Quantizer, codes []uint16, lits []flo
 		}
 		want[i] = q.Dequantize(int(c), a*float64(i)+b)
 	}
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		out := make([]float32, len(codes)+1)
 		out[len(codes)] = 7 // the element past the block stays untouched
 		s := literalSections(lits)
@@ -518,7 +533,7 @@ func TestDequantizeLinearMatchesDequantize(t *testing.T) {
 }
 
 // TestMinMaxMatchesGoLoop: the scan kernel against the Go loop, through
-// MinMax and ValueRange, with NaN, ±Inf, ±0, denormals and the largest
+// lanes.Scan and ValueRange, with NaN, ±Inf, ±0, denormals and the largest
 // finite value at index 0, inside a lane and in the tail, on lengths up to
 // three quads and past the 8-wide loop. ValueRange must be NaN when an
 // element is NaN, wherever it sits.
@@ -562,7 +577,8 @@ func TestMinMaxMatchesGoLoop(t *testing.T) {
 	}
 }
 
-// checkMinMax holds MinMax and ValueRange on the AVX2 path to the Go loop.
+// checkMinMax holds lanes.Scan and ValueRange on the kernel path to the Go
+// loop.
 func checkMinMax(t *testing.T, data []float32) {
 	t.Helper()
 	type result struct {
@@ -571,9 +587,9 @@ func checkMinMax(t *testing.T, data []float32) {
 		r      float64
 	}
 	var got []result
-	onBothPaths(func(string) {
-		lo, hi, bits := MinMax(data)
-		got = append(got, result{lo, hi, bits, ValueRange(data)})
+	lanes.BothPaths(func(string) {
+		e := lanes.Scan(data)
+		got = append(got, result{e.Lo, e.Hi, e.AbsBits, ValueRange(data)})
 	})
 	hasNaN := slices.ContainsFunc(data, func(v float32) bool { return v != v })
 	for _, g := range got {
@@ -599,7 +615,7 @@ func checkMinMax(t *testing.T, data []float32) {
 // FuzzQuantizeLinear: on both paths the kernel equals a per-element Quantize
 // loop on any block (the raw bytes as float32s), bound and line, the decode
 // kernel reads the result back as a per-element Dequantize loop does, and
-// the block's MinMax and ValueRange agree with the Go loop.
+// the block's lanes.Scan and ValueRange agree with the Go loop.
 func FuzzQuantizeLinear(f *testing.F) {
 	le := func(vs ...float32) []byte {
 		var out []byte

@@ -1,10 +1,10 @@
 package ebcl
 
-// minMaxAVX2 is MinMax's scan over data, whose length is a positive multiple
-// of 4. lo and hi start at ±Inf, so they are exact only for NaN-free data.
-//
-//go:noescape
-func minMaxAVX2(data []float32) (lo, hi float32, maxAbsBits uint32)
+// The block kernels. When lanes.On, the SZ2 quantize loops run four float64
+// lanes at a time (float32 loads widen in the register), by the rules of
+// package lanes' kernels; float32 rounding uses the default MXCSR mode as Go's
+// conversions do, and Go runs tails of fewer than four elements and every
+// escape.
 
 // quantizeLinearAVX2 is QuantizeLinear's loop over a block whose length is a
 // positive multiple of 4: codes written, EscapeCode for every escaping lane,

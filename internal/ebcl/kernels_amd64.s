@@ -30,67 +30,7 @@ DATA consts<>+192(SB)/4, $2048               // QuantRadius as int32, four times
 DATA consts<>+196(SB)/4, $2048
 DATA consts<>+200(SB)/4, $2048
 DATA consts<>+204(SB)/4, $2048
-DATA consts<>+208(SB)/4, $0x7f800000         // float32 +Inf
-DATA consts<>+212(SB)/4, $0xff800000         // float32 −Inf
-DATA consts<>+216(SB)/4, $0x7fffffff         // float32 magnitude mask
-GLOBL consts<>(SB), RODATA|NOPTR, $220
-
-// func minMaxAVX2(data []float32) (lo, hi float32, maxAbsBits uint32)
-TEXT ·minMaxAVX2(SB), NOSPLIT, $0-36
-	MOVQ data_base+0(FP), SI
-	MOVQ data_len+8(FP), CX
-	VBROADCASTSS consts<>+208(SB), Y0 // lo lanes
-	VBROADCASTSS consts<>+212(SB), Y1 // hi lanes
-	VBROADCASTSS consts<>+216(SB), Y2
-	VPXOR        Y3, Y3, Y3           // magnitude-bits lanes
-	CMPQ         CX, $8
-	JB           quad
-
-loop8:
-	VMOVUPS (SI), Y4
-	VMINPS  Y4, Y0, Y0
-	VMAXPS  Y4, Y1, Y1
-	VPAND   Y2, Y4, Y4
-	VPMAXUD Y4, Y3, Y3
-	ADDQ    $32, SI
-	SUBQ    $8, CX
-	CMPQ    CX, $8
-	JAE     loop8
-	VEXTRACTF128 $1, Y0, X4
-	VMINPS       X4, X0, X0
-	VEXTRACTF128 $1, Y1, X4
-	VMAXPS       X4, X1, X1
-	VEXTRACTI128 $1, Y3, X4
-	VPMAXUD      X4, X3, X3
-
-quad:
-	TESTQ   CX, CX
-	JZ      fold
-	VMOVUPS (SI), X4
-	VMINPS  X4, X0, X0
-	VMAXPS  X4, X1, X1
-	VPAND   X2, X4, X4
-	VPMAXUD X4, X3, X3
-
-fold:
-	VPSHUFD $0x4e, X0, X4
-	VMINPS  X4, X0, X0
-	VPSHUFD $0xb1, X0, X4
-	VMINPS  X4, X0, X0
-	VPSHUFD $0x4e, X1, X4
-	VMAXPS  X4, X1, X1
-	VPSHUFD $0xb1, X1, X4
-	VMAXPS  X4, X1, X1
-	VPSHUFD $0x4e, X3, X4
-	VPMAXUD X4, X3, X3
-	VPSHUFD $0xb1, X3, X4
-	VPMAXUD X4, X3, X3
-	VMOVSS  X0, lo+24(FP)
-	VMOVSS  X1, hi+28(FP)
-	VMOVD   X3, AX
-	MOVL    AX, maxAbsBits+32(FP)
-	VZEROUPPER
-	RET
+GLOBL consts<>(SB), RODATA|NOPTR, $208
 
 // func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool)
 TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-97

@@ -4,8 +4,6 @@ package ebcl
 
 // Without amd64 assembly the Go loops are the only path.
 
-func minMaxAVX2([]float32) (float32, float32, uint32) { panic("ebcl: no AVX2 kernels") }
-
 func quantizeLinearAVX2([]uint16, []float32, float64, float64, float64, float64, float64) (float64, bool) {
 	panic("ebcl: no AVX2 kernels")
 }

@@ -6,7 +6,11 @@ package ebcl
 // code would fall outside ±(Radius−1) take the escape code 0 and are stored
 // as uncompressed IEEE-754 literals ("unpredictable points" in SZ jargon).
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/lanes"
+)
 
 const (
 	// QuantRadius is the half-width of the quantization code alphabet.
@@ -68,7 +72,7 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 // encoder's CPU; regression predictions depend only on i, so without the
 // call the iterations overlap.
 func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32) ([]float32, float64) {
-	if useAVX2 {
+	if lanes.On() {
 		return q.quantizeLinearLanes(codes, block, a, b, literals)
 	}
 	codes = codes[:len(f)]
@@ -135,7 +139,7 @@ func (q Quantizer) Dequantize(code int, pred float64) float32 {
 // element order. out must hold len(codes) elements.
 func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64, s *Sections) {
 	i := 0
-	if useAVX2 {
+	if lanes.On() {
 		// The kernel writes a value for every lane; escaped lanes are
 		// overwritten with their literals.
 		i = len(codes) &^ 3

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ebcl"
 	"repro/internal/fl"
+	"repro/internal/lanes"
 	"repro/internal/netsim"
 	"repro/internal/nn/models"
 	"repro/internal/stats"
@@ -39,32 +40,19 @@ func Fig2(cfg Config) (*Table, error) {
 	for i := 0; i+snippet < len(weights) && i < 5*len(weights)/6; i += len(weights) / 5 {
 		s := weights[i : i+snippet]
 		sm := dataset.Smoothness(s)
-		lo, hi := minMax(s)
-		t.AddRow("fl-weights", fmt.Sprintf("[%d,%d)", i, i+snippet), f4(sm), fmt.Sprintf("[%.2f,%.2f]", lo, hi))
+		e := lanes.Scan(s)
+		t.AddRow("fl-weights", fmt.Sprintf("[%d,%d)", i, i+snippet), f4(sm), fmt.Sprintf("[%.2f,%.2f]", e.Lo, e.Hi))
 	}
 	field := dataset.ScientificField(cfg.Seed, 1<<16)
 	for k := 0; k < 3; k++ {
 		lo := k * len(field) / 4
 		s := field[lo : lo+snippet]
 		sm := dataset.Smoothness(s)
-		a, b := minMax(s)
-		t.AddRow("miranda-like", fmt.Sprintf("[%d,%d)", lo, lo+snippet), f4(sm), fmt.Sprintf("[%.2f,%.2f]", a, b))
+		e := lanes.Scan(s)
+		t.AddRow("miranda-like", fmt.Sprintf("[%d,%d)", lo, lo+snippet), f4(sm), fmt.Sprintf("[%.2f,%.2f]", e.Lo, e.Hi))
 	}
 	t.AddNote("paper shape: FL weights are spiky (high |Δ|/range), simulation fields are smooth — this is why ZFP underperforms on model data")
 	return t, nil
-}
-
-func minMax(s []float32) (float32, float32) {
-	lo, hi := s[0], s[0]
-	for _, v := range s[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }
 
 // Fig3 reproduces "Distribution of Pretrained Weights for Various Models"

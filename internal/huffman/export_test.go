@@ -61,16 +61,3 @@ func (c *Codec) DecodeFast(r *bitio.Reader) (int, error) {
 	}
 	return c.Decode(r)
 }
-
-// onBothPaths calls fn on the BMI2 kernels and then, with them switched off,
-// on the Go loops, so a test holds the two to each other on the same input.
-// path names the one fn runs on; without BMI2 both calls take the Go loops.
-func onBothPaths(fn func(path string)) {
-	if useBMI2 {
-		fn("BMI2")
-	}
-	saved := useBMI2
-	useBMI2 = false
-	defer func() { useBMI2 = saved }()
-	fn("Go")
-}

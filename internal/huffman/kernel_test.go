@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/bitio"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -178,7 +179,7 @@ func TestEntropyKernelsMatchReference(t *testing.T) {
 			syms := quantLikeSymbols(rng, n)
 			for streams := 1; streams <= maxStreams; streams++ {
 				want := encodeRef(t, syms, quantAlphabet, streams)
-				onBothPaths(func(path string) {
+				lanes.BothPaths(func(path string) {
 					got, err := EncodeMultiU16(syms, quantAlphabet, streams)
 					if err != nil {
 						t.Fatal(err)
@@ -225,7 +226,7 @@ func TestEntropyKernelsMatchReference(t *testing.T) {
 					muts[fmt.Sprintf("flip %d", flips)] = mut
 				}
 			}
-			onBothPaths(func(path string) {
+			lanes.BothPaths(func(path string) {
 				what := fmt.Sprintf("%s n=%d", path, n)
 				checkDecoders(t, what, blob, quantAlphabet)
 				if got, err := DecodeMultiU16(blob, quantAlphabet); err != nil {
@@ -264,7 +265,7 @@ func TestEntropyKernelsMatchReference(t *testing.T) {
 		for name, syms := range inputs {
 			for _, streams := range []int{1, DefaultStreams, 7} {
 				want := encodeRef(t, syms, 64, streams)
-				onBothPaths(func(path string) {
+				lanes.BothPaths(func(path string) {
 					got, err := EncodeMultiU16(syms, 64, streams)
 					if err != nil {
 						t.Fatal(err)
@@ -381,7 +382,7 @@ func TestWarmMultiZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		onBothPaths(func(path string) {
+		lanes.BothPaths(func(path string) {
 			if got := testing.AllocsPerRun(20, func() {
 				b, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
 				if err != nil {
@@ -447,7 +448,7 @@ func pairGateCases() []pairGateCase {
 // the benchmark measured as faster.
 func TestPairGate(t *testing.T) {
 	cases := pairGateCases()
-	onBothPaths(func(path string) {
+	lanes.BothPaths(func(path string) {
 		for _, c := range cases {
 			blob, err := EncodeMultiU16(c.syms, quantAlphabet, DefaultStreams)
 			if err != nil {

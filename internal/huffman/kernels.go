@@ -1,6 +1,6 @@
 package huffman
 
-// The entropy kernels. On amd64 CPUs with BMI2 (cpu.Kernels) three loops run
+// The entropy kernels. When lanes.On (amd64 with BMI2) three loops run
 // in Go assembly (kernels_amd64.s) and write the same bytes and symbols as
 // their Go loops:
 //
@@ -18,18 +18,14 @@ package huffman
 
 import (
 	"repro/internal/bitio"
-	"repro/internal/cpu"
+	"repro/internal/lanes"
 )
-
-// useBMI2 is set once at start-up from the module's one CPU check. Tests
-// clear it to run the Go loops.
-var useBMI2 = cpu.Kernels()
 
 // appendCodesU16 is appendCodes for uint16 symbols: the kernel writes the
 // code pairs and appendCodes the rest. The kernel stops short of a store
 // past the end of out's capacity and leaves those pairs to appendCodes too.
 func appendCodesU16(out []byte, enc []uint32, syms []uint16, acc uint64, nacc uint) []byte {
-	if useBMI2 && len(syms) >= 2 {
+	if lanes.On() && len(syms) >= 2 {
 		done, pos, a, n := appendCodesBMI2(out[:cap(out)], len(out), enc, syms, acc, nacc)
 		out, syms, acc, nacc = out[:pos], syms[done:], a, n
 	}

@@ -12,13 +12,14 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
 // requireKernels skips t on a CPU without the kernels.
 func requireKernels(t *testing.T) {
 	t.Helper()
-	if !useBMI2 {
+	if !lanes.On() {
 		t.Skip("this CPU lacks AVX2, BMI1 or BMI2")
 	}
 }
@@ -65,7 +66,7 @@ func (m *multiBlob) release() {
 // kernels and on the Go loops.
 func checkBothPaths(t *testing.T, what string, blob []byte, alphabet int) {
 	t.Helper()
-	onBothPaths(func(path string) { checkDecoders(t, path+" "+what, blob, alphabet) })
+	lanes.BothPaths(func(path string) { checkDecoders(t, path+" "+what, blob, alphabet) })
 }
 
 // chunkBounds returns where each of the four chunks of an n-symbol blob

@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitio"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -340,7 +341,7 @@ func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
 	r3.Reset(srcs[3])
 	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	var p0, p1, p2, p3 int
-	if useBMI2 {
+	if lanes.On() {
 		ps := c.decode4Kernel(srcs, outs, nil, [4]*bitio.Reader{&r0, &r1, &r2, &r3})
 		p0, p1, p2, p3 = ps[0], ps[1], ps[2], ps[3]
 	}
@@ -416,7 +417,7 @@ func (c *Codec) decode4Pairs(srcs *[4][]byte, outs *[4][]uint16, pairs []uint64)
 	r3.Reset(srcs[3])
 	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	var p0, p1, p2, p3 int
-	if useBMI2 {
+	if lanes.On() {
 		ps := c.decode4Kernel(srcs, outs, pairs, [4]*bitio.Reader{&r0, &r1, &r2, &r3})
 		p0, p1, p2, p3 = ps[0], ps[1], ps[2], ps[3]
 	}

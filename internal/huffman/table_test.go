@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -318,12 +319,12 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, alphaSel uint16) {
-		onBothPaths(func(string) { fuzzRoundTrip(t, data, alphaSel) })
+		lanes.BothPaths(func(string) { fuzzRoundTrip(t, data, alphaSel) })
 	})
 }
 
 // fuzzRoundTrip is FuzzHuffmanRoundTrip's check of one input, on whichever
-// path onBothPaths selects.
+// path lanes.BothPaths selects.
 func fuzzRoundTrip(t *testing.T, data []byte, alphaSel uint16) {
 	alphabet := int(alphaSel)%4096 + 1
 	streams := int(alphaSel>>12)%DefaultStreams + 1

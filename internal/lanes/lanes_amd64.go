@@ -1,4 +1,4 @@
-package cpu
+package lanes
 
 // detect reports whether the kernels may run: CPUID leaf 1 reports AVX and
 // OSXSAVE, XCR0 has the XMM and YMM state bits set (the OS saves the upper
@@ -23,3 +23,27 @@ func detect() bool {
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
+
+// The kernels take slices of equal length, a positive multiple of 8. The
+// range lanes start at ±Inf, so a kernel's bounds are exact only while no
+// NaN has been seen.
+
+// scanAVX2 is Scan's loop over data.
+//
+//go:noescape
+func scanAVX2(data []float32) (lo, hi float32, absBits uint32)
+
+// residualAVX2 is Residual's loop over res, data and ref.
+//
+//go:noescape
+func residualAVX2(res, data, ref []float32) (loD, hiD, loR, hiR float32, absD, absR uint32)
+
+// addAVX2 is Add's loop over data and ref.
+//
+//go:noescape
+func addAVX2(data, ref []float32)
+
+// addScaledAVX2 is AddScaled's loop over a and b.
+//
+//go:noescape
+func addScaledAVX2(a, b []float32, w float32)

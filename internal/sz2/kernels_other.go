@@ -2,7 +2,7 @@
 
 package sz2
 
-// Without amd64 assembly ebcl.AVX2 is false and the Go loops are the only
+// Without amd64 assembly lanes.On is false and the Go loops are the only
 // path.
 
 func fitScoreAVX2([]float32, float64, *[3][4]float64) { panic("sz2: no AVX2 kernels") }

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/ebcl"
+	"repro/internal/lanes"
 )
 
 // checkScores holds scoreBlockLanes to scoreBlock on one block: the line and
@@ -40,7 +40,7 @@ func checkScores(t *testing.T, block []float32, prev float64) {
 // or a denormal at index 0, inside a lane and in the tail, for every length
 // from one quad to four and a block's.
 func TestChooseBlockPredictorLanes(t *testing.T) {
-	if !ebcl.AVX2() {
+	if !lanes.On() {
 		t.Skip("no AVX2 kernels on this CPU")
 	}
 	negZero := float32(math.Copysign(0, -1))
@@ -93,7 +93,7 @@ func TestChooseBlockPredictorLanes(t *testing.T) {
 // FuzzChooseBlockPredictor: the scoring kernels equal the Go loops on any
 // block of 4 to 256 elements (the raw bytes as float32s) and Lorenzo seed.
 func FuzzChooseBlockPredictor(f *testing.F) {
-	if !ebcl.AVX2() {
+	if !lanes.On() {
 		f.Skip("no AVX2 kernels on this CPU")
 	}
 	le := func(vs ...float32) []byte {

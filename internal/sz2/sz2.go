@@ -25,6 +25,7 @@ import (
 	"math"
 
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -102,7 +103,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		hi := min(lo+blockSize, len(data))
 		block := data[lo:hi]
 		f := wide[:0]
-		if !ebcl.AVX2() {
+		if !lanes.On() {
 			f = widen(wide[:len(block)], block)
 		}
 		kind, a, bb := chooseBlockPredictor(block, f, prevRecon)
@@ -207,7 +208,7 @@ func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte
 		return predLorenzo, 0, 0
 	}
 	var af, bf, lorenzoErr, regErr float64
-	if ebcl.AVX2() {
+	if lanes.On() {
 		af, bf, lorenzoErr, regErr = scoreBlockLanes(block, prev)
 	} else {
 		af, bf, lorenzoErr, regErr = scoreBlock(f, prev)

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 )
 
 const (
@@ -101,12 +102,11 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
 		block := data[lo:hi]
-		// NaN/±Inf are whatever reaches the all-ones exponent.
-		bMin, bMax, maxAbsBits := ebcl.MinMax(block)
-		finite := maxAbsBits < 0x7f800000
-		if finite && float64(bMax)-float64(bMin) <= 2*ebAbs {
+		e := lanes.Scan(block)
+		finite := e.Finite()
+		if finite && e.Span() <= 2*ebAbs {
 			// Constant block: flag 1, then the midpoint.
-			mid := float32((float64(bMax) + float64(bMin)) / 2)
+			mid := float32((float64(e.Hi) + float64(e.Lo)) / 2)
 			acc = acc<<33 | 1<<32 | uint64(math.Float32bits(mid))
 			nacc += 33
 			pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
@@ -118,7 +118,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		// exponent, so such blocks are stored losslessly.
 		k := 23
 		if finite {
-			emax := ilogb(float64(math.Float32frombits(maxAbsBits)))
+			emax := ilogb(e.MaxAbs())
 			k = emax - ebExp
 			if k < 0 {
 				k = 0

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -239,11 +240,7 @@ func (sd *StateDict) AddScaled(other *StateDict, alpha float32) error {
 		return err
 	}
 	for i, e := range sd.entries {
-		src := other.entries[i].Tensor.Data
-		dst := e.Tensor.Data
-		for j := range dst {
-			dst[j] += alpha * src[j]
-		}
+		lanes.AddScaled(e.Tensor.Data, other.entries[i].Tensor.Data, alpha)
 	}
 	return nil
 }

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 )
 
 const (
@@ -164,19 +165,8 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 // emaxEscape sentinel, so non-finite values round-trip bit-exactly and
 // their finite neighbours survive unclamped.
 func encodeBlock(w *bitio.Writer, block *[blockLen]float32, precision int) {
-	var maxAbs float64
-	nonFinite := false
-	for _, v := range block {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			nonFinite = true
-			break
-		}
-		if a := math.Abs(f); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if nonFinite {
+	e := lanes.Scan(block[:])
+	if !e.Finite() {
 		w.WriteBit(1)
 		w.WriteBits(emaxEscape, 10)
 		for _, v := range block {
@@ -184,13 +174,13 @@ func encodeBlock(w *bitio.Writer, block *[blockLen]float32, precision int) {
 		}
 		return
 	}
-	if maxAbs == 0 {
+	if e.MaxAbs() == 0 {
 		// All-zero block.
 		w.WriteBit(0)
 		return
 	}
 	w.WriteBit(1)
-	emax := int(math.Floor(math.Log2(maxAbs))) + 1 // values < 2^emax
+	emax := int(math.Floor(math.Log2(e.MaxAbs()))) + 1 // values < 2^emax
 	w.WriteBits(uint64(uint16(int16(emax+256))), 10)
 
 	scale := math.Ldexp(1, intScale-emax)
