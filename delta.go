@@ -3,9 +3,10 @@ package fedsz
 // DeltaCodec: the session-oriented cross-round delta API, layered on Codec
 // the way Codec layers on the free functions. It owns the retained
 // reference state dict and its epoch, compresses round-t updates as
-// residuals against the round-(t−1) baseline (the v3 stream format, with
-// per-tensor fallback to absolute whenever a residual doesn't win), and
-// decodes them back against the same baseline.
+// residuals against the round-(t−1) baseline (the v3 stream format: one
+// 13-byte constant per residual that fits the bound around one value, else a
+// codec blob, with per-tensor fallback to absolute whenever a residual doesn't
+// win), and decodes them back against the same baseline.
 
 import (
 	"context"
@@ -54,9 +55,10 @@ func (c *DeltaCodec) RefProvider() func(epoch uint32) *tensor.StateDict {
 }
 
 // Compress encodes sd against the retained reference (absolute stream
-// before the first SetReference). Stats.DeltaTensors and
-// Stats.DeltaBytesSaved report what the residual encoding won (an estimate
-// for tensors above 32 Ki elements: their absolute candidate is only sampled).
+// before the first SetReference). Stats.DeltaTensors counts the residual
+// sections, Stats.ConstantResiduals those of them sent as one constant, and
+// Stats.DeltaBytesSaved what the codec-encoded ones won (an estimate for
+// tensors above 32 Ki elements: their absolute candidate is only sampled).
 func (c *DeltaCodec) Compress(ctx context.Context, sd *StateDict) ([]byte, *Stats, error) {
 	ref, epoch, ok := c.ref.Get()
 	if !ok {

@@ -87,12 +87,20 @@ const goldenDeltaEpoch = 7
 // the delta format exists for.
 func goldenDeltaRef() *tensor.StateDict { return goldenDict(false) }
 
+// goldenDeltaDict drifts each tensor by its own amplitude, so every delta
+// stream holds both residual forms: conv1.weight's drift fits the bound
+// around one value (a 13-byte constant residual, one plain blob even where
+// the tensor would chunk), fc.weight's does not (a codec-encoded residual).
 func goldenDeltaDict() *tensor.StateDict {
 	sd := goldenDict(false)
 	rng := rand.New(rand.NewPCG(2026, 808))
 	for _, e := range sd.Entries() {
+		amp := 0.002
+		if e.Name == "fc.weight" {
+			amp = 0.01
+		}
 		for i := range e.Tensor.Data {
-			e.Tensor.Data[i] += float32(0.002 * rng.NormFloat64())
+			e.Tensor.Data[i] += float32(amp * rng.NormFloat64())
 		}
 	}
 	return sd
@@ -211,9 +219,12 @@ func encodeGolden(t *testing.T, gc goldenCase) ([]byte, core.DecodeOptions) {
 		opts.Reference, opts.RefEpoch = goldenDeltaRef(), goldenDeltaEpoch
 		dopts = core.DecodeOptions{Reference: goldenDeltaRef(), RefEpoch: goldenDeltaEpoch}
 	}
-	stream, _, err := core.Compress(sd, opts)
+	stream, stats, err := core.Compress(sd, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gc.delta && (stats.ConstantResiduals == 0 || stats.ConstantResiduals == stats.DeltaTensors) {
+		t.Fatalf("%d of %d residuals are constant, want both forms in the stream", stats.ConstantResiduals, stats.DeltaTensors)
 	}
 	return stream, dopts
 }

@@ -172,7 +172,7 @@ func TestChunkedSingleChunkByteIdentity(t *testing.T) {
 	}
 
 	// Same identity under a delta reference (v3).
-	ref := driftClone(rng, sd)
+	ref := driftClone(rng, sd, 0.001)
 	dBase, _, err := Compress(sd, Options{ChunkElems: -1, Reference: ref, RefEpoch: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -189,14 +189,14 @@ func TestChunkedSingleChunkByteIdentity(t *testing.T) {
 	}
 }
 
-// driftClone returns a slightly-perturbed deep copy of sd — a plausible
-// previous-round reference.
-func driftClone(rng *rand.Rand, sd *tensor.StateDict) *tensor.StateDict {
+// driftClone returns a deep copy of sd perturbed by Gaussian noise of
+// deviation sigma — a plausible previous-round reference.
+func driftClone(rng *rand.Rand, sd *tensor.StateDict, sigma float64) *tensor.StateDict {
 	ref := tensor.NewStateDict()
 	for _, e := range sd.Entries() {
 		c := tensor.New(e.Tensor.Shape...)
 		for i, v := range e.Tensor.Data {
-			c.Data[i] = v + float32(0.001*rng.NormFloat64())
+			c.Data[i] = v + float32(sigma*rng.NormFloat64())
 		}
 		ref.Add(e.Name, e.Kind, c)
 	}

@@ -164,10 +164,15 @@ type Stats struct {
 	// remaining LossyTensors − DeltaTensors sections fell back to absolute
 	// encoding.
 	DeltaTensors int
-	// DeltaBytesSaved totals the bytes the chosen residual sections saved
-	// over their absolute candidates — the per-call slice of the
+	// ConstantResiduals counts the DeltaTensors whose residual fit the bound
+	// around one value and shipped as a 13-byte constant stream (encodeBlob).
+	ConstantResiduals int
+	// DeltaBytesSaved totals the bytes the codec-encoded residual sections
+	// saved over their absolute candidates — the per-call slice of the
 	// fedsz_delta_bytes_saved telemetry counter. Exact up to 32 Ki elements;
-	// a larger tensor's absolute size is scaled up from a 1/8 sample (encodeBlob).
+	// a larger tensor's absolute size is scaled up from a 1/8 sample
+	// (encodeBlob). Constant residuals add nothing: no absolute size is ever
+	// computed for one.
 	DeltaBytesSaved int
 
 	// ChunkedTensors counts lossy tensors emitted as chunked (v4) blobs;

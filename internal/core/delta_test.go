@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 )
@@ -64,7 +65,7 @@ func TestDeltaAbsoluteCandidateError(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(19, 1))
 	ref := skewedDict(rng, 18432)
-	sd := driftClone(rng, ref)
+	sd := driftClone(rng, ref, 0.001)
 	// The data holds the sentinel; data − ref (≈ 0.4) does not.
 	sd.Get("fc.weight").Data[5000] = sentinel
 
@@ -97,16 +98,58 @@ func TestDeltaAbsoluteCandidateError(t *testing.T) {
 	}
 }
 
+// TestConstantResidualCheck holds constantResidual to the decoder's exact
+// output: an element whose reconstruction fl(ref + mid) misses data by one
+// float32 ulp past eb forces the fallback, one a ulp inside does not.
+func TestConstantResidualCheck(t *testing.T) {
+	const n, eb = 1000, 1e-3
+	rng := rand.New(rand.NewPCG(32, 2))
+	data, ref := make([]float32, n), make([]float32, n)
+	r := lanes.Extent{Lo: -4e-4, Hi: 6e-4}
+	mid := r.Lo + (r.Hi-r.Lo)/2
+	for i := range ref {
+		ref[i] = float32(rng.NormFloat64())
+		data[i] = ref[i] + mid + float32(4e-4*(2*rng.Float64()-1))
+	}
+	for _, k := range []int{0, 517, n - 1} {
+		keep := data[k]
+		recon := float64(ref[k] + mid)
+		past := float32(recon + eb)
+		if float64(past)-recon <= eb {
+			past = math.Nextafter32(past, float32(math.Inf(1)))
+		}
+		inside := math.Nextafter32(past, float32(math.Inf(-1)))
+		if got, ok := constantResidual(data, ref, r, eb); !ok || got != mid {
+			t.Fatalf("element %d: in-bound data refused (mid %g, ok %v)", k, got, ok)
+		}
+		data[k] = inside
+		if _, ok := constantResidual(data, ref, r, eb); !ok {
+			t.Errorf("element %d: %g off, a ulp inside eb, forced the fallback", k, float64(inside)-recon)
+		}
+		data[k] = past
+		if _, ok := constantResidual(data, ref, r, eb); ok {
+			t.Errorf("element %d: %g off, a ulp past eb, took the constant form", k, float64(past)-recon)
+		}
+		data[k] = keep
+	}
+}
+
 // TestBlobPolicyTable drives encodeBlob's one policy over every blob shape:
 // {unchunked, chunked} × every way a tensor can or cannot be a residual
 // candidate. skewedDict's fc.weight (18432 elems) chunks at a 2048 target;
 // conv.weight (1600 elems) never does. The "sampled" rows grow fc.weight past
 // sampleMinElems, where a sample picks the candidate: there the kept blob may
 // exceed the smaller candidate by the tested 1 % and DeltaBytesSaved is an
-// estimate, held to 5 % of the absolute blob.
+// estimate, held to 5 % of the absolute blob. The warm reference drifts too far
+// for a constant residual; the calm one lets the named tensors ship as one.
 func TestBlobPolicyTable(t *testing.T) {
 	const epoch, sampledElems = 7, 40_000
-	warm := func(sd *tensor.StateDict) *tensor.StateDict { return driftClone(rand.New(rand.NewPCG(19, 3)), sd) }
+	warm := func(sd *tensor.StateDict) *tensor.StateDict {
+		return driftClone(rand.New(rand.NewPCG(19, 3)), sd, 0.004)
+	}
+	calm := func(sd *tensor.StateDict) *tensor.StateDict {
+		return driftClone(rand.New(rand.NewPCG(19, 3)), sd, 0.001)
+	}
 	// without returns a warm reference whose fc.weight is replaced by repl
 	// (dropped when nil).
 	without := func(sd *tensor.StateDict, repl *tensor.Tensor) *tensor.StateDict {
@@ -155,8 +198,9 @@ func TestBlobPolicyTable(t *testing.T) {
 		// residual path's float32 roundings scale with.
 		shift float32
 		ref   func(sd *tensor.StateDict) *tensor.StateDict
-		// wantDelta names the tensors whose section must be a residual.
-		wantDelta []string
+		// wantDelta names the tensors whose section must be a residual, and
+		// constant those of them that must be a constant one.
+		wantDelta, constant []string
 		// plain marks fc.weight as unable to chunk whatever chunkCount says.
 		plain bool
 		// fcElems sizes fc.weight (0: 18432, under sampleMinElems).
@@ -168,6 +212,13 @@ func TestBlobPolicyTable(t *testing.T) {
 		{name: "no reference", lossy: "sz2", params: ebcl.Rel(1e-2)},
 		{name: "warm reference REL", lossy: "sz2", params: ebcl.Rel(1e-2), ref: warm, wantDelta: both},
 		{name: "warm reference ABS", lossy: "sz3", params: ebcl.Abs(1e-3), ref: warm, wantDelta: both},
+		// fc.weight's residual spans ~0.008 against REL's ~0.009 bound, conv.weight's
+		// ~0.007 against ~0.0013; under ABS 1e-2 both fit.
+		{name: "constant residual REL", lossy: "sz2", params: ebcl.Rel(1e-2), ref: calm,
+			wantDelta: both, constant: []string{"fc.weight"}},
+		{name: "constant residual ABS", lossy: "szx", params: ebcl.Abs(1e-2), ref: calm, wantDelta: both, constant: both},
+		{name: "sampled constant residual", lossy: "sz3", params: ebcl.Rel(1e-2), ref: calm,
+			wantDelta: both, constant: []string{"fc.weight"}, fcElems: sampledElems},
 		{name: "cold reference", lossy: "sz2", params: ebcl.Rel(1e-2),
 			// ref = −data: the residual 2·data is wider than the data.
 			ref: func(sd *tensor.StateDict) *tensor.StateDict {
@@ -270,7 +321,7 @@ func TestBlobPolicyTable(t *testing.T) {
 				switch {
 				case chunkCount(fcElems, chunkElemsOf(opts)) > 1:
 					wantVersion = streamVersionV4
-					if !tc.plain {
+					if !tc.plain && !slices.Contains(tc.constant, "fc.weight") {
 						wantChunked = 1
 					}
 				case tc.ref != nil:
@@ -286,6 +337,9 @@ func TestBlobPolicyTable(t *testing.T) {
 				}
 				if stats.DeltaTensors != len(tc.wantDelta) || dstats.DeltaTensors != len(tc.wantDelta) {
 					t.Errorf("DeltaTensors: encoder %d, decoder %d, want %d", stats.DeltaTensors, dstats.DeltaTensors, len(tc.wantDelta))
+				}
+				if stats.ConstantResiduals != len(tc.constant) {
+					t.Errorf("ConstantResiduals %d, want %d", stats.ConstantResiduals, len(tc.constant))
 				}
 				if stats.ChunkedTensors != wantChunked || dstats.ChunkedTensors != wantChunked {
 					t.Errorf("ChunkedTensors: encoder %d, decoder %d, want %d", stats.ChunkedTensors, dstats.ChunkedTensors, wantChunked)
@@ -304,16 +358,21 @@ func TestBlobPolicyTable(t *testing.T) {
 				// (by more than 1 % when a sample picked it) and accounts for
 				// exactly the difference (for the estimate of it); anything
 				// else is that absolute blob, byte for byte. A residual kept
-				// because the absolute candidate does not encode saves nothing.
+				// because the absolute candidate does not encode, or shipped as
+				// a constant, is never priced against it and counts no saving.
 				saved, slack := 0, 0
 				abs := parseTensors(t, absStream)
 				for i, pt := range parseTensors(t, stream) {
 					if want := slices.Contains(tc.wantDelta, pt.Name); pt.Delta != want {
 						t.Errorf("%s: residual section = %v, want %v", pt.Name, pt.Delta, want)
 					}
-					refused := tc.refuse != 0 && pt.Name == "fc.weight"
+					isConst := pt.Delta && len(pt.Blob) == 13 && pt.Blob[8] == ebcl.LayoutConstant
+					if want := slices.Contains(tc.constant, pt.Name); isConst != want {
+						t.Errorf("%s: constant residual = %v, want %v", pt.Name, isConst, want)
+					}
+					unpriced := tc.refuse != 0 && pt.Name == "fc.weight" || isConst
 					longest := len(abs[i].Blob)
-					if pt.Delta && len(sd.Get(pt.Name).Data) > sampleMinElems && !refused {
+					if pt.Delta && len(sd.Get(pt.Name).Data) > sampleMinElems && !unpriced {
 						slack += len(abs[i].Blob) / 20
 						longest += len(abs[i].Blob) / 100
 					}
@@ -322,15 +381,15 @@ func TestBlobPolicyTable(t *testing.T) {
 						if !bytes.Equal(pt.Blob, abs[i].Blob) {
 							t.Errorf("%s: absolute section differs from the no-reference encode", pt.Name)
 						}
-					case len(pt.Blob) > longest && !refused:
+					case len(pt.Blob) > longest && !unpriced:
 						t.Errorf("%s: residual blob %d B longer than absolute %d B", pt.Name, len(pt.Blob), len(abs[i].Blob))
 					}
-					if !refused {
+					if !unpriced {
 						saved += max(len(abs[i].Blob)-len(pt.Blob), 0)
 					}
 				}
 				if d := stats.DeltaBytesSaved - saved; d < -slack || d > slack || stats.DeltaBytesSaved < 0 ||
-					(saved == 0) != (len(tc.wantDelta) == 0) && tc.refuse == 0 {
+					(saved == 0) != (len(tc.wantDelta) == len(tc.constant)) && tc.refuse == 0 {
 					t.Errorf("DeltaBytesSaved %d, sections differ by %d (±%d) over %d residuals", stats.DeltaBytesSaved, saved, slack, len(tc.wantDelta))
 				}
 

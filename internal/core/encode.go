@@ -22,9 +22,9 @@ package core
 // Everything after the header is one array of section records — the lossy
 // tensors in stream order, then the metadata partition — each filled by one
 // pool task and emitted through one wait / error / abort path. A tensor's
-// blob is decided in one function, encodeBlob: plain, chunked (chunk.go),
-// cross-round residual (delta.go) or chunked residual, under one
-// keep-the-smaller policy.
+// blob is decided in one function, encodeBlob: constant residual, plain,
+// chunked (chunk.go), cross-round residual (delta.go) or chunked residual,
+// under one keep-the-smaller policy.
 
 import (
 	"context"
@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 )
@@ -224,12 +225,17 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 				stats.ChunkedTensors++
 			}
 			if deltaStream {
-				if s.delta {
+				switch {
+				case s.constant:
+					stats.DeltaTensors++
+					stats.ConstantResiduals++
+					constantSections.Inc()
+				case s.delta:
 					stats.DeltaTensors++
 					stats.DeltaBytesSaved += s.saved
 					deltaSections.Inc()
 					deltaBytesSaved.Add(uint64(s.saved))
-				} else {
+				default:
 					absoluteSections.Inc()
 				}
 			}
@@ -262,13 +268,14 @@ type section struct {
 	data   []float32
 	chunks int
 
-	done    chan struct{}
-	out     []byte // the finished, length-prefixed section (pooled)
-	blobLen int    // its compressed blob, without metadata and prefix
-	chunked bool   // the blob uses the chunked (v4) layout
-	delta   bool   // the blob encodes data − reference
-	saved   int    // bytes the residual saved over the absolute candidate
-	err     error
+	done     chan struct{}
+	out      []byte // the finished, length-prefixed section (pooled)
+	blobLen  int    // its compressed blob, without metadata and prefix
+	chunked  bool   // the blob uses the chunked (v4) layout
+	delta    bool   // the blob encodes data − reference
+	constant bool   // that residual is one constant stream (constantResidual)
+	saved    int    // bytes the residual saved over the absolute candidate
+	err      error
 }
 
 // encodeRest marshals and compresses the metadata partition.
@@ -322,37 +329,43 @@ func (s *section) encodeTensor(pool *sched.Pool, o Options, modeBytes bool) {
 // section prefix: metadata, an absolute mode byte at modePos when the
 // stream has mode bytes, and the reserved length prefix at lenPos) and
 // returns the unpatched section. It is the one place a blob's shape is
-// decided — plain, chunked, residual, or chunked residual:
+// decided — constant residual, plain, chunked, residual, or chunked residual:
 //
+//   - A residual is a candidate when the reference holds a same-named,
+//     same-sized tensor, the bound is not PREC (nothing to carry over), the
+//     residual is finite and strictly tighter than the data, and the bound
+//     survives the float32 rounding allowance that comes off the residual's
+//     bound alone (residualBound).
+//   - A candidate whose residual spans at most twice that shrunk bound ships,
+//     under a built-in codec (magicCodec), as the 13-byte constant stream of
+//     its midpoint once every element's reconstruction passes constantResidual:
+//     no codec call and no sample, one plain blob even where the tensor would
+//     chunk, and nothing added to DeltaBytesSaved.
+//   - Otherwise, up to sampleMinElems, both encodings are produced and the
+//     smaller is kept: the section is never larger than the absolute one and
+//     DeltaBytesSaved is exact. Above it only the candidate whose sample
+//     (sampleSizes) encodes smaller is produced, ties to the residual: ~1.25
+//     encodes, not 2, the kept blob within 1 % of the smaller one
+//     (TestSampledPolicyAccuracy), DeltaBytesSaved scaled up from the sample.
+//     A codec error on a candidate or a sample keeps the other candidate; only
+//     an absolute-side error with no residual to fall back on fails the tensor.
 //   - The chunk count only selects the blob writer: chunks > 1 frames
 //     block-aligned sub-blobs behind a jump table (appendChunkedBlob), else
 //     the codec writes one stream.
 //   - Chunks and residuals need an absolute bound, resolved once against the
 //     original tensor (absParams). A tensor whose bound cannot be resolved
 //     (REL on non-finite data) does neither and takes the plain path.
-//   - A residual is a candidate when the reference holds a same-named,
-//     same-sized tensor, the bound is not PREC (nothing to carry over), the
-//     residual is finite and strictly tighter than the data, and the bound
-//     survives the float32 rounding allowance that comes off the residual's
-//     bound alone (residualBound). Up to sampleMinElems both encodings are
-//     produced and the smaller is kept: the section is never larger than the
-//     absolute one and DeltaBytesSaved is exact. Above it only the candidate
-//     whose sample (sampleSizes) encodes smaller is produced, ties to the
-//     residual: ~1.25 encodes, not 2, the kept blob within 1 % of the smaller
-//     one (TestSampledPolicyAccuracy), DeltaBytesSaved scaled up from the
-//     sample. A codec error on a candidate or a sample keeps the other
-//     candidate; only an absolute-side error with no residual to fall back on
-//     fails the tensor.
 func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, lenPos int) ([]byte, error) {
 	// The residual is formed before the bound is resolved: the pass that
 	// fills it also finds the value range a REL bound resolves against.
-	var res []float32
-	rangeD, rangeR, mag, finite := 0.0, 0.0, 0.0, false
+	var res, ref []float32
+	var resExt lanes.Extent
+	rangeD, mag, finite := 0.0, 0.0, false
 	if m := o.LossyParams.Mode; o.Reference != nil && (m == ebcl.ModeRelative || m == ebcl.ModeAbsolute) {
 		if rt := o.Reference.Get(s.name); rt != nil && rt.NumElems() == len(s.data) {
-			res = sched.GetFloats(len(s.data))[:len(s.data)]
+			res, ref = sched.GetFloats(len(s.data))[:len(s.data)], rt.Data
 			defer sched.PutFloats(res)
-			rangeD, rangeR, mag, finite = computeResidual(res, s.data, rt.Data)
+			rangeD, resExt, mag, finite = computeResidual(res, s.data, ref)
 		}
 	}
 	// The unchunked absolute candidate keeps the caller's params verbatim (the
@@ -375,12 +388,21 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		return o.Lossy.CompressAppend(dst, vals, p)
 	}
 
+	rangeR := resExt.Span()
 	ebRes, fits := residualBound(wholeP.Value, mag)
 	if !finite || !resolved || rangeR >= rangeD || !fits {
 		// No residual or bound for it, one no tighter than the data (cold
 		// reference, diverged client), or values so large that float32
 		// rounding eats the bound: absolute only, without a second encode.
 		return write(buf, s.data, absP)
+	}
+	if mc, ok := o.Lossy.(magicCodec); ok && rangeR <= 2*ebRes {
+		if mid, ok := constantResidual(s.data, ref, resExt, wholeP.Value); ok {
+			out := ebcl.AppendConstant(buf, mc.Magic(), len(s.data), mid)
+			out[modePos] = sectionDelta
+			s.delta, s.constant, s.chunked = true, true, false
+			return out, nil
+		}
 	}
 	resP := ebcl.Abs(ebRes)
 	est := -1 // the absolute candidate's estimated size, when its sample stood in for it
@@ -423,6 +445,11 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 	s.delta = true
 	return out, nil
 }
+
+// magicCodec is a codec whose streams open with ebcl's common header under one
+// magic and decode its constant layout (the four built-ins): encodeBlob may
+// write one of its constant streams itself (ebcl.AppendConstant).
+type magicCodec interface{ Magic() uint32 }
 
 // A residual candidate above sampleMinElems elements is not encoded both
 // ways: sampleRun-element runs every sampleStride (1/8 of the tensor, on the

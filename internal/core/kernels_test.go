@@ -161,7 +161,8 @@ func TestResidualKernel(t *testing.T) {
 				data, ref, res := dataBuf[off:], refBuf[(off+3)%8:], resBuf[(off+5)%8:]
 				want := make([]float32, n)
 				wantD, wantR, wantMag, wantOK := residualRef(want, tc.data, tc.ref)
-				gotD, gotR, gotMag, gotOK := computeResidual(res, data, ref)
+				gotD, gotExt, gotMag, gotOK := computeResidual(res, data, ref)
+				gotR := gotExt.Span()
 				fail := func(format string, args ...any) {
 					t.Helper()
 					t.Fatalf("%s: n=%d %s: "+format, append([]any{path, n, tc.name}, args...)...)

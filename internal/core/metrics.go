@@ -15,8 +15,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Delta (v3) stream counters, updated by CompressSections.
-var deltaBytesSaved, deltaSections, absoluteSections telemetry.Counter
+// Delta (v3) stream counters, updated by CompressSections. The three section
+// counters partition the sections: a constant residual counts only as
+// constant, not also as delta.
+var deltaBytesSaved, deltaSections, constantSections, absoluteSections telemetry.Counter
 
 type stageHists struct {
 	encode *telemetry.Histogram
@@ -36,11 +38,14 @@ var (
 // far or later. Call it once per registry from wiring code.
 func RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("fedsz_delta_bytes_saved",
-		"Bytes saved by residual tensor sections over their absolute candidates (estimated from a sample for tensors above 32 Ki elements).",
+		"Bytes saved by codec-encoded residual tensor sections over their absolute candidates (estimated from a sample for tensors above 32 Ki elements).",
 		&deltaBytesSaved)
 	reg.Register("fedsz_delta_sections",
 		"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
 		&deltaSections, telemetry.L("mode", "delta"))
+	reg.Register("fedsz_delta_sections",
+		"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
+		&constantSections, telemetry.L("mode", "constant"))
 	reg.Register("fedsz_delta_sections",
 		"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
 		&absoluteSections, telemetry.L("mode", "absolute"))

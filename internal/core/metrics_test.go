@@ -29,6 +29,7 @@ func TestRegisterMetricsCoversLaterCodecs(t *testing.T) {
 		{"fedsz_encode_seconds_count", "codec", "test-seen-before"},
 		{"fedsz_decode_seconds_count", "codec", "test-seen-after"},
 		{"fedsz_delta_sections", "mode", "delta"},
+		{"fedsz_delta_sections", "mode", "constant"},
 		{"fedsz_delta_sections", "mode", "absolute"},
 	} {
 		if _, ok := telemetry.FindSample(samples, want.name, telemetry.L(want.key, want.value)); !ok {

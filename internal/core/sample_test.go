@@ -32,9 +32,12 @@ func laplaceTensor(rng *rand.Rand, n int, sigma float64) (data, ref *tensor.Tens
 // the sample picks is the one the exact both-ways encode would have kept, or
 // the blob it keeps is within 1 % of the smaller one. The scaled sample is
 // also what DeltaBytesSaved is estimated from, so its error is held to 5 %.
-// The sweep runs on the delta kernels and again on the Go loops.
+// At σ = 0.001 the residual fits the bound around its midpoint and must ship as
+// the constant stream instead (encodeBlob's first form); σ = 0.004 is the
+// smallest that still samples. The sweep runs on the delta kernels and again
+// on the Go loops.
 func TestSampledPolicyAccuracy(t *testing.T) {
-	sigmas := []float64{0.001, 0.005, 0.01, 0.02, 0.04, 0.06, 0.07, 0.08, 0.085, 0.09, 0.1, 0.105, 0.11, 0.13, 0.15}
+	sigmas := []float64{0.001, 0.004, 0.005, 0.01, 0.02, 0.04, 0.06, 0.07, 0.08, 0.085, 0.09, 0.1, 0.105, 0.11, 0.13, 0.15}
 	params := ebcl.Rel(1e-2)
 	sizes := []int{40_000, 146_977, 600_000}
 	if testing.Short() {
@@ -49,7 +52,7 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range sizes {
-				same, worst, estLo, estHi := 0, 0.0, math.Inf(1), math.Inf(-1)
+				same, consts, worst, estLo, estHi := 0, 0, 0.0, math.Inf(1), math.Inf(-1)
 				for si, sigma := range sigmas {
 					data, ref := laplaceTensor(rand.New(rand.NewPCG(21, uint64(n+si))), n, sigma)
 					sd, refSD := tensor.NewStateDict(), tensor.NewStateDict()
@@ -70,7 +73,7 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 						t.Fatal("REL bound did not resolve")
 					}
 					res := make([]float32, n)
-					rangeD, rangeR, mag, ok := computeResidual(res, data.Data, ref.Data)
+					rangeD, resExt, mag, ok := computeResidual(res, data.Data, ref.Data)
 					ebRes, fits := residualBound(wholeP.Value, mag)
 					if !fits {
 						t.Fatal("rounding allowance ate the bound")
@@ -85,7 +88,7 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					exactDelta := ok && rangeR < rangeD && len(resBlob) <= absLen
+					exactDelta := ok && resExt.Span() < rangeD && len(resBlob) <= absLen
 
 					opts.Reference, opts.RefEpoch = refSD, 1
 					stream, stats, err := Compress(sd, opts)
@@ -93,6 +96,15 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 						t.Fatal(err)
 					}
 					pt := parseTensors(t, stream)[0]
+					_, fitsMid := constantResidual(data.Data, ref.Data, resExt, wholeP.Value)
+					if constant := ok && resExt.Span() < rangeD && resExt.Span() <= 2*ebRes && fitsMid; constant || stats.ConstantResiduals > 0 {
+						if !constant || !pt.Delta || len(pt.Blob) != 13 {
+							t.Fatalf("%s n=%d σ=%g: constant residual %v, kept %d-byte blob (residual=%v, %d constant)",
+								codec, n, sigma, constant, len(pt.Blob), pt.Delta, stats.ConstantResiduals)
+						}
+						consts++
+						continue
+					}
 					if pt.Delta && len(pt.Blob) != len(resBlob) || !pt.Delta && len(pt.Blob) != absLen {
 						t.Fatalf("%s n=%d σ=%g: kept blob is %d B, candidates are %d (absolute) and %d (residual)",
 							codec, n, sigma, len(pt.Blob), absLen, len(resBlob))
@@ -114,8 +126,8 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 						}
 					}
 				}
-				t.Logf("%s: %s n=%d: %d/%d picks identical, worst kept-blob cost %.2f %%, absolute size estimated %+.1f…%+.1f %% off",
-					path, codec, n, same, len(sigmas), 100*worst, 100*estLo, 100*estHi)
+				t.Logf("%s: %s n=%d: %d constant, %d/%d picks identical, worst kept-blob cost %.2f %%, absolute size estimated %+.1f…%+.1f %% off",
+					path, codec, n, consts, same, len(sigmas)-consts, 100*worst, 100*estLo, 100*estHi)
 			}
 		}
 	})

@@ -61,10 +61,16 @@ func AppendDegenerate(dst []byte, magic uint32, data []float32, constant bool) (
 	case len(data) == 0:
 		return AppendHeader(dst, magic, 0, LayoutEmpty), true
 	case constant:
-		out = AppendHeader(dst, magic, len(data), LayoutConstant)
-		return binary.LittleEndian.AppendUint32(out, math.Float32bits(data[0])), true
+		return AppendConstant(dst, magic, len(data), data[0]), true
 	}
 	return dst, false
+}
+
+// AppendConstant writes the complete 13-byte LayoutConstant stream that
+// decodes to n copies of v.
+func AppendConstant(dst []byte, magic uint32, n int, v float32) []byte {
+	dst = AppendHeader(dst, magic, n, LayoutConstant)
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 }
 
 // DecodeLayout parses the common header and finishes the layouts

@@ -58,6 +58,9 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // Name implements ebcl.Compressor.
 func (c *Compressor) Name() string { return "sz2" }
 
+// Magic is the stream magic, for a caller that writes a constant stream itself.
+func (c *Compressor) Magic() uint32 { return format.Magic }
+
 // Compress implements ebcl.Compressor (CompressAppend with a nil dst).
 func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
 	return c.CompressAppend(nil, data, p)

@@ -56,6 +56,9 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // Name implements ebcl.Compressor.
 func (c *Compressor) Name() string { return "zfp" }
 
+// Magic is the stream magic, for a caller that writes a constant stream itself.
+func (c *Compressor) Magic() uint32 { return magic }
+
 // PrecisionForBound maps a relative error bound to the plane count used in
 // fixed-precision mode (paper: "the closest analogous option").
 func PrecisionForBound(eb float64) int {
