@@ -211,7 +211,8 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 // decodeBlobInto reconstructs a tensor blob — plain or chunked — into
 // dst's storage (capacity ≥ elems), returning the elems-length result.
 // A non-nil ref is the residual baseline: it is folded back in, in place,
-// per chunk (one pass while the chunk is still cache-warm). chunkedOK
+// per chunk (one pass while the chunk is still cache-warm), and a constant
+// residual's stream is written as ref + v in one pass (lanes.Offset). chunkedOK
 // gates the chunked layout on the stream version: in v1–v3 streams a 0xFC
 // first byte is codec data and fails the codec's own magic check, exactly
 // as before chunking existed. Chunks decode one after another on the
@@ -223,6 +224,15 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 	t0 := time.Now()
 	defer func() { work.Add(int64(time.Since(t0))) }()
 	if !chunkedOK || !isChunkedBlob(blob) {
+		// A constant residual skips the codec; any other blob, a hostile
+		// one too, takes it.
+		if mc, ok := lossy.(magicCodec); ok && ref != nil {
+			if v, ok := ebcl.ConstantOf(blob, mc.Magic(), elems); ok {
+				data := ebcl.GrowFloats(dst, elems)
+				lanes.Offset(data, ref, v)
+				return data, nil
+			}
+		}
 		data, err := lossy.DecompressInto(dst, blob)
 		if err != nil {
 			return nil, err

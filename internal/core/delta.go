@@ -8,11 +8,7 @@ package core
 // with the mode-byte flip and the DeltaBytesSaved accounting, is encodeBlob's
 // decision (encode.go), made once for plain and chunked blobs alike.
 
-import (
-	"math"
-
-	"repro/internal/lanes"
-)
+import "repro/internal/lanes"
 
 // computeResidual fills res[i] = data[i] − ref[i] and reports the value range
 // of data, the residual's extent r, and mag = max|data| + max|residual|, the
@@ -49,14 +45,8 @@ func residualBound(eb, mag float64) (shrunk float64, ok bool) {
 // constantResidual returns the float32 midpoint of the residual's extent r —
 // SZx's constant block over a whole tensor — when the decoder's exact output
 // for it, fl(ref[i] + mid), lies within eb of data[i] for every i; ok is false
-// at the first element that misses, and the residual takes the codec.
+// when any element misses (lanes.Within), and the residual takes the codec.
 func constantResidual(data, ref []float32, r lanes.Extent, eb float64) (mid float32, ok bool) {
 	mid = r.Lo + (r.Hi-r.Lo)/2
-	ref = ref[:len(data)]
-	for i, v := range data {
-		if math.Abs(float64(v)-float64(float32(ref[i]+mid))) > eb {
-			return 0, false
-		}
-	}
-	return mid, true
+	return mid, lanes.Within(data, ref, mid, eb)
 }

@@ -100,8 +100,13 @@ func TestDeltaAbsoluteCandidateError(t *testing.T) {
 
 // TestConstantResidualCheck holds constantResidual to the decoder's exact
 // output: an element whose reconstruction fl(ref + mid) misses data by one
-// float32 ulp past eb forces the fallback, one a ulp inside does not.
+// float32 ulp past eb forces the fallback, one a ulp inside does not. It runs
+// on the lane kernel and on the Go loop.
 func TestConstantResidualCheck(t *testing.T) {
+	lanes.BothPaths(func(path string) { constantResidualCheck(t, path) })
+}
+
+func constantResidualCheck(t *testing.T, path string) {
 	const n, eb = 1000, 1e-3
 	rng := rand.New(rand.NewPCG(32, 2))
 	data, ref := make([]float32, n), make([]float32, n)
@@ -120,15 +125,15 @@ func TestConstantResidualCheck(t *testing.T) {
 		}
 		inside := math.Nextafter32(past, float32(math.Inf(-1)))
 		if got, ok := constantResidual(data, ref, r, eb); !ok || got != mid {
-			t.Fatalf("element %d: in-bound data refused (mid %g, ok %v)", k, got, ok)
+			t.Fatalf("%s: element %d: in-bound data refused (mid %g, ok %v)", path, k, got, ok)
 		}
 		data[k] = inside
 		if _, ok := constantResidual(data, ref, r, eb); !ok {
-			t.Errorf("element %d: %g off, a ulp inside eb, forced the fallback", k, float64(inside)-recon)
+			t.Errorf("%s: element %d: %g off, a ulp inside eb, forced the fallback", path, k, float64(inside)-recon)
 		}
 		data[k] = past
 		if _, ok := constantResidual(data, ref, r, eb); ok {
-			t.Errorf("element %d: %g off, a ulp past eb, took the constant form", k, float64(past)-recon)
+			t.Errorf("%s: element %d: %g off, a ulp past eb, took the constant form", path, k, float64(past)-recon)
 		}
 		data[k] = keep
 	}

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/compressors"
+	"repro/internal/ebcl"
 	"repro/internal/lanes"
 )
 
@@ -276,4 +282,121 @@ func TestAddIntoKernel(t *testing.T) {
 			}
 		}
 	})
+}
+
+// decodeCounter counts its codec's DecompressInto calls. It has no Magic
+// method, so decodeBlobInto gives every blob to the codec, as it did before
+// the constant path: the reference the constant path is held to.
+type decodeCounter struct {
+	ebcl.Compressor
+	calls *int
+}
+
+func (c decodeCounter) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
+	*c.calls++
+	return c.Compressor.DecompressInto(dst, stream)
+}
+
+// magicCounter is decodeCounter with the built-in codec's Magic.
+type magicCounter struct{ decodeCounter }
+
+func (c magicCounter) Magic() uint32 { return c.Compressor.(magicCodec).Magic() }
+
+// TestConstantBlobDecode holds decodeBlobInto's constant path, on both paths
+// and under each built-in codec, to the codec's DecompressInto followed by
+// lanes.Add: the same float bits (NaN payloads in ref and in the constant
+// included) in dst's storage, with no codec call. A constant stream without a
+// reference, and the hostile streams — count ≠ elems, truncated to 12 bytes, a
+// wrong magic, a count over MaxElements — reach the codec and fail with the
+// same error as before; so does every stream under a codec without Magic.
+func TestConstantBlobDecode(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 3))
+	var work atomic.Int64
+	for _, name := range []string{"sz2", "sz3", "szx", "zfp"} {
+		lossy, err := compressors.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		magic := lossy.(magicCodec).Magic()
+		lanes.BothPaths(func(path string) {
+			for _, n := range []int{1, 7, 8, 13, 1000, 4099} {
+				ref := make([]float32, n)
+				for i := range ref {
+					ref[i] = anyValue(rng)
+				}
+				// decode runs decodeBlobInto on plain and magic (the same codec,
+				// with and without Magic) and returns both results and whether
+				// the magic one called the codec.
+				decode := func(blob []byte, elems int, ref []float32) (want, got []float32, dst []float32, wantErr, gotErr error, called bool) {
+					var plainCalls, magicCalls int
+					plain := decodeCounter{lossy, &plainCalls}
+					want, wantErr = decodeBlobInto(plain, make([]float32, elems), blob, elems, true, ref, &work)
+					dst = make([]float32, elems)
+					got, gotErr = decodeBlobInto(magicCounter{decodeCounter{lossy, &magicCalls}}, dst, blob, elems, true, ref, &work)
+					if plainCalls != 1 {
+						t.Fatalf("%s %s: n=%d: the codec without Magic was called %d times", path, name, n, plainCalls)
+					}
+					return want, got, dst, wantErr, gotErr, magicCalls == 1
+				}
+				for _, v := range []float32{0.25, negZero, -1e-3, nanA, nanB, nanS} {
+					for _, trail := range []int{0, 1} {
+						blob := append(ebcl.AppendConstant(nil, magic, n, v), make([]byte, trail)...)
+						want, got, dst, wantErr, gotErr, called := decode(blob, n, ref)
+						if wantErr != nil || gotErr != nil || called {
+							t.Fatalf("%s %s: n=%d v=%g: errors %v, %v; codec called %v", path, name, n, v, wantErr, gotErr, called)
+						}
+						if &got[0] != &dst[0] {
+							t.Fatalf("%s %s: n=%d: result is not in dst's storage", path, name, n)
+						}
+						for i := range want {
+							g, w := math.Float32bits(got[i]), math.Float32bits(want[i])
+							if path == "Go" && bothNaN(v, ref[i]) && g != w {
+								// As in TestAddIntoKernel: two Go loops may keep
+								// different NaN payloads (on 386 they do).
+								if g != quiet(v) && g != quiet(ref[i]) {
+									t.Fatalf("%s %s: n=%d v=%g: [%d] is %#08x, neither operand's payload", path, name, n, v, i, g)
+								}
+								continue
+							}
+							if g != w {
+								t.Fatalf("%s %s: n=%d v=%g trail %d: [%d] is %#08x, codec and Add %#08x", path, name, n, v, trail, i, g, w)
+							}
+						}
+					}
+				}
+
+				good := ebcl.AppendConstant(nil, magic, n, 0.5)
+				over := append([]byte(nil), good...)
+				binary.LittleEndian.PutUint32(over[4:], ebcl.MaxElements+1)
+				for _, h := range []struct {
+					name    string
+					blob    []byte
+					ref     []float32
+					corrupt bool // the codec's own error, ebcl.ErrCorrupt
+				}{
+					{"no reference", good, nil, false},
+					{"count elems+1", ebcl.AppendConstant(nil, magic, n+1, 0.5), ref, false},
+					{"count elems-1", ebcl.AppendConstant(nil, magic, n-1, 0.5), ref, false},
+					{"truncated to 12 bytes", good[:12], ref, true},
+					{"wrong magic", ebcl.AppendConstant(nil, magic^1, n, 0.5), ref, true},
+					{"count over MaxElements", over, ref, true},
+				} {
+					label := fmt.Sprintf("%s %s: n=%d %s", path, name, n, h.name)
+					want, got, _, wantErr, gotErr, called := decode(h.blob, n, h.ref)
+					if !called {
+						t.Fatalf("%s: the codec was not called", label)
+					}
+					if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+						t.Fatalf("%s: error %v, codec path %v", label, gotErr, wantErr)
+					}
+					if h.corrupt && !errors.Is(gotErr, ebcl.ErrCorrupt) {
+						t.Fatalf("%s: error %v is not ebcl.ErrCorrupt", label, gotErr)
+					}
+					if gotErr == nil && (len(got) != len(want) || math.Float32bits(got[0]) != math.Float32bits(want[0])) {
+						t.Fatalf("%s: decoded %v, codec path %v", label, got[:1], want[:1])
+					}
+				}
+			}
+		})
+	}
 }

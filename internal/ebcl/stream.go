@@ -73,6 +73,17 @@ func AppendConstant(dst []byte, magic uint32, n int, v float32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 }
 
+// ConstantOf returns the value of a LayoutConstant stream under magic that
+// declares n elements: DecodeLayout would fill n copies of v. ok is false for
+// every other stream, valid or not.
+func ConstantOf(stream []byte, magic uint32, n int) (v float32, ok bool) {
+	m, layout, rest, err := ParseHeader(stream, magic)
+	if err != nil || layout != LayoutConstant || m != n || len(rest) < 4 {
+		return 0, false
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(rest)), true
+}
+
 // DecodeLayout parses the common header and finishes the layouts
 // AppendDegenerate wrote: for those out is the complete reconstruction in
 // dst's storage and full is false. For LayoutFull it returns the element

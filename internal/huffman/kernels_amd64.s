@@ -150,6 +150,7 @@ TEXT ·appendCodesBMI2(SB), NOSPLIT, $0-128
 	MOVQ acc+80(FP), R11
 	MOVQ nacc+88(FP), R12
 	XORQ CX, CX                  // symbols coded
+	PCALIGN $64
 
 pair:
 	CMPQ CX, R10
@@ -310,6 +311,7 @@ prefill:
 	REFILL(R11, PTR3, LIM3)
 	// A round writes up to two slots a stream.
 	ROUNDSTOGO(2)
+	PCALIGN $64
 
 pround:
 	PAIR(R8)

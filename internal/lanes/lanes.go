@@ -1,8 +1,9 @@
-// Package lanes holds the module's one CPU check and the float32 lane
+// Package lanes holds the module's one CPU check and the six float32 lane
 // kernels more than one codec stage shares: the range scan behind every REL
 // bound and SZx constant block (Scan), the delta encoder's residual pass
-// (Residual), the decoder's add-back (Add) and the server's fold
-// (AddScaled). On amd64 CPUs with AVX2 each runs eight float32 lanes at a
+// (Residual) and constant-residual check (Within), the decoder's add-back
+// (Add) and constant add-back (Offset), and the server's fold (AddScaled).
+// On amd64 CPUs with AVX2 each runs eight float32 lanes at a
 // time in Go assembly (lanes_amd64.s) and Go runs the tail. A lane does what
 // one iteration of the Go loop does: subtractions, multiplies and adds are
 // separate instructions (no FMA), with the operands in the order Go's SUBSS,
@@ -140,6 +141,42 @@ func Add(data, ref []float32) {
 	for i, r := range ref {
 		data[i] += r
 	}
+}
+
+// Offset writes a constant residual's reconstruction, dst[i] = ref[i] + v:
+// one pass for filling dst with v and then calling Add, with ref the first
+// operand as there, so even NaN payloads match. ref must be at least as long
+// as dst.
+func Offset(dst, ref []float32, v float32) {
+	ref = ref[:len(dst)]
+	if n8 := len(dst) &^ 7; on && n8 > 0 {
+		offsetAVX2(dst[:n8], ref[:n8], v)
+		dst, ref = dst[n8:], ref[n8:]
+	}
+	for i, r := range ref {
+		dst[i] = r + v
+	}
+}
+
+// Within reports whether |data[i] − fl(ref[i] + mid)| ≤ eb holds in float64
+// for every i: the constant residual's check of the decoder's exact output.
+// The kernel compares in float64 as the Go loop does (a float32 compare would
+// refuse a sliver of valid inputs), ordered and quiet, so a NaN difference
+// passes on both paths. ref must be at least as long as data.
+func Within(data, ref []float32, mid float32, eb float64) bool {
+	ref = ref[:len(data)]
+	if n8 := len(data) &^ 7; on && n8 > 0 {
+		if !withinAVX2(data[:n8], ref[:n8], mid, eb) {
+			return false
+		}
+		data, ref = data[n8:], ref[n8:]
+	}
+	for i, v := range data {
+		if math.Abs(float64(v)-float64(float32(ref[i]+mid))) > eb {
+			return false
+		}
+	}
+	return true
 }
 
 // AddScaled is the fold, a[i] += w·b[i], of the server and of

@@ -47,3 +47,13 @@ func addAVX2(data, ref []float32)
 //
 //go:noescape
 func addScaledAVX2(a, b []float32, w float32)
+
+// offsetAVX2 is Offset's loop over dst and ref.
+//
+//go:noescape
+func offsetAVX2(dst, ref []float32, v float32)
+
+// withinAVX2 is Within's loop over data and ref.
+//
+//go:noescape
+func withinAVX2(data, ref []float32, mid float32, eb float64) bool

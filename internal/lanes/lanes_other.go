@@ -15,3 +15,7 @@ func residualAVX2(_, _, _ []float32) (float32, float32, float32, float32, uint32
 func addAVX2([]float32, []float32) { panic("lanes: no AVX2 kernels") }
 
 func addScaledAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
+
+func offsetAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
+
+func withinAVX2([]float32, []float32, float32, float64) bool { panic("lanes: no AVX2 kernels") }
