@@ -70,7 +70,7 @@ func run(model, ds string, rounds, nClients int, eb float64, lossyName string, n
 		clients[i] = fl.NewClient(i, net, shards[i], 16, 0.02, seed)
 	}
 
-	var transport fl.Transport = fl.RawTransport{}
+	transport := fl.Raw
 	if !noCompress {
 		// Build the pipeline configuration through the session API so a
 		// bad -lossy name or -eb value fails here, before any training.
@@ -78,7 +78,7 @@ func run(model, ds string, rounds, nClients int, eb float64, lossyName string, n
 		if err != nil {
 			return err
 		}
-		transport = fl.NewFedSZTransport(codec.Options())
+		transport = fl.FedSZ(codec.Options())
 	}
 	fed := fl.NewFederation(global, clients, transport, test)
 	link := netsim.Link{BandwidthMbps: bandwidth}

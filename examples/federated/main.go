@@ -26,10 +26,10 @@ func main() {
 	)
 	for _, compressed := range []bool{false, true} {
 		label := "uncompressed"
-		var transport fl.Transport = fl.RawTransport{}
+		transport := fl.Raw
 		if compressed {
 			label = "fedsz (SZ2 @ REL 1e-2 + blosclz)"
-			transport = fl.NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
+			transport = fl.FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})
 		}
 		fmt.Printf("=== %s ===\n", label)
 		if err := run(transport, rounds, nClients, seed); err != nil {

@@ -12,7 +12,7 @@ func TestFederatedExampleRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one full training round; skipped in short mode")
 	}
-	if err := run(fl.RawTransport{}, 1, 2, 11); err != nil {
+	if err := run(fl.Raw, 1, 2, 11); err != nil {
 		t.Fatal(err)
 	}
 }

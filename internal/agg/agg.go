@@ -258,7 +258,7 @@ func (s *Sharded) checkStructure(upd *core.DecodedStream) error {
 		}
 	}
 	if err := s.meta.CheckCompatible(upd.Meta); err != nil {
-		return fmt.Errorf("agg: metadata partition: %w", err)
+		return fmt.Errorf("%w: agg: metadata partition: %w", core.ErrCorrupt, err)
 	}
 	return nil
 }

@@ -316,6 +316,52 @@ func TestShardedCorruptAtomicity(t *testing.T) {
 	}
 }
 
+// TestShardedStructureMismatch: a later update whose structure differs from
+// the adopted one — a tensor's name or length, the path flags, or the
+// metadata partition — is refused as ErrCorrupt, leaves the mean unchanged
+// bit for bit and hands back every pooled float buffer it took.
+func TestShardedStructureMismatch(t *testing.T) {
+	type entry struct {
+		name string
+		kind tensor.Kind
+		n    int
+	}
+	const w, b = tensor.KindWeight, tensor.KindBias
+	dict := func(es ...entry) []byte {
+		rng := rand.New(rand.NewPCG(7, 7))
+		sd := tensor.NewStateDict()
+		for _, e := range es {
+			sd.Add(e.name, e.kind, tensor.FromData(eblctest.WeightLike(rng, e.n), e.n))
+		}
+		return frame(t, mustCompress(t, sd))
+	}
+	adopted := dict(entry{"a.weight", w, 4096}, entry{"b.weight", w, 2048}, entry{"c.biases", b, 16})
+	for name, framed := range map[string][]byte{
+		"tensor-name":   dict(entry{"a.weight", w, 4096}, entry{"x.weight", w, 2048}, entry{"c.biases", b, 16}),
+		"tensor-length": dict(entry{"a.weight", w, 4096}, entry{"b.weight", w, 1024}, entry{"c.biases", b, 16}),
+		"path-flags":    dict(entry{"c.biases", b, 16}, entry{"a.weight", w, 4096}, entry{"b.weight", w, 2048}),
+		"metadata":      dict(entry{"a.weight", w, 4096}, entry{"b.weight", w, 2048}, entry{"x.biases", b, 16}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+			ingest(t, sh, 0, 1, adopted)
+			before, _ := sh.Mean()
+			hits0, misses0 := sched.FloatPoolCounters()
+			puts0 := sched.FloatPoolPuts()
+			_, _, err := sh.IngestStream(context.Background(), 1, 1, core.DecodeOptions{}, bytes.NewReader(framed))
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("IngestStream: %v, want ErrCorrupt", err)
+			}
+			hits1, misses1 := sched.FloatPoolCounters()
+			if got, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; got != put {
+				t.Fatalf("refused update took %d float buffers and returned %d", got, put)
+			}
+			after, _ := sh.Mean()
+			mustEqualBits(t, "mean after the refused update", after, before)
+		})
+	}
+}
+
 // TestShardedDedupAcrossSessions is the at-least-once regression: the
 // same client uploading the same update on two separate sessions (the
 // retry-after-lost-ack pattern) must fold exactly once, and the duplicate

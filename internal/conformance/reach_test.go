@@ -43,7 +43,7 @@ var reachKept = map[string]string{
 // renamed, or written by a program again) and on a row no test writes
 // either.
 var fieldsKept = map[string]string{
-	"repro/internal/fl.FedSZTransport.Delta": "the in-memory delta rounds TestFedSZTransportDeltaRounds holds the delta_reduction floor on",
+	"repro/internal/fl.Transport.Delta": "the in-memory delta rounds TestFedSZTransportDeltaRounds holds the delta_reduction floor on",
 }
 
 // Two packages' declarations count as reached without a caller: the exported

@@ -391,8 +391,8 @@ func DecompressAll(ctx context.Context, pool *sched.Pool, streams [][]byte, o De
 // Release returns sd's tensor buffers to the shared float pool and must
 // only be called when nothing references the state dict anymore — the
 // fold-and-discard discipline of an aggregation server: Decompress lands
-// reconstructed tensors in pool-backed buffers, RunRound folds them into
-// the accumulator, and Release recycles the storage for the next client's
+// reconstructed tensors in pool-backed buffers, the aggregator folds them
+// into its accumulator, and Release recycles the storage for the next client's
 // decode. Releasing a dict the caller still reads (or one whose tensors
 // are shared with live state) corrupts data; when in doubt, let the
 // garbage collector have it instead.

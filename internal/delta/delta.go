@@ -9,9 +9,9 @@
 //
 // The package provides Ref, the retained-reference holder for ends that do
 // not share memory: fedsz.DeltaCodec layers it over a fedsz.Codec, and
-// servers consume it via Provider (flserve.Config.RefProvider). The
-// in-memory fl.FedSZTransport needs none — both of its ends read the
-// round's broadcast state directly.
+// servers consume it via Provider (flserve.Config.RefProvider). fl's
+// delta rounds need none — RunRound passes the round's broadcast state to
+// both ends directly.
 package delta
 
 import (

@@ -29,7 +29,7 @@ func AblatePartition(cfg Config) (*Table, error) {
 		{"partitioned (FedSZ)", false},
 		{"unpartitioned (all lossy)", true},
 	} {
-		tr := fl.NewFedSZTransport(core.Options{
+		tr := fl.FedSZ(core.Options{
 			LossyParams:         ebcl.Rel(1e-2),
 			DisablePartitioning: mode.disable,
 			Threshold:           -1, // let every tensor through in both modes
@@ -116,7 +116,7 @@ func AblateLearningRate(cfg Config) (*Table, error) {
 		Title:   "Hyperparameter mitigation (future work §VIII-B): client LR sweep under FedSZ REL 1e-2",
 		Columns: []string{"Transport", "LR", "Final Acc(%)"},
 	}
-	base, err := buildFederationLR(cfg, "alexnet", "cifar10", fl.RawTransport{}, 0xAB5, 0.02)
+	base, err := buildFederationLR(cfg, "alexnet", "cifar10", fl.Raw, 0xAB5, 0.02)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func AblateLearningRate(cfg Config) (*Table, error) {
 	}
 	t.AddRow("uncompressed", "0.020", f2(100*res[len(res)-1].Accuracy))
 	for _, lr := range []float64{0.01, 0.02, 0.03, 0.05} {
-		tr := fl.NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
+		tr := fl.FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})
 		fed, err := buildFederationLR(cfg, "alexnet", "cifar10", tr, 0xAB5, lr)
 		if err != nil {
 			return nil, err

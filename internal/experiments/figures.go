@@ -28,7 +28,7 @@ func Fig2(cfg Config) (*Table, error) {
 		Columns: []string{"Source", "Snippet", "Smoothness", "Range"},
 	}
 	// Trained mini-model weights (a short FL run makes them realistic).
-	fed, err := buildFederation(cfg, "alexnet", "cifar10", fl.RawTransport{}, 0xF2)
+	fed, err := buildFederation(cfg, "alexnet", "cifar10", fl.Raw, 0xF2)
 	if err != nil {
 		return nil, err
 	}
@@ -115,13 +115,13 @@ func Fig4(cfg Config) (*Table, error) {
 		{"fedsz-szx", "szx"},
 	}
 	for _, r := range runs {
-		var transport fl.Transport = fl.RawTransport{}
+		transport := fl.Raw
 		if r.comp != "" {
 			comp, err := compressors.Get(r.comp)
 			if err != nil {
 				return nil, err
 			}
-			transport = fl.NewFedSZTransport(core.Options{Lossy: comp, LossyParams: ebcl.Rel(1e-2)})
+			transport = fl.FedSZ(core.Options{Lossy: comp, LossyParams: ebcl.Rel(1e-2)})
 		}
 		fed, err := buildFederation(cfg, "alexnet", "cifar10", transport, 0xF4)
 		if err != nil {
@@ -155,7 +155,7 @@ func Fig5(cfg Config) (*Table, error) {
 	}
 	for _, combo := range modelDatasetCombos(cfg) {
 		modelName, ds := combo[0], combo[1]
-		fedRaw, err := buildFederation(cfg, modelName, ds, fl.RawTransport{}, 0xF5)
+		fedRaw, err := buildFederation(cfg, modelName, ds, fl.Raw, 0xF5)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func Fig5(cfg Config) (*Table, error) {
 		}
 		row := []string{modelName, ds, f2(100 * rawRes[len(rawRes)-1].Accuracy)}
 		for _, eb := range fig5Bounds {
-			tr := fl.NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(eb)})
+			tr := fl.FedSZ(core.Options{LossyParams: ebcl.Rel(eb)})
 			fed, err := buildFederation(cfg, modelName, ds, tr, 0xF5)
 			if err != nil {
 				return nil, err
@@ -192,7 +192,7 @@ func Fig6(cfg Config) (*Table, error) {
 	}
 	for _, combo := range modelDatasetCombos(cfg) {
 		modelName, ds := combo[0], combo[1]
-		tr := fl.NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
+		tr := fl.FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})
 		fed, err := buildFederation(cfg, modelName, ds, tr, 0xF6)
 		if err != nil {
 			return nil, err
@@ -329,7 +329,7 @@ func Fig9(cfg Config) (*Table, error) {
 		Columns: []string{"Mode", "Workers", "Clients", "FedSZ", "Uncompressed", "Speedup(FedSZ)"},
 	}
 	// Calibrate one client's real costs from a mini round.
-	tr := fl.NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
+	tr := fl.FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})
 	fed, err := buildFederation(cfg, "mobilenetv2", "cifar10", tr, 0xF9)
 	if err != nil {
 		return nil, err

@@ -91,7 +91,7 @@ func table1Accuracy(cfg Config, modelName, compName string, eb float64) (float64
 	if err != nil {
 		return 0, err
 	}
-	tr := fl.NewFedSZTransport(core.Options{Lossy: comp, LossyParams: ebcl.Rel(eb)})
+	tr := fl.FedSZ(core.Options{Lossy: comp, LossyParams: ebcl.Rel(eb)})
 	fed, err := buildFederation(cfg, modelName, "cifar10", tr, 0x71)
 	if err != nil {
 		return 0, err

@@ -2,12 +2,10 @@ package fl
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ebcl"
-	"repro/internal/tensor"
 )
 
 // deltaReductionFloor is the least fraction of wire bytes residual streams
@@ -18,20 +16,20 @@ import (
 // bound is 0.5 %.
 const deltaReductionFloor = 0.25
 
-// TestFedSZTransportDeltaRounds: the in-memory transport with Delta set must
+// TestFedSZTransportDeltaRounds: the FedSZ transport with Delta set must
 // run full rounds end to end, actually take the residual path (the rounds
 // are temporally correlated by construction), save at least
 // deltaReductionFloor of the wire bytes the identical federation spends on
 // absolute streams, and still learn.
 func TestFedSZTransportDeltaRounds(t *testing.T) {
 	const rounds = 3
-	abs := NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
+	abs := FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})
 	absRes, err := smokeFederation(t, abs, 42).Run(context.Background(), rounds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dt := NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
+	dt := FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})
 	dt.Delta = true
 	dRes, err := smokeFederation(t, dt, 42).Run(context.Background(), rounds, 1)
 	if err != nil {
@@ -72,23 +70,4 @@ func TestFedSZTransportDeltaRounds(t *testing.T) {
 	}
 	t.Logf("wire abs=%d delta=%d (%.1f%% saved), delta tensors last round=%d",
 		absWire, dWire, 100*(1-float64(dWire)/float64(absWire)), last.DeltaTensors)
-}
-
-// TestRunRoundAccumulatorMismatchFails: a retained accumulator from a
-// structurally different model must fail the round with the explicit
-// incompatibility error, not silently reallocate.
-func TestRunRoundAccumulatorMismatchFails(t *testing.T) {
-	fed := smokeFederation(t, RawTransport{}, 3)
-	if _, err := fed.RunRound(context.Background(), 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the bug the check exists for: the global model changed
-	// structure while the pooled accumulator from the old one survived.
-	stale := tensor.NewStateDict()
-	stale.Add("conv.weight", tensor.KindWeight, tensor.New(8, 8))
-	fed.acc = stale
-	_, err := fed.RunRound(context.Background(), 1, 1)
-	if err == nil || !strings.Contains(err.Error(), "accumulator incompatible") {
-		t.Fatalf("stale accumulator not detected: %v", err)
-	}
 }

@@ -1,166 +1,58 @@
 // Package fl implements the federated-learning substrate: FedAvg clients
-// and server, round orchestration over one pluggable update transport (raw
-// or FedSZ-compressed, both in memory), and per-phase timing — the APPFL/MPI
-// stack of the paper replaced by goroutines. A round over real sockets is
-// internal/flserve + internal/agg (see examples/streaming and bench/), not a
-// transport here.
+// and server, round orchestration and per-phase timing — the APPFL/MPI
+// stack of the paper replaced by goroutines. A FedSZ round sends every
+// update through the server's own path minus the socket: wire.EncodeStream
+// into a buffer, agg.Sharded.IngestStream out of it. A round over real
+// sockets is internal/flserve + internal/agg (see examples/streaming and
+// bench/).
 package fl
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/sched"
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
-// Transport carries a chunk of trained client updates to the server — the
-// seam where FedSZ plugs in. Round is the whole interface: everything a
-// round tells the transport travels in its input, everything the round
-// accounts comes back in its output.
-type Transport interface {
-	// Name identifies the transport in experiment output.
-	Name() string
-	// Round encodes every state dict in in.States, carries it, and decodes
-	// it at the server. Cancelling ctx aborts the call with ctx.Err().
-	Round(ctx context.Context, in RoundInput) (RoundOutput, error)
-}
-
-// RoundInput is one chunk of a round's client updates plus the round state
-// a transport may use.
-type RoundInput struct {
-	// States are the trained client state dicts. The transport only reads
-	// them.
-	States []*tensor.StateDict
-	// Reference is the global state every client trained from this round —
-	// the baseline a delta-capable transport encodes and decodes residuals
-	// against — and RefEpoch tags it. Read-only and stable for the call.
-	Reference *tensor.StateDict
-	RefEpoch  uint32
-}
-
-// RoundOutput is what one Round call produced.
-type RoundOutput struct {
-	// Decoded holds the server-side decoded dicts, index-aligned with
-	// RoundInput.States. They are owned by the caller: their tensor buffers
-	// may be pool-backed, and a caller that folds a decoded dict and
-	// discards it may recycle the storage via core.Release — the
-	// steady-state zero-allocation path RunRound takes.
-	Decoded []*tensor.StateDict
-	// EncodeDur and DecodeDur report each client's own encode and decode
-	// time as the codec measured it (core.Stats.CompressTime,
-	// core.DecompressStats.DecompressTime) — the per-client accounting of
-	// paper Figure 6 regardless of how the batch was parallelized.
-	EncodeDur []time.Duration
-	DecodeDur []time.Duration
-	// RawBytes sums the uncompressed update sizes; WireBytes sums the
-	// encoded payload sizes.
-	RawBytes  int
-	WireBytes int
-	// DeltaTensors counts lossy tensors sent as cross-round residuals and
-	// DeltaBytesSaved totals what they saved over their absolute encodings,
-	// estimated from a sample for large tensors (core.Stats.DeltaBytesSaved);
-	// both are 0 unless the transport compresses deltas.
-	DeltaTensors    int
-	DeltaBytesSaved int
-}
-
-// RawTransport transmits the uncompressed serialized state dict.
-type RawTransport struct{}
-
-// Name implements Transport.
-func (RawTransport) Name() string { return "uncompressed" }
-
-// Round implements Transport: marshal, unmarshal.
-func (RawTransport) Round(ctx context.Context, in RoundInput) (RoundOutput, error) {
-	n := len(in.States)
-	out := RoundOutput{
-		Decoded:   make([]*tensor.StateDict, n),
-		EncodeDur: make([]time.Duration, n),
-		DecodeDur: make([]time.Duration, n),
-	}
-	for i, sd := range in.States {
-		if err := ctx.Err(); err != nil {
-			return RoundOutput{}, err
-		}
-		t0 := time.Now()
-		payload := sd.Marshal()
-		t1 := time.Now()
-		decoded, err := tensor.UnmarshalStateDict(payload)
-		if err != nil {
-			return RoundOutput{}, fmt.Errorf("fl: raw decode client %d: %w", i, err)
-		}
-		out.Decoded[i] = decoded
-		out.EncodeDur[i], out.DecodeDur[i] = t1.Sub(t0), time.Since(t1)
-		out.RawBytes += sd.SizeBytes()
-		out.WireBytes += len(payload)
-	}
-	return out, nil
-}
-
-// FedSZTransport compresses updates with the FedSZ pipeline.
-type FedSZTransport struct {
-	Opts core.Options
-	// Delta enables cross-round delta compression: updates encode as v3
-	// residual streams against RoundInput.Reference (falling back to
-	// absolute per tensor) and decode against the same dict.
+// Transport is how RunRound carries client updates to the server. Nil Opts
+// sends the serialized state dict (Raw); otherwise each update is
+// compressed with *Opts into wire frames and decoded and folded by
+// agg.Sharded, as a server does.
+type Transport struct {
+	Opts *core.Options
+	// Delta encodes updates as residuals against the global state the
+	// clients trained from (falling back to absolute per tensor) and
+	// decodes them against the same dict.
 	Delta bool
 }
 
-// NewFedSZTransport wraps pipeline options as a transport.
-func NewFedSZTransport(opts core.Options) *FedSZTransport {
-	return &FedSZTransport{Opts: opts}
-}
+// Raw is the uncompressed transport.
+var Raw Transport
 
-// Name implements Transport.
-func (t *FedSZTransport) Name() string { return "fedsz" }
+// FedSZ returns the transport that compresses updates with opts.
+func FedSZ(opts core.Options) Transport { return Transport{Opts: &opts} }
 
-// Round implements Transport: the chunk compresses as one batch and
-// decompresses as one batch on the same pool, so neither phase
-// oversubscribes the machine and the codec's own per-client stats are the
-// round's accounting.
-func (t *FedSZTransport) Round(ctx context.Context, in RoundInput) (RoundOutput, error) {
-	opts := t.Opts
-	var dopts core.DecodeOptions
-	if t.Delta {
-		opts.Reference, opts.RefEpoch = in.Reference, in.RefEpoch
-		dopts = core.DecodeOptions{Reference: in.Reference, RefEpoch: in.RefEpoch}
+// Name identifies the transport in experiment output.
+func (t Transport) Name() string {
+	if t.Opts == nil {
+		return "uncompressed"
 	}
-	pool := sched.NewPool(0) // GOMAXPROCS: one budget for the batch encode and the batch decode
-	streams, stats, err := core.CompressAll(ctx, pool, in.States, opts)
-	if err != nil {
-		return RoundOutput{}, err
-	}
-	decoded, dstats, err := core.DecompressAll(ctx, pool, streams, dopts)
-	if err != nil {
-		return RoundOutput{}, err
-	}
-	out := RoundOutput{
-		Decoded:   decoded,
-		EncodeDur: make([]time.Duration, len(streams)),
-		DecodeDur: make([]time.Duration, len(streams)),
-	}
-	for i, st := range stats {
-		out.EncodeDur[i], out.DecodeDur[i] = st.CompressTime, dstats[i].DecompressTime
-		out.RawBytes += st.RawBytes
-		out.WireBytes += len(streams[i])
-		out.DeltaTensors += st.DeltaTensors
-		out.DeltaBytesSaved += st.DeltaBytesSaved
-	}
-	return out, nil
+	return "fedsz"
 }
 
 // Client is one FedAvg participant: a local model, a data shard, and an
 // SGD optimizer.
 type Client struct {
-	ID        int
 	Net       *nn.Network
 	Data      *dataset.Dataset
 	BatchSize int
@@ -168,10 +60,11 @@ type Client struct {
 	rng       *rand.Rand
 }
 
-// NewClient constructs a client around an existing network.
+// NewClient constructs a client around an existing network; id seeds its
+// shuffling RNG.
 func NewClient(id int, net *nn.Network, data *dataset.Dataset, batchSize int, lr float64, seed uint64) *Client {
 	return &Client{
-		ID: id, Net: net, Data: data, BatchSize: batchSize,
+		Net: net, Data: data, BatchSize: batchSize,
 		Opt: nn.NewSGD(lr, 0.9, 5e-4),
 		rng: rand.New(rand.NewPCG(seed, uint64(id)+1)),
 	}
@@ -219,30 +112,26 @@ func batchByIndex(d *dataset.Dataset, idx []int) (*tensor.Tensor, []int) {
 // Figure 6.
 type RoundTimings struct {
 	Train time.Duration // max over clients (they run in parallel)
-	// Compress and Decompress sum each client's own encode and decode time
-	// as the transport reported them (RoundOutput.EncodeDur / DecodeDur).
-	// Both sides are the codec's own measurement of a batch that runs on
-	// one pool after training has finished, so neither includes time spent
-	// contending with sibling clients' training, and neither depends on how
-	// the server parallelizes the batch.
+	// Compress sums each client's encode time as the codec measured it
+	// (core.Stats.CompressTime). Decompress sums each client's decode and
+	// fold, as agg.Sharded.IngestStream's DecompressTime measures it. The
+	// uploads run one at a time after training has finished, so neither
+	// includes time spent contending with sibling clients' training.
 	Compress   time.Duration
 	Decompress time.Duration
-	// DecompressWall is the wall-clock of the whole upload phase: every
-	// chunk's Round call (encode and decode) plus the fold. On a multicore
-	// host it is smaller than Compress + Decompress.
-	DecompressWall time.Duration
-	Validate       time.Duration
+	Validate   time.Duration
 }
 
 // RoundResult reports one FedAvg communication round.
 type RoundResult struct {
-	Round     int
 	Loss      float64 // mean client training loss
 	Accuracy  float64 // server-side validation accuracy
 	RawBytes  int     // total uncompressed update bytes (all clients)
-	WireBytes int     // total transmitted bytes (all clients)
-	// DeltaTensors and DeltaBytesSaved sum the transport's residual-encoding
-	// figures over all clients (0 unless it compresses deltas).
+	WireBytes int     // total encoded update bytes (all clients; wire framing excluded)
+	// DeltaTensors counts lossy tensors sent as cross-round residuals and
+	// DeltaBytesSaved totals what they saved over their absolute encodings,
+	// estimated from a sample for large tensors (core.Stats.DeltaBytesSaved);
+	// both are 0 unless the transport compresses deltas.
 	DeltaTensors    int
 	DeltaBytesSaved int
 	Timings         RoundTimings
@@ -254,11 +143,6 @@ type Federation struct {
 	Clients   []*Client
 	Transport Transport
 	Test      *dataset.Dataset
-
-	// acc is the FedAvg accumulator, pooled on first use and rezeroed in
-	// place every subsequent round (LoadStateDict copies out of it, so
-	// holding it across rounds is safe).
-	acc *tensor.StateDict
 }
 
 // NewFederation wires a federation together. All client networks must be
@@ -268,13 +152,13 @@ func NewFederation(global *nn.Network, clients []*Client, transport Transport, t
 }
 
 // RunRound executes one FedAvg round: broadcast → parallel local training →
-// transport round (encode, upload, decode) → aggregation → validation.
-// Cancelling ctx aborts the round between phases and inside the transport.
+// upload and aggregation in client order → validation. Cancelling ctx
+// aborts the round between phases and inside an upload.
 func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*RoundResult, error) {
-	res := &RoundResult{Round: round}
-	// A private clone, stable until LoadStateDict(acc) below: the state
-	// every client trains from, and so the delta baseline both ends of the
-	// transport encode and decode against.
+	res := &RoundResult{}
+	// A private clone, stable for the whole round: the state every client
+	// trains from, and so the delta baseline both ends of an upload encode
+	// and decode against.
 	globalState := f.Global.StateDict()
 
 	losses := make([]float64, len(f.Clients))
@@ -306,60 +190,94 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 		res.Timings.Train = max(res.Timings.Train, trainDurs[i])
 	}
 
-	if f.acc != nil {
-		// A retained accumulator that no longer matches the model means the
-		// global network changed structure mid-federation — a bug ZeroInto's
-		// silent reallocation would paper over (stale pooled buffers, wrong
-		// aggregation). Fail loudly instead.
-		if err := f.acc.CheckCompatible(globalState); err != nil {
-			return nil, fmt.Errorf("fl: accumulator incompatible with global model: %w", err)
-		}
+	var err error
+	if f.Transport.Opts == nil {
+		err = f.aggregateRaw(ctx, res)
+	} else {
+		err = f.aggregateFedSZ(ctx, res, globalState, uint32(round)+1)
 	}
-	f.acc = globalState.ZeroInto(f.acc)
-	acc := f.acc
-	weight := 1 / float32(len(f.Clients))
-
-	// Upload + FedAvg aggregation in deterministic client order, chunk-wise:
-	// each chunk's state dicts are snapshotted, carried, folded into the
-	// accumulator and released before the next chunk's exist, so peak
-	// memory stays O(chunk × model) rather than O(clients × model).
-	in := RoundInput{Reference: globalState, RefEpoch: uint32(round) + 1}
-	chunk := 2 * runtime.GOMAXPROCS(0)
-	t0 := time.Now()
-	for lo := 0; lo < len(f.Clients); lo += chunk {
-		hi := min(lo+chunk, len(f.Clients))
-		in.States = make([]*tensor.StateDict, hi-lo)
-		for i, c := range f.Clients[lo:hi] {
-			in.States[i] = c.Net.StateDict()
-		}
-		out, err := f.Transport.Round(ctx, in)
-		if err != nil {
-			return nil, fmt.Errorf("fl: round clients %d-%d: %w", lo, hi-1, err)
-		}
-		res.RawBytes += out.RawBytes
-		res.WireBytes += out.WireBytes
-		res.DeltaTensors += out.DeltaTensors
-		res.DeltaBytesSaved += out.DeltaBytesSaved
-		for i, sd := range out.Decoded {
-			res.Timings.Compress += out.EncodeDur[i]
-			res.Timings.Decompress += out.DecodeDur[i]
-			if err := acc.AddScaled(sd, weight); err != nil {
-				return nil, fmt.Errorf("fl: aggregate client %d: %w", lo+i, err)
-			}
-			// Folded and dead: hand the decode buffers back to the pool so
-			// the next chunk's decodes reuse them.
-			core.Release(sd)
-		}
-	}
-	res.Timings.DecompressWall = time.Since(t0)
-	if err := f.Global.LoadStateDict(acc); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
-	t0 = time.Now()
+	t0 := time.Now()
 	res.Accuracy = f.Evaluate()
 	res.Timings.Validate = time.Since(t0)
 	return res, nil
+}
+
+// aggregateFedSZ uploads each client's update through the server's path
+// minus the socket — wire.EncodeStream into a reused buffer, then
+// agg.Sharded.IngestStream out of it — and loads the fold's mean into the
+// global model. Delta rounds encode and decode against ref at epoch, as a
+// server running delta rounds does.
+func (f *Federation) aggregateFedSZ(ctx context.Context, res *RoundResult, ref *tensor.StateDict, epoch uint32) error {
+	opts, dopts := *f.Transport.Opts, core.DecodeOptions{}
+	if f.Transport.Delta {
+		opts.Reference, opts.RefEpoch = ref, epoch
+		dopts = core.DecodeOptions{Reference: ref, RefEpoch: epoch}
+	}
+	pool := sched.NewPool(0) // GOMAXPROCS: one budget for each encode and each decode
+	sum := agg.New(agg.Config{Pool: pool})
+	defer sum.Reset() // no pooled accumulator buffer outlives the round
+	var buf bytes.Buffer
+	for i, c := range f.Clients {
+		buf.Reset()
+		st, err := wire.EncodeStream(ctx, pool, wire.NewWriter(&buf), c.Net.StateDict(), opts)
+		if err != nil {
+			return fmt.Errorf("fl: encode client %d: %w", i, err)
+		}
+		_, dst, err := sum.IngestStream(ctx, uint32(i), 1, dopts, &buf)
+		if err != nil {
+			return fmt.Errorf("fl: ingest client %d: %w", i, err)
+		}
+		res.Timings.Compress += st.CompressTime
+		res.Timings.Decompress += dst.DecompressTime
+		res.RawBytes += st.RawBytes
+		res.WireBytes += st.CompressedBytes
+		res.DeltaTensors += st.DeltaTensors
+		res.DeltaBytesSaved += st.DeltaBytesSaved
+	}
+	mean, _ := sum.Mean()
+	defer core.Release(mean)
+	return f.Global.LoadStateDict(mean)
+}
+
+// aggregateRaw sends each update as its serialized state dict and folds the
+// decodes in agg.Sharded's order — adopt the first, add each later one at
+// weight 1, divide by the count — so both arms of an accuracy comparison
+// share one fold's arithmetic.
+func (f *Federation) aggregateRaw(ctx context.Context, res *RoundResult) error {
+	var sum *tensor.StateDict
+	defer func() { core.Release(sum) }()
+	for i, c := range f.Clients {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sd := c.Net.StateDict()
+		t0 := time.Now()
+		payload := sd.Marshal()
+		t1 := time.Now()
+		upd, err := tensor.UnmarshalStateDict(payload)
+		if err != nil {
+			return fmt.Errorf("fl: raw decode client %d: %w", i, err)
+		}
+		if sum == nil {
+			sum = upd
+		} else {
+			err = sum.AddScaled(upd, 1)
+			core.Release(upd)
+			if err != nil {
+				return fmt.Errorf("fl: aggregate client %d: %w", i, err)
+			}
+		}
+		res.Timings.Compress += t1.Sub(t0)
+		res.Timings.Decompress += time.Since(t1)
+		res.RawBytes += sd.SizeBytes()
+		res.WireBytes += len(payload)
+	}
+	sum.Scale(1 / float32(len(f.Clients)))
+	return f.Global.LoadStateDict(sum)
 }
 
 // evalBatch is the number of test samples Evaluate forwards at a time.

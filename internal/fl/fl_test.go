@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -17,22 +18,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// newTestFederation assembles a 4-client federation (the paper's client
-// count) on a scaled CIFAR10-like task.
-func newTestFederation(transport Transport, seed uint64) (*Federation, error) {
-	cfg, err := dataset.ScaledConfig("cifar10", 12, 192, 64, seed)
+// newFederation builds one mini-AlexNet client per shard of a scaled
+// CIFAR10-like task with side-px images, nTrain training and nTest test
+// samples.
+func newFederation(transport Transport, seed uint64, side, nTrain, nTest int, shard func(*dataset.Dataset) []*dataset.Dataset) (*Federation, error) {
+	cfg, err := dataset.ScaledConfig("cifar10", side, nTrain, nTest, seed)
 	if err != nil {
 		return nil, err
 	}
 	train, test := dataset.Generate(cfg)
-	shards := dataset.ShardIID(train, 4, seed)
+	shards := shard(train)
 	in := models.Input{Channels: cfg.Channels, Height: cfg.Height, Width: cfg.Width, Classes: cfg.Classes}
 	rng := rand.New(rand.NewPCG(seed, 1))
 	global, err := models.BuildMini("alexnet", rng, in)
 	if err != nil {
 		return nil, err
 	}
-	clients := make([]*Client, 4)
+	clients := make([]*Client, len(shards))
 	for i := range clients {
 		crng := rand.New(rand.NewPCG(seed, uint64(i)+10))
 		net, err := models.BuildMini("alexnet", crng, in)
@@ -44,13 +46,15 @@ func newTestFederation(transport Transport, seed uint64) (*Federation, error) {
 	return NewFederation(global, clients, transport, test), nil
 }
 
-func buildFederation(t *testing.T, transport Transport, seed uint64) *Federation {
-	t.Helper()
-	fed, err := newTestFederation(transport, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fed
+// iid shards a dataset IID over n clients.
+func iid(n int, seed uint64) func(*dataset.Dataset) []*dataset.Dataset {
+	return func(d *dataset.Dataset) []*dataset.Dataset { return dataset.ShardIID(d, n, seed) }
+}
+
+// newTestFederation assembles a 4-client federation (the paper's client
+// count) on a scaled CIFAR10-like task.
+func newTestFederation(transport Transport, seed uint64) (*Federation, error) {
+	return newFederation(transport, seed, 12, 192, 64, iid(4, seed))
 }
 
 // convergenceRounds is the fixture's round count: enough for the FedAvg
@@ -70,7 +74,7 @@ type convergenceFixture struct {
 
 var convergence = sync.OnceValue(func() *convergenceFixture {
 	fx := &convergenceFixture{}
-	fedRaw, err := newTestFederation(RawTransport{}, 42)
+	fedRaw, err := newTestFederation(Raw, 42)
 	if err != nil {
 		fx.err = err
 		return fx
@@ -80,7 +84,7 @@ var convergence = sync.OnceValue(func() *convergenceFixture {
 		fx.err = err
 		return fx
 	}
-	fedSZ, err := newTestFederation(NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)}), 42)
+	fedSZ, err := newTestFederation(FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)}), 42)
 	if err != nil {
 		fx.err = err
 		return fx
@@ -103,20 +107,23 @@ func convergenceFx(t *testing.T) *convergenceFixture {
 	return fx
 }
 
+// TestRawTransportRoundTrip: the raw arm carries updates exactly and folds
+// them in agg.Sharded's order. Three untrained clients upload the global
+// model g itself, so the new global must be ((g + g) + g) · (1/3) bit for
+// bit — g + g is exact, so the sum is g · 3 rounded once — where a fold
+// that scaled each update first would round differently.
 func TestRawTransportRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	net, _ := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-	sd := net.StateDict()
-	out, err := RawTransport{}.Round(context.Background(), RoundInput{States: []*tensor.StateDict{sd}})
+	fed := shardedSmokeFederation(t, Raw, 1, 3, iid(3, 1))
+	g := fed.Global.StateDict()
+	res, err := fed.RunRound(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.RawBytes != sd.SizeBytes() {
-		t.Fatalf("raw bytes %d != %d", out.RawBytes, sd.SizeBytes())
-	}
-	d, err := out.Decoded[0].MaxAbsDiff(sd)
-	if err != nil || d != 0 {
-		t.Fatalf("raw transport not exact: d=%v err=%v", d, err)
+	want := g.Clone()
+	want.Scale(3)
+	want.Scale(1 / float32(3))
+	if res.RawBytes != 3*g.SizeBytes() || !bytes.Equal(fed.Global.StateDict().Marshal(), want.Marshal()) {
+		t.Fatalf("raw round: %d raw bytes for three %d-byte dicts, or not the exact fold", res.RawBytes, g.SizeBytes())
 	}
 }
 
@@ -173,39 +180,20 @@ func TestCompressedMatchesUncompressedWithinHalfPercentShape(t *testing.T) {
 
 // smokeFederation is a deliberately tiny build (2 clients, 10 px images,
 // 48 samples) so the short suite still executes the full round pipeline:
-// broadcast → train → transport round → aggregate → eval.
+// broadcast → train → upload → aggregate → eval.
 func smokeFederation(t *testing.T, transport Transport, seed uint64) *Federation {
-	return shardedSmokeFederation(t, transport, seed, 2, func(d *dataset.Dataset) []*dataset.Dataset {
-		return dataset.ShardIID(d, 2, seed)
-	})
+	return shardedSmokeFederation(t, transport, seed, 2, iid(2, seed))
 }
 
 // shardedSmokeFederation builds one client per shard over 24 samples per
 // client.
 func shardedSmokeFederation(t *testing.T, transport Transport, seed uint64, nClients int, shard func(*dataset.Dataset) []*dataset.Dataset) *Federation {
 	t.Helper()
-	cfg, err := dataset.ScaledConfig("cifar10", 10, 24*nClients, 16, seed)
+	fed, err := newFederation(transport, seed, 10, 24*nClients, 16, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := dataset.Generate(cfg)
-	shards := shard(train)
-	in := models.Input{Channels: cfg.Channels, Height: cfg.Height, Width: cfg.Width, Classes: cfg.Classes}
-	rng := rand.New(rand.NewPCG(seed, 1))
-	global, err := models.BuildMini("alexnet", rng, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]*Client, nClients)
-	for i := range clients {
-		crng := rand.New(rand.NewPCG(seed, uint64(i)+10))
-		net, err := models.BuildMini("alexnet", crng, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = NewClient(i, net, shards[i], 16, 0.02, seed)
-	}
-	return NewFederation(global, clients, transport, test)
+	return fed
 }
 
 // TestRoundPipelineSmoke is the 2-round fast variant that always runs: it
@@ -216,8 +204,8 @@ func TestRoundPipelineSmoke(t *testing.T) {
 		name      string
 		transport Transport
 	}{
-		{"raw", RawTransport{}},
-		{"fedsz", NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})},
+		{"raw", Raw},
+		{"fedsz", FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fed := smokeFederation(t, tc.transport, 42)
@@ -232,7 +220,7 @@ func TestRoundPipelineSmoke(t *testing.T) {
 				if r.RawBytes <= 0 || r.WireBytes <= 0 {
 					t.Fatal("byte accounting missing")
 				}
-				if r.Timings.Train <= 0 || r.Timings.Decompress <= 0 || r.Timings.DecompressWall <= 0 || r.Timings.Validate <= 0 {
+				if r.Timings.Train <= 0 || r.Timings.Decompress <= 0 || r.Timings.Validate <= 0 {
 					t.Fatalf("timings missing: %+v", r.Timings)
 				}
 			}
@@ -248,7 +236,7 @@ func TestRoundPipelineSmoke(t *testing.T) {
 // under.
 func TestRoundPipelineNonIIDSmoke(t *testing.T) {
 	const seed = 42
-	fed := shardedSmokeFederation(t, NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)}), seed, 2,
+	fed := shardedSmokeFederation(t, FedSZ(core.Options{LossyParams: ebcl.Rel(1e-2)}), seed, 2,
 		func(d *dataset.Dataset) []*dataset.Dataset {
 			plane := d.X.NumElems() / d.Len()
 			var data [2][]float32
@@ -279,7 +267,7 @@ func TestRoundPipelineNonIIDSmoke(t *testing.T) {
 	}
 }
 
-// seamCase is one transport the Round seam must serve.
+// seamCase is one transport the round must serve.
 type seamCase struct {
 	name       string
 	raw, delta bool
@@ -291,18 +279,18 @@ var seamOpts = core.Options{LossyParams: ebcl.Rel(1e-2)}
 
 func (c seamCase) transport() Transport {
 	if c.raw {
-		return RawTransport{}
+		return Raw
 	}
-	tr := NewFedSZTransport(seamOpts)
+	tr := FedSZ(seamOpts)
 	tr.Delta = c.delta
 	return tr
 }
 
 // reference carries one state dict through the pipeline the transport
-// stands for — marshal/unmarshal, or core.Compress/Decompress on its own
-// (against in.Reference for the delta case) — and returns the decoded dict,
-// the payload size and the residual section count.
-func (c seamCase) reference(sd *tensor.StateDict, in RoundInput) (*tensor.StateDict, int, int, error) {
+// stands for — marshal/unmarshal, or core.CompressWith/DecompressWith on
+// their own (against ref at epoch for the delta case) — and returns the
+// decoded dict, the payload size and the residual section count.
+func (c seamCase) reference(sd, ref *tensor.StateDict, epoch uint32) (*tensor.StateDict, int, int, error) {
 	if c.raw {
 		payload := sd.Marshal()
 		got, err := tensor.UnmarshalStateDict(payload)
@@ -310,8 +298,8 @@ func (c seamCase) reference(sd *tensor.StateDict, in RoundInput) (*tensor.StateD
 	}
 	opts, dopts := seamOpts, core.DecodeOptions{}
 	if c.delta {
-		opts.Reference, opts.RefEpoch = in.Reference, in.RefEpoch
-		dopts = core.DecodeOptions{Reference: in.Reference, RefEpoch: in.RefEpoch}
+		opts.Reference, opts.RefEpoch = ref, epoch
+		dopts = core.DecodeOptions{Reference: ref, RefEpoch: epoch}
 	}
 	stream, stats, err := core.CompressWith(context.Background(), sched.Default(), sd, opts)
 	if err != nil {
@@ -321,65 +309,117 @@ func (c seamCase) reference(sd *tensor.StateDict, in RoundInput) (*tensor.StateD
 	return got, len(stream), stats.DeltaTensors, err
 }
 
-// TestRoundConformance pins the one transport seam for every transport:
-// per-dict bit identity with the reference pipeline and exact byte
-// accounting over two correlated rounds, a global model that does not
-// depend on how RunRound chunks the clients, and prompt cancellation.
+// seamRound is one round of a seam case's federation beside what the
+// reference pipeline makes of the same client updates.
+type seamRound struct {
+	res              *RoundResult
+	global, want     []byte // the global model after the round; the textbook fold of the reference decodes
+	raw, wire, delta int    // the reference pipeline's accounting
+}
+
+// floatLedger counts the pooled float buffers the rounds it runs take and
+// hand back.
+type floatLedger struct{ took, put uint64 }
+
+func (l *floatLedger) round(ctx context.Context, fed *Federation, round, localEpochs int) (*RoundResult, error) {
+	hits0, misses0 := sched.FloatPoolCounters()
+	puts0 := sched.FloatPoolPuts()
+	res, err := fed.RunRound(ctx, round, localEpochs)
+	hits1, misses1 := sched.FloatPoolCounters()
+	l.took, l.put = l.took+hits1+misses1-hits0-misses0, l.put+sched.FloatPoolPuts()-puts0
+	return res, err
+}
+
+// run trains the case's smoke federation for rounds rounds at GOMAXPROCS
+// procs. After each round it carries every client's update through the
+// reference pipeline and folds the decodes the textbook way: adopt the
+// first, StateDict.AddScaled each later one, divide by the count.
+func (c seamCase) run(t *testing.T, procs, rounds int, ledger *floatLedger) (*Federation, []seamRound) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fed := smokeFederation(t, c.transport(), 42)
+	out := make([]seamRound, rounds)
+	for round := range out {
+		ref := fed.Global.StateDict()
+		res, err := ledger.round(context.Background(), fed, round, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &out[round]
+		r.res, r.global = res, fed.Global.StateDict().Marshal()
+		var sum *tensor.StateDict
+		for _, cl := range fed.Clients {
+			sd := cl.Net.StateDict()
+			got, n, nDelta, err := c.reference(sd, ref, uint32(round)+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum == nil {
+				sum = got
+			} else if err := sum.AddScaled(got, 1); err != nil {
+				t.Fatal(err)
+			}
+			r.raw, r.wire, r.delta = r.raw+sd.SizeBytes(), r.wire+n, r.delta+nDelta
+		}
+		sum.Scale(1 / float32(len(fed.Clients)))
+		r.want = sum.Marshal()
+	}
+	return fed, out
+}
+
+// cancelAt is a context that cancels itself at its n-th Err call (never
+// for n = 0) and counts the calls it sees.
+type cancelAt struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	calls  atomic.Int64
+}
+
+func (c *cancelAt) Err() error {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestRoundConformance pins the round for every transport: over two
+// trained rounds the global model is the textbook fold of the reference
+// pipeline's decodes bit for bit, with exact byte accounting; it does not
+// depend on GOMAXPROCS; a round cancelled mid-upload returns
+// context.Canceled; and RunRound hands back every pooled float buffer it
+// takes, the cancelled round's included.
 func TestRoundConformance(t *testing.T) {
 	for _, tc := range seamCases {
 		t.Run(tc.name, func(t *testing.T) {
+			var ledger floatLedger
+			fed, one := tc.run(t, 1, 2, &ledger)
+			_, two := tc.run(t, 2, 1, &floatLedger{})
+			// Two untrained rounds: the first counts a round's context
+			// checks, the second is cancelled at the last of them — inside
+			// the last client's upload, after the first client has folded.
+			count := &cancelAt{Context: context.Background()}
+			if _, err := ledger.round(count, fed, 2, 0); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, cancelErr := ledger.round(&cancelAt{Context: ctx, cancel: cancel, n: count.calls.Load()}, fed, 3, 0)
+
 			t.Run("decode", func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(9, 9))
-				net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr := tc.transport()
-				in := RoundInput{Reference: net.StateDict()}
 				deltaTensors := 0
-				for round := 0; round < 2; round++ {
-					in.RefEpoch++
-					// Correlated updates: the reference plus an SGD-sized step.
-					in.States = make([]*tensor.StateDict, 5)
-					for i := range in.States {
-						sd := in.Reference.Clone()
-						for _, e := range sd.Entries() {
-							for j := range e.Tensor.Data {
-								e.Tensor.Data[j] += float32(1e-3 * rng.NormFloat64())
-							}
-						}
-						in.States[i] = sd
+				for round, r := range append(one, two...) {
+					if !bytes.Equal(r.global, r.want) {
+						t.Fatalf("round %d: global model not bit-identical to the fold of the reference pipeline's decodes", round)
 					}
-					out, err := tr.Round(context.Background(), in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(out.Decoded) != len(in.States) || len(out.EncodeDur) != len(in.States) || len(out.DecodeDur) != len(in.States) {
-						t.Fatalf("result sizes %d/%d/%d for %d inputs",
-							len(out.Decoded), len(out.EncodeDur), len(out.DecodeDur), len(in.States))
-					}
-					raw, wire, wantDelta := 0, 0, 0
-					for i, sd := range in.States {
-						want, n, nDelta, err := tc.reference(sd, in)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(out.Decoded[i].Marshal(), want.Marshal()) {
-							t.Fatalf("round %d client %d: Round decode not bit-identical to the reference pipeline", round, i)
-						}
-						if out.EncodeDur[i] <= 0 || out.DecodeDur[i] <= 0 {
-							t.Fatalf("round %d client %d: timings missing (enc %v dec %v)", round, i, out.EncodeDur[i], out.DecodeDur[i])
-						}
-						raw += sd.SizeBytes()
-						wire += n
-						wantDelta += nDelta
-					}
-					if out.RawBytes != raw || out.WireBytes != wire || out.DeltaTensors != wantDelta {
+					if r.res.RawBytes != r.raw || r.res.WireBytes != r.wire || r.res.DeltaTensors != r.delta {
 						t.Fatalf("round %d: accounting raw %d wire %d delta %d, want %d / %d / %d",
-							round, out.RawBytes, out.WireBytes, out.DeltaTensors, raw, wire, wantDelta)
+							round, r.res.RawBytes, r.res.WireBytes, r.res.DeltaTensors, r.raw, r.wire, r.delta)
 					}
-					deltaTensors += out.DeltaTensors
-					in.Reference = out.Decoded[0]
+					if r.res.Timings.Compress <= 0 || r.res.Timings.Decompress <= 0 {
+						t.Fatalf("round %d: timings missing: %+v", round, r.res.Timings)
+					}
+					deltaTensors += r.res.DeltaTensors
 				}
 				if (deltaTensors > 0) != tc.delta {
 					t.Fatalf("residual sections %d, want engaged=%v", deltaTensors, tc.delta)
@@ -387,35 +427,20 @@ func TestRoundConformance(t *testing.T) {
 			})
 
 			t.Run("chunking", func(t *testing.T) {
-				// RunRound folds 2·GOMAXPROCS clients per Round call: three
-				// clients are two chunks at GOMAXPROCS 1 and one at 2.
-				global := func(procs int) []byte {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					fed := shardedSmokeFederation(t, tc.transport(), 42, 3, func(d *dataset.Dataset) []*dataset.Dataset {
-						return dataset.ShardIID(d, 3, 42)
-					})
-					if _, err := fed.RunRound(context.Background(), 0, 1); err != nil {
-						t.Fatal(err)
-					}
-					return fed.Global.StateDict().Marshal()
-				}
-				if !bytes.Equal(global(1), global(2)) {
-					t.Fatal("global model depends on how the round was chunked")
+				if !bytes.Equal(one[0].global, two[0].global) {
+					t.Fatal("global model differs between GOMAXPROCS 1 and 2")
 				}
 			})
 
 			t.Run("cancelled", func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(11, 12))
-				net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-				if err != nil {
-					t.Fatal(err)
+				if !errors.Is(cancelErr, context.Canceled) {
+					t.Fatalf("round cancelled mid-upload returned %v, want context.Canceled", cancelErr)
 				}
-				sd := net.StateDict()
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				_, err = tc.transport().Round(ctx, RoundInput{States: []*tensor.StateDict{sd}, Reference: sd, RefEpoch: 1})
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancelled Round returned %v, want context.Canceled", err)
+			})
+
+			t.Run("pooled", func(t *testing.T) {
+				if ledger.took != ledger.put {
+					t.Fatalf("four rounds took %d pooled float buffers and returned %d", ledger.took, ledger.put)
 				}
 			})
 		})
@@ -439,7 +464,10 @@ func TestClientTrainingReducesLoss(t *testing.T) {
 }
 
 func TestEvaluateDeterministic(t *testing.T) {
-	fed := buildFederation(t, RawTransport{}, 11)
+	fed, err := newTestFederation(Raw, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := fed.Evaluate()
 	b := fed.Evaluate()
 	if a != b {
@@ -473,19 +501,10 @@ func TestSGDStateIsolatedBetweenClients(t *testing.T) {
 var benchSink float64
 
 func BenchmarkFederatedRound(b *testing.B) {
-	cfg, _ := dataset.ScaledConfig("cifar10", 12, 64, 32, 1)
-	train, test := dataset.Generate(cfg)
-	shards := dataset.ShardIID(train, 2, 1)
-	in := models.Input{Channels: cfg.Channels, Height: cfg.Height, Width: cfg.Width, Classes: cfg.Classes}
-	rng := rand.New(rand.NewPCG(1, 1))
-	global, _ := models.BuildMini("alexnet", rng, in)
-	clients := make([]*Client, 2)
-	for i := range clients {
-		crng := rand.New(rand.NewPCG(1, uint64(i)+10))
-		net, _ := models.BuildMini("alexnet", crng, in)
-		clients[i] = NewClient(i, net, shards[i], 16, 0.02, 1)
+	fed, err := newFederation(FedSZ(core.Options{}), 1, 12, 64, 32, iid(2, 1))
+	if err != nil {
+		b.Fatal(err)
 	}
-	fed := NewFederation(global, clients, NewFedSZTransport(core.Options{}), test)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := fed.RunRound(context.Background(), i, 1)

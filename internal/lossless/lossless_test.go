@@ -512,16 +512,6 @@ func FuzzLZDecompress(f *testing.F) {
 	})
 }
 
-// FuzzZstdLikeDecompress is FuzzLZDecompress's zstd-like leg under the name
-// and seed numbering it has had since it was the only LZ fuzzer: the recorded
-// tier-1 test ids include its seed subtests, so it stays as a seed-corpus
-// regression. The scheduled fuzzing budget goes to FuzzLZDecompress.
-func FuzzZstdLikeDecompress(f *testing.F) {
-	c := NewZstdLike()
-	addLZSeeds(f, c)
-	f.Fuzz(func(t *testing.T, data []byte) { checkLZFrame(t, c, data) })
-}
-
 // hostileLZFrames are frames whose one declared length is 2^63: converted to
 // int it is negative, so a bounds check written as pos+int(l) > len(src)
 // passes it and the slice expression that follows panics. field names the

@@ -188,29 +188,6 @@ func (sd *StateDict) Zero() *StateDict {
 	return out
 }
 
-// ZeroInto is Zero reusing dst's storage when dst is structurally
-// compatible with sd (same entry names and sizes). When dst is nil or
-// incompatible, a new dict is built over buffers drawn from the shared
-// float32 pool; recycle it via core.Release once the accumulator is dead.
-// Either way the returned dict is all-zero with sd's names and kinds — the
-// allocation-free FedAvg accumulator path.
-func (sd *StateDict) ZeroInto(dst *StateDict) *StateDict {
-	if dst != nil && dst.CheckCompatible(sd) == nil {
-		for _, e := range dst.entries {
-			clear(e.Tensor.Data)
-		}
-		return dst
-	}
-	out := NewStateDict()
-	for _, e := range sd.entries {
-		n := e.Tensor.NumElems()
-		buf := sched.GetFloats(n)[:n]
-		clear(buf)
-		out.Add(e.Name, e.Kind, FromData(buf, e.Tensor.Shape...))
-	}
-	return out
-}
-
 // CloneInto is Clone reusing dst's storage when dst is structurally
 // compatible with sd; otherwise the copy is built over pooled float32
 // buffers (recycle via core.Release). Shapes are taken from sd when a new
@@ -257,9 +234,7 @@ func (sd *StateDict) Scale(alpha float32) {
 
 // CheckCompatible reports whether other has the same structure as sd —
 // matching entry count, names in order, and per-entry element counts — the
-// precondition for every in-place accumulator operation. Callers that would
-// otherwise silently fall back to reallocation (ZeroInto, CloneInto) use it
-// to fail loudly instead when structure drift indicates a bug.
+// precondition for every in-place accumulator operation.
 func (sd *StateDict) CheckCompatible(other *StateDict) error {
 	if len(sd.entries) != len(other.entries) {
 		return fmt.Errorf("statedict: entry count mismatch %d != %d", len(sd.entries), len(other.entries))

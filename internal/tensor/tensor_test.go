@@ -230,42 +230,6 @@ func BenchmarkMarshal(b *testing.B) {
 	}
 }
 
-func TestZeroIntoReusesCompatibleDict(t *testing.T) {
-	sd := makeDict()
-	fresh := sd.ZeroInto(nil)
-	for _, e := range fresh.Entries() {
-		for _, v := range e.Tensor.Data {
-			if v != 0 {
-				t.Fatalf("ZeroInto(nil): %s not zeroed", e.Name)
-			}
-		}
-	}
-	// Scribble on the accumulator, then rezero in place: same dict, same
-	// backing arrays, all-zero contents.
-	fresh.Get("conv1.weight").Fill(3)
-	back := &fresh.Entries()[0].Tensor.Data[0]
-	reused := sd.ZeroInto(fresh)
-	if reused != fresh {
-		t.Fatal("ZeroInto should reuse a compatible dst")
-	}
-	if &reused.Entries()[0].Tensor.Data[0] != back {
-		t.Fatal("ZeroInto reallocated a compatible dst's storage")
-	}
-	for _, e := range reused.Entries() {
-		for _, v := range e.Tensor.Data {
-			if v != 0 {
-				t.Fatalf("ZeroInto(dst): %s not rezeroed", e.Name)
-			}
-		}
-	}
-	// Incompatible dst (different entry set) must be replaced, not reused.
-	other := NewStateDict()
-	other.Add("different", KindWeight, New(3))
-	if got := sd.ZeroInto(other); got == other {
-		t.Fatal("ZeroInto reused an incompatible dst")
-	}
-}
-
 func TestCloneIntoCopiesAndReuses(t *testing.T) {
 	sd := makeDict()
 	c1 := sd.CloneInto(nil)
