@@ -280,9 +280,10 @@ func TestCorruptBatchKeepsErrCorrupt(t *testing.T) {
 // TestLosslessStageEarnsItsKeep pins what the SZ2/SZ3 trailing stage is kept
 // for, on weight-like data: it never grows a stream; at REL 1e-1, where
 // Huffman's one-bit floor leaves real redundancy, it still codes it away;
-// and at REL 1e-2 SZ2 still collects the all-Lorenzo predictor-kind run in
-// front of the (now raw) Huffman bitstream. SZ3 stores one predictor kind
-// per level, not per block, so it has no such run at tighter bounds.
+// and at REL 1e-2 SZ2 still collects the zero-line blocks' coefficients
+// (zero bytes) and their predictor-kind run in front of the (now raw) Huffman
+// bitstream. SZ3 stores one predictor kind per level, not per block, and no
+// coefficients, so it has no such runs at tighter bounds.
 func TestLosslessStageEarnsItsKeep(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	data := eblctest.WeightLike(rng, 1<<16)

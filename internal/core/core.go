@@ -170,7 +170,7 @@ type Stats struct {
 	// DeltaBytesSaved totals the bytes the codec-encoded residual sections
 	// saved over their absolute candidates — the per-call slice of the
 	// fedsz_delta_bytes_saved telemetry counter. Exact up to 32 Ki elements;
-	// a larger tensor's absolute size is scaled up from a 1/8 sample
+	// a larger tensor's absolute size is estimated from a 1/8 sample
 	// (encodeBlob). Constant residuals add nothing: no absolute size is ever
 	// computed for one.
 	DeltaBytesSaved int

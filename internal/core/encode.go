@@ -346,7 +346,7 @@ func (s *section) encodeTensor(pool *sched.Pool, o Options, modeBytes bool) {
 //     DeltaBytesSaved is exact. Above it only the candidate whose sample
 //     (sampleSizes) encodes smaller is produced, ties to the residual: ~1.25
 //     encodes, not 2, the kept blob within 1 % of the smaller one
-//     (TestSampledPolicyAccuracy), DeltaBytesSaved scaled up from the sample.
+//     (TestSampledPolicyAccuracy), DeltaBytesSaved estimated from the sample.
 //     A codec error on a candidate or a sample keeps the other candidate; only
 //     an absolute-side error with no residual to fall back on fails the tensor.
 //   - The chunk count only selects the blob writer: chunks > 1 frames
@@ -407,7 +407,8 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 	resP := ebcl.Abs(ebRes)
 	est := -1 // the absolute candidate's estimated size, when its sample stood in for it
 	if len(s.data) > sampleMinElems {
-		if a, r, ok := sampleSizes(o.Lossy, buf, s.data, res, wholeP, resP); ok && a >= r {
+		// The bound resolved, so both candidates are chunked iff s.chunks > 1.
+		if a, r, ok := sampleSizes(o.Lossy, buf, s.data, res, wholeP, resP, s.chunks); ok && a >= r {
 			est = a
 		} else if ok {
 			if out, err := write(buf, s.data, absP); err == nil {
@@ -462,10 +463,13 @@ const (
 )
 
 // sampleSizes estimates the blob sizes of data under pData and of res under
-// pRes: that of each one's strided sample, scaled up to the tensor. The sample
-// blobs are written behind buf's contents and dropped (the caller's buf is
-// untouched); ok is false when either does not encode.
-func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, pRes ebcl.Params) (absLen, resLen int, ok bool) {
+// pRes when written as chunks blobs. Each one's strided sample and, alone, its
+// first run are encoded: the two sizes give a per-element cost and a fixed
+// cost (header, tables) that every blob pays once, so the estimate is the
+// per-element cost over the tensor plus the fixed cost once per chunk. The
+// sample blobs are written behind buf's contents and dropped (the caller's buf
+// is untouched); ok is false when either does not encode.
+func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, pRes ebcl.Params, chunks int) (absLen, resLen int, ok bool) {
 	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
 	defer sched.PutFloats(sample) // the runs fit its capacity: append never moves it
 	var lens [2]int
@@ -475,11 +479,18 @@ func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, 
 		for lo := 0; lo < len(src); lo += sampleStride {
 			sample = append(sample, src[lo:min(lo+sampleRun, len(src))]...)
 		}
+		run, err := lossy.CompressAppend(buf, sample[:sampleRun], params[k])
+		if err != nil {
+			return 0, 0, false
+		}
+		runLen := len(run) - len(buf)
 		out, err := lossy.CompressAppend(buf, sample, params[k])
 		if err != nil {
 			return 0, 0, false
 		}
-		lens[k] = int(math.Round(float64(len(out)-len(buf)) * float64(len(src)) / float64(len(sample))))
+		perElem := float64(len(out)-len(buf)-runLen) / float64(len(sample)-sampleRun)
+		fixed := float64(runLen) - perElem*sampleRun
+		lens[k] = int(math.Round(fixed*float64(chunks) + perElem*float64(len(src))))
 	}
 	return lens[0], lens[1], true
 }

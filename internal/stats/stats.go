@@ -16,7 +16,6 @@ type Summary struct {
 	N         int
 	Mean, Std float64
 	Min, Max  float64
-	MeanAbs   float64
 }
 
 // Summarize computes a Summary (zero value for empty input).
@@ -25,12 +24,11 @@ func Summarize(data []float32) Summary {
 		return Summary{}
 	}
 	s := Summary{N: len(data), Min: float64(data[0]), Max: float64(data[0])}
-	var sum, sq, absSum float64
+	var sum, sq float64
 	for _, v := range data {
 		f := float64(v)
 		sum += f
 		sq += f * f
-		absSum += math.Abs(f)
 		if f < s.Min {
 			s.Min = f
 		}
@@ -44,7 +42,6 @@ func Summarize(data []float32) Summary {
 		variance = 0
 	}
 	s.Std = math.Sqrt(variance)
-	s.MeanAbs = absSum / float64(s.N)
 	return s
 }
 

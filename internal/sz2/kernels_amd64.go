@@ -8,8 +8,9 @@ package sz2
 //go:noescape
 func fitScoreAVX2(block []float32, prev float64, s *[3][4]float64)
 
-// regScoreAVX2 adds the regression errors |v[i] − (a·i + b)| into four lanes
-// the same way. len(block) is a positive multiple of 4.
+// regScoreAVX2 adds the regression errors |v[i] − (a·i + b)| and the zero
+// line's errors |v[i]| into four lanes each the same way: r[0] = r, r[1] = z.
+// len(block) is a positive multiple of 4.
 //
 //go:noescape
-func regScoreAVX2(block []float32, a, b float64, r *[4]float64)
+func regScoreAVX2(block []float32, a, b float64, r *[2][4]float64)

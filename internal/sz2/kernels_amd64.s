@@ -43,7 +43,7 @@ loop:
 	VZEROUPPER
 	RET
 
-// func regScoreAVX2(block []float32, a, b float64, r *[4]float64)
+// func regScoreAVX2(block []float32, a, b float64, r *[2][4]float64)
 TEXT ·regScoreAVX2(SB), NOSPLIT, $0-48
 	MOVQ         block_base+0(FP), SI
 	MOVQ         block_len+8(FP), CX
@@ -51,6 +51,7 @@ TEXT ·regScoreAVX2(SB), NOSPLIT, $0-48
 	VBROADCASTSD a+24(FP), Y0
 	VBROADCASTSD b+32(FP), Y1
 	VXORPD       Y2, Y2, Y2          // r
+	VXORPD       Y5, Y5, Y5          // z
 	VMOVUPD      consts<>+0(SB), Y3  // the quad's indices
 	VBROADCASTSD consts<>+32(SB), Y4
 	VBROADCASTSD consts<>+40(SB), Y15
@@ -62,11 +63,14 @@ rloop:
 	VSUBPD    Y7, Y6, Y7
 	VANDPD    Y15, Y7, Y7
 	VADDPD    Y7, Y2, Y2
+	VANDPD    Y15, Y6, Y8 // |v|, the zero line's error
+	VADDPD    Y8, Y5, Y5
 	VADDPD    Y4, Y3, Y3
 	ADDQ      $16, SI
 	SUBQ      $4, CX
 	JNZ       rloop
 
 	VMOVUPD Y2, 0(DI)
+	VMOVUPD Y5, 32(DI)
 	VZEROUPPER
 	RET

@@ -7,4 +7,4 @@ package sz2
 
 func fitScoreAVX2([]float32, float64, *[3][4]float64) { panic("sz2: no AVX2 kernels") }
 
-func regScoreAVX2([]float32, float64, float64, *[4]float64) { panic("sz2: no AVX2 kernels") }
+func regScoreAVX2([]float32, float64, float64, *[2][4]float64) { panic("sz2: no AVX2 kernels") }

@@ -7,20 +7,21 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ebcl"
 	"repro/internal/lanes"
 )
 
 // checkScores holds scoreBlockLanes to scoreBlock on one block: the line and
-// both scores bit for bit, and with them the kind and coefficients
+// the three scores bit for bit, and with them the kind and coefficients
 // chooseBlockPredictor derives.
 func checkScores(t *testing.T, block []float32, prev float64) {
 	t.Helper()
 	f := widen(make([]float64, len(block)), block)
-	want := [4]float64{}
-	want[0], want[1], want[2], want[3] = scoreBlock(f, prev)
-	got := [4]float64{}
-	got[0], got[1], got[2], got[3] = scoreBlockLanes(block, prev)
-	for i, name := range []string{"a", "b", "Lorenzo error", "regression error"} {
+	want := [5]float64{}
+	want[0], want[1], want[2], want[3], want[4] = scoreBlock(f, prev)
+	got := [5]float64{}
+	got[0], got[1], got[2], got[3], got[4] = scoreBlockLanes(block, prev)
+	for i, name := range []string{"a", "b", "Lorenzo error", "regression error", "zero-line error"} {
 		// Which of two NaN payloads a sum carries depends on operand order
 		// the compiler picks; a NaN score only fails a comparison, and
 		// regression (the one use of a and b) needs finite scores.
@@ -35,7 +36,8 @@ func checkScores(t *testing.T, block []float32, prev float64) {
 }
 
 // TestChooseBlockPredictorLanes: the two scoring kernels against the Go
-// loops on noisy lines (regression wins), weight-like noise (Lorenzo wins),
+// loops on noisy lines (the fitted line wins), weight-like noise (the zero
+// line wins),
 // values of wildly different magnitudes and blocks carrying NaN, ±Inf, ±0
 // or a denormal at index 0, inside a lane and in the tail, for every length
 // from one quad to four and a block's.
@@ -115,5 +117,84 @@ func FuzzChooseBlockPredictor(f *testing.F) {
 			block[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 		checkScores(t, block, prev)
+	})
+}
+
+// TestBlockPredictorPolicy: on both paths, i.i.d. Laplace blocks take the
+// zero line (no coefficients to pay for), a ramp under small noise keeps its
+// fitted line, a random walk keeps Lorenzo, and a short tail block is priced
+// with its own 2^(64/n). Every case also goes through the codec: the block
+// kinds and coefficients in the stream are the ones picked here, and the
+// bound holds.
+func TestBlockPredictorPolicy(t *testing.T) {
+	lineCharge := func(n int) float64 { return math.Exp2(64 / float64(n)) }
+	if fullBlockCharge != lineCharge(blockSize) {
+		t.Fatalf("fullBlockCharge %v, 2^(64/%d) %v", fullBlockCharge, blockSize, lineCharge(blockSize))
+	}
+	const eb = 1e-3
+	rng := rand.New(rand.NewPCG(35, 35))
+	laplace := func() float64 { return 0.03 * (rng.ExpFloat64() - rng.ExpFloat64()) }
+	gen := func(n int, at func(i int, prev float64) float64) []float32 {
+		out, v := make([]float32, n), 0.0
+		for i := range out {
+			v = at(i, v)
+			out[i] = float32(v)
+		}
+		return out
+	}
+	// The tail: a ramp whose fitted line saves more than a full block's
+	// charge over the zero line, but less than a 40-element block's.
+	tail := gen(40, func(i int, _ float64) float64 { return 0.0035*float64(i-20) + laplace() })
+	f := widen(make([]float64, len(tail)), tail)
+	_, _, lorenzoErr, regErr, zeroErr := scoreBlock(f, 0)
+	if !(regErr*fullBlockCharge < zeroErr && zeroErr < regErr*lineCharge(len(tail)) && zeroErr < lorenzoErr) {
+		t.Fatalf("tail scores Lorenzo %v, line %v, zero %v: the case does not separate the two charges", lorenzoErr, regErr, zeroErr)
+	}
+
+	cases := []struct {
+		name string
+		data []float32
+		kind byte
+		line bool // the fitted line's coefficients, not zeros
+	}{
+		{"i.i.d. Laplace", gen(4*blockSize, func(int, float64) float64 { return laplace() }), predRegression, false},
+		{"ramp plus small noise", gen(4*blockSize, func(i int, _ float64) float64 { return 1e-3*float64(i) + 1e-4*rng.NormFloat64() }), predRegression, true},
+		{"random walk", gen(4*blockSize, func(_ int, v float64) float64 { return v + 1e-3*rng.NormFloat64() }), predLorenzo, false},
+		{"short tail", append(gen(blockSize, func(int, float64) float64 { return laplace() }), tail...), predRegression, false},
+	}
+	lanes.BothPaths(func(path string) {
+		for _, tc := range cases {
+			stream, err := NewCompressor().Compress(tc.data, ebcl.Abs(eb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sec ebcl.Sections
+			out, _, err := sec.Open(format, nil, stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coef := 0
+			for b, kind := range sec.Kinds {
+				block := tc.data[b*blockSize : min((b+1)*blockSize, len(tc.data))]
+				if kind != tc.kind {
+					t.Errorf("%s: %s block %d (%d elements) is kind %d, want %d", path, tc.name, b, len(block), kind, tc.kind)
+				}
+				if kind != predRegression {
+					continue
+				}
+				a, bb := sec.Coeffs.At(coef), sec.Coeffs.At(coef+1)
+				coef += 2
+				if (a != 0 || bb != 0) != tc.line {
+					t.Errorf("%s: %s block %d has coefficients %v, %v", path, tc.name, b, a, bb)
+				}
+			}
+			sec.Close()
+			if out, err = NewCompressor().DecompressInto(out, stream); err != nil {
+				t.Fatal(err)
+			}
+			if got := ebcl.MaxAbsError(tc.data, out); got > eb {
+				t.Errorf("%s: %s max error %g over the bound %g", path, tc.name, got, eb)
+			}
+		}
 	})
 }

@@ -6,8 +6,9 @@
 //
 //  1. Split the array into fixed-size blocks.
 //  2. Per block, choose between a 1-D Lorenzo predictor (previous
-//     reconstructed value) and a per-block linear regression predictor,
-//     whichever yields smaller expected residuals (SZ2's hybrid design).
+//     reconstructed value), the block's fitted line and the zero line,
+//     whichever is estimated to code in fewer bits, the fitted line's two
+//     coefficients included (SZ2's hybrid design).
 //  3. Quantize prediction residuals into 2·eb-wide bins; residuals outside
 //     the code range become escape-coded IEEE-754 literals.
 //  4. Entropy-code the quantization codes with canonical Huffman.
@@ -35,6 +36,10 @@ const (
 	// (v4) splits land exactly on block boundaries and per-block predictor
 	// decisions are unchanged by chunking.
 	blockSize = ebcl.PredictorBlockElems
+
+	// fullBlockCharge is a full block's fitted-line charge, 2^(64/256): a
+	// per-block math.Exp2 costs a visible share of the encode.
+	fullBlockCharge = 1.189207115002721
 
 	predLorenzo    = 0
 	predRegression = 1
@@ -202,38 +207,53 @@ func widen(f []float64, block []float32) []float64 {
 	return f
 }
 
-// chooseBlockPredictor estimates which predictor yields smaller residuals
-// over the block, mirroring SZ2's sampled hybrid selection. f is the block
-// widened to float64, which only the Go loops read: with AVX2 the kernels
-// read block and f may be empty.
+// chooseBlockPredictor picks the predictor whose residuals are estimated to
+// code in the fewest bits, mirroring SZ2's sampled hybrid selection. f is the
+// block widened to float64, which only the Go loops read: with AVX2 the
+// kernels read block and f may be empty.
+//
+// A block's code bits grow as n·log2 of its mean absolute residual, so a
+// candidate is scored by its L1 error, and the fitted line's 64 bits of
+// coefficients multiply its error by 2^(64/n). The zero line (a regression
+// block with a = b = 0) ships zero coefficient bytes, which the trailing
+// lossless stage folds to almost nothing, so it is charged nothing. Lorenzo
+// keeps a tie, as the zero line does against the fitted line.
 func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte, a, b float32) {
 	if len(block) < 8 {
 		return predLorenzo, 0, 0
 	}
-	var af, bf, lorenzoErr, regErr float64
+	var af, bf, lorenzoErr, regErr, zeroErr float64
 	if lanes.On() {
-		af, bf, lorenzoErr, regErr = scoreBlockLanes(block, prev)
+		af, bf, lorenzoErr, regErr, zeroErr = scoreBlockLanes(block, prev)
 	} else {
-		af, bf, lorenzoErr, regErr = scoreBlock(f, prev)
+		af, bf, lorenzoErr, regErr, zeroErr = scoreBlock(f, prev)
 	}
-	// The regression block pays 8 bytes of coefficients; require a real win.
-	if regErr*1.05+1e-12 < lorenzoErr {
+	charge := fullBlockCharge
+	if len(block) != blockSize {
+		charge = math.Exp2(64 / float64(len(block)))
+	}
+	kind, best := byte(predLorenzo), lorenzoErr
+	if zeroErr+1e-12 < best {
+		kind, best = predRegression, zeroErr
+	}
+	if fit := regErr * charge; fit+1e-12 < best {
 		return predRegression, float32(af), float32(bf)
 	}
-	return predLorenzo, 0, 0
+	return kind, 0, 0
 }
 
-// scoreBlock fits the block's line a·i + b and scores both predictors by
-// their L1 error. Lorenzo error is approximated on original values (the
-// reconstructed stream differs by at most ebAbs per point, which does not
-// change the ranking materially).
-func scoreBlock(block []float64, prev float64) (af, bf, lorenzoErr, regErr float64) {
+// scoreBlock fits the block's line a·i + b and scores the three predictors
+// by their L1 error: Lorenzo, the fitted line and the zero line. Lorenzo
+// error is approximated on original values (the reconstructed stream differs
+// by at most ebAbs per point, which does not change the ranking materially).
+func scoreBlock(block []float64, prev float64) (af, bf, lorenzoErr, regErr, zeroErr float64) {
 	af, bf = fitLine(block)
 	// Four independent partial sums per metric: the Lorenzo term only needs
 	// the previous *original* value (not an accumulator chain), so the whole
 	// scoring pass is data-parallel and runs 4-wide.
 	var l0, l1, l2, l3 float64
 	var r0, r1, r2, r3 float64
+	var z0, z1, z2, z3 float64
 	p := prev
 	i := 0
 	for ; i+4 <= len(block); i += 4 {
@@ -246,17 +266,23 @@ func scoreBlock(block []float64, prev float64) (af, bf, lorenzoErr, regErr float
 		r1 += math.Abs(f1 - (af*float64(i+1) + bf))
 		r2 += math.Abs(f2 - (af*float64(i+2) + bf))
 		r3 += math.Abs(f3 - (af*float64(i+3) + bf))
+		z0 += math.Abs(f0)
+		z1 += math.Abs(f1)
+		z2 += math.Abs(f2)
+		z3 += math.Abs(f3)
 		p = f3
 	}
 	lorenzoErr = l0 + l1 + l2 + l3
 	regErr = r0 + r1 + r2 + r3
+	zeroErr = z0 + z1 + z2 + z3
 	for ; i < len(block); i++ {
 		fv := block[i]
 		lorenzoErr += math.Abs(fv - p)
 		p = fv
 		regErr += math.Abs(fv - (af*float64(i) + bf))
+		zeroErr += math.Abs(fv)
 	}
-	return af, bf, lorenzoErr, regErr
+	return af, bf, lorenzoErr, regErr, zeroErr
 }
 
 // fitLine computes the least-squares line v ≈ a·i + b over block indices.
