@@ -47,7 +47,13 @@ func run(in, out string, decompress bool, demo string, scale, eb float64, lossyN
 		if err != nil {
 			return err
 		}
-		sd, err := fedsz.Decompress(data)
+		// The stream names the compressors it was encoded with, so the
+		// default codec decodes any of them.
+		codec, err := fedsz.New()
+		if err != nil {
+			return err
+		}
+		sd, _, err := codec.Decompress(context.Background(), data)
 		if err != nil {
 			return err
 		}

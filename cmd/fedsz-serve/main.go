@@ -146,7 +146,7 @@ func serve(o serveOpts) error {
 	// around the shared writer.
 	logger := slog.New(slog.NewTextHandler(o.out, nil))
 
-	cfg := flserve.Config{Parallel: o.parallel, MaxConns: o.maxConns, UploadTimeout: o.uploadTimeout, QueueDepth: o.queueDepth}
+	cfg := flserve.Config{MaxConns: o.maxConns, UploadTimeout: o.uploadTimeout, QueueDepth: o.queueDepth}
 	if o.trace != "" {
 		tw, closeTrace := io.Writer(os.Stderr), func() error { return nil }
 		if o.trace != "-" {

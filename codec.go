@@ -1,18 +1,15 @@
 package fedsz
 
-// Codec is the session-oriented public API: configuration is validated
-// once at construction (fedsz.New) instead of on every call, the codec
-// owns its parallelism budget, and every method takes a context so
-// callers get real deadlines and cancellation — the evolution from the
-// historical one-shot free functions, which remain as thin wrappers over
-// a package-level default codec.
+// Codec is the public API: configuration is validated once at
+// construction (fedsz.New) instead of on every call, the codec owns its
+// parallelism budget, and every method takes a context so callers get real
+// deadlines and cancellation.
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/compressors"
 	"repro/internal/core"
@@ -199,10 +196,8 @@ func New(options ...Option) (*Codec, error) {
 				cfg.lossyName, strings.Join(compressors.Names(), ", "))
 		}
 		c.opts.Lossy = comp
-	} else if cfg.lossy != nil {
-		// A one-shot codec is promoted to the zero-copy contract here, so
-		// the pipeline always runs append/into calls.
-		c.opts.Lossy = ebcl.Adapt(cfg.lossy)
+	} else {
+		c.opts.Lossy = cfg.lossy // nil selects the SZ2 default
 	}
 	if cfg.losslessName != "" {
 		codec, err := lossless.Get(cfg.losslessName)
@@ -234,9 +229,6 @@ func New(options ...Option) (*Codec, error) {
 // Options returns the resolved pipeline options the codec was built with
 // (a copy; mutating it does not affect the codec).
 func (c *Codec) Options() Options { return c.opts }
-
-// Parallelism returns the codec's worker-pool budget.
-func (c *Codec) Parallelism() int { return c.pool.Parallelism() }
 
 // Compress runs the FedSZ pipeline over a state dict on the codec's pool.
 func (c *Codec) Compress(ctx context.Context, sd *StateDict) ([]byte, *Stats, error) {
@@ -307,16 +299,3 @@ func (c *Codec) DecompressFrom(ctx context.Context, r io.Reader) (*StateDict, *D
 func (c *Codec) DecompressAll(ctx context.Context, streams [][]byte) ([]*StateDict, []*DecompressStats, error) {
 	return core.DecompressAll(ctx, c.pool, streams, core.DecodeOptions{})
 }
-
-// defaultCodec backs the package-level free functions: the paper's
-// recommended configuration on the shared process-wide pool.
-var defaultCodec = sync.OnceValue(func() *Codec {
-	c, err := New()
-	if err != nil {
-		panic(fmt.Sprintf("fedsz: default codec: %v", err))
-	}
-	return c
-})
-
-// Default returns the package-level codec the free functions delegate to.
-func Default() *Codec { return defaultCodec() }

@@ -54,24 +54,23 @@ func TestNewValidatesConfiguration(t *testing.T) {
 	if o.Lossy.Name() != "sz3" || o.Lossless.Name() != "zstdlike" || o.Threshold != 512 {
 		t.Fatalf("options not applied: %+v", o)
 	}
-	if c.Parallelism() != 3 {
-		t.Fatalf("parallelism %d, want 3", c.Parallelism())
+	if p := c.pool.Parallelism(); p != 3 {
+		t.Fatalf("parallelism %d, want 3", p)
 	}
 }
 
-// TestCodecMatchesFreeFunctions locks the compatibility contract: the
-// session codec and the historical free functions produce byte-identical
-// streams and identical reconstructions.
-func TestCodecMatchesFreeFunctions(t *testing.T) {
+// TestCodecStreamingMatchesOneShot locks the symmetric matrix: an explicit
+// SZ2 / REL 1e-2 codec reproduces the default codec's bytes, CompressTo
+// writes exactly what Compress returns, and Decompress and DecompressFrom
+// reconstruct identically.
+func TestCodecStreamingMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(21, 22))
 	sd := buildDemoDict(rng)
 
-	codec, err := New(WithCompressor("sz2"), WithRelBound(1e-2), WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, _, err := Compress(sd, Options{LossyParams: RelBound(1e-2)})
+	codec := newCodec(t, WithCompressor("sz2"), WithRelBound(1e-2), WithParallelism(2))
+	plain := newCodec(t)
+	want, _, err := plain.Compress(ctx, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,33 +78,26 @@ func TestCodecMatchesFreeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stream, legacy) {
-		t.Fatal("Codec.Compress differs from free Compress")
+	if !bytes.Equal(stream, want) {
+		t.Fatal("explicit SZ2 / REL 1e-2 codec differs from the default codec")
 	}
 	var buf bytes.Buffer
 	if _, err := codec.CompressTo(ctx, &buf, sd); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), legacy) {
-		t.Fatal("Codec.CompressTo differs from free Compress")
+	if !bytes.Equal(buf.Bytes(), stream) {
+		t.Fatal("Codec.CompressTo differs from Codec.Compress")
 	}
 
-	want, err := Decompress(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, _, err := codec.Decompress(ctx, stream)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d, err := got.MaxAbsDiff(want); err != nil || d != 0 {
-		t.Fatalf("codec decode differs: d=%v err=%v", d, err)
 	}
 	gotFrom, _, err := codec.DecompressFrom(ctx, bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, err := gotFrom.MaxAbsDiff(want); err != nil || d != 0 {
+	if d, err := gotFrom.MaxAbsDiff(got); err != nil || d != 0 {
 		t.Fatalf("codec streaming decode differs: d=%v err=%v", d, err)
 	}
 }
@@ -189,14 +181,14 @@ func TestCodecContextCancelled(t *testing.T) {
 	}
 }
 
-// TestDefaultCodecSharedPool: the free functions and Default() ride the
-// same process-wide budget.
+// TestDefaultCodecSharedPool: a codec built without WithParallelism rides
+// the process-wide budget; WithParallelism gives it its own.
 func TestDefaultCodecSharedPool(t *testing.T) {
-	if Default() != Default() {
-		t.Fatal("Default not a singleton")
+	if newCodec(t).pool != newCodec(t).pool {
+		t.Fatal("codecs without WithParallelism do not share the default pool")
 	}
-	if Default().Parallelism() < 1 {
-		t.Fatal("default codec has no budget")
+	if newCodec(t, WithParallelism(2)).pool == newCodec(t).pool {
+		t.Fatal("WithParallelism did not give the codec its own pool")
 	}
 }
 
@@ -273,7 +265,7 @@ func TestCodecChunkedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, _, err := Compress(sd, Options{})
+	legacy, _, err := plainCodec.Compress(ctx, sd)
 	if err != nil {
 		t.Fatal(err)
 	}

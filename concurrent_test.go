@@ -13,6 +13,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestCodecConcurrentSharedPools(t *testing.T) {
@@ -62,7 +64,7 @@ func TestCodecConcurrentSharedPools(t *testing.T) {
 				if it < iters-1 {
 					// Fold-and-discard iterations recycle their buffers —
 					// the steady-state server loop under contention.
-					Recycle(sd)
+					core.Release(sd)
 				} else {
 					decoded[g] = sd
 				}

@@ -1,12 +1,12 @@
 package fedsz
 
-// DeltaCodec: the session-oriented cross-round delta API, layered on Codec
-// the way Codec layers on the free functions. It owns the retained
-// reference state dict and its epoch, compresses round-t updates as
-// residuals against the round-(t−1) baseline (the v3 stream format: one
-// 13-byte constant per residual that fits the bound around one value, else a
-// codec blob, with per-tensor fallback to absolute whenever a residual doesn't
-// win), and decodes them back against the same baseline.
+// DeltaCodec: the session-oriented cross-round delta API, layered on Codec.
+// It owns the retained reference state dict and its epoch, compresses
+// round-t updates as residuals against the round-(t−1) baseline (the v3
+// stream format: one 13-byte constant per residual that fits the bound
+// around one value, else a codec blob, with per-tensor fallback to absolute
+// whenever a residual doesn't win), and decodes them back against the same
+// baseline.
 
 import (
 	"context"
@@ -30,22 +30,12 @@ type DeltaCodec struct {
 // construction.
 func NewDelta(base *Codec) *DeltaCodec { return &DeltaCodec{base: base} }
 
-// Base returns the underlying Codec.
-func (c *DeltaCodec) Base() *Codec { return c.base }
-
 // SetReference retains a deep copy of sd as the baseline for subsequent
 // Compress/Decompress calls and returns the new epoch — call it with the
 // broadcast global state at the top of each round. The copy reuses the
 // previous reference's storage when shapes match, so steady-state rounds
 // allocate nothing.
 func (c *DeltaCodec) SetReference(sd *StateDict) uint32 { return c.ref.Set(sd) }
-
-// Epoch returns the current reference epoch (0 before the first
-// SetReference).
-func (c *DeltaCodec) Epoch() uint32 {
-	_, epoch, _ := c.ref.Get()
-	return epoch
-}
 
 // RefProvider returns the epoch-checked reference lookup an flserve server
 // consumes (Config.RefProvider), so uploads compressed by this session

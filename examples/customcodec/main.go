@@ -23,13 +23,11 @@ import (
 // the code range fall back to literals. It satisfies the same error-bound
 // contract as SZ2 but skips prediction and entropy coding entirely.
 //
-// It implements the zero-copy contract (fedsz.ZeroCopyCompressor)
-// directly: CompressAppend extends the caller's buffer, DecompressInto
-// reconstructs into the caller's buffer, DecodedLen probes the header, and
-// the one-shot Compress/Decompress are thin wrappers. A codec that only
-// has the one-shot pair still registers fine — the registry adapts it —
-// but pays one copy per call; implementing the three zero-copy methods is
-// what keeps a custom codec on the pipeline's pooled hot path.
+// It implements the codec contract (fedsz.Compressor): CompressAppend
+// extends the caller's buffer, DecompressInto reconstructs into the
+// caller's buffer, DecodedLen probes the header, and the one-shot
+// Compress/Decompress are thin wrappers — which keeps a custom codec on the
+// pipeline's pooled hot path.
 type uniformQuantizer struct{}
 
 func (uniformQuantizer) Name() string { return "uniform16" }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -33,12 +34,17 @@ func run(scale float64) error {
 		return err
 	}
 
-	stream, stats, err := fedsz.Compress(sd, fedsz.Options{LossyParams: fedsz.RelBound(1e-2)})
+	codec, err := fedsz.New(fedsz.WithRelBound(1e-2))
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	stream, stats, err := codec.Compress(ctx, sd)
 	if err != nil {
 		return err
 	}
 	t0 := time.Now()
-	if _, err := fedsz.Decompress(stream); err != nil {
+	if _, _, err := codec.Decompress(ctx, stream); err != nil {
 		return err
 	}
 	tD := time.Since(t0)

@@ -2,6 +2,7 @@ package fedsz
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -26,22 +27,41 @@ func buildDemoDict(rng *rand.Rand) *StateDict {
 	return sd
 }
 
+// newCodec builds a codec from options a test knows are valid.
+func newCodec(t *testing.T, options ...Option) *Codec {
+	t.Helper()
+	c, err := New(options...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestPublicAPIRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 2))
 	sd := buildDemoDict(rng)
-	stream, stats, err := Compress(sd, Options{})
+	codec := newCodec(t)
+	stream, stats, err := codec.Compress(ctx, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Ratio() < 2 {
 		t.Errorf("ratio %.2f", stats.Ratio())
 	}
-	got, err := Decompress(stream)
+	got, _, err := codec.Decompress(ctx, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != sd.Len() {
 		t.Fatalf("entries %d != %d", got.Len(), sd.Len())
+	}
+	// Every entry keeps its Kind, so a receiver partitions as the sender did.
+	kinds := map[string]Kind{"conv.weight": KindWeight, "conv.bias": KindBias, "bn.running_mean": KindRunningStat}
+	for _, e := range got.Entries() {
+		if e.Kind != kinds[e.Name] {
+			t.Fatalf("%s: kind %v, want %v", e.Name, e.Kind, kinds[e.Name])
+		}
 	}
 	// Bias must be exact (lossless path); weight within REL 1e-2.
 	for i, v := range sd.Get("conv.bias").Data {
@@ -69,10 +89,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestCompressorSelection(t *testing.T) {
-	names := CompressorNames()
-	if len(names) != 4 {
-		t.Fatalf("want 4 EBLCs, got %v", names)
-	}
+	ctx := context.Background()
+	names := []string{"sz2", "sz3", "szx", "zfp"}
 	for _, n := range names {
 		c, err := CompressorByName(n)
 		if err != nil || c.Name() != n {
@@ -85,34 +103,28 @@ func TestCompressorSelection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	sd := buildDemoDict(rng)
 	for _, n := range names {
-		c, _ := CompressorByName(n)
-		stream, _, err := Compress(sd, Options{Lossy: c, LossyParams: RelBound(1e-2)})
+		codec := newCodec(t, WithCompressor(n), WithRelBound(1e-2))
+		stream, _, err := codec.Compress(ctx, sd)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
-		if _, err := Decompress(stream); err != nil {
+		if _, _, err := codec.Decompress(ctx, stream); err != nil {
 			t.Fatalf("%s decompress: %v", n, err)
 		}
 	}
 }
 
 func TestLosslessSelection(t *testing.T) {
-	names := LosslessNames()
-	if len(names) != 5 {
-		t.Fatalf("want 5 codecs, got %v", names)
-	}
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(5, 6))
 	sd := buildDemoDict(rng)
-	for _, n := range names {
-		codec, err := LosslessByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, _, err := Compress(sd, Options{Lossless: codec})
+	for _, n := range []string{"blosclz", "gzip", "xzlike", "zlib", "zstdlike"} {
+		codec := newCodec(t, WithLossless(n))
+		stream, _, err := codec.Compress(ctx, sd)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
-		got, err := Decompress(stream)
+		got, _, err := codec.Decompress(ctx, stream)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
@@ -145,17 +157,19 @@ func TestBoundHelpers(t *testing.T) {
 }
 
 func TestDecompressFromMatchesDecompress(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(9, 10))
 	sd := buildDemoDict(rng)
-	stream, _, err := Compress(sd, Options{})
+	codec := newCodec(t)
+	stream, _, err := codec.Compress(ctx, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Decompress(stream)
+	want, _, err := codec.Decompress(ctx, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressFrom(bytes.NewReader(stream))
+	got, _, err := codec.DecompressFrom(ctx, bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,7 +369,7 @@ func TestShardedStructureMismatch(t *testing.T) {
 func TestShardedDedupAcrossSessions(t *testing.T) {
 	streams, decoded := compressUpdates(t, 1)
 	sh := New(Config{Shards: 2, DedupByClient: true})
-	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, Parallel: 2})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestTwoTierE2E(t *testing.T) {
 	streams, decoded := compressUpdates(t, nA+nB)
 
 	rootAgg := New(Config{Shards: 2, Pool: sched.NewPool(2)})
-	root, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: rootAgg, Parallel: 2})
+	root, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: rootAgg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestTwoTierE2E(t *testing.T) {
 	// An edge is a Sharded behind its own listener, forwarded to the root.
 	listenEdge := func() (*Sharded, *flserve.Server) {
 		sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
-		srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, Parallel: 2})
+		srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -812,7 +812,7 @@ func hostileLengthStream(t testing.TB, stream []byte) []byte {
 func TestHostileLengthLiveServer(t *testing.T) {
 	pool := sched.NewPool(2)
 	sh := New(Config{Shards: 2, Pool: pool})
-	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, Parallel: 2})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 	if err != nil {
 		t.Fatal(err)
 	}

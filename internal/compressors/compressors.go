@@ -17,11 +17,11 @@ import (
 
 var (
 	mu       sync.RWMutex
-	registry = map[string]func() ebcl.BasicCompressor{
-		"sz2": func() ebcl.BasicCompressor { return sz2.NewCompressor() },
-		"sz3": func() ebcl.BasicCompressor { return sz3.NewCompressor() },
-		"szx": func() ebcl.BasicCompressor { return szx.NewCompressor() },
-		"zfp": func() ebcl.BasicCompressor { return zfp.NewCompressor() },
+	registry = map[string]func() ebcl.Compressor{
+		"sz2": func() ebcl.Compressor { return sz2.NewCompressor() },
+		"sz3": func() ebcl.Compressor { return sz3.NewCompressor() },
+		"szx": func() ebcl.Compressor { return szx.NewCompressor() },
+		"zfp": func() ebcl.Compressor { return zfp.NewCompressor() },
 	}
 )
 
@@ -30,13 +30,7 @@ var (
 // the name the stream carries). Registering a built-in name is an error;
 // re-registering a custom name replaces it. Names are limited to 255 bytes
 // by the stream format.
-//
-// The factory may return a codec implementing only the legacy one-shot
-// BasicCompressor shape: Get promotes it with ebcl.Adapt, so pre-zero-copy
-// codecs keep working in the append/into pipeline unchanged (at the cost of
-// one copy per call). Codecs that also implement the full ebcl.Compressor
-// contract pass through untouched and run zero-copy.
-func Register(name string, factory func() ebcl.BasicCompressor) error {
+func Register(name string, factory func() ebcl.Compressor) error {
 	if name == "" || len(name) > 255 {
 		return fmt.Errorf("compressors: invalid name %q", name)
 	}
@@ -53,8 +47,7 @@ func Register(name string, factory func() ebcl.BasicCompressor) error {
 	return nil
 }
 
-// Get returns a fresh compressor instance by name, promoted to the full
-// zero-copy contract (see Register).
+// Get returns a fresh compressor instance by name.
 func Get(name string) (ebcl.Compressor, error) {
 	mu.RLock()
 	f, ok := registry[name]
@@ -62,7 +55,7 @@ func Get(name string) (ebcl.Compressor, error) {
 	if !ok {
 		return nil, fmt.Errorf("compressors: unknown compressor %q (have %v)", name, Names())
 	}
-	return ebcl.Adapt(f()), nil
+	return f(), nil
 }
 
 // Names returns the sorted registry names.

@@ -35,7 +35,7 @@ type statefulCodec struct {
 }
 
 func TestGetReturnsFreshInstances(t *testing.T) {
-	err := compressors.Register("stateful", func() ebcl.BasicCompressor {
+	err := compressors.Register("stateful", func() ebcl.Compressor {
 		inner, err := compressors.Get("sz2")
 		if err != nil {
 			t.Error(err)

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -28,26 +29,38 @@ import (
 var reachKept = map[string]string{
 	"repro/internal/eblctest": "test-support package: the per-codec contract the sz2, sz3, szx, zfp and pipeline tests run",
 
+	"repro.Kind":           "the partitioner's public enum: a caller names it to hold an entry kind; TestPublicAPIRoundTrip checks every entry keeps its Kind",
+	"repro.KindScalarMeta": "the partitioner's fourth public kind (PyTorch's num_batches_tracked counters); TestCodecConcurrentSharedPools sends one",
+
 	"repro/internal/ebcl.MaxAbsError":    "the error measure eblctest and the codec tests hold every bound to",
 	"repro/internal/ebcl.Precision":      "PREC-mode shorthand beside Rel and Abs; zfp, core and conformance tests build fixed-precision params with it",
 	"repro/internal/lanes.BothPaths":     "the one both-paths helper: the kernel tests in ebcl, core, agg and huffman, the goldens and the root delta fuzz seeds run their checks on the kernels and the Go loops through it",
 	"repro/internal/sched.FloatPoolPuts": "the puts side of the gets == puts leak assertions in core, wire and agg tests",
 }
 
-// fieldsKept is the allowlist of the field pass: every exported field
+// fieldsKept is the allowlist of the field pass: every field
 // ("pkg.Type.Field") of a struct declared in a non-test file under internal/
-// or cmd/ that no non-test file writes, with the reason it stays. Such a
-// field holds its zero value in every program, so the code it gates is
-// reached by a call and still never runs. The test fails on an unwritten
-// field with no row, on a row that matches no unwritten field (deleted,
-// renamed, or written by a program again) and on a row no test writes
-// either.
+// or cmd/ that no non-test file writes (exported fields only) or that no
+// non-test file reads, with the reason it stays. An unwritten field holds its
+// zero value in every program, so the code it gates is reached by a call and
+// still never runs; an unread field is storage and bookkeeping no program
+// looks at. The test fails on such a field with no row, on a row that matches
+// none (deleted, renamed, or written and read by a program again) and on an
+// unwritten field's row no test writes either.
 var fieldsKept = map[string]string{
 	"repro/internal/fl.Transport.Delta": "the in-memory delta rounds TestFedSZTransportDeltaRounds holds the delta_reduction floor on",
+
+	"repro/internal/core.Stats.ConstantResiduals":        `public as fedsz.Stats; README "Cross-round delta mode" documents it; the core delta and golden tests read it`,
+	"repro/internal/core.DecompressStats.DeltaTensors":   `public as fedsz.DecompressStats; README "Cross-round delta mode" documents it; the core, conformance and fuzz tests hold it equal to the encoder's count`,
+	"repro/internal/core.DecompressStats.ChunkedTensors": `public as fedsz.DecompressStats; README "Chunked sections (format v4)" documents it; the core chunk and delta tests hold it equal to the encoder's count`,
+	"repro/internal/fl.RoundResult.DeltaTensors":         "TestFedSZTransportDeltaRounds reads it (residuals were sent) and TestRoundConformance (a sharded round counts them as a flat one does)",
+	"repro/internal/fl.RoundResult.DeltaBytesSaved":      "TestFedSZTransportDeltaRounds reads it: the last delta round saved bytes",
+	"repro/internal/flserve.Config.Parallel":             "deprecated and ignored; bench/ still sets it, and the next change to bench/ deletes those two writes and the field",
 }
 
-// Two packages' declarations count as reached without a caller: the exported
-// API of the root package and everything in bench/.
+// Two packages' declarations count as reached without a caller: everything
+// in bench/, and the root package's exports README.md names in its code — the
+// public API a caller uses even when no program here does.
 const (
 	modulePath = "repro"
 	benchPath  = "repro/bench"
@@ -92,13 +105,24 @@ type audit struct {
 	ifaces []*types.Interface
 	// fields names every audited struct field by the position of its
 	// declaration — like a key, the same for a package and its test variants
-	// — and written holds the positions of the fields some file writes.
-	fields  map[token.Position]string
-	written map[token.Position]writers
+	// — and written and read hold the positions of the fields some file
+	// writes and reads.
+	fields        map[token.Position]field
+	written, read map[token.Position]users
+	// readme holds every identifier in README.md's code blocks and spans:
+	// the root package's exports it names are public API a program need not
+	// reach.
+	readme map[string]bool
 }
 
-// writers says which kind of file writes a field.
-type writers struct{ program, test bool }
+// field is one audited struct field.
+type field struct {
+	name     string
+	exported bool
+}
+
+// users says which kind of file writes or reads a field.
+type users struct{ program, test bool }
 
 func goList(t *testing.T, args ...string) []listedPkg {
 	t.Helper()
@@ -144,8 +168,10 @@ func loadAudit(t *testing.T) *audit {
 		progRoots: map[string]bool{},
 		testRoots: map[string]bool{},
 		types:     map[string]*types.TypeName{},
-		fields:    map[token.Position]string{},
-		written:   map[token.Position]writers{},
+		fields:    map[token.Position]field{},
+		written:   map[token.Position]users{},
+		read:      map[token.Position]users{},
+		readme:    readmeIdents(t),
 	}
 	stdImporter := importer.ForCompiler(a.fset, "gc", func(path string) (io.ReadCloser, error) {
 		file := exports[path]
@@ -196,6 +222,7 @@ func loadAudit(t *testing.T) *audit {
 		}
 		checked[p.ImportPath] = pkg
 		a.addPackage(p, files, info)
+		a.addAsmReads(t, p, pkg)
 	}
 	a.ifaces = append(a.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	// The interface literals errors.Is, errors.As and net's timeout checks
@@ -293,13 +320,14 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 	if base {
 		a.addInterfaces(info)
 	}
+	targets := map[*ast.Ident]bool{} // see addFieldWrites
 	for _, file := range files {
 		inTest := strings.HasSuffix(a.fset.File(file.Pos()).Name(), "_test.go")
 		roots := a.progRoots
 		if inTest {
 			roots = a.testRoots
 		}
-		a.addFieldWrites(file, info, inTest)
+		a.addFieldWrites(file, info, inTest, targets)
 		// node registers one declaration spanning [from, to] and returns
 		// the set its uses go to; a declaration that runs uncalled gets the
 		// root set instead.
@@ -309,21 +337,12 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 			if isRoot || key == "" {
 				return roots
 			}
-			if !inTest {
-				if p.ImportPath == benchPath || (p.ImportPath == modulePath && id.IsExported()) {
-					roots[key] = true
-					// An interface the public API names is public method by
-					// method: a caller's codec must implement every one.
-					if tn, ok := obj.(*types.TypeName); ok {
-						if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-							for i := 0; i < iface.NumMethods(); i++ {
-								roots[keyOf(iface.Method(i))] = true
-							}
-						}
-					}
-				}
+			public := !inTest && p.ImportPath == modulePath && id.IsExported()
+			if !inTest && (p.ImportPath == benchPath || (public && a.readme[id.Name])) {
+				roots[key] = true
 			}
-			if tn, ok := obj.(*types.TypeName); ok && base && !tn.IsAlias() {
+			tn, isType := obj.(*types.TypeName)
+			if isType && base && !tn.IsAlias() {
 				a.types[key] = tn
 			}
 			d := a.decls[key]
@@ -335,6 +354,13 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 				pos := a.fset.Position(start)
 				d = &decl{pkg: obj.Pkg().Path(), pos: pos, lines: a.fset.Position(to.End()).Line - pos.Line + 1, inTest: inTest, uses: map[string]bool{}}
 				a.decls[key] = d
+			}
+			// An interface the public API names is public method by method:
+			// a caller's codec must implement every one.
+			if iface, ok := obj.Type().Underlying().(*types.Interface); ok && isType && public {
+				for i := 0; i < iface.NumMethods(); i++ {
+					d.uses[keyOf(iface.Method(i))] = true
+				}
 			}
 			return d.uses
 		}
@@ -362,9 +388,7 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 						if st, ok := spec.Type.(*ast.StructType); ok && !inTest && audited(info.Defs[spec.Name].Pkg().Path()) {
 							for _, f := range st.Fields.List {
 								for _, id := range f.Names {
-									if id.IsExported() {
-										a.fields[a.fset.Position(id.Pos())] = keyOf(info.Defs[spec.Name]) + "." + id.Name
-									}
+									a.fields[a.fset.Position(id.Pos())] = field{keyOf(info.Defs[spec.Name]) + "." + id.Name, id.IsExported()}
 								}
 							}
 						}
@@ -389,6 +413,23 @@ func (a *audit) addPackage(p listedPkg, files []*ast.File, info *types.Info) {
 			}
 		}
 	}
+	for id, obj := range info.Uses {
+		if !targets[id] {
+			a.use(a.read, obj, strings.HasSuffix(a.fset.File(id.Pos()).Name(), "_test.go"))
+		}
+	}
+}
+
+// use records that a file (a test file when inTest) writes or reads obj, if
+// obj is a struct field.
+func (a *audit) use(into map[token.Position]users, obj types.Object, inTest bool) {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		pos := a.fset.Position(v.Origin().Pos())
+		u := into[pos]
+		u.program = u.program || !inTest
+		u.test = u.test || inTest
+		into[pos] = u
+	}
 }
 
 // audited reports whether the field pass covers structs declared in the
@@ -404,18 +445,14 @@ func audited(pkgPath string) bool {
 // addFieldWrites records the struct fields file writes: the fields a
 // composite literal sets (all of them when it is positional), and every
 // field selected on the way to an assigned, incremented or address-taken
-// operand — x.f = v, x.f.g++, &x.f[i] all write f.
-func (a *audit) addFieldWrites(file *ast.File, info *types.Info, inTest bool) {
-	mark := func(obj types.Object) {
-		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			pos := a.fset.Position(v.Origin().Pos())
-			w := a.written[pos]
-			w.program = w.program || !inTest
-			w.test = w.test || inTest
-			a.written[pos] = w
-		}
-	}
-	markPath := func(e ast.Expr) {
+// operand — x.f = v, x.f.g++, &x.f[i] all write f. It adds to targets the
+// identifiers that only write: a composite-literal key and the outermost
+// field of an assigned or incremented operand. Every other use of a field
+// reads it — the inner fields of an assigned path (x.f.g = v reads f) and an
+// address-taken one included.
+func (a *audit) addFieldWrites(file *ast.File, info *types.Info, inTest bool, targets map[*ast.Ident]bool) {
+	mark := func(obj types.Object) { a.use(a.written, obj, inTest) }
+	markPath := func(e ast.Expr, target bool) {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
@@ -426,6 +463,10 @@ func (a *audit) addFieldWrites(file *ast.File, info *types.Info, inTest bool) {
 				e = x.X
 			case *ast.SelectorExpr:
 				mark(info.Uses[x.Sel])
+				if target {
+					targets[x.Sel] = true
+					target = false
+				}
 				e = x.X
 			default:
 				return
@@ -445,25 +486,86 @@ func (a *audit) addFieldWrites(file *ast.File, info *types.Info, inTest bool) {
 			}
 			for i, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					mark(info.Uses[kv.Key.(*ast.Ident)])
+					key := kv.Key.(*ast.Ident)
+					mark(info.Uses[key])
+					targets[key] = true
 				} else {
 					mark(st.Field(i))
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				markPath(lhs)
+				markPath(lhs, true)
 			}
 		case *ast.IncDecStmt:
-			markPath(n.X)
+			markPath(n.X, true)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				markPath(n.X)
+				markPath(n.X, false)
 			}
 		}
 		return true
 	})
 }
+
+// addAsmReads records the struct fields p's assembly reads: a Type_field
+// offset go_asm.h defines for a .s file. Every .s file in the directory
+// counts, whatever GOARCH the audit runs under, so the verdict is the same on
+// every platform.
+func (a *audit) addAsmReads(t *testing.T, p listedPkg, pkg *types.Package) {
+	sfiles, err := filepath.Glob(filepath.Join(p.Dir, "*.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sfiles {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range asmOffset.FindAllStringSubmatch(string(src), -1) {
+			tn, ok := pkg.Scope().Lookup(m[1]).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Name() == m[2] {
+						a.use(a.read, f, false)
+					}
+				}
+			}
+		}
+	}
+}
+
+var asmOffset = regexp.MustCompile(`\b([A-Za-z]\w*?)_(\w+)\b`)
+
+// readmeIdents returns every identifier in README.md's fenced code blocks
+// and inline code spans.
+func readmeIdents(t *testing.T) map[string]bool {
+	src, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idents := map[string]bool{}
+	for i, block := range strings.Split(string(src), "```") {
+		if i%2 == 0 { // prose: only its inline spans are code
+			spans := strings.Split(block, "`")
+			for j := 1; j < len(spans); j += 2 {
+				for _, id := range identRE.FindAllString(spans[j], -1) {
+					idents[id] = true
+				}
+			}
+			continue
+		}
+		for _, id := range identRE.FindAllString(block, -1) {
+			idents[id] = true
+		}
+	}
+	return idents
+}
+
+var identRE = regexp.MustCompile(`[A-Za-z_]\w*`)
 
 // addInterfaces records every interface literal in info, the right-hand
 // sides of named interface declarations included.
@@ -544,12 +646,13 @@ func (a *audit) reach(roots ...map[string]bool) map[string]bool {
 
 // TestReachability is the reachability audit as a test: a package-level
 // declaration in a non-test file is reached from a program (the cmd/ and
-// examples/ mains, bench/, the root package's exported API) or it is in
-// reachKept with a reason and a test reaches it; and an exported struct field
-// under internal/ or cmd/ is written by a non-test file or it is in
-// fieldsKept with a reason and a test writes it. It type-checks the module
-// from source against the standard library's export data, which takes about
-// a second.
+// examples/ mains, bench/, the root package's exports README.md names) or it
+// is in reachKept with a reason and a test reaches it; an exported struct
+// field under internal/ or cmd/ is written by a non-test file or it is in
+// fieldsKept with a reason and a test writes it; and any struct field there is
+// read by a non-test file (its assembly included) or it is in fieldsKept with
+// a reason. It type-checks the module from source against the standard
+// library's export data, which takes about a second.
 func TestReachability(t *testing.T) {
 	a := loadAudit(t)
 	byPrograms := a.reach(a.progRoots)
@@ -588,33 +691,44 @@ func TestReachability(t *testing.T) {
 	}
 	t.Logf("%d non-test declarations (%d lines) are reached by no program; %d reachKept rows", count, lines, len(reachKept))
 
-	unwritten := 0
+	unwritten, unread := 0, 0
 	matched = map[string]bool{}
-	for pos, name := range a.fields {
-		w := a.written[pos]
-		if w.program {
-			continue
-		}
-		unwritten++
-		where := fmt.Sprintf("%s (%s:%d)", name, strings.TrimPrefix(pos.Filename, a.root), pos.Line)
-		switch _, ok := fieldsKept[name]; {
-		case !ok && w.test:
-			report = append(report, where+": field written by tests only and not in fieldsKept")
-		case !ok:
-			report = append(report, where+": field written by nothing and not in fieldsKept")
-		case !w.test:
-			matched[name] = true
-			report = append(report, where+": in fieldsKept but no test writes it either")
-		default:
-			matched[name] = true
+	for pos, f := range a.fields {
+		w, r := a.written[pos], a.read[pos]
+		_, kept := fieldsKept[f.name]
+		where := fmt.Sprintf("%s (%s:%d)", f.name, strings.TrimPrefix(pos.Filename, a.root), pos.Line)
+		switch {
+		case f.exported && !w.program:
+			unwritten++
+			switch {
+			case !kept && w.test:
+				report = append(report, where+": field written by tests only and not in fieldsKept")
+			case !kept:
+				report = append(report, where+": field written by nothing and not in fieldsKept")
+			case !w.test:
+				matched[f.name] = true
+				report = append(report, where+": in fieldsKept but no test writes it either")
+			default:
+				matched[f.name] = true
+			}
+		case !r.program:
+			unread++
+			switch {
+			case !kept && r.test:
+				report = append(report, where+": field read by tests only and not in fieldsKept")
+			case !kept:
+				report = append(report, where+": field read by nothing and not in fieldsKept")
+			default:
+				matched[f.name] = true
+			}
 		}
 	}
 	for row := range fieldsKept {
 		if !matched[row] {
-			report = append(report, row+": fieldsKept row matches no unwritten field (deleted, renamed, or written by a program)")
+			report = append(report, row+": fieldsKept row matches no unwritten or unread field (deleted, renamed, or written and read by a program)")
 		}
 	}
-	t.Logf("%d of %d exported struct fields under internal/ and cmd/ are written by no program; %d fieldsKept rows", unwritten, len(a.fields), len(fieldsKept))
+	t.Logf("of %d struct fields under internal/ and cmd/, %d exported ones are written by no program and %d are read by none; %d fieldsKept rows", len(a.fields), unwritten, unread, len(fieldsKept))
 	sort.Strings(report)
 	for _, line := range report {
 		t.Error(line)

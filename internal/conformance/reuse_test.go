@@ -365,54 +365,3 @@ func ingestSmallUpdate(t *testing.T) []byte {
 	}
 	return framed.Bytes()
 }
-
-// legacyOneShot is a deliberately minimal pre-zero-copy codec: the adapter
-// must give it the same reuse and alias-safety guarantees the native
-// codecs provide.
-type legacyOneShot struct{}
-
-func (legacyOneShot) Name() string { return "legacy-oneshot" }
-
-func (legacyOneShot) Compress(data []float32, p ebcl.Params) ([]byte, error) {
-	out := make([]byte, 0, 4+4*len(data))
-	out = append(out, byte(len(data)), byte(len(data)>>8), byte(len(data)>>16), byte(len(data)>>24))
-	for _, f := range data {
-		bits := math.Float32bits(f)
-		out = append(out, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-	}
-	return out, nil
-}
-
-func (legacyOneShot) Decompress(stream []byte) ([]float32, error) {
-	if len(stream) < 4 {
-		return nil, ebcl.ErrCorrupt
-	}
-	n := int(stream[0]) | int(stream[1])<<8 | int(stream[2])<<16 | int(stream[3])<<24
-	if len(stream) < 4+4*n {
-		return nil, ebcl.ErrCorrupt
-	}
-	out := make([]float32, n)
-	for i := range out {
-		b := stream[4+4*i:]
-		out[i] = math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	}
-	return out, nil
-}
-
-func TestAdapterReuseAndAliasSafety(t *testing.T) {
-	c := ebcl.Adapt(legacyOneShot{})
-	if _, native := interface{}(legacyOneShot{}).(ebcl.Compressor); native {
-		t.Fatal("test codec must not implement the full contract natively")
-	}
-	rng := rand.New(rand.NewPCG(5, 5))
-	testCodecReuse(t, c, ebcl.Abs(1e-3), eblctest.WeightLike(rng, 300))
-
-	// Adapt must pass native zero-copy codecs through untouched.
-	native, err := compressors.Get("sz2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ebcl.Adapt(native) != native {
-		t.Fatal("Adapt re-wrapped a codec that already implements the contract")
-	}
-}

@@ -190,13 +190,6 @@ type Stats struct {
 	// and the lossless partition (it exceeds wall clock when the encode
 	// fans out).
 	EncodeWork time.Duration
-
-	// BytesRecycled is the total buffer capacity (codec scratch, blobs,
-	// payload staging) this encode returned to the sched pools instead of
-	// dropping to the garbage collector — the observable for the zero-copy
-	// codec contract. The counter is process-wide, so concurrent calls
-	// attribute shared traffic approximately.
-	BytesRecycled uint64
 }
 
 // EncodeOverlapRatio reports the fraction of encode work hidden behind the

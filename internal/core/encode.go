@@ -74,7 +74,6 @@ const (
 func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDict, opts Options, emit func(SectionKind, []byte) error) (*Stats, error) {
 	o := opts.withDefaults()
 	start := time.Now()
-	recycled0 := sched.RecycledBytes()
 	stats := &Stats{RawBytes: sd.SizeBytes()}
 	// A reference switches the stream to the v3 cross-round delta format;
 	// without one the emitted bytes are exactly the v2 stream of before.
@@ -253,7 +252,6 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 	g.Wait()
 	stats.EncodeWork = time.Duration(encodeWork.Load())
 	stats.CompressTime = time.Since(start)
-	stats.BytesRecycled = sched.RecycledBytes() - recycled0
 	stageFor(o.Lossy.Name()).encode.Observe(stats.CompressTime.Seconds())
 	return stats, nil
 }

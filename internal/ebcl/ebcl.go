@@ -93,8 +93,6 @@ const PredictorBlockElems = 256
 //
 // Compress and Decompress remain as one-shot conveniences; implementations
 // provide them as thin wrappers over the append/into pair (nil dst).
-// Pre-zero-copy codecs that only have the one-shot pair implement
-// BasicCompressor instead and are promoted with Adapt.
 type Compressor interface {
 	// Name returns the compressor's registry name ("sz2", "sz3", ...).
 	Name() string
@@ -117,56 +115,6 @@ type Compressor interface {
 	// Decompress reconstructs into a freshly allocated buffer
 	// (DecompressInto with a nil dst).
 	Decompress(stream []byte) ([]float32, error)
-}
-
-// BasicCompressor is the pre-zero-copy compressor shape: one-shot calls
-// returning freshly allocated buffers. Third-party codecs registered via
-// compressors.Register may still implement only this; Adapt promotes one to
-// the full Compressor contract.
-type BasicCompressor interface {
-	Name() string
-	Compress(data []float32, p Params) ([]byte, error)
-	Decompress(stream []byte) ([]float32, error)
-}
-
-// Adapt promotes a BasicCompressor to the full zero-copy contract. A codec
-// that already implements Compressor is returned unchanged; otherwise the
-// adapter routes CompressAppend/DecompressInto through the one-shot calls
-// plus a copy, and DecodedLen through a full decode — correct for any
-// legacy codec, at legacy cost.
-func Adapt(c BasicCompressor) Compressor {
-	if full, ok := c.(Compressor); ok {
-		return full
-	}
-	return adapted{c}
-}
-
-type adapted struct{ BasicCompressor }
-
-func (a adapted) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
-	blob, err := a.BasicCompressor.Compress(data, p)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, blob...), nil
-}
-
-func (a adapted) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, err := a.BasicCompressor.Decompress(stream)
-	if err != nil {
-		return nil, err
-	}
-	dst = GrowFloats(dst, len(out))
-	copy(dst, out)
-	return dst, nil
-}
-
-func (a adapted) DecodedLen(stream []byte) (int, error) {
-	out, err := a.BasicCompressor.Decompress(stream)
-	if err != nil {
-		return 0, err
-	}
-	return len(out), nil
 }
 
 // GrowFloats returns a slice of length n backed by dst's array when

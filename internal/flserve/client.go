@@ -61,8 +61,8 @@ type Client struct {
 	// each time with doubling backoff. Only transport failures retry; a
 	// server rejection (ErrRejected) returns immediately. Delivery is
 	// at-least-once: an ack lost after the server folded the update makes
-	// the retry a duplicate, which handlers must tolerate or deduplicate
-	// by client ID.
+	// the retry a duplicate, which the server's Ingestor must tolerate or
+	// deduplicate by client ID.
 	Retries int
 	// RetryBackoff is the first retry delay (0 selects 50 ms); it doubles
 	// per attempt.

@@ -38,7 +38,7 @@ func TestDeltaNegotiation(t *testing.T) {
 	upd := correlatedUpdate(ref, 7)
 	col := newCollector()
 	srv, err := Listen("127.0.0.1:0", Config{
-		Handler: col.handle,
+		Ingestor: col, Handler: col.handle,
 		RefProvider: func(e uint32) *tensor.StateDict {
 			if e == epoch {
 				return ref
@@ -131,11 +131,11 @@ func TestDeltaNegotiation(t *testing.T) {
 	if len(col.updates) != 4 {
 		t.Fatalf("server folded %d updates, want 4", len(col.updates))
 	}
-	if !bytes.Equal(col.updates[0].State.Marshal(), wantDelta.Marshal()) {
+	if !bytes.Equal(col.states[0].Marshal(), wantDelta.Marshal()) {
 		t.Fatal("residual upload decode differs from in-memory delta decode")
 	}
 	for _, id := range []uint32{1, 2, 4} {
-		if !bytes.Equal(col.updates[id].State.Marshal(), wantAbs.Marshal()) {
+		if !bytes.Equal(col.states[id].Marshal(), wantAbs.Marshal()) {
 			t.Fatalf("client %d: absolute upload decode differs from in-memory decode", id)
 		}
 	}
@@ -151,7 +151,7 @@ func TestDeltaNegotiation(t *testing.T) {
 func TestDialDeltaShed(t *testing.T) {
 	const dials = 6 // MaxConns 1 + QueueDepth 1 hold at most three; the rest are shed
 	srv, err := Listen("127.0.0.1:0", Config{
-		Handler: func(Update) error { return nil }, MaxConns: 1, QueueDepth: 1, RetryAfterHint: 25 * time.Millisecond,
+		Ingestor: newCollector(), MaxConns: 1, QueueDepth: 1, RetryAfterHint: 25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

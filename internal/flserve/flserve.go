@@ -29,18 +29,14 @@
 // # One ingest path
 //
 // Every update takes the same route: the connection goroutine hands the
-// update's framed bytes to a StreamIngestor, which runs the shared section
-// pipeline (core.DecodeSections over wire.SectionSource: per-frame CRC
-// verification, each tensor section decoded on a sched.Pool while the next
-// frame is still crossing the network, trailer verified before anything is
-// delivered) and folds the result. The aggregator is internal/agg.Sharded,
-// set as Config.Ingestor. A server given only a Config.Handler wraps the
-// same pipeline in a small adapter that assembles the decoded sections
-// into a state dict and hands it to the callback. No program in this
-// repository runs that way any more — every server folds through an
-// Ingestor — so whole-dict delivery serves ad-hoc handlers and this
-// package's own tests, which use it as the bit-identity reference the
-// streamed fold is compared against.
+// update's framed bytes to the StreamIngestor set as Config.Ingestor, which
+// runs the shared section pipeline (core.DecodeSections over
+// wire.SectionSource: per-frame CRC verification, each tensor section
+// decoded on a sched.Pool while the next frame is still crossing the
+// network, trailer verified before anything is delivered) and folds the
+// result. The aggregator is internal/agg.Sharded. Config.Ingestor is
+// required; Config.Handler, when set, only observes each folded update
+// (logging, counting) and may still reject it.
 //
 // # Backpressure
 //
@@ -67,10 +63,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
-	"repro/internal/wire"
 )
 
 const (
@@ -101,7 +95,7 @@ const (
 	ackShed     = 2
 )
 
-// Update is one accepted client update as delivered to the handler.
+// Update describes one folded client update, as Config.Handler observes it.
 type Update struct {
 	// Client is the ID the uploader sent in its connection prelude.
 	Client uint32
@@ -109,13 +103,10 @@ type Update struct {
 	// that lets handler logs and trace events correlate an update with its
 	// connection.
 	Remote string
-	// State is the decoded state dict; the handler takes ownership. It is
-	// nil when a Config.Ingestor consumed the update.
-	State *tensor.StateDict
 	// Weight is the update's aggregation weight: 1 for FLS1/FLS2 uploads,
 	// the sender-declared population weight for FLS3 (an edge forwarding
-	// the fused mean of n clients sends weight n). Handlers fold
-	// weight-scaled sums and divide by the weight total.
+	// the fused mean of n clients sends weight n). The Ingestor folds
+	// weight-scaled sums and divides by the weight total.
 	Weight float64
 	// WireBytes counts the bytes this update occupied on the wire: its
 	// share of the connection prelude, the clientID, and the full wire
@@ -129,11 +120,9 @@ type Update struct {
 
 // Config tunes a Server.
 type Config struct {
-	// Parallel is the decode budget the server's own whole-dict decode
-	// (Handler without Ingestor — tests and ad-hoc handlers, see the
-	// package comment) shares across every connection (0 selects
-	// GOMAXPROCS) — the same one-budget discipline as core.DecompressAll,
-	// fed by sockets. An Ingestor brings its own pool and ignores it.
+	// Parallel is ignored: the Ingestor brings its own decode pool.
+	//
+	// Deprecated: set the Ingestor's pool size instead.
 	Parallel int
 	// MaxConns bounds concurrently served connections (0 selects
 	// 4×GOMAXPROCS). The accept loop blocks when the bound is reached.
@@ -152,18 +141,13 @@ type Config struct {
 	// (0 selects 100 ms; capped at ~65 s by the wire field).
 	RetryAfterHint time.Duration
 	// Ingestor consumes each update's framed byte stream — decode and fold;
-	// internal/agg.Sharded is the implementation. When nil, the server
-	// decodes each update into a state dict itself and Handler, then
-	// required, receives it.
+	// internal/agg.Sharded is the implementation. It is required.
 	Ingestor StreamIngestor
-	// Handler is called with each accepted update before it is acked. It
-	// may be called concurrently from different connections; an error
-	// rejects the update (the client sees a non-zero ack) without stopping
-	// the server. Beside an Ingestor — how every server in this repository
-	// runs — the update has already been folded and Handler only observes
-	// it (logging, counting). Without one, Update.State carries the dict the
-	// server decoded itself: the whole-dict delivery kept for tests and
-	// ad-hoc handlers.
+	// Handler, when non-nil, is called with each update the Ingestor has
+	// folded, before it is acked. It only observes (logging, counting): the
+	// update carries no tensors. It may be called concurrently from
+	// different connections; an error rejects the update (the client sees a
+	// non-zero ack) without stopping the server.
 	Handler func(Update) error
 	// IdleTimeout bounds how long a connection may sit without delivering
 	// a byte before it is dropped, so a stalled client cannot pin a
@@ -250,10 +234,9 @@ func (s Stats) OverlapRatio() float64 {
 
 // Server is a streaming FedSZ aggregation server.
 type Server struct {
-	cfg  Config
-	ln   net.Listener
-	pool *sched.Pool
-	sem  chan struct{}
+	cfg Config
+	ln  net.Listener
+	sem chan struct{}
 	// queue is the bounded admission queue (QueueDepth > 0 only): the
 	// accept loop enqueues, the dispatch loop waits for a serving slot,
 	// and an arrival finding the queue full is shed.
@@ -281,8 +264,8 @@ func Listen(addr string, cfg Config) (*Server, error) {
 
 // Serve starts a server on an existing listener and takes ownership of it.
 func Serve(ln net.Listener, cfg Config) *Server {
-	if cfg.Handler == nil && cfg.Ingestor == nil {
-		panic("flserve: Config.Ingestor or Config.Handler is required")
+	if cfg.Ingestor == nil {
+		panic("flserve: Config.Ingestor is required")
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 4 * runtime.GOMAXPROCS(0)
@@ -297,10 +280,9 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		cfg.RetryAfterHint = defaultRetryAfterHint
 	}
 	s := &Server{
-		cfg:  cfg,
-		ln:   ln,
-		pool: sched.NewPool(cfg.Parallel),
-		sem:  make(chan struct{}, cfg.MaxConns),
+		cfg: cfg,
+		ln:  ln,
+		sem: make(chan struct{}, cfg.MaxConns),
 	}
 	s.m.wireHist = telemetry.NewHistogram(telemetry.ByteBuckets)
 	s.m.decodeHist = telemetry.NewHistogram(telemetry.DurationBuckets)
@@ -488,10 +470,10 @@ func (c *connReader) Read(p []byte) (int, error) {
 		d = c.deadline
 		armed = timeoutUpload
 	}
-	if !d.IsZero() {
-		if err := c.conn.SetReadDeadline(d); err != nil {
-			return 0, err
-		}
+	// A zero d clears the deadline an earlier update armed, so it cannot
+	// cut a session that sits idle between updates.
+	if err := c.conn.SetReadDeadline(d); err != nil {
+		return 0, err
 	}
 	n, err := c.conn.Read(p)
 	if err != nil {
@@ -556,24 +538,6 @@ func (s *Server) readPrelude(br *bufio.Reader, conn net.Conn) (prelude, error) {
 	return p, nil
 }
 
-// dictIngestor is the whole-dict StreamIngestor a server without a
-// Config.Ingestor runs, one per connection: the shared section pipeline,
-// assembled into a state dict that handleConn passes to Config.Handler.
-type dictIngestor struct {
-	pool  *sched.Pool
-	state *tensor.StateDict
-}
-
-func (d *dictIngestor) IngestStream(ctx context.Context, _ uint32, _ float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
-	src := wire.NewSectionSource(ctx, r)
-	dec, stats, err := core.DecodeSections(ctx, d.pool, src, dopts)
-	if err != nil {
-		return 0, core.DecompressStats{}, err
-	}
-	d.state = dec.StateDict()
-	return src.WireBytes(), *stats, nil
-}
-
 // handleConn serves one connection's update loop: prelude once, then any
 // number of [clientID, wire stream] updates, each acked after its ingest.
 // The connection ends on a clean EOF at an update boundary, on any failed
@@ -616,11 +580,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		rejectConn(err)
 		return
 	}
-	dict := dictIngestor{pool: s.pool}
-	ingestor := s.cfg.Ingestor
-	if ingestor == nil {
-		ingestor = &dict
-	}
 
 	wireExtra := pre.bytes // update 1 carries the connection prelude in its WireBytes
 	var rec [12]byte       // clientID, then the weight on FLS3 connections
@@ -656,7 +615,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			cr.deadline = time.Now().Add(s.cfg.UploadTimeout)
 		}
 		var err error
-		u.WireBytes, u.Stats, err = ingestor.IngestStream(ctx, u.Client, u.Weight, pre.dopts, br)
+		u.WireBytes, u.Stats, err = s.cfg.Ingestor.IngestStream(ctx, u.Client, u.Weight, pre.dopts, br)
 		cancel()
 		cr.deadline = time.Time{}
 
@@ -666,7 +625,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		u.WireBytes += wireExtra
 		wireExtra = 0
 		if err == nil && s.cfg.Handler != nil {
-			u.State, dict.state = dict.state, nil
 			err = s.cfg.Handler(u)
 		}
 		if err != nil {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/netsim"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -52,13 +55,31 @@ func compressUpdates(t testing.TB, n int) ([][]byte, []*tensor.StateDict) {
 	return streams, expected
 }
 
-// collector is a Handler that keeps every decoded update by client ID.
+// collector is the tests' whole-dict ingest: a StreamIngestor that decodes
+// each update into a state dict — the bit-identity reference the tests
+// compare against the in-memory decode — and a Handler that keeps every
+// accepted update, both by client ID.
 type collector struct {
 	mu      sync.Mutex
+	states  map[uint32]*tensor.StateDict
 	updates map[uint32]Update
 }
 
-func newCollector() *collector { return &collector{updates: make(map[uint32]Update)} }
+func newCollector() *collector {
+	return &collector{states: make(map[uint32]*tensor.StateDict), updates: make(map[uint32]Update)}
+}
+
+func (c *collector) IngestStream(ctx context.Context, client uint32, _ float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
+	src := wire.NewSectionSource(ctx, r)
+	dec, stats, err := core.DecodeSections(ctx, sched.Default(), src, dopts)
+	if err != nil {
+		return 0, core.DecompressStats{}, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.states[client] = dec.StateDict()
+	return src.WireBytes(), *stats, nil
+}
 
 func (c *collector) handle(u Update) error {
 	c.mu.Lock()
@@ -102,7 +123,7 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 	const n = 32
 	streams, expected := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +140,7 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 		if !ok {
 			t.Fatalf("client %d update missing", i)
 		}
-		if !bytes.Equal(u.State.Marshal(), expected[i].Marshal()) {
+		if !bytes.Equal(col.states[uint32(i)].Marshal(), expected[i].Marshal()) {
 			t.Fatalf("client %d: streamed decode not bit-identical to in-memory decode", i)
 		}
 		if u.WireBytes <= int64(len(streams[i])) {
@@ -144,7 +165,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	const n = 12
 	streams, _ := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{MaxConns: 2, Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{MaxConns: 2, Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +184,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	streams, _ := compressUpdates(t, 2)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +219,7 @@ func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 func TestThrottledUploadRecordsReadWait(t *testing.T) {
 	streams, _ := compressUpdates(t, 2)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +245,7 @@ func TestIdleClientDroppedFreesSlot(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", Config{
 		MaxConns:    1,
 		IdleTimeout: 100 * time.Millisecond,
+		Ingestor:    col,
 		Handler:     col.handle,
 	})
 	if err != nil {
@@ -262,7 +284,7 @@ func TestIdleClientDroppedFreesSlot(t *testing.T) {
 // TestGarbagePreludeRejected: junk before the protocol magic is refused.
 func TestGarbagePreludeRejected(t *testing.T) {
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +324,7 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 		}
 	}
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,4 +347,20 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 	b.StopTimer()
 	st := srv.Snapshot()
 	b.ReportMetric(st.OverlapRatio(), "overlap")
+}
+
+// TestServeRequiresIngestor: a server with no Ingestor cannot fold an
+// update, so Serve refuses the Config outright.
+func TestServeRequiresIngestor(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Config.Ingestor") {
+			t.Fatalf("Serve without an Ingestor: recovered %q, want a panic naming Config.Ingestor", msg)
+		}
+	}()
+	Serve(ln, Config{Handler: func(Update) error { return nil }})
 }

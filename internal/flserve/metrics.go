@@ -58,7 +58,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("fedsz_server_queue_depth",
 		"Connections waiting in the bounded ingest queue for a serving slot.", &m.queueDepth)
 	reg.Register("fedsz_server_updates_total",
-		"Updates decoded, verified, and folded by the handler.", &m.updates)
+		"Updates decoded, verified, and folded by the ingestor.", &m.updates)
 	reg.Register("fedsz_server_updates_rejected_total",
 		"Updates rejected by decode, verification, or the handler.", &m.updatesRejected)
 	reg.Register("fedsz_server_wire_bytes_total",

@@ -26,7 +26,7 @@ import (
 // error before it touches the writer Close recycled.
 func TestSessionUseAfterClose(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	srv, err := Listen("127.0.0.1:0", Config{Handler: newCollector().handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func waitIdle(t *testing.T, srv *Server) {
 func TestRecycledReaderAfterEveryExit(t *testing.T) {
 	streams, expected := compressUpdates(t, 5)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{IdleTimeout: 100 * time.Millisecond, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{IdleTimeout: 100 * time.Millisecond, Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRecycledReaderAfterEveryExit(t *testing.T) {
 			t.Fatalf("upload after %s: %v", exit.name, err)
 		}
 		col.mu.Lock()
-		got := col.updates[id].State
+		got := col.states[id]
 		col.mu.Unlock()
 		if got == nil || !bytes.Equal(got.Marshal(), expected[id].Marshal()) {
 			t.Fatalf("upload after %s: decode not bit-identical to the in-memory decode", exit.name)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/netsim"
 	"repro/internal/sched"
+	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -22,7 +24,7 @@ func TestSessionMultiUpdate(t *testing.T) {
 	const n = 6
 	streams, expected := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestSessionMultiUpdate(t *testing.T) {
 		if !ok {
 			t.Fatalf("update %d missing", i)
 		}
-		if !bytes.Equal(u.State.Marshal(), expected[i].Marshal()) {
+		if !bytes.Equal(col.states[uint32(i)].Marshal(), expected[i].Marshal()) {
 			t.Fatalf("update %d: multi-update decode not bit-identical", i)
 		}
 		if u.WireBytes <= int64(len(streams[i])) {
@@ -77,7 +79,7 @@ func TestUploadStateStreamsEncode(t *testing.T) {
 	}
 
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +97,11 @@ func TestUploadStateStreamsEncode(t *testing.T) {
 	if stats.EncodeWork <= 0 {
 		t.Fatalf("encode stats missing: %+v", stats)
 	}
-	u, ok := col.updates[7]
+	got, ok := col.states[7]
 	if !ok {
 		t.Fatal("update never delivered")
 	}
-	if !bytes.Equal(u.State.Marshal(), wantDict.Marshal()) {
+	if !bytes.Equal(got.Marshal(), wantDict.Marshal()) {
 		t.Fatal("streaming-encode upload decoded differently from buffered pipeline")
 	}
 }
@@ -114,6 +116,7 @@ func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 		MaxConns:      1,
 		UploadTimeout: 150 * time.Millisecond,
 		IdleTimeout:   -1, // isolate the upload deadline from the idle path
+		Ingestor:      col,
 		Handler:       col.handle,
 	})
 	if err != nil {
@@ -172,7 +175,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 			close(started)
 			return
 		}
-		Serve(ln2, Config{Handler: col.handle})
+		Serve(ln2, Config{Ingestor: col, Handler: col.handle})
 		close(started)
 	}()
 
@@ -213,7 +216,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 func TestUploadCancelledContext(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func TestWireBytesExactOnSharedConnection(t *testing.T) {
 	const n = 4
 	streams, _ := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col, Handler: col.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,3 +272,47 @@ func TestWireBytesExactOnSharedConnection(t *testing.T) {
 
 // wireWriterFor keeps the wire import local to the helper.
 func wireWriterFor(w *bytes.Buffer) *wire.Writer { return wire.NewWriter(w) }
+
+// TestStaleUploadDeadlineClearedBetweenUpdates: with the idle bound off, the
+// deadline an update's UploadTimeout arms must not outlive the update. A
+// session that pauses past it before its next update stays open.
+func TestStaleUploadDeadlineClearedBetweenUpdates(t *testing.T) {
+	// ~196 KB of lossless payload: larger than the server's 32 KiB read
+	// buffer, so the ingest reads the socket with the deadline armed.
+	rng := rand.New(rand.NewPCG(3, 3))
+	b := tensor.New(49152)
+	for i := range b.Data {
+		b.Data[i] = float32(rng.NormFloat64())
+	}
+	sd := tensor.NewStateDict()
+	sd.Add("fc.bias", tensor.KindBias, b)
+	stream, _, err := core.Compress(sd, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", Config{
+		Ingestor:      newCollector(),
+		UploadTimeout: 500 * time.Millisecond,
+		IdleTimeout:   -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	sess, err := (&Client{Addr: srv.Addr().String()}).Dial(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Upload(ctx, 1, stream); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Second)
+	if err := sess.Upload(ctx, 2, stream); err != nil {
+		t.Fatalf("upload after a pause past the first update's deadline: %v", err)
+	}
+	if st := srv.Snapshot(); st.Updates != 2 || st.Rejected != 0 {
+		t.Fatalf("stats %+v, want 2 updates and no rejections", st)
+	}
+}

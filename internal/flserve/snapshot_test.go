@@ -23,7 +23,7 @@ import (
 func TestSnapshotScrapeUnderLoad(t *testing.T) {
 	const n = 16
 	streams, _ := compressUpdates(t, n)
-	srv, err := Listen("127.0.0.1:0", Config{Handler: func(Update) error { return nil }})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var readWait, decodeWork time.Duration
-	cfg := Config{MaxConns: 1, QueueDepth: 1, Handler: func(u Update) error {
+	cfg := Config{MaxConns: 1, QueueDepth: 1, Ingestor: newCollector(), Handler: func(u Update) error {
 		<-gate
 		mu.Lock()
 		defer mu.Unlock()
@@ -159,7 +159,7 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 		t.Fatalf("garbage prelude: got %v, want ErrRejected", err)
 	}
 
-	other, err := Listen("127.0.0.1:0", Config{Handler: func(Update) error { return nil }})
+	other, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@ type Conv2D struct {
 	name                 string
 	InC, OutC            int
 	KH, KW, Stride, Pad  int
-	W                    *Param // [OutC, InC, KH, KW]
-	B                    *Param // [OutC]
-	x                    *tensor.Tensor
+	W                    *Param    // [OutC, InC, KH, KW]
+	B                    *Param    // [OutC]
 	cols                 []float32 // cached im2col of last forward (train)
 	inH, inW, outH, outW int
 	batch                int
@@ -56,7 +55,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			c.cols = make([]float32, n*colSize)
 		}
 		c.cols = c.cols[:n*colSize]
-		c.x = x
 	}
 	scratch := c.cols
 	if !train {

@@ -33,5 +33,5 @@ func AlexNetMini(rng *rand.Rand, in Input) *nn.Network {
 		nn.NewReLU(),
 		nn.NewDense(rng, "classifier.2", 192, in.Classes),
 	)
-	return nn.NewNetwork("alexnet-mini", layers...)
+	return nn.NewNetwork(layers...)
 }

@@ -44,7 +44,7 @@ func MobileNetV2Mini(rng *rand.Rand, in Input) *nn.Network {
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(rng, "classifier", 64, in.Classes),
 	)
-	return nn.NewNetwork("mobilenetv2-mini", layers...)
+	return nn.NewNetwork(layers...)
 }
 
 // invertedResidual builds the MobileNetV2 bottleneck. The residual add is

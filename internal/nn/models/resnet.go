@@ -32,7 +32,7 @@ func ResNetMini(rng *rand.Rand, in Input) *nn.Network {
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(rng, "fc", cur, in.Classes),
 	)
-	return nn.NewNetwork("resnet-mini", layers...)
+	return nn.NewNetwork(layers...)
 }
 
 // basicBlock is the two-conv residual block. A 1×1 projection shortcut is

@@ -47,13 +47,12 @@ type Layer interface {
 
 // Network is an ordered sequence of layers with state-dict plumbing.
 type Network struct {
-	ModelName string
-	Layers    []Layer
+	Layers []Layer
 }
 
 // NewNetwork builds a network from layers.
-func NewNetwork(name string, layers ...Layer) *Network {
-	return &Network{ModelName: name, Layers: layers}
+func NewNetwork(layers ...Layer) *Network {
+	return &Network{Layers: layers}
 }
 
 // Forward runs the full stack.

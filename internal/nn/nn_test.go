@@ -304,7 +304,7 @@ func TestSGDSkipsNonTrainable(t *testing.T) {
 
 func TestStateDictRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
-	net := NewNetwork("tiny",
+	net := NewNetwork(
 		NewConv2D(rng, "c1", 1, 2, 3, 1, 1),
 		NewBatchNorm2D("bn1", 2),
 		NewReLU(),
@@ -350,7 +350,7 @@ func TestNetworkLearnsXORLikeTask(t *testing.T) {
 	// End-to-end sanity: a small dense net must fit a nonlinear synthetic
 	// task, proving forward/backward/SGD compose correctly.
 	rng := rand.New(rand.NewPCG(15, 16))
-	net := NewNetwork("mlp",
+	net := NewNetwork(
 		NewDense(rng, "fc1", 2, 16),
 		NewReLU(),
 		NewDense(rng, "fc2", 16, 2),

@@ -11,8 +11,6 @@ import (
 // partitioner must route to the lossless path (paper §V-C), so this layer
 // is load-bearing for the pipeline's realism, not just for accuracy.
 type BatchNorm2D struct {
-	name     string
-	C        int
 	Momentum float64
 	Eps      float64
 
@@ -21,7 +19,6 @@ type BatchNorm2D struct {
 	NumBatches      *Param // scalar counter (PyTorch's num_batches_tracked)
 
 	// Training caches.
-	x          *tensor.Tensor
 	xhat       []float32
 	mean, vstd []float64 // batch mean, 1/sqrt(var+eps)
 }
@@ -29,7 +26,7 @@ type BatchNorm2D struct {
 // NewBatchNorm2D constructs the layer with gamma=1, beta=0, runVar=1.
 func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	bn := &BatchNorm2D{
-		name: name, C: c, Momentum: 0.1, Eps: 1e-5,
+		Momentum: 0.1, Eps: 1e-5,
 		Gamma:      &Param{Name: name + ".weight", Kind: tensor.KindWeight, Val: tensor.New(c), Grad: tensor.New(c)},
 		Beta:       &Param{Name: name + ".bias", Kind: tensor.KindBias, Val: tensor.New(c), Grad: tensor.New(c)},
 		RunMean:    &Param{Name: name + ".running_mean", Kind: tensor.KindRunningStat, Val: tensor.New(c)},
@@ -67,7 +64,6 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return y
 	}
 
-	bn.x = x
 	if cap(bn.xhat) < len(x.Data) {
 		bn.xhat = make([]float32, len(x.Data))
 	}

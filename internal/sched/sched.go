@@ -181,9 +181,9 @@ func (g *Group) Wait() { g.wg.Wait() }
 const maxPooledBytes = 64 << 20
 
 // recycledBytes counts the capacity (in bytes) of every buffer returned to
-// any sched pool — the observable behind Stats.BytesRecycled: how much
-// storage the zero-copy pipeline handed back for reuse instead of dropping
-// to the garbage collector.
+// any sched pool — the observable behind DecompressStats.BytesRecycled: how
+// much storage the zero-copy pipeline handed back for reuse instead of
+// dropping to the garbage collector.
 var recycledBytes atomic.Uint64
 
 // RecycledBytes returns the process-wide total of buffer bytes recycled

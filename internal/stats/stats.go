@@ -49,7 +49,6 @@ func Summarize(data []float32) Summary {
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	Total  int
 }
 
 // NewHistogram bins data into `bins` equal-width buckets over [lo, hi];
@@ -69,7 +68,6 @@ func NewHistogram(data []float32, lo, hi float64, bins int) *Histogram {
 			idx = bins - 1
 		}
 		h.Counts[idx]++
-		h.Total++
 	}
 	return h
 }
