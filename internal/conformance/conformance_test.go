@@ -11,6 +11,7 @@ package conformance
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -278,12 +279,14 @@ func TestCorruptBatchKeepsErrCorrupt(t *testing.T) {
 }
 
 // TestLosslessStageEarnsItsKeep pins what the SZ2/SZ3 trailing stage is kept
-// for, on weight-like data: it never grows a stream; at REL 1e-1, where
-// Huffman's one-bit floor leaves real redundancy, it still codes it away;
-// and at REL 1e-2 SZ2 still collects the zero-line blocks' coefficients
-// (zero bytes) and their predictor-kind run in front of the (now raw) Huffman
-// bitstream. SZ3 stores one predictor kind per level, not per block, and no
-// coefficients, so it has no such runs at tighter bounds.
+// for, on weight-like data: it never grows a stream, and at REL 1e-1, where
+// Huffman's one-bit floor leaves real redundancy, it still codes it away. At
+// REL 1e-2 and 1e-3 the code blob spends 2 bits an element or more, the keep
+// rule skips the stage, and nothing is left for it: SZ2's zero-line blocks
+// write no coefficients and their kinds go as runs. SZ2's stream is also no
+// longer than the one the earlier policy wrote for the same blocks (one kind
+// byte a block, zero coefficients for the zero line, the stage always
+// tried), which still decodes to the same values.
 func TestLosslessStageEarnsItsKeep(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	data := eblctest.WeightLike(rng, 1<<16)
@@ -293,7 +296,7 @@ func TestLosslessStageEarnsItsKeep(t *testing.T) {
 		c       ebcl.Compressor
 		minGain [3]float64
 	}{
-		{"sz2", sz2.NewCompressor(), [3]float64{0.15, 0.005, 0}},
+		{"sz2", sz2.NewCompressor(), [3]float64{0.15, 0, 0}},
 		{"sz3", sz3.NewCompressor(), [3]float64{0.15, 0, 0}},
 	} {
 		for i, rel := range rels {
@@ -309,12 +312,126 @@ func TestLosslessStageEarnsItsKeep(t *testing.T) {
 				t.Fatal(err)
 			}
 			on, off := len(stream), 17+1+len(payload)
+			if tc.name == "sz2" {
+				earlier := earlierSZ2Stream(t, stream[:17], payload)
+				if len(stream) > len(earlier) {
+					t.Errorf("sz2 REL %g: %d bytes, the earlier policy wrote %d", rel, len(stream), len(earlier))
+				}
+				want, err := tc.c.Decompress(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tc.c.Decompress(earlier)
+				if err != nil {
+					t.Fatalf("sz2 REL %g: earlier-policy stream: %v", rel, err)
+				}
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("sz2 REL %g: earlier-policy stream decodes to %v at %d, not %v", rel, got[j], j, want[j])
+					}
+				}
+			}
 			if pooled {
 				sched.PutBytes(payload)
 			}
 			if gain := 1 - float64(on)/float64(off); on > off || gain < tc.minGain[i] {
 				t.Errorf("%s REL %g: stage on %d bytes, off %d (gain %.2f%%, want >= %.1f%%)",
 					tc.name, rel, on, off, 100*gain, 100*tc.minGain[i])
+			}
+		}
+	}
+}
+
+// earlierSZ2Stream rewrites an SZ2 stream's payload as the LayoutFull
+// encoder wrote it: one kind byte a block with the zero line (kind 2) as a
+// regression block (kind 1) carrying two zero coefficients, and the
+// lossless stage always tried. head is the stream's header and bound.
+func earlierSZ2Stream(t *testing.T, head, payload []byte) []byte {
+	t.Helper()
+	var sec [4][]byte // kinds, coeffs, code blob, literals
+	pos := 0
+	for i := range sec {
+		var err error
+		if sec[i], pos, err = ebcl.ReadSection(payload, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if head[8] != ebcl.LayoutKindRuns {
+		t.Fatalf("layout %d, want %d", head[8], ebcl.LayoutKindRuns)
+	}
+	var kinds, coeffs []byte
+	for runs, left := sec[0], sec[1]; len(runs) > 0; {
+		kind := runs[0]
+		run, k := binary.Uvarint(runs[1:])
+		if k <= 0 {
+			t.Fatal("bad kind run")
+		}
+		runs = runs[1+k:]
+		for ; run > 0; run-- {
+			switch kind {
+			case 0:
+				kinds = append(kinds, 0)
+			case 1:
+				kinds, coeffs, left = append(kinds, 1), append(coeffs, left[:8]...), left[8:]
+			case 2:
+				kinds, coeffs = append(kinds, 1), append(coeffs, make([]byte, 8)...)
+			}
+		}
+	}
+	p := ebcl.AppendSection(nil, kinds)
+	p = ebcl.AppendSection(p, coeffs)
+	p = ebcl.AppendSection(p, sec[2])
+	p = ebcl.AppendSection(p, sec[3])
+	out := append(append([]byte(nil), head...), 0)
+	out[8] = ebcl.LayoutFull
+	return ebcl.LosslessStageAt(append(out, p...), 17)
+}
+
+// TestLosslessStageKeepRule: the back end tries the trailing stage only when
+// the code blob spends under 2 bits an element, and that rule gives nothing
+// away: wherever it skips the stage, forcing the stage on the same payload
+// saves under 0.5 % of the stream.
+func TestLosslessStageKeepRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 2))
+	for _, n := range []int{2_500, 51_000, 146_000} {
+		data := eblctest.WeightLike(rng, n)
+		for _, tc := range []struct {
+			name   string
+			c      ebcl.Compressor
+			blobAt int // the code blob's section: SZ2 has coefficients before it
+		}{
+			{"sz2", sz2.NewCompressor(), 2},
+			{"sz3", sz3.NewCompressor(), 1},
+		} {
+			for _, rel := range []float64{2e-1, 1e-1, 5e-2, 3e-2, 1e-2, 1e-3} {
+				stream, err := tc.c.Compress(data, ebcl.Rel(rel))
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, pooled, err := ebcl.ReadLosslessStage(stream[17:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var blob []byte
+				for i, pos := 0, 0; i <= tc.blobAt; i++ {
+					if blob, pos, err = ebcl.ReadSection(payload, pos); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bits, tried := 8*float64(len(blob))/float64(n), 8*len(blob) < 2*n
+				if tried {
+					t.Logf("%s n=%d REL %g: %.2f bits an element, stage tried, mode %d", tc.name, n, rel, bits, stream[17])
+					continue
+				}
+				forced := ebcl.LosslessStageAt(append(append(append([]byte(nil), stream[:17]...), 0), payload...), 17)
+				saved := 1 - float64(len(forced))/float64(len(stream))
+				t.Logf("%s n=%d REL %g: %.2f bits an element, stage skipped, forcing it saves %.3f%%", tc.name, n, rel, bits, 100*saved)
+				if stream[17] != 0 || saved >= 0.005 {
+					t.Errorf("%s n=%d REL %g: mode %d, forcing the stage saves %.2f%%, want mode 0 and under 0.5%%", tc.name, n, rel, stream[17], 100*saved)
+				}
+				if pooled {
+					sched.PutBytes(payload)
+				}
 			}
 		}
 	}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/huffman"
 	"repro/internal/lanes"
 	"repro/internal/sched"
 )
@@ -190,7 +192,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestLosslessStage(t *testing.T) {
 	payload := make([]byte, 4096) // all zeros: highly compressible
-	out := AppendLosslessStage(nil, payload)
+	out := LosslessStageAt(append([]byte{0}, payload...), 0)
 	if len(out) >= len(payload) {
 		t.Fatalf("stage did not compress: %d >= %d", len(out), len(payload))
 	}
@@ -201,7 +203,7 @@ func TestLosslessStage(t *testing.T) {
 	sched.PutBytes(back)
 	// A payload the codec cannot shrink is stored raw behind mode 0.
 	payload = []byte{3, 1, 4, 1, 5, 9, 2, 6}
-	raw := AppendLosslessStage(nil, payload)
+	raw := LosslessStageAt(append([]byte{0}, payload...), 0)
 	if len(raw) != len(payload)+1 || raw[0] != 0 {
 		t.Fatalf("incompressible payload should be stored raw: % x", raw)
 	}
@@ -282,6 +284,135 @@ func TestBackEndRoundTrip(t *testing.T) {
 			t.Fatalf("%s: read past the last literal: %v, consumed %v", f.Name, v, s.LiteralsConsumed())
 		}
 		s.Close()
+	}
+}
+
+// TestKindRunsLayout: a Format with KindRuns writes LayoutKindRuns and reads
+// both full layouts, telling them apart by Runs; a Format without it, and
+// DecodeLayout (the other codecs' frame), refuse LayoutKindRuns.
+func TestKindRunsLayout(t *testing.T) {
+	runs := Format{Magic: 0xABCD, Name: "a", Coeffs: true, KindRuns: true}
+	plain := runs
+	plain.KindRuns = false
+	for _, tc := range []struct {
+		write, read Format
+		layout      byte
+		err         bool
+	}{
+		{runs, runs, LayoutKindRuns, false},
+		{plain, runs, LayoutFull, false},
+		{plain, plain, LayoutFull, false},
+		{runs, plain, LayoutKindRuns, true},
+	} {
+		stream := backEndStream(t, tc.write)
+		if stream[8] != tc.layout {
+			t.Fatalf("KindRuns %v wrote layout %d, want %d", tc.write.KindRuns, stream[8], tc.layout)
+		}
+		var s Sections
+		_, full, err := s.Open(tc.read, nil, stream)
+		if tc.err {
+			if !errors.Is(err, ErrCorrupt) || full {
+				t.Fatalf("layout %d read without KindRuns: full %v err %v, want ErrCorrupt", tc.layout, full, err)
+			}
+			if _, _, _, _, err := DecodeLayout(nil, stream, runs.Magic, LayoutFull); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeLayout on layout %d: %v, want ErrCorrupt", tc.layout, err)
+			}
+			continue
+		}
+		if err != nil || !full || s.Runs != (tc.layout == LayoutKindRuns) || s.Coeffs.Len() != 2 {
+			t.Fatalf("layout %d read with KindRuns %v: full %v runs %v err %v", tc.layout, tc.read.KindRuns, full, s.Runs, err)
+		}
+		if kind, run, ok := s.NextKinds(1); kind != 9 || run != 1 || !ok || len(s.Kinds) != 0 {
+			t.Fatalf("layout %d: kind %d run %d ok %v, %d kind bytes left; want kind 9, one block, none left", tc.layout, kind, run, ok, len(s.Kinds))
+		}
+		s.Close()
+	}
+}
+
+// TestNextKinds: runs are read whole and checked against the blocks left; a
+// zero, overshooting or cut run and a read past the end are refused.
+func TestNextKinds(t *testing.T) {
+	runs := binary.AppendUvarint([]byte{2, 3, 0}, 300)
+	s := Sections{Kinds: runs, Runs: true}
+	for _, want := range []struct {
+		kind byte
+		run  int
+	}{{2, 3}, {0, 300}} {
+		if kind, run, ok := s.NextKinds(303); kind != want.kind || run != want.run || !ok {
+			t.Fatalf("kind %d run %d ok %v, want kind %d run %d", kind, run, ok, want.kind, want.run)
+		}
+	}
+	for _, bad := range []struct {
+		name  string
+		kinds []byte
+		left  int
+	}{
+		{"past the end", nil, 1},
+		{"zero run", []byte{1, 0}, 1},
+		{"run overshoots", []byte{1, 3}, 2},
+		{"run of 2^63", binary.AppendUvarint([]byte{1}, 1<<63), math.MaxInt},
+		{"run cut short", []byte{1, 0x80}, 1},
+		{"kind without a run", []byte{1}, 1},
+	} {
+		s := Sections{Kinds: bad.kinds, Runs: true}
+		if _, _, ok := s.NextKinds(bad.left); ok {
+			t.Errorf("%s: read as a run", bad.name)
+		}
+	}
+	s = Sections{Kinds: []byte{7, 0}}
+	if kind, run, ok := s.NextKinds(5); kind != 7 || run != 1 || !ok || len(s.Kinds) != 1 {
+		t.Fatalf("LayoutFull: kind %d run %d ok %v, %d bytes left", kind, run, ok, len(s.Kinds))
+	}
+}
+
+// TestBackEndErrorsWrapErrCorrupt: whatever byte of a stream is damaged, an
+// error from Open wraps ErrCorrupt, the Huffman decoder's own included.
+func TestBackEndErrorsWrapErrCorrupt(t *testing.T) {
+	f := Format{Magic: 0xABCD, Name: "a", Coeffs: true, KindRuns: true}
+	stream := backEndStream(t, f)
+	entropy := 0
+	for off := range stream {
+		for _, v := range []byte{0x00, 0x7F, 0xFF} {
+			bad := slices.Clone(stream)
+			bad[off] = v
+			var s Sections
+			_, full, err := s.Open(f, nil, bad)
+			if full {
+				s.Close()
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d set to %#x: %v does not wrap ErrCorrupt", off, v, err)
+			}
+			if errors.Is(err, huffman.ErrCorrupt) || errors.Is(err, huffman.ErrBadLengths) {
+				entropy++
+			}
+		}
+	}
+	if entropy == 0 {
+		t.Fatal("no damage reached the Huffman decoder")
+	}
+}
+
+// TestStageLengthCap: a zstd-like stage frame that declares more bytes than
+// n elements' payload can take (here 64 MiB from a dozen bytes: one literal,
+// then one match to the end) is refused before it is decompressed.
+func TestStageLengthCap(t *testing.T) {
+	f := Format{Magic: 0xABCD, Name: "a", Coeffs: true}
+	const declared = 64 << 20
+	frame := binary.LittleEndian.AppendUint32(nil, declared)
+	frame = append(frame, 0, 1, 'a', 1, 1) // raw literals "a", one sequence, one literal
+	frame = binary.AppendUvarint(frame, declared-4)
+	stream := append(append(slices.Clone(backEndStream(t, f)[:17]), 1), append(frame, 0, 0)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var s Sections
+	_, full, err := s.Open(f, nil, stream)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || full {
+		t.Fatalf("full %v err %v, want ErrCorrupt", full, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing the frame allocated %d bytes", grew)
 	}
 }
 

@@ -2,6 +2,7 @@ package ebcl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -20,6 +21,7 @@ const (
 	LayoutEmpty    = 0 // zero-length input
 	LayoutConstant = 1 // zero value range: single repeated value
 	LayoutFull     = 2 // full compression pipeline
+	LayoutKindRuns = 3 // LayoutFull with (kind, uvarint run) pairs for kinds: Format.KindRuns
 )
 
 // AppendHeader writes the common header: magic, element count, layout byte.
@@ -86,16 +88,19 @@ func ConstantOf(stream []byte, magic uint32, n int) (v float32, ok bool) {
 
 // DecodeLayout parses the common header and finishes the layouts
 // AppendDegenerate wrote: for those out is the complete reconstruction in
-// dst's storage and full is false. For LayoutFull it returns the element
-// count and the bytes after the header, for the codec's own pipeline. full
-// is false on error.
-func DecodeLayout(dst []float32, stream []byte, magic uint32) (out []float32, n int, rest []byte, full bool, err error) {
+// dst's storage and full is false. For LayoutFull, or the codec's own
+// fullLayout, it returns the element count and the bytes after the header,
+// for the codec's own pipeline. full is false on error.
+func DecodeLayout(dst []float32, stream []byte, magic uint32, fullLayout byte) (out []float32, n int, rest []byte, full bool, err error) {
 	n, layout, rest, err := ParseHeader(stream, magic)
 	if err != nil {
 		return nil, 0, nil, false, err
 	}
 	switch layout {
 	case LayoutEmpty:
+		if n != 0 {
+			return nil, 0, nil, false, ErrCorrupt
+		}
 		return GrowFloats(dst, 0), 0, nil, false, nil
 	case LayoutConstant:
 		if len(rest) < 4 {
@@ -107,7 +112,7 @@ func DecodeLayout(dst []float32, stream []byte, magic uint32) (out []float32, n 
 			out[i] = v
 		}
 		return out, n, nil, false, nil
-	case LayoutFull:
+	case LayoutFull, fullLayout:
 		return nil, n, rest, true, nil
 	}
 	return nil, 0, nil, false, ErrCorrupt
@@ -191,25 +196,21 @@ func appendFloatSection(dst []byte, vals []float32) []byte {
 
 var zcodec = lossless.NewZstdLike()
 
-// AppendLosslessStage appends payload to out, passing it through the
-// zstd-like codec first when that wins. A mode byte records which
-// representation was kept. The intermediate compressed buffer is copied
-// into out, so it is recycled via the shared sched pool.
-func AppendLosslessStage(out, payload []byte) []byte {
-	if z, err := zcodec.Compress(payload); err == nil {
-		if len(z) < len(payload) {
-			out = append(out, 1)
-			out = append(out, z...)
-			sched.PutBytes(z)
-			return out
+// LosslessStageAt runs the trailing lossless stage over dst[at+1:], a
+// payload written behind mode byte 0 at dst[at]: when the zstd-like codec
+// shrinks it, mode 1 and the compressed bytes replace it. The compressed
+// buffer is copied into dst, so it is recycled via the shared sched pool.
+func LosslessStageAt(dst []byte, at int) []byte {
+	if z, err := zcodec.Compress(dst[at+1:]); err == nil {
+		if len(z) < len(dst)-at-1 {
+			dst = append(append(dst[:at], 1), z...)
 		}
 		sched.PutBytes(z)
 	}
-	out = append(out, 0)
-	return append(out, payload...)
+	return dst
 }
 
-// ReadLosslessStage reverses AppendLosslessStage. pooled reports whether
+// ReadLosslessStage reverses LosslessStageAt. pooled reports whether
 // payload is a pooled decompression buffer the caller must hand to
 // sched.PutBytes once the bytes are dead, rather than a view into rest.
 func ReadLosslessStage(rest []byte) (payload []byte, pooled bool, err error) {
@@ -233,9 +234,16 @@ func ReadLosslessStage(rest []byte) (payload []byte, pooled bool, err error) {
 //	header | f64 ebAbs | lossless stage( kinds | [coeffs] | codes | literals )
 //
 // every inner section length-prefixed, codes the multi-stream Huffman blob of
-// the quantization codes, literals the escape-coded float32s. A codec keeps
-// its predictor selection, its side info (per-block or per-level kinds, SZ2's
-// regression coefficients) and the quantize/dequantize loops.
+// the quantization codes, literals the escape-coded float32s. Under
+// LayoutFull kinds holds one byte per block or level; under LayoutKindRuns
+// (SZ2 since its zero-line kind) it holds (kind byte, uvarint run) pairs. A
+// codec keeps its predictor selection, its side info (kinds, SZ2's regression
+// coefficients) and the quantize/dequantize loops.
+//
+// The keep rule: the lossless stage is tried only when the code blob spends
+// under stageMaxBits bits an element. Above that Huffman leaves the codes no
+// redundancy an LZ parse finds, so the payload is written raw (mode 0).
+const stageMaxBits = 2
 
 // Format is the constant part of one SZ-family codec's stream.
 type Format struct {
@@ -243,6 +251,17 @@ type Format struct {
 	Name  string // prefixes the codec's parameter errors
 	// Coeffs: the payload has a float32 coefficient section after the kinds.
 	Coeffs bool
+	// KindRuns: the codec writes its kinds as runs under LayoutKindRuns; it
+	// still reads LayoutFull streams, whose kinds are one byte each.
+	KindRuns bool
+}
+
+// layout is the full-pipeline layout byte f writes.
+func (f Format) layout() byte {
+	if f.KindRuns {
+		return LayoutKindRuns
+	}
+	return LayoutFull
 }
 
 // DecodedLen returns the element count from the stream header.
@@ -266,28 +285,33 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 }
 
 // Finish entropy-codes codes (one per element), assembles the payload, runs
-// the trailing lossless stage, and appends the stream to dst. It owns the
-// four slices, which come from the sched pools (coeffs may be nil): they and
-// every intermediate buffer are back in the pools when it returns, error or
-// not.
+// the trailing lossless stage where the keep rule lets it, and appends the
+// stream to dst. It owns the four slices, which come from the sched pools
+// (coeffs may be nil): they and every intermediate buffer are back in the
+// pools when it returns, error or not.
 func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32) ([]byte, error) {
 	n := len(codes)
 	codeBlob, err := huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
 	sched.PutUint16s(codes)
 	if err == nil {
-		payload := sched.GetBytes(len(codeBlob) + 4*len(literals) + 4*len(coeffs) + len(kinds) + 64)
-		payload = AppendSection(payload, kinds)
-		if f.Coeffs {
-			payload = appendFloatSection(payload, coeffs)
+		if f.KindRuns {
+			runs := kindRuns(kinds)
+			sched.PutBytes(kinds)
+			kinds = runs
 		}
-		payload = AppendSection(payload, codeBlob)
-		payload = appendFloatSection(payload, literals)
-		sched.PutBytes(codeBlob)
-
-		dst = AppendHeader(dst, f.Magic, n, LayoutFull)
+		dst = AppendHeader(dst, f.Magic, n, f.layout())
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ebAbs))
-		dst = AppendLosslessStage(dst, payload)
-		sched.PutBytes(payload)
+		mode, tryStage := len(dst), 8*len(codeBlob) < stageMaxBits*n
+		dst = AppendSection(append(dst, 0), kinds)
+		if f.Coeffs {
+			dst = appendFloatSection(dst, coeffs)
+		}
+		dst = AppendSection(dst, codeBlob)
+		dst = appendFloatSection(dst, literals)
+		sched.PutBytes(codeBlob)
+		if tryStage {
+			dst = LosslessStageAt(dst, mode)
+		}
 	}
 	sched.PutBytes(kinds)
 	sched.PutFloats(coeffs)
@@ -298,6 +322,19 @@ func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32
 	return dst, nil
 }
 
+// kindRuns returns kinds as (kind byte, uvarint run) pairs in a pooled
+// buffer: a run of r takes 1 + uvarint(r) ≤ 1 + r bytes.
+func kindRuns(kinds []byte) []byte {
+	runs := sched.GetBytes(2 * len(kinds))
+	for i, j := 0, 1; i < len(kinds); j++ {
+		if j == len(kinds) || kinds[j] != kinds[i] {
+			runs = binary.AppendUvarint(append(runs, kinds[i]), uint64(j-i))
+			i = j
+		}
+	}
+	return runs
+}
+
 // Sections is an opened SZ-family stream: what Finish was given, read back
 // and checked as far as the frame goes (the codec checks Kinds and Coeffs
 // against its own predictor structure). Use a local value; Close it when the
@@ -305,6 +342,7 @@ func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32
 type Sections struct {
 	EbAbs  float64
 	Kinds  []byte
+	Runs   bool // Kinds holds runs (LayoutKindRuns); read them with NextKinds
 	Coeffs FloatView
 	Codes  []uint16 // one per element; an EscapeCode takes NextLiteral
 
@@ -318,15 +356,22 @@ type Sections struct {
 // holds the sections and out is the n-element destination (dst's storage when
 // large enough) for the codec to fill.
 func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, full bool, err error) {
-	out, n, rest, full, err := DecodeLayout(dst, stream, f.Magic)
+	out, n, rest, full, err := DecodeLayout(dst, stream, f.Magic, f.layout())
 	if !full {
 		return out, false, err
 	}
+	s.Runs = stream[8] == LayoutKindRuns
 	if len(rest) < 8 {
 		return nil, false, ErrCorrupt
 	}
 	s.EbAbs = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 	if !(s.EbAbs > 0) || math.IsInf(s.EbAbs, 0) {
+		return nil, false, ErrCorrupt
+	}
+	// A zstd-like frame starts with the length it decompresses to. Refuse one
+	// beyond any payload of n elements (3 code and 4 literal bytes each, side
+	// info, the code table) before a byte of it is built.
+	if len(rest) >= 13 && rest[8] == 1 && uint64(binary.LittleEndian.Uint32(rest[9:])) > 8*uint64(n)+1<<18 {
 		return nil, false, ErrCorrupt
 	}
 	payload, pooled, err := ReadLosslessStage(rest[8:])
@@ -351,9 +396,33 @@ func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, 
 	}
 	if err != nil {
 		s.Close()
+		if !errors.Is(err, ErrCorrupt) { // the lossless stage's or Huffman's own
+			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
 		return nil, false, err
 	}
 	return GrowFloats(dst, n), true, nil
+}
+
+// NextKinds consumes the next kind and returns it with the blocks (or levels)
+// it covers, 1 to left: one under LayoutFull, the pair's run under
+// LayoutKindRuns. ok is false past the end and for a run that is zero, over
+// left or cut short; the codec checks the kind. Nothing is allocated.
+func (s *Sections) NextKinds(left int) (kind byte, run int, ok bool) {
+	if len(s.Kinds) == 0 {
+		return 0, 0, false
+	}
+	kind = s.Kinds[0]
+	if !s.Runs {
+		s.Kinds = s.Kinds[1:]
+		return kind, 1, true
+	}
+	v, k := binary.Uvarint(s.Kinds[1:])
+	if k <= 0 || v == 0 || v > uint64(left) {
+		return 0, 0, false
+	}
+	s.Kinds = s.Kinds[1+k:]
+	return kind, int(v), true
 }
 
 // NextLiteral returns the next escape-coded value. Past the last one it

@@ -124,8 +124,8 @@ func FuzzChooseBlockPredictor(f *testing.F) {
 // zero line (no coefficients to pay for), a ramp under small noise keeps its
 // fitted line, a random walk keeps Lorenzo, and a short tail block is priced
 // with its own 2^(64/n). Every case also goes through the codec: the block
-// kinds and coefficients in the stream are the ones picked here, and the
-// bound holds.
+// kind runs in the stream are the kinds picked here, only fitted-line blocks
+// store coefficients (nonzero ones), and the bound holds.
 func TestBlockPredictorPolicy(t *testing.T) {
 	lineCharge := func(n int) float64 { return math.Exp2(64 / float64(n)) }
 	if fullBlockCharge != lineCharge(blockSize) {
@@ -155,12 +155,11 @@ func TestBlockPredictorPolicy(t *testing.T) {
 		name string
 		data []float32
 		kind byte
-		line bool // the fitted line's coefficients, not zeros
 	}{
-		{"i.i.d. Laplace", gen(4*blockSize, func(int, float64) float64 { return laplace() }), predRegression, false},
-		{"ramp plus small noise", gen(4*blockSize, func(i int, _ float64) float64 { return 1e-3*float64(i) + 1e-4*rng.NormFloat64() }), predRegression, true},
-		{"random walk", gen(4*blockSize, func(_ int, v float64) float64 { return v + 1e-3*rng.NormFloat64() }), predLorenzo, false},
-		{"short tail", append(gen(blockSize, func(int, float64) float64 { return laplace() }), tail...), predRegression, false},
+		{"i.i.d. Laplace", gen(4*blockSize, func(int, float64) float64 { return laplace() }), predZero},
+		{"ramp plus small noise", gen(4*blockSize, func(i int, _ float64) float64 { return 1e-3*float64(i) + 1e-4*rng.NormFloat64() }), predRegression},
+		{"random walk", gen(4*blockSize, func(_ int, v float64) float64 { return v + 1e-3*rng.NormFloat64() }), predLorenzo},
+		{"short tail", append(gen(blockSize, func(int, float64) float64 { return laplace() }), tail...), predZero},
 	}
 	lanes.BothPaths(func(path string) {
 		for _, tc := range cases {
@@ -173,20 +172,30 @@ func TestBlockPredictorPolicy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coef := 0
-			for b, kind := range sec.Kinds {
-				block := tc.data[b*blockSize : min((b+1)*blockSize, len(tc.data))]
-				if kind != tc.kind {
-					t.Errorf("%s: %s block %d (%d elements) is kind %d, want %d", path, tc.name, b, len(block), kind, tc.kind)
+			if !sec.Runs {
+				t.Fatalf("%s: %s stream is not LayoutKindRuns", path, tc.name)
+			}
+			nBlocks, coef := (len(tc.data)+blockSize-1)/blockSize, 0
+			for b := 0; b < nBlocks; {
+				kind, run, ok := sec.NextKinds(nBlocks - b)
+				if !ok {
+					t.Fatalf("%s: %s: bad kind run at block %d", path, tc.name, b)
 				}
-				if kind != predRegression {
-					continue
+				for end := b + run; b < end; b++ {
+					if kind != tc.kind {
+						t.Errorf("%s: %s block %d is kind %d, want %d", path, tc.name, b, kind, tc.kind)
+					}
+					if kind != predRegression {
+						continue
+					}
+					if a, bb := sec.Coeffs.At(coef), sec.Coeffs.At(coef+1); a == 0 && bb == 0 {
+						t.Errorf("%s: %s block %d is a fitted line with zero coefficients", path, tc.name, b)
+					}
+					coef += 2
 				}
-				a, bb := sec.Coeffs.At(coef), sec.Coeffs.At(coef+1)
-				coef += 2
-				if (a != 0 || bb != 0) != tc.line {
-					t.Errorf("%s: %s block %d has coefficients %v, %v", path, tc.name, b, a, bb)
-				}
+			}
+			if len(sec.Kinds) != 0 || coef != sec.Coeffs.Len() {
+				t.Errorf("%s: %s: %d kind bytes and %d of %d coefficients left over", path, tc.name, len(sec.Kinds), sec.Coeffs.Len()-coef, sec.Coeffs.Len())
 			}
 			sec.Close()
 			if out, err = NewCompressor().DecompressInto(out, stream); err != nil {

@@ -8,12 +8,14 @@
 //  2. Per block, choose between a 1-D Lorenzo predictor (previous
 //     reconstructed value), the block's fitted line and the zero line,
 //     whichever is estimated to code in fewer bits, the fitted line's two
-//     coefficients included (SZ2's hybrid design).
+//     coefficients included (SZ2's hybrid design). Only a fitted line stores
+//     coefficients; the three block kinds are written as runs.
 //  3. Quantize prediction residuals into 2·eb-wide bins; residuals outside
 //     the code range become escape-coded IEEE-754 literals.
 //  4. Entropy-code the quantization codes with canonical Huffman.
 //  5. Run the concatenated payload through an LZ+Huffman lossless stage
-//     (standing in for SZ2's Zstd stage) and keep it when smaller.
+//     (standing in for SZ2's Zstd stage), only when the code blob leaves
+//     room (under 2 bits an element), and keep it when smaller.
 //
 // Steps 1–3 are this package; 4 and 5, and the stream frame around them, are
 // the back end SZ2 shares with SZ3 (ebcl.Format, ebcl.Sections).
@@ -42,12 +44,14 @@ const (
 	fullBlockCharge = 1.189207115002721
 
 	predLorenzo    = 0
-	predRegression = 1
+	predRegression = 1 // the fitted line, two coefficients
+	predZero       = 2 // the zero line: a regression block with a = b = 0, no coefficients
 )
 
-// format is SZ2's stream: magic "SZ\0\2", one predictor kind per block,
-// two regression coefficients per regression block.
-var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true}
+// format is SZ2's stream: magic "SZ\0\2", the block kinds as runs, two
+// coefficients per fitted-line block. LayoutFull streams (one kind byte a
+// block, Lorenzo or regression) predate the zero-line kind and still decode.
+var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true, KindRuns: true}
 
 // Params is re-exported so callers importing only this package can build
 // error bounds without also importing ebcl.
@@ -118,6 +122,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		predKinds[b] = kind
 		if kind == predRegression {
 			coeffs = append(coeffs, a, bb)
+		}
+		if kind != predLorenzo {
 			literals, prevRecon = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals)
 			continue
 		}
@@ -152,32 +158,35 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		return out, err
 	}
 	defer sec.Close()
-	n, codes, predKinds, coeffs := len(out), sec.Codes, sec.Kinds, sec.Coeffs
+	n, codes, coeffs := len(out), sec.Codes, sec.Coeffs
 	nBlocks := (n + blockSize - 1) / blockSize
-	if len(predKinds) != nBlocks {
-		return nil, ebcl.ErrCorrupt
+	maxKind := byte(predRegression) // a LayoutFull stream predates the zero line
+	if sec.Runs {
+		maxKind = predZero
 	}
 
 	q := ebcl.NewQuantizer(sec.EbAbs)
 	prevRecon := 0.0
 	coefIdx := 0
-	for b := 0; b < nBlocks; b++ {
+	var kind byte
+	for b, run := 0, 0; b < nBlocks; b, run = b+1, run-1 {
+		if run == 0 {
+			var ok bool
+			if kind, run, ok = sec.NextKinds(nBlocks - b); !ok || kind > maxKind {
+				return nil, ebcl.ErrCorrupt
+			}
+		}
 		lo := b * blockSize
 		hi := min(lo+blockSize, n)
-		kind := predKinds[b]
 		var a, bb float32
-		switch kind {
-		case predRegression:
+		if kind == predRegression {
 			if coefIdx+2 > coeffs.Len() {
 				return nil, ebcl.ErrCorrupt
 			}
 			a, bb = coeffs.At(coefIdx), coeffs.At(coefIdx+1)
 			coefIdx += 2
-		case predLorenzo:
-		default:
-			return nil, ebcl.ErrCorrupt
 		}
-		if kind == predRegression {
+		if kind != predLorenzo {
 			q.DequantizeLinear(out[lo:hi], codes[lo:hi], float64(a), float64(bb), &sec)
 			prevRecon = float64(out[hi-1])
 			continue
@@ -193,7 +202,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			prevRecon = float64(out[i])
 		}
 	}
-	if !sec.LiteralsConsumed() {
+	if len(sec.Kinds) != 0 || coefIdx != coeffs.Len() || !sec.LiteralsConsumed() {
 		return nil, ebcl.ErrCorrupt
 	}
 	return out, nil
@@ -214,10 +223,10 @@ func widen(f []float64, block []float32) []float64 {
 //
 // A block's code bits grow as n·log2 of its mean absolute residual, so a
 // candidate is scored by its L1 error, and the fitted line's 64 bits of
-// coefficients multiply its error by 2^(64/n). The zero line (a regression
-// block with a = b = 0) ships zero coefficient bytes, which the trailing
-// lossless stage folds to almost nothing, so it is charged nothing. Lorenzo
-// keeps a tie, as the zero line does against the fitted line.
+// coefficients multiply its error by 2^(64/n). The zero line (predZero, a
+// regression block with a = b = 0) writes no coefficients, only its share of
+// a kind run, so it is charged nothing. Lorenzo keeps a tie, as the zero line
+// does against the fitted line.
 func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte, a, b float32) {
 	if len(block) < 8 {
 		return predLorenzo, 0, 0
@@ -234,7 +243,7 @@ func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte
 	}
 	kind, best := byte(predLorenzo), lorenzoErr
 	if zeroErr+1e-12 < best {
-		kind, best = predRegression, zeroErr
+		kind, best = predZero, zeroErr
 	}
 	if fit := regErr * charge; fit+1e-12 < best {
 		return predRegression, float32(af), float32(bf)

@@ -172,7 +172,7 @@ func appendTruncated(buf []byte, pos int, acc uint64, nacc uint, block []float32
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
 // storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic, ebcl.LayoutFull)
 	if !full {
 		return out, err
 	}

@@ -134,7 +134,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
 // storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic)
+	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic, ebcl.LayoutFull)
 	if !full {
 		return out, err
 	}
