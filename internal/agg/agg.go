@@ -279,17 +279,24 @@ func (s *Sharded) WeightSum() float64 {
 	return s.wsum
 }
 
-// Mean returns the weighted FedAvg mean of the folded updates (a copy
-// over pooled tensor buffers, original entry order) and the update count;
-// nil and 0 before the first update. Recycle via core.Release.
+// Mean returns the weighted FedAvg mean of the folded updates (original
+// entry order, each tensor one lanes.Scale pass from the accumulator into a
+// pooled buffer) and the update count; nil and 0 before the first update.
+// Recycle via core.Release.
 func (s *Sharded) Mean() (*tensor.StateDict, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sumView == nil {
 		return nil, 0
 	}
-	out := s.sumView.CloneInto(nil)
-	out.Scale(float32(1 / s.wsum))
+	w := float32(1 / s.wsum)
+	out := tensor.NewStateDict()
+	for _, e := range s.sumView.Entries() {
+		n := e.Tensor.NumElems()
+		buf := sched.GetFloats(n)[:n]
+		lanes.Scale(buf, e.Tensor.Data, w)
+		out.Add(e.Name, e.Kind, tensor.FromData(buf, e.Tensor.Shape...))
+	}
 	return out, s.n
 }
 

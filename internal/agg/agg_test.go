@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -84,6 +85,18 @@ func ingest(t testing.TB, s *Sharded, client uint32, weight float64, framed []by
 	}
 }
 
+// scaleRef multiplies every value of sd by w in a Go loop, in the operand
+// order of Go's MULSS: the reference lanes.Scale is held to, kept apart from
+// StateDict.Scale (which runs the kernel) so a conformance test does not
+// compare the kernel with itself.
+func scaleRef(sd *tensor.StateDict, w float32) {
+	for _, e := range sd.Entries() {
+		for i, v := range e.Tensor.Data {
+			e.Tensor.Data[i] = v * w
+		}
+	}
+}
+
 // manualFold is the textbook FedAvg fold the aggregator must reproduce bit
 // for bit under sequential unweighted ingest: adopt the first decoded
 // update, StateDict.AddScaled each later one at weight 1, divide by the
@@ -96,7 +109,7 @@ func manualFold(t testing.TB, decoded []*tensor.StateDict) *tensor.StateDict {
 			t.Fatal(err)
 		}
 	}
-	sum.Scale(1 / float32(len(decoded)))
+	scaleRef(sum, 1/float32(len(decoded)))
 	return sum
 }
 
@@ -189,34 +202,32 @@ func TestShardedConformanceConcurrent(t *testing.T) {
 }
 
 // TestShardedWeighted checks the weighted merge: ingesting updates at
-// weights 2 and 3 must equal the manual (2a + 3b)/5.
+// weights 2 and 3 must equal the manual (2a + 3b)/5 bit for bit, with the
+// adopt's and the mean's scales in a Go loop, on the kernels and on the Go
+// loops.
 func TestShardedWeighted(t *testing.T) {
 	streams, decoded := compressUpdates(t, 2)
-	sh := New(Config{Shards: 2})
-	ingest(t, sh, 0, 2, frame(t, streams[0]))
-	ingest(t, sh, 1, 3, frame(t, streams[1]))
-	got, n := sh.Mean()
-	if n != 2 {
-		t.Fatalf("folded %d, want 2", n)
-	}
-	if ws := sh.WeightSum(); ws != 5 {
-		t.Fatalf("WeightSum = %v, want 5", ws)
-	}
-
 	want := decoded[0].Clone()
-	want.Scale(2)
+	scaleRef(want, 2)
 	if err := want.AddScaled(decoded[1], 3); err != nil {
 		t.Fatal(err)
 	}
-	want.Scale(float32(1.0 / 5.0))
-	diff, err := want.MaxAbsDiff(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff > 1e-6 {
-		t.Fatalf("weighted mean off by %g", diff)
-	}
-	core.Release(got)
+	scaleRef(want, float32(1.0/5.0))
+
+	lanes.BothPaths(func(path string) {
+		sh := New(Config{Shards: 2})
+		ingest(t, sh, 0, 2, frame(t, streams[0]))
+		ingest(t, sh, 1, 3, frame(t, streams[1]))
+		got, n := sh.Mean()
+		if n != 2 {
+			t.Fatalf("%s: folded %d, want 2", path, n)
+		}
+		if ws := sh.WeightSum(); ws != 5 {
+			t.Fatalf("%s: WeightSum = %v, want 5", path, ws)
+		}
+		mustEqualBits(t, path+": weighted mean", got, want)
+		core.Release(got)
+	})
 }
 
 // TestMeanDivideMatchesFloat32 pins Mean's one divide: an unweighted fold has
@@ -233,6 +244,49 @@ func TestMeanDivideMatchesFloat32(t *testing.T) {
 		if got, want := float32(1/float64(n)), 1/float32(n); got != want {
 			t.Errorf("n=%d: float32(1/float64(n)) = %g, 1/float32(n) = %g", n, got, want)
 		}
+	}
+}
+
+// BenchmarkMean times Mean and the Release that recycles its buffers, at
+// the accumulator shapes of the bench's delta_rounds workload (12 layers of
+// 145,833 floats) and round_lan's (AlexNet's weight-tensor proportions over
+// 2.4 M floats); MB/s counts the accumulator's bytes.
+func BenchmarkMean(b *testing.B) {
+	alexnet := []int{34848, 307200, 884736, 663552, 442368, 37748736, 16777216, 4096000}
+	total := 0
+	for _, n := range alexnet {
+		total += n
+	}
+	var skew []int
+	for _, n := range alexnet {
+		skew = append(skew, max(64, n*2_400_000/total))
+	}
+	even := make([]int, 12)
+	for i := range even {
+		even[i] = 145_833
+	}
+	for _, shape := range []struct {
+		name   string
+		layers []int
+	}{{"delta_rounds", even}, {"round_lan", skew}} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(38, 1))
+			sd := tensor.NewStateDict()
+			params := 0
+			for i, n := range shape.layers {
+				sd.Add(fmt.Sprintf("layer%d.weight", i), tensor.KindWeight, tensor.FromData(eblctest.WeightLike(rng, n), n))
+				params += n
+			}
+			sh := New(Config{})
+			ingest(b, sh, 0, 1, frame(b, mustCompress(b, sd)))
+			ingest(b, sh, 1, 1, frame(b, mustCompress(b, sd)))
+			b.SetBytes(int64(4 * params))
+			b.ResetTimer()
+			for range b.N {
+				mean, _ := sh.Mean()
+				core.Release(mean)
+			}
+		})
 	}
 }
 
@@ -770,6 +824,50 @@ func TestHostileFirstUpdateLiveServer(t *testing.T) {
 	}
 	if busy := pool.Busy(); busy != 0 {
 		t.Fatalf("pool busy after drain: %d", busy)
+	}
+}
+
+// TestWeightOutsideFloat32Rejected uploads one update per FLS3 weight to a
+// live server. The fold runs at float32(weight), so a weight that is not a
+// positive, finite float32 must come back as a rejection, counted, with
+// nothing folded: 1e300 and 3.5e38 round to +Inf (at 1e300 every element
+// of the mean came out non-finite) and 1e-50 to zero. The accepted weights
+// fold and add up.
+func TestWeightOutsideFloat32Rejected(t *testing.T) {
+	sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &flserve.Client{Addr: srv.Addr().String()}
+	stream := mustCompress(t, hostileDict(3, false))
+	for i, row := range []struct {
+		weight float64
+		ok     bool
+	}{
+		{0, false}, {-1, false}, {math.NaN(), false}, {math.Inf(1), false},
+		{1e300, false}, {3.5e38, false}, {1e-50, false},
+		{1, true}, {3, true}, {1 << 24, true},
+	} {
+		rejected, n := srv.Snapshot().Rejected, folded(sh)
+		err := c.UploadWeighted(context.Background(), uint32(i), row.weight, stream)
+		switch {
+		case row.ok && err != nil:
+			t.Fatalf("weight %g: %v, want accepted", row.weight, err)
+		case !row.ok && !errors.Is(err, flserve.ErrRejected):
+			t.Fatalf("weight %g: %v, want ErrRejected", row.weight, err)
+		}
+		wantRejected, wantN := rejected+1, n
+		if row.ok {
+			wantRejected, wantN = rejected, n+1
+		}
+		if got, gotN := srv.Snapshot().Rejected, folded(sh); got != wantRejected || gotN != wantN {
+			t.Fatalf("weight %g: rejected %d, folded %d; want %d and %d", row.weight, got, gotN, wantRejected, wantN)
+		}
+	}
+	if ws := sh.WeightSum(); ws != 1+3+1<<24 {
+		t.Fatalf("WeightSum = %v, want %v", ws, 1+3+1<<24)
 	}
 }
 

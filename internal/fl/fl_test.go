@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/nn/models"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -107,6 +108,17 @@ func convergenceFx(t *testing.T) *convergenceFixture {
 	return fx
 }
 
+// scaleRef multiplies every value of sd by w in a Go loop: the reference
+// lanes.Scale is held to, kept apart from StateDict.Scale (which runs the
+// kernel) so a conformance test does not compare the kernel with itself.
+func scaleRef(sd *tensor.StateDict, w float32) {
+	for _, e := range sd.Entries() {
+		for i, v := range e.Tensor.Data {
+			e.Tensor.Data[i] = v * w
+		}
+	}
+}
+
 // TestRawTransportRoundTrip: the raw arm carries updates exactly and folds
 // them in agg.Sharded's order. Three untrained clients upload the global
 // model g itself, so the new global must be ((g + g) + g) · (1/3) bit for
@@ -120,8 +132,8 @@ func TestRawTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := g.Clone()
-	want.Scale(3)
-	want.Scale(1 / float32(3))
+	scaleRef(want, 3)
+	scaleRef(want, 1/float32(3))
 	if res.RawBytes != 3*g.SizeBytes() || !bytes.Equal(fed.Global.StateDict().Marshal(), want.Marshal()) {
 		t.Fatalf("raw round: %d raw bytes for three %d-byte dicts, or not the exact fold", res.RawBytes, g.SizeBytes())
 	}
@@ -361,7 +373,7 @@ func (c seamCase) run(t *testing.T, procs, rounds int, ledger *floatLedger) (*Fe
 			}
 			r.raw, r.wire, r.delta = r.raw+sd.SizeBytes(), r.wire+n, r.delta+nDelta
 		}
-		sum.Scale(1 / float32(len(fed.Clients)))
+		scaleRef(sum, 1/float32(len(fed.Clients)))
 		r.want = sum.Marshal()
 	}
 	return fed, out
@@ -386,7 +398,8 @@ func (c *cancelAt) Err() error {
 // TestRoundConformance pins the round for every transport: over two
 // trained rounds the global model is the textbook fold of the reference
 // pipeline's decodes bit for bit, with exact byte accounting; it does not
-// depend on GOMAXPROCS; a round cancelled mid-upload returns
+// depend on GOMAXPROCS or on whether the lane kernels run (the Go loops'
+// rounds are held to the same fold); a round cancelled mid-upload returns
 // context.Canceled; and RunRound hands back every pooled float buffer it
 // takes, the cancelled round's included.
 func TestRoundConformance(t *testing.T) {
@@ -395,6 +408,12 @@ func TestRoundConformance(t *testing.T) {
 			var ledger floatLedger
 			fed, one := tc.run(t, 1, 2, &ledger)
 			_, two := tc.run(t, 2, 1, &floatLedger{})
+			goLoops := one
+			lanes.BothPaths(func(path string) {
+				if path == "Go" {
+					_, goLoops = tc.run(t, 1, 2, &floatLedger{})
+				}
+			})
 			// Two untrained rounds: the first counts a round's context
 			// checks, the second is cancelled at the last of them — inside
 			// the last client's upload, after the first client has folded.
@@ -408,7 +427,7 @@ func TestRoundConformance(t *testing.T) {
 
 			t.Run("decode", func(t *testing.T) {
 				deltaTensors := 0
-				for round, r := range append(one, two...) {
+				for round, r := range append(append(one, two...), goLoops...) {
 					if !bytes.Equal(r.global, r.want) {
 						t.Fatalf("round %d: global model not bit-identical to the fold of the reference pipeline's decodes", round)
 					}
@@ -429,6 +448,14 @@ func TestRoundConformance(t *testing.T) {
 			t.Run("chunking", func(t *testing.T) {
 				if !bytes.Equal(one[0].global, two[0].global) {
 					t.Fatal("global model differs between GOMAXPROCS 1 and 2")
+				}
+			})
+
+			t.Run("lanes", func(t *testing.T) {
+				for round := range one {
+					if !bytes.Equal(one[round].global, goLoops[round].global) {
+						t.Fatalf("round %d: global model differs between the lane kernels and the Go loops", round)
+					}
 				}
 			})
 

@@ -601,7 +601,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			wireExtra += 8
 			u.Weight = math.Float64frombits(binary.LittleEndian.Uint64(rec[4:]))
-			if !(u.Weight > 0) || math.IsInf(u.Weight, 0) {
+			// The fold runs at float32(weight): +Inf would poison the whole
+			// mean, and a zero would count a client that folds nothing.
+			if w := float32(u.Weight); !(w > 0) || math.IsInf(float64(w), 0) {
 				rejectConn(fmt.Errorf("%w: update weight %v", core.ErrCorrupt, u.Weight))
 				return
 			}

@@ -1,8 +1,9 @@
-// Package lanes holds the module's one CPU check and the six float32 lane
+// Package lanes holds the module's one CPU check and the seven float32 lane
 // kernels more than one codec stage shares: the range scan behind every REL
 // bound and SZx constant block (Scan), the delta encoder's residual pass
 // (Residual) and constant-residual check (Within), the decoder's add-back
-// (Add) and constant add-back (Offset), and the server's fold (AddScaled).
+// (Add) and constant add-back (Offset), the server's fold (AddScaled) and
+// the scale behind its mean and tensor.StateDict.Scale (Scale).
 // On amd64 CPUs with AVX2 each runs eight float32 lanes at a
 // time in Go assembly (lanes_amd64.s) and Go runs the tail. A lane does what
 // one iteration of the Go loop does: subtractions, multiplies and adds are
@@ -189,5 +190,19 @@ func AddScaled(a, b []float32, w float32) {
 	}
 	for i := range a {
 		a[i] += w * b[i]
+	}
+}
+
+// Scale writes dst[i] = src[i]·w: the aggregator's mean in one pass, and
+// tensor.StateDict.Scale in place. dst may be src; otherwise the two must
+// not overlap. src must be at least as long as dst.
+func Scale(dst, src []float32, w float32) {
+	src = src[:len(dst)]
+	if n8 := len(dst) &^ 7; on && n8 > 0 {
+		scaleAVX2(dst[:n8], src[:n8], w)
+		dst, src = dst[n8:], src[n8:]
+	}
+	for i, v := range src {
+		dst[i] = v * w
 	}
 }

@@ -48,6 +48,11 @@ func addAVX2(data, ref []float32)
 //go:noescape
 func addScaledAVX2(a, b []float32, w float32)
 
+// scaleAVX2 is Scale's loop over dst and src.
+//
+//go:noescape
+func scaleAVX2(dst, src []float32, w float32)
+
 // offsetAVX2 is Offset's loop over dst and ref.
 //
 //go:noescape

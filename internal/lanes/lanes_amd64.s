@@ -152,6 +152,24 @@ loop:
 	VZEROUPPER
 	RET
 
+// func scaleAVX2(dst, src []float32, w float32)
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-52
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	VBROADCASTSS w+48(FP), Y0
+
+loop:
+	VMOVUPS (SI), Y1
+	VMULPS  Y0, Y1, Y1 // src·w, src first as in Go's MULSS
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     loop
+	VZEROUPPER
+	RET
+
 // func offsetAVX2(dst, ref []float32, v float32)
 TEXT ·offsetAVX2(SB), NOSPLIT, $0-52
 	MOVQ         dst_base+0(FP), DI

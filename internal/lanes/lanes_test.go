@@ -180,3 +180,99 @@ func TestOffsetKernel(t *testing.T) {
 		}
 	})
 }
+
+// scaleRef is the Go loop Scale is held to.
+func scaleRef(dst, src []float32, w float32) {
+	for i, v := range src {
+		dst[i] = v * w
+	}
+}
+
+// scaleValues mixes ordinary values with the ones whose rounding or
+// propagation a lane could get wrong: signed zeros, infinities, quiet and
+// signalling NaNs with distinct payloads (the payload a product keeps shows
+// which operand it came from), subnormals, and values whose product
+// overflows or underflows.
+func scaleValues(rng *rand.Rand, n int) []float32 {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00abc),
+		math.Float32frombits(0x7f800123), // signalling: the product is its quiet form
+		math.Float32frombits(1), math.Float32frombits(0x807fffff),
+		math.MaxFloat32, -math.MaxFloat32, 1e-30, 3e38,
+	}
+	out := make([]float32, n)
+	for i := range out {
+		if rng.IntN(3) == 0 {
+			out[i] = special[rng.IntN(len(special))]
+		} else {
+			out[i] = float32(rng.NormFloat64())
+		}
+	}
+	return out
+}
+
+// TestScaleKernel holds Scale on both paths to the Go loop bit for bit: every
+// length 0–67 (no lanes, whole lanes, and every tail), dst and src starting
+// at every float offset within a 32-byte line, out of place and in place,
+// and weights that are ordinary, zero, negative, infinite, a NaN with a
+// payload, subnormal or large enough to overflow.
+func TestScaleKernel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 3))
+	weights := []float32{1, 1.0 / 3, -3, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)),
+		math.Float32frombits(0x7fc0beef), math.Float32frombits(3), 1e30}
+	BothPaths(func(path string) {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 8; off++ {
+				for _, w := range weights {
+					srcBuf := scaleValues(rng, n+(7-off))
+					src := srcBuf[7-off:]
+					want := make([]float32, n)
+					scaleRef(want, src, w)
+					check := func(how string, got []float32) {
+						t.Helper()
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%s: %s n=%d off=%d w=%g: element %d is %#08x, Go loop %#08x",
+									path, how, n, off, w, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+					}
+					dst := make([]float32, off+n)[off:]
+					Scale(dst, src, w)
+					check("out of place", dst)
+					Scale(src, src, w)
+					check("in place", src)
+				}
+			}
+		}
+	})
+}
+
+// TestScaleLeavesTheRest checks the kernel writes only dst's elements: the
+// floats around a subslice keep their values.
+func TestScaleLeavesTheRest(t *testing.T) {
+	BothPaths(func(path string) {
+		for n := 0; n <= 35; n++ {
+			buf := make([]float32, n+16)
+			for i := range buf {
+				buf[i] = float32(i)
+			}
+			src := make([]float32, n)
+			for i := range src {
+				src[i] = 1
+			}
+			Scale(buf[8:8+n], src, 2)
+			for i, v := range buf {
+				want := float32(i)
+				if i >= 8 && i < 8+n {
+					want = 2
+				}
+				if v != want {
+					t.Fatalf("%s: n=%d: buf[%d] = %g, want %g", path, n, i, v, want)
+				}
+			}
+		}
+	})
+}

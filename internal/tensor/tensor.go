@@ -222,13 +222,10 @@ func (sd *StateDict) AddScaled(other *StateDict, alpha float32) error {
 	return nil
 }
 
-// Scale multiplies every value by alpha.
+// Scale multiplies every value by alpha in place, through lanes.Scale.
 func (sd *StateDict) Scale(alpha float32) {
 	for _, e := range sd.entries {
-		d := e.Tensor.Data
-		for j := range d {
-			d[j] *= alpha
-		}
+		lanes.Scale(e.Tensor.Data, e.Tensor.Data, alpha)
 	}
 }
 
