@@ -51,7 +51,6 @@ func main() {
 		updates     = flag.Int("updates", 0, "exit after N ingested updates (0 = run until interrupted)")
 		quiet       = flag.Bool("quiet", false, "suppress the per-update log lines")
 		upTO        = flag.Duration("upload-timeout", 0, "per-update deadline: clientID through ack (0 = no bound)")
-		shards      = flag.Int("shards", 0, "accumulator shards the fold is split across (0 = 1)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission-control ingest queue; connections beyond max-conns+queue are shed (0 = block, never shed)")
 		upstream    = flag.String("upstream", "", "run as an edge: after the run, forward the fused weighted mean to this root address")
 		edgeID      = flag.Uint("edge-id", 1, "client ID used on the upstream hop (with -upstream)")
@@ -76,7 +75,6 @@ func main() {
 		updates:       *updates,
 		uploadTimeout: *upTO,
 		quiet:         *quiet,
-		shards:        *shards,
 		queueDepth:    *queueDepth,
 		upstream:      *upstream,
 		edgeID:        uint32(*edgeID),
@@ -101,7 +99,6 @@ type serveOpts struct {
 	updates       int
 	uploadTimeout time.Duration
 	quiet         bool
-	shards        int
 	queueDepth    int
 	upstream      string
 	edgeID        uint32
@@ -165,7 +162,7 @@ func serve(o serveOpts) error {
 	}
 	// The aggregator folds each update off the wire; the handler only logs
 	// and counts it.
-	cfg.Handler = func(u flserve.Update) error {
+	cfg.Handler = func(u flserve.Update) {
 		if !o.quiet {
 			logger.Info("update",
 				slog.Uint64("client", uint64(u.Client)),
@@ -175,12 +172,11 @@ func serve(o serveOpts) error {
 				slog.Float64("overlap", u.Stats.OverlapRatio()))
 		}
 		countUpdate()
-		return nil
 	}
 	// Delivery is at-least-once — this program's own upstream client retries
-	// — so the fold dedups by client ID: a retry whose first attempt folded
+	// — and the fold dedups by client ID: a retry whose first attempt folded
 	// (lost ack) is acked again and folded once.
-	sharded := agg.New(agg.Config{Shards: o.shards, Pool: sched.NewPool(o.parallel), DedupByClient: true})
+	sharded := agg.New(agg.Config{Pool: sched.NewPool(o.parallel)})
 	cfg.Ingestor = sharded
 	srv, err := flserve.Listen(o.addr, cfg)
 	if err != nil {
@@ -192,7 +188,7 @@ func serve(o serveOpts) error {
 		srv.RegisterMetrics(reg)
 		sharded.RegisterMetrics(reg)
 	}
-	fmt.Fprintf(o.out, "fedsz-serve listening on %s (parallel=%d, shards=%d)\n", srv.Addr(), o.parallel, sharded.Shards())
+	fmt.Fprintf(o.out, "fedsz-serve listening on %s (parallel=%d)\n", srv.Addr(), o.parallel)
 	if o.ready != nil {
 		o.ready <- srv.Addr().String()
 	}

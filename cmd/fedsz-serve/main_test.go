@@ -258,7 +258,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServeTwoTier wires the CLI pieces into an edge→root tree: a sharded
+// TestServeTwoTier wires the CLI pieces into an edge→root tree: a
 // root, two edge serves pointed at it with -upstream, five clients split
 // across the edges. The root must fold exactly two fused updates whose
 // weights sum to the client population — and its /metrics, scraped while it
@@ -271,7 +271,7 @@ func TestServeTwoTier(t *testing.T) {
 	var rootOut bytes.Buffer
 	rootErr := make(chan error, 1)
 	go func() {
-		rootErr <- serve(serveOpts{addr: "127.0.0.1:0", metricsAddr: "127.0.0.1:0", parallel: 2, shards: 2, quiet: true,
+		rootErr <- serve(serveOpts{addr: "127.0.0.1:0", metricsAddr: "127.0.0.1:0", parallel: 2, quiet: true,
 			ready: rootReady, metricsReady: rootMetrics, stop: rootStop, out: &rootOut})
 	}()
 	rootMetricsAddr := <-rootMetrics
@@ -281,7 +281,7 @@ func TestServeTwoTier(t *testing.T) {
 		ready := make(chan string, 1)
 		errCh := make(chan error, 1)
 		go func() {
-			errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, shards: 2, updates: clients, quiet: true,
+			errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, updates: clients, quiet: true,
 				upstream: rootAddr, edgeID: id, ready: ready, out: out})
 		}()
 		uploadN(t, <-ready, clients, seed)

@@ -87,10 +87,10 @@ func run() error {
 
 	// The aggregation server: shared decode budget, incremental FedAvg,
 	// and a per-upload deadline so a stalled client cannot pin a round.
-	// DedupByClient pairs with the clients' retry policy below — a retry
-	// whose first attempt actually folded (lost ack) must not
-	// double-weight its client.
-	fold := agg.New(agg.Config{Pool: sched.NewPool(4), DedupByClient: true})
+	// The fold dedups by client ID, which pairs with the clients' retry
+	// policy below — a retry whose first attempt actually folded (lost ack)
+	// must not double-weight its client.
+	fold := agg.New(agg.Config{Pool: sched.NewPool(4)})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{
 		UploadTimeout: 30 * time.Second,
 		Ingestor:      fold,

@@ -9,16 +9,16 @@
 // section decodes on the shared sched.Pool while the next frame is still
 // arriving, under the same caller-runs budget discipline as every other
 // decode, so saturation turns into TCP backpressure. The decoded tensors
-// are then folded straight into the accumulator; no state dict is
-// assembled per update.
+// are then folded straight into the accumulator by one loop on the
+// connection's goroutine; no state dict is assembled per update.
 //
-// # Sharded fold
+// # At most one fold per client per round
 //
-// The accumulator is split across P shards keyed by a hash of the tensor
-// name (P = 1 is the plain single-accumulator fold), and an update's fold
-// runs as P independent tasks on the pool. A tensor name lives on exactly
-// one shard, so there is no cross-shard float addition and the mean is the
-// same bits for every P.
+// Delivery is at-least-once: a client whose ack was lost retries, and the
+// retry carries an update that already folded. The aggregator folds at most
+// one update per client ID between Resets; a later one is decoded, verified
+// through its trailer, acked and dropped. A program whose client contributes
+// several updates to one round gives each its own ID.
 //
 // # Fold semantics and conformance
 //
@@ -29,9 +29,9 @@
 // kernel a[i] += w·b[i] in arrival order, and Mean divides by the weight
 // total (the count, for unweighted traffic). Sequential ingest is therefore
 // bit-for-bit the textbook fold — adopt, StateDict.AddScaled, Scale — of
-// the core.Decompress'ed updates. Under concurrent ingest only the
-// per-tensor fold order can differ, which reassociates float addition; the
-// conformance tests bound that difference (see TestShardedConformance).
+// the core.Decompress'ed updates. Under concurrent ingest only the arrival
+// order can differ, which reassociates float addition; the conformance
+// tests bound that difference (see TestShardedConformance).
 //
 // # Hierarchical topology
 //
@@ -63,25 +63,20 @@ import (
 
 // Config tunes a Sharded aggregator.
 type Config struct {
-	// Shards is P, the number of accumulator shards (0 selects 1).
+	// Shards is ignored: the fold is one loop.
+	//
+	// Deprecated: leave it unset.
 	Shards int
-	// Pool supplies decode and fold parallelism (nil selects the
+	// Pool supplies decode and Forward-encode parallelism (nil selects the
 	// process-wide shared pool).
 	Pool *sched.Pool
-	// DedupByClient folds only the first update per client ID and silently
-	// accepts (acks, drains, drops) later duplicates — the at-least-once
-	// delivery guard: a retried upload whose first attempt actually folded
-	// (lost ack) must not double-weight its client. Leave false when one
-	// client legitimately contributes several updates between Resets.
-	DedupByClient bool
 }
 
 // lossyMeta pins a lossy tensor's identity and accumulator from the first
 // update; later updates are validated against it before anything folds.
 type lossyMeta struct {
-	name  string
-	shard int
-	acc   []float32 // pooled; aliased by sumView
+	name string
+	acc  []float32 // pooled; aliased by sumView
 }
 
 // layout is the stream structure the first committed update defines:
@@ -93,10 +88,9 @@ type layout struct {
 }
 
 // Sharded is the FedAvg aggregator: a flserve.StreamIngestor that decodes
-// each update section by section and folds it into a P-way sharded
-// accumulator. Zero value is not usable; construct with New.
+// each update section by section and folds it into one accumulator. Zero
+// value is not usable; construct with New.
 type Sharded struct {
-	cfg  Config
 	pool *sched.Pool
 	m    aggMetrics
 
@@ -106,40 +100,23 @@ type Sharded struct {
 	// meta is the lossless-partition accumulator (its tensors are sumView's).
 	meta *tensor.StateDict
 	// sumView is the accumulator as one StateDict in original entry order:
-	// the first update's own dict, whose tensors the shard folds (through
+	// the first update's own dict, whose tensors the lossy fold (through
 	// lossyMeta.acc) and the meta fold mutate in place.
 	sumView *tensor.StateDict
 	n       int
 	wsum    float64
-	seen    map[uint32]bool
+	seen    map[uint32]bool // client IDs folded this round
 }
 
 // New builds a Sharded aggregator.
 func New(cfg Config) *Sharded {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	pool := cfg.Pool
 	if pool == nil {
 		pool = sched.Default()
 	}
-	return &Sharded{cfg: cfg, pool: pool, m: aggMetrics{
+	return &Sharded{pool: pool, seen: make(map[uint32]bool), m: aggMetrics{
 		mergeHist: telemetry.NewHistogram(telemetry.DurationBuckets),
-		perShard:  make([]telemetry.Counter, cfg.Shards),
 	}}
-}
-
-// Shards returns the configured shard count P.
-func (s *Sharded) Shards() int { return s.cfg.Shards }
-
-// shardOf routes a tensor name to its owning shard (FNV-1a).
-func (s *Sharded) shardOf(name string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return int(h % uint32(s.cfg.Shards))
 }
 
 // IngestStream consumes one wire-framed update from r: the
@@ -152,17 +129,6 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		weight = 1
 	}
 	src := wire.NewSectionSource(ctx, r)
-
-	// Duplicate from a retried at-least-once upload: consume and verify
-	// the stream (protocol stays in sync, trailer still checked) but fold
-	// nothing.
-	if s.cfg.DedupByClient && s.isDup(client) {
-		if err := src.Drain(); err != nil {
-			return 0, core.DecompressStats{}, err
-		}
-		return src.WireBytes(), core.DecompressStats{DecompressTime: time.Since(start), ReadWait: src.ReadWait()}, nil
-	}
-
 	upd, stats, err := core.DecodeSections(ctx, s.pool, src, dopts)
 	if err != nil {
 		return 0, core.DecompressStats{}, err
@@ -171,29 +137,22 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		upd.Release()
 		return 0, core.DecompressStats{}, err
 	}
-	s.m.updates.Inc()
 	stats.DecompressTime = time.Since(start) // the fold is part of the update's wall clock
 	return src.WireBytes(), *stats, nil
 }
 
 // commit folds one fully verified, fully decoded update into the
-// accumulator. It validates first and folds second, so a structural
-// mismatch aborts with the accumulator untouched and upd still owning its
-// buffers; on success they belong to the accumulator (first update) or
-// have been recycled.
+// accumulator, or drops it if client already folded this round. It
+// validates first and folds second, so a structural mismatch aborts with the
+// accumulator untouched and upd still owning its buffers; on success they
+// belong to the accumulator (first update) or have been recycled.
 func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream) error {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.DedupByClient {
-		if s.seen == nil {
-			s.seen = make(map[uint32]bool)
-		}
-		if s.seen[client] {
-			// A concurrent duplicate slipped past the ingest-time check.
-			upd.Release()
-			return nil
-		}
+	if s.seen[client] {
+		upd.Release()
+		return nil
 	}
 
 	w := float32(weight)
@@ -202,7 +161,7 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 		// structure.
 		lossy := make([]lossyMeta, len(upd.Tensors))
 		for i, t := range upd.Tensors {
-			lossy[i] = lossyMeta{name: t.Name, shard: s.shardOf(t.Name), acc: t.Data}
+			lossy[i] = lossyMeta{name: t.Name, acc: t.Data}
 		}
 		s.structure = &layout{flags: upd.Flags, lossy: lossy}
 		s.meta = upd.Meta
@@ -214,18 +173,9 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 		if err := s.checkStructure(upd); err != nil {
 			return err
 		}
-		// Fold each shard's slice as one independent task on the pool —
-		// P-way fold parallelism, every tensor folded by exactly its owning
-		// shard.
-		lossy := s.structure.lossy
-		s.pool.ForEach(s.cfg.Shards, func(si int) {
-			for i := range lossy {
-				if lossy[i].shard != si {
-					continue
-				}
-				lanes.AddScaled(lossy[i].acc, upd.Tensors[i].Data, w)
-			}
-		})
+		for i, l := range s.structure.lossy {
+			lanes.AddScaled(l.acc, upd.Tensors[i].Data, w)
+		}
 		if err := s.meta.AddScaled(upd.Meta, w); err != nil {
 			// Unreachable after checkStructure; kept as a hard stop so a
 			// silent partial fold can never happen.
@@ -233,14 +183,10 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 		}
 		upd.Release()
 	}
-	for i := range s.structure.lossy {
-		s.m.perShard[s.structure.lossy[i].shard].Inc()
-	}
-	if s.cfg.DedupByClient {
-		s.seen[client] = true
-	}
+	s.seen[client] = true
 	s.n++
 	s.wsum += weight
+	s.m.updates.Inc()
 	s.m.mergeHist.Observe(time.Since(t0).Seconds())
 	return nil
 }
@@ -263,22 +209,6 @@ func (s *Sharded) checkStructure(upd *core.DecodedStream) error {
 	return nil
 }
 
-// isDup reports whether client already folded (DedupByClient only).
-func (s *Sharded) isDup(client uint32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seen[client]
-}
-
-// WeightSum returns the total aggregation weight folded so far — equal to
-// the update count for unweighted traffic, the represented population size
-// when edges forward weighted fused updates.
-func (s *Sharded) WeightSum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wsum
-}
-
 // Mean returns the weighted FedAvg mean of the folded updates (original
 // entry order, each tensor one lanes.Scale pass from the accumulator into a
 // pooled buffer) and the update count; nil and 0 before the first update.
@@ -286,6 +216,11 @@ func (s *Sharded) WeightSum() float64 {
 func (s *Sharded) Mean() (*tensor.StateDict, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.mean()
+}
+
+// mean is Mean's body; s.mu must be held.
+func (s *Sharded) mean() (*tensor.StateDict, int) {
 	if s.sumView == nil {
 		return nil, 0
 	}
@@ -308,13 +243,17 @@ func (s *Sharded) Mean() (*tensor.StateDict, int) {
 // one; tighten it (e.g. ebcl.Rel(1e-4)) when the tree is deep. It returns
 // the weight forwarded (the represented population size); 0 with a nil error
 // means there was nothing to forward. On error the accumulator is kept so a
-// later Forward can retry.
+// later Forward can retry. The lock is held from the mean through the reset,
+// so an update that commits during a forward waits and folds into the next
+// round instead of being acked and lost.
 func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, opts core.Options) (float64, error) {
-	mean, n := s.Mean()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mean, n := s.mean()
 	if n == 0 {
 		return 0, nil
 	}
-	weight := s.WeightSum()
+	weight := s.wsum
 	stream, _, err := core.CompressWith(ctx, s.pool, mean, opts)
 	core.Release(mean)
 	if err != nil {
@@ -323,7 +262,7 @@ func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, op
 	if err := up.UploadWeighted(ctx, id, weight, stream); err != nil {
 		return 0, fmt.Errorf("agg: forward upload: %w", err)
 	}
-	s.Reset()
+	s.reset()
 	return weight, nil
 }
 
@@ -333,11 +272,16 @@ func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, op
 func (s *Sharded) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reset()
+}
+
+// reset is Reset's body; s.mu must be held.
+func (s *Sharded) reset() {
 	core.Release(s.sumView)
 	s.structure = nil
 	s.meta = nil
 	s.sumView = nil
 	s.n = 0
 	s.wsum = 0
-	s.seen = nil
+	clear(s.seen)
 }

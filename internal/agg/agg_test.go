@@ -47,6 +47,15 @@ func folded(sh *Sharded) int {
 	return n
 }
 
+// weightSum is the total aggregation weight sh has folded this round: the
+// update count for unweighted traffic, the represented population when
+// edges forward weighted fused updates.
+func weightSum(sh *Sharded) float64 {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.wsum
+}
+
 // compressUpdates builds n compressed client streams plus their decoded
 // (post-quantization) forms — the values any aggregator actually folds.
 func compressUpdates(t testing.TB, n int) ([][]byte, []*tensor.StateDict) {
@@ -113,17 +122,17 @@ func manualFold(t testing.TB, decoded []*tensor.StateDict) *tensor.StateDict {
 	return sum
 }
 
-// sequentialMean ingests streams in order through a fresh P-shard
-// aggregator and returns its mean.
-func sequentialMean(t testing.TB, p int, streams [][]byte) *tensor.StateDict {
+// sequentialMean ingests streams in order through a fresh aggregator and
+// returns its mean.
+func sequentialMean(t testing.TB, streams [][]byte) *tensor.StateDict {
 	t.Helper()
-	sh := New(Config{Shards: p, Pool: sched.NewPool(2)})
+	sh := New(Config{Pool: sched.NewPool(2)})
 	for i, s := range streams {
 		ingest(t, sh, uint32(i), 1, frame(t, s))
 	}
 	mean, n := sh.Mean()
 	if n != len(streams) {
-		t.Fatalf("P=%d folded %d, want %d", p, n, len(streams))
+		t.Fatalf("folded %d, want %d", n, len(streams))
 	}
 	return mean
 }
@@ -141,28 +150,23 @@ func mustEqualBits(t testing.TB, what string, got, want *tensor.StateDict) {
 }
 
 // TestShardedConformance is the correctness anchor: sequentially
-// ingesting the same streams, the single-shard aggregator produces a mean
-// BIT-FOR-BIT identical to the manual fold of the core.Decompress'ed
-// updates — same adopt-first semantics, same fold kernel, same fold order,
-// same final divide — and P ∈ {2, 4} shards produce the same bits as P = 1.
-// Both hold on the fold kernel and on the Go loop.
+// ingesting the same streams, the aggregator produces a mean BIT-FOR-BIT
+// identical to the manual fold of the core.Decompress'ed updates — same
+// adopt-first semantics, same fold kernel, same fold order, same final
+// divide. It holds on the fold kernel and on the Go loop.
 func TestShardedConformance(t *testing.T) {
 	const n = 6
 	streams, decoded := compressUpdates(t, n)
 
 	lanes.BothPaths(func(path string) {
-		single := sequentialMean(t, 1, streams)
-		mustEqualBits(t, path+": P=1 vs manual fold", single, manualFold(t, decoded))
-		for _, p := range []int{2, 4} {
-			got := sequentialMean(t, p, streams)
-			mustEqualBits(t, fmt.Sprintf("%s: P=%d vs P=1", path, p), got, single)
-			core.Release(got)
-		}
+		got := sequentialMean(t, streams)
+		mustEqualBits(t, path+": sequential vs manual fold", got, manualFold(t, decoded))
+		core.Release(got)
 	})
 }
 
 // TestShardedConformanceConcurrent ingests concurrently, where only the
-// per-tensor fold order may differ from the sequential fold — a float
+// arrival order may differ from the sequential fold — a float
 // reassociation bounded well below the codec's own error bound. The
 // asserted tolerance (1e-5) is the documented weighted-merge tolerance
 // from the README's scale-out section. Both hold on the fold kernel and on
@@ -171,33 +175,31 @@ func TestShardedConformanceConcurrent(t *testing.T) {
 	const n = 8
 	streams, decoded := compressUpdates(t, n)
 	lanes.BothPaths(func(path string) {
-		want := sequentialMean(t, 1, streams)
-		mustEqualBits(t, path+": P=1 vs manual fold", want, manualFold(t, decoded))
+		want := sequentialMean(t, streams)
+		mustEqualBits(t, path+": sequential vs manual fold", want, manualFold(t, decoded))
 
-		for _, p := range []int{1, 2, 4} {
-			sh := New(Config{Shards: p, Pool: sched.NewPool(4)})
-			var wg sync.WaitGroup
-			for i, s := range streams {
-				wg.Add(1)
-				go func(i int, framed []byte) {
-					defer wg.Done()
-					ingest(t, sh, uint32(i), 1, framed)
-				}(i, frame(t, s))
-			}
-			wg.Wait()
-			got, gn := sh.Mean()
-			if gn != n {
-				t.Fatalf("%s: P=%d folded %d, want %d", path, p, gn, n)
-			}
-			diff, err := want.MaxAbsDiff(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff > 1e-5 {
-				t.Fatalf("%s: P=%d concurrent fold diverged: max abs diff %g > 1e-5", path, p, diff)
-			}
-			core.Release(got)
+		sh := New(Config{Pool: sched.NewPool(4)})
+		var wg sync.WaitGroup
+		for i, s := range streams {
+			wg.Add(1)
+			go func(i int, framed []byte) {
+				defer wg.Done()
+				ingest(t, sh, uint32(i), 1, framed)
+			}(i, frame(t, s))
 		}
+		wg.Wait()
+		got, gn := sh.Mean()
+		if gn != n {
+			t.Fatalf("%s: folded %d, want %d", path, gn, n)
+		}
+		diff, err := want.MaxAbsDiff(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff > 1e-5 {
+			t.Fatalf("%s: concurrent fold diverged: max abs diff %g > 1e-5", path, diff)
+		}
+		core.Release(got)
 	})
 }
 
@@ -215,15 +217,15 @@ func TestShardedWeighted(t *testing.T) {
 	scaleRef(want, float32(1.0/5.0))
 
 	lanes.BothPaths(func(path string) {
-		sh := New(Config{Shards: 2})
+		sh := New(Config{})
 		ingest(t, sh, 0, 2, frame(t, streams[0]))
 		ingest(t, sh, 1, 3, frame(t, streams[1]))
 		got, n := sh.Mean()
 		if n != 2 {
 			t.Fatalf("%s: folded %d, want 2", path, n)
 		}
-		if ws := sh.WeightSum(); ws != 5 {
-			t.Fatalf("%s: WeightSum = %v, want 5", path, ws)
+		if ws := weightSum(sh); ws != 5 {
+			t.Fatalf("%s: weight sum %v, want 5", path, ws)
 		}
 		mustEqualBits(t, path+": weighted mean", got, want)
 		core.Release(got)
@@ -290,7 +292,7 @@ func BenchmarkMean(b *testing.B) {
 	}
 }
 
-// TestShardedDelta routes v3 residual sections: the shard decode must
+// TestShardedDelta folds v3 residual sections: the decode must
 // fold the reference back in, and an epoch mismatch must surface as
 // ErrReference (renegotiable), never ErrCorrupt.
 func TestShardedDelta(t *testing.T) {
@@ -313,7 +315,7 @@ func TestShardedDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh := New(Config{Shards: 2})
+	sh := New(Config{})
 	_, dstats, err := sh.IngestStream(context.Background(), 1, 1, core.DecodeOptions{Reference: ref, RefEpoch: 7}, bytes.NewReader(frame(t, stream)))
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +334,7 @@ func TestShardedDelta(t *testing.T) {
 	core.Release(got)
 
 	// Wrong epoch: ErrReference, accumulator untouched.
-	sh2 := New(Config{Shards: 2})
+	sh2 := New(Config{})
 	_, _, err = sh2.IngestStream(context.Background(), 1, 1, core.DecodeOptions{Reference: ref, RefEpoch: 8}, bytes.NewReader(frame(t, stream)))
 	if !errors.Is(err, core.ErrReference) {
 		t.Fatalf("epoch mismatch err = %v, want ErrReference", err)
@@ -350,7 +352,7 @@ func TestShardedDelta(t *testing.T) {
 // were already decodable — the staged-commit atomicity guarantee.
 func TestShardedCorruptAtomicity(t *testing.T) {
 	streams, _ := compressUpdates(t, 2)
-	sh := New(Config{Shards: 2})
+	sh := New(Config{})
 	ingest(t, sh, 0, 1, frame(t, streams[0]))
 
 	framed := frame(t, streams[1])
@@ -397,7 +399,7 @@ func TestShardedStructureMismatch(t *testing.T) {
 		"metadata":      dict(entry{"a.weight", w, 4096}, entry{"b.weight", w, 2048}, entry{"x.biases", b, 16}),
 	} {
 		t.Run(name, func(t *testing.T) {
-			sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+			sh := New(Config{Pool: sched.NewPool(2)})
 			ingest(t, sh, 0, 1, adopted)
 			before, _ := sh.Mean()
 			hits0, misses0 := sched.FloatPoolCounters()
@@ -422,7 +424,7 @@ func TestShardedStructureMismatch(t *testing.T) {
 // must still be acked as success.
 func TestShardedDedupAcrossSessions(t *testing.T) {
 	streams, decoded := compressUpdates(t, 1)
-	sh := New(Config{Shards: 2, DedupByClient: true})
+	sh := New(Config{})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +460,7 @@ func TestTwoTierE2E(t *testing.T) {
 	const nA, nB = 3, 2
 	streams, decoded := compressUpdates(t, nA+nB)
 
-	rootAgg := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+	rootAgg := New(Config{Pool: sched.NewPool(2)})
 	root, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: rootAgg})
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +469,7 @@ func TestTwoTierE2E(t *testing.T) {
 
 	// An edge is a Sharded behind its own listener, forwarded to the root.
 	listenEdge := func() (*Sharded, *flserve.Server) {
-		sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+		sh := New(Config{Pool: sched.NewPool(2)})
 		srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 		if err != nil {
 			t.Fatal(err)
@@ -526,13 +528,13 @@ func TestTwoTierE2E(t *testing.T) {
 	if n := folded(rootAgg); n != 2 {
 		t.Fatalf("root folded %d edge updates, want 2", n)
 	}
-	if ws := rootAgg.WeightSum(); ws != nA+nB {
+	if ws := weightSum(rootAgg); ws != nA+nB {
 		t.Fatalf("root weight sum %v, want %d", ws, nA+nB)
 	}
 	got, _ := rootAgg.Mean()
 
-	want := sequentialMean(t, 1, streams)
-	mustEqualBits(t, "flat P=1 vs manual fold", want, manualFold(t, decoded))
+	want := sequentialMean(t, streams)
+	mustEqualBits(t, "flat fold vs manual fold", want, manualFold(t, decoded))
 	diff, err := want.MaxAbsDiff(got)
 	if err != nil {
 		t.Fatalf("root/flat structure mismatch: %v", err)
@@ -555,10 +557,10 @@ func TestOverloadSheds(t *testing.T) {
 	const clients = 10
 	streams, _ := compressUpdates(t, 1)
 	pool := sched.NewPool(2)
-	sh := New(Config{Shards: 2, Pool: pool})
+	sh := New(Config{Pool: pool})
 	gate := make(chan struct{})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{
-		Ingestor:       gatedIngestor{sh, gate},
+		Ingestor:       gatedIngestor{inner: sh, gate: gate},
 		MaxConns:       1,
 		QueueDepth:     2,
 		RetryAfterHint: 25 * time.Millisecond,
@@ -625,25 +627,111 @@ func TestOverloadSheds(t *testing.T) {
 }
 
 // gatedIngestor blocks every ingest until the gate closes — the overload
-// test's way of pinning the MaxConns slot.
+// test's way of pinning the MaxConns slot. A non-nil entered receives one
+// value as each ingest starts waiting.
 type gatedIngestor struct {
-	inner *Sharded
-	gate  chan struct{}
+	inner   *Sharded
+	gate    chan struct{}
+	entered chan<- struct{}
 }
 
 func (g gatedIngestor) IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+	}
 	<-g.gate
 	return g.inner.IngestStream(ctx, client, weight, dopts, r)
+}
+
+// TestForwardKeepsConcurrentUpdate uploads to an edge while its Forward is
+// blocked inside the root's ingest. That update is acked, so it must not be
+// wiped by the forward's reset: it folds into the edge's next round, and the
+// root receives the weight of the two updates the forward's mean holds.
+func TestForwardKeepsConcurrentUpdate(t *testing.T) {
+	streams, _ := compressUpdates(t, 3)
+	edge := New(Config{Pool: sched.NewPool(2)})
+	for i := range 2 {
+		ingest(t, edge, uint32(i), 1, frame(t, streams[i]))
+	}
+	edgeSrv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: edge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edgeSrv.Close()
+	rootAgg := New(Config{Pool: sched.NewPool(2)})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	root, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: gatedIngestor{rootAgg, gate, entered}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+
+	type result struct {
+		w   float64
+		err error
+	}
+	fwd := make(chan result, 1)
+	go func() {
+		w, err := edge.Forward(context.Background(), &flserve.Client{Addr: root.Addr().String()}, 1000, core.Options{LossyParams: ebcl.Rel(1e-4)})
+		fwd <- result{w, err}
+	}()
+	<-entered
+	uploaded := make(chan error, 1)
+	go func() {
+		uploaded <- (&flserve.Client{Addr: edgeSrv.Addr().String()}).Upload(context.Background(), 2, streams[2])
+	}()
+	// The upload either completes during the forward or waits for it; give
+	// it the time to do the first before the root lets the forward finish.
+	select {
+	case err := <-uploaded:
+		uploaded <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(gate)
+	if r := <-fwd; r.err != nil || r.w != 2 {
+		t.Fatalf("Forward = (%v, %v), want (2, nil)", r.w, r.err)
+	}
+	if err := <-uploaded; err != nil {
+		t.Fatalf("upload during the forward: %v", err)
+	}
+	if n := folded(edge); n != 1 {
+		t.Fatalf("edge holds %d updates after the forward, want the 1 acked during it", n)
+	}
+	if ws := weightSum(rootAgg); ws != 2 {
+		t.Fatalf("root weight sum %v, want 2", ws)
+	}
+}
+
+// TestUpdatesCounterSkipsDuplicates: fedsz_agg_updates_total counts folds,
+// so a client's dropped second update leaves it unchanged, and a Reset lets
+// the client fold again.
+func TestUpdatesCounterSkipsDuplicates(t *testing.T) {
+	streams, _ := compressUpdates(t, 1)
+	framed := frame(t, streams[0])
+	sh := New(Config{})
+	for round, want := range []uint64{1, 2} {
+		ingest(t, sh, 7, 1, framed)
+		if round == 0 {
+			ingest(t, sh, 7, 1, framed)
+		}
+		if got := sh.m.updates.Value(); got != want {
+			t.Fatalf("round %d: updates counter %d, want %d", round, got, want)
+		}
+		if n := folded(sh); n != 1 {
+			t.Fatalf("round %d: folded %d, want 1", round, n)
+		}
+		sh.Reset()
+	}
 }
 
 // TestShedRetrySucceeds: a client with retries enabled rides out the shed
 // using the server's hint and eventually lands its update.
 func TestShedRetrySucceeds(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	sh := New(Config{Shards: 1})
+	sh := New(Config{})
 	gate := make(chan struct{})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{
-		Ingestor:       gatedIngestor{sh, gate},
+		Ingestor:       gatedIngestor{inner: sh, gate: gate},
 		MaxConns:       1,
 		QueueDepth:     1,
 		RetryAfterHint: 10 * time.Millisecond,
@@ -759,7 +847,7 @@ func TestHostileFirstUpdate(t *testing.T) {
 			}
 
 			pool := sched.NewPool(2)
-			sh := New(Config{Shards: 2, Pool: pool})
+			sh := New(Config{Pool: pool})
 			hits0, misses0 := sched.FloatPoolCounters()
 			puts0 := sched.FloatPoolPuts()
 			_, _, err := sh.IngestStream(context.Background(), 1, 1, core.DecodeOptions{}, bytes.NewReader(frame(t, stream)))
@@ -796,7 +884,7 @@ func TestHostileFirstUpdate(t *testing.T) {
 // so a panic here takes the process down.
 func TestHostileFirstUpdateLiveServer(t *testing.T) {
 	pool := sched.NewPool(2)
-	sh := New(Config{Shards: 2, Pool: pool})
+	sh := New(Config{Pool: pool})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 	if err != nil {
 		t.Fatal(err)
@@ -834,7 +922,7 @@ func TestHostileFirstUpdateLiveServer(t *testing.T) {
 // of the mean came out non-finite) and 1e-50 to zero. The accepted weights
 // fold and add up.
 func TestWeightOutsideFloat32Rejected(t *testing.T) {
-	sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+	sh := New(Config{Pool: sched.NewPool(2)})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 	if err != nil {
 		t.Fatal(err)
@@ -866,8 +954,8 @@ func TestWeightOutsideFloat32Rejected(t *testing.T) {
 			t.Fatalf("weight %g: rejected %d, folded %d; want %d and %d", row.weight, got, gotN, wantRejected, wantN)
 		}
 	}
-	if ws := sh.WeightSum(); ws != 1+3+1<<24 {
-		t.Fatalf("WeightSum = %v, want %v", ws, 1+3+1<<24)
+	if ws := weightSum(sh); ws != 1+3+1<<24 {
+		t.Fatalf("weight sum %v, want %v", ws, 1+3+1<<24)
 	}
 }
 
@@ -909,7 +997,7 @@ func hostileLengthStream(t testing.TB, stream []byte) []byte {
 // the process.
 func TestHostileLengthLiveServer(t *testing.T) {
 	pool := sched.NewPool(2)
-	sh := New(Config{Shards: 2, Pool: pool})
+	sh := New(Config{Pool: pool})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
 	if err != nil {
 		t.Fatal(err)
@@ -969,7 +1057,7 @@ func FuzzIngestStream(f *testing.F) {
 	}
 	pool := sched.NewPool(2)
 	f.Fuzz(func(t *testing.T, framed []byte) {
-		sh := New(Config{Shards: 2, Pool: pool})
+		sh := New(Config{Pool: pool})
 		defer sh.Reset()
 		for round := 0; round < 2; round++ {
 			_, _, err := sh.IngestStream(context.Background(), uint32(round), 1, core.DecodeOptions{}, bytes.NewReader(framed))

@@ -56,6 +56,7 @@ var fieldsKept = map[string]string{
 	"repro/internal/fl.RoundResult.DeltaTensors":         "TestFedSZTransportDeltaRounds reads it (residuals were sent) and TestRoundConformance (a sharded round counts them as a flat one does)",
 	"repro/internal/fl.RoundResult.DeltaBytesSaved":      "TestFedSZTransportDeltaRounds reads it: the last delta round saved bytes",
 	"repro/internal/flserve.Config.Parallel":             "deprecated and ignored; bench/ still sets it, and the next change to bench/ deletes those two writes and the field",
+	"repro/internal/agg.Config.Shards":                   "deprecated and ignored since the fold became one loop; bench/ still sets it, and the next change to bench/ deletes those two writes and the field",
 }
 
 // Two packages' declarations count as reached without a caller: everything

@@ -313,14 +313,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 	t.Run("agg ingest", func(t *testing.T) {
 		// The ingest_small shape: 12 layers, each one lossy 2 500-element
-		// weight and four metadata entries, folded (not adopted) by a
-		// two-shard aggregator. It takes 59 allocations: per lossy tensor its
+		// weight and four metadata entries, folded (not adopted) by the
+		// aggregator. It takes 59 allocations: per lossy tensor its
 		// name, its shape and its decode task, and per update a fixed number
 		// for the header, the decoded stream, the frames' source and the
 		// metadata partition. The limit leaves 10 % slack.
 		const maxIngest = 65
 		framed := ingestSmallUpdate(t)
-		sh := agg.New(agg.Config{Shards: 2, Pool: sched.NewPool(1)})
+		sh := agg.New(agg.Config{Pool: sched.NewPool(1)})
 		ctx := context.Background()
 		client := uint32(0)
 		ingest := func() {

@@ -36,7 +36,7 @@
 // network, trailer verified before anything is delivered) and folds the
 // result. The aggregator is internal/agg.Sharded. Config.Ingestor is
 // required; Config.Handler, when set, only observes each folded update
-// (logging, counting) and may still reject it.
+// (logging, counting) and cannot reject it: it has already folded.
 //
 // # Backpressure
 //
@@ -145,10 +145,10 @@ type Config struct {
 	Ingestor StreamIngestor
 	// Handler, when non-nil, is called with each update the Ingestor has
 	// folded, before it is acked. It only observes (logging, counting): the
-	// update carries no tensors. It may be called concurrently from
-	// different connections; an error rejects the update (the client sees a
-	// non-zero ack) without stopping the server.
-	Handler func(Update) error
+	// update carries no tensors, and it has already folded, so the ack
+	// stays a success whatever the Handler does. It may be called
+	// concurrently from different connections.
+	Handler func(Update)
 	// IdleTimeout bounds how long a connection may sit without delivering
 	// a byte before it is dropped, so a stalled client cannot pin a
 	// MaxConns slot forever (0 selects 2 minutes; negative disables). The
@@ -626,13 +626,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		// already hold the next update's bytes.
 		u.WireBytes += wireExtra
 		wireExtra = 0
-		if err == nil && s.cfg.Handler != nil {
-			err = s.cfg.Handler(u)
-		}
 		if err != nil {
 			rejected++
 			m.updatesRejected.Inc()
 		} else {
+			if s.cfg.Handler != nil {
+				s.cfg.Handler(u)
+			}
 			wall := time.Since(start)
 			updates++
 			m.updates.Inc()

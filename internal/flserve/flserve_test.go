@@ -81,11 +81,10 @@ func (c *collector) IngestStream(ctx context.Context, client uint32, _ float64, 
 	return src.WireBytes(), *stats, nil
 }
 
-func (c *collector) handle(u Update) error {
+func (c *collector) handle(u Update) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.updates[u.Client] = u
-	return nil
 }
 
 // count returns how many distinct clients' updates have been delivered.
@@ -362,5 +361,5 @@ func TestServeRequiresIngestor(t *testing.T) {
 			t.Fatalf("Serve without an Ingestor: recovered %q, want a panic naming Config.Ingestor", msg)
 		}
 	}()
-	Serve(ln, Config{Handler: func(Update) error { return nil }})
+	Serve(ln, Config{Handler: func(Update) {}})
 }

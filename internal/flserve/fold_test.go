@@ -50,10 +50,10 @@ func TestAggregatorMatchesManualFedAvg(t *testing.T) {
 
 // TestAggregatorDedupByClient: with the at-least-once retry policy a
 // duplicate upload (ack lost after fold, client retried) must not
-// double-weight its client when dedup is on.
+// double-weight its client: the aggregator always dedups by client ID.
 func TestAggregatorDedupByClient(t *testing.T) {
 	streams, expected := flserve.CompressUpdates(t, 2)
-	fold := agg.New(agg.Config{DedupByClient: true})
+	fold := agg.New(agg.Config{})
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: fold})
 	if err != nil {
 		t.Fatal(err)

@@ -78,13 +78,12 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var readWait, decodeWork time.Duration
-	cfg := Config{MaxConns: 1, QueueDepth: 1, Ingestor: newCollector(), Handler: func(u Update) error {
+	cfg := Config{MaxConns: 1, QueueDepth: 1, Ingestor: newCollector(), Handler: func(u Update) {
 		<-gate
 		mu.Lock()
 		defer mu.Unlock()
 		readWait += u.Stats.ReadWait
 		decodeWork += u.Stats.DecodeWork
-		return nil
 	}}
 	srv, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {

@@ -408,22 +408,6 @@ func (s *SectionSource) ReadWait() time.Duration { return s.tr.Blocked() }
 // see FrameScanner.WireBytes.
 func (s *SectionSource) WireBytes() int64 { return s.sc.WireBytes() }
 
-// Drain consumes the rest of the stream through its verified trailer,
-// discarding every payload — for a receiver that must keep the connection's
-// framing in sync (and still check integrity) without decoding.
-func (s *SectionSource) Drain() error {
-	for {
-		_, payload, err := s.sc.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		sched.PutBytes(payload)
-	}
-}
-
 // Reader de-frames a wire stream from r, implementing io.Reader over the
 // reassembled payload byte sequence (the FedSZ stream). Every frame's CRC
 // is verified before any of its bytes are surfaced, and the trailer's
