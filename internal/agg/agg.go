@@ -24,7 +24,8 @@
 //
 // An update is decoded in full and folded only after its wire trailer
 // verifies, so a mid-stream corruption never half-folds into the
-// accumulator. The first update of a round is adopted (not added) and
+// accumulator, and an update that decoded to a NaN or an infinity anywhere
+// is refused (ErrCorrupt) before it folds. The first update of a round is adopted (not added) and
 // defines the structure later ones must match; later updates fold with the
 // kernel a[i] += w·b[i] in arrival order, and Mean divides by the weight
 // total (the count, for unweighted traffic). Sequential ingest is therefore
@@ -133,12 +134,34 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 	if err != nil {
 		return 0, core.DecompressStats{}, err
 	}
+	if name := nonFinite(upd.Tensors, upd.Meta); name != "" {
+		upd.Release()
+		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: tensor %q decoded to a non-finite value", core.ErrCorrupt, name)
+	}
 	if err := s.commit(client, weight, upd); err != nil {
 		upd.Release()
 		return 0, core.DecompressStats{}, err
 	}
 	stats.DecompressTime = time.Since(start) // the fold is part of the update's wall clock
 	return src.WireBytes(), *stats, nil
+}
+
+// nonFinite names the first tensor, of lossy and then of dict, that holds a
+// NaN or an infinity, or returns "" when every value is finite. Folded, one
+// such value turns its whole tensor's mean non-finite. Empty tensors are
+// skipped: lanes.Scan needs an element.
+func nonFinite(lossy []core.DecodedTensor, dict *tensor.StateDict) string {
+	for _, t := range lossy {
+		if len(t.Data) > 0 && !lanes.Scan(t.Data).Finite() {
+			return t.Name
+		}
+	}
+	for _, e := range dict.Entries() {
+		if len(e.Tensor.Data) > 0 && !lanes.Scan(e.Tensor.Data).Finite() {
+			return e.Name
+		}
+	}
+	return ""
 }
 
 // commit folds one fully verified, fully decoded update into the
@@ -236,16 +259,18 @@ func (s *Sharded) mean() (*tensor.StateDict, int) {
 }
 
 // Forward sends the fold upstream as ONE fused update over the FLS3 weighted
-// protocol — the mean, encoded with opts, at the folded population weight —
-// and resets the accumulator for the next round: what makes a server an
+// protocol — the mean, encoded with opts straight into wire frames by
+// flserve.Client.UploadWeighted, at the folded population weight — and
+// resets the accumulator for the next round: what makes a server an
 // interior node of an edge→root tree. The mean is lossy-compressed again
 // here, so the hop costs one extra error bound on top of the client-side
 // one; tighten it (e.g. ebcl.Rel(1e-4)) when the tree is deep. It returns
 // the weight forwarded (the represented population size); 0 with a nil error
-// means there was nothing to forward. On error the accumulator is kept so a
-// later Forward can retry. The lock is held from the mean through the reset,
-// so an update that commits during a forward waits and folds into the next
-// round instead of being acked and lost.
+// means there was nothing to forward. A non-finite mean (finite updates can
+// overflow the float32 sum) is an error, sent nowhere. On error the
+// accumulator is kept so a later Forward can retry. The lock is held from
+// the mean through the reset, so an update that commits during a forward
+// waits and folds into the next round instead of being acked and lost.
 func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, opts core.Options) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,13 +278,12 @@ func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, op
 	if n == 0 {
 		return 0, nil
 	}
-	weight := s.wsum
-	stream, _, err := core.CompressWith(ctx, s.pool, mean, opts)
-	core.Release(mean)
-	if err != nil {
-		return 0, fmt.Errorf("agg: forward encode: %w", err)
+	defer core.Release(mean)
+	if name := nonFinite(nil, mean); name != "" {
+		return 0, fmt.Errorf("agg: forward: the mean of tensor %q is not finite", name)
 	}
-	if err := up.UploadWeighted(ctx, id, weight, stream); err != nil {
+	weight := s.wsum
+	if err := up.UploadWeighted(ctx, id, weight, mean, opts, s.pool); err != nil {
 		return 0, fmt.Errorf("agg: forward upload: %w", err)
 	}
 	s.reset()

@@ -9,9 +9,12 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -929,7 +932,7 @@ func TestWeightOutsideFloat32Rejected(t *testing.T) {
 	}
 	defer srv.Close()
 	c := &flserve.Client{Addr: srv.Addr().String()}
-	stream := mustCompress(t, hostileDict(3, false))
+	sd, opts := hostileDict(3, false), core.Options{LossyParams: ebcl.Rel(1e-2)}
 	for i, row := range []struct {
 		weight float64
 		ok     bool
@@ -939,7 +942,7 @@ func TestWeightOutsideFloat32Rejected(t *testing.T) {
 		{1, true}, {3, true}, {1 << 24, true},
 	} {
 		rejected, n := srv.Snapshot().Rejected, folded(sh)
-		err := c.UploadWeighted(context.Background(), uint32(i), row.weight, stream)
+		err := c.UploadWeighted(context.Background(), uint32(i), row.weight, sd, opts, nil)
 		switch {
 		case row.ok && err != nil:
 			t.Fatalf("weight %g: %v, want accepted", row.weight, err)
@@ -1080,4 +1083,172 @@ func FuzzIngestStream(f *testing.F) {
 			core.Release(mean)
 		}
 	})
+}
+
+// finiteDict is a model with one lossy weight and one batch-norm running
+// statistic, which travels in the metadata partition.
+func finiteDict(seed uint64) *tensor.StateDict {
+	rng := rand.New(rand.NewPCG(seed, seed^0xF1))
+	sd := tensor.NewStateDict()
+	sd.Add("conv.weight", tensor.KindWeight, tensor.FromData(eblctest.WeightLike(rng, 4096), 4096))
+	stat := tensor.New(16)
+	for i := range stat.Data {
+		stat.Data[i] = 1 + float32(rng.Float64())
+	}
+	sd.Add("bn.running_var", tensor.KindRunningStat, stat)
+	return sd
+}
+
+// constantTensorStream replaces stream's first tensor blob with a constant
+// stream of n copies of v under the same codec: a stream no encoder here
+// writes for a NaN, whose every framing layer and CRC still checks out.
+func constantTensorStream(t testing.TB, stream []byte, v float32) []byte {
+	t.Helper()
+	secs, err := core.Sections(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := core.ParseHeader(secs.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := core.ParseTensorSection(hdr, secs.Tensors[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := ebcl.AppendConstant(nil, binary.LittleEndian.Uint32(pt.Blob), pt.Elems, v)
+	meta := 1 + len(pt.Name) + 2 + 4*len(pt.Shape)
+	out := append([]byte(nil), secs.Header...)
+	out = ebcl.AppendSection(append(out, secs.Tensors[0][:meta]...), blob)
+	for _, rest := range secs.Tensors[1:] {
+		out = append(out, rest...)
+	}
+	return append(out, secs.Lossless...)
+}
+
+// TestNonFiniteUpdateRejected uploads two finite updates and three that
+// decode to a non-finite value — a NaN weight under an absolute bound, a
+// +Inf running statistic in the metadata partition, and a constant-NaN
+// tensor stream — to a live server. Each bad one must come back as a
+// rejection with nothing folded, so the mean is the finite clients' textbook
+// fold bit for bit, and every float buffer taken is returned.
+func TestNonFiniteUpdateRejected(t *testing.T) {
+	opts := core.Options{LossyParams: ebcl.Abs(1e-3)}
+	compress := func(sd *tensor.StateDict) []byte {
+		stream, _, err := core.Compress(sd, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stream
+	}
+	nanWeight, infStat := finiteDict(3), finiteDict(4)
+	nanWeight.Get("conv.weight").Data[17] = float32(math.NaN())
+	infStat.Get("bn.running_var").Data[5] = float32(math.Inf(1))
+	good := [][]byte{compress(finiteDict(1)), compress(finiteDict(2))}
+	bad := map[string][]byte{
+		"nan-weight":   compress(nanWeight),
+		"inf-stat":     compress(infStat),
+		"constant-nan": constantTensorStream(t, compress(finiteDict(5)), float32(math.NaN())),
+	}
+	var decoded []*tensor.StateDict
+	for _, stream := range good {
+		sd, _, err := core.Decompress(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, sd)
+	}
+	want := manualFold(t, decoded)
+
+	hits0, misses0 := sched.FloatPoolCounters()
+	puts0 := sched.FloatPoolPuts()
+	pool := sched.NewPool(2)
+	sh := New(Config{Pool: pool})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &flserve.Client{Addr: srv.Addr().String()}
+	ctx := context.Background()
+	if err := c.Upload(ctx, 1, good[0]); err != nil {
+		t.Fatal(err)
+	}
+	id := uint32(10)
+	for name, stream := range bad {
+		id++
+		err := c.Upload(ctx, id, stream)
+		if !errors.Is(err, flserve.ErrRejected) || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: upload error %v, want ErrRejected naming the non-finite value", name, err)
+		}
+	}
+	if err := c.Upload(ctx, 2, good[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Snapshot(); st.Updates != 2 || st.Rejected != len(bad) {
+		t.Fatalf("stats %+v, want 2 updates / %d rejected", st, len(bad))
+	}
+	mean, n := sh.Mean()
+	if n != 2 {
+		t.Fatalf("folded %d updates, want 2", n)
+	}
+	mustEqualBits(t, "mean of the finite updates", mean, want)
+	core.Release(mean)
+	sh.Reset()
+	hits1, misses1 := sched.FloatPoolCounters()
+	if got, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; got != put {
+		t.Fatalf("the round took %d float buffers and returned %d", got, put)
+	}
+	if busy := pool.Busy(); busy != 0 {
+		t.Fatalf("pool busy after drain: %d", busy)
+	}
+}
+
+// TestForwardRefusesNonFiniteMean folds two finite running statistics of
+// 3e38 at an edge: their float32 sum overflows to +Inf, so the mean is not
+// finite. Forward must return an error before it dials, keeping both
+// updates, and the root must never see a connection.
+func TestForwardRefusesNonFiniteMean(t *testing.T) {
+	edge := New(Config{Pool: sched.NewPool(2)})
+	for i := range 2 {
+		sd := finiteDict(uint64(i) + 1)
+		stat := sd.Get("bn.running_var").Data
+		for j := range stat {
+			stat[j] = 3e38
+		}
+		ingest(t, edge, uint32(i), 1, frame(t, mustCompress(t, sd)))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			conn.Close()
+		}
+	}()
+	up := &flserve.Client{Addr: ln.Addr().String(), Timeout: 2 * time.Second}
+	w, err := edge.Forward(context.Background(), up, 1000, core.Options{LossyParams: ebcl.Rel(1e-4)})
+	ln.Close()
+	<-done
+	if err == nil || w != 0 {
+		t.Fatalf("Forward = (%v, %v), want an error", w, err)
+	}
+	if n := folded(edge); n != 2 {
+		t.Fatalf("edge holds %d updates after the refused forward, want 2", n)
+	}
+	if n := accepted.Load(); n != 0 {
+		t.Fatalf("the root accepted %d connections, want none", n)
+	}
 }

@@ -20,9 +20,9 @@ import (
 )
 
 // ErrRejected marks a server-side rejection: the server received the
-// update and refused it (decode failure, handler error). It is distinct
-// from a transport failure — the client's retry loop re-dials transport
-// failures but never retries a rejection.
+// update and refused it (a protocol, decode or verification failure). It is
+// distinct from a transport failure — the client's retry loop re-dials
+// transport failures but never retries a rejection.
 var ErrRejected = errors.New("flserve: server rejected update")
 
 // ErrShed marks an admission-control shed: the server was over its queue
@@ -91,7 +91,7 @@ type Session struct {
 	// true means uploads on this session may carry residual (v3) streams
 	// encoded against the negotiated reference epoch.
 	deltaAccepted bool
-	// weighted marks an FLS3 session: uploads go through UploadWeighted.
+	// weighted marks an FLS3 session: each update record carries a weight.
 	weighted bool
 }
 
@@ -102,9 +102,10 @@ type Session struct {
 func (s *Session) DeltaAccepted() bool { return s.deltaAccepted }
 
 // dial connects to c.Addr, honouring ctx for the connection attempt, and
-// buffers the protocol magic (sent with the first flush): the connection
-// set-up every session kind shares.
-func (c *Client) dial(ctx context.Context, magic uint32) (*Session, error) {
+// writes the connection prelude: the magic, then for FLS2 the proposed
+// reference epoch. An FLS1 or FLS3 prelude stays buffered until the first
+// upload flushes it; an FLS2 prelude is flushed and negotiated here.
+func (c *Client) dial(ctx context.Context, magic, epoch uint32) (*Session, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", c.Addr)
 	if err != nil {
@@ -117,9 +118,18 @@ func (c *Client) dial(ctx context.Context, magic uint32) (*Session, error) {
 	bw := writerPool.Get().(*bufio.Writer)
 	bw.Reset(dst)
 	s := &Session{conn: conn, bw: bw, weighted: magic == connMagicWeighted}
-	if _, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), magic)); err != nil {
+	pre := binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), magic)
+	if magic == connMagicDelta {
+		pre = binary.LittleEndian.AppendUint32(pre, epoch)
+	}
+	if _, err = bw.Write(pre); err != nil {
+		err = fmt.Errorf("flserve: session prelude: %w", err)
+	} else if magic == connMagicDelta {
+		err = s.negotiate(ctx)
+	}
+	if err != nil {
 		s.Close()
-		return nil, fmt.Errorf("flserve: session prelude: %w", err)
+		return nil, ctxErr(ctx, err)
 	}
 	return s, nil
 }
@@ -127,16 +137,7 @@ func (c *Client) dial(ctx context.Context, magic uint32) (*Session, error) {
 // Dial opens a session to c.Addr, honouring ctx for the connection
 // attempt, and sends the protocol magic (buffered until the first upload).
 func (c *Client) Dial(ctx context.Context) (*Session, error) {
-	return c.dial(ctx, connMagic)
-}
-
-// DialWeighted opens a weighted (FLS3) session: every update on it
-// carries an explicit aggregation weight — the edge→root hop of a
-// hierarchical topology, where one fused update stands in for a whole
-// local population. Like Dial there is no handshake round trip; the
-// prelude is buffered until the first upload.
-func (c *Client) DialWeighted(ctx context.Context) (*Session, error) {
-	return c.dial(ctx, connMagicWeighted)
+	return c.dial(ctx, connMagic, 0)
 }
 
 // DialDelta opens a session that negotiates cross-round delta uploads: the
@@ -147,28 +148,14 @@ func (c *Client) DialWeighted(ctx context.Context) (*Session, error) {
 // absolute streams. The negotiation costs one round trip, paid once per
 // session, not per update.
 func (c *Client) DialDelta(ctx context.Context, epoch uint32) (*Session, error) {
-	s, err := c.dial(ctx, connMagicDelta)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.negotiate(ctx, epoch); err != nil {
-		s.Close()
-		return nil, ctxErr(ctx, err)
-	}
-	return s, nil
+	return c.dial(ctx, connMagicDelta, epoch)
 }
 
-// negotiate runs the FLS2 exchange of a fresh session: it sends epoch behind
-// the buffered magic and records the server's answer in deltaAccepted.
-func (s *Session) negotiate(ctx context.Context, epoch uint32) error {
+// negotiate flushes a fresh FLS2 session's prelude — the server answers it
+// before reading any update — and records the answer in deltaAccepted.
+func (s *Session) negotiate(ctx context.Context) error {
 	defer s.arm(ctx)()
-	// Unlike Dial, the prelude must flush now: the server answers it before
-	// reading any update.
-	_, err := s.bw.Write(binary.LittleEndian.AppendUint32(s.bw.AvailableBuffer(), epoch))
-	if err == nil {
-		err = s.bw.Flush()
-	}
-	if err != nil {
+	if err := s.bw.Flush(); err != nil {
 		return fmt.Errorf("flserve: session prelude: %w", err)
 	}
 	var accept [1]byte
@@ -230,47 +217,9 @@ func ctxErr(ctx context.Context, err error) error {
 
 // Upload sends one pre-compressed update (a serialized FedSZ stream) under
 // the given client ID and waits for the server's ack: a nil return means
-// the server decoded and folded the update. On a weighted (FLS3) session
-// it sends weight 1; use UploadWeighted to declare a population weight.
+// the server decoded and folded the update.
 func (s *Session) Upload(ctx context.Context, clientID uint32, stream []byte) error {
-	return s.UploadWeighted(ctx, clientID, 1, stream)
-}
-
-// UploadWeighted is Upload declaring an explicit aggregation weight — an
-// edge aggregator forwarding the fused mean of n clients uploads it with
-// weight n, so the upstream fold counts it as n clients' worth. The
-// session must have been opened with DialWeighted unless weight is 1
-// (FLS1/FLS2 sessions have no weight field on the wire).
-func (s *Session) UploadWeighted(ctx context.Context, clientID uint32, weight float64, stream []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bw == nil {
-		return errSessionClosed
-	}
-	defer s.arm(ctx)()
-	if err := s.writeUpdatePrelude(clientID, weight); err != nil {
-		return ctxErr(ctx, err)
-	}
-	if err := wire.NewWriter(s.bw).WriteStream(stream); err != nil {
-		return ctxErr(ctx, fmt.Errorf("flserve: upload: %w", err))
-	}
-	return s.finishUpdate(ctx)
-}
-
-// writeUpdatePrelude emits the per-update clientID (and, on weighted
-// sessions, the weight field).
-func (s *Session) writeUpdatePrelude(clientID uint32, weight float64) error {
-	if weight != 1 && !s.weighted {
-		return fmt.Errorf("flserve: weighted upload on unweighted session (use DialWeighted)")
-	}
-	rec := binary.LittleEndian.AppendUint32(s.bw.AvailableBuffer(), clientID)
-	if s.weighted {
-		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(weight))
-	}
-	if _, err := s.bw.Write(rec); err != nil {
-		return fmt.Errorf("flserve: upload prelude: %w", err)
-	}
-	return nil
+	return s.send(ctx, clientID, 1, func(w *wire.Writer) error { return w.WriteStream(stream) })
 }
 
 // UploadState compresses sd straight into the session's wire framer — the
@@ -280,28 +229,40 @@ func (s *Session) writeUpdatePrelude(clientID uint32, weight float64) error {
 // returned stats carry the encode timings, including WriteWait and
 // EncodeOverlapRatio for the overlap actually achieved.
 func (s *Session) UploadState(ctx context.Context, clientID uint32, sd *tensor.StateDict, opts core.Options, pool *sched.Pool) (*core.Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bw == nil {
-		return nil, errSessionClosed
-	}
-	defer s.arm(ctx)()
-	if err := s.writeUpdatePrelude(clientID, 1); err != nil {
-		return nil, ctxErr(ctx, err)
-	}
-	stats, err := wire.EncodeStream(ctx, pool, wire.NewWriter(s.bw), sd, opts)
+	var stats *core.Stats
+	err := s.send(ctx, clientID, 1, func(w *wire.Writer) (err error) {
+		stats, err = wire.EncodeStream(ctx, pool, w, sd, opts)
+		return err
+	})
 	if err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("flserve: streaming upload: %w", err))
-	}
-	if err := s.finishUpdate(ctx); err != nil {
 		return nil, err
 	}
 	return stats, nil
 }
 
-func (s *Session) finishUpdate(ctx context.Context) error {
-	if err := s.bw.Flush(); err != nil {
-		return ctxErr(ctx, fmt.Errorf("flserve: upload flush: %w", err))
+// send is every upload: the update record — the client ID, then on an FLS3
+// session the weight — and the wire stream body writes, flushed, then the
+// server's ack.
+func (s *Session) send(ctx context.Context, clientID uint32, weight float64, body func(*wire.Writer) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bw == nil {
+		return errSessionClosed
+	}
+	defer s.arm(ctx)()
+	rec := binary.LittleEndian.AppendUint32(s.bw.AvailableBuffer(), clientID)
+	if s.weighted {
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(weight))
+	}
+	_, err := s.bw.Write(rec)
+	if err == nil {
+		err = body(wire.NewWriter(s.bw))
+	}
+	if err == nil {
+		err = s.bw.Flush()
+	}
+	if err != nil {
+		return ctxErr(ctx, fmt.Errorf("flserve: upload: %w", err))
 	}
 	if err := readAck(s.conn); err != nil {
 		return ctxErr(ctx, err)
@@ -312,27 +273,8 @@ func (s *Session) finishUpdate(ctx context.Context) error {
 // Upload dials, sends one update, and waits for the ack, retrying
 // transport failures per the client's Retries/RetryBackoff policy.
 func (c *Client) Upload(ctx context.Context, clientID uint32, stream []byte) error {
-	return c.withRetry(ctx, func(actx context.Context) error {
-		s, err := c.Dial(actx)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		return s.Upload(actx, clientID, stream)
-	})
-}
-
-// UploadWeighted dials a weighted (FLS3) session, sends one update with
-// the given aggregation weight, and waits for the ack, retrying transport
-// failures and sheds per the client's policy.
-func (c *Client) UploadWeighted(ctx context.Context, clientID uint32, weight float64, stream []byte) error {
-	return c.withRetry(ctx, func(actx context.Context) error {
-		s, err := c.DialWeighted(actx)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		return s.UploadWeighted(actx, clientID, weight, stream)
+	return c.once(ctx, connMagic, func(ctx context.Context, s *Session) error {
+		return s.Upload(ctx, clientID, stream)
 	})
 }
 
@@ -342,13 +284,8 @@ func (c *Client) UploadWeighted(ctx context.Context, clientID uint32, weight flo
 // the failed attempt is reused.
 func (c *Client) UploadState(ctx context.Context, clientID uint32, sd *tensor.StateDict, opts core.Options, pool *sched.Pool) (*core.Stats, error) {
 	var stats *core.Stats
-	err := c.withRetry(ctx, func(actx context.Context) error {
-		s, err := c.Dial(actx)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		stats, err = s.UploadState(actx, clientID, sd, opts, pool)
+	err := c.once(ctx, connMagic, func(ctx context.Context, s *Session) (err error) {
+		stats, err = s.UploadState(ctx, clientID, sd, opts, pool)
 		return err
 	})
 	if err != nil {
@@ -357,21 +294,39 @@ func (c *Client) UploadState(ctx context.Context, clientID uint32, sd *tensor.St
 	return stats, nil
 }
 
-// withRetry runs attempt under the per-attempt Timeout, re-dialing
-// transport failures up to Retries times with doubling backoff. Context
-// cancellation and server rejections end the loop immediately.
-func (c *Client) withRetry(ctx context.Context, attempt func(context.Context) error) error {
+// UploadWeighted is UploadState over a weighted (FLS3) connection: the
+// update declares an explicit aggregation weight, so an edge aggregator
+// forwarding the fused mean of n clients uploads it at weight n and the
+// upstream fold counts it as n clients' worth. Retries re-encode sd from
+// scratch, as UploadState's do.
+func (c *Client) UploadWeighted(ctx context.Context, clientID uint32, weight float64, sd *tensor.StateDict, opts core.Options, pool *sched.Pool) error {
+	return c.once(ctx, connMagicWeighted, func(ctx context.Context, s *Session) error {
+		return s.send(ctx, clientID, weight, func(w *wire.Writer) error {
+			_, err := wire.EncodeStream(ctx, pool, w, sd, opts)
+			return err
+		})
+	})
+}
+
+// once runs up on a fresh session opened with magic, closing it after, under
+// the per-attempt Timeout, and re-dials transport failures and sheds up to
+// Retries times with doubling backoff. Context cancellation and server
+// rejections end the loop immediately.
+func (c *Client) once(ctx context.Context, magic uint32, up func(context.Context, *Session) error) error {
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond
 	}
-	var err error
 	for try := 0; ; try++ {
 		actx, cancel := ctx, context.CancelFunc(func() {})
 		if c.Timeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, c.Timeout)
 		}
-		err = attempt(actx)
+		s, err := c.dial(actx, magic, 0)
+		if err == nil {
+			err = up(actx, s)
+			s.Close()
+		}
 		cancel()
 		if err == nil || errors.Is(err, ErrRejected) || ctx.Err() != nil || try >= c.Retries {
 			return err

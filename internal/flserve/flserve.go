@@ -6,25 +6,49 @@
 //
 // # Connection protocol
 //
-// A connection opens with the "FLS1" magic and then carries any number of
-// updates — one wire stream each, acked individually — so a client (or a
-// whole round's worth of clients multiplexed over one Session) pays the
-// dial and prelude cost once:
+// This is the protocol's one full statement; README points here. A
+// connection opens with a prelude and then carries any number of updates —
+// one wire stream each, acked individually — so a client (or a whole
+// round's worth of clients multiplexed over one Session) pays the dial and
+// prelude cost once. All integers are little-endian:
 //
-//	client → server: magic(u32 "FLS1") update*
-//	update:          clientID(u32) wireStream
-//	server → client: status(u8) [msgLen(u16) msg]    (status 0 = accepted)
+//	client → server: prelude update*
+//	prelude:         magic(u32 "FLS1")
+//	               | magic(u32 "FLS2") epoch(u32)   server answers accept(u8)
+//	               | magic(u32 "FLS3")
+//	update:          clientID(u32) [weight(f64), FLS3 only] wireStream
+//	server → client: ack per update, status(u8) first:
+//	                 0 accepted
+//	                 1 rejected  msgLen(u16) msg
+//	                 2 shed      retryAfterMs(u16)
 //
-// A clean EOF where the next clientID would start ends the connection; the
-// historical one-update-per-connection exchange is exactly the first
-// iteration of this loop, so old single-shot clients are wire-compatible.
-// wireStream is the internal/wire framing of a FedSZ stream; each ack is
-// written only after that update has been decoded, verified, and folded,
-// so a successful Upload means the server has durably folded the update.
-// After a failed update the server acks the error and drops the connection
-// (stream synchronization is unreliable past a damaged frame); clients
-// resume on a fresh dial. The FLS2 (delta negotiation) and FLS3 (weighted
-// updates) magics open the same loop with one extra prelude field each.
+// The three preludes:
+//
+//   - FLS1 is the plain upload. Its first iteration is the historical
+//     one-update-per-connection exchange, so old single-shot clients are
+//     wire-compatible.
+//   - FLS2 negotiates cross-round delta uploads: the server answers 1 when
+//     Config.RefProvider holds the proposed epoch's reference (residual v3
+//     streams will decode against it) and 0 otherwise (upload absolute
+//     streams). The answer is flushed before any update is read, and a shed
+//     ack may arrive in its place.
+//   - FLS3 is the edge→root hop of a hierarchical topology: every update
+//     carries the weight it folds at, which must be a positive, finite
+//     float32 (anything else is rejected).
+//
+// wireStream is the internal/wire framing of a FedSZ stream. Each ack is
+// written only after that update has been decoded, verified, and folded, so
+// a successful Upload means the server has folded the update. A clean EOF
+// where the next clientID would start ends the connection. A rejected update
+// or prelude is acked with the reason and the connection dropped (stream
+// synchronization is unreliable past a damaged frame); clients resume on a
+// fresh dial. A shed ack comes from admission control before the connection
+// is served (Config.QueueDepth) and is followed by the close.
+//
+// On the client every upload takes one path: dial writes the prelude,
+// Session.send writes one update record and its stream and reads the ack,
+// and the one-shot Client uploads wrap dial, send and Close in the retry
+// loop.
 //
 // # One ingest path
 //
@@ -67,32 +91,21 @@ import (
 	"repro/internal/tensor"
 )
 
+// The connection magics and ack status bytes of the package doc's grammar.
 const (
-	connMagic = 0x464C5331 // "FLS1"
-	// connMagicDelta opens a delta-negotiating connection: the magic is
-	// followed by the client's reference epoch (u32), and the server answers
-	// one byte — 1 when it holds that epoch's reference and will decode
-	// residual (v3) streams on this connection, 0 when the client must fall
-	// back to absolute uploads. FLS1 connections skip the exchange entirely,
-	// so pre-delta clients are wire-compatible byte for byte.
-	connMagicDelta = 0x464C5332 // "FLS2"
-	// connMagicWeighted opens a weighted-update connection (the edge→root
-	// hop of a hierarchical topology): every update carries an 8-byte
-	// weight between the clientID and the wire stream, so an edge
-	// aggregator can forward one fused update that counts for its whole
-	// local population. There is no handshake reply — like FLS1 — and FLS1
-	// connections are unchanged (implicit weight 1).
-	connMagicWeighted = 0x464C5333 // "FLS3"
+	connMagic         = 0x464C5331 // "FLS1": plain updates
+	connMagicDelta    = 0x464C5332 // "FLS2": epoch(u32) follows; the server answers accept(u8)
+	connMagicWeighted = 0x464C5333 // "FLS3": each update record carries weight(f64)
+
+	ackAccepted = 0
+	ackRejected = 1 // msgLen(u16) msg follow
+	// ackShed is admission control's reject-newest answer: a u16 retry-after
+	// hint in milliseconds follows, so clients classify it as retryable
+	// congestion, never as corruption.
+	ackShed = 2
+
 	// ackMsgLimit truncates error messages echoed to clients.
 	ackMsgLimit = 512
-
-	// Ack status bytes. A shed ack carries a u16 retry-after hint in
-	// milliseconds instead of a message — the explicit reject-newest
-	// admission policy, distinct from a rejection so clients classify it as
-	// retryable congestion, never as corruption.
-	ackAccepted = 0
-	ackRejected = 1
-	ackShed     = 2
 )
 
 // Update describes one folded client update, as Config.Handler observes it.
@@ -202,9 +215,10 @@ var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 32<
 // Stats aggregates what a Server has ingested so far. Obtain one from
 // Server.Snapshot (safe to call while connections are live).
 type Stats struct {
-	// Updates counts successfully decoded, handled updates.
+	// Updates counts updates decoded, verified and folded by the Ingestor.
 	Updates int
-	// Rejected counts connections that failed protocol, decode, or handler.
+	// Rejected counts connections that failed the protocol, and updates that
+	// failed decode or verification.
 	Rejected int
 	// Shed counts connections refused by admission control (QueueDepth
 	// exceeded) — load the server declined, not failures.

@@ -60,7 +60,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("fedsz_server_updates_total",
 		"Updates decoded, verified, and folded by the ingestor.", &m.updates)
 	reg.Register("fedsz_server_updates_rejected_total",
-		"Updates rejected by decode, verification, or the handler.", &m.updatesRejected)
+		"Updates rejected by decode or verification.", &m.updatesRejected)
 	reg.Register("fedsz_server_wire_bytes_total",
 		"Raw socket bytes across accepted updates.", &m.wireBytes)
 	reg.Register("fedsz_server_update_wire_bytes",

@@ -148,7 +148,7 @@ func TestPreludeGoldenClient(t *testing.T) {
 		{
 			name: "FLS3 upload at weight 3",
 			send: func(c *Client) error {
-				return c.UploadWeighted(ctx, 7, 3, weightedStream)
+				return c.UploadWeighted(ctx, 7, 3, sd, opts, nil)
 			},
 			want: [][]byte{hexBytes(t, "33534c46 07000000 0000000000000840"), framed(t, weightedStream)},
 		},
