@@ -25,12 +25,12 @@
 // An update is decoded in full and folded only after its wire trailer
 // verifies, so a mid-stream corruption never half-folds into the
 // accumulator, and an update that decoded to a NaN or an infinity anywhere
-// is refused (ErrCorrupt) before it folds. The first update of a round is adopted (not added) and
-// defines the structure later ones must match; later updates fold with the
-// kernel a[i] += w·b[i] in arrival order, and Mean divides by the weight
-// total (the count, for unweighted traffic). Sequential ingest is therefore
-// bit-for-bit the textbook fold — adopt, StateDict.AddScaled, Scale — of
-// the core.Decompress'ed updates. Under concurrent ingest only the arrival
+// is refused (ErrCorrupt) before it folds. The first update of a round is
+// adopted (not added) and defines the structure later ones must match; later
+// updates fold with the kernel a[i] += w·b[i] in arrival order, and Mean
+// divides by the weight total (the count, for unweighted traffic).
+// Sequential ingest is therefore bit-for-bit the textbook fold — adopt,
+// StateDict.AddScaled, Scale — of the core.Decompress'ed updates. Under concurrent ingest only the arrival
 // order can differ, which reassociates float addition; the conformance
 // tests bound that difference (see TestShardedConformance).
 //

@@ -962,12 +962,10 @@ func TestWeightOutsideFloat32Rejected(t *testing.T) {
 	}
 }
 
-// hostileLengthStream is core's splice of the same name built from the
-// exported parsers: stream's first tensor blob becomes its own 17-byte sz2
-// header, the lossless-stage byte selecting the zstd-like frame, and a frame
-// whose literal blob declares 2^63 bytes. Every framing layer and every CRC
-// accepts it; the length goes wrong inside the codec, on a pool goroutine.
-func hostileLengthStream(t testing.TB, stream []byte) []byte {
+// withFirstBlob replaces stream's first tensor blob with blob(pt), pt being
+// that tensor section parsed: every framing layer and every CRC accepts the
+// result.
+func withFirstBlob(t testing.TB, stream []byte, blob func(pt core.ParsedTensor) []byte) []byte {
 	t.Helper()
 	secs, err := core.Sections(stream)
 	if err != nil {
@@ -981,16 +979,26 @@ func hostileLengthStream(t testing.TB, stream []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := append([]byte(nil), pt.Blob[:17]...)
-	blob = append(blob, 1, 0x10, 0, 0, 0, 0)
-	blob = binary.AppendUvarint(blob, 1<<63)
 	meta := 1 + len(pt.Name) + 2 + 4*len(pt.Shape)
 	out := append([]byte(nil), secs.Header...)
-	out = ebcl.AppendSection(append(out, secs.Tensors[0][:meta]...), blob)
+	out = ebcl.AppendSection(append(out, secs.Tensors[0][:meta]...), blob(pt))
 	for _, rest := range secs.Tensors[1:] {
 		out = append(out, rest...)
 	}
 	return append(out, secs.Lossless...)
+}
+
+// hostileLengthStream is core's splice of the same name built from the
+// exported parsers: stream's first tensor blob becomes its own 17-byte sz2
+// header, the lossless-stage byte selecting the zstd-like frame, and a frame
+// whose literal blob declares 2^63 bytes. Every framing layer and every CRC
+// accepts it; the length goes wrong inside the codec, on a pool goroutine.
+func hostileLengthStream(t testing.TB, stream []byte) []byte {
+	return withFirstBlob(t, stream, func(pt core.ParsedTensor) []byte {
+		blob := append([]byte(nil), pt.Blob[:17]...)
+		blob = append(blob, 1, 0x10, 0, 0, 0, 0)
+		return binary.AppendUvarint(blob, 1<<63)
+	})
 }
 
 // TestHostileLengthLiveServer uploads that stream to a live server: the
@@ -1099,33 +1107,6 @@ func finiteDict(seed uint64) *tensor.StateDict {
 	return sd
 }
 
-// constantTensorStream replaces stream's first tensor blob with a constant
-// stream of n copies of v under the same codec: a stream no encoder here
-// writes for a NaN, whose every framing layer and CRC still checks out.
-func constantTensorStream(t testing.TB, stream []byte, v float32) []byte {
-	t.Helper()
-	secs, err := core.Sections(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := core.ParseHeader(secs.Header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := core.ParseTensorSection(hdr, secs.Tensors[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := ebcl.AppendConstant(nil, binary.LittleEndian.Uint32(pt.Blob), pt.Elems, v)
-	meta := 1 + len(pt.Name) + 2 + 4*len(pt.Shape)
-	out := append([]byte(nil), secs.Header...)
-	out = ebcl.AppendSection(append(out, secs.Tensors[0][:meta]...), blob)
-	for _, rest := range secs.Tensors[1:] {
-		out = append(out, rest...)
-	}
-	return append(out, secs.Lossless...)
-}
-
 // TestNonFiniteUpdateRejected uploads two finite updates and three that
 // decode to a non-finite value — a NaN weight under an absolute bound, a
 // +Inf running statistic in the metadata partition, and a constant-NaN
@@ -1146,9 +1127,13 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 	infStat.Get("bn.running_var").Data[5] = float32(math.Inf(1))
 	good := [][]byte{compress(finiteDict(1)), compress(finiteDict(2))}
 	bad := map[string][]byte{
-		"nan-weight":   compress(nanWeight),
-		"inf-stat":     compress(infStat),
-		"constant-nan": constantTensorStream(t, compress(finiteDict(5)), float32(math.NaN())),
+		"nan-weight": compress(nanWeight),
+		"inf-stat":   compress(infStat),
+		// A constant stream of NaN under the tensor's own codec: no encoder
+		// here writes one.
+		"constant-nan": withFirstBlob(t, compress(finiteDict(5)), func(pt core.ParsedTensor) []byte {
+			return ebcl.AppendConstant(nil, binary.LittleEndian.Uint32(pt.Blob), pt.Elems, float32(math.NaN()))
+		}),
 	}
 	var decoded []*tensor.StateDict
 	for _, stream := range good {

@@ -10,7 +10,8 @@
 // connection opens with a prelude and then carries any number of updates —
 // one wire stream each, acked individually — so a client (or a whole
 // round's worth of clients multiplexed over one Session) pays the dial and
-// prelude cost once. All integers are little-endian:
+// prelude cost once. All integers are little-endian, the magics included:
+// "FLS1" is the u32 0x464C5331, so its bytes on the wire are 31 53 4c 46.
 //
 //	client → server: prelude update*
 //	prelude:         magic(u32 "FLS1")

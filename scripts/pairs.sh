@@ -122,7 +122,8 @@ for side in base change; do
 	done
 done
 echo
-echo "round_ms pair by pair (base / working tree): $(paste -d/ <(value base round_ms) <(value change round_ms) | paste -sd';' | sed 's/;/; /g; s|/| / |g')"
+echo "round_ms pair by pair (base / working tree): $(paste <(value base round_ms) <(value change round_ms) |
+	awk '{ printf "%s%.2f / %.2f", (NR > 1 ? "; " : ""), $1, $2 }')"
 
 # lines TREE: non-test Go + assembly lines outside bench/.
 lines() {
