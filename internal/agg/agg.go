@@ -34,6 +34,16 @@
 // order can differ, which reassociates float addition; the conformance
 // tests bound that difference (see TestShardedConformance).
 //
+// A delta update's constant residual (core.DecodedTensor's constant form,
+// b[i] = fl(ref[i] + v)) is never written out: it folds straight from the
+// reference with a[i] += w·fl(ref[i] + v) (lanes.AddScaledOffset), the same
+// bits as writing it out first. Its finiteness needs no pass either. Float
+// addition rounds monotonically, so with [lo, hi] the reference tensor's
+// extent (both elements of it) some fl(ref[i] + v) is a NaN or an infinity
+// exactly when v is, or the reference holds one, or fl(lo + v) or
+// fl(hi + v) overflows. The extent is scanned once per reference tensor and
+// epoch and cached; every other tensor is scanned once per update.
+//
 // # Hierarchical topology
 //
 // An edge is a server whose Sharded is forwarded upstream (Forward) when its
@@ -50,6 +60,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -107,6 +118,46 @@ type Sharded struct {
 	n       int
 	wsum    float64
 	seen    map[uint32]bool // client IDs folded this round
+
+	// refs caches reference extents for the finiteness verdict; it has its
+	// own lock, so the verdict runs before commit, outside mu.
+	refs refExtents
+}
+
+// refExtents caches lanes.Scan of the reference tensors constant residuals
+// were decoded against, for one epoch at a time: a new epoch clears it, and
+// an entry is keyed by the tensor's storage, so a different reference slice
+// is scanned afresh. A reference does not change within its epoch (delta.Ref
+// advances only between rounds, with the epoch).
+type refExtents struct {
+	mu    sync.Mutex
+	epoch uint32
+	m     map[*float32]refExtent
+}
+
+type refExtent struct {
+	n int
+	e lanes.Extent
+}
+
+// of returns ref's extent at epoch; ref must not be empty.
+func (c *refExtents) of(epoch uint32, ref []float32) lanes.Extent {
+	c.mu.Lock()
+	if c.m == nil || c.epoch != epoch {
+		c.m, c.epoch = make(map[*float32]refExtent), epoch
+	}
+	x, ok := c.m[&ref[0]]
+	c.mu.Unlock()
+	if ok && x.n == len(ref) {
+		return x.e
+	}
+	e := lanes.Scan(ref) // outside the lock: other updates' verdicts go on
+	c.mu.Lock()
+	if c.epoch == epoch {
+		c.m[&ref[0]] = refExtent{len(ref), e}
+	}
+	c.mu.Unlock()
+	return e
 }
 
 // New builds a Sharded aggregator.
@@ -134,7 +185,7 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 	if err != nil {
 		return 0, core.DecompressStats{}, err
 	}
-	if name := nonFinite(upd.Tensors, upd.Meta); name != "" {
+	if name := s.nonFinite(dopts.RefEpoch, upd.Tensors, upd.Meta); name != "" {
 		upd.Release()
 		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: tensor %q decoded to a non-finite value", core.ErrCorrupt, name)
 	}
@@ -148,11 +199,20 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 
 // nonFinite names the first tensor, of lossy and then of dict, that holds a
 // NaN or an infinity, or returns "" when every value is finite. Folded, one
-// such value turns its whole tensor's mean non-finite. Empty tensors are
+// such value turns its whole tensor's mean non-finite. A constant residual
+// is judged from its value and its reference's cached extent at epoch (see
+// the package doc); every other tensor is scanned. Empty tensors are
 // skipped: lanes.Scan needs an element.
-func nonFinite(lossy []core.DecodedTensor, dict *tensor.StateDict) string {
-	for _, t := range lossy {
-		if len(t.Data) > 0 && !lanes.Scan(t.Data).Finite() {
+func (s *Sharded) nonFinite(epoch uint32, lossy []core.DecodedTensor, dict *tensor.StateDict) string {
+	for i := range lossy {
+		t := &lossy[i]
+		switch {
+		case t.Elems() == 0:
+		case t.Data == nil:
+			if e := s.refs.of(epoch, t.Ref); !e.Finite() || !finite(t.Const) || !finite(e.Lo+t.Const) || !finite(e.Hi+t.Const) {
+				return t.Name
+			}
+		case !lanes.Scan(t.Data).Finite():
 			return t.Name
 		}
 	}
@@ -163,6 +223,9 @@ func nonFinite(lossy []core.DecodedTensor, dict *tensor.StateDict) string {
 	}
 	return ""
 }
+
+// finite reports whether v is neither a NaN nor an infinity.
+func finite(v float32) bool { return math.Float32bits(v)&^(1<<31) < 0x7f800000 }
 
 // commit folds one fully verified, fully decoded update into the
 // accumulator, or drops it if client already folded this round. It
@@ -181,14 +244,15 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 	w := float32(weight)
 	if s.structure == nil {
 		// First update: it becomes the accumulator, and its layout the
-		// structure.
+		// structure. StateDict writes its constant tensors out, so the
+		// accumulator never reads the reference.
+		s.sumView = upd.StateDict()
 		lossy := make([]lossyMeta, len(upd.Tensors))
 		for i, t := range upd.Tensors {
-			lossy[i] = lossyMeta{name: t.Name, acc: t.Data}
+			lossy[i] = lossyMeta{name: t.Name, acc: s.sumView.Get(t.Name).Data}
 		}
 		s.structure = &layout{flags: upd.Flags, lossy: lossy}
 		s.meta = upd.Meta
-		s.sumView = upd.StateDict()
 		if weight != 1 {
 			s.sumView.Scale(w)
 		}
@@ -197,7 +261,11 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 			return err
 		}
 		for i, l := range s.structure.lossy {
-			lanes.AddScaled(l.acc, upd.Tensors[i].Data, w)
+			if t := &upd.Tensors[i]; t.Data == nil {
+				lanes.AddScaledOffset(l.acc, t.Ref, t.Const, w)
+			} else {
+				lanes.AddScaled(l.acc, t.Data, w)
+			}
 		}
 		if err := s.meta.AddScaled(upd.Meta, w); err != nil {
 			// Unreachable after checkStructure; kept as a hard stop so a
@@ -221,9 +289,9 @@ func (s *Sharded) checkStructure(upd *core.DecodedStream) error {
 	}
 	for i := range upd.Tensors {
 		want, t := &s.structure.lossy[i], &upd.Tensors[i]
-		if t.Name != want.name || len(t.Data) != len(want.acc) {
+		if t.Name != want.name || t.Elems() != len(want.acc) {
 			return fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
-				core.ErrCorrupt, i, t.Name, len(t.Data), want.name, len(want.acc))
+				core.ErrCorrupt, i, t.Name, t.Elems(), want.name, len(want.acc))
 		}
 	}
 	if err := s.meta.CheckCompatible(upd.Meta); err != nil {
@@ -279,7 +347,7 @@ func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, op
 		return 0, nil
 	}
 	defer core.Release(mean)
-	if name := nonFinite(nil, mean); name != "" {
+	if name := s.nonFinite(0, nil, mean); name != "" {
 		return 0, fmt.Errorf("agg: forward: the mean of tensor %q is not finite", name)
 	}
 	weight := s.wsum

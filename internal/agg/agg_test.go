@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/flserve"
@@ -980,6 +981,9 @@ func withFirstBlob(t testing.TB, stream []byte, blob func(pt core.ParsedTensor) 
 		t.Fatal(err)
 	}
 	meta := 1 + len(pt.Name) + 2 + 4*len(pt.Shape)
+	if hdr.IsDelta() {
+		meta++ // the section mode byte
+	}
 	out := append([]byte(nil), secs.Header...)
 	out = ebcl.AppendSection(append(out, secs.Tensors[0][:meta]...), blob(pt))
 	for _, rest := range secs.Tensors[1:] {
@@ -1112,7 +1116,9 @@ func finiteDict(seed uint64) *tensor.StateDict {
 // +Inf running statistic in the metadata partition, and a constant-NaN
 // tensor stream — to a live server. Each bad one must come back as a
 // rejection with nothing folded, so the mean is the finite clients' textbook
-// fold bit for bit, and every float buffer taken is returned.
+// fold bit for bit, and every float buffer taken is returned. The delta
+// clients that follow do the same for constant residuals, whose verdict
+// comes from the reference's cached extent (see nonFiniteDelta).
 func TestNonFiniteUpdateRejected(t *testing.T) {
 	opts := core.Options{LossyParams: ebcl.Abs(1e-3)}
 	compress := func(sd *tensor.StateDict) []byte {
@@ -1189,6 +1195,131 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 	}
 	if busy := pool.Busy(); busy != 0 {
 		t.Fatalf("pool busy after drain: %d", busy)
+	}
+	nonFiniteDelta(t)
+}
+
+// nonFiniteDelta is TestNonFiniteUpdateRejected's delta half. Delta clients
+// upload to a live server whose reference sits at epoch 1, each a stream
+// whose conv.weight is a constant residual of value v. At epoch 1 v = NaN
+// and v = +Inf must come back rejected, with the accumulator and the count
+// untouched, and v = 0 and v = ±1e38 fold. The reference then advances to
+// epoch 2 in the same storage, gaining the elements ±3e38, so that
+// v = ±1e38 overflows against one of them: both must be rejected there,
+// which the cached extent of epoch 1 would have let through.
+func nonFiniteDelta(t *testing.T) {
+	opts := core.Options{LossyParams: ebcl.Abs(1e-3)}
+	base, huge := finiteDict(6), finiteDict(7)
+	huge.Get("conv.weight").Data[9] = 3e38
+	huge.Get("conv.weight").Data[10] = -3e38
+	var holder delta.Ref
+	e1 := holder.Set(base) // the holder's copy stays out
+	hits0, misses0 := sched.FloatPoolCounters()
+	puts0 := sched.FloatPoolPuts()
+	pool := sched.NewPool(2)
+	sh := New(Config{Pool: pool})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, RefProvider: holder.Provider()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &flserve.Client{Addr: srv.Addr().String()}
+	ctx := context.Background()
+	// constant returns a stream at epoch whose conv.weight is a constant
+	// residual of v: base encoded against itself (the encoder's constant
+	// stream of 0), then that blob replaced by v's. Only the epoch ties it to
+	// the server's reference.
+	constant := func(epoch uint32, v float32) []byte {
+		o := opts
+		o.Reference, o.RefEpoch = base, epoch
+		stream, st, err := core.Compress(base, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ConstantResiduals != 1 {
+			t.Fatalf("%d constant residuals, want conv.weight's", st.ConstantResiduals)
+		}
+		return withFirstBlob(t, stream, func(pt core.ParsedTensor) []byte {
+			return ebcl.AppendConstant(nil, binary.LittleEndian.Uint32(pt.Blob), pt.Elems, v)
+		})
+	}
+	upload := func(epoch uint32, id uint32, stream []byte) error {
+		s, err := c.DialDelta(ctx, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if !s.DeltaAccepted() {
+			t.Fatalf("server refused delta epoch %d", epoch)
+		}
+		return s.Upload(ctx, id, stream)
+	}
+	// round uploads each stream at epoch, wants exactly the ones named in ok
+	// folded and the others rejected, and checks the mean against the
+	// textbook fold of the accepted ones.
+	round := func(epoch uint32, ref *tensor.StateDict, streams map[string][]byte, ok ...string) {
+		t.Helper()
+		var decoded []*tensor.StateDict
+		id := epoch * 100
+		for _, name := range ok {
+			id++
+			if err := upload(epoch, id, streams[name]); err != nil {
+				t.Fatalf("epoch %d %s: %v", epoch, name, err)
+			}
+			sd, _, err := core.DecompressWith(ctx, nil, streams[name], core.DecodeOptions{Reference: ref, RefEpoch: epoch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded = append(decoded, sd)
+			delete(streams, name)
+		}
+		for name, stream := range streams {
+			id++
+			err := upload(epoch, id, stream)
+			if !errors.Is(err, flserve.ErrRejected) || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("epoch %d %s: upload error %v, want ErrRejected naming the non-finite value", epoch, name, err)
+			}
+		}
+		mean, n := sh.Mean()
+		if n != len(ok) {
+			t.Fatalf("epoch %d: folded %d updates, want %d", epoch, n, len(ok))
+		}
+		mustEqualBits(t, fmt.Sprintf("epoch %d mean", epoch), mean, manualFold(t, decoded))
+		core.Release(mean)
+		for _, sd := range decoded {
+			core.Release(sd)
+		}
+		sh.Reset()
+	}
+
+	ref1, _, _ := holder.Get()
+	storage := &ref1.Get("conv.weight").Data[0]
+	round(e1, ref1, map[string][]byte{
+		"v 0":     constant(e1, 0),
+		"v NaN":   constant(e1, float32(math.NaN())),
+		"v +Inf":  constant(e1, float32(math.Inf(1))),
+		"v 1e38":  constant(e1, 1e38),
+		"v -1e38": constant(e1, -1e38),
+	}, "v 0", "v 1e38", "v -1e38")
+
+	e2 := holder.Set(huge)
+	ref2, _, _ := holder.Get()
+	if &ref2.Get("conv.weight").Data[0] != storage {
+		t.Fatal("the reference moved to new storage; the test needs it in place")
+	}
+	round(e2, ref2, map[string][]byte{
+		"v 0":     constant(e2, 0),
+		"v NaN":   constant(e2, float32(math.NaN())),
+		"v 1e38":  constant(e2, 1e38),
+		"v -1e38": constant(e2, -1e38),
+	}, "v 0")
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hits1, misses1 := sched.FloatPoolCounters()
+	if got, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; got != put {
+		t.Fatalf("the delta rounds took %d float buffers and returned %d", got, put)
 	}
 }
 

@@ -96,3 +96,39 @@ func TestAddScaledLeavesTheRest(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkFoldConstant times the fold of one update whose tensors are all
+// constant residuals, at delta_rounds' shape (12 tensors of 145,833 floats):
+// lanes.AddScaledOffset straight from the reference, against writing each
+// tensor out with lanes.Offset into a buffer of its own (as a decode task
+// did) and folding that with lanes.AddScaled. MB/s counts the accumulator's
+// bytes.
+func BenchmarkFoldConstant(b *testing.B) {
+	const layers, n = 12, 145_833
+	rng := rand.New(rand.NewPCG(44, 3))
+	acc, ref, tmp := make([][]float32, layers), make([][]float32, layers), make([][]float32, layers)
+	for i := range layers {
+		acc[i], ref[i], tmp[i] = make([]float32, n), make([]float32, n), make([]float32, n)
+		for j := range n {
+			acc[i][j], ref[i][j] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		}
+	}
+	const v, w = 1e-3, 1
+	b.Run("AddScaledOffset", func(b *testing.B) {
+		b.SetBytes(4 * layers * n)
+		for range b.N {
+			for i := range layers {
+				lanes.AddScaledOffset(acc[i], ref[i], v, w)
+			}
+		}
+	})
+	b.Run("Offset+AddScaled", func(b *testing.B) {
+		b.SetBytes(4 * layers * n)
+		for range b.N {
+			for i := range layers {
+				lanes.Offset(tmp[i], ref[i], v)
+				lanes.AddScaled(acc[i], tmp[i], w)
+			}
+		}
+	})
+}

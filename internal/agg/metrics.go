@@ -2,9 +2,13 @@ package agg
 
 // Aggregator metrics: each Sharded owns its counters — updates folded and
 // the fold/merge latency — and RegisterMetrics names them on a registry the
-// program built.
+// program built. The merge histogram is also the fold stage of
+// fedsz_stage_seconds: one timer, two names.
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/core"
+	"repro/internal/telemetry"
+)
 
 type aggMetrics struct {
 	updates   telemetry.Counter
@@ -18,4 +22,5 @@ func (s *Sharded) RegisterMetrics(reg *telemetry.Registry) {
 		"Updates folded by the aggregator; a client's dropped duplicate is not counted.", &s.m.updates)
 	reg.Register("fedsz_agg_merge_seconds",
 		"Per-update commit time: structural validation plus the fold.", s.m.mergeHist)
+	core.RegisterStage(reg, "fold", "all", s.m.mergeHist)
 }

@@ -39,8 +39,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/ebcl"
 	"repro/internal/lanes"
@@ -208,31 +206,40 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 	return subs, nil
 }
 
+// constantBlob returns v when blob is a residual that DecodeLayout
+// would fill with elems copies of v: a plain (not chunked) blob under a
+// built-in codec (magicCodec), ref present, and the codec's LayoutConstant
+// stream declaring elems. The tensor is then fl(ref[i] + v). chunkedOK is
+// as for decodeBlobInto. Any other blob, a hostile one too, is not constant
+// and takes the codec.
+func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool, ref []float32) (float32, bool) {
+	mc, ok := lossy.(magicCodec)
+	if !ok || ref == nil || chunkedOK && isChunkedBlob(blob) {
+		return 0, false
+	}
+	return ebcl.ConstantOf(blob, mc.Magic(), elems)
+}
+
 // decodeBlobInto reconstructs a tensor blob — plain or chunked — into
 // dst's storage (capacity ≥ elems), returning the elems-length result.
 // A non-nil ref is the residual baseline: it is folded back in, in place,
 // per chunk (one pass while the chunk is still cache-warm), and a constant
-// residual's stream is written as ref + v in one pass (lanes.Offset). chunkedOK
-// gates the chunked layout on the stream version: in v1–v3 streams a 0xFC
-// first byte is codec data and fails the codec's own magic check, exactly
-// as before chunking existed. Chunks decode one after another on the
-// calling goroutine, each into its own sub-range of dst: a tensor is one
-// pool task, and cross-tensor parallelism is the scheduler's job (fanning
-// chunks out measured slower than not: 0.86× on 2 CPUs). Decode + fold
-// time accumulates into work.
-func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32, work *atomic.Int64) ([]float32, error) {
-	t0 := time.Now()
-	defer func() { work.Add(int64(time.Since(t0))) }()
+// residual (constantBlob) is written as ref + v in one pass
+// (lanes.Offset); DecodeSections asks constantBlob first and leaves
+// such a tensor unwritten. chunkedOK gates the chunked layout on the stream
+// version: in v1–v3 streams a 0xFC first byte is codec data and fails the
+// codec's own magic check, exactly as before chunking existed. Chunks
+// decode one after another on the calling goroutine, each into its own
+// sub-range of dst: a tensor is one pool task, and cross-tensor parallelism
+// is the scheduler's job (fanning chunks out measured slower than not: 0.86×
+// on 2 CPUs).
+func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, error) {
+	if v, ok := constantBlob(lossy, blob, elems, chunkedOK, ref); ok {
+		data := ebcl.GrowFloats(dst, elems)
+		lanes.Offset(data, ref, v)
+		return data, nil
+	}
 	if !chunkedOK || !isChunkedBlob(blob) {
-		// A constant residual skips the codec; any other blob, a hostile
-		// one too, takes it.
-		if mc, ok := lossy.(magicCodec); ok && ref != nil {
-			if v, ok := ebcl.ConstantOf(blob, mc.Magic(), elems); ok {
-				data := ebcl.GrowFloats(dst, elems)
-				lanes.Offset(data, ref, v)
-				return data, nil
-			}
-		}
 		data, err := lossy.DecompressInto(dst, blob)
 		if err != nil {
 			return nil, err

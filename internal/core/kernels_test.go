@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/compressors"
@@ -311,7 +310,6 @@ func (c magicCounter) Magic() uint32 { return c.Compressor.(magicCodec).Magic() 
 // same error as before; so does every stream under a codec without Magic.
 func TestConstantBlobDecode(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 3))
-	var work atomic.Int64
 	for _, name := range []string{"sz2", "sz3", "szx", "zfp"} {
 		lossy, err := compressors.Get(name)
 		if err != nil {
@@ -330,9 +328,9 @@ func TestConstantBlobDecode(t *testing.T) {
 				decode := func(blob []byte, elems int, ref []float32) (want, got []float32, dst []float32, wantErr, gotErr error, called bool) {
 					var plainCalls, magicCalls int
 					plain := decodeCounter{lossy, &plainCalls}
-					want, wantErr = decodeBlobInto(plain, make([]float32, elems), blob, elems, true, ref, &work)
+					want, wantErr = decodeBlobInto(plain, make([]float32, elems), blob, elems, true, ref)
 					dst = make([]float32, elems)
-					got, gotErr = decodeBlobInto(magicCounter{decodeCounter{lossy, &magicCalls}}, dst, blob, elems, true, ref, &work)
+					got, gotErr = decodeBlobInto(magicCounter{decodeCounter{lossy, &magicCalls}}, dst, blob, elems, true, ref)
 					if plainCalls != 1 {
 						t.Fatalf("%s %s: n=%d: the codec without Magic was called %d times", path, name, n, plainCalls)
 					}

@@ -3,15 +3,19 @@ package core
 // Pipeline metrics. Like the buffer pools in sched, the codec pipeline is
 // process-wide, so its counters are package-level values that every encode
 // and decode updates; RegisterMetrics names them on a registry the program
-// built. The stage timers are one encode and one decode latency histogram
-// per lossy codec, created the first time a codec is seen. The lookup is a
-// plain map behind an RWMutex — a read-lock map hit boxes nothing, so the
-// steady-state cost per encode/decode call is one RLock and one Observe
-// (both allocation-free).
+// built. The stage timers are, per lossy codec, one encode and one decode
+// latency histogram of the whole state dict and two decode-stage histograms
+// (fedsz_stage_seconds): reconstruct, each tensor's decode task, and
+// huffman, the Huffman decode inside it (ebcl.HuffmanDecodeTimer). They are
+// created the first time a codec is seen. The lookup is a plain map behind
+// an RWMutex — a read-lock map hit boxes nothing, so the steady-state cost
+// per encode/decode call is one RLock, and per observation one Observe (both
+// allocation-free).
 
 import (
 	"sync"
 
+	"repro/internal/ebcl"
 	"repro/internal/telemetry"
 )
 
@@ -21,8 +25,20 @@ import (
 var deltaBytesSaved, deltaSections, constantSections, absoluteSections telemetry.Counter
 
 type stageHists struct {
-	encode *telemetry.Histogram
-	decode *telemetry.Histogram
+	encode, decode       *telemetry.Histogram
+	huffman, reconstruct *telemetry.Histogram
+}
+
+// stageHelp is fedsz_stage_seconds' help text: every registration of the
+// family, the aggregator's fold included, must carry the same one.
+const stageHelp = "Time of one pipeline stage: huffman is a blob's Huffman decode, reconstruct a tensor's whole decode task (its Huffman decode included), fold an update's commit into the accumulator."
+
+// RegisterStage exports h as the series {stage, codec, dir="decode"} of
+// fedsz_stage_seconds: for a stage timed outside this package, the
+// aggregator's fold.
+func RegisterStage(reg *telemetry.Registry, stage, codec string, h *telemetry.Histogram) {
+	reg.Register("fedsz_stage_seconds", stageHelp, h,
+		telemetry.L("stage", stage), telemetry.L("codec", codec), telemetry.L("dir", "decode"))
 }
 
 var (
@@ -62,9 +78,11 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 		"Full-statedict encode wall time, by lossy codec.", h.encode, telemetry.L("codec", codec))
 	reg.Register("fedsz_decode_seconds",
 		"Full-statedict decode wall time, by lossy codec.", h.decode, telemetry.L("codec", codec))
+	RegisterStage(reg, "huffman", codec, h.huffman)
+	RegisterStage(reg, "reconstruct", codec, h.reconstruct)
 }
 
-// stageFor returns the encode/decode histograms labeled with codec.
+// stageFor returns the stage histograms labeled with codec.
 func stageFor(codec string) *stageHists {
 	stageMu.RLock()
 	h := stages[codec]
@@ -78,8 +96,10 @@ func stageFor(codec string) *stageHists {
 		return h
 	}
 	h = &stageHists{
-		encode: telemetry.NewHistogram(telemetry.DurationBuckets),
-		decode: telemetry.NewHistogram(telemetry.DurationBuckets),
+		encode:      telemetry.NewHistogram(telemetry.DurationBuckets),
+		decode:      telemetry.NewHistogram(telemetry.DurationBuckets),
+		huffman:     ebcl.HuffmanDecodeTimer(codec),
+		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
 	}
 	for _, reg := range stageRegs {
 		h.register(reg, codec)

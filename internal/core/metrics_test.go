@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -38,5 +39,49 @@ func TestRegisterMetricsCoversLaterCodecs(t *testing.T) {
 	}
 	if s, ok := telemetry.FindSample(samples, "fedsz_decode_seconds_count", telemetry.L("codec", "test-seen-after")); ok && s.Value != 1 {
 		t.Errorf("late codec's decode count = %v, want 1", s.Value)
+	}
+}
+
+// TestStageTimersCountDecodes: decoding an sz2 stream observes
+// fedsz_stage_seconds' reconstruct stage once per lossy tensor and its
+// huffman stage once per Huffman-coded blob, a chunked tensor's chunks being
+// one blob each.
+func TestStageTimersCountDecodes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	RegisterMetrics(reg)
+	count := func(stage string) float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := telemetry.ParseText(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
+			telemetry.L("stage", stage), telemetry.L("codec", "sz2"), telemetry.L("dir", "decode"))
+		return s.Value
+	}
+	rng := rand.New(rand.NewPCG(44, 5))
+	stream, st, err := Compress(skewedDict(rng, 18432), Options{ChunkElems: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LossyTensors != 2 || st.ChunkedTensors != 1 {
+		t.Fatalf("%d lossy tensors, %d chunked; want 2 and 1", st.LossyTensors, st.ChunkedTensors)
+	}
+	huffman0, reconstruct0 := count("huffman"), count("reconstruct")
+	sd, _, err := Decompress(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Release(sd)
+	// fc.weight's 18432 elements split into three chunks, conv.weight is one.
+	if got := count("huffman") - huffman0; got != 4 {
+		t.Errorf("huffman stage observed %v blobs, want 4", got)
+	}
+	if got := count("reconstruct") - reconstruct0; got != 2 {
+		t.Errorf("reconstruct stage observed %v tensors, want 2", got)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lanes"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 )
@@ -287,20 +288,45 @@ func (s *readerSections) Next(kind SectionKind) ([]byte, error) {
 func (*readerSections) Release(section []byte)    { sched.PutBytes(section) }
 func (s *readerSections) ReadWait() time.Duration { return s.tr.Blocked() }
 
-// DecodedTensor is one lossy tensor reconstructed by DecodeSections.
+// DecodedTensor is one lossy tensor reconstructed by DecodeSections, in one
+// of two forms. Usually Data holds the reconstruction. A residual section
+// that is a constant block (the codec's 13-byte LayoutConstant stream of v
+// over update − reference) is left unwritten instead: Data is nil and the
+// tensor is fl(Ref[i] + Const) element by element, which the aggregator folds
+// straight from the reference (lanes.AddScaledOffset) and StateDict writes
+// out (lanes.Offset), the same bits either way.
+//
+// Ref aliases the tensor of DecodeOptions.Reference, so a constant tensor is
+// valid only while the caller holds that epoch's reference unchanged; a
+// delta.Ref advances only between rounds. A caller that keeps a
+// DecodedStream past that point must materialize it first with StateDict.
 type DecodedTensor struct {
 	Name  string
 	Kind  tensor.Kind
 	Shape []int
-	// Data is the reconstruction, in a pool-backed float buffer.
+	// Data is the reconstruction, in a pool-backed float buffer; nil for a
+	// constant residual.
 	Data []float32
-	err  error
+	// Ref and Const are a constant residual: Ref is the reference tensor's
+	// data and Const the residual's value. Ref is nil otherwise.
+	Ref   []float32
+	Const float32
+	err   error
+}
+
+// Elems is the tensor's element count, in either form.
+func (t *DecodedTensor) Elems() int {
+	if t.Data == nil {
+		return len(t.Ref)
+	}
+	return len(t.Data)
 }
 
 // DecodedStream is a stream decoded section by section but not yet
 // assembled: what a section-routing aggregator folds directly, and what
 // StateDict turns into a state dict. Its tensor buffers are pooled — hand
-// them on (StateDict, or take Data and nil it) or Release them.
+// them on (StateDict, or take Data and nil it) or Release them. Its
+// constant tensors read the reference (see DecodedTensor).
 type DecodedStream struct {
 	// Flags holds the per-entry path flags in original dict order; two
 	// streams with equal Flags interleave their partitions identically.
@@ -311,7 +337,8 @@ type DecodedStream struct {
 	Meta *tensor.StateDict
 }
 
-// Release returns every tensor buffer the stream still owns to the pool.
+// Release returns every tensor buffer the stream still owns to the pool; a
+// constant tensor owns none.
 func (d *DecodedStream) Release() {
 	for i := range d.Tensors {
 		sched.PutFloats(d.Tensors[i].Data)
@@ -322,8 +349,9 @@ func (d *DecodedStream) Release() {
 }
 
 // StateDict assembles the partitions into one state dict in the original
-// entry order. The dict takes over the tensor buffers; recycle them with
-// core.Release once it is dead.
+// entry order, writing each constant tensor out into a pooled buffer
+// (lanes.Offset), so the dict no longer reads the reference. The dict takes
+// over the tensor buffers; recycle them with core.Release once it is dead.
 func (d *DecodedStream) StateDict() *tensor.StateDict {
 	out := tensor.NewStateDict()
 	meta := d.Meta.Entries()
@@ -334,6 +362,12 @@ func (d *DecodedStream) StateDict() *tensor.StateDict {
 	for _, f := range d.Flags {
 		if f == pathLossy {
 			e := &d.Tensors[li]
+			if e.Data == nil {
+				n := len(e.Ref)
+				e.Data = sched.GetFloats(n)[:n]
+				lanes.Offset(e.Data, e.Ref, e.Const)
+				e.Ref = nil
+			}
 			lossy[li] = tensor.Tensor{Shape: e.Shape, Data: e.Data}
 			out.Add(e.Name, e.Kind, &lossy[li])
 			li++
@@ -426,7 +460,11 @@ func ctxFirst(ctx context.Context, err error) error {
 // pauses reading — the per-connection backpressure that keeps a streaming
 // server's peak memory bounded by its parallelism budget rather than its
 // client count. A tensor's chunks (v4) decode serially inside that
-// tensor's task.
+// tensor's task. A plain residual blob that is a constant block takes no
+// buffer and no pass: its task records the value beside the reference
+// tensor (DecodedTensor's constant form, valid while the reference is held).
+// Each task's time is the stage histogram reconstruct; the Huffman decode
+// inside it is also timed alone, by the codec (ebcl.Sections.Open).
 //
 // Cancelling ctx aborts the decode: pending tasks exit before starting
 // their blob and the call returns ctx.Err() after the in-flight ones drain.
@@ -454,6 +492,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	if err != nil {
 		return nil, nil, err
 	}
+	st := stageFor(hdr.LossyName)
 
 	// Decode durations accumulate into decodeWork so OverlapRatio can report
 	// how much of that work was hidden behind reading.
@@ -500,8 +539,16 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 			if e.err = ctx.Err(); e.err != nil {
 				return
 			}
+			if v, ok := constantBlob(lossy, pt.Blob, pt.Elems, hdr.Chunked(), ref); ok {
+				e.Ref, e.Const = ref[:pt.Elems], v
+				return
+			}
+			t0 := time.Now()
 			dst := sched.GetFloats(pt.Elems)
-			data, derr := decodeBlobInto(lossy, dst, pt.Blob, pt.Elems, hdr.Chunked(), ref, &decodeWork)
+			data, derr := decodeBlobInto(lossy, dst, pt.Blob, pt.Elems, hdr.Chunked(), ref)
+			took := time.Since(t0)
+			decodeWork.Add(int64(took))
+			st.reconstruct.Observe(took.Seconds())
 			if derr != nil {
 				sched.PutFloats(dst)
 				e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, derr)
@@ -541,7 +588,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	}
 
 	elapsed := time.Since(start)
-	stageFor(hdr.LossyName).decode.Observe(elapsed.Seconds())
+	st.decode.Observe(elapsed.Seconds())
 	return d, &DecompressStats{
 		DecompressTime: elapsed,
 		ReadWait:       src.ReadWait(),

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"time"
 
 	"repro/internal/huffman"
 	"repro/internal/lossless"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 // Stream framing: the header and degenerate layouts all four EBLCs share,
@@ -351,6 +354,35 @@ type Sections struct {
 	staged []byte // pooled lossless-stage output the views above point into
 }
 
+// Huffman decode timers, one per Format name: Open observes its Format's,
+// and core exports them as the huffman stage of fedsz_stage_seconds. The
+// lookup is a plain map behind an RWMutex, as core's stage timers are: a
+// read-lock hit allocates nothing.
+var (
+	huffmanMu     sync.RWMutex
+	huffmanTimers = map[string]*telemetry.Histogram{}
+)
+
+// HuffmanDecodeTimer returns the histogram Open observes each blob's
+// Huffman decode time in for the codec named codec (its Format's Name),
+// creating it on first use. Codecs without the SZ-family back end never
+// observe theirs.
+func HuffmanDecodeTimer(codec string) *telemetry.Histogram {
+	huffmanMu.RLock()
+	h := huffmanTimers[codec]
+	huffmanMu.RUnlock()
+	if h != nil {
+		return h
+	}
+	huffmanMu.Lock()
+	defer huffmanMu.Unlock()
+	if h = huffmanTimers[codec]; h == nil {
+		h = telemetry.NewHistogram(telemetry.DurationBuckets)
+		huffmanTimers[codec] = h
+	}
+	return h
+}
+
 // Open parses stream. For the layouts Begin finished by itself out is the
 // complete reconstruction and full is false, as it is on error. Otherwise s
 // holds the sections and out is the n-element destination (dst's storage when
@@ -389,7 +421,9 @@ func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, 
 	}
 	if err == nil {
 		s.Kinds, s.Coeffs.b, s.lits = sec[0], sec[1], sec[3]
+		t0 := time.Now()
 		s.Codes, err = huffman.DecodeMultiU16(sec[2], QuantAlphabet)
+		HuffmanDecodeTimer(f.Name).Observe(time.Since(t0).Seconds())
 	}
 	if err == nil && len(s.Codes) != n {
 		err = ErrCorrupt

@@ -1,9 +1,11 @@
-// Package lanes holds the module's one CPU check and the seven float32 lane
+// Package lanes holds the module's one CPU check and the eight float32 lane
 // kernels more than one codec stage shares: the range scan behind every REL
 // bound and SZx constant block (Scan), the delta encoder's residual pass
 // (Residual) and constant-residual check (Within), the decoder's add-back
 // (Add) and constant add-back (Offset), the server's fold (AddScaled) and
-// the scale behind its mean and tensor.StateDict.Scale (Scale).
+// its fold of a constant residual straight from the reference
+// (AddScaledOffset), and the scale behind its mean and
+// tensor.StateDict.Scale (Scale).
 // On amd64 CPUs with AVX2 each runs eight float32 lanes at a
 // time in Go assembly (lanes_amd64.s) and Go runs the tail. A lane does what
 // one iteration of the Go loop does: subtractions, multiplies and adds are
@@ -190,6 +192,24 @@ func AddScaled(a, b []float32, w float32) {
 	}
 	for i := range a {
 		a[i] += w * b[i]
+	}
+}
+
+// AddScaledOffset folds a constant residual without writing it out:
+// a[i] += w·fl(ref[i] + v), the same bits as Offset into a buffer followed by
+// AddScaled from it. The kernel keeps each operation's operand order from
+// those two (ref first in the sum, the sum first in the product, a first in
+// the add), so even NaN payloads match; which payload the Go loop keeps when
+// a and the product are both NaNs is the compiler's order, as for Offset.
+// ref must be at least as long as a.
+func AddScaledOffset(a, ref []float32, v, w float32) {
+	ref = ref[:len(a)]
+	if n8 := len(a) &^ 7; on && n8 > 0 {
+		addScaledOffsetAVX2(a[:n8], ref[:n8], v, w)
+		a, ref = a[n8:], ref[n8:]
+	}
+	for i := range a {
+		a[i] += w * (ref[i] + v)
 	}
 }
 

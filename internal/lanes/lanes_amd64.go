@@ -48,6 +48,11 @@ func addAVX2(data, ref []float32)
 //go:noescape
 func addScaledAVX2(a, b []float32, w float32)
 
+// addScaledOffsetAVX2 is AddScaledOffset's loop over a and ref.
+//
+//go:noescape
+func addScaledOffsetAVX2(a, ref []float32, v, w float32)
+
 // scaleAVX2 is Scale's loop over dst and src.
 //
 //go:noescape

@@ -152,6 +152,28 @@ loop:
 	VZEROUPPER
 	RET
 
+// func addScaledOffsetAVX2(a, ref []float32, v, w float32)
+TEXT ·addScaledOffsetAVX2(SB), NOSPLIT, $0-56
+	MOVQ         a_base+0(FP), DI
+	MOVQ         a_len+8(FP), CX
+	MOVQ         ref_base+24(FP), SI
+	VBROADCASTSS v+48(FP), Y0
+	VBROADCASTSS w+52(FP), Y3
+
+loop:
+	VMOVUPS (SI), Y1
+	VADDPS  Y0, Y1, Y1 // ref + v, ref first as in offsetAVX2
+	VMULPS  Y3, Y1, Y1 // (ref + v)·w, the sum first as b in addScaledAVX2
+	VMOVUPS (DI), Y2
+	VADDPS  Y1, Y2, Y2 // a + (ref + v)·w, a first as in addScaledAVX2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     loop
+	VZEROUPPER
+	RET
+
 // func scaleAVX2(dst, src []float32, w float32)
 TEXT ·scaleAVX2(SB), NOSPLIT, $0-52
 	MOVQ         dst_base+0(FP), DI

@@ -16,6 +16,8 @@ func addAVX2([]float32, []float32) { panic("lanes: no AVX2 kernels") }
 
 func addScaledAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
 
+func addScaledOffsetAVX2([]float32, []float32, float32, float32) { panic("lanes: no AVX2 kernels") }
+
 func scaleAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
 
 func offsetAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }

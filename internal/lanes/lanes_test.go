@@ -276,3 +276,49 @@ func TestScaleLeavesTheRest(t *testing.T) {
 		}
 	})
 }
+
+// TestAddScaledOffsetKernel holds AddScaledOffset on both paths to Offset
+// into a buffer followed by AddScaled from it, bit for bit: every length 0–67
+// with a and ref starting at every float offset within a 32-byte line,
+// weights that are ordinary, signed zeros or infinite, constants that are
+// signed zeros, small, a NaN with a payload, infinite or large enough for
+// the sum to overflow, and references and accumulators holding signed zeros,
+// infinities, quiet and signalling NaNs and subnormals (scaleValues). Where
+// the Go loop runs (every element on the Go path, the tail past the last
+// whole lane on the kernels') a NaN sum of two NaNs may keep either's
+// payload: see TestOffsetKernel.
+func TestAddScaledOffsetKernel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(44, 1))
+	weights := []float32{1, 1.0 / 3, -3, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1))}
+	consts := []float32{0, float32(math.Copysign(0, -1)), 1e-3, math.Float32frombits(0x7fc0beef),
+		float32(math.Inf(1)), 3e38}
+	BothPaths(func(path string) {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 8; off++ {
+				for _, w := range weights {
+					for _, v := range consts {
+						refBuf := scaleValues(rng, n+(7-off))
+						ref := refBuf[7-off:]
+						got := scaleValues(rng, off+n)[off:]
+						want := append([]float32(nil), got...)
+						tmp := make([]float32, n)
+						Offset(tmp, ref, v)
+						AddScaled(want, tmp, w)
+						AddScaledOffset(got, ref, v, w)
+						goLoop := 0
+						if path == "kernels" {
+							goLoop = n &^ 7
+						}
+						for i := range want {
+							g, wb := math.Float32bits(got[i]), math.Float32bits(want[i])
+							if g != wb && !(i >= goLoop && got[i] != got[i] && want[i] != want[i]) {
+								t.Fatalf("%s: n=%d off=%d w=%g v=%g: a[%d] is %#08x, Offset and AddScaled %#08x (ref %#08x)",
+									path, n, off, w, v, i, g, wb, math.Float32bits(ref[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
