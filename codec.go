@@ -8,7 +8,6 @@ package fedsz
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/compressors"
@@ -235,16 +234,6 @@ func (c *Codec) Compress(ctx context.Context, sd *StateDict) ([]byte, *Stats, er
 	return core.CompressWith(ctx, c.pool, sd, c.opts)
 }
 
-// CompressTo streams the encode of sd straight into w: the stream header
-// and each finished tensor section are written while later tensors are
-// still compressing on the codec's pool, so on a socket the upload
-// overlaps the encode (Stats.EncodeOverlapRatio reports how much). The
-// bytes written are identical to Compress. Cancelling ctx aborts at the
-// next section boundary and returns ctx.Err().
-func (c *Codec) CompressTo(ctx context.Context, w io.Writer, sd *StateDict) (*Stats, error) {
-	return core.CompressTo(ctx, c.pool, w, sd, c.opts)
-}
-
 // CompressDelta runs the pipeline with ref as the cross-round baseline:
 // the emitted stream uses the v3 delta format, encoding each lossy tensor
 // as the residual sd − ref when that wins and falling back to absolute
@@ -270,32 +259,9 @@ func (c *Codec) DecompressDelta(ctx context.Context, stream []byte, ref *StateDi
 	return core.DecompressWith(ctx, c.pool, stream, core.DecodeOptions{Reference: ref, RefEpoch: epoch})
 }
 
-// CompressAll compresses many client state dicts with the codec's one
-// parallelism budget shared across the whole batch. Output i is
-// bit-identical to Compress(sds[i]).
-func (c *Codec) CompressAll(ctx context.Context, sds []*StateDict) ([][]byte, []*Stats, error) {
-	return core.CompressAll(ctx, c.pool, sds, c.opts)
-}
-
 // Decompress reverses Compress on the codec's pool. The stream is
 // self-describing: the compressors it was encoded with are selected by
 // the names it carries, independent of this codec's configuration.
 func (c *Codec) Decompress(ctx context.Context, stream []byte) (*StateDict, *DecompressStats, error) {
 	return core.DecompressWith(ctx, c.pool, stream, core.DecodeOptions{})
-}
-
-// DecompressFrom decodes a FedSZ stream incrementally from r: each fully
-// received tensor section decodes on the codec's pool while the next is
-// still being read, so on a socket the decode overlaps the receive — the
-// mirror of CompressTo. Cancelling ctx aborts the decode promptly and
-// returns ctx.Err().
-func (c *Codec) DecompressFrom(ctx context.Context, r io.Reader) (*StateDict, *DecompressStats, error) {
-	return core.DecompressFrom(ctx, c.pool, r, core.DecodeOptions{})
-}
-
-// DecompressAll reverses CompressAll — the aggregation-server hot path:
-// all streams, and all tensors within them, decode under the codec's one
-// parallelism budget. Output i is bit-identical to Decompress(streams[i]).
-func (c *Codec) DecompressAll(ctx context.Context, streams [][]byte) ([]*StateDict, []*DecompressStats, error) {
-	return core.DecompressAll(ctx, c.pool, streams, core.DecodeOptions{})
 }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand/v2"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // TestNewValidatesConfiguration: every misconfiguration must fail at
@@ -59,10 +64,29 @@ func TestNewValidatesConfiguration(t *testing.T) {
 	}
 }
 
-// TestCodecStreamingMatchesOneShot locks the symmetric matrix: an explicit
-// SZ2 / REL 1e-2 codec reproduces the default codec's bytes, CompressTo
-// writes exactly what Compress returns, and Decompress and DecompressFrom
-// reconstruct identically.
+// streamVia sends sd through the one streaming path, wire-framed: the
+// codec's encoder into wire frames (wire.EncodeStream), the frames back
+// through wire.SectionSource into the section decoder, both on the codec's
+// pool. It returns the frames and the decoded dict.
+func streamVia(t *testing.T, c *Codec, sd *StateDict) ([]byte, *StateDict) {
+	t.Helper()
+	ctx := context.Background()
+	var framed bytes.Buffer
+	if _, err := wire.EncodeStream(ctx, c.pool, wire.NewWriter(&framed), sd, c.opts); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := core.DecodeSections(ctx, c.pool, wire.NewSectionSource(ctx, bytes.NewReader(framed.Bytes())), core.DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return framed.Bytes(), d.StateDict()
+}
+
+// TestCodecStreamingMatchesOneShot locks the one-shot pair to the streaming
+// path: an explicit SZ2 / REL 1e-2 codec reproduces the default codec's
+// bytes, the wire frames of the codec's streaming encode carry exactly what
+// Compress returns, and Decompress and the streaming decode reconstruct
+// identically, with the explicit codec and the default one alike.
 func TestCodecStreamingMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(21, 22))
@@ -81,29 +105,27 @@ func TestCodecStreamingMatchesOneShot(t *testing.T) {
 	if !bytes.Equal(stream, want) {
 		t.Fatal("explicit SZ2 / REL 1e-2 codec differs from the default codec")
 	}
-	var buf bytes.Buffer
-	if _, err := codec.CompressTo(ctx, &buf, sd); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), stream) {
-		t.Fatal("Codec.CompressTo differs from Codec.Compress")
-	}
-
 	got, _, err := codec.Decompress(ctx, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFrom, _, err := codec.DecompressFrom(ctx, bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := gotFrom.MaxAbsDiff(got); err != nil || d != 0 {
-		t.Fatalf("codec streaming decode differs: d=%v err=%v", d, err)
+	for _, c := range []*Codec{codec, plain} {
+		framed, gotFrom := streamVia(t, c, sd)
+		payload, err := io.ReadAll(wire.NewReader(bytes.NewReader(framed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload, stream) {
+			t.Fatal("streaming encode carries other bytes than Codec.Compress")
+		}
+		if d, err := gotFrom.MaxAbsDiff(got); err != nil || d != 0 {
+			t.Fatalf("codec streaming decode differs: d=%v err=%v", d, err)
+		}
 	}
 }
 
-// TestCodecBatchMatrix: the batch methods share the codec's budget and
-// reproduce the single-call outputs bit-for-bit.
+// TestCodecBatchMatrix: a batch is concurrent calls on one codec. They share
+// its budget, and every call reproduces its single-call output bit for bit.
 func TestCodecBatchMatrix(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(31, 32))
@@ -112,12 +134,22 @@ func TestCodecBatchMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams, stats, err := codec.CompressAll(ctx, sds)
-	if err != nil {
-		t.Fatal(err)
+	streams := make([][]byte, len(sds))
+	decoded := make([]*StateDict, len(sds))
+	errs := make([]error, 2*len(sds))
+	var wg sync.WaitGroup
+	for i, sd := range sds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if streams[i], _, errs[i] = codec.Compress(ctx, sd); errs[i] == nil {
+				decoded[i], _, errs[len(sds)+i] = codec.Decompress(ctx, streams[i])
+			}
+		}()
 	}
-	if len(streams) != 3 || len(stats) != 3 {
-		t.Fatalf("batch sizes: %d streams, %d stats", len(streams), len(stats))
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 	for i, sd := range sds {
 		single, _, err := codec.Compress(ctx, sd)
@@ -125,29 +157,24 @@ func TestCodecBatchMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(streams[i], single) {
-			t.Fatalf("batch stream %d differs from single compress", i)
+			t.Fatalf("concurrent stream %d differs from single compress", i)
 		}
-	}
-	decoded, dstats, err := codec.DecompressAll(ctx, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 3 || len(dstats) != 3 {
-		t.Fatalf("batch decode sizes: %d dicts, %d stats", len(decoded), len(dstats))
-	}
-	for i := range decoded {
-		want, _, err := codec.Decompress(ctx, streams[i])
+		want, _, err := codec.Decompress(ctx, single)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d, err := decoded[i].MaxAbsDiff(want); err != nil || d != 0 {
-			t.Fatalf("batch decode %d differs: d=%v err=%v", i, d, err)
+			t.Fatalf("concurrent decode %d differs: d=%v err=%v", i, d, err)
 		}
+	}
+	if busy := codec.pool.Busy(); busy != 0 {
+		t.Fatalf("%d pool slots held after the batch", busy)
 	}
 }
 
 // TestCodecContextCancelled: a pre-cancelled context fails every codec
-// entry point with the context error.
+// entry point, and the streaming path on the codec's pool, with the context
+// error.
 func TestCodecContextCancelled(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	sd := buildDemoDict(rng)
@@ -159,25 +186,20 @@ func TestCodecContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	framed, _ := streamVia(t, codec, sd)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := codec.Compress(ctx, sd); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compress: %v", err)
 	}
-	if _, err := codec.CompressTo(ctx, &bytes.Buffer{}, sd); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompressTo: %v", err)
-	}
-	if _, _, err := codec.CompressAll(ctx, []*StateDict{sd}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompressAll: %v", err)
+	if _, err := wire.EncodeStream(ctx, codec.pool, wire.NewWriter(io.Discard), sd, codec.opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wire.EncodeStream: %v", err)
 	}
 	if _, _, err := codec.Decompress(ctx, stream); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Decompress: %v", err)
 	}
-	if _, _, err := codec.DecompressFrom(ctx, bytes.NewReader(stream)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecompressFrom: %v", err)
-	}
-	if _, _, err := codec.DecompressAll(ctx, [][]byte{stream}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecompressAll: %v", err)
+	if _, _, err := core.DecodeSections(ctx, codec.pool, wire.NewSectionSource(ctx, bytes.NewReader(framed)), core.DecodeOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wire.SectionSource: %v", err)
 	}
 }
 

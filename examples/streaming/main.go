@@ -1,10 +1,10 @@
 // Streaming scenario: the paper's aggregation server fed by real sockets,
 // now streaming on *both* sides of the wire. Eight clients compress one
-// model update each straight into a 100 Mbps-throttled uplink — the
-// session codec's CompressTo path emits the stream header and each
-// finished tensor section while later tensors are still compressing, so
-// the upload overlaps the encode (no client ever materializes its whole
-// compressed stream). The server decodes each tensor while the next is
+// model update each straight into a 100 Mbps-throttled uplink — each
+// uploads through flserve.Client.UploadState, whose wire.EncodeStream emits
+// the stream header and each finished tensor section as a frame while later
+// tensors are still compressing, so the upload overlaps the encode (no
+// client ever materializes its whole compressed stream). The server decodes each tensor while the next is
 // still arriving (internal/wire frames into core.DecodeSections on a
 // shared worker pool) and agg.Sharded folds finished updates incrementally
 // into a FedAvg mean. The run verifies the streamed aggregate against the

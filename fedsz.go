@@ -22,47 +22,38 @@
 //	...
 //	restored, _, err := codec.Decompress(ctx, stream)
 //
-// The codec exposes the full symmetric matrix — Compress / CompressTo /
-// CompressAll and Decompress / DecompressFrom / DecompressAll — where the
-// streaming pair overlaps codec work with socket I/O in both directions.
-// Every compress and decompress entry point is a Codec method.
+// Compress and Decompress are the codec's one encode and one decode: every
+// stream, however it travels, is produced by the same section encoder and
+// read back by the same section decoder.
 //
 // Sub-systems (the four EBLCs, the lossless codecs, the FL substrate, the
 // network simulator) live under internal/ and are exercised through this
 // package, the example programs, and the experiment harness in
 // cmd/fedsz-bench.
 //
-// # Batched server-side decode
+// # Many clients at once
 //
 // The paper's Equation 1 makes compression worthwhile only when
 // tC + tD + S'/B < S/B, so server-side decompression time tD is on the
 // critical path: an aggregation server ingests one stream per client per
-// round, and with hundreds of clients the decode dominates. Codec.CompressAll
-// and Codec.DecompressAll process many client state dicts under the codec's
-// one parallelism budget — per-tensor decode inside each stream and the
-// across-stream fan-out draw helper slots from the same bounded pool, so
-// batch size never oversubscribes the machine:
+// round, and with hundreds of clients the decode dominates. A Codec is safe
+// for concurrent use, so a batch is N goroutines calling Compress or
+// Decompress on one codec: the per-tensor fan-out inside every call draws
+// helper slots from the codec's one bounded pool, so batch size never
+// oversubscribes it, and each result is bit-identical to a lone call. The
+// measured aggregation-server round loop is bench/ (bash bench/run.sh).
 //
-//	codec, err := fedsz.New(fedsz.WithParallelism(8)) // 8-way budget
-//	...
-//	streams, _, err := codec.CompressAll(ctx, updates)
-//	...
-//	restored, _, err := codec.DecompressAll(ctx, streams)
-//
-// Results are bit-identical to per-call Compress/Decompress. The measured
-// aggregation-server round loop is bench/ (bash bench/run.sh).
-//
-// # Streaming ingest
+// # Streaming
 //
 // A FedSZ stream is sequential — header, per-tensor sections, one
-// lossless section — so it decodes incrementally while still arriving:
-// Codec.DecompressFrom reads from any io.Reader and decodes tensor i on the
-// codec's worker pool while tensor i+1 is still being received. Around it,
-// internal/wire adds a length-framed, CRC-checked transport encoding and
-// internal/flserve a TCP aggregation server that ingests concurrent
-// client uploads with bounded memory and per-connection backpressure; see
-// cmd/fedsz-serve with cmd/fedsz-bench -upload ADDR for the socket-level
-// round loop, and the README for the wire-format layout.
+// lossless section — so it is encoded while it is sent and decoded while it
+// arrives. It crosses a socket in one way: internal/wire frames each section
+// (wire.EncodeStream on the sender, wire.SectionSource into the section
+// decoder on the receiver), and internal/flserve runs a TCP aggregation
+// server over it that ingests concurrent client uploads with bounded memory
+// and per-connection backpressure; see cmd/fedsz-serve with
+// cmd/fedsz-bench -upload ADDR for the socket-level round loop, and the
+// README for the wire-format layout.
 package fedsz
 
 import (
@@ -106,11 +97,11 @@ func NewTensor(data []float32, shape ...int) *Tensor { return tensor.FromData(da
 type Options = core.Options
 
 // Stats reports what one Codec.Compress call did, including the
-// encode/send overlap accounting of a streaming Codec.CompressTo.
+// encode/send overlap accounting of a streaming (wire-framed) upload.
 type Stats = core.Stats
 
 // DecompressStats reports what one Codec.Decompress call did, including the
-// decode/receive overlap accounting of a streaming Codec.DecompressFrom.
+// decode/receive overlap accounting of a streaming (wire-framed) receive.
 type DecompressStats = core.DecompressStats
 
 // Params selects the error-control mode for the lossy compressor.

@@ -1,7 +1,6 @@
 package fedsz
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand/v2"
@@ -153,28 +152,5 @@ func TestBoundHelpers(t *testing.T) {
 	}
 	if RelBound(1e-2).Mode == AbsBound(1e-2).Mode {
 		t.Fatal("modes must differ")
-	}
-}
-
-func TestDecompressFromMatchesDecompress(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(9, 10))
-	sd := buildDemoDict(rng)
-	codec := newCodec(t)
-	stream, _, err := codec.Compress(ctx, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := codec.Decompress(ctx, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := codec.DecompressFrom(ctx, bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := got.MaxAbsDiff(want)
-	if err != nil || d != 0 {
-		t.Fatalf("streaming decode differs: d=%v err=%v", d, err)
 	}
 }

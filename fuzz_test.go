@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lanes"
+	"repro/internal/wire"
 )
 
 // fuzzDict builds a deterministic state dict from fuzz input: raw bytes
@@ -282,22 +283,27 @@ func FuzzCodecDifferential(f *testing.F) {
 			if !bytes.Equal(ref, par) {
 				t.Fatalf("%s/%v: parallel stream differs from serial", cfg.comp, cfg.params.Mode)
 			}
-			var streamed bytes.Buffer
-			if _, err := parallel.CompressTo(ctx, &streamed, sd); err != nil {
+			// The streaming arms run the one streaming path: wire frames.
+			var streamed, buffered bytes.Buffer
+			if _, err := wire.EncodeStream(ctx, parallel.pool, wire.NewWriter(&streamed), sd, parallel.opts); err != nil {
 				t.Fatalf("%s/%v: streaming encode: %v", cfg.comp, cfg.params.Mode, err)
 			}
-			if !bytes.Equal(ref, streamed.Bytes()) {
-				t.Fatalf("%s/%v: streaming-encode stream differs from serial", cfg.comp, cfg.params.Mode)
+			if err := wire.NewWriter(&buffered).WriteStream(ref); err != nil {
+				t.Fatalf("%s/%v: framing the serial stream: %v", cfg.comp, cfg.params.Mode, err)
+			}
+			if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
+				t.Fatalf("%s/%v: streaming-encode frames differ from the serial stream's", cfg.comp, cfg.params.Mode)
 			}
 
 			mem, _, err := parallel.Decompress(ctx, ref)
 			if err != nil {
 				t.Fatalf("%s/%v: decompress: %v", cfg.comp, cfg.params.Mode, err)
 			}
-			viaReader, _, err := serial.DecompressFrom(ctx, bytes.NewReader(ref))
+			d, _, err := core.DecodeSections(ctx, serial.pool, wire.NewSectionSource(ctx, bytes.NewReader(streamed.Bytes())), core.DecodeOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: streaming decode: %v", cfg.comp, cfg.params.Mode, err)
 			}
+			viaReader := d.StateDict()
 			if d, err := mem.MaxAbsDiff(viaReader); err != nil || d != 0 {
 				t.Fatalf("%s/%v: streaming decode differs from in-memory (d=%v err=%v)",
 					cfg.comp, cfg.params.Mode, d, err)

@@ -3,8 +3,8 @@
 // mode, and edge-case state-dict shape. Where eblctest holds each EBLC to
 // a per-codec contract, this suite holds the *assembled pipeline* to one:
 // streams round-trip, error bounds hold on the lossy partition, the
-// lossless partition is bit-exact, and the batched CompressAll /
-// DecompressAll paths produce bit-identical results to per-call
+// lossless partition is bit-exact, and the batched CompressAll and
+// concurrent decodes on one pool produce bit-identical results to per-call
 // Compress / Decompress.
 package conformance
 
@@ -12,9 +12,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/compressors"
@@ -245,36 +245,34 @@ func TestCrossCodecPipelineConformance(t *testing.T) {
 								t.Fatalf("batch stream %d differs from sequential", i)
 							}
 						}
-						batchDicts, _, err := core.DecompressAll(context.Background(), sched.NewPool(2), batchStreams, core.DecodeOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
 						want := got.Marshal()
+						pool := sched.NewPool(2)
+						batchDicts := make([][]byte, len(batchStreams))
+						errs := make([]error, len(batchStreams))
+						var wg sync.WaitGroup
+						for i, bs := range batchStreams {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								var bd *tensor.StateDict
+								if bd, _, errs[i] = core.DecompressWith(context.Background(), pool, bs, core.DecodeOptions{}); errs[i] == nil {
+									batchDicts[i] = bd.Marshal()
+								}
+							}()
+						}
+						wg.Wait()
 						for i, bd := range batchDicts {
-							if !bytes.Equal(bd.Marshal(), want) {
-								t.Fatalf("batch decode %d differs from sequential", i)
+							if errs[i] != nil {
+								t.Fatal(errs[i])
+							}
+							if !bytes.Equal(bd, want) {
+								t.Fatalf("concurrent decode %d differs from sequential", i)
 							}
 						}
 					})
 				}
 			}
 		}
-	}
-}
-
-// TestCorruptBatchKeepsErrCorrupt: the batch API must surface the same
-// sentinel as the per-call path.
-func TestCorruptBatchKeepsErrCorrupt(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	sd := dictShape(t, "multi", rng)
-	stream, _, err := core.Compress(sd, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), stream...)
-	bad[0] ^= 0xFF
-	if _, _, err := core.DecompressAll(context.Background(), sched.NewPool(2), [][]byte{stream, bad}, core.DecodeOptions{}); !errors.Is(err, core.ErrCorrupt) {
-		t.Fatalf("batch error %v does not wrap ErrCorrupt", err)
 	}
 }
 

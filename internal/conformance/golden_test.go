@@ -315,11 +315,12 @@ func TestGoldenStreams(t *testing.T) {
 				if !bytes.Equal(payload, stream) {
 					t.Fatal("wire payload differs from the golden stream — the wire format drifted")
 				}
-				wsd, _, err := core.DecompressFrom(context.Background(), nil, bytes.NewReader(payload), dopts)
+				ctx := context.Background()
+				wd, _, err := core.DecodeSections(ctx, nil, wire.NewSectionSource(ctx, bytes.NewReader(framed)), dopts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(wsd.Marshal(), wantSD) {
+				if !bytes.Equal(wd.StateDict().Marshal(), wantSD) {
 					t.Fatal("streaming decode of golden wire stream differs")
 				}
 

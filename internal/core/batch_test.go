@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/sched"
@@ -86,9 +87,28 @@ func TestCompressAllBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// decompressAll decodes each stream in a goroutine of its own on one pool —
+// how a server decodes many streams at once: every call's per-tensor fan-out
+// draws from the pool's one budget. It returns what each call returned.
+func decompressAll(pool *sched.Pool, streams [][]byte) ([]*tensor.StateDict, []*DecompressStats, []error) {
+	sds := make([]*tensor.StateDict, len(streams))
+	stats := make([]*DecompressStats, len(streams))
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for i, s := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sds[i], stats[i], errs[i] = DecompressWith(context.Background(), pool, s, DecodeOptions{})
+		}()
+	}
+	wg.Wait()
+	return sds, stats, errs
+}
+
 // TestDecompressAllBitIdenticalToSequential runs the acceptance scenario:
-// ≥32 synthetic client streams, batch decode bit-identical to per-call
-// Decompress (run under -race in CI).
+// ≥32 synthetic client streams decoded concurrently on one pool, each
+// bit-identical to a lone Decompress (run under -race in CI).
 func TestDecompressAllBitIdenticalToSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 26))
 	const nClients = 32
@@ -100,28 +120,29 @@ func TestDecompressAllBitIdenticalToSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, bstats, err := DecompressAll(context.Background(), sched.NewPool(8), streams, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != nClients || len(bstats) != nClients {
-		t.Fatalf("batch decoded %d, want %d", len(batch), nClients)
-	}
+	pool := sched.NewPool(8)
+	batch, bstats, errs := decompressAll(pool, streams)
 	for i, s := range streams {
+		if errs[i] != nil || bstats[i] == nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
 		single, _, err := Decompress(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(batch[i].Marshal(), single.Marshal()) {
-			t.Fatalf("client %d: batch decode differs from per-call decode", i)
+			t.Fatalf("client %d: concurrent decode differs from per-call decode", i)
 		}
+	}
+	if busy := pool.Busy(); busy != 0 {
+		t.Fatalf("%d pool slots held after the decodes", busy)
 	}
 }
 
-// TestDecompressAllPropagatesCorruption: one bad stream fails the batch
-// with a client-indexed ErrCorrupt, without panicking the pool workers —
-// and the siblings that did decode hand their pool-backed tensors back
-// rather than dropping them to the garbage collector.
+// TestDecompressAllPropagatesCorruption: one bad stream among concurrent
+// decodes on one pool fails with ErrCorrupt without panicking the pool
+// workers or disturbing its siblings, and leaves no pool slot held; with
+// the siblings' dicts released, every float buffer taken is back.
 func TestDecompressAllPropagatesCorruption(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 28))
 	sds := make([]*tensor.StateDict, 4)
@@ -136,27 +157,30 @@ func TestDecompressAllPropagatesCorruption(t *testing.T) {
 	streams[3] = streams[3][:len(streams[3])/2]
 	hits0, misses0 := sched.FloatPoolCounters()
 	puts0 := sched.FloatPoolPuts()
-	if _, _, err := DecompressAll(context.Background(), pool, streams, DecodeOptions{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated stream in batch: err = %v, want ErrCorrupt", err)
+	decoded, _, errs := decompressAll(pool, streams)
+	if !errors.Is(errs[3], ErrCorrupt) {
+		t.Fatalf("truncated stream: err = %v, want ErrCorrupt", errs[3])
+	}
+	for i, sd := range decoded[:3] {
+		if errs[i] != nil {
+			t.Fatalf("client %d beside the truncated one: %v", i, errs[i])
+		}
+		Release(sd)
 	}
 	hits1, misses1 := sched.FloatPoolCounters()
 	if took, put := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0; took != put {
-		t.Fatalf("aborted batch took %d float buffers and returned %d", took, put)
+		t.Fatalf("the decodes took %d float buffers and returned %d", took, put)
 	}
 	if busy := pool.Busy(); busy != 0 {
-		t.Fatalf("aborted batch left %d pool slots held", busy)
+		t.Fatalf("the decodes left %d pool slots held", busy)
 	}
 }
 
-// TestEmptyBatch: zero streams is a valid (empty) batch.
+// TestEmptyBatch: zero dicts is a valid (empty) batch.
 func TestEmptyBatch(t *testing.T) {
 	streams, stats, err := CompressAll(context.Background(), sched.NewPool(4), nil, Options{})
 	if err != nil || len(streams) != 0 || len(stats) != 0 {
 		t.Fatalf("empty compress batch: %v", err)
-	}
-	sds, dstats, err := DecompressAll(context.Background(), sched.NewPool(4), nil, DecodeOptions{})
-	if err != nil || len(sds) != 0 || len(dstats) != 0 {
-		t.Fatalf("empty decompress batch: %v", err)
 	}
 }
 
@@ -200,8 +224,8 @@ func BenchmarkDecompressParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkDecompressAll32 decodes a 32-client round under one budget —
-// the aggregation-server hot path.
+// BenchmarkDecompressAll32 decodes a 32-client round concurrently under one
+// budget — the aggregation-server hot path.
 func BenchmarkDecompressAll32(b *testing.B) {
 	rng := rand.New(rand.NewPCG(33, 34))
 	const nClients = 32
@@ -218,8 +242,8 @@ func BenchmarkDecompressAll32(b *testing.B) {
 	b.SetBytes(int64(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecompressAll(context.Background(), sched.NewPool(0), streams, DecodeOptions{}); err != nil {
-			b.Fatal(err)
+		if _, _, errs := decompressAll(sched.NewPool(0), streams); errors.Join(errs...) != nil {
+			b.Fatal(errors.Join(errs...))
 		}
 	}
 }

@@ -223,22 +223,16 @@ func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool,
 // decodeBlobInto reconstructs a tensor blob — plain or chunked — into
 // dst's storage (capacity ≥ elems), returning the elems-length result.
 // A non-nil ref is the residual baseline: it is folded back in, in place,
-// per chunk (one pass while the chunk is still cache-warm), and a constant
-// residual (constantBlob) is written as ref + v in one pass
-// (lanes.Offset); DecodeSections asks constantBlob first and leaves
-// such a tensor unwritten. chunkedOK gates the chunked layout on the stream
-// version: in v1–v3 streams a 0xFC first byte is codec data and fails the
-// codec's own magic check, exactly as before chunking existed. Chunks
+// per chunk (one pass while the chunk is still cache-warm). A constant
+// residual never gets here: DecodeSections asks constantBlob first and
+// leaves such a tensor unwritten. chunkedOK gates the chunked layout on the
+// stream version: in v1–v3 streams a 0xFC first byte is codec data and
+// fails the codec's own magic check, exactly as before chunking existed. Chunks
 // decode one after another on the calling goroutine, each into its own
 // sub-range of dst: a tensor is one pool task, and cross-tensor parallelism
 // is the scheduler's job (fanning chunks out measured slower than not: 0.86×
 // on 2 CPUs).
 func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, error) {
-	if v, ok := constantBlob(lossy, blob, elems, chunkedOK, ref); ok {
-		data := ebcl.GrowFloats(dst, elems)
-		lanes.Offset(data, ref, v)
-		return data, nil
-	}
 	if !chunkedOK || !isChunkedBlob(blob) {
 		data, err := lossy.DecompressInto(dst, blob)
 		if err != nil {

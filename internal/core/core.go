@@ -180,7 +180,7 @@ type Stats struct {
 	ChunkedTensors int
 
 	// CompressTime is the wall clock of the whole encode, including time
-	// spent blocked writing when streaming through CompressTo.
+	// spent blocked emitting sections when streaming (wire.EncodeStream).
 	CompressTime time.Duration
 	// WriteWait is the time the encoder spent blocked emitting sections —
 	// effectively zero for in-memory streams, the network-bound component
@@ -248,7 +248,8 @@ func Compress(sd *tensor.StateDict, opts Options) ([]byte, *Stats, error) {
 // whole batch shares a single parallelism budget. It is a thin wrapper
 // over the incremental CompressSections encoder, appending each emitted
 // section to one buffer — there is exactly one encoder, so the in-memory
-// and streaming (CompressTo) outputs are byte-identical by construction.
+// and wire-framed (wire.EncodeStream) payloads are byte-identical by
+// construction.
 func CompressWith(ctx context.Context, pool *sched.Pool, sd *tensor.StateDict, opts Options) ([]byte, *Stats, error) {
 	out := make([]byte, 0, sd.SizeBytes()/4+256)
 	stats, err := CompressSections(ctx, pool, sd, opts, func(_ SectionKind, payload []byte) error {
@@ -318,13 +319,19 @@ func Decompress(stream []byte) (*tensor.StateDict, *DecompressStats, error) {
 
 // DecompressWith reverses Compress, decoding the per-tensor lossy blobs
 // concurrently on the given pool (nil runs serially) — the mirror of the
-// compress-side fan-out. It runs the same DecodeSections pipeline as the
-// streaming DecompressFrom, over zero-copy section views of stream. v3
-// delta streams reconstruct residual sections against o.Reference (see
-// DecodeOptions); v1/v2 streams ignore o entirely. Cancelling ctx stops the
-// decode at the next section boundary and returns ctx.Err().
+// compress-side fan-out. It runs the same DecodeSections pipeline as a
+// wire-framed receive (internal/wire.SectionSource), over zero-copy section
+// views of stream. v3 delta streams reconstruct residual sections against
+// o.Reference (see DecodeOptions); v1/v2 streams ignore o entirely.
+// Cancelling ctx stops the decode at the next section boundary and returns
+// ctx.Err(). Concurrent calls on one pool share its parallelism budget: a
+// server decoding many streams at once calls this once per stream.
 func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	return decompress(ctx, pool, &memSections{data: stream}, o)
+	d, stats, err := DecodeSections(ctx, pool, &memSections{data: stream}, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.StateDict(), stats, nil
 }
 
 // CompressAll runs the FedSZ pipeline over many client state dicts with
@@ -349,36 +356,6 @@ func CompressAll(ctx context.Context, pool *sched.Pool, sds []*tensor.StateDict,
 		}
 	}
 	return streams, stats, nil
-}
-
-// DecompressAll reverses CompressAll: the aggregation-server hot path of
-// the paper's Eqn-1 scenario, where one process ingests N concurrent
-// client streams per round. All streams and all tensors within them decode
-// under the pool's one parallelism budget, and one DecodeOptions serves the
-// whole batch — the round where every client encoded against the same
-// broadcast reference. Output i is bit-identical to
-// DecompressWith(streams[i], o). Cancelling ctx stops the batch after the
-// in-flight clients finish. On any failure the dicts that did decode are
-// released back to the float pool before the error returns.
-func DecompressAll(ctx context.Context, pool *sched.Pool, streams [][]byte, o DecodeOptions) ([]*tensor.StateDict, []*DecompressStats, error) {
-	sds := make([]*tensor.StateDict, len(streams))
-	stats := make([]*DecompressStats, len(streams))
-	errs := make([]error, len(streams))
-	err := pool.ForEachCtx(ctx, len(streams), func(i int) {
-		sds[i], stats[i], errs[i] = DecompressWith(ctx, pool, streams[i], o)
-	})
-	for i, e := range errs {
-		if err == nil && e != nil {
-			err = fmt.Errorf("core: batch decompress client %d: %w", i, e)
-		}
-	}
-	if err != nil {
-		for _, sd := range sds {
-			Release(sd)
-		}
-		return nil, nil, err
-	}
-	return sds, stats, nil
 }
 
 // Release returns sd's tensor buffers to the shared float pool and must

@@ -9,15 +9,15 @@ package core
 // its blob finishes compressing, while later tensors are still compressing
 // on the shared worker pool. On a socket that means the upload of tensor i
 // overlaps the compression of tensor i+1 — the client-side mirror of
-// DecompressFrom's decode-while-receiving, and the missing half of the
+// DecodeSections' decode-while-receiving, and the missing half of the
 // paper's Equation-1 accounting (the client pays tC *plus* the upload of
 // S'; overlapping them shrinks the left-hand side).
 //
 // CompressSections is the one encoder behind every compress entry point:
-// Compress appends the emitted sections to one in-memory buffer (the two
-// paths are bit-identical by construction), CompressTo writes them to an
-// io.Writer, and wire.Writer.WriteSection maps them 1:1 onto transport
-// frames so a sender never materializes the whole stream.
+// Compress appends the emitted sections to one in-memory buffer, and
+// wire.EncodeStream maps them 1:1 onto transport frames
+// (wire.Writer.WriteSection), so a sender never materializes the whole
+// stream; the two payloads are bit-identical by construction.
 //
 // Everything after the header is one array of section records — the lossy
 // tensors in stream order, then the metadata partition — each filled by one
@@ -30,7 +30,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 	"time"
@@ -252,7 +251,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 	g.Wait()
 	stats.EncodeWork = time.Duration(encodeWork.Load())
 	stats.CompressTime = time.Since(start)
-	stageFor(o.Lossy.Name()).encode.Observe(stats.CompressTime.Seconds())
+	stageFor(o.Lossy).encode.Observe(stats.CompressTime.Seconds())
 	return stats, nil
 }
 
@@ -517,20 +516,4 @@ func absParams(data []float32, p ebcl.Params, rangeData float64, scanned bool) (
 		return p, false
 	}
 	return ebcl.Abs(eb), true
-}
-
-// CompressTo streams the FedSZ encode of sd straight into w, drawing blob
-// parallelism from the given pool (nil runs serially): the header and each
-// finished tensor section are written while later tensors are still
-// compressing, so on a socket the upload overlaps the encode. The bytes
-// written are identical to Compress(sd, opts). Stats.WriteWait reports the
-// time spent blocked in w.Write; Stats.EncodeOverlapRatio reports how much
-// compress work the writes hid.
-func CompressTo(ctx context.Context, pool *sched.Pool, w io.Writer, sd *tensor.StateDict, opts Options) (*Stats, error) {
-	return CompressSections(ctx, pool, sd, opts, func(_ SectionKind, payload []byte) error {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("core: compress write: %w", err)
-		}
-		return nil
-	})
 }

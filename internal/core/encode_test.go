@@ -37,9 +37,19 @@ func encodeDict(seed uint64, tensors, elems int) *tensor.StateDict {
 
 var names = []string{"conv.weight.", "fc.weight.", "proj.weight."}
 
+// compressTo runs the one encoder into w, one Write a section: a sender
+// streaming onto a socket (wire.EncodeStream frames the same sections).
+func compressTo(ctx context.Context, pool *sched.Pool, w io.Writer, sd *tensor.StateDict, opts Options) (*Stats, error) {
+	return CompressSections(ctx, pool, sd, opts, func(_ SectionKind, payload []byte) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
 // TestCompressToMatchesCompress locks the core bit-identity contract: the
-// incremental section encoder writing to an io.Writer must reproduce the
-// buffered Compress bytes exactly, for every EBLC and both bound modes.
+// incremental section encoder writing to an io.Writer (compressTo) must
+// reproduce the buffered Compress bytes exactly, for every EBLC and both
+// bound modes.
 func TestCompressToMatchesCompress(t *testing.T) {
 	sd := encodeDict(1, 5, 4096)
 	for _, name := range compressors.Names() {
@@ -54,12 +64,12 @@ func TestCompressToMatchesCompress(t *testing.T) {
 				t.Fatalf("%s/%v: %v", name, params.Mode, err)
 			}
 			var buf bytes.Buffer
-			stats, err := CompressTo(context.Background(), sched.Default(), &buf, sd, opts)
+			stats, err := compressTo(context.Background(), sched.Default(), &buf, sd, opts)
 			if err != nil {
-				t.Fatalf("%s/%v: CompressTo: %v", name, params.Mode, err)
+				t.Fatalf("%s/%v: compressTo: %v", name, params.Mode, err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("%s/%v: CompressTo bytes differ from Compress", name, params.Mode)
+				t.Fatalf("%s/%v: compressTo bytes differ from Compress", name, params.Mode)
 			}
 			if stats.CompressedBytes != wstats.CompressedBytes || stats.CompressedBytes != buf.Len() {
 				t.Fatalf("%s/%v: CompressedBytes %d (want %d, wrote %d)",
@@ -81,11 +91,11 @@ func TestCompressToSerialPoolMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressTo(context.Background(), nil, &buf, sd, Options{}); err != nil {
+	if _, err := compressTo(context.Background(), nil, &buf, sd, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("serial CompressTo differs from pooled Compress")
+		t.Fatal("serial compressTo differs from pooled Compress")
 	}
 }
 
@@ -99,7 +109,7 @@ func TestCompressToOverlap(t *testing.T) {
 	sd := encodeDict(3, 8, 1<<16)
 	pool := sched.NewPool(4)
 	link := netsim.Link{BandwidthMbps: 20}
-	stats, err := CompressTo(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
+	stats, err := compressTo(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestCompressToCancellation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := CompressTo(ctx, pool, w, sd, Options{})
+		_, err := compressTo(ctx, pool, w, sd, Options{})
 		done <- err
 	}()
 	<-w.entered // encoder is blocked writing a section
@@ -149,7 +159,7 @@ func TestCompressToCancellation(t *testing.T) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("CompressTo did not return after cancellation")
+		t.Fatal("compressTo did not return after cancellation")
 	}
 	if n := pool.Busy(); n != 0 {
 		t.Fatalf("%d pool slots leaked after cancellation", n)
@@ -164,95 +174,14 @@ func TestCompressToCancellation(t *testing.T) {
 	}
 }
 
-// stallReader serves the stream in small chunks, blocking after a
-// cutoff until released — a socket that stalls mid-stream.
-type stallReader struct {
-	data    []byte
-	pos     int
-	cutoff  int
-	stalled chan struct{}
-	release chan struct{}
-}
-
-func (r *stallReader) Read(p []byte) (int, error) {
-	if r.pos >= r.cutoff {
-		select {
-		case r.stalled <- struct{}{}:
-		default:
-		}
-		<-r.release
-	}
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.pos:min(r.pos+512, len(r.data))])
-	r.pos += n
-	return n, nil
-}
-
-// TestDecompressFromCancellation: cancelling mid-receive must return
-// ctx.Err() promptly (the next read aborts, not just the next section)
-// and leak no pool slots.
-func TestDecompressFromCancellation(t *testing.T) {
-	sd := encodeDict(5, 6, 1<<14)
-	stream, _, err := Compress(sd, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := sched.NewPool(4)
-	r := &stallReader{
-		data: stream, cutoff: len(stream) / 2,
-		stalled: make(chan struct{}, 1), release: make(chan struct{}),
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := DecompressFrom(ctx, pool, r, DecodeOptions{})
-		done <- err
-	}()
-	<-r.stalled
-	cancel()
-	close(r.release)
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("DecompressFrom did not return after cancellation")
-	}
-	if n := pool.Busy(); n != 0 {
-		t.Fatalf("%d pool slots leaked after cancellation", n)
-	}
-	// Same stream, same pool, fresh context: must still decode cleanly.
-	want, _, err := Decompress(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecompressFrom(context.Background(), pool, bytes.NewReader(stream), DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := got.MaxAbsDiff(want); err != nil || d != 0 {
-		t.Fatalf("post-cancel decode differs: d=%v err=%v", d, err)
-	}
-}
-
 // TestCompressAllCancelled: an already-cancelled context fails the batch
-// entry points with the context error.
+// entry point with the context error.
 func TestCompressAllCancelled(t *testing.T) {
 	sd := encodeDict(6, 2, 2048)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := CompressAll(ctx, sched.NewPool(2), []*tensor.StateDict{sd}, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CompressAll: got %v", err)
-	}
-	stream, _, err := Compress(sd, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecompressAll(ctx, sched.NewPool(2), [][]byte{stream}, DecodeOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecompressAll: got %v", err)
 	}
 }
 
@@ -266,7 +195,7 @@ func BenchmarkCompressTo(b *testing.B) {
 	var overlap float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		stats, err := CompressTo(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
+		stats, err := compressTo(context.Background(), pool, link.ThrottleWriter(io.Discard), sd, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

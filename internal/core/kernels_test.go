@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
 	"repro/internal/lanes"
+	"repro/internal/tensor"
 )
 
 // residualRef is the scalar loop computeResidual ran before its kernel: Go's
@@ -283,32 +286,43 @@ func TestAddIntoKernel(t *testing.T) {
 	})
 }
 
-// decodeCounter counts its codec's DecompressInto calls. It has no Magic
-// method, so decodeBlobInto gives every blob to the codec, as it did before
-// the constant path: the reference the constant path is held to.
-type decodeCounter struct {
-	ebcl.Compressor
-	calls *int
+// noMagic hides its codec's Magic method: to constantBlob it is a codec
+// that does not decode the constant layout itself.
+type noMagic struct{ ebcl.Compressor }
+
+// constantStream is a one-tensor v3 stream under lossy whose tensor "w", of
+// n elements and encoded against epoch 1, is a residual section carrying blob.
+func constantStream(t *testing.T, lossy ebcl.Compressor, n int, blob []byte) []byte {
+	t.Helper()
+	sd, zero := tensor.NewStateDict(), tensor.NewStateDict()
+	sd.Add("w", tensor.KindWeight, tensor.New(n))
+	zero.Add("w", tensor.KindWeight, tensor.New(n))
+	stream, _, err := CompressWith(context.Background(), nil, sd,
+		Options{Lossy: lossy, DisablePartitioning: true, Reference: zero, RefEpoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := Sections(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode := 1 + len("w") + 2 + 4 // name, kind, rank, one dim: the mode byte
+	out := append(bytes.Clone(secs.Header), secs.Tensors[0][:mode]...)
+	out = ebcl.AppendSection(append(out, sectionDelta), blob)
+	return append(out, secs.Lossless...)
 }
 
-func (c decodeCounter) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	*c.calls++
-	return c.Compressor.DecompressInto(dst, stream)
-}
-
-// magicCounter is decodeCounter with the built-in codec's Magic.
-type magicCounter struct{ decodeCounter }
-
-func (c magicCounter) Magic() uint32 { return c.Compressor.(magicCodec).Magic() }
-
-// TestConstantBlobDecode holds decodeBlobInto's constant path, on both paths
+// TestConstantBlobDecode holds the constant-residual decode, on both paths
 // and under each built-in codec, to the codec's DecompressInto followed by
-// lanes.Add: the same float bits (NaN payloads in ref and in the constant
-// included) in dst's storage, with no codec call. A constant stream without a
-// reference, and the hostile streams — count ≠ elems, truncated to 12 bytes, a
-// wrong magic, a count over MaxElements — reach the codec and fail with the
-// same error as before; so does every stream under a codec without Magic.
+// lanes.Add. Through DecodeSections a constant section decodes to its
+// constant form (no buffer, the value's bits, ref aliased), and StateDict
+// writes it out with the same float bits as the codec path (NaN payloads in
+// ref and in the constant included). constantBlob turns down a constant
+// stream without a reference, every stream under a codec without Magic, and
+// the hostile streams — count ≠ elems, truncated to 12 bytes, a wrong magic,
+// a count over MaxElements — which reach the codec and fail there.
 func TestConstantBlobDecode(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(33, 3))
 	for _, name := range []string{"sz2", "sz3", "szx", "zfp"} {
 		lossy, err := compressors.Get(name)
@@ -322,42 +336,43 @@ func TestConstantBlobDecode(t *testing.T) {
 				for i := range ref {
 					ref[i] = anyValue(rng)
 				}
-				// decode runs decodeBlobInto on plain and magic (the same codec,
-				// with and without Magic) and returns both results and whether
-				// the magic one called the codec.
-				decode := func(blob []byte, elems int, ref []float32) (want, got []float32, dst []float32, wantErr, gotErr error, called bool) {
-					var plainCalls, magicCalls int
-					plain := decodeCounter{lossy, &plainCalls}
-					want, wantErr = decodeBlobInto(plain, make([]float32, elems), blob, elems, true, ref)
-					dst = make([]float32, elems)
-					got, gotErr = decodeBlobInto(magicCounter{decodeCounter{lossy, &magicCalls}}, dst, blob, elems, true, ref)
-					if plainCalls != 1 {
-						t.Fatalf("%s %s: n=%d: the codec without Magic was called %d times", path, name, n, plainCalls)
-					}
-					return want, got, dst, wantErr, gotErr, magicCalls == 1
-				}
+				refSD := tensor.NewStateDict()
+				refSD.Add("w", tensor.KindWeight, tensor.FromData(ref, n))
+				dopts := DecodeOptions{Reference: refSD, RefEpoch: 1}
 				for _, v := range []float32{0.25, negZero, -1e-3, nanA, nanB, nanS} {
 					for _, trail := range []int{0, 1} {
 						blob := append(ebcl.AppendConstant(nil, magic, n, v), make([]byte, trail)...)
-						want, got, dst, wantErr, gotErr, called := decode(blob, n, ref)
-						if wantErr != nil || gotErr != nil || called {
-							t.Fatalf("%s %s: n=%d v=%g: errors %v, %v; codec called %v", path, name, n, v, wantErr, gotErr, called)
+						label := fmt.Sprintf("%s %s: n=%d v=%g trail %d", path, name, n, v, trail)
+						if _, ok := constantBlob(noMagic{lossy}, blob, n, true, ref); ok {
+							t.Fatalf("%s: constant without Magic", label)
 						}
-						if &got[0] != &dst[0] {
-							t.Fatalf("%s %s: n=%d: result is not in dst's storage", path, name, n)
+						want, err := lossy.DecompressInto(nil, blob)
+						if err != nil {
+							t.Fatalf("%s: codec: %v", label, err)
 						}
+						addRef(want, ref)
+						d, _, err := DecodeSections(ctx, nil, &memSections{data: constantStream(t, lossy, n, blob)}, dopts)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						e := d.Tensors[0]
+						if e.Data != nil || len(e.Ref) != n || &e.Ref[0] != &ref[0] || math.Float32bits(e.Const) != math.Float32bits(v) {
+							t.Fatalf("%s: not the constant form: data %v, ref %d elements, const %#08x",
+								label, e.Data != nil, len(e.Ref), math.Float32bits(e.Const))
+						}
+						got := d.StateDict().Get("w").Data
 						for i := range want {
 							g, w := math.Float32bits(got[i]), math.Float32bits(want[i])
 							if path == "Go" && bothNaN(v, ref[i]) && g != w {
 								// As in TestAddIntoKernel: two Go loops may keep
 								// different NaN payloads (on 386 they do).
 								if g != quiet(v) && g != quiet(ref[i]) {
-									t.Fatalf("%s %s: n=%d v=%g: [%d] is %#08x, neither operand's payload", path, name, n, v, i, g)
+									t.Fatalf("%s: [%d] is %#08x, neither operand's payload", label, i, g)
 								}
 								continue
 							}
 							if g != w {
-								t.Fatalf("%s %s: n=%d v=%g trail %d: [%d] is %#08x, codec and Add %#08x", path, name, n, v, trail, i, g, w)
+								t.Fatalf("%s: [%d] is %#08x, codec and Add %#08x", label, i, g, w)
 							}
 						}
 					}
@@ -380,18 +395,15 @@ func TestConstantBlobDecode(t *testing.T) {
 					{"count over MaxElements", over, ref, true},
 				} {
 					label := fmt.Sprintf("%s %s: n=%d %s", path, name, n, h.name)
-					want, got, _, wantErr, gotErr, called := decode(h.blob, n, h.ref)
-					if !called {
-						t.Fatalf("%s: the codec was not called", label)
+					if _, ok := constantBlob(lossy, h.blob, n, true, h.ref); ok {
+						t.Fatalf("%s: taken as a constant", label)
 					}
-					if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
-						t.Fatalf("%s: error %v, codec path %v", label, gotErr, wantErr)
+					if h.ref == nil {
+						continue
 					}
-					if h.corrupt && !errors.Is(gotErr, ebcl.ErrCorrupt) {
-						t.Fatalf("%s: error %v is not ebcl.ErrCorrupt", label, gotErr)
-					}
-					if gotErr == nil && (len(got) != len(want) || math.Float32bits(got[0]) != math.Float32bits(want[0])) {
-						t.Fatalf("%s: decoded %v, codec path %v", label, got[:1], want[:1])
+					_, _, err := DecodeSections(ctx, nil, &memSections{data: constantStream(t, lossy, n, h.blob)}, dopts)
+					if !errors.Is(err, ErrCorrupt) || h.corrupt && !errors.Is(err, ebcl.ErrCorrupt) {
+						t.Fatalf("%s: error %v", label, err)
 					}
 				}
 			}

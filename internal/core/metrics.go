@@ -4,13 +4,14 @@ package core
 // process-wide, so its counters are package-level values that every encode
 // and decode updates; RegisterMetrics names them on a registry the program
 // built. The stage timers are, per lossy codec, one encode and one decode
-// latency histogram of the whole state dict and two decode-stage histograms
-// (fedsz_stage_seconds): reconstruct, each tensor's decode task, and
-// huffman, the Huffman decode inside it (ebcl.HuffmanDecodeTimer). They are
-// created the first time a codec is seen. The lookup is a plain map behind
-// an RWMutex — a read-lock map hit boxes nothing, so the steady-state cost
-// per encode/decode call is one RLock, and per observation one Observe (both
-// allocation-free).
+// latency histogram of the whole state dict and the decode-stage histograms
+// (fedsz_stage_seconds): reconstruct, each tensor's decode task, and, for a
+// codec with a Huffman stage (huffmanTimed: sz2 and sz3), huffman, the
+// Huffman decode inside it, which the codec's ebcl.Format times itself. They
+// are created the first time a codec is seen. The lookup is a plain map
+// behind an RWMutex — a read-lock map hit boxes nothing, so the steady-state
+// cost per encode/decode call is one RLock, and per observation one Observe
+// (both allocation-free).
 
 import (
 	"sync"
@@ -26,7 +27,13 @@ var deltaBytesSaved, deltaSections, constantSections, absoluteSections telemetry
 
 type stageHists struct {
 	encode, decode       *telemetry.Histogram
-	huffman, reconstruct *telemetry.Histogram
+	huffman, reconstruct *telemetry.Histogram // huffman is nil without a Huffman stage
+}
+
+// huffmanTimed is a codec whose blobs carry a Huffman stage, timed by the
+// histogram it returns.
+type huffmanTimed interface {
+	HuffmanTimer() *telemetry.Histogram
 }
 
 // stageHelp is fedsz_stage_seconds' help text: every registration of the
@@ -78,12 +85,15 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 		"Full-statedict encode wall time, by lossy codec.", h.encode, telemetry.L("codec", codec))
 	reg.Register("fedsz_decode_seconds",
 		"Full-statedict decode wall time, by lossy codec.", h.decode, telemetry.L("codec", codec))
-	RegisterStage(reg, "huffman", codec, h.huffman)
+	if h.huffman != nil {
+		RegisterStage(reg, "huffman", codec, h.huffman)
+	}
 	RegisterStage(reg, "reconstruct", codec, h.reconstruct)
 }
 
-// stageFor returns the stage histograms labeled with codec.
-func stageFor(codec string) *stageHists {
+// stageFor returns the stage histograms labeled with lossy's name.
+func stageFor(lossy ebcl.Compressor) *stageHists {
+	codec := lossy.Name()
 	stageMu.RLock()
 	h := stages[codec]
 	stageMu.RUnlock()
@@ -98,8 +108,10 @@ func stageFor(codec string) *stageHists {
 	h = &stageHists{
 		encode:      telemetry.NewHistogram(telemetry.DurationBuckets),
 		decode:      telemetry.NewHistogram(telemetry.DurationBuckets),
-		huffman:     ebcl.HuffmanDecodeTimer(codec),
 		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
+	}
+	if ht, ok := lossy.(huffmanTimed); ok {
+		h.huffman = ht.HuffmanTimer()
 	}
 	for _, reg := range stageRegs {
 		h.register(reg, codec)

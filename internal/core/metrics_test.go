@@ -5,18 +5,29 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/compressors"
+	"repro/internal/ebcl"
+	"repro/internal/szx"
 	"repro/internal/telemetry"
 )
+
+// renamed is a codec under another name, for metrics keyed by codec.
+type renamed struct {
+	ebcl.Compressor
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
 
 // TestRegisterMetricsCoversLaterCodecs: the stage timers are created per
 // codec on first use, so a registry must show a codec seen before
 // RegisterMetrics ran and one first seen afterwards alike — wiring code calls
 // RegisterMetrics at start-up, before any update has named its codec.
 func TestRegisterMetricsCoversLaterCodecs(t *testing.T) {
-	stageFor("test-seen-before").encode.Observe(1)
+	stageFor(renamed{szx.NewCompressor(), "test-seen-before"}).encode.Observe(1)
 	reg := telemetry.NewRegistry()
 	RegisterMetrics(reg)
-	stageFor("test-seen-after").decode.Observe(1)
+	stageFor(renamed{szx.NewCompressor(), "test-seen-after"}).decode.Observe(1)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -83,5 +94,51 @@ func TestStageTimersCountDecodes(t *testing.T) {
 	}
 	if got := count("reconstruct") - reconstruct0; got != 2 {
 		t.Errorf("reconstruct stage observed %v tensors, want 2", got)
+	}
+}
+
+// TestHuffmanStageOnlyForHuffmanCodecs: fedsz_stage_seconds has a huffman
+// series only for the codecs with a Huffman stage. szx and zfp decodes
+// export none, where a series would stay at zero forever; sz2 and sz3 do.
+func TestHuffmanStageOnlyForHuffmanCodecs(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	RegisterMetrics(reg)
+	rng := rand.New(rand.NewPCG(45, 6))
+	for _, name := range []string{"sz2", "sz3", "szx", "zfp"} {
+		lossy, err := compressors.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, _, err := Compress(skewedDict(rng, 4096), Options{Lossy: lossy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd, _, err := Decompress(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Release(sd)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseText(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		codec string
+		want  bool
+	}{{"sz2", true}, {"sz3", true}, {"szx", false}, {"zfp", false}} {
+		_, ok := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
+			telemetry.L("stage", "huffman"), telemetry.L("codec", c.codec), telemetry.L("dir", "decode"))
+		if ok != c.want {
+			t.Errorf("huffman series for %s: %v, want %v", c.codec, ok, c.want)
+		}
+		if _, ok := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
+			telemetry.L("stage", "reconstruct"), telemetry.L("codec", c.codec), telemetry.L("dir", "decode")); !ok {
+			t.Errorf("no reconstruct series for %s", c.codec)
+		}
 	}
 }

@@ -9,17 +9,16 @@ package core
 // pool and the caller moves on to section i+1. DecodeSections is that loop,
 // written once. It pulls sections from a SectionSource and does not care
 // where they come from: zero-copy views of an in-memory stream
-// (Decompress*), pooled buffers filled from an io.Reader (DecompressFrom*),
-// or wire-frame payloads off a socket (internal/wire.SectionSource, which
-// is what flserve and agg.Sharded feed it). Every check on untrusted input
-// — section and element caps, the delta-reference conditions, duplicate
-// names, the metadata entry count — is made here or in the parse.go
-// functions it calls, so all sources reject the same streams with the same
-// error class, and every abort path drains the pool and returns the staged
-// buffers.
+// (Decompress*), or wire-frame payloads off an io.Reader
+// (internal/wire.SectionSource, which is what flserve and agg.Sharded feed
+// it, and the one way a stream is decoded while it arrives). Every check on
+// untrusted input — section and element caps, the delta-reference
+// conditions, duplicate names, the metadata entry count — is made here or in
+// the parse.go functions it calls, so both sources reject the same streams
+// with the same error class, and every abort path drains the pool and
+// returns the staged buffers.
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -55,121 +54,98 @@ type SectionSource interface {
 	ReadWait() time.Duration
 }
 
-// corruptRead maps read failures to ErrCorrupt: a stream that ends (or
-// errors) mid-structure is malformed from the decoder's point of view.
-func corruptRead(err error) error {
-	return fmt.Errorf("%w: section: %v", ErrCorrupt, err)
-}
-
-// window exposes the front of the section being delimited: need(n) returns
-// at least n bytes counted from the section's first byte, or an
-// ErrCorrupt-wrapped error when the input ends first. A later need may
-// move the bytes, so callers use only the latest slice.
-type window interface {
-	need(n int) ([]byte, error)
-}
-
-// delimiter finds section boundaries in a serialized stream — the one
-// place that knows which fields carry lengths, shared by the in-memory and
-// the io.Reader source. It reads only those fields; validating what the
-// sections hold is the parse.go functions' job.
-type delimiter struct {
+// memSections serves zero-copy section views of an in-memory stream. It is
+// the one place that knows which fields carry a section's length: it reads
+// only those fields, and validating what the sections hold is the parse.go
+// functions' job.
+type memSections struct {
+	data []byte // the stream from the next section on
 	// hasMode records, from the header, whether tensor sections carry a
 	// mode byte.
 	hasMode bool
 }
 
-// section returns the section of the given kind that starts at the front
-// of w: exactly its bytes, as w's final need delivered them.
-func (d *delimiter) section(w window, kind SectionKind) ([]byte, error) {
+// need reports a stream that ends before its first n bytes: it is
+// malformed from the decoder's point of view.
+func (m *memSections) need(n int) error {
+	if n > len(m.data) {
+		return fmt.Errorf("%w: section: %v", ErrCorrupt, io.ErrUnexpectedEOF)
+	}
+	return nil
+}
+
+// sectionLen returns the length of the section of the given kind at the
+// front of the stream.
+func (m *memSections) sectionLen(kind SectionKind) (int, error) {
+	b := m.data
 	pos := 0
 	switch kind {
 	case SectionHeader:
-		b, err := w.need(5)
-		if err != nil {
-			return nil, err
+		if err := m.need(5); err != nil {
+			return 0, err
 		}
 		version, err := streamVersionOf(b)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		d.hasMode = version == streamVersionV3 || version == streamVersionV4
+		m.hasMode = version == streamVersionV3 || version == streamVersionV4
 		pos = 5
 		for range 2 { // lossy compressor and lossless codec names
-			if b, err = w.need(pos + 1); err != nil {
-				return nil, err
+			if err := m.need(pos + 1); err != nil {
+				return 0, err
 			}
 			pos += 1 + int(b[pos])
 		}
-		if d.hasMode {
+		if m.hasMode {
 			pos += 4 // reference epoch
 		}
-		if b, err = w.need(pos + 4); err != nil {
-			return nil, err
+		if err := m.need(pos + 4); err != nil {
+			return 0, err
 		}
 		count := binary.LittleEndian.Uint32(b[pos:])
 		if count > maxStreamEntries {
-			return nil, fmt.Errorf("%w: entry count %d exceeds limit", ErrCorrupt, count)
+			return 0, fmt.Errorf("%w: entry count %d exceeds limit", ErrCorrupt, count)
 		}
-		return needAll(w, pos+4+int(count))
+		end := pos + 4 + int(count)
+		return end, m.need(end)
 	case SectionTensor:
-		b, err := w.need(1)
-		if err != nil {
-			return nil, err
+		if err := m.need(1); err != nil {
+			return 0, err
 		}
 		pos = 1 + int(b[0]) // name
-		if b, err = w.need(pos + 2); err != nil {
-			return nil, err
+		if err := m.need(pos + 2); err != nil {
+			return 0, err
 		}
 		pos += 2 + 4*int(b[pos+1]) // kind, rank, dims
-		if d.hasMode {
+		if m.hasMode {
 			pos++
 		}
 	}
 	// Tensor and metadata sections end in a uvarint-length-prefixed blob.
 	for k := 1; k <= binary.MaxVarintLen64; k++ {
-		b, err := w.need(pos + k)
-		if err != nil {
-			return nil, err
+		if err := m.need(pos + k); err != nil {
+			return 0, err
 		}
 		if b[pos+k-1] < 0x80 {
 			l, n := binary.Uvarint(b[pos : pos+k])
 			if n <= 0 || l > maxSectionBytes {
 				break
 			}
-			return needAll(w, pos+k+int(l))
+			end := pos + k + int(l)
+			return end, m.need(end)
 		}
 	}
-	return nil, fmt.Errorf("%w: section length prefix", ErrCorrupt)
-}
-
-// needAll returns w's first n bytes — a whole section.
-func needAll(w window, n int) ([]byte, error) {
-	b, err := w.need(n)
-	if err != nil {
-		return nil, err
-	}
-	return b[:n], nil
-}
-
-// memSections serves zero-copy section views of an in-memory stream (the
-// batch server's hot path pays no receive buffering).
-type memSections struct {
-	delimiter
-	data []byte // the stream from the next section on
-}
-
-func (m *memSections) need(n int) ([]byte, error) {
-	if n > len(m.data) {
-		return nil, corruptRead(io.ErrUnexpectedEOF)
-	}
-	return m.data, nil
+	return 0, fmt.Errorf("%w: section length prefix", ErrCorrupt)
 }
 
 func (m *memSections) Next(kind SectionKind) ([]byte, error) {
-	sec, err := m.section(m, kind)
-	m.data = m.data[len(sec):]
-	return sec, err
+	n, err := m.sectionLen(kind)
+	if err != nil {
+		return nil, err
+	}
+	sec := m.data[:n]
+	m.data = m.data[n:]
+	return sec, nil
 }
 
 func (*memSections) Release([]byte)          {}
@@ -217,76 +193,6 @@ func Sections(stream []byte) (*StreamSections, error) {
 	}
 	return s, nil
 }
-
-// TimedReader measures the time spent blocked in the underlying Read — the
-// "waiting for the network" component of a streaming decode — and aborts
-// promptly once the decode's context is cancelled: each Read checks the
-// context first, so cancellation takes effect at the next chunk boundary
-// even mid-section. (A Read already blocked on a dead socket is the
-// transport layer's problem — flserve bounds those with read deadlines.)
-type TimedReader struct {
-	r       io.Reader
-	ctx     context.Context
-	blocked time.Duration
-}
-
-// NewTimedReader wraps r for one decode running under ctx.
-func NewTimedReader(ctx context.Context, r io.Reader) *TimedReader {
-	return &TimedReader{r: r, ctx: ctx}
-}
-
-func (t *TimedReader) Read(p []byte) (int, error) {
-	if err := t.ctx.Err(); err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	n, err := t.r.Read(p)
-	t.blocked += time.Since(t0)
-	return n, err
-}
-
-// Blocked returns the accumulated time spent inside Read.
-func (t *TimedReader) Blocked() time.Duration { return t.blocked }
-
-// readerSections receives an arriving stream section by section, each into
-// a pooled buffer that grows with the bytes actually received (a hostile
-// length prefix cannot force a giant up-front allocation).
-type readerSections struct {
-	delimiter
-	br  *bufio.Reader
-	tr  *TimedReader
-	buf []byte // the section being received (pooled)
-}
-
-func newReaderSections(ctx context.Context, r io.Reader) *readerSections {
-	tr := NewTimedReader(ctx, r)
-	return &readerSections{br: bufio.NewReaderSize(tr, 4096), tr: tr}
-}
-
-func (s *readerSections) need(n int) ([]byte, error) {
-	if s.buf == nil {
-		// Room for a section's length-bearing prefix, so the buffer is
-		// regrown once — when the blob length is known — not per field.
-		s.buf = sched.GetBytes(512)
-	}
-	var err error
-	if s.buf, err = sched.ReadMorePooled(s.br, s.buf, n); err != nil {
-		return nil, corruptRead(err)
-	}
-	return s.buf, nil
-}
-
-func (s *readerSections) Next(kind SectionKind) ([]byte, error) {
-	sec, err := s.section(s, kind)
-	if err != nil {
-		sched.PutBytes(s.buf)
-	}
-	s.buf = nil
-	return sec, err
-}
-
-func (*readerSections) Release(section []byte)    { sched.PutBytes(section) }
-func (s *readerSections) ReadWait() time.Duration { return s.tr.Blocked() }
 
 // DecodedTensor is one lossy tensor reconstructed by DecodeSections, in one
 // of two forms. Usually Data holds the reconstruction. A residual section
@@ -492,7 +398,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	if err != nil {
 		return nil, nil, err
 	}
-	st := stageFor(hdr.LossyName)
+	st := stageFor(lossy)
 
 	// Decode durations accumulate into decodeWork so OverlapRatio can report
 	// how much of that work was hidden behind reading.
@@ -597,23 +503,4 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		DeltaTensors:   nDelta,
 		ChunkedTensors: nChunked,
 	}, nil
-}
-
-// decompress runs DecodeSections and assembles the result.
-func decompress(ctx context.Context, pool *sched.Pool, src SectionSource, dopts DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	d, stats, err := DecodeSections(ctx, pool, src, dopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.StateDict(), stats, nil
-}
-
-// DecompressFrom decodes a FedSZ stream incrementally from r, drawing
-// decode parallelism from the given pool (nil runs serially): tensor i
-// decodes while tensor i+1 is still being read, which on a socket means
-// decode overlaps receive. See DecodeSections for the scheduling and
-// cancellation contract (cancellation also stops reads at the next chunk)
-// and DecodeOptions for reference-aware decoding of v3 delta streams.
-func DecompressFrom(ctx context.Context, pool *sched.Pool, r io.Reader, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	return decompress(ctx, pool, newReaderSections(ctx, r), o)
 }

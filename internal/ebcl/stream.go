@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/huffman"
@@ -257,6 +256,10 @@ type Format struct {
 	// KindRuns: the codec writes its kinds as runs under LayoutKindRuns; it
 	// still reads LayoutFull streams, whose kinds are one byte each.
 	KindRuns bool
+	// Huffman, when set, is the histogram Open observes each blob's Huffman
+	// decode time in. The codec creates it once with its Format and hands it
+	// to core, which exports it as the huffman stage of fedsz_stage_seconds.
+	Huffman *telemetry.Histogram
 }
 
 // layout is the full-pipeline layout byte f writes.
@@ -354,35 +357,6 @@ type Sections struct {
 	staged []byte // pooled lossless-stage output the views above point into
 }
 
-// Huffman decode timers, one per Format name: Open observes its Format's,
-// and core exports them as the huffman stage of fedsz_stage_seconds. The
-// lookup is a plain map behind an RWMutex, as core's stage timers are: a
-// read-lock hit allocates nothing.
-var (
-	huffmanMu     sync.RWMutex
-	huffmanTimers = map[string]*telemetry.Histogram{}
-)
-
-// HuffmanDecodeTimer returns the histogram Open observes each blob's
-// Huffman decode time in for the codec named codec (its Format's Name),
-// creating it on first use. Codecs without the SZ-family back end never
-// observe theirs.
-func HuffmanDecodeTimer(codec string) *telemetry.Histogram {
-	huffmanMu.RLock()
-	h := huffmanTimers[codec]
-	huffmanMu.RUnlock()
-	if h != nil {
-		return h
-	}
-	huffmanMu.Lock()
-	defer huffmanMu.Unlock()
-	if h = huffmanTimers[codec]; h == nil {
-		h = telemetry.NewHistogram(telemetry.DurationBuckets)
-		huffmanTimers[codec] = h
-	}
-	return h
-}
-
 // Open parses stream. For the layouts Begin finished by itself out is the
 // complete reconstruction and full is false, as it is on error. Otherwise s
 // holds the sections and out is the n-element destination (dst's storage when
@@ -423,7 +397,9 @@ func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, 
 		s.Kinds, s.Coeffs.b, s.lits = sec[0], sec[1], sec[3]
 		t0 := time.Now()
 		s.Codes, err = huffman.DecodeMultiU16(sec[2], QuantAlphabet)
-		HuffmanDecodeTimer(f.Name).Observe(time.Since(t0).Seconds())
+		if f.Huffman != nil {
+			f.Huffman.Observe(time.Since(t0).Seconds())
+		}
 	}
 	if err == nil && len(s.Codes) != n {
 		err = ErrCorrupt

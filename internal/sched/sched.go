@@ -348,19 +348,11 @@ const readChunk = 1 << 20
 
 // ReadFullPooled reads exactly n bytes from r into a pooled buffer,
 // growing it chunk-by-chunk with the data received — the untrusted-length
-// receive discipline shared by the stream decoder and the wire de-framer.
-// On success the caller owns the buffer and should recycle it via
-// PutBytes; on error the buffer has already been recycled.
+// receive discipline of the wire de-framer. On success the caller owns the
+// buffer and should recycle it via PutBytes; on error the buffer has
+// already been recycled.
 func ReadFullPooled(r io.Reader, n int) ([]byte, error) {
-	return ReadMorePooled(r, GetBytes(min(n, readChunk)), n)
-}
-
-// ReadMorePooled extends buf, a pooled buffer holding the first len(buf)
-// bytes of a record, to n bytes with data read from r — ReadFullPooled for
-// a record whose length is only learned from its own leading bytes.
-// Ownership follows ReadFullPooled: the returned buffer replaces buf, and
-// on error buf has been recycled.
-func ReadMorePooled(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf := GetBytes(min(n, readChunk))
 	for len(buf) < n {
 		chunk := min(n-len(buf), readChunk)
 		if cap(buf) < len(buf)+chunk {

@@ -30,6 +30,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/lanes"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -51,7 +52,8 @@ const (
 // format is SZ2's stream: magic "SZ\0\2", the block kinds as runs, two
 // coefficients per fitted-line block. LayoutFull streams (one kind byte a
 // block, Lorenzo or regression) predate the zero-line kind and still decode.
-var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true, KindRuns: true}
+var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true, KindRuns: true,
+	Huffman: telemetry.NewHistogram(telemetry.DurationBuckets)}
 
 // Params is re-exported so callers importing only this package can build
 // error bounds without also importing ebcl.
@@ -69,6 +71,10 @@ func (c *Compressor) Name() string { return "sz2" }
 
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return format.Magic }
+
+// HuffmanTimer is the histogram each blob's Huffman decode is timed in, for
+// the caller that exports it.
+func (c *Compressor) HuffmanTimer() *telemetry.Histogram { return format.Huffman }
 
 // Compress implements ebcl.Compressor (CompressAppend with a nil dst).
 func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/ebcl"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -29,7 +30,8 @@ const (
 
 // format is SZ3's stream: magic "SZ\0\3", one interpolant kind per level,
 // no coefficients.
-var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3"}
+var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3",
+	Huffman: telemetry.NewHistogram(telemetry.DurationBuckets)}
 
 // The interpolation level structure is derived from the array length alone,
 // so any split point yields two valid independent streams; the core
@@ -53,6 +55,10 @@ func (c *Compressor) Name() string { return "sz3" }
 
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return format.Magic }
+
+// HuffmanTimer is the histogram each blob's Huffman decode is timed in, for
+// the caller that exports it.
+func (c *Compressor) HuffmanTimer() *telemetry.Histogram { return format.Huffman }
 
 // Compress implements ebcl.Compressor (CompressAppend with a nil dst).
 func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {

@@ -76,27 +76,40 @@ func TestWireReaderCorpus(t *testing.T) {
 
 // FuzzWireReader drives the de-framer with arbitrary bytes. Invariants: no
 // panic, no hang (allocation is bounded by input length, so ReadAll
-// terminates), and any error wraps core.ErrCorrupt. A clean EOF must also
-// leave the payload decodable only through the normal core path — it is
-// fed onward to the FedSZ decoder, which must itself fail cleanly.
+// terminates), and any error wraps core.ErrCorrupt. The same bytes also go
+// through the streaming decode — SectionSource into core.DecodeSections —
+// which must fail cleanly or succeed (the fuzzer can forge valid framing
+// around a valid payload); when it succeeds, the Reader's payload decodes
+// in memory to the same bits.
 func FuzzWireReader(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx := context.Background()
+		d, _, derr := core.DecodeSections(ctx, sched.Default(), NewSectionSource(ctx, bytes.NewReader(data)), core.DecodeOptions{})
+		if derr == nil && d == nil {
+			t.Fatal("nil stream with nil error")
+		}
 		r := NewReader(bytes.NewReader(data))
 		payload, err := io.ReadAll(r)
 		if err != nil {
 			if !errors.Is(err, core.ErrCorrupt) {
 				t.Fatalf("error %v does not wrap core.ErrCorrupt", err)
 			}
+			if derr == nil {
+				t.Fatalf("the Reader refused a stream the section source decoded: %v", err)
+			}
 			return
 		}
-		// CRC-clean stream: the payload must round through the FedSZ
-		// decoder without panicking (errors are fine — the fuzzer can
-		// forge valid framing around a garbage payload).
-		if sd, _, derr := core.DecompressFrom(context.Background(), sched.Default(), bytes.NewReader(payload), core.DecodeOptions{}); derr == nil && sd == nil {
-			t.Fatal("nil dict with nil error")
+		mem, _, merr := core.Decompress(payload)
+		if derr == nil {
+			if merr != nil {
+				t.Fatalf("the payload of a stream that decoded streaming fails in memory: %v", merr)
+			}
+			if !bytes.Equal(d.StateDict().Marshal(), mem.Marshal()) {
+				t.Fatal("streaming and in-memory decodes differ")
+			}
 		}
 	})
 }

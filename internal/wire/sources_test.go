@@ -17,9 +17,9 @@ import (
 )
 
 // sectioned is a FedSZ stream held section by section, so a case can damage
-// one section and still hand every decoder the same input: the
-// concatenation for the in-memory and io.Reader sources, one CRC-valid
-// frame per section for the frame source.
+// one section and still hand both decoders the same input: the
+// concatenation for the in-memory source, one CRC-valid frame per section
+// for the frame source.
 type sectioned struct {
 	header   []byte
 	tensors  [][]byte
@@ -84,11 +84,10 @@ func sourceDict(seed uint64, extraMeta bool) *tensor.StateDict {
 }
 
 // TestSectionSourcesAgree drives the same hostile, truncated and cancelled
-// inputs through the three section sources — in-memory views
-// (core.DecompressOpts), pooled buffers off an io.Reader
-// (core.DecompressFromOpts) and wire frames (SectionSource) — and requires
-// the same error class from each: one pipeline, one set of checks. A valid
-// input must decode to the same bits through all three.
+// inputs through the two section sources — in-memory views
+// (core.DecompressWith) and wire frames (SectionSource) — and requires the
+// same error class from each: one pipeline, one set of checks. A valid input
+// must decode to the same bits through both.
 func TestSectionSourcesAgree(t *testing.T) {
 	compress := func(sd *tensor.StateDict, o core.Options) []byte {
 		o.LossyParams = ebcl.Rel(1e-2)
@@ -156,9 +155,8 @@ func TestSectionSourcesAgree(t *testing.T) {
 		{name: "residual-tensor-not-in-reference", base: delta, want: core.ErrReference,
 			dopts: core.DecodeOptions{Reference: partialRef, RefEpoch: epoch}},
 	}
-	// Truncations: the serialized stream cut short for the byte and reader
-	// sources, the framed stream cut at the same fraction for the frame
-	// source.
+	// Truncations: the serialized stream cut short for the byte source, the
+	// framed stream cut at the same fraction for the frame source.
 	type cut struct{ num, den int }
 	cuts := []cut{{0, 1}, {1, 50}, {1, 4}, {1, 2}, {9, 10}}
 
@@ -174,10 +172,6 @@ func TestSectionSourcesAgree(t *testing.T) {
 		}{
 			{"bytes", func() (*tensor.StateDict, error) {
 				sd, _, err := core.DecompressWith(ctx, pool, stream, dopts)
-				return sd, err
-			}},
-			{"reader", func() (*tensor.StateDict, error) {
-				sd, _, err := core.DecompressFrom(ctx, pool, bytes.NewReader(stream), dopts)
 				return sd, err
 			}},
 			{"frames", func() (*tensor.StateDict, error) {

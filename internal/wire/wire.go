@@ -17,10 +17,12 @@
 //	FrameTrailer  — frame count, total payload bytes, whole-stream CRC
 //
 // The payload concatenation of the header/tensor/lossless frames is
-// byte-for-byte the in-memory FedSZ stream, so Reader implements io.Reader
-// over exactly that byte sequence and composes directly with
-// core.DecompressFrom: the receiver decodes tensor i while frame i+1 is
-// still crossing the network. The trailer carries a redundant whole-stream
+// byte-for-byte the in-memory FedSZ stream, and each frame is one section
+// of it, so SectionSource hands frames to core.DecodeSections as they
+// arrive: the receiver decodes tensor i while frame i+1 is still crossing
+// the network. This framing is the one way a FedSZ stream crosses an
+// io.Reader/io.Writer boundary; Reader reassembles the plain stream for
+// callers that want its bytes. The trailer carries a redundant whole-stream
 // CRC and byte/frame counts, so truncation at a frame boundary — which
 // per-frame CRCs cannot see — is also detected.
 //
@@ -201,10 +203,10 @@ func (w *Writer) WriteStream(stream []byte) error {
 }
 
 // EncodeStream compresses sd straight into wire frames on w — the
-// sender-side mirror of piping a Reader into core.DecompressFrom — and
-// closes the stream with the trailer on success. Each finished tensor
-// section ships while later tensors are still compressing on pool, so a
-// throttled uplink overlaps the encode instead of waiting for it.
+// sender-side mirror of SectionSource — and closes the stream with the
+// trailer on success. Each finished tensor section ships while later
+// tensors are still compressing on pool, so a throttled uplink overlaps the
+// encode instead of waiting for it.
 func EncodeStream(ctx context.Context, pool *sched.Pool, w *Writer, sd *tensor.StateDict, opts core.Options) (*core.Stats, error) {
 	stats, err := core.CompressSections(ctx, pool, sd, opts, w.WriteSection)
 	if err != nil {
@@ -359,15 +361,37 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 // completes has consumed an intact wire stream through its final byte.
 type SectionSource struct {
 	sc FrameScanner
-	tr core.TimedReader
+	tr timedReader
 }
 
 // NewSectionSource returns a SectionSource de-framing one wire stream from
 // r; reads fail once ctx is cancelled.
 func NewSectionSource(ctx context.Context, r io.Reader) *SectionSource {
-	s := &SectionSource{tr: *core.NewTimedReader(ctx, r)}
+	s := &SectionSource{tr: timedReader{r: r, ctx: ctx}}
 	s.sc.r = &s.tr
 	return s
+}
+
+// timedReader measures the time spent blocked in the underlying Read — the
+// "waiting for the network" component of a streaming decode — and aborts
+// promptly once the decode's context is cancelled: each Read checks the
+// context first, so cancellation takes effect at the next read even
+// mid-frame. (A Read already blocked on a dead socket is the transport
+// layer's problem — flserve bounds those with read deadlines.)
+type timedReader struct {
+	r       io.Reader
+	ctx     context.Context
+	blocked time.Duration
+}
+
+func (t *timedReader) Read(p []byte) (int, error) {
+	if err := t.ctx.Err(); err != nil {
+		return 0, err
+	}
+	t0 := time.Now()
+	n, err := t.r.Read(p)
+	t.blocked += time.Since(t0)
+	return n, err
 }
 
 // Next implements core.SectionSource. Section kinds map 1:1 onto frame
@@ -402,7 +426,7 @@ func (s *SectionSource) Next(kind core.SectionKind) ([]byte, error) {
 func (*SectionSource) Release(section []byte) { sched.PutBytes(section) }
 
 // ReadWait implements core.SectionSource.
-func (s *SectionSource) ReadWait() time.Duration { return s.tr.Blocked() }
+func (s *SectionSource) ReadWait() time.Duration { return s.tr.blocked }
 
 // WireBytes returns the encoded length of the wire stream consumed so far;
 // see FrameScanner.WireBytes.

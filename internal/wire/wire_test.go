@@ -72,23 +72,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReaderComposesWithDecompressFrom(t *testing.T) {
-	stream, _ := compressDict(t, 2)
-	framed := frame(t, stream)
-
-	want, _, err := core.Decompress(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := core.DecompressFrom(context.Background(), sched.Default(), NewReader(bytes.NewReader(framed)), core.DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Marshal(), want.Marshal()) {
-		t.Fatal("wire-framed decode differs from in-memory decode")
-	}
-}
-
 func TestReaderChunkedDelivery(t *testing.T) {
 	stream, _ := compressDict(t, 3)
 	framed := frame(t, stream)
@@ -244,10 +227,11 @@ func TestEncodeStreamMatchesWriteStream(t *testing.T) {
 	if stats.CompressedBytes != len(stream) {
 		t.Fatalf("stats report %d payload bytes, stream is %d", stats.CompressedBytes, len(stream))
 	}
-	got, _, err := core.DecompressFrom(context.Background(), sched.Default(), NewReader(bytes.NewReader(streamed.Bytes())), core.DecodeOptions{})
+	d, _, err := core.DecodeSections(context.Background(), sched.Default(), NewSectionSource(context.Background(), bytes.NewReader(streamed.Bytes())), core.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := d.StateDict()
 	want, _, err := core.Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
