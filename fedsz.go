@@ -39,9 +39,10 @@
 // round, and with hundreds of clients the decode dominates. A Codec is safe
 // for concurrent use, so a batch is N goroutines calling Compress or
 // Decompress on one codec: the per-tensor fan-out inside every call draws
-// helper slots from the codec's one bounded pool, so batch size never
-// oversubscribes it, and each result is bit-identical to a lone call. The
-// measured aggregation-server round loop is bench/ (bash bench/run.sh).
+// helper slots from the codec's one bounded pool, so the batch runs at most
+// its N callers plus that budget, and each result is bit-identical to a lone
+// call. The measured aggregation-server round loop is bench/
+// (bash bench/run.sh).
 //
 // # Streaming
 //

@@ -324,8 +324,9 @@ func Decompress(stream []byte) (*tensor.StateDict, *DecompressStats, error) {
 // views of stream. v3 delta streams reconstruct residual sections against
 // o.Reference (see DecodeOptions); v1/v2 streams ignore o entirely.
 // Cancelling ctx stops the decode at the next section boundary and returns
-// ctx.Err(). Concurrent calls on one pool share its parallelism budget: a
-// server decoding many streams at once calls this once per stream.
+// ctx.Err(). Concurrent calls on one pool share its helper budget: a server
+// decoding many streams at once calls this once per stream, and runs its N
+// calling goroutines on top of the pool's helpers.
 func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
 	d, stats, err := DecodeSections(ctx, pool, &memSections{data: stream}, o)
 	if err != nil {
@@ -336,9 +337,9 @@ func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte, o Deco
 
 // CompressAll runs the FedSZ pipeline over many client state dicts with
 // one parallelism budget shared across the whole batch. Unlike calling
-// Compress in N goroutines — which would oversubscribe the machine
-// N × GOMAXPROCS — the batch and the per-tensor fan-out inside each call
-// draw from the same pool. Output i corresponds to input i and is
+// Compress in N goroutines — where the N callers run on top of the pool's
+// helpers — the batch and the per-tensor fan-out inside each call draw
+// from the same pool. Output i corresponds to input i and is
 // bit-identical to Compress(sds[i], opts). Cancelling ctx stops the batch
 // after the in-flight clients finish.
 func CompressAll(ctx context.Context, pool *sched.Pool, sds []*tensor.StateDict, opts Options) ([][]byte, []*Stats, error) {
