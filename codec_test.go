@@ -86,7 +86,8 @@ func streamVia(t *testing.T, c *Codec, sd *StateDict) ([]byte, *StateDict) {
 // path: an explicit SZ2 / REL 1e-2 codec reproduces the default codec's
 // bytes, the wire frames of the codec's streaming encode carry exactly what
 // Compress returns, and Decompress and the streaming decode reconstruct
-// identically, with the explicit codec and the default one alike.
+// identically. TestDecompressFromMatchesDecompress holds the same for the
+// default codec.
 func TestCodecStreamingMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(21, 22))
@@ -109,18 +110,41 @@ func TestCodecStreamingMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*Codec{codec, plain} {
-		framed, gotFrom := streamVia(t, c, sd)
-		payload, err := io.ReadAll(wire.NewReader(bytes.NewReader(framed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(payload, stream) {
-			t.Fatal("streaming encode carries other bytes than Codec.Compress")
-		}
-		if d, err := gotFrom.MaxAbsDiff(got); err != nil || d != 0 {
-			t.Fatalf("codec streaming decode differs: d=%v err=%v", d, err)
-		}
+	assertStreamingMatches(t, codec, sd, stream, got)
+}
+
+// TestDecompressFromMatchesDecompress: on a default New() codec, the
+// streaming path (wire.EncodeStream, then wire.SectionSource into
+// DecodeSections) carries Compress's bytes and decodes what Decompress does.
+func TestDecompressFromMatchesDecompress(t *testing.T) {
+	ctx := context.Background()
+	sd := buildDemoDict(rand.New(rand.NewPCG(23, 24)))
+	codec := newCodec(t)
+	stream, _, err := codec.Compress(ctx, sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := codec.Decompress(ctx, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStreamingMatches(t, codec, sd, stream, got)
+}
+
+// assertStreamingMatches checks that c's wire frames for sd reassemble to
+// stream and that decoding them reproduces want exactly.
+func assertStreamingMatches(t *testing.T, c *Codec, sd *StateDict, stream []byte, want *StateDict) {
+	t.Helper()
+	framed, gotFrom := streamVia(t, c, sd)
+	payload, err := io.ReadAll(wire.NewReader(bytes.NewReader(framed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, stream) {
+		t.Fatal("streaming encode carries other bytes than Codec.Compress")
+	}
+	if d, err := gotFrom.MaxAbsDiff(want); err != nil || d != 0 {
+		t.Fatalf("codec streaming decode differs: d=%v err=%v", d, err)
 	}
 }
 
