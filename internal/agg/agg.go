@@ -42,7 +42,18 @@
 // extent (both elements of it) some fl(ref[i] + v) is a NaN or an infinity
 // exactly when v is, or the reference holds one, or fl(lo + v) or
 // fl(hi + v) overflows. The extent is scanned once per reference tensor and
-// epoch and cached; every other tensor is scanned once per update.
+// epoch and cached; every other lossy tensor is scanned once per update.
+//
+// The metadata partition (biases, batch-norm statistics, counters) is never
+// built into tensors after the first update: it stays the bytes it
+// decompressed to, which are checked against the adopted structure, judged
+// finite and folded with a[i] += w·b[i] in place, the same bits as
+// unmarshalling it and folding with StateDict.AddScaled.
+//
+// Once a round has adopted a structure, every later decode is handed it
+// (core.DecodeOptions.Structure), so an update whose tensors differ is
+// refused as its sections parse, before a buffer is taken for them; commit
+// checks again for an update that began decoding before the adoption.
 //
 // # Hierarchical topology
 //
@@ -58,10 +69,12 @@ package agg
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -84,9 +97,9 @@ type Config struct {
 	Pool *sched.Pool
 }
 
-// lossyMeta pins a lossy tensor's identity and accumulator from the first
+// metaAcc pins a metadata entry's name and accumulator from the first
 // update; later updates are validated against it before anything folds.
-type lossyMeta struct {
+type metaAcc struct {
 	name string
 	acc  []float32 // pooled; aliased by sumView
 }
@@ -95,8 +108,9 @@ type lossyMeta struct {
 // every later update must match it exactly, mirroring the structural
 // strictness of StateDict.AddScaled.
 type layout struct {
-	flags []byte
-	lossy []lossyMeta
+	*core.Structure
+	lossy [][]float32 // each lossy tensor's accumulator, in stream order
+	meta  []metaAcc   // the metadata partition's, in its entry order
 }
 
 // Sharded is the FedAvg aggregator: a flserve.StreamIngestor that decodes
@@ -109,11 +123,9 @@ type Sharded struct {
 	mu sync.Mutex
 	// structure is the layout adopted from the first committed update.
 	structure *layout
-	// meta is the lossless-partition accumulator (its tensors are sumView's).
-	meta *tensor.StateDict
 	// sumView is the accumulator as one StateDict in original entry order:
-	// the first update's own dict, whose tensors the lossy fold (through
-	// lossyMeta.acc) and the meta fold mutate in place.
+	// the first update's own dict, whose tensors the fold mutates in place
+	// through structure's accumulators.
 	sumView *tensor.StateDict
 	n       int
 	wsum    float64
@@ -122,6 +134,9 @@ type Sharded struct {
 	// refs caches reference extents for the finiteness verdict; it has its
 	// own lock, so the verdict runs before commit, outside mu.
 	refs refExtents
+	// adopted is structure's core.Structure, published for decodes to read
+	// without mu: a decode that waited on mu would wait on every fold.
+	adopted atomic.Pointer[core.Structure]
 }
 
 // refExtents caches lanes.Scan of the reference tensors constant residuals
@@ -181,11 +196,12 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		weight = 1
 	}
 	src := wire.NewSectionSource(ctx, r)
+	dopts.Structure = s.adopted.Load()
 	upd, stats, err := core.DecodeSections(ctx, s.pool, src, dopts)
 	if err != nil {
 		return 0, core.DecompressStats{}, err
 	}
-	if name := s.nonFinite(dopts.RefEpoch, upd.Tensors, upd.Meta); name != "" {
+	if name := s.nonFinite(dopts.RefEpoch, upd); name != "" {
 		upd.Release()
 		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: tensor %q decoded to a non-finite value", core.ErrCorrupt, name)
 	}
@@ -197,15 +213,16 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 	return src.WireBytes(), *stats, nil
 }
 
-// nonFinite names the first tensor, of lossy and then of dict, that holds a
-// NaN or an infinity, or returns "" when every value is finite. Folded, one
-// such value turns its whole tensor's mean non-finite. A constant residual
-// is judged from its value and its reference's cached extent at epoch (see
-// the package doc); every other tensor is scanned. Empty tensors are
-// skipped: lanes.Scan needs an element.
-func (s *Sharded) nonFinite(epoch uint32, lossy []core.DecodedTensor, dict *tensor.StateDict) string {
-	for i := range lossy {
-		t := &lossy[i]
+// nonFinite names the first tensor of upd, lossy and then metadata, that
+// holds a NaN or an infinity, or returns "" when every value is finite.
+// Folded, one such value turns its whole tensor's mean non-finite. A
+// constant residual is judged from its value and its reference's cached
+// extent at epoch (see the package doc); every other lossy tensor is
+// scanned (empty ones are skipped: lanes.Scan needs an element), and the
+// metadata partition is read in place.
+func (s *Sharded) nonFinite(epoch uint32, upd *core.DecodedStream) string {
+	for i := range upd.Tensors {
+		t := &upd.Tensors[i]
 		switch {
 		case t.Elems() == 0:
 		case t.Data == nil:
@@ -216,9 +233,10 @@ func (s *Sharded) nonFinite(epoch uint32, lossy []core.DecodedTensor, dict *tens
 			return t.Name
 		}
 	}
-	for _, e := range dict.Entries() {
-		if len(e.Tensor.Data) > 0 && !lanes.Scan(e.Tensor.Data).Finite() {
-			return e.Name
+	r, count, _ := tensor.NewReader(upd.Meta) // validated by DecodeSections
+	for range count {
+		if e, _ := r.Next(); !finiteBytes(e.Vals) {
+			return string(e.Name)
 		}
 	}
 	return ""
@@ -226,6 +244,31 @@ func (s *Sharded) nonFinite(epoch uint32, lossy []core.DecodedTensor, dict *tens
 
 // finite reports whether v is neither a NaN nor an infinity.
 func finite(v float32) bool { return math.Float32bits(v)&^(1<<31) < 0x7f800000 }
+
+// finiteBytes is finite for every little-endian float32 in vals. A float
+// is finite when its bits &^ sign sit below +Inf's 0x7f800000, that is when
+// adding 0x00800000 to them leaves bit 31 clear; one 64-bit step judges two
+// floats, since the low one's sum cannot carry out of its half.
+func finiteBytes(vals []byte) bool {
+	var sum uint64
+	for ; len(vals) >= 8; vals = vals[8:] {
+		sum |= binary.LittleEndian.Uint64(vals)&0x7fffffff7fffffff + 0x0080000000800000
+	}
+	if len(vals) >= 4 {
+		sum |= uint64(binary.LittleEndian.Uint32(vals)&0x7fffffff + 0x00800000)
+	}
+	return sum&0x8000000080000000 == 0
+}
+
+// addScaledBytes is lanes.AddScaled(acc, b, w) with b the little-endian
+// float32s in vals: acc[j] += w·b[j], rounded as the kernel rounds.
+func addScaledBytes(acc []float32, vals []byte, w float32) {
+	vals = vals[:4*len(acc)]
+	for j := range acc {
+		acc[j] += w * math.Float32frombits(binary.LittleEndian.Uint32(vals))
+		vals = vals[4:]
+	}
+}
 
 // commit folds one fully verified, fully decoded update into the
 // accumulator, or drops it if client already folded this round. It
@@ -246,13 +289,21 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 		// First update: it becomes the accumulator, and its layout the
 		// structure. StateDict writes its constant tensors out, so the
 		// accumulator never reads the reference.
+		l := &layout{Structure: upd.Structure(), lossy: make([][]float32, len(upd.Tensors))}
 		s.sumView = upd.StateDict()
-		lossy := make([]lossyMeta, len(upd.Tensors))
-		for i, t := range upd.Tensors {
-			lossy[i] = lossyMeta{name: t.Name, acc: s.sumView.Get(t.Name).Data}
+		// The dict holds the lossy tensors in stream order among the
+		// metadata entries, and every name once.
+		li := 0
+		for _, e := range s.sumView.Entries() {
+			if li < len(l.lossy) && e.Name == l.Lossy[li].Name {
+				l.lossy[li] = e.Tensor.Data
+				li++
+			} else {
+				l.meta = append(l.meta, metaAcc{name: e.Name, acc: e.Tensor.Data})
+			}
 		}
-		s.structure = &layout{flags: upd.Flags, lossy: lossy}
-		s.meta = upd.Meta
+		s.structure = l
+		s.adopted.Store(l.Structure)
 		if weight != 1 {
 			s.sumView.Scale(w)
 		}
@@ -260,17 +311,17 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 		if err := s.checkStructure(upd); err != nil {
 			return err
 		}
-		for i, l := range s.structure.lossy {
+		for i, acc := range s.structure.lossy {
 			if t := &upd.Tensors[i]; t.Data == nil {
-				lanes.AddScaledOffset(l.acc, t.Ref, t.Const, w)
+				lanes.AddScaledOffset(acc, t.Ref, t.Const, w)
 			} else {
-				lanes.AddScaled(l.acc, t.Data, w)
+				lanes.AddScaled(acc, t.Data, w)
 			}
 		}
-		if err := s.meta.AddScaled(upd.Meta, w); err != nil {
-			// Unreachable after checkStructure; kept as a hard stop so a
-			// silent partial fold can never happen.
-			return fmt.Errorf("agg: metadata partition: %w", err)
+		r, _, _ := tensor.NewReader(upd.Meta)
+		for _, m := range s.structure.meta {
+			e, _ := r.Next()
+			addScaledBytes(m.acc, e.Vals, w)
 		}
 		upd.Release()
 	}
@@ -282,20 +333,32 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 	return nil
 }
 
-// checkStructure validates an update against the adopted layout.
+// checkStructure validates an update against the adopted layout: the path
+// flags, each lossy tensor's name and element count, and the metadata
+// partition in place under StateDict.CheckCompatible's rules (entry count,
+// names in order, element counts).
 func (s *Sharded) checkStructure(upd *core.DecodedStream) error {
-	if !bytes.Equal(s.structure.flags, upd.Flags) {
+	st := s.structure
+	if !bytes.Equal(st.Flags, upd.Flags) {
 		return fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
 	}
 	for i := range upd.Tensors {
-		want, t := &s.structure.lossy[i], &upd.Tensors[i]
-		if t.Name != want.name || t.Elems() != len(want.acc) {
+		want, t := &st.Lossy[i], &upd.Tensors[i]
+		if t.Name != want.Name || t.Elems() != want.Elems {
 			return fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
-				core.ErrCorrupt, i, t.Name, t.Elems(), want.name, len(want.acc))
+				core.ErrCorrupt, i, t.Name, t.Elems(), want.Name, want.Elems)
 		}
 	}
-	if err := s.meta.CheckCompatible(upd.Meta); err != nil {
-		return fmt.Errorf("%w: agg: metadata partition: %w", core.ErrCorrupt, err)
+	r, count, _ := tensor.NewReader(upd.Meta) // validated by DecodeSections
+	if int(count) != len(st.meta) {
+		return fmt.Errorf("%w: agg: metadata partition: entry count mismatch %d != %d", core.ErrCorrupt, len(st.meta), count)
+	}
+	for i, m := range st.meta {
+		e, _ := r.Next()
+		if string(e.Name) != m.name || len(e.Vals)/4 != len(m.acc) {
+			return fmt.Errorf("%w: agg: metadata partition: entry %d is %q[%d], accumulator holds %q[%d]",
+				core.ErrCorrupt, i, e.Name, len(e.Vals)/4, m.name, len(m.acc))
+		}
 	}
 	return nil
 }
@@ -347,8 +410,10 @@ func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, op
 		return 0, nil
 	}
 	defer core.Release(mean)
-	if name := s.nonFinite(0, nil, mean); name != "" {
-		return 0, fmt.Errorf("agg: forward: the mean of tensor %q is not finite", name)
+	for _, e := range mean.Entries() {
+		if len(e.Tensor.Data) > 0 && !lanes.Scan(e.Tensor.Data).Finite() {
+			return 0, fmt.Errorf("agg: forward: the mean of tensor %q is not finite", e.Name)
+		}
 	}
 	weight := s.wsum
 	if err := up.UploadWeighted(ctx, id, weight, mean, opts, s.pool); err != nil {
@@ -371,7 +436,7 @@ func (s *Sharded) Reset() {
 func (s *Sharded) reset() {
 	core.Release(s.sumView)
 	s.structure = nil
-	s.meta = nil
+	s.adopted.Store(nil)
 	s.sumView = nil
 	s.n = 0
 	s.wsum = 0

@@ -1,11 +1,13 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/lanes"
+	"repro/internal/tensor"
 )
 
 // foldRef is the Go loop lanes.AddScaled runs without the kernel, kept apart
@@ -91,6 +93,76 @@ func TestAddScaledLeavesTheRest(t *testing.T) {
 				}
 				if v != want {
 					t.Fatalf("%s: n=%d: buf[%d] = %g, want %g", path, n, i, v, want)
+				}
+			}
+		}
+	})
+}
+
+// TestFoldFromBytes holds the metadata partition's in-place fold and
+// verdict to what they replace. addScaledBytes over a serialized dict must
+// match tensor.UnmarshalStateDict then StateDict.AddScaled bit for bit on
+// both lane paths: the partition's values are finite (nonFinite refuses the
+// rest first) and so is the weight, but the accumulator holds foldValues'
+// specials and the products overflow to ±Inf at the large weights.
+// finiteBytes must give lanes.Scan's verdict on the specials too. Entries
+// run 0–67 elements, every kernel tail.
+func TestFoldFromBytes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	src, acc, special := tensor.NewStateDict(), tensor.NewStateDict(), tensor.NewStateDict()
+	for n := 0; n <= 67; n++ {
+		name := fmt.Sprintf("e%02d", n)
+		vals := foldValues(rng, n)
+		special.Add(name, tensor.KindBias, tensor.FromData(vals, n))
+		finite := make([]float32, n)
+		for i, v := range vals {
+			if finite[i] = v; math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				finite[i] = -math.MaxFloat32
+			}
+		}
+		src.Add(name, tensor.KindBias, tensor.FromData(finite, n))
+		acc.Add(name, tensor.KindBias, tensor.FromData(foldValues(rng, n), n))
+	}
+	entries := func(sd *tensor.StateDict) []tensor.EntryView {
+		r, count, err := tensor.NewReader(sd.Marshal())
+		if err != nil || int(count) != sd.Len() {
+			t.Fatalf("reader: %v, count %d", err, count)
+		}
+		out := make([]tensor.EntryView, count)
+		for i := range out {
+			var ok bool
+			if out[i], ok = r.Next(); !ok {
+				t.Fatalf("entry %d does not delimit", i)
+			}
+		}
+		return out
+	}
+	for i, v := range entries(special) {
+		data := special.Entries()[i].Tensor.Data
+		if want := len(data) == 0 || lanes.Scan(data).Finite(); finiteBytes(v.Vals) != want {
+			t.Fatalf("entry %d: finiteBytes %v, lanes.Scan %v", i, !want, want)
+		}
+	}
+	views := entries(src)
+	dict, err := tensor.UnmarshalStateDict(src.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes.BothPaths(func(path string) {
+		for _, w := range []float32{1, 0.25, -3, 1e30, -3e38} {
+			want, got := acc.Clone(), acc.Clone()
+			if err := want.AddScaled(dict, w); err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range got.Entries() {
+				addScaledBytes(e.Tensor.Data, views[i].Vals, w)
+			}
+			for i, e := range got.Entries() {
+				for j, v := range e.Tensor.Data {
+					if x := want.Entries()[i].Tensor.Data[j]; math.Float32bits(v) != math.Float32bits(x) {
+						t.Fatalf("%s: w=%g: entry %d element %d is %#08x, AddScaled %#08x",
+							path, w, i, j, math.Float32bits(v), math.Float32bits(x))
+					}
 				}
 			}
 		}

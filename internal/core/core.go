@@ -300,6 +300,27 @@ type DecodeOptions struct {
 	// streams tagged with a different epoch are refused (the sender encoded
 	// against a baseline this decoder does not hold).
 	RefEpoch uint32
+	// Structure, when set, is the structure the stream must have: a stream
+	// whose path flags differ, or a lossy tensor whose name, kind or element
+	// count differs, is refused as ErrCorrupt when its header or section
+	// parses, before a buffer is taken for it. An aggregator sets it from
+	// the round's first update, so a hostile later update cannot make it
+	// allocate more than the model it folds.
+	Structure *Structure
+}
+
+// Structure is what a round's first update fixes for the later ones: the
+// path flags and, in stream order, each lossy tensor's shape.
+type Structure struct {
+	Flags []byte
+	Lossy []TensorShape
+}
+
+// TensorShape is one lossy tensor of a Structure.
+type TensorShape struct {
+	Name  string
+	Kind  tensor.Kind
+	Elems int
 }
 
 // OverlapRatio reports the fraction of decode work hidden behind the rest

@@ -13,7 +13,6 @@ import (
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
 	"repro/internal/lossless"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -180,10 +179,11 @@ func (h *ParsedHeader) codecs() (ebcl.Compressor, lossless.Codec, error) {
 	return lossy, codec, nil
 }
 
-// decodeLossless reconstructs the metadata partition from a lossless
-// section (the uvarint-length-prefixed blob a wire FrameLossless carries).
-// The returned dict's tensors are pool-backed; recycle via Release.
-func decodeLossless(codec lossless.Codec, section []byte) (*tensor.StateDict, error) {
+// decodeLossless decompresses the metadata partition from a lossless
+// section (the uvarint-length-prefixed blob a wire FrameLossless carries):
+// the serialized entries, in a pooled byte buffer (recycle via
+// sched.PutBytes). DecodedStream.validate checks what they hold.
+func decodeLossless(codec lossless.Codec, section []byte) ([]byte, error) {
 	blob, pos, err := ebcl.ReadSection(section, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: metadata section: %w", ErrCorrupt, err)
@@ -195,10 +195,5 @@ func decodeLossless(codec lossless.Codec, section []byte) (*tensor.StateDict, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: lossless decompress: %w", ErrCorrupt, err)
 	}
-	sd, err := tensor.UnmarshalStateDict(raw)
-	sched.PutBytes(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, err)
-	}
-	return sd, nil
+	return raw, nil
 }

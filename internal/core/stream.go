@@ -13,12 +13,13 @@ package core
 // (internal/wire.SectionSource, which is what flserve and agg.Sharded feed
 // it, and the one way a stream is decoded while it arrives). Every check on
 // untrusted input — section and element caps, the delta-reference
-// conditions, duplicate names, the metadata entry count — is made here or in
-// the parse.go functions it calls, so both sources reject the same streams
-// with the same error class, and every abort path drains the pool and
-// returns the staged buffers.
+// conditions, the adopted structure, duplicate names, the metadata
+// partition's entries — is made here or in the parse.go functions it calls,
+// so both sources reject the same streams with the same error class, and
+// every abort path drains the pool and returns the staged buffers.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -230,28 +231,42 @@ func (t *DecodedTensor) Elems() int {
 
 // DecodedStream is a stream decoded section by section but not yet
 // assembled: what a section-routing aggregator folds directly, and what
-// StateDict turns into a state dict. Its tensor buffers are pooled — hand
-// them on (StateDict, or take Data and nil it) or Release them. Its
-// constant tensors read the reference (see DecodedTensor).
+// StateDict turns into a state dict. Its buffers are pooled — hand them on
+// (StateDict, or take Data and nil it) or Release them. Its constant tensors
+// read the reference (see DecodedTensor).
 type DecodedStream struct {
 	// Flags holds the per-entry path flags in original dict order; two
 	// streams with equal Flags interleave their partitions identically.
 	Flags []byte
 	// Tensors holds the lossy tensors in stream order.
 	Tensors []DecodedTensor
-	// Meta is the lossless partition, its tensors pool-backed too.
-	Meta *tensor.StateDict
+	// Meta is the lossless partition as it decompressed: a
+	// tensor.StateDict's serialized entries, in a pooled byte buffer. They
+	// have passed every check tensor.UnmarshalStateDict makes, so a
+	// tensor.Reader walks them in place.
+	Meta []byte
 }
 
-// Release returns every tensor buffer the stream still owns to the pool; a
+// Release returns every buffer the stream still owns to the pools; a
 // constant tensor owns none.
 func (d *DecodedStream) Release() {
 	for i := range d.Tensors {
 		sched.PutFloats(d.Tensors[i].Data)
 		d.Tensors[i].Data = nil
 	}
-	Release(d.Meta)
+	sched.PutBytes(d.Meta)
 	d.Meta = nil
+}
+
+// Structure returns the structure d fixes for a round's later updates. Call
+// it before StateDict takes the tensors' buffers.
+func (d *DecodedStream) Structure() *Structure {
+	s := &Structure{Flags: d.Flags, Lossy: make([]TensorShape, len(d.Tensors))}
+	for i := range d.Tensors {
+		t := &d.Tensors[i]
+		s.Lossy[i] = TensorShape{Name: t.Name, Kind: t.Kind, Elems: t.Elems()}
+	}
+	return s
 }
 
 // StateDict assembles the partitions into one state dict in the original
@@ -259,8 +274,15 @@ func (d *DecodedStream) Release() {
 // (lanes.Offset), so the dict no longer reads the reference. The dict takes
 // over the tensor buffers; recycle them with core.Release once it is dead.
 func (d *DecodedStream) StateDict() *tensor.StateDict {
+	metaDict, err := tensor.UnmarshalStateDict(d.Meta)
+	if err != nil {
+		// validate refused every partition UnmarshalStateDict refuses.
+		panic(fmt.Sprintf("core: validated metadata partition: %v", err))
+	}
+	sched.PutBytes(d.Meta)
+	d.Meta = nil
 	out := tensor.NewStateDict()
-	meta := d.Meta.Entries()
+	meta := metaDict.Entries()
 	// One array holds every lossy tensor's header; each takes over its
 	// decoded shape and data (the decode sized data from that shape).
 	lossy := make([]tensor.Tensor, len(d.Tensors))
@@ -291,42 +313,60 @@ func (d *DecodedStream) StateDict() *tensor.StateDict {
 // keeps a hostile stream from choosing names that all collide.
 var nameSeed = maphash.MakeSeed()
 
-// validate checks what only the whole stream can show: the metadata
-// partition holds exactly the entries the header's flags declare, and no
-// name occurs twice (impossible in a stream Compress produced; StateDict.Add
-// would panic on one). Metadata names are unique once the partition has
-// unmarshalled, so each lossy name is looked up in the metadata index and
-// among the lossy names before it, which an open-addressed table of their
-// indices holds: on the stack for up to 32 lossy tensors, so an ordinary
-// update validates without allocating, and linear in the tensor count for a
-// hostile one.
+// validate checks the metadata partition in place and what only the whole
+// stream can show. The partition must be what tensor.UnmarshalStateDict
+// accepts (magic, entries inside the buffer; bytes after the last entry are
+// ignored) and hold exactly the entries the header's flags declare, and no
+// name may occur twice (impossible in a stream Compress produced;
+// StateDict.Add would panic on one). Every name goes into one open-addressed
+// table, the lossy names first: on the stack for up to 64 names, so an
+// ordinary update validates without allocating, and linear in the name count
+// for a hostile one.
 func (d *DecodedStream) validate() error {
-	meta := d.Meta.Entries()
-	if want := len(d.Flags) - len(d.Tensors); len(meta) != want {
-		return fmt.Errorf("%w: header declares %d metadata entries, partition holds %d", ErrCorrupt, want, len(meta))
+	r, count, err := tensor.NewReader(d.Meta)
+	if err != nil {
+		return fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, err)
+	}
+	if want := len(d.Flags) - len(d.Tensors); uint64(count) != uint64(want) {
+		return fmt.Errorf("%w: header declares %d metadata entries, partition holds %d", ErrCorrupt, want, count)
 	}
 	size := 1
-	for size < 2*len(d.Tensors) {
+	for size < 2*len(d.Flags) {
 		size <<= 1
 	}
-	var small [64]int32 // index+1 of the lossy tensor in each slot; 0 is empty
+	// A slot holds 0 when empty, i+1 for lossy tensor i, and -off for the
+	// metadata name that starts at d.Meta[off] (off >= 10).
+	var small [128]int
 	slots := small[:]
 	if size > len(small) {
-		slots = make([]int32, size)
+		slots = make([]int, size)
 	}
 	mask := uint64(size - 1)
+	metaName := func(v int) []byte {
+		return d.Meta[-v : -v+int(binary.LittleEndian.Uint16(d.Meta[-v-2:]))]
+	}
 	for i := range d.Tensors {
 		name := d.Tensors[i].Name
-		if d.Meta.Get(name) != nil {
-			return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, name)
-		}
 		h := maphash.String(nameSeed, name) & mask
 		for ; slots[h] != 0; h = (h + 1) & mask {
 			if d.Tensors[slots[h]-1].Name == name {
 				return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, name)
 			}
 		}
-		slots[h] = int32(i + 1)
+		slots[h] = i + 1
+	}
+	for range count {
+		e, ok := r.Next()
+		if !ok {
+			return fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, tensor.ErrBadFormat)
+		}
+		h := maphash.Bytes(nameSeed, e.Name) & mask
+		for ; slots[h] != 0; h = (h + 1) & mask {
+			if v := slots[h]; v > 0 && d.Tensors[v-1].Name == string(e.Name) || v < 0 && bytes.Equal(metaName(v), e.Name) {
+				return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.Name)
+			}
+		}
+		slots[h] = -(cap(d.Meta) - cap(e.Name)) // e.Name is a view of d.Meta
 	}
 	return nil
 }
@@ -384,6 +424,10 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		return nil, nil, ctxFirst(ctx, err)
 	}
 	hdr, err := ParseHeader(sec)
+	want := dopts.Structure
+	if err == nil && want != nil && !bytes.Equal(hdr.Flags, want.Flags) {
+		err = fmt.Errorf("%w: path flags differ from the adopted structure", ErrCorrupt)
+	}
 	if err != nil {
 		src.Release(sec)
 		return nil, nil, err
@@ -428,6 +472,12 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 			nDelta++
 			ref, err = dopts.reference(hdr.RefEpoch, pt.Name, pt.Elems)
 		}
+		if err == nil && want != nil {
+			if w := &want.Lossy[i]; pt.Name != w.Name || pt.Kind != w.Kind || pt.Elems != w.Elems {
+				err = fmt.Errorf("%w: tensor %d is %s %q[%d], the adopted structure holds %s %q[%d]",
+					ErrCorrupt, i, pt.Kind, pt.Name, pt.Elems, w.Kind, w.Name, w.Elems)
+			}
+		}
 		if err != nil {
 			src.Release(sec)
 			return fail(err)
@@ -467,15 +517,14 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	if err != nil {
 		return fail(err)
 	}
-	g.Go(func() {
-		defer src.Release(sec)
-		if metaErr = ctx.Err(); metaErr != nil {
-			return
-		}
+	// Nothing is left to read, so the caller decodes the partition itself
+	// while the tensor tasks finish.
+	if metaErr = ctx.Err(); metaErr == nil {
 		t0 := time.Now()
 		d.Meta, metaErr = decodeLossless(codec, sec)
 		decodeWork.Add(int64(time.Since(t0)))
-	})
+	}
+	src.Release(sec)
 	g.Wait()
 	err = ctx.Err()
 	if err == nil {

@@ -76,10 +76,7 @@ func (c *BloscLZ) Decompress(src []byte) ([]byte, error) {
 		if off > len(out) || mLen > rawLen-len(out) {
 			return nil, ErrCorrupt
 		}
-		start := len(out) - off
-		for k := 0; k < mLen; k++ {
-			out = append(out, out[start+k])
-		}
+		out = appendMatchCopy(out, off, mLen)
 	}
 	if len(out) != rawLen {
 		return nil, ErrCorrupt

@@ -492,7 +492,9 @@ var lzFuzzCodecs = []string{"blosclz", "zstdlike", "xzlike"}
 
 // FuzzLZDecompress drives the three hand-written LZ decoders: the first
 // input byte selects the codec, the rest is the frame. Seeds are each
-// codec's own frames and damaged copies, plus the hostile-length frames.
+// codec's own frames and damaged copies, the hostile-length frames, and
+// overlapping matches (offset below the length and below 8): hand-made
+// blosclz frames, and each codec's frame of a short repeating pattern.
 func FuzzLZDecompress(f *testing.F) {
 	for sel, name := range lzFuzzCodecs {
 		c, _ := Get(name)
@@ -502,6 +504,15 @@ func FuzzLZDecompress(f *testing.F) {
 				f.Add(append([]byte{byte(sel)}, h.frame...))
 			}
 		}
+		enc, err := c.Compress(bytes.Repeat([]byte("abc"), 100))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{byte(sel)}, enc...))
+	}
+	for _, m := range []struct{ off, n int }{{1, 4}, {1, 300}, {2, 9}, {3, 20}, {7, 64}} {
+		frame, _ := matchFrame([]byte("overlap!"), m.off, m.n)
+		f.Add(append([]byte{0}, frame...)) // lzFuzzCodecs[0] is blosclz
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

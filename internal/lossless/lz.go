@@ -226,17 +226,29 @@ func lzReconstruct(seqs []sequence, literals []byte, rawLen int) ([]byte, error)
 			if s.offset <= 0 || s.offset > len(out) || s.matchLen > rawLen-len(out) {
 				return nil, ErrCorrupt
 			}
-			// Overlapping copies must proceed byte-by-byte.
-			start := len(out) - s.offset
-			for k := 0; k < s.matchLen; k++ {
-				out = append(out, out[start+k])
-			}
+			out = appendMatchCopy(out, s.offset, s.matchLen)
 		}
 	}
 	if len(out) != rawLen {
 		return nil, ErrCorrupt
 	}
 	return out, nil
+}
+
+// appendMatchCopy appends the n bytes that start off bytes before the end
+// of out, as a byte-at-a-time copy would: a match that overlaps its own
+// output repeats its first off bytes. Each step copies all that is already
+// there, so an overlapping match doubles its span per step (LZ77's standard
+// expansion, as in zstd's wildcopy) and the rest is one copy. The caller has
+// checked 1 <= off <= len(out).
+func appendMatchCopy(out []byte, off, n int) []byte {
+	start := len(out) - off
+	for n > 0 {
+		k := min(n, len(out)-start)
+		out = append(out, out[start:start+k]...)
+		n -= k
+	}
+	return out
 }
 
 // Frame fields. A blob is a uvarint byte length and the bytes. A sequence is
@@ -274,6 +286,10 @@ type frameReader struct {
 }
 
 func (r *frameReader) uvarint() (uint64, error) {
+	if r.pos < len(r.src) && r.src[r.pos] < 0x80 { // one byte: most lengths
+		r.pos++
+		return uint64(r.src[r.pos-1]), nil
+	}
 	v, n := binary.Uvarint(r.src[r.pos:])
 	if n <= 0 {
 		return 0, ErrCorrupt

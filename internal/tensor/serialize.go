@@ -74,33 +74,59 @@ func (sd *StateDict) MarshalAppend(dst []byte) []byte {
 	return out
 }
 
-// entryLayout is where one serialized entry's fields sit in the buffer.
-type entryLayout struct {
-	name []byte
-	kind Kind
-	dims []byte // rank little-endian u32s
-	vals []byte // the elements, 4 bytes each
-	next int    // offset of the entry that follows
+// EntryView is one serialized entry read in place: its fields are views of
+// the buffer, not copies.
+type EntryView struct {
+	Name []byte
+	Kind Kind
+	Dims []byte // rank little-endian u32s
+	Vals []byte // the elements, 4 little-endian bytes each
 }
 
-// layoutAt delimits the entry that starts at data[pos:], checking that every
-// field it declares lies inside data.
-func layoutAt(data []byte, pos int) (entryLayout, bool) {
+// Reader walks a Marshal buffer in place, entry by entry, for a caller that
+// needs the names, element counts or values but no StateDict. It makes
+// UnmarshalStateDict's checks except the duplicate-name one, which is the
+// caller's.
+type Reader struct {
+	data []byte
+	pos  int
+}
+
+// NewReader checks data's preamble and returns a Reader at its first entry
+// and the entry count the buffer declares. The count is untrusted until Next
+// has delimited that many entries: every entry takes at least 8 bytes, so a
+// count that passes that loop is bounded by len(data)/8.
+func NewReader(data []byte) (Reader, uint32, error) {
+	if len(data) < 8 {
+		return Reader{}, 0, ErrBadFormat
+	}
+	if binary.LittleEndian.Uint32(data) != stateDictMagic {
+		return Reader{}, 0, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	}
+	return Reader{data: data, pos: 8}, binary.LittleEndian.Uint32(data[4:]), nil
+}
+
+// Next delimits the entry at the reader's position and moves past it,
+// checking that every field the entry declares lies inside the buffer; ok is
+// false, and the reader stays put, when one does not. It is the format's one
+// delimiter.
+func (r *Reader) Next() (l EntryView, ok bool) {
+	data, pos := r.data, r.pos
 	if pos+2 > len(data) {
-		return entryLayout{}, false
+		return EntryView{}, false
 	}
 	nameLen := int(binary.LittleEndian.Uint16(data[pos:]))
 	pos += 2
 	if pos+nameLen+2 > len(data) {
-		return entryLayout{}, false
+		return EntryView{}, false
 	}
-	l := entryLayout{name: data[pos : pos+nameLen], kind: Kind(data[pos+nameLen])}
+	l = EntryView{Name: data[pos : pos+nameLen], Kind: Kind(data[pos+nameLen])}
 	rank := int(data[pos+nameLen+1])
 	pos += nameLen + 2
 	if pos+4*rank > len(data) {
-		return entryLayout{}, false
+		return EntryView{}, false
 	}
-	l.dims = data[pos : pos+4*rank]
+	l.Dims = data[pos : pos+4*rank]
 	pos += 4 * rank
 	// The element count saturates just above what the rest of data holds, so
 	// hostile dimensions cannot multiply around to a small count; a zero
@@ -108,17 +134,17 @@ func layoutAt(data []byte, pos int) (entryLayout, bool) {
 	room := uint64(len(data)-pos) / 4
 	elems := uint64(1)
 	for d := 0; d < rank; d++ {
-		hi, lo := bits.Mul64(elems, uint64(binary.LittleEndian.Uint32(l.dims[4*d:])))
+		hi, lo := bits.Mul64(elems, uint64(binary.LittleEndian.Uint32(l.Dims[4*d:])))
 		if hi != 0 || lo > room {
 			lo = room + 1
 		}
 		elems = lo
 	}
 	if elems > room {
-		return entryLayout{}, false
+		return EntryView{}, false
 	}
-	l.vals = data[pos : pos+4*int(elems)]
-	l.next = pos + len(l.vals)
+	l.Vals = data[pos : pos+4*int(elems)]
+	r.pos = pos + len(l.Vals)
 	return l, true
 }
 
@@ -128,24 +154,20 @@ func layoutAt(data []byte, pos int) (entryLayout, bool) {
 // (one string), the shapes, the tensor headers, the entries and the name
 // index, plus a pooled float buffer per entry.
 func UnmarshalStateDict(data []byte) (*StateDict, error) {
-	if len(data) < 8 {
-		return nil, ErrBadFormat
+	r, count, err := NewReader(data)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(data) != stateDictMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
-	// Every entry takes at least 8 bytes, so a count that passes this loop is
-	// bounded by len(data)/8 before anything is sized by it.
-	count := binary.LittleEndian.Uint32(data[4:])
+	// The count is bounded by this loop before anything is sized by it.
+	first := r
 	nameBytes, dims := 0, 0
-	for i, pos := uint32(0), 8; i < count; i++ {
-		l, ok := layoutAt(data, pos)
+	for i := uint32(0); i < count; i++ {
+		l, ok := r.Next()
 		if !ok {
 			return nil, ErrBadFormat
 		}
-		nameBytes += len(l.name)
-		dims += len(l.dims) / 4
-		pos = l.next
+		nameBytes += len(l.Name)
+		dims += len(l.Dims) / 4
 	}
 
 	var names strings.Builder
@@ -153,14 +175,14 @@ func UnmarshalStateDict(data []byte) (*StateDict, error) {
 	shapes := make([]int, dims)
 	tensors := make([]Tensor, count)
 	sd := &StateDict{entries: make([]Entry, count), byName: make(map[string]int, count)}
-	for i, pos := 0, 8; i < len(tensors); i++ {
-		l, _ := layoutAt(data, pos)
-		pos = l.next
+	r = first
+	for i := range tensors {
+		l, _ := r.Next()
 		// The builder only appends, and Grow sized it for every name, so each
 		// name is a view of the one string the builder holds.
-		names.Write(l.name)
+		names.Write(l.Name)
 		all := names.String()
-		name := all[len(all)-len(l.name):]
+		name := all[len(all)-len(l.Name):]
 		if _, dup := sd.byName[name]; dup {
 			// Recycle the pooled buffers of the entries decoded so far: a
 			// malformed stream from an untrusted client must not bleed warm
@@ -170,21 +192,21 @@ func UnmarshalStateDict(data []byte) (*StateDict, error) {
 			}
 			return nil, fmt.Errorf("%w: duplicate entry %q", ErrBadFormat, name)
 		}
-		rank := len(l.dims) / 4
+		rank := len(l.Dims) / 4
 		shape := shapes[:rank:rank]
 		shapes = shapes[rank:]
 		for d := range shape {
-			shape[d] = int(binary.LittleEndian.Uint32(l.dims[4*d:]))
+			shape[d] = int(binary.LittleEndian.Uint32(l.Dims[4*d:]))
 		}
 		// Decode into a pool-backed buffer: metadata-partition tensors then
 		// follow the same recycle discipline as the lossy partition's.
-		n := len(l.vals) / 4
+		n := len(l.Vals) / 4
 		vals := sched.GetFloats(n)[:n]
 		for j := range vals {
-			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(l.vals[4*j:]))
+			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(l.Vals[4*j:]))
 		}
 		tensors[i] = Tensor{Shape: shape, Data: vals}
-		sd.entries[i] = Entry{Name: name, Kind: l.kind, Tensor: &tensors[i]}
+		sd.entries[i] = Entry{Name: name, Kind: l.Kind, Tensor: &tensors[i]}
 		sd.byName[name] = i
 	}
 	return sd, nil
