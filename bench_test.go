@@ -57,7 +57,6 @@ func BenchmarkFig7_CommTime(b *testing.B)       { benchExperiment(b, "fig7") }
 func BenchmarkFig8_BandwidthSweep(b *testing.B) { benchExperiment(b, "fig8") }
 func BenchmarkFig9_Scaling(b *testing.B)        { benchExperiment(b, "fig9") }
 func BenchmarkFig10_ErrorDist(b *testing.B)     { benchExperiment(b, "fig10") }
-func BenchmarkEqn1_Decision(b *testing.B)       { benchExperiment(b, "eqn1") }
 
 func BenchmarkAblatePartition(b *testing.B) { benchExperiment(b, "ablate-partition") }
 func BenchmarkAblateThreshold(b *testing.B) { benchExperiment(b, "ablate-threshold") }

@@ -18,9 +18,10 @@
 //
 // Every update goes through the internal/wire framing and a TCP socket; the
 // server's own summary, /metrics and -trace report what it cost there. The
-// paper's Eqn-1 compress/don't-compress decision is the eqn1 experiment
-// (-run eqn1). Performance — updates/s, overlap ratios, parallel efficiency —
-// is measured by bench/ (bash bench/run.sh, see BENCHMARK.json), not here.
+// paper's Eqn-1 compress/don't-compress decision, swept over bandwidth per
+// compressor, is Figure 8 (-run fig8). Performance — updates/s, overlap
+// ratios, parallel efficiency — is measured by bench/ (bash bench/run.sh,
+// see BENCHMARK.json), not here.
 package main
 
 import (
@@ -42,7 +43,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn/models"
 	"repro/internal/sched"
-	"repro/internal/tensor"
 )
 
 // config is the parsed command line. upload != "" means the upload client
@@ -165,51 +165,61 @@ func main() {
 }
 
 // runUpload synthesizes one update per client (same architecture, different
-// weights, like a real round's worth), compresses them, and uploads them
-// concurrently to the fedsz-serve at c.upload through the internal/wire
-// framing, each uplink throttled to c.mbps when set.
+// weights, like a real round's worth), compresses them concurrently, and
+// uploads them concurrently to the fedsz-serve at c.upload through the
+// internal/wire framing, each uplink throttled to c.mbps when set.
 func runUpload(w io.Writer, c config) error {
-	updates := make([]*tensor.StateDict, c.clients)
-	rawBytes, wireBytes := 0, 0
-	for i := range updates {
-		rng := rand.New(rand.NewPCG(c.seed, uint64(i)+1))
-		sd, err := models.BuildProfile(c.model, rng, c.scale)
-		if err != nil {
-			return err
+	ctx := context.Background()
+	streams := make([][]byte, c.clients)
+	raw := make([]int, c.clients)
+	if err := eachClient(c.clients, func(i int) error {
+		sd, err := models.BuildProfile(c.model, rand.New(rand.NewPCG(c.seed, uint64(i)+1)), c.scale)
+		if err == nil {
+			raw[i] = sd.SizeBytes()
+			streams[i], _, err = core.CompressWith(ctx, sched.Default(), sd, core.Options{LossyParams: ebcl.Rel(1e-2)})
 		}
-		updates[i] = sd
-		rawBytes += sd.SizeBytes()
-	}
-	streams, _, err := core.CompressAll(context.Background(), sched.Default(), updates, core.Options{LossyParams: ebcl.Rel(1e-2)})
-	if err != nil {
+		return err
+	}); err != nil {
 		return err
 	}
-	for _, s := range streams {
-		wireBytes += len(s)
+	rawBytes, wireBytes := 0, 0
+	for i, s := range streams {
+		rawBytes, wireBytes = rawBytes+raw[i], wireBytes+len(s)
 	}
 	fmt.Fprintf(w, "upload: %d clients × %s profile (scale %g) to %s\n", c.clients, c.model, c.scale, c.upload)
 	fmt.Fprintf(w, "raw %d B -> wire %d B (ratio %.2fx)\n", rawBytes, wireBytes, float64(rawBytes)/float64(wireBytes))
 
 	link := netsim.Link{BandwidthMbps: c.mbps}
-	errs := make([]error, c.clients)
 	t0 := time.Now()
-	var wg sync.WaitGroup
-	for i, s := range streams {
-		wg.Add(1)
-		go func(i int, s []byte) {
-			defer wg.Done()
-			cl := &flserve.Client{Addr: c.upload, Link: link}
-			errs[i] = cl.Upload(context.Background(), uint32(i), s)
-		}(i, s)
+	if err := eachClient(c.clients, func(i int) error {
+		cl := &flserve.Client{Addr: c.upload, Link: link}
+		return cl.Upload(ctx, uint32(i), streams[i])
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
 	dur := time.Since(t0)
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("client %d upload: %w", i, err)
-		}
-	}
 	fmt.Fprintf(w, "%d update(s) acknowledged in %v (%.1f updates/s); see the server's summary for overlap\n",
 		c.clients, dur.Round(time.Microsecond), float64(c.clients)/dur.Seconds())
+	return nil
+}
+
+// eachClient runs fn for clients 0…n−1 in n goroutines and returns the
+// lowest-numbered client's error.
+func eachClient(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+	}
 	return nil
 }

@@ -22,7 +22,7 @@ func TestParseArgsResolvesMode(t *testing.T) {
 		errHas  string // non-empty = usage error naming this
 	}{
 		{args: ""},
-		{args: "-run eqn1 -seed 7 -full"},
+		{args: "-run fig8 -seed 7 -full"},
 		{args: "-list"},
 		{args: "-upload 127.0.0.1:9464", upload: true, clients: 32},
 		{args: "-clients 3 -upload 127.0.0.1:9464 -scale 0.01", upload: true, clients: 3},
@@ -33,7 +33,7 @@ func TestParseArgsResolvesMode(t *testing.T) {
 		{args: "-scale 0.02", errHas: "-scale"},
 		{args: "-model alexnet", errHas: "-model"},
 		{args: "-mbps 10", errHas: "-mbps"},
-		{args: "-run eqn1 -scale 0.02", errHas: "-upload ADDR"},
+		{args: "-run fig8 -scale 0.02", errHas: "-upload ADDR"},
 		{args: "-serve", errHas: "-serve"},
 		{args: "-clients 8 -parallel 4", errHas: "-parallel"},
 		{args: "-upload 127.0.0.1:9464 -trace t.jsonl", errHas: "-trace"},
@@ -73,7 +73,9 @@ func TestUploadClientSmoke(t *testing.T) {
 	if err := runUpload(&sb, c); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"upload: 6 clients × alexnet", "ratio", "6 update(s) acknowledged"} {
+	// The byte counts are pinned: compressing per client in goroutines must
+	// produce the bytes the earlier pooled batch did.
+	for _, want := range []string{"upload: 6 clients × alexnet", "raw 14400024 B -> wire 1673163 B (ratio 8.61x)", "6 update(s) acknowledged"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, sb.String())
 		}

@@ -1,10 +1,14 @@
 // Edge-device scenario: an autonomous-vehicle-style client (paper §I) must
 // decide whether compressing its model update pays off on its current
-// uplink, using the paper's Equation 1 with *measured* compression costs.
+// uplink, using the paper's Equation 1 with *measured* compression costs:
+// compress iff tC + tD + S'/B < S/B.
 //
-// The example sweeps bandwidths from congested cellular (1 Mbps) to a
-// data-center fabric (10 Gbps) and prints where the compress/don't-compress
-// crossover falls (the paper locates it near 500 Mbps).
+// The example measures one AlexNet update's codec costs and asks
+// fedsz.ShouldCompress once, for a 10 Mbps edge uplink. The sweep of the
+// same decision over bandwidths from 1 Mbps to 10 Gbps, per compressor,
+// with its crossover (the paper locates it near 500 Mbps), is Figure 8:
+//
+//	go run ./cmd/fedsz-bench -run fig8
 package main
 
 import (
@@ -55,28 +59,13 @@ func run(scale float64) error {
 	tDfull := time.Duration(float64(tD) * up)
 	raw := int(float64(stats.RawBytes) * up)
 	comp := int(float64(stats.CompressedBytes) * up)
+	fmt.Printf("AlexNet update: %.0f MB raw, %.0f MB compressed (%.2fx), compress %v, decompress %v\n",
+		float64(raw)/1e6, float64(comp)/1e6, stats.Ratio(), tC.Round(time.Millisecond), tDfull.Round(time.Millisecond))
 
-	fmt.Printf("AlexNet update: %.0f MB raw, %.0f MB compressed (%.2fx), codec %.2fs\n",
-		float64(raw)/1e6, float64(comp)/1e6, stats.Ratio(), (tC + tDfull).Seconds())
-	fmt.Printf("\n%-16s %-14s %-14s %-10s %s\n", "bandwidth", "raw xfer", "fedsz total", "compress?", "speedup")
-
-	var crossover float64 = -1
-	for _, mbps := range []float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 10000} {
-		link := fedsz.Link{BandwidthMbps: mbps}
-		d := fedsz.ShouldCompress(tC, tDfull, raw, comp, link)
-		fmt.Printf("%-16s %-14s %-14s %-10v %.2fx\n",
-			fmt.Sprintf("%g Mbps", mbps),
-			d.UncompressedTime.Round(time.Millisecond),
-			d.CompressedTime.Round(time.Millisecond),
-			d.Compress, d.Speedup())
-		if !d.Compress && crossover < 0 {
-			crossover = mbps
-		}
-	}
-	if crossover > 0 {
-		fmt.Printf("\ncompression stops paying off near %g Mbps (paper: ~500 Mbps)\n", crossover)
-	} else {
-		fmt.Println("\ncompression pays off at every tested bandwidth")
-	}
+	link := fedsz.Link{BandwidthMbps: 10}
+	d := fedsz.ShouldCompress(tC, tDfull, raw, comp, link)
+	fmt.Printf("on a %g Mbps uplink: compress=%v (FedSZ %v against raw %v, %.2fx)\n",
+		link.BandwidthMbps, d.Compress, d.CompressedTime.Round(time.Millisecond),
+		d.UncompressedTime.Round(time.Millisecond), d.Speedup())
 	return nil
 }

@@ -3,15 +3,16 @@
 // mode, and edge-case state-dict shape. Where eblctest holds each EBLC to
 // a per-codec contract, this suite holds the *assembled pipeline* to one:
 // streams round-trip, error bounds hold on the lossy partition, the
-// lossless partition is bit-exact, and the batched CompressAll and
-// concurrent decodes on one pool produce bit-identical results to per-call
-// Compress / Decompress.
+// lossless partition is bit-exact, and concurrent compresses and decodes
+// on one pool produce bit-identical results to per-call Compress /
+// Decompress.
 package conformance
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -236,17 +237,17 @@ func TestCrossCodecPipelineConformance(t *testing.T) {
 						checkRoundTrip(t, sd, got, opts, tr)
 
 						// Batched paths must be bit-identical to per-call.
-						batchStreams, _, err := core.CompressAll(context.Background(), sched.NewPool(2), []*tensor.StateDict{sd, sd, sd}, opts)
+						pool := sched.NewPool(2)
+						batchStreams, err := compressAll(pool, []*tensor.StateDict{sd, sd, sd}, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for i, bs := range batchStreams {
 							if !bytes.Equal(bs, stream) {
-								t.Fatalf("batch stream %d differs from sequential", i)
+								t.Fatalf("concurrent stream %d differs from sequential", i)
 							}
 						}
 						want := got.Marshal()
-						pool := sched.NewPool(2)
 						batchDicts := make([][]byte, len(batchStreams))
 						errs := make([]error, len(batchStreams))
 						var wg sync.WaitGroup
@@ -274,6 +275,23 @@ func TestCrossCodecPipelineConformance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// compressAll compresses each dict in a goroutine of its own on one pool and
+// returns the streams and the calls' errors joined.
+func compressAll(pool *sched.Pool, sds []*tensor.StateDict, opts core.Options) ([][]byte, error) {
+	streams := make([][]byte, len(sds))
+	errs := make([]error, len(sds))
+	var wg sync.WaitGroup
+	for i, sd := range sds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			streams[i], _, errs[i] = core.CompressWith(context.Background(), pool, sd, opts)
+		}()
+	}
+	wg.Wait()
+	return streams, errors.Join(errs...)
 }
 
 // TestLosslessStageEarnsItsKeep pins what the SZ2/SZ3 trailing stage is kept

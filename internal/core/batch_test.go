@@ -58,20 +58,38 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCompressAllBitIdenticalToSequential: batch output i must equal a
-// standalone Compress of input i, byte for byte.
+// compressAll compresses each dict in a goroutine of its own on one pool —
+// how a client process encodes many updates at once: every call's
+// per-tensor fan-out draws from the pool's one budget. It returns each
+// call's stream and stats, and the calls' errors joined.
+func compressAll(pool *sched.Pool, sds []*tensor.StateDict, opts Options) ([][]byte, []*Stats, error) {
+	streams := make([][]byte, len(sds))
+	stats := make([]*Stats, len(sds))
+	errs := make([]error, len(sds))
+	var wg sync.WaitGroup
+	for i, sd := range sds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			streams[i], stats[i], errs[i] = CompressWith(context.Background(), pool, sd, opts)
+		}()
+	}
+	wg.Wait()
+	return streams, stats, errors.Join(errs...)
+}
+
+// TestCompressAllBitIdenticalToSequential: concurrent compresses on one
+// pool must each equal a standalone Compress of their input, byte for byte.
 func TestCompressAllBitIdenticalToSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 24))
 	sds := make([]*tensor.StateDict, 8)
 	for i := range sds {
 		sds[i] = wideDict(rng, 4, 2048)
 	}
-	batch, stats, err := CompressAll(context.Background(), sched.NewPool(4), sds, Options{})
+	pool := sched.NewPool(4)
+	batch, stats, err := compressAll(pool, sds, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(batch) != len(sds) || len(stats) != len(sds) {
-		t.Fatalf("batch sizes %d/%d, want %d", len(batch), len(stats), len(sds))
 	}
 	for i, sd := range sds {
 		single, sstats, err := Compress(sd, Options{})
@@ -79,11 +97,14 @@ func TestCompressAllBitIdenticalToSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(batch[i], single) {
-			t.Fatalf("client %d: batch stream differs from sequential", i)
+			t.Fatalf("client %d: concurrent stream differs from sequential", i)
 		}
 		if stats[i].CompressedBytes != sstats.CompressedBytes {
 			t.Fatalf("client %d: stats mismatch", i)
 		}
+	}
+	if busy := pool.Busy(); busy != 0 {
+		t.Fatalf("%d pool slots held after the compresses", busy)
 	}
 }
 
@@ -116,7 +137,7 @@ func TestDecompressAllBitIdenticalToSequential(t *testing.T) {
 	for i := range sds {
 		sds[i] = wideDict(rng, 3, 1536)
 	}
-	streams, _, err := CompressAll(context.Background(), sched.NewPool(0), sds, Options{})
+	streams, _, err := compressAll(sched.NewPool(0), sds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +171,7 @@ func TestDecompressAllPropagatesCorruption(t *testing.T) {
 		sds[i] = wideDict(rng, 4, 1500)
 	}
 	pool := sched.NewPool(2)
-	streams, _, err := CompressAll(context.Background(), pool, sds, Options{})
+	streams, _, err := compressAll(pool, sds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +194,6 @@ func TestDecompressAllPropagatesCorruption(t *testing.T) {
 	}
 	if busy := pool.Busy(); busy != 0 {
 		t.Fatalf("the decodes left %d pool slots held", busy)
-	}
-}
-
-// TestEmptyBatch: zero dicts is a valid (empty) batch.
-func TestEmptyBatch(t *testing.T) {
-	streams, stats, err := CompressAll(context.Background(), sched.NewPool(4), nil, Options{})
-	if err != nil || len(streams) != 0 || len(stats) != 0 {
-		t.Fatalf("empty compress batch: %v", err)
 	}
 }
 
@@ -235,7 +248,7 @@ func BenchmarkDecompressAll32(b *testing.B) {
 		sds[i] = wideDict(rng, 4, 8192)
 		raw += sds[i].SizeBytes()
 	}
-	streams, _, err := CompressAll(context.Background(), sched.NewPool(0), sds, Options{})
+	streams, _, err := compressAll(sched.NewPool(0), sds, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +261,8 @@ func BenchmarkDecompressAll32(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressAll32 is the client-side mirror of the batch bench.
+// BenchmarkCompressAll32 is the client-side mirror of the batch bench:
+// 32 concurrent compresses on one pool.
 func BenchmarkCompressAll32(b *testing.B) {
 	rng := rand.New(rand.NewPCG(35, 36))
 	const nClients = 32
@@ -261,7 +275,7 @@ func BenchmarkCompressAll32(b *testing.B) {
 	b.SetBytes(int64(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := CompressAll(context.Background(), sched.NewPool(0), sds, Options{}); err != nil {
+		if _, _, err := compressAll(sched.NewPool(0), sds, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -356,30 +356,6 @@ func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte, o Deco
 	return d.StateDict(), stats, nil
 }
 
-// CompressAll runs the FedSZ pipeline over many client state dicts with
-// one parallelism budget shared across the whole batch. Unlike calling
-// Compress in N goroutines — where the N callers run on top of the pool's
-// helpers — the batch and the per-tensor fan-out inside each call draw
-// from the same pool. Output i corresponds to input i and is
-// bit-identical to Compress(sds[i], opts). Cancelling ctx stops the batch
-// after the in-flight clients finish.
-func CompressAll(ctx context.Context, pool *sched.Pool, sds []*tensor.StateDict, opts Options) ([][]byte, []*Stats, error) {
-	streams := make([][]byte, len(sds))
-	stats := make([]*Stats, len(sds))
-	errs := make([]error, len(sds))
-	if err := pool.ForEachCtx(ctx, len(sds), func(i int) {
-		streams[i], stats[i], errs[i] = CompressWith(ctx, pool, sds[i], opts)
-	}); err != nil {
-		return nil, nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: batch compress client %d: %w", i, err)
-		}
-	}
-	return streams, stats, nil
-}
-
 // Release returns sd's tensor buffers to the shared float pool and must
 // only be called when nothing references the state dict anymore — the
 // fold-and-discard discipline of an aggregation server: Decompress lands

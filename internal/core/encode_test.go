@@ -174,17 +174,6 @@ func TestCompressToCancellation(t *testing.T) {
 	}
 }
 
-// TestCompressAllCancelled: an already-cancelled context fails the batch
-// entry point with the context error.
-func TestCompressAllCancelled(t *testing.T) {
-	sd := encodeDict(6, 2, 2048)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := CompressAll(ctx, sched.NewPool(2), []*tensor.StateDict{sd}, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompressAll: got %v", err)
-	}
-}
-
 // BenchmarkCompressTo measures the streaming encoder against a throttled
 // link and reports the encode/send overlap ratio — the Eqn-1 client-side
 // win: tC hidden behind the upload of S'.

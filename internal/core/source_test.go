@@ -169,6 +169,36 @@ func TestDecompressFromRejectsHostileLengths(t *testing.T) {
 	}
 }
 
+// TestStreamElementCap: a stream whose lossy tensors each pass
+// ebcl.MaxElements but together declare more than the per-stream cap is
+// refused as ErrCorrupt at the tensor that crosses it, before that tensor's
+// buffer is taken: the float pool records one get (the first tensor's) and
+// has it back afterwards. The cap is lowered to 2^16 so the stream stays
+// small; two tensors of 40,000 elements each fit it alone and exceed it
+// together. Both ways in are held: Decompress and the wire path.
+func TestStreamElementCap(t *testing.T) {
+	defer core.SetMaxStreamElements(1 << 16)()
+	stream, framed := framedStream(t, 41, 2, 40_000)
+	for name, decode := range map[string]func() error{
+		"Decompress": func() error { _, _, err := core.Decompress(stream); return err },
+		"wire": func() error {
+			_, _, err := decompressFrom(context.Background(), sched.Default(), bytes.NewReader(framed))
+			return err
+		},
+	} {
+		hits0, misses0 := sched.FloatPoolCounters()
+		puts0 := sched.FloatPoolPuts()
+		if err := decode(); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("%s: 80,000 elements against a cap of 65,536: %v, want ErrCorrupt", name, err)
+		}
+		hits1, misses1 := sched.FloatPoolCounters()
+		gets, puts := (hits1+misses1)-(hits0+misses0), sched.FloatPoolPuts()-puts0
+		if gets != 1 || puts != gets {
+			t.Fatalf("%s: the refused decode took %d float buffers and returned %d, want 1 and 1", name, gets, puts)
+		}
+	}
+}
+
 // stallReader serves the stream in small chunks, blocking after a
 // cutoff until released — a socket that stalls mid-stream.
 type stallReader struct {

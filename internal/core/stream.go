@@ -41,6 +41,10 @@ const (
 	maxSectionBytes = 1 << 30
 )
 
+// maxStreamElements bounds the lossy elements one stream may declare in all
+// (1 GiB of float32). It is a var only so that tests can lower it.
+var maxStreamElements = 1 << 28
+
 // SectionSource delivers a FedSZ stream one section at a time, in stream
 // order: the header, one tensor section per lossy entry, the metadata
 // section.
@@ -410,7 +414,9 @@ func ctxFirst(ctx context.Context, err error) error {
 // buffer and no pass: its task records the value beside the reference
 // tensor (DecodedTensor's constant form, valid while the reference is held).
 // Each task's time is the stage histogram reconstruct; the Huffman decode
-// inside it is also timed alone, by the codec (ebcl.Sections.Open).
+// inside it is also timed alone, by the codec (ebcl.Sections.Open). The
+// tensor whose declared elements take the stream's sum past
+// maxStreamElements is refused before its buffer is taken.
 //
 // Cancelling ctx aborts the decode: pending tasks exit before starting
 // their blob and the call returns ctx.Err() after the in-flight ones drain.
@@ -448,7 +454,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	// how much of that work was hidden behind reading.
 	var decodeWork atomic.Int64
 	var metaErr error
-	nDelta, nChunked := 0, 0
+	nDelta, nChunked, elems := 0, 0, 0
 	g := pool.Group()
 	// fail funnels every abort through one place: in-flight tasks drain,
 	// decoded buffers go back to the pool, and cancellation wins over the
@@ -467,6 +473,10 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 			return fail(err)
 		}
 		pt, err := ParseTensorSection(hdr, sec)
+		elems += pt.Elems
+		if err == nil && elems > maxStreamElements {
+			err = fmt.Errorf("%w: tensor %d %q takes the stream past %d declared elements", ErrCorrupt, i, pt.Name, maxStreamElements)
+		}
 		var ref []float32
 		if err == nil && pt.Delta {
 			nDelta++

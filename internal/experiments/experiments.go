@@ -151,7 +151,6 @@ func Registry() []struct {
 		{"fig8", Fig8},
 		{"fig9", Fig9},
 		{"fig10", Fig10},
-		{"eqn1", Eqn1Decision},
 		{"ablate-partition", AblatePartition},
 		{"ablate-threshold", AblateThreshold},
 		{"ablate-errormode", AblateErrorMode},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,7 +25,6 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3", "table4", "table5",
 		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"eqn1",
 		"ablate-partition", "ablate-threshold", "ablate-errormode", "ablate-lossless",
 		"ablate-lr",
 	}
@@ -180,6 +180,83 @@ func TestFig8HasCrossover(t *testing.T) {
 	if last[len(last)-1] != "original" {
 		t.Errorf("at 10 Gbps original should win: %v", last)
 	}
+	// As bandwidth grows the winner may flip from a codec to original, but
+	// never back.
+	w, flips := len(first)-1, 0
+	for i := 1; i < len(tb.Rows); i++ {
+		if (tb.Rows[i-1][w] == "original") != (tb.Rows[i][w] == "original") {
+			flips++
+		}
+	}
+	if flips > 1 {
+		t.Errorf("winner flipped between a codec and original %d times: %v", flips, tb.Rows)
+	}
+}
+
+// TestFig8SweepGolden pins Fig 8's rows and note for fixed paper-scale
+// costs. The expected rows are what the earlier inline sum (codec time +
+// TransmitTime per codec, the minimum against the raw transfer) printed for
+// these costs, so routing the sweep through netsim.ShouldCompress must not
+// move a digit, a winner or the crossover.
+func TestFig8SweepGolden(t *testing.T) {
+	const raw = 244_403_200 // AlexNet's 61.1 M float32 parameters
+	for _, tc := range []struct {
+		name  string
+		costs []paperCost // sz2, sz3, zfp
+		rows  [][]string
+		note  string
+	}{
+		{
+			name: "crossover",
+			costs: []paperCost{
+				{912_345_678, 351_234_567, raw, 18_123_457},
+				{1_604_938_271, 502_469_135, raw, 12_345_679},
+				{251_851_852, 198_765_432, raw, 60_493_827},
+			},
+			rows: [][]string{
+				{"1", "146.251s", "100.873s", "484.401s", "1955.226s", "sz3"},
+				{"5", "30.261s", "21.860s", "97.241s", "391.045s", "sz3"},
+				{"10", "15.762s", "11.984s", "48.846s", "195.523s", "sz3"},
+				{"50", "4.163s", "4.083s", "10.130s", "39.105s", "sz3"},
+				{"100", "2.713s", "3.095s", "5.290s", "19.552s", "sz2"},
+				{"500", "1.554s", "2.305s", "1.419s", "3.910s", "zfp"},
+				{"1000", "1.409s", "2.206s", "0.935s", "1.955s", "zfp"},
+				{"5000", "1.293s", "2.127s", "0.547s", "0.391s", "original"},
+				{"10000", "1.278s", "2.117s", "0.499s", "0.196s", "original"},
+			},
+			note: "compression stops paying off near 5000 Mbps (paper: ~500 Mbps)",
+		},
+		{
+			name: "always",
+			costs: []paperCost{
+				{12_345_678, 6_172_839, raw, 2_222_223},
+				{20_987_654, 9_876_543, raw, 1_851_852},
+				{3_703_704, 2_469_136, raw, 9_876_543},
+			},
+			rows: [][]string{
+				{"1", "17.796s", "14.846s", "79.019s", "1955.226s", "sz3"},
+				{"5", "3.574s", "2.994s", "15.809s", "391.045s", "sz3"},
+				{"10", "1.796s", "1.512s", "7.907s", "195.523s", "sz3"},
+				{"50", "0.374s", "0.327s", "1.586s", "39.105s", "sz3"},
+				{"100", "0.196s", "0.179s", "0.796s", "19.552s", "sz3"},
+				{"500", "0.054s", "0.060s", "0.164s", "3.910s", "sz2"},
+				{"1000", "0.036s", "0.046s", "0.085s", "1.955s", "sz2"},
+				// sz2 and zfp both print 0.022s; zfp is faster in nanoseconds.
+				{"5000", "0.022s", "0.034s", "0.022s", "0.391s", "zfp"},
+				{"10000", "0.020s", "0.032s", "0.014s", "0.196s", "zfp"},
+			},
+			note: "compression wins at every tested bandwidth",
+		},
+	} {
+		tb := &Table{}
+		fig8Sweep(tb, tc.costs)
+		if !reflect.DeepEqual(tb.Rows, tc.rows) {
+			t.Errorf("%s: rows\n%v\nwant\n%v", tc.name, tb.Rows, tc.rows)
+		}
+		if len(tb.Notes) != 1 || tb.Notes[0] != tc.note {
+			t.Errorf("%s: notes %q, want [%q]", tc.name, tb.Notes, tc.note)
+		}
+	}
 }
 
 func TestFig9ScalingShapes(t *testing.T) {
@@ -227,26 +304,6 @@ func TestFig10LaplaceWins(t *testing.T) {
 	}
 	if wins < 2 {
 		t.Fatalf("Laplace should beat Gaussian on most bounds, won %d of %d", wins, len(tb.Rows))
-	}
-}
-
-func TestEqn1DecisionShape(t *testing.T) {
-	tb := runGen(t, "eqn1")
-	// Low bandwidth: compress; the decision may flip as bandwidth grows
-	// but must never flip back.
-	flips := 0
-	prev := ""
-	for _, row := range tb.Rows {
-		if prev != "" && row[3] != prev {
-			flips++
-		}
-		prev = row[3]
-	}
-	if tb.Rows[0][3] != "true" {
-		t.Errorf("at 1 Mbps the decision must be compress: %v", tb.Rows[0])
-	}
-	if flips > 1 {
-		t.Errorf("decision flipped %d times", flips)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"time"
@@ -228,20 +229,11 @@ func Fig7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, eb := range fig7Bounds {
-			stream, st, err := core.Compress(profile, core.Options{LossyParams: ebcl.Rel(eb)})
+			c, err := measurePaperCost(profile, core.Options{LossyParams: ebcl.Rel(eb)}, cfg.ProfileScale)
 			if err != nil {
 				return nil, err
 			}
-			dDur, err := measureDecompress(stream)
-			if err != nil {
-				return nil, err
-			}
-			scaleUp := 1 / cfg.ProfileScale
-			tC := time.Duration(float64(st.CompressTime) * scaleUp)
-			tD := time.Duration(float64(dDur) * scaleUp)
-			raw := int(float64(st.RawBytes) * scaleUp)
-			comp := int(float64(st.CompressedBytes) * scaleUp)
-			d := shouldCompress(tC, tD, raw, comp, netsim.EdgeLink)
+			d := c.decide(netsim.EdgeLink)
 			t.AddRow(modelName, fmt.Sprintf("%.0e", eb), secs(d.CompressedTime),
 				secs(d.UncompressedTime), f2(d.Speedup())+"x")
 		}
@@ -249,6 +241,13 @@ func Fig7(cfg Config) (*Table, error) {
 	t.AddNote("paper shape: order-of-magnitude reduction at every bound on 10 Mbps (13.26x for AlexNet at 1e-2)")
 	return t, nil
 }
+
+// fig8Codecs and fig8Mbps are the compressors and bandwidths of paper
+// Figure 8.
+var (
+	fig8Codecs = []string{"sz2", "sz3", "zfp"}
+	fig8Mbps   = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000}
+)
 
 // Fig8 reproduces "Communication Time for Transmitting AlexNet over
 // Variable Network": time vs bandwidth per compressor, with the compression
@@ -264,57 +263,49 @@ func Fig8(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type cost struct {
-		codec time.Duration
-		bytes int
-	}
-	scaleUp := 1 / cfg.ProfileScale
-	costs := map[string]cost{}
-	for _, name := range []string{"sz2", "sz3", "zfp"} {
+	costs := make([]paperCost, len(fig8Codecs))
+	for i, name := range fig8Codecs {
 		comp, err := compressors.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		stream, st, err := core.Compress(profile, core.Options{Lossy: comp, LossyParams: ebcl.Rel(1e-2)})
+		costs[i], err = measurePaperCost(profile, core.Options{Lossy: comp, LossyParams: ebcl.Rel(1e-2)}, cfg.ProfileScale)
 		if err != nil {
 			return nil, err
-		}
-		dDur, err := measureDecompress(stream)
-		if err != nil {
-			return nil, err
-		}
-		costs[name] = cost{
-			codec: time.Duration(float64(st.CompressTime+dDur) * scaleUp),
-			bytes: int(float64(st.CompressedBytes) * scaleUp),
 		}
 	}
-	rawBytes := int(float64(profile.SizeBytes()) * scaleUp)
-	var crossover float64 = -1
-	for _, mbps := range []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000} {
-		link := linkMbps(mbps)
-		rawTime := link.TransmitTime(rawBytes)
+	fig8Sweep(t, costs)
+	return t, nil
+}
+
+// fig8Sweep adds Figure 8's rows and note to t from one cost per fig8Codecs
+// entry. A row's winner is the fastest codec whose Eqn 1 Decision is to
+// compress, else "original"; the note names the first bandwidth with none.
+func fig8Sweep(t *Table, costs []paperCost) {
+	crossover := -1.0
+	for _, mbps := range fig8Mbps {
+		link := netsim.Link{BandwidthMbps: mbps}
 		row := []string{fmt.Sprintf("%g", mbps)}
-		best, bestT := "original", rawTime
-		for _, name := range []string{"sz2", "sz3", "zfp"} {
-			c := costs[name]
-			total := c.codec + link.TransmitTime(c.bytes)
-			row = append(row, secs(total))
-			if total < bestT {
-				best, bestT = name, total
+		best, bestT := "original", time.Duration(math.MaxInt64)
+		var raw time.Duration
+		for i, c := range costs {
+			d := c.decide(link)
+			row = append(row, secs(d.CompressedTime))
+			raw = d.UncompressedTime
+			if d.Compress && d.CompressedTime < bestT {
+				best, bestT = fig8Codecs[i], d.CompressedTime
 			}
 		}
-		row = append(row, secs(rawTime), best)
 		if best == "original" && crossover < 0 {
 			crossover = mbps
 		}
-		t.AddRow(row...)
+		t.AddRow(append(row, secs(raw), best)...)
 	}
 	if crossover > 0 {
 		t.AddNote("compression stops paying off near %g Mbps (paper: ~500 Mbps)", crossover)
 	} else {
 		t.AddNote("compression wins at every tested bandwidth")
 	}
-	return t, nil
 }
 
 // fig9Cores are the MPI core counts of paper Figure 9.

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fl"
 	"repro/internal/netsim"
@@ -12,10 +13,37 @@ import (
 	"repro/internal/tensor"
 )
 
-// netsim shims keep the generator files terse.
-func linkMbps(m float64) netsim.Link { return netsim.Link{BandwidthMbps: m} }
+// paperCost is one codec's Eqn 1 inputs at paper scale: compress and
+// decompress time, raw and compressed bytes.
+type paperCost struct {
+	tC, tD    time.Duration
+	raw, comp int
+}
 
-var shouldCompress = netsim.ShouldCompress
+// measurePaperCost compresses and decompresses profile under opts and scales
+// the times and sizes by 1/scale, as all four are linear in bytes.
+func measurePaperCost(profile *tensor.StateDict, opts core.Options, scale float64) (paperCost, error) {
+	stream, st, err := core.Compress(profile, opts)
+	if err != nil {
+		return paperCost{}, err
+	}
+	t0 := time.Now()
+	if _, _, err := core.Decompress(stream); err != nil {
+		return paperCost{}, err
+	}
+	tD, up := time.Since(t0), 1/scale
+	return paperCost{
+		tC:   time.Duration(float64(st.CompressTime) * up),
+		tD:   time.Duration(float64(tD) * up),
+		raw:  int(float64(st.RawBytes) * up),
+		comp: int(float64(st.CompressedBytes) * up),
+	}, nil
+}
+
+// decide is Eqn 1 for c on link.
+func (c paperCost) decide(link netsim.Link) netsim.Decision {
+	return netsim.ShouldCompress(c.tC, c.tD, c.raw, c.comp, link)
+}
 
 // lossyPartitionData concatenates the dense weight tensors of a state dict
 // — the data the EBLC actually sees (Algorithm 1).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"repro/internal/compressors"
 	"repro/internal/core"
@@ -225,48 +224,4 @@ func Table5(cfg Config) (*Table, error) {
 	t.AddNote("paper shape: ratios grow with looser bounds; ~5.5-12.6x at REL 1e-2 across models")
 	t.AddNote("dataset column varies the synthetic weight draw (the paper's trained weights differ per dataset)")
 	return t, nil
-}
-
-// Eqn1Decision validates the compression decision rule across a parameter
-// grid (Section II-B).
-func Eqn1Decision(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "eqn1",
-		Title:   "Eqn-1 compress/don't-compress decision across bandwidths (measured SZ2 costs, AlexNet profile)",
-		Columns: []string{"Bandwidth(Mbps)", "RawXfer", "CompXfer+Codec", "Compress?", "Speedup"},
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0x7AB6))
-	profile, err := models.BuildProfile("alexnet", rng, cfg.ProfileScale)
-	if err != nil {
-		return nil, err
-	}
-	stream, stats, err := core.Compress(profile, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	dDur, err := measureDecompress(stream)
-	if err != nil {
-		return nil, err
-	}
-	// Extrapolate codec time and sizes to paper scale (linear in bytes).
-	scaleUp := 1 / cfg.ProfileScale
-	tC := time.Duration(float64(stats.CompressTime) * scaleUp)
-	tD := time.Duration(float64(dDur) * scaleUp)
-	raw := int(float64(stats.RawBytes) * scaleUp)
-	comp := int(float64(stats.CompressedBytes) * scaleUp)
-	for _, mbps := range []float64{1, 10, 100, 500, 1000, 10000} {
-		link := linkMbps(mbps)
-		d := shouldCompress(tC, tD, raw, comp, link)
-		t.AddRow(fmt.Sprintf("%g", mbps), secs(d.UncompressedTime), secs(d.CompressedTime),
-			fmt.Sprintf("%v", d.Compress), f2(d.Speedup()))
-	}
-	t.AddNote("codec times and sizes extrapolated linearly from profile scale %.2f to paper scale", cfg.ProfileScale)
-	return t, nil
-}
-
-func measureDecompress(stream []byte) (time.Duration, error) {
-	return measure(func() error {
-		_, _, err := core.Decompress(stream)
-		return err
-	})
 }

@@ -21,12 +21,12 @@ type Link struct {
 var EdgeLink = Link{BandwidthMbps: 10}
 
 // TransmitTime returns the virtual wall-clock time to move `bytes` across
-// the link.
+// the link, counting bits in float64 so that no int width can overflow.
 func (l Link) TransmitTime(bytes int) time.Duration {
 	if l.BandwidthMbps <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive bandwidth %g", l.BandwidthMbps))
 	}
-	seconds := float64(bytes*8) / (l.BandwidthMbps * 1e6)
+	seconds := float64(bytes) * 8 / (l.BandwidthMbps * 1e6)
 	return time.Duration(seconds * float64(time.Second))
 }
 
@@ -68,7 +68,7 @@ func (t *throttledWriter) Write(p []byte) (int, error) {
 		// sleep until the clock catches up. Accumulating on `next` (rather
 		// than sleeping per chunk) keeps long-run throughput exact even
 		// though individual sleeps overshoot.
-		t.next = t.next.Add(time.Duration(float64(chunk*8) / (t.link.BandwidthMbps * 1e6) * float64(time.Second)))
+		t.next = t.next.Add(t.link.TransmitTime(chunk))
 		if d := time.Until(t.next); d > 0 {
 			time.Sleep(d)
 		}

@@ -16,6 +16,24 @@ func TestTransmitTime(t *testing.T) {
 	}
 }
 
+// TestTransmitTimeLargeUpdate: an update of 256 MiB or more must not wrap
+// where int is 32 bits (CI's GOARCH=386 leg), and Eqn 1 on it must still
+// say compress. Multiplying in int once gave 0s for 2^29 bytes at
+// 1,000 Mbps and a negative time for 300 MiB there.
+func TestTransmitTimeLargeUpdate(t *testing.T) {
+	l := Link{BandwidthMbps: 1000}
+	if got := l.TransmitTime(1 << 29); got != 4294967296*time.Nanosecond {
+		t.Fatalf("TransmitTime(2^29 B) at 1,000 Mbps = %v, want 4.294967296s", got)
+	}
+	if got := l.TransmitTime(300 << 20); got <= 0 {
+		t.Fatalf("TransmitTime(300 MiB) at 1,000 Mbps = %v, want positive", got)
+	}
+	d := ShouldCompress(time.Second, 500*time.Millisecond, 512<<20, 64<<20, l)
+	if !d.Compress {
+		t.Fatalf("512 MiB → 64 MiB at 1,000 Mbps: %+v, want compress", d)
+	}
+}
+
 func TestTransmitTimePanicsOnBadBandwidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -18,7 +18,6 @@
 package sched
 
 import (
-	"context"
 	"io"
 	"math/bits"
 	"runtime"
@@ -111,25 +110,6 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done no
-// new indices are claimed (items already running finish), and the context's
-// error is returned. fn is never told about the cancellation — callers that
-// need per-item errors should check ctx inside fn as well. A nil ctx is
-// treated as context.Background().
-func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	if ctx == nil || ctx.Done() == nil {
-		p.ForEach(n, fn)
-		return nil
-	}
-	p.ForEach(n, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		fn(i)
-	})
-	return ctx.Err()
 }
 
 // Group schedules independent tasks against the pool's helper budget

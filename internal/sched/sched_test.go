@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,25 +232,6 @@ func BenchmarkForEachOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.ForEach(16, func(j int) { sink.Add(1) })
-	}
-}
-
-func TestForEachCtxCancelled(t *testing.T) {
-	p := NewPool(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	if err := p.ForEachCtx(ctx, 100, func(i int) { ran.Add(1) }); err != context.Canceled {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d items ran under a cancelled context", ran.Load())
-	}
-	if err := p.ForEachCtx(context.Background(), 10, func(i int) { ran.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("live context ran %d of 10 items", ran.Load())
 	}
 }
 
