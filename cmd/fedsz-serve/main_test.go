@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -86,6 +87,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := map[string]int{}
+	stages := map[string]float64{} // stage/codec/dir → the last count
 	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
 		var m map[string]any
 		if err := json.Unmarshal(line, &m); err != nil {
@@ -93,9 +95,20 @@ func TestServeSmoke(t *testing.T) {
 		}
 		ev, _ := m["event"].(string)
 		events[ev]++
+		if ev == "stage" {
+			stages[fmt.Sprintf("%v/%v/%v", m["stage"], m["codec"], m["dir"])], _ = m["count"].(float64)
+		}
 	}
 	if events["conn"] != 3 || events["update"] != 3 {
 		t.Fatalf("trace has %v, want 3 conn spans and 3 update events", events)
+	}
+	// The uploads encode in this process too, so both directions have
+	// counted by the last connection's end.
+	for _, s := range []string{"frame/all/encode", "frame/all/decode", "quantize/sz2/encode",
+		"huffman/sz2/encode", "huffman/sz2/decode", "reconstruct/sz2/decode"} {
+		if stages[s] < 3 {
+			t.Errorf("trace's last %s stage event counts %v, want 3 or more", s, stages[s])
+		}
 	}
 }
 

@@ -22,5 +22,5 @@ func (s *Sharded) RegisterMetrics(reg *telemetry.Registry) {
 		"Updates folded by the aggregator; a client's dropped duplicate is not counted.", &s.m.updates)
 	reg.Register("fedsz_agg_merge_seconds",
 		"Per-update commit time: structural validation plus the fold.", s.m.mergeHist)
-	core.RegisterStage(reg, "fold", "all", s.m.mergeHist)
+	core.RegisterStage(reg, "fold", "all", "decode", s.m.mergeHist)
 }

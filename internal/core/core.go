@@ -316,10 +316,13 @@ type Structure struct {
 	Lossy []TensorShape
 }
 
-// TensorShape is one lossy tensor of a Structure.
+// TensorShape is one lossy tensor of a Structure. A later update's tensor
+// that matches it shares its Name and Shape (DecodedTensor), so neither may
+// be modified.
 type TensorShape struct {
 	Name  string
 	Kind  tensor.Kind
+	Shape []int
 	Elems int
 }
 

@@ -459,6 +459,15 @@ const (
 	sampleStride   = 8 * sampleRun
 )
 
+// inlineMaxElems is the tensor size below which DecodeSections decodes on
+// the reading goroutine instead of handing the tensor to the pool: there a
+// goroutine start, its stack growth, a wakeup and a join cost more than the
+// overlap buys. BenchmarkInlineGate fixes the value: with every CPU decoding
+// (a loaded server) the handoff costs more at every size up to 64 Ki (+11 %
+// at 2 Ki, +1 % at 64 Ki), and for a lone decoder it pays from 4 Ki up
+// (−4 % at 4 Ki, −21 % at 16 Ki) but not at 2 Ki (+11 %).
+const inlineMaxElems = 4 << 10
+
 // sampleSizes estimates the blob sizes of data under pData and of res under
 // pRes when written as chunks blobs. Each one's strided sample and, alone, its
 // first run are encoded: the two sizes give a per-element cost and a fixed

@@ -4,14 +4,16 @@ package core
 // process-wide, so its counters are package-level values that every encode
 // and decode updates; RegisterMetrics names them on a registry the program
 // built. The stage timers are, per lossy codec, one encode and one decode
-// latency histogram of the whole state dict and the decode-stage histograms
-// (fedsz_stage_seconds): reconstruct, each tensor's decode task, and, for a
-// codec with a Huffman stage (huffmanTimed: sz2 and sz3), huffman, the
-// Huffman decode inside it, which the codec's ebcl.Format times itself. They
-// are created the first time a codec is seen. The lookup is a plain map
-// behind an RWMutex — a read-lock map hit boxes nothing, so the steady-state
-// cost per encode/decode call is one RLock, and per observation one Observe
-// (both allocation-free).
+// latency histogram of the whole state dict and the stage histograms of
+// fedsz_stage_seconds: reconstruct, each tensor's decode task, and, for a
+// codec with the SZ-family back end (stageTimed: sz2 and sz3), the stages
+// its ebcl.Format times itself — quantize, huffman and lossless on encode,
+// huffman on decode. They are created the first time a codec is seen. The
+// wire framing's frame stage, both directions, is one pair of histograms
+// for every codec (FrameTimers). The lookup is a plain map behind an
+// RWMutex — a read-lock map hit boxes nothing, so the steady-state cost per
+// encode/decode call is one RLock, and per observation one Observe (both
+// allocation-free).
 
 import (
 	"sync"
@@ -26,26 +28,71 @@ import (
 var deltaBytesSaved, deltaSections, constantSections, absoluteSections telemetry.Counter
 
 type stageHists struct {
-	encode, decode       *telemetry.Histogram
-	huffman, reconstruct *telemetry.Histogram // huffman is nil without a Huffman stage
+	encode, decode *telemetry.Histogram
+	reconstruct    *telemetry.Histogram
+	timers         *ebcl.StageTimers // nil without the SZ-family back end
 }
 
-// huffmanTimed is a codec whose blobs carry a Huffman stage, timed by the
-// histogram it returns.
-type huffmanTimed interface {
-	HuffmanTimer() *telemetry.Histogram
+// stageTimed is a codec whose blobs go through the SZ-family back end, timed
+// in the histograms it returns.
+type stageTimed interface {
+	StageTimers() *ebcl.StageTimers
+}
+
+// FrameTimers are the wire framing's frame+CRC stage, encode and decode,
+// which package wire observes per frame.
+var FrameTimers = struct{ Encode, Decode *telemetry.Histogram }{
+	telemetry.NewHistogram(telemetry.DurationBuckets), telemetry.NewHistogram(telemetry.DurationBuckets),
 }
 
 // stageHelp is fedsz_stage_seconds' help text: every registration of the
 // family, the aggregator's fold included, must carry the same one.
-const stageHelp = "Time of one pipeline stage: huffman is a blob's Huffman decode, reconstruct a tensor's whole decode task (its Huffman decode included), fold an update's commit into the accumulator."
+const stageHelp = "Time of one pipeline stage. Encode: quantize is a blob's predict+quantize, huffman its Huffman encode, lossless its trailing lossless stage, frame one wire frame's assembly and CRC. Decode: frame one frame's CRC check, huffman a blob's Huffman decode, reconstruct a tensor's whole decode task (its Huffman decode included), fold an update's commit into the accumulator."
 
-// RegisterStage exports h as the series {stage, codec, dir="decode"} of
+// RegisterStage exports h as the series {stage, codec, dir} of
 // fedsz_stage_seconds: for a stage timed outside this package, the
 // aggregator's fold.
-func RegisterStage(reg *telemetry.Registry, stage, codec string, h *telemetry.Histogram) {
+func RegisterStage(reg *telemetry.Registry, stage, codec, dir string, h *telemetry.Histogram) {
 	reg.Register("fedsz_stage_seconds", stageHelp, h,
-		telemetry.L("stage", stage), telemetry.L("codec", codec), telemetry.L("dir", "decode"))
+		telemetry.L("stage", stage), telemetry.L("codec", codec), telemetry.L("dir", dir))
+}
+
+// stageSeries is one fedsz_stage_seconds series this package times.
+type stageSeries struct {
+	stage, codec, dir string
+	h                 *telemetry.Histogram
+}
+
+// series lists h's fedsz_stage_seconds series for codec.
+func (h *stageHists) series(codec string) []stageSeries {
+	out := []stageSeries{{"reconstruct", codec, "decode", h.reconstruct}}
+	if t := h.timers; t != nil {
+		out = append(out, stageSeries{"huffman", codec, "decode", t.HuffmanDecode},
+			stageSeries{"quantize", codec, "encode", t.Quantize},
+			stageSeries{"huffman", codec, "encode", t.HuffmanEncode},
+			stageSeries{"lossless", codec, "encode", t.Lossless})
+	}
+	return out
+}
+
+// TraceStages emits to t one "stage" event per fedsz_stage_seconds series
+// this package and wire time — the frame stage, then each codec seen so far
+// — with its observation count and summed microseconds so far: the scrape's
+// stage totals, in a trace. A nil t emits nothing.
+func TraceStages(t *telemetry.Tracer) {
+	if t == nil {
+		return
+	}
+	all := []stageSeries{{"frame", "all", "encode", FrameTimers.Encode}, {"frame", "all", "decode", FrameTimers.Decode}}
+	stageMu.RLock()
+	for codec, h := range stages {
+		all = append(all, h.series(codec)...)
+	}
+	stageMu.RUnlock()
+	for _, s := range all {
+		t.Event("stage", telemetry.A("stage", s.stage), telemetry.A("codec", s.codec), telemetry.A("dir", s.dir),
+			telemetry.A("count", s.h.Count()), telemetry.A("sum_us", int64(s.h.Sum()*1e6)))
+	}
 }
 
 var (
@@ -72,6 +119,8 @@ func RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("fedsz_delta_sections",
 		"Tensor sections in delta-capable (v3) streams, by chosen encoding mode.",
 		&absoluteSections, telemetry.L("mode", "absolute"))
+	RegisterStage(reg, "frame", "all", "encode", FrameTimers.Encode)
+	RegisterStage(reg, "frame", "all", "decode", FrameTimers.Decode)
 	stageMu.Lock()
 	defer stageMu.Unlock()
 	for codec, h := range stages {
@@ -85,10 +134,9 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 		"Full-statedict encode wall time, by lossy codec.", h.encode, telemetry.L("codec", codec))
 	reg.Register("fedsz_decode_seconds",
 		"Full-statedict decode wall time, by lossy codec.", h.decode, telemetry.L("codec", codec))
-	if h.huffman != nil {
-		RegisterStage(reg, "huffman", codec, h.huffman)
+	for _, s := range h.series(codec) {
+		RegisterStage(reg, s.stage, s.codec, s.dir, s.h)
 	}
-	RegisterStage(reg, "reconstruct", codec, h.reconstruct)
 }
 
 // stageFor returns the stage histograms labeled with lossy's name.
@@ -110,8 +158,8 @@ func stageFor(lossy ebcl.Compressor) *stageHists {
 		decode:      telemetry.NewHistogram(telemetry.DurationBuckets),
 		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
 	}
-	if ht, ok := lossy.(huffmanTimed); ok {
-		h.huffman = ht.HuffmanTimer()
+	if st, ok := lossy.(stageTimed); ok {
+		h.timers = st.StageTimers()
 	}
 	for _, reg := range stageRegs {
 		h.register(reg, codec)

@@ -142,3 +142,48 @@ func TestHuffmanStageOnlyForHuffmanCodecs(t *testing.T) {
 		}
 	}
 }
+
+// TestStageTimersCountEncodes: encoding an sz2 stream observes
+// fedsz_stage_seconds' quantize and huffman encode stages once per blob, a
+// chunked tensor's chunks being one blob each, and its lossless stage at
+// most once per blob (only where the keep rule tries it).
+func TestStageTimersCountEncodes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	RegisterMetrics(reg)
+	count := func(stage string) float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := telemetry.ParseText(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
+			telemetry.L("stage", stage), telemetry.L("codec", "sz2"), telemetry.L("dir", "encode"))
+		if !ok {
+			t.Fatalf("no %s encode series for sz2", stage)
+		}
+		return s.Value
+	}
+	rng := rand.New(rand.NewPCG(46, 7))
+	sd := skewedDict(rng, 18432)
+	if _, _, err := Compress(sd, Options{}); err != nil { // sz2 seen, so registered
+		t.Fatal(err)
+	}
+	quantize0, huffman0, lossless0 := count("quantize"), count("huffman"), count("lossless")
+	if _, _, err := Compress(sd, Options{ChunkElems: 8192}); err != nil {
+		t.Fatal(err)
+	}
+	// fc.weight's 18432 elements split into three chunks, conv.weight is one.
+	if got := count("quantize") - quantize0; got != 4 {
+		t.Errorf("quantize stage observed %v blobs, want 4", got)
+	}
+	if got := count("huffman") - huffman0; got != 4 {
+		t.Errorf("huffman encode stage observed %v blobs, want 4", got)
+	}
+	if got := count("lossless") - lossless0; got > 4 {
+		t.Errorf("lossless stage observed %v blobs, want at most 4", got)
+	}
+}

@@ -119,12 +119,19 @@ type ParsedTensor struct {
 // Blob aliases section. It is returned by value, so a decode loop parsing
 // one section per tensor keeps it off the heap.
 func ParseTensorSection(hdr *ParsedHeader, section []byte) (ParsedTensor, error) {
+	return parseTensorSection(hdr, section, nil)
+}
+
+// parseTensorSection is ParseTensorSection. When like, a tensor of a
+// round's adopted structure, has the section's name and shape, the parsed
+// tensor shares like's Name and Shape instead of allocating its own.
+func parseTensorSection(hdr *ParsedHeader, section []byte, like *TensorShape) (ParsedTensor, error) {
 	var pt ParsedTensor
-	var err error
-	pos := 0
-	if pt.Name, pos, err = readString(section, pos); err != nil {
+	if len(section) == 0 || 1+int(section[0]) > len(section) {
 		return ParsedTensor{}, fmt.Errorf("%w: tensor name", ErrCorrupt)
 	}
+	name := section[1 : 1+int(section[0])]
+	pos := 1 + len(name)
 	if pos+2 > len(section) {
 		return ParsedTensor{}, fmt.Errorf("%w: tensor metadata", ErrCorrupt)
 	}
@@ -134,13 +141,26 @@ func ParseTensorSection(hdr *ParsedHeader, section []byte) (ParsedTensor, error)
 	if pos+4*rank > len(section) {
 		return ParsedTensor{}, fmt.Errorf("%w: tensor shape", ErrCorrupt)
 	}
-	pt.Shape = make([]int, rank)
-	pt.Elems = 1
-	for d := range pt.Shape {
-		pt.Shape[d] = int(binary.LittleEndian.Uint32(section[pos+4*d:]))
-		pt.Elems *= pt.Shape[d]
-		if pt.Elems > ebcl.MaxElements {
-			return ParsedTensor{}, fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, pt.Name)
+	// Each dimension and the running product are checked as uint64, so no
+	// int conversion can wrap where int is 32 bits.
+	dims := section[pos : pos+4*rank]
+	elems := uint64(1)
+	shared := like != nil && len(like.Shape) == rank && string(name) == like.Name
+	for d := range rank {
+		n := uint64(binary.LittleEndian.Uint32(dims[4*d:]))
+		if elems *= n; n > ebcl.MaxElements || elems > ebcl.MaxElements {
+			return ParsedTensor{}, fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, name)
+		}
+		shared = shared && n == uint64(like.Shape[d])
+	}
+	pt.Elems = int(elems)
+	if shared {
+		pt.Name, pt.Shape = like.Name, like.Shape
+	} else {
+		pt.Name = string(name)
+		pt.Shape = make([]int, rank)
+		for d := range pt.Shape {
+			pt.Shape[d] = int(binary.LittleEndian.Uint32(dims[4*d:]))
 		}
 	}
 	pos += 4 * rank
@@ -157,6 +177,7 @@ func ParseTensorSection(hdr *ParsedHeader, section []byte) (ParsedTensor, error)
 		}
 		pos++
 	}
+	var err error
 	if pt.Blob, pos, err = ebcl.ReadSection(section, pos); err != nil {
 		return ParsedTensor{}, fmt.Errorf("%w: lossy section %q: %w", ErrCorrupt, pt.Name, err)
 	}

@@ -28,8 +28,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ebcl"
 	"repro/internal/lanes"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -268,7 +270,7 @@ func (d *DecodedStream) Structure() *Structure {
 	s := &Structure{Flags: d.Flags, Lossy: make([]TensorShape, len(d.Tensors))}
 	for i := range d.Tensors {
 		t := &d.Tensors[i]
-		s.Lossy[i] = TensorShape{Name: t.Name, Kind: t.Kind, Elems: t.Elems()}
+		s.Lossy[i] = TensorShape{Name: t.Name, Kind: t.Kind, Shape: t.Shape, Elems: t.Elems()}
 	}
 	return s
 }
@@ -403,13 +405,53 @@ func ctxFirst(ctx context.Context, err error) error {
 	return err
 }
 
+// tensorTask is one lossy tensor's decode: it owns sec (pt.Blob aliases it).
+// The reconstruction lands straight in a pool-backed buffer sized from the
+// declared shape, and a residual folds its baseline back in as it decodes.
+type tensorTask struct {
+	e       *DecodedTensor
+	lossy   ebcl.Compressor
+	hist    *telemetry.Histogram
+	work    *atomic.Int64
+	src     SectionSource
+	sec     []byte
+	pt      ParsedTensor
+	ref     []float32
+	chunked bool
+}
+
+func (t *tensorTask) run(ctx context.Context) {
+	defer t.src.Release(t.sec)
+	e, pt := t.e, &t.pt
+	if e.err = ctx.Err(); e.err != nil {
+		return
+	}
+	if v, ok := constantBlob(t.lossy, pt.Blob, pt.Elems, t.chunked, t.ref); ok {
+		e.Ref, e.Const = t.ref[:pt.Elems], v
+		return
+	}
+	t0 := time.Now()
+	dst := sched.GetFloats(pt.Elems)
+	data, err := decodeBlobInto(t.lossy, dst, pt.Blob, pt.Elems, t.chunked, t.ref)
+	took := time.Since(t0)
+	t.work.Add(int64(took))
+	t.hist.Observe(took.Seconds())
+	if err != nil {
+		sched.PutFloats(dst)
+		e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, err)
+		return
+	}
+	e.Data = data
+}
+
 // DecodeSections decodes one stream from src, scheduling each tensor's
 // decode on pool (nil runs serially) as soon as its section is in: the
 // calling goroutine submits the section and immediately returns to src for
-// the next one; when the pool budget is exhausted it decodes inline, which
-// pauses reading — the per-connection backpressure that keeps a streaming
-// server's peak memory bounded by its parallelism budget rather than its
-// client count. A tensor's chunks (v4) decode serially inside that
+// the next one. A tensor of fewer than inlineMaxElems elements, unless
+// chunked, it decodes itself, as it does any tensor when the pool budget is
+// exhausted, which pauses reading — the per-connection backpressure that
+// keeps a streaming server's peak memory bounded by its parallelism budget
+// rather than its client count. A tensor's chunks (v4) decode serially inside that
 // tensor's task. A plain residual blob that is a constant block takes no
 // buffer and no pass: its task records the value beside the reference
 // tensor (DecodedTensor's constant form, valid while the reference is held).
@@ -472,7 +514,11 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		if err != nil {
 			return fail(err)
 		}
-		pt, err := ParseTensorSection(hdr, sec)
+		var like *TensorShape
+		if want != nil {
+			like = &want.Lossy[i]
+		}
+		pt, err := parseTensorSection(hdr, sec, like)
 		elems += pt.Elems
 		if err == nil && elems > maxStreamElements {
 			err = fmt.Errorf("%w: tensor %d %q takes the stream past %d declared elements", ErrCorrupt, i, pt.Name, maxStreamElements)
@@ -482,11 +528,9 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 			nDelta++
 			ref, err = dopts.reference(hdr.RefEpoch, pt.Name, pt.Elems)
 		}
-		if err == nil && want != nil {
-			if w := &want.Lossy[i]; pt.Name != w.Name || pt.Kind != w.Kind || pt.Elems != w.Elems {
-				err = fmt.Errorf("%w: tensor %d is %s %q[%d], the adopted structure holds %s %q[%d]",
-					ErrCorrupt, i, pt.Kind, pt.Name, pt.Elems, w.Kind, w.Name, w.Elems)
-			}
+		if err == nil && like != nil && (pt.Name != like.Name || pt.Kind != like.Kind || pt.Elems != like.Elems) {
+			err = fmt.Errorf("%w: tensor %d is %s %q[%d], the adopted structure holds %s %q[%d]",
+				ErrCorrupt, i, pt.Kind, pt.Name, pt.Elems, like.Kind, like.Name, like.Elems)
 		}
 		if err != nil {
 			src.Release(sec)
@@ -497,31 +541,15 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		}
 		e := &d.Tensors[i]
 		e.Name, e.Kind, e.Shape = pt.Name, pt.Kind, pt.Shape
-		// The task owns sec (pt.Blob aliases it). The reconstruction lands
-		// straight in a pool-backed buffer sized from the declared shape,
-		// and a residual folds its baseline back in as it decodes.
-		g.Go(func() {
-			defer src.Release(sec)
-			if e.err = ctx.Err(); e.err != nil {
-				return
-			}
-			if v, ok := constantBlob(lossy, pt.Blob, pt.Elems, hdr.Chunked(), ref); ok {
-				e.Ref, e.Const = ref[:pt.Elems], v
-				return
-			}
-			t0 := time.Now()
-			dst := sched.GetFloats(pt.Elems)
-			data, derr := decodeBlobInto(lossy, dst, pt.Blob, pt.Elems, hdr.Chunked(), ref)
-			took := time.Since(t0)
-			decodeWork.Add(int64(took))
-			st.reconstruct.Observe(took.Seconds())
-			if derr != nil {
-				sched.PutFloats(dst)
-				e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, derr)
-				return
-			}
-			e.Data = data
-		})
+		t := tensorTask{e: e, lossy: lossy, hist: st.reconstruct, work: &decodeWork, src: src, sec: sec, pt: pt, ref: ref, chunked: hdr.Chunked()}
+		// A small tensor decodes in less time than a handoff to the pool
+		// costs, so the reading goroutine decodes it itself.
+		if pt.Elems < inlineMaxElems && !(t.chunked && isChunkedBlob(pt.Blob)) {
+			t.run(ctx)
+		} else {
+			t := t // only a handed-off task moves to the heap
+			g.Go(func() { t.run(ctx) })
+		}
 	}
 	sec, err = src.Next(SectionLossless)
 	if err != nil {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 func TestSectionsRoundTrip(t *testing.T) {
@@ -76,6 +79,38 @@ func TestOverlapRatioBounds(t *testing.T) {
 	} {
 		if got := tc.stats.OverlapRatio(); got != tc.want {
 			t.Errorf("%s: overlap %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestParseShapeOverflow: a shape is checked dimension by dimension, and its
+// running product, as 64-bit counts before any int conversion, so where int
+// is 32 bits a dimension of 2^31 or more cannot go negative and 65536×65536
+// cannot wrap to 0 under ebcl.MaxElements: both are refused as the section
+// parses, as on a 64-bit host.
+func TestParseShapeOverflow(t *testing.T) {
+	sd := tensor.NewStateDict()
+	sd.Add("w", tensor.KindWeight, tensor.New(64, 64))
+	stream, _, err := Compress(sd, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := Sections(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := ParseHeader(secs.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := secs.Tensors[0]
+	dims := 1 + int(sec[0]) + 2 // name, kind, rank
+	for _, shape := range [][2]uint32{{0x80000001, 1}, {1, 0x80000001}, {0, 0x80000001}, {65536, 65536}} {
+		patched := append([]byte(nil), sec...)
+		binary.LittleEndian.PutUint32(patched[dims:], shape[0])
+		binary.LittleEndian.PutUint32(patched[dims+4:], shape[1])
+		if _, err := ParseTensorSection(hdr, patched); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("shape %d×%d: err %v, want ErrCorrupt", shape[0], shape[1], err)
 		}
 	}
 }

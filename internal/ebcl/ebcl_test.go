@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/huffman"
 	"repro/internal/lanes"
@@ -247,7 +248,7 @@ func backEndStream(t *testing.T, f Format) []byte {
 		coeffs = append(sched.GetFloats(2), 0.5, -0.25)
 	}
 	codes := append(sched.GetUint16s(3), QuantRadius, EscapeCode, QuantRadius+1)
-	stream, err := f.Finish(nil, 0.125, kinds, coeffs, codes, append(sched.GetFloats(1), 7))
+	stream, err := f.Finish(nil, time.Now(), 0.125, kinds, coeffs, codes, append(sched.GetFloats(1), 7))
 	if err != nil {
 		t.Fatal(err)
 	}

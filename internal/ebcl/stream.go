@@ -256,10 +256,40 @@ type Format struct {
 	// KindRuns: the codec writes its kinds as runs under LayoutKindRuns; it
 	// still reads LayoutFull streams, whose kinds are one byte each.
 	KindRuns bool
-	// Huffman, when set, is the histogram Open observes each blob's Huffman
-	// decode time in. The codec creates it once with its Format and hands it
-	// to core, which exports it as the huffman stage of fedsz_stage_seconds.
-	Huffman *telemetry.Histogram
+	// Timers, when set, are the histograms the codec's stages are timed in.
+	// The codec creates them once with its Format and hands them to core,
+	// which exports them as fedsz_stage_seconds.
+	Timers *StageTimers
+}
+
+// StageTimers are one SZ-family codec's stage histograms: Finish observes
+// each blob's predict+quantize (from the start its codec passes), Huffman
+// encode and lossless stage, and Open each blob's Huffman decode.
+type StageTimers struct {
+	Quantize, HuffmanEncode, Lossless, HuffmanDecode *telemetry.Histogram
+}
+
+// NewStageTimers returns a codec's stage histograms.
+func NewStageTimers() *StageTimers {
+	h := func() *telemetry.Histogram { return telemetry.NewHistogram(telemetry.DurationBuckets) }
+	return &StageTimers{Quantize: h(), HuffmanEncode: h(), Lossless: h(), HuffmanDecode: h()}
+}
+
+// timers returns f's stage histograms, each nil when f has none.
+func (f Format) timers() StageTimers {
+	if f.Timers == nil {
+		return StageTimers{}
+	}
+	return *f.Timers
+}
+
+// observe records the time since *t0 in h when h is set, and moves *t0 on.
+func observe(h *telemetry.Histogram, t0 *time.Time) {
+	if h != nil {
+		t := time.Now()
+		h.Observe(t.Sub(*t0).Seconds())
+		*t0 = t
+	}
 }
 
 // layout is the full-pipeline layout byte f writes.
@@ -294,11 +324,15 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 // the trailing lossless stage where the keep rule lets it, and appends the
 // stream to dst. It owns the four slices, which come from the sched pools
 // (coeffs may be nil): they and every intermediate buffer are back in the
-// pools when it returns, error or not.
-func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32) ([]byte, error) {
+// pools when it returns, error or not. start is when the codec began the
+// blob: the time to Finish is its predict+quantize stage.
+func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32) ([]byte, error) {
+	tm := f.timers()
+	observe(tm.Quantize, &start)
 	n := len(codes)
 	codeBlob, err := huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
 	sched.PutUint16s(codes)
+	observe(tm.HuffmanEncode, &start)
 	if err == nil {
 		if f.KindRuns {
 			runs := kindRuns(kinds)
@@ -317,6 +351,7 @@ func (f Format) Finish(dst []byte, ebAbs float64, kinds []byte, coeffs []float32
 		sched.PutBytes(codeBlob)
 		if tryStage {
 			dst = LosslessStageAt(dst, mode)
+			observe(tm.Lossless, &start)
 		}
 	}
 	sched.PutBytes(kinds)
@@ -397,9 +432,7 @@ func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, 
 		s.Kinds, s.Coeffs.b, s.lits = sec[0], sec[1], sec[3]
 		t0 := time.Now()
 		s.Codes, err = huffman.DecodeMultiU16(sec[2], QuantAlphabet)
-		if f.Huffman != nil {
-			f.Huffman.Observe(time.Since(t0).Seconds())
-		}
+		observe(f.timers().HuffmanDecode, &t0)
 	}
 	if err == nil && len(s.Codes) != n {
 		err = ErrCorrupt

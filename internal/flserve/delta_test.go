@@ -149,7 +149,7 @@ func TestDeltaNegotiation(t *testing.T) {
 // back as the typed retryable error carrying the server's hint — the same
 // parse a shed upload ack goes through — never as a refused negotiation.
 func TestDialDeltaShed(t *testing.T) {
-	const dials = 6 // MaxConns 1 + QueueDepth 1 hold at most three; the rest are shed
+	const dials = 6 // MaxConns 1 + QueueDepth 1 hold exactly two; the rest are shed
 	srv, err := Listen("127.0.0.1:0", Config{
 		Ingestor: newCollector(), MaxConns: 1, QueueDepth: 1, RetryAfterHint: 25 * time.Millisecond,
 	})

@@ -65,8 +65,8 @@
 //
 // # Backpressure
 //
-//   - Config.MaxConns bounds concurrent connections (the accept loop holds
-//     a slot before accepting), so peak memory is O(MaxConns × frame)
+//   - Config.MaxConns bounds concurrent connections: it is the number of
+//     resident worker goroutines, so peak memory is O(MaxConns × frame)
 //     plus in-flight decodes — never O(clients × model).
 //   - When the decode pool is saturated, the connection goroutine decodes
 //     inline instead of reading, which stops draining the socket and lets
@@ -139,17 +139,18 @@ type Config struct {
 	// Deprecated: set the Ingestor's pool size instead.
 	Parallel int
 	// MaxConns bounds concurrently served connections (0 selects
-	// 4×GOMAXPROCS). The accept loop blocks when the bound is reached.
+	// 4×GOMAXPROCS): the server keeps that many resident workers.
 	MaxConns int
 	// QueueDepth switches admission control from accept-loop backpressure
 	// to explicit load shedding: connections beyond the MaxConns serving
 	// set wait in a bounded queue of this depth, and arrivals past the
 	// queue are shed — acked with a retry-after hint and closed — instead
-	// of piling into the listener backlog. 0 keeps the legacy discipline
-	// (the accept loop blocks on a slot before accepting, so the kernel
-	// backlog absorbs bursts). Shedding makes overload predictable: memory
-	// stays O(MaxConns + QueueDepth) and excess clients learn to back off
-	// immediately rather than timing out in the backlog.
+	// of piling into the listener backlog; at most MaxConns + QueueDepth
+	// are admitted at once. 0 keeps the legacy discipline (a worker accepts
+	// only when idle, so the kernel backlog absorbs bursts). Shedding makes
+	// overload predictable: memory stays O(MaxConns + QueueDepth) and excess
+	// clients learn to back off immediately rather than timing out in the
+	// backlog.
 	QueueDepth int
 	// RetryAfterHint is the backoff the shed ack suggests to clients
 	// (0 selects 100 ms; capped at ~65 s by the wire field).
@@ -174,10 +175,11 @@ type Config struct {
 	// the per-update context deadline: blocked reads are cut at the
 	// deadline and in-flight decode workers for that update exit early.
 	UploadTimeout time.Duration
-	// Tracer, when non-nil, receives one span per connection and one event
-	// per update — the per-connection timeline complementing the
-	// aggregated metrics the server always keeps (Snapshot,
-	// RegisterMetrics).
+	// Tracer, when non-nil, receives one span per connection, one event
+	// per update and, as each connection ends, one event per pipeline stage
+	// series with its totals so far — the per-connection timeline
+	// complementing the aggregated metrics the server always keeps
+	// (Snapshot, RegisterMetrics).
 	Tracer *telemetry.Tracer
 	// RefProvider resolves a delta client's negotiated reference epoch to
 	// the retained reference state dict (nil when the server does not hold
@@ -251,10 +253,9 @@ func (s Stats) OverlapRatio() float64 {
 type Server struct {
 	cfg Config
 	ln  net.Listener
-	sem chan struct{}
 	// queue is the bounded admission queue (QueueDepth > 0 only): the
-	// accept loop enqueues, the dispatch loop waits for a serving slot,
-	// and an arrival finding the queue full is shed.
+	// accept loop enqueues, the MaxConns workers dequeue, and an arrival
+	// finding the queue full is shed.
 	queue chan net.Conn
 	wg    sync.WaitGroup
 
@@ -294,22 +295,20 @@ func Serve(ln net.Listener, cfg Config) *Server {
 	if cfg.RetryAfterHint <= 0 {
 		cfg.RetryAfterHint = defaultRetryAfterHint
 	}
-	s := &Server{
-		cfg: cfg,
-		ln:  ln,
-		sem: make(chan struct{}, cfg.MaxConns),
-	}
+	s := &Server{cfg: cfg, ln: ln}
 	s.m.wireHist = telemetry.NewHistogram(telemetry.ByteBuckets)
 	s.m.decodeHist = telemetry.NewHistogram(telemetry.DurationBuckets)
 	s.m.overlapHist = telemetry.NewHistogram(telemetry.RatioBuckets)
-	s.wg.Add(1)
+	worker := s.acceptLoop
 	if cfg.QueueDepth > 0 {
 		s.queue = make(chan net.Conn, cfg.QueueDepth)
+		worker = s.queueWorker
 		s.wg.Add(1)
-		go s.dispatchLoop()
 		go s.shedAcceptLoop()
-	} else {
-		go s.acceptLoop()
+	}
+	s.wg.Add(cfg.MaxConns)
+	for range cfg.MaxConns {
+		go worker()
 	}
 	return s
 }
@@ -351,16 +350,15 @@ func (s *Server) Close() error {
 
 func (s *Server) isClosed() bool { return s.closed.Load() }
 
-// acceptLoop admits connections under the MaxConns bound: the slot is
-// taken before Accept, so the listener's backlog — not server memory —
-// absorbs bursts beyond the bound.
+// acceptLoop is a resident worker of the QueueDepth == 0 policy: it
+// accepts only when idle, so the listener's backlog — not server memory —
+// absorbs bursts beyond MaxConns, and its grown stack serves connection
+// after connection.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
-		s.sem <- struct{}{}
 		conn, err := s.ln.Accept()
 		if err != nil {
-			<-s.sem
 			if s.isClosed() || errors.Is(err, net.ErrClosed) {
 				return
 			}
@@ -374,25 +372,19 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn serves conn on its own goroutine and then frees the serving
-// slot the caller took from s.sem.
+// serveConn serves conn on the calling worker.
 func (s *Server) serveConn(conn net.Conn) {
 	s.m.connsActive.Inc()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer func() { <-s.sem }()
-		defer s.m.connsActive.Dec()
-		s.handleConn(conn)
-	}()
+	defer s.m.connsActive.Dec()
+	s.handleConn(conn)
 }
 
 // shedAcceptLoop is the QueueDepth > 0 admission policy: accept eagerly,
-// queue up to QueueDepth connections behind the MaxConns serving set, and
-// shed (reject-newest) everything beyond — the newest arrival is the one
-// turned away, since the queued ones have already waited. Closing the
-// listener ends the loop; the queue channel is then closed so the
-// dispatcher can drain and shed whatever was still waiting.
+// queue up to QueueDepth connections behind the MaxConns serving workers,
+// and shed (reject-newest) everything beyond — the newest arrival is the
+// one turned away, since the queued ones have already waited. Closing the
+// listener ends the loop; the queue channel is then closed so the workers
+// can drain and shed whatever was still waiting.
 func (s *Server) shedAcceptLoop() {
 	defer s.wg.Done()
 	defer close(s.queue)
@@ -415,11 +407,10 @@ func (s *Server) shedAcceptLoop() {
 	}
 }
 
-// dispatchLoop feeds queued connections into serving slots. It owns the
-// receive side of the queue; after the accept loop closes the channel,
-// the remaining queued connections are shed rather than served, so Close
-// never strands a client waiting for a slot that will not come.
-func (s *Server) dispatchLoop() {
+// queueWorker is a resident worker of the QueueDepth > 0 policy. Once the
+// accept loop has closed the queue, what is still queued is shed rather
+// than served, so Close never strands a client.
+func (s *Server) queueWorker() {
 	defer s.wg.Done()
 	for conn := range s.queue {
 		s.m.queueDepth.Dec()
@@ -427,7 +418,6 @@ func (s *Server) dispatchLoop() {
 			s.shedConn(conn)
 			continue
 		}
-		s.sem <- struct{}{}
 		s.serveConn(conn)
 	}
 }
@@ -565,6 +555,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	span := s.cfg.Tracer.Span("conn", telemetry.A("remote", remote))
 	defer func() {
 		span.End(telemetry.A("updates", updates), telemetry.A("rejected", rejected))
+		core.TraceStages(s.cfg.Tracer)
 	}()
 	cr := &connReader{conn: conn, idle: s.cfg.IdleTimeout}
 	defer func() {

@@ -158,8 +158,8 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 	}
 }
 
-// TestMaxConnsBackpressure: more clients than connection slots must all
-// eventually succeed (the accept loop blocks rather than drops).
+// TestMaxConnsBackpressure: more clients than connection workers must all
+// eventually succeed (a worker accepts when idle; nothing is dropped).
 func TestMaxConnsBackpressure(t *testing.T) {
 	const n = 12
 	streams, _ := compressUpdates(t, n)

@@ -47,7 +47,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("fedsz_server_connections_rejected_total",
 		"Connections dropped for protocol failures (bad magic, truncated prelude).", &m.connsRejected)
 	reg.Register("fedsz_server_max_conns",
-		"Configured MaxConns bound; fedsz_server_connections_active/fedsz_server_max_conns is accept-loop saturation.",
+		"Configured MaxConns bound; fedsz_server_connections_active/fedsz_server_max_conns is worker saturation.",
 		func() float64 { return float64(s.cfg.MaxConns) })
 	reg.Register("fedsz_server_timeout_kills_total",
 		"Connections killed by a timeout, by kind.", &m.idleKills, telemetry.L("kind", "idle"))

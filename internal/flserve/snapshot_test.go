@@ -73,7 +73,7 @@ func TestSnapshotScrapeUnderLoad(t *testing.T) {
 // read the same through Snapshot() and through the server's registered
 // series, and a second server in the process must move neither.
 func TestSnapshotEqualsScrape(t *testing.T) {
-	const burst = 6 // MaxConns 1 + QueueDepth 1 admit at most three while the gate is shut
+	const burst = 6 // MaxConns 1 + QueueDepth 1 admit exactly two while the gate is shut
 	streams, _ := compressUpdates(t, burst)
 	gate := make(chan struct{})
 	var mu sync.Mutex

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/bitio"
 	"repro/internal/sched"
@@ -369,8 +370,13 @@ func (c *Codec) readRuns(r *bitio.Reader, alphabet int) error {
 	tooLong := false
 	runs := c.runs[:0]
 	for i := 0; i < n; {
-		v, err := r.ReadBits(5 + 12) // (length:5, run:12)
-		if err != nil {
+		// A run is (length:5, run:12), read straight from the buffered
+		// bits; only the table's last bits take ReadBits' careful path.
+		var v uint64
+		if r.Refill(); r.Buffered() >= 5+12 {
+			v = r.Peek(5 + 12)
+			r.ConsumeFast(5 + 12)
+		} else if v, err = r.ReadBits(5 + 12); err != nil {
 			return err
 		}
 		l, run := uint8(v>>12), int(v&(1<<12-1))
@@ -408,8 +414,10 @@ func (c *Codec) readRuns(r *bitio.Reader, alphabet int) error {
 
 // buildDecodeTable constructs the primary + secondary lookup tables from
 // the canonical layout, taking each code from its rank in sorted. Every bit
-// pattern that starts a valid code maps to a filled entry; patterns outside
-// the code (possible only for incomplete codes) stay zero.
+// pattern that starts a valid code maps to a filled entry. A complete code
+// fills every entry, so only the one incomplete code the layout admits, a
+// lone symbol, has its table cleared first: its patterns outside the code
+// stay zero.
 func (c *Codec) buildDecodeTable() {
 	ml := uint(c.maxLen)
 	tb := min(ml, primaryBits)
@@ -417,19 +425,23 @@ func (c *Codec) buildDecodeTable() {
 	prim := uint32(1) << tb
 
 	// Width of each prefix's secondary table: the longest code sharing that
-	// primary index determines how many extra bits it must resolve.
+	// primary index determines how many extra bits it must resolve. Codes
+	// longer than tb follow every shorter one, so their prefixes are the
+	// top ones, from the first (tb+1)-bit code's on: subBits[p-lo] belongs
+	// to prefix p.
 	var subBits []uint8
+	lo := prim
 	total := prim
 	if ml > tb {
-		c.subBits = grow(c.subBits, int(prim))
+		lo = c.firstCode[tb+1] >> 1
+		c.subBits = grow(c.subBits, int(prim-lo))
 		subBits = c.subBits
 		clear(subBits)
 		for l := tb + 1; l <= ml; l++ {
 			first := c.firstCode[l]
 			for code := first; code < first+uint32(c.index[l+1]-c.index[l]); code++ {
-				if x := uint8(l - tb); x > subBits[code>>(l-tb)] {
-					subBits[code>>(l-tb)] = x
-				}
+				p := code>>(l-tb) - lo
+				subBits[p] = max(subBits[p], uint8(l-tb))
 			}
 		}
 		for _, b := range subBits {
@@ -439,13 +451,15 @@ func (c *Codec) buildDecodeTable() {
 		}
 	}
 	c.table = grow(c.table, int(total))
-	clear(c.table)
+	if len(c.sorted) == 1 {
+		clear(c.table)
+	}
 
 	// Link entries first, so long-code filling can locate its table.
 	nextBase := prim
-	for prefix, b := range subBits {
+	for i, b := range subBits {
 		if b > 0 {
-			c.table[prefix] = nextBase<<entryShift | entryLink | uint32(b)
+			c.table[lo+uint32(i)] = nextBase<<entryShift | entryLink | uint32(b)
 			nextBase += uint32(1) << b
 		}
 	}
@@ -473,19 +487,19 @@ func (c *Codec) buildDecodeTable() {
 	}
 }
 
-// fillEntries sets every entry of t to e. A span of 16 or more sets its first
-// entry and doubles the filled prefix with copy (memmove's wide stores); a
-// shorter one, which most codes get, keeps the loop.
+// fillEntries sets every entry of t to e, two entries a 64-bit store. A
+// span is a power of two long and starts at a multiple of its length, and
+// every secondary table starts at an even index, so a span of two or more
+// is whole aligned entry pairs.
 func fillEntries(t []uint32, e uint32) {
-	if len(t) < 16 {
-		for i := range t {
-			t[i] = e
-		}
+	if len(t) == 1 {
+		t[0] = e
 		return
 	}
-	t[0] = e
-	for n := 1; n < len(t); n *= 2 {
-		copy(t[n:], t[:n])
+	pairs := unsafe.Slice((*uint64)(unsafe.Pointer(&t[0])), len(t)/2)
+	v := uint64(e)<<32 | uint64(e)
+	for i := range pairs {
+		pairs[i] = v
 	}
 }
 

@@ -26,11 +26,11 @@ package sz2
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/ebcl"
 	"repro/internal/lanes"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
 const (
@@ -53,7 +53,7 @@ const (
 // coefficients per fitted-line block. LayoutFull streams (one kind byte a
 // block, Lorenzo or regression) predate the zero-line kind and still decode.
 var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true, KindRuns: true,
-	Huffman: telemetry.NewHistogram(telemetry.DurationBuckets)}
+	Timers: ebcl.NewStageTimers()}
 
 // Params is re-exported so callers importing only this package can build
 // error bounds without also importing ebcl.
@@ -72,9 +72,9 @@ func (c *Compressor) Name() string { return "sz2" }
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return format.Magic }
 
-// HuffmanTimer is the histogram each blob's Huffman decode is timed in, for
-// the caller that exports it.
-func (c *Compressor) HuffmanTimer() *telemetry.Histogram { return format.Huffman }
+// StageTimers are the histograms each blob's stages are timed in, for the
+// caller that exports them.
+func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }
 
 // Compress implements ebcl.Compressor (CompressAppend with a nil dst).
 func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
@@ -97,6 +97,7 @@ func (c *Compressor) DecodedLen(stream []byte) (int, error) {
 // kinds, regression coefficients, escape literals) comes from the sched
 // pools and is handed to the shared back end, which returns it.
 func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
+	start := time.Now()
 	ebAbs, out, done, err := format.Begin(dst, data, p)
 	if done || err != nil {
 		return out, err
@@ -151,7 +152,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	return format.Finish(dst, ebAbs, predKinds, coeffs, codes, literals)
+	return format.Finish(dst, start, ebAbs, predKinds, coeffs, codes, literals)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's

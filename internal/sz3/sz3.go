@@ -17,10 +17,10 @@ package sz3
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/ebcl"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
 const (
@@ -31,7 +31,7 @@ const (
 // format is SZ3's stream: magic "SZ\0\3", one interpolant kind per level,
 // no coefficients.
 var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3",
-	Huffman: telemetry.NewHistogram(telemetry.DurationBuckets)}
+	Timers: ebcl.NewStageTimers()}
 
 // The interpolation level structure is derived from the array length alone,
 // so any split point yields two valid independent streams; the core
@@ -56,9 +56,9 @@ func (c *Compressor) Name() string { return "sz3" }
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return format.Magic }
 
-// HuffmanTimer is the histogram each blob's Huffman decode is timed in, for
-// the caller that exports it.
-func (c *Compressor) HuffmanTimer() *telemetry.Histogram { return format.Huffman }
+// StageTimers are the histograms each blob's stages are timed in, for the
+// caller that exports them.
+func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }
 
 // Compress implements ebcl.Compressor (CompressAppend with a nil dst).
 func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
@@ -81,6 +81,7 @@ func (c *Compressor) DecodedLen(stream []byte) (int, error) {
 // reconstruction grid is returned here, the quantization codes, escape
 // literals and level kinds by the shared back end they are handed to.
 func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
+	start := time.Now()
 	ebAbs, out, done, err := format.Begin(dst, data, p)
 	if done || err != nil {
 		return out, err
@@ -138,7 +139,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	return format.Finish(dst, ebAbs, levelKinds, nil, codes, literals)
+	return format.Finish(dst, start, ebAbs, levelKinds, nil, codes, literals)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's

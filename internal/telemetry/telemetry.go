@@ -143,6 +143,15 @@ func (h *Histogram) Observe(v float64) {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
 // snapshot returns the cumulative bucket counts (one per finite bound,
 // plus +Inf last) and the sum, each read atomically. The buckets are not
 // a consistent cut with respect to concurrent Observes — Prometheus

@@ -114,6 +114,7 @@ func (w *Writer) WriteFrame(kind byte, payload []byte) error {
 		}
 		w.started = true
 	}
+	t0 := time.Now()
 	hdr := &w.hdr
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
@@ -131,6 +132,7 @@ func (w *Writer) WriteFrame(kind byte, payload []byte) error {
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc)
 	w.scratch = buf[:0]
+	core.FrameTimers.Encode.Observe(time.Since(t0).Seconds())
 	if _, err := w.w.Write(buf); err != nil {
 		return fmt.Errorf("wire: frame: %w", err)
 	}
@@ -231,6 +233,8 @@ type FrameScanner struct {
 	frames       uint32
 	payloadBytes uint64
 	streamCRC    uint32
+	// readWait sums each frame's reads, its first byte through its CRC.
+	readWait time.Duration
 	// The fixed-size reads land here rather than on Next's stack, where
 	// passing them to the io.Reader would move them to the heap per frame.
 	pre    [5]byte
@@ -275,6 +279,8 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 	if s.done {
 		return 0, nil, io.EOF
 	}
+	// One clock pair times the frame's reads, another its CRC check.
+	t0 := time.Now()
 	if !s.started {
 		pre := &s.pre
 		if err := s.readFull(pre[:], "preamble"); err != nil {
@@ -323,8 +329,11 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 		sched.PutBytes(buf)
 		return 0, nil, err
 	}
+	t1 := time.Now()
+	s.readWait += t1.Sub(t0)
 	crc := crc32.ChecksumIEEE(hdr[:])
 	crc = crc32.Update(crc, crc32.IEEETable, buf)
+	core.FrameTimers.Decode.Observe(time.Since(t1).Seconds())
 	if crc != binary.LittleEndian.Uint32(crcBuf[:]) {
 		sched.PutBytes(buf)
 		return 0, nil, corruptf("frame crc mismatch (kind 0x%02x, %d bytes)", kind, want)
@@ -361,37 +370,31 @@ func (s *FrameScanner) Next() (byte, []byte, error) {
 // completes has consumed an intact wire stream through its final byte.
 type SectionSource struct {
 	sc FrameScanner
-	tr timedReader
+	cr ctxReader
 }
 
 // NewSectionSource returns a SectionSource de-framing one wire stream from
 // r; reads fail once ctx is cancelled.
 func NewSectionSource(ctx context.Context, r io.Reader) *SectionSource {
-	s := &SectionSource{tr: timedReader{r: r, ctx: ctx}}
-	s.sc.r = &s.tr
+	s := &SectionSource{cr: ctxReader{r: r, ctx: ctx}}
+	s.sc.r = &s.cr
 	return s
 }
 
-// timedReader measures the time spent blocked in the underlying Read — the
-// "waiting for the network" component of a streaming decode — and aborts
-// promptly once the decode's context is cancelled: each Read checks the
-// context first, so cancellation takes effect at the next read even
-// mid-frame. (A Read already blocked on a dead socket is the transport
-// layer's problem — flserve bounds those with read deadlines.)
-type timedReader struct {
-	r       io.Reader
-	ctx     context.Context
-	blocked time.Duration
+// ctxReader aborts promptly once the decode's context is cancelled: each
+// Read checks the context first, so cancellation takes effect at the next
+// read even mid-frame. (A Read already blocked on a dead socket is the
+// transport layer's problem — flserve bounds those with read deadlines.)
+type ctxReader struct {
+	r   io.Reader
+	ctx context.Context
 }
 
-func (t *timedReader) Read(p []byte) (int, error) {
-	if err := t.ctx.Err(); err != nil {
+func (c *ctxReader) Read(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
 		return 0, err
 	}
-	t0 := time.Now()
-	n, err := t.r.Read(p)
-	t.blocked += time.Since(t0)
-	return n, err
+	return c.r.Read(p)
 }
 
 // Next implements core.SectionSource. Section kinds map 1:1 onto frame
@@ -425,8 +428,10 @@ func (s *SectionSource) Next(kind core.SectionKind) ([]byte, error) {
 // Release implements core.SectionSource.
 func (*SectionSource) Release(section []byte) { sched.PutBytes(section) }
 
-// ReadWait implements core.SectionSource.
-func (s *SectionSource) ReadWait() time.Duration { return s.tr.blocked }
+// ReadWait implements core.SectionSource: the time spent reading frames,
+// each timed from its first byte through its CRC — the "waiting for the
+// network" component of a streaming decode.
+func (s *SectionSource) ReadWait() time.Duration { return s.sc.readWait }
 
 // WireBytes returns the encoded length of the wire stream consumed so far;
 // see FrameScanner.WireBytes.
