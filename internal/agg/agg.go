@@ -183,6 +183,7 @@ func New(cfg Config) *Sharded {
 	}
 	return &Sharded{pool: pool, seen: make(map[uint32]bool), m: aggMetrics{
 		mergeHist: telemetry.NewHistogram(telemetry.DurationBuckets),
+		waitHist:  telemetry.NewHistogram(telemetry.DurationBuckets),
 	}}
 }
 
@@ -217,9 +218,9 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 // holds a NaN or an infinity, or returns "" when every value is finite.
 // Folded, one such value turns its whole tensor's mean non-finite. A
 // constant residual is judged from its value and its reference's cached
-// extent at epoch (see the package doc); every other lossy tensor is
-// scanned (empty ones are skipped: lanes.Scan needs an element), and the
-// metadata partition is read in place.
+// extent at epoch (see the package doc); every other lossy tensor carries
+// its decoder's verdict (core.DecodedTensor.Finite), and the metadata
+// partition is read in place.
 func (s *Sharded) nonFinite(epoch uint32, upd *core.DecodedStream) string {
 	for i := range upd.Tensors {
 		t := &upd.Tensors[i]
@@ -229,7 +230,7 @@ func (s *Sharded) nonFinite(epoch uint32, upd *core.DecodedStream) string {
 			if e := s.refs.of(epoch, t.Ref); !e.Finite() || !finite(t.Const) || !finite(e.Lo+t.Const) || !finite(e.Hi+t.Const) {
 				return t.Name
 			}
-		case !lanes.Scan(t.Data).Finite():
+		case !t.Finite:
 			return t.Name
 		}
 	}
@@ -279,6 +280,10 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The fold is timed from the lock on; the wait for other updates' folds
+	// is its own stage.
+	t1 := time.Now()
+	s.m.waitHist.Observe(t1.Sub(t0).Seconds())
 	if s.seen[client] {
 		upd.Release()
 		return nil
@@ -329,7 +334,7 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 	s.n++
 	s.wsum += weight
 	s.m.updates.Inc()
-	s.m.mergeHist.Observe(time.Since(t0).Seconds())
+	s.m.mergeHist.Observe(time.Since(t1).Seconds())
 	return nil
 }
 

@@ -455,6 +455,38 @@ func TestShardedDedupAcrossSessions(t *testing.T) {
 	core.Release(got)
 }
 
+// TestFoldExcludesLockWait: while one update holds the aggregator's lock, a
+// second update's commit waits; its fold observation excludes the hold and
+// its fold_wait observation includes it (all of the hold but the update's
+// own decode, which runs before the lock: half of it is the margin).
+func TestFoldExcludesLockWait(t *testing.T) {
+	const hold = 100 * time.Millisecond
+	streams, _ := compressUpdates(t, 2)
+	sh := New(Config{})
+	ingest(t, sh, 0, 1, frame(t, streams[0]))
+	fold0, wait0 := sh.m.mergeHist.Sum(), sh.m.waitHist.Sum()
+	framed := frame(t, streams[1])
+	sh.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ingest(t, sh, 1, 1, framed)
+	}()
+	time.Sleep(hold)
+	sh.mu.Unlock()
+	<-done
+	if n := sh.m.waitHist.Count(); n != 2 {
+		t.Fatalf("fold_wait counted %d commits, want 2", n)
+	}
+	fold, wait := sh.m.mergeHist.Sum()-fold0, sh.m.waitHist.Sum()-wait0
+	if wait < hold.Seconds()/2 {
+		t.Errorf("fold_wait %v s, want most of the %v the lock was held", wait, hold)
+	}
+	if fold >= hold.Seconds()/2 {
+		t.Errorf("fold %v s counts the %v the lock was held", fold, hold)
+	}
+}
+
 // TestTwoTierE2E runs a real root + two edges over TCP: clients upload to
 // the edges, the edges forward one fused weighted update each, and the root
 // mean must match the flat fold of all five clients within the documented

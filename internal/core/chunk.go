@@ -221,7 +221,9 @@ func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool,
 }
 
 // decodeBlobInto reconstructs a tensor blob — plain or chunked — into
-// dst's storage (capacity ≥ elems), returning the elems-length result.
+// dst's storage (capacity ≥ elems), returning the elems-length result and
+// the largest magnitude written, whose Finite is the finiteness verdict on
+// it: the codec's (decodeInto), or, for a residual, lanes.Add's on the sums.
 // A non-nil ref is the residual baseline: it is folded back in, in place,
 // per chunk (one pass while the chunk is still cache-warm). A constant
 // residual never gets here: DecodeSections asks constantBlob first and
@@ -232,36 +234,37 @@ func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool,
 // sub-range of dst: a tensor is one pool task, and cross-tensor parallelism
 // is the scheduler's job (fanning chunks out measured slower than not: 0.86×
 // on 2 CPUs).
-func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, error) {
+func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, lanes.AbsMax, error) {
 	if !chunkedOK || !isChunkedBlob(blob) {
-		data, err := lossy.DecompressInto(dst, blob)
+		data, m, err := decodeInto(lossy, dst, blob)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if len(data) != elems {
-			return nil, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
+			return nil, 0, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
 		}
 		if ref != nil {
-			lanes.Add(data, ref)
+			m = lanes.Add(data, ref)
 		}
-		return data, nil
+		return data, m, nil
 	}
 	subs, err := parseChunkedBlob(blob, elems)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	full := dst[:elems]
+	var m lanes.AbsMax
 	for i, sub := range subs {
 		lo, hi := chunkBounds(elems, len(subs), i)
 		// A zero-length sub-slice anchored at lo with capacity hi-lo: the
 		// codec's DecompressInto reuses this storage when the declared
 		// length fits, landing the chunk exactly in place.
-		part, err := lossy.DecompressInto(full[lo:lo:hi], sub)
+		part, pm, err := decodeInto(lossy, full[lo:lo:hi], sub)
 		if err != nil {
-			return nil, fmt.Errorf("chunk %d/%d: %w", i, len(subs), err)
+			return nil, 0, fmt.Errorf("chunk %d/%d: %w", i, len(subs), err)
 		}
 		if len(part) != hi-lo {
-			return nil, fmt.Errorf("chunk %d/%d: decoded %d elements, want %d", i, len(subs), len(part), hi-lo)
+			return nil, 0, fmt.Errorf("chunk %d/%d: decoded %d elements, want %d", i, len(subs), len(part), hi-lo)
 		}
 		if len(part) > 0 && &part[0] != &full[lo] {
 			// The codec allocated (a corrupt sub-blob declared more
@@ -270,8 +273,23 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 			copy(full[lo:hi], part)
 		}
 		if ref != nil {
-			lanes.Add(full[lo:hi], ref[lo:hi])
+			pm = lanes.Add(full[lo:hi], ref[lo:hi])
 		}
+		m = max(m, pm)
 	}
-	return full, nil
+	return full, m, nil
+}
+
+// decodeInto is lossy.DecompressInto and the largest magnitude of the
+// result: the codec's own (ebcl.FiniteDecoder, every built-in codec) or, for
+// a codec without one, a scan of what it wrote.
+func decodeInto(lossy ebcl.Compressor, dst []float32, blob []byte) ([]float32, lanes.AbsMax, error) {
+	if fd, ok := lossy.(ebcl.FiniteDecoder); ok {
+		return fd.DecompressFinite(dst, blob)
+	}
+	out, err := lossy.DecompressInto(dst, blob)
+	if err != nil || len(out) == 0 {
+		return out, 0, err
+	}
+	return out, lanes.AbsMax(lanes.Scan(out).AbsBits), nil
 }

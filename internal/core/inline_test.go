@@ -46,7 +46,7 @@ func BenchmarkInlineGate(b *testing.B) {
 			b.Run(fmt.Sprintf("elems=%dKi/decoders=%d", elems>>10, decoders), func(b *testing.B) {
 				pool := sched.NewPool(0)
 				decode := func(blob []byte) {
-					data, err := decodeBlobInto(lossy, sched.GetFloats(elems), blob, elems, hdr.Chunked(), nil)
+					data, _, err := decodeBlobInto(lossy, sched.GetFloats(elems), blob, elems, hdr.Chunked(), nil)
 					if err != nil {
 						panic(err)
 					}

@@ -220,6 +220,9 @@ type DecodedTensor struct {
 	// Data is the reconstruction, in a pool-backed float buffer; nil for a
 	// constant residual.
 	Data []float32
+	// Finite is the decoder's verdict on Data: it holds no NaN and no
+	// infinity. A constant residual's verdict is the caller's to form.
+	Finite bool
 	// Ref and Const are a constant residual: Ref is the reference tensor's
 	// data and Const the residual's value. Ref is nil otherwise.
 	Ref   []float32
@@ -432,7 +435,7 @@ func (t *tensorTask) run(ctx context.Context) {
 	}
 	t0 := time.Now()
 	dst := sched.GetFloats(pt.Elems)
-	data, err := decodeBlobInto(t.lossy, dst, pt.Blob, pt.Elems, t.chunked, t.ref)
+	data, m, err := decodeBlobInto(t.lossy, dst, pt.Blob, pt.Elems, t.chunked, t.ref)
 	took := time.Since(t0)
 	t.work.Add(int64(took))
 	t.hist.Observe(took.Seconds())
@@ -441,7 +444,7 @@ func (t *tensorTask) run(ctx context.Context) {
 		e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, err)
 		return
 	}
-	e.Data = data
+	e.Data, e.Finite = data, m.Finite()
 }
 
 // DecodeSections decodes one stream from src, scheduling each tensor's

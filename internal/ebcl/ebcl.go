@@ -117,6 +117,23 @@ type Compressor interface {
 	Decompress(stream []byte) ([]float32, error)
 }
 
+// FiniteDecoder is a Compressor whose decoder judges what it writes:
+// DecompressFinite is DecompressInto that also returns the largest magnitude
+// of the reconstruction, whose Finite reports that it holds no NaN and no
+// infinity without a pass over it. The four built-in codecs implement it.
+type FiniteDecoder interface {
+	DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error)
+}
+
+// Filled is the largest magnitude of a reconstruction DecodeLayout finished
+// by itself: empty, or copies of one value.
+func Filled(out []float32) lanes.AbsMax {
+	if len(out) == 0 {
+		return 0
+	}
+	return lanes.AbsMax(0).With(out[0])
+}
+
 // GrowFloats returns a slice of length n backed by dst's array when
 // cap(dst) >= n and freshly allocated otherwise — the dst-sizing step of
 // every DecompressInto implementation. Contents are unspecified; callers

@@ -248,7 +248,7 @@ func backEndStream(t *testing.T, f Format) []byte {
 		coeffs = append(sched.GetFloats(2), 0.5, -0.25)
 	}
 	codes := append(sched.GetUint16s(3), QuantRadius, EscapeCode, QuantRadius+1)
-	stream, err := f.Finish(nil, time.Now(), 0.125, kinds, coeffs, codes, append(sched.GetFloats(1), 7))
+	stream, err := f.Finish(nil, time.Now(), 0.125, kinds, coeffs, codes, CodeSpan{QuantRadius, QuantRadius + 1}, append(sched.GetFloats(1), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,11 +462,21 @@ func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64
 	for i, v := range block {
 		f[i] = float64(v)
 	}
+	wantSpan := NoCodes
+	for _, c := range wantCodes {
+		if c != EscapeCode {
+			wantSpan = wantSpan.With(c)
+		}
+	}
 	lanes.BothPaths(func(path string) {
 		codes := make([]uint16, len(block))
-		lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42})
+		span := NoCodes
+		lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42}, &span)
 		if !slices.Equal(codes, wantCodes) {
 			t.Fatalf("%s eb=%g a=%g b=%g: codes\n got %v\nwant %v", path, eb, a, b, codes, wantCodes)
+		}
+		if span != wantSpan {
+			t.Fatalf("%s eb=%g a=%g b=%g: code span %v, want %v", path, eb, a, b, span, wantSpan)
 		}
 		if len(lits) != 1+len(wantLits) || lits[0] != 42 {
 			t.Fatalf("%s eb=%g a=%g b=%g: literals %v, want [42] followed by %v", path, eb, a, b, lits, wantLits)
@@ -482,6 +492,15 @@ func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64
 	})
 	checkDequantizeLinear(t, q, wantCodes, wantLits, a, b)
 	return wantCodes
+}
+
+// absMaxOf is the largest magnitude bits of vs, by a plain loop.
+func absMaxOf(vs []float32) lanes.AbsMax {
+	var m uint32
+	for _, v := range vs {
+		m = max(m, math.Float32bits(v)&0x7fffffff)
+	}
+	return lanes.AbsMax(m)
 }
 
 // literalSections is a Sections whose literal cursor reads lits.
@@ -512,7 +531,10 @@ func checkDequantizeLinear(t *testing.T, q Quantizer, codes []uint16, lits []flo
 		out := make([]float32, len(codes)+1)
 		out[len(codes)] = 7 // the element past the block stays untouched
 		s := literalSections(lits)
-		q.DequantizeLinear(out[:len(codes)], codes, a, b, s)
+		m := q.DequantizeLinear(out[:len(codes)], codes, a, b, s)
+		if wm := absMaxOf(want); m != wm {
+			t.Fatalf("%s a=%g b=%g: verdict bits %#x, the values' %#x", path, a, b, m, wm)
+		}
 		for i, w := range want {
 			if math.Float32bits(out[i]) != math.Float32bits(w) {
 				t.Fatalf("%s a=%g b=%g: element %d (code %d) is %#x, want %#x", path, a, b, i, codes[i], math.Float32bits(out[i]), math.Float32bits(w))

@@ -9,14 +9,16 @@ package ebcl
 // quantizeLinearAVX2 is QuantizeLinear's loop over a block whose length is a
 // positive multiple of 4: codes written, EscapeCode for every escaping lane,
 // last the final lane's reconstruction (meaningless if that lane escaped),
-// escaped whether any lane did.
+// escaped whether any lane did, lo and hi the least and greatest code of the
+// lanes that did not (both 0 when every lane escaped).
 //
 //go:noescape
-func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool)
+func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool, lo, hi uint32)
 
 // dequantizeLinearAVX2 is DequantizeLinear's loop over codes, whose length is
 // a positive multiple of 4. It writes a value for every element, escape
-// codes included, and reports whether any code was EscapeCode.
+// codes included, reports whether any code was EscapeCode, and returns the
+// largest magnitude bits of the values it wrote.
 //
 //go:noescape
-func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool)
+func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool, absBits uint32)

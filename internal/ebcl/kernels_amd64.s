@@ -30,10 +30,16 @@ DATA consts<>+192(SB)/4, $2048               // QuantRadius as int32, four times
 DATA consts<>+196(SB)/4, $2048
 DATA consts<>+200(SB)/4, $2048
 DATA consts<>+204(SB)/4, $2048
-GLOBL consts<>(SB), RODATA|NOPTR, $208
+DATA consts<>+208(SB)/8, $0x7fffffffffffffff // float64 magnitude mask
+DATA consts<>+216(SB)/8, $0x7fffffffffffffff
+DATA consts<>+224(SB)/8, $0x7fffffffffffffff
+DATA consts<>+232(SB)/8, $0x7fffffffffffffff
+DATA consts<>+240(SB)/8, $0xffffffffffffffff // −1 as int32, four times
+DATA consts<>+248(SB)/8, $0xffffffffffffffff
+GLOBL consts<>(SB), RODATA|NOPTR, $256
 
-// func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool)
-TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-97
+// func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool, lo, hi uint32)
+TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-108
 	MOVQ         codes_base+0(FP), DI
 	MOVQ         block_base+24(FP), SI
 	MOVQ         block_len+32(FP), CX
@@ -42,9 +48,10 @@ TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-97
 	VBROADCASTSD invWidth+64(FP), Y2
 	VBROADCASTSD binWidth+72(FP), Y3
 	VBROADCASTSD ebAbs+80(FP), Y4
-	VXORPD       consts<>+0(SB), Y4, Y5 // −ebAbs: the sign flipped, as Go negates
 	VMOVUPD      consts<>+160(SB), Y6   // the quad's indices
 	XORL         DX, DX                 // escaped lanes, any quad
+	VPXOR        X15, X15, X15          // the greatest code, a lane
+	VPCMPEQD     X5, X5, X5             // the least code − 1, a lane
 
 loop:
 	VCVTPS2PD   (SI), Y7                      // v
@@ -65,14 +72,16 @@ loop:
 	VCVTPD2PSY  Y12, X12                      // rec32, MXCSR rounding
 	VCVTPS2PD   X12, Y12
 	VSUBPD      Y12, Y7, Y13                  // diff = v − rec32
-	VCMPPD      $0x12, Y4, Y13, Y14           // diff <= ebAbs, ordered
-	VANDPD      Y14, Y10, Y10
-	VCMPPD      $0x1d, Y5, Y13, Y14           // diff >= −ebAbs, ordered
+	VANDPD      consts<>+208(SB), Y13, Y13
+	VCMPPD      $0x12, Y4, Y13, Y14           // |diff| <= ebAbs, ordered: −ebAbs <= diff <= ebAbs
 	VANDPD      Y14, Y10, Y10                 // the lanes that quantize
 	VPADDD      consts<>+192(SB), X11, X11    // k + R
 	VEXTRACTF128 $1, Y10, X14
 	VSHUFPS     $0x88, X14, X10, X14          // one 32-bit mask per lane
 	VPAND       X14, X11, X11                 // EscapeCode in the others
+	VPMAXUD     X11, X15, X15
+	VPADDD      consts<>+240(SB), X11, X13    // code − 1: EscapeCode wraps to the top
+	VPMINUD     X13, X5, X5
 	VPACKUSDW   X11, X11, X11
 	VMOVQ       X11, (DI)
 	VMOVMSKPD   Y10, AX
@@ -89,11 +98,24 @@ loop:
 	VMOVSD       X12, last+88(FP)
 	TESTL        DX, DX
 	SETNE        escaped+96(FP)
+	VPSHUFD      $0x4e, X15, X13
+	VPMAXUD      X13, X15, X15
+	VPSHUFD      $0xb1, X15, X13
+	VPMAXUD      X13, X15, X15
+	VPSHUFD      $0x4e, X5, X13
+	VPMINUD      X13, X5, X5
+	VPSHUFD      $0xb1, X5, X13
+	VPMINUD      X13, X5, X5
+	VMOVD        X5, AX
+	INCL         AX             // 0 when every lane escaped
+	MOVL         AX, lo+100(FP)
+	VMOVD        X15, AX
+	MOVL         AX, hi+104(FP)
 	VZEROUPPER
 	RET
 
-// func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool)
-TEXT ·dequantizeLinearAVX2(SB), NOSPLIT, $0-73
+// func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool, absBits uint32)
+TEXT ·dequantizeLinearAVX2(SB), NOSPLIT, $0-80
 	MOVQ         out_base+0(FP), DI
 	MOVQ         codes_base+24(FP), SI
 	MOVQ         codes_len+32(FP), CX
@@ -104,6 +126,9 @@ TEXT ·dequantizeLinearAVX2(SB), NOSPLIT, $0-73
 	VMOVDQU      consts<>+192(SB), X5
 	VPXOR        X6, X6, X6
 	XORL         DX, DX               // escape codes, any quad
+	VPCMPEQD     X9, X9, X9
+	VPSRLD       $1, X9, X9           // the float32 magnitude mask
+	VPXOR        X10, X10, X10        // the largest magnitude bits, a lane
 
 dloop:
 	VPMOVZXWD  (SI), X7
@@ -118,13 +143,21 @@ dloop:
 	VADDPD     Y7, Y8, Y8 // pred + (code − R)·binWidth
 	VCVTPD2PSY Y8, X8
 	VMOVUPS    X8, (DI)
+	VPAND      X9, X8, X8
+	VPMAXUD    X8, X10, X10
 	VADDPD     consts<>+128(SB), Y3, Y3
 	ADDQ       $8, SI
 	ADDQ       $16, DI
 	SUBQ       $4, CX
 	JNZ        dloop
 
-	TESTL DX, DX
-	SETNE escaped+72(FP)
+	TESTL   DX, DX
+	SETNE   escaped+72(FP)
+	VPSHUFD $0x4e, X10, X8
+	VPMAXUD X8, X10, X10
+	VPSHUFD $0xb1, X10, X8
+	VPMAXUD X8, X10, X10
+	VMOVD   X10, AX
+	MOVL    AX, absBits+76(FP)
 	VZEROUPPER
 	RET

@@ -4,10 +4,10 @@ package ebcl
 
 // Without amd64 assembly the Go loops are the only path.
 
-func quantizeLinearAVX2([]uint16, []float32, float64, float64, float64, float64, float64) (float64, bool) {
+func quantizeLinearAVX2([]uint16, []float32, float64, float64, float64, float64, float64) (float64, bool, uint32, uint32) {
 	panic("ebcl: no AVX2 kernels")
 }
 
-func dequantizeLinearAVX2([]float32, []uint16, float64, float64, float64) bool {
+func dequantizeLinearAVX2([]float32, []uint16, float64, float64, float64) (bool, uint32) {
 	panic("ebcl: no AVX2 kernels")
 }

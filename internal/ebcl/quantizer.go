@@ -22,6 +22,19 @@ const (
 	EscapeCode = 0
 )
 
+// CodeSpan is the least and greatest code other than EscapeCode a quantize
+// loop wrote; Lo > Hi until it writes one (NoCodes). Format.Finish gives
+// every code in it a count when it builds a blob's Huffman code from a
+// sample. The zero value is a span no loop reports, since codes start at 1:
+// it has Finish count every code.
+type CodeSpan struct{ Lo, Hi uint16 }
+
+// NoCodes is the span of a loop that has written no code yet.
+var NoCodes = CodeSpan{Lo: math.MaxUint16}
+
+// With returns s grown by code c.
+func (s CodeSpan) With(c uint16) CodeSpan { return CodeSpan{min(s.Lo, c), max(s.Hi, c)} }
+
 // Quantizer maps residuals to codes and back for a fixed absolute bound.
 type Quantizer struct {
 	ebAbs    float64
@@ -64,19 +77,20 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 
 // QuantizeLinear quantizes a block against the line a·i + b: one code per
 // element into codes, escaped elements appended to literals from block's
-// bits. f is the block widened to float64, which only the Go loop reads: with
-// AVX2 it may be left unfilled. It returns literals and the last
-// reconstruction, the next block's Lorenzo seed. The result is a per-element
-// Quantize loop bit for bit, written out because Quantize is over the
-// inliner's budget of 80 and the call per element was a third of the
-// encoder's CPU; regression predictions depend only on i, so without the
-// call the iterations overlap.
-func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32) ([]float32, float64) {
+// bits, and span grown by every other code. f is the block widened to
+// float64, which only the Go loop reads: with AVX2 it may be left unfilled.
+// It returns literals and the last reconstruction, the next block's Lorenzo
+// seed. The result is a per-element Quantize loop bit for bit, written out
+// because Quantize is over the inliner's budget of 80 and the call per
+// element was a third of the encoder's CPU; regression predictions depend
+// only on i, so without the call the iterations overlap.
+func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32, span *CodeSpan) ([]float32, float64) {
 	if lanes.On() {
-		return q.quantizeLinearLanes(codes, block, a, b, literals)
+		return q.quantizeLinearLanes(codes, block, a, b, literals, span)
 	}
 	codes = codes[:len(f)]
 	last := 0.0
+	sp := *span
 	for i, v := range f {
 		pred := a*float64(i) + b
 		scaled := (v - pred) * q.invWidth
@@ -85,6 +99,7 @@ func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, 
 			rec32 := float32(pred + float64(k)*q.binWidth)
 			if diff := v - float64(rec32); diff <= q.ebAbs && diff >= -q.ebAbs {
 				codes[i] = uint16(k + QuantRadius)
+				sp = sp.With(codes[i])
 				last = float64(rec32)
 				continue
 			}
@@ -93,18 +108,24 @@ func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, 
 		literals = append(literals, block[i])
 		last = v
 	}
+	*span = sp
 	return literals, last
 }
 
 // quantizeLinearLanes is QuantizeLinear on AVX2 lanes: the kernel writes the
 // codes of whole quads, EscapeCode for every lane that escapes, and Go gathers
 // their literals in element order, then quantizes the tail.
-func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b float64, literals []float32) ([]float32, float64) {
+func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b float64, literals []float32, span *CodeSpan) ([]float32, float64) {
 	n4 := len(block) &^ 3
 	last := 0.0
+	sp := *span
 	if n4 > 0 {
 		var escaped bool
-		last, escaped = quantizeLinearAVX2(codes[:n4], block[:n4], a, b, q.invWidth, q.binWidth, q.ebAbs)
+		var lo, hi uint32
+		last, escaped, lo, hi = quantizeLinearAVX2(codes[:n4], block[:n4], a, b, q.invWidth, q.binWidth, q.ebAbs)
+		if hi != 0 { // a lane quantized
+			sp = CodeSpan{min(sp.Lo, uint16(lo)), max(sp.Hi, uint16(hi))}
+		}
 		if escaped {
 			for i, c := range codes[:n4] {
 				if c == EscapeCode {
@@ -125,7 +146,9 @@ func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b flo
 			continue
 		}
 		codes[i], last = uint16(code), float64(recon)
+		sp = sp.With(codes[i])
 	}
+	*span = sp
 	return literals, last
 }
 
@@ -136,28 +159,36 @@ func (q Quantizer) Dequantize(code int, pred float64) float32 {
 
 // DequantizeLinear reverses QuantizeLinear: out[i] is codes[i] dequantized
 // against a·i + b, or for an EscapeCode the next literal of s, taken in
-// element order. out must hold len(codes) elements.
-func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64, s *Sections) {
+// element order. out must hold len(codes) elements. It returns the largest
+// magnitude it wrote, the block's share of the decoder's finiteness verdict.
+func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64, s *Sections) lanes.AbsMax {
 	i := 0
-	if lanes.On() {
+	var m lanes.AbsMax
+	if lanes.On() && len(codes) >= 4 {
 		// The kernel writes a value for every lane; escaped lanes are
-		// overwritten with their literals.
+		// overwritten with their literals, and since the kernel's value
+		// for those lanes is no element's, the quads are judged again.
 		i = len(codes) &^ 3
-		if i > 0 && dequantizeLinearAVX2(out[:i], codes[:i], a, b, q.binWidth) {
+		escaped, bits := dequantizeLinearAVX2(out[:i], codes[:i], a, b, q.binWidth)
+		m = lanes.AbsMax(bits)
+		if escaped {
+			m = 0
 			for j, c := range codes[:i] {
 				if c == EscapeCode {
 					out[j] = s.NextLiteral()
 				}
+				m = m.With(out[j])
 			}
 		}
 	}
-	q.dequantizeLinearFrom(out, codes, i, a, b, s)
+	return q.dequantizeLinearFrom(out, codes, i, a, b, s, m)
 }
 
-// dequantizeLinearFrom is DequantizeLinear's Go loop from element i on.
-// Predictions depend only on the index, so it runs 4-wide; an escape code
-// (rare) drops the quad to the per-element step.
-func (q Quantizer) dequantizeLinearFrom(out []float32, codes []uint16, i int, a, b float64, s *Sections) {
+// dequantizeLinearFrom is DequantizeLinear's Go loop from element i on,
+// growing m by every value it writes. Predictions depend only on the index,
+// so it runs 4-wide; an escape code (rare) drops the quad to the
+// per-element step.
+func (q Quantizer) dequantizeLinearFrom(out []float32, codes []uint16, i int, a, b float64, s *Sections, m lanes.AbsMax) lanes.AbsMax {
 	n := len(codes)
 	out = out[:n]
 	for ; i+4 <= n; i += 4 {
@@ -167,25 +198,28 @@ func (q Quantizer) dequantizeLinearFrom(out []float32, codes []uint16, i int, a,
 			out[i+1] = q.Dequantize(int(c1), a*float64(i+1)+b)
 			out[i+2] = q.Dequantize(int(c2), a*float64(i+2)+b)
 			out[i+3] = q.Dequantize(int(c3), a*float64(i+3)+b)
+			m = m.With(out[i]).With(out[i+1]).With(out[i+2]).With(out[i+3])
 			continue
 		}
 		for j := i; j < i+4; j++ {
-			code := codes[j]
-			if code == EscapeCode {
-				out[j] = s.NextLiteral()
-				continue
-			}
-			out[j] = q.Dequantize(int(code), a*float64(j)+b)
+			m = m.With(q.dequantizeAt(out, codes, j, a, b, s))
 		}
 	}
 	for ; i < n; i++ {
-		code := codes[i]
-		if code == EscapeCode {
-			out[i] = s.NextLiteral()
-			continue
-		}
-		out[i] = q.Dequantize(int(code), a*float64(i)+b)
+		m = m.With(q.dequantizeAt(out, codes, i, a, b, s))
 	}
+	return m
+}
+
+// dequantizeAt writes and returns out[i]: codes[i] dequantized against
+// a·i + b, or the next literal for an EscapeCode.
+func (q Quantizer) dequantizeAt(out []float32, codes []uint16, i int, a, b float64, s *Sections) float32 {
+	if codes[i] == EscapeCode {
+		out[i] = s.NextLiteral()
+	} else {
+		out[i] = q.Dequantize(int(codes[i]), a*float64(i)+b)
+	}
+	return out[i]
 }
 
 // fastRound rounds half away from zero without a sign branch, which on

@@ -247,6 +247,20 @@ func ReadLosslessStage(rest []byte) (payload []byte, pooled bool, err error) {
 // redundancy an LZ parse finds, so the payload is written raw (mode 0).
 const stageMaxBits = 2
 
+// The sampled encode. A blob of at least sampleMinSymbols elements, and so
+// codes, has its Huffman code built from a count of every sampleStep-th code
+// (Finish), and SZ2 scores its block predictors on a sample of each block:
+// the two per-element passes that add no bytes. Smaller blobs, every blob of
+// the round_wan10, delta_rounds and ingest_small benchmark workloads among
+// them, are encoded as before, byte for byte.
+const (
+	sampleMinSymbols = 256 << 10
+	sampleStep       = 8
+)
+
+// Sampled reports whether a blob of n elements takes the sampled encode.
+func Sampled(n int) bool { return n >= sampleMinSymbols }
+
 // Format is the constant part of one SZ-family codec's stream.
 type Format struct {
 	Magic uint32
@@ -325,12 +339,23 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 // stream to dst. It owns the four slices, which come from the sched pools
 // (coeffs may be nil): they and every intermediate buffer are back in the
 // pools when it returns, error or not. start is when the codec began the
-// blob: the time to Finish is its predict+quantize stage.
-func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, literals []float32) ([]byte, error) {
+// blob: the time to Finish is its predict+quantize stage. span is the
+// quantizer's CodeSpan over codes, one EscapeCode a literal: with it a blob
+// Sampled admits builds its Huffman code from every sampleStep-th code, the
+// escapes counted from literals and every code in span given a count, so
+// each code present gets one. The zero span has every code counted.
+func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, span CodeSpan, literals []float32) ([]byte, error) {
 	tm := f.timers()
 	observe(tm.Quantize, &start)
 	n := len(codes)
-	codeBlob, err := huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
+	var codeBlob []byte
+	var err error
+	if span != (CodeSpan{}) && Sampled(n) {
+		b := huffman.Bounds{Lo: span.Lo, Hi: span.Hi, Zeros: len(literals)}
+		codeBlob, err = huffman.EncodeMultiSampled(codes, QuantAlphabet, huffman.DefaultStreams, sampleStep, b)
+	} else {
+		codeBlob, err = huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
+	}
 	sched.PutUint16s(codes)
 	observe(tm.HuffmanEncode, &start)
 	if err == nil {

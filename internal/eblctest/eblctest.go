@@ -11,10 +11,12 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 )
 
 // Options tunes the suite per compressor.
@@ -278,6 +280,57 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		for _, eb := range []float64{math.NaN(), 0, -1e-3, math.Inf(1)} {
 			decode("stored bound", false, 9, binary.LittleEndian.AppendUint64(nil, math.Float64bits(eb))...)
 		}
+	})
+
+	t.Run("DecoderVerdict", func(t *testing.T) {
+		// The decoder's verdict (ebcl.FiniteDecoder) is the largest magnitude
+		// of what it wrote, on both lane paths: lanes.Scan's, bit for bit,
+		// on clean streams, on streams of non-finite and overflowing values,
+		// on every stream a raised byte or a huge stored bound leaves
+		// decodable, and on the degenerate layouts.
+		fd, ok := c.(ebcl.FiniteDecoder)
+		if !ok {
+			t.Fatalf("%s does not implement ebcl.FiniteDecoder", c.Name())
+		}
+		rng := rand.New(rand.NewPCG(51, 15))
+		special := WeightLike(rng, 1500)
+		special[3], special[700], special[1400] = float32(math.NaN()), float32(math.Inf(1)), -3e38
+		special[1401] = 3e38
+		var streams [][]byte
+		for _, data := range [][]float32{WeightLike(rng, 3000), SmoothLike(rng, 3000), special, {2.5, 2.5, 2.5}, nil} {
+			for _, p := range []ebcl.Params{ebcl.Rel(1e-2), ebcl.Abs(1e-3)} {
+				stream, err := c.Compress(data, p)
+				if err != nil {
+					continue // a bound the data cannot resolve (a NaN under REL)
+				}
+				streams = append(streams, stream)
+				for off := range min(len(stream), 300) {
+					bad := slices.Clone(stream)
+					bad[off] = 0xff
+					streams = append(streams, bad)
+				}
+				if len(stream) >= 17 {
+					huge := slices.Clone(stream)
+					binary.LittleEndian.PutUint64(huge[9:], math.Float64bits(1e37))
+					streams = append(streams, huge)
+				}
+			}
+		}
+		lanes.BothPaths(func(path string) {
+			for i, stream := range streams {
+				out, m, err := fd.DecompressFinite(nil, stream)
+				if err != nil {
+					continue
+				}
+				var want lanes.AbsMax
+				if len(out) > 0 {
+					want = lanes.AbsMax(lanes.Scan(out).AbsBits)
+				}
+				if m != want {
+					t.Fatalf("%s: stream %d: verdict bits %#x, a scan of the %d values %#x", path, i, m, len(out), want)
+				}
+			}
+		})
 	})
 
 	t.Run("QuickProperty", func(t *testing.T) {

@@ -102,29 +102,47 @@ func TestResidentWorkers(t *testing.T) {
 			}
 			waitGoroutines(t, started, "after 200 sequential connections")
 
+			// The burst, staged: MaxConns uploads one at a time, each held in
+			// the Ingestor before the next is dialed, so every worker is
+			// taken whatever the sequential connections' teardown still
+			// holds; then the rest at once, which with a queue fill it and
+			// are shed, since no worker is free to drain it.
 			g.gate = make(chan struct{})
 			const burst = 3 * maxConns
 			errs := make([]error, burst)
 			var wg sync.WaitGroup
-			for i := range burst {
+			upload := func(i int) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					errs[i] = c.Upload(context.Background(), uint32(1000+i), streams[0])
 				}()
 			}
-			// Until the gate opens the served uploads stay in flight; wait
-			// for the workers to fill, and with a queue for every
-			// admission decision, then give any excess time to show.
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				peak, _ := g.stats()
-				if peak >= maxConns && (depth == 0 || srv.m.connsAccepted.Value() >= 200+burst) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("burst never filled the workers (peak %d)", peak)
+			waitFor := func(what string, done func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal(what)
+					}
 				}
 			}
+			for i := range maxConns {
+				upload(i)
+				waitFor(fmt.Sprintf("burst never filled the workers (upload %d not in flight)", i), func() bool {
+					peak, _ := g.stats()
+					return peak > i
+				})
+			}
+			for i := maxConns; i < burst; i++ {
+				upload(i)
+			}
+			if depth > 0 {
+				waitFor("the burst's admissions were never all decided", func() bool {
+					return srv.m.connsAccepted.Value() >= 200+burst
+				})
+			}
+			// Until the gate opens the served uploads stay in flight; give
+			// any excess time to show.
 			time.Sleep(50 * time.Millisecond)
 			close(g.gate)
 			wg.Wait()
@@ -141,11 +159,8 @@ func TestResidentWorkers(t *testing.T) {
 					t.Fatalf("burst upload %d: %v", i, err)
 				}
 			}
-			// An arrival is shed when the queue is full as it is accepted,
-			// which can be before a worker has taken the head, so only the
-			// admissions have an exact bound.
-			if depth > 0 && burst-shed > maxConns+depth {
-				t.Errorf("%d of %d burst uploads admitted, want at most %d", burst-shed, burst, maxConns+depth)
+			if depth > 0 && burst-shed != maxConns+depth {
+				t.Errorf("%d of %d burst uploads admitted, want exactly %d", burst-shed, burst, maxConns+depth)
 			}
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)

@@ -602,19 +602,60 @@ type symbol interface{ ~uint8 | ~uint16 }
 
 // buildCodec is the one place a code is built from data, for both bulk
 // encoders: histogram the symbols (pooled scratch), then construct the code
-// in a pooled shell. It also returns the size of the coded symbols in bits,
-// Σ freq·len over the coded symbols, from which the caller sizes its output
-// once. The caller returns the codec via putCodec.
+// in a pooled shell (codecFromCounts). It also returns the size of the coded
+// symbols in bits, Σ freq·len over the coded symbols, from which the caller
+// sizes its output once. The caller returns the codec via putCodec.
 func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, uint64, error) {
 	freqs := sched.GetUint64s(alphabet)[:alphabet]
-	defer sched.PutUint64s(freqs)
 	clear(freqs)
 	for _, v := range symbols {
 		if int(v) >= alphabet {
+			sched.PutUint64s(freqs)
 			return nil, 0, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", int(v), alphabet)
 		}
 		freqs[v]++
 	}
+	return codecFromCounts(freqs, 1)
+}
+
+// Bounds is what an encoder knows of its symbols without counting them:
+// each is 0 or in [Lo, Hi], and Zeros of them are 0.
+type Bounds struct {
+	Lo, Hi uint16
+	Zeros  int
+}
+
+// buildSampledCodec is buildCodec from a count of every step-th symbol: 0
+// is given Zeros/step (rounded up) and every symbol in [b.Lo, b.Hi] at least
+// 1, so every symbol b admits gets a code, and the bits are the count's
+// estimate of the coded size scaled by step, plus 1/16. Symbols outside b
+// get no code; the caller must not pass one.
+func buildSampledCodec(symbols []uint16, alphabet, step int, b Bounds) (*Codec, uint64, error) {
+	if b.Lo <= b.Hi && int(b.Hi) >= alphabet {
+		return nil, 0, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", b.Hi, alphabet)
+	}
+	freqs := sched.GetUint64s(alphabet)[:alphabet]
+	clear(freqs)
+	for i := 0; i < len(symbols); i += step {
+		v := symbols[i]
+		if int(v) >= alphabet {
+			sched.PutUint64s(freqs)
+			return nil, 0, fmt.Errorf("huffman: symbol %d out of alphabet [0,%d)", v, alphabet)
+		}
+		freqs[v]++
+	}
+	freqs[0] = uint64((b.Zeros + step - 1) / step)
+	for v := int(b.Lo); v <= int(b.Hi); v++ {
+		freqs[v] = max(freqs[v], 1)
+	}
+	c, bits, err := codecFromCounts(freqs, uint64(step))
+	return c, bits + bits/16, err
+}
+
+// codecFromCounts builds the code for the counts freqs, a pooled buffer it
+// takes back, in a pooled shell, and returns it with scale·Σ freq·len.
+func codecFromCounts(freqs []uint64, scale uint64) (*Codec, uint64, error) {
+	defer sched.PutUint64s(freqs)
 	c := codecPool.Get().(*Codec)
 	if err := c.initFromFreqs(freqs); err != nil {
 		putCodec(c)
@@ -624,7 +665,7 @@ func buildCodec[E symbol](symbols []E, alphabet int) (*Codec, uint64, error) {
 	for _, s := range c.sorted {
 		bits += freqs[s] * uint64(c.lengths[s])
 	}
-	return c, bits, nil
+	return c, scale * bits, nil
 }
 
 // readCodec is buildCodec's decode-side twin, the one place a code is read
@@ -679,14 +720,19 @@ func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
 // above them are never cleared: a store shifts them out. Each code pair — at
 // most 7 + 2·MaxCodeLen = 55 bits with the pending ones — goes out in one
 // unconditional 8-byte big-endian store (bitio.StoreBits), and the position
-// advances by the whole bytes filled. out must therefore have spare capacity
-// for the coded bytes plus 8. Shift counts are masked to 63 so the compiler
-// emits bare shifts; none reaches 64.
+// advances by the whole bytes filled. Spare capacity for the coded bytes
+// plus 8 saves a copy: with less, out moves to a larger pooled buffer
+// (growCodes). Shift counts are masked to 63 so the compiler emits bare
+// shifts; none reaches 64.
 func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc uint) []byte {
 	pos := len(out)
 	buf := out[:cap(out)]
 	j := 0
 	for ; j+1 < len(syms); j += 2 {
+		if pos > len(buf)-8 {
+			buf = growCodes(buf[:pos])
+			buf = buf[:cap(buf)]
+		}
 		e1, e2 := enc[syms[j]], enc[syms[j+1]]
 		n1, n2 := uint(e1&entryLenMask), uint(e2&entryLenMask)
 		acc = acc<<((n1+n2)&63) | uint64(e1>>5)<<(n2&63) | uint64(e2>>5)
@@ -701,8 +747,19 @@ func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc 
 	}
 	// At most 7 + MaxCodeLen bits are left: one more store, keeping the
 	// bytes they reach (none when nacc is 0 and the store is junk).
+	if pos > len(buf)-8 {
+		buf = growCodes(buf[:pos])
+		buf = buf[:cap(buf)]
+	}
 	bitio.StoreBits(buf, pos, acc, nacc)
 	return buf[:pos+int(nacc+7)/8]
+}
+
+// growCodes copies out into a pooled buffer of twice its capacity and more:
+// the encoders size their output from a count, and a sampled count can fall
+// short. The old buffer stays the caller's.
+func growCodes(out []byte) []byte {
+	return append(sched.GetBytes(2*cap(out)+64), out...)
 }
 
 // decodeSeq fills out through the table decoder, falling back to the

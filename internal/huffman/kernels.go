@@ -23,11 +23,15 @@ import (
 
 // appendCodesU16 is appendCodes for uint16 symbols: the kernel writes the
 // code pairs and appendCodes the rest. The kernel stops short of a store
-// past the end of out's capacity and leaves those pairs to appendCodes too.
+// past the end of out's capacity; out then grows (growCodes) and the kernel
+// goes on.
 func appendCodesU16(out []byte, enc []uint32, syms []uint16, acc uint64, nacc uint) []byte {
-	if lanes.On() && len(syms) >= 2 {
+	for lanes.On() && len(syms) >= 2 {
 		done, pos, a, n := appendCodesBMI2(out[:cap(out)], len(out), enc, syms, acc, nacc)
 		out, syms, acc, nacc = out[:pos], syms[done:], a, n
+		if len(syms) >= 2 {
+			out = growCodes(out)
+		}
 	}
 	return appendCodes(out, enc, syms, acc, nacc)
 }

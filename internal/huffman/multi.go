@@ -70,11 +70,32 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 	if streams == 1 || len(symbols) < multiMinSymbols {
 		return encodeSeq(symbols, alphabet)
 	}
-
 	c, bits, err := buildCodec(symbols, alphabet)
 	if err != nil {
 		return nil, err
 	}
+	return encodeMulti(symbols, streams, c, bits), nil
+}
+
+// EncodeMultiSampled is EncodeMultiU16 with the code built from a count of
+// every step-th symbol (buildSampledCodec): every symbol must be 0 or in
+// [b.Lo, b.Hi], and b.Zeros of them 0. A code from a sample spends a little
+// more on the symbols than their own count's would, and saves the count's
+// pass over every symbol.
+func EncodeMultiSampled(symbols []uint16, alphabet, streams, step int, b Bounds) ([]byte, error) {
+	if step < 2 || streams <= 1 || streams > maxStreams || alphabet > 1<<16 || len(symbols) < multiMinSymbols {
+		return EncodeMultiU16(symbols, alphabet, streams) // which refuses what is out of range
+	}
+	c, bits, err := buildSampledCodec(symbols, alphabet, step, b)
+	if err != nil {
+		return nil, err
+	}
+	return encodeMulti(symbols, streams, c, bits), nil
+}
+
+// encodeMulti writes the multi-stream blob of symbols under c, which it
+// returns to the pool; bits is the coded size it sizes the blob for.
+func encodeMulti(symbols []uint16, streams int, c *Codec, bits uint64) []byte {
 	defer putCodec(c)
 
 	// The length table is serialized into its own byte-padded segment so the
@@ -114,7 +135,7 @@ func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
 		binary.LittleEndian.PutUint32(out[sizePos+4*i:], uint32(len(out)-start))
 		off += cnt
 	}
-	return out, nil
+	return out
 }
 
 // DecodeMultiU16 reverses EncodeMultiU16 into a buffer drawn from the sched

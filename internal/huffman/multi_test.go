@@ -8,8 +8,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -261,5 +263,92 @@ func BenchmarkMultiDecode(b *testing.B) {
 				sched.PutUint16s(out)
 			}
 		})
+	}
+}
+
+// boundsOf is what a quantizer would report of syms: the least and greatest
+// symbol other than 0, and the count of 0s.
+func boundsOf(syms []uint16) Bounds {
+	b := Bounds{Lo: 0xffff}
+	for _, s := range syms {
+		if s == 0 {
+			b.Zeros++
+			continue
+		}
+		b.Lo, b.Hi = min(b.Lo, s), max(b.Hi, s)
+	}
+	return b
+}
+
+// sampledRoundTrip encodes syms with a code from every 8th symbol on both
+// lane paths and requires DecodeMultiU16 to give them back exactly and the
+// two paths to write the same blob, which it returns.
+func sampledRoundTrip(t *testing.T, syms []uint16, alphabet int) []byte {
+	t.Helper()
+	var blobs [][]byte
+	lanes.BothPaths(func(path string) {
+		blob, err := EncodeMultiSampled(syms, alphabet, DefaultStreams, 8, boundsOf(syms))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		got, err := DecodeMultiU16(blob, alphabet)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", path, err)
+		}
+		if !slices.Equal(got, syms) {
+			t.Fatalf("%s: %d symbols do not round-trip", path, len(syms))
+		}
+		sched.PutUint16s(got)
+		blobs = append(blobs, blob)
+	})
+	for _, b := range blobs[1:] {
+		if !slices.Equal(b, blobs[0]) {
+			t.Fatal("the kernel and the Go loop wrote different blobs")
+		}
+	}
+	return blobs[0]
+}
+
+// TestSampledCodeRoundTrip: a code built from every 8th symbol still codes
+// every symbol present. The least and greatest symbol and one 0 each occur
+// once, at positions no sample reads, and round-trip; on quantization-like
+// codes the sampled blob is within 0.5 % of the full count's. A sample
+// that sees only one symbol underestimates the coded size many times over,
+// and the output grows to fit.
+func TestSampledCodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 51))
+	syms := quantLikeSymbols(rng, 300_000)
+	for i, s := range syms {
+		if s == quantEscape || s <= quantRadius-60 || s >= quantRadius+60 {
+			syms[i] = quantRadius
+		}
+	}
+	syms[8*1000+3], syms[8*2000+5], syms[8*3000+1] = quantRadius-100, quantRadius+100, quantEscape
+	blob := sampledRoundTrip(t, syms, quantAlphabet)
+	full, err := EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) > len(full)+len(full)/200 {
+		t.Errorf("sampled blob %d bytes, the full count's %d", len(blob), len(full))
+	}
+	t.Logf("sampled %d bytes, full count %d", len(blob), len(full))
+
+	// Every sample reads R; the 7 in 8 symbols it skips, R ± 1, get codes
+	// from their floor counts: the estimate is about half the coded size.
+	skewed := make([]uint16, 40_000)
+	for i := range skewed {
+		skewed[i] = uint16(quantRadius + 1 - 2*(i%2))
+		if i%8 == 0 {
+			skewed[i] = quantRadius
+		}
+	}
+	c, bits, err := buildSampledCodec(skewed, quantAlphabet, 8, boundsOf(skewed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putCodec(c)
+	if blob := sampledRoundTrip(t, skewed, quantAlphabet); uint64(len(blob)) < bits/8+64 {
+		t.Fatalf("the skewed blob's %d bytes fit the estimate of %d bits: the output never grew", len(blob), bits)
 	}
 }

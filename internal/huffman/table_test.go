@@ -8,6 +8,7 @@ package huffman
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -306,6 +307,9 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	f.Add(shifted(seed4, 3), fuzzQuant)
 	// Zero sub-streams of one bit a symbol under a lone code of one bit, which
 	// decodes, and of five bits, which every path refuses (alphabet 64).
+	// The sampled count's case: the least and the greatest symbol once each,
+	// at positions 3 and 13, which no sample of every 8th reads.
+	f.Add([]byte{20, 21, 19, 1, 20, 22, 18, 20, 21, 19, 20, 22, 18, 60, 20, 21}, fuzzQuant)
 	f.Add(loneCodeBlob(4003, DefaultStreams, 42, 1), uint16(63))
 	f.Add(loneCodeBlob(4003, DefaultStreams, 42, 5), uint16(63))
 	hostile := hostileLengthTables()
@@ -375,6 +379,26 @@ func fuzzRoundTrip(t *testing.T, data []byte, alphaSel uint16) {
 	}
 	sched.PutUint16s(mdec)
 	sched.PutBytes(menc)
+
+	// A code from every 8th symbol: the input padded to a multi-stream blob
+	// with copies of its first symbol, so a symbol it holds once is still
+	// held once, and no sample may lose it.
+	if len(syms) > 0 {
+		long := slices.Grow(slices.Clone(syms), multiMinSymbols)
+		for len(long) < multiMinSymbols {
+			long = append(long, syms[0])
+		}
+		senc, err := EncodeMultiSampled(long, alphabet, max(streams, 2), 8, boundsOf(long))
+		if err != nil {
+			t.Fatalf("sampled encode: %v", err)
+		}
+		sdec, err := DecodeMultiU16(senc, alphabet)
+		if err != nil || !slices.Equal(sdec, long) {
+			t.Fatalf("sampled round trip of %d symbols: %v", len(long), err)
+		}
+		sched.PutUint16s(sdec)
+		sched.PutBytes(senc)
+	}
 
 	// Arbitrary bytes through the multi decoder must decode or error,
 	// never panic, and exactly as every sub-stream decoded on its own

@@ -132,18 +132,36 @@ func residualFrom(res, data, ref []float32, d, r Extent) (Extent, Extent) {
 	return d, r
 }
 
-// Add adds the reference back: data[i] += ref[i]. ref must be at least as
-// long as data. The kernel adds data to ref, as the compiled Go loop's ADDSS
-// does; AddScaled adds in the other order, so the two stay apart.
-func Add(data, ref []float32) {
+// AbsMax is a running largest magnitude kept as float32 bits with the sign
+// cleared, as Extent.AbsBits is: every value it has taken in is finite
+// exactly when it is below +Inf's bits. The zero value has taken in nothing.
+type AbsMax uint32
+
+// With returns m grown by v.
+func (m AbsMax) With(v float32) AbsMax {
+	return max(m, AbsMax(math.Float32bits(v)&^(1<<31)))
+}
+
+// Finite reports whether every value m has taken in is finite.
+func (m AbsMax) Finite() bool { return m < infBits }
+
+// Add adds the reference back, data[i] += ref[i], and returns the sums'
+// largest magnitude: the decoder's finiteness verdict on a residual's
+// reconstruction. ref must be at least as long as data. The kernel adds
+// data to ref, as the compiled Go loop's ADDSS does; AddScaled adds in the
+// other order, so the two stay apart.
+func Add(data, ref []float32) AbsMax {
 	ref = ref[:len(data)]
+	var m AbsMax
 	if n8 := len(data) &^ 7; on && n8 > 0 {
-		addAVX2(data[:n8], ref[:n8])
+		m = AbsMax(addAVX2(data[:n8], ref[:n8]))
 		data, ref = data[n8:], ref[n8:]
 	}
 	for i, r := range ref {
 		data[i] += r
+		m = m.With(data[i])
 	}
+	return m
 }
 
 // Offset writes a constant residual's reconstruction, dst[i] = ref[i] + v:

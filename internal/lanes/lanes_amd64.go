@@ -38,10 +38,11 @@ func scanAVX2(data []float32) (lo, hi float32, absBits uint32)
 //go:noescape
 func residualAVX2(res, data, ref []float32) (loD, hiD, loR, hiR float32, absD, absR uint32)
 
-// addAVX2 is Add's loop over data and ref.
+// addAVX2 is Add's loop over data and ref; absBits is the sums' largest
+// magnitude bits.
 //
 //go:noescape
-func addAVX2(data, ref []float32)
+func addAVX2(data, ref []float32) (absBits uint32)
 
 // addScaledAVX2 is AddScaled's loop over a and b.
 //

@@ -115,20 +115,29 @@ loop:
 	VZEROUPPER
 	RET
 
-// func addAVX2(data, ref []float32)
-TEXT ·addAVX2(SB), NOSPLIT, $0-48
-	MOVQ data_base+0(FP), DI
-	MOVQ data_len+8(FP), CX
-	MOVQ ref_base+24(FP), SI
+// func addAVX2(data, ref []float32) (absBits uint32)
+TEXT ·addAVX2(SB), NOSPLIT, $0-52
+	MOVQ      data_base+0(FP), DI
+	MOVQ      data_len+8(FP), CX
+	MOVQ      ref_base+24(FP), SI
+	VPCMPEQD  Y6, Y6, Y6
+	VPSRLD    $1, Y6, Y6 // the magnitude mask
+	VPXOR     Y4, Y4, Y4 // magnitude bits
 
 add:
 	VMOVUPS (SI), Y0
 	VADDPS  (DI), Y0, Y0 // ref + data: Go loads ref and ADDSS adds data to it
 	VMOVUPS Y0, (DI)
+	VPAND   Y6, Y0, Y0
+	VPMAXUD Y0, Y4, Y4
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	SUBQ    $8, CX
 	JNZ     add
+
+	FOLD(VPMAXUD, Y4, X4)
+	VMOVD X4, AX
+	MOVL  AX, absBits+48(FP)
 	VZEROUPPER
 	RET
 

@@ -12,7 +12,7 @@ func residualAVX2(_, _, _ []float32) (float32, float32, float32, float32, uint32
 	panic("lanes: no AVX2 kernels")
 }
 
-func addAVX2([]float32, []float32) { panic("lanes: no AVX2 kernels") }
+func addAVX2([]float32, []float32) uint32 { panic("lanes: no AVX2 kernels") }
 
 func addScaledAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
+	"repro/internal/lanes"
 )
 
 // hostileBase is a 4,096-element stream (16 blocks) holding all three block
@@ -186,6 +187,40 @@ func FuzzSZ2Decompress(f *testing.F) {
 		}
 		if n, _ := format.DecodedLen(stream); n != len(out) {
 			t.Fatalf("decoded %d elements, the header states %d", len(out), n)
+		}
+	})
+}
+
+// TestDecoderVerdictHostile: streams whose values are not all finite — a NaN
+// stored as a literal, an infinite fitted-line coefficient, a Lorenzo chain
+// that a huge stored bound drives past float32's range — decode to a
+// non-finite verdict on both paths, equal to a scan of what was written.
+func TestDecoderVerdictHostile(t *testing.T) {
+	base := hostileBase(t)
+	withNaN := eblctest.WeightLike(rand.New(rand.NewPCG(5, 1)), 3*blockSize)
+	withNaN[300] = float32(math.NaN())
+	nanLiteral, err := NewCompressor().Compress(withNaN, ebcl.Abs(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	infCoeff := restage(t, base, ebcl.LayoutKindRuns, func(k, c []byte) ([]byte, []byte) {
+		binary.LittleEndian.PutUint32(c, math.Float32bits(float32(math.Inf(1))))
+		return k, c
+	})
+	overflow := slices.Clone(base)
+	binary.LittleEndian.PutUint64(overflow[9:], math.Float64bits(1e37))
+	lanes.BothPaths(func(path string) {
+		for _, tc := range []struct {
+			name   string
+			stream []byte
+		}{{"NaN literal", nanLiteral}, {"infinite coefficient", infCoeff}, {"Lorenzo chain past float32", overflow}} {
+			out, m, err := NewCompressor().DecompressFinite(nil, tc.stream)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", path, tc.name, err)
+			}
+			if e := lanes.Scan(out); m.Finite() || lanes.AbsMax(e.AbsBits) != m {
+				t.Fatalf("%s: %s: verdict bits %#x (finite %v), a scan's %#x", path, tc.name, m, m.Finite(), e.AbsBits)
+			}
 		}
 	})
 }

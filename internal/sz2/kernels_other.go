@@ -5,6 +5,8 @@ package sz2
 // Without amd64 assembly lanes.On is false and the Go loops are the only
 // path.
 
-func fitScoreAVX2([]float32, float64, *[3][4]float64) { panic("sz2: no AVX2 kernels") }
+func fitAVX2([]float32, *[2][4]float64) { panic("sz2: no AVX2 kernels") }
 
-func regScoreAVX2([]float32, float64, float64, *[2][4]float64) { panic("sz2: no AVX2 kernels") }
+func scoreAVX2([]float32, float64, float64, float64, int, *[3][4]float64) {
+	panic("sz2: no AVX2 kernels")
+}

@@ -11,26 +11,29 @@ import (
 	"repro/internal/lanes"
 )
 
-// checkScores holds scoreBlockLanes to scoreBlock on one block: the line and
-// the three scores bit for bit, and with them the kind and coefficients
-// chooseBlockPredictor derives.
+// checkScores holds scoreBlockLanes to scoreBlock on one block, scoring every
+// quad and the sampled quads (sampleStride): the line and the three scores
+// bit for bit, and with them the kind and coefficients chooseBlockPredictor
+// derives.
 func checkScores(t *testing.T, block []float32, prev float64) {
 	t.Helper()
 	f := widen(make([]float64, len(block)), block)
-	want := [5]float64{}
-	want[0], want[1], want[2], want[3], want[4] = scoreBlock(f, prev)
-	got := [5]float64{}
-	got[0], got[1], got[2], got[3], got[4] = scoreBlockLanes(block, prev)
-	for i, name := range []string{"a", "b", "Lorenzo error", "regression error", "zero-line error"} {
-		// Which of two NaN payloads a sum carries depends on operand order
-		// the compiler picks; a NaN score only fails a comparison, and
-		// regression (the one use of a and b) needs finite scores.
-		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
-			continue
-		}
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("n=%d prev=%v: %s is %v (%#x) on AVX2 lanes, %v (%#x) on the Go loop",
-				len(block), prev, name, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	for _, stride := range []int{1, sampleStride} {
+		want := [5]float64{}
+		want[0], want[1], want[2], want[3], want[4] = scoreBlock(f, prev, stride)
+		got := [5]float64{}
+		got[0], got[1], got[2], got[3], got[4] = scoreBlockLanes(block, prev, stride)
+		for i, name := range []string{"a", "b", "Lorenzo error", "regression error", "zero-line error"} {
+			// Which of two NaN payloads a sum carries depends on operand order
+			// the compiler picks; a NaN score only fails a comparison, and
+			// regression (the one use of a and b) needs finite scores.
+			if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+				continue
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d prev=%v stride %d: %s is %v (%#x) on AVX2 lanes, %v (%#x) on the Go loop",
+					len(block), prev, stride, name, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
 		}
 	}
 }
@@ -72,7 +75,7 @@ func TestChooseBlockPredictorLanes(t *testing.T) {
 			checkScores(t, wide, prev)
 		}
 		if n >= 8 {
-			if kind, _, _ := chooseBlockPredictor(line, nil, 0); kind == predRegression {
+			if kind, _, _ := chooseBlockPredictor(line, nil, 0, 1); kind == predRegression {
 				regression++
 			}
 		}
@@ -146,7 +149,7 @@ func TestBlockPredictorPolicy(t *testing.T) {
 	// charge over the zero line, but less than a 40-element block's.
 	tail := gen(40, func(i int, _ float64) float64 { return 0.0035*float64(i-20) + laplace() })
 	f := widen(make([]float64, len(tail)), tail)
-	_, _, lorenzoErr, regErr, zeroErr := scoreBlock(f, 0)
+	_, _, lorenzoErr, regErr, zeroErr := scoreBlock(f, 0, 1)
 	if !(regErr*fullBlockCharge < zeroErr && zeroErr < regErr*lineCharge(len(tail)) && zeroErr < lorenzoErr) {
 		t.Fatalf("tail scores Lorenzo %v, line %v, zero %v: the case does not separate the two charges", lorenzoErr, regErr, zeroErr)
 	}

@@ -44,6 +44,10 @@ const (
 	// per-block math.Exp2 costs a visible share of the encode.
 	fullBlockCharge = 1.189207115002721
 
+	// sampleStride: in a blob ebcl.Sampled admits, chooseBlockPredictor
+	// scores one quad in sampleStride.
+	sampleStride = 4
+
 	predLorenzo    = 0
 	predRegression = 1 // the fitted line, two coefficients
 	predZero       = 2 // the zero line: a regression block with a = b = 0, no coefficients
@@ -111,12 +115,17 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 	literals := sched.GetFloats(len(data) / 64)
 
 	prevRecon := 0.0 // Lorenzo state: last reconstructed value
+	span := ebcl.NoCodes
 	// On the Go loops each block is widened to float64 once: converting inside
 	// the quantize loop serialises it, as Go emits CVTSS2SD without a zeroing
 	// XORPS and the conversion waits on the register's last value, the
 	// previous recon. The AVX2 kernels widen in the register, so with them
 	// only Lorenzo blocks are widened.
 	var wide [blockSize]float64
+	stride := 1
+	if ebcl.Sampled(len(data)) {
+		stride = sampleStride
+	}
 	for b := 0; b < nBlocks; b++ {
 		lo := b * blockSize
 		hi := min(lo+blockSize, len(data))
@@ -125,13 +134,13 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		if !lanes.On() {
 			f = widen(wide[:len(block)], block)
 		}
-		kind, a, bb := chooseBlockPredictor(block, f, prevRecon)
+		kind, a, bb := chooseBlockPredictor(block, f, prevRecon, stride)
 		predKinds[b] = kind
 		if kind == predRegression {
 			coeffs = append(coeffs, a, bb)
 		}
 		if kind != predLorenzo {
-			literals, prevRecon = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals)
+			literals, prevRecon = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals, &span)
 			continue
 		}
 		if len(f) == 0 {
@@ -148,21 +157,29 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 				continue
 			}
 			codes[lo+i] = uint16(code)
+			span = span.With(uint16(code))
 			prevRecon = float64(recon)
 		}
 	}
 
-	return format.Finish(dst, start, ebAbs, predKinds, coeffs, codes, literals)
+	return format.Finish(dst, start, ebAbs, predKinds, coeffs, codes, span, literals)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage. Coefficients and literals are read in place (no materialized
-// copies).
+// storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
+	out, _, err := c.DecompressFinite(dst, stream)
+	return out, err
+}
+
+// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
+// largest magnitude of every value it wrote. Coefficients and literals are
+// read in place (no materialized copies).
+func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	var sec ebcl.Sections
 	out, full, err := sec.Open(format, dst, stream)
 	if !full {
-		return out, err
+		return out, ebcl.Filled(out), err
 	}
 	defer sec.Close()
 	n, codes, coeffs := len(out), sec.Codes, sec.Coeffs
@@ -176,11 +193,12 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 	prevRecon := 0.0
 	coefIdx := 0
 	var kind byte
+	var m lanes.AbsMax
 	for b, run := 0, 0; b < nBlocks; b, run = b+1, run-1 {
 		if run == 0 {
 			var ok bool
 			if kind, run, ok = sec.NextKinds(nBlocks - b); !ok || kind > maxKind {
-				return nil, ebcl.ErrCorrupt
+				return nil, 0, ebcl.ErrCorrupt
 			}
 		}
 		lo := b * blockSize
@@ -188,13 +206,13 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		var a, bb float32
 		if kind == predRegression {
 			if coefIdx+2 > coeffs.Len() {
-				return nil, ebcl.ErrCorrupt
+				return nil, 0, ebcl.ErrCorrupt
 			}
 			a, bb = coeffs.At(coefIdx), coeffs.At(coefIdx+1)
 			coefIdx += 2
 		}
 		if kind != predLorenzo {
-			q.DequantizeLinear(out[lo:hi], codes[lo:hi], float64(a), float64(bb), &sec)
+			m = max(m, q.DequantizeLinear(out[lo:hi], codes[lo:hi], float64(a), float64(bb), &sec))
 			prevRecon = float64(out[hi-1])
 			continue
 		}
@@ -202,17 +220,17 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			code := codes[i]
 			if code == ebcl.EscapeCode {
 				out[i] = sec.NextLiteral()
-				prevRecon = float64(out[i])
-				continue
+			} else {
+				out[i] = q.Dequantize(int(code), prevRecon)
 			}
-			out[i] = q.Dequantize(int(code), prevRecon)
+			m = m.With(out[i])
 			prevRecon = float64(out[i])
 		}
 	}
 	if len(sec.Kinds) != 0 || coefIdx != coeffs.Len() || !sec.LiteralsConsumed() {
-		return nil, ebcl.ErrCorrupt
+		return nil, 0, ebcl.ErrCorrupt
 	}
-	return out, nil
+	return out, m, nil
 }
 
 // widen fills f with block's values as float64 and returns it.
@@ -224,25 +242,28 @@ func widen(f []float64, block []float32) []float64 {
 }
 
 // chooseBlockPredictor picks the predictor whose residuals are estimated to
-// code in the fewest bits, mirroring SZ2's sampled hybrid selection. f is the
-// block widened to float64, which only the Go loops read: with AVX2 the
-// kernels read block and f may be empty.
+// code in the fewest bits, as SZ2's hybrid selection does. f is the block
+// widened to float64, which only the Go loops read: with AVX2 the kernels
+// read block and f may be empty.
 //
 // A block's code bits grow as n·log2 of its mean absolute residual, so a
 // candidate is scored by its L1 error, and the fitted line's 64 bits of
 // coefficients multiply its error by 2^(64/n). The zero line (predZero, a
 // regression block with a = b = 0) writes no coefficients, only its share of
 // a kind run, so it is charged nothing. Lorenzo keeps a tie, as the zero line
-// does against the fitted line.
-func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte, a, b float32) {
+// does against the fitted line. The line is fitted to every element; the
+// scores cover every stride-th quad (scoreBlock), all of them at stride 1.
+// SZ2 itself scores a sample (Liang et al. 2018): the encoder passes
+// sampleStride for a blob ebcl.Sampled admits.
+func chooseBlockPredictor(block []float32, f []float64, prev float64, stride int) (kind byte, a, b float32) {
 	if len(block) < 8 {
 		return predLorenzo, 0, 0
 	}
 	var af, bf, lorenzoErr, regErr, zeroErr float64
 	if lanes.On() {
-		af, bf, lorenzoErr, regErr, zeroErr = scoreBlockLanes(block, prev)
+		af, bf, lorenzoErr, regErr, zeroErr = scoreBlockLanes(block, prev, stride)
 	} else {
-		af, bf, lorenzoErr, regErr, zeroErr = scoreBlock(f, prev)
+		af, bf, lorenzoErr, regErr, zeroErr = scoreBlock(f, prev, stride)
 	}
 	charge := fullBlockCharge
 	if len(block) != blockSize {
@@ -262,39 +283,36 @@ func chooseBlockPredictor(block []float32, f []float64, prev float64) (kind byte
 // by their L1 error: Lorenzo, the fitted line and the zero line. Lorenzo
 // error is approximated on original values (the reconstructed stream differs
 // by at most ebAbs per point, which does not change the ranking materially).
-func scoreBlock(block []float64, prev float64) (af, bf, lorenzoErr, regErr, zeroErr float64) {
+// The scores cover the quads at 0, 4·stride, 8·stride, …; at stride 1 they
+// cover the tail past the last quad too, so every element.
+func scoreBlock(block []float64, prev float64, stride int) (af, bf, lorenzoErr, regErr, zeroErr float64) {
 	af, bf = fitLine(block)
 	// Four independent partial sums per metric: the Lorenzo term only needs
 	// the previous *original* value (not an accumulator chain), so the whole
 	// scoring pass is data-parallel and runs 4-wide.
-	var l0, l1, l2, l3 float64
-	var r0, r1, r2, r3 float64
-	var z0, z1, z2, z3 float64
-	p := prev
-	i := 0
-	for ; i+4 <= len(block); i += 4 {
-		f0, f1, f2, f3 := block[i], block[i+1], block[i+2], block[i+3]
-		l0 += math.Abs(f0 - p)
-		l1 += math.Abs(f1 - f0)
-		l2 += math.Abs(f2 - f1)
-		l3 += math.Abs(f3 - f2)
-		r0 += math.Abs(f0 - (af*float64(i) + bf))
-		r1 += math.Abs(f1 - (af*float64(i+1) + bf))
-		r2 += math.Abs(f2 - (af*float64(i+2) + bf))
-		r3 += math.Abs(f3 - (af*float64(i+3) + bf))
-		z0 += math.Abs(f0)
-		z1 += math.Abs(f1)
-		z2 += math.Abs(f2)
-		z3 += math.Abs(f3)
-		p = f3
+	var l, r, z [4]float64
+	n4 := len(block) &^ 3
+	for i := 0; i < n4; i += 4 * stride {
+		p := prev
+		if i > 0 {
+			p = block[i-1]
+		}
+		for j, fv := range block[i : i+4] {
+			l[j] += math.Abs(fv - p)
+			r[j] += math.Abs(fv - (af*float64(i+j) + bf))
+			z[j] += math.Abs(fv)
+			p = fv
+		}
 	}
-	lorenzoErr = l0 + l1 + l2 + l3
-	regErr = r0 + r1 + r2 + r3
-	zeroErr = z0 + z1 + z2 + z3
-	for ; i < len(block); i++ {
+	lorenzoErr = l[0] + l[1] + l[2] + l[3]
+	regErr = r[0] + r[1] + r[2] + r[3]
+	zeroErr = z[0] + z[1] + z[2] + z[3]
+	if stride != 1 {
+		return af, bf, lorenzoErr, regErr, zeroErr
+	}
+	for i := n4; i < len(block); i++ {
 		fv := block[i]
-		lorenzoErr += math.Abs(fv - p)
-		p = fv
+		lorenzoErr += math.Abs(fv - block[i-1])
 		regErr += math.Abs(fv - (af*float64(i) + bf))
 		zeroErr += math.Abs(fv)
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/ebcl"
+	"repro/internal/lanes"
 	"repro/internal/sched"
 )
 
@@ -139,17 +140,24 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 		}
 	}
 
-	return format.Finish(dst, start, ebAbs, levelKinds, nil, codes, literals)
+	return format.Finish(dst, start, ebAbs, levelKinds, nil, codes, ebcl.CodeSpan{}, literals)
 }
 
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage. Literals are read in place and the float64 grid comes from the
-// sched pool.
+// storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
+	out, _, err := c.DecompressFinite(dst, stream)
+	return out, err
+}
+
+// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
+// largest magnitude of every value it wrote. Literals are read in place and
+// the float64 grid comes from the sched pool.
+func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	var sec ebcl.Sections
 	out, full, err := sec.Open(format, dst, stream)
 	if !full {
-		return out, err
+		return out, ebcl.Filled(out), err
 	}
 	defer sec.Close()
 	n, codes, levelKinds := len(out), sec.Codes, sec.Kinds
@@ -158,13 +166,14 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		wantLevels++
 	}
 	if len(levelKinds) != wantLevels {
-		return nil, ebcl.ErrCorrupt
+		return nil, 0, ebcl.ErrCorrupt
 	}
 
 	q := ebcl.NewQuantizer(sec.EbAbs)
 	recon := sched.GetFloat64s(n)[:n]
 	defer sched.PutFloat64s(recon)
 	codeIdx := 0
+	var m lanes.AbsMax
 	reconstructPoint := func(i int, pred float64) {
 		code := codes[codeIdx]
 		codeIdx++
@@ -174,6 +183,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 			out[i] = q.Dequantize(int(code), pred)
 		}
 		recon[i] = float64(out[i])
+		m = m.With(out[i])
 	}
 	reconstructPoint(0, 0)
 	lvl := 0
@@ -181,7 +191,7 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		kind := levelKinds[lvl]
 		lvl++
 		if kind != levelLinear && kind != levelCubic {
-			return nil, ebcl.ErrCorrupt
+			return nil, 0, ebcl.ErrCorrupt
 		}
 		// Mirror of the encoder's unroll: interpolations read only the
 		// coarser grid while reconstructPoint writes the current level, so
@@ -205,9 +215,9 @@ func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, er
 		}
 	}
 	if !sec.LiteralsConsumed() {
-		return nil, ebcl.ErrCorrupt
+		return nil, 0, ebcl.ErrCorrupt
 	}
-	return out, nil
+	return out, m, nil
 }
 
 // topStride returns the largest power-of-two stride < n (minimum 1).

@@ -134,32 +134,44 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byt
 // DecompressInto implements ebcl.Compressor, reconstructing into dst's
 // storage.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
+	out, _, err := c.DecompressFinite(dst, stream)
+	return out, err
+}
+
+// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
+// largest magnitude of the values it stored.
+func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic, ebcl.LayoutFull)
 	if !full {
-		return out, err
+		return out, ebcl.Filled(out), err
 	}
 	if len(rest) < 1 {
-		return nil, ebcl.ErrCorrupt
+		return nil, 0, ebcl.ErrCorrupt
 	}
 	precision := int(rest[0])
 	if precision < 1 || precision > maxPlanes {
-		return nil, ebcl.ErrCorrupt
+		return nil, 0, ebcl.ErrCorrupt
 	}
 	r := bitio.NewReader(rest[1:])
 	// Each 4-value block costs at least its 1 zero-flag bit; reject counts
 	// the stream cannot possibly carry before allocating.
 	if n/blockLen > r.BitsRemaining() {
-		return nil, ebcl.ErrCorrupt
+		return nil, 0, ebcl.ErrCorrupt
 	}
 	out = ebcl.GrowFloats(dst, n)
 	var block [blockLen]float32
+	var m lanes.AbsMax
 	for lo := 0; lo < n; lo += blockLen {
 		if err := decodeBlock(r, &block, precision); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		copy(out[lo:min(lo+blockLen, n)], block[:])
+		part := out[lo:min(lo+blockLen, n)]
+		copy(part, block[:])
+		for _, v := range part {
+			m = m.With(v)
+		}
 	}
-	return out, nil
+	return out, m, nil
 }
 
 // encodeBlock writes one 4-value block: a zero flag, the common exponent,
