@@ -56,7 +56,7 @@ func uploadN(t *testing.T, addr string, n int, seed uint64) {
 // TestServeSmoke boots the server on a free port with -trace, uploads three
 // updates concurrently, and checks the summary output and the JSONL trace:
 // one intact line per event, a conn span per connection and an update event
-// per accepted update.
+// per accepted update, whose raw_bytes and ratio give the stream's bytes.
 func TestServeSmoke(t *testing.T) {
 	ready := make(chan string, 1)
 	var out bytes.Buffer
@@ -97,6 +97,16 @@ func TestServeSmoke(t *testing.T) {
 		events[ev]++
 		if ev == "stage" {
 			stages[fmt.Sprintf("%v/%v/%v", m["stage"], m["codec"], m["dir"])], _ = m["count"].(float64)
+		}
+		if ev == "update" {
+			// The stream's bytes, raw_bytes / ratio, are the wire bytes less
+			// the framing.
+			raw, _ := m["raw_bytes"].(float64)
+			ratio, _ := m["ratio"].(float64)
+			wireBytes, _ := m["wire_bytes"].(float64)
+			if stream := raw / ratio; !(ratio > 1) || stream > wireBytes || stream < wireBytes-256 {
+				t.Errorf("update event: raw_bytes %v, ratio %v, wire_bytes %v", raw, ratio, wireBytes)
+			}
 		}
 	}
 	if events["conn"] != 3 || events["update"] != 3 {

@@ -34,11 +34,9 @@ type Codec struct {
 // codecConfig accumulates functional options before validation.
 type codecConfig struct {
 	lossyName    string
-	lossy        Compressor
 	params       Params
 	hasParams    bool
 	losslessName string
-	lossless     LosslessCodec
 	parallelism  int
 	hasParallel  bool
 	threshold    int
@@ -52,22 +50,11 @@ type Option func(*codecConfig) error
 // WithCompressor selects the error-bounded lossy compressor by registry
 // name ("sz2", "sz3", "szx", "zfp", or a RegisterCompressor name). The
 // name resolves at New, so a typo fails construction, not a compress call
-// mid-pipeline.
+// mid-pipeline. A stream carries only this name, so a codec reaches a
+// Codec through the registry alone: every receiver can then decode it.
 func WithCompressor(name string) Option {
 	return func(c *codecConfig) error {
-		c.lossyName, c.lossy = name, nil
-		return nil
-	}
-}
-
-// WithLossy supplies an explicit Compressor instance (for compressors not
-// in the registry).
-func WithLossy(comp Compressor) Option {
-	return func(c *codecConfig) error {
-		if comp == nil {
-			return fmt.Errorf("fedsz: WithLossy: nil compressor")
-		}
-		c.lossy, c.lossyName = comp, ""
+		c.lossyName = name
 		return nil
 	}
 }
@@ -108,18 +95,7 @@ func WithParams(p Params) Option {
 // ("blosclz", "zstdlike", "xzlike", "gzip", "zlib"), resolved at New.
 func WithLossless(name string) Option {
 	return func(c *codecConfig) error {
-		c.losslessName, c.lossless = name, nil
-		return nil
-	}
-}
-
-// WithLosslessCodec supplies an explicit LosslessCodec instance.
-func WithLosslessCodec(codec LosslessCodec) Option {
-	return func(c *codecConfig) error {
-		if codec == nil {
-			return fmt.Errorf("fedsz: WithLosslessCodec: nil codec")
-		}
-		c.lossless, c.losslessName = codec, ""
+		c.losslessName = name
 		return nil
 	}
 }
@@ -195,8 +171,6 @@ func New(options ...Option) (*Codec, error) {
 				cfg.lossyName, strings.Join(compressors.Names(), ", "))
 		}
 		c.opts.Lossy = comp
-	} else {
-		c.opts.Lossy = cfg.lossy // nil selects the SZ2 default
 	}
 	if cfg.losslessName != "" {
 		codec, err := lossless.Get(cfg.losslessName)
@@ -205,8 +179,6 @@ func New(options ...Option) (*Codec, error) {
 				cfg.losslessName, strings.Join(lossless.Names(), ", "))
 		}
 		c.opts.Lossless = codec
-	} else {
-		c.opts.Lossless = cfg.lossless // nil selects the blosc-lz default
 	}
 	if cfg.hasParams {
 		if _, err := ebcl.ResolveAbs([]float32{0, 1}, cfg.params); err != nil {

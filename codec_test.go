@@ -38,12 +38,6 @@ func TestNewValidatesConfiguration(t *testing.T) {
 	if _, err := New(WithParallelism(-1)); err == nil {
 		t.Fatal("negative parallelism accepted")
 	}
-	if _, err := New(WithLossy(nil)); err == nil {
-		t.Fatal("nil compressor accepted")
-	}
-	if _, err := New(WithLosslessCodec(nil)); err == nil {
-		t.Fatal("nil lossless codec accepted")
-	}
 
 	c, err := New(
 		WithCompressor("sz3"),

@@ -23,33 +23,15 @@ import (
 // the code range fall back to literals. It satisfies the same error-bound
 // contract as SZ2 but skips prediction and entropy coding entirely.
 //
-// It implements the codec contract (fedsz.Compressor): CompressAppend
-// extends the caller's buffer, DecompressInto reconstructs into the
-// caller's buffer, DecodedLen probes the header, and the one-shot
-// Compress/Decompress are thin wrappers — which keeps a custom codec on the
-// pipeline's pooled hot path.
+// It implements the three-method codec contract (fedsz.Compressor): Name,
+// CompressAppend, which extends the caller's buffer, and DecompressInto,
+// which reconstructs into the caller's buffer — which keeps a custom codec
+// on the pipeline's pooled hot path. A stream names its codec, so a
+// receiver decodes it only from the registry: the codec enters a Codec
+// through RegisterCompressor and WithCompressor, never as a bare value.
 type uniformQuantizer struct{}
 
 func (uniformQuantizer) Name() string { return "uniform16" }
-
-// Compress is CompressAppend with a nil dst.
-func (u uniformQuantizer) Compress(data []float32, p fedsz.Params) ([]byte, error) {
-	return u.CompressAppend(nil, data, p)
-}
-
-// Decompress is DecompressInto with a nil dst.
-func (u uniformQuantizer) Decompress(stream []byte) ([]float32, error) {
-	return u.DecompressInto(nil, stream)
-}
-
-// DecodedLen reads the element count from the 16-byte header without
-// decoding any payload — callers use it to size the DecompressInto buffer.
-func (uniformQuantizer) DecodedLen(stream []byte) (int, error) {
-	if len(stream) < 16 {
-		return 0, errors.New("uniform16: short stream")
-	}
-	return int(binary.LittleEndian.Uint32(stream)), nil
-}
 
 // CompressAppend appends the encoded stream to dst, like append: the
 // appended bytes must not depend on dst's prior contents, and must alias

@@ -57,11 +57,11 @@ func run(scale float64) error {
 	fmt.Printf("%-8s %-12s %-12s %-12s %-12s %-8s\n",
 		"REL", "err std", "laplace b", "KS laplace", "KS gauss", "winner")
 	for _, eb := range []float64{0.5, 0.1, 0.05, 0.01} {
-		stream, err := comp.Compress(weights, fedsz.RelBound(eb))
+		stream, err := comp.CompressAppend(nil, weights, fedsz.RelBound(eb))
 		if err != nil {
 			return err
 		}
-		recon, err := comp.Decompress(stream)
+		recon, err := comp.DecompressInto(nil, stream)
 		if err != nil {
 			return err
 		}

@@ -63,7 +63,6 @@ import (
 	"repro/internal/compressors"
 	"repro/internal/core"
 	"repro/internal/ebcl"
-	"repro/internal/lossless"
 	"repro/internal/netsim"
 	"repro/internal/tensor"
 )
@@ -116,16 +115,18 @@ func RelBound(eb float64) Params { return ebcl.Rel(eb) }
 func AbsBound(eb float64) Params { return ebcl.Abs(eb) }
 
 // Compressor is an error-bounded lossy compressor over flat float32 data —
-// the append/into codec contract the pipeline runs on: CompressAppend
-// extends a caller-supplied byte buffer, DecompressInto reconstructs into a
-// caller-supplied float32 buffer sized via DecodedLen, and the one-shot
-// Compress/Decompress are thin wrappers over that pair. All four built-in
-// EBLCs implement it; a custom codec implements it too (see
-// examples/customcodec) and rides the same pooled hot path.
+// the three-method codec contract the pipeline runs on: Name, the registry
+// name a stream carries; CompressAppend, which extends a caller-supplied
+// byte buffer; and DecompressInto, which reconstructs into a caller-supplied
+// float32 buffer (a nil dst asks for a fresh one on either side). All four
+// built-in EBLCs implement it; a custom codec implements it too, enters
+// through RegisterCompressor and is selected with WithCompressor (see
+// examples/customcodec), riding the same pooled hot path.
 type Compressor = ebcl.Compressor
 
-// CompressorByName returns one of the four EBLCs ("sz2", "sz3", "szx",
-// "zfp") for use in Options.Lossy.
+// CompressorByName returns the registered compressor of that name ("sz2",
+// "sz3", "szx", "zfp" or a RegisterCompressor name), for calling the codec
+// contract directly on flat data (examples/dpnoise).
 func CompressorByName(name string) (Compressor, error) { return compressors.Get(name) }
 
 // RegisterCompressor adds a custom error-bounded compressor to the
@@ -135,9 +136,6 @@ func CompressorByName(name string) (Compressor, error) { return compressors.Get(
 func RegisterCompressor(name string, factory func() Compressor) error {
 	return compressors.Register(name, factory)
 }
-
-// LosslessCodec compresses the metadata partition.
-type LosslessCodec = lossless.Codec
 
 // Link models a constrained network path for the Eqn-1 decision.
 type Link = netsim.Link

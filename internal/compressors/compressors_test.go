@@ -83,12 +83,12 @@ func TestConcurrentCompressionSafe(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				stream, err := comp.Compress(data, ebcl.Rel(1e-2))
+				stream, err := comp.CompressAppend(nil, data, ebcl.Rel(1e-2))
 				if err != nil {
 					errCh <- err
 					return
 				}
-				out, err := comp.Decompress(stream)
+				out, err := comp.DecompressInto(nil, stream)
 				if err != nil {
 					errCh <- err
 					return

@@ -316,7 +316,7 @@ func TestLosslessStageEarnsItsKeep(t *testing.T) {
 		{"sz3", sz3.NewCompressor(), [3]float64{0.15, 0, 0}},
 	} {
 		for i, rel := range rels {
-			stream, err := tc.c.Compress(data, ebcl.Rel(rel))
+			stream, err := tc.c.CompressAppend(nil, data, ebcl.Rel(rel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,11 +333,11 @@ func TestLosslessStageEarnsItsKeep(t *testing.T) {
 				if len(stream) > len(earlier) {
 					t.Errorf("sz2 REL %g: %d bytes, the earlier policy wrote %d", rel, len(stream), len(earlier))
 				}
-				want, err := tc.c.Decompress(stream)
+				want, err := tc.c.DecompressInto(nil, stream)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tc.c.Decompress(earlier)
+				got, err := tc.c.DecompressInto(nil, earlier)
 				if err != nil {
 					t.Fatalf("sz2 REL %g: earlier-policy stream: %v", rel, err)
 				}
@@ -420,7 +420,7 @@ func TestLosslessStageKeepRule(t *testing.T) {
 			{"sz3", sz3.NewCompressor(), 1},
 		} {
 			for _, rel := range []float64{2e-1, 1e-1, 5e-2, 3e-2, 1e-2, 1e-3} {
-				stream, err := tc.c.Compress(data, ebcl.Rel(rel))
+				stream, err := tc.c.CompressAppend(nil, data, ebcl.Rel(rel))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -214,19 +214,17 @@ func overlapRatio(wait, work, wall time.Duration) float64 {
 }
 
 // Ratio returns the end-to-end compression ratio.
-func (s *Stats) Ratio() float64 {
-	if s.CompressedBytes == 0 {
-		return 0
-	}
-	return float64(s.RawBytes) / float64(s.CompressedBytes)
-}
+func (s *Stats) Ratio() float64 { return ratio(s.RawBytes, s.CompressedBytes) }
 
 // LossyRatio returns the ratio achieved on the weight partition alone.
-func (s *Stats) LossyRatio() float64 {
-	if s.LossyCompressed == 0 {
+func (s *Stats) LossyRatio() float64 { return ratio(s.LossyRaw, s.LossyCompressed) }
+
+// ratio is raw / compressed, 0 when nothing was compressed.
+func ratio(raw, compressed int) float64 {
+	if compressed == 0 {
 		return 0
 	}
-	return float64(s.LossyRaw) / float64(s.LossyCompressed)
+	return float64(raw) / float64(compressed)
 }
 
 // takesLossyPath applies Algorithm 1 line 4.
@@ -286,7 +284,14 @@ type DecompressStats struct {
 	// ChunkedTensors counts tensor sections whose blobs used the chunked
 	// (v4) layout (always 0 for v1–v3 streams).
 	ChunkedTensors int
+	// RawBytes and CompressedBytes are Stats' fields of the encode that
+	// wrote the stream: 4 B per element of the whole state dict, and the
+	// FedSZ stream's bytes without wire framing.
+	RawBytes, CompressedBytes int
 }
+
+// Ratio returns the end-to-end compression ratio of the decoded stream.
+func (s *DecompressStats) Ratio() float64 { return ratio(s.RawBytes, s.CompressedBytes) }
 
 // DecodeOptions configures reference-aware (v3 delta) decoding. The zero
 // value decodes absolute streams exactly as before; a v3 stream whose

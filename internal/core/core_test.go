@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/lossless"
 	"repro/internal/nn/models"
+	"repro/internal/sz2"
 	"repro/internal/szx"
 	"repro/internal/tensor"
 )
@@ -231,20 +233,43 @@ func TestEmptyStateDict(t *testing.T) {
 	}
 }
 
+// TestStatsAccounting: the encoder's partition bytes add up to RawBytes, and
+// a decode reports the encoder's RawBytes with CompressedBytes the stream's
+// length, for plain, chunked and delta streams, observing the
+// fedsz_update_ratio histogram once.
 func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
 	sd := modelDict(rng)
-	_, stats, err := Compress(sd, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.LossyRaw+stats.LosslessRaw != stats.RawBytes {
-		t.Errorf("partition bytes %d+%d != raw %d", stats.LossyRaw, stats.LosslessRaw, stats.RawBytes)
-	}
-	if stats.CompressTime <= 0 {
-		t.Error("compress time not measured")
-	}
-	if stats.LossyRatio() <= 1 {
-		t.Errorf("lossy ratio %.2f should exceed 1", stats.LossyRatio())
+	ratios := stageFor(sz2.NewCompressor()).ratio
+	for _, o := range []Options{{}, {ChunkElems: 4096}, {Reference: sd.Clone(), RefEpoch: 3}} {
+		stream, stats, err := Compress(sd, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.LossyRaw+stats.LosslessRaw != stats.RawBytes {
+			t.Errorf("partition bytes %d+%d != raw %d", stats.LossyRaw, stats.LosslessRaw, stats.RawBytes)
+		}
+		if stats.CompressTime <= 0 {
+			t.Error("compress time not measured")
+		}
+		if stats.LossyRatio() <= 1 {
+			t.Errorf("lossy ratio %.2f should exceed 1", stats.LossyRatio())
+		}
+		before := ratios.Count()
+		_, dstats, err := DecompressWith(context.Background(), nil, stream, DecodeOptions{Reference: o.Reference, RefEpoch: o.RefEpoch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dstats.RawBytes != stats.RawBytes || dstats.RawBytes != sd.SizeBytes() {
+			t.Errorf("chunk %d, delta %v: decode RawBytes %d, encode %d", o.ChunkElems, o.Reference != nil, dstats.RawBytes, stats.RawBytes)
+		}
+		if dstats.CompressedBytes != len(stream) || stats.CompressedBytes != len(stream) {
+			t.Errorf("chunk %d, delta %v: decode CompressedBytes %d, encode %d, stream %d",
+				o.ChunkElems, o.Reference != nil, dstats.CompressedBytes, stats.CompressedBytes, len(stream))
+		}
+		if n := ratios.Count() - before; n != 1 || dstats.Ratio() != stats.Ratio() {
+			t.Errorf("chunk %d, delta %v: %d ratio observations, ratio %v, encode %v",
+				o.ChunkElems, o.Reference != nil, n, dstats.Ratio(), stats.Ratio())
+		}
 	}
 }

@@ -42,7 +42,8 @@ import (
 
 // SectionKind identifies one unit of the incremental encoder's output. The
 // concatenation of all emitted payloads, in emission order, is exactly the
-// serialized FedSZ stream.
+// serialized FedSZ stream. A kind's value is also the kind byte of the wire
+// frame that carries the section (internal/wire).
 type SectionKind uint8
 
 const (

@@ -274,14 +274,14 @@ func TestEBLCStreamCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := comp.Compress(data, ebcl.Rel(1e-2))
+		stream, err := comp.CompressAppend(nil, data, ebcl.Rel(1e-2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 150; trial++ {
 			bad := append([]byte(nil), stream...)
 			bad[rng.IntN(len(bad))] ^= byte(rng.IntN(255) + 1)
-			out, err := comp.Decompress(bad)
+			out, err := comp.DecompressInto(nil, bad)
 			if err == nil && len(out) != len(data) && len(out) > ebcl.MaxElements {
 				t.Fatalf("%s: corrupt stream produced %d elements", name, len(out))
 			}

@@ -4,7 +4,8 @@ package core
 // process-wide, so its counters are package-level values that every encode
 // and decode updates; RegisterMetrics names them on a registry the program
 // built. The stage timers are, per lossy codec, one encode and one decode
-// latency histogram of the whole state dict and the stage histograms of
+// latency histogram of the whole state dict, the decoded updates'
+// compression ratio (fedsz_update_ratio) and the stage histograms of
 // fedsz_stage_seconds: reconstruct, each tensor's decode task, and, for a
 // codec with the SZ-family back end (stageTimed: sz2 and sz3), the stages
 // its ebcl.Format times itself — quantize, huffman and lossless on encode,
@@ -29,6 +30,7 @@ var deltaBytesSaved, deltaSections, constantSections, absoluteSections telemetry
 
 type stageHists struct {
 	encode, decode *telemetry.Histogram
+	ratio          *telemetry.Histogram // each decoded update's raw / stream bytes
 	reconstruct    *telemetry.Histogram
 	timers         *ebcl.StageTimers // nil without the SZ-family back end
 }
@@ -134,6 +136,9 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 		"Full-statedict encode wall time, by lossy codec.", h.encode, telemetry.L("codec", codec))
 	reg.Register("fedsz_decode_seconds",
 		"Full-statedict decode wall time, by lossy codec.", h.decode, telemetry.L("codec", codec))
+	reg.Register("fedsz_update_ratio",
+		"Compression ratio of each decoded update: raw state-dict bytes (4 B an element) over FedSZ stream bytes, by lossy codec.",
+		h.ratio, telemetry.L("codec", codec))
 	for _, s := range h.series(codec) {
 		RegisterStage(reg, s.stage, s.codec, s.dir, s.h)
 	}
@@ -156,6 +161,7 @@ func stageFor(lossy ebcl.Compressor) *stageHists {
 	h = &stageHists{
 		encode:      telemetry.NewHistogram(telemetry.DurationBuckets),
 		decode:      telemetry.NewHistogram(telemetry.DurationBuckets),
+		ratio:       telemetry.NewHistogram(telemetry.CompressionBuckets),
 		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
 	}
 	if st, ok := lossy.(stageTimed); ok {

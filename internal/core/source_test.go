@@ -74,7 +74,7 @@ func (t *trickleReader) Read(p []byte) (int, error) {
 
 func TestDecompressFromMatchesInMemory(t *testing.T) {
 	stream, framed := framedStream(t, 31, 2, 18432)
-	want, _, err := core.Decompress(stream)
+	want, wantStats, err := core.Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,11 @@ func TestDecompressFromMatchesInMemory(t *testing.T) {
 		}
 		if stats.DecompressTime <= 0 || stats.DecodeWork <= 0 {
 			t.Fatalf("chunk %d: stats not populated: %+v", chunk, stats)
+		}
+		// The frames' payloads are the stream's sections: no framing counts.
+		if stats.CompressedBytes != len(stream) || stats.RawBytes != wantStats.RawBytes {
+			t.Fatalf("chunk %d: %d of %d raw bytes, %d of %d stream bytes", chunk,
+				stats.RawBytes, wantStats.RawBytes, stats.CompressedBytes, len(stream))
 		}
 	}
 }

@@ -330,14 +330,15 @@ var nameSeed = maphash.MakeSeed()
 // StateDict.Add would panic on one). Every name goes into one open-addressed
 // table, the lossy names first: on the stack for up to 64 names, so an
 // ordinary update validates without allocating, and linear in the name count
-// for a hostile one.
-func (d *DecodedStream) validate() error {
+// for a hostile one. It returns the bytes the partition's values take, 4 an
+// element.
+func (d *DecodedStream) validate() (metaBytes int, err error) {
 	r, count, err := tensor.NewReader(d.Meta)
 	if err != nil {
-		return fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, err)
 	}
 	if want := len(d.Flags) - len(d.Tensors); uint64(count) != uint64(want) {
-		return fmt.Errorf("%w: header declares %d metadata entries, partition holds %d", ErrCorrupt, want, count)
+		return 0, fmt.Errorf("%w: header declares %d metadata entries, partition holds %d", ErrCorrupt, want, count)
 	}
 	size := 1
 	for size < 2*len(d.Flags) {
@@ -359,7 +360,7 @@ func (d *DecodedStream) validate() error {
 		h := maphash.String(nameSeed, name) & mask
 		for ; slots[h] != 0; h = (h + 1) & mask {
 			if d.Tensors[slots[h]-1].Name == name {
-				return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, name)
+				return 0, fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, name)
 			}
 		}
 		slots[h] = i + 1
@@ -367,17 +368,18 @@ func (d *DecodedStream) validate() error {
 	for range count {
 		e, ok := r.Next()
 		if !ok {
-			return fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, tensor.ErrBadFormat)
+			return 0, fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, tensor.ErrBadFormat)
 		}
 		h := maphash.Bytes(nameSeed, e.Name) & mask
 		for ; slots[h] != 0; h = (h + 1) & mask {
 			if v := slots[h]; v > 0 && d.Tensors[v-1].Name == string(e.Name) || v < 0 && bytes.Equal(metaName(v), e.Name) {
-				return fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.Name)
+				return 0, fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.Name)
 			}
 		}
 		slots[h] = -(cap(d.Meta) - cap(e.Name)) // e.Name is a view of d.Meta
+		metaBytes += len(e.Vals)
 	}
-	return nil
+	return metaBytes, nil
 }
 
 // reference resolves the baseline a residual section decodes against. A
@@ -474,6 +476,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	if err != nil {
 		return nil, nil, ctxFirst(ctx, err)
 	}
+	streamBytes := len(sec)
 	hdr, err := ParseHeader(sec)
 	want := dopts.Structure
 	if err == nil && want != nil && !bytes.Equal(hdr.Flags, want.Flags) {
@@ -517,6 +520,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		if err != nil {
 			return fail(err)
 		}
+		streamBytes += len(sec)
 		var like *TensorShape
 		if want != nil {
 			like = &want.Lossy[i]
@@ -558,6 +562,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	if err != nil {
 		return fail(err)
 	}
+	streamBytes += len(sec)
 	// Nothing is left to read, so the caller decodes the partition itself
 	// while the tensor tasks finish.
 	if metaErr = ctx.Err(); metaErr == nil {
@@ -576,21 +581,26 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 			err = d.Tensors[i].err
 		}
 	}
+	metaBytes := 0
 	if err == nil {
-		err = d.validate()
+		metaBytes, err = d.validate()
 	}
 	if err != nil {
 		return fail(err)
 	}
 
 	elapsed := time.Since(start)
+	stats := &DecompressStats{
+		DecompressTime:  elapsed,
+		ReadWait:        src.ReadWait(),
+		DecodeWork:      time.Duration(decodeWork.Load()),
+		BytesRecycled:   sched.RecycledBytes() - recycled0,
+		DeltaTensors:    nDelta,
+		ChunkedTensors:  nChunked,
+		RawBytes:        4*elems + metaBytes,
+		CompressedBytes: streamBytes,
+	}
 	st.decode.Observe(elapsed.Seconds())
-	return d, &DecompressStats{
-		DecompressTime: elapsed,
-		ReadWait:       src.ReadWait(),
-		DecodeWork:     time.Duration(decodeWork.Load()),
-		BytesRecycled:  sched.RecycledBytes() - recycled0,
-		DeltaTensors:   nDelta,
-		ChunkedTensors: nChunked,
-	}, nil
+	st.ratio.Observe(stats.Ratio())
+	return d, stats, nil
 }

@@ -83,16 +83,14 @@ const PredictorBlockElems = 256
 // The contract is append/into-style so a steady-state pipeline never
 // allocates at the lossy boundary: CompressAppend extends a caller-supplied
 // (typically pool-recycled) byte buffer, and DecompressInto reconstructs
-// into a caller-supplied float32 buffer sized via DecodedLen. The appended
-// or reconstructed bytes must be identical regardless of dst's prior
-// contents or capacity, and the result must alias neither the input nor any
-// retained state — the caller may recycle both sides through the sched
-// buffer pools. Implementations must be safe for concurrent use: the core
-// pipeline encodes and decodes many tensors on one Compressor value in
-// parallel.
-//
-// Compress and Decompress remain as one-shot conveniences; implementations
-// provide them as thin wrappers over the append/into pair (nil dst).
+// into a caller-supplied float32 buffer, which the core pipeline sizes from
+// the tensor section's shape. The appended or reconstructed bytes must be
+// identical regardless of dst's prior contents or capacity, and the result
+// must alias neither the input nor any retained state — the caller may
+// recycle both sides through the sched buffer pools. Implementations must
+// be safe for concurrent use: the core pipeline encodes and decodes many
+// tensors on one Compressor value in parallel. A nil dst asks for a fresh
+// buffer on either side.
 type Compressor interface {
 	// Name returns the compressor's registry name ("sz2", "sz3", ...).
 	Name() string
@@ -101,20 +99,11 @@ type Compressor interface {
 	// extended slice, like append.
 	CompressAppend(dst []byte, data []float32, p Params) ([]byte, error)
 	// DecompressInto reconstructs the (lossy) array into dst's storage: the
-	// result has length DecodedLen(stream), reuses dst's backing array when
+	// result has the stream's element count, reuses dst's backing array when
 	// its capacity suffices (dst's length and prior contents are ignored),
 	// and is freshly allocated otherwise. On error the returned slice is nil
 	// and dst is unretained.
 	DecompressInto(dst []float32, stream []byte) ([]float32, error)
-	// DecodedLen reports the element count Decompress would produce — the
-	// header probe callers use to size dst from a pool before decoding.
-	DecodedLen(stream []byte) (int, error)
-	// Compress encodes data into a freshly allocated buffer
-	// (CompressAppend with a nil dst).
-	Compress(data []float32, p Params) ([]byte, error)
-	// Decompress reconstructs into a freshly allocated buffer
-	// (DecompressInto with a nil dst).
-	Decompress(stream []byte) ([]float32, error)
 }
 
 // FiniteDecoder is a Compressor whose decoder judges what it writes:

@@ -261,8 +261,8 @@ func backEndStream(t *testing.T, f Format) []byte {
 func TestBackEndRoundTrip(t *testing.T) {
 	for _, f := range []Format{{Magic: 0xABCD, Name: "a", Coeffs: true}, {Magic: 0xABCE, Name: "b"}} {
 		stream := backEndStream(t, f)
-		if n, err := f.DecodedLen(stream); err != nil || n != 3 {
-			t.Fatalf("%s: DecodedLen %d, %v", f.Name, n, err)
+		if n, _, _, err := ParseHeader(stream, f.Magic); err != nil || n != 3 {
+			t.Fatalf("%s: header count %d, %v", f.Name, n, err)
 		}
 		var s Sections
 		out, full, err := s.Open(f, nil, stream)

@@ -20,7 +20,7 @@ func BenchmarkLosslessStage(b *testing.B) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	data := eblctest.WeightLike(rng, 1<<20)
 	for _, rel := range []float64{1e-2, 1e-1} {
-		stream, err := sz2.NewCompressor().Compress(data, ebcl.Rel(rel))
+		stream, err := sz2.NewCompressor().CompressAppend(nil, data, ebcl.Rel(rel))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -314,12 +314,6 @@ func (f Format) layout() byte {
 	return LayoutFull
 }
 
-// DecodedLen returns the element count from the stream header.
-func (f Format) DecodedLen(stream []byte) (int, error) {
-	n, _, _, err := ParseHeader(stream, f.Magic)
-	return n, err
-}
-
 // Begin resolves the error bound for data. For empty or constant input it
 // writes the whole stream to dst and reports done; otherwise the codec
 // quantizes under ebAbs and hands the result to Finish.

@@ -7,7 +7,6 @@
 package eblctest
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand/v2"
@@ -73,11 +72,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	}
 
 	t.Run("EmptyInput", func(t *testing.T) {
-		stream, err := c.Compress(nil, ebcl.Rel(1e-2))
+		stream, err := c.CompressAppend(nil, nil, ebcl.Rel(1e-2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Decompress(stream)
+		out, err := c.DecompressInto(nil, stream)
 		if err != nil || len(out) != 0 {
 			t.Fatalf("len=%d err=%v", len(out), err)
 		}
@@ -88,11 +87,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		for i := range data {
 			data[i] = 3.25
 		}
-		stream, err := c.Compress(data, ebcl.Rel(1e-2))
+		stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Decompress(stream)
+		out, err := c.DecompressInto(nil, stream)
 		if err != nil || len(out) != len(data) {
 			t.Fatalf("len=%d err=%v", len(out), err)
 		}
@@ -109,11 +108,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	})
 
 	t.Run("SingleElement", func(t *testing.T) {
-		stream, err := c.Compress([]float32{-0.75}, ebcl.Abs(1e-3))
+		stream, err := c.CompressAppend(nil, []float32{-0.75}, ebcl.Abs(1e-3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Decompress(stream)
+		out, err := c.DecompressInto(nil, stream)
 		if err != nil || len(out) != 1 {
 			t.Fatalf("len=%d err=%v", len(out), err)
 		}
@@ -132,11 +131,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 			{"smooth", SmoothLike(rng, 20000)},
 		} {
 			for _, eb := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
-				stream, err := c.Compress(gen.data, ebcl.Rel(eb))
+				stream, err := c.CompressAppend(nil, gen.data, ebcl.Rel(eb))
 				if err != nil {
 					t.Fatalf("%s eb=%g: %v", gen.name, eb, err)
 				}
-				out, err := c.Decompress(stream)
+				out, err := c.DecompressInto(nil, stream)
 				if err != nil {
 					t.Fatalf("%s eb=%g decompress: %v", gen.name, eb, err)
 				}
@@ -158,11 +157,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	t.Run("AbsoluteMode", func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(7, 7))
 		data := WeightLike(rng, 5000)
-		stream, err := c.Compress(data, ebcl.Abs(0.005))
+		stream, err := c.CompressAppend(nil, data, ebcl.Abs(0.005))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Decompress(stream)
+		out, err := c.DecompressInto(nil, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +177,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	t.Run("RatioOnWeights", func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(3, 9))
 		data := WeightLike(rng, 1<<17)
-		stream, err := c.Compress(data, ebcl.Rel(1e-2))
+		stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +193,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		data := WeightLike(rng, 1<<16)
 		var prev float64 = math.Inf(1)
 		for _, eb := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
-			stream, err := c.Compress(data, ebcl.Rel(eb))
+			stream, err := c.CompressAppend(nil, data, ebcl.Rel(eb))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,29 +208,29 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 
 	t.Run("InvalidParams", func(t *testing.T) {
 		data := []float32{1, 2, 3}
-		if _, err := c.Compress(data, ebcl.Rel(0)); err == nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Rel(0)); err == nil {
 			t.Error("zero relative bound should fail")
 		}
-		if _, err := c.Compress(data, ebcl.Abs(-1)); err == nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Abs(-1)); err == nil {
 			t.Error("negative absolute bound should fail")
 		}
 	})
 
 	t.Run("CorruptStream", func(t *testing.T) {
 		for _, junk := range [][]byte{nil, {1, 2}, make([]byte, 16)} {
-			if _, err := c.Decompress(junk); err == nil {
+			if _, err := c.DecompressInto(nil, junk); err == nil {
 				t.Errorf("junk %v decoded without error", junk)
 			}
 		}
 		// A valid stream with a flipped magic must be rejected.
 		rng := rand.New(rand.NewPCG(1, 1))
-		stream, err := c.Compress(WeightLike(rng, 256), ebcl.Rel(1e-2))
+		stream, err := c.CompressAppend(nil, WeightLike(rng, 256), ebcl.Rel(1e-2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		bad := append([]byte(nil), stream...)
 		bad[0] ^= 0xFF
-		if _, err := c.Decompress(bad); err == nil {
+		if _, err := c.DecompressInto(nil, bad); err == nil {
 			t.Error("flipped magic decoded without error")
 		}
 	})
@@ -247,10 +246,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 			data[i] = float32(i) / 1000 // a ramp: regression blocks, coefficients
 		}
 		data[600] = 900 // outside the code range: an escape literal
-		stream, err := c.Compress(data, ebcl.Abs(1e-3))
+		stream, err := c.CompressAppend(nil, data, ebcl.Abs(1e-3))
 		if err != nil {
 			t.Fatal(err)
 		}
+		magic := c.(interface{ Magic() uint32 }).Magic()
 		// decode patches stream at off (truncating there when patch is nil).
 		decode := func(what string, mustErr bool, off int, patch ...byte) {
 			t.Helper()
@@ -263,8 +263,8 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 					t.Fatalf("%s at %d: decoder panicked: %v", what, off, p)
 				}
 			}()
-			out, err := c.Decompress(bad)
-			if n, _ := c.DecodedLen(bad); err == nil && (mustErr || n != len(out)) {
+			out, err := c.DecompressInto(nil, bad)
+			if n, _, _, _ := ebcl.ParseHeader(bad, magic); err == nil && (mustErr || n != len(out)) {
 				t.Fatalf("%s at %d: decoded %d elements (header: %d), want an error", what, off, len(out), n)
 			}
 		}
@@ -299,7 +299,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		var streams [][]byte
 		for _, data := range [][]float32{WeightLike(rng, 3000), SmoothLike(rng, 3000), special, {2.5, 2.5, 2.5}, nil} {
 			for _, p := range []ebcl.Params{ebcl.Rel(1e-2), ebcl.Abs(1e-3)} {
-				stream, err := c.Compress(data, p)
+				stream, err := c.CompressAppend(nil, data, p)
 				if err != nil {
 					continue // a bound the data cannot resolve (a NaN under REL)
 				}
@@ -346,11 +346,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 				data[i] = float32(rng.NormFloat64() * scale)
 			}
 			eb := math.Pow(10, -float64(ebSel%4)-1) // 1e-1 .. 1e-4
-			stream, err := c.Compress(data, ebcl.Rel(eb))
+			stream, err := c.CompressAppend(nil, data, ebcl.Rel(eb))
 			if err != nil {
 				return false
 			}
-			out, err := c.Decompress(stream)
+			out, err := c.DecompressInto(nil, stream)
 			if err != nil || len(out) != n {
 				return false
 			}
@@ -368,36 +368,21 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	})
 
 	t.Run("ZeroCopyContract", func(t *testing.T) {
-		// The append/into methods must agree with the one-shot pair:
-		// CompressAppend(nil) == Compress, DecodedLen == decoded length,
-		// and DecompressInto into a dirty correctly-sized buffer must be
-		// bit-identical to Decompress. (The full alias-safety matrix lives
-		// in internal/conformance; this keeps every per-codec suite honest.)
+		// DecompressInto into a dirty correctly-sized buffer must be
+		// bit-identical to a decode into a nil one. (The full alias-safety
+		// matrix lives in internal/conformance; this keeps every per-codec
+		// suite honest.)
 		rng := rand.New(rand.NewPCG(13, 37))
 		data := WeightLike(rng, 4099)
-		ref, err := c.Compress(data, ebcl.Rel(1e-2))
+		ref, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		appended, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
-		if err != nil {
-			t.Fatal(err)
+		want, err := c.DecompressInto(nil, ref)
+		if err != nil || len(want) != len(data) {
+			t.Fatalf("decoded %d of %d elements: %v", len(want), len(data), err)
 		}
-		if len(appended) != len(ref) || !bytes.Equal(appended, ref) {
-			t.Fatal("CompressAppend(nil) differs from Compress")
-		}
-		n, err := c.DecodedLen(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := c.Decompress(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(want) {
-			t.Fatalf("DecodedLen %d != decoded length %d", n, len(want))
-		}
-		dirty := make([]float32, n)
+		dirty := make([]float32, len(want))
 		for i := range dirty {
 			dirty[i] = float32(math.NaN())
 		}
@@ -416,11 +401,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		rng := rand.New(rand.NewPCG(2, 2))
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 127, 128, 129, 255, 256, 257, 1023} {
 			data := WeightLike(rng, n)
-			stream, err := c.Compress(data, ebcl.Rel(1e-2))
+			stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
-			out, err := c.Decompress(stream)
+			out, err := c.DecompressInto(nil, stream)
 			if err != nil || len(out) != n {
 				t.Fatalf("n=%d: len=%d err=%v", n, len(out), err)
 			}

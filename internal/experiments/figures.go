@@ -380,11 +380,11 @@ func Fig10(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, eb := range fig10Bounds {
-		stream, err := comp.Compress(weights, ebcl.Rel(eb))
+		stream, err := comp.CompressAppend(nil, weights, ebcl.Rel(eb))
 		if err != nil {
 			return nil, err
 		}
-		recon, err := comp.Decompress(stream)
+		recon, err := comp.DecompressInto(nil, stream)
 		if err != nil {
 			return nil, err
 		}

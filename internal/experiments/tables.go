@@ -57,7 +57,7 @@ func Table1(cfg Config) (*Table, error) {
 				var stream []byte
 				dur, err := measure(func() error {
 					var cerr error
-					stream, cerr = comp.Compress(weights, ebcl.Rel(eb))
+					stream, cerr = comp.CompressAppend(nil, weights, ebcl.Rel(eb))
 					return cerr
 				})
 				if err != nil {

@@ -650,15 +650,19 @@ func (s *Server) handleConn(conn net.Conn) {
 			m.wireHist.Observe(float64(u.WireBytes))
 			m.decodeHist.Observe(u.Stats.DecompressTime.Seconds())
 			m.overlapHist.Observe(u.Stats.OverlapRatio())
-			s.cfg.Tracer.Event("update",
-				telemetry.A("client", u.Client),
-				telemetry.A("remote", remote),
-				telemetry.A("wire_bytes", u.WireBytes),
-				telemetry.A("decode_us", u.Stats.DecompressTime.Microseconds()),
-				telemetry.A("read_wait_us", u.Stats.ReadWait.Microseconds()),
-				telemetry.A("wall_us", wall.Microseconds()),
-				telemetry.A("overlap", u.Stats.OverlapRatio()),
-			)
+			if s.cfg.Tracer != nil { // the attributes box their values even for a nil tracer
+				s.cfg.Tracer.Event("update",
+					telemetry.A("client", u.Client),
+					telemetry.A("remote", remote),
+					telemetry.A("wire_bytes", u.WireBytes),
+					telemetry.A("raw_bytes", u.Stats.RawBytes),
+					telemetry.A("ratio", u.Stats.Ratio()),
+					telemetry.A("decode_us", u.Stats.DecompressTime.Microseconds()),
+					telemetry.A("read_wait_us", u.Stats.ReadWait.Microseconds()),
+					telemetry.A("wall_us", wall.Microseconds()),
+					telemetry.A("overlap", u.Stats.OverlapRatio()),
+				)
+			}
 		}
 		writeAck(conn, err)
 		if err != nil {

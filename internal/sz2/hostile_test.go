@@ -27,7 +27,7 @@ func hostileBase(t testing.TB) []byte {
 		}
 		data[i] = data[i-1] + float32(1e-3*rng.NormFloat64())
 	}
-	stream, err := NewCompressor().Compress(data, ebcl.Abs(1e-3))
+	stream, err := NewCompressor().CompressAppend(nil, data, ebcl.Abs(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,12 @@ func TestKindRuns(t *testing.T) {
 		t.Fatalf("runs %v, kinds %v, %d coefficients; want runs %v and 8 coefficients", sec.Runs, sec.Kinds, sec.Coeffs.Len(), want)
 	}
 	sec.Close()
-	out, err := NewCompressor().Decompress(base)
+	out, err := NewCompressor().DecompressInto(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	earlier := restage(t, base, ebcl.LayoutFull, func(k, c []byte) ([]byte, []byte) { return asLayoutFull(t, k, c) })
-	got, err := NewCompressor().Decompress(earlier)
+	got, err := NewCompressor().DecompressInto(nil, earlier)
 	if err != nil {
 		t.Fatalf("LayoutFull stream: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestKindRuns(t *testing.T) {
 		t.Fatal("the LayoutFull stream decodes to other values")
 	}
 	for _, h := range hostileStreams(t) {
-		if out, err := NewCompressor().Decompress(h.stream); !errors.Is(err, ebcl.ErrCorrupt) {
+		if out, err := NewCompressor().DecompressInto(nil, h.stream); !errors.Is(err, ebcl.ErrCorrupt) {
 			t.Errorf("%s: %d elements, err %v; want ErrCorrupt", h.name, len(out), err)
 		}
 	}
@@ -175,17 +175,17 @@ func FuzzSZ2Decompress(f *testing.F) {
 		f.Add(h.stream)
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		if n, err := format.DecodedLen(stream); err == nil && n > 1<<16 {
+		if n, _, _, err := ebcl.ParseHeader(stream, format.Magic); err == nil && n > 1<<16 {
 			t.Skip("declares more than 64 Ki elements")
 		}
-		out, err := NewCompressor().Decompress(stream)
+		out, err := NewCompressor().DecompressInto(nil, stream)
 		if err != nil {
 			if !errors.Is(err, ebcl.ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 			return
 		}
-		if n, _ := format.DecodedLen(stream); n != len(out) {
+		if n, _, _, _ := ebcl.ParseHeader(stream, format.Magic); n != len(out) {
 			t.Fatalf("decoded %d elements, the header states %d", len(out), n)
 		}
 	})
@@ -199,7 +199,7 @@ func TestDecoderVerdictHostile(t *testing.T) {
 	base := hostileBase(t)
 	withNaN := eblctest.WeightLike(rand.New(rand.NewPCG(5, 1)), 3*blockSize)
 	withNaN[300] = float32(math.NaN())
-	nanLiteral, err := NewCompressor().Compress(withNaN, ebcl.Abs(1e-3))
+	nanLiteral, err := NewCompressor().CompressAppend(nil, withNaN, ebcl.Abs(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func TestBlockPredictorPolicy(t *testing.T) {
 	}
 	lanes.BothPaths(func(path string) {
 		for _, tc := range cases {
-			stream, err := NewCompressor().Compress(tc.data, ebcl.Abs(eb))
+			stream, err := NewCompressor().CompressAppend(nil, tc.data, ebcl.Abs(eb))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,10 +59,6 @@ const (
 var format = ebcl.Format{Magic: 0x535A0002, Name: "sz2", Coeffs: true, KindRuns: true,
 	Timers: ebcl.NewStageTimers()}
 
-// Params is re-exported so callers importing only this package can build
-// error bounds without also importing ebcl.
-type Params = ebcl.Params
-
 // Compressor implements ebcl.Compressor. The zero value is ready to use;
 // NewCompressor exists for symmetry with the other EBLC packages.
 type Compressor struct{}
@@ -80,27 +76,11 @@ func (c *Compressor) Magic() uint32 { return format.Magic }
 // caller that exports them.
 func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }
 
-// Compress implements ebcl.Compressor (CompressAppend with a nil dst).
-func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
-	return c.CompressAppend(nil, data, p)
-}
-
-// Decompress implements ebcl.Compressor (DecompressInto with a nil dst).
-func (c *Compressor) Decompress(stream []byte) ([]float32, error) {
-	return c.DecompressInto(nil, stream)
-}
-
-// DecodedLen implements ebcl.Compressor: the element count from the stream
-// header, without decoding any payload.
-func (c *Compressor) DecodedLen(stream []byte) (int, error) {
-	return format.DecodedLen(stream)
-}
-
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
 // to dst. The scratch filled here (quantization codes, block predictor
 // kinds, regression coefficients, escape literals) comes from the sched
 // pools and is handed to the shared back end, which returns it.
-func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
+func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) ([]byte, error) {
 	start := time.Now()
 	ebAbs, out, done, err := format.Begin(dst, data, p)
 	if done || err != nil {

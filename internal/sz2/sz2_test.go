@@ -25,7 +25,7 @@ func TestLosslessStageKeepsReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := eblctest.WeightLike(rng, 1<<15)
 	c := sz2.NewCompressor()
-	staged, err := c.Compress(data, ebcl.Rel(1e-1))
+	staged, err := c.CompressAppend(nil, data, ebcl.Rel(1e-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestLosslessStageKeepsReconstruction(t *testing.T) {
 	if len(staged) > len(plain) {
 		t.Errorf("lossless stage grew the stream: %d > %d", len(staged), len(plain))
 	}
-	op, err := c.Decompress(plain)
+	op, err := c.DecompressInto(nil, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := c.Decompress(staged)
+	os, err := c.DecompressInto(nil, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestRegressionBlocksChosenOnLinearData(t *testing.T) {
 		data[i] = float32(0.001*float64(i) + 0.0001*rng.NormFloat64())
 	}
 	c := sz2.NewCompressor()
-	stream, err := c.Compress(data, ebcl.Rel(1e-3))
+	stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decompress(stream)
+	out, err := c.DecompressInto(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestRegressionBlocksChosenOnLinearData(t *testing.T) {
 func TestNonFiniteValuesSurviveAsLiterals(t *testing.T) {
 	data := []float32{0.5, float32(math.Inf(1)), -0.5, float32(math.NaN()), 0.25}
 	c := sz2.NewCompressor()
-	stream, err := c.Compress(data, ebcl.Abs(0.01))
+	stream, err := c.CompressAppend(nil, data, ebcl.Abs(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decompress(stream)
+	out, err := c.DecompressInto(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func benchCompress(b *testing.B, eb float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, ebcl.Rel(eb)); err != nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Rel(eb)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := eblctest.WeightLike(rng, 1<<20)
 	c := sz2.NewCompressor()
-	stream, err := c.Compress(data, ebcl.Rel(1e-2))
+	stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(stream); err != nil {
+		if _, err := c.DecompressInto(nil, stream); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,9 +42,6 @@ var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3",
 // reconstruction grid is sized by the (sub-)stream length — to a chunk
 // rather than the whole tensor.
 
-// Params re-exports ebcl.Params.
-type Params = ebcl.Params
-
 // Compressor implements ebcl.Compressor.
 type Compressor struct{}
 
@@ -61,27 +58,11 @@ func (c *Compressor) Magic() uint32 { return format.Magic }
 // caller that exports them.
 func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }
 
-// Compress implements ebcl.Compressor (CompressAppend with a nil dst).
-func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
-	return c.CompressAppend(nil, data, p)
-}
-
-// Decompress implements ebcl.Compressor (DecompressInto with a nil dst).
-func (c *Compressor) Decompress(stream []byte) ([]float32, error) {
-	return c.DecompressInto(nil, stream)
-}
-
-// DecodedLen implements ebcl.Compressor: the element count from the stream
-// header, without decoding any payload.
-func (c *Compressor) DecodedLen(stream []byte) (int, error) {
-	return format.DecodedLen(stream)
-}
-
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
 // to dst. All scratch comes from the sched pools: the float64
 // reconstruction grid is returned here, the quantization codes, escape
 // literals and level kinds by the shared back end they are handed to.
-func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
+func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) ([]byte, error) {
 	start := time.Now()
 	ebAbs, out, done, err := format.Begin(dst, data, p)
 	if done || err != nil {

@@ -22,7 +22,7 @@ func TestSmoothDataFavoursInterpolation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
 	data := eblctest.SmoothLike(rng, 1<<16)
 	c := sz3.NewCompressor()
-	stream, err := c.Compress(data, ebcl.Rel(1e-2))
+	stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestReconstructionDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	data := eblctest.WeightLike(rng, 10000)
 	c := sz3.NewCompressor()
-	s1, err := c.Compress(data, ebcl.Rel(1e-3))
+	s1, err := c.CompressAppend(nil, data, ebcl.Rel(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.Compress(data, ebcl.Rel(1e-3))
+	s2, err := c.CompressAppend(nil, data, ebcl.Rel(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func BenchmarkCompress1e2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, ebcl.Rel(1e-2)); err != nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := eblctest.WeightLike(rng, 1<<20)
 	c := sz3.NewCompressor()
-	stream, err := c.Compress(data, ebcl.Rel(1e-2))
+	stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(stream); err != nil {
+		if _, err := c.DecompressInto(nil, stream); err != nil {
 			b.Fatal(err)
 		}
 	}

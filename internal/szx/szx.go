@@ -37,9 +37,6 @@ const (
 	blockSize = 128
 )
 
-// Params re-exports ebcl.Params.
-type Params = ebcl.Params
-
 // Compressor implements ebcl.Compressor.
 type Compressor struct{}
 
@@ -52,27 +49,10 @@ func (c *Compressor) Name() string { return "szx" }
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return magic }
 
-// Compress implements ebcl.Compressor (CompressAppend with a nil dst).
-func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
-	return c.CompressAppend(nil, data, p)
-}
-
-// Decompress implements ebcl.Compressor (DecompressInto with a nil dst).
-func (c *Compressor) Decompress(stream []byte) ([]float32, error) {
-	return c.DecompressInto(nil, stream)
-}
-
-// DecodedLen implements ebcl.Compressor: the element count from the stream
-// header, without decoding any payload.
-func (c *Compressor) DecodedLen(stream []byte) (int, error) {
-	n, _, _, err := ebcl.ParseHeader(stream, magic)
-	return n, err
-}
-
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
 // to dst. The bit writer emits directly behind the header in dst's storage
 // — no intermediate bit buffer or copy.
-func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
+func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) ([]byte, error) {
 	if p.Mode == ebcl.ModeFixedPrecision {
 		return nil, fmt.Errorf("szx: fixed-precision mode unsupported")
 	}

@@ -24,11 +24,11 @@ func TestConformance(t *testing.T) {
 func TestTinyTruncationBlock(t *testing.T) {
 	data := []float32{-1.9, 1.9}
 	c := szx.NewCompressor()
-	enc, err := c.Compress(data, ebcl.Abs(1.0))
+	enc, err := c.CompressAppend(nil, data, ebcl.Abs(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := c.DecompressInto(nil, enc)
 	if err != nil {
 		t.Fatalf("valid tiny truncation block rejected: %v", err)
 	}
@@ -50,11 +50,11 @@ func TestConstantBlockCollapse(t *testing.T) {
 	}
 	data[0], data[1] = 1, -1 // outliers set range to 2
 	c := szx.NewCompressor()
-	stream, err := c.Compress(data, ebcl.Rel(1e-2)) // ebAbs = 0.02
+	stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2)) // ebAbs = 0.02
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decompress(stream)
+	out, err := c.DecompressInto(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSpeedSupremacy(t *testing.T) {
 	data := eblctest.WeightLike(rng, 1<<20)
 	timed := func(c ebcl.Compressor, best time.Duration) time.Duration {
 		t0 := time.Now()
-		if _, err := c.Compress(data, ebcl.Rel(1e-2)); err != nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2)); err != nil {
 			t.Fatal(err)
 		}
 		return min(best, time.Since(t0))
@@ -131,7 +131,7 @@ func BenchmarkCompress1e2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, ebcl.Rel(1e-2)); err != nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,12 +141,12 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := eblctest.WeightLike(rng, 1<<20)
 	c := szx.NewCompressor()
-	stream, _ := c.Compress(data, ebcl.Rel(1e-2))
+	stream, _ := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
 	b.SetBytes(int64(4 * len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(stream); err != nil {
+		if _, err := c.DecompressInto(nil, stream); err != nil {
 			b.Fatal(err)
 		}
 	}

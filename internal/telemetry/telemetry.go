@@ -184,6 +184,9 @@ var ByteBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20,
 }
 
+// CompressionBuckets spans compression ratios of 1× to 128× in ×2 steps.
+var CompressionBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
+
 // RatioBuckets splits [0, 1] into tenths for overlap-style ratios. The
 // third and seventh bounds are float64(0.1) + i·float64(0.1) as first
 // computed at run time, so the le labels scrapes have always carried

@@ -44,11 +44,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Frame kinds.
+// Frame kinds: a section's frame kind is its core.SectionKind.
 const (
-	FrameHeader   = 0x01
-	FrameTensor   = 0x02
-	FrameLossless = 0x03
+	FrameHeader   = byte(core.SectionHeader)
+	FrameTensor   = byte(core.SectionTensor)
+	FrameLossless = byte(core.SectionLossless)
 	FrameTrailer  = 0x04
 )
 
@@ -161,24 +161,16 @@ func (w *Writer) Close() error {
 }
 
 // WriteSection frames one section of core's incremental encoder
-// (CompressSections emit callback). Section kinds map 1:1 onto frame
-// kinds, so compressing straight into a wire.Writer produces exactly the
-// frames WriteStream would emit for the buffered stream — without the
-// sender ever materializing that stream. The caller must Close the writer
-// after a successful encode (and drop the connection on failure).
+// (CompressSections emit callback) as a frame of the section's kind, so
+// compressing straight into a wire.Writer produces exactly the frames
+// WriteStream emits for the buffered stream — without the sender ever
+// materializing that stream. The caller must Close the writer after a
+// successful encode (and drop the connection on failure).
 func (w *Writer) WriteSection(kind core.SectionKind, payload []byte) error {
-	var fk byte
-	switch kind {
-	case core.SectionHeader:
-		fk = FrameHeader
-	case core.SectionTensor:
-		fk = FrameTensor
-	case core.SectionLossless:
-		fk = FrameLossless
-	default:
+	if kind < core.SectionHeader || kind > core.SectionLossless {
 		return fmt.Errorf("wire: unknown section kind %d", kind)
 	}
-	return w.WriteFrame(fk, payload)
+	return w.WriteFrame(byte(kind), payload)
 }
 
 // WriteStream frames a complete serialized FedSZ stream — one header
@@ -190,15 +182,15 @@ func (w *Writer) WriteStream(stream []byte) error {
 	if err != nil {
 		return fmt.Errorf("wire: split stream: %w", err)
 	}
-	if err := w.WriteFrame(FrameHeader, secs.Header); err != nil {
+	if err := w.WriteSection(core.SectionHeader, secs.Header); err != nil {
 		return err
 	}
 	for _, ts := range secs.Tensors {
-		if err := w.WriteFrame(FrameTensor, ts); err != nil {
+		if err := w.WriteSection(core.SectionTensor, ts); err != nil {
 			return err
 		}
 	}
-	if err := w.WriteFrame(FrameLossless, secs.Lossless); err != nil {
+	if err := w.WriteSection(core.SectionLossless, secs.Lossless); err != nil {
 		return err
 	}
 	return w.Close()
@@ -397,8 +389,8 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// Next implements core.SectionSource. Section kinds map 1:1 onto frame
-// kinds; a frame of any other kind, or the stream ending early, is
+// Next implements core.SectionSource. A section arrives as a frame of its
+// kind; a frame of any other kind, or the stream ending early, is
 // corruption.
 func (s *SectionSource) Next(kind core.SectionKind) ([]byte, error) {
 	fk, payload, err := s.sc.Next()

@@ -178,6 +178,19 @@ func TestWriterRejectsMisuse(t *testing.T) {
 	if err := NewWriter(&bytes.Buffer{}).WriteStream([]byte("not a fedsz stream")); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("framing junk: %v", err)
 	}
+	// A section is framed under its own kind, and only a section kind is.
+	for _, kind := range []core.SectionKind{0, core.SectionKind(FrameTrailer)} {
+		if err := NewWriter(&bytes.Buffer{}).WriteSection(kind, nil); err == nil {
+			t.Fatalf("section kind %d framed", kind)
+		}
+	}
+	var one bytes.Buffer
+	if err := NewWriter(&one).WriteSection(core.SectionLossless, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := one.Bytes()[5]; got != FrameLossless {
+		t.Fatalf("lossless section framed as kind %#x", got)
+	}
 }
 
 func TestReaderRejectsNonHeaderFirstFrame(t *testing.T) {

@@ -14,7 +14,7 @@
 //     scheme; fixed-precision mode keeps the top `precision` planes.
 //
 // Because the paper's relative-bound sweeps drive all four compressors with
-// one knob, Compress also accepts ModeRelative/ModeAbsolute and maps the
+// one knob, CompressAppend also accepts ModeRelative/ModeAbsolute and maps the
 // bound to an equivalent precision (≈ log2(1/eb) bit planes); like real
 // ZFP's precision mode this provides no hard error guarantee, only an
 // empirically tight one.
@@ -44,9 +44,6 @@ const (
 	emaxEscape = 1<<10 - 1
 )
 
-// Params re-exports ebcl.Params.
-type Params = ebcl.Params
-
 // Compressor implements ebcl.Compressor.
 type Compressor struct{}
 
@@ -75,27 +72,10 @@ func PrecisionForBound(eb float64) int {
 	return p
 }
 
-// Compress implements ebcl.Compressor (CompressAppend with a nil dst).
-func (c *Compressor) Compress(data []float32, p Params) ([]byte, error) {
-	return c.CompressAppend(nil, data, p)
-}
-
-// Decompress implements ebcl.Compressor (DecompressInto with a nil dst).
-func (c *Compressor) Decompress(stream []byte) ([]float32, error) {
-	return c.DecompressInto(nil, stream)
-}
-
-// DecodedLen implements ebcl.Compressor: the element count from the stream
-// header, without decoding any payload.
-func (c *Compressor) DecodedLen(stream []byte) (int, error) {
-	n, _, _, err := ebcl.ParseHeader(stream, magic)
-	return n, err
-}
-
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
 // to dst. The plane coder emits directly behind the header in dst's
 // storage — no intermediate bit buffer or copy.
-func (c *Compressor) CompressAppend(dst []byte, data []float32, p Params) ([]byte, error) {
+func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) ([]byte, error) {
 	var precision int
 	switch p.Mode {
 	case ebcl.ModeFixedPrecision:

@@ -67,11 +67,11 @@ func TestFullPrecisionNearLossless(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 3))
 	data := eblctest.SmoothLike(rng, 1024)
 	c := NewCompressor()
-	stream, err := c.Compress(data, ebcl.Precision(32))
+	stream, err := c.CompressAppend(nil, data, ebcl.Precision(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decompress(stream)
+	out, err := c.DecompressInto(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestPrecisionControlsRatioAndError(t *testing.T) {
 	var prevErr float64 = math.Inf(1)
 	var prevLen int
 	for _, prec := range []int{6, 10, 14, 18} {
-		stream, err := c.Compress(data, ebcl.Precision(prec))
+		stream, err := c.CompressAppend(nil, data, ebcl.Precision(prec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Decompress(stream)
+		out, err := c.DecompressInto(nil, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestPrecisionForBound(t *testing.T) {
 func TestAllZeroBlocksAreTiny(t *testing.T) {
 	data := make([]float32, 4096)
 	c := NewCompressor()
-	stream, err := c.Compress(data, ebcl.Precision(16))
+	stream, err := c.CompressAppend(nil, data, ebcl.Precision(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestAllZeroBlocksAreTiny(t *testing.T) {
 	if len(stream) > 4096/4/8+32 {
 		t.Errorf("zero data stream is %d bytes", len(stream))
 	}
-	out, err := c.Decompress(stream)
+	out, err := c.DecompressInto(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func BenchmarkCompressPrec8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, ebcl.Precision(8)); err != nil {
+		if _, err := c.CompressAppend(nil, data, ebcl.Precision(8)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,11 +169,11 @@ func TestNonFiniteRoundTripsAsLiterals(t *testing.T) {
 
 	c := NewCompressor()
 	for _, p := range []ebcl.Params{ebcl.Abs(1e-3), ebcl.Precision(12)} {
-		stream, err := c.Compress(data, p)
+		stream, err := c.CompressAppend(nil, data, p)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		out, err := c.Decompress(stream)
+		out, err := c.DecompressInto(nil, stream)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -203,11 +203,11 @@ func TestNaNOnlyBlockDoesNotClampToZero(t *testing.T) {
 	// false and emitted an all-zero block for NaN-only input.
 	data := []float32{float32(math.NaN()), float32(math.NaN()), float32(math.NaN()), float32(math.NaN()), 1, 2, 3, 4}
 	c := NewCompressor()
-	stream, err := c.Compress(data, ebcl.Abs(1e-4))
+	stream, err := c.CompressAppend(nil, data, ebcl.Abs(1e-4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decompress(stream)
+	out, err := c.DecompressInto(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
