@@ -22,7 +22,7 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/flserve"
-	"repro/internal/telemetry"
+	"repro/internal/promtext"
 	"repro/internal/tensor"
 )
 
@@ -144,11 +144,11 @@ func httpGet(t *testing.T, maddr, path string) string {
 // exactly value.
 func wantSample(t *testing.T, body, name string, value float64) {
 	t.Helper()
-	samples, err := telemetry.ParseText([]byte(body))
+	samples, err := promtext.ParseText([]byte(body))
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
 	}
-	if s, ok := telemetry.FindSample(samples, name); !ok || s.Value != value {
+	if s, ok := promtext.FindSample(samples, name); !ok || s.Value != value {
 		t.Errorf("%s = %+v (ok=%v), want %v", name, s, ok, value)
 	}
 }
@@ -196,7 +196,7 @@ func scrapedCatalog(t *testing.T, body string) map[string]string {
 			types[f[2]] = f[3]
 		}
 	}
-	samples, err := telemetry.ParseText([]byte(body))
+	samples, err := promtext.ParseText([]byte(body))
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
 	}
@@ -261,6 +261,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	body := httpGet(t, maddr, "/metrics")
 	wantSample(t, body, "fedsz_server_updates_total", 1)
 	wantSample(t, body, "fedsz_agg_updates_total", 1)
+	wantSample(t, body, "fedsz_server_decode_seconds_count", 1)
 	documented, scraped := readmeCatalog(t), scrapedCatalog(t, body)
 	for family, got := range scraped {
 		if want, ok := documented[family]; !ok {

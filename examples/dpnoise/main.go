@@ -1,16 +1,15 @@
-// Differential-privacy scenario (paper §VII-D): the error FedSZ's lossy
-// stage injects into the weights looks Laplacian — the noise family used by
-// classic ε-differential-privacy mechanisms. This example compresses a
-// model at several error bounds, extracts the error vector, fits Laplace
-// and Gaussian distributions, and compares goodness of fit with the
-// Kolmogorov–Smirnov statistic.
+// Differential-privacy scenario (paper §VII-D) composed with the cross-round
+// delta mode: a client adds calibrated Laplace noise to its update, then
+// ships it as a residual against the broadcast global. The residual is the
+// (small) SGD step plus the (small) DP noise, so the delta encoding keeps
+// winning, and the lossy bound applies to the noised update — the
+// mechanism's noise survives the round trip within the usual error contract.
 //
-// The second stage composes DP noise with the cross-round delta mode: a
-// client adds calibrated Laplace noise to its update, then ships it as a
-// residual against the broadcast global. The residual is the (small) SGD
-// step plus the (small) DP noise, so the delta encoding keeps winning, and
-// the lossy bound applies to the noised update — the mechanism's noise
-// survives the round trip within the usual error contract.
+// The paper's observation that FedSZ's own decompression error looks
+// Laplacian (Fig. 10: Laplace and Gaussian fits, Kolmogorov–Smirnov
+// distances) is an experiment of fedsz-bench:
+//
+//	go run ./cmd/fedsz-bench -run fig10
 package main
 
 import (
@@ -19,7 +18,6 @@ import (
 	"log"
 	"math"
 	"math/rand/v2"
-	"strings"
 
 	fedsz "repro"
 	"repro/internal/nn/models"
@@ -27,77 +25,9 @@ import (
 )
 
 func main() {
-	if err := run(0.02); err != nil {
-		log.Fatal(err)
-	}
 	if _, err := runDelta(0.02, 5e-4, 1e-3); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func run(scale float64) error {
-	rng := rand.New(rand.NewPCG(3, 3))
-	sd, err := models.BuildProfile("alexnet", rng, scale)
-	if err != nil {
-		return err
-	}
-	// Flatten the weight partition: the data the EBLC perturbs.
-	var weights []float32
-	for _, e := range sd.Entries() {
-		if e.Kind == fedsz.KindWeight {
-			weights = append(weights, e.Tensor.Data...)
-		}
-	}
-	comp, err := fedsz.CompressorByName("sz2")
-	if err != nil {
-		return err
-	}
-
-	fmt.Println("FedSZ decompression-error analysis (paper Fig. 10 methodology)")
-	fmt.Printf("%-8s %-12s %-12s %-12s %-12s %-8s\n",
-		"REL", "err std", "laplace b", "KS laplace", "KS gauss", "winner")
-	for _, eb := range []float64{0.5, 0.1, 0.05, 0.01} {
-		stream, err := comp.CompressAppend(nil, weights, fedsz.RelBound(eb))
-		if err != nil {
-			return err
-		}
-		recon, err := comp.DecompressInto(nil, stream)
-		if err != nil {
-			return err
-		}
-		errs := stats.Errors(weights, recon)
-		summ := stats.Summarize(errs)
-		lf := stats.FitLaplace(errs)
-		gf := stats.FitGaussian(errs)
-		ksL := stats.KSDistance(errs, lf.CDF)
-		ksG := stats.KSDistance(errs, gf.CDF)
-		winner := "laplace"
-		if ksG < ksL {
-			winner = "gauss"
-		}
-		fmt.Printf("%-8g %-12.3e %-12.3e %-12.4f %-12.4f %-8s\n",
-			eb, summ.Std, lf.B, ksL, ksG, winner)
-
-		// Text histogram of the error distribution.
-		lim := 3 * summ.Std
-		if lim > 0 {
-			h := stats.NewHistogram(errs, -lim, lim, 41)
-			maxC := 1
-			for _, c := range h.Counts {
-				if c > maxC {
-					maxC = c
-				}
-			}
-			for i := 0; i < len(h.Counts); i += 4 {
-				bar := strings.Repeat("#", h.Counts[i]*40/maxC)
-				fmt.Printf("  %+9.2e |%s\n", h.BinCenter(i), bar)
-			}
-		}
-	}
-	fmt.Println("\nA Laplacian error profile suggests the compressor's noise could")
-	fmt.Println("double as DP noise — the paper's §VII-D observation. Formal ε")
-	fmt.Println("guarantees would need calibrated sensitivity analysis (future work).")
-	return nil
 }
 
 // deltaReport is what one DP-noised delta round trip measured, for the test
@@ -171,7 +101,7 @@ func runDelta(scale, noiseB, eb float64) (*deltaReport, error) {
 		MaxReconErr:    maxErr,
 		NoiseKSLaplace: stats.KSDistance(noise, lf.CDF),
 	}
-	fmt.Printf("\nDP noise × delta residual (Laplace b=%g, ABS bound %g):\n", noiseB, eb)
+	fmt.Printf("DP noise × delta residual (Laplace b=%g, ABS bound %g):\n", noiseB, eb)
 	fmt.Printf("  residual sections %d, wire %d B vs absolute %d B (%.1f%% saved)\n",
 		rep.DeltaTensors, rep.WireBytes, rep.AbsWireBytes,
 		100*(1-float64(rep.WireBytes)/float64(rep.AbsWireBytes)))

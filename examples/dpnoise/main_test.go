@@ -2,14 +2,6 @@ package main
 
 import "testing"
 
-// TestDPNoiseRuns fits the error distributions on a small profile — the
-// CLI default uses scale 0.02; the smoke test shrinks it further.
-func TestDPNoiseRuns(t *testing.T) {
-	if err := run(0.005); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDPNoiseDeltaScenario is the promoted DP × delta × lossy-bound
 // scenario: Laplace DP noise added to an update must ride the residual
 // encoding (which still wins over absolute) and come back within the lossy

@@ -124,11 +124,6 @@ func AbsBound(eb float64) Params { return ebcl.Abs(eb) }
 // examples/customcodec), riding the same pooled hot path.
 type Compressor = ebcl.Compressor
 
-// CompressorByName returns the registered compressor of that name ("sz2",
-// "sz3", "szx", "zfp" or a RegisterCompressor name), for calling the codec
-// contract directly on flat data (examples/dpnoise).
-func CompressorByName(name string) (Compressor, error) { return compressors.Get(name) }
-
 // RegisterCompressor adds a custom error-bounded compressor to the
 // registry so FedSZ streams produced with it can be decompressed (streams
 // carry the compressor name). Built-in names cannot be replaced. See

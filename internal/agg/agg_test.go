@@ -1383,8 +1383,10 @@ func TestForwardRefusesNonFiniteMean(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	up := &flserve.Client{Addr: ln.Addr().String(), Timeout: 2 * time.Second}
-	w, err := edge.Forward(context.Background(), up, 1000, core.Options{LossyParams: ebcl.Rel(1e-4)})
+	up := &flserve.Client{Addr: ln.Addr().String()}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	w, err := edge.Forward(ctx, up, 1000, core.Options{LossyParams: ebcl.Rel(1e-4)})
 	ln.Close()
 	<-done
 	if err == nil || w != 0 {

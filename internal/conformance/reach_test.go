@@ -28,6 +28,7 @@ import (
 // code, not a reference.
 var reachKept = map[string]string{
 	"repro/internal/eblctest": "test-support package: the per-codec contract the sz2, sz3, szx, zfp and pipeline tests run",
+	"repro/internal/promtext": "test-support package: the Prometheus text parser the telemetry, core, flserve and fedsz-serve tests read scrapes with",
 
 	"repro.Kind":           "the partitioner's public enum: a caller names it to hold an entry kind; TestPublicAPIRoundTrip checks every entry keeps its Kind",
 	"repro.KindScalarMeta": "the partitioner's fourth public kind (PyTorch's num_batches_tracked counters); TestCodecConcurrentSharedPools sends one",

@@ -165,6 +165,17 @@ func appendChunkedBlob(pool *sched.Pool, lossy ebcl.Compressor, dst []byte, data
 	return dst, nil
 }
 
+// firstStream returns the codec stream a decoded blob opens with: the blob
+// itself, or a chunked blob's first chunk (its framing already held).
+// chunkedOK is as for decodeBlobInto.
+func firstStream(blob []byte, chunkedOK bool) []byte {
+	if !chunkedOK || !isChunkedBlob(blob) {
+		return blob
+	}
+	chunks, k := binary.Uvarint(blob[1:])
+	return blob[1+k+4*int(chunks):]
+}
+
 // parseChunkedBlob validates a chunked blob's framing and returns the
 // chunk count plus each chunk's sub-blob as views into blob. The jump
 // table must account for the blob exactly — trailing slack would let

@@ -5,7 +5,9 @@ package core
 // and decode updates; RegisterMetrics names them on a registry the program
 // built. The stage timers are, per lossy codec, one encode and one decode
 // latency histogram of the whole state dict, the decoded updates'
-// compression ratio (fedsz_update_ratio) and the stage histograms of
+// compression ratio (fedsz_update_ratio), the absolute bound each decoded
+// tensor was encoded under (fedsz_resolved_bound, for a codec whose streams
+// record it: ebcl.BoundReader) and the stage histograms of
 // fedsz_stage_seconds: reconstruct, each tensor's decode task, and, for a
 // codec with the SZ-family back end (stageTimed: sz2 and sz3), the stages
 // its ebcl.Format times itself — quantize, huffman and lossless on encode,
@@ -31,6 +33,7 @@ var deltaBytesSaved, deltaSections, constantSections, absoluteSections telemetry
 type stageHists struct {
 	encode, decode *telemetry.Histogram
 	ratio          *telemetry.Histogram // each decoded update's raw / stream bytes
+	bound          *telemetry.Histogram // each decoded lossy tensor's absolute bound
 	reconstruct    *telemetry.Histogram
 	timers         *ebcl.StageTimers // nil without the SZ-family back end
 }
@@ -139,6 +142,9 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 	reg.Register("fedsz_update_ratio",
 		"Compression ratio of each decoded update: raw state-dict bytes (4 B an element) over FedSZ stream bytes, by lossy codec.",
 		h.ratio, telemetry.L("codec", codec))
+	reg.Register("fedsz_resolved_bound",
+		"Absolute error bound each decoded lossy tensor was encoded under (a REL bound resolved against the tensor's value range), by lossy codec; constant tensors and codecs without a formal bound record none.",
+		h.bound, telemetry.L("codec", codec))
 	for _, s := range h.series(codec) {
 		RegisterStage(reg, s.stage, s.codec, s.dir, s.h)
 	}
@@ -162,6 +168,7 @@ func stageFor(lossy ebcl.Compressor) *stageHists {
 		encode:      telemetry.NewHistogram(telemetry.DurationBuckets),
 		decode:      telemetry.NewHistogram(telemetry.DurationBuckets),
 		ratio:       telemetry.NewHistogram(telemetry.CompressionBuckets),
+		bound:       telemetry.NewHistogram(telemetry.BoundBuckets),
 		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
 	}
 	if st, ok := lossy.(stageTimed); ok {

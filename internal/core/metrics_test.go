@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
+	"repro/internal/promtext"
 	"repro/internal/szx"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // renamed is a codec under another name, for metrics keyed by codec.
@@ -33,7 +36,7 @@ func TestRegisterMetricsCoversLaterCodecs(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := telemetry.ParseText(buf.Bytes())
+	samples, err := promtext.ParseText(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +47,11 @@ func TestRegisterMetricsCoversLaterCodecs(t *testing.T) {
 		{"fedsz_delta_sections", "mode", "constant"},
 		{"fedsz_delta_sections", "mode", "absolute"},
 	} {
-		if _, ok := telemetry.FindSample(samples, want.name, telemetry.L(want.key, want.value)); !ok {
+		if _, ok := promtext.FindSample(samples, want.name, want.key, want.value); !ok {
 			t.Errorf("scrape has no %s{%s=%q}:\n%s", want.name, want.key, want.value, buf.String())
 		}
 	}
-	if s, ok := telemetry.FindSample(samples, "fedsz_decode_seconds_count", telemetry.L("codec", "test-seen-after")); ok && s.Value != 1 {
+	if s, ok := promtext.FindSample(samples, "fedsz_decode_seconds_count", "codec", "test-seen-after"); ok && s.Value != 1 {
 		t.Errorf("late codec's decode count = %v, want 1", s.Value)
 	}
 }
@@ -66,12 +69,12 @@ func TestStageTimersCountDecodes(t *testing.T) {
 		if err := reg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		samples, err := telemetry.ParseText(buf.Bytes())
+		samples, err := promtext.ParseText(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
-			telemetry.L("stage", stage), telemetry.L("codec", "sz2"), telemetry.L("dir", "decode"))
+		s, _ := promtext.FindSample(samples, "fedsz_stage_seconds_count",
+			"stage", stage, "codec", "sz2", "dir", "decode")
 		return s.Value
 	}
 	rng := rand.New(rand.NewPCG(44, 5))
@@ -123,7 +126,7 @@ func TestHuffmanStageOnlyForHuffmanCodecs(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := telemetry.ParseText(buf.Bytes())
+	samples, err := promtext.ParseText(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +134,13 @@ func TestHuffmanStageOnlyForHuffmanCodecs(t *testing.T) {
 		codec string
 		want  bool
 	}{{"sz2", true}, {"sz3", true}, {"szx", false}, {"zfp", false}} {
-		_, ok := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
-			telemetry.L("stage", "huffman"), telemetry.L("codec", c.codec), telemetry.L("dir", "decode"))
+		_, ok := promtext.FindSample(samples, "fedsz_stage_seconds_count",
+			"stage", "huffman", "codec", c.codec, "dir", "decode")
 		if ok != c.want {
 			t.Errorf("huffman series for %s: %v, want %v", c.codec, ok, c.want)
 		}
-		if _, ok := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
-			telemetry.L("stage", "reconstruct"), telemetry.L("codec", c.codec), telemetry.L("dir", "decode")); !ok {
+		if _, ok := promtext.FindSample(samples, "fedsz_stage_seconds_count",
+			"stage", "reconstruct", "codec", c.codec, "dir", "decode"); !ok {
 			t.Errorf("no reconstruct series for %s", c.codec)
 		}
 	}
@@ -156,12 +159,12 @@ func TestStageTimersCountEncodes(t *testing.T) {
 		if err := reg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		samples, err := telemetry.ParseText(buf.Bytes())
+		samples, err := promtext.ParseText(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := telemetry.FindSample(samples, "fedsz_stage_seconds_count",
-			telemetry.L("stage", stage), telemetry.L("codec", "sz2"), telemetry.L("dir", "encode"))
+		s, ok := promtext.FindSample(samples, "fedsz_stage_seconds_count",
+			"stage", stage, "codec", "sz2", "dir", "encode")
 		if !ok {
 			t.Fatalf("no %s encode series for sz2", stage)
 		}
@@ -185,5 +188,61 @@ func TestStageTimersCountEncodes(t *testing.T) {
 	}
 	if got := count("lossless") - lossless0; got > 4 {
 		t.Errorf("lossless stage observed %v blobs, want at most 4", got)
+	}
+}
+
+// TestResolvedBoundObservations: decoding observes fedsz_resolved_bound once
+// per lossy tensor whose stream records a bound, at that bound — an ABS bound
+// as given, a REL bound times the tensor's value range, a chunked tensor's
+// read from its first chunk. A constant tensor's REL bound resolves to 0 and
+// its stream takes the constant layout, which records none (under ABS it runs
+// the full pipeline); zfp's fixed precision has no formal bound.
+func TestResolvedBoundObservations(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 8))
+	sd := skewedDict(rng, 18432)
+	flat := tensor.New(2048)
+	for i := range flat.Data {
+		flat.Data[i] = 0.25
+	}
+	sd.Add("flat.weight", tensor.KindWeight, flat)
+	fcRange := ebcl.ValueRange(sd.Get("fc.weight").Data)
+	convRange := ebcl.ValueRange(sd.Get("conv.weight").Data)
+	for _, c := range []struct {
+		codec string
+		p     ebcl.Params
+		want  []float64
+	}{
+		{"sz2", ebcl.Abs(1e-3), []float64{1e-3, 1e-3, 1e-3}},
+		{"sz2", ebcl.Rel(1e-2), []float64{1e-2 * fcRange, 1e-2 * convRange}},
+		{"zfp", ebcl.Rel(1e-2), nil},
+	} {
+		lossy, err := compressors.Get(c.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := stageFor(lossy).bound
+		count0, sum0 := h.Count(), h.Sum()
+		stream, st, err := Compress(sd, Options{Lossy: lossy, LossyParams: c.p, ChunkElems: 8192})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LossyTensors != 3 || st.ChunkedTensors != 1 {
+			t.Fatalf("%s %v: %d lossy tensors, %d chunked; want 3 and 1", c.codec, c.p, st.LossyTensors, st.ChunkedTensors)
+		}
+		out, _, err := Decompress(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Release(out)
+		want := 0.0
+		for _, eb := range c.want {
+			want += eb
+		}
+		if n := h.Count() - count0; n != uint64(len(c.want)) {
+			t.Errorf("%s %v: %d observations, want %d", c.codec, c.p, n, len(c.want))
+		}
+		if got := h.Sum() - sum0; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s %v: observed bounds sum to %g, want %g", c.codec, c.p, got, want)
+		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/lanes"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -413,10 +412,12 @@ func ctxFirst(ctx context.Context, err error) error {
 // tensorTask is one lossy tensor's decode: it owns sec (pt.Blob aliases it).
 // The reconstruction lands straight in a pool-backed buffer sized from the
 // declared shape, and a residual folds its baseline back in as it decodes.
+// A decoded tensor's time goes to st's reconstruct stage and, for a codec
+// whose streams record it, its resolved bound to fedsz_resolved_bound.
 type tensorTask struct {
 	e       *DecodedTensor
 	lossy   ebcl.Compressor
-	hist    *telemetry.Histogram
+	st      *stageHists
 	work    *atomic.Int64
 	src     SectionSource
 	sec     []byte
@@ -440,13 +441,18 @@ func (t *tensorTask) run(ctx context.Context) {
 	data, m, err := decodeBlobInto(t.lossy, dst, pt.Blob, pt.Elems, t.chunked, t.ref)
 	took := time.Since(t0)
 	t.work.Add(int64(took))
-	t.hist.Observe(took.Seconds())
+	t.st.reconstruct.Observe(took.Seconds())
 	if err != nil {
 		sched.PutFloats(dst)
 		e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, err)
 		return
 	}
 	e.Data, e.Finite = data, m.Finite()
+	if br, ok := t.lossy.(ebcl.BoundReader); ok {
+		if eb, ok := br.ResolvedBound(firstStream(pt.Blob, t.chunked)); ok {
+			t.st.bound.Observe(eb)
+		}
+	}
 }
 
 // DecodeSections decodes one stream from src, scheduling each tensor's
@@ -548,7 +554,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		}
 		e := &d.Tensors[i]
 		e.Name, e.Kind, e.Shape = pt.Name, pt.Kind, pt.Shape
-		t := tensorTask{e: e, lossy: lossy, hist: st.reconstruct, work: &decodeWork, src: src, sec: sec, pt: pt, ref: ref, chunked: hdr.Chunked()}
+		t := tensorTask{e: e, lossy: lossy, st: st, work: &decodeWork, src: src, sec: sec, pt: pt, ref: ref, chunked: hdr.Chunked()}
 		// A small tensor decodes in less time than a handoff to the pool
 		// costs, so the reading goroutine decodes it itself.
 		if pt.Elems < inlineMaxElems && !(t.chunked && isChunkedBlob(pt.Blob)) {

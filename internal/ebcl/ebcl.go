@@ -114,6 +114,15 @@ type FiniteDecoder interface {
 	DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error)
 }
 
+// BoundReader is a Compressor whose streams record the absolute error bound
+// they were encoded under, right after the common header: sz2, sz3 and szx.
+// ResolvedBound reads it back; ok is false for the empty and constant
+// layouts, which record none. zfp does not implement it: its streams carry a
+// precision, and fixed precision has no formal bound.
+type BoundReader interface {
+	ResolvedBound(stream []byte) (eb float64, ok bool)
+}
+
 // Filled is the largest magnitude of a reconstruction DecodeLayout finished
 // by itself: empty, or copies of one value.
 func Filled(out []float32) lanes.AbsMax {

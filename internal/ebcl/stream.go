@@ -88,6 +88,16 @@ func ConstantOf(stream []byte, magic uint32, n int) (v float32, ok bool) {
 	return math.Float32frombits(binary.LittleEndian.Uint32(rest)), true
 }
 
+// BoundOf is ResolvedBound for a stream under magic whose full layouts write
+// the f64 absolute bound first, as Finish and szx do.
+func BoundOf(stream []byte, magic uint32) (eb float64, ok bool) {
+	_, layout, rest, err := ParseHeader(stream, magic)
+	if err != nil || layout < LayoutFull || len(rest) < 8 {
+		return 0, false
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(rest)), true
+}
+
 // DecodeLayout parses the common header and finishes the layouts
 // AppendDegenerate wrote: for those out is the complete reconstruction in
 // dst's storage and full is false. For LayoutFull, or the codec's own

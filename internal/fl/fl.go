@@ -3,8 +3,8 @@
 // stack of the paper replaced by goroutines. A FedSZ round sends every
 // update through the server's own path minus the socket: wire.EncodeStream
 // into a buffer, agg.Sharded.IngestStream out of it. A round over real
-// sockets is internal/flserve + internal/agg (see examples/streaming and
-// bench/).
+// sockets is internal/flserve + internal/agg (see cmd/fedsz-serve with
+// fedsz-bench -upload, and bench/).
 package fl
 
 import (

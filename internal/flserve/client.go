@@ -53,10 +53,6 @@ type Client struct {
 	// Link optionally shapes the uplink to a constrained bandwidth (the
 	// paper's 10 Mbps edge setting); the zero value uploads unthrottled.
 	Link netsim.Link
-	// Timeout bounds each upload attempt end to end — dial through ack —
-	// on top of whatever deadline the caller's context carries (0 applies
-	// no per-attempt bound).
-	Timeout time.Duration
 	// Retries is how many extra attempts a failed upload gets, re-dialing
 	// each time with doubling backoff. Only transport failures retry; a
 	// server rejection (ErrRejected) returns immediately. Delivery is
@@ -308,26 +304,21 @@ func (c *Client) UploadWeighted(ctx context.Context, clientID uint32, weight flo
 	})
 }
 
-// once runs up on a fresh session opened with magic, closing it after, under
-// the per-attempt Timeout, and re-dials transport failures and sheds up to
-// Retries times with doubling backoff. Context cancellation and server
-// rejections end the loop immediately.
+// once runs up on a fresh session opened with magic, closing it after, and
+// re-dials transport failures and sheds up to Retries times with doubling
+// backoff. Context cancellation and server rejections end the loop
+// immediately; the caller's context is the only bound on an upload.
 func (c *Client) once(ctx context.Context, magic uint32, up func(context.Context, *Session) error) error {
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond
 	}
 	for try := 0; ; try++ {
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if c.Timeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, c.Timeout)
-		}
-		s, err := c.dial(actx, magic, 0)
+		s, err := c.dial(ctx, magic, 0)
 		if err == nil {
-			err = up(actx, s)
+			err = up(ctx, s)
 			s.Close()
 		}
-		cancel()
 		if err == nil || errors.Is(err, ErrRejected) || ctx.Err() != nil || try >= c.Retries {
 			return err
 		}

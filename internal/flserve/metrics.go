@@ -66,7 +66,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register("fedsz_server_update_wire_bytes",
 		"Per-update wire size (framing included).", m.wireHist)
 	reg.Register("fedsz_server_decode_seconds",
-		"Per-update decode wall time, clientID through handler hand-off.", m.decodeHist)
+		"Per-update ingest time, from the first read of the update's stream through its fold into the accumulator.", m.decodeHist)
 	reg.Register("fedsz_server_overlap_ratio",
 		"Per-update fraction of decode work hidden behind receive (0 = strictly sequential, 1 = fully overlapped).",
 		m.overlapHist)

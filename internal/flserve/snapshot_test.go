@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/promtext"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -99,11 +100,11 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 		if err := reg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		samples, err := telemetry.ParseText(buf.Bytes())
+		samples, err := promtext.ParseText(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := telemetry.FindSample(samples, name)
+		s, ok := promtext.FindSample(samples, name)
 		if !ok {
 			t.Fatalf("scrape has no %s", name)
 		}

@@ -1,14 +1,20 @@
-package telemetry
-
-// promtext: a small parser for the Prometheus text exposition format —
-// enough to round-trip WritePrometheus output in tests and to let clients
-// (the streaming example, CI smoke checks) read individual samples off a
-// /metrics scrape without a Prometheus dependency.
+// Package promtext is a small parser for the Prometheus text exposition
+// format: enough for tests to round-trip telemetry's WritePrometheus output
+// and to read single samples off a /metrics scrape without a Prometheus
+// dependency. It is test support; no program imports it.
+package promtext
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
+)
+
+// The metric- and label-name grammars; a label name takes no colon.
+var (
+	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
 // Sample is one parsed exposition line: a metric name (including any
@@ -55,12 +61,12 @@ func checkComment(line string) error {
 	switch kind {
 	case "HELP", "TYPE":
 		name, arg, _ := strings.Cut(rest, " ")
-		if !validName(name, false) {
+		if !metricName.MatchString(name) {
 			return fmt.Errorf("%s for invalid metric name %q", kind, name)
 		}
 		if kind == "TYPE" {
-			switch metricType(arg) {
-			case typeCounter, typeGauge, typeHistogram, "summary", "untyped":
+			switch arg {
+			case "counter", "gauge", "histogram", "summary", "untyped":
 			default:
 				return fmt.Errorf("unknown TYPE %q for %q", arg, name)
 			}
@@ -76,7 +82,7 @@ func parseSample(line string) (Sample, error) {
 		i++
 	}
 	s.Name = line[:i]
-	if !validName(s.Name, false) {
+	if !metricName.MatchString(s.Name) {
 		return s, fmt.Errorf("invalid metric name %q", s.Name)
 	}
 	rest := line[i:]
@@ -112,7 +118,7 @@ func parseLabels(rest string) (map[string]string, string, error) {
 			return nil, "", fmt.Errorf("label without '=' near %q", rest)
 		}
 		key := strings.TrimSpace(rest[:eq])
-		if !validName(key, true) {
+		if !labelName.MatchString(key) {
 			return nil, "", fmt.Errorf("invalid label name %q", key)
 		}
 		rest = rest[eq+1:]
@@ -161,15 +167,16 @@ func parseQuoted(rest string) (string, string, error) {
 }
 
 // FindSample returns the first sample matching name and every given label
-// pair, or false when none matches — the one-liner a smoke test needs.
-func FindSample(samples []Sample, name string, labels ...Label) (Sample, bool) {
+// pair (key, value, key, value, ...), or false when none matches — the
+// one-liner a smoke test needs.
+func FindSample(samples []Sample, name string, labels ...string) (Sample, bool) {
 	for _, s := range samples {
 		if s.Name != name {
 			continue
 		}
 		ok := true
-		for _, l := range labels {
-			if s.Labels[l.Key] != l.Value {
+		for i := 0; i < len(labels); i += 2 {
+			if s.Labels[labels[i]] != labels[i+1] {
 				ok = false
 				break
 			}

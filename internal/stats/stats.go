@@ -47,7 +47,6 @@ func Summarize(data []float32) Summary {
 
 // Histogram is a fixed-bin density estimate.
 type Histogram struct {
-	Lo, Hi float64
 	Counts []int
 }
 
@@ -57,7 +56,7 @@ func NewHistogram(data []float32, lo, hi float64, bins int) *Histogram {
 	if bins < 1 || hi <= lo {
 		panic(fmt.Sprintf("stats: bad histogram spec [%g,%g)/%d", lo, hi, bins))
 	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
+	h := &Histogram{Counts: make([]int, bins)}
 	width := (hi - lo) / float64(bins)
 	for _, v := range data {
 		idx := int((float64(v) - lo) / width)
@@ -70,12 +69,6 @@ func NewHistogram(data []float32, lo, hi float64, bins int) *Histogram {
 		h.Counts[idx]++
 	}
 	return h
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
 }
 
 // LaplaceFit is the maximum-likelihood Laplace(μ, b): μ = median,

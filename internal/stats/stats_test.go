@@ -46,9 +46,6 @@ func TestHistogram(t *testing.T) {
 			t.Fatalf("counts %v want %v", h.Counts, want)
 		}
 	}
-	if got := h.BinCenter(0); math.Abs(got+0.75) > 1e-9 {
-		t.Fatalf("bin center %v", got)
-	}
 }
 
 func TestFitLaplaceRecoverParams(t *testing.T) {

@@ -72,6 +72,11 @@ func (c *Compressor) Name() string { return "sz2" }
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return format.Magic }
 
+// ResolvedBound implements ebcl.BoundReader.
+func (c *Compressor) ResolvedBound(stream []byte) (float64, bool) {
+	return ebcl.BoundOf(stream, format.Magic)
+}
+
 // StageTimers are the histograms each blob's stages are timed in, for the
 // caller that exports them.
 func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }

@@ -49,6 +49,9 @@ func (c *Compressor) Name() string { return "szx" }
 // Magic is the stream magic, for a caller that writes a constant stream itself.
 func (c *Compressor) Magic() uint32 { return magic }
 
+// ResolvedBound implements ebcl.BoundReader.
+func (c *Compressor) ResolvedBound(stream []byte) (float64, bool) { return ebcl.BoundOf(stream, magic) }
+
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
 // to dst. The bit writer emits directly behind the header in dst's storage
 // — no intermediate bit buffer or copy.

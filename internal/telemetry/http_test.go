@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/promtext"
 )
 
 func TestHTTPHandlerEndpoints(t *testing.T) {
@@ -38,7 +40,7 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 	if !strings.Contains(body, "demo_total 3\n") {
 		t.Fatalf("/metrics missing sample:\n%s", body)
 	}
-	if _, err := ParseText([]byte(body)); err != nil {
+	if _, err := promtext.ParseText([]byte(body)); err != nil {
 		t.Fatalf("/metrics body does not parse: %v", err)
 	}
 

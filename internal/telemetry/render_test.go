@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/promtext"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -71,32 +73,32 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if err := goldenRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ParseText(buf.Bytes())
+	samples, err := promtext.ParseText(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if s, ok := FindSample(samples, "acme_requests_total", L("method", "post")); !ok || s.Labels["path"] != `/up"load` {
+	if s, ok := promtext.FindSample(samples, "acme_requests_total", "method", "post"); !ok || s.Labels["path"] != `/up"load` {
 		t.Fatalf("escaped label value lost: %+v (found %v)", s, ok)
 	}
-	if s, ok := FindSample(samples, "acme_request_seconds_count", L("tricky", "newline\nquote\"backslash\\done")); !ok || s.Value != 1 {
+	if s, ok := promtext.FindSample(samples, "acme_request_seconds_count", "tricky", "newline\nquote\"backslash\\done"); !ok || s.Value != 1 {
 		t.Fatalf("tricky-label histogram count: %+v (found %v)", s, ok)
 	}
 
 	// Histogram invariants for the unlabeled series (matching tricky=""
 	// selects the series that lacks the label).
-	inf, ok := FindSample(samples, "acme_request_seconds_bucket", L("le", "+Inf"), L("tricky", ""))
+	inf, ok := promtext.FindSample(samples, "acme_request_seconds_bucket", "le", "+Inf", "tricky", "")
 	if !ok {
 		t.Fatal("no +Inf bucket for acme_request_seconds")
 	}
-	cnt, ok := FindSample(samples, "acme_request_seconds_count", L("tricky", ""))
+	cnt, ok := promtext.FindSample(samples, "acme_request_seconds_count", "tricky", "")
 	if !ok || cnt.Value != inf.Value {
 		t.Fatalf("_count %v != +Inf bucket %v", cnt.Value, inf.Value)
 	}
 	if cnt.Value != 5 {
 		t.Fatalf("_count = %v, want 5", cnt.Value)
 	}
-	var sum Sample
+	var sum promtext.Sample
 	for _, s := range samples {
 		if s.Name == "acme_request_seconds_sum" && s.Labels["tricky"] == "" {
 			sum = s
@@ -116,7 +118,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 		prev = s.Value
 	}
 
-	if s, _ := FindSample(samples, "acme_edge_values", L("case", "inf")); !math.IsInf(s.Value, 1) {
+	if s, _ := promtext.FindSample(samples, "acme_edge_values", "case", "inf"); !math.IsInf(s.Value, 1) {
 		t.Fatalf("inf gauge parsed as %v", s.Value)
 	}
 }
@@ -130,7 +132,7 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 		`0badname 1`,
 		"# TYPE m nonsense",
 	} {
-		if _, err := ParseText([]byte(bad)); err == nil {
+		if _, err := promtext.ParseText([]byte(bad)); err == nil {
 			t.Errorf("ParseText accepted %q", bad)
 		}
 	}

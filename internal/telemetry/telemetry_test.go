@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/promtext"
 )
 
 // counter, gauge and histogram make a metric and register it on r: the two
@@ -170,7 +172,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 				scrapeErr = err
 				return
 			}
-			if _, err := ParseText(buf.Bytes()); err != nil {
+			if _, err := promtext.ParseText(buf.Bytes()); err != nil {
 				scrapeErr = err
 				return
 			}
