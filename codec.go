@@ -47,11 +47,10 @@ type codecConfig struct {
 // Option configures a Codec under construction; see New.
 type Option func(*codecConfig) error
 
-// WithCompressor selects the error-bounded lossy compressor by registry
-// name ("sz2", "sz3", "szx", "zfp", or a RegisterCompressor name). The
-// name resolves at New, so a typo fails construction, not a compress call
-// mid-pipeline. A stream carries only this name, so a codec reaches a
-// Codec through the registry alone: every receiver can then decode it.
+// WithCompressor selects the error-bounded lossy compressor by name: "sz2",
+// "sz3", "szx" or "zfp". The name resolves at New, so a typo fails
+// construction, not a compress call mid-pipeline. A stream carries only this
+// name, and every receiver finds the same codec under it.
 func WithCompressor(name string) Option {
 	return func(c *codecConfig) error {
 		c.lossyName = name
@@ -66,7 +65,7 @@ func WithRelBound(eb float64) Option {
 		if eb <= 0 {
 			return fmt.Errorf("fedsz: relative error bound must be positive, got %g", eb)
 		}
-		c.params, c.hasParams = RelBound(eb), true
+		c.params, c.hasParams = ebcl.Rel(eb), true
 		return nil
 	}
 }
@@ -77,7 +76,7 @@ func WithAbsBound(eb float64) Option {
 		if eb <= 0 {
 			return fmt.Errorf("fedsz: absolute error bound must be positive, got %g", eb)
 		}
-		c.params, c.hasParams = AbsBound(eb), true
+		c.params, c.hasParams = ebcl.Abs(eb), true
 		return nil
 	}
 }

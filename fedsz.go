@@ -29,7 +29,8 @@
 // Sub-systems (the four EBLCs, the lossless codecs, the FL substrate, the
 // network simulator) live under internal/ and are exercised through this
 // package, the example programs, and the experiment harness in
-// cmd/fedsz-bench.
+// cmd/fedsz-bench. The lossy codec is one of the paper's four EBLCs, chosen
+// by name with WithCompressor; the set is fixed at build time.
 //
 // # Many clients at once
 //
@@ -60,7 +61,6 @@ package fedsz
 import (
 	"time"
 
-	"repro/internal/compressors"
 	"repro/internal/core"
 	"repro/internal/ebcl"
 	"repro/internal/netsim"
@@ -106,31 +106,6 @@ type DecompressStats = core.DecompressStats
 
 // Params selects the error-control mode for the lossy compressor.
 type Params = ebcl.Params
-
-// RelBound returns a value-range-relative error bound (the SZ convention
-// the paper uses; 1e-2 is its recommended setting).
-func RelBound(eb float64) Params { return ebcl.Rel(eb) }
-
-// AbsBound returns an absolute error bound.
-func AbsBound(eb float64) Params { return ebcl.Abs(eb) }
-
-// Compressor is an error-bounded lossy compressor over flat float32 data —
-// the three-method codec contract the pipeline runs on: Name, the registry
-// name a stream carries; CompressAppend, which extends a caller-supplied
-// byte buffer; and DecompressInto, which reconstructs into a caller-supplied
-// float32 buffer (a nil dst asks for a fresh one on either side). All four
-// built-in EBLCs implement it; a custom codec implements it too, enters
-// through RegisterCompressor and is selected with WithCompressor (see
-// examples/customcodec), riding the same pooled hot path.
-type Compressor = ebcl.Compressor
-
-// RegisterCompressor adds a custom error-bounded compressor to the
-// registry so FedSZ streams produced with it can be decompressed (streams
-// carry the compressor name). Built-in names cannot be replaced. See
-// examples/customcodec for a full walk-through.
-func RegisterCompressor(name string, factory func() Compressor) error {
-	return compressors.Register(name, factory)
-}
 
 // Link models a constrained network path for the Eqn-1 decision.
 type Link = netsim.Link

@@ -138,12 +138,3 @@ func TestShouldCompressAPI(t *testing.T) {
 		t.Fatal("100 Gbps should not favour compression")
 	}
 }
-
-func TestBoundHelpers(t *testing.T) {
-	if RelBound(1e-2).Value != 1e-2 || AbsBound(0.5).Value != 0.5 {
-		t.Fatal("bound helpers broken")
-	}
-	if RelBound(1e-2).Mode == AbsBound(1e-2).Mode {
-		t.Fatal("modes must differ")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ebcl"
 	"repro/internal/lanes"
 	"repro/internal/wire"
 )
@@ -245,14 +246,14 @@ func FuzzCodecDifferential(f *testing.F) {
 	for _, name := range []string{"sz2", "sz3", "szx", "zfp"} {
 		loose := slack[name]
 		configs = append(configs,
-			config{name, RelBound(1e-2), func(data []float32) float64 {
+			config{name, ebcl.Rel(1e-2), func(data []float32) float64 {
 				lo, hi := data[0], data[0]
 				for _, v := range data {
 					lo, hi = min(lo, v), max(hi, v)
 				}
 				return loose * 1e-2 * float64(hi-lo)
 			}},
-			config{name, AbsBound(1e-3), func([]float32) float64 { return loose * 1e-3 }},
+			config{name, ebcl.Abs(1e-3), func([]float32) float64 { return loose * 1e-3 }},
 		)
 	}
 

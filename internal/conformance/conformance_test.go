@@ -333,11 +333,11 @@ func TestLosslessStageEarnsItsKeep(t *testing.T) {
 				if len(stream) > len(earlier) {
 					t.Errorf("sz2 REL %g: %d bytes, the earlier policy wrote %d", rel, len(stream), len(earlier))
 				}
-				want, err := tc.c.DecompressInto(nil, stream)
+				want, _, err := tc.c.DecompressFinite(nil, stream)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tc.c.DecompressInto(nil, earlier)
+				got, _, err := tc.c.DecompressFinite(nil, earlier)
 				if err != nil {
 					t.Fatalf("sz2 REL %g: earlier-policy stream: %v", rel, err)
 				}

@@ -134,41 +134,41 @@ func testCodecReuse(t *testing.T, c ebcl.Compressor, p ebcl.Params, data []float
 	}
 	copy(data, saved)
 
-	refOut, err := c.DecompressInto(nil, ref)
+	refOut, _, err := c.DecompressFinite(nil, ref)
 	if err != nil || len(refOut) != len(data) {
 		t.Fatalf("decompress: %d of %d elements, %v", len(refOut), len(data), err)
 	}
 
-	// DecompressInto over a dirty NaN-poisoned recycled buffer must be
+	// DecompressFinite over a dirty NaN-poisoned recycled buffer must be
 	// bit-identical to the fresh decode (i.e. every element overwritten).
 	dirtyF := dirtyFloats(len(refOut) + 8)
-	intoDirty, err := c.DecompressInto(dirtyF, ref)
+	intoDirty, _, err := c.DecompressFinite(dirtyF, ref)
 	if err != nil {
-		t.Fatalf("DecompressInto(dirty): %v", err)
+		t.Fatalf("DecompressFinite(dirty): %v", err)
 	}
 	if !bitsEqual(intoDirty, refOut) {
-		t.Fatal("DecompressInto over a dirty recycled buffer produced different values")
+		t.Fatal("DecompressFinite over a dirty recycled buffer produced different values")
 	}
 
 	// Reusing the same buffer for a second decode must stay identical.
-	again, err := c.DecompressInto(intoDirty[:0], ref)
+	again, _, err := c.DecompressFinite(intoDirty[:0], ref)
 	if err != nil {
-		t.Fatalf("DecompressInto(reuse): %v", err)
+		t.Fatalf("DecompressFinite(reuse): %v", err)
 	}
 	if !bitsEqual(again, refOut) {
-		t.Fatal("second DecompressInto into the same buffer diverged")
+		t.Fatal("second DecompressFinite into the same buffer diverged")
 	}
 	sched.PutFloats(again)
 
 	// An undersized dst must force a correct reallocation.
 	if len(refOut) > 1 {
 		small := make([]float32, 0, 1)
-		grown, err := c.DecompressInto(small, ref)
+		grown, _, err := c.DecompressFinite(small, ref)
 		if err != nil {
-			t.Fatalf("DecompressInto(undersized): %v", err)
+			t.Fatalf("DecompressFinite(undersized): %v", err)
 		}
 		if !bitsEqual(grown, refOut) {
-			t.Fatal("DecompressInto with undersized dst diverged")
+			t.Fatal("DecompressFinite with undersized dst diverged")
 		}
 	}
 
@@ -204,7 +204,7 @@ func TestZeroCopyReuseAndAliasSafety(t *testing.T) {
 
 // TestSteadyStateAllocs pins what the zero-copy contract exists for: the
 // steady-state loop of a streaming server — CompressAppend into a recycled
-// buffer, DecompressInto a pooled buffer of the tensor's size — allocates next
+// buffer, DecompressFinite a pooled buffer of the tensor's size — allocates next
 // to nothing per tensor once the sched pools are warm, because every scratch
 // buffer inside the codec comes from and returns to a pool. A codec that
 // drops one sched.Put*, or a caller that goes back to a nil dst, shows up
@@ -247,12 +247,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 			out := sched.GetFloats(len(weights))
 			got = testing.AllocsPerRun(10, func() {
-				if out, err = c.DecompressInto(out[:0], enc); err != nil {
+				if out, _, err = c.DecompressFinite(out[:0], enc); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if got > tc.maxDecompress {
-				t.Errorf("DecompressInto a pooled buffer: %.0f allocs/op, want <= %.0f", got, tc.maxDecompress)
+				t.Errorf("DecompressFinite a pooled buffer: %.0f allocs/op, want <= %.0f", got, tc.maxDecompress)
 			}
 			sched.PutFloats(out)
 			sched.PutBytes(enc)

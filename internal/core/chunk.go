@@ -17,8 +17,8 @@ package core
 //	[4*C]    per-chunk byte sizes, uint32 LE (the jump table)
 //	[...]    C concatenated sub-blobs, each a complete codec stream
 //
-// The marker byte cannot collide with a plain blob: every registry codec
-// stream opens with a 4-byte little-endian magic whose first byte is
+// The marker byte cannot collide with a plain blob: every codec stream
+// opens with a 4-byte little-endian magic whose first byte is
 // 0x02 (sz2), 0x03 (sz3), 0x58 (szx), or 0x31 (zfp) — never 0xFC (the
 // same argument the multi-stream Huffman marker makes one layer down).
 // Chunk parsing is additionally gated on the stream version, so v1–v3
@@ -218,23 +218,23 @@ func parseChunkedBlob(blob []byte, elems int) (subs [][]byte, err error) {
 }
 
 // constantBlob returns v when blob is a residual that DecodeLayout
-// would fill with elems copies of v: a plain (not chunked) blob under a
-// built-in codec (magicCodec), ref present, and the codec's LayoutConstant
-// stream declaring elems. The tensor is then fl(ref[i] + v). chunkedOK is
+// would fill with elems copies of v: a plain (not chunked) blob, ref
+// present, and the codec's LayoutConstant stream declaring elems. The
+// tensor is then fl(ref[i] + v). chunkedOK is
 // as for decodeBlobInto. Any other blob, a hostile one too, is not constant
 // and takes the codec.
 func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool, ref []float32) (float32, bool) {
-	mc, ok := lossy.(magicCodec)
-	if !ok || ref == nil || chunkedOK && isChunkedBlob(blob) {
+	if ref == nil || chunkedOK && isChunkedBlob(blob) {
 		return 0, false
 	}
-	return ebcl.ConstantOf(blob, mc.Magic(), elems)
+	return ebcl.ConstantOf(blob, lossy.Magic(), elems)
 }
 
 // decodeBlobInto reconstructs a tensor blob — plain or chunked — into
 // dst's storage (capacity ≥ elems), returning the elems-length result and
 // the largest magnitude written, whose Finite is the finiteness verdict on
-// it: the codec's (decodeInto), or, for a residual, lanes.Add's on the sums.
+// it: the codec's (DecompressFinite), or, for a residual, lanes.Add's on the
+// sums.
 // A non-nil ref is the residual baseline: it is folded back in, in place,
 // per chunk (one pass while the chunk is still cache-warm). A constant
 // residual never gets here: DecodeSections asks constantBlob first and
@@ -247,7 +247,7 @@ func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool,
 // on 2 CPUs).
 func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, lanes.AbsMax, error) {
 	if !chunkedOK || !isChunkedBlob(blob) {
-		data, m, err := decodeInto(lossy, dst, blob)
+		data, m, err := lossy.DecompressFinite(dst, blob)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -268,9 +268,9 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 	for i, sub := range subs {
 		lo, hi := chunkBounds(elems, len(subs), i)
 		// A zero-length sub-slice anchored at lo with capacity hi-lo: the
-		// codec's DecompressInto reuses this storage when the declared
+		// codec's DecompressFinite reuses this storage when the declared
 		// length fits, landing the chunk exactly in place.
-		part, pm, err := decodeInto(lossy, full[lo:lo:hi], sub)
+		part, pm, err := lossy.DecompressFinite(full[lo:lo:hi], sub)
 		if err != nil {
 			return nil, 0, fmt.Errorf("chunk %d/%d: %w", i, len(subs), err)
 		}
@@ -289,18 +289,4 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 		m = max(m, pm)
 	}
 	return full, m, nil
-}
-
-// decodeInto is lossy.DecompressInto and the largest magnitude of the
-// result: the codec's own (ebcl.FiniteDecoder, every built-in codec) or, for
-// a codec without one, a scan of what it wrote.
-func decodeInto(lossy ebcl.Compressor, dst []float32, blob []byte) ([]float32, lanes.AbsMax, error) {
-	if fd, ok := lossy.(ebcl.FiniteDecoder); ok {
-		return fd.DecompressFinite(dst, blob)
-	}
-	out, err := lossy.DecompressInto(dst, blob)
-	if err != nil || len(out) == 0 {
-		return out, 0, err
-	}
-	return out, lanes.AbsMax(lanes.Scan(out).AbsBits), nil
 }

@@ -37,9 +37,10 @@ func parseTensors(t *testing.T, stream []byte) []ParsedTensor {
 	return pts
 }
 
-// sentinelRefuser is an EBLC that cannot encode any input containing the
-// sentinel value — the stand-in for a registered third-party codec that
-// fails on one candidate of the both-ways policy but not the other.
+// sentinelRefuser is a built-in EBLC that cannot encode any input containing
+// the sentinel value: a codec error on one candidate of the both-ways policy
+// but not the other. Every other method is the wrapped codec's, so the
+// constant-residual, verdict and bound paths are production's.
 type sentinelRefuser struct {
 	ebcl.Compressor
 	sentinel float32

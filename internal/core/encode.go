@@ -334,11 +334,11 @@ func (s *section) encodeTensor(pool *sched.Pool, o Options, modeBytes bool) {
 //     residual is finite and strictly tighter than the data, and the bound
 //     survives the float32 rounding allowance that comes off the residual's
 //     bound alone (residualBound).
-//   - A candidate whose residual spans at most twice that shrunk bound ships,
-//     under a built-in codec (magicCodec), as the 13-byte constant stream of
-//     its midpoint once every element's reconstruction passes constantResidual:
-//     no codec call and no sample, one plain blob even where the tensor would
-//     chunk, and nothing added to DeltaBytesSaved.
+//   - A candidate whose residual spans at most twice that shrunk bound ships
+//     as the codec's 13-byte constant stream of its midpoint once every
+//     element's reconstruction passes constantResidual: no codec call and no
+//     sample, one plain blob even where the tensor would chunk, and nothing
+//     added to DeltaBytesSaved.
 //   - Otherwise, up to sampleMinElems, both encodings are produced and the
 //     smaller is kept: the section is never larger than the absolute one and
 //     DeltaBytesSaved is exact. Above it only the candidate whose sample
@@ -394,9 +394,9 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		// rounding eats the bound: absolute only, without a second encode.
 		return write(buf, s.data, absP)
 	}
-	if mc, ok := o.Lossy.(magicCodec); ok && rangeR <= 2*ebRes {
+	if rangeR <= 2*ebRes {
 		if mid, ok := constantResidual(s.data, ref, resExt, wholeP.Value); ok {
-			out := ebcl.AppendConstant(buf, mc.Magic(), len(s.data), mid)
+			out := ebcl.AppendConstant(buf, o.Lossy.Magic(), len(s.data), mid)
 			out[modePos] = sectionDelta
 			s.delta, s.constant, s.chunked = true, true, false
 			return out, nil
@@ -444,11 +444,6 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 	s.delta = true
 	return out, nil
 }
-
-// magicCodec is a codec whose streams open with ebcl's common header under one
-// magic and decode its constant layout (the four built-ins): encodeBlob may
-// write one of its constant streams itself (ebcl.AppendConstant).
-type magicCodec interface{ Magic() uint32 }
 
 // A residual candidate above sampleMinElems elements is not encoded both
 // ways: sampleRun-element runs every sampleStride (1/8 of the tensor, on the

@@ -281,7 +281,7 @@ func TestEBLCStreamCorruption(t *testing.T) {
 		for trial := 0; trial < 150; trial++ {
 			bad := append([]byte(nil), stream...)
 			bad[rng.IntN(len(bad))] ^= byte(rng.IntN(255) + 1)
-			out, err := comp.DecompressInto(nil, bad)
+			out, _, err := comp.DecompressFinite(nil, bad)
 			if err == nil && len(out) != len(data) && len(out) > ebcl.MaxElements {
 				t.Fatalf("%s: corrupt stream produced %d elements", name, len(out))
 			}

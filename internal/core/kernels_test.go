@@ -286,10 +286,6 @@ func TestAddIntoKernel(t *testing.T) {
 	})
 }
 
-// noMagic hides its codec's Magic method: to constantBlob it is a codec
-// that does not decode the constant layout itself.
-type noMagic struct{ ebcl.Compressor }
-
 // constantStream is a one-tensor v3 stream under lossy whose tensor "w", of
 // n elements and encoded against epoch 1, is a residual section carrying blob.
 func constantStream(t *testing.T, lossy ebcl.Compressor, n int, blob []byte) []byte {
@@ -313,14 +309,14 @@ func constantStream(t *testing.T, lossy ebcl.Compressor, n int, blob []byte) []b
 }
 
 // TestConstantBlobDecode holds the constant-residual decode, on both paths
-// and under each built-in codec, to the codec's DecompressInto followed by
+// and under each built-in codec, to the codec's DecompressFinite followed by
 // lanes.Add. Through DecodeSections a constant section decodes to its
 // constant form (no buffer, the value's bits, ref aliased), and StateDict
 // writes it out with the same float bits as the codec path (NaN payloads in
 // ref and in the constant included). constantBlob turns down a constant
-// stream without a reference, every stream under a codec without Magic, and
-// the hostile streams — count ≠ elems, truncated to 12 bytes, a wrong magic,
-// a count over MaxElements — which reach the codec and fail there.
+// stream without a reference and the hostile streams — count ≠ elems,
+// truncated to 12 bytes, a wrong magic, a count over MaxElements — which
+// reach the codec and fail there.
 func TestConstantBlobDecode(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(33, 3))
@@ -329,7 +325,7 @@ func TestConstantBlobDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		magic := lossy.(magicCodec).Magic()
+		magic := lossy.Magic()
 		lanes.BothPaths(func(path string) {
 			for _, n := range []int{1, 7, 8, 13, 1000, 4099} {
 				ref := make([]float32, n)
@@ -343,10 +339,7 @@ func TestConstantBlobDecode(t *testing.T) {
 					for _, trail := range []int{0, 1} {
 						blob := append(ebcl.AppendConstant(nil, magic, n, v), make([]byte, trail)...)
 						label := fmt.Sprintf("%s %s: n=%d v=%g trail %d", path, name, n, v, trail)
-						if _, ok := constantBlob(noMagic{lossy}, blob, n, true, ref); ok {
-							t.Fatalf("%s: constant without Magic", label)
-						}
-						want, err := lossy.DecompressInto(nil, blob)
+						want, _, err := lossy.DecompressFinite(nil, blob)
 						if err != nil {
 							t.Fatalf("%s: codec: %v", label, err)
 						}

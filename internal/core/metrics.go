@@ -7,16 +7,17 @@ package core
 // latency histogram of the whole state dict, the decoded updates'
 // compression ratio (fedsz_update_ratio), the absolute bound each decoded
 // tensor was encoded under (fedsz_resolved_bound, for a codec whose streams
-// record it: ebcl.BoundReader) and the stage histograms of
+// record it: ResolvedBound) and the stage histograms of
 // fedsz_stage_seconds: reconstruct, each tensor's decode task, and, for a
-// codec with the SZ-family back end (stageTimed: sz2 and sz3), the stages
-// its ebcl.Format times itself — quantize, huffman and lossless on encode,
-// huffman on decode. They are created the first time a codec is seen. The
-// wire framing's frame stage, both directions, is one pair of histograms
-// for every codec (FrameTimers). The lookup is a plain map behind an
-// RWMutex — a read-lock map hit boxes nothing, so the steady-state cost per
-// encode/decode call is one RLock, and per observation one Observe (both
-// allocation-free).
+// codec with the SZ-family back end (a non-nil StageTimers: sz2 and sz3),
+// the stages its ebcl.Format times itself — quantize, huffman and lossless
+// on encode, huffman on decode — beside each encoded blob's share of its
+// bound (fedsz_bound_utilization). They are created the first time a codec
+// is seen. The wire framing's frame stage, both directions, is one pair of
+// histograms for every codec (FrameTimers). The lookup is a plain map
+// behind an RWMutex — a read-lock map hit boxes nothing, so the
+// steady-state cost per encode/decode call is one RLock, and per
+// observation one Observe (both allocation-free).
 
 import (
 	"sync"
@@ -36,12 +37,6 @@ type stageHists struct {
 	bound          *telemetry.Histogram // each decoded lossy tensor's absolute bound
 	reconstruct    *telemetry.Histogram
 	timers         *ebcl.StageTimers // nil without the SZ-family back end
-}
-
-// stageTimed is a codec whose blobs go through the SZ-family back end, timed
-// in the histograms it returns.
-type stageTimed interface {
-	StageTimers() *ebcl.StageTimers
 }
 
 // FrameTimers are the wire framing's frame+CRC stage, encode and decode,
@@ -148,6 +143,11 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 	for _, s := range h.series(codec) {
 		RegisterStage(reg, s.stage, s.codec, s.dir, s.h)
 	}
+	if t := h.timers; t != nil {
+		reg.Register("fedsz_bound_utilization",
+			"Largest reconstruction error over the absolute bound of each encoded full-layout blob, by lossy codec (sz2 and sz3); above 1 the bound broke.",
+			t.Utilization, telemetry.L("codec", codec))
+	}
 }
 
 // stageFor returns the stage histograms labeled with lossy's name.
@@ -170,9 +170,7 @@ func stageFor(lossy ebcl.Compressor) *stageHists {
 		ratio:       telemetry.NewHistogram(telemetry.CompressionBuckets),
 		bound:       telemetry.NewHistogram(telemetry.BoundBuckets),
 		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
-	}
-	if st, ok := lossy.(stageTimed); ok {
-		h.timers = st.StageTimers()
+		timers:      lossy.StageTimers(),
 	}
 	for _, reg := range stageRegs {
 		h.register(reg, codec)

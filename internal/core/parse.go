@@ -21,7 +21,7 @@ import (
 type ParsedHeader struct {
 	// Version is the stream format version (1–4).
 	Version byte
-	// LossyName and LosslessName select the codecs by registry name.
+	// LossyName and LosslessName select the codecs by name.
 	LossyName    string
 	LosslessName string
 	// RefEpoch is the delta reference epoch (v3/v4 streams only, else 0; a

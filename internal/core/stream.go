@@ -448,10 +448,8 @@ func (t *tensorTask) run(ctx context.Context) {
 		return
 	}
 	e.Data, e.Finite = data, m.Finite()
-	if br, ok := t.lossy.(ebcl.BoundReader); ok {
-		if eb, ok := br.ResolvedBound(firstStream(pt.Blob, t.chunked)); ok {
-			t.st.bound.Observe(eb)
-		}
+	if eb, ok := t.lossy.ResolvedBound(firstStream(pt.Blob, t.chunked)); ok {
+		t.st.bound.Observe(eb)
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package ebcl defines the shared machinery for the error-bounded lossy
-// compressors (EBLCs) evaluated by FedSZ: the Compressor interface, error
-// bound modes, the common stream header, the linear quantizer used by the
-// prediction-based compressors (SZ2, SZ3) and the one back end that turns
-// their quantization codes into a stream and back (Format, Sections),
-// verification helpers, and the one CPU check (AVX2) that selects the amd64
-// block kernels (kernels.go).
+// compressors (EBLCs) evaluated by FedSZ: the Compressor interface, the one
+// contract sz2, sz3, szx and zfp implement; error bound modes, the common
+// stream header, the linear quantizer used by the prediction-based
+// compressors (SZ2, SZ3) with the Tally its loops report, and the one back
+// end that turns their quantization codes into a stream and back (Format,
+// Sections), timing its stages and observing each blob's utilization of its
+// bound (StageTimers); verification helpers; and the one CPU check (AVX2)
+// that selects the amd64 block kernels (kernels.go).
 //
 // Error bound semantics follow the SZ convention: a *relative* bound eb
 // means the absolute reconstruction error of every element is at most
@@ -78,11 +80,13 @@ var ErrCorrupt = errors.New("ebcl: corrupt compressed stream")
 const PredictorBlockElems = 256
 
 // Compressor is an error-bounded lossy compressor over 1-D float32 arrays
-// (FL model updates are flattened before compression, paper Algorithm 1).
+// (FL model updates are flattened before compression, paper Algorithm 1):
+// the one contract the paper's four EBLCs (sz2, sz3, szx, zfp) implement and
+// the core pipeline runs on, each method called directly.
 //
 // The contract is append/into-style so a steady-state pipeline never
 // allocates at the lossy boundary: CompressAppend extends a caller-supplied
-// (typically pool-recycled) byte buffer, and DecompressInto reconstructs
+// (typically pool-recycled) byte buffer, and DecompressFinite reconstructs
 // into a caller-supplied float32 buffer, which the core pipeline sizes from
 // the tensor section's shape. The appended or reconstructed bytes must be
 // identical regardless of dst's prior contents or capacity, and the result
@@ -92,35 +96,32 @@ const PredictorBlockElems = 256
 // tensors on one Compressor value in parallel. A nil dst asks for a fresh
 // buffer on either side.
 type Compressor interface {
-	// Name returns the compressor's registry name ("sz2", "sz3", ...).
+	// Name returns the compressor's table name ("sz2", "sz3", ...), the
+	// name a FedSZ stream carries.
 	Name() string
+	// Magic is the stream magic behind ebcl's common header, for a caller
+	// that writes one of the codec's constant streams itself
+	// (AppendConstant) or recognises one (ConstantOf).
+	Magic() uint32
 	// CompressAppend encodes data under the given error-control parameters,
 	// appending the stream to dst (which may be nil) and returning the
 	// extended slice, like append.
 	CompressAppend(dst []byte, data []float32, p Params) ([]byte, error)
-	// DecompressInto reconstructs the (lossy) array into dst's storage: the
+	// DecompressFinite reconstructs the (lossy) array into dst's storage: the
 	// result has the stream's element count, reuses dst's backing array when
 	// its capacity suffices (dst's length and prior contents are ignored),
-	// and is freshly allocated otherwise. On error the returned slice is nil
-	// and dst is unretained.
-	DecompressInto(dst []float32, stream []byte) ([]float32, error)
-}
-
-// FiniteDecoder is a Compressor whose decoder judges what it writes:
-// DecompressFinite is DecompressInto that also returns the largest magnitude
-// of the reconstruction, whose Finite reports that it holds no NaN and no
-// infinity without a pass over it. The four built-in codecs implement it.
-type FiniteDecoder interface {
+	// and is freshly allocated otherwise. It also returns the largest
+	// magnitude of the reconstruction, whose Finite reports that it holds no
+	// NaN and no infinity without a pass over it. On error the returned
+	// slice is nil and dst is unretained.
 	DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error)
-}
-
-// BoundReader is a Compressor whose streams record the absolute error bound
-// they were encoded under, right after the common header: sz2, sz3 and szx.
-// ResolvedBound reads it back; ok is false for the empty and constant
-// layouts, which record none. zfp does not implement it: its streams carry a
-// precision, and fixed precision has no formal bound.
-type BoundReader interface {
+	// ResolvedBound reads back the absolute error bound a stream was encoded
+	// under. ok is false for the empty and constant layouts, which record
+	// none, and for a codec without a formal bound (zfp's fixed precision).
 	ResolvedBound(stream []byte) (eb float64, ok bool)
+	// StageTimers are the histograms the codec times its stages in, for the
+	// caller that exports them; nil for a codec that times none (szx, zfp).
+	StageTimers() *StageTimers
 }
 
 // Filled is the largest magnitude of a reconstruction DecodeLayout finished
@@ -134,7 +135,7 @@ func Filled(out []float32) lanes.AbsMax {
 
 // GrowFloats returns a slice of length n backed by dst's array when
 // cap(dst) >= n and freshly allocated otherwise — the dst-sizing step of
-// every DecompressInto implementation. Contents are unspecified; callers
+// every DecompressFinite implementation. Contents are unspecified; callers
 // overwrite every element.
 func GrowFloats(dst []float32, n int) []float32 {
 	if cap(dst) >= n {

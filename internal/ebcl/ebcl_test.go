@@ -248,7 +248,7 @@ func backEndStream(t *testing.T, f Format) []byte {
 		coeffs = append(sched.GetFloats(2), 0.5, -0.25)
 	}
 	codes := append(sched.GetUint16s(3), QuantRadius, EscapeCode, QuantRadius+1)
-	stream, err := f.Finish(nil, time.Now(), 0.125, kinds, coeffs, codes, CodeSpan{QuantRadius, QuantRadius + 1}, append(sched.GetFloats(1), 7))
+	stream, err := f.Finish(nil, time.Now(), 0.125, kinds, coeffs, codes, Tally{Span: CodeSpan{QuantRadius, QuantRadius + 1}}, append(sched.GetFloats(1), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +435,9 @@ func TestBackEndRejectsBadBound(t *testing.T) {
 }
 
 // quantizeEach is the reference QuantizeLinear is held to: one Quantize
-// call per element against the prediction a·i + b.
-func quantizeEach(q Quantizer, block []float32, a, b float64) (codes []uint16, literals []float32, last float64) {
+// call per element against the prediction a·i + b, and worst the largest
+// |v − recon| of the elements that did not escape.
+func quantizeEach(q Quantizer, block []float32, a, b float64) (codes []uint16, literals []float32, last, worst float64) {
 	codes = make([]uint16, len(block))
 	for i, v := range block {
 		code, recon, ok := q.Quantize(float64(v), a*float64(i)+b)
@@ -446,18 +447,21 @@ func quantizeEach(q Quantizer, block []float32, a, b float64) (codes []uint16, l
 			continue
 		}
 		codes[i], last = uint16(code), float64(recon)
+		if d := math.Abs(float64(v) - last); d > worst {
+			worst = d
+		}
 	}
-	return codes, literals, last
+	return codes, literals, last, worst
 }
 
 // checkQuantizeLinear runs QuantizeLinear on both paths and quantizeEach over
-// one block and requires the same codes, literal bits and last
-// reconstruction bits, then holds DequantizeLinear to the reference on the
+// one block and requires the same codes, literal bits, last reconstruction
+// bits and Tally (span and worst error, held to the bound), then holds DequantizeLinear to the reference on the
 // result. It returns the codes for callers that also pin them.
 func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64) []uint16 {
 	t.Helper()
 	q := NewQuantizer(eb)
-	wantCodes, wantLits, wantLast := quantizeEach(q, block, a, b)
+	wantCodes, wantLits, wantLast, wantWorst := quantizeEach(q, block, a, b)
 	f := make([]float64, len(block))
 	for i, v := range block {
 		f[i] = float64(v)
@@ -470,13 +474,16 @@ func checkQuantizeLinear(t *testing.T, eb float64, block []float32, a, b float64
 	}
 	lanes.BothPaths(func(path string) {
 		codes := make([]uint16, len(block))
-		span := NoCodes
-		lits, last := q.QuantizeLinear(codes, block, f, a, b, []float32{42}, &span)
+		tally := Tally{Span: NoCodes, Worst: eb / 8} // carried in: the worst only grows
+		lits, last, tally := q.QuantizeLinear(codes, block, f, a, b, []float32{42}, tally)
 		if !slices.Equal(codes, wantCodes) {
 			t.Fatalf("%s eb=%g a=%g b=%g: codes\n got %v\nwant %v", path, eb, a, b, codes, wantCodes)
 		}
-		if span != wantSpan {
-			t.Fatalf("%s eb=%g a=%g b=%g: code span %v, want %v", path, eb, a, b, span, wantSpan)
+		if tally.Span != wantSpan {
+			t.Fatalf("%s eb=%g a=%g b=%g: code span %v, want %v", path, eb, a, b, tally.Span, wantSpan)
+		}
+		if w := max(wantWorst, eb/8); math.Float64bits(tally.Worst) != math.Float64bits(w) || !(tally.Worst <= eb) {
+			t.Fatalf("%s eb=%g a=%g b=%g: worst error %v, want %v (bound %v)", path, eb, a, b, tally.Worst, w, eb)
 		}
 		if len(lits) != 1+len(wantLits) || lits[0] != 42 {
 			t.Fatalf("%s eb=%g a=%g b=%g: literals %v, want [42] followed by %v", path, eb, a, b, lits, wantLits)

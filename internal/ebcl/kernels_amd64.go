@@ -9,11 +9,12 @@ package ebcl
 // quantizeLinearAVX2 is QuantizeLinear's loop over a block whose length is a
 // positive multiple of 4: codes written, EscapeCode for every escaping lane,
 // last the final lane's reconstruction (meaningless if that lane escaped),
-// escaped whether any lane did, lo and hi the least and greatest code of the
-// lanes that did not (both 0 when every lane escaped).
+// worst the largest |v − rec32| of the lanes that did not escape, escaped
+// whether any lane did, lo and hi the least and greatest code of the lanes
+// that did not (both 0 when every lane escaped).
 //
 //go:noescape
-func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool, lo, hi uint32)
+func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last, worst float64, escaped bool, lo, hi uint32)
 
 // dequantizeLinearAVX2 is DequantizeLinear's loop over codes, whose length is
 // a positive multiple of 4. It writes a value for every element, escape

@@ -38,8 +38,8 @@ DATA consts<>+240(SB)/8, $0xffffffffffffffff // −1 as int32, four times
 DATA consts<>+248(SB)/8, $0xffffffffffffffff
 GLOBL consts<>(SB), RODATA|NOPTR, $256
 
-// func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last float64, escaped bool, lo, hi uint32)
-TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-108
+// func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidth, ebAbs float64) (last, worst float64, escaped bool, lo, hi uint32)
+TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-116
 	MOVQ         codes_base+0(FP), DI
 	MOVQ         block_base+24(FP), SI
 	MOVQ         block_len+32(FP), CX
@@ -52,6 +52,7 @@ TEXT ·quantizeLinearAVX2(SB), NOSPLIT, $0-108
 	XORL         DX, DX                 // escaped lanes, any quad
 	VPXOR        X15, X15, X15          // the greatest code, a lane
 	VPCMPEQD     X5, X5, X5             // the least code − 1, a lane
+	VXORPD       Y14, Y14, Y14          // the largest |diff| that quantized, a lane
 
 loop:
 	VCVTPS2PD   (SI), Y7                      // v
@@ -73,12 +74,14 @@ loop:
 	VCVTPS2PD   X12, Y12
 	VSUBPD      Y12, Y7, Y13                  // diff = v − rec32
 	VANDPD      consts<>+208(SB), Y13, Y13
-	VCMPPD      $0x12, Y4, Y13, Y14           // |diff| <= ebAbs, ordered: −ebAbs <= diff <= ebAbs
-	VANDPD      Y14, Y10, Y10                 // the lanes that quantize
+	VCMPPD      $0x12, Y4, Y13, Y9            // |diff| <= ebAbs, ordered: −ebAbs <= diff <= ebAbs
+	VANDPD      Y9, Y10, Y10                  // the lanes that quantize
+	VANDPD      Y10, Y13, Y13                 // their |diff|, +0 in the others
+	VMAXPD      Y13, Y14, Y14
 	VPADDD      consts<>+192(SB), X11, X11    // k + R
-	VEXTRACTF128 $1, Y10, X14
-	VSHUFPS     $0x88, X14, X10, X14          // one 32-bit mask per lane
-	VPAND       X14, X11, X11                 // EscapeCode in the others
+	VEXTRACTF128 $1, Y10, X9
+	VSHUFPS     $0x88, X9, X10, X9            // one 32-bit mask per lane
+	VPAND       X9, X11, X11                  // EscapeCode in the others
 	VPMAXUD     X11, X15, X15
 	VPADDD      consts<>+240(SB), X11, X13    // code − 1: EscapeCode wraps to the top
 	VPMINUD     X13, X5, X5
@@ -96,8 +99,13 @@ loop:
 	VEXTRACTF128 $1, Y12, X12
 	VUNPCKHPD    X12, X12, X12 // the last lane's reconstruction
 	VMOVSD       X12, last+88(FP)
+	VEXTRACTF128 $1, Y14, X13
+	VMAXPD       X13, X14, X14
+	VUNPCKHPD    X14, X14, X13
+	VMAXSD       X13, X14, X14
+	VMOVSD       X14, worst+96(FP)
 	TESTL        DX, DX
-	SETNE        escaped+96(FP)
+	SETNE        escaped+104(FP)
 	VPSHUFD      $0x4e, X15, X13
 	VPMAXUD      X13, X15, X15
 	VPSHUFD      $0xb1, X15, X13
@@ -108,9 +116,9 @@ loop:
 	VPMINUD      X13, X5, X5
 	VMOVD        X5, AX
 	INCL         AX             // 0 when every lane escaped
-	MOVL         AX, lo+100(FP)
+	MOVL         AX, lo+108(FP)
 	VMOVD        X15, AX
-	MOVL         AX, hi+104(FP)
+	MOVL         AX, hi+112(FP)
 	VZEROUPPER
 	RET
 

@@ -35,6 +35,25 @@ var NoCodes = CodeSpan{Lo: math.MaxUint16}
 // With returns s grown by code c.
 func (s CodeSpan) With(c uint16) CodeSpan { return CodeSpan{min(s.Lo, c), max(s.Hi, c)} }
 
+// Tally is what a quantize loop reports besides its codes: the CodeSpan of
+// the codes it wrote, and Worst, the largest |v − rec32| among the elements
+// it quantized. An escaped element is stored exactly and adds nothing.
+// Format.Finish observes Worst over the bound as the blob's utilization.
+type Tally struct {
+	Span  CodeSpan
+	Worst float64
+}
+
+// With returns t grown by one quantized element: its code and its error
+// v − rec32. The rarely taken branch is cheaper than a float max.
+func (t Tally) With(code uint16, diff float64) Tally {
+	t.Span = t.Span.With(code)
+	if d := math.Abs(diff); d > t.Worst {
+		t.Worst = d
+	}
+	return t
+}
+
 // Quantizer maps residuals to codes and back for a fixed absolute bound.
 type Quantizer struct {
 	ebAbs    float64
@@ -77,20 +96,19 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 
 // QuantizeLinear quantizes a block against the line a·i + b: one code per
 // element into codes, escaped elements appended to literals from block's
-// bits, and span grown by every other code. f is the block widened to
+// bits, and t grown by every other element. f is the block widened to
 // float64, which only the Go loop reads: with AVX2 it may be left unfilled.
-// It returns literals and the last reconstruction, the next block's Lorenzo
-// seed. The result is a per-element Quantize loop bit for bit, written out
+// It returns literals, the last reconstruction (the next block's Lorenzo
+// seed) and the grown t. The result is a per-element Quantize loop bit for bit, written out
 // because Quantize is over the inliner's budget of 80 and the call per
 // element was a third of the encoder's CPU; regression predictions depend
 // only on i, so without the call the iterations overlap.
-func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32, span *CodeSpan) ([]float32, float64) {
+func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32, t Tally) ([]float32, float64, Tally) {
 	if lanes.On() {
-		return q.quantizeLinearLanes(codes, block, a, b, literals, span)
+		return q.quantizeLinearLanes(codes, block, a, b, literals, t)
 	}
 	codes = codes[:len(f)]
 	last := 0.0
-	sp := *span
 	for i, v := range f {
 		pred := a*float64(i) + b
 		scaled := (v - pred) * q.invWidth
@@ -99,7 +117,7 @@ func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, 
 			rec32 := float32(pred + float64(k)*q.binWidth)
 			if diff := v - float64(rec32); diff <= q.ebAbs && diff >= -q.ebAbs {
 				codes[i] = uint16(k + QuantRadius)
-				sp = sp.With(codes[i])
+				t = t.With(codes[i], diff)
 				last = float64(rec32)
 				continue
 			}
@@ -108,23 +126,23 @@ func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, 
 		literals = append(literals, block[i])
 		last = v
 	}
-	*span = sp
-	return literals, last
+	return literals, last, t
 }
 
 // quantizeLinearLanes is QuantizeLinear on AVX2 lanes: the kernel writes the
 // codes of whole quads, EscapeCode for every lane that escapes, and Go gathers
 // their literals in element order, then quantizes the tail.
-func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b float64, literals []float32, span *CodeSpan) ([]float32, float64) {
+func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b float64, literals []float32, t Tally) ([]float32, float64, Tally) {
 	n4 := len(block) &^ 3
 	last := 0.0
-	sp := *span
 	if n4 > 0 {
+		var worst float64
 		var escaped bool
 		var lo, hi uint32
-		last, escaped, lo, hi = quantizeLinearAVX2(codes[:n4], block[:n4], a, b, q.invWidth, q.binWidth, q.ebAbs)
+		last, worst, escaped, lo, hi = quantizeLinearAVX2(codes[:n4], block[:n4], a, b, q.invWidth, q.binWidth, q.ebAbs)
 		if hi != 0 { // a lane quantized
-			sp = CodeSpan{min(sp.Lo, uint16(lo)), max(sp.Hi, uint16(hi))}
+			t.Span = CodeSpan{min(t.Span.Lo, uint16(lo)), max(t.Span.Hi, uint16(hi))}
+			t.Worst = max(t.Worst, worst)
 		}
 		if escaped {
 			for i, c := range codes[:n4] {
@@ -146,10 +164,9 @@ func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b flo
 			continue
 		}
 		codes[i], last = uint16(code), float64(recon)
-		sp = sp.With(codes[i])
+		t = t.With(codes[i], v-last)
 	}
-	*span = sp
-	return literals, last
+	return literals, last, t
 }
 
 // Dequantize reconstructs a value from a non-escape code and a prediction.

@@ -288,15 +288,19 @@ type Format struct {
 
 // StageTimers are one SZ-family codec's stage histograms: Finish observes
 // each blob's predict+quantize (from the start its codec passes), Huffman
-// encode and lossless stage, and Open each blob's Huffman decode.
+// encode and lossless stage, and Open each blob's Huffman decode. Beside
+// them, Utilization has Finish observe each blob's Tally.Worst over its
+// bound: at most 1 while the error bound holds.
 type StageTimers struct {
 	Quantize, HuffmanEncode, Lossless, HuffmanDecode *telemetry.Histogram
+	Utilization                                      *telemetry.Histogram
 }
 
 // NewStageTimers returns a codec's stage histograms.
 func NewStageTimers() *StageTimers {
 	h := func() *telemetry.Histogram { return telemetry.NewHistogram(telemetry.DurationBuckets) }
-	return &StageTimers{Quantize: h(), HuffmanEncode: h(), Lossless: h(), HuffmanDecode: h()}
+	return &StageTimers{Quantize: h(), HuffmanEncode: h(), Lossless: h(), HuffmanDecode: h(),
+		Utilization: telemetry.NewHistogram(telemetry.UtilizationBuckets)}
 }
 
 // timers returns f's stage histograms, each nil when f has none.
@@ -343,19 +347,20 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 // stream to dst. It owns the four slices, which come from the sched pools
 // (coeffs may be nil): they and every intermediate buffer are back in the
 // pools when it returns, error or not. start is when the codec began the
-// blob: the time to Finish is its predict+quantize stage. span is the
-// quantizer's CodeSpan over codes, one EscapeCode a literal: with it a blob
+// blob: the time to Finish is its predict+quantize stage. t is the quantize
+// loops' Tally over codes, one EscapeCode a literal. With its span a blob
 // Sampled admits builds its Huffman code from every sampleStep-th code, the
 // escapes counted from literals and every code in span given a count, so
-// each code present gets one. The zero span has every code counted.
-func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, span CodeSpan, literals []float32) ([]byte, error) {
+// each code present gets one; the zero span has every code counted. Its
+// Worst over ebAbs is the blob's utilization of the bound.
+func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, t Tally, literals []float32) ([]byte, error) {
 	tm := f.timers()
 	observe(tm.Quantize, &start)
 	n := len(codes)
 	var codeBlob []byte
 	var err error
-	if span != (CodeSpan{}) && Sampled(n) {
-		b := huffman.Bounds{Lo: span.Lo, Hi: span.Hi, Zeros: len(literals)}
+	if t.Span != (CodeSpan{}) && Sampled(n) {
+		b := huffman.Bounds{Lo: t.Span.Lo, Hi: t.Span.Hi, Zeros: len(literals)}
 		codeBlob, err = huffman.EncodeMultiSampled(codes, QuantAlphabet, huffman.DefaultStreams, sampleStep, b)
 	} else {
 		codeBlob, err = huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
@@ -388,6 +393,9 @@ func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte,
 	sched.PutFloats(literals)
 	if err != nil {
 		return nil, err
+	}
+	if tm.Utilization != nil {
+		tm.Utilization.Observe(t.Worst / ebAbs)
 	}
 	return dst, nil
 }

@@ -76,7 +76,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.DecompressInto(nil, stream)
+		out, _, err := c.DecompressFinite(nil, stream)
 		if err != nil || len(out) != 0 {
 			t.Fatalf("len=%d err=%v", len(out), err)
 		}
@@ -91,7 +91,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.DecompressInto(nil, stream)
+		out, _, err := c.DecompressFinite(nil, stream)
 		if err != nil || len(out) != len(data) {
 			t.Fatalf("len=%d err=%v", len(out), err)
 		}
@@ -112,7 +112,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.DecompressInto(nil, stream)
+		out, _, err := c.DecompressFinite(nil, stream)
 		if err != nil || len(out) != 1 {
 			t.Fatalf("len=%d err=%v", len(out), err)
 		}
@@ -135,7 +135,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 				if err != nil {
 					t.Fatalf("%s eb=%g: %v", gen.name, eb, err)
 				}
-				out, err := c.DecompressInto(nil, stream)
+				out, _, err := c.DecompressFinite(nil, stream)
 				if err != nil {
 					t.Fatalf("%s eb=%g decompress: %v", gen.name, eb, err)
 				}
@@ -161,7 +161,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.DecompressInto(nil, stream)
+		out, _, err := c.DecompressFinite(nil, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 
 	t.Run("CorruptStream", func(t *testing.T) {
 		for _, junk := range [][]byte{nil, {1, 2}, make([]byte, 16)} {
-			if _, err := c.DecompressInto(nil, junk); err == nil {
+			if _, _, err := c.DecompressFinite(nil, junk); err == nil {
 				t.Errorf("junk %v decoded without error", junk)
 			}
 		}
@@ -230,7 +230,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		}
 		bad := append([]byte(nil), stream...)
 		bad[0] ^= 0xFF
-		if _, err := c.DecompressInto(nil, bad); err == nil {
+		if _, _, err := c.DecompressFinite(nil, bad); err == nil {
 			t.Error("flipped magic decoded without error")
 		}
 	})
@@ -250,7 +250,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		magic := c.(interface{ Magic() uint32 }).Magic()
+		magic := c.Magic()
 		// decode patches stream at off (truncating there when patch is nil).
 		decode := func(what string, mustErr bool, off int, patch ...byte) {
 			t.Helper()
@@ -263,7 +263,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 					t.Fatalf("%s at %d: decoder panicked: %v", what, off, p)
 				}
 			}()
-			out, err := c.DecompressInto(nil, bad)
+			out, _, err := c.DecompressFinite(nil, bad)
 			if n, _, _, _ := ebcl.ParseHeader(bad, magic); err == nil && (mustErr || n != len(out)) {
 				t.Fatalf("%s at %d: decoded %d elements (header: %d), want an error", what, off, len(out), n)
 			}
@@ -283,15 +283,11 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	})
 
 	t.Run("DecoderVerdict", func(t *testing.T) {
-		// The decoder's verdict (ebcl.FiniteDecoder) is the largest magnitude
+		// The decoder's verdict (DecompressFinite's AbsMax) is the largest magnitude
 		// of what it wrote, on both lane paths: lanes.Scan's, bit for bit,
 		// on clean streams, on streams of non-finite and overflowing values,
 		// on every stream a raised byte or a huge stored bound leaves
 		// decodable, and on the degenerate layouts.
-		fd, ok := c.(ebcl.FiniteDecoder)
-		if !ok {
-			t.Fatalf("%s does not implement ebcl.FiniteDecoder", c.Name())
-		}
 		rng := rand.New(rand.NewPCG(51, 15))
 		special := WeightLike(rng, 1500)
 		special[3], special[700], special[1400] = float32(math.NaN()), float32(math.Inf(1)), -3e38
@@ -318,7 +314,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		}
 		lanes.BothPaths(func(path string) {
 			for i, stream := range streams {
-				out, m, err := fd.DecompressFinite(nil, stream)
+				out, m, err := c.DecompressFinite(nil, stream)
 				if err != nil {
 					continue
 				}
@@ -328,6 +324,58 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 				}
 				if m != want {
 					t.Fatalf("%s: stream %d: verdict bits %#x, a scan of the %d values %#x", path, i, m, len(out), want)
+				}
+			}
+		})
+	})
+
+	t.Run("BoundUtilization", func(t *testing.T) {
+		// A codec with stage timers (sz2, sz3) observes each full-layout
+		// blob's worst error over its bound exactly once, on both lane paths:
+		// the largest |x − x̂| the decode shows, at most 1. An input written
+		// in the empty or constant layout observes nothing; szx and zfp have
+		// no timers and export none.
+		tm := c.StageTimers()
+		if tm == nil {
+			return
+		}
+		h := tm.Utilization
+		rng := rand.New(rand.NewPCG(54, 45))
+		special := WeightLike(rng, 1500)
+		special[3], special[700] = float32(math.NaN()), float32(math.Inf(-1))
+		special[1400] = 900 // outside the code range: an escape literal
+		corpus := [][]float32{WeightLike(rng, 3000), SmoothLike(rng, 3000), WeightLike(rng, 257), special, {2.5, 2.5, 2.5}, nil}
+		lanes.BothPaths(func(path string) {
+			for i, data := range corpus {
+				for _, p := range []ebcl.Params{ebcl.Rel(1e-2), ebcl.Abs(1e-3)} {
+					n0, s0 := h.Count(), h.Sum()
+					stream, err := c.CompressAppend(nil, data, p)
+					if err != nil {
+						continue // a bound the data cannot resolve (a NaN under REL)
+					}
+					_, layout, _, err := ebcl.ParseHeader(stream, c.Magic())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := h.Count() - n0
+					if layout < ebcl.LayoutFull {
+						if got != 0 {
+							t.Fatalf("%s: input %d %v: layout %d observed %d times", path, i, p, layout, got)
+						}
+						continue
+					}
+					if got != 1 {
+						t.Fatalf("%s: input %d %v: %d observations, want 1", path, i, p, got)
+					}
+					eb, _ := c.ResolvedBound(stream)
+					out, _, err := c.DecompressFinite(nil, stream)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := ebcl.MaxAbsError(data, out) / eb
+					if u := h.Sum() - s0; !(want <= 1) || math.Abs(u-want) > 1e-9*max(1, s0) {
+						t.Fatalf("%s: input %d %v: utilization %v, the decode shows %v", path, i, p, u, want)
+					}
 				}
 			}
 		})
@@ -350,7 +398,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 			if err != nil {
 				return false
 			}
-			out, err := c.DecompressInto(nil, stream)
+			out, _, err := c.DecompressFinite(nil, stream)
 			if err != nil || len(out) != n {
 				return false
 			}
@@ -368,7 +416,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	})
 
 	t.Run("ZeroCopyContract", func(t *testing.T) {
-		// DecompressInto into a dirty correctly-sized buffer must be
+		// DecompressFinite into a dirty correctly-sized buffer must be
 		// bit-identical to a decode into a nil one. (The full alias-safety
 		// matrix lives in internal/conformance; this keeps every per-codec
 		// suite honest.)
@@ -378,7 +426,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.DecompressInto(nil, ref)
+		want, _, err := c.DecompressFinite(nil, ref)
 		if err != nil || len(want) != len(data) {
 			t.Fatalf("decoded %d of %d elements: %v", len(want), len(data), err)
 		}
@@ -386,13 +434,13 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 		for i := range dirty {
 			dirty[i] = float32(math.NaN())
 		}
-		got, err := c.DecompressInto(dirty[:0], ref)
+		got, _, err := c.DecompressFinite(dirty[:0], ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("DecompressInto over dirty buffer diverged at %d: %v != %v", i, got[i], want[i])
+				t.Fatalf("DecompressFinite over dirty buffer diverged at %d: %v != %v", i, got[i], want[i])
 			}
 		}
 	})
@@ -405,7 +453,7 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
-			out, err := c.DecompressInto(nil, stream)
+			out, _, err := c.DecompressFinite(nil, stream)
 			if err != nil || len(out) != n {
 				t.Fatalf("n=%d: len=%d err=%v", n, len(out), err)
 			}

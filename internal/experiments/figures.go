@@ -384,7 +384,7 @@ func Fig10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		recon, err := comp.DecompressInto(nil, stream)
+		recon, _, err := comp.DecompressFinite(nil, stream)
 		if err != nil {
 			return nil, err
 		}

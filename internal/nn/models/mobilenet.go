@@ -5,11 +5,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
-
-// tensorT shortens the layer signatures below.
-type tensorT = tensor.Tensor
 
 // MobileNetV2Mini is a scaled-down MobileNetV2: a conv+BN+ReLU6 stem
 // followed by inverted-residual bottlenecks (1×1 expand → 3×3 depthwise →
@@ -48,7 +44,8 @@ func MobileNetV2Mini(rng *rand.Rand, in Input) *nn.Network {
 }
 
 // invertedResidual builds the MobileNetV2 bottleneck. The residual add is
-// applied only for stride-1 blocks with matching channel counts.
+// applied only for stride-1 blocks with matching channel counts; any other
+// block is its layers in sequence.
 func invertedResidual(rng *rand.Rand, name string, inC, outC, expand, stride int) nn.Layer {
 	mid := inC * expand
 	body := []nn.Layer{
@@ -64,34 +61,5 @@ func invertedResidual(rng *rand.Rand, name string, inC, outC, expand, stride int
 	if stride == 1 && inC == outC {
 		return nn.NewResidual(body, nil)
 	}
-	// Non-residual bottleneck: wrap as a residual with a projection skip of
-	// zero-cost is wrong; instead return a plain sequential wrapper.
-	return &sequentialBlock{layers: body}
-}
-
-// sequentialBlock groups layers without a skip connection.
-type sequentialBlock struct {
-	layers []nn.Layer
-}
-
-func (s *sequentialBlock) Params() []*nn.Param {
-	var out []*nn.Param
-	for _, l := range s.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
-
-func (s *sequentialBlock) Forward(x *tensorT, train bool) *tensorT {
-	for _, l := range s.layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-func (s *sequentialBlock) Backward(dy *tensorT) *tensorT {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		dy = s.layers[i].Backward(dy)
-	}
-	return dy
+	return nn.NewNetwork(body...)
 }

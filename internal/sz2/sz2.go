@@ -69,16 +69,16 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // Name implements ebcl.Compressor.
 func (c *Compressor) Name() string { return "sz2" }
 
-// Magic is the stream magic, for a caller that writes a constant stream itself.
+// Magic implements ebcl.Compressor.
 func (c *Compressor) Magic() uint32 { return format.Magic }
 
-// ResolvedBound implements ebcl.BoundReader.
+// ResolvedBound implements ebcl.Compressor.
 func (c *Compressor) ResolvedBound(stream []byte) (float64, bool) {
 	return ebcl.BoundOf(stream, format.Magic)
 }
 
-// StageTimers are the histograms each blob's stages are timed in, for the
-// caller that exports them.
+// StageTimers implements ebcl.Compressor: the histograms each blob's stages
+// are timed in.
 func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }
 
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
@@ -100,7 +100,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 	literals := sched.GetFloats(len(data) / 64)
 
 	prevRecon := 0.0 // Lorenzo state: last reconstructed value
-	span := ebcl.NoCodes
+	tally := ebcl.Tally{Span: ebcl.NoCodes}
 	// On the Go loops each block is widened to float64 once: converting inside
 	// the quantize loop serialises it, as Go emits CVTSS2SD without a zeroing
 	// XORPS and the conversion waits on the register's last value, the
@@ -125,7 +125,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 			coeffs = append(coeffs, a, bb)
 		}
 		if kind != predLorenzo {
-			literals, prevRecon = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals, &span)
+			literals, prevRecon, tally = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals, tally)
 			continue
 		}
 		if len(f) == 0 {
@@ -142,24 +142,23 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 				continue
 			}
 			codes[lo+i] = uint16(code)
-			span = span.With(uint16(code))
 			prevRecon = float64(recon)
+			tally = tally.With(uint16(code), v-prevRecon)
 		}
 	}
 
-	return format.Finish(dst, start, ebAbs, predKinds, coeffs, codes, span, literals)
+	return format.Finish(dst, start, ebAbs, predKinds, coeffs, codes, tally, literals)
 }
 
-// DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage.
+// DecompressInto is DecompressFinite without the verdict.
 func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
 	out, _, err := c.DecompressFinite(dst, stream)
 	return out, err
 }
 
-// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
-// largest magnitude of every value it wrote. Coefficients and literals are
-// read in place (no materialized copies).
+// DecompressFinite implements ebcl.Compressor, reconstructing into dst's
+// storage and returning the largest magnitude of every value it wrote.
+// Coefficients and literals are read in place (no materialized copies).
 func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	var sec ebcl.Sections
 	out, full, err := sec.Open(format, dst, stream)

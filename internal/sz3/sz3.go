@@ -37,7 +37,7 @@ var format = ebcl.Format{Magic: 0x535A0003, Name: "sz3",
 // The interpolation level structure is derived from the array length alone,
 // so any split point yields two valid independent streams; the core
 // pipeline's v4 chunking still aligns to ebcl.PredictorBlockElems (shared
-// with SZ2's block grid) so one grid serves every registry codec. Chunking
+// with SZ2's block grid) so one grid serves every codec. Chunking
 // additionally bounds this codec's per-decode scratch — the float64
 // reconstruction grid is sized by the (sub-)stream length — to a chunk
 // rather than the whole tensor.
@@ -51,16 +51,16 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // Name implements ebcl.Compressor.
 func (c *Compressor) Name() string { return "sz3" }
 
-// Magic is the stream magic, for a caller that writes a constant stream itself.
+// Magic implements ebcl.Compressor.
 func (c *Compressor) Magic() uint32 { return format.Magic }
 
-// ResolvedBound implements ebcl.BoundReader.
+// ResolvedBound implements ebcl.Compressor.
 func (c *Compressor) ResolvedBound(stream []byte) (float64, bool) {
 	return ebcl.BoundOf(stream, format.Magic)
 }
 
-// StageTimers are the histograms each blob's stages are timed in, for the
-// caller that exports them.
+// StageTimers implements ebcl.Compressor: the histograms each blob's stages
+// are timed in.
 func (c *Compressor) StageTimers() *ebcl.StageTimers { return format.Timers }
 
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
@@ -81,6 +81,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 	codes := sched.GetUint16s(n)
 	literals := sched.GetFloats(n / 64)
 	levelKinds := sched.GetBytes(64)
+	var tally ebcl.Tally // the zero span: Finish counts every code
 
 	// Anchor: quantize data[0] against a zero prediction.
 	quantizePoint := func(i int, pred float64) {
@@ -93,6 +94,9 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 		}
 		codes = append(codes, uint16(code))
 		recon[i] = float64(rec)
+		if d := math.Abs(float64(data[i]) - recon[i]); d > tally.Worst {
+			tally.Worst = d
+		}
 	}
 	quantizePoint(0, 0)
 
@@ -126,19 +130,12 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 		}
 	}
 
-	return format.Finish(dst, start, ebAbs, levelKinds, nil, codes, ebcl.CodeSpan{}, literals)
+	return format.Finish(dst, start, ebAbs, levelKinds, nil, codes, tally, literals)
 }
 
-// DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage.
-func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, _, err := c.DecompressFinite(dst, stream)
-	return out, err
-}
-
-// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
-// largest magnitude of every value it wrote. Literals are read in place and
-// the float64 grid comes from the sched pool.
+// DecompressFinite implements ebcl.Compressor, reconstructing into dst's
+// storage and returning the largest magnitude of every value it wrote.
+// Literals are read in place and the float64 grid comes from the sched pool.
 func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	var sec ebcl.Sections
 	out, full, err := sec.Open(format, dst, stream)

@@ -80,7 +80,7 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecompressInto(nil, stream); err != nil {
+		if _, _, err := c.DecompressFinite(nil, stream); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,11 +46,14 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // Name implements ebcl.Compressor.
 func (c *Compressor) Name() string { return "szx" }
 
-// Magic is the stream magic, for a caller that writes a constant stream itself.
+// Magic implements ebcl.Compressor.
 func (c *Compressor) Magic() uint32 { return magic }
 
-// ResolvedBound implements ebcl.BoundReader.
+// ResolvedBound implements ebcl.Compressor.
 func (c *Compressor) ResolvedBound(stream []byte) (float64, bool) { return ebcl.BoundOf(stream, magic) }
+
+// StageTimers implements ebcl.Compressor: SZx times no stage of its own.
+func (c *Compressor) StageTimers() *ebcl.StageTimers { return nil }
 
 // CompressAppend implements ebcl.Compressor, appending the encoded stream
 // to dst. The bit writer emits directly behind the header in dst's storage
@@ -176,15 +179,8 @@ func appendTruncated(buf []byte, pos int, acc uint64, nacc uint, block []float32
 	return pos, acc, nacc
 }
 
-// DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage.
-func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, _, err := c.DecompressFinite(dst, stream)
-	return out, err
-}
-
-// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
-// largest magnitude of the values it stored.
+// DecompressFinite implements ebcl.Compressor, reconstructing into dst's
+// storage and returning the largest magnitude of the values it stored.
 func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic, ebcl.LayoutFull)
 	if !full {

@@ -28,7 +28,7 @@ func TestTinyTruncationBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.DecompressInto(nil, enc)
+	dec, _, err := c.DecompressFinite(nil, enc)
 	if err != nil {
 		t.Fatalf("valid tiny truncation block rejected: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestConstantBlockCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.DecompressInto(nil, stream)
+	out, _, err := c.DecompressFinite(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func BenchmarkDecompress1e2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecompressInto(nil, stream); err != nil {
+		if _, _, err := c.DecompressFinite(nil, stream); err != nil {
 			b.Fatal(err)
 		}
 	}

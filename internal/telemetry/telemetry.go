@@ -190,6 +190,11 @@ var CompressionBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 // BoundBuckets spans absolute error bounds of 1e-8 to 1 in decade steps.
 var BoundBuckets = []float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 
+// UtilizationBuckets spans the share of an error bound a blob's worst
+// element used, finest near 1; the buckets past 1 count blobs that broke
+// the bound.
+var UtilizationBuckets = []float64{0.5, 0.9, 0.99, 0.999, 1, 1.001, 2}
+
 // RatioBuckets splits [0, 1] into tenths for overlap-style ratios. The
 // third and seventh bounds are float64(0.1) + i·float64(0.1) as first
 // computed at run time, so the le labels scrapes have always carried

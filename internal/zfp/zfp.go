@@ -53,8 +53,15 @@ func NewCompressor() *Compressor { return &Compressor{} }
 // Name implements ebcl.Compressor.
 func (c *Compressor) Name() string { return "zfp" }
 
-// Magic is the stream magic, for a caller that writes a constant stream itself.
+// Magic implements ebcl.Compressor.
 func (c *Compressor) Magic() uint32 { return magic }
+
+// ResolvedBound implements ebcl.Compressor: fixed precision has no formal
+// bound, so no stream records one.
+func (c *Compressor) ResolvedBound([]byte) (float64, bool) { return 0, false }
+
+// StageTimers implements ebcl.Compressor: ZFP times no stage of its own.
+func (c *Compressor) StageTimers() *ebcl.StageTimers { return nil }
 
 // PrecisionForBound maps a relative error bound to the plane count used in
 // fixed-precision mode (paper: "the closest analogous option").
@@ -111,15 +118,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 	return w.Bytes(), nil
 }
 
-// DecompressInto implements ebcl.Compressor, reconstructing into dst's
-// storage.
-func (c *Compressor) DecompressInto(dst []float32, stream []byte) ([]float32, error) {
-	out, _, err := c.DecompressFinite(dst, stream)
-	return out, err
-}
-
-// DecompressFinite implements ebcl.FiniteDecoder: DecompressInto and the
-// largest magnitude of the values it stored.
+// DecompressFinite implements ebcl.Compressor, reconstructing into dst's
+// storage and returning the largest magnitude of the values it stored.
 func (c *Compressor) DecompressFinite(dst []float32, stream []byte) ([]float32, lanes.AbsMax, error) {
 	out, n, rest, full, err := ebcl.DecodeLayout(dst, stream, magic, ebcl.LayoutFull)
 	if !full {

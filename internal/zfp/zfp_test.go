@@ -71,7 +71,7 @@ func TestFullPrecisionNearLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.DecompressInto(nil, stream)
+	out, _, err := c.DecompressFinite(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPrecisionControlsRatioAndError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.DecompressInto(nil, stream)
+		out, _, err := c.DecompressFinite(nil, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestAllZeroBlocksAreTiny(t *testing.T) {
 	if len(stream) > 4096/4/8+32 {
 		t.Errorf("zero data stream is %d bytes", len(stream))
 	}
-	out, err := c.DecompressInto(nil, stream)
+	out, _, err := c.DecompressFinite(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestNonFiniteRoundTripsAsLiterals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		out, err := c.DecompressInto(nil, stream)
+		out, _, err := c.DecompressFinite(nil, stream)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -207,7 +207,7 @@ func TestNaNOnlyBlockDoesNotClampToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.DecompressInto(nil, stream)
+	out, _, err := c.DecompressFinite(nil, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
