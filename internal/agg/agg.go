@@ -204,7 +204,7 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 	}
 	if name := s.nonFinite(dopts.RefEpoch, upd); name != "" {
 		upd.Release()
-		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: tensor %q decoded to a non-finite value", core.ErrCorrupt, name)
+		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: tensor %q decoded to a %w", core.ErrCorrupt, name, core.ErrNonFinite)
 	}
 	if err := s.commit(client, weight, upd); err != nil {
 		upd.Release()
@@ -345,24 +345,24 @@ func (s *Sharded) commit(client uint32, weight float64, upd *core.DecodedStream)
 func (s *Sharded) checkStructure(upd *core.DecodedStream) error {
 	st := s.structure
 	if !bytes.Equal(st.Flags, upd.Flags) {
-		return fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
+		return fmt.Errorf("%w: agg: update path flags differ from %w", core.ErrCorrupt, core.ErrStructure)
 	}
 	for i := range upd.Tensors {
 		want, t := &st.Lossy[i], &upd.Tensors[i]
 		if t.Name != want.Name || t.Elems() != want.Elems {
-			return fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
-				core.ErrCorrupt, i, t.Name, t.Elems(), want.Name, want.Elems)
+			return fmt.Errorf("%w: agg: tensor %d is %q[%d], %w holds %q[%d]",
+				core.ErrCorrupt, i, t.Name, t.Elems(), core.ErrStructure, want.Name, want.Elems)
 		}
 	}
 	r, count, _ := tensor.NewReader(upd.Meta) // validated by DecodeSections
 	if int(count) != len(st.meta) {
-		return fmt.Errorf("%w: agg: metadata partition: entry count mismatch %d != %d", core.ErrCorrupt, len(st.meta), count)
+		return fmt.Errorf("%w: agg: metadata partition: entry count %d, %w holds %d", core.ErrCorrupt, count, core.ErrStructure, len(st.meta))
 	}
 	for i, m := range st.meta {
 		e, _ := r.Next()
 		if string(e.Name) != m.name || len(e.Vals)/4 != len(m.acc) {
-			return fmt.Errorf("%w: agg: metadata partition: entry %d is %q[%d], accumulator holds %q[%d]",
-				core.ErrCorrupt, i, e.Name, len(e.Vals)/4, m.name, len(m.acc))
+			return fmt.Errorf("%w: agg: metadata partition: entry %d is %q[%d], %w holds %q[%d]",
+				core.ErrCorrupt, i, e.Name, len(e.Vals)/4, core.ErrStructure, m.name, len(m.acc))
 		}
 	}
 	return nil

@@ -76,6 +76,18 @@ func supportedStreamVersion(v byte) bool {
 // ErrCorrupt is returned for malformed FedSZ bitstreams.
 var ErrCorrupt = errors.New("core: corrupt FedSZ stream")
 
+// The refusals a server counts by reason, each wrapped beside ErrCorrupt in
+// the error that reports it, and worded as part of its message.
+var (
+	// ErrNonFinite: the update decodes to NaN or an infinity.
+	ErrNonFinite = errors.New("non-finite value")
+	// ErrStructure: the update departs from the structure its round adopted.
+	ErrStructure = errors.New("the adopted structure")
+	// ErrLimit: the stream declares more entries or elements than a decoder
+	// takes.
+	ErrLimit = errors.New("limit")
+)
+
 // ErrReference marks a delta (v3) stream the decoder cannot reconstruct
 // here: it holds no reference state dict, holds one for a different epoch,
 // or the reference lacks a tensor the stream encodes as a residual. The

@@ -132,6 +132,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 
 	scratch := sched.GetBytes(256)
 	defer func() { sched.PutBytes(scratch) }()
+	bytes := stageFor(o.Lossy).bytes
 
 	// Header first: a receiver can begin parsing before any blob exists.
 	scratch = binary.LittleEndian.AppendUint32(scratch[:0], streamMagic)
@@ -162,6 +163,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 	if err := emitSection(SectionHeader, scratch); err != nil {
 		return nil, err
 	}
+	bytes.Add(ebcl.PartHeader, len(scratch))
 
 	// Fan the section work out on the pool. A record's done channel closes
 	// when its section is ready; the emit loop below waits for sections in
@@ -242,6 +244,7 @@ func CompressSections(ctx context.Context, pool *sched.Pool, sd *tensor.StateDic
 		if err := emitSection(kind, s.out); err != nil {
 			return abort(err)
 		}
+		s.count(bytes, o.Lossy)
 		sched.PutBytes(s.out)
 		s.out = nil
 		if submitted < n {
@@ -267,13 +270,43 @@ type section struct {
 	chunks int
 
 	done     chan struct{}
-	out      []byte // the finished, length-prefixed section (pooled)
-	blobLen  int    // its compressed blob, without metadata and prefix
-	chunked  bool   // the blob uses the chunked (v4) layout
-	delta    bool   // the blob encodes data − reference
-	constant bool   // that residual is one constant stream (constantResidual)
-	saved    int    // bytes the residual saved over the absolute candidate
+	out      []byte     // the finished, length-prefixed section (pooled)
+	blobLen  int        // its compressed blob, without metadata and prefix
+	chunked  bool       // the blob uses the chunked (v4) layout
+	delta    bool       // the blob encodes data − reference
+	constant bool       // that residual is one constant stream (constantResidual)
+	saved    int        // bytes the residual saved over the absolute candidate
+	held     *ebcl.Held // the observations of a blob encoded both ways
 	err      error
+}
+
+// count adds the emitted section's bytes to b by the parts this package
+// writes: the metadata and length prefix, a chunked blob's framing, a
+// constant residual's stream and the metadata partition. A codec blob's
+// parts are counted by a codec with the SZ back end, which records a held
+// blob's here, and whole under codes for any other codec.
+func (s *section) count(b *ebcl.ByteCounters, lossy ebcl.Compressor) {
+	b.Add(ebcl.PartHeader, len(s.out)-s.blobLen)
+	switch {
+	case s.chunks == 0: // the metadata partition
+		b.Add(ebcl.PartPartition, s.blobLen)
+		return
+	case s.constant:
+		b.Add(ebcl.PartHeader, s.blobLen)
+		return
+	}
+	frame := 0
+	if s.chunked { // the marker, the one-byte count (MaxChunks < 128), the jump table
+		frame = 2 + 4*s.chunks
+	}
+	b.Add(ebcl.PartJump, frame)
+	t := lossy.StageTimers()
+	if t == nil {
+		b.Add(ebcl.PartCodes, s.blobLen-frame)
+	}
+	if s.held != nil {
+		s.held.Record(t)
+	}
 }
 
 // encodeRest marshals and compresses the metadata partition.
@@ -414,6 +447,13 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 			}
 		}
 	}
+	// Encoded both ways, each candidate's observations are held until the
+	// smaller is known; only the one that ships is observed.
+	var held *[2]ebcl.Held
+	if est < 0 {
+		held = new([2]ebcl.Held)
+		resP = resP.Holding(&held[0])
+	}
 	out, err := write(buf, res, resP)
 	if err != nil {
 		// Only the absolute encodes (or reproduces the error the caller would
@@ -425,7 +465,8 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		s.saved = max(est-deltaLen, 0)
 	} else {
 		scratch := sched.GetBytes(len(s.data)/2 + 64)
-		absBlob, err := write(scratch, s.data, absP)
+		absBlob, err := write(scratch, s.data, absP.Holding(&held[1]))
+		s.held = &held[0]
 		if err != nil {
 			// Only the residual encodes: it is the section, and says so below.
 			sched.PutBytes(scratch)
@@ -435,6 +476,7 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 				// Absolute wins: overwrite the residual blob in place (capacity is
 				// guaranteed — the absolute blob is strictly smaller) and leave
 				// the mode byte as it was initialized.
+				s.held = &held[1]
 				return append(out[:lenPos+ebcl.SectionLenBytes], absBlob...), nil
 			}
 			s.saved = len(absBlob) - deltaLen
@@ -475,7 +517,8 @@ func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, 
 	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
 	defer sched.PutFloats(sample) // the runs fit its capacity: append never moves it
 	var lens [2]int
-	params := [2]ebcl.Params{pData, pRes}
+	// Throwaway encodes: nothing of them is observed.
+	params := [2]ebcl.Params{pData.Holding(ebcl.Discard), pRes.Holding(ebcl.Discard)}
 	for k, src := range [2][]float32{data, res} {
 		sample = sample[:0]
 		for lo := 0; lo < len(src); lo += sampleStride {

@@ -36,7 +36,8 @@ type stageHists struct {
 	ratio          *telemetry.Histogram // each decoded update's raw / stream bytes
 	bound          *telemetry.Histogram // each decoded lossy tensor's absolute bound
 	reconstruct    *telemetry.Histogram
-	timers         *ebcl.StageTimers // nil without the SZ-family back end
+	timers         *ebcl.StageTimers  // nil without the SZ-family back end
+	bytes          *ebcl.ByteCounters // the timers' Bytes, or the codec's own
 }
 
 // FrameTimers are the wire framing's frame+CRC stage, encode and decode,
@@ -48,6 +49,12 @@ var FrameTimers = struct{ Encode, Decode *telemetry.Histogram }{
 // stageHelp is fedsz_stage_seconds' help text: every registration of the
 // family, the aggregator's fold included, must carry the same one.
 const stageHelp = "Time of one pipeline stage. Encode: quantize is a blob's predict+quantize, huffman its Huffman encode, lossless its trailing lossless stage, frame one wire frame's assembly and CRC. Decode: frame one frame's CRC check, huffman a blob's Huffman decode, reconstruct a tensor's whole decode task (its Huffman decode included), fold an update's commit into the accumulator."
+
+// CountFrameBytes counts n bytes of wire framing, around a stream encoded
+// under opts, as fedsz_encode_bytes_total's frames part.
+func CountFrameBytes(opts Options, n int) {
+	stageFor(opts.withDefaults().Lossy).bytes.Add(ebcl.PartFrames, n)
+}
 
 // RegisterStage exports h as the series {stage, codec, dir} of
 // fedsz_stage_seconds: for a stage timed outside this package, the
@@ -143,6 +150,11 @@ func (h *stageHists) register(reg *telemetry.Registry, codec string) {
 	for _, s := range h.series(codec) {
 		RegisterStage(reg, s.stage, s.codec, s.dir, s.h)
 	}
+	for part, name := range ebcl.PartNames {
+		reg.Register("fedsz_encode_bytes_total",
+			"Bytes this process encoded, by part and lossy codec: counted where each part is written, for the tensor sections that ship (a throwaway encode counts nothing); a stream's parts add up to its bytes once lossless_saved is subtracted, and frames counts the framing of streams encoded straight into wire frames.",
+			&h.bytes[part], telemetry.L("part", name), telemetry.L("codec", codec))
+	}
 	if t := h.timers; t != nil {
 		reg.Register("fedsz_bound_utilization",
 			"Largest reconstruction error over the absolute bound of each encoded full-layout blob, by lossy codec (sz2 and sz3); above 1 the bound broke.",
@@ -171,6 +183,10 @@ func stageFor(lossy ebcl.Compressor) *stageHists {
 		bound:       telemetry.NewHistogram(telemetry.BoundBuckets),
 		reconstruct: telemetry.NewHistogram(telemetry.DurationBuckets),
 		timers:      lossy.StageTimers(),
+		bytes:       new(ebcl.ByteCounters),
+	}
+	if h.timers != nil {
+		h.bytes = &h.timers.Bytes
 	}
 	for _, reg := range stageRegs {
 		h.register(reg, codec)

@@ -246,3 +246,41 @@ func TestResolvedBoundObservations(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyShippedBlobsObserved: a tensor encoded against a reference
+// observes its encode series once, for the blob that ships. Above
+// sampleMinElems (64 Ki elements) the policy encodes two samples of each
+// candidate, which observe nothing; at 16 Ki it encodes both candidates
+// whole and observes only the one it keeps. The residual is the reference
+// plus noise of σ 0.02 under REL 1e-2, which both sizes encode as a residual.
+func TestOnlyShippedBlobsObserved(t *testing.T) {
+	lossy, err := compressors.Get("sz2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := stageFor(lossy).timers
+	for _, n := range []int{16 << 10, 64 << 10} {
+		rng := rand.New(rand.NewPCG(55, uint64(n)))
+		ref, sd := tensor.NewStateDict(), tensor.NewStateDict()
+		base, update := tensor.New(n), tensor.New(n)
+		for i := range base.Data {
+			base.Data[i] = float32(0.05 * (rng.ExpFloat64() - rng.ExpFloat64()))
+			update.Data[i] = base.Data[i] + float32(0.02*rng.NormFloat64())
+		}
+		ref.Add("fc.weight", tensor.KindWeight, base)
+		sd.Add("fc.weight", tensor.KindWeight, update)
+		counts := func() [3]uint64 {
+			return [3]uint64{tm.Utilization.Count(), tm.Quantize.Count(), tm.HuffmanEncode.Count()}
+		}
+		before := counts()
+		if _, st, err := Compress(sd, Options{Lossy: lossy, Reference: ref, RefEpoch: 1}); err != nil || st.DeltaTensors != 1 {
+			t.Fatalf("n=%d: %v, %d delta tensors, want 1", n, err, st.DeltaTensors)
+		}
+		after := counts()
+		for i, name := range []string{"utilization", "quantize", "huffman"} {
+			if got := after[i] - before[i]; got != 1 {
+				t.Errorf("n=%d: %s observed %d times, want 1", n, name, got)
+			}
+		}
+	}
+}

@@ -149,7 +149,7 @@ func parseTensorSection(hdr *ParsedHeader, section []byte, like *TensorShape) (P
 	for d := range rank {
 		n := uint64(binary.LittleEndian.Uint32(dims[4*d:]))
 		if elems *= n; n > ebcl.MaxElements || elems > ebcl.MaxElements {
-			return ParsedTensor{}, fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, name)
+			return ParsedTensor{}, fmt.Errorf("%w: tensor %q element count exceeds %w", ErrCorrupt, name, ErrLimit)
 		}
 		shared = shared && n == uint64(like.Shape[d])
 	}

@@ -110,7 +110,7 @@ func (m *memSections) sectionLen(kind SectionKind) (int, error) {
 		}
 		count := binary.LittleEndian.Uint32(b[pos:])
 		if count > maxStreamEntries {
-			return 0, fmt.Errorf("%w: entry count %d exceeds limit", ErrCorrupt, count)
+			return 0, fmt.Errorf("%w: entry count %d exceeds %w", ErrCorrupt, count, ErrLimit)
 		}
 		end := pos + 4 + int(count)
 		return end, m.need(end)
@@ -484,7 +484,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 	hdr, err := ParseHeader(sec)
 	want := dopts.Structure
 	if err == nil && want != nil && !bytes.Equal(hdr.Flags, want.Flags) {
-		err = fmt.Errorf("%w: path flags differ from the adopted structure", ErrCorrupt)
+		err = fmt.Errorf("%w: path flags differ from %w", ErrCorrupt, ErrStructure)
 	}
 	if err != nil {
 		src.Release(sec)
@@ -532,7 +532,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		pt, err := parseTensorSection(hdr, sec, like)
 		elems += pt.Elems
 		if err == nil && elems > maxStreamElements {
-			err = fmt.Errorf("%w: tensor %d %q takes the stream past %d declared elements", ErrCorrupt, i, pt.Name, maxStreamElements)
+			err = fmt.Errorf("%w: tensor %d %q takes the stream past the %d-element %w", ErrCorrupt, i, pt.Name, maxStreamElements, ErrLimit)
 		}
 		var ref []float32
 		if err == nil && pt.Delta {
@@ -540,8 +540,8 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 			ref, err = dopts.reference(hdr.RefEpoch, pt.Name, pt.Elems)
 		}
 		if err == nil && like != nil && (pt.Name != like.Name || pt.Kind != like.Kind || pt.Elems != like.Elems) {
-			err = fmt.Errorf("%w: tensor %d is %s %q[%d], the adopted structure holds %s %q[%d]",
-				ErrCorrupt, i, pt.Kind, pt.Name, pt.Elems, like.Kind, like.Name, like.Elems)
+			err = fmt.Errorf("%w: tensor %d is %s %q[%d], %w holds %s %q[%d]",
+				ErrCorrupt, i, pt.Kind, pt.Name, pt.Elems, ErrStructure, like.Kind, like.Name, like.Elems)
 		}
 		if err != nil {
 			src.Release(sec)

@@ -55,6 +55,16 @@ func (m Mode) String() string {
 type Params struct {
 	Mode  Mode
 	Value float64 // bound for REL/ABS; plane count for PREC
+
+	held *Held // Holding
+}
+
+// Holding returns p with the observations of the blobs encoded under it kept
+// in h instead of recorded (StageTimers): for a caller that may yet discard
+// those blobs. A nil h records them, as Params always does.
+func (p Params) Holding(h *Held) Params {
+	p.held = h
+	return p
 }
 
 // Rel is shorthand for a relative error bound.

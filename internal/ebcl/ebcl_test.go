@@ -248,7 +248,7 @@ func backEndStream(t *testing.T, f Format) []byte {
 		coeffs = append(sched.GetFloats(2), 0.5, -0.25)
 	}
 	codes := append(sched.GetUint16s(3), QuantRadius, EscapeCode, QuantRadius+1)
-	stream, err := f.Finish(nil, time.Now(), 0.125, kinds, coeffs, codes, Tally{Span: CodeSpan{QuantRadius, QuantRadius + 1}}, append(sched.GetFloats(1), 7))
+	stream, err := f.Finish(nil, time.Now(), 0.125, Params{}, kinds, coeffs, codes, Tally{Span: CodeSpan{QuantRadius, QuantRadius + 1}}, append(sched.GetFloats(1), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,9 +519,24 @@ func literalSections(lits []float32) *Sections {
 	return &Sections{lits: raw}
 }
 
-// checkDequantizeLinear runs DequantizeLinear on both paths and requires, bit
-// for bit, a per-element Dequantize against a·i + b with the literals taken
-// in element order, every literal read exactly once.
+// tableSpans are the code spans checkDequantizeLinear runs a block under: none
+// (no reconstruction table), the block's own codes', and the whole alphabet,
+// whose table the clamp keeps the escape code inside.
+func tableSpans(codes []uint16) []CodeSpan {
+	own := NoCodes
+	for _, c := range codes {
+		if c != EscapeCode {
+			own = own.With(c)
+		}
+	}
+	return []CodeSpan{{}, own, {1, QuantAlphabet - 1}}
+}
+
+// checkDequantizeLinear runs DequantizeLinear on both paths, under each of
+// tableSpans, and requires, bit for bit, a per-element Dequantize against
+// a·i + b with the literals taken in element order, every literal read
+// exactly once. A zero-line block (a = b = +0) of 8 elements or more reads
+// the reconstruction table under the two spans that admit one.
 func checkDequantizeLinear(t *testing.T, q Quantizer, codes []uint16, lits []float32, a, b float64) {
 	t.Helper()
 	want := make([]float32, len(codes))
@@ -534,21 +549,29 @@ func checkDequantizeLinear(t *testing.T, q Quantizer, codes []uint16, lits []flo
 		}
 		want[i] = q.Dequantize(int(c), a*float64(i)+b)
 	}
+	// A blob's worth of codes, so that the table's size gate admits any span.
+	blob := make([]uint16, 8*QuantAlphabet)
 	lanes.BothPaths(func(path string) {
-		out := make([]float32, len(codes)+1)
-		out[len(codes)] = 7 // the element past the block stays untouched
-		s := literalSections(lits)
-		m := q.DequantizeLinear(out[:len(codes)], codes, a, b, s)
-		if wm := absMaxOf(want); m != wm {
-			t.Fatalf("%s a=%g b=%g: verdict bits %#x, the values' %#x", path, a, b, m, wm)
-		}
-		for i, w := range want {
-			if math.Float32bits(out[i]) != math.Float32bits(w) {
-				t.Fatalf("%s a=%g b=%g: element %d (code %d) is %#x, want %#x", path, a, b, i, codes[i], math.Float32bits(out[i]), math.Float32bits(w))
+		for _, span := range tableSpans(codes) {
+			out := make([]float32, len(codes)+1)
+			out[len(codes)] = 7 // the element past the block stays untouched
+			s := literalSections(lits)
+			s.Codes, s.Span = blob, span
+			m := q.DequantizeLinear(out[:len(codes)], codes, a, b, s)
+			if wm := absMaxOf(want); m != wm {
+				t.Fatalf("%s a=%g b=%g span %v: verdict bits %#x, the values' %#x", path, a, b, span, m, wm)
 			}
-		}
-		if out[len(codes)] != 7 || !s.LiteralsConsumed() {
-			t.Fatalf("%s: wrote past the block (%v) or left literals unread (consumed %v)", path, out[len(codes)], s.LiteralsConsumed())
+			for i, w := range want {
+				if math.Float32bits(out[i]) != math.Float32bits(w) {
+					t.Fatalf("%s a=%g b=%g span %v: element %d (code %d) is %#x, want %#x", path, a, b, span, i, codes[i], math.Float32bits(out[i]), math.Float32bits(w))
+				}
+			}
+			if out[len(codes)] != 7 || !s.LiteralsConsumed() {
+				t.Fatalf("%s span %v: wrote past the block (%v) or left literals unread (consumed %v)", path, span, out[len(codes)], s.LiteralsConsumed())
+			}
+			if s.table != nil {
+				tablePool.Put(s.table)
+			}
 		}
 	})
 }
@@ -591,6 +614,13 @@ func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 		{"float32 round-trip escape in lanes", 0.75 * ulp1, 0, 1 + 0.7*ulp1,
 			[]float32{1, float32(1 + ulp1), 1, float32(1 + ulp1), float32(1 + ulp1), 1},
 			[]uint16{EscapeCode, R, EscapeCode, R, R, EscapeCode}},
+		// On the zero line at eb 0.3 (bin width 0.6, inexact) these values sit
+		// at a bin's edge: |v − k·0.6| is the bound in float64 and past it
+		// once k·0.6 is rounded to float32, so only the round-trip check
+		// escapes them.
+		{"float32 round-trip escape on the zero line", 0.3, 0, 0,
+			[]float32{0.90000004, 4.5, 0.1, 7.5, 8.7, 9.3, 10.5, 0.2, 4.5},
+			[]uint16{EscapeCode, EscapeCode, R, EscapeCode, EscapeCode, EscapeCode, EscapeCode, R, EscapeCode}},
 		// a·3 + b is 0 when the product is rounded before the add and
 		// −2.8e-17 when it is not (a fused multiply-add): the bound is small
 		// enough that lane 3's code tells the two apart.
@@ -641,6 +671,41 @@ func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 	}
 }
 
+// TestZeroLineKernels: the zero line (a = b = +0) has a quantize loop and a
+// reconstruction table of its own, held here to the per-element references
+// on weight-like blocks of every length up to three quads and of a block's,
+// at the bin widths REL 1e-2 to 1e-5 give a ±1 range, with −0 elements and
+// one escape (out of range, NaN, +Inf or −Inf) in every lane position and in
+// the tail.
+func TestZeroLineKernels(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 55))
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 255, 256} {
+		block := make([]float32, n)
+		for i := range block {
+			block[i] = float32(0.03 * (rng.ExpFloat64() - rng.ExpFloat64()))
+			if i%5 == 3 {
+				block[i] = negZero
+			}
+		}
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			for _, rel := range []float64{1e-2, 1e-3, 1e-4, 1e-5} {
+				eb := 2 * rel
+				checkQuantizeLinear(t, eb, block, 0, 0)
+				for _, e := range escapePositions(n) {
+					for _, v := range []float32{1e30, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+						escaped := slices.Clone(block)
+						escaped[e] = v
+						if codes := checkQuantizeLinear(t, eb, escaped, 0, 0); codes[e] != EscapeCode {
+							t.Fatalf("rel=%g: element %d (%v) of %d did not escape", rel, e, v, n)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // cancelB is −(0.1·3) rounded to float64 (−0.30000000000000004), the
 // intercept that cancels 0.1·3 exactly when the product is rounded first. A
 // constant expression would be evaluated exactly instead.
@@ -664,10 +729,11 @@ func escapePositions(n int) []int {
 	return pos
 }
 
-// TestDequantizeLinearMatchesDequantize: the decode kernel against a
-// per-element Dequantize loop on random codes over the whole alphabet, with
-// one escape in every lane position and in the tail, with every element
-// escaped, and on the line that tells a fused multiply-add apart.
+// TestDequantizeLinearMatchesDequantize: the decode kernels against a
+// per-element Dequantize loop on random codes over the whole alphabet, on a
+// fitted line and on the zero line, with one escape in every lane position
+// and in the tail, with every element escaped, and on the line that tells a
+// fused multiply-add apart.
 func TestDequantizeLinearMatchesDequantize(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 27))
 	q := NewQuantizer(1e-3)
@@ -677,18 +743,21 @@ func TestDequantizeLinearMatchesDequantize(t *testing.T) {
 		for i := range codes {
 			codes[i] = uint16(1 + rng.IntN(QuantAlphabet-1))
 		}
-		checkDequantizeLinear(t, q, codes, nil, a, b)
-		for _, e := range escapePositions(n) {
-			escaped := slices.Clone(codes)
-			escaped[e] = EscapeCode
-			checkDequantizeLinear(t, q, escaped, []float32{float32(e) + 0.5}, a, b)
-		}
 		all := make([]uint16, n)
 		lits := make([]float32, n)
 		for i := range lits {
 			lits[i] = float32(i) + 0.25
 		}
-		checkDequantizeLinear(t, q, all, lits, a, b)
+		// The fitted line and the zero line, which reads the table.
+		for _, line := range [][2]float64{{a, b}, {0, 0}} {
+			checkDequantizeLinear(t, q, codes, nil, line[0], line[1])
+			for _, e := range escapePositions(n) {
+				escaped := slices.Clone(codes)
+				escaped[e] = EscapeCode
+				checkDequantizeLinear(t, q, escaped, []float32{float32(e) + 0.5}, line[0], line[1])
+			}
+			checkDequantizeLinear(t, q, all, lits, line[0], line[1])
+		}
 	}
 	checkDequantizeLinear(t, NewQuantizer(1e-17), []uint16{QuantRadius, QuantRadius, QuantRadius, QuantRadius, QuantRadius}, nil, 0.1, cancelB)
 }
@@ -791,6 +860,12 @@ func FuzzQuantizeLinear(f *testing.F) {
 	f.Add(le(float32(math.NaN()), float32(math.Inf(-1)), float32(math.Copysign(0, -1))), 1e-3, -2.0, 3.0)
 	f.Add(le(1, 2, 3, 4, 5, 6, 7, 8, 1e30, 10, 11), 0.01, 1.0, 0.0)
 	f.Add(le(0, 0, 0, 0, 0, 0, 0, 0, 0), 1e-17, 0.1, cancelB)
+	// The zero line at REL 1e-2 and 1e-5 of a ±1 range: −0, NaN, ±Inf and
+	// an out-of-range value in different lanes, and in the tail.
+	zl := le(0.01, float32(math.Copysign(0, -1)), -0.02, float32(math.NaN()), 0.003, float32(math.Inf(1)),
+		-0.07, 1e30, 0.5, float32(math.Inf(-1)), -0.25)
+	f.Add(zl, 2e-2, 0.0, 0.0)
+	f.Add(zl, 2e-5, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, raw []byte, eb, a, b float64) {
 		block := make([]float32, min(len(raw)/4, 256))
 		for i := range block {

@@ -23,3 +23,12 @@ func quantizeLinearAVX2(codes []uint16, block []float32, a, b, invWidth, binWidt
 //
 //go:noescape
 func dequantizeLinearAVX2(out []float32, codes []uint16, a, b, binWidth float64) (escaped bool, absBits uint32)
+
+// dequantizeTableAVX2 is DequantizeLinear's loop over a zero-line block whose
+// length is a positive multiple of 8: out[i] is table[codes[i] − lo], read
+// eight lanes a step by a gather with the index clamped into table, and +0
+// for an EscapeCode. It reports whether any code was EscapeCode and returns
+// the largest magnitude bits of the values it wrote. table must not be empty.
+//
+//go:noescape
+func dequantizeTableAVX2(out []float32, codes []uint16, table []float32, lo uint32) (escaped bool, absBits uint32)

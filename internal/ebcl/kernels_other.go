@@ -11,3 +11,7 @@ func quantizeLinearAVX2([]uint16, []float32, float64, float64, float64, float64,
 func dequantizeLinearAVX2([]float32, []uint16, float64, float64, float64) (bool, uint32) {
 	panic("ebcl: no AVX2 kernels")
 }
+
+func dequantizeTableAVX2([]float32, []uint16, []float32, uint32) (bool, uint32) {
+	panic("ebcl: no AVX2 kernels")
+}

@@ -178,15 +178,24 @@ func (q Quantizer) Dequantize(code int, pred float64) float32 {
 // against a·i + b, or for an EscapeCode the next literal of s, taken in
 // element order. out must hold len(codes) elements. It returns the largest
 // magnitude it wrote, the block's share of the decoder's finiteness verdict.
+// A zero-line block (a = b = +0) of 8 elements or more reads its values from
+// s's reconstruction table where s has one (Sections.zeroTable).
 func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64, s *Sections) lanes.AbsMax {
 	i := 0
 	var m lanes.AbsMax
 	if lanes.On() && len(codes) >= 4 {
-		// The kernel writes a value for every lane; escaped lanes are
+		// The kernels write a value for every lane; escaped lanes are
 		// overwritten with their literals, and since the kernel's value
 		// for those lanes is no element's, the quads are judged again.
-		i = len(codes) &^ 3
-		escaped, bits := dequantizeLinearAVX2(out[:i], codes[:i], a, b, q.binWidth)
+		var escaped bool
+		var bits uint32
+		if t := s.zeroTable(q, a, b, len(codes)); t != nil {
+			i = len(codes) &^ 7
+			escaped, bits = dequantizeTableAVX2(out[:i], codes[:i], t, uint32(s.Span.Lo))
+		} else {
+			i = len(codes) &^ 3
+			escaped, bits = dequantizeLinearAVX2(out[:i], codes[:i], a, b, q.binWidth)
+		}
 		m = lanes.AbsMax(bits)
 		if escaped {
 			m = 0

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/huffman"
@@ -286,14 +287,16 @@ type Format struct {
 	Timers *StageTimers
 }
 
-// StageTimers are one SZ-family codec's stage histograms: Finish observes
-// each blob's predict+quantize (from the start its codec passes), Huffman
-// encode and lossless stage, and Open each blob's Huffman decode. Beside
-// them, Utilization has Finish observe each blob's Tally.Worst over its
-// bound: at most 1 while the error bound holds.
+// StageTimers are one SZ-family codec's stage histograms and byte counters:
+// Finish observes each blob's predict+quantize (from the start its codec
+// passes), Huffman encode and lossless stage, and Open each blob's Huffman
+// decode. Beside them, Utilization has Finish observe each blob's
+// Tally.Worst over its bound: at most 1 while the error bound holds; and
+// Bytes counts the bytes Begin and Finish write, by part.
 type StageTimers struct {
 	Quantize, HuffmanEncode, Lossless, HuffmanDecode *telemetry.Histogram
 	Utilization                                      *telemetry.Histogram
+	Bytes                                            ByteCounters
 }
 
 // NewStageTimers returns a codec's stage histograms.
@@ -303,21 +306,109 @@ func NewStageTimers() *StageTimers {
 		Utilization: telemetry.NewHistogram(telemetry.UtilizationBuckets)}
 }
 
-// timers returns f's stage histograms, each nil when f has none.
-func (f Format) timers() StageTimers {
-	if f.Timers == nil {
-		return StageTimers{}
+// Part is one kind of byte in an encoded stream, counted where it is written
+// (fedsz_encode_bytes_total). The parts of a stream add up to its bytes once
+// PartLosslessSaved is subtracted.
+type Part int
+
+const (
+	// PartHeader: the stream header, each section's name, kind, shape, mode
+	// byte and length prefix, and each codec stream's header, bound, stage
+	// mode byte and section lengths; the whole of an empty or constant stream.
+	PartHeader   Part = iota
+	PartTable         // Huffman code-length tables
+	PartJump          // Huffman blob framing and jump tables, and chunk jump tables
+	PartCodes         // Huffman code streams; the whole blob of a codec without Finish
+	PartLiterals      // escaped literals
+	PartSideInfo      // predictor side info: block or level kinds, regression coefficients
+	// PartLosslessSaved is what the trailing lossless stage took off the
+	// parts above: subtract it.
+	PartLosslessSaved
+	PartFrames    // wire framing: preamble, frame headers, CRCs and the trailer
+	PartPartition // the lossless metadata partition's compressed bytes
+	NumParts
+)
+
+// PartNames are the parts' label values.
+var PartNames = [NumParts]string{"header", "huffman_table", "jump", "codes", "literals",
+	"side_info", "lossless_saved", "frames", "partition"}
+
+// ByteCounters count one codec's encoded bytes by part.
+type ByteCounters [NumParts]telemetry.Counter
+
+// Add counts n bytes of part p.
+func (b *ByteCounters) Add(p Part, n int) {
+	if n > 0 {
+		b[p].Add(uint64(n))
 	}
-	return *f.Timers
 }
 
-// observe records the time since *t0 in h when h is set, and moves *t0 on.
-func observe(h *telemetry.Histogram, t0 *time.Time) {
-	if h != nil {
-		t := time.Now()
-		h.Observe(t.Sub(*t0).Seconds())
-		*t0 = t
+// blobObs is what one blob's encode records: for a full-layout blob
+// (Finish) its stage times in seconds (lossless < 0 when the stage did not
+// run) and its utilization of the bound; for every blob its bytes by part.
+type blobObs struct {
+	full                                     bool
+	quantize, huffman, lossless, utilization float64
+	bytes                                    [NumParts]int
+}
+
+// record observes o in t.
+func (t *StageTimers) record(o *blobObs) {
+	if o.full {
+		t.Quantize.Observe(o.quantize)
+		t.HuffmanEncode.Observe(o.huffman)
+		if o.lossless >= 0 {
+			t.Lossless.Observe(o.lossless)
+		}
+		t.Utilization.Observe(o.utilization)
 	}
+	for p, n := range o.bytes {
+		t.Bytes.Add(Part(p), n)
+	}
+}
+
+// keep records o in f's timers, or holds it where p says (Params.Holding).
+func (f Format) keep(p Params, o *blobObs) {
+	switch {
+	case p.held != nil:
+		p.held.hold(o)
+	case f.Timers != nil:
+		f.Timers.record(o)
+	}
+}
+
+// Held keeps the observations of the blobs encoded under Params.Holding
+// until the caller knows whether they ship: Record observes them, and what
+// is never recorded is never observed. The chunks of one blob may be held
+// from concurrent encodes.
+type Held struct {
+	mu      sync.Mutex
+	discard bool
+	obs     []blobObs
+}
+
+// Discard is the Held of throwaway encodes: it keeps nothing.
+var Discard = &Held{discard: true}
+
+func (h *Held) hold(o *blobObs) {
+	if h.discard {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.obs = append(h.obs, *o)
+}
+
+// Record observes the held blobs in t, a nil t dropping them, and empties h.
+func (h *Held) Record(t *StageTimers) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.obs {
+		if t != nil {
+			t.record(&h.obs[i])
+		}
+	}
+	h.obs = h.obs[:0]
 }
 
 // layout is the full-pipeline layout byte f writes.
@@ -339,64 +430,76 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 		return 0, nil, false, err
 	}
 	out, done = AppendDegenerate(dst, f.Magic, data, ebAbs == 0)
+	if done {
+		var o blobObs
+		o.bytes[PartHeader] = len(out) - len(dst)
+		f.keep(p, &o)
+	}
 	return ebAbs, out, done, nil
 }
 
 // Finish entropy-codes codes (one per element), assembles the payload, runs
 // the trailing lossless stage where the keep rule lets it, and appends the
-// stream to dst. It owns the four slices, which come from the sched pools
-// (coeffs may be nil): they and every intermediate buffer are back in the
-// pools when it returns, error or not. start is when the codec began the
-// blob: the time to Finish is its predict+quantize stage. t is the quantize
-// loops' Tally over codes, one EscapeCode a literal. With its span a blob
-// Sampled admits builds its Huffman code from every sampleStep-th code, the
-// escapes counted from literals and every code in span given a count, so
-// each code present gets one; the zero span has every code counted. Its
-// Worst over ebAbs is the blob's utilization of the bound.
-func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, kinds []byte, coeffs []float32, codes []uint16, t Tally, literals []float32) ([]byte, error) {
-	tm := f.timers()
-	observe(tm.Quantize, &start)
+// stream to dst, the code blob written in place. It owns the four slices,
+// which come from the sched pools (coeffs may be nil): they and every
+// intermediate buffer are back in the pools when it returns, error or not.
+// start is when the codec began the blob: the time to Finish is its
+// predict+quantize stage. p is the blob's Params, which say whether its
+// observations are recorded or held. t is the quantize loops' Tally over
+// codes, one EscapeCode a literal. With its span a blob Sampled admits
+// builds its Huffman code from every sampleStep-th code, the escapes counted
+// from literals and every code in span given a count, so each code present
+// gets one; the zero span has every code counted. Its Worst over ebAbs is
+// the blob's utilization of the bound.
+func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, p Params, kinds []byte, coeffs []float32, codes []uint16, t Tally, literals []float32) ([]byte, error) {
+	o := blobObs{full: true, lossless: -1, utilization: t.Worst / ebAbs}
+	t0 := time.Now()
+	o.quantize = t0.Sub(start).Seconds()
 	n := len(codes)
-	var codeBlob []byte
-	var err error
-	if t.Span != (CodeSpan{}) && Sampled(n) {
-		b := huffman.Bounds{Lo: t.Span.Lo, Hi: t.Span.Hi, Zeros: len(literals)}
-		codeBlob, err = huffman.EncodeMultiSampled(codes, QuantAlphabet, huffman.DefaultStreams, sampleStep, b)
-	} else {
-		codeBlob, err = huffman.EncodeMultiU16(codes, QuantAlphabet, huffman.DefaultStreams)
+	if f.KindRuns {
+		runs := kindRuns(kinds)
+		sched.PutBytes(kinds)
+		kinds = runs
 	}
-	sched.PutUint16s(codes)
-	observe(tm.HuffmanEncode, &start)
-	if err == nil {
-		if f.KindRuns {
-			runs := kindRuns(kinds)
-			sched.PutBytes(kinds)
-			kinds = runs
-		}
-		dst = AppendHeader(dst, f.Magic, n, f.layout())
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ebAbs))
-		mode, tryStage := len(dst), 8*len(codeBlob) < stageMaxBits*n
-		dst = AppendSection(append(dst, 0), kinds)
-		if f.Coeffs {
-			dst = appendFloatSection(dst, coeffs)
-		}
-		dst = AppendSection(dst, codeBlob)
-		dst = appendFloatSection(dst, literals)
-		sched.PutBytes(codeBlob)
-		if tryStage {
-			dst = LosslessStageAt(dst, mode)
-			observe(tm.Lossless, &start)
-		}
+	base := len(dst)
+	dst = AppendHeader(dst, f.Magic, n, f.layout())
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ebAbs))
+	mode := len(dst)
+	dst = AppendSection(append(dst, 0), kinds)
+	o.bytes[PartSideInfo] = len(kinds)
+	if f.Coeffs {
+		dst = appendFloatSection(dst, coeffs)
+		o.bytes[PartSideInfo] += 4 * len(coeffs)
 	}
 	sched.PutBytes(kinds)
 	sched.PutFloats(coeffs)
-	sched.PutFloats(literals)
+	step, b := 1, huffman.Bounds{}
+	if t.Span != (CodeSpan{}) && Sampled(n) {
+		step, b = sampleStep, huffman.Bounds{Lo: t.Span.Lo, Hi: t.Span.Hi, Zeros: len(literals)}
+	}
+	dst, hp, err := huffman.AppendMulti(dst, codes, QuantAlphabet, huffman.DefaultStreams, step, b)
+	sched.PutUint16s(codes)
 	if err != nil {
+		sched.PutFloats(literals)
 		return nil, err
 	}
-	if tm.Utilization != nil {
-		tm.Utilization.Observe(t.Worst / ebAbs)
+	t1 := time.Now()
+	o.huffman = t1.Sub(t0).Seconds()
+	o.bytes[PartTable], o.bytes[PartJump], o.bytes[PartCodes] = hp.Table, hp.Jump, hp.Codes
+	dst = appendFloatSection(dst, literals)
+	o.bytes[PartLiterals] = 4 * len(literals)
+	sched.PutFloats(literals)
+	if 8*(hp.Table+hp.Jump+hp.Codes) < stageMaxBits*n {
+		staged := LosslessStageAt(dst, mode)
+		o.bytes[PartLosslessSaved] = len(dst) - len(staged)
+		o.lossless = time.Since(t1).Seconds()
+		dst = staged
 	}
+	o.bytes[PartHeader] = len(dst) - base + o.bytes[PartLosslessSaved]
+	for _, part := range []Part{PartSideInfo, PartTable, PartJump, PartCodes, PartLiterals} {
+		o.bytes[PartHeader] -= o.bytes[part]
+	}
+	f.keep(p, &o)
 	return dst, nil
 }
 
@@ -423,10 +526,46 @@ type Sections struct {
 	Runs   bool // Kinds holds runs (LayoutKindRuns); read them with NextKinds
 	Coeffs FloatView
 	Codes  []uint16 // one per element; an EscapeCode takes NextLiteral
+	// Span holds every code other than EscapeCode the blob's Huffman code
+	// can decode to, and so every such code in Codes.
+	Span CodeSpan
 
 	lits   []byte // unread literals
 	short  bool   // a literal was asked for after the last one
 	staged []byte // pooled lossless-stage output the views above point into
+	table  *zeroLineTable
+}
+
+// zeroLineTable holds a blob's zero-line reconstructions (zeroTable): one
+// per code in Span, from tablePool. A pool of its own keeps decode's float
+// buffers one a tensor.
+type zeroLineTable [QuantAlphabet]float32
+
+var tablePool = sync.Pool{New: func() any { return new(zeroLineTable) }}
+
+// zeroTable returns the reconstruction table of a zero-line block: entry
+// c − Span.Lo is code c dequantized against the prediction +0, for every
+// code in Span. DequantizeLinear reads a block of n ≥ 8 elements from it
+// when a and b are +0, where it is exactly the block's dequantization. It
+// is built on the first such block and kept for the blob. An entry costs
+// about what five elements save (1.5–2 ns against 0.3–0.4 on a 2-vCPU Xeon),
+// so for a span wider than an eighth of the blob's codes none is built and
+// nil is returned.
+func (s *Sections) zeroTable(q Quantizer, a, b float64, n int) []float32 {
+	if math.Float64bits(a)|math.Float64bits(b) != 0 || n < 8 {
+		return nil
+	}
+	lo, hi := int(s.Span.Lo), int(s.Span.Hi)
+	if lo == EscapeCode || lo > hi || 8*(hi-lo+1) > len(s.Codes) {
+		return nil
+	}
+	if s.table == nil {
+		s.table = tablePool.Get().(*zeroLineTable)
+		for j := range s.table[:hi-lo+1] {
+			s.table[j] = q.Dequantize(lo+j, 0)
+		}
+	}
+	return s.table[:hi-lo+1]
 }
 
 // Open parses stream. For the layouts Begin finished by itself out is the
@@ -468,8 +607,10 @@ func (s *Sections) Open(f Format, dst []float32, stream []byte) (out []float32, 
 	if err == nil {
 		s.Kinds, s.Coeffs.b, s.lits = sec[0], sec[1], sec[3]
 		t0 := time.Now()
-		s.Codes, err = huffman.DecodeMultiU16(sec[2], QuantAlphabet)
-		observe(f.timers().HuffmanDecode, &t0)
+		s.Codes, s.Span.Lo, s.Span.Hi, err = huffman.DecodeMultiSpan(sec[2], QuantAlphabet)
+		if f.Timers != nil {
+			f.Timers.HuffmanDecode.Observe(time.Since(t0).Seconds())
+		}
 	}
 	if err == nil && len(s.Codes) != n {
 		err = ErrCorrupt
@@ -526,5 +667,8 @@ func (s *Sections) LiteralsConsumed() bool { return !s.short && len(s.lits) == 0
 func (s *Sections) Close() {
 	sched.PutUint16s(s.Codes)
 	sched.PutBytes(s.staged)
+	if s.table != nil {
+		tablePool.Put(s.table)
+	}
 	*s = Sections{}
 }

@@ -326,7 +326,7 @@ func (s *Server) Snapshot() Stats {
 	m := &s.m
 	return Stats{
 		Updates:       int(m.updates.Value()),
-		Rejected:      int(m.connsRejected.Value() + m.updatesRejected.Value()),
+		Rejected:      int(m.connsRejected.Value() + m.rejected()),
 		Shed:          int(m.shed.Value()),
 		WireBytes:     int64(m.wireBytes.Value()),
 		ReadWait:      time.Duration(m.readWaitNS.Value()),
@@ -634,7 +634,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		wireExtra = 0
 		if err != nil {
 			rejected++
-			m.updatesRejected.Inc()
+			m.updatesRejected[rejectReason(err)].Inc()
 		} else {
 			if s.cfg.Handler != nil {
 				s.cfg.Handler(u)

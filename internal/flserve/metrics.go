@@ -6,7 +6,37 @@ package flserve
 // Stats and a /metrics scrape cannot disagree and two servers in one process
 // (an edge and its root) never add into the same series.
 
-import "repro/internal/telemetry"
+import (
+	"errors"
+
+	"repro/internal/core"
+	"repro/internal/telemetry"
+)
+
+// rejectReasons are fedsz_server_updates_rejected_total's reason labels and
+// the errors they name; the last, nil, takes every other refusal.
+var rejectReasons = [...]struct {
+	label string
+	err   error
+}{{"nonfinite", core.ErrNonFinite}, {"structure", core.ErrStructure}, {"cap", core.ErrLimit}, {"other", nil}}
+
+// rejectReason is the index in rejectReasons of an update's refusal err.
+func rejectReason(err error) int {
+	i := 0
+	for rejectReasons[i].err != nil && !errors.Is(err, rejectReasons[i].err) {
+		i++
+	}
+	return i
+}
+
+// rejected is the updates refused for any reason.
+func (m *serverMetrics) rejected() uint64 {
+	var n uint64
+	for i := range m.updatesRejected {
+		n += m.updatesRejected[i].Value()
+	}
+	return n
+}
 
 type serverMetrics struct {
 	connsAccepted telemetry.Counter
@@ -18,7 +48,7 @@ type serverMetrics struct {
 	queueDepth    telemetry.Gauge
 
 	updates         telemetry.Counter
-	updatesRejected telemetry.Counter
+	updatesRejected [len(rejectReasons)]telemetry.Counter // by rejectReason
 	wireBytes       telemetry.Counter
 	wireHist        *telemetry.Histogram
 	decodeHist      *telemetry.Histogram
@@ -59,8 +89,11 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 		"Connections waiting in the bounded ingest queue for a serving slot.", &m.queueDepth)
 	reg.Register("fedsz_server_updates_total",
 		"Updates decoded, verified, and folded by the ingestor.", &m.updates)
-	reg.Register("fedsz_server_updates_rejected_total",
-		"Updates rejected by decode or verification.", &m.updatesRejected)
+	for i, reason := range rejectReasons {
+		reg.Register("fedsz_server_updates_rejected_total",
+			"Updates rejected by decode or verification, by reason: nonfinite (decodes to NaN or an infinity), structure (departs from the round's adopted structure), cap (declares more entries or elements than a decoder takes), other (any other refusal: a corrupt or truncated stream, a missing reference, a timeout).",
+			&m.updatesRejected[i], telemetry.L("reason", reason.label))
+	}
 	reg.Register("fedsz_server_wire_bytes_total",
 		"Raw socket bytes across accepted updates.", &m.wireBytes)
 	reg.Register("fedsz_server_update_wire_bytes",

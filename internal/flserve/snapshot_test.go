@@ -94,7 +94,7 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv.RegisterMetrics(reg)
 	addr := srv.Addr().String()
-	scrape := func(name string) float64 {
+	scrape := func(name string, labels ...string) float64 {
 		t.Helper()
 		var buf bytes.Buffer
 		if err := reg.WritePrometheus(&buf); err != nil {
@@ -104,11 +104,21 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := promtext.FindSample(samples, name)
+		s, ok := promtext.FindSample(samples, name, labels...)
 		if !ok {
-			t.Fatalf("scrape has no %s", name)
+			t.Fatalf("scrape has no %s%v", name, labels)
 		}
 		return s.Value
+	}
+	// The corrupt upload below is refused for no reason but its corruption.
+	rejectedUpdates := func() float64 {
+		t.Helper()
+		for _, reason := range []string{"nonfinite", "structure", "cap"} {
+			if v := scrape("fedsz_server_updates_rejected_total", "reason", reason); v != 0 {
+				t.Errorf("%v updates rejected for %s", v, reason)
+			}
+		}
+		return scrape("fedsz_server_updates_rejected_total", "reason", "other")
 	}
 
 	errs := make([]error, burst)
@@ -180,7 +190,7 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 		{"Updates", float64(st.Updates), scrape("fedsz_server_updates_total")},
 		{"Updates (decode histogram)", float64(st.Updates), scrape("fedsz_server_decode_seconds_count")},
 		{"Rejected", float64(st.Rejected),
-			scrape("fedsz_server_connections_rejected_total") + scrape("fedsz_server_updates_rejected_total")},
+			scrape("fedsz_server_connections_rejected_total") + rejectedUpdates()},
 		{"Shed", float64(st.Shed), scrape("fedsz_server_shed_total")},
 		{"WireBytes", float64(st.WireBytes), scrape("fedsz_server_wire_bytes_total")},
 		{"WireBytes (size histogram)", float64(st.WireBytes), scrape("fedsz_server_update_wire_bytes_sum")},
@@ -189,7 +199,7 @@ func TestSnapshotEqualsScrape(t *testing.T) {
 			t.Errorf("Stats.%s = %v, scrape reads %v", c.field, c.snapshot, c.scraped)
 		}
 	}
-	if c, u := scrape("fedsz_server_connections_rejected_total"), scrape("fedsz_server_updates_rejected_total"); c != 1 || u != 1 {
+	if c, u := scrape("fedsz_server_connections_rejected_total"), rejectedUpdates(); c != 1 || u != 1 {
 		t.Errorf("scrape reads %v rejected connections / %v rejected updates, want 1 / 1", c, u)
 	}
 	mu.Lock()

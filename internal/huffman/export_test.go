@@ -1,9 +1,11 @@
 package huffman
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitio"
+	"repro/internal/sched"
 )
 
 // What only the tests need of a Codec: production code builds one from the
@@ -43,13 +45,38 @@ func (c *Codec) Encode(w *bitio.Writer, s int) {
 	if e == 0 {
 		panic(fmt.Sprintf("huffman: symbol %d has no code", s))
 	}
-	w.WriteBits(uint64(e>>5), uint(e&entryLenMask))
+	w.WriteBits(uint64(e>>encShift), uint(e&encLenMask))
 }
 
 // EncodeAllU16 is the single-stream encoder over uint16 symbols, which
 // production reaches only as EncodeMultiU16's small-input fallback.
 func EncodeAllU16(symbols []uint16, alphabet int) ([]byte, error) {
-	return encodeSeq(symbols, alphabet)
+	out, _, err := encodeSeq(symbols, alphabet)
+	return out, err
+}
+
+// DecodeAllU16 decodes a single-stream blob — the length table (24-bit count
+// + run-length coded lengths), a 32-bit symbol count, the bit-packed codes —
+// into a buffer drawn from the sched uint16 pool; the caller owns it and
+// should recycle it via sched.PutUint16s. The alphabet must fit uint16
+// symbols (≤ 65536).
+func DecodeAllU16(data []byte, alphabet int) ([]uint16, error) {
+	if alphabet > 1<<16 {
+		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
+	}
+	out, _, _, err := decodeAll(data, alphabet, sched.GetUint16s, sched.PutUint16s)
+	return out, err
+}
+
+// EncodeMultiSampled is the blob AppendMulti writes with a sampled code,
+// without its length prefix.
+func EncodeMultiSampled(symbols []uint16, alphabet, streams, step int, b Bounds) ([]byte, error) {
+	sec, _, err := AppendMulti(nil, symbols, alphabet, streams, step, b)
+	if err != nil {
+		return nil, err
+	}
+	_, k := binary.Uvarint(sec)
+	return sec[k:], nil
 }
 
 // DecodeFast reads one symbol the way decodeSeq does: through the lookup

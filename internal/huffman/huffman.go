@@ -22,6 +22,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"unsafe"
 
@@ -54,6 +55,14 @@ const (
 	entryShift   = 6
 )
 
+// Encode-table entry layout (uint32): code<<encShift | length. The length
+// fills the low encShift bits, so a shift by the entry itself, counted mod
+// 64 as SHLXQ and the Go loop's &63 count, is a shift by the length.
+const (
+	encShift   = 6
+	encLenMask = 1<<encShift - 1
+)
+
 var (
 	// ErrCorrupt is returned when a bitstream does not decode to a valid
 	// symbol sequence under the codec's tables.
@@ -72,7 +81,7 @@ var (
 // same way, and a pooled shell may carry the other side's stale fields.
 type Codec struct {
 	lengths []uint8  // per-symbol code length, 0 = unused symbol
-	enc     []uint32 // per-symbol packed (code<<5 | length), 0 = no code
+	enc     []uint32 // per-symbol packed (code<<encShift | length), 0 = no code
 
 	// The canonical code: firstCode[l] is the code value of the first code
 	// of length l; index[l] is the offset into sorted where codes of length
@@ -343,7 +352,7 @@ func (c *Codec) init(lengths []uint8) error {
 		if l == 0 {
 			continue
 		}
-		c.enc[s] = next[l]<<5 | uint32(l)
+		c.enc[s] = next[l]<<encShift | uint32(l)
 		next[l]++
 		c.sorted[pos[l]] = int32(s)
 		pos[l]++
@@ -681,11 +690,12 @@ func readCodec(r *bitio.Reader, alphabet int) (*Codec, error) {
 }
 
 // encodeSeq is the single-stream bulk encoder: the length table, a 32-bit
-// symbol count, then the packed codes, in a pooled output buffer.
-func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
+// symbol count, then the packed codes, in a pooled output buffer. head is
+// the whole bytes before the first code bit: the table and the count.
+func encodeSeq[E symbol](symbols []E, alphabet int) (out []byte, head int, err error) {
 	c, bits, err := buildCodec(symbols, alphabet)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer putCodec(c)
 	// The header's unfinished byte and the codes, rounded up, plus the
@@ -694,7 +704,7 @@ func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
 	w := bitio.NewWriterBuffer(sched.GetBytes(len(c.lengths)/4 + 16 + codeBytes))
 	hdr := writeLengthTable(w, c.lengths) + 32
 	w.WriteBits(uint64(len(symbols)), 32)
-	out := w.Bytes()
+	out = w.Bytes()
 	// The codes continue the header's unfinished byte: hand its bits to the
 	// kernel.
 	var pending uint64
@@ -708,13 +718,13 @@ func encodeSeq[E symbol](symbols []E, alphabet int) ([]byte, error) {
 		out = grown
 	}
 	if u, ok := any(symbols).([]uint16); ok {
-		return appendCodesU16(out, c.enc, u, pending, hdr%8), nil
+		return appendCodesU16(out, c.enc, u, pending, hdr%8), int(hdr / 8), nil
 	}
-	return appendCodes(out, c.enc, symbols, pending, hdr%8), nil
+	return appendCodes(out, c.enc, symbols, pending, hdr%8), int(hdr / 8), nil
 }
 
 // appendCodes is the one loop that writes codes: it appends the codes of
-// syms (packed code<<5 | length in enc) MSB-first to out, behind the nacc < 8
+// syms (packed code<<encShift | length in enc) MSB-first to out, behind the nacc < 8
 // pending bits that are the low bits of acc, and pads the last byte with
 // zeros. The accumulator keeps its unwritten bits at the bottom, and bits
 // above them are never cleared: a store shifts them out. Each code pair — at
@@ -734,15 +744,15 @@ func appendCodes[E symbol](out []byte, enc []uint32, syms []E, acc uint64, nacc 
 			buf = buf[:cap(buf)]
 		}
 		e1, e2 := enc[syms[j]], enc[syms[j+1]]
-		n1, n2 := uint(e1&entryLenMask), uint(e2&entryLenMask)
-		acc = acc<<((n1+n2)&63) | uint64(e1>>5)<<(n2&63) | uint64(e2>>5)
+		n1, n2 := uint(e1&encLenMask), uint(e2&encLenMask)
+		acc = acc<<((n1+n2)&63) | uint64(e1>>encShift)<<(n2&63) | uint64(e2>>encShift)
 		nacc += n1 + n2
 		pos, nacc = bitio.StoreBits(buf, pos, acc, nacc)
 	}
 	if j < len(syms) {
 		e := enc[syms[j]]
-		n := uint(e & entryLenMask)
-		acc = acc<<(n&63) | uint64(e>>5)
+		n := uint(e & encLenMask)
+		acc = acc<<(n&63) | uint64(e>>encShift)
 		nacc += n
 	}
 	// At most 7 + MaxCodeLen bits are left: one more store, keeping the
@@ -779,52 +789,59 @@ func decodeSeq[E symbol](r *bitio.Reader, c *Codec, out []E) error {
 }
 
 // decodeAll reverses encodeSeq into the buffer get(n) returns; put takes it
-// back when the stream turns out corrupt.
-func decodeAll[E symbol](data []byte, alphabet int, get func(int) []E, put func([]E)) ([]E, error) {
+// back when the stream turns out corrupt. It also returns the code's span
+// (Codec.span).
+func decodeAll[E symbol](data []byte, alphabet int, get func(int) []E, put func([]E)) ([]E, uint16, uint16, error) {
 	r := bitio.NewReader(data)
 	c, err := readCodec(r, alphabet)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	defer putCodec(c)
 	n64, err := r.ReadBits(32)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	// Every symbol costs at least one bit, so a count exceeding the
 	// remaining stream is corruption — reject before allocating.
 	if n64 > uint64(r.BitsRemaining()) {
-		return nil, ErrCorrupt
+		return nil, 0, 0, ErrCorrupt
 	}
 	out := get(int(n64))[:n64]
 	if err := decodeSeq(r, c, out); err != nil {
 		put(out)
-		return nil, err
+		return nil, 0, 0, err
 	}
-	return out, nil
+	lo, hi := c.span()
+	return out, lo, hi, nil
 }
 
-// DecodeAllU16 decodes a single-stream blob — the length table (24-bit count
-// + run-length coded lengths), a 32-bit symbol count, the bit-packed codes —
-// into a buffer drawn from the sched uint16 pool; the caller owns it and
-// should recycle it via sched.PutUint16s. The alphabet must fit uint16
-// symbols (≤ 65536).
-func DecodeAllU16(data []byte, alphabet int) ([]uint16, error) {
-	if alphabet > 1<<16 {
-		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
+// span returns the least and greatest symbol other than 0 that a decoder
+// codec's code holds, read off its length table's coded runs: every symbol
+// it decodes is 0 or in [lo, hi], and lo > hi when it holds no other symbol.
+func (c *Codec) span() (lo, hi uint16) {
+	for _, r := range c.runs { // ascending by symbol
+		if r.start+uint32(r.n) > 1 {
+			last := c.runs[len(c.runs)-1]
+			return uint16(max(r.start, 1)), uint16(last.start + uint32(last.n) - 1)
+		}
 	}
-	return decodeAll(data, alphabet, sched.GetUint16s, sched.PutUint16s)
+	return math.MaxUint16, 0
 }
 
 // EncodeAllU8 encodes bytes (alphabet 256) as a single-stream blob — the
 // same bytes a uint16-widened copy of symbols would produce, without the
 // copy. The returned buffer comes from the sched byte pool.
-func EncodeAllU8(symbols []byte) ([]byte, error) { return encodeSeq(symbols, 256) }
+func EncodeAllU8(symbols []byte) ([]byte, error) {
+	out, _, err := encodeSeq(symbols, 256)
+	return out, err
+}
 
 // DecodeAllU8 reverses EncodeAllU8 into a buffer drawn from the sched byte
 // pool (recycle via sched.PutBytes).
 func DecodeAllU8(data []byte) ([]byte, error) {
-	return decodeAll(data, 256, sched.GetBytes, sched.PutBytes)
+	out, _, _, err := decodeAll(data, 256, sched.GetBytes, sched.PutBytes)
+	return out, err
 }
 
 // writeLengthTable emits the code-length table using a simple run-length

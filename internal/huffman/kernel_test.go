@@ -317,8 +317,8 @@ func checkCodeRanks(t *testing.T, c *Codec) {
 		for i := c.index[l]; i < c.index[l+1]; i++ {
 			s := c.sorted[i]
 			code := c.firstCode[l] + uint32(i-c.index[l])
-			if c.enc[s] != code<<5|uint32(l) {
-				t.Fatalf("symbol %d: rank code %b/%d, encoder's %b/%d", s, code, l, c.enc[s]>>5, c.enc[s]&entryLenMask)
+			if c.enc[s] != code<<encShift|uint32(l) {
+				t.Fatalf("symbol %d: rank code %b/%d, encoder's %b/%d", s, code, l, c.enc[s]>>encShift, c.enc[s]&encLenMask)
 			}
 			w := new(bitio.Writer)
 			w.WriteBits(uint64(code), uint(l))

@@ -136,8 +136,12 @@
 //
 // appendCodes' pair step: acc = acc<<(n1+n2) | code1<<n2 | code2, then
 // acc<<(64−nacc) goes out big-endian at buf[pos:] and pos advances by the
-// whole bytes, keeping nacc&7 bits pending. SHLXQ takes its count mod 64,
-// as appendCodes' &63 masks do.
+// whole bytes, keeping nacc&7 bits pending. SHLXQ takes its count mod 64, as
+// appendCodes' &63 masks do, so it shifts by an entry (code<<6 | n) or by the
+// sum of two entries as by their lengths. A pair advances pos by at most 6
+// bytes (nacc ≤ 7 + 2·MaxCodeLen = 55 bits), so the room to the last
+// position an 8-byte store fits at gives a batch of pairs whose stores all
+// fit, which the pair loop runs on one branch a pair.
 TEXT ·appendCodesBMI2(SB), NOSPLIT, $0-128
 	MOVQ buf_base+0(FP), DI
 	MOVQ buf_len+8(FP), R8
@@ -150,28 +154,32 @@ TEXT ·appendCodesBMI2(SB), NOSPLIT, $0-128
 	MOVQ acc+80(FP), R11
 	MOVQ nacc+88(FP), R12
 	XORQ CX, CX                  // symbols coded
+
+batch:
+	MOVQ R8, AX
+	SUBQ R9, AX
+	JL   done                    // no store fits
+	SHRQ $3, AX
+	LEAQ 2(CX)(AX*2), R15        // 2·(room/8 + 1) symbols: fewer pairs than fit
+	CMPQ R15, R10
+	CMOVQGT R10, R15             // the batch's end
+	CMPQ CX, R15
+	JAE  done
 	PCALIGN $64
 
 pair:
-	CMPQ CX, R10
-	JAE  done
-	CMPQ R9, R8
-	JGT  done
 	MOVWLZX (BX)(CX*2), AX
 	MOVWLZX 2(BX)(CX*2), DX
-	MOVL (SI)(AX*4), AX          // e1 = code1<<5 | n1
+	MOVL (SI)(AX*4), AX          // e1 = code1<<6 | n1
 	MOVL (SI)(DX*4), DX          // e2
-	MOVL AX, R13
-	ANDL $const_entryLenMask, R13 // n1
-	MOVL DX, R14
-	ANDL $const_entryLenMask, R14 // n2
-	SHRL $5, AX
-	SHRL $5, DX
-	SHLXQ R14, AX, AX
+	LEAL (AX)(DX*1), R13         // n1 + n2 in the low 6 bits
+	SHRL $6, AX
+	SHLXQ DX, AX, AX             // code1 << n2
+	SHRL $6, DX
 	ORQ  DX, AX                  // code1<<n2 | code2
-	ADDQ R14, R13                // n1 + n2
-	SHLXQ R13, R11, R11
+	SHLXQ R13, R11, R11          // acc << (n1+n2)
 	ORQ  AX, R11
+	ANDL $63, R13
 	ADDQ R13, R12                // nacc ≤ 7 + 2·MaxCodeLen
 	MOVQ R12, R13
 	NEGQ R13
@@ -183,7 +191,9 @@ pair:
 	ADDQ R13, R9
 	ANDQ $7, R12
 	ADDQ $2, CX
-	JMP  pair
+	CMPQ CX, R15
+	JB   pair
+	JMP  batch
 
 done:
 	MOVQ CX, done+96(FP)

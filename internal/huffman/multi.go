@@ -23,7 +23,7 @@
 // The marker byte cannot collide with the single-stream format: that format
 // opens with a 24-bit alphabet count whose first (most significant) byte is
 // 0x00 or 0x01 for every alphabet ≤ 65536, never 0xF5. DecodeMultiU16 uses
-// this to transparently fall back to DecodeAllU16 on v1 blobs, so callers
+// this to transparently fall back to the single-stream decoder on v1 blobs, so callers
 // migrated to the multi-stream entry points keep decoding old streams.
 package huffman
 
@@ -61,41 +61,76 @@ const (
 // single-stream format (encodeSeq); DecodeMultiU16 handles both. The
 // returned buffer comes from the shared sched byte pool.
 func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
+	out, _, err := appendMulti(nil, symbols, alphabet, streams, 1, Bounds{}, false)
+	return out, err
+}
+
+// Parts is where a blob's bytes go: its code-length table; its framing
+// (the marker, the counts and the jump table of a multi-stream blob, the
+// symbol count of a single-stream one); and its coded streams, their padding
+// bits included. A single-stream blob's first codes share the table's last
+// byte, which Codes counts.
+type Parts struct{ Table, Jump, Codes int }
+
+// AppendMulti appends to dst the section of symbols' blob: the blob
+// EncodeMultiU16 returns behind its length as a minimal uvarint, as
+// ebcl.AppendSection writes a section, with the blob written in place. With
+// step ≥ 2 the code is built from a count of every step-th symbol
+// (buildSampledCodec): every symbol must be 0 or in [b.Lo, b.Hi], and
+// b.Zeros of them 0. A code from a sample spends a little more on the
+// symbols than their own count's would, and saves the count's pass over
+// every symbol. It also returns the blob's Parts.
+func AppendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bounds) ([]byte, Parts, error) {
+	return appendMulti(dst, symbols, alphabet, streams, step, b, true)
+}
+
+// appendMulti is EncodeMultiU16 and AppendMulti: symbols' blob appended to
+// dst, behind its uvarint length when prefixed. dst grows into a pooled
+// buffer when its capacity falls short.
+func appendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bounds, prefixed bool) ([]byte, Parts, error) {
 	if streams < 1 || streams > maxStreams {
-		return nil, fmt.Errorf("huffman: stream count %d outside [1,%d]", streams, maxStreams)
+		return nil, Parts{}, fmt.Errorf("huffman: stream count %d outside [1,%d]", streams, maxStreams)
 	}
 	if alphabet > 1<<16 {
-		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
+		return nil, Parts{}, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
 	}
 	if streams == 1 || len(symbols) < multiMinSymbols {
-		return encodeSeq(symbols, alphabet)
+		blob, head, err := encodeSeq(symbols, alphabet)
+		if err != nil {
+			return nil, Parts{}, err
+		}
+		if dst == nil && !prefixed {
+			dst = blob
+		} else {
+			if prefixed {
+				dst = binary.AppendUvarint(dst, uint64(len(blob)))
+			}
+			dst = append(dst, blob...)
+			sched.PutBytes(blob)
+		}
+		return dst, Parts{Table: head - 4, Jump: 4, Codes: len(blob) - head}, nil
 	}
-	c, bits, err := buildCodec(symbols, alphabet)
+	var c *Codec
+	var bits uint64
+	var err error
+	if step >= 2 {
+		c, bits, err = buildSampledCodec(symbols, alphabet, step, b)
+	} else {
+		c, bits, err = buildCodec(symbols, alphabet)
+	}
 	if err != nil {
-		return nil, err
+		return nil, Parts{}, err
 	}
-	return encodeMulti(symbols, streams, c, bits), nil
+	out, parts := encodeMulti(dst, symbols, streams, c, bits, prefixed)
+	return out, parts, nil
 }
 
-// EncodeMultiSampled is EncodeMultiU16 with the code built from a count of
-// every step-th symbol (buildSampledCodec): every symbol must be 0 or in
-// [b.Lo, b.Hi], and b.Zeros of them 0. A code from a sample spends a little
-// more on the symbols than their own count's would, and saves the count's
-// pass over every symbol.
-func EncodeMultiSampled(symbols []uint16, alphabet, streams, step int, b Bounds) ([]byte, error) {
-	if step < 2 || streams <= 1 || streams > maxStreams || alphabet > 1<<16 || len(symbols) < multiMinSymbols {
-		return EncodeMultiU16(symbols, alphabet, streams) // which refuses what is out of range
-	}
-	c, bits, err := buildSampledCodec(symbols, alphabet, step, b)
-	if err != nil {
-		return nil, err
-	}
-	return encodeMulti(symbols, streams, c, bits), nil
-}
-
-// encodeMulti writes the multi-stream blob of symbols under c, which it
-// returns to the pool; bits is the coded size it sizes the blob for.
-func encodeMulti(symbols []uint16, streams int, c *Codec, bits uint64) []byte {
+// encodeMulti appends the multi-stream blob of symbols under c, which it
+// returns to the pool, to dst, behind its uvarint length when prefixed; bits
+// is the coded size it sizes the blob for. The prefix's width comes from
+// that size: when the blob turns out to need another width, the blob moves
+// to fit the minimal one.
+func encodeMulti(dst []byte, symbols []uint16, streams int, c *Codec, bits uint64, prefixed bool) ([]byte, Parts) {
 	defer putCodec(c)
 
 	// The length table is serialized into its own byte-padded segment so the
@@ -104,11 +139,20 @@ func encodeMulti(symbols []uint16, streams int, c *Codec, bits uint64) []byte {
 	writeLengthTable(tw, c.lengths)
 	tbl := tw.Bytes()
 
-	// One buffer for the whole blob: each stream's codes take at most one
-	// padding byte beyond bits/8, and appendCodes stores 8 bytes at a time.
+	// Room for the whole blob: each stream's codes take at most one padding
+	// byte beyond bits/8, and appendCodes stores 8 bytes at a time.
 	n := len(symbols)
-	out := sched.GetBytes(1 + 3*binary.MaxVarintLen64 + len(tbl) + 4*streams + int(bits/8) + streams + 8)[:0]
-	out = append(out, multiMagic)
+	size := 1 + 3*binary.MaxVarintLen64 + len(tbl) + 4*streams + int(bits/8) + streams
+	if cap(dst)-len(dst) < binary.MaxVarintLen64+size+8 {
+		dst = append(sched.GetBytes(len(dst)+binary.MaxVarintLen64+size+8), dst...)
+	}
+	at, width := len(dst), 0
+	if prefixed {
+		width = uvarintLen(uint64(size))
+		dst = dst[:at+width]
+	}
+	start := len(dst)
+	out := append(dst, multiMagic)
 	out = binary.AppendUvarint(out, uint64(n))
 	out = binary.AppendUvarint(out, uint64(streams))
 	out = binary.AppendUvarint(out, uint64(len(tbl)))
@@ -120,6 +164,7 @@ func encodeMulti(symbols []uint16, streams int, c *Codec, bits uint64) []byte {
 	sizePos := len(out)
 	var zeros [4 * maxStreams]byte
 	out = append(out, zeros[:4*streams]...)
+	parts := Parts{Table: len(tbl), Jump: len(out) - start - len(tbl)}
 
 	// First n%streams chunks carry one extra symbol; the decoder derives the
 	// same split from n and streams alone.
@@ -130,33 +175,61 @@ func encodeMulti(symbols []uint16, streams int, c *Codec, bits uint64) []byte {
 		if i < ext {
 			cnt++
 		}
-		start := len(out)
+		from := len(out)
 		out = appendCodesU16(out, c.enc, symbols[off:off+cnt], 0, 0)
-		binary.LittleEndian.PutUint32(out[sizePos+4*i:], uint32(len(out)-start))
+		binary.LittleEndian.PutUint32(out[sizePos+4*i:], uint32(len(out)-from))
 		off += cnt
 	}
-	return out
+	parts.Codes = len(out) - sizePos - 4*streams
+	if !prefixed {
+		return out, parts
+	}
+	blob := len(out) - start
+	if w := uvarintLen(uint64(blob)); w != width {
+		out = append(out, zeros[:max(w-width, 0)]...)
+		copy(out[at+w:], out[start:start+blob])
+		out = out[:at+w+blob]
+	}
+	binary.PutUvarint(out[at:], uint64(blob))
+	return out, parts
+}
+
+// uvarintLen is the width of v as a uvarint.
+func uvarintLen(v uint64) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], v)
 }
 
 // DecodeMultiU16 reverses EncodeMultiU16 into a buffer drawn from the sched
 // uint16 pool (recycle via sched.PutUint16s). Blobs without the multi-stream
-// marker are delegated to DecodeAllU16, so this is a strict superset of the
-// single-stream decoder.
+// marker are decoded as single-stream blobs (decodeAll), so this is a
+// strict superset of the single-stream decoder.
 func DecodeMultiU16(data []byte, alphabet int) ([]uint16, error) {
+	out, _, _, err := DecodeMultiSpan(data, alphabet)
+	return out, err
+}
+
+// DecodeMultiSpan is DecodeMultiU16 that also returns the least and greatest
+// symbol other than 0 the blob's code holds: every symbol decoded is 0 or in
+// [lo, hi], and lo > hi when the code holds no other symbol.
+func DecodeMultiSpan(data []byte, alphabet int) (out []uint16, lo, hi uint16, err error) {
+	if alphabet > 1<<16 {
+		return nil, 0, 0, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
+	}
 	if len(data) == 0 || data[0] != multiMagic {
-		return DecodeAllU16(data, alphabet)
+		return decodeAll(data, alphabet, sched.GetUint16s, sched.PutUint16s)
 	}
 	var m multiBlob
-	out, err := openMulti(data, alphabet, &m)
-	if err != nil {
-		return nil, err
+	if out, err = openMulti(data, alphabet, &m); err != nil {
+		return nil, 0, 0, err
 	}
 	defer putCodec(m.c)
 	if err := m.decode(out); err != nil {
 		sched.PutUint16s(out)
-		return nil, err
+		return nil, 0, 0, err
 	}
-	return out, nil
+	lo, hi = m.c.span()
+	return out, lo, hi, nil
 }
 
 // multiBlob is a multi-stream blob opened for decoding: its code, and each
@@ -173,9 +246,6 @@ type multiBlob struct {
 // m's chunks the way the encoder split the input. On success the caller owns
 // out (sched.PutUint16s) and m.c (putCodec).
 func openMulti(data []byte, alphabet int, m *multiBlob) ([]uint16, error) {
-	if alphabet > 1<<16 {
-		return nil, fmt.Errorf("huffman: alphabet %d exceeds uint16 symbols", alphabet)
-	}
 	pos := 1
 	var hdr [3]uint64 // symbol count, stream count, length-table byte size
 	for i := range hdr {

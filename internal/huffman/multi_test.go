@@ -5,6 +5,7 @@ package huffman
 // corrupted sub-stream boundaries.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
@@ -350,5 +351,55 @@ func TestSampledCodeRoundTrip(t *testing.T) {
 	putCodec(c)
 	if blob := sampledRoundTrip(t, skewed, quantAlphabet); uint64(len(blob)) < bits/8+64 {
 		t.Fatalf("the skewed blob's %d bytes fit the estimate of %d bits: the output never grew", len(blob), bits)
+	}
+}
+
+// TestAppendMultiPrefix: AppendMulti writes, behind dst's bytes, the blob
+// EncodeMultiU16 returns (or the sampled encode's) behind its minimal
+// uvarint length, and Parts that add up to the blob. The sizes walk across
+// the uvarint widths' edges (128 and 16 Ki bytes), where the width taken
+// from the code's estimated size can be one off and the blob moves, on codes
+// of one and of several bits a symbol, with a full and a sampled count.
+func TestAppendMultiPrefix(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 2))
+	check := func(syms []uint16, step int) {
+		t.Helper()
+		want, err := EncodeMultiSampled(syms, quantAlphabet, DefaultStreams, step, boundsOf(syms))
+		if step < 2 {
+			want, err = EncodeMultiU16(syms, quantAlphabet, DefaultStreams)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := append(make([]byte, 0, 16), "head"...)
+		got, parts, err := AppendMulti(dst, syms, quantAlphabet, DefaultStreams, step, boundsOf(syms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		section := binary.AppendUvarint([]byte("head"), uint64(len(want)))
+		if !bytes.Equal(got, append(section, want...)) {
+			t.Fatalf("%d symbols, step %d: the section differs from the %d-byte blob behind its uvarint length", len(syms), step, len(want))
+		}
+		if parts.Table+parts.Jump+parts.Codes != len(want) || parts.Codes <= 0 {
+			t.Fatalf("%d symbols: parts %+v for a %d-byte blob", len(syms), parts, len(want))
+		}
+	}
+	skewed := func(n int, spread float64) []uint16 {
+		syms := make([]uint16, n)
+		for i := range syms {
+			syms[i] = uint16(quantRadius + int(rng.NormFloat64()*spread))
+		}
+		return syms
+	}
+	for _, c := range []struct{ lo, hi, step int }{{100, 1400, 7}, {126_000, 134_000, 97}, {15_000, 17_000, 11}} {
+		for n := c.lo; n < c.hi; n += c.step {
+			check(skewed(n, 0.3), 1)
+			if n >= multiMinSymbols {
+				check(skewed(n, 8), 1)
+			}
+		}
+	}
+	for n := 1 << 17; n < 1<<17+4096; n += 64 {
+		check(skewed(n, 0.3), 8)
 	}
 }

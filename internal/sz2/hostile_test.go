@@ -34,6 +34,58 @@ func hostileBase(t testing.TB) []byte {
 	return stream
 }
 
+// clampSpan is a 32 Ki-element zero-line input under ABS 0.5 (bin width 1)
+// whose Huffman code holds symbols 1 and 4095, the ends of the code range:
+// small noise, −2047 and +2047, and two out-of-range values that escape. Its
+// decoder builds the reconstruction table over the whole code range, 8·4095
+// codes being within the blob's 32 Ki.
+func clampSpan(t testing.TB) (data []float32, stream []byte) {
+	t.Helper()
+	data = eblctest.WeightLike(rand.New(rand.NewPCG(55, 7)), 32<<10)
+	for i := range data {
+		data[i] *= 3
+	}
+	data[5], data[300], data[301], data[4000] = -2047, 2047, 1e30, -1e30
+	stream, err := NewCompressor().CompressAppend(nil, data, ebcl.Abs(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, stream
+}
+
+// TestZeroLineTableClamp: clampSpan's stream decodes within its bound, and
+// bit for bit alike on both lane paths, the table spanning codes 1 to 4095.
+func TestZeroLineTableClamp(t *testing.T) {
+	data, stream := clampSpan(t)
+	var sec ebcl.Sections
+	if _, full, err := sec.Open(format, nil, stream); !full || err != nil {
+		t.Fatalf("open: full %v, %v", full, err)
+	}
+	span := sec.Span
+	sec.Close()
+	if span != (ebcl.CodeSpan{Lo: 1, Hi: ebcl.QuantAlphabet - 1}) {
+		t.Fatalf("the code spans %v, want [1, 4095]", span)
+	}
+	var outs [][]float32
+	lanes.BothPaths(func(path string) {
+		out, err := NewCompressor().DecompressInto(nil, stream)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if e := ebcl.MaxAbsError(data, out); !(e <= 0.5) {
+			t.Fatalf("%s: max error %v over the bound 0.5", path, e)
+		}
+		outs = append(outs, out)
+	})
+	for _, out := range outs[1:] { // the Go loops', where there are kernels
+		for i := range out {
+			if math.Float32bits(outs[0][i]) != math.Float32bits(out[i]) {
+				t.Fatalf("element %d: %v on the kernels, %v on the Go loops", i, outs[0][i], out[i])
+			}
+		}
+	}
+}
+
 // restage rebuilds an SZ2 stream with the layout byte layout and the kinds
 // and coefficient sections edit returns for stream's own (copies), every
 // section otherwise kept and the payload stored raw behind lossless-stage
@@ -174,6 +226,8 @@ func FuzzSZ2Decompress(f *testing.F) {
 	for _, h := range hostileStreams(f) {
 		f.Add(h.stream)
 	}
+	_, clamp := clampSpan(f)
+	f.Add(clamp)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		if n, _, _, err := ebcl.ParseHeader(stream, format.Magic); err == nil && n > 1<<16 {
 			t.Skip("declares more than 64 Ki elements")

@@ -147,7 +147,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 		}
 	}
 
-	return format.Finish(dst, start, ebAbs, predKinds, coeffs, codes, tally, literals)
+	return format.Finish(dst, start, ebAbs, p, predKinds, coeffs, codes, tally, literals)
 }
 
 // DecompressInto is DecompressFinite without the verdict.

@@ -124,11 +124,17 @@ func benchCompress(b *testing.B, eb float64) {
 	}
 }
 
-func BenchmarkDecompress1e2(b *testing.B) {
+func BenchmarkDecompress1e2(b *testing.B) { benchDecompress(b, 1e-2) }
+
+// BenchmarkDecompress1e4 decodes a blob with escapes: weight-like data at
+// REL 1e-4 spends most of the code alphabet and escapes its outliers.
+func BenchmarkDecompress1e4(b *testing.B) { benchDecompress(b, 1e-4) }
+
+func benchDecompress(b *testing.B, eb float64) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := eblctest.WeightLike(rng, 1<<20)
 	c := sz2.NewCompressor()
-	stream, err := c.CompressAppend(nil, data, ebcl.Rel(1e-2))
+	stream, err := c.CompressAppend(nil, data, ebcl.Rel(eb))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 		}
 	}
 
-	return format.Finish(dst, start, ebAbs, levelKinds, nil, codes, tally, literals)
+	return format.Finish(dst, start, ebAbs, p, levelKinds, nil, codes, tally, literals)
 }
 
 // DecompressFinite implements ebcl.Compressor, reconstructing into dst's

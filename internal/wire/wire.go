@@ -200,7 +200,8 @@ func (w *Writer) WriteStream(stream []byte) error {
 // sender-side mirror of SectionSource — and closes the stream with the
 // trailer on success. Each finished tensor section ships while later
 // tensors are still compressing on pool, so a throttled uplink overlaps the
-// encode instead of waiting for it.
+// encode instead of waiting for it. The framing it wrote, preamble, frame
+// headers, CRCs and trailer, counts as fedsz_encode_bytes_total's frames.
 func EncodeStream(ctx context.Context, pool *sched.Pool, w *Writer, sd *tensor.StateDict, opts core.Options) (*core.Stats, error) {
 	stats, err := core.CompressSections(ctx, pool, sd, opts, w.WriteSection)
 	if err != nil {
@@ -209,6 +210,7 @@ func EncodeStream(ctx context.Context, pool *sched.Pool, w *Writer, sd *tensor.S
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
+	core.CountFrameBytes(opts, len(w.pre)+int(w.frames+1)*(frameHeaderLen+4)+trailerLen)
 	return stats, nil
 }
 
