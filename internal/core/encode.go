@@ -276,15 +276,16 @@ type section struct {
 	delta    bool       // the blob encodes data − reference
 	constant bool       // that residual is one constant stream (constantResidual)
 	saved    int        // bytes the residual saved over the absolute candidate
-	held     *ebcl.Held // the observations of a blob encoded both ways
+	held     *ebcl.Held // the observations of the codec blob that ships
 	err      error
 }
 
 // count adds the emitted section's bytes to b by the parts this package
 // writes: the metadata and length prefix, a chunked blob's framing, a
 // constant residual's stream and the metadata partition. A codec blob's
-// parts are counted by a codec with the SZ back end, which records a held
-// blob's here, and whole under codes for any other codec.
+// parts are counted by a codec with the SZ back end, whose observations of
+// it encodeBlob held and this records, and whole under codes for any other
+// codec.
 func (s *section) count(b *ebcl.ByteCounters, lossy ebcl.Compressor) {
 	b.Add(ebcl.PartHeader, len(s.out)-s.blobLen)
 	switch {
@@ -412,11 +413,26 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 	if s.chunked {
 		absP = wholeP
 	}
-	write := func(dst []byte, vals []float32, p ebcl.Params) ([]byte, error) {
+	// Every codec encode holds its observations in a Held of its own, and
+	// keep takes the Held of the blob that ships: count records only that
+	// one, so an encode that fails partway or loses is never observed.
+	write := func(dst []byte, vals []float32, p ebcl.Params) ([]byte, *ebcl.Held, error) {
+		h := new(ebcl.Held)
+		p = ebcl.Hold(p, h)
+		var out []byte
+		var err error
 		if s.chunked {
-			return appendChunkedBlob(pool, o.Lossy, dst, vals, p, s.chunks)
+			out, err = appendChunkedBlob(pool, o.Lossy, dst, vals, p, s.chunks)
+		} else {
+			out, err = o.Lossy.CompressAppend(dst, vals, p)
 		}
-		return o.Lossy.CompressAppend(dst, vals, p)
+		return out, h, err
+	}
+	keep := func(out []byte, h *ebcl.Held, err error) ([]byte, error) {
+		if err == nil {
+			s.held = h
+		}
+		return out, err
 	}
 
 	rangeR := resExt.Span()
@@ -425,7 +441,7 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		// No residual or bound for it, one no tighter than the data (cold
 		// reference, diverged client), or values so large that float32
 		// rounding eats the bound: absolute only, without a second encode.
-		return write(buf, s.data, absP)
+		return keep(write(buf, s.data, absP))
 	}
 	if rangeR <= 2*ebRes {
 		if mid, ok := constantResidual(s.data, ref, resExt, wholeP.Value); ok {
@@ -442,31 +458,24 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		if a, r, ok := sampleSizes(o.Lossy, buf, s.data, res, wholeP, resP, s.chunks); ok && a >= r {
 			est = a
 		} else if ok {
-			if out, err := write(buf, s.data, absP); err == nil {
+			if out, err := keep(write(buf, s.data, absP)); err == nil {
 				return out, nil
 			}
 		}
 	}
-	// Encoded both ways, each candidate's observations are held until the
-	// smaller is known; only the one that ships is observed.
-	var held *[2]ebcl.Held
-	if est < 0 {
-		held = new([2]ebcl.Held)
-		resP = resP.Holding(&held[0])
-	}
-	out, err := write(buf, res, resP)
+	out, resHeld, err := write(buf, res, resP)
 	if err != nil {
 		// Only the absolute encodes (or reproduces the error the caller would
 		// have seen without a reference).
-		return write(buf, s.data, absP)
+		return keep(write(buf, s.data, absP))
 	}
+	s.held = resHeld
 	deltaLen := len(out) - lenPos - ebcl.SectionLenBytes
 	if est >= 0 {
 		s.saved = max(est-deltaLen, 0)
 	} else {
 		scratch := sched.GetBytes(len(s.data)/2 + 64)
-		absBlob, err := write(scratch, s.data, absP.Holding(&held[1]))
-		s.held = &held[0]
+		absBlob, absHeld, err := write(scratch, s.data, absP)
 		if err != nil {
 			// Only the residual encodes: it is the section, and says so below.
 			sched.PutBytes(scratch)
@@ -476,7 +485,7 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 				// Absolute wins: overwrite the residual blob in place (capacity is
 				// guaranteed — the absolute blob is strictly smaller) and leave
 				// the mode byte as it was initialized.
-				s.held = &held[1]
+				s.held = absHeld
 				return append(out[:lenPos+ebcl.SectionLenBytes], absBlob...), nil
 			}
 			s.saved = len(absBlob) - deltaLen
@@ -517,8 +526,8 @@ func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, 
 	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
 	defer sched.PutFloats(sample) // the runs fit its capacity: append never moves it
 	var lens [2]int
-	// Throwaway encodes: nothing of them is observed.
-	params := [2]ebcl.Params{pData.Holding(ebcl.Discard), pRes.Holding(ebcl.Discard)}
+	// Throwaway encodes: what they hold is never recorded.
+	params := [2]ebcl.Params{ebcl.Hold(pData, new(ebcl.Held)), ebcl.Hold(pRes, new(ebcl.Held))}
 	for k, src := range [2][]float32{data, res} {
 		sample = sample[:0]
 		for lo := 0; lo < len(src); lo += sampleStride {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -281,6 +282,73 @@ func TestOnlyShippedBlobsObserved(t *testing.T) {
 			if got := after[i] - before[i]; got != 1 {
 				t.Errorf("n=%d: %s observed %d times, want 1", n, name, got)
 			}
+		}
+	}
+}
+
+// TestFailedCandidateNotObserved: an encode that fails partway observes
+// nothing. A 40 Ki-element tensor in five chunks is encoded serially against
+// a reference by a codec that refuses any input holding a sentinel, placed
+// in the fourth chunk outside the sample's runs. At σ 0.1 the sample picks
+// the absolute candidate, whose fourth chunk fails after the other four
+// encode, and the residual ships; at σ 0.02 it picks the residual, which
+// fails so, and the absolute ships. Either way the shipped blob's five
+// chunks are observed once each, and the byte parts add up to the stream.
+func TestFailedCandidateNotObserved(t *testing.T) {
+	const n, chunk, sentinel = 40 << 10, 8 << 10, 0.40625
+	at := 3*sampleStride + sampleRun + 7 // in chunk 3, between two sample runs
+	sz2, err := compressors.Get("sz2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := sentinelRefuser{sz2, sentinel}
+	tm, parts := stageFor(lossy).timers, stageFor(lossy).bytes
+	counts := func() (c [4]uint64) {
+		c[0], c[1], c[2] = tm.Utilization.Count(), tm.Quantize.Count(), tm.HuffmanEncode.Count()
+		for p := range parts {
+			if v := parts[p].Value(); ebcl.Part(p) == ebcl.PartLosslessSaved {
+				c[3] -= v
+			} else {
+				c[3] += v
+			}
+		}
+		return c
+	}
+	for _, c := range []struct {
+		sigma       float64
+		inResidual  bool // the sentinel is in data − ref, not in data
+		wantResidue bool // the residual ships
+	}{
+		{0.1, false, true},
+		{0.02, true, false},
+	} {
+		data, ref := laplaceTensor(rand.New(rand.NewPCG(55, 2)), n, c.sigma)
+		if c.inResidual {
+			data.Data[at], ref.Data[at] = 0, -sentinel
+		} else {
+			data.Data[at] = sentinel
+		}
+		sd, refSD := tensor.NewStateDict(), tensor.NewStateDict()
+		sd.Add("w", tensor.KindWeight, data)
+		refSD.Add("w", tensor.KindWeight, ref)
+		before := counts()
+		stream, st, err := CompressWith(context.Background(), nil, sd,
+			Options{Lossy: lossy, Reference: refSD, RefEpoch: 1, ChunkElems: chunk})
+		if err != nil {
+			t.Fatalf("σ=%g: %v", c.sigma, err)
+		}
+		if st.ChunkedTensors != 1 || (st.DeltaTensors == 1) != c.wantResidue {
+			t.Fatalf("σ=%g: %d chunked, %d residual tensors, want 1 and residual=%v",
+				c.sigma, st.ChunkedTensors, st.DeltaTensors, c.wantResidue)
+		}
+		after := counts()
+		for i, name := range []string{"utilization", "quantize", "huffman"} {
+			if got := after[i] - before[i]; got != n/chunk {
+				t.Errorf("σ=%g: %s observed %d times, want %d", c.sigma, name, got, n/chunk)
+			}
+		}
+		if got := after[3] - before[3]; got != uint64(len(stream)) {
+			t.Errorf("σ=%g: the byte parts add up to %d, the stream is %d", c.sigma, got, len(stream))
 		}
 	}
 }

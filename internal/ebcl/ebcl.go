@@ -56,13 +56,13 @@ type Params struct {
 	Mode  Mode
 	Value float64 // bound for REL/ABS; plane count for PREC
 
-	held *Held // Holding
+	held *Held // Hold
 }
 
-// Holding returns p with the observations of the blobs encoded under it kept
+// Hold returns p with the observations of the blobs encoded under it kept
 // in h instead of recorded (StageTimers): for a caller that may yet discard
 // those blobs. A nil h records them, as Params always does.
-func (p Params) Holding(h *Held) Params {
+func Hold(p Params, h *Held) Params {
 	p.held = h
 	return p
 }

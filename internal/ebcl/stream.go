@@ -367,7 +367,7 @@ func (t *StageTimers) record(o *blobObs) {
 	}
 }
 
-// keep records o in f's timers, or holds it where p says (Params.Holding).
+// keep records o in f's timers, or holds it where p says (Hold).
 func (f Format) keep(p Params, o *blobObs) {
 	switch {
 	case p.held != nil:
@@ -377,23 +377,16 @@ func (f Format) keep(p Params, o *blobObs) {
 	}
 }
 
-// Held keeps the observations of the blobs encoded under Params.Holding
-// until the caller knows whether they ship: Record observes them, and what
-// is never recorded is never observed. The chunks of one blob may be held
-// from concurrent encodes.
+// Held keeps the observations of the blobs encoded under Hold until the
+// caller knows whether they ship: Record observes them, and what is never
+// recorded is never observed. The chunks of one blob may be held from
+// concurrent encodes.
 type Held struct {
-	mu      sync.Mutex
-	discard bool
-	obs     []blobObs
+	mu  sync.Mutex
+	obs []blobObs
 }
 
-// Discard is the Held of throwaway encodes: it keeps nothing.
-var Discard = &Held{discard: true}
-
 func (h *Held) hold(o *blobObs) {
-	if h.discard {
-		return
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.obs = append(h.obs, *o)

@@ -1,7 +1,6 @@
 package huffman
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitio"
@@ -75,8 +74,7 @@ func EncodeMultiSampled(symbols []uint16, alphabet, streams, step int, b Bounds)
 	if err != nil {
 		return nil, err
 	}
-	_, k := binary.Uvarint(sec)
-	return sec[k:], nil
+	return unprefixed(sec), nil
 }
 
 // DecodeFast reads one symbol the way decodeSeq does: through the lookup

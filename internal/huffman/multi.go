@@ -58,11 +58,23 @@ const (
 // EncodeMultiU16 encodes symbols into the multi-stream blob format using
 // streams independent bitstreams (DefaultStreams for the standard pipeline).
 // Inputs shorter than multiMinSymbols, or streams == 1, fall back to the
-// single-stream format (encodeSeq); DecodeMultiU16 handles both. The
-// returned buffer comes from the shared sched byte pool.
+// single-stream format (encodeSeq); DecodeMultiU16 handles both. The blob
+// is AppendMulti's section without its length, in a buffer from the shared
+// sched byte pool.
 func EncodeMultiU16(symbols []uint16, alphabet, streams int) ([]byte, error) {
-	out, _, err := appendMulti(nil, symbols, alphabet, streams, 1, Bounds{}, false)
-	return out, err
+	sec, _, err := AppendMulti(nil, symbols, alphabet, streams, 1, Bounds{})
+	if err != nil {
+		return nil, err
+	}
+	return unprefixed(sec), nil
+}
+
+// unprefixed moves the blob of a section AppendMulti wrote onto nil over its
+// length prefix, so the buffer still starts where the pool handed it out
+// and returns to the pool whole.
+func unprefixed(sec []byte) []byte {
+	_, k := binary.Uvarint(sec)
+	return sec[:copy(sec, sec[k:])]
 }
 
 // Parts is where a blob's bytes go: its code-length table; its framing
@@ -79,15 +91,9 @@ type Parts struct{ Table, Jump, Codes int }
 // (buildSampledCodec): every symbol must be 0 or in [b.Lo, b.Hi], and
 // b.Zeros of them 0. A code from a sample spends a little more on the
 // symbols than their own count's would, and saves the count's pass over
-// every symbol. It also returns the blob's Parts.
-func AppendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bounds) ([]byte, Parts, error) {
-	return appendMulti(dst, symbols, alphabet, streams, step, b, true)
-}
-
-// appendMulti is EncodeMultiU16 and AppendMulti: symbols' blob appended to
-// dst, behind its uvarint length when prefixed. dst grows into a pooled
+// every symbol. It also returns the blob's Parts. dst grows into a pooled
 // buffer when its capacity falls short.
-func appendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bounds, prefixed bool) ([]byte, Parts, error) {
+func AppendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bounds) ([]byte, Parts, error) {
 	if streams < 1 || streams > maxStreams {
 		return nil, Parts{}, fmt.Errorf("huffman: stream count %d outside [1,%d]", streams, maxStreams)
 	}
@@ -99,15 +105,9 @@ func appendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bo
 		if err != nil {
 			return nil, Parts{}, err
 		}
-		if dst == nil && !prefixed {
-			dst = blob
-		} else {
-			if prefixed {
-				dst = binary.AppendUvarint(dst, uint64(len(blob)))
-			}
-			dst = append(dst, blob...)
-			sched.PutBytes(blob)
-		}
+		dst = binary.AppendUvarint(reserve(dst, binary.MaxVarintLen64+len(blob)), uint64(len(blob)))
+		dst = append(dst, blob...)
+		sched.PutBytes(blob)
 		return dst, Parts{Table: head - 4, Jump: 4, Codes: len(blob) - head}, nil
 	}
 	var c *Codec
@@ -121,16 +121,25 @@ func appendMulti(dst []byte, symbols []uint16, alphabet, streams, step int, b Bo
 	if err != nil {
 		return nil, Parts{}, err
 	}
-	out, parts := encodeMulti(dst, symbols, streams, c, bits, prefixed)
+	out, parts := encodeMulti(dst, symbols, streams, c, bits)
 	return out, parts, nil
 }
 
+// reserve returns dst with room for n more bytes, moved into a pooled buffer
+// when its capacity falls short.
+func reserve(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) < n {
+		dst = append(sched.GetBytes(len(dst)+n), dst...)
+	}
+	return dst
+}
+
 // encodeMulti appends the multi-stream blob of symbols under c, which it
-// returns to the pool, to dst, behind its uvarint length when prefixed; bits
-// is the coded size it sizes the blob for. The prefix's width comes from
-// that size: when the blob turns out to need another width, the blob moves
-// to fit the minimal one.
-func encodeMulti(dst []byte, symbols []uint16, streams int, c *Codec, bits uint64, prefixed bool) ([]byte, Parts) {
+// returns to the pool, to dst behind its uvarint length; bits is the coded
+// size it sizes the blob for. The prefix's width comes from that size: when
+// the blob turns out to need another width, the blob moves to fit the
+// minimal one.
+func encodeMulti(dst []byte, symbols []uint16, streams int, c *Codec, bits uint64) ([]byte, Parts) {
 	defer putCodec(c)
 
 	// The length table is serialized into its own byte-padded segment so the
@@ -143,14 +152,9 @@ func encodeMulti(dst []byte, symbols []uint16, streams int, c *Codec, bits uint6
 	// byte beyond bits/8, and appendCodes stores 8 bytes at a time.
 	n := len(symbols)
 	size := 1 + 3*binary.MaxVarintLen64 + len(tbl) + 4*streams + int(bits/8) + streams
-	if cap(dst)-len(dst) < binary.MaxVarintLen64+size+8 {
-		dst = append(sched.GetBytes(len(dst)+binary.MaxVarintLen64+size+8), dst...)
-	}
-	at, width := len(dst), 0
-	if prefixed {
-		width = uvarintLen(uint64(size))
-		dst = dst[:at+width]
-	}
+	dst = reserve(dst, binary.MaxVarintLen64+size+8)
+	at, width := len(dst), uvarintLen(uint64(size))
+	dst = dst[:at+width]
 	start := len(dst)
 	out := append(dst, multiMagic)
 	out = binary.AppendUvarint(out, uint64(n))
@@ -181,9 +185,6 @@ func encodeMulti(dst []byte, symbols []uint16, streams int, c *Codec, bits uint6
 		off += cnt
 	}
 	parts.Codes = len(out) - sizePos - 4*streams
-	if !prefixed {
-		return out, parts
-	}
 	blob := len(out) - start
 	if w := uvarintLen(uint64(blob)); w != width {
 		out = append(out, zeros[:max(w-width, 0)]...)
