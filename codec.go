@@ -90,7 +90,7 @@ func WithParams(p Params) Option {
 	}
 }
 
-// WithLossless selects the metadata-partition codec by registry name
+// WithLossless selects the metadata-partition codec by name
 // ("blosclz", "zstdlike", "xzlike", "gzip", "zlib"), resolved at New.
 func WithLossless(name string) Option {
 	return func(c *codecConfig) error {

@@ -1005,7 +1005,7 @@ func withFirstBlob(t testing.TB, stream []byte, blob func(pt core.ParsedTensor) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := core.ParseTensorSection(hdr, secs.Tensors[0])
+	pt, err := core.ParseTensorSection(hdr, secs.Tensors[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

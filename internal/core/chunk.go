@@ -165,17 +165,6 @@ func appendChunkedBlob(pool *sched.Pool, lossy ebcl.Compressor, dst []byte, data
 	return dst, nil
 }
 
-// firstStream returns the codec stream a decoded blob opens with: the blob
-// itself, or a chunked blob's first chunk (its framing already held).
-// chunkedOK is as for decodeBlobInto.
-func firstStream(blob []byte, chunkedOK bool) []byte {
-	if !chunkedOK || !isChunkedBlob(blob) {
-		return blob
-	}
-	chunks, k := binary.Uvarint(blob[1:])
-	return blob[1+k+4*int(chunks):]
-}
-
 // parseChunkedBlob validates a chunked blob's framing and returns the
 // chunk count plus each chunk's sub-blob as views into blob. The jump
 // table must account for the blob exactly — trailing slack would let
@@ -231,10 +220,11 @@ func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool,
 }
 
 // decodeBlobInto reconstructs a tensor blob — plain or chunked — into
-// dst's storage (capacity ≥ elems), returning the elems-length result and
-// the largest magnitude written, whose Finite is the finiteness verdict on
-// it: the codec's (DecompressFinite), or, for a residual, lanes.Add's on the
-// sums.
+// dst's storage (capacity ≥ elems), returning the elems-length result, the
+// largest magnitude written, whose Finite is the finiteness verdict on it
+// (the codec's, DecompressFinite, or, for a residual, lanes.Add's on the
+// sums), and the codec stream the blob opens with: the blob itself, or a
+// chunked blob's first chunk.
 // A non-nil ref is the residual baseline: it is folded back in, in place,
 // per chunk (one pass while the chunk is still cache-warm). A constant
 // residual never gets here: DecodeSections asks constantBlob first and
@@ -245,23 +235,23 @@ func constantBlob(lossy ebcl.Compressor, blob []byte, elems int, chunkedOK bool,
 // sub-range of dst: a tensor is one pool task, and cross-tensor parallelism
 // is the scheduler's job (fanning chunks out measured slower than not: 0.86×
 // on 2 CPUs).
-func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, lanes.AbsMax, error) {
+func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int, chunkedOK bool, ref []float32) ([]float32, lanes.AbsMax, []byte, error) {
 	if !chunkedOK || !isChunkedBlob(blob) {
 		data, m, err := lossy.DecompressFinite(dst, blob)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		if len(data) != elems {
-			return nil, 0, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
+			return nil, 0, nil, fmt.Errorf("decoded %d elements, want %d", len(data), elems)
 		}
 		if ref != nil {
 			m = lanes.Add(data, ref)
 		}
-		return data, m, nil
+		return data, m, blob, nil
 	}
 	subs, err := parseChunkedBlob(blob, elems)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	full := dst[:elems]
 	var m lanes.AbsMax
@@ -272,10 +262,10 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 		// length fits, landing the chunk exactly in place.
 		part, pm, err := lossy.DecompressFinite(full[lo:lo:hi], sub)
 		if err != nil {
-			return nil, 0, fmt.Errorf("chunk %d/%d: %w", i, len(subs), err)
+			return nil, 0, nil, fmt.Errorf("chunk %d/%d: %w", i, len(subs), err)
 		}
 		if len(part) != hi-lo {
-			return nil, 0, fmt.Errorf("chunk %d/%d: decoded %d elements, want %d", i, len(subs), len(part), hi-lo)
+			return nil, 0, nil, fmt.Errorf("chunk %d/%d: decoded %d elements, want %d", i, len(subs), len(part), hi-lo)
 		}
 		if len(part) > 0 && &part[0] != &full[lo] {
 			// The codec allocated (a corrupt sub-blob declared more
@@ -288,5 +278,5 @@ func decodeBlobInto(lossy ebcl.Compressor, dst []float32, blob []byte, elems int
 		}
 		m = max(m, pm)
 	}
-	return full, m, nil
+	return full, m, subs[0], nil
 }

@@ -400,15 +400,3 @@ func appendString(dst []byte, s string) []byte {
 	dst = append(dst, byte(len(s)))
 	return append(dst, s...)
 }
-
-func readString(src []byte, pos int) (string, int, error) {
-	if pos >= len(src) {
-		return "", 0, ErrCorrupt
-	}
-	l := int(src[pos])
-	pos++
-	if pos+l > len(src) {
-		return "", 0, ErrCorrupt
-	}
-	return string(src[pos : pos+l]), pos + l, nil
-}

@@ -30,7 +30,7 @@ func parseTensors(t *testing.T, stream []byte) []ParsedTensor {
 	}
 	pts := make([]ParsedTensor, len(secs.Tensors))
 	for i, sec := range secs.Tensors {
-		if pts[i], err = ParseTensorSection(hdr, sec); err != nil {
+		if pts[i], err = ParseTensorSection(hdr, sec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -526,8 +526,7 @@ func sampleSizes(lossy ebcl.Compressor, buf []byte, data, res []float32, pData, 
 	sample := sched.GetFloats(len(data)/sampleStride*sampleRun + sampleRun)
 	defer sched.PutFloats(sample) // the runs fit its capacity: append never moves it
 	var lens [2]int
-	// Throwaway encodes: what they hold is never recorded.
-	params := [2]ebcl.Params{ebcl.Hold(pData, new(ebcl.Held)), ebcl.Hold(pRes, new(ebcl.Held))}
+	params := [2]ebcl.Params{pData, pRes}
 	for k, src := range [2][]float32{data, res} {
 		sample = sample[:0]
 		for lo := 0; lo < len(src); lo += sampleStride {

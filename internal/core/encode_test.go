@@ -230,9 +230,9 @@ func TestCompressSectionsEmitsBlobInPlace(t *testing.T) {
 		if kind != SectionTensor {
 			return nil
 		}
-		_, pos, err := readString(payload, 0)
-		if err != nil {
-			t.Fatalf("tensor section %d: name: %v", tensorIdx, err)
+		_, pos, ok := nameAt(payload, 0)
+		if !ok {
+			t.Fatalf("tensor section %d: name", tensorIdx)
 		}
 		rank := int(payload[pos+1])
 		pos += 2 + 4*rank

@@ -164,7 +164,7 @@ func hostileLengthStream(tb testing.TB, stream []byte) []byte {
 		tb.Fatal(err)
 	}
 	ts := secs.Tensors[0]
-	pt, err := ParseTensorSection(hdr, ts)
+	pt, err := ParseTensorSection(hdr, ts, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func chunkCorruptCorpus(tb testing.TB) []corpusEntry {
 	var blob []byte
 	off := len(secs.Header)
 	for _, sec := range secs.Tensors {
-		pt, err := ParseTensorSection(hdr, sec)
+		pt, err := ParseTensorSection(hdr, sec, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}

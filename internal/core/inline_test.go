@@ -36,7 +36,7 @@ func BenchmarkInlineGate(b *testing.B) {
 		}
 		blobs := make([][]byte, len(secs.Tensors))
 		for i, sec := range secs.Tensors {
-			pt, err := ParseTensorSection(hdr, sec)
+			pt, err := ParseTensorSection(hdr, sec, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func BenchmarkInlineGate(b *testing.B) {
 			b.Run(fmt.Sprintf("elems=%dKi/decoders=%d", elems>>10, decoders), func(b *testing.B) {
 				pool := sched.NewPool(0)
 				decode := func(blob []byte) {
-					data, _, err := decodeBlobInto(lossy, sched.GetFloats(elems), blob, elems, hdr.Chunked(), nil)
+					data, _, _, err := decodeBlobInto(lossy, sched.GetFloats(elems), blob, elems, hdr.Chunked(), nil)
 					if err != nil {
 						panic(err)
 					}

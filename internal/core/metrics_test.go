@@ -10,6 +10,7 @@ import (
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
 	"repro/internal/promtext"
+	"repro/internal/sz2"
 	"repro/internal/szx"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -283,6 +284,57 @@ func TestOnlyShippedBlobsObserved(t *testing.T) {
 				t.Errorf("n=%d: %s observed %d times, want 1", n, name, got)
 			}
 		}
+	}
+}
+
+// TestUnheldEncodeObservesNothing: a codec records no encode on its own. A
+// bare sz2 CompressAppend, outside any encode of this package, leaves
+// fedsz_encode_bytes_total and fedsz_bound_utilization as they were, where
+// the same tensor compressed by Compress moves both.
+func TestUnheldEncodeObservesNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	RegisterMetrics(reg)
+	scrape := func() (total, count float64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := promtext.ParseText(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			switch {
+			case s.Labels["codec"] != "sz2":
+			case s.Name == "fedsz_encode_bytes_total":
+				total += s.Value
+			case s.Name == "fedsz_bound_utilization_count":
+				count += s.Value
+			}
+		}
+		return total, count
+	}
+	rng := rand.New(rand.NewPCG(56, 7))
+	w := tensor.New(4096)
+	for i := range w.Data {
+		w.Data[i] = float32(0.05 * rng.NormFloat64())
+	}
+	sd := tensor.NewStateDict()
+	sd.Add("fc.weight", tensor.KindWeight, w)
+	total0, count0 := scrape()
+	if _, _, err := Compress(sd, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	total1, count1 := scrape()
+	if total1 <= total0 || count1 != count0+1 {
+		t.Fatalf("Compress: bytes %v -> %v, utilization count %v -> %v; want both to move", total0, total1, count0, count1)
+	}
+	if _, err := sz2.NewCompressor().CompressAppend(nil, w.Data, ebcl.Rel(1e-2)); err != nil {
+		t.Fatal(err)
+	}
+	if total, count := scrape(); total != total1 || count != count1 {
+		t.Fatalf("bare CompressAppend: bytes %v -> %v, utilization count %v -> %v; want neither to move", total1, total, count1, count)
 	}
 }
 

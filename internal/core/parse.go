@@ -1,10 +1,15 @@
 package core
 
-// Section parsers: the one reading of the stream layout. Each function
-// takes a complete section — a wire frame's payload, or the bytes a
-// delimiter cut out of a serialized stream — and validates everything in
-// it, so DecodeSections, Sections and a transport inspecting frames all
-// accept exactly the same bytes. The compressed blobs are left untouched.
+// Section parsers: the one reading of the stream layout. Each section has
+// one reader that takes the bytes a section opens and returns where the
+// section ends: headerAt, tensorAt, and losslessAt over ebcl.ReadSection.
+// They check every field and allocate nothing, so the in-memory delimiter
+// (memSections) cuts a stream with them, and the exact forms (ParseHeader,
+// ParseTensorSection, decodeLossless) are the same readers plus a check
+// that the section ends where its bytes do, for a wire frame's payload or a
+// section the delimiter cut. DecodeSections, Sections and a transport
+// inspecting frames therefore accept exactly the same bytes. The compressed
+// blobs are left untouched.
 
 import (
 	"encoding/binary"
@@ -44,59 +49,81 @@ func (h *ParsedHeader) IsDelta() bool {
 // Chunked reports whether tensor sections may carry chunked (v4) blobs.
 func (h *ParsedHeader) Chunked() bool { return h.Version == streamVersionV4 }
 
-// streamVersionOf validates the magic and version that open a stream (its
-// first five bytes) and returns the version.
-func streamVersionOf(b []byte) (byte, error) {
-	if len(b) < 5 || binary.LittleEndian.Uint32(b) != streamMagic {
-		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if !supportedStreamVersion(b[4]) {
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, b[4])
-	}
-	return b[4], nil
-}
-
 // ParseHeader parses a header section payload. The returned header's Flags
 // field aliases section.
 func ParseHeader(section []byte) (*ParsedHeader, error) {
-	version, err := streamVersionOf(section)
+	h, names, n, err := headerAt(section)
+	if err == nil && n != len(section) {
+		err = fmt.Errorf("%w: header section has %d trailing bytes", ErrCorrupt, len(section)-n)
+	}
 	if err != nil {
 		return nil, err
 	}
-	h := &ParsedHeader{Version: version}
-	pos := 5
-	if h.LossyName, pos, err = readString(section, pos); err != nil {
-		return nil, fmt.Errorf("%w: lossy compressor name", ErrCorrupt)
+	h.LossyName, h.LosslessName = string(names[0]), string(names[1])
+	return &h, nil
+}
+
+// headerAt reads the header section that opens b, the one reading of its
+// layout, and returns the header, its codec names (views of b, which it
+// leaves out of the header) and the section's length. It checks every field
+// and allocates nothing, so a delimiter can call it.
+func headerAt(b []byte) (h ParsedHeader, names [2][]byte, n int, err error) {
+	if len(b) < 5 || binary.LittleEndian.Uint32(b) != streamMagic {
+		return h, names, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if h.LosslessName, pos, err = readString(section, pos); err != nil {
-		return nil, fmt.Errorf("%w: lossless codec name", ErrCorrupt)
+	if h.Version = b[4]; !supportedStreamVersion(h.Version) {
+		return h, names, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, h.Version)
+	}
+	pos := 5
+	var ok bool
+	if names[0], pos, ok = nameAt(b, pos); !ok {
+		return h, names, 0, fmt.Errorf("%w: lossy compressor name", ErrCorrupt)
+	}
+	if names[1], pos, ok = nameAt(b, pos); !ok {
+		return h, names, 0, fmt.Errorf("%w: lossless codec name", ErrCorrupt)
 	}
 	if h.IsDelta() {
-		if pos+4 > len(section) {
-			return nil, fmt.Errorf("%w: reference epoch", ErrCorrupt)
+		if pos+4 > len(b) {
+			return h, names, 0, fmt.Errorf("%w: reference epoch", ErrCorrupt)
 		}
-		h.RefEpoch = binary.LittleEndian.Uint32(section[pos:])
+		h.RefEpoch = binary.LittleEndian.Uint32(b[pos:])
 		pos += 4
 	}
-	if pos+4 > len(section) {
-		return nil, fmt.Errorf("%w: entry count", ErrCorrupt)
+	if pos+4 > len(b) {
+		return h, names, 0, fmt.Errorf("%w: entry count", ErrCorrupt)
 	}
-	count := int(binary.LittleEndian.Uint32(section[pos:]))
+	// The cap is checked as read, before int conversion, which would wrap
+	// the count on a 32-bit platform.
+	count := binary.LittleEndian.Uint32(b[pos:])
+	if count > maxStreamEntries {
+		return h, names, 0, fmt.Errorf("%w: entry count %d exceeds %w", ErrCorrupt, count, ErrLimit)
+	}
 	pos += 4
-	if count > maxStreamEntries || pos+count != len(section) {
-		return nil, fmt.Errorf("%w: header flag array", ErrCorrupt)
+	end := pos + int(count)
+	if end > len(b) {
+		return h, names, 0, fmt.Errorf("%w: header flag array", ErrCorrupt)
 	}
-	h.Flags = section[pos : pos+count]
+	h.Flags = b[pos:end]
 	for _, f := range h.Flags {
 		switch f {
 		case pathLossy:
 			h.LossyCount++
 		case pathLossless:
 		default:
-			return nil, fmt.Errorf("%w: path flag %d", ErrCorrupt, f)
+			return h, names, 0, fmt.Errorf("%w: path flag %d", ErrCorrupt, f)
 		}
 	}
-	return h, nil
+	return h, names, end, nil
+}
+
+// nameAt reads the one-byte-length-prefixed name at b[pos:] in place and
+// returns it with the position after it.
+func nameAt(b []byte, pos int) ([]byte, int, bool) {
+	if pos >= len(b) || pos+1+int(b[pos]) > len(b) {
+		return nil, 0, false
+	}
+	end := pos + 1 + int(b[pos])
+	return b[pos+1 : end], end, true
 }
 
 // ParsedTensor is the decoded metadata of one tensor section — the payload
@@ -115,79 +142,97 @@ type ParsedTensor struct {
 }
 
 // ParseTensorSection parses one tensor section payload. hdr supplies the
-// stream version (v3 sections carry a mode byte). The returned tensor's
-// Blob aliases section. It is returned by value, so a decode loop parsing
-// one section per tensor keeps it off the heap.
-func ParseTensorSection(hdr *ParsedHeader, section []byte) (ParsedTensor, error) {
-	return parseTensorSection(hdr, section, nil)
-}
-
-// parseTensorSection is ParseTensorSection. When like, a tensor of a
-// round's adopted structure, has the section's name and shape, the parsed
-// tensor shares like's Name and Shape instead of allocating its own.
-func parseTensorSection(hdr *ParsedHeader, section []byte, like *TensorShape) (ParsedTensor, error) {
-	var pt ParsedTensor
-	if len(section) == 0 || 1+int(section[0]) > len(section) {
-		return ParsedTensor{}, fmt.Errorf("%w: tensor name", ErrCorrupt)
+// stream version (v3 and v4 sections carry a mode byte). The returned
+// tensor's Blob aliases section. It is returned by value, so a decode loop
+// parsing one section per tensor keeps it off the heap. When like, a tensor
+// of a round's adopted structure (nil for none), has the section's name and
+// shape, the parsed tensor shares like's Name and Shape instead of
+// allocating its own.
+func ParseTensorSection(hdr *ParsedHeader, section []byte, like *TensorShape) (ParsedTensor, error) {
+	f, n, err := tensorAt(hdr, section)
+	if err == nil && n != len(section) {
+		err = fmt.Errorf("%w: tensor section %q has %d trailing bytes", ErrCorrupt, f.name, len(section)-n)
 	}
-	name := section[1 : 1+int(section[0])]
-	pos := 1 + len(name)
-	if pos+2 > len(section) {
-		return ParsedTensor{}, fmt.Errorf("%w: tensor metadata", ErrCorrupt)
+	if err != nil {
+		return ParsedTensor{}, err
 	}
-	pt.Kind = tensor.Kind(section[pos])
-	rank := int(section[pos+1])
-	pos += 2
-	if pos+4*rank > len(section) {
-		return ParsedTensor{}, fmt.Errorf("%w: tensor shape", ErrCorrupt)
+	pt := f.ParsedTensor
+	rank := len(f.dims) / 4
+	shared := like != nil && len(like.Shape) == rank && string(f.name) == like.Name
+	for d := 0; shared && d < rank; d++ {
+		shared = int(binary.LittleEndian.Uint32(f.dims[4*d:])) == like.Shape[d]
 	}
-	// Each dimension and the running product are checked as uint64, so no
-	// int conversion can wrap where int is 32 bits.
-	dims := section[pos : pos+4*rank]
-	elems := uint64(1)
-	shared := like != nil && len(like.Shape) == rank && string(name) == like.Name
-	for d := range rank {
-		n := uint64(binary.LittleEndian.Uint32(dims[4*d:]))
-		if elems *= n; n > ebcl.MaxElements || elems > ebcl.MaxElements {
-			return ParsedTensor{}, fmt.Errorf("%w: tensor %q element count exceeds %w", ErrCorrupt, name, ErrLimit)
-		}
-		shared = shared && n == uint64(like.Shape[d])
-	}
-	pt.Elems = int(elems)
 	if shared {
 		pt.Name, pt.Shape = like.Name, like.Shape
-	} else {
-		pt.Name = string(name)
-		pt.Shape = make([]int, rank)
-		for d := range pt.Shape {
-			pt.Shape[d] = int(binary.LittleEndian.Uint32(dims[4*d:]))
-		}
+		return pt, nil
 	}
-	pos += 4 * rank
-	if hdr.IsDelta() {
-		if pos >= len(section) {
-			return ParsedTensor{}, fmt.Errorf("%w: tensor mode", ErrCorrupt)
-		}
-		switch section[pos] {
-		case sectionAbsolute:
-		case sectionDelta:
-			pt.Delta = true
-		default:
-			return ParsedTensor{}, fmt.Errorf("%w: tensor %q section mode %d", ErrCorrupt, pt.Name, section[pos])
-		}
-		pos++
-	}
-	var err error
-	if pt.Blob, pos, err = ebcl.ReadSection(section, pos); err != nil {
-		return ParsedTensor{}, fmt.Errorf("%w: lossy section %q: %w", ErrCorrupt, pt.Name, err)
-	}
-	if pos != len(section) {
-		return ParsedTensor{}, fmt.Errorf("%w: tensor section %q has %d trailing bytes", ErrCorrupt, pt.Name, len(section)-pos)
+	pt.Name = string(f.name)
+	pt.Shape = make([]int, rank)
+	for d := range pt.Shape {
+		pt.Shape[d] = int(binary.LittleEndian.Uint32(f.dims[4*d:]))
 	}
 	return pt, nil
 }
 
-// codecs resolves the header's codec names against the registries.
+// tensorFields is a tensor section as tensorAt reads it: every field but
+// Name and Shape, whose bytes name and dims (rank little-endian uint32s)
+// are views of the section.
+type tensorFields struct {
+	ParsedTensor
+	name, dims []byte
+}
+
+// tensorAt reads the tensor section that opens b, the one reading of its
+// layout, and returns its fields and the section's length. hdr supplies
+// the stream version (v3 and v4 sections carry a mode byte). It checks
+// every field and allocates nothing, so a delimiter can call it.
+func tensorAt(hdr *ParsedHeader, b []byte) (f tensorFields, n int, err error) {
+	var pos int
+	var ok bool
+	if f.name, pos, ok = nameAt(b, 0); !ok {
+		return f, 0, fmt.Errorf("%w: tensor name", ErrCorrupt)
+	}
+	if pos+2 > len(b) {
+		return f, 0, fmt.Errorf("%w: tensor metadata", ErrCorrupt)
+	}
+	f.Kind = tensor.Kind(b[pos])
+	rank := int(b[pos+1])
+	pos += 2
+	if pos+4*rank > len(b) {
+		return f, 0, fmt.Errorf("%w: tensor shape", ErrCorrupt)
+	}
+	f.dims = b[pos : pos+4*rank]
+	pos += 4 * rank
+	// Each dimension and the running product are checked as uint64, so no
+	// int conversion can wrap where int is 32 bits.
+	elems := uint64(1)
+	for d := range rank {
+		dim := uint64(binary.LittleEndian.Uint32(f.dims[4*d:]))
+		if elems *= dim; dim > ebcl.MaxElements || elems > ebcl.MaxElements {
+			return f, 0, fmt.Errorf("%w: tensor %q element count exceeds %w", ErrCorrupt, f.name, ErrLimit)
+		}
+	}
+	f.Elems = int(elems)
+	if hdr.IsDelta() {
+		if pos >= len(b) {
+			return f, 0, fmt.Errorf("%w: tensor mode", ErrCorrupt)
+		}
+		switch b[pos] {
+		case sectionAbsolute:
+		case sectionDelta:
+			f.Delta = true
+		default:
+			return f, 0, fmt.Errorf("%w: tensor %q section mode %d", ErrCorrupt, f.name, b[pos])
+		}
+		pos++
+	}
+	if f.Blob, pos, err = ebcl.ReadSection(b, pos); err != nil {
+		return f, 0, fmt.Errorf("%w: lossy section %q: %w", ErrCorrupt, f.name, err)
+	}
+	return f, pos, nil
+}
+
+// codecs resolves the header's codec names against the codec tables.
 func (h *ParsedHeader) codecs() (ebcl.Compressor, lossless.Codec, error) {
 	lossy, err := compressors.Get(h.LossyName)
 	if err != nil {
@@ -200,17 +245,28 @@ func (h *ParsedHeader) codecs() (ebcl.Compressor, lossless.Codec, error) {
 	return lossy, codec, nil
 }
 
-// decodeLossless decompresses the metadata partition from a lossless
-// section (the uvarint-length-prefixed blob a wire FrameLossless carries):
-// the serialized entries, in a pooled byte buffer (recycle via
-// sched.PutBytes). DecodedStream.validate checks what they hold.
-func decodeLossless(codec lossless.Codec, section []byte) ([]byte, error) {
-	blob, pos, err := ebcl.ReadSection(section, 0)
+// losslessAt reads the lossless section that opens b (ebcl.ReadSection's
+// uvarint-length-prefixed blob) and returns the blob and the section's
+// length.
+func losslessAt(b []byte) ([]byte, int, error) {
+	blob, n, err := ebcl.ReadSection(b, 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w: metadata section: %w", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: metadata section: %w", ErrCorrupt, err)
 	}
-	if pos != len(section) {
-		return nil, fmt.Errorf("%w: metadata section has %d trailing bytes", ErrCorrupt, len(section)-pos)
+	return blob, n, nil
+}
+
+// decodeLossless decompresses the metadata partition from a lossless
+// section (the payload of a wire FrameLossless): the serialized entries, in
+// a pooled byte buffer (recycle via sched.PutBytes). DecodedStream.validate
+// checks what they hold.
+func decodeLossless(codec lossless.Codec, section []byte) ([]byte, error) {
+	blob, n, err := losslessAt(section)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(section) {
+		return nil, fmt.Errorf("%w: metadata section has %d trailing bytes", ErrCorrupt, len(section)-n)
 	}
 	raw, err := codec.Decompress(blob)
 	if err != nil {

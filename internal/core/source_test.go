@@ -126,7 +126,8 @@ func TestDecompressFromTruncationFailsCleanly(t *testing.T) {
 }
 
 // TestDecompressFromRejectsHostileLengths: an entry count far beyond the cap
-// is refused before its flag array is allocated, and a frame declaring a
+// is refused as over the limit (ErrLimit, as an in-memory decode refuses it)
+// before its flag array is allocated, and a frame declaring a
 // payload far beyond what arrives fails as a short stream: the receive
 // buffer grows with the bytes received, not with the declared length.
 func TestDecompressFromRejectsHostileLengths(t *testing.T) {
@@ -159,8 +160,8 @@ func TestDecompressFromRejectsHostileLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decompressFrom(context.Background(), sched.Default(), &bad); !errors.Is(err, core.ErrCorrupt) {
-		t.Fatalf("hostile entry count: %v", err)
+	if _, _, err := decompressFrom(context.Background(), sched.Default(), &bad); !errors.Is(err, core.ErrCorrupt) || !errors.Is(err, core.ErrLimit) {
+		t.Fatalf("hostile entry count: %v, want ErrCorrupt and ErrLimit", err)
 	}
 
 	long := bytes.Clone(framed)

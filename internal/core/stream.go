@@ -8,11 +8,11 @@ package core
 // tensor i's section is complete its decode is submitted to the worker
 // pool and the caller moves on to section i+1. DecodeSections is that loop,
 // written once. It pulls sections from a SectionSource and does not care
-// where they come from: zero-copy views of an in-memory stream
-// (Decompress*), or wire-frame payloads off an io.Reader
+// where they come from: zero-copy views of an in-memory stream, cut by the
+// parse.go readers (Decompress*), or wire-frame payloads off an io.Reader
 // (internal/wire.SectionSource, which is what flserve and agg.Sharded feed
 // it, and the one way a stream is decoded while it arrives). Every check on
-// untrusted input — section and element caps, the delta-reference
+// untrusted input — entry and element caps, the delta-reference
 // conditions, the adopted structure, duplicate names, the metadata
 // partition's entries — is made here or in the parse.go functions it calls,
 // so both sources reject the same streams with the same error class, and
@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -34,13 +33,9 @@ import (
 	"repro/internal/tensor"
 )
 
-const (
-	// maxStreamEntries bounds the tensor count a header may declare before
-	// the flag array is allocated (a real model has a few hundred entries).
-	maxStreamEntries = 1 << 20
-	// maxSectionBytes bounds a single section's declared length.
-	maxSectionBytes = 1 << 30
-)
+// maxStreamEntries bounds the tensor count a header may declare before the
+// flag array is allocated (a real model has a few hundred entries).
+const maxStreamEntries = 1 << 20
 
 // maxStreamElements bounds the lossy elements one stream may declare in all
 // (1 GiB of float32). It is a var only so that tests can lower it.
@@ -60,92 +55,25 @@ type SectionSource interface {
 	ReadWait() time.Duration
 }
 
-// memSections serves zero-copy section views of an in-memory stream. It is
-// the one place that knows which fields carry a section's length: it reads
-// only those fields, and validating what the sections hold is the parse.go
-// functions' job.
+// memSections serves zero-copy section views of an in-memory stream. It
+// cuts each section with that section's parse.go reader, so the layout has
+// one reading and every section served has passed its checks.
 type memSections struct {
-	data []byte // the stream from the next section on
-	// hasMode records, from the header, whether tensor sections carry a
-	// mode byte.
-	hasMode bool
-}
-
-// need reports a stream that ends before its first n bytes: it is
-// malformed from the decoder's point of view.
-func (m *memSections) need(n int) error {
-	if n > len(m.data) {
-		return fmt.Errorf("%w: section: %v", ErrCorrupt, io.ErrUnexpectedEOF)
-	}
-	return nil
-}
-
-// sectionLen returns the length of the section of the given kind at the
-// front of the stream.
-func (m *memSections) sectionLen(kind SectionKind) (int, error) {
-	b := m.data
-	pos := 0
-	switch kind {
-	case SectionHeader:
-		if err := m.need(5); err != nil {
-			return 0, err
-		}
-		version, err := streamVersionOf(b)
-		if err != nil {
-			return 0, err
-		}
-		m.hasMode = version == streamVersionV3 || version == streamVersionV4
-		pos = 5
-		for range 2 { // lossy compressor and lossless codec names
-			if err := m.need(pos + 1); err != nil {
-				return 0, err
-			}
-			pos += 1 + int(b[pos])
-		}
-		if m.hasMode {
-			pos += 4 // reference epoch
-		}
-		if err := m.need(pos + 4); err != nil {
-			return 0, err
-		}
-		count := binary.LittleEndian.Uint32(b[pos:])
-		if count > maxStreamEntries {
-			return 0, fmt.Errorf("%w: entry count %d exceeds %w", ErrCorrupt, count, ErrLimit)
-		}
-		end := pos + 4 + int(count)
-		return end, m.need(end)
-	case SectionTensor:
-		if err := m.need(1); err != nil {
-			return 0, err
-		}
-		pos = 1 + int(b[0]) // name
-		if err := m.need(pos + 2); err != nil {
-			return 0, err
-		}
-		pos += 2 + 4*int(b[pos+1]) // kind, rank, dims
-		if m.hasMode {
-			pos++
-		}
-	}
-	// Tensor and metadata sections end in a uvarint-length-prefixed blob.
-	for k := 1; k <= binary.MaxVarintLen64; k++ {
-		if err := m.need(pos + k); err != nil {
-			return 0, err
-		}
-		if b[pos+k-1] < 0x80 {
-			l, n := binary.Uvarint(b[pos : pos+k])
-			if n <= 0 || l > maxSectionBytes {
-				break
-			}
-			end := pos + k + int(l)
-			return end, m.need(end)
-		}
-	}
-	return 0, fmt.Errorf("%w: section length prefix", ErrCorrupt)
+	data []byte       // the stream from the next section on
+	hdr  ParsedHeader // the header, once served: tensor sections read it
 }
 
 func (m *memSections) Next(kind SectionKind) ([]byte, error) {
-	n, err := m.sectionLen(kind)
+	var n int
+	var err error
+	switch kind {
+	case SectionHeader:
+		m.hdr, _, n, err = headerAt(m.data)
+	case SectionTensor:
+		_, n, err = tensorAt(&m.hdr, m.data)
+	default:
+		_, n, err = losslessAt(m.data)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -171,26 +99,20 @@ type StreamSections struct {
 	Lossless []byte
 }
 
-// Sections parses the section boundaries of a serialized FedSZ stream
-// without decoding any payloads — the sender-side half of wire framing.
-// Every returned section has passed its parse.go parser.
+// Sections splits a serialized FedSZ stream into its sections without
+// decoding any payloads, the sender-side half of wire framing. It reads
+// each section once, with the parse.go reader that delimits it, so every
+// returned section has passed its parser's checks.
 func Sections(stream []byte) (*StreamSections, error) {
-	src := &memSections{data: stream}
+	src := memSections{data: stream}
 	s := &StreamSections{}
 	var err error
 	if s.Header, err = src.Next(SectionHeader); err != nil {
 		return nil, err
 	}
-	hdr, err := ParseHeader(s.Header)
-	if err != nil {
-		return nil, err
-	}
-	s.Tensors = make([][]byte, hdr.LossyCount)
+	s.Tensors = make([][]byte, src.hdr.LossyCount)
 	for i := range s.Tensors {
 		if s.Tensors[i], err = src.Next(SectionTensor); err != nil {
-			return nil, err
-		}
-		if _, err = ParseTensorSection(hdr, s.Tensors[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -438,7 +360,7 @@ func (t *tensorTask) run(ctx context.Context) {
 	}
 	t0 := time.Now()
 	dst := sched.GetFloats(pt.Elems)
-	data, m, err := decodeBlobInto(t.lossy, dst, pt.Blob, pt.Elems, t.chunked, t.ref)
+	data, m, first, err := decodeBlobInto(t.lossy, dst, pt.Blob, pt.Elems, t.chunked, t.ref)
 	took := time.Since(t0)
 	t.work.Add(int64(took))
 	t.st.reconstruct.Observe(took.Seconds())
@@ -448,7 +370,7 @@ func (t *tensorTask) run(ctx context.Context) {
 		return
 	}
 	e.Data, e.Finite = data, m.Finite()
-	if eb, ok := t.lossy.ResolvedBound(firstStream(pt.Blob, t.chunked)); ok {
+	if eb, ok := t.lossy.ResolvedBound(first); ok {
 		t.st.bound.Observe(eb)
 	}
 }
@@ -529,7 +451,7 @@ func DecodeSections(ctx context.Context, pool *sched.Pool, src SectionSource, do
 		if want != nil {
 			like = &want.Lossy[i]
 		}
-		pt, err := parseTensorSection(hdr, sec, like)
+		pt, err := ParseTensorSection(hdr, sec, like)
 		elems += pt.Elems
 		if err == nil && elems > maxStreamElements {
 			err = fmt.Errorf("%w: tensor %d %q takes the stream past the %d-element %w", ErrCorrupt, i, pt.Name, maxStreamElements, ErrLimit)

@@ -109,7 +109,7 @@ func TestParseShapeOverflow(t *testing.T) {
 		patched := append([]byte(nil), sec...)
 		binary.LittleEndian.PutUint32(patched[dims:], shape[0])
 		binary.LittleEndian.PutUint32(patched[dims+4:], shape[1])
-		if _, err := ParseTensorSection(hdr, patched); !errors.Is(err, ErrCorrupt) {
+		if _, err := ParseTensorSection(hdr, patched, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("shape %d×%d: err %v, want ErrCorrupt", shape[0], shape[1], err)
 		}
 	}

@@ -4,9 +4,10 @@
 // stream header, the linear quantizer used by the prediction-based
 // compressors (SZ2, SZ3) with the Tally its loops report, and the one back
 // end that turns their quantization codes into a stream and back (Format,
-// Sections), timing its stages and observing each blob's utilization of its
-// bound (StageTimers); verification helpers; and the one CPU check (AVX2)
-// that selects the amd64 block kernels (kernels.go).
+// Sections), timing its stages and measuring each blob's utilization of its
+// bound for the caller to record (Hold, StageTimers); verification helpers;
+// and the one CPU check (AVX2) that selects the amd64 block kernels
+// (kernels.go).
 //
 // Error bound semantics follow the SZ convention: a *relative* bound eb
 // means the absolute reconstruction error of every element is at most
@@ -60,8 +61,9 @@ type Params struct {
 }
 
 // Hold returns p with the observations of the blobs encoded under it kept
-// in h instead of recorded (StageTimers): for a caller that may yet discard
-// those blobs. A nil h records them, as Params always does.
+// in h, for the caller to record (Held.Record into the codec's StageTimers)
+// once it knows which blob ships. A codec records nothing on its own, so
+// blobs encoded under Params without Hold are never observed.
 func Hold(p Params, h *Held) Params {
 	p.held = h
 	return p
@@ -129,8 +131,10 @@ type Compressor interface {
 	// under. ok is false for the empty and constant layouts, which record
 	// none, and for a codec without a formal bound (zfp's fixed precision).
 	ResolvedBound(stream []byte) (eb float64, ok bool)
-	// StageTimers are the histograms the codec times its stages in, for the
-	// caller that exports them; nil for a codec that times none (szx, zfp).
+	// StageTimers are the histograms the codec's stages are observed in
+	// (an encode's when its caller records what it held, Held.Record), for
+	// the caller that exports them; nil for a codec that times none (szx,
+	// zfp).
 	StageTimers() *StageTimers
 }
 

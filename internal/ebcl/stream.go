@@ -287,12 +287,13 @@ type Format struct {
 	Timers *StageTimers
 }
 
-// StageTimers are one SZ-family codec's stage histograms and byte counters:
-// Finish observes each blob's predict+quantize (from the start its codec
-// passes), Huffman encode and lossless stage, and Open each blob's Huffman
-// decode. Beside them, Utilization has Finish observe each blob's
-// Tally.Worst over its bound: at most 1 while the error bound holds; and
-// Bytes counts the bytes Begin and Finish write, by part.
+// StageTimers are one SZ-family codec's stage histograms and byte counters.
+// Finish measures each blob's predict+quantize (from the start its codec
+// passes), Huffman encode and lossless stage, Begin and Finish its bytes by
+// part (Bytes), and Finish its Tally.Worst over its bound (Utilization: at
+// most 1 while the error bound holds); a Held that the blob was encoded
+// under observes them here when its caller records it. Open observes each
+// blob's Huffman decode.
 type StageTimers struct {
 	Quantize, HuffmanEncode, Lossless, HuffmanDecode *telemetry.Histogram
 	Utilization                                      *telemetry.Histogram
@@ -367,13 +368,11 @@ func (t *StageTimers) record(o *blobObs) {
 	}
 }
 
-// keep records o in f's timers, or holds it where p says (Hold).
-func (f Format) keep(p Params, o *blobObs) {
-	switch {
-	case p.held != nil:
+// keep holds o where p says (Hold). An encode under Params that hold
+// nothing observes nothing: the caller that ships the blob records it.
+func keep(p Params, o *blobObs) {
+	if p.held != nil {
 		p.held.hold(o)
-	case f.Timers != nil:
-		f.Timers.record(o)
 	}
 }
 
@@ -426,7 +425,7 @@ func (f Format) Begin(dst []byte, data []float32, p Params) (ebAbs float64, out 
 	if done {
 		var o blobObs
 		o.bytes[PartHeader] = len(out) - len(dst)
-		f.keep(p, &o)
+		keep(p, &o)
 	}
 	return ebAbs, out, done, nil
 }
@@ -492,7 +491,7 @@ func (f Format) Finish(dst []byte, start time.Time, ebAbs float64, p Params, kin
 	for _, part := range []Part{PartSideInfo, PartTable, PartJump, PartCodes, PartLiterals} {
 		o.bytes[PartHeader] -= o.bytes[part]
 	}
-	f.keep(p, &o)
+	keep(p, &o)
 	return dst, nil
 }
 

@@ -330,11 +330,12 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 	})
 
 	t.Run("BoundUtilization", func(t *testing.T) {
-		// A codec with stage timers (sz2, sz3) observes each full-layout
-		// blob's worst error over its bound exactly once, on both lane paths:
-		// the largest |x − x̂| the decode shows, at most 1. An input written
-		// in the empty or constant layout observes nothing; szx and zfp have
-		// no timers and export none.
+		// A codec with stage timers (sz2, sz3) holds each full-layout blob's
+		// worst error over its bound for the caller (ebcl.Hold), which
+		// records it exactly once, on both lane paths: the largest |x − x̂|
+		// the decode shows, at most 1. An input written in the empty or
+		// constant layout observes nothing; szx and zfp have no timers and
+		// export none.
 		tm := c.StageTimers()
 		if tm == nil {
 			return
@@ -349,10 +350,12 @@ func RunConformance(t *testing.T, c ebcl.Compressor, opt Options) {
 			for i, data := range corpus {
 				for _, p := range []ebcl.Params{ebcl.Rel(1e-2), ebcl.Abs(1e-3)} {
 					n0, s0 := h.Count(), h.Sum()
-					stream, err := c.CompressAppend(nil, data, p)
+					var held ebcl.Held
+					stream, err := c.CompressAppend(nil, data, ebcl.Hold(p, &held))
 					if err != nil {
 						continue // a bound the data cannot resolve (a NaN under REL)
 					}
+					held.Record(tm)
 					_, layout, _, err := ebcl.ParseHeader(stream, c.Magic())
 					if err != nil {
 						t.Fatal(err)

@@ -31,7 +31,7 @@ var ErrCorrupt = errors.New("lossless: corrupt compressed data")
 // ownership transfers to the caller, which may recycle them through the
 // sched buffer pools.
 type Codec interface {
-	// Name returns the registry name of the codec (e.g. "blosclz").
+	// Name returns the codec's table name (e.g. "blosclz").
 	Name() string
 	// Compress returns a self-describing compressed representation of src.
 	Compress(src []byte) ([]byte, error)
@@ -39,40 +39,31 @@ type Codec interface {
 	Decompress(src []byte) ([]byte, error)
 }
 
-var registry = map[string]Codec{}
-
-// Register adds a codec to the global registry; it panics on duplicates and
-// is intended to be called from package init functions.
-func Register(c Codec) {
-	if _, dup := registry[c.Name()]; dup {
-		panic(fmt.Sprintf("lossless: duplicate codec %q", c.Name()))
-	}
-	registry[c.Name()] = c
+// table holds one value of each codec under its name. Every codec is safe
+// for concurrent use, so the one value serves every caller.
+var table = map[string]Codec{
+	"blosclz":  NewBloscLZ(),
+	"zstdlike": NewZstdLike(),
+	"xzlike":   NewXZLike(),
+	"gzip":     NewGzip(),
+	"zlib":     NewZlib(),
 }
 
-// Get returns the codec registered under name.
+// Get returns the codec named name.
 func Get(name string) (Codec, error) {
-	c, ok := registry[name]
+	c, ok := table[name]
 	if !ok {
 		return nil, fmt.Errorf("lossless: unknown codec %q", name)
 	}
 	return c, nil
 }
 
-// Names returns the sorted list of registered codec names.
+// Names returns the sorted table names.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(table))
+	for n := range table {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	Register(NewBloscLZ())
-	Register(NewZstdLike())
-	Register(NewXZLike())
-	Register(NewGzip())
-	Register(NewZlib())
 }

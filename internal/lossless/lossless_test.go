@@ -145,18 +145,14 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("registry order %v, want %v", names, want)
 		}
 	}
+	for _, name := range names {
+		if c, _ := Get(name); c.Name() != name {
+			t.Fatalf("codec under %q names itself %q", name, c.Name())
+		}
+	}
 	if _, err := Get("nonexistent"); err == nil {
 		t.Fatal("want error for unknown codec")
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register should panic")
-		}
-	}()
-	Register(NewBloscLZ())
 }
 
 func TestDecompressCorrupt(t *testing.T) {

@@ -138,10 +138,19 @@ func TestSectionSourcesAgree(t *testing.T) {
 			damage: func(s *sectioned) { s.lossless = split(t, plain).lossless }},
 		{name: "metadata-entry-extra", base: plain, want: core.ErrCorrupt,
 			damage: func(s *sectioned) { s.lossless = split(t, compress(sourceDict(3, true), core.Options{})).lossless }},
-		{name: "element-count-over-cap", base: plain, want: core.ErrCorrupt,
+		{name: "element-count-over-cap", base: plain, want: core.ErrLimit,
 			damage: func(s *sectioned) {
 				sec := s.tensors[0]
 				binary.LittleEndian.PutUint32(sec[1+int(sec[0])+2:], 0xFFFFFFFF)
+			}},
+		{name: "entry-count-over-cap", base: plain, want: core.ErrLimit,
+			damage: func(s *sectioned) {
+				// The count sits before the flags, which end the header.
+				h, err := core.ParseHeader(s.header)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(s.header[len(s.header)-len(h.Flags)-4:], 0xFFFF0000)
 			}},
 		{name: "unknown-codec", base: plain, want: core.ErrCorrupt,
 			damage: func(s *sectioned) { copy(s.header[6:], "zz9") }},

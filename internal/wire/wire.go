@@ -9,7 +9,7 @@
 // All integers are little-endian. Each frame's crc is CRC-32 (IEEE) over
 // kind, payloadLen, and payload, so corruption is caught frame-by-frame —
 // before a damaged payload ever reaches the decoder. Frame kinds mirror
-// the FedSZ stream's section layout (core.Sections):
+// the FedSZ stream's sections, as core.Sections splits a stream:
 //
 //	FrameHeader   — the stream preamble through the path flags
 //	FrameTensor   — one lossy tensor: name, kind, shape, compressed blob
