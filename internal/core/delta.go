@@ -45,8 +45,30 @@ func residualBound(eb, mag float64) (shrunk float64, ok bool) {
 // constantResidual returns the float32 midpoint of the residual's extent r —
 // SZx's constant block over a whole tensor — when the decoder's exact output
 // for it, fl(ref[i] + mid), lies within eb of data[i] for every i; ok is false
-// when any element misses (lanes.Within), and the residual takes the codec.
-func constantResidual(data, ref []float32, r lanes.Extent, eb float64) (mid float32, ok bool) {
+// when any element misses, and the residual takes the codec. mag is
+// computeResidual's max|data| + max|residual|. Most constants are proved from
+// r and mag alone (constantProved); lanes.Within reads the arrays again only
+// for a span at the proof's edge.
+func constantResidual(data, ref []float32, r lanes.Extent, mag, eb float64) (mid float32, ok bool) {
 	mid = r.Lo + (r.Hi-r.Lo)/2
-	return mid, lanes.Within(data, ref, mid, eb)
+	return mid, constantProved(r.Span(), mag, eb) || lanes.Within(data, ref, mid, eb)
+}
+
+// constantProved reports that every reconstruction fl(ref[i] + mid) of a
+// finite residual of extent span lies within eb of data[i], by error analysis
+// alone. With u = 2⁻²⁴ three float32 roundings part it from data[i]:
+// res[i] = fl(data[i] − ref[i]) is off the true difference by at most
+// u·|res[i]|; mid is off the extent's true midpoint, which lies within span/2
+// of every res[i], by at most u·(span/2 + |mid|); and fl(ref[i] + mid) is off
+// by at most u·(|data[i]| + eb). |mid| and |res[i]| are at most max|residual|,
+// so the miss is at most span/2 + 2u·(span + mag + eb); the gate takes 4u, which
+// covers the second-order terms, and 2⁻¹⁴⁰ for the absolute error, at most
+// 2⁻¹⁵⁰ a rounding, of subnormal results. The float64 evaluation of the sum
+// errs by far less than that slack, and so does lanes.Within's float64 compare.
+// Those per-rounding bounds hold only while no result overflows: the exact
+// ref[i] + mid is then within eb of data[i], so mag + span + eb < 2¹²⁷ keeps it,
+// and the float32 r.Hi − r.Lo, far below the 2¹²⁸ − 2¹⁰³ where float32 rounds
+// to ±Inf.
+func constantProved(span, mag, eb float64) bool {
+	return span/2+(span+mag+eb)/(1<<22)+0x1p-140 <= eb && mag+span+eb < 0x1p127
 }

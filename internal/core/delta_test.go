@@ -100,43 +100,60 @@ func TestDeltaAbsoluteCandidateError(t *testing.T) {
 }
 
 // TestConstantResidualCheck holds constantResidual to the decoder's exact
-// output: an element whose reconstruction fl(ref + mid) misses data by one
-// float32 ulp past eb forces the fallback, one a ulp inside does not. It runs
-// on the lane kernel and on the Go loop.
+// output, with the extent and mag the residual pass finds: an element whose
+// reconstruction fl(ref + mid) misses data by one float32 ulp past eb forces
+// the fallback, one a ulp inside does not. The span sits where constantProved
+// cannot decide, so lanes.Within judges every case; it runs on the lane
+// kernel and on the Go loop.
 func TestConstantResidualCheck(t *testing.T) {
 	lanes.BothPaths(func(path string) { constantResidualCheck(t, path) })
 }
 
 func constantResidualCheck(t *testing.T, path string) {
-	const n, eb = 1000, 1e-3
+	// g is the float32 ulp at big. Two elements with a zero reference pin the
+	// residual's extent to [lo, hi], so mid = 180.45·g, and fl(big + mid) =
+	// big + 180·g. An element with reference big and residual 196·g then
+	// misses data by 16·g, inside eb; one float32 ulp up, at 197·g, it misses
+	// by 17·g, past eb, and still within the extent. Every other element lands
+	// well inside.
+	const n, big, g = 1000, 1000, 0x1p-14
+	const eb = 16.8 * g
+	lo, hi := float32(163.85*g), float32(197.05*g)
 	rng := rand.New(rand.NewPCG(32, 2))
-	data, ref := make([]float32, n), make([]float32, n)
-	r := lanes.Extent{Lo: -4e-4, Hi: 6e-4}
-	mid := r.Lo + (r.Hi-r.Lo)/2
+	data, ref, res := make([]float32, n), make([]float32, n), make([]float32, n)
 	for i := range ref {
 		ref[i] = float32(rng.NormFloat64())
-		data[i] = ref[i] + mid + float32(4e-4*(2*rng.Float64()-1))
+		data[i] = ref[i] + lo + float32(0.1+0.8*rng.Float64())*(hi-lo)
 	}
-	for _, k := range []int{0, 517, n - 1} {
-		keep := data[k]
-		recon := float64(ref[k] + mid)
-		past := float32(recon + eb)
-		if float64(past)-recon <= eb {
-			past = math.Nextafter32(past, float32(math.Inf(1)))
+	ref[1], data[1], ref[2], data[2] = 0, lo, 0, hi
+	ks := []int{0, 517, n - 1}
+	inside, past := float32(big+196*g), float32(big+197*g)
+	for _, k := range ks {
+		ref[k], data[k] = big, inside
+	}
+	check := func(what string, k int, want bool) {
+		t.Helper()
+		_, r, mag, ok := computeResidual(res, data, ref)
+		if !ok || r.Lo != lo || r.Hi != hi {
+			t.Fatalf("%s: %s: residual extent [%g, %g], want [%g, %g]", path, what, r.Lo, r.Hi, lo, hi)
 		}
-		inside := math.Nextafter32(past, float32(math.Inf(-1)))
-		if got, ok := constantResidual(data, ref, r, eb); !ok || got != mid {
-			t.Fatalf("%s: element %d: in-bound data refused (mid %g, ok %v)", path, k, got, ok)
+		if constantProved(r.Span(), mag, eb) {
+			t.Fatalf("%s: %s: the proof decides a span of %g at eb %g; the case must reach lanes.Within", path, what, r.Span(), eb)
 		}
-		data[k] = inside
-		if _, ok := constantResidual(data, ref, r, eb); !ok {
-			t.Errorf("%s: element %d: %g off, a ulp inside eb, forced the fallback", path, k, float64(inside)-recon)
+		mid, ok := constantResidual(data, ref, r, mag, eb)
+		if recon := float32(big) + mid; recon != big+180*g {
+			t.Fatalf("%s: %s: fl(big + mid) = big + %g·g, want big + 180·g", path, what, (float64(recon)-big)/g)
 		}
+		if ok != want {
+			t.Errorf("%s: %s: element %d misses by %g·g at eb %g·g: constant form %v, want %v",
+				path, what, k, math.Abs(float64(data[k])-float64(float32(big)+mid))/g, eb/g, ok, want)
+		}
+	}
+	for _, k := range ks {
+		check("a ulp inside eb", k, true)
 		data[k] = past
-		if _, ok := constantResidual(data, ref, r, eb); ok {
-			t.Errorf("%s: element %d: %g off, a ulp past eb, took the constant form", path, k, float64(past)-recon)
-		}
-		data[k] = keep
+		check("a ulp past eb", k, false)
+		data[k] = inside
 	}
 }
 

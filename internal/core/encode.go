@@ -444,7 +444,7 @@ func (s *section) encodeBlob(pool *sched.Pool, o Options, buf []byte, modePos, l
 		return keep(write(buf, s.data, absP))
 	}
 	if rangeR <= 2*ebRes {
-		if mid, ok := constantResidual(s.data, ref, resExt, wholeP.Value); ok {
+		if mid, ok := constantResidual(s.data, ref, resExt, mag, wholeP.Value); ok {
 			out := ebcl.AppendConstant(buf, o.Lossy.Magic(), len(s.data), mid)
 			out[modePos] = sectionDelta
 			s.delta, s.constant, s.chunked = true, true, false

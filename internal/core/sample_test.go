@@ -96,7 +96,7 @@ func TestSampledPolicyAccuracy(t *testing.T) {
 						t.Fatal(err)
 					}
 					pt := parseTensors(t, stream)[0]
-					_, fitsMid := constantResidual(data.Data, ref.Data, resExt, wholeP.Value)
+					_, fitsMid := constantResidual(data.Data, ref.Data, resExt, mag, wholeP.Value)
 					if constant := ok && resExt.Span() < rangeD && resExt.Span() <= 2*ebRes && fitsMid; constant || stats.ConstantResiduals > 0 {
 						if !constant || !pt.Delta || len(pt.Blob) != 13 {
 							t.Fatalf("%s n=%d σ=%g: constant residual %v, kept %d-byte blob (residual=%v, %d constant)",

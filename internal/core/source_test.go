@@ -125,6 +125,31 @@ func TestDecompressFromTruncationFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRefused: a FedSZ stream ends with its metadata section,
+// so bytes after it are corruption, refused where the sections are cut: by
+// Sections, by DecompressWith and by the sender's WriteStream, which frames
+// what Sections cuts.
+func TestTrailingBytesRefused(t *testing.T) {
+	stream, _ := framedStream(t, 36, 1, 2048)
+	for _, tail := range [][]byte{nil, {1, 2, 3, 4}} {
+		long := append(stream[:len(stream):len(stream)], tail...)
+		want := func(what string, err error) {
+			t.Helper()
+			if len(tail) == 0 && err != nil {
+				t.Errorf("%s of the stream itself: %v", what, err)
+			}
+			if len(tail) > 0 && !errors.Is(err, core.ErrCorrupt) {
+				t.Errorf("%s with %d bytes appended: error %v does not wrap ErrCorrupt", what, len(tail), err)
+			}
+		}
+		_, err := core.Sections(long)
+		want("Sections", err)
+		_, _, err = core.DecompressWith(context.Background(), nil, long, core.DecodeOptions{})
+		want("DecompressWith", err)
+		want("WriteStream", wire.NewWriter(io.Discard).WriteStream(long))
+	}
+}
+
 // TestDecompressFromRejectsHostileLengths: an entry count far beyond the cap
 // is refused as over the limit (ErrLimit, as an in-memory decode refuses it)
 // before its flag array is allocated, and a frame declaring a

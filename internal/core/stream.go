@@ -72,7 +72,11 @@ func (m *memSections) Next(kind SectionKind) ([]byte, error) {
 	case SectionTensor:
 		_, n, err = tensorAt(&m.hdr, m.data)
 	default:
-		_, n, err = losslessAt(m.data)
+		// The metadata section ends the stream: bytes after it are no part
+		// of any section.
+		if _, n, err = losslessAt(m.data); err == nil && n != len(m.data) {
+			err = fmt.Errorf("%w: %d bytes after the metadata section", ErrCorrupt, len(m.data)-n)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -102,7 +106,8 @@ type StreamSections struct {
 // Sections splits a serialized FedSZ stream into its sections without
 // decoding any payloads, the sender-side half of wire framing. It reads
 // each section once, with the parse.go reader that delimits it, so every
-// returned section has passed its parser's checks.
+// returned section has passed its parser's checks; bytes after the metadata
+// section are refused as ErrCorrupt.
 func Sections(stream []byte) (*StreamSections, error) {
 	src := memSections{data: stream}
 	s := &StreamSections{}
