@@ -61,5 +61,4 @@ func BenchmarkFig10_ErrorDist(b *testing.B)     { benchExperiment(b, "fig10") }
 func BenchmarkAblatePartition(b *testing.B) { benchExperiment(b, "ablate-partition") }
 func BenchmarkAblateThreshold(b *testing.B) { benchExperiment(b, "ablate-threshold") }
 func BenchmarkAblateErrorMode(b *testing.B) { benchExperiment(b, "ablate-errormode") }
-func BenchmarkAblateLossless(b *testing.B)  { benchExperiment(b, "ablate-lossless") }
 func BenchmarkAblateLR(b *testing.B)        { benchExperiment(b, "ablate-lr") }

@@ -128,10 +128,7 @@ func isChunkedBlob(blob []byte) bool {
 func appendChunkedBlob(pool *sched.Pool, lossy ebcl.Compressor, dst []byte, data []float32, p ebcl.Params, chunks int) ([]byte, error) {
 	subs := make([][]byte, chunks)
 	errs := make([]error, chunks)
-	// Nested caller-runs fan-out: inside an encode worker this shares the
-	// tensor-level budget (chunk-grained work items, no new machinery),
-	// and the caller-runs discipline keeps the nesting deadlock-free.
-	pool.ForEach(chunks, func(i int) {
+	chunk := func(i int) {
 		lo, hi := chunkBounds(len(data), chunks, i)
 		buf := sched.GetBytes((hi-lo)/2 + 64)
 		sub, err := lossy.CompressAppend(buf[:0], data[lo:hi], p)
@@ -141,7 +138,17 @@ func appendChunkedBlob(pool *sched.Pool, lossy ebcl.Compressor, dst []byte, data
 			return
 		}
 		subs[i] = sub
-	})
+	}
+	// Nested caller-runs fan-out: inside an encode worker this shares the
+	// tensor-level budget, and the caller-runs discipline keeps the nesting
+	// deadlock-free. The caller compresses the last chunk itself rather
+	// than wait idle on a helper.
+	g := pool.Group()
+	for i := range chunks - 1 {
+		g.Go(func() { chunk(i) })
+	}
+	chunk(chunks - 1)
+	g.Wait()
 	for i, err := range errs {
 		if err != nil {
 			for _, s := range subs {

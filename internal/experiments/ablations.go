@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ebcl"
 	"repro/internal/fl"
-	"repro/internal/lossless"
 	"repro/internal/nn/models"
 )
 
@@ -138,38 +137,5 @@ func AblateLearningRate(cfg Config) (*Table, error) {
 		t.AddRow("fedsz", fmt.Sprintf("%.3f", lr), f2(100*res[len(res)-1].Accuracy))
 	}
 	t.AddNote("compression noise acts like extra SGD noise; a modestly higher LR often recovers the uncompressed trajectory")
-	return t, nil
-}
-
-// AblateLossless swaps the metadata codec inside the full pipeline.
-func AblateLossless(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "ablate-lossless",
-		Title:   "Lossless backend inside the full pipeline (MobileNetV2 profile, REL 1e-2)",
-		Columns: []string{"Codec", "PipelineRatio", "MetadataRatio", "CompressTime"},
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0xAB4))
-	// MobileNetV2 has the largest metadata share (Table III), so the codec
-	// choice is most visible there.
-	profile, err := models.BuildProfile("mobilenetv2", rng, cfg.ProfileScale)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range lossless.Names() {
-		codec, err := lossless.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		_, stats, err := core.Compress(profile, core.Options{Lossless: codec})
-		if err != nil {
-			return nil, err
-		}
-		metaRatio := 0.0
-		if stats.LosslessCompressed > 0 {
-			metaRatio = float64(stats.LosslessRaw) / float64(stats.LosslessCompressed)
-		}
-		t.AddRow(name, f2(stats.Ratio()), f3(metaRatio), ms(stats.CompressTime))
-	}
-	t.AddNote("paper Table II: blosclz is the pick — near-best ratio at the lowest runtime")
 	return t, nil
 }

@@ -154,7 +154,6 @@ func Registry() []struct {
 		{"ablate-partition", AblatePartition},
 		{"ablate-threshold", AblateThreshold},
 		{"ablate-errormode", AblateErrorMode},
-		{"ablate-lossless", AblateLossless},
 		{"ablate-lr", AblateLearningRate},
 	}
 }

@@ -772,8 +772,12 @@ func growCodes(out []byte) []byte {
 	return append(sched.GetBytes(2*cap(out)+64), out...)
 }
 
-// decodeSeq fills out through the table decoder, falling back to the
-// reference decoder at the stream tail or on corruption.
+// decodeSeq is the tail every stream ends in, whatever its blob's shape: it
+// fills out from r's position through the table decoder, falling back to the
+// reference decoder at the stream tail or on corruption, then refuses a
+// stream with 8 or more bits left. A valid stream ends in under a byte of
+// padding, so a whole spare byte means the declared symbol count or stream
+// boundary does not match the coded symbols.
 func decodeSeq[E symbol](r *bitio.Reader, c *Codec, out []E) error {
 	for i := range out {
 		s, ok := c.decodeFast(r)
@@ -784,6 +788,9 @@ func decodeSeq[E symbol](r *bitio.Reader, c *Codec, out []E) error {
 			}
 		}
 		out[i] = E(s)
+	}
+	if r.BitsRemaining() >= 8 {
+		return ErrCorrupt
 	}
 	return nil
 }

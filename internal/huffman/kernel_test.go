@@ -1,8 +1,8 @@
 package huffman
 
 // Differential pins for the entropy kernels: appendCodes against the
-// per-symbol bitio.Writer encoder it replaced, both decode4 loops against
-// per-stream decodeSeq, and the decode tables read from a length table's runs
+// per-symbol bitio.Writer encoder it replaced, the wide decode loop with and
+// without the double-symbol table against per-stream decodeSeq, and the decode tables read from a length table's runs
 // against the code the encoder assigned. The replaced loops survive only
 // here, as references.
 
@@ -71,8 +71,8 @@ func encodeRef(t testing.TB, syms []uint16, alphabet, streams int) []byte {
 }
 
 // decodeMultiRef decodes a blob the way DecodeMultiU16 does, except that
-// every sub-stream goes through decodeSeq on its own: the reference both
-// decode4 loops are held to.
+// every sub-stream goes through decodeSeq on its own: the reference the
+// wide loop is held to, with and without pairs.
 func decodeMultiRef(data []byte, alphabet int) ([]uint16, error) {
 	if len(data) == 0 || data[0] != multiMagic {
 		return DecodeAllU16(data, alphabet)
@@ -89,16 +89,14 @@ func decodeMultiRef(data []byte, alphabet int) ([]uint16, error) {
 		if err := decodeSeq(&r, m.c, m.outs[i]); err != nil {
 			return nil, err
 		}
-		if r.BitsRemaining() >= 8 {
-			return nil, ErrCorrupt
-		}
 	}
 	return out, nil
 }
 
-// decodeLoop decodes a 4-stream blob through decode4Pairs or decode4,
-// whatever the blob's size. ok is false when data is no 4-stream blob with a
-// nonempty code.
+// decodeLoop decodes a 4-stream blob through decode4, with the
+// double-symbol table when withPairs and without it otherwise, whatever the
+// blob's size, then decodeSeq. ok is false when data is no 4-stream blob with
+// a nonempty code.
 func decodeLoop(data []byte, alphabet int, withPairs bool) (out []uint16, ok bool, err error) {
 	if len(data) == 0 || data[0] != multiMagic {
 		return nil, false, nil
@@ -112,11 +110,11 @@ func decodeLoop(data []byte, alphabet int, withPairs bool) (out []uint16, ok boo
 		sched.PutUint16s(out)
 		return nil, false, nil
 	}
-	srcs, outs := (*[4][]byte)(m.srcs[:4]), (*[4][]uint16)(m.outs[:4])
+	var pairs []uint64
 	if withPairs {
-		return out, true, m.c.decode4Pairs(srcs, outs, m.c.buildPairs())
+		pairs = m.c.buildPairs()
 	}
-	return out, true, m.c.decode4(srcs, outs)
+	return out, true, m.decodeWith(pairs)
 }
 
 // sameDecode fails t unless got/gotErr match want/wantErr: the same error,
@@ -140,7 +138,7 @@ func sameDecode(t *testing.T, what string, got []uint16, gotErr error, want []ui
 }
 
 // checkDecoders decodes data through DecodeMultiU16 and, for a 4-stream
-// blob, through both decode4 loops, and holds every result to
+// blob, through decode4 with and without pairs, and holds every result to
 // decodeMultiRef's.
 func checkDecoders(t *testing.T, what string, data []byte, alphabet int) {
 	t.Helper()
@@ -469,8 +467,8 @@ func TestPairGate(t *testing.T) {
 	})
 }
 
-// BenchmarkPairGate decodes each pairGateCases blob through decode4 and
-// decode4Pairs (its table build included), alternating every iteration so
+// BenchmarkPairGate decodes each pairGateCases blob through decode4 without
+// and with the double-symbol table (its build included), alternating every iteration so
 // both see the same host, and reports the median time ratio pairs/one:
 // below 1 the pair loop is ahead. The gate belongs where the ratio crosses 1.
 func BenchmarkPairGate(b *testing.B) {

@@ -6,15 +6,17 @@ package huffman
 //
 //   - appendCodesBMI2 is appendCodes' pair loop over uint16 symbols, with the
 //     accumulator in a register and one BSWAPQ and one 8-byte store a pair;
-//   - decode4BMI2 and decode4PairsBMI2 are decode4's and decode4Pairs' wide
-//     loops with all four streams' bit containers and positions in
-//     registers, refilled with one 8-byte big-endian load each.
+//   - decode4BMI2 and decode4PairsBMI2 are decode4's wide loop without and
+//     with the double-symbol table, with all four streams' bit containers
+//     and positions in registers, refilled with one 8-byte big-endian load
+//     each.
 //
 // A decode kernel stops on a zero table entry, on a stream with fewer than 8
 // bytes left to load, or when an output chunk has no room for another round,
-// and hands each stream's exact position back; the Go loop and finish4
-// carry on from there. The Go loops stay as the reference the tests hold the
-// kernels to, and as the only path elsewhere.
+// and hands each stream's exact position back; decode4's Go loop carries on
+// from there, and decodeSeq, every stream's one tail, ends it. The Go loops
+// stay as the reference the tests hold the kernels to, and as the only path
+// elsewhere.
 
 import (
 	"repro/internal/bitio"
@@ -59,10 +61,10 @@ func (c *Codec) decode4Kernel(srcs *[4][]byte, outs *[4][]uint16, pairs []uint64
 		}
 		ws[k] = wideStream{src: srcs[k], out: outs[k]}
 	}
-	// The symbols (decode4) or probes (decode4Pairs) a kernel takes from each
+	// The symbols (or, with pairs, the probes) a kernel takes from each
 	// stream between refills: a refill leaves at least 56 bits in a
 	// container and each step takes at most maxLen, so every step starts with
-	// a whole code's worth of bits, as the Go loops' Buffered() >= ml test
+	// a whole code's worth of bits, as the Go loop's Buffered() >= ml test
 	// requires.
 	rounds := 56 / int(c.maxLen)
 	if pairs != nil {

@@ -91,24 +91,21 @@ func TestKernelsAtGuardPages(t *testing.T) {
 			}
 			for _, withPairs := range []bool{false, true} {
 				m, srcs, outs := openBlob(t, blob, quantAlphabet)
-				var gsrcs [4][]byte
-				var gouts [4][]uint16
+				g := multiBlob{c: m.c, streams: DefaultStreams}
 				for k := 0; k < 4; k++ {
-					gsrcs[k] = guarded(t, len(srcs[k]))
-					copy(gsrcs[k], srcs[k])
-					gouts[k] = guardedU16(t, len(outs[k]))
+					g.srcs[k] = guarded(t, len(srcs[k]))
+					copy(g.srcs[k], srcs[k])
+					g.outs[k] = guardedU16(t, len(outs[k]))
 				}
-				var err error
+				var pairs []uint64
 				if withPairs {
-					err = m.c.decode4Pairs(&gsrcs, &gouts, m.c.buildPairs())
-				} else {
-					err = m.c.decode4(&gsrcs, &gouts)
+					pairs = m.c.buildPairs()
 				}
-				if err != nil {
+				if err := g.decodeWith(pairs); err != nil {
 					t.Fatal(err)
 				}
 				var got []uint16
-				for _, o := range gouts {
+				for _, o := range g.outs[:4] {
 					got = append(got, o...)
 				}
 				sameDecode(t, fmt.Sprintf("pairs=%v", withPairs), got, nil, want, nil)

@@ -333,14 +333,15 @@ func (m *multiBlob) split(data []byte, pos, n, streams int) ([]uint16, error) {
 // at 32 Ki).
 const pairMinSymbols = 10 << 10
 
-// usePairs reports whether decode4Pairs beats decode4 on an n-symbol blob.
-// Beyond the size gate, a probe yields two symbols only when two codes fit
-// in the tableBits-bit index, so the sub-streams must average at most
-// tableBits/2 bits a symbol. Through the pair loop a single-symbol code
-// (tableBits 1, one bit a symbol: a delta residual that quantizes to zero)
-// runs a third slower, and codes averaging 6 and 8 bits 6 % and 27 % slower.
+// usePairs reports whether decode4 should take the double-symbol table on an
+// n-symbol blob. Only a four-stream blob reaches decode4. Beyond the size
+// gate, a probe yields two symbols only when two codes fit in the
+// tableBits-bit index, so the sub-streams must average at most tableBits/2
+// bits a symbol. Through the pair probe a single-symbol code (tableBits 1,
+// one bit a symbol: a delta residual that quantizes to zero) runs a third
+// slower, and codes averaging 6 and 8 bits 6 % and 27 % slower.
 func (m *multiBlob) usePairs(n int) bool {
-	if n < pairMinSymbols {
+	if n < pairMinSymbols || m.streams != DefaultStreams {
 		return false
 	}
 	bytes := 0
@@ -352,29 +353,36 @@ func (m *multiBlob) usePairs(n int) bool {
 
 // decode decodes every sub-stream of the blob into out, the buffer m's chunks
 // split: all at once when every sub-stream is a single-symbol code's zero
-// bits (fillSingle), else four through decode4, or decode4Pairs where
-// usePairs says so, any other count — or an empty code — one after another
-// through decodeSeq.
+// bits (fillSingle), else through decodeWith, with the double-symbol table
+// where usePairs says so.
 func (m *multiBlob) decode(out []uint16) error {
-	c := m.c
 	if m.fillSingle(out) {
 		return nil
 	}
-	if m.streams == DefaultStreams && len(c.table) > 0 {
-		srcs, outs := (*[4][]byte)(m.srcs[:4]), (*[4][]uint16)(m.outs[:4])
-		if m.usePairs(len(out)) {
-			return c.decode4Pairs(srcs, outs, c.buildPairs())
-		}
-		return c.decode4(srcs, outs)
+	var pairs []uint64
+	if m.usePairs(len(out)) {
+		pairs = m.c.buildPairs()
 	}
-	var r bitio.Reader
-	for i := 0; i < m.streams; i++ {
-		r.Reset(m.srcs[i])
-		if err := decodeSeq(&r, c, m.outs[i]); err != nil {
+	return m.decodeWith(pairs)
+}
+
+// decodeWith decodes every sub-stream into its chunk: four streams under a
+// nonempty code through decode4 (taking pairs when it is not nil), then what
+// is left of every stream, or the whole of any other, through decodeSeq.
+func (m *multiBlob) decodeWith(pairs []uint64) error {
+	var rs [maxStreams]bitio.Reader
+	var ps [maxStreams]int
+	for i, src := range m.srcs[:m.streams] {
+		rs[i].Reset(src)
+	}
+	if m.streams == DefaultStreams && len(m.c.table) > 0 {
+		p := m.c.decode4((*[4][]byte)(m.srcs[:4]), (*[4][]uint16)(m.outs[:4]), pairs,
+			[4]*bitio.Reader{&rs[0], &rs[1], &rs[2], &rs[3]})
+		copy(ps[:], p[:])
+	}
+	for i := range m.streams {
+		if err := decodeSeq(&rs[i], m.c, m.outs[i][ps[i]:]); err != nil {
 			return err
-		}
-		if r.BitsRemaining() >= 8 {
-			return ErrCorrupt
 		}
 	}
 	return nil
@@ -414,192 +422,70 @@ func allZero(b []byte) bool {
 	return or == 0
 }
 
-// decode4 is the wide decode loop: four stack-value Readers advanced
-// round-robin, decoding until any stream's buffered bits dip below one
-// max-length code before refilling again. One refill buffers ≥ 56 bits and
+// decode4 is the wide decode loop: the four readers rs, each Reset to its
+// srcs stream, advanced round-robin until any stream's buffered bits dip
+// below one max-length code, then refilled. One refill buffers ≥ 56 bits and
 // real quantization codes average ~5, so each refill round covers several
 // symbols per stream. The interleave keeps four independent chains in the
 // pipeline — the single-stream decoder's refill→peek→consume latency chain
-// is the bulk-decode bottleneck. c must have a nonempty decode table.
+// is the bulk-decode bottleneck. With the double-symbol table pairs
+// (buildPairs) each probe resolves one or two symbols, and a zero pair entry
+// falls through to the primary-table probe; with pairs nil only that probe
+// runs. c must have a nonempty decode table.
 //
-// Any fast-path miss (stream tail, zero entry, mid-code truncation) drops
-// to finish4's careful per-stream tail. With BMI2 the kernel decodes first,
-// and this loop carries on from where it stopped.
-func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16) error {
-	var r0, r1, r2, r3 bitio.Reader
-	r0.Reset(srcs[0])
-	r1.Reset(srcs[1])
-	r2.Reset(srcs[2])
-	r3.Reset(srcs[3])
-	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
-	var p0, p1, p2, p3 int
+// With BMI2 the kernel decodes first and this loop carries on from where it
+// stopped. It stops at any fast-path miss (stream tail, zero entry,
+// mid-code truncation) and returns each stream's symbols written, with rs at
+// the bits that follow; decodeSeq decodes the rest.
+func (c *Codec) decode4(srcs *[4][]byte, outs *[4][]uint16, pairs []uint64, rs [4]*bitio.Reader) (ps [4]int) {
 	if lanes.On() {
-		ps := c.decode4Kernel(srcs, outs, nil, [4]*bitio.Reader{&r0, &r1, &r2, &r3})
-		p0, p1, p2, p3 = ps[0], ps[1], ps[2], ps[3]
+		ps = c.decode4Kernel(srcs, outs, pairs, rs)
+	}
+	// Every entry's length (every probe width tb+sub, and a pair's bits,
+	// which fit in tb) is at most maxLen, so a stream holding maxLen
+	// buffered bits can always take one more probe without rechecking
+	// mid-probe.
+	ml := uint(c.maxLen)
+	// A pair writes two output slots (the second is overwritten later when
+	// the entry holds one symbol), so with pairs a round keeps two free.
+	need := 1
+	if pairs != nil {
+		need = 2
+	}
+	full := func() bool {
+		return min(rs[0].Buffered(), rs[1].Buffered(), rs[2].Buffered(), rs[3].Buffered()) >= ml
 	}
 	tab, tb := c.table, c.tableBits
-	// Every entry's length (and every probe width tb+sub) is at most maxLen,
-	// so a stream holding maxLen buffered bits can always decode one more
-	// symbol without rechecking mid-probe.
-	ml := uint(c.maxLen)
-fast:
 	for {
 		// rem bounds the round by the fullest any chunk can get; chunk
-		// lengths differ by at most one, so at most one symbol per stream is
-		// left to the careful tail on output exhaustion.
-		rem := min(len(o0)-p0, len(o1)-p1, len(o2)-p2, len(o3)-p3)
-		if rem == 0 {
-			break
+		// lengths differ by at most one, so on output exhaustion a stream
+		// has at most a few symbols left to decodeSeq.
+		rem := min(len(outs[0])-ps[0], len(outs[1])-ps[1], len(outs[2])-ps[2], len(outs[3])-ps[3])
+		for _, r := range rs {
+			r.Refill()
 		}
-		r0.Refill()
-		r1.Refill()
-		r2.Refill()
-		r3.Refill()
-		if r0.Buffered() < ml || r1.Buffered() < ml || r2.Buffered() < ml || r3.Buffered() < ml {
-			break
+		if rem < need || !full() {
+			return ps
 		}
-		for rem > 0 &&
-			r0.Buffered() >= ml && r1.Buffered() >= ml && r2.Buffered() >= ml && r3.Buffered() >= ml {
-			rem--
-			s0, n0 := probe(tab, tb, r0.Peek(64))
-			if n0 == 0 {
-				break fast
-			}
-			r0.ConsumeFast(n0)
-			o0[p0] = s0
-			p0++
-
-			s1, n1 := probe(tab, tb, r1.Peek(64))
-			if n1 == 0 {
-				break fast
-			}
-			r1.ConsumeFast(n1)
-			o1[p1] = s1
-			p1++
-
-			s2, n2 := probe(tab, tb, r2.Peek(64))
-			if n2 == 0 {
-				break fast
-			}
-			r2.ConsumeFast(n2)
-			o2[p2] = s2
-			p2++
-
-			s3, n3 := probe(tab, tb, r3.Peek(64))
-			if n3 == 0 {
-				break fast
-			}
-			r3.ConsumeFast(n3)
-			o3[p3] = s3
-			p3++
-		}
-	}
-	return c.finish4([4]*bitio.Reader{&r0, &r1, &r2, &r3}, outs, [4]int{p0, p1, p2, p3})
-}
-
-// decode4Pairs is decode4 with the double-symbol table pairs (buildPairs):
-// each probe resolves one or two symbols, and a zero pair entry falls
-// through to decode4's primary-table probe. It decodes the same symbols from
-// the same bits.
-func (c *Codec) decode4Pairs(srcs *[4][]byte, outs *[4][]uint16, pairs []uint64) error {
-	var r0, r1, r2, r3 bitio.Reader
-	r0.Reset(srcs[0])
-	r1.Reset(srcs[1])
-	r2.Reset(srcs[2])
-	r3.Reset(srcs[3])
-	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
-	var p0, p1, p2, p3 int
-	if lanes.On() {
-		ps := c.decode4Kernel(srcs, outs, pairs, [4]*bitio.Reader{&r0, &r1, &r2, &r3})
-		p0, p1, p2, p3 = ps[0], ps[1], ps[2], ps[3]
-	}
-	tab, tb := c.table, c.tableBits
-	// A pair's bits fit in tb ≤ maxLen, so decode4's invariant covers it.
-	ml := uint(c.maxLen)
-fast:
-	for {
-		// A pair writes two output slots (the second is overwritten later
-		// when the entry holds one symbol), so the loop keeps two free; at
-		// most three symbols per stream are left to the careful tail.
-		rem := min(len(o0)-p0, len(o1)-p1, len(o2)-p2, len(o3)-p3)
-		if rem < 2 {
-			break
-		}
-		r0.Refill()
-		r1.Refill()
-		r2.Refill()
-		r3.Refill()
-		if r0.Buffered() < ml || r1.Buffered() < ml || r2.Buffered() < ml || r3.Buffered() < ml {
-			break
-		}
-		for rem >= 2 &&
-			r0.Buffered() >= ml && r1.Buffered() >= ml && r2.Buffered() >= ml && r3.Buffered() >= ml {
-			rem -= 2
-			if e := pairs[r0.Peek(tb)]; e != 0 {
-				r0.ConsumeFast(uint(e>>32) & 63)
-				o0[p0], o0[p0+1] = uint16(e), uint16(e>>16)
-				p0 += 1 + int(e>>40)
-			} else if s, n := probe(tab, tb, r0.Peek(64)); n != 0 {
-				r0.ConsumeFast(n)
-				o0[p0] = s
-				p0++
-			} else {
-				break fast
-			}
-
-			if e := pairs[r1.Peek(tb)]; e != 0 {
-				r1.ConsumeFast(uint(e>>32) & 63)
-				o1[p1], o1[p1+1] = uint16(e), uint16(e>>16)
-				p1 += 1 + int(e>>40)
-			} else if s, n := probe(tab, tb, r1.Peek(64)); n != 0 {
-				r1.ConsumeFast(n)
-				o1[p1] = s
-				p1++
-			} else {
-				break fast
-			}
-
-			if e := pairs[r2.Peek(tb)]; e != 0 {
-				r2.ConsumeFast(uint(e>>32) & 63)
-				o2[p2], o2[p2+1] = uint16(e), uint16(e>>16)
-				p2 += 1 + int(e>>40)
-			} else if s, n := probe(tab, tb, r2.Peek(64)); n != 0 {
-				r2.ConsumeFast(n)
-				o2[p2] = s
-				p2++
-			} else {
-				break fast
-			}
-
-			if e := pairs[r3.Peek(tb)]; e != 0 {
-				r3.ConsumeFast(uint(e>>32) & 63)
-				o3[p3], o3[p3+1] = uint16(e), uint16(e>>16)
-				p3 += 1 + int(e>>40)
-			} else if s, n := probe(tab, tb, r3.Peek(64)); n != 0 {
-				r3.ConsumeFast(n)
-				o3[p3] = s
-				p3++
-			} else {
-				break fast
+		for ; rem >= need && full(); rem -= need {
+			for k, r := range rs {
+				o, p := outs[k], ps[k]
+				if pairs != nil {
+					if e := pairs[r.Peek(tb)]; e != 0 {
+						r.ConsumeFast(uint(e>>32) & 63)
+						o[p], o[p+1] = uint16(e), uint16(e>>16)
+						ps[k] = p + 1 + int(e>>40)
+						continue
+					}
+				}
+				s, n := probe(tab, tb, r.Peek(64))
+				if n == 0 {
+					return ps
+				}
+				r.ConsumeFast(n)
+				o[p] = s
+				ps[k] = p + 1
 			}
 		}
 	}
-	return c.finish4([4]*bitio.Reader{&r0, &r1, &r2, &r3}, outs, [4]int{p0, p1, p2, p3})
-}
-
-// finish4 decodes what a wide loop left of each stream — outs[k] from ps[k]
-// on, from rs[k]'s position — through decodeSeq, for exactly the reference
-// decoder's error semantics.
-func (c *Codec) finish4(rs [4]*bitio.Reader, outs *[4][]uint16, ps [4]int) error {
-	for k, r := range rs {
-		if err := decodeSeq(r, c, outs[k][ps[k]:]); err != nil {
-			return err
-		}
-		// Leftover beyond the final byte's padding means the declared stream
-		// boundary does not match the encoded symbols.
-		if r.BitsRemaining() >= 8 {
-			return ErrCorrupt
-		}
-	}
-	return nil
 }

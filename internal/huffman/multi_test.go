@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/lanes"
 	"repro/internal/sched"
 )
@@ -228,6 +229,104 @@ func TestDecodeMultiCorruptBoundaries(t *testing.T) {
 // each side of pairMinSymbols: ingest_small's 2.5 k-element layers and a
 // 64 Ki-symbol tensor.
 var benchSizes = []int{2500, 1 << 16}
+
+// TestSpareBytesRefused holds every blob shape to one end-of-stream rule: a
+// stream that decodes its declared symbols with a whole byte or more left
+// over is ErrCorrupt. A single-stream blob under multiMinSymbols through
+// DecodeMultiU16 and an EncodeAllU8 blob through DecodeAllU8 each refuse one
+// appended byte and a halved symbol count; a 4-stream and a 3-stream blob
+// refuse a byte added to their last sub-stream, its jump-table size raised
+// to match. Unaltered, every blob decodes to its symbols.
+func TestSpareBytesRefused(t *testing.T) {
+	rng := rand.New(rand.NewPCG(58, 1))
+	small := quantLikeSymbols(rng, 300)
+	lits := make([]byte, 3000)
+	for i := range lits {
+		lits[i] = byte(rng.NormFloat64() * 20)
+	}
+	u16 := func(blob []byte) error {
+		out, err := DecodeMultiU16(blob, quantAlphabet)
+		if err == nil {
+			sched.PutUint16s(out)
+		}
+		return err
+	}
+	u8 := func(blob []byte) error {
+		out, err := DecodeAllU8(blob)
+		if err == nil {
+			sched.PutBytes(out)
+		}
+		return err
+	}
+	single, err := EncodeMultiU16(small, quantAlphabet, DefaultStreams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single[0] == multiMagic {
+		t.Fatal("a 300-symbol blob should be single-stream")
+	}
+	bytesBlob, err := EncodeAllU8(lits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shape struct {
+		name     string
+		blob     []byte
+		decode   func([]byte) error
+		alphabet int
+		n        int
+	}
+	shapes := []shape{
+		{"single-stream u16", single, u16, quantAlphabet, len(small)},
+		{"single-stream u8", bytesBlob, u8, 256, len(lits)},
+	}
+	for _, streams := range []int{DefaultStreams, 3} {
+		blob, err := EncodeMultiU16(quantLikeSymbols(rng, 5000), quantAlphabet, streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, shape{fmt.Sprintf("%d-stream", streams), blob, u16, quantAlphabet, 5000})
+	}
+	lanes.BothPaths(func(path string) {
+		for _, s := range shapes {
+			if err := s.decode(s.blob); err != nil {
+				t.Fatalf("%s %s: %v", path, s.name, err)
+			}
+			spare := append(slices.Clone(s.blob), 0)
+			if s.blob[0] == multiMagic {
+				sizePos, streams := multiSizePos(t, spare)
+				last := spare[sizePos+4*(streams-1):]
+				binary.LittleEndian.PutUint32(last, binary.LittleEndian.Uint32(last)+1)
+			}
+			if err := s.decode(spare); err != ErrCorrupt {
+				t.Errorf("%s %s with a spare byte: err %v, want ErrCorrupt", path, s.name, err)
+			}
+			if s.blob[0] == multiMagic {
+				continue
+			}
+			// The 32-bit symbol count follows the length table, MSB first.
+			r := bitio.NewReader(s.blob)
+			c, err := readCodec(r, s.alphabet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putCodec(c)
+			at := 8*len(s.blob) - r.BitsRemaining()
+			fewer := slices.Clone(s.blob)
+			for i := 0; i < 32; i++ {
+				bit := byte(s.n/2>>(31-i)) & 1
+				k, sh := (at+i)/8, 7-(at+i)%8
+				fewer[k] = fewer[k]&^(1<<sh) | bit<<sh
+			}
+			if err := s.decode(fewer); err != ErrCorrupt {
+				t.Errorf("%s %s with its symbol count halved: err %v, want ErrCorrupt", path, s.name, err)
+			}
+		}
+	})
+	for _, s := range shapes {
+		sched.PutBytes(s.blob)
+	}
+}
 
 func BenchmarkMultiEncode(b *testing.B) {
 	for _, n := range benchSizes {

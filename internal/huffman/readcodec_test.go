@@ -71,8 +71,8 @@ func codeBlob(t testing.TB, lengths []uint8, syms []uint16, streams int) []byte 
 }
 
 // TestReadCodecTables holds the decode tables readCodec builds to the
-// bit-by-bit reference decoder, through DecodeMultiU16 and both decode4
-// loops, on both lane paths: codes whose longest codes are 11,
+// bit-by-bit reference decoder, through DecodeMultiU16 and decode4 with and
+// without pairs, on both lane paths: codes whose longest codes are 11,
 // 12, 15 and 24 bits (no secondary table, then secondary tables of growing
 // width under the top prefixes), each symbol drawn uniformly so the long
 // codes are common, and the single-symbol code, whose table alone is

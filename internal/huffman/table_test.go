@@ -25,7 +25,8 @@ const (
 	quantEscape   = 0
 )
 
-// decodeAllRef mirrors DecodeAllU16 using only the reference decoder.
+// decodeAllRef mirrors DecodeAllU16 using only the reference decoder, and
+// refuses a whole spare byte after the last symbol as decodeSeq does.
 func decodeAllRef(data []byte, alphabet int) ([]uint16, error) {
 	r := bitio.NewReader(data)
 	c, err := readCodec(r, alphabet)
@@ -46,6 +47,9 @@ func decodeAllRef(data []byte, alphabet int) ([]uint16, error) {
 			return nil, err
 		}
 		out[i] = uint16(s)
+	}
+	if r.BitsRemaining() >= 8 {
+		return nil, ErrCorrupt
 	}
 	return out, nil
 }

@@ -2,12 +2,15 @@ package netsim_test
 
 // A seeded, fault-injecting listener for the aggregation server, and rounds
 // of concurrent uploads through it. Each connection the listener accepts may
-// meet one of three faults, chosen per client and attempt from the round's
-// seed: a reset partway through a wire frame, a truncation before the wire
-// trailer is complete, or a lost ack after the update folded, which makes
-// the client's retry a duplicate. After every round the server's and the
-// aggregator's resources must be back where they started and the mean must
-// be exactly that of the clients whose upload was acked.
+// meet one fault, chosen per client and attempt from the round's seed: a
+// reset partway through a wire frame, a truncation before the wire trailer is
+// complete, a stall mid-frame or a connection magic that trickles in, both
+// past the server's idle timeout, or an ack the client never reads after the
+// update folded (lost, or met by the client's reset), which makes the
+// client's retry a duplicate. A client may instead send a well-formed update
+// that decodes to NaN. After every round the server's and the aggregator's
+// resources must be back where they started and the mean must be exactly
+// that of the clients whose upload was acked.
 
 import (
 	"bytes"
@@ -19,6 +22,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -30,7 +34,9 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/flserve"
+	"repro/internal/promtext"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -39,19 +45,27 @@ import (
 type fault uint8
 
 const (
-	faultNone     fault = iota
-	faultReset          // the connection resets partway through a frame
-	faultTruncate       // the upload ends inside its wire trailer frame
-	faultDropAck        // the ack is lost after the update folded
+	faultNone      fault = iota
+	faultReset           // the connection resets partway through a frame
+	faultTruncate        // the upload ends inside its wire trailer frame
+	faultDropAck         // the ack is lost after the update folded
+	faultStall           // the connection stops delivering partway through a frame
+	faultLoris           // the magic trickles in a byte at a time, then stops
+	faultCloseAck        // the client closed before reading its ack: the ack write fails
+	faultNonFinite       // the client's update decodes to NaN (a client's, not an attempt's)
 	faultKinds
 )
 
 func (f fault) String() string {
-	return [...]string{"none", "reset", "truncate", "drop-ack"}[f]
+	return [...]string{"none", "reset", "truncate", "drop-ack", "stall", "loris", "close-ack", "nonfinite"}[f]
 }
 
+// idleTimeout is the server's IdleTimeout in a fault round: a stall or a
+// slow prelude is cut this long after its last byte.
+const idleTimeout = 20 * time.Millisecond
+
 // step is one attempt's fault; at is the byte offset on the connection where
-// a reset or a truncation cuts it.
+// a reset, a truncation, a stall or a slow prelude cuts it.
 type step struct {
 	kind fault
 	at   int
@@ -79,15 +93,17 @@ func newFaultPlan() *faultPlan {
 	return &faultPlan{steps: map[uint32][]step{}, attempts: map[uint32]int{}, dropped: map[uint32]bool{}}
 }
 
-// dropAck records that the client's update folded and its ack was lost.
-func (p *faultPlan) dropAck(id uint32) {
+// ackLost records that the client's update folded and that the client never
+// read its ack, through a drop-ack or a close-ack fault.
+func (p *faultPlan) ackLost(id uint32, kind fault) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.dropped[id] = true
-	p.injected[faultDropAck].Add(1)
+	p.injected[kind].Add(1)
 }
 
-// ackDropped reports whether an attempt of the client folded and lost its ack.
+// ackDropped reports whether an attempt of the client folded and never read
+// its ack.
 func (p *faultPlan) ackDropped(id uint32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -120,59 +136,82 @@ func (l faultListener) Accept() (net.Conn, error) {
 	return &faultConn{Conn: c, plan: l.plan}, nil
 }
 
-// faultConn is the server's end of one connection. It hands the server the
-// magic and client ID alone, looks up that attempt's fault, and then cuts
-// the reads at the fault's offset or drops the ack. The server reads and
-// writes a connection from one goroutine, so its fields need no lock.
+// faultConn is the server's end of one connection. It reads the magic and
+// client ID before handing the server a byte, looks up that attempt's
+// fault, and then cuts the reads at the fault's offset, trickles the magic,
+// or drops the ack. The server reads and writes a connection from one
+// goroutine, so its fields need no lock.
 type faultConn struct {
 	net.Conn
-	plan  *faultPlan
-	read  int // bytes handed to the server
-	id    [4]byte
-	step  step
-	known bool // step is set: the client ID has been read
-	dead  bool // the connection is cut: reads see EOF
+	plan     *faultPlan
+	read     int // bytes handed to the server
+	head     [idEnd]byte
+	step     step
+	known    bool      // step is set: the magic and client ID have been read
+	dead     bool      // the connection is cut: reads see EOF
+	deadline time.Time // the server's read deadline
+}
+
+// SetReadDeadline records the server's read deadline without arming it on
+// the socket: only a stall or a slow prelude waits it out (Read), so a loaded
+// host cannot time out a connection that meets neither.
+func (c *faultConn) SetReadDeadline(t time.Time) error {
+	c.deadline = t
+	return nil
 }
 
 func (c *faultConn) Read(p []byte) (int, error) {
 	if c.dead {
 		return 0, io.EOF
 	}
-	switch {
-	case !c.known:
-		p = p[:min(len(p), idEnd-c.read)]
-	case c.step.kind == faultReset || c.step.kind == faultTruncate:
+	if !c.known {
+		if _, err := io.ReadFull(c.Conn, c.head[:]); err != nil {
+			return 0, err
+		}
+		c.step, c.known = c.plan.next(binary.LittleEndian.Uint32(c.head[idEnd-4:])), true
+	}
+	if k := c.step.kind; k == faultReset || k == faultTruncate || k == faultStall || k == faultLoris {
 		if c.read >= c.step.at {
 			c.dead = true
-			c.plan.injected[c.step.kind].Add(1)
-			if c.step.kind == faultTruncate {
+			c.plan.injected[k].Add(1)
+			switch k {
+			case faultTruncate:
 				return 0, io.EOF
+			case faultReset:
+				c.reset()
+				return 0, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
 			}
-			c.reset()
-			return 0, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
+			// Nothing more arrives: the read waits out the server's deadline.
+			time.Sleep(time.Until(c.deadline))
+			return 0, &net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}
 		}
 		p = p[:min(len(p), c.step.at-c.read)]
 	}
-	n, err := c.Conn.Read(p)
-	for i := range n {
-		if off := c.read + i; off >= idEnd-4 && off < idEnd {
-			c.id[off-(idEnd-4)] = p[i]
+	if c.read < idEnd {
+		if c.step.kind == faultLoris {
+			p = p[:min(len(p), 1)]
 		}
+		n := copy(p, c.head[c.read:])
+		c.read += n
+		return n, nil
 	}
+	n, err := c.Conn.Read(p)
 	c.read += n
-	if !c.known && c.read == idEnd {
-		c.step, c.known = c.plan.next(binary.LittleEndian.Uint32(c.id[:])), true
-	}
 	return n, err
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
-	if c.known && c.step.kind == faultDropAck && !c.dead {
+	if k := c.step.kind; c.known && !c.dead && (k == faultDropAck || k == faultCloseAck) {
 		// The server's first write on an FLS1 connection is the update's ack.
 		c.dead = true
-		c.plan.dropAck(binary.LittleEndian.Uint32(c.id[:]))
-		c.Conn.Close()
-		return len(p), nil
+		c.plan.ackLost(binary.LittleEndian.Uint32(c.head[idEnd-4:]), k)
+		if k == faultDropAck {
+			c.Conn.Close()
+			return len(p), nil
+		}
+		// The client closed its end, and its reset beats the ack.
+		c.reset()
+		return 0, &net.OpError{Op: "write", Net: "tcp", Err: syscall.EPIPE}
 	}
 	return c.Conn.Write(p)
 }
@@ -192,13 +231,15 @@ type faultClient struct {
 	sd                        *tensor.StateDict
 	stream                    []byte
 	framesAt, trailerAt, size int
+	nonfinite                 bool
 }
 
 // faultUpdate returns client c's update. Its lossy tensors are constants,
 // which the codecs store exactly, and its lossless ones small integers, so
 // every sum the fold forms is exact in float32 in any order and the mean has
-// one right answer.
-func faultUpdate(t *testing.T, rng *rand.Rand, c int) faultClient {
+// one right answer. A nonfinite update holds one NaN in a lossless tensor,
+// which the codec carries and the decoder refuses.
+func faultUpdate(t *testing.T, rng *rand.Rand, c int, nonfinite bool) faultClient {
 	t.Helper()
 	sd := tensor.NewStateDict()
 	for i, n := range []int{2048, 1536} {
@@ -212,6 +253,9 @@ func faultUpdate(t *testing.T, rng *rand.Rand, c int) faultClient {
 		v := make([]float32, n)
 		for j := range v {
 			v[j] = float32(rng.IntN(129) - 64)
+		}
+		if nonfinite && i == 1 {
+			v[n/2] = float32(math.NaN())
 		}
 		sd.Add(fmt.Sprintf("layer%d.bias", i), tensor.KindBias, tensor.FromData(v, n))
 	}
@@ -242,7 +286,7 @@ func faultUpdate(t *testing.T, rng *rand.Rand, c int) faultClient {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return faultClient{sd: sd, stream: stream, framesAt: idEnd + 5, trailerAt: trailerAt, size: idEnd + buf.Len()}
+	return faultClient{sd: sd, stream: stream, framesAt: idEnd + 5, trailerAt: trailerAt, size: idEnd + buf.Len(), nonfinite: nonfinite}
 }
 
 // transportError reports whether err is a failed connection rather than a
@@ -263,7 +307,10 @@ func transportError(err error) bool {
 //     attempts reached the server, and each client that lost an ack and then
 //     failed (see faultRound), and no other;
 //   - the mean is bit for bit the mean of those clients' updates;
-//   - every client error is a rejection, a shed or a transport error.
+//   - every client error is a rejection, a shed or a transport error, and a
+//     client whose update decodes to NaN is rejected;
+//   - the server counts one idle-timeout kill per stall and slow prelude,
+//     and one nonfinite rejection per client whose update decodes to NaN.
 //
 // A seed that ever fails stays in the list as a regression row, and so does
 // each fixed plan below.
@@ -278,15 +325,25 @@ func TestFaultRounds(t *testing.T) {
 			plan := newFaultPlan()
 			ups := make([]faultClient, clients)
 			for c := range ups {
-				ups[c] = faultUpdate(t, rng, c)
-				steps := []step(nil)
-				for range rng.IntN(3) {
-					s := step{kind: fault(1 + rng.IntN(int(faultKinds)-1))}
+				// A nonfinite client meets no other fault: a cut that races
+				// its decode could be refused for either reason.
+				nonfinite := rng.IntN(8) == 0
+				ups[c] = faultUpdate(t, rng, c, nonfinite)
+				var steps []step
+				n := rng.IntN(3)
+				if nonfinite {
+					n = 0
+					plan.injected[faultNonFinite].Add(1)
+				}
+				for range n {
+					s := step{kind: fault(1 + rng.IntN(int(faultNonFinite)-1))}
 					switch s.kind {
-					case faultReset:
+					case faultReset, faultStall:
 						s.at = ups[c].framesAt + 1 + rng.IntN(ups[c].trailerAt-ups[c].framesAt-1)
 					case faultTruncate:
 						s.at = ups[c].trailerAt + rng.IntN(ups[c].size-ups[c].trailerAt)
+					case faultLoris:
+						s.at = 1 + rng.IntN(3)
 					}
 					steps = append(steps, s)
 				}
@@ -303,8 +360,7 @@ func TestFaultRounds(t *testing.T) {
 			t.Errorf("no %v fault was injected over seeds %v", k, seeds)
 		}
 	}
-	t.Logf("over seeds %v: %d resets, %d truncations, %d lost acks; %d clients folded but never acked",
-		seeds, injected[faultReset], injected[faultTruncate], injected[faultDropAck], unacked)
+	t.Logf("over seeds %v: %v injected; %d clients folded but never acked", seeds, injected, unacked)
 
 	// A truncated retry after a lost ack: the server rejects the corrupt
 	// retry of an update it has already folded, so client 0 is folded but
@@ -317,7 +373,7 @@ func TestFaultRounds(t *testing.T) {
 		plan := newFaultPlan()
 		ups := make([]faultClient, clients)
 		for c := range ups {
-			ups[c] = faultUpdate(t, rng, c)
+			ups[c] = faultUpdate(t, rng, c, false)
 		}
 		plan.steps[0] = []step{{kind: faultDropAck}, {kind: faultTruncate, at: ups[0].trailerAt}}
 		plan.steps[1] = []step{{kind: faultDropAck}}
@@ -344,7 +400,9 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := flserve.Serve(faultListener{ln, plan}, flserve.Config{Ingestor: sh, MaxConns: 4})
+	srv := flserve.Serve(faultListener{ln, plan}, flserve.Config{Ingestor: sh, MaxConns: 4, IdleTimeout: idleTimeout})
+	reg := telemetry.NewRegistry()
+	srv.RegisterMetrics(reg)
 	errs := make([]error, len(ups))
 	var wg sync.WaitGroup
 	for c := range ups {
@@ -365,6 +423,9 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 	for c, err := range errs {
 		if err != nil && !errors.Is(err, flserve.ErrRejected) && !errors.Is(err, flserve.ErrShed) && !transportError(err) {
 			t.Errorf("client %d (faults %v): error %v is no rejection, shed or transport error", c, plan.steps[uint32(c)], err)
+		}
+		if ups[c].nonfinite && !errors.Is(err, flserve.ErrRejected) {
+			t.Errorf("client %d's update decodes to NaN, and its upload ended in %v, not a rejection", c, err)
 		}
 		switch {
 		case err == nil:
@@ -396,6 +457,26 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 	}
 	core.Release(mean)
 	sh.Reset()
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := promtext.ParseText(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, label, value string
+		want               int32
+	}{
+		{"fedsz_server_timeout_kills_total", "kind", "idle", plan.injected[faultStall].Load() + plan.injected[faultLoris].Load()},
+		{"fedsz_server_updates_rejected_total", "reason", "nonfinite", plan.injected[faultNonFinite].Load()},
+	} {
+		if s, ok := promtext.FindSample(samples, c.name, c.label, c.value); !ok || s.Value != float64(c.want) {
+			t.Errorf("%s{%s=%q} is %v, want %d", c.name, c.label, c.value, s.Value, c.want)
+		}
+	}
 
 	if b := pool.Busy(); b != 0 {
 		t.Errorf("the aggregator's pool holds %d tokens after the round", b)

@@ -11,10 +11,10 @@
 // each call draw helper tokens from the same budget, so total concurrency
 // stays at the configured parallelism regardless of nesting.
 //
-// Deadlock freedom comes from the caller-runs discipline: ForEach never
-// blocks waiting for a token — the calling goroutine always works through
-// items itself, and helper goroutines join only when a token is free.
-// Nested ForEach calls therefore cannot starve each other.
+// Deadlock freedom comes from the caller-runs discipline: Group.Go never
+// blocks waiting for a token — a task runs on a helper goroutine only when
+// a token is free, and on the submitting goroutine otherwise. Nested groups
+// therefore cannot starve each other.
 package sched
 
 import (
@@ -58,8 +58,8 @@ func (p *Pool) Parallelism() int {
 }
 
 // Busy returns the number of helper tokens currently held (0 for a nil or
-// quiescent pool) — the observable for asserting that an aborted ForEach
-// or Group drained without leaking pool slots.
+// quiescent pool) — the observable for asserting that an aborted Group
+// drained without leaking pool slots.
 func (p *Pool) Busy() int {
 	if p == nil {
 		return 0
@@ -67,62 +67,16 @@ func (p *Pool) Busy() int {
 	return len(p.sem)
 }
 
-// ForEach runs fn(i) for every i in [0, n). The calling goroutine always
-// participates; up to Parallelism()-1 helper goroutines join while tokens
-// are free in the shared budget. ForEach returns when all n items are done.
-// fn must be safe for concurrent invocation on distinct i.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || cap(p.sem) == 0 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	// Recruit helpers without blocking: each takes a token for its whole
-	// drain of the index counter and releases it on exit.
-	for h := 0; h < n-1; h++ {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				work()
-			}()
-			continue
-		default:
-		}
-		break // budget exhausted; the caller covers the rest
-	}
-	work()
-	wg.Wait()
-}
-
 // Group schedules independent tasks against the pool's helper budget
 // without a barrier between submissions — the pipelining primitive behind
 // decode-while-receiving: a reader goroutine submits tensor i's decode and
 // immediately returns to reading tensor i+1 from the network.
 //
-// Go follows the same caller-runs discipline as ForEach: it never blocks
-// waiting for a token. When the budget is exhausted the submitting
-// goroutine runs the task inline, which stalls submission — exactly the
-// backpressure a streaming ingester wants (the socket read pauses, TCP
-// flow control pushes back on the sender) — and keeps nested use
-// deadlock-free.
+// Go follows the caller-runs discipline: it never blocks waiting for a
+// token. When the budget is exhausted the submitting goroutine runs the
+// task inline, which stalls submission — exactly the backpressure a
+// streaming ingester wants (the socket read pauses, TCP flow control pushes
+// back on the sender) — and keeps nested use deadlock-free.
 type Group struct {
 	p  *Pool
 	wg sync.WaitGroup

@@ -6,108 +6,33 @@ import (
 	"testing"
 )
 
-func TestForEachCoversAllIndices(t *testing.T) {
+func TestGroupRunsEveryTask(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 16} {
 		p := NewPool(par)
 		for _, n := range []int{0, 1, 2, 3, 17, 100, 1000} {
 			seen := make([]atomic.Int32, n)
-			p.ForEach(n, func(i int) { seen[i].Add(1) })
+			g := p.Group()
+			for i := range seen {
+				g.Go(func() { seen[i].Add(1) })
+			}
+			g.Wait()
 			for i := range seen {
 				if got := seen[i].Load(); got != 1 {
-					t.Fatalf("par=%d n=%d: index %d ran %d times", par, n, i, got)
+					t.Fatalf("par=%d n=%d: task %d ran %d times", par, n, i, got)
 				}
 			}
 		}
 	}
 }
 
-func TestNilPoolIsSerial(t *testing.T) {
+func TestGroupNilPoolRunsInline(t *testing.T) {
 	var p *Pool
 	if p.Parallelism() != 1 {
 		t.Fatalf("nil pool parallelism %d", p.Parallelism())
 	}
-	sum := 0
-	p.ForEach(10, func(i int) { sum += i }) // no race: must run on caller
-	if sum != 45 {
-		t.Fatalf("sum %d", sum)
-	}
-}
-
-func TestConcurrencyStaysWithinBudget(t *testing.T) {
-	const par = 4
-	p := NewPool(par)
-	var cur, peak atomic.Int32
-	p.ForEach(200, func(i int) {
-		c := cur.Add(1)
-		for {
-			pk := peak.Load()
-			if c <= pk || peak.CompareAndSwap(pk, c) {
-				break
-			}
-		}
-		for j := 0; j < 1000; j++ { // hold the slot briefly
-			_ = j
-		}
-		cur.Add(-1)
-	})
-	if pk := peak.Load(); pk > par {
-		t.Fatalf("peak concurrency %d exceeds budget %d", pk, par)
-	}
-}
-
-func TestNestedForEachDoesNotDeadlock(t *testing.T) {
-	p := NewPool(2)
-	var total atomic.Int64
-	p.ForEach(8, func(i int) {
-		p.ForEach(8, func(j int) {
-			total.Add(1)
-		})
-	})
-	if total.Load() != 64 {
-		t.Fatalf("total %d", total.Load())
-	}
-}
-
-func TestSharedBudgetAcrossGoroutines(t *testing.T) {
-	// Many goroutines hammering one pool must all complete (token leak or
-	// lost-wakeup bugs would hang here and trip the test timeout).
-	p := NewPool(3)
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.ForEach(50, func(i int) { total.Add(1) })
-		}()
-	}
-	wg.Wait()
-	if total.Load() != 16*50 {
-		t.Fatalf("total %d", total.Load())
-	}
-}
-
-func TestGroupRunsEveryTask(t *testing.T) {
-	for _, par := range []int{1, 2, 8} {
-		p := NewPool(par)
-		g := p.Group()
-		var total atomic.Int64
-		for i := 0; i < 300; i++ {
-			g.Go(func() { total.Add(1) })
-		}
-		g.Wait()
-		if total.Load() != 300 {
-			t.Fatalf("par=%d: ran %d of 300 tasks", par, total.Load())
-		}
-	}
-}
-
-func TestGroupNilPoolRunsInline(t *testing.T) {
-	var p *Pool
 	g := p.Group()
 	sum := 0
 	for i := 0; i < 10; i++ {
-		i := i
 		g.Go(func() { sum += i }) // no race: must run on caller
 	}
 	g.Wait()
@@ -117,43 +42,83 @@ func TestGroupNilPoolRunsInline(t *testing.T) {
 }
 
 func TestGroupStaysWithinBudget(t *testing.T) {
-	const par = 3
-	p := NewPool(par)
-	g := p.Group()
-	var cur, peak atomic.Int32
-	for i := 0; i < 200; i++ {
-		g.Go(func() {
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
+	for _, par := range []int{3, 4} {
+		p := NewPool(par)
+		g := p.Group()
+		var cur, peak atomic.Int32
+		for i := 0; i < 200; i++ {
+			g.Go(func() {
+				c := cur.Add(1)
+				for {
+					pk := peak.Load()
+					if c <= pk || peak.CompareAndSwap(pk, c) {
+						break
+					}
 				}
-			}
-			for j := 0; j < 1000; j++ {
-				_ = j
-			}
-			cur.Add(-1)
-		})
-	}
-	g.Wait()
-	if pk := peak.Load(); pk > par {
-		t.Fatalf("peak concurrency %d exceeds budget %d", pk, par)
+				for j := 0; j < 1000; j++ { // hold the slot briefly
+					_ = j
+				}
+				cur.Add(-1)
+			})
+		}
+		g.Wait()
+		if pk := peak.Load(); pk > int32(par) {
+			t.Fatalf("peak concurrency %d exceeds budget %d", pk, par)
+		}
 	}
 }
 
-func TestGroupNestedInForEachDoesNotDeadlock(t *testing.T) {
-	p := NewPool(2)
+// TestSharedBudgetAcrossGoroutines: many goroutines hammering one pool,
+// each through its own group, must all complete (token leak or lost-wakeup
+// bugs would hang here and trip the test timeout) and hand every token back.
+func TestSharedBudgetAcrossGoroutines(t *testing.T) {
+	p := NewPool(3)
+	var wg sync.WaitGroup
 	var total atomic.Int64
-	p.ForEach(8, func(i int) {
-		g := p.Group()
-		for j := 0; j < 8; j++ {
-			g.Go(func() { total.Add(1) })
-		}
-		g.Wait()
-	})
-	if total.Load() != 64 {
+	for range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := p.Group()
+			for range 50 {
+				g.Go(func() { total.Add(1) })
+			}
+			g.Wait()
+		}()
+	}
+	wg.Wait()
+	if total.Load() != 16*50 {
 		t.Fatalf("total %d", total.Load())
+	}
+	if b := p.Busy(); b != 0 {
+		t.Fatalf("%d tokens held after every group finished", b)
+	}
+}
+
+// TestGroupNestedInGroupDoesNotDeadlock is the chunk-inside-tensor shape:
+// every task of an outer group fans its own chunks out through an inner
+// group on the same pool and waits on it.
+func TestGroupNestedInGroupDoesNotDeadlock(t *testing.T) {
+	for _, par := range []int{1, 2, 4} {
+		p := NewPool(par)
+		var total atomic.Int64
+		outer := p.Group()
+		for range 8 {
+			outer.Go(func() {
+				inner := p.Group()
+				for range 8 {
+					inner.Go(func() { total.Add(1) })
+				}
+				inner.Wait()
+			})
+		}
+		outer.Wait()
+		if total.Load() != 64 {
+			t.Fatalf("par=%d: total %d", par, total.Load())
+		}
+		if b := p.Busy(); b != 0 {
+			t.Fatalf("par=%d: %d tokens held after the groups finished", par, b)
+		}
 	}
 }
 
@@ -224,15 +189,6 @@ func TestUint64PoolRoundTrip(t *testing.T) {
 		t.Fatalf("reused buffer not reset: len=%d", len(g))
 	}
 	PutUint64s(nil)
-}
-
-func BenchmarkForEachOverhead(b *testing.B) {
-	p := NewPool(0)
-	var sink atomic.Int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.ForEach(16, func(j int) { sink.Add(1) })
-	}
 }
 
 func TestGetBytesSizeClasses(t *testing.T) {
