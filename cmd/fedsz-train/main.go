@@ -17,12 +17,9 @@ import (
 	"os"
 
 	fedsz "repro"
-	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/netsim"
-	"repro/internal/nn/models"
-
-	"math/rand/v2"
 )
 
 func main() {
@@ -47,29 +44,6 @@ func main() {
 }
 
 func run(model, ds string, rounds, nClients int, eb float64, lossyName string, noCompress bool, bandwidth float64, imageSide, trainN int, seed uint64) error {
-	dcfg, err := dataset.ScaledConfig(ds, imageSide, trainN, trainN/4, seed)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	train, test := dataset.Generate(dcfg)
-	shards := dataset.ShardIID(train, nClients, seed)
-	in := models.Input{Channels: dcfg.Channels, Height: dcfg.Height, Width: dcfg.Width, Classes: dcfg.Classes}
-	rng := rand.New(rand.NewPCG(seed, 1))
-	global, err := models.BuildMini(model, rng, in)
-	if err != nil {
-		return err
-	}
-	clients := make([]*fl.Client, nClients)
-	for i := range clients {
-		crng := rand.New(rand.NewPCG(seed, uint64(i)+10))
-		net, err := models.BuildMini(model, crng, in)
-		if err != nil {
-			return err
-		}
-		clients[i] = fl.NewClient(i, net, shards[i], 16, 0.02, seed)
-	}
-
 	transport := fl.Raw
 	if !noCompress {
 		// Build the pipeline configuration through the session API so a
@@ -80,14 +54,18 @@ func run(model, ds string, rounds, nClients int, eb float64, lossyName string, n
 		}
 		transport = fl.FedSZ(codec.Options())
 	}
-	fed := fl.NewFederation(global, clients, transport, test)
+	cfg := experiments.Config{Seed: seed, Clients: nClients, TrainN: trainN, TestN: trainN / 4, ImageSide: imageSide}
+	fed, err := experiments.BuildFederation(cfg, model, ds, transport, 0, 0.02)
+	if err != nil {
+		return err
+	}
 	link := netsim.Link{BandwidthMbps: bandwidth}
 
 	fmt.Printf("federated %s on %s-like data: %d clients, %d rounds, transport=%s\n",
 		model, ds, nClients, rounds, transport.Name())
 	fmt.Printf("%-6s %-8s %-10s %-12s %-12s %-10s\n", "round", "loss", "top1(%)", "wire(bytes)", "comm@link", "ratio")
 	for r := 0; r < rounds; r++ {
-		res, err := fed.RunRound(ctx, r, 1)
+		res, err := fed.RunRound(context.Background(), r, 1)
 		if err != nil {
 			return err
 		}

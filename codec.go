@@ -41,7 +41,6 @@ type codecConfig struct {
 	hasParallel  bool
 	threshold    int
 	noPartition  bool
-	chunkElems   int
 }
 
 // Option configures a Codec under construction; see New.
@@ -125,20 +124,6 @@ func WithThreshold(n int) Option {
 	}
 }
 
-// WithChunkElems sets the intra-tensor chunking target: a lossy tensor
-// with more than n elements splits into block-aligned chunks that
-// compress and decode concurrently on the codec's pool, emitting the v4
-// stream format. 0 keeps the default (core.DefaultChunkElems, 512 Ki
-// elements); negative disables chunking so every stream keeps the v2/v3
-// layout. The chunk split is derived from element counts alone — emitted
-// bytes never depend on the pool's parallelism.
-func WithChunkElems(n int) Option {
-	return func(c *codecConfig) error {
-		c.chunkElems = n
-		return nil
-	}
-}
-
 // WithoutPartitioning routes every tensor through the lossy path — the
 // ablation the paper warns causes "extreme degradation" (§V-C); useful
 // for reproducing that experiment.
@@ -187,7 +172,6 @@ func New(options ...Option) (*Codec, error) {
 	}
 	c.opts.Threshold = cfg.threshold
 	c.opts.DisablePartitioning = cfg.noPartition
-	c.opts.ChunkElems = cfg.chunkElems
 	if cfg.hasParallel {
 		c.pool = sched.NewPool(cfg.parallelism)
 	} else {

@@ -231,85 +231,3 @@ func TestDefaultCodecSharedPool(t *testing.T) {
 		t.Fatal("WithParallelism did not give the codec its own pool")
 	}
 }
-
-// TestCodecChunkedStreams: WithChunkElems flips large tensors to the v4
-// chunked layout; disabling keeps the legacy bytes.
-func TestCodecChunkedStreams(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(31, 32))
-	sd := buildDemoDict(rng) // conv.weight: 4608 elements → 3 chunks at 2048
-
-	chunked, err := New(WithChunkElems(2048), WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked.Options().ChunkElems != 2048 {
-		t.Fatalf("ChunkElems not applied: %+v", chunked.Options())
-	}
-	stream, stats, err := chunked.Compress(ctx, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream[4] != 4 {
-		t.Fatalf("stream version %d, want 4", stream[4])
-	}
-	if stats.ChunkedTensors != 1 {
-		t.Fatalf("ChunkedTensors = %d, want 1", stats.ChunkedTensors)
-	}
-	got, dstats, err := chunked.Decompress(ctx, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dstats.ChunkedTensors != 1 {
-		t.Fatalf("decode ChunkedTensors = %d, want 1", dstats.ChunkedTensors)
-	}
-	// Chunking must not loosen the error contract.
-	want := sd.Get("conv.weight").Data
-	have := got.Get("conv.weight").Data
-	var rangeW float64
-	lo, hi := want[0], want[0]
-	for _, v := range want {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	rangeW = float64(hi - lo)
-	for i := range want {
-		d := float64(want[i] - have[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > 1e-2*rangeW*(1+1e-6) {
-			t.Fatalf("element %d error %g exceeds REL 1e-2 bound", i, d)
-		}
-	}
-
-	// A stream from any codec stays self-describing: the default codec
-	// (chunking unconfigured) decodes it identically.
-	plainCodec, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, _, err := plainCodec.Decompress(ctx, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := got2.MaxAbsDiff(got); err != nil || d != 0 {
-		t.Fatalf("cross-codec decode differs: d=%v err=%v", d, err)
-	}
-
-	// Disabled chunking reproduces the legacy v2 bytes exactly.
-	off, err := New(WithChunkElems(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	offStream, _, err := off.Compress(ctx, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, _, err := plainCodec.Compress(ctx, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(offStream, legacy) {
-		t.Fatal("WithChunkElems(-1) stream differs from legacy bytes")
-	}
-}

@@ -51,6 +51,7 @@ var reachKept = map[string]string{
 var fieldsKept = map[string]string{
 	"repro/internal/fl.Transport.Delta": "the in-memory delta rounds TestFedSZTransportDeltaRounds holds the delta_reduction floor on",
 
+	"repro/internal/core.Options.ChunkElems":             "the test seam for small chunks: the v4 goldens and the core chunk, delta and sample tests chunk a few thousand elements with it; programs chunk at core.DefaultChunkElems",
 	"repro/internal/core.Stats.ConstantResiduals":        `public as fedsz.Stats; README "Cross-round delta mode" documents it; the core delta and golden tests read it`,
 	"repro/internal/core.DecompressStats.DeltaTensors":   `public as fedsz.DecompressStats; README "Cross-round delta mode" documents it; the core, conformance and fuzz tests hold it equal to the encoder's count`,
 	"repro/internal/core.DecompressStats.ChunkedTensors": `public as fedsz.DecompressStats; README "Chunked sections (format v4)" documents it; the core chunk and delta tests hold it equal to the encoder's count`,

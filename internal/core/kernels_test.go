@@ -39,7 +39,8 @@ func residualRef(res, data, ref []float32) (rangeData, rangeRes, mag float64, ok
 	return rangeData, rangeRes, mag, finite(rangeData) && finite(rangeRes)
 }
 
-// addRef is the Go loop lanes.Add runs without the kernel.
+// addRef is lanes.Add's loop, the add-back a constant residual's decode is
+// held to.
 func addRef(data, ref []float32) {
 	for i, r := range ref {
 		data[i] += r
@@ -245,47 +246,6 @@ func bothNaN(a, b float32) bool { return a != a && b != b }
 // quiet is a NaN's bits as an arithmetic result carries them.
 func quiet(nan float32) uint32 { return math.Float32bits(nan) | 1<<22 }
 
-// TestAddIntoKernel pins lanes.Add on both paths to data[i] += ref[i] bit for
-// bit on the same lengths, offsets and values, NaN payloads included, and
-// checks that nothing around data is written.
-func TestAddIntoKernel(t *testing.T) {
-	rng := rand.New(rand.NewPCG(30, 2))
-	lanes.BothPaths(func(path string) {
-		for n := 0; n <= 67; n++ {
-			for off := 0; off < 8; off++ {
-				buf := make([]float32, off+n+8)
-				for i := range buf {
-					buf[i] = anyValue(rng)
-				}
-				refBuf := make([]float32, n+(7-off))
-				for i := range refBuf {
-					refBuf[i] = anyValue(rng)
-				}
-				ref := refBuf[7-off:]
-				want := append([]float32(nil), buf...)
-				addRef(want[off:off+n], ref)
-				orig := append([]float32(nil), buf...)
-				lanes.Add(buf[off:off+n], ref)
-				for i := range want {
-					if path == "Go" && i >= off && i < off+n && bothNaN(orig[i], ref[i-off]) {
-						// Which NaN's payload a Go sum keeps is the compiler's
-						// operand order, which two loops need not share (on 386
-						// they differ); the kernel is held to amd64's.
-						if got := math.Float32bits(buf[i]); got != quiet(orig[i]) && got != quiet(ref[i-off]) {
-							t.Fatalf("%s: n=%d off=%d: buf[%d] is %#08x, neither operand's payload", path, n, off, i, math.Float32bits(buf[i]))
-						}
-						continue
-					}
-					if math.Float32bits(buf[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s: n=%d off=%d: buf[%d] is %#08x, Go loop %#08x",
-							path, n, off, i, math.Float32bits(buf[i]), math.Float32bits(want[i]))
-					}
-				}
-			}
-		}
-	})
-}
-
 // constantStream is a one-tensor v3 stream under lossy whose tensor "w", of
 // n elements and encoded against epoch 1, is a residual section carrying blob.
 func constantStream(t *testing.T, lossy ebcl.Compressor, n int, blob []byte) []byte {
@@ -357,8 +317,8 @@ func TestConstantBlobDecode(t *testing.T) {
 						for i := range want {
 							g, w := math.Float32bits(got[i]), math.Float32bits(want[i])
 							if path == "Go" && bothNaN(v, ref[i]) && g != w {
-								// As in TestAddIntoKernel: two Go loops may keep
-								// different NaN payloads (on 386 they do).
+								// As in lanes' TestOffsetKernel: two Go loops may
+								// keep different NaN payloads (on 386 they do).
 								if g != quiet(v) && g != quiet(ref[i]) {
 									t.Fatalf("%s: [%d] is %#08x, neither operand's payload", label, i, g)
 								}

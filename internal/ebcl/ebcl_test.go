@@ -576,10 +576,10 @@ func checkDequantizeLinear(t *testing.T, q Quantizer, codes []uint16, lits []flo
 	})
 }
 
-// TestQuantizeLinearMatchesQuantize: sz2's regression-block kernel writes
-// Quantize's arithmetic a second time (twice, with the AVX2 lanes), so both
-// paths are held to a per-element Quantize loop bit for bit on every path
-// through it.
+// TestQuantizeLinearMatchesQuantize: sz2's regression-block loop writes
+// Quantize's arithmetic a second time (a third, for the zero line, in the
+// AVX2 kernel), so both paths are held to a per-element Quantize loop bit for
+// bit on every path through it.
 func TestQuantizeLinearMatchesQuantize(t *testing.T) {
 	const R = QuantRadius
 	ulp1 := math.Ldexp(1, -23) // float32 spacing just above 1
@@ -729,9 +729,10 @@ func escapePositions(n int) []int {
 	return pos
 }
 
-// TestDequantizeLinearMatchesDequantize: the decode kernels against a
-// per-element Dequantize loop on random codes over the whole alphabet, on a
-// fitted line and on the zero line, with one escape in every lane position
+// TestDequantizeLinearMatchesDequantize: DequantizeLinear (the table kernel
+// on the zero line, the Go loop otherwise) against a per-element Dequantize
+// loop on random codes over the whole alphabet, on a fitted line and on the
+// zero line, with one escape in every lane position
 // and in the tail, with every element escaped, and on the line that tells a
 // fused multiply-add apart.
 func TestDequantizeLinearMatchesDequantize(t *testing.T) {

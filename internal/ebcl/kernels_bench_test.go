@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/lanes"
 )
 
 // BenchmarkLinearKernels times QuantizeLinear and DequantizeLinear over
 // 512 Ki weight-like elements (Laplace, scale 0.03) in 256-element blocks,
-// on the zero line (a = b = 0, every block of round_lan's tensors) and on a
-// fitted line, at the bin widths of REL 1e-2 and 1e-4 of a ±1 range.
+// on the zero line (a = b = 0, every block of round_lan's tensors; the
+// kernels) and on a fitted line (the Go loops), at the bin widths of REL 1e-2
+// and 1e-4 of a ±1 range.
 func BenchmarkLinearKernels(b *testing.B) {
 	const n, block = 512 << 10, 256
 	rng := rand.New(rand.NewPCG(55, 55))
@@ -31,6 +34,11 @@ func BenchmarkLinearKernels(b *testing.B) {
 				lits = lits[:0]
 				t := Tally{Span: NoCodes}
 				for lo := 0; lo < n; lo += block {
+					if line.name != "zero" || !lanes.On() { // sz2 widens the blocks the Go loop reads
+						for i, v := range data[lo : lo+block] {
+							f[i] = float64(v)
+						}
+					}
 					lits, _, t = q.QuantizeLinear(codes[lo:lo+block], data[lo:lo+block], f, line.a, line.b, lits, t)
 				}
 			}

@@ -4,11 +4,7 @@ package ebcl
 
 // Without amd64 assembly the Go loops are the only path.
 
-func quantizeLinearAVX2([]uint16, []float32, float64, float64, float64, float64, float64) (float64, float64, bool, uint32, uint32) {
-	panic("ebcl: no AVX2 kernels")
-}
-
-func dequantizeLinearAVX2([]float32, []uint16, float64, float64, float64) (bool, uint32) {
+func quantizeZeroLineAVX2([]uint16, []float32, float64, float64, float64) (float64, float64, bool, uint32, uint32) {
 	panic("ebcl: no AVX2 kernels")
 }
 

@@ -97,15 +97,16 @@ func (q Quantizer) Quantize(original, pred float64) (code int, recon float32, ok
 // QuantizeLinear quantizes a block against the line a·i + b: one code per
 // element into codes, escaped elements appended to literals from block's
 // bits, and t grown by every other element. f is the block widened to
-// float64, which only the Go loop reads: with AVX2 it may be left unfilled.
-// It returns literals, the last reconstruction (the next block's Lorenzo
-// seed) and the grown t. The result is a per-element Quantize loop bit for bit, written out
+// float64, which only the Go loop reads: a zero-line block (a = b = +0) on
+// AVX2 runs the kernel, and f may be left unfilled for it. It returns
+// literals, the last reconstruction (the next block's Lorenzo seed) and the
+// grown t. The result is a per-element Quantize loop bit for bit, written out
 // because Quantize is over the inliner's budget of 80 and the call per
 // element was a third of the encoder's CPU; regression predictions depend
 // only on i, so without the call the iterations overlap.
 func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, a, b float64, literals []float32, t Tally) ([]float32, float64, Tally) {
-	if lanes.On() {
-		return q.quantizeLinearLanes(codes, block, a, b, literals, t)
+	if lanes.On() && math.Float64bits(a)|math.Float64bits(b) == 0 {
+		return q.quantizeZeroLine(codes, block, literals, t)
 	}
 	codes = codes[:len(f)]
 	last := 0.0
@@ -129,17 +130,18 @@ func (q Quantizer) QuantizeLinear(codes []uint16, block []float32, f []float64, 
 	return literals, last, t
 }
 
-// quantizeLinearLanes is QuantizeLinear on AVX2 lanes: the kernel writes the
-// codes of whole quads, EscapeCode for every lane that escapes, and Go gathers
-// their literals in element order, then quantizes the tail.
-func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b float64, literals []float32, t Tally) ([]float32, float64, Tally) {
+// quantizeZeroLine is QuantizeLinear of a zero-line block on AVX2 lanes: the
+// kernel writes the codes of whole quads, EscapeCode for every lane that
+// escapes, and Go gathers their literals in element order, then quantizes
+// the tail.
+func (q Quantizer) quantizeZeroLine(codes []uint16, block []float32, literals []float32, t Tally) ([]float32, float64, Tally) {
 	n4 := len(block) &^ 3
 	last := 0.0
 	if n4 > 0 {
 		var worst float64
 		var escaped bool
 		var lo, hi uint32
-		last, worst, escaped, lo, hi = quantizeLinearAVX2(codes[:n4], block[:n4], a, b, q.invWidth, q.binWidth, q.ebAbs)
+		last, worst, escaped, lo, hi = quantizeZeroLineAVX2(codes[:n4], block[:n4], q.invWidth, q.binWidth, q.ebAbs)
 		if hi != 0 { // a lane quantized
 			t.Span = CodeSpan{min(t.Span.Lo, uint16(lo)), max(t.Span.Hi, uint16(hi))}
 			t.Worst = max(t.Worst, worst)
@@ -157,7 +159,7 @@ func (q Quantizer) quantizeLinearLanes(codes []uint16, block []float32, a, b flo
 	}
 	for i := n4; i < len(block); i++ {
 		v := float64(block[i])
-		code, recon, ok := q.Quantize(v, a*float64(i)+b)
+		code, recon, ok := q.Quantize(v, 0)
 		if !ok {
 			codes[i], last = EscapeCode, v
 			literals = append(literals, block[i])
@@ -178,24 +180,25 @@ func (q Quantizer) Dequantize(code int, pred float64) float32 {
 // against a·i + b, or for an EscapeCode the next literal of s, taken in
 // element order. out must hold len(codes) elements. It returns the largest
 // magnitude it wrote, the block's share of the decoder's finiteness verdict.
-// A zero-line block (a = b = +0) of 8 elements or more reads its values from
-// s's reconstruction table where s has one (Sections.zeroTable).
+// On AVX2 a zero-line block (a = b = +0) of 8 elements or more reads its
+// values from s's reconstruction table where s has one (Sections.zeroTable).
+// The Go loop runs the rest 4-wide, as predictions depend only on the index;
+// an escape code (rare) drops the quad to the per-element step.
 func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64, s *Sections) lanes.AbsMax {
+	n := len(codes)
+	out = out[:n]
 	i := 0
 	var m lanes.AbsMax
-	if lanes.On() && len(codes) >= 4 {
-		// The kernels write a value for every lane; escaped lanes are
+	var table []float32
+	if lanes.On() {
+		table = s.zeroTable(q, a, b, n)
+	}
+	if table != nil {
+		// The kernel writes a value for every lane; escaped lanes are
 		// overwritten with their literals, and since the kernel's value
-		// for those lanes is no element's, the quads are judged again.
-		var escaped bool
-		var bits uint32
-		if t := s.zeroTable(q, a, b, len(codes)); t != nil {
-			i = len(codes) &^ 7
-			escaped, bits = dequantizeTableAVX2(out[:i], codes[:i], t, uint32(s.Span.Lo))
-		} else {
-			i = len(codes) &^ 3
-			escaped, bits = dequantizeLinearAVX2(out[:i], codes[:i], a, b, q.binWidth)
-		}
+		// for those lanes is no element's, the block is judged again.
+		i = n &^ 7
+		escaped, bits := dequantizeTableAVX2(out[:i], codes[:i], table, uint32(s.Span.Lo))
 		m = lanes.AbsMax(bits)
 		if escaped {
 			m = 0
@@ -207,16 +210,6 @@ func (q Quantizer) DequantizeLinear(out []float32, codes []uint16, a, b float64,
 			}
 		}
 	}
-	return q.dequantizeLinearFrom(out, codes, i, a, b, s, m)
-}
-
-// dequantizeLinearFrom is DequantizeLinear's Go loop from element i on,
-// growing m by every value it writes. Predictions depend only on the index,
-// so it runs 4-wide; an escape code (rare) drops the quad to the
-// per-element step.
-func (q Quantizer) dequantizeLinearFrom(out []float32, codes []uint16, i int, a, b float64, s *Sections, m lanes.AbsMax) lanes.AbsMax {
-	n := len(codes)
-	out = out[:n]
 	for ; i+4 <= n; i += 4 {
 		c0, c1, c2, c3 := codes[i], codes[i+1], codes[i+2], codes[i+3]
 		if c0 != EscapeCode && c1 != EscapeCode && c2 != EscapeCode && c3 != EscapeCode {

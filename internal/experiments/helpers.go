@@ -68,15 +68,16 @@ func metadataBlob(sd *tensor.StateDict, threshold int) []byte {
 	return rest.Marshal()
 }
 
-// buildFederation wires a mini-FL run for (model, dataset) under cfg at
-// the default learning rate.
+// buildFederation is BuildFederation at the default learning rate.
 func buildFederation(cfg Config, modelName, datasetName string, transport fl.Transport, seedSalt uint64) (*fl.Federation, error) {
-	return buildFederationLR(cfg, modelName, datasetName, transport, seedSalt, 0.02)
+	return BuildFederation(cfg, modelName, datasetName, transport, seedSalt, 0.02)
 }
 
-// buildFederationLR is buildFederation with an explicit client learning
-// rate (used by the hyperparameter-mitigation ablation).
-func buildFederationLR(cfg Config, modelName, datasetName string, transport fl.Transport, seedSalt uint64, lr float64) (*fl.Federation, error) {
+// BuildFederation wires a mini-FL run for (model, dataset) under cfg: the
+// synthetic data seeded by cfg.Seed+seedSalt, split IID over cfg.Clients
+// clients that train at learning rate lr, a global model, and transport.
+// fedsz-train and every accuracy experiment build their federations here.
+func BuildFederation(cfg Config, modelName, datasetName string, transport fl.Transport, seedSalt uint64, lr float64) (*fl.Federation, error) {
 	dcfg, err := dataset.ScaledConfig(datasetName, cfg.ImageSide, cfg.TrainN, cfg.TestN, cfg.Seed+seedSalt)
 	if err != nil {
 		return nil, err

@@ -15,8 +15,8 @@ func appendCodesBMI2(buf []byte, pos int, enc []uint32, syms []uint16, acc uint6
 //go:noescape
 func decode4BMI2(s *[4]wideStream, tab []uint32, tb uint, rounds int)
 
-// decode4PairsBMI2 is decode4Pairs' wide loop: decode4BMI2 with the
-// double-symbol table pairs, rounds probes a stream between refills.
+// decode4PairsBMI2 is decode4's wide loop with the pair table: decode4BMI2
+// with the double-symbol table pairs, rounds probes a stream between refills.
 //
 //go:noescape
 func decode4PairsBMI2(s *[4]wideStream, tab []uint32, pairs []uint64, tb uint, rounds int)

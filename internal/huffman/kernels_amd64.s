@@ -293,8 +293,8 @@ exit:
 	SHRQ $40, DX; \
 	LEAQ 2(op)(DX*2), op
 
-// ONE is decode4Pairs' fall-through for a zero pair entry: the primary probe
-// at index AX, flags as PROBE's.
+// ONE is the fall-through of decode4's loop with the pair table for a zero
+// pair entry: the primary probe at index AX, flags as PROBE's.
 #define ONE \
 	MOVL (BX)(AX*4), AX; \
 	LEAL -1(AX), DX; \

@@ -1,10 +1,9 @@
-// Package lanes holds the module's one CPU check and the eight float32 lane
-// kernels more than one codec stage shares: the range scan behind every REL
-// bound and SZx constant block (Scan), the delta encoder's residual pass
-// (Residual) and constant-residual check (Within), the decoder's add-back
-// (Add) and constant add-back (Offset), the server's fold (AddScaled) and
-// its fold of a constant residual straight from the reference
-// (AddScaledOffset), and the scale behind its mean and
+// Package lanes holds the module's one CPU check and the float32 array
+// loops more than one codec stage shares. Six run as kernels: the range scan
+// behind every REL bound and SZx constant block (Scan), the delta encoder's
+// residual pass (Residual), the decoder's constant add-back (Offset), the
+// server's fold (AddScaled) and its fold of a constant residual straight
+// from the reference (AddScaledOffset), and the scale behind its mean and
 // tensor.StateDict.Scale (Scale).
 // On amd64 CPUs with AVX2 each runs eight float32 lanes at a
 // time in Go assembly (lanes_amd64.s) and Go runs the tail. A lane does what
@@ -13,12 +12,15 @@
 // MULSS and ADDSS take them, so even a NaN result carries the same payload;
 // ranges are ordered compares and a largest magnitude is an integer max over
 // the bits. The Go loops stay as the reference the tests hold the kernels
-// to, and as the only path elsewhere.
+// to, and as the only path elsewhere. Two are Go loops on every platform,
+// as no workload runs them (a kernel comes back only with a gain measured
+// on one that does): the constant-residual check (Within) and the add-back
+// of a codec-encoded residual (Add).
 //
 // The kernels that touch a codec's private state (sz2's block scoring,
-// ebcl's quantize and dequantize, huffman's BMI2 loops) stay in their
-// packages and branch on On. It is a leaf package, so every package with
-// kernels can import it.
+// ebcl's zero-line quantize and table decode, huffman's BMI2 loops) stay in
+// their packages and branch on On. It is a leaf package, so every package
+// with kernels can import it.
 package lanes
 
 import "math"
@@ -147,16 +149,10 @@ func (m AbsMax) Finite() bool { return m < infBits }
 
 // Add adds the reference back, data[i] += ref[i], and returns the sums'
 // largest magnitude: the decoder's finiteness verdict on a residual's
-// reconstruction. ref must be at least as long as data. The kernel adds
-// data to ref, as the compiled Go loop's ADDSS does; AddScaled adds in the
-// other order, so the two stay apart.
+// reconstruction. ref must be at least as long as data.
 func Add(data, ref []float32) AbsMax {
 	ref = ref[:len(data)]
 	var m AbsMax
-	if n8 := len(data) &^ 7; on && n8 > 0 {
-		m = AbsMax(addAVX2(data[:n8], ref[:n8]))
-		data, ref = data[n8:], ref[n8:]
-	}
 	for i, r := range ref {
 		data[i] += r
 		m = m.With(data[i])
@@ -165,9 +161,10 @@ func Add(data, ref []float32) AbsMax {
 }
 
 // Offset writes a constant residual's reconstruction, dst[i] = ref[i] + v:
-// one pass for filling dst with v and then calling Add, with ref the first
-// operand as there, so even NaN payloads match. ref must be at least as long
-// as dst.
+// one pass for filling dst with v and then calling Add. The kernel takes ref
+// as the first operand; where ref and v are both NaNs, which payload a Go
+// sum keeps is the compiler's operand order. ref must be at least as long as
+// dst.
 func Offset(dst, ref []float32, v float32) {
 	ref = ref[:len(dst)]
 	if n8 := len(dst) &^ 7; on && n8 > 0 {
@@ -181,17 +178,10 @@ func Offset(dst, ref []float32, v float32) {
 
 // Within reports whether |data[i] − fl(ref[i] + mid)| ≤ eb holds in float64
 // for every i: the constant residual's check of the decoder's exact output.
-// The kernel compares in float64 as the Go loop does (a float32 compare would
-// refuse a sliver of valid inputs), ordered and quiet, so a NaN difference
-// passes on both paths. ref must be at least as long as data.
+// It compares in float64 (a float32 compare would refuse a sliver of valid
+// inputs), so a NaN difference passes. ref must be at least as long as data.
 func Within(data, ref []float32, mid float32, eb float64) bool {
 	ref = ref[:len(data)]
-	if n8 := len(data) &^ 7; on && n8 > 0 {
-		if !withinAVX2(data[:n8], ref[:n8], mid, eb) {
-			return false
-		}
-		data, ref = data[n8:], ref[n8:]
-	}
 	for i, v := range data {
 		if math.Abs(float64(v)-float64(float32(ref[i]+mid))) > eb {
 			return false

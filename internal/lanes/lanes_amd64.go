@@ -38,12 +38,6 @@ func scanAVX2(data []float32) (lo, hi float32, absBits uint32)
 //go:noescape
 func residualAVX2(res, data, ref []float32) (loD, hiD, loR, hiR float32, absD, absR uint32)
 
-// addAVX2 is Add's loop over data and ref; absBits is the sums' largest
-// magnitude bits.
-//
-//go:noescape
-func addAVX2(data, ref []float32) (absBits uint32)
-
 // addScaledAVX2 is AddScaled's loop over a and b.
 //
 //go:noescape
@@ -63,8 +57,3 @@ func scaleAVX2(dst, src []float32, w float32)
 //
 //go:noescape
 func offsetAVX2(dst, ref []float32, v float32)
-
-// withinAVX2 is Within's loop over data and ref.
-//
-//go:noescape
-func withinAVX2(data, ref []float32, mid float32, eb float64) bool

@@ -115,32 +115,6 @@ loop:
 	VZEROUPPER
 	RET
 
-// func addAVX2(data, ref []float32) (absBits uint32)
-TEXT ·addAVX2(SB), NOSPLIT, $0-52
-	MOVQ      data_base+0(FP), DI
-	MOVQ      data_len+8(FP), CX
-	MOVQ      ref_base+24(FP), SI
-	VPCMPEQD  Y6, Y6, Y6
-	VPSRLD    $1, Y6, Y6 // the magnitude mask
-	VPXOR     Y4, Y4, Y4 // magnitude bits
-
-add:
-	VMOVUPS (SI), Y0
-	VADDPS  (DI), Y0, Y0 // ref + data: Go loads ref and ADDSS adds data to it
-	VMOVUPS Y0, (DI)
-	VPAND   Y6, Y0, Y0
-	VPMAXUD Y0, Y4, Y4
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JNZ     add
-
-	FOLD(VPMAXUD, Y4, X4)
-	VMOVD X4, AX
-	MOVL  AX, absBits+48(FP)
-	VZEROUPPER
-	RET
-
 // func addScaledAVX2(a, b []float32, w float32)
 TEXT ·addScaledAVX2(SB), NOSPLIT, $0-52
 	MOVQ         a_base+0(FP), DI
@@ -210,51 +184,11 @@ TEXT ·offsetAVX2(SB), NOSPLIT, $0-52
 
 loop:
 	VMOVUPS (SI), Y1
-	VADDPS  Y0, Y1, Y1 // ref + v, ref first as in addAVX2
+	VADDPS  Y0, Y1, Y1 // ref + v, ref first: a NaN ref keeps its payload
 	VMOVUPS Y1, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	SUBQ    $8, CX
 	JNZ     loop
-	VZEROUPPER
-	RET
-
-// func withinAVX2(data, ref []float32, mid float32, eb float64) bool
-TEXT ·withinAVX2(SB), NOSPLIT, $0-65
-	MOVQ         data_base+0(FP), SI
-	MOVQ         data_len+8(FP), CX
-	MOVQ         ref_base+24(FP), DX
-	VBROADCASTSS mid+48(FP), Y0
-	VBROADCASTSD eb+56(FP), Y1
-	VPCMPEQQ     Y2, Y2, Y2
-	VPSRLQ       $1, Y2, Y2   // the float64 magnitude mask
-
-loop:
-	VMOVUPS      (DX), Y3
-	VADDPS       Y0, Y3, Y3   // ref + mid, ref first as in Go's ADDSS
-	VCVTPS2PD    X3, Y4
-	VEXTRACTF128 $1, Y3, X3
-	VCVTPS2PD    X3, Y3
-	VCVTPS2PD    (SI), Y5
-	VCVTPS2PD    16(SI), Y6
-	VSUBPD       Y4, Y5, Y5   // data − fl(ref + mid), as Go's SUBSD
-	VSUBPD       Y3, Y6, Y6
-	VANDPD       Y2, Y5, Y5
-	VANDPD       Y2, Y6, Y6
-
-	// GT_OQ is Go's >: false when either side is a NaN.
-	VCMPPD $0x1e, Y1, Y5, Y5
-	VCMPPD $0x1e, Y1, Y6, Y6
-	VPOR   Y5, Y6, Y5
-	VPTEST Y5, Y5
-	JNZ    done       // a miss leaves CX > 0
-	ADDQ   $32, SI
-	ADDQ   $32, DX
-	SUBQ   $8, CX
-	JNZ    loop
-
-done:
-	TESTQ CX, CX
-	SETEQ ret+64(FP)
 	VZEROUPPER
 	RET

@@ -12,8 +12,6 @@ func residualAVX2(_, _, _ []float32) (float32, float32, float32, float32, uint32
 	panic("lanes: no AVX2 kernels")
 }
 
-func addAVX2([]float32, []float32) uint32 { panic("lanes: no AVX2 kernels") }
-
 func addScaledAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
 
 func addScaledOffsetAVX2([]float32, []float32, float32, float32) { panic("lanes: no AVX2 kernels") }
@@ -21,5 +19,3 @@ func addScaledOffsetAVX2([]float32, []float32, float32, float32) { panic("lanes:
 func scaleAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
 
 func offsetAVX2([]float32, []float32, float32) { panic("lanes: no AVX2 kernels") }
-
-func withinAVX2([]float32, []float32, float32, float64) bool { panic("lanes: no AVX2 kernels") }

@@ -10,7 +10,9 @@ package netsim_test
 // client's retry a duplicate. A client may instead send a well-formed update
 // that decodes to NaN. After every round the server's and the aggregator's
 // resources must be back where they started and the mean must be exactly
-// that of the clients whose upload was acked.
+// that of the clients whose upload was acked. Each seeded round then
+// forwards its fold to a root server through a second faultListener, as an
+// edge does, and one fixed round bursts into a full admission queue.
 
 import (
 	"bytes"
@@ -317,7 +319,7 @@ func transportError(err error) bool {
 func TestFaultRounds(t *testing.T) {
 	const clients = 8
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	var injected [faultKinds]int32
+	var injected, forwarded [faultKinds]int32
 	unacked := 0
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -349,9 +351,22 @@ func TestFaultRounds(t *testing.T) {
 				}
 				plan.steps[uint32(c)] = steps
 			}
-			unacked += faultRound(t, plan, ups)
+			// The forward hop's faults come from a stream of their own, so
+			// the clients' plans are those the seed has always drawn.
+			frng := rand.New(rand.NewPCG(seed, 58))
+			forward := []step{}
+			for range frng.IntN(3) {
+				s := step{kind: forwardKinds[frng.IntN(len(forwardKinds))]}
+				if s.kind == faultReset || s.kind == faultStall {
+					s.at = forwardFramesAt + frng.IntN(64)
+				}
+				forward = append(forward, s)
+			}
+			hop := newFaultPlan()
+			unacked += faultRound(t, plan, ups, round{forward: forward, hop: hop})
 			for k := range injected {
 				injected[k] += plan.injected[k].Load()
+				forwarded[k] += hop.injected[k].Load()
 			}
 		})
 	}
@@ -360,7 +375,12 @@ func TestFaultRounds(t *testing.T) {
 			t.Errorf("no %v fault was injected over seeds %v", k, seeds)
 		}
 	}
-	t.Logf("over seeds %v: %v injected; %d clients folded but never acked", seeds, injected, unacked)
+	for _, k := range forwardKinds {
+		if forwarded[k] == 0 {
+			t.Errorf("no %v fault met a forward hop over seeds %v", k, seeds)
+		}
+	}
+	t.Logf("over seeds %v: %v injected, %v on the forward hops; %d clients folded but never acked", seeds, injected, forwarded, unacked)
 
 	// A truncated retry after a lost ack: the server rejects the corrupt
 	// retry of an update it has already folded, so client 0 is folded but
@@ -378,34 +398,181 @@ func TestFaultRounds(t *testing.T) {
 		plan.steps[0] = []step{{kind: faultDropAck}, {kind: faultTruncate, at: ups[0].trailerAt}}
 		plan.steps[1] = []step{{kind: faultDropAck}}
 		plan.steps[2] = []step{{kind: faultTruncate, at: ups[2].trailerAt}}
-		if got := faultRound(t, plan, ups); got != 1 {
+		if got := faultRound(t, plan, ups, round{}); got != 1 {
 			t.Errorf("%d clients folded but never acked, want 1 (client 0)", got)
 		}
 	})
+
+	// A burst into a full queue, on a fixed schedule: the round's MaxConns
+	// uploads are dialed one at a time, each held in the ingestor before the
+	// next; then queueDepth more, each waiting in the queue before the next;
+	// then the rest at once, which admission sheds, as no worker is free.
+	// Exactly MaxConns + queueDepth fold, and each of the rest is shed once
+	// and folds nothing.
+	t.Run("full-queue", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(0, 59))
+		ups := make([]faultClient, 10)
+		for c := range ups {
+			ups[c] = faultUpdate(t, rng, c, false)
+		}
+		faultRound(t, newFaultPlan(), ups, round{queueDepth: 2})
+	})
+}
+
+// round is what a faultRound adds to concurrent uploads.
+type round struct {
+	// queueDepth > 0 serves with that admission queue and uploads on
+	// the full-queue schedule (see TestFaultRounds).
+	queueDepth int
+	// forward, when not nil, are the faults the fold's forward hop meets,
+	// one per attempt (empty: a clean hop); hop records them.
+	forward []step
+	hop     *faultPlan
+}
+
+// forwardKinds are the faults a forward hop may meet: those that do not
+// depend on where its stream, encoded as it is sent, puts its trailer.
+var forwardKinds = []fault{faultReset, faultStall, faultDropAck, faultCloseAck}
+
+// forwardFramesAt is where a forward's wire frames start on its FLS3
+// connection: after the magic and edge ID, its 8-byte weight and the first
+// frame's 5-byte head. A forward stream runs well past 64 bytes beyond it.
+const forwardFramesAt = idEnd + 8 + 5
+
+// edgeID is the client ID an edge forwards its fold under.
+const edgeID = 1 << 20
+
+// heldIngestor holds every update in IngestStream until gate is closed,
+// counting those it holds, so a round can fill the server's workers.
+type heldIngestor struct {
+	*agg.Sharded
+	gate chan struct{}
+	held atomic.Int32
+}
+
+func (h *heldIngestor) IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
+	h.held.Add(1)
+	<-h.gate
+	return h.Sharded.IngestStream(ctx, client, weight, dopts, r)
+}
+
+// metric returns the value of reg's unlabelled sample name, 0 when it has
+// none.
+func metric(t *testing.T, reg *telemetry.Registry, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := promtext.ParseText(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := promtext.FindSample(samples, name)
+	return s.Value
+}
+
+// waitFor polls done until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+	}
+}
+
+// forwardHop forwards sh's fold, folded updates, to a root server through
+// a faultListener on which the edge's upload meets r.forward, and checks
+// that the edge let its fold go and the root folded it exactly once, at the
+// edge's weight: the hop re-encodes the mean, whose constants and integers
+// the codecs store exactly, so the root's mean is edgeMean scaled by the
+// weight and back, bit for bit, whatever the faults made the edge resend.
+func forwardHop(t *testing.T, sh *agg.Sharded, pool *sched.Pool, edgeMean *tensor.StateDict, folded int, r round) {
+	t.Helper()
+	r.hop.steps[edgeID] = r.forward
+	root := agg.New(agg.Config{Pool: pool})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := flserve.Serve(faultListener{ln, r.hop}, flserve.Config{Ingestor: root, MaxConns: 2, IdleTimeout: idleTimeout})
+	up := &flserve.Client{Addr: ln.Addr().String(), Retries: len(r.forward), RetryBackoff: time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// The client retries a cut connection. A stall ends in the root's
+	// rejection, which it does not retry: the edge keeps its fold and
+	// forwards again, once per fault at most.
+	var w float64
+	for try := 0; ; try++ {
+		w, err = sh.Forward(ctx, up, edgeID, core.Options{})
+		edge, n := sh.Mean()
+		core.Release(edge)
+		if err != nil && n != folded {
+			t.Errorf("the edge holds %d of its %d updates after a failed forward", n, folded)
+		}
+		if err == nil && n != 0 {
+			t.Errorf("the edge still holds %d updates after its forward", n)
+		}
+		if err == nil || try == len(r.forward) {
+			break
+		}
+	}
+	srv.Close()
+	if err != nil || w != float64(folded) {
+		t.Errorf("forward (faults %v): weight %v, error %v; want weight %d", r.forward, w, err, folded)
+	}
+	mean, n := root.Mean()
+	defer root.Reset()
+	defer core.Release(mean)
+	if folded == 0 {
+		if n != 0 {
+			t.Errorf("the root folded %d updates of an edge that had none", n)
+		}
+		return
+	}
+	if n != 1 {
+		t.Errorf("the root folded the edge's forward %d times (faults %v), want once", n, r.forward)
+		return
+	}
+	want := edgeMean.Clone()
+	want.Scale(float32(w))
+	want.Scale(float32(1 / w))
+	for _, e := range want.Entries() {
+		if got := mean.Get(e.Name); got == nil || !sameBits(got.Data, e.Tensor.Data) {
+			t.Errorf("tensor %q of the root's mean is not the edge's mean at weight %v", e.Name, w)
+		}
+	}
 }
 
 // faultRound serves one round of ups through a faultListener with plan and
-// checks the round's invariants. A client whose ack was dropped has folded,
-// so when its retries then fail (a truncated retry is rejected as corrupt,
-// although its update is already in the fold) it counts among the folded
-// clients though it was never acked; faultRound returns how many did.
-func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) {
+// checks the round's invariants; r may add a full queue and a forward hop. A
+// client whose ack was dropped has folded, so when its retries then fail (a
+// truncated retry is rejected as corrupt, although its update is already in
+// the fold) it counts among the folded clients though it was never acked;
+// faultRound returns how many did.
+func faultRound(t *testing.T, plan *faultPlan, ups []faultClient, r round) (unacked int) {
+	const maxConns = 4
 	goroutines := runtime.NumGoroutine()
 	hits0, misses0 := sched.FloatPoolCounters()
 	puts0 := sched.FloatPoolPuts()
 
 	pool := sched.NewPool(2)
 	sh := agg.New(agg.Config{Pool: pool})
+	held := &heldIngestor{Sharded: sh, gate: make(chan struct{})}
+	if r.queueDepth == 0 {
+		close(held.gate)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := flserve.Serve(faultListener{ln, plan}, flserve.Config{Ingestor: sh, MaxConns: 4, IdleTimeout: idleTimeout})
+	srv := flserve.Serve(faultListener{ln, plan}, flserve.Config{Ingestor: held, MaxConns: maxConns, QueueDepth: r.queueDepth, IdleTimeout: idleTimeout})
 	reg := telemetry.NewRegistry()
 	srv.RegisterMetrics(reg)
 	errs := make([]error, len(ups))
 	var wg sync.WaitGroup
-	for c := range ups {
+	upload := func(c int) {
 		cl := flserve.Client{Addr: ln.Addr().String(), Retries: len(plan.steps[uint32(c)]), RetryBackoff: time.Millisecond}
 		wg.Add(1)
 		go func() {
@@ -414,6 +581,31 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 			defer cancel()
 			errs[c] = cl.Upload(ctx, uint32(c), ups[c].stream)
 		}()
+	}
+	admitted := len(ups)
+	if r.queueDepth > 0 {
+		admitted = maxConns + r.queueDepth
+		for c := range maxConns {
+			upload(c)
+			waitFor(t, fmt.Sprintf("upload %d was never held in the ingestor", c), func() bool { return held.held.Load() > int32(c) })
+		}
+		for c := maxConns; c < admitted; c++ {
+			upload(c)
+			waitFor(t, fmt.Sprintf("upload %d never queued", c), func() bool {
+				return metric(t, reg, "fedsz_server_queue_depth") > float64(c-maxConns)
+			})
+		}
+		for c := admitted; c < len(ups); c++ {
+			upload(c)
+		}
+		waitFor(t, "the burst was never shed", func() bool {
+			return metric(t, reg, "fedsz_server_shed_total") >= float64(len(ups)-admitted)
+		})
+		close(held.gate)
+	} else {
+		for c := range ups {
+			upload(c)
+		}
 	}
 	wg.Wait()
 	srv.Close()
@@ -426,6 +618,9 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 		}
 		if ups[c].nonfinite && !errors.Is(err, flserve.ErrRejected) {
 			t.Errorf("client %d's update decodes to NaN, and its upload ended in %v, not a rejection", c, err)
+		}
+		if (err == nil) != (c < admitted) && r.queueDepth > 0 {
+			t.Errorf("client %d of a burst into a full queue ended in %v; the first %d fold", c, err, admitted)
 		}
 		switch {
 		case err == nil:
@@ -455,6 +650,9 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 			}
 		}
 	}
+	if r.forward != nil {
+		forwardHop(t, sh, pool, mean, folded, r)
+	}
 	core.Release(mean)
 	sh.Reset()
 
@@ -472,8 +670,13 @@ func faultRound(t *testing.T, plan *faultPlan, ups []faultClient) (unacked int) 
 	}{
 		{"fedsz_server_timeout_kills_total", "kind", "idle", plan.injected[faultStall].Load() + plan.injected[faultLoris].Load()},
 		{"fedsz_server_updates_rejected_total", "reason", "nonfinite", plan.injected[faultNonFinite].Load()},
+		{"fedsz_server_shed_total", "", "", int32(len(ups) - admitted)},
 	} {
-		if s, ok := promtext.FindSample(samples, c.name, c.label, c.value); !ok || s.Value != float64(c.want) {
+		labels := []string{c.label, c.value}
+		if c.label == "" {
+			labels = nil
+		}
+		if s, ok := promtext.FindSample(samples, c.name, labels...); !ok || s.Value != float64(c.want) {
 			t.Errorf("%s{%s=%q} is %v, want %d", c.name, c.label, c.value, s.Value, c.want)
 		}
 	}

@@ -105,7 +105,8 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 	// the quantize loop serialises it, as Go emits CVTSS2SD without a zeroing
 	// XORPS and the conversion waits on the register's last value, the
 	// previous recon. The AVX2 kernels widen in the register, so with them
-	// only Lorenzo blocks are widened.
+	// only the blocks the Go loops quantize, Lorenzo and fitted-line ones,
+	// are widened.
 	var wide [blockSize]float64
 	stride := 1
 	if ebcl.Sampled(len(data)) {
@@ -124,12 +125,12 @@ func (c *Compressor) CompressAppend(dst []byte, data []float32, p ebcl.Params) (
 		if kind == predRegression {
 			coeffs = append(coeffs, a, bb)
 		}
+		if kind != predZero && len(f) == 0 {
+			f = widen(wide[:len(block)], block)
+		}
 		if kind != predLorenzo {
 			literals, prevRecon, tally = q.QuantizeLinear(codes[lo:hi], block, f, float64(a), float64(bb), literals, tally)
 			continue
-		}
-		if len(f) == 0 {
-			f = widen(wide[:len(block)], block)
 		}
 		// Lorenzo: inherently serial — every prediction is the previous
 		// reconstruction.
